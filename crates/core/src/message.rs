@@ -16,6 +16,7 @@
 
 use crate::matching::Connection;
 use crate::rng::mix;
+use crate::Advertisement;
 
 /// Aggregate outcome of a batch of push-pull transfers
 /// ([`MessageMatrix::union_pairs_parallel`]). Every field is a sum of
@@ -97,16 +98,37 @@ fn union_rows_traced(
     union_rows(a, b, count_a, count_b, universe)
 }
 
+/// Initial state of the hashed-fingerprint chain: the salt *is* the
+/// chain's starting point, so no prefix of the chain can be reused under
+/// a different salt.
+#[inline]
+fn chain_init(universe: usize, salt: u64) -> u64 {
+    salt ^ (universe as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// One link of the hashed-fingerprint chain: absorb word `w` into `h`.
+#[inline]
+fn chain_step(h: u64, w: u64) -> u64 {
+    mix(h ^ w)
+}
+
 fn fingerprint_words(words: &[u64], universe: usize, salt: u64) -> u64 {
     if universe <= 64 {
         return words.first().copied().unwrap_or(0);
     }
-    let mut h = salt ^ (universe as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &w in words {
-        h = mix(h ^ w);
-    }
-    h
+    words
+        .iter()
+        .fold(chain_init(universe, salt), |h, &w| chain_step(h, w))
 }
+
+/// How many rows' hash chains [`MessageMatrix::fingerprint_rows`] runs
+/// interleaved. One chain is a serial dependency of two multiplies per
+/// word, so a lone row is bound by multiply latency; the chains of
+/// different rows are independent and overlap in the pipeline. Chosen by
+/// measurement — advertise phase of 64 rounds over 4900 × 77-word rows
+/// (2.1 GHz Xeon, rustc 1.95): 1 lane 100 ms, 2 → 57, 4 → 34, 8 → 26,
+/// 12 → 29, 16 → 50 (the lanes spill).
+const FINGERPRINT_LANES: usize = 8;
 
 /// A borrowed, read-only view of one node's message set — the shape
 /// protocols see, regardless of whether a [`MessageSet`] or a row of the
@@ -329,6 +351,47 @@ impl MessageMatrix {
             self.counts[u] += 1;
         }
         fresh
+    }
+
+    /// Advertisement tags of the contiguous rows `base..base + out.len()`:
+    /// `out[i]` becomes `view(base + i).fingerprint_salted(salt)`, bit for
+    /// bit — this is the batched form of that call, not a different hash.
+    ///
+    /// Universes of at most 64 messages copy the exact membership mask.
+    /// Larger ones run `FINGERPRINT_LANES` rows' chains side by side so
+    /// their multiplies overlap; rows past the last full group take the
+    /// per-row path.
+    pub fn fingerprint_rows(&self, base: usize, salt: u64, out: &mut [Advertisement]) {
+        let universe = self.universe;
+        if universe <= 64 {
+            // Exact masks: one word per row, no chain to overlap.
+            for (i, tag) in out.iter_mut().enumerate() {
+                *tag = Advertisement(self.view(base + i).fingerprint());
+            }
+            return;
+        }
+        let stride = self.stride;
+        let rows = &self.words[base * stride..(base + out.len()) * stride];
+        let init = chain_init(universe, salt);
+        let mut tag_groups = out.chunks_exact_mut(FINGERPRINT_LANES);
+        let mut row_groups = rows.chunks_exact(FINGERPRINT_LANES * stride);
+        for (tags, group) in tag_groups.by_ref().zip(row_groups.by_ref()) {
+            let lanes: [&[u64]; FINGERPRINT_LANES] =
+                std::array::from_fn(|l| &group[l * stride..(l + 1) * stride]);
+            let mut h = [init; FINGERPRINT_LANES];
+            for j in 0..stride {
+                for (h, lane) in h.iter_mut().zip(&lanes) {
+                    *h = chain_step(*h, lane[j]);
+                }
+            }
+            for (tag, h) in tags.iter_mut().zip(h) {
+                *tag = Advertisement(h);
+            }
+        }
+        let tail_rows = row_groups.remainder().chunks_exact(stride);
+        for (tag, row) in tag_groups.into_remainder().iter_mut().zip(tail_rows) {
+            *tag = Advertisement(fingerprint_words(row, universe, salt));
+        }
     }
 
     /// Clear node `u`'s set (a rejoining device that lost its storage).
@@ -760,6 +823,39 @@ mod tests {
         assert_eq!(v.fingerprint(), s.fingerprint());
         assert_eq!(v.fingerprint_salted(9), s.fingerprint_salted(9));
         assert!(v.contains(64) && !v.contains(4));
+    }
+
+    #[test]
+    fn fingerprint_rows_equals_the_per_row_hash() {
+        use crate::Rng;
+        const MAX_ROWS: usize = 2 * FINGERPRINT_LANES + 1;
+        let mut rng = Rng::new(0xf1a9);
+        for universe in [1usize, 64, 65, 128, 4900] {
+            // A few rows of slack so non-zero bases stay in range.
+            let n = MAX_ROWS + 3;
+            let mut m = MessageMatrix::new(n, universe);
+            for u in 0..n {
+                for _ in 0..rng.gen_range(2 * universe) {
+                    m.insert(u, rng.gen_range(universe));
+                }
+            }
+            for rows in 0..=MAX_ROWS {
+                for base in [0usize, 1, 3] {
+                    for salt in [0u64, 1, 224, u64::MAX] {
+                        // Poisoned, so a row the kernel skipped shows up.
+                        let mut tags = vec![Advertisement(0xdead_beef); rows];
+                        m.fingerprint_rows(base, salt, &mut tags);
+                        for (i, tag) in tags.iter().enumerate() {
+                            assert_eq!(
+                                tag.0,
+                                m.view(base + i).fingerprint_salted(salt),
+                                "universe={universe} rows={rows} base={base} salt={salt} row={i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// A matrix of `n` nodes over a 130-message universe (3 words/row),

@@ -62,6 +62,7 @@ fn protocol_intents(topo: &Topology, protocol: &dyn GossipProtocol, seed: u64) -
                 id,
                 salt: round,
                 messages: states.view(u),
+                own_ad: ads[u],
                 neighbors,
                 neighbor_ads: &neighbor_ads,
             };

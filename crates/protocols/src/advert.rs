@@ -1,7 +1,7 @@
 //! Productive, advertisement-guided gossip.
 
 use crate::{GossipProtocol, NodeCtx};
-use gossip_core::{Advertisement, Intent, MsgView, Rng};
+use gossip_core::{Advertisement, Intent, MessageMatrix, MsgView, Rng};
 
 /// Advertisement-guided gossip from the paper family: each node advertises a
 /// fingerprint of its message set, so neighbors can tell *before* spending
@@ -79,7 +79,8 @@ impl AdvertGossip {
     /// meaningful, so any differing neighbor is a candidate and roles are
     /// symmetric coin flips.
     fn decide_hashed(&self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {
-        let mine = ctx.messages.fingerprint_salted(ctx.salt);
+        debug_assert_eq!(ctx.own_ad, self.advertise(ctx.messages, ctx.salt));
+        let mine = ctx.own_ad.0;
         let mut diff_count = 0usize;
         let mut pick = 0usize;
         for (i, ad) in ctx.neighbor_ads.iter().enumerate() {
@@ -107,6 +108,16 @@ impl GossipProtocol for AdvertGossip {
 
     fn advertise(&self, messages: MsgView<'_>, salt: u64) -> Advertisement {
         Advertisement(messages.fingerprint_salted(salt))
+    }
+
+    fn advertise_rows(
+        &self,
+        states: &MessageMatrix,
+        base: usize,
+        salt: u64,
+        out: &mut [Advertisement],
+    ) {
+        states.fingerprint_rows(base, salt, out);
     }
 
     fn decide(&self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {
@@ -141,6 +152,7 @@ mod tests {
             id: NodeId(0),
             salt,
             messages: messages.view(),
+            own_ad: AdvertGossip.advertise(messages.view(), salt),
             neighbors,
             neighbor_ads: ads,
         }

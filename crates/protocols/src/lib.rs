@@ -20,7 +20,7 @@ mod uniform;
 pub use advert::AdvertGossip;
 pub use uniform::UniformGossip;
 
-use gossip_core::{Advertisement, Intent, MsgView, NodeId, Rng};
+use gossip_core::{Advertisement, Intent, MessageMatrix, MsgView, NodeId, Rng};
 
 /// Everything a node is allowed to see when committing a connection
 /// intent: its own state plus a snapshot of its neighborhood — the most
@@ -43,6 +43,13 @@ pub struct NodeCtx<'a> {
     /// back it with a row of its struct-of-arrays state or a standalone
     /// [`gossip_core::MessageSet`] interchangeably.
     pub messages: MsgView<'a>,
+    /// The tag this node itself last published: exactly
+    /// `advertise(messages, salt)`. Every engine refreshes a node's tag
+    /// immediately before asking it to decide, on the same row and salt,
+    /// so a protocol comparing neighbor tags against its own reads this
+    /// instead of recomputing it (for a hashed tag that is a pass over
+    /// the whole row saved per decide).
+    pub own_ad: Advertisement,
     /// Neighbors in the topology, parallel to `neighbor_ads`.
     pub neighbors: &'a [NodeId],
     /// The advertisement most recently scanned from each neighbor.
@@ -64,6 +71,29 @@ pub trait GossipProtocol: Sync {
     /// same value later visible as [`NodeCtx::salt`] to scanners of this
     /// tag's generation.
     fn advertise(&self, messages: MsgView<'_>, salt: u64) -> Advertisement;
+
+    /// [`advertise`](Self::advertise) for the contiguous rows
+    /// `base..base + out.len()` of `states` under one salt — how engines
+    /// fill an ad table (a synchronous round's refresh, an event engine's
+    /// initial epoch-0 tags). `out[i]` must equal
+    /// `advertise(states.view(base + i), salt)`; the default computes
+    /// exactly that, and an override may only compute it faster.
+    ///
+    /// Batching across *rows* is the only sharing available to a hashed
+    /// tag: the salt is the hash chain's initial state, so a tag cannot be
+    /// cached from one round (or epoch) to the next, nor can any prefix of
+    /// the chain — every refresh re-reads the whole row.
+    fn advertise_rows(
+        &self,
+        states: &MessageMatrix,
+        base: usize,
+        salt: u64,
+        out: &mut [Advertisement],
+    ) {
+        for (i, ad) in out.iter_mut().enumerate() {
+            *ad = self.advertise(states.view(base + i), salt);
+        }
+    }
 
     /// The node's connection intent, after scanning neighbor tags.
     fn decide(&self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent;

@@ -43,6 +43,7 @@ mod tests {
             id: NodeId(0),
             salt: 1,
             messages: messages.view(),
+            own_ad: Advertisement(0),
             neighbors: &[],
             neighbor_ads: &[],
         };
@@ -58,6 +59,7 @@ mod tests {
             id: NodeId(0),
             salt: 1,
             messages: messages.view(),
+            own_ad: Advertisement(0),
             neighbors: &neighbors,
             neighbor_ads: &ads,
         };

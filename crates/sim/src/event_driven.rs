@@ -287,9 +287,8 @@ impl AsyncScheduler {
         let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
         let drift_factors: Vec<f64> = (0..n).map(|_| self.timing.drift_factor(&mut rng)).collect();
         // Every node publishes an initial epoch-0 tag before anyone scans.
-        let mut ads: Vec<Advertisement> = (0..n)
-            .map(|u| protocol.advertise(states.view(u), 0))
-            .collect();
+        let mut ads = vec![Advertisement::default(); n];
+        protocol.advertise_rows(&states, 0, 0, &mut ads);
         let mut matcher = IncrementalMatcher::new(n);
         let mut ad_scratch: Vec<Advertisement> = Vec::new();
 
@@ -360,7 +359,8 @@ impl AsyncScheduler {
                                 matcher.cancel(u);
                             }
                             let epoch = now.epoch();
-                            ads[ui] = protocol.advertise(states.view(ui), epoch);
+                            let own_ad = protocol.advertise(states.view(ui), epoch);
+                            ads[ui] = own_ad;
                             let neighbors = topology.neighbors(u);
                             ad_scratch.clear();
                             ad_scratch.extend(neighbors.iter().map(|v| ads[v.index()]));
@@ -368,6 +368,7 @@ impl AsyncScheduler {
                                 id: u,
                                 salt: epoch,
                                 messages: states.view(ui),
+                                own_ad,
                                 neighbors,
                                 neighbor_ads: &ad_scratch,
                             };
@@ -517,9 +518,8 @@ impl AsyncScheduler {
 
         let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
         let drift_factors: Vec<f64> = (0..n).map(|_| self.timing.drift_factor(&mut rng)).collect();
-        let mut ads: Vec<Advertisement> = (0..n)
-            .map(|u| protocol.advertise(states.view(u), 0))
-            .collect();
+        let mut ads = vec![Advertisement::default(); n];
+        protocol.advertise_rows(&states, 0, 0, &mut ads);
         let mut matcher = IncrementalMatcher::new(n);
         let mut ad_scratch: Vec<Advertisement> = Vec::new();
         // A node's incarnation number; death bumps it, orphaning every
@@ -657,7 +657,8 @@ impl AsyncScheduler {
                                 matcher.cancel(u);
                             }
                             let epoch = now.epoch();
-                            ads[ui] = protocol.advertise(states.view(ui), epoch);
+                            let own_ad = protocol.advertise(states.view(ui), epoch);
+                            ads[ui] = own_ad;
                             let neighbors = dynr.topo.active_neighbors(u);
                             ad_scratch.clear();
                             ad_scratch.extend(neighbors.iter().map(|v| ads[v.index()]));
@@ -665,6 +666,7 @@ impl AsyncScheduler {
                                 id: u,
                                 salt: epoch,
                                 messages: states.view(ui),
+                                own_ad,
                                 neighbors,
                                 neighbor_ads: &ad_scratch,
                             };

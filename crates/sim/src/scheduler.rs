@@ -294,13 +294,13 @@ pub struct PhaseTimings {
 /// single global clock. Virtual time advances by
 /// [`TICKS_PER_ROUND`] per round.
 ///
-/// `threads` shards the advertise and scan/decide phases over that many
-/// workers. The engine is deterministic *at any thread count* (see the
-/// module docs); `threads = 1` (the default) runs the identical
-/// computation serially without spawning.
+/// `threads` shards all four phases — advertise, scan/decide, matching,
+/// transfer — over that many workers. The engine is deterministic *at any
+/// thread count* (see the module docs); `threads = 1` (the default) runs
+/// the identical computation serially without spawning.
 #[derive(Clone, Copy, Debug)]
 pub struct SyncScheduler {
-    /// Worker threads for the per-round node sweep; clamped to at least 1.
+    /// Worker threads for every phase of the round; clamped to at least 1.
     pub threads: usize,
 }
 
@@ -564,9 +564,16 @@ fn advertise_range(
     states: &MessageMatrix,
     round: u64,
 ) {
+    let Some(mask) = alive else {
+        protocol.advertise_rows(states, base, round, out);
+        return;
+    };
+    // Masked rounds stay per-row rather than growing a second batched
+    // kernel: a dead node must keep its last tag — membership views may
+    // still scan it until SWIM evicts the peer — so only alive rows store.
     for (i, ad) in out.iter_mut().enumerate() {
         let u = base + i;
-        if alive.is_none_or(|mask| mask[u]) {
+        if mask[u] {
             *ad = protocol.advertise(states.view(u), round);
         }
     }
@@ -603,6 +610,7 @@ fn decide_range<G: GraphView + ?Sized>(
             id,
             salt: round,
             messages: states.view(u),
+            own_ad: ads[u],
             neighbors,
             neighbor_ads: &ad_scratch,
         };

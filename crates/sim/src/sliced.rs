@@ -288,7 +288,8 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                             task.matcher.cancel(u);
                         }
                         let epoch = now.epoch();
-                        task.ads[ui - base] = ctx.protocol.advertise(task.states.view(ui), epoch);
+                        let own_ad = ctx.protocol.advertise(task.states.view(ui), epoch);
+                        task.ads[ui - base] = own_ad;
                         let neighbors = ctx.graph.neighbors(u);
                         {
                             let ads_live: &[Advertisement] = task.ads;
@@ -307,6 +308,7 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                             id: u,
                             salt: epoch,
                             messages: task.states.view(ui),
+                            own_ad,
                             neighbors,
                             neighbor_ads: &task.scratch.ad_scratch,
                         };
@@ -550,9 +552,8 @@ pub(crate) fn run_sliced(
         .map(|_| sched.timing.drift_factor(&mut rng))
         .collect();
     // Every node publishes an initial epoch-0 tag before anyone scans.
-    let mut ads: Vec<Advertisement> = (0..n)
-        .map(|u| protocol.advertise(states.view(u), 0))
-        .collect();
+    let mut ads = vec![Advertisement::default(); n];
+    protocol.advertise_rows(&states, 0, 0, &mut ads);
     let mut ads_snap = ads.clone();
     let mut matcher = IncrementalMatcher::new(n);
     let mut partner: Vec<Option<(NodeId, bool)>> = vec![None; n];
@@ -925,9 +926,8 @@ pub(crate) fn run_dynamic_sliced(
     let drift: Vec<f64> = (0..n)
         .map(|_| sched.timing.drift_factor(&mut rng))
         .collect();
-    let mut ads: Vec<Advertisement> = (0..n)
-        .map(|u| protocol.advertise(states.view(u), 0))
-        .collect();
+    let mut ads = vec![Advertisement::default(); n];
+    protocol.advertise_rows(&states, 0, 0, &mut ads);
     let mut ads_snap = ads.clone();
     let mut matcher = IncrementalMatcher::new(n);
     let mut partner: Vec<Option<(NodeId, bool)>> = vec![None; n];

@@ -192,6 +192,28 @@ fn pinned_ring_regression_holds_on_the_csr_engine_at_any_thread_count() {
     }
 }
 
+#[test]
+fn pinned_grid_alltoall_regression_holds_in_the_hashed_tag_regime() {
+    // The only workspace pin with k > 64: the CLI's `--topology grid
+    // --nodes 400 --messages 400 --protocol advert --seed 42` (all-to-all,
+    // 7-word rows, tags hashed and round-salted). Any change to the hash,
+    // to which tag a decide compares against, or to the batched advertise
+    // kernel moves these counts.
+    let topo = Topology::grid(400);
+    let sources = random_sources(400, 400, &mut Rng::new(42 ^ SOURCES_SEED_SALT));
+    let cfg = SimConfig {
+        max_rounds: gossip_sim::default_round_cap(400),
+        record_rounds: false,
+    };
+    for threads in THREAD_COUNTS {
+        let result =
+            SyncScheduler::with_threads(threads).run(&topo, &AdvertGossip, &sources, 42, &cfg);
+        assert_eq!(result.rounds_to_completion, Some(69), "threads={threads}");
+        assert_eq!(result.total_connections, 8011, "threads={threads}");
+        assert_eq!(result.productive_connections, 6257, "threads={threads}");
+    }
+}
+
 fn async_sched(threads: usize) -> AsyncScheduler {
     AsyncScheduler {
         timing: TimingConfig::default(),

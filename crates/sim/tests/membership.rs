@@ -101,20 +101,22 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
     }
 }
 
-#[test]
-fn membership_churn_runs_are_identical_at_any_thread_count() {
-    let churn = Churn {
-        rate: 0.05,
-        rejoin: RejoinPolicy::Keep,
-        mean_downtime: 3.0,
-    };
+/// Both schedulers, every topology family, `k` rumors under `churn` plus
+/// the overlay, capped by `cfg_for(n)`: each thread count must reproduce
+/// the 1-thread result.
+fn assert_membership_churn_is_thread_independent(
+    churn: &Churn,
+    k: usize,
+    cfg_for: impl Fn(usize) -> SimConfig,
+    thread_counts: &[usize],
+) {
     for topo in topologies(96) {
         let n = topo.num_nodes();
-        let sources = random_sources(n, 2, &mut Rng::new(0xfeed));
-        let cfg = sim_cfg(n);
+        let sources = random_sources(n, k, &mut Rng::new(0xfeed));
+        let cfg = cfg_for(n);
         let sync_base = SyncScheduler::with_threads(1).run_dynamic_membership(
             &topo,
-            &churn,
+            churn,
             &mem_cfg(),
             &AdvertGossip,
             &sources,
@@ -127,7 +129,7 @@ fn membership_churn_runs_are_identical_at_any_thread_count() {
         }
         .run_dynamic_membership(
             &topo,
-            &churn,
+            churn,
             &mem_cfg(),
             &AdvertGossip,
             &sources,
@@ -138,10 +140,10 @@ fn membership_churn_runs_are_identical_at_any_thread_count() {
         // peers must be suspected and eventually evicted.
         let stats = sync_base.membership.as_ref().unwrap();
         assert!(stats.probes > 0, "the failure detector never probed");
-        for threads in THREAD_COUNTS {
+        for &threads in thread_counts {
             let sync_run = SyncScheduler::with_threads(threads).run_dynamic_membership(
                 &topo,
-                &churn,
+                churn,
                 &mem_cfg(),
                 &AdvertGossip,
                 &sources,
@@ -151,7 +153,7 @@ fn membership_churn_runs_are_identical_at_any_thread_count() {
             assert_eq!(
                 sync_base,
                 sync_run,
-                "sync membership+churn run on {} diverged at {threads} threads",
+                "sync membership+churn run (k={k}) on {} diverged at {threads} threads",
                 topo.name()
             );
             let async_run = AsyncScheduler {
@@ -160,7 +162,7 @@ fn membership_churn_runs_are_identical_at_any_thread_count() {
             }
             .run_dynamic_membership(
                 &topo,
-                &churn,
+                churn,
                 &mem_cfg(),
                 &AdvertGossip,
                 &sources,
@@ -170,11 +172,43 @@ fn membership_churn_runs_are_identical_at_any_thread_count() {
             assert_eq!(
                 async_base,
                 async_run,
-                "async membership+churn run on {} diverged at {threads} threads",
+                "async membership+churn run (k={k}) on {} diverged at {threads} threads",
                 topo.name()
             );
         }
     }
+}
+
+#[test]
+fn membership_churn_runs_are_identical_at_any_thread_count() {
+    let churn = Churn {
+        rate: 0.05,
+        rejoin: RejoinPolicy::Keep,
+        mean_downtime: 3.0,
+    };
+    assert_membership_churn_is_thread_independent(&churn, 2, sim_cfg, &THREAD_COUNTS);
+}
+
+#[test]
+fn hashed_tag_membership_churn_runs_are_identical_at_any_thread_count() {
+    // k = 65 puts tags in the hashed, salted regime under an alive mask:
+    // the sync engine's masked advertise path (dead rows keep their last
+    // tag, which overlay views still scan until eviction), the event
+    // engines' batched epoch-0 table, and — in debug builds — the own-tag
+    // contract on every decide. `Lose` makes rejoiners' rows change
+    // under their peers' stale view of them.
+    let churn = Churn {
+        rate: 0.05,
+        rejoin: RejoinPolicy::Lose,
+        mean_downtime: 3.0,
+    };
+    // Capped: run to completion this sweep costs ~20 s in a debug build,
+    // and 150 rounds already see several departures and rejoins per node.
+    let capped = |_| SimConfig {
+        max_rounds: 150,
+        record_rounds: true,
+    };
+    assert_membership_churn_is_thread_independent(&churn, 65, capped, &[1, 2, 8]);
 }
 
 #[test]
