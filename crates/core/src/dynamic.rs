@@ -11,25 +11,36 @@
 //! - a **faded-edge overlay** so interference can hide a base edge without
 //!   forgetting it,
 //! - a mutable **base adjacency** so mobility can rewire a node wholesale,
-//! - and, the key piece, an **incrementally maintained active adjacency**:
-//!   per node, the sorted list of neighbors that are alive and reachable
-//!   over a non-faded edge. Reads ([`GraphView`]) are exactly as fast as on
-//!   a static [`Topology`]; every mutation pays the incremental cost of
-//!   updating the affected lists instead.
+//!   edited in place and left sorted and symmetric by every mutation,
+//! - and a **derived active adjacency**: per node, the sorted list of
+//!   neighbors that are alive and reachable over a non-faded edge. No
+//!   mutation edits it: a mutation updates the mask, the flags or the base
+//!   lists and marks every node whose view it changed *stale*, and
+//!   [`settle`](DynamicTopology::settle) rebuilds each stale view in one
+//!   filter pass (`alive & !faded`, base order kept) over the node's base
+//!   slot. Reads ([`GraphView`]) are exactly as fast as on a static
+//!   [`Topology`]; a batch of mutations pays one rebuild per touched node,
+//!   not one edit per mutation and neighbor.
+//!
+//! The engines apply a whole round's or slice's mutations through the
+//! `defer_*` mutators and settle once — at the end of the sync engine's
+//! mutation drain, after phase 0 of the sliced engine, after the serial
+//! oracle's `Mutate` loop — reading only the alive mask and count in
+//! between, which are always current. The one-at-a-time mutators (`kill`,
+//! `rewire`, …) are the deferred form plus `settle`, so views are
+//! consistent when they return. Reading a view while any node is stale is
+//! a bug, and `active_neighbors` asserts against it in debug builds.
 //!
 //! # Memory layout
 //!
 //! Like the static [`Topology`], adjacency lives in **flat slabs**, not
 //! per-node `Vec`s: each node owns a capacity slot in three parallel
 //! arrays — `base` (sorted base neighbors), `faded` (per-base-edge fade
-//! flags, replacing the old `HashSet<(u32, u32)>` probe with a binary
-//! search in the node's own slot), and `active` (the sorted active
-//! sublist). Churn and fading shift entries within a slot; a mobility
-//! rewire that outgrows its slot relocates to the slab tail, and the slab
-//! compacts itself once relocation waste dominates. Everything is index
-//! arithmetic over three contiguous buffers — no hashing, no per-node
-//! allocation on the mutation path, and deterministic iteration order
-//! everywhere.
+//! flags, found by binary search in the node's own slot), and `active`
+//! (the sorted active sublist). A base slot that outgrows its capacity
+//! relocates to the slab tail, and the slab compacts itself once the
+//! stranded capacity is worth reclaiming. No hashing, no per-node
+//! allocation on the mutation path, deterministic iteration order.
 //!
 //! Dead nodes read as isolated: their active neighbor list is empty and
 //! they appear in no other node's list, so protocols — which only ever see
@@ -40,8 +51,8 @@ use crate::topology::GraphView;
 use crate::{NodeId, Topology};
 
 /// A [`Topology`] plus an alive-node set, a faded-edge overlay, and
-/// incrementally maintained active-neighbor views, all in flat slab
-/// storage. See the module docs.
+/// active-neighbor views derived from them at [`settle`](Self::settle),
+/// all in flat slab storage. See the module docs.
 #[derive(Clone, Debug)]
 pub struct DynamicTopology {
     name: String,
@@ -60,25 +71,34 @@ pub struct DynamicTopology {
     /// (Maintained symmetrically on both endpoints' slots.)
     faded: Vec<bool>,
     /// Slab of the adjacency actually visible to protocols: both
-    /// endpoints alive and the edge not faded.
+    /// endpoints alive and the edge not faded. Written only by `settle`.
     active: Vec<NodeId>,
     alive: Vec<bool>,
     alive_count: usize,
+    /// Nodes whose active view is out of date; `is_stale` queues each once.
+    stale: Vec<u32>,
+    is_stale: Vec<bool>,
     /// Slab capacity stranded by slot relocations, pending compaction.
     waste: usize,
 }
+
+/// Compact once stranded capacity reaches 1/8 of the live slab, so a mobile
+/// run leaves the slack-free initial layout early; churn and fading never
+/// relocate, so they never pay for slack. Picked on the 20 000-node mobile
+/// RGG benchmark run, share → relocations / compactions / wall / peak RSS:
+/// 1 → 19 125 / 0 / 0.476 s / 50.4 MB; 2 → 16 517 / 1 / 0.470 / 52.4;
+/// 4 → 8 529 / 1 / 0.447 / 46.7; **8 → 5 467 / 1 / 0.442 / 44.8**;
+/// 16 → 3 720 / 2 / 0.456 / 46.3; 32 → 2 754 / 3 / 0.474 / 45.9.
+const COMPACT_WASTE_SHARE: usize = 8;
 
 impl DynamicTopology {
     /// Start from a static topology: everyone alive, every edge active.
     pub fn new(topology: &Topology) -> Self {
         let n = topology.num_nodes();
-        let start: Vec<u32> = topology.offsets[..n].to_vec();
-        let degrees: Vec<u32> = (0..n)
-            .map(|u| topology.offsets[u + 1] - topology.offsets[u])
-            .collect();
+        let degrees: Vec<u32> = topology.offsets.windows(2).map(|w| w[1] - w[0]).collect();
         DynamicTopology {
             name: topology.name().to_string(),
-            start,
+            start: topology.offsets[..n].to_vec(),
             cap: degrees.clone(),
             base_len: degrees.clone(),
             active_len: degrees,
@@ -87,6 +107,8 @@ impl DynamicTopology {
             active: topology.edges.clone(),
             alive: vec![true; n],
             alive_count: n,
+            stale: Vec::new(),
+            is_stale: vec![false; n],
             waste: 0,
         }
     }
@@ -101,7 +123,7 @@ impl DynamicTopology {
         self.alive.len()
     }
 
-    /// Is `node` currently alive? `O(1)`.
+    /// Is `node` currently alive? `O(1)`, and current mid-batch.
     #[inline]
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.alive[node.index()]
@@ -125,6 +147,7 @@ impl DynamicTopology {
     /// non-faded edge. Empty for a dead node.
     #[inline]
     pub fn active_neighbors(&self, node: NodeId) -> &[NodeId] {
+        debug_assert!(self.stale.is_empty(), "active view read before settle");
         let u = node.index();
         let s = self.start[u] as usize;
         &self.active[s..s + self.active_len[u] as usize]
@@ -132,42 +155,48 @@ impl DynamicTopology {
 
     /// Number of currently active undirected edges.
     pub fn active_edge_count(&self) -> usize {
+        debug_assert!(self.stale.is_empty(), "active view read before settle");
         self.active_len.iter().map(|&l| l as usize).sum::<usize>() / 2
-    }
-
-    fn base_slice(&self, u: usize) -> &[NodeId] {
-        let s = self.start[u] as usize;
-        &self.base[s..s + self.base_len[u] as usize]
     }
 
     /// Absolute slab index of base edge `u — v`, if present.
     fn base_pos(&self, u: usize, v: NodeId) -> Option<usize> {
-        self.base_slice(u)
-            .binary_search(&v)
-            .ok()
-            .map(|i| self.start[u] as usize + i)
+        let s = self.start[u] as usize;
+        let slot = &self.base[s..s + self.base_len[u] as usize];
+        slot.binary_search(&v).ok().map(|i| s + i)
     }
 
-    /// Insert `v` into `u`'s sorted active prefix. No-op if present.
-    fn active_insert(&mut self, u: usize, v: NodeId) {
-        let s = self.start[u] as usize;
-        let len = self.active_len[u] as usize;
-        if let Err(i) = self.active[s..s + len].binary_search(&v) {
-            debug_assert!(len < self.cap[u] as usize, "active exceeds slot");
-            self.active.copy_within(s + i..s + len, s + i + 1);
-            self.active[s + i] = v;
-            self.active_len[u] += 1;
+    /// Queue `u`'s active view for the next settle.
+    fn mark(&mut self, u: usize) {
+        if !self.is_stale[u] {
+            self.is_stale[u] = true;
+            self.stale.push(u as u32);
         }
     }
 
-    /// Remove `v` from `u`'s sorted active prefix. No-op if absent.
-    fn active_remove(&mut self, u: usize, v: NodeId) {
-        let s = self.start[u] as usize;
-        let len = self.active_len[u] as usize;
-        if let Ok(i) = self.active[s..s + len].binary_search(&v) {
-            self.active.copy_within(s + i + 1..s + len, s + i);
-            self.active_len[u] -= 1;
+    /// Rebuild every stale active view from its base slot: the neighbors
+    /// that are alive over a non-faded edge, in base (sorted) order.
+    pub fn settle(&mut self) {
+        let mut stale = std::mem::take(&mut self.stale);
+        // Slots mostly sit in node order: an ascending pass streams the
+        // slabs (24 ms against 36 ms in marking order on the mobile run).
+        stale.sort_unstable();
+        for u in stale.drain(..).map(|u| u as usize) {
+            self.is_stale[u] = false;
+            let s = self.start[u] as usize;
+            let mut alen = 0usize;
+            if self.alive[u] {
+                // Branch-free filter: always store, bump the length only
+                // for a keeper (a branch per edge: 44 ms against 24 ms).
+                for k in s..s + self.base_len[u] as usize {
+                    let v = self.base[k];
+                    self.active[s + alen] = v;
+                    alen += usize::from(self.alive[v.index()] & !self.faded[k]);
+                }
+            }
+            self.active_len[u] = alen as u32;
         }
+        self.stale = stale;
     }
 
     /// Insert `v` (un-faded) into `u`'s sorted base prefix, growing the
@@ -185,6 +214,7 @@ impl DynamicTopology {
             self.faded[s + i] = false;
             self.base_len[u] += 1;
         }
+        self.mark(u);
     }
 
     /// Remove `v` from `u`'s sorted base prefix (and its fade flag).
@@ -197,15 +227,16 @@ impl DynamicTopology {
             self.faded.copy_within(s + i + 1..s + len, s + i);
             self.base_len[u] -= 1;
         }
+        self.mark(u);
     }
 
-    /// Relocate `u`'s slot to the slab tail with capacity at least
-    /// `need`, stranding the old capacity until the next compaction.
+    /// Relocate `u`'s base slot to the slab tail with capacity at least
+    /// `need`, stranding the old capacity until the next compaction. Every
+    /// caller marks `u` stale, so its active view is rebuilt, not moved.
     fn grow_slot(&mut self, u: usize, need: usize) {
         let new_cap = need + need / 2 + 2;
         let old_s = self.start[u] as usize;
         let blen = self.base_len[u] as usize;
-        let alen = self.active_len[u] as usize;
         let new_s = self.base.len();
         assert!(
             new_s + new_cap < u32::MAX as usize,
@@ -216,136 +247,144 @@ impl DynamicTopology {
         self.active.resize(new_s + new_cap, NodeId(0));
         self.base.copy_within(old_s..old_s + blen, new_s);
         self.faded.copy_within(old_s..old_s + blen, new_s);
-        self.active.copy_within(old_s..old_s + alen, new_s);
         self.waste += self.cap[u] as usize;
         self.start[u] = new_s as u32;
         self.cap[u] = new_cap as u32;
     }
 
-    /// Rebuild the slabs compactly once relocation waste dominates the
-    /// live data, leaving a little per-slot slack so the next few inserts
-    /// do not immediately relocate again.
+    /// Rebuild the slabs compactly once relocation waste is worth
+    /// reclaiming, with a little per-slot slack so the next few inserts do
+    /// not relocate again. Every node goes stale: settle refills `active`.
     fn maybe_compact(&mut self) {
-        // Slot caps already exclude stranded slots (grow_slot swaps the
-        // cap out as it adds the old one to waste), so their sum is the
-        // live slab footprint.
-        let live: usize = self.cap.iter().map(|&c| c as usize).sum();
-        if self.waste < 256 || self.waste < live {
+        // The slab is the slots in use plus the stranded ones.
+        let live = self.base.len() - self.waste;
+        debug_assert_eq!(live, self.cap.iter().map(|&c| c as usize).sum());
+        if self.waste < 256 || self.waste * COMPACT_WASTE_SHARE < live {
             return;
         }
-        let n = self.num_nodes();
-        let mut new_start = Vec::with_capacity(n);
-        let mut new_cap = Vec::with_capacity(n);
-        let mut total = 0usize;
-        for u in 0..n {
-            let blen = self.base_len[u] as usize;
-            let cap = blen + blen / 4 + 2;
-            new_start.push(total as u32);
-            new_cap.push(cap as u32);
-            total += cap;
+        let mut base = Vec::with_capacity(live);
+        let mut faded = Vec::with_capacity(live);
+        for u in 0..self.num_nodes() {
+            let (os, blen) = (self.start[u] as usize, self.base_len[u] as usize);
+            let end = base.len() + blen + blen / 4 + 2;
+            self.start[u] = base.len() as u32;
+            self.cap[u] = (end - base.len()) as u32;
+            base.extend_from_slice(&self.base[os..os + blen]);
+            faded.extend_from_slice(&self.faded[os..os + blen]);
+            base.resize(end, NodeId(0));
+            faded.resize(end, false);
+            self.mark(u);
         }
-        let mut base = vec![NodeId(0); total];
-        let mut faded = vec![false; total];
-        let mut active = vec![NodeId(0); total];
-        for (u, &ns) in new_start.iter().enumerate() {
-            let (os, ns) = (self.start[u] as usize, ns as usize);
-            let blen = self.base_len[u] as usize;
-            let alen = self.active_len[u] as usize;
-            base[ns..ns + blen].copy_from_slice(&self.base[os..os + blen]);
-            faded[ns..ns + blen].copy_from_slice(&self.faded[os..os + blen]);
-            active[ns..ns + alen].copy_from_slice(&self.active[os..os + alen]);
-        }
-        self.start = new_start;
-        self.cap = new_cap;
+        self.active.clear();
+        self.active.resize(base.len(), NodeId(0));
         self.base = base;
         self.faded = faded;
-        self.active = active;
         self.waste = 0;
+    }
+
+    /// Deferred [`kill`](Self::kill) (`up = false`) or
+    /// [`revive`](Self::revive) (`up = true`): flips the alive mask and
+    /// count now, leaves the views of `node` and its base neighbors stale
+    /// until [`settle`](Self::settle). Returns false if nothing changed.
+    pub fn defer_alive(&mut self, node: NodeId, up: bool) -> bool {
+        let ui = node.index();
+        if self.alive[ui] == up {
+            return false;
+        }
+        self.alive[ui] = up;
+        self.alive_count = self.alive_count + usize::from(up) - usize::from(!up);
+        self.mark(ui);
+        for k in 0..self.base_len[ui] as usize {
+            let v = self.base[self.start[ui] as usize + k];
+            self.mark(v.index());
+        }
+        true
+    }
+
+    /// Deferred [`fade_edge`](Self::fade_edge) (`fade = true`) or
+    /// [`restore_edge`](Self::restore_edge) (`fade = false`): sets the flag
+    /// on both endpoints' slots now, leaves their views stale until
+    /// [`settle`](Self::settle). Returns false if nothing changed.
+    pub fn defer_fade(&mut self, u: NodeId, v: NodeId, fade: bool) -> bool {
+        let iu = match self.base_pos(u.index(), v) {
+            Some(iu) if self.faded[iu] != fade => iu,
+            _ => return false,
+        };
+        let iv = self.base_pos(v.index(), u).expect("base is symmetric");
+        self.faded[iu] = fade;
+        self.faded[iv] = fade;
+        self.mark(u.index());
+        self.mark(v.index());
+        true
+    }
+
+    /// Deferred [`rewire`](Self::rewire): edits the base lists of `node`
+    /// and of its old and new neighbors now, leaves all their views stale
+    /// until [`settle`](Self::settle).
+    pub fn defer_rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
+        let ui = node.index();
+        let n = self.alive.len();
+        // `RggGeometry::neighbors_of` hands mobility strictly increasing,
+        // in-range, self-free lists: one linear check, then used as is.
+        let keep = |v: NodeId| v != node && v.index() < n;
+        let clean =
+            new_neighbors.windows(2).all(|w| w[0] < w[1]) && new_neighbors.iter().all(|&v| keep(v));
+        let mut sorted = Vec::new();
+        if !clean {
+            sorted.extend(new_neighbors.iter().copied().filter(|&v| keep(v)));
+            sorted.sort_unstable();
+            sorted.dedup();
+        }
+        let fresh = if clean { new_neighbors } else { &sorted[..] };
+        // Detach from the old neighbors: their slots shift, ours is only read.
+        for k in 0..self.base_len[ui] as usize {
+            let v = self.base[self.start[ui] as usize + k];
+            self.base_remove(v.index(), node);
+        }
+        if fresh.len() > self.cap[ui] as usize {
+            self.grow_slot(ui, fresh.len());
+        }
+        let s = self.start[ui] as usize;
+        self.base[s..s + fresh.len()].copy_from_slice(fresh);
+        self.faded[s..s + fresh.len()].fill(false);
+        self.base_len[ui] = fresh.len() as u32;
+        self.mark(ui);
+        for &v in fresh {
+            self.base_insert(v.index(), node);
+        }
+        self.maybe_compact();
     }
 
     /// Take `node` down. Its active neighbor list empties and it vanishes
     /// from every neighbor's list. Returns false if it was already dead.
     pub fn kill(&mut self, node: NodeId) -> bool {
-        let ui = node.index();
-        if !self.alive[ui] {
-            return false;
-        }
-        self.alive[ui] = false;
-        self.alive_count -= 1;
-        // Peers' removals shift only *their* slots, never ours, so an
-        // index walk over our (untouched) active prefix is safe.
-        for k in 0..self.active_len[ui] as usize {
-            let v = self.active[self.start[ui] as usize + k];
-            self.active_remove(v.index(), node);
-        }
-        self.active_len[ui] = 0;
-        true
+        let changed = self.defer_alive(node, false);
+        self.settle();
+        changed
     }
 
     /// Bring `node` back up. Its active edges are rebuilt from the base
     /// adjacency, filtered by the alive mask and the faded-edge overlay.
     /// Returns false if it was already alive.
     pub fn revive(&mut self, node: NodeId) -> bool {
-        let ui = node.index();
-        if self.alive[ui] {
-            return false;
-        }
-        self.alive[ui] = true;
-        self.alive_count += 1;
-        let s = self.start[ui] as usize;
-        let mut alen = 0usize;
-        for k in 0..self.base_len[ui] as usize {
-            let v = self.base[s + k];
-            if self.alive[v.index()] && !self.faded[s + k] {
-                // base is sorted, so the filtered active prefix is too.
-                self.active[s + alen] = v;
-                alen += 1;
-                self.active_insert(v.index(), node);
-            }
-        }
-        self.active_len[ui] = alen as u32;
-        true
+        let changed = self.defer_alive(node, true);
+        self.settle();
+        changed
     }
 
     /// Fade the base edge `u — v` out (interference). Returns false if the
     /// edge does not exist in the base graph or is already faded.
     pub fn fade_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let Some(iu) = self.base_pos(u.index(), v) else {
-            return false;
-        };
-        if self.faded[iu] {
-            return false;
-        }
-        let iv = self
-            .base_pos(v.index(), u)
-            .expect("base adjacency must be symmetric");
-        self.faded[iu] = true;
-        self.faded[iv] = true;
-        if self.alive[u.index()] && self.alive[v.index()] {
-            self.active_remove(u.index(), v);
-            self.active_remove(v.index(), u);
-        }
-        true
+        let changed = self.defer_fade(u, v, true);
+        self.settle();
+        changed
     }
 
     /// Restore a previously faded edge. Returns false if it was not faded.
     pub fn restore_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let Some(iu) = self.base_pos(u.index(), v) else {
-            return false;
-        };
-        if !self.faded[iu] {
-            return false;
-        }
-        let iv = self
-            .base_pos(v.index(), u)
-            .expect("base adjacency must be symmetric");
-        self.faded[iu] = false;
-        self.faded[iv] = false;
-        if self.alive[u.index()] && self.alive[v.index()] {
-            self.active_insert(u.index(), v);
-            self.active_insert(v.index(), u);
-        }
-        true
+        let changed = self.defer_fade(u, v, false);
+        self.settle();
+        changed
     }
 
     /// Replace `node`'s base adjacency wholesale (mobility: the node moved
@@ -354,48 +393,8 @@ impl DynamicTopology {
     /// Fade state of the node's former edges is discarded. Works on dead
     /// nodes too — the new edges activate when the node revives.
     pub fn rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
-        let ui = node.index();
-        // Detach from the old neighborhood (their slots shift; ours is
-        // only read).
-        for k in 0..self.base_len[ui] as usize {
-            let v = self.base[self.start[ui] as usize + k];
-            self.base_remove(v.index(), node);
-            self.active_remove(v.index(), node);
-        }
-        self.base_len[ui] = 0;
-        self.active_len[ui] = 0;
-
-        let mut fresh: Vec<NodeId> = new_neighbors
-            .iter()
-            .copied()
-            .filter(|&v| v != node && v.index() < self.alive.len())
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        if fresh.len() > self.cap[ui] as usize {
-            self.grow_slot(ui, fresh.len());
-        }
-        let s = self.start[ui] as usize;
-        for (k, &v) in fresh.iter().enumerate() {
-            self.base[s + k] = v;
-            self.faded[s + k] = false;
-        }
-        self.base_len[ui] = fresh.len() as u32;
-
-        let mut alen = 0usize;
-        for &v in &fresh {
-            self.base_insert(v.index(), node);
-            if self.alive[ui] && self.alive[v.index()] {
-                // Our slot cannot relocate here (only v's can), and fresh
-                // is sorted, so pushing keeps the active prefix ordered.
-                let s = self.start[ui] as usize;
-                self.active[s + alen] = v;
-                alen += 1;
-                self.active_insert(v.index(), node);
-            }
-        }
-        self.active_len[ui] = alen as u32;
-        self.maybe_compact();
+        self.defer_rewire(node, new_neighbors);
+        self.settle();
     }
 }
 
@@ -529,83 +528,275 @@ mod tests {
         assert!(dt.are_neighbors(NodeId(0), NodeId(1)));
     }
 
-    /// Brute-force model check: after an arbitrary deterministic mutation
-    /// storm, every active view must equal "base neighbors that are
-    /// mutually alive over a non-faded edge", and slot relocations plus
-    /// compaction must never corrupt a slab.
-    #[test]
-    fn slab_survives_a_mutation_storm() {
+    /// One mutation, in the form both mutator families and the reference
+    /// model take.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Kill(u32),
+        Revive(u32),
+        Fade(u32, u32),
+        Restore(u32, u32),
+        Rewire(u32, Vec<u32>),
+    }
+    use Step::*;
+
+    impl Step {
+        /// Through the one-at-a-time mutators: views consistent on return.
+        fn eager(&self, dt: &mut DynamicTopology) -> bool {
+            match self {
+                Kill(u) => dt.kill(NodeId(*u)),
+                Revive(u) => dt.revive(NodeId(*u)),
+                Fade(u, v) => dt.fade_edge(NodeId(*u), NodeId(*v)),
+                Restore(u, v) => dt.restore_edge(NodeId(*u), NodeId(*v)),
+                Rewire(u, fresh) => {
+                    dt.rewire(NodeId(*u), &ids(fresh));
+                    true
+                }
+            }
+        }
+
+        /// Through the batch mutators: views stale until `settle`.
+        fn deferred(&self, dt: &mut DynamicTopology) -> bool {
+            match self {
+                Kill(u) => dt.defer_alive(NodeId(*u), false),
+                Revive(u) => dt.defer_alive(NodeId(*u), true),
+                Fade(u, v) => dt.defer_fade(NodeId(*u), NodeId(*v), true),
+                Restore(u, v) => dt.defer_fade(NodeId(*u), NodeId(*v), false),
+                Rewire(u, fresh) => {
+                    dt.defer_rewire(NodeId(*u), &ids(fresh));
+                    true
+                }
+            }
+        }
+    }
+
+    /// Brute-force reference: plain sets, no slabs, no staleness.
+    struct Model {
+        base: Vec<std::collections::BTreeSet<u32>>,
+        faded: std::collections::BTreeSet<(u32, u32)>,
+        alive: Vec<bool>,
+    }
+
+    fn norm(a: u32, b: u32) -> (u32, u32) {
+        (a.min(b), a.max(b))
+    }
+
+    impl Model {
+        fn new(topo: &Topology) -> Self {
+            let n = topo.num_nodes();
+            Model {
+                base: (0..n as u32)
+                    .map(|u| topo.neighbors(NodeId(u)).iter().map(|v| v.0).collect())
+                    .collect(),
+                faded: Default::default(),
+                alive: vec![true; n],
+            }
+        }
+
+        /// Apply `step`; returns what the mutator must return for it.
+        fn apply(&mut self, step: &Step) -> bool {
+            match *step {
+                Kill(u) => std::mem::replace(&mut self.alive[u as usize], false),
+                Revive(u) => !std::mem::replace(&mut self.alive[u as usize], true),
+                Fade(u, v) => self.base[u as usize].contains(&v) && self.faded.insert(norm(u, v)),
+                Restore(u, v) => self.faded.remove(&norm(u, v)),
+                Rewire(u, ref fresh) => {
+                    for w in std::mem::take(&mut self.base[u as usize]) {
+                        self.base[w as usize].remove(&u);
+                        self.faded.remove(&norm(u, w));
+                    }
+                    for &f in fresh {
+                        if f != u && (f as usize) < self.alive.len() {
+                            self.base[u as usize].insert(f);
+                            self.base[f as usize].insert(u);
+                        }
+                    }
+                    true
+                }
+            }
+        }
+
+        /// Every active view must equal "base neighbors that are mutually
+        /// alive over a non-faded edge", and the alive bookkeeping and the
+        /// edge count must agree with it.
+        fn check(&self, dt: &DynamicTopology) {
+            let mut half_edges = 0;
+            for w in 0..self.alive.len() as u32 {
+                let expect: Vec<NodeId> = self.base[w as usize]
+                    .iter()
+                    .filter(|&&x| {
+                        self.alive[w as usize]
+                            && self.alive[x as usize]
+                            && !self.faded.contains(&norm(w, x))
+                    })
+                    .map(|&x| NodeId(x))
+                    .collect();
+                assert_eq!(dt.active_neighbors(NodeId(w)), expect, "node {w}");
+                half_edges += expect.len();
+            }
+            assert_eq!(dt.alive_mask(), self.alive);
+            assert_eq!(dt.alive_count(), self.alive.iter().filter(|&&a| a).count());
+            assert_eq!(dt.active_edge_count(), half_edges / 2);
+        }
+    }
+
+    /// The seeded 3 000-step kill/revive/fade/restore/rewire storm on a
+    /// 64-node grid, checked against the model whenever views are settled:
+    /// after every step through the one-at-a-time mutators, or
+    /// (`batched`) after each batch of 1..=64 deferred mutations and its
+    /// one settle. Each run relocates ~170 slots and compacts three times.
+    fn storm(batched: bool) -> DynamicTopology {
         use crate::Rng;
-        let n = 24usize;
+        let n = 64usize;
         let topo = Topology::grid(n);
         let mut dt = DynamicTopology::new(&topo);
-        // Reference model: simple sets.
-        let mut base: Vec<std::collections::BTreeSet<u32>> = (0..n)
-            .map(|u| {
-                topo.neighbors(NodeId(u as u32))
-                    .iter()
-                    .map(|v| v.0)
-                    .collect()
-            })
-            .collect();
-        let mut faded: std::collections::BTreeSet<(u32, u32)> = Default::default();
-        let mut alive = vec![true; n];
-        let norm = |a: u32, b: u32| if a < b { (a, b) } else { (b, a) };
-
+        let mut model = Model::new(&topo);
         let mut rng = Rng::new(2024);
+        let mut batch_rng = Rng::new(4202);
+        let mut left_in_batch = 0;
         for _ in 0..3000 {
             let u = rng.gen_range(n) as u32;
             let v = rng.gen_range(n) as u32;
-            match rng.gen_range(5) {
-                0 => {
-                    dt.kill(NodeId(u));
-                    alive[u as usize] = false;
-                }
-                1 => {
-                    dt.revive(NodeId(u));
-                    alive[u as usize] = true;
-                }
-                2 => {
-                    if dt.fade_edge(NodeId(u), NodeId(v)) {
-                        faded.insert(norm(u, v));
-                    }
-                }
-                3 => {
-                    if dt.restore_edge(NodeId(u), NodeId(v)) {
-                        faded.remove(&norm(u, v));
-                    }
-                }
+            let step = match rng.gen_range(5) {
+                0 => Kill(u),
+                1 => Revive(u),
+                2 => Fade(u, v),
+                3 => Restore(u, v),
                 _ => {
-                    let deg = 1 + rng.gen_range(6);
-                    let fresh: Vec<NodeId> =
-                        (0..deg).map(|_| NodeId(rng.gen_range(n) as u32)).collect();
-                    dt.rewire(NodeId(u), &fresh);
-                    for &w in &base[u as usize].clone() {
-                        base[w as usize].remove(&u);
-                        faded.remove(&norm(u, w));
-                    }
-                    base[u as usize].clear();
-                    for f in fresh {
-                        if f.0 != u {
-                            base[u as usize].insert(f.0);
-                            base[f.index()].insert(u);
-                        }
-                    }
+                    let deg = 1 + rng.gen_range(10);
+                    Rewire(u, (0..deg).map(|_| rng.gen_range(n) as u32).collect())
                 }
+            };
+            let expect = model.apply(&step);
+            if !batched {
+                assert_eq!(step.eager(&mut dt), expect, "{step:?}");
+                model.check(&dt);
+                continue;
             }
-            // Spot-check a few nodes every step, all nodes occasionally.
-            for w in 0..n as u32 {
-                let expect: Vec<NodeId> = if !alive[w as usize] {
-                    Vec::new()
-                } else {
-                    base[w as usize]
-                        .iter()
-                        .filter(|&&x| alive[x as usize] && !faded.contains(&norm(w, x)))
-                        .map(|&x| NodeId(x))
-                        .collect()
-                };
-                assert_eq!(dt.active_neighbors(NodeId(w)), expect, "node {w}");
+            if left_in_batch == 0 {
+                left_in_batch = 1 + batch_rng.gen_range(64);
+            }
+            assert_eq!(step.deferred(&mut dt), expect, "{step:?}");
+            left_in_batch -= 1;
+            if left_in_batch == 0 {
+                dt.settle();
+                model.check(&dt);
             }
         }
+        dt.settle();
+        model.check(&dt);
+        dt
+    }
+
+    #[test]
+    fn slab_survives_a_mutation_storm() {
+        storm(false);
+    }
+
+    #[test]
+    fn batched_storm_matches_one_at_a_time_and_the_model() {
+        let (eager, batched) = (storm(false), storm(true));
+        for w in 0..eager.num_nodes() as u32 {
+            let w = NodeId(w);
+            assert_eq!(eager.active_neighbors(w), batched.active_neighbors(w));
+        }
+        assert_eq!(eager.alive_mask(), batched.alive_mask());
+        assert_eq!(eager.alive_count(), batched.alive_count());
+        assert_eq!(eager.active_edge_count(), batched.active_edge_count());
+    }
+
+    /// Apply `steps` once as a single batch with one settle and once a
+    /// call at a time; both must match the model (hence each other).
+    /// Returns the batched topology, settled.
+    fn batch_matches_eager(topo: &Topology, steps: &[Step]) -> DynamicTopology {
+        let (mut batched, mut eager) = (DynamicTopology::new(topo), DynamicTopology::new(topo));
+        let mut model = Model::new(topo);
+        for step in steps {
+            let expect = model.apply(step);
+            assert_eq!(step.deferred(&mut batched), expect, "deferred {step:?}");
+            assert_eq!(step.eager(&mut eager), expect, "eager {step:?}");
+        }
+        batched.settle();
+        model.check(&batched);
+        model.check(&eager);
+        batched
+    }
+
+    #[test]
+    fn one_node_mutated_repeatedly_within_a_batch() {
+        let line = Topology::line(6);
+        // 0-1-2-3-4-5, node 0 rewired twice: the second neighborhood wins.
+        let dt = batch_matches_eager(&line, &[Rewire(0, vec![3, 4]), Rewire(0, vec![5, 2])]);
+        assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[2, 5]));
+        assert_eq!(dt.active_neighbors(NodeId(3)), ids(&[2, 4]));
+        // Killed, moved while down, revived: the new edges come up.
+        let dt = batch_matches_eager(&line, &[Kill(2), Rewire(2, vec![0, 5]), Revive(2)]);
+        assert_eq!(dt.active_neighbors(NodeId(2)), ids(&[0, 5]));
+        assert_eq!(dt.active_neighbors(NodeId(1)), ids(&[0]));
+        // ... and stays invisible if the revive is not in the batch.
+        let dt = batch_matches_eager(&line, &[Kill(2), Rewire(2, vec![0, 5])]);
+        assert!(dt
+            .active_neighbors(NodeId(0))
+            .iter()
+            .all(|&v| v != NodeId(2)));
+        // An edge faded, moved away from and moved back to returns clear.
+        let steps = [Fade(0, 1), Rewire(0, vec![4]), Rewire(0, vec![1])];
+        let dt = batch_matches_eager(&line, &steps);
+        assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[1]));
+        // ... while a fade that outlives the batch still hides its edge.
+        let dt = batch_matches_eager(&line, &[Rewire(0, vec![1, 4]), Fade(4, 0)]);
+        assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[1]));
+    }
+
+    #[test]
+    fn rewire_relocates_a_stale_neighbors_slot_mid_batch() {
+        let ring = Topology::ring(8);
+        let mut dt = DynamicTopology::new(&ring);
+        // Node 4 goes stale (its neighbor died), then 0 moves next to it:
+        // 4's slot is full (cap = degree), so the insert relocates it
+        // while its view is still waiting for the settle.
+        dt.defer_alive(NodeId(3), false);
+        let before = dt.start[4];
+        dt.defer_rewire(NodeId(0), &ids(&[4]));
+        assert_ne!(dt.start[4], before, "slot must have moved");
+        assert!(dt.is_stale[4]);
+        dt.settle();
+        assert_eq!(dt.active_neighbors(NodeId(4)), ids(&[0, 5]));
+        batch_matches_eager(&ring, &[Kill(3), Rewire(0, vec![4])]);
+    }
+
+    #[test]
+    fn compaction_mid_batch_keeps_every_view() {
+        // One node moving next to everyone relocates all 300 degree-2
+        // slots: the stranded capacity passes both compaction thresholds
+        // inside that one rewire, with earlier mutations still unsettled
+        // and more to come.
+        let ring = Topology::ring(300);
+        let everyone: Vec<u32> = (0..300).collect();
+        let steps = [
+            Kill(7),
+            Fade(20, 21),
+            Rewire(0, everyone),
+            Revive(7),
+            Kill(9),
+            Rewire(5, vec![100, 200]),
+        ];
+        let mut dt = DynamicTopology::new(&ring);
+        for step in &steps[..3] {
+            step.deferred(&mut dt);
+        }
+        assert_eq!(dt.waste, 0, "the big rewire must have compacted");
+        assert_eq!(dt.stale.len(), 300, "compaction leaves every view stale");
+        let dt = batch_matches_eager(&ring, &steps);
+        assert_eq!(dt.active_neighbors(NodeId(0)).len(), 297); // all but 0, 9 and 5
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "active view read before settle")]
+    fn reading_a_view_between_a_deferred_mutation_and_settle_panics() {
+        let mut dt = DynamicTopology::new(&Topology::ring(4));
+        dt.defer_alive(NodeId(1), false);
+        dt.active_neighbors(NodeId(0));
     }
 }

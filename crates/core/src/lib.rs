@@ -22,7 +22,7 @@
 //!   [`GraphView`] read trait,
 //! - [`DynamicTopology`]: the mutable wrapper for changing networks —
 //!   alive-node set, faded-edge overlay, wholesale rewiring, and
-//!   incrementally maintained active-neighbor views,
+//!   active-neighbor views rebuilt once per mutation batch,
 //! - [`Advertisement`]: the per-round tag a node broadcasts,
 //! - [`MessageSet`] / [`MessageMatrix`]: the gossip state (which rumors a
 //!   node holds) — standalone bitsets, and the engine's struct-of-arrays

@@ -74,21 +74,31 @@ pub enum MutationKind {
 }
 
 impl MutationKind {
-    /// Apply the topology-side effect to `topo`. Returns whether anything
-    /// changed (e.g. a `Depart` of an already-dead node is a no-op).
-    /// Message-set side effects (`reset_messages`) are the engine's job —
-    /// the topology does not know about gossip state.
-    pub fn apply(&self, topo: &mut DynamicTopology) -> bool {
+    /// Apply the topology-side effect to `topo`, leaving active views
+    /// stale until the caller's [`DynamicTopology::settle`] — the batch
+    /// form the engines use. Returns whether anything changed (e.g. a
+    /// `Depart` of an already-dead node is a no-op). Message-set side
+    /// effects (`reset_messages`) are the engine's job — the topology does
+    /// not know about gossip state.
+    pub fn apply_deferred(&self, topo: &mut DynamicTopology) -> bool {
         match self {
-            MutationKind::Depart(u) => topo.kill(*u),
-            MutationKind::Rejoin { node, .. } => topo.revive(*node),
-            MutationKind::EdgeDown(u, v) => topo.fade_edge(*u, *v),
-            MutationKind::EdgeUp(u, v) => topo.restore_edge(*u, *v),
+            MutationKind::Depart(u) => topo.defer_alive(*u, false),
+            MutationKind::Rejoin { node, .. } => topo.defer_alive(*node, true),
+            MutationKind::EdgeDown(u, v) => topo.defer_fade(*u, *v, true),
+            MutationKind::EdgeUp(u, v) => topo.defer_fade(*u, *v, false),
             MutationKind::Rewire { node, neighbors } => {
-                topo.rewire(*node, neighbors);
+                topo.defer_rewire(*node, neighbors);
                 true
             }
         }
+    }
+
+    /// [`apply_deferred`](Self::apply_deferred) plus the settle: one
+    /// mutation, views consistent on return.
+    pub fn apply(&self, topo: &mut DynamicTopology) -> bool {
+        let changed = self.apply_deferred(topo);
+        topo.settle();
+        changed
     }
 }
 

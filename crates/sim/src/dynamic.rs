@@ -117,16 +117,17 @@ impl DynRun {
     }
 
     /// Apply one mutation: the topology-side effect (one source of truth:
-    /// [`MutationKind::apply`]) plus the gossip-side bookkeeping — message
-    /// resets, alive/informed counters, stats, coverage timeline. Returns
-    /// whether anything changed.
+    /// [`MutationKind::apply_deferred`]) plus the gossip-side bookkeeping —
+    /// message resets, alive/informed counters, stats, coverage timeline.
+    /// Returns whether anything changed. Active views stay stale until
+    /// `topo.settle()`, which the caller owes once per batch.
     pub fn apply(
         &mut self,
         mutation: &Mutation,
         states: &mut MessageMatrix,
         sources: &[NodeId],
     ) -> bool {
-        if !mutation.kind.apply(&mut self.topo) {
+        if !mutation.kind.apply_deferred(&mut self.topo) {
             return false;
         }
         match &mutation.kind {
@@ -180,6 +181,7 @@ impl DynRun {
             let mutation = self.stream.next().expect("peeked mutation must pop");
             changed |= self.apply(&mutation, states, sources);
         }
+        self.topo.settle();
         changed
     }
 
@@ -202,6 +204,7 @@ impl DynRun {
                 probe.record(&mutate_event(&mutation, round));
             }
         }
+        self.topo.settle();
         changed
     }
 

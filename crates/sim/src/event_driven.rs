@@ -629,6 +629,7 @@ impl AsyncScheduler {
                             }
                         }
                     }
+                    dynr.topo.settle();
                     if let Some(t) = dynr.peek_time() {
                         push(&mut heap, t, DynEvent::Mutate);
                     }

@@ -1049,6 +1049,7 @@ pub(crate) fn run_dynamic_sliced(
             mutated = true;
             last_mut = mtime.ticks();
         }
+        dynr.topo.settle();
         if mutated && dynr.complete() {
             result.completed = true;
             result.virtual_time_to_completion = Some(last_mut);

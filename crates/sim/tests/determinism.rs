@@ -22,8 +22,10 @@
 use gossip_core::time::TimingConfig;
 use gossip_core::{NodeId, Rng, Topology};
 use gossip_dynamics::{
-    Churn, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint, DEFAULT_SPEED_PER_ROUND,
+    Churn, CompositeDynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
+    DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
 };
+use gossip_membership::MembershipConfig;
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
 use gossip_sim::{random_sources, AsyncScheduler, Scheduler, SimConfig, SimResult, SyncScheduler};
 
@@ -374,4 +376,105 @@ fn thread_count_zero_and_oversubscription_are_harmless() {
         let run = scheduler.run(&topo, &UniformGossip, &sources, 9, &cfg);
         assert_eq!(serial, run);
     }
+}
+
+/// RGG waypoint mobility + churn (`rejoin = keep`) — the regime where
+/// every mutation batch rewires, kills and revives overlapping
+/// neighbourhoods, so the order in which `DynamicTopology` settles its
+/// active views is load-bearing for every downstream count.
+fn mobile_churn_scenario() -> (Topology, CompositeDynamics, Vec<NodeId>, SimConfig) {
+    let (topo, geometry) = Topology::random_geometric_with_geometry(1000, &mut Rng::new(606));
+    let dynamics = CompositeDynamics {
+        parts: vec![
+            Box::new(Churn {
+                rate: 0.05,
+                rejoin: RejoinPolicy::Keep,
+                mean_downtime: DEFAULT_MEAN_DOWNTIME_ROUNDS,
+            }),
+            Box::new(Waypoint {
+                geometry,
+                speed: DEFAULT_SPEED_PER_ROUND,
+            }),
+        ],
+    };
+    let sources = random_sources(1000, 2, &mut Rng::new(0xfeed));
+    let cfg = SimConfig {
+        max_rounds: gossip_sim::default_round_cap(1000),
+        record_rounds: false,
+    };
+    (topo, dynamics, sources, cfg)
+}
+
+/// The counts a settle-ordering bug would move: completion, traffic,
+/// the applied mutations, and what the failure detector saw.
+fn mobile_fingerprint(r: &SimResult) -> [u64; 8] {
+    let d = r.dynamics.as_ref().expect("dynamic run");
+    [
+        r.rounds_to_completion.expect("run completes") as u64,
+        r.virtual_time,
+        r.total_connections as u64,
+        r.productive_connections as u64,
+        d.departures as u64,
+        d.rejoins as u64,
+        d.rewires as u64,
+        r.membership.as_ref().map_or(0, |m| m.evictions),
+    ]
+}
+
+#[test]
+fn pinned_mobile_churn_hyparview_run_holds_on_both_engines_at_any_thread_count() {
+    // Values captured from the commit before active views became a
+    // settle-time rebuild (per-mutation in-place edits).
+    let (topo, dynamics, sources, cfg) = mobile_churn_scenario();
+    let membership = MembershipConfig::default();
+    for threads in THREAD_COUNTS {
+        let sync = SyncScheduler::with_threads(threads).run_dynamic_membership(
+            &topo,
+            &dynamics,
+            &membership,
+            &AdvertGossip,
+            &sources,
+            77,
+            &cfg,
+        );
+        assert_eq!(
+            mobile_fingerprint(&sync),
+            [18, 18432, 1826, 1724, 805, 639, 1322, 2381],
+            "sync threads={threads}"
+        );
+        let sliced = async_sched(threads).run_dynamic_membership(
+            &topo,
+            &dynamics,
+            &membership,
+            &AdvertGossip,
+            &sources,
+            77,
+            &cfg,
+        );
+        assert_eq!(
+            mobile_fingerprint(&sliced),
+            [57, 57628, 1746, 1692, 2505, 2321, 4857, 10856],
+            "async threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn pinned_mobile_churn_run_holds_on_the_serial_oracle() {
+    // The single-heap oracle interleaves mutations at their exact virtual
+    // times (batches of one, mostly) — the opposite extreme from the
+    // round-sized batches above. Captured from the same parent commit.
+    let (topo, dynamics, sources, cfg) = mobile_churn_scenario();
+    let result = AsyncScheduler::default().run_dynamic_serial(
+        &topo,
+        &dynamics,
+        &AdvertGossip,
+        &sources,
+        77,
+        &cfg,
+    );
+    assert_eq!(
+        mobile_fingerprint(&result),
+        [33, 33062, 1679, 1659, 1428, 1260, 2567, 0]
+    );
 }
