@@ -59,16 +59,17 @@ impl Rng {
     pub fn gen_range(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "gen_range bound must be non-zero");
         let bound = bound as u64;
-        let threshold = bound.wrapping_neg() % bound;
         loop {
             let r = self.next_u64();
             // Low 64 bits of r * bound are uniform once we reject the
-            // truncated region below `threshold`.
+            // truncated region below `threshold = 2^64 mod bound`.
             let (hi, lo) = {
                 let wide = (r as u128) * (bound as u128);
                 ((wide >> 64) as u64, wide as u64)
             };
-            if lo >= threshold {
+            // The threshold is below `bound`, so `lo >= bound` accepts
+            // without paying the 64-bit division that computes it.
+            if lo >= bound || lo >= bound.wrapping_neg() % bound {
                 return hi as usize;
             }
         }
@@ -130,6 +131,34 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all values 0..10 should appear");
+    }
+
+    #[test]
+    fn lazy_threshold_draws_match_the_eager_form() {
+        // The eager form computes the rejection threshold up front on
+        // every call; `gen_range` must accept the same draws and consume
+        // the same number of raw outputs, so every stream is unchanged.
+        fn eager(rng: &mut Rng, bound: u64) -> u64 {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let wide = (rng.next_u64() as u128) * (bound as u128);
+                if wide as u64 >= threshold {
+                    return (wide >> 64) as u64;
+                }
+            }
+        }
+        for bound in [1, 2, 3, 7, 64, 1000, (1 << 32) + 1, usize::MAX] {
+            let mut lazy = Rng::new(0x5eed ^ bound as u64);
+            let mut reference = lazy.clone();
+            for _ in 0..100_000 {
+                assert_eq!(
+                    lazy.gen_range(bound) as u64,
+                    eager(&mut reference, bound as u64),
+                    "bound {bound}"
+                );
+            }
+            assert_eq!(lazy.next_u64(), reference.next_u64(), "bound {bound}");
+        }
     }
 
     #[test]

@@ -12,11 +12,21 @@
 //!   constants — deliberately *not* functions of the thread count — so
 //!   every RNG draw below is partition-stable and the executed event
 //!   sequence is byte-identical at any `threads`.
-//! - **Per-region heaps.** Each region owns a binary heap of the events
-//!   it is responsible for: `Act(u)` belongs to `region(u)`,
+//! - **Per-region queues.** Each region owns a queue of the events it is
+//!   responsible for: `Act(u)` belongs to `region(u)`,
 //!   `Attempt { from, .. }` to `region(from)`, `Finish { initiator, .. }`
 //!   to `region(initiator)`. Every event a region *pushes* lands in its
-//!   own heap, so region heaps never race.
+//!   own queue, so region queues never race. The queue pops in
+//!   `(time, seq)` order without comparing its way there: a pass only
+//!   ever pops below its slice end and `seq` grows with every push, so
+//!   an event is appended to the bucket of the slice it falls in, and a
+//!   bucket is put in tick order by one stable counting pass when a
+//!   pass reaches its slice — equal ticks keep push order, which is
+//!   `seq` order. Only events scheduled *below* the opened horizon (an
+//!   attempt or finish inside the running slice, a sweep scheduling back
+//!   into an executed window) or beyond a short ring of upcoming slices
+//!   (huge latencies, saturated times) sit in a small binary heap that
+//!   each pop compares against the head of the opened run.
 //! - **Slice passes.** Each pass picks a monotonically increasing slice
 //!   index, then workers drain their regions' events below the slice end
 //!   in local `(time, seq)` order, drawing from the per-pass stream
@@ -165,12 +175,233 @@ struct Entry {
     kind: EntryKind,
 }
 
-/// Per-region state that persists across slices: the event heap, its
-/// region-local sequence counter, and reusable deferred/log/scratch
-/// buffers (allocated once, drained every pass).
-struct RegionScratch {
-    heap: BinaryHeap<Scheduled<Ev>>,
+/// Tick counters the serial phases hand to [`append_by_tick`]. A pass's
+/// merged logs and deferred events mostly fall in its own slice, but
+/// chains the sweeps keep scheduling back into executed windows trail a
+/// few slices behind (spans of 2-4 slices are routine on a busy grid).
+const SERIAL_TICK_COUNTERS: usize = 8 * SLICE_TICKS as usize;
+
+/// Inputs shorter than this are cheaper to comparison-sort than to zero
+/// and prefix-sum a slice's worth of counters for.
+const COUNTING_MIN_LEN: usize = 64;
+
+/// Append the items of `src` to `dst` in ascending `tick` order, items
+/// of equal tick in `src` order — what `sort_by_key(tick)` gives, by one
+/// counting pass (no comparisons) whenever the ticks span no more values
+/// than there are `counters`, whose contents on entry do not matter.
+fn append_by_tick<'a, T: Copy + 'a>(
+    src: impl Iterator<Item = &'a T> + Clone,
+    dst: &mut Vec<T>,
+    counters: &mut [u32],
+    tick: impl Fn(&T) -> u64,
+) {
+    let start = dst.len();
+    dst.reserve(src.size_hint().0);
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for item in src.clone() {
+        let t = tick(item);
+        lo = lo.min(t);
+        hi = hi.max(t);
+        dst.push(*item);
+    }
+    let len = dst.len() - start;
+    // `u32` counters: longer inputs (never seen; > 128 GiB of events)
+    // take the comparison path rather than a wider, slower counter.
+    if len < COUNTING_MIN_LEN || len > u32::MAX as usize || hi - lo >= counters.len() as u64 {
+        dst[start..].sort_by_key(tick);
+        return;
+    }
+    let next = &mut counters[..=(hi - lo) as usize];
+    next.fill(0);
+    for item in src.clone() {
+        next[(tick(item) - lo) as usize] += 1;
+    }
+    // Counts become each tick's first output position...
+    let mut at = 0;
+    for slot in next.iter_mut() {
+        at += std::mem::replace(slot, at);
+    }
+    // ...and every item lands at its tick's next free one.
+    let out = &mut dst[start..];
+    for item in src {
+        let slot = &mut next[(tick(item) - lo) as usize];
+        out[*slot as usize] = *item;
+        *slot += 1;
+    }
+}
+
+/// Slices past the opened horizon that own a bucket. A refresh interval
+/// is below `4 * SLICE_TICKS` for every valid drift and jitter, so with
+/// latencies of a few slices nothing lands beyond the ring; what does
+/// (huge `max_latency`, times saturated at `u64::MAX`) waits in the heap
+/// and costs no bucket per intervening slice.
+const RING_SLICES: usize = 8;
+
+/// The events queued for one upcoming slice, in push (= `seq`) order.
+#[derive(Default)]
+struct Bucket {
+    events: Vec<Scheduled<Ev>>,
+    /// Earliest time in `events`; meaningless while it is empty.
+    min: u64,
+}
+
+/// A region's event queue: pops in exactly the `(time, seq)` order of a
+/// `BinaryHeap<Scheduled<Ev>>` fed the same pushes (the unit tests drive
+/// both), given what the slice passes guarantee — the `end` bounds passed
+/// to [`pop_below`](Self::pop_below) never decrease.
+///
+/// Invariant: every event in `ring[i]` falls in slice
+/// `horizon / SLICE_TICKS + i` and at or past `horizon`; every queued
+/// event below `horizon` is in `run` or `heap`. `pop_below(end)` first
+/// raises the horizon to `end`, so the buckets never hold a candidate
+/// and the earlier of the two heads is the earliest queued event.
+#[derive(Default)]
+struct SliceQueue {
+    /// Tie-breaker stamped on every push. Region-local, so region pop
+    /// order is deterministic without any global coordination; monotone,
+    /// so a bucket's push order is its `seq` order.
     seq: u64,
+    /// The largest `end` popped below so far, in ticks.
+    horizon: u64,
+    ring: [Bucket; RING_SLICES],
+    /// The opened buckets' events in `(time, seq)` order; `run[cursor..]`
+    /// are still queued. Allocated when a pass opens a bucket and freed
+    /// when the pass has read it all, so the allocator hands the same
+    /// hot block from region to region and a region at rest holds one
+    /// copy of its events, not two.
+    run: Vec<Scheduled<Ev>>,
+    cursor: usize,
+    /// Events pushed below the horizon or beyond the ring.
+    heap: BinaryHeap<Scheduled<Ev>>,
+}
+
+impl SliceQueue {
+    fn push(&mut self, time: SimTime, event: Ev) {
+        self.seq += 1;
+        let ev = Scheduled {
+            time,
+            seq: self.seq,
+            event,
+        };
+        let t = time.ticks();
+        // Slices past the horizon's own; garbage when `t` is below it.
+        let ahead = (t / SLICE_TICKS).wrapping_sub(self.horizon / SLICE_TICKS);
+        if t < self.horizon || ahead >= RING_SLICES as u64 {
+            self.heap.push(ev);
+            return;
+        }
+        let bucket = &mut self.ring[ahead as usize];
+        bucket.min = match bucket.events.is_empty() {
+            true => t,
+            false => bucket.min.min(t),
+        };
+        bucket.events.push(ev);
+    }
+
+    /// Time of the earliest queued event.
+    fn earliest(&self) -> Option<u64> {
+        // Buckets cover ascending slices: the first non-empty one holds
+        // the earliest bucketed event.
+        let bucketed = self.ring.iter().find(|b| !b.events.is_empty());
+        [
+            self.run.get(self.cursor).map(|ev| ev.time.ticks()),
+            self.heap.peek().map(|ev| ev.time.ticks()),
+            bucketed.map(|b| b.min),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// Pop the earliest queued event if its time is below `end`.
+    fn pop_below(&mut self, end: u64) -> Option<Scheduled<Ev>> {
+        if self.horizon < end {
+            self.open_below(end);
+        }
+        let run_head = self.run.get(self.cursor);
+        let heap_head = self.heap.peek();
+        let from_run = match (run_head, heap_head) {
+            (Some(r), Some(h)) => (r.time, r.seq) < (h.time, h.seq),
+            (r, _) => r.is_some(),
+        };
+        if from_run {
+            let ev = *run_head?;
+            (ev.time.ticks() < end).then(|| {
+                self.cursor += 1;
+                ev
+            })
+        } else if heap_head.is_some_and(|h| h.time.ticks() < end) {
+            self.heap.pop()
+        } else {
+            if self.cursor == self.run.len() {
+                self.run = Vec::new();
+                self.cursor = 0;
+            }
+            None
+        }
+    }
+
+    /// Raise the horizon to `end`: lay the bucket of every slice that
+    /// ends at or before it out behind the unread tail of the run (whose
+    /// events are all earlier than any bucketed one).
+    fn open_below(&mut self, end: u64) {
+        self.run.drain(..self.cursor);
+        self.cursor = 0;
+        // A bucket spans one slice; 4 KiB of stack per call instead of
+        // resident counters per region.
+        let mut counters = [0u32; SLICE_TICKS as usize];
+        while self.horizon / SLICE_TICKS < end / SLICE_TICKS {
+            if self.ring.iter().all(|b| b.events.is_empty()) {
+                // Nothing bucketed: skip the remaining slices at once.
+                break;
+            }
+            append_by_tick(
+                self.ring[0].events.iter(),
+                &mut self.run,
+                &mut counters,
+                |ev| ev.time.ticks(),
+            );
+            self.ring[0].events.clear();
+            // Every later bucket moves one slice nearer — its events,
+            // not its buffer: `ring[0]` alone ever fills up, the others
+            // stay as small as the few events scheduled that far ahead,
+            // and no bucket allocates in steady state.
+            for i in 1..RING_SLICES {
+                let (nearer, farther) = self.ring.split_at_mut(i);
+                let (nearer, farther) = (&mut nearer[i - 1], &mut farther[0]);
+                if !farther.events.is_empty() {
+                    nearer.events.append(&mut farther.events);
+                    nearer.min = farther.min;
+                }
+            }
+            self.horizon = (self.horizon / SLICE_TICKS + 1) * SLICE_TICKS;
+        }
+        self.horizon = end;
+        // An `end` inside a slice is the run's cap (`max_time + 1`): the
+        // few events of that slice below it take the heap, and the rest
+        // of the bucket waits for an `end` past its slice — in a run,
+        // forever — instead of being laid out for nobody.
+        let cut = &mut self.ring[0];
+        if !cut.events.is_empty() && cut.min < end {
+            let below = |ev: &Scheduled<Ev>| ev.time.ticks() < end;
+            self.heap.extend(cut.events.iter().copied().filter(below));
+            cut.events.retain(|ev| !below(ev));
+            cut.min = cut
+                .events
+                .iter()
+                .map(|ev| ev.time.ticks())
+                .min()
+                .unwrap_or(0);
+        }
+    }
+}
+
+/// Per-region state that persists across slices: the event queue and
+/// reusable deferred/log/scratch buffers (allocated once, drained every
+/// pass).
+#[derive(Default)]
+struct RegionScratch {
+    queue: SliceQueue,
     deferred: Vec<Scheduled<Ev>>,
     log: Vec<Entry>,
     ad_scratch: Vec<Advertisement>,
@@ -180,31 +411,9 @@ struct RegionScratch {
 }
 
 impl RegionScratch {
-    /// Pre-size for `block` nodes: one pending act chain plus one
-    /// in-flight attempt/finish per node.
-    fn with_node_capacity(block: usize) -> Self {
-        RegionScratch {
-            heap: BinaryHeap::with_capacity(2 * block),
-            seq: 0,
-            deferred: Vec::new(),
-            log: Vec::new(),
-            ad_scratch: Vec::new(),
-            moved_scratch: Vec::new(),
-            events: 0,
-            last_time: 0,
-        }
-    }
-
-    /// Schedule `event` at `time` in this region's heap. `seq` is
-    /// region-local, so region pop order is deterministic without any
-    /// global coordination.
+    /// Schedule `event` at `time` in this region's queue.
     fn push(&mut self, time: SimTime, event: Ev) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
+        self.queue.push(time, event);
     }
 
     /// Record that an event executed (or was discarded as stale) here.
@@ -257,12 +466,7 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
     let base = task.matcher.base();
     let r = base / ctx.block;
     let mut rng = Rng::stream(ctx.seed, ctx.pass, REGION_STREAM_BASE + r as u64);
-    loop {
-        match task.scratch.heap.peek() {
-            Some(top) if top.time.ticks() < ctx.end => {}
-            _ => break,
-        }
-        let ev = task.scratch.heap.pop().expect("peeked event must pop");
+    while let Some(ev) = task.scratch.queue.pop_below(ctx.end) {
         let now = ev.time;
         match ev.event {
             Ev::Act(u, gen) => {
@@ -564,9 +768,8 @@ pub(crate) fn run_sliced(
     let block = n.div_ceil(EVENT_REGIONS);
     let regions = n.div_ceil(block);
     let threads = sched.threads.clamp(1, regions);
-    let mut scratches: Vec<RegionScratch> = (0..regions)
-        .map(|_| RegionScratch::with_node_capacity(block))
-        .collect();
+    let mut scratches: Vec<RegionScratch> =
+        (0..regions).map(|_| RegionScratch::default()).collect();
 
     // Stagger initial act cycles uniformly over the first nominal period,
     // so the network does not start phase-locked. Serial draws, exactly
@@ -579,6 +782,7 @@ pub(crate) fn run_sliced(
     let mut epochs = EpochAccounting::default();
     let mut merged: Vec<Entry> = Vec::new();
     let mut sweep_q: Vec<Scheduled<Ev>> = Vec::new();
+    let mut tick_counters = vec![0u32; SERIAL_TICK_COUNTERS];
     let mut sweep_events: u64 = 0;
     let mut last_time: u64 = 0;
     let mut prev_pass: Option<u64> = None;
@@ -587,10 +791,7 @@ pub(crate) fn run_sliced(
     let now_ticks: u64;
 
     'run: loop {
-        let next = scratches
-            .iter()
-            .filter_map(|s| s.heap.peek().map(|top| top.time.ticks()))
-            .min();
+        let next = scratches.iter().filter_map(|s| s.queue.earliest()).min();
         let Some(next_t) = next else {
             now_ticks = last_time;
             break 'run;
@@ -664,13 +865,18 @@ pub(crate) fn run_sliced(
         // the accounting serially.
         let t1 = Instant::now();
         merged.clear();
+        // Region logs are individually time-sorted; a stable order keyed
+        // on time alone keeps region order as the tie-break.
+        append_by_tick(
+            scratches.iter().flat_map(|s| s.log.iter()),
+            &mut merged,
+            &mut tick_counters,
+            |e| e.time,
+        );
         for s in scratches.iter_mut() {
             last_time = last_time.max(s.last_time);
-            merged.append(&mut s.log);
+            s.log.clear();
         }
-        // Region logs are individually time-sorted; a stable sort keyed
-        // on time alone keeps region order as the tie-break.
-        merged.sort_by_key(|e| e.time);
         for e in merged.iter() {
             let round = SimTime(e.time).round_equivalent() as u64;
             match e.kind {
@@ -743,10 +949,15 @@ pub(crate) fn run_sliced(
         // events, in (time, region) order, against the full state.
         let t2 = Instant::now();
         sweep_q.clear();
+        append_by_tick(
+            scratches.iter().flat_map(|s| s.deferred.iter()),
+            &mut sweep_q,
+            &mut tick_counters,
+            |ev| ev.time.ticks(),
+        );
         for s in scratches.iter_mut() {
-            sweep_q.append(&mut s.deferred);
+            s.deferred.clear();
         }
-        sweep_q.sort_by_key(|ev| ev.time);
         let mut rng_sweep = Rng::stream(seed, pass, SWEEP_STREAM);
         for ev in sweep_q.iter().copied() {
             let now = ev.time;
@@ -938,9 +1149,8 @@ pub(crate) fn run_dynamic_sliced(
     let block = n.div_ceil(EVENT_REGIONS);
     let regions = n.div_ceil(block);
     let threads = sched.threads.clamp(1, regions);
-    let mut scratches: Vec<RegionScratch> = (0..regions)
-        .map(|_| RegionScratch::with_node_capacity(block))
-        .collect();
+    let mut scratches: Vec<RegionScratch> =
+        (0..regions).map(|_| RegionScratch::default()).collect();
 
     for u in 0..n {
         let offset = rng.gen_range(TICKS_PER_ROUND as usize) as u64;
@@ -950,6 +1160,7 @@ pub(crate) fn run_dynamic_sliced(
     let mut epochs = EpochAccounting::default();
     let mut merged: Vec<Entry> = Vec::new();
     let mut sweep_q: Vec<Scheduled<Ev>> = Vec::new();
+    let mut tick_counters = vec![0u32; SERIAL_TICK_COUNTERS];
     let mut sweep_events: u64 = 0;
     let mut last_time: u64 = 0;
     let mut prev_pass: Option<u64> = None;
@@ -958,10 +1169,7 @@ pub(crate) fn run_dynamic_sliced(
     let now_ticks: u64;
 
     'run: loop {
-        let mut next = scratches
-            .iter()
-            .filter_map(|s| s.heap.peek().map(|top| top.time.ticks()))
-            .min();
+        let mut next = scratches.iter().filter_map(|s| s.queue.earliest()).min();
         if let Some(t) = dynr.peek_time() {
             next = Some(next.map_or(t.ticks(), |x| x.min(t.ticks())));
         }
@@ -1108,11 +1316,16 @@ pub(crate) fn run_dynamic_sliced(
         // events discarded).
         let t1 = Instant::now();
         merged.clear();
+        append_by_tick(
+            scratches.iter().flat_map(|s| s.log.iter()),
+            &mut merged,
+            &mut tick_counters,
+            |e| e.time,
+        );
         for s in scratches.iter_mut() {
             last_time = last_time.max(s.last_time);
-            merged.append(&mut s.log);
+            s.log.clear();
         }
-        merged.sort_by_key(|e| e.time);
         for e in merged.iter() {
             let round = SimTime(e.time).round_equivalent() as u64;
             match e.kind {
@@ -1197,10 +1410,15 @@ pub(crate) fn run_dynamic_sliced(
         // faded, or a peer that moved away fails the attempt naturally.
         let t2 = Instant::now();
         sweep_q.clear();
+        append_by_tick(
+            scratches.iter().flat_map(|s| s.deferred.iter()),
+            &mut sweep_q,
+            &mut tick_counters,
+            |ev| ev.time.ticks(),
+        );
         for s in scratches.iter_mut() {
-            sweep_q.append(&mut s.deferred);
+            s.deferred.clear();
         }
-        sweep_q.sort_by_key(|ev| ev.time);
         let mut rng_sweep = Rng::stream(seed, pass, SWEEP_STREAM);
         for ev in sweep_q.iter().copied() {
             let now = ev.time;
@@ -1334,4 +1552,191 @@ pub(crate) fn run_dynamic_sliced(
         timings.events_by_region.add(r, s.events);
     }
     (result, timings)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn append_by_tick_matches_the_stable_sort() {
+        // (tick, original position): the position exposes any reordering
+        // of equal ticks. Short inputs and spans wider than the counters
+        // take the comparison path; the rest count.
+        let mut rng = Rng::new(0xb1c4e7);
+        let mut counters = vec![u32::MAX; 2048];
+        for (len, span) in [
+            (0, 1),
+            (1, 1),
+            (63, 5),
+            (64, 1),
+            (500, 2048),
+            (500, 2049),
+            (3000, 700),
+        ] {
+            let origin = rng.next_u64() >> 1;
+            let items: Vec<(u64, usize)> = (0..len)
+                .map(|i| (origin + rng.gen_range(span) as u64, i))
+                .collect();
+            let mut expected = vec![(7, 7)];
+            expected.extend_from_slice(&items);
+            expected[1..].sort_by_key(|&(t, _)| t);
+            // Fed as three chunks, the way the serial phases feed region logs.
+            let (a, rest) = items.split_at(len / 3);
+            let (b, c) = rest.split_at(len / 3);
+            let mut got = vec![(7, 7)];
+            append_by_tick(
+                [a, b, c].into_iter().flatten(),
+                &mut got,
+                &mut counters,
+                |&(t, _)| t,
+            );
+            assert_eq!(got, expected, "len {len} span {span}");
+        }
+    }
+
+    /// The oracle: the parent's per-region heap, fed the same pushes.
+    struct Oracle {
+        heap: BinaryHeap<Scheduled<Ev>>,
+        seq: u64,
+    }
+
+    impl Oracle {
+        fn pop_below(&mut self, end: u64) -> Option<Scheduled<Ev>> {
+            match self.heap.peek() {
+                Some(top) if top.time.ticks() < end => self.heap.pop(),
+                _ => None,
+            }
+        }
+    }
+
+    fn push_both(queue: &mut SliceQueue, oracle: &mut Oracle, time: SimTime) {
+        let event = Ev::Act(NodeId(oracle.seq as u32), 0);
+        queue.push(time, event);
+        oracle.seq += 1;
+        oracle.heap.push(Scheduled {
+            time,
+            seq: oracle.seq,
+            event,
+        });
+        assert_earliest_agrees(queue, oracle);
+    }
+
+    fn assert_earliest_agrees(queue: &SliceQueue, oracle: &Oracle) {
+        assert_eq!(
+            queue.earliest(),
+            oracle.heap.peek().map(|top| top.time.ticks())
+        );
+    }
+
+    /// A delay of every kind the engine produces: none, inside the open
+    /// slice, into the next slice, many slices ahead (past the ring), and
+    /// one that saturates `SimTime::after`.
+    fn some_delay(rng: &mut Rng) -> u64 {
+        match rng.gen_range(32) {
+            0 => 0,
+            1..=12 => rng.gen_range(300) as u64,
+            13..=26 => 700 + rng.gen_range(700) as u64,
+            27 | 28 => SLICE_TICKS * (2 + rng.gen_range(6) as u64),
+            29 | 30 => SLICE_TICKS * (RING_SLICES as u64 + rng.gen_range(100) as u64),
+            _ => u64::MAX - rng.gen_range(3) as u64,
+        }
+    }
+
+    #[test]
+    fn queue_pops_in_the_heap_oracles_order() {
+        for seed in 0..12 {
+            let mut rng = Rng::new(0x51ce0 + seed);
+            let mut queue = SliceQueue::default();
+            let mut oracle = Oracle {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            };
+            for _ in 0..40 {
+                let offset = rng.gen_range(SLICE_TICKS as usize) as u64;
+                push_both(&mut queue, &mut oracle, SimTime(offset));
+            }
+            // The engine's cap: the last passes all stop at `max_time + 1`,
+            // which is not a slice multiple.
+            let max_time = 60 * SLICE_TICKS + 317;
+            let mut prev_pass: Option<u64> = None;
+            let mut popped = 0;
+            while let Some(next_t) = queue.earliest().filter(|&t| t <= max_time) {
+                // The engine's pass rule, plus a skipped slice now and then.
+                let skip = (rng.gen_range(8) == 0) as u64 * rng.gen_range(4) as u64;
+                let pass = prev_pass.map_or(next_t / SLICE_TICKS, |p| {
+                    (p + 1).max(next_t / SLICE_TICKS) + skip
+                });
+                prev_pass = Some(pass);
+                let end = ((pass + 1) * SLICE_TICKS).min(max_time + 1);
+                loop {
+                    let (got, want) = (queue.pop_below(end), oracle.pop_below(end));
+                    assert_eq!(
+                        got.map(|ev| (ev.time, ev.seq)),
+                        want.map(|ev| (ev.time, ev.seq)),
+                        "seed {seed} pass {pass}"
+                    );
+                    assert_earliest_agrees(&queue, &oracle);
+                    let Some(ev) = got else { break };
+                    popped += 1;
+                    // Most events reschedule themselves; some fork a
+                    // second chain, some end theirs.
+                    for _ in 0..[1, 1, 1, 1, 1, 2, 2, 0][rng.gen_range(8)] {
+                        push_both(&mut queue, &mut oracle, ev.time.after(some_delay(&mut rng)));
+                    }
+                }
+                // Sweep-style pushes between passes: scheduled from a
+                // time in an already-executed window, possibly landing
+                // below the current slice's start.
+                for _ in 0..rng.gen_range(4) {
+                    let back = rng.gen_range(3 * SLICE_TICKS as usize) as u64;
+                    let from = SimTime(end.saturating_sub(1 + back));
+                    push_both(&mut queue, &mut oracle, from.after(some_delay(&mut rng)));
+                }
+            }
+
+            assert!(popped > 1000, "seed {seed}: script popped only {popped}");
+            // What is left lies beyond the cap on both sides, identically.
+            loop {
+                let (got, want) = (queue.pop_below(u64::MAX), oracle.pop_below(u64::MAX));
+                assert_eq!(
+                    got.map(|ev| (ev.time, ev.seq)),
+                    want.map(|ev| (ev.time, ev.seq)),
+                    "seed {seed} drain"
+                );
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert_earliest_agrees(&queue, &oracle);
+        }
+    }
+
+    #[test]
+    fn far_future_pushes_take_no_bucket_and_no_walk_over_empty_slices() {
+        let mut queue = SliceQueue::default();
+        let far = [
+            u64::MAX,
+            u64::MAX - 1,
+            1 << 50,
+            RING_SLICES as u64 * SLICE_TICKS,
+        ];
+        for t in far {
+            queue.push(SimTime(t), Ev::Act(NodeId(0), 0));
+        }
+        assert_eq!(queue.heap.len(), far.len());
+        assert!(queue.ring.iter().all(|b| b.events.capacity() == 0));
+        assert_eq!(queue.earliest(), Some(RING_SLICES as u64 * SLICE_TICKS));
+        // A pass 2^40 slices on: the horizon jumps there in one step
+        // (a walk would take minutes), allocating nothing on the way.
+        let end = (1 << 50) + 1;
+        assert_eq!(queue.pop_below(end).map(|ev| ev.seq), Some(4));
+        assert_eq!(queue.horizon, end);
+        assert_eq!(queue.pop_below(end).map(|ev| ev.seq), Some(3));
+        assert_eq!(queue.pop_below(end).map(|ev| ev.seq), None);
+        assert_eq!(queue.pop_below(u64::MAX).map(|ev| ev.seq), Some(2));
+        assert_eq!(queue.earliest(), Some(u64::MAX));
+        assert!(queue.ring.iter().all(|b| b.events.capacity() == 0));
+        assert_eq!(queue.run.capacity(), 0);
+    }
 }

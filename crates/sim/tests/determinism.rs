@@ -271,7 +271,7 @@ fn async_static_runs_are_identical_at_any_thread_count() {
 fn async_churn_runs_are_identical_at_any_thread_count() {
     // Slice-boundary mutations are serial by construction; the identity
     // check covers the interplay of generation bumps, severed-connection
-    // cleanup, and restart Acts feeding back into the region heaps.
+    // cleanup, and restart Acts feeding back into the region queues.
     let churn = Churn {
         rate: 0.1,
         rejoin: RejoinPolicy::Keep,
@@ -477,4 +477,97 @@ fn pinned_mobile_churn_run_holds_on_the_serial_oracle() {
         mobile_fingerprint(&result),
         [33, 33062, 1679, 1659, 1428, 1260, 2567, 0]
     );
+}
+
+/// The counts an event-ordering change in the sliced engine would move.
+fn async_fingerprint(r: &SimResult) -> [u64; 7] {
+    [
+        r.completed as u64,
+        r.rounds_executed as u64,
+        r.virtual_time,
+        r.total_connections as u64,
+        r.productive_connections as u64,
+        r.dropped_proposals,
+        r.complete_nodes as u64,
+    ]
+}
+
+#[test]
+fn pinned_extreme_latency_rings_hold_on_the_sliced_engine_at_any_thread_count() {
+    // Values captured on the commit before the per-region `BinaryHeap`
+    // became the slice-bucketed queue. The three timings stress the
+    // queue's edges on the pinned advert ring: zero latency keeps whole
+    // act -> attempt -> finish chains at one tick inside the open slice;
+    // 100 000 ticks lands every handshake ~98 slices ahead, far beyond
+    // the bucket ring; `u64::MAX` saturates `SimTime::after`, so events
+    // pile up at the far-future instant and the capped run must stop at
+    // the cap without allocating a bucket per intervening slice.
+    let (topo, sources, _) = pinned_async_scenario();
+    let cases: [(u64, u64, usize, [u64; 7]); 3] = [
+        (
+            0,
+            0,
+            gossip_sim::default_round_cap(1000),
+            [1, 843, 862303, 999, 999, 1216, 1000],
+        ),
+        (32, 100_000, 1500, [0, 1500, 1536000, 31, 31, 5, 32]),
+        (32, u64::MAX, 500, [0, 500, 512000, 0, 0, 0, 1]),
+    ];
+    for (min_latency, max_latency, max_rounds, expected) in cases {
+        let cfg = SimConfig {
+            max_rounds,
+            record_rounds: false,
+        };
+        for threads in THREAD_COUNTS {
+            let sched = AsyncScheduler {
+                timing: TimingConfig {
+                    min_latency,
+                    max_latency,
+                    ..TimingConfig::default()
+                },
+                threads,
+            };
+            let result = sched.run(&topo, &AdvertGossip, &sources, 42, &cfg);
+            assert_eq!(
+                async_fingerprint(&result),
+                expected,
+                "latency [{min_latency}, {max_latency}] threads={threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn pinned_churned_grid_holds_on_the_sliced_engine_at_any_thread_count() {
+    // Uniform gossip on a 2 500-node grid under churn (`rejoin = keep`),
+    // default timing, capped at 120 rounds: ~40-node regions, so region
+    // queues, the boundary sweep and the start-of-slice mutation drain
+    // (restart Acts pushed from outside a pass) all carry load. Captured
+    // on the same parent.
+    let topo = Topology::grid(2500);
+    let churn = Churn {
+        rate: 0.05,
+        rejoin: RejoinPolicy::Keep,
+        mean_downtime: DEFAULT_MEAN_DOWNTIME_ROUNDS,
+    };
+    let sources = random_sources(2500, 2, &mut Rng::new(0xfeed));
+    let cfg = SimConfig {
+        max_rounds: 120,
+        record_rounds: false,
+    };
+    for threads in THREAD_COUNTS {
+        let result =
+            async_sched(threads).run_dynamic(&topo, &churn, &UniformGossip, &sources, 77, &cfg);
+        let d = result.dynamics.as_ref().expect("dynamic run");
+        assert_eq!(
+            (
+                async_fingerprint(&result),
+                d.departures,
+                d.rejoins,
+                d.severed_connections
+            ),
+            ([0, 120, 122880, 31130, 671, 67457, 6], 12741, 12324, 1809),
+            "threads={threads}"
+        );
+    }
 }
