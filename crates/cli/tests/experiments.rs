@@ -329,9 +329,8 @@ fn static_acceptance_output_is_pinned_byte_for_byte() {
     .run();
     // The async pin was re-captured when the time-sliced engine became
     // the default execution path (its deterministic schedule interleaves
-    // regions, not global time, and it counts dropped proposals); the
-    // pre-sliced 890-round output is still pinned against the serial
-    // oracle in crates/sim/tests/determinism.rs.
+    // regions, not global time, and it counts dropped proposals). The
+    // pre-sliced single-heap loop (890 rounds here) was deleted in PR 16.
     assert_eq!(
         to_json(&async_),
         "{\"topology\":\"ring\",\"protocol\":\"advert\",\"scheduler\":\"async\",\

@@ -24,9 +24,8 @@
 //!
 //! The engines apply a whole round's or slice's mutations through the
 //! `defer_*` mutators and settle once — at the end of the sync engine's
-//! mutation drain, after phase 0 of the sliced engine, after the serial
-//! oracle's `Mutate` loop — reading only the alive mask and count in
-//! between, which are always current. The one-at-a-time mutators (`kill`,
+//! mutation drain, after phase 0 of the sliced engine — reading only the
+//! alive mask and count in between, which are always current. The one-at-a-time mutators (`kill`,
 //! `rewire`, …) are the deferred form plus `settle`, so views are
 //! consistent when they return. Reading a view while any node is stale is
 //! a bug, and `active_neighbors` asserts against it in debug builds.

@@ -11,6 +11,7 @@ use crate::emit::{json_num, json_str};
 use crate::spec::{Scenario, SchedulerSpec};
 use gossip_sim::{AsyncScheduler, SimConfig, SliceTimings, SyncScheduler};
 use gossip_telemetry::metrics::{regions_for, LoadSummary, Registry};
+use gossip_telemetry::NoopProbe;
 
 use std::time::Instant;
 
@@ -56,7 +57,8 @@ pub struct BenchReport {
     /// completed early).
     pub rounds_executed: usize,
     pub completed: bool,
-    /// Time to build the topology (excluded from throughput).
+    /// Time to build the topology and the scenario's other inputs
+    /// (excluded from throughput).
     pub build_ms: u64,
     /// Wall-clock time of the simulation itself.
     pub wall_ms: u64,
@@ -171,35 +173,28 @@ impl SliceMs {
     }
 }
 
-/// Run one engine benchmark: build the topology (timed separately), run
-/// the scenario's scheduler for the configured round budget (async specs
-/// interpret it as the equivalent virtual-time cap), and report
+/// Run one engine benchmark: instantiate the scenario (timed separately)
+/// exactly as [`Scenario::run`] would — dynamics and membership overlay
+/// included — run its scheduler for the configured round budget (async
+/// specs interpret it as the equivalent virtual-time cap), and report
 /// throughput plus the deterministic accounting totals.
 pub fn run_bench(bench: &BenchScenario) -> BenchReport {
     let scenario = &bench.scenario;
     let threads = scenario.scheduler.effective_threads();
 
     let building = Instant::now();
-    let (topology, _geometry) = scenario.topology.build(scenario.nodes, scenario.seed);
+    let parts = scenario.instantiate();
     let build_ms = building.elapsed().as_millis() as u64;
 
-    let protocol = scenario.protocol.build();
-    let sources = scenario.sources();
-    let sim_cfg = SimConfig {
+    let inputs = parts.inputs(SimConfig {
         max_rounds: bench.rounds,
         record_rounds: false,
-    };
+    });
     let running = Instant::now();
     let (result, phases, region_load) = match &scenario.scheduler {
         SchedulerSpec::Sync { .. } => {
             let scheduler = SyncScheduler::with_threads(threads);
-            let (result, timings) = scheduler.run_with_timings(
-                &topology,
-                protocol.as_ref(),
-                &sources,
-                scenario.seed,
-                &sim_cfg,
-            );
+            let (result, timings) = scheduler.run_timed(&inputs, &mut NoopProbe);
             let load = timings
                 .connections_by_region
                 .summary(regions_for(scenario.nodes));
@@ -210,13 +205,7 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
                 timing: *timing,
                 threads,
             };
-            let (result, timings) = scheduler.run_with_slice_timings(
-                &topology,
-                protocol.as_ref(),
-                &sources,
-                scenario.seed,
-                &sim_cfg,
-            );
+            let (result, timings) = scheduler.run_timed(&inputs, &mut NoopProbe);
             let secs = running.elapsed().as_secs_f64();
             let load = timings
                 .events_by_region
@@ -374,7 +363,8 @@ pub fn bench_to_json(report: &BenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ProtocolSpec, ScenarioBuilder};
+    use crate::spec::{MembershipSpec, ProtocolSpec, ScenarioBuilder, TopologySpec};
+    use gossip_dynamics::RejoinPolicy;
 
     #[test]
     fn bench_runs_end_to_end_and_reports_throughput() {
@@ -495,5 +485,56 @@ mod tests {
         let reg = report.registry();
         assert_eq!(reg.counter("events"), Some(slice.events));
         assert!(reg.gauge("events_per_sec").is_some());
+    }
+
+    #[test]
+    fn bench_runs_the_scenario_it_stamps_dynamics_and_membership_included() {
+        // A bench line carries the scenario's id, so it must have run that
+        // scenario: churn and the overlay on, not a static full-view run
+        // of the same topology.
+        let churned = ScenarioBuilder::new()
+            .topology(TopologySpec::Rgg { radius: None })
+            .nodes(600)
+            .protocol(ProtocolSpec::Advert)
+            .churn(0.05, RejoinPolicy::Keep)
+            .membership(MembershipSpec::HyParView {
+                active: 5,
+                passive: 30,
+                shuffle_period: 1,
+                probe_period: 1,
+            })
+            .max_rounds(10)
+            .seed(42);
+        for scenario in [
+            churned.clone().finish().unwrap(),
+            churned
+                .async_scheduler(gossip_core::time::TimingConfig::default())
+                .finish()
+                .unwrap(),
+        ] {
+            let result = scenario.run();
+            assert!(result.dynamics.is_some() && result.membership.is_some());
+            let report = run_bench(&BenchScenario {
+                scenario: scenario.clone(),
+                rounds: 10,
+            });
+            assert_eq!(report.scenario_id, scenario.scenario_id());
+            assert_eq!(
+                (
+                    report.rounds_executed,
+                    report.total_connections,
+                    report.productive_connections,
+                    report.complete_nodes,
+                ),
+                (
+                    result.rounds_executed,
+                    result.total_connections,
+                    result.productive_connections,
+                    result.complete_nodes,
+                ),
+                "{}",
+                report.scenario_id
+            );
+        }
     }
 }

@@ -20,8 +20,8 @@ use gossip_dynamics::{
 };
 use gossip_protocols::GossipProtocol;
 use gossip_sim::{
-    default_round_cap, random_sources, AsyncScheduler, MembershipConfig, Scheduler, SimConfig,
-    SimResult, SyncScheduler,
+    default_round_cap, random_sources, AsyncScheduler, MembershipConfig, RunInputs, Scheduler,
+    SimConfig, SimResult, SyncScheduler,
 };
 use gossip_telemetry::{NoopProbe, Probe};
 
@@ -509,6 +509,32 @@ impl Default for Scenario {
     }
 }
 
+/// A [`Scenario`] instantiated: the owner of everything the engine's
+/// [`RunInputs`] borrow.
+pub(crate) struct ScenarioParts {
+    topology: Topology,
+    protocol: Box<dyn GossipProtocol>,
+    sources: Vec<NodeId>,
+    seed: u64,
+    dynamics: Option<Box<dyn DynamicsModel>>,
+    membership: Option<MembershipConfig>,
+}
+
+impl ScenarioParts {
+    /// The engine inputs for a run under `config`.
+    pub(crate) fn inputs(&self, config: SimConfig) -> RunInputs<'_> {
+        RunInputs {
+            topology: &self.topology,
+            protocol: self.protocol.as_ref(),
+            sources: &self.sources,
+            seed: self.seed,
+            config,
+            dynamics: self.dynamics.as_deref(),
+            membership: self.membership.as_ref(),
+        }
+    }
+}
+
 impl Scenario {
     /// A builder seeded with the defaults.
     pub fn builder() -> ScenarioBuilder {
@@ -619,51 +645,23 @@ impl Scenario {
     /// so the returned [`SimResult`] is byte-identical to an unprobed
     /// run of the same scenario at any thread count.
     pub fn run_probed(&self, probe: &mut dyn Probe) -> SimResult {
+        let parts = self.instantiate();
+        let inputs = parts.inputs(self.sim_config());
+        self.scheduler.build().run(&inputs, probe)
+    }
+
+    /// Build everything this scenario names for its own seed. `run` and
+    /// `bench` both go through here, so they cannot disagree about which
+    /// dynamics or membership overlay a scenario runs under.
+    pub(crate) fn instantiate(&self) -> ScenarioParts {
         let (topology, geometry) = self.topology.build(self.nodes, self.seed);
-        let protocol = self.protocol.build();
-        let scheduler = self.scheduler.build();
-        let sources = self.sources();
-        let sim_cfg = self.sim_config();
-        match (
-            self.dynamics.build(geometry.as_ref()),
-            self.membership.to_config(),
-        ) {
-            (None, None) => scheduler.run_probed(
-                &topology,
-                protocol.as_ref(),
-                &sources,
-                self.seed,
-                &sim_cfg,
-                probe,
-            ),
-            (Some(dynamics), None) => scheduler.run_dynamic_probed(
-                &topology,
-                dynamics.as_ref(),
-                protocol.as_ref(),
-                &sources,
-                self.seed,
-                &sim_cfg,
-                probe,
-            ),
-            (None, Some(membership)) => scheduler.run_membership_probed(
-                &topology,
-                &membership,
-                protocol.as_ref(),
-                &sources,
-                self.seed,
-                &sim_cfg,
-                probe,
-            ),
-            (Some(dynamics), Some(membership)) => scheduler.run_dynamic_membership_probed(
-                &topology,
-                dynamics.as_ref(),
-                &membership,
-                protocol.as_ref(),
-                &sources,
-                self.seed,
-                &sim_cfg,
-                probe,
-            ),
+        ScenarioParts {
+            dynamics: self.dynamics.build(geometry.as_ref()),
+            topology,
+            protocol: self.protocol.build(),
+            sources: self.sources(),
+            seed: self.seed,
+            membership: self.membership.to_config(),
         }
     }
 

@@ -31,49 +31,63 @@ pub(crate) fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
     }
 }
 
+/// A run's completion counters: how many nodes hold the full message
+/// universe and how many messages are held in total. Every engine loop
+/// owns exactly one pair — over all nodes on a static run, over the
+/// currently-alive ones under dynamics, where [`DynRun::apply`] moves a
+/// departing or rejoining node's share out of and back into it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Coverage {
+    pub informed: usize,
+    pub held: usize,
+}
+
+impl Coverage {
+    /// Gossip over `population` counted nodes is complete when all of
+    /// them are informed — and there is at least one: an emptied network
+    /// is not a covered one.
+    pub fn complete(&self, population: usize) -> bool {
+        population > 0 && self.informed == population
+    }
+}
+
 /// Timeline points before thinning kicks in: beyond this, every other
 /// point is dropped and the sampling stride doubles, so the timeline stays
 /// bounded no matter how long the run or how hot the churn.
 const TIMELINE_CAP: usize = 2048;
 
 /// The dynamics-side state of one run: the mutating topology, the
-/// mutation stream driving it, churn-aware counters, and accumulated
-/// [`DynamicsStats`].
+/// mutation stream driving it, and accumulated [`DynamicsStats`]. The
+/// completion counters it adjusts are the engine's [`Coverage`].
 pub(crate) struct DynRun {
     pub topo: DynamicTopology,
     stream: Box<dyn MutationStream>,
     pub stats: DynamicsStats,
-    /// Alive nodes currently holding the full message universe. The
-    /// completion condition is `alive_informed == alive_count > 0`.
-    pub alive_informed: usize,
-    /// Messages held across currently-alive nodes.
-    pub alive_messages: usize,
     /// Rounds per coverage-timeline sample window (doubles on thinning).
     timeline_stride: u64,
     /// High-water mark over all `record` times. The sliced engine replays
     /// worker logs and boundary sweeps after applying slice-start
     /// mutations, so its record calls are not globally time-ordered;
-    /// clamping here keeps the coverage timeline monotone. The serial
+    /// clamping here keeps the coverage timeline monotone. The sync
     /// engine records in time order, so the clamp is a no-op there.
     record_hwm: u64,
 }
 
 impl DynRun {
-    /// Instantiate `dynamics` for a run: both schedulers derive the
-    /// stream seed identically from the engine seed, so sync and async
-    /// runs of one experiment face the same mutation sequence.
+    /// Instantiate `dynamics` for a run whose initial coverage is `cover`:
+    /// both schedulers derive the stream seed identically from the engine
+    /// seed, so sync and async runs of one experiment face the same
+    /// mutation sequence.
     pub fn new(
         topology: &Topology,
         dynamics: &dyn DynamicsModel,
         seed: u64,
-        states: &MessageMatrix,
+        cover: &Coverage,
     ) -> Self {
         dynamics
             .validate()
             .unwrap_or_else(|e| panic!("invalid dynamics config: {e}"));
         let n = topology.num_nodes();
-        let alive_informed = states.full_count();
-        let alive_messages = states.total_messages();
         let mut run = DynRun {
             topo: DynamicTopology::new(topology),
             stream: dynamics.stream(topology, dynamics_seed(seed)),
@@ -90,12 +104,10 @@ impl DynRun {
                 final_alive: n,
                 coverage_timeline: Vec::new(),
             },
-            alive_informed,
-            alive_messages,
             timeline_stride: 1,
             record_hwm: 0,
         };
-        run.record(SimTime::ZERO);
+        run.record(SimTime::ZERO, cover);
         run
     }
 
@@ -104,21 +116,20 @@ impl DynRun {
         self.stream.peek_time()
     }
 
-    /// Pop the next mutation without applying it (the event-driven
-    /// scheduler intercepts departures to sever open connections first).
-    pub fn pop(&mut self) -> Option<Mutation> {
-        self.stream.next()
-    }
-
-    /// Is gossip complete right now? Every alive node holds the full
-    /// universe, and the network is not empty.
-    pub fn complete(&self) -> bool {
-        self.topo.alive_count() > 0 && self.alive_informed == self.topo.alive_count()
+    /// Pop the next pending mutation if it is due strictly before
+    /// `horizon`, without applying it (the sliced engine intercepts
+    /// departures to sever open connections first).
+    pub fn next_before(&mut self, horizon: SimTime) -> Option<Mutation> {
+        if self.stream.peek_time()? < horizon {
+            self.stream.next()
+        } else {
+            None
+        }
     }
 
     /// Apply one mutation: the topology-side effect (one source of truth:
     /// [`MutationKind::apply_deferred`]) plus the gossip-side bookkeeping —
-    /// message resets, alive/informed counters, stats, coverage timeline.
+    /// message resets, the alive-only `cover`, stats, coverage timeline.
     /// Returns whether anything changed. Active views stay stale until
     /// `topo.settle()`, which the caller owes once per batch.
     pub fn apply(
@@ -126,6 +137,7 @@ impl DynRun {
         mutation: &Mutation,
         states: &mut MessageMatrix,
         sources: &[NodeId],
+        cover: &mut Coverage,
     ) -> bool {
         if !mutation.kind.apply_deferred(&mut self.topo) {
             return false;
@@ -133,8 +145,8 @@ impl DynRun {
         match &mutation.kind {
             MutationKind::Depart(u) => {
                 self.stats.departures += 1;
-                self.alive_informed -= states.is_full(u.index()) as usize;
-                self.alive_messages -= states.count(u.index());
+                cover.informed -= states.is_full(u.index()) as usize;
+                cover.held -= states.count(u.index());
                 self.stats.min_alive = self.stats.min_alive.min(self.topo.alive_count());
             }
             MutationKind::Rejoin {
@@ -153,55 +165,41 @@ impl DynRun {
                         }
                     }
                 }
-                self.alive_informed += states.is_full(node.index()) as usize;
-                self.alive_messages += states.count(node.index());
+                cover.informed += states.is_full(node.index()) as usize;
+                cover.held += states.count(node.index());
                 self.stats.peak_alive = self.stats.peak_alive.max(self.topo.alive_count());
             }
             MutationKind::EdgeDown(..) => self.stats.edge_downs += 1,
             MutationKind::EdgeUp(..) => self.stats.edge_ups += 1,
             MutationKind::Rewire { .. } => self.stats.rewires += 1,
         }
-        self.record(mutation.time);
+        self.record(mutation.time, cover);
         true
     }
 
-    /// Apply every pending mutation with time strictly before `horizon`.
-    /// The synchronous scheduler calls this at each round boundary with
-    /// the round's end time, so a mutation takes effect at the start of
-    /// the round whose window contains it. Returns whether anything
-    /// changed.
+    /// Apply every pending mutation with time strictly before `horizon`,
+    /// then settle the active views. The synchronous scheduler calls this
+    /// at each round boundary with the round's end time, so a mutation
+    /// takes effect at the start of the round whose window contains it.
+    /// An enabled `probe` gets a `Mutate` record for every mutation that
+    /// changed anything — the pop/apply sequence is the same either way,
+    /// so tracing cannot alter the run. Returns whether anything changed.
     pub fn drain_until(
         &mut self,
         horizon: SimTime,
         states: &mut MessageMatrix,
         sources: &[NodeId],
-    ) -> bool {
-        let mut changed = false;
-        while self.stream.peek_time().is_some_and(|t| t < horizon) {
-            let mutation = self.stream.next().expect("peeked mutation must pop");
-            changed |= self.apply(&mutation, states, sources);
-        }
-        self.topo.settle();
-        changed
-    }
-
-    /// [`drain_until`](Self::drain_until) with a `Mutate` trace record for
-    /// every mutation that changed anything — the identical pop/apply
-    /// sequence, so enabling tracing cannot alter the run.
-    pub fn drain_until_probed(
-        &mut self,
-        horizon: SimTime,
-        states: &mut MessageMatrix,
-        sources: &[NodeId],
+        cover: &mut Coverage,
         probe: &mut dyn Probe,
         round: u64,
     ) -> bool {
         let mut changed = false;
-        while self.stream.peek_time().is_some_and(|t| t < horizon) {
-            let mutation = self.stream.next().expect("peeked mutation must pop");
-            if self.apply(&mutation, states, sources) {
+        while let Some(mutation) = self.next_before(horizon) {
+            if self.apply(&mutation, states, sources, cover) {
                 changed = true;
-                probe.record(&mutate_event(&mutation, round));
+                if probe.enabled() {
+                    probe.record(&mutate_event(&mutation, round));
+                }
             }
         }
         self.topo.settle();
@@ -213,9 +211,9 @@ impl DynRun {
     /// sample wins, and when the timeline outgrows its cap it is thinned
     /// to every other point with a doubled stride — bounded memory at
     /// full fidelity for short runs, coarse fidelity for long ones.
-    pub fn record(&mut self, time: SimTime) {
+    pub fn record(&mut self, time: SimTime, cover: &Coverage) {
         let alive = self.topo.alive_count();
-        let informed_alive = self.alive_informed;
+        let informed_alive = cover.informed;
         self.record_hwm = self.record_hwm.max(time.ticks());
         let point = CoveragePoint {
             time: self.record_hwm,
@@ -249,8 +247,8 @@ impl DynRun {
     }
 
     /// Finalize and hand over the stats.
-    pub fn finish(mut self, end: SimTime) -> DynamicsStats {
-        self.record(end);
+    pub fn finish(mut self, end: SimTime, cover: &Coverage) -> DynamicsStats {
+        self.record(end, cover);
         self.stats.final_alive = self.topo.alive_count();
         self.stats
     }
@@ -283,14 +281,18 @@ mod tests {
         }
     }
 
-    fn setup(k: usize, sources: &[NodeId]) -> (DynRun, MessageMatrix) {
+    fn setup(k: usize, sources: &[NodeId]) -> (DynRun, MessageMatrix, Coverage) {
         let topo = Topology::ring(4);
         let mut states = MessageMatrix::new(4, k);
         for (m, s) in sources.iter().enumerate() {
             states.insert(s.index(), m);
         }
-        let run = DynRun::new(&topo, &NoDynamics, 1, &states);
-        (run, states)
+        let cover = Coverage {
+            informed: states.full_count(),
+            held: states.total_messages(),
+        };
+        let run = DynRun::new(&topo, &NoDynamics, 1, &cover);
+        (run, states, cover)
     }
 
     fn at(time: u64, kind: MutationKind) -> Mutation {
@@ -303,18 +305,22 @@ mod tests {
     #[test]
     fn departure_updates_completion_counters() {
         let sources = [NodeId(0)];
-        let (mut run, mut states) = setup(1, &sources);
-        assert_eq!(run.alive_informed, 1);
-        assert!(!run.complete(), "3 uninformed nodes remain");
+        let (mut run, mut states, mut cover) = setup(1, &sources);
+        assert_eq!(cover.informed, 1);
+        assert!(
+            !cover.complete(run.topo.alive_count()),
+            "3 uninformed nodes remain"
+        );
 
         // Killing the informed source leaves 3 alive, none informed.
         assert!(run.apply(
             &at(10, MutationKind::Depart(NodeId(0))),
             &mut states,
-            &sources
+            &sources,
+            &mut cover
         ));
-        assert_eq!(run.alive_informed, 0);
-        assert_eq!(run.alive_messages, 0);
+        assert_eq!(cover.informed, 0);
+        assert_eq!(cover.held, 0);
         assert_eq!(run.stats.departures, 1);
         assert_eq!(run.stats.min_alive, 3);
 
@@ -325,42 +331,51 @@ mod tests {
                 &at(20, MutationKind::Depart(NodeId(u))),
                 &mut states,
                 &sources,
+                &mut cover,
             );
         }
         assert_eq!(run.topo.alive_count(), 0);
-        assert!(!run.complete(), "empty networks never complete");
+        assert!(
+            !cover.complete(run.topo.alive_count()),
+            "empty networks never complete"
+        );
         assert_eq!(run.stats.min_alive, 0);
     }
 
     #[test]
     fn killing_the_uninformed_tail_completes() {
         let sources = [NodeId(0)];
-        let (mut run, mut states) = setup(1, &sources);
+        let (mut run, mut states, mut cover) = setup(1, &sources);
         for u in 1..4 {
             run.apply(
                 &at(5, MutationKind::Depart(NodeId(u))),
                 &mut states,
                 &sources,
+                &mut cover,
             );
         }
-        assert!(run.complete(), "the lone survivor holds everything");
+        assert!(
+            cover.complete(run.topo.alive_count()),
+            "the lone survivor holds everything"
+        );
     }
 
     #[test]
     fn rejoin_with_reset_relearns_only_owned_rumors() {
         let sources = [NodeId(0), NodeId(2)];
-        let (mut run, mut states) = setup(2, &sources);
+        let (mut run, mut states, mut cover) = setup(2, &sources);
         // Node 2 learns rumor 0 as well, then churns with the Lose policy.
         states.insert(2, 0);
-        run.alive_messages += 1;
-        run.alive_informed += 1;
+        cover.held += 1;
+        cover.informed += 1;
 
         run.apply(
             &at(5, MutationKind::Depart(NodeId(2))),
             &mut states,
             &sources,
+            &mut cover,
         );
-        assert_eq!(run.alive_informed, 0);
+        assert_eq!(cover.informed, 0);
         assert!(run.apply(
             &at(
                 9,
@@ -371,23 +386,25 @@ mod tests {
             ),
             &mut states,
             &sources,
+            &mut cover
         ));
         // The learned rumor 0 is gone; its own rumor 1 is re-learned.
         assert!(!states.contains(2, 0));
         assert!(states.contains(2, 1));
         assert_eq!(run.stats.rejoins, 1);
-        assert_eq!(run.alive_informed, 0);
+        assert_eq!(cover.informed, 0);
         assert_eq!(run.stats.peak_alive, 4);
     }
 
     #[test]
     fn rejoin_with_keep_preserves_the_set() {
         let sources = [NodeId(0)];
-        let (mut run, mut states) = setup(1, &sources);
+        let (mut run, mut states, mut cover) = setup(1, &sources);
         run.apply(
             &at(5, MutationKind::Depart(NodeId(0))),
             &mut states,
             &sources,
+            &mut cover,
         );
         run.apply(
             &at(
@@ -399,30 +416,34 @@ mod tests {
             ),
             &mut states,
             &sources,
+            &mut cover,
         );
         assert!(states.contains(0, 0));
-        assert_eq!(run.alive_informed, 1);
+        assert_eq!(cover.informed, 1);
     }
 
     #[test]
     fn duplicate_mutations_are_no_ops() {
         let sources = [NodeId(0)];
-        let (mut run, mut states) = setup(1, &sources);
+        let (mut run, mut states, mut cover) = setup(1, &sources);
         assert!(run.apply(
             &at(1, MutationKind::Depart(NodeId(1))),
             &mut states,
-            &sources
+            &sources,
+            &mut cover
         ));
         assert!(!run.apply(
             &at(2, MutationKind::Depart(NodeId(1))),
             &mut states,
-            &sources
+            &sources,
+            &mut cover
         ));
         assert_eq!(run.stats.departures, 1);
         assert!(!run.apply(
             &at(3, MutationKind::EdgeDown(NodeId(0), NodeId(2))),
             &mut states,
             &sources,
+            &mut cover
         ));
         assert_eq!(run.stats.edge_downs, 0, "non-edges cannot fade");
     }
@@ -430,7 +451,7 @@ mod tests {
     #[test]
     fn timeline_records_changes_and_stays_bounded() {
         let sources = [NodeId(0)];
-        let (mut run, mut states) = setup(1, &sources);
+        let (mut run, mut states, mut cover) = setup(1, &sources);
         assert_eq!(
             run.stats.coverage_timeline,
             vec![CoveragePoint {
@@ -451,7 +472,12 @@ mod tests {
                     reset_messages: false,
                 }
             };
-            run.apply(&at(i * TICKS_PER_ROUND * 2, kind), &mut states, &sources);
+            run.apply(
+                &at(i * TICKS_PER_ROUND * 2, kind),
+                &mut states,
+                &sources,
+                &mut cover,
+            );
         }
         let timeline = &run.stats.coverage_timeline;
         assert!(timeline.len() < 4096, "timeline must stay bounded");

@@ -2,11 +2,11 @@
 //! model, behind a pluggable [`Scheduler`] abstraction.
 //!
 //! Two execution models drive any [`gossip_protocols::GossipProtocol`]
-//! over any [`Topology`]:
+//! over any [`Topology`](gossip_core::Topology):
 //!
 //! - [`SyncScheduler`] — the PODC 2017 round structure: globally
 //!   synchronized advertise → scan → connect → transfer rounds with batch
-//!   connection resolution. [`run`] is a convenience wrapper for it.
+//!   connection resolution.
 //! - [`AsyncScheduler`] — the asynchronous variant (Newport, Weaver &
 //!   Zheng 2021): per-node clock drift, randomized advertisement refresh
 //!   intervals, and variable connection/transfer latency, resolving
@@ -14,36 +14,49 @@
 //!   time-sliced and sharded over `threads` workers (fixed node-region
 //!   event partition, per-`(seed, slice, region)` RNG streams, serial
 //!   boundary sweep — see the `sliced` module), deterministic at any
-//!   thread count; the original single-heap loop survives as
-//!   [`AsyncScheduler::run_serial`], the test oracle.
+//!   thread count.
+//!
+//! There is **one entry point**: [`Scheduler::run`] takes a [`RunInputs`]
+//! — topology, protocol, sources, seed, [`SimConfig`], and two optional
+//! layers — plus a [`Probe`](gossip_telemetry::Probe) to observe the run
+//! ([`NoopProbe`](gossip_telemetry::NoopProbe) for none). Each engine has
+//! exactly one loop body behind it, also exposed as
+//! [`SyncScheduler::run_timed`] / [`AsyncScheduler::run_timed`], which
+//! additionally return the per-phase wall-time breakdown `bench` reports.
 //!
 //! Both record the metrics the papers analyze — rounds (or virtual time)
 //! to completion, connections formed, and how many of those connections
 //! were wasted — and both are deterministic given the seed: the same
-//! `(topology, protocol, sources, seed, config)` tuple always reproduces
-//! the same run, which is what makes regression tests on round counts and
-//! completion times possible.
+//! [`RunInputs`] always reproduce the same run, which is what makes
+//! regression tests on round counts and completion times possible.
 //!
-//! Both schedulers also run over **changing networks**: pass a
-//! [`gossip_dynamics::DynamicsModel`] (churn, edge fading, waypoint
-//! mobility) to [`Scheduler::run_dynamic`] and the engine consumes its
-//! deterministic mutation stream — at round boundaries under the
-//! synchronous scheduler, at slice boundaries (serially, before the
-//! slice's events run) under the asynchronous one. Completion is then
-//! measured over currently-alive
-//! nodes, and [`SimResult::dynamics`] carries the churn-aware metrics
-//! ([`DynamicsStats`]): departures, rejoins, severed connections,
-//! peak/min alive counts, and a [`CoveragePoint`] timeline.
+//! The optional layers:
 //!
-//! Both schedulers can also gossip over **discovered** rather than given
-//! neighborhoods: [`Scheduler::run_membership`] (and the dynamic
-//! variant) threads a [`Membership`] overlay — bounded HyParView-style
-//! active/passive views with SWIM-style failure detection, from the
-//! `gossip-membership` crate — between the underlay and the protocol,
-//! ticking it serially at round (sync) or slice (async) boundaries so
-//! determinism at any thread count is preserved.
-//! [`SimResult::membership`] then carries the overlay's metrics
-//! ([`MembershipStats`]).
+//! - **Changing networks** — [`RunInputs::dynamics`] names a
+//!   [`gossip_dynamics::DynamicsModel`] (churn, edge fading, waypoint
+//!   mobility) and the engine consumes its deterministic mutation stream
+//!   — at round boundaries under the synchronous scheduler, at slice
+//!   boundaries (serially, before the slice's events run) under the
+//!   asynchronous one. Completion is then measured over currently-alive
+//!   nodes, and [`SimResult::dynamics`] carries the churn-aware metrics
+//!   ([`DynamicsStats`]): departures, rejoins, severed connections,
+//!   peak/min alive counts, and a [`CoveragePoint`] timeline.
+//! - **Discovered neighborhoods** — [`RunInputs::membership`] threads a
+//!   [`Membership`] overlay — bounded HyParView-style active/passive
+//!   views with SWIM-style failure detection, from the
+//!   `gossip-membership` crate — between the underlay and the protocol,
+//!   ticking it serially at round (sync) or slice (async) boundaries so
+//!   determinism at any thread count is preserved.
+//!   [`SimResult::membership`] then carries the overlay's metrics
+//!   ([`MembershipStats`]).
+//!
+//! `None` for a layer means it does not exist for the run, not that it is
+//! idle: the engines hold an `Option` of the layer's state and
+//! monomorphise their phase step over the graph type
+//! ([`GraphView`](gossip_core::GraphView)), so a static run reads the
+//! frozen `Topology` directly and builds no `DynamicTopology` (routing
+//! static inputs through an always-on one was measured at +47 % / +19 %
+//! peak RSS on the sync-ring / async-grid benchmark workloads).
 
 mod dynamic;
 mod event_driven;
@@ -54,11 +67,10 @@ mod sliced;
 pub use event_driven::AsyncScheduler;
 pub use gossip_membership::{Membership, MembershipConfig, MembershipStats};
 pub use metrics::{CoveragePoint, DynamicsStats, RoundStats, SimResult};
-pub use scheduler::{PhaseTimings, Scheduler, SyncScheduler};
+pub use scheduler::{PhaseTimings, RunInputs, Scheduler, SyncScheduler};
 pub use sliced::{SliceTimings, EVENT_REGIONS, SLICE_TICKS};
 
-use gossip_core::{NodeId, Rng, Topology};
-use gossip_protocols::GossipProtocol;
+use gossip_core::{NodeId, Rng};
 
 /// Engine knobs independent of topology, protocol, and scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -121,25 +133,23 @@ pub fn random_sources(n: usize, k: usize, rng: &mut Rng) -> Vec<NodeId> {
     (0..k).map(|m| NodeId(ids[m % n])).collect()
 }
 
-/// Run one simulation under the synchronous round-based scheduler:
-/// message `m` starts at `sources[m]`, and the run ends when every node
-/// holds every message or `config.max_rounds` is hit. Equivalent to
-/// [`SyncScheduler`]`.run(...)`; use a [`Scheduler`] trait object to pick
-/// the execution model at runtime.
-pub fn run(
-    topology: &Topology,
-    protocol: &dyn GossipProtocol,
-    sources: &[NodeId],
-    seed: u64,
-    config: &SimConfig,
-) -> SimResult {
-    SyncScheduler::default().run(topology, protocol, sources, seed, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_protocols::UniformGossip;
+    use gossip_core::Topology;
+    use gossip_protocols::{GossipProtocol, UniformGossip};
+    use gossip_telemetry::NoopProbe;
+
+    fn run(
+        topology: &Topology,
+        protocol: &dyn GossipProtocol,
+        sources: &[NodeId],
+        seed: u64,
+        config: &SimConfig,
+    ) -> SimResult {
+        let inputs = RunInputs::new(topology, protocol, sources, seed, *config);
+        SyncScheduler::default().run(&inputs, &mut NoopProbe)
+    }
 
     #[test]
     fn single_node_completes_instantly() {

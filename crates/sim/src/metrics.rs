@@ -131,11 +131,10 @@ pub struct SimResult {
     /// builds.
     pub dynamics: Option<DynamicsStats>,
     /// Membership-layer metrics; `Some` exactly when the run gossiped
-    /// over a discovered overlay ([`Scheduler::run_membership_probed`]
-    /// and friends), so full-view results serialize byte-identically to
-    /// pre-membership builds.
-    ///
-    /// [`Scheduler::run_membership_probed`]: crate::Scheduler::run_membership_probed
+    /// over a discovered overlay
+    /// ([`RunInputs::membership`](crate::RunInputs::membership)), so
+    /// full-view results serialize byte-identically to pre-membership
+    /// builds.
     pub membership: Option<MembershipStats>,
     /// Per-round history; `Some` exactly when requested in `SimConfig`, so
     /// consumers can rely on its presence as a function of the flag (it is

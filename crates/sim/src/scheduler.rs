@@ -4,7 +4,10 @@
 //! when nodes advertise and scan, and when proposed connections resolve.
 //! Protocols are scheduler-agnostic — they only ever see a
 //! [`NodeCtx`] neighborhood snapshot — so the same protocol runs under
-//! every scheduler.
+//! every scheduler. The trait has one entry point,
+//! [`run`](Scheduler::run)`(&`[`RunInputs`]`, &mut dyn Probe)`: a mutating
+//! network and a membership overlay are optional *inputs*, not separate
+//! methods, and each engine serves every combination from one loop.
 //!
 //! [`SyncScheduler`] is the engine of the PODC 2017 paper: globally
 //! synchronized advertise → scan → connect → transfer rounds, with batch
@@ -25,9 +28,15 @@
 //!   ([`gossip_core::MATCH_REGIONS`] blocks, regardless of workers), and
 //!   every merge happens in node order — so `threads = 1` and
 //!   `threads = 64` produce byte-identical [`SimResult`]s. Round-count
-//!   regressions pin this down.
+//!   regressions pin this down;
+//! - **absent layers cost nothing**: the round loop holds an
+//!   `Option<DynRun>` and an `Option<Membership>`, and its phase step is
+//!   monomorphised over [`GraphView`] — so a static run reads the frozen
+//!   [`Topology`] directly, with no alive mask, rather than paying for an
+//!   always-on `DynamicTopology` (measured at +47 % peak RSS on the
+//!   131 072-node ring benchmark workload).
 
-use crate::dynamic::DynRun;
+use crate::dynamic::{Coverage, DynRun};
 use crate::metrics::RoundStats;
 use crate::{SimConfig, SimResult};
 
@@ -43,207 +52,111 @@ use gossip_dynamics::DynamicsModel;
 use gossip_membership::{Membership, MembershipConfig};
 use gossip_protocols::{GossipProtocol, NodeCtx};
 use gossip_telemetry::metrics::RegionLoad;
-use gossip_telemetry::{BoundaryScope, NoopProbe, Probe, TraceEvent};
+use gossip_telemetry::{BoundaryScope, Probe, TraceEvent};
 
 // The telemetry crate's fixed region width must mirror the engines' — the
 // per-region load counters index one with the other's partition.
 const _: () = assert!(MATCH_REGIONS == gossip_telemetry::metrics::REGIONS);
 
+/// Everything that shapes one run — the determinism contract in one
+/// place: identical inputs reproduce identical [`SimResult`]s under a
+/// given scheduler.
+#[derive(Clone, Copy)]
+pub struct RunInputs<'a> {
+    /// The (initial) underlay graph.
+    pub topology: &'a Topology,
+    pub protocol: &'a dyn GossipProtocol,
+    /// Message `m` starts at `sources[m]`.
+    pub sources: &'a [NodeId],
+    pub seed: u64,
+    pub config: SimConfig,
+    /// `Some`: the network mutates as the model's stream fires — at round
+    /// boundaries under the synchronous scheduler, at slice starts under
+    /// the asynchronous one; both consume the identical stream for a
+    /// given seed. Completion is then measured over currently-alive
+    /// nodes, and [`SimResult::dynamics`] reports the churn-aware
+    /// metrics. `None` is the frozen graph, at no cost: no
+    /// `DynamicTopology` is built and no alive mask consulted.
+    pub dynamics: Option<&'a dyn DynamicsModel>,
+    /// `Some`: the protocol gossips over *discovered* neighborhoods — a
+    /// [`Membership`] overlay (bounded HyParView-style views with
+    /// SWIM-style failure detection) between the underlay and the
+    /// protocol, ticked serially at round (sync) or slice (async)
+    /// boundaries, after that boundary's mutations: a departure is
+    /// visible to the failure detector the round it happens, and a
+    /// rejoiner can re-join the round it returns. `None` gossips over
+    /// the full neighborhoods.
+    pub membership: Option<&'a MembershipConfig>,
+}
+
+impl<'a> RunInputs<'a> {
+    /// Inputs for a run over the frozen `topology` with full
+    /// neighborhoods; set `dynamics` / `membership` by struct update.
+    pub fn new(
+        topology: &'a Topology,
+        protocol: &'a dyn GossipProtocol,
+        sources: &'a [NodeId],
+        seed: u64,
+        config: SimConfig,
+    ) -> Self {
+        RunInputs {
+            topology,
+            protocol,
+            sources,
+            seed,
+            config,
+            dynamics: None,
+            membership: None,
+        }
+    }
+}
+
 /// An execution model for gossip in the mobile telephone model: drives a
-/// protocol over a topology and reports [`SimResult`] metrics. Identical
-/// `(topology, protocol, sources, seed, config)` inputs must reproduce
-/// identical results.
+/// protocol over a topology and reports [`SimResult`] metrics.
 pub trait Scheduler {
     /// Stable scheduler name, used in CLI selection and reporting.
     fn name(&self) -> &'static str;
 
-    /// Run one simulation under observation: message `m` starts at
-    /// `sources[m]`, the run ends when every node holds every message or
-    /// the `config` cap (rounds, or the equivalent virtual time) is hit,
-    /// and `probe` observes every semantic event along the way. The
-    /// determinism contract extends to observation: the `SimResult` is
-    /// byte-identical whether the probe is enabled or not, and an enabled
-    /// probe sees the identical event sequence at any thread count.
-    fn run_probed(
-        &self,
-        topology: &Topology,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult;
-
-    /// [`run_probed`](Self::run_probed) over a network mutating under
-    /// `dynamics`: the topology starts as `topology` and changes as the
-    /// model's mutation stream fires. Completion is measured over
-    /// currently-alive nodes, and [`SimResult::dynamics`] reports the
-    /// churn-aware metrics. Both schedulers consume the identical stream
-    /// for a given seed, so sync-vs-async comparisons stay
-    /// apples-to-apples.
-    // The argument list *is* the determinism contract — every input that
-    // shapes the run, plus the observer. Bundling them into a struct
-    // would just rename the problem.
-    #[allow(clippy::too_many_arguments)]
-    fn run_dynamic_probed(
-        &self,
-        topology: &Topology,
-        dynamics: &dyn DynamicsModel,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult;
-
-    /// [`run_probed`](Self::run_probed) over *discovered* neighborhoods:
-    /// a [`Membership`] overlay (bounded HyParView-style views with
-    /// SWIM-style failure detection) sits between the underlay `topology`
-    /// and the protocol, ticking at round (sync) or slice (async)
-    /// boundaries, and the protocol gossips over its active views instead
-    /// of the full topology. Deterministic at any thread count: the
-    /// overlay only ever advances in serial engine sections.
-    #[allow(clippy::too_many_arguments)]
-    fn run_membership_probed(
-        &self,
-        topology: &Topology,
-        membership: &MembershipConfig,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult;
-
-    /// [`run_membership_probed`](Self::run_membership_probed) over a
-    /// network mutating under `dynamics`: churned-out nodes linger in
-    /// their peers' views until the failure detector suspects and evicts
-    /// them, and rejoiners re-enter through the join step.
-    #[allow(clippy::too_many_arguments)]
-    fn run_dynamic_membership_probed(
-        &self,
-        topology: &Topology,
-        dynamics: &dyn DynamicsModel,
-        membership: &MembershipConfig,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult;
-
-    /// [`run_probed`](Self::run_probed) without observation — the
-    /// disabled probe costs one branch per round.
-    fn run(
-        &self,
-        topology: &Topology,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-    ) -> SimResult {
-        self.run_probed(topology, protocol, sources, seed, config, &mut NoopProbe)
-    }
-
-    /// [`run_dynamic_probed`](Self::run_dynamic_probed) without
-    /// observation.
-    fn run_dynamic(
-        &self,
-        topology: &Topology,
-        dynamics: &dyn DynamicsModel,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-    ) -> SimResult {
-        self.run_dynamic_probed(
-            topology,
-            dynamics,
-            protocol,
-            sources,
-            seed,
-            config,
-            &mut NoopProbe,
-        )
-    }
-
-    /// [`run_membership_probed`](Self::run_membership_probed) without
-    /// observation.
-    fn run_membership(
-        &self,
-        topology: &Topology,
-        membership: &MembershipConfig,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-    ) -> SimResult {
-        self.run_membership_probed(
-            topology,
-            membership,
-            protocol,
-            sources,
-            seed,
-            config,
-            &mut NoopProbe,
-        )
-    }
-
-    /// [`run_dynamic_membership_probed`](Self::run_dynamic_membership_probed)
-    /// without observation.
-    #[allow(clippy::too_many_arguments)]
-    fn run_dynamic_membership(
-        &self,
-        topology: &Topology,
-        dynamics: &dyn DynamicsModel,
-        membership: &MembershipConfig,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-    ) -> SimResult {
-        self.run_dynamic_membership_probed(
-            topology,
-            dynamics,
-            membership,
-            protocol,
-            sources,
-            seed,
-            config,
-            &mut NoopProbe,
-        )
-    }
+    /// Run one simulation under observation: the run ends when every
+    /// (alive) node holds every message or the `config` cap (rounds, or
+    /// the equivalent virtual time) is hit, and `probe` observes every
+    /// semantic event along the way. The determinism contract extends to
+    /// observation: the `SimResult` is byte-identical whether the probe
+    /// is enabled or not ([`NoopProbe`](gossip_telemetry::NoopProbe)
+    /// costs one branch per round), and an enabled probe sees the
+    /// identical event sequence at any thread count.
+    fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult;
 }
 
-/// Shared run setup: seed the per-node message matrix from `sources` and
-/// build a result skeleton (handles the already-complete-at-time-zero
-/// case, e.g. a single-node topology).
+/// Shared run setup: seed the per-node message matrix from the sources,
+/// count the initial coverage, and build a result skeleton (handles the
+/// already-complete-at-time-zero case, e.g. a single-node topology).
 pub(crate) fn init_run(
-    topology: &Topology,
-    protocol: &dyn GossipProtocol,
+    inputs: &RunInputs<'_>,
     scheduler: &str,
-    sources: &[NodeId],
-    seed: u64,
-    config: &SimConfig,
-) -> (MessageMatrix, SimResult) {
-    let n = topology.num_nodes();
-    let k = sources.len();
+) -> (MessageMatrix, Coverage, SimResult) {
+    let n = inputs.topology.num_nodes();
+    let k = inputs.sources.len();
     assert!(n > 0, "cannot simulate an empty topology");
     assert!(k > 0, "gossip needs at least one message");
 
     let mut states = MessageMatrix::new(n, k);
-    for (m, &node) in sources.iter().enumerate() {
+    for (m, &node) in inputs.sources.iter().enumerate() {
         states.insert(node.index(), m);
     }
 
-    let complete_nodes = states.full_count();
+    let cover = Coverage {
+        informed: states.full_count(),
+        held: states.total_messages(),
+    };
+    let complete_nodes = cover.informed;
     let result = SimResult {
-        topology: topology.name().to_string(),
-        protocol: protocol.name().to_string(),
+        topology: inputs.topology.name().to_string(),
+        protocol: inputs.protocol.name().to_string(),
         scheduler: scheduler.to_string(),
         nodes: n,
         messages: k,
-        seed,
+        seed: inputs.seed,
         completed: complete_nodes == n,
         rounds_to_completion: if complete_nodes == n { Some(0) } else { None },
         rounds_executed: 0,
@@ -256,9 +169,25 @@ pub(crate) fn init_run(
         dropped_proposals: 0,
         dynamics: None,
         membership: None,
-        rounds: config.record_rounds.then(|| config.history_vec()),
+        rounds: inputs
+            .config
+            .record_rounds
+            .then(|| inputs.config.history_vec()),
     };
-    (states, result)
+    (states, cover, result)
+}
+
+/// Shared run teardown, once `result.virtual_time` is final: the closing
+/// coverage and each optional layer's stats.
+pub(crate) fn finish_run(
+    result: &mut SimResult,
+    cover: &Coverage,
+    dynr: Option<DynRun>,
+    mem: Option<Membership>,
+) {
+    result.complete_nodes = cover.informed;
+    result.membership = mem.map(|m| m.finish(dynr.as_ref().map(|d| d.topo.alive_mask())));
+    result.dynamics = dynr.map(|d| d.finish(SimTime(result.virtual_time), cover));
 }
 
 /// Wall-clock time spent in each phase of the synchronous round loop,
@@ -319,148 +248,238 @@ impl SyncScheduler {
         }
     }
 
-    /// [`run`](Scheduler::run), additionally reporting how long each
-    /// phase took ([`PhaseTimings`], summed over rounds). The `SimResult`
-    /// is identical to `run`'s — the timings ride alongside so benches
-    /// can break the wall time down per phase without perturbing
-    /// deterministic output.
-    pub fn run_with_timings(
+    /// The round loop — the one body behind [`Scheduler::run`] — also
+    /// reporting how long each phase took ([`PhaseTimings`], summed over
+    /// rounds) for `bench`; the timings ride alongside the result, never
+    /// inside it.
+    ///
+    /// Every round: drain the mutations due in its window
+    /// `[(r-1)·TPR, r·TPR)` (so a departure "during" a round is visible
+    /// for the whole round — the natural discretization of the
+    /// continuous-time stream the asynchronous scheduler interleaves by
+    /// slice), tick the membership overlay against the settled underlay,
+    /// then run the four phases over a graph that stays frozen for the
+    /// round, so scan, intent, and matching are coherent. Static inputs
+    /// skip the first two steps entirely: the phase step is monomorphised
+    /// per graph type, so a frozen [`Topology`] is read directly, with no
+    /// alive mask and the batched advertise kernel.
+    pub fn run_timed(
         &self,
-        topology: &Topology,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-    ) -> (SimResult, PhaseTimings) {
-        self.run_with_timings_probed(topology, protocol, sources, seed, config, &mut NoopProbe)
-    }
-
-    /// [`run_with_timings`](Self::run_with_timings) under observation —
-    /// the full-fidelity entry point the trait methods and the bench
-    /// harness both funnel through.
-    pub fn run_with_timings_probed(
-        &self,
-        topology: &Topology,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
+        inputs: &RunInputs<'_>,
         probe: &mut dyn Probe,
     ) -> (SimResult, PhaseTimings) {
+        let RunInputs {
+            topology,
+            protocol,
+            sources,
+            seed,
+            config,
+            ..
+        } = *inputs;
         let n = topology.num_nodes();
-        let mut timings = PhaseTimings::default();
-        let (mut states, mut result) = init_run(topology, protocol, "sync", sources, seed, config);
-        if result.completed {
-            return (result, timings);
-        }
-        let mut complete_nodes = result.complete_nodes;
-        let region_block = n.div_ceil(MATCH_REGIONS.clamp(1, n));
+        let (states, mut cover, mut result) = init_run(inputs, "sync");
+        let mut dynr = inputs
+            .dynamics
+            .map(|model| DynRun::new(topology, model, seed, &cover));
+        let mut mem = inputs.membership.map(|cfg| Membership::new(n, *cfg));
+        let mut phases = RoundPhases {
+            protocol,
+            seed,
+            threads: self.threads,
+            states,
+            ads: vec![Advertisement::default(); n],
+            intents: vec![Intent::Idle; n],
+            region_block: n.div_ceil(MATCH_REGIONS.clamp(1, n)),
+            timings: PhaseTimings::default(),
+        };
 
-        let mut ads: Vec<Advertisement> = vec![Advertisement::default(); n];
-        let mut intents: Vec<Intent> = vec![Intent::Idle; n];
+        // Already complete at time zero (a single node, say): no round runs.
+        if !result.completed {
+            for round in 1..=config.max_rounds {
+                let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
+                if let Some(d) = dynr.as_mut() {
+                    let mutated = d.drain_until(
+                        horizon,
+                        &mut phases.states,
+                        sources,
+                        &mut cover,
+                        probe,
+                        round as u64,
+                    );
+                    if mutated && cover.complete(d.topo.alive_count()) {
+                        // Mutations alone completed gossip (the last uninformed
+                        // node departed, or an informed one rejoined an already-
+                        // covered network) — at the boundary closing round r-1.
+                        result.completed = true;
+                        result.rounds_to_completion = Some(round - 1);
+                        break;
+                    }
+                }
 
-        for round in 1..=config.max_rounds {
-            // Phase 1: advertise — all tags published before anyone scans.
-            let t0 = Instant::now();
-            advertise_phase(
-                None,
-                protocol,
-                &states,
-                &mut ads,
-                round as u64,
-                self.threads,
-            );
+                // Dead nodes neither advertise nor scan, active neighbor views
+                // exclude them, and they cannot match — so both endpoints of
+                // every transfer are alive and `cover` stays alive-only.
+                let alive = dynr.as_ref().map(|d| d.topo.alive_mask());
+                if let Some(m) = mem.as_mut() {
+                    match &dynr {
+                        Some(d) => m.tick(&d.topo, alive, seed, round as u64, probe),
+                        None => m.tick(topology, alive, seed, round as u64, probe),
+                    }
+                }
+                let (resolution, transfer) = match (&mem, &dynr) {
+                    (Some(m), _) => phases.step(m, alive, round as u64, probe),
+                    (None, Some(d)) => phases.step(&d.topo, alive, round as u64, probe),
+                    (None, None) => phases.step(topology, None, round as u64, probe),
+                };
 
-            // Phase 2: every node scans and commits an intent.
-            let t1 = Instant::now();
-            scan_phase(
-                topology,
-                None,
-                protocol,
-                &states,
-                &ads,
-                &mut intents,
-                seed,
-                round as u64,
-                self.threads,
-            );
+                cover.informed += transfer.newly_full;
+                cover.held += transfer.moved;
+                let formed = resolution.connections.len();
+                result.rounds_executed = round;
+                result.total_connections += formed;
+                result.productive_connections += transfer.productive;
+                result.wasted_connections += formed - transfer.productive;
+                result.dropped_proposals += resolution.dropped_proposals;
+                if let Some(d) = dynr.as_mut() {
+                    d.record(horizon, &cover);
+                }
+                if let Some(history) = &mut result.rounds {
+                    history.push(RoundStats {
+                        round,
+                        connections: formed,
+                        productive: transfer.productive,
+                        complete_nodes: cover.informed,
+                        messages_held: cover.held,
+                    });
+                }
 
-            // Phase 3: connection resolution — the partitioned parallel
-            // matching over a fixed region grid.
-            let t2 = Instant::now();
-            let resolution = resolve_connections_sharded(
-                topology,
-                &intents,
-                seed,
-                round as u64,
-                MATCH_REGIONS,
-                self.threads,
-            );
+                if probe.enabled() {
+                    probe.record(&TraceEvent::Boundary {
+                        t: horizon.ticks(),
+                        round: round as u64,
+                        scope: BoundaryScope::Round,
+                    });
+                }
 
-            // Phase 4: push-pull transfer over the (node-disjoint)
-            // matched pairs. The traced path runs the identical per-pair
-            // unions serially so moved messages emit in deterministic
-            // order — the pairs are node-disjoint, so the totals (and the
-            // matrix) cannot differ from the parallel path.
-            let t3 = Instant::now();
-            let transfer = if probe.enabled() {
-                emit_round_events(probe, topology, &intents, &resolution, round as u64);
-                traced_transfer(probe, &mut states, &resolution.connections, round as u64)
-            } else {
-                states.union_pairs_parallel(&resolution.connections, self.threads)
-            };
-            let t4 = Instant::now();
-
-            timings.advertise += t1 - t0;
-            timings.decide += t2 - t1;
-            timings.matching += t3 - t2;
-            timings.transfer += t4 - t3;
-            for c in &resolution.connections {
-                timings
-                    .connections_by_region
-                    .add(c.initiator.index() / region_block, 1);
-            }
-            timings.confined_proposals += resolution.confined_proposals;
-            timings.boundary_proposals += resolution.boundary_proposals;
-
-            complete_nodes += transfer.newly_full;
-            let formed = resolution.connections.len();
-            result.rounds_executed = round;
-            result.total_connections += formed;
-            result.productive_connections += transfer.productive;
-            result.wasted_connections += formed - transfer.productive;
-            result.dropped_proposals += resolution.dropped_proposals;
-            if let Some(history) = &mut result.rounds {
-                history.push(RoundStats {
-                    round,
-                    connections: formed,
-                    productive: transfer.productive,
-                    complete_nodes,
-                    messages_held: states.total_messages(),
-                });
-            }
-
-            if probe.enabled() {
-                probe.record(&TraceEvent::Boundary {
-                    t: round as u64 * TICKS_PER_ROUND,
-                    round: round as u64,
-                    scope: BoundaryScope::Round,
-                });
-            }
-
-            if complete_nodes == n {
-                result.completed = true;
-                result.rounds_to_completion = Some(round);
-                break;
+                if cover.complete(dynr.as_ref().map_or(n, |d| d.topo.alive_count())) {
+                    result.completed = true;
+                    result.rounds_to_completion = Some(round);
+                    break;
+                }
             }
         }
 
-        result.complete_nodes = complete_nodes;
         result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
         result.virtual_time_to_completion = result
             .rounds_to_completion
             .map(|r| r as u64 * TICKS_PER_ROUND);
-        (result, timings)
+        finish_run(&mut result, &cover, dynr, mem);
+        (result, phases.timings)
+    }
+}
+
+impl Scheduler for SyncScheduler {
+    fn name(&self) -> &'static str {
+        "sync"
+    }
+
+    fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
+        self.run_timed(inputs, probe).0
+    }
+}
+
+/// What every round's phases share: the run's constants, the per-node
+/// buffers, and the phase clocks.
+struct RoundPhases<'a> {
+    protocol: &'a dyn GossipProtocol,
+    seed: u64,
+    threads: usize,
+    states: MessageMatrix,
+    ads: Vec<Advertisement>,
+    intents: Vec<Intent>,
+    /// Nodes per matching region, for the per-region load tally.
+    region_block: usize,
+    timings: PhaseTimings,
+}
+
+impl RoundPhases<'_> {
+    /// One round's advertise → scan → connect → transfer over `graph`,
+    /// the same sharded phases whatever the graph is — the frozen
+    /// underlay, the active view of a mutating one (`alive` masks its
+    /// dead nodes), or a membership overlay. Generic rather than `dyn` so
+    /// each graph type keeps its own inlined neighbor reads.
+    fn step<G: GraphView + Sync + ?Sized>(
+        &mut self,
+        graph: &G,
+        alive: Option<&[bool]>,
+        round: u64,
+        probe: &mut dyn Probe,
+    ) -> (Resolution, TransferStats) {
+        // Phase 1: advertise — all tags published before anyone scans.
+        let t0 = Instant::now();
+        advertise_phase(
+            alive,
+            self.protocol,
+            &self.states,
+            &mut self.ads,
+            round,
+            self.threads,
+        );
+
+        // Phase 2: every node scans and commits an intent.
+        let t1 = Instant::now();
+        scan_phase(
+            graph,
+            alive,
+            self.protocol,
+            &self.states,
+            &self.ads,
+            &mut self.intents,
+            self.seed,
+            round,
+            self.threads,
+        );
+
+        // Phase 3: connection resolution — the partitioned parallel
+        // matching over a fixed region grid.
+        let t2 = Instant::now();
+        let resolution = resolve_connections_sharded(
+            graph,
+            &self.intents,
+            self.seed,
+            round,
+            MATCH_REGIONS,
+            self.threads,
+        );
+
+        // Phase 4: push-pull transfer over the (node-disjoint) matched
+        // pairs. The traced path runs the identical per-pair unions
+        // serially so moved messages emit in deterministic order — the
+        // pairs are node-disjoint, so the totals (and the matrix) cannot
+        // differ from the parallel path.
+        let t3 = Instant::now();
+        let transfer = if probe.enabled() {
+            emit_round_events(probe, graph, &self.intents, &resolution, round);
+            traced_transfer(probe, &mut self.states, &resolution.connections, round)
+        } else {
+            self.states
+                .union_pairs_parallel(&resolution.connections, self.threads)
+        };
+        let t4 = Instant::now();
+
+        let timings = &mut self.timings;
+        timings.advertise += t1 - t0;
+        timings.decide += t2 - t1;
+        timings.matching += t3 - t2;
+        timings.transfer += t4 - t3;
+        for c in &resolution.connections {
+            timings
+                .connections_by_region
+                .add(c.initiator.index() / self.region_block, 1);
+        }
+        timings.confined_proposals += resolution.confined_proposals;
+        timings.boundary_proposals += resolution.boundary_proposals;
+        (resolution, transfer)
     }
 }
 
@@ -684,380 +703,4 @@ fn scan_phase<G: GraphView + Sync + ?Sized>(
             });
         }
     });
-}
-
-impl Scheduler for SyncScheduler {
-    fn name(&self) -> &'static str {
-        "sync"
-    }
-
-    fn run_probed(
-        &self,
-        topology: &Topology,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult {
-        self.run_with_timings_probed(topology, protocol, sources, seed, config, probe)
-            .0
-    }
-
-    /// The dynamic-topology variant of the round loop. Mutations apply at
-    /// round boundaries: before round `r` runs, every pending mutation
-    /// with time in round `r`'s window `[(r-1)·TPR, r·TPR)` takes effect,
-    /// so a departure "during" a round is visible for the whole round —
-    /// the natural discretization of the continuous-time stream the
-    /// asynchronous scheduler interleaves exactly. Within a round the
-    /// graph is frozen, so scan, intent, and matching stay coherent — and
-    /// the sharded decide phase reads it concurrently exactly like the
-    /// static engine, skipping dead nodes via the alive mask.
-    fn run_dynamic_probed(
-        &self,
-        topology: &Topology,
-        dynamics: &dyn DynamicsModel,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult {
-        let n = topology.num_nodes();
-        let (mut states, mut result) = init_run(topology, protocol, "sync", sources, seed, config);
-        let mut dynr = DynRun::new(topology, dynamics, seed, &states);
-        if result.completed {
-            result.dynamics = Some(dynr.finish(SimTime::ZERO));
-            return result;
-        }
-        let mut ads: Vec<Advertisement> = vec![Advertisement::default(); n];
-        let mut intents: Vec<Intent> = vec![Intent::Idle; n];
-
-        for round in 1..=config.max_rounds {
-            let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
-            let mutated = if probe.enabled() {
-                dynr.drain_until_probed(horizon, &mut states, sources, probe, round as u64)
-            } else {
-                dynr.drain_until(horizon, &mut states, sources)
-            };
-            if mutated && dynr.complete() {
-                // Mutations alone completed gossip (the last uninformed
-                // node departed, or an informed one rejoined an already-
-                // covered network) — at the boundary closing round r-1.
-                result.completed = true;
-                result.rounds_to_completion = Some(round - 1);
-                break;
-            }
-
-            // Phases 1+2 over alive nodes only: dead nodes neither
-            // advertise nor scan, and active neighbor views exclude them.
-            let alive = Some(dynr.topo.alive_mask());
-            advertise_phase(
-                alive,
-                protocol,
-                &states,
-                &mut ads,
-                round as u64,
-                self.threads,
-            );
-            scan_phase(
-                &dynr.topo,
-                alive,
-                protocol,
-                &states,
-                &ads,
-                &mut intents,
-                seed,
-                round as u64,
-                self.threads,
-            );
-
-            // Phases 3+4 against the active graph view — the identical
-            // sharded resolver and transfer as the static loop. Both
-            // endpoints of every pair are alive: dead nodes cannot match.
-            let resolution = resolve_connections_sharded(
-                &dynr.topo,
-                &intents,
-                seed,
-                round as u64,
-                MATCH_REGIONS,
-                self.threads,
-            );
-            let transfer = if probe.enabled() {
-                emit_round_events(probe, &dynr.topo, &intents, &resolution, round as u64);
-                traced_transfer(probe, &mut states, &resolution.connections, round as u64)
-            } else {
-                states.union_pairs_parallel(&resolution.connections, self.threads)
-            };
-            dynr.alive_informed += transfer.newly_full;
-            dynr.alive_messages += transfer.moved;
-
-            let formed = resolution.connections.len();
-            result.rounds_executed = round;
-            result.total_connections += formed;
-            result.productive_connections += transfer.productive;
-            result.wasted_connections += formed - transfer.productive;
-            result.dropped_proposals += resolution.dropped_proposals;
-            dynr.record(horizon);
-            if let Some(history) = &mut result.rounds {
-                history.push(RoundStats {
-                    round,
-                    connections: formed,
-                    productive: transfer.productive,
-                    complete_nodes: dynr.alive_informed,
-                    messages_held: dynr.alive_messages,
-                });
-            }
-
-            if probe.enabled() {
-                probe.record(&TraceEvent::Boundary {
-                    t: round as u64 * TICKS_PER_ROUND,
-                    round: round as u64,
-                    scope: BoundaryScope::Round,
-                });
-            }
-
-            if dynr.complete() {
-                result.completed = true;
-                result.rounds_to_completion = Some(round);
-                break;
-            }
-        }
-
-        result.complete_nodes = dynr.alive_informed;
-        result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
-        result.virtual_time_to_completion = result
-            .rounds_to_completion
-            .map(|r| r as u64 * TICKS_PER_ROUND);
-        result.dynamics = Some(dynr.finish(SimTime(result.virtual_time)));
-        result
-    }
-
-    /// The membership variant of the static round loop: the overlay ticks
-    /// serially at the top of every round (join → shuffle/promote → probe
-    /// → evict, one `(seed, round, MEMBERSHIP_STREAM)` stream walked in
-    /// node order), then the identical sharded phases run with the
-    /// overlay's active views as the graph. Scan, matching, and event
-    /// emission all read the same frozen views, so the round is coherent
-    /// and deterministic at any thread count.
-    fn run_membership_probed(
-        &self,
-        topology: &Topology,
-        membership: &MembershipConfig,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult {
-        let n = topology.num_nodes();
-        let (mut states, mut result) = init_run(topology, protocol, "sync", sources, seed, config);
-        let mut mem = Membership::new(n, *membership);
-        if result.completed {
-            result.membership = Some(mem.finish(None));
-            return result;
-        }
-        let mut complete_nodes = result.complete_nodes;
-        let mut ads: Vec<Advertisement> = vec![Advertisement::default(); n];
-        let mut intents: Vec<Intent> = vec![Intent::Idle; n];
-
-        for round in 1..=config.max_rounds {
-            mem.tick(topology, None, seed, round as u64, probe);
-
-            advertise_phase(
-                None,
-                protocol,
-                &states,
-                &mut ads,
-                round as u64,
-                self.threads,
-            );
-            scan_phase(
-                &mem,
-                None,
-                protocol,
-                &states,
-                &ads,
-                &mut intents,
-                seed,
-                round as u64,
-                self.threads,
-            );
-            let resolution = resolve_connections_sharded(
-                &mem,
-                &intents,
-                seed,
-                round as u64,
-                MATCH_REGIONS,
-                self.threads,
-            );
-            let transfer = if probe.enabled() {
-                emit_round_events(probe, &mem, &intents, &resolution, round as u64);
-                traced_transfer(probe, &mut states, &resolution.connections, round as u64)
-            } else {
-                states.union_pairs_parallel(&resolution.connections, self.threads)
-            };
-
-            complete_nodes += transfer.newly_full;
-            let formed = resolution.connections.len();
-            result.rounds_executed = round;
-            result.total_connections += formed;
-            result.productive_connections += transfer.productive;
-            result.wasted_connections += formed - transfer.productive;
-            result.dropped_proposals += resolution.dropped_proposals;
-            if let Some(history) = &mut result.rounds {
-                history.push(RoundStats {
-                    round,
-                    connections: formed,
-                    productive: transfer.productive,
-                    complete_nodes,
-                    messages_held: states.total_messages(),
-                });
-            }
-
-            if probe.enabled() {
-                probe.record(&TraceEvent::Boundary {
-                    t: round as u64 * TICKS_PER_ROUND,
-                    round: round as u64,
-                    scope: BoundaryScope::Round,
-                });
-            }
-
-            if complete_nodes == n {
-                result.completed = true;
-                result.rounds_to_completion = Some(round);
-                break;
-            }
-        }
-
-        result.complete_nodes = complete_nodes;
-        result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
-        result.virtual_time_to_completion = result
-            .rounds_to_completion
-            .map(|r| r as u64 * TICKS_PER_ROUND);
-        result.membership = Some(mem.finish(None));
-        result
-    }
-
-    /// Membership over a mutating network: mutations drain at the round
-    /// boundary first (fixing the alive set and underlay for the round),
-    /// then the overlay ticks against them — so a departure is visible to
-    /// the failure detector the round it happens, and a rejoiner can
-    /// re-join the same round it returns.
-    fn run_dynamic_membership_probed(
-        &self,
-        topology: &Topology,
-        dynamics: &dyn DynamicsModel,
-        membership: &MembershipConfig,
-        protocol: &dyn GossipProtocol,
-        sources: &[NodeId],
-        seed: u64,
-        config: &SimConfig,
-        probe: &mut dyn Probe,
-    ) -> SimResult {
-        let n = topology.num_nodes();
-        let (mut states, mut result) = init_run(topology, protocol, "sync", sources, seed, config);
-        let mut dynr = DynRun::new(topology, dynamics, seed, &states);
-        let mut mem = Membership::new(n, *membership);
-        if result.completed {
-            result.membership = Some(mem.finish(Some(dynr.topo.alive_mask())));
-            result.dynamics = Some(dynr.finish(SimTime::ZERO));
-            return result;
-        }
-        let mut ads: Vec<Advertisement> = vec![Advertisement::default(); n];
-        let mut intents: Vec<Intent> = vec![Intent::Idle; n];
-
-        for round in 1..=config.max_rounds {
-            let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
-            let mutated = if probe.enabled() {
-                dynr.drain_until_probed(horizon, &mut states, sources, probe, round as u64)
-            } else {
-                dynr.drain_until(horizon, &mut states, sources)
-            };
-            if mutated && dynr.complete() {
-                result.completed = true;
-                result.rounds_to_completion = Some(round - 1);
-                break;
-            }
-
-            let alive = Some(dynr.topo.alive_mask());
-            mem.tick(&dynr.topo, alive, seed, round as u64, probe);
-
-            advertise_phase(
-                alive,
-                protocol,
-                &states,
-                &mut ads,
-                round as u64,
-                self.threads,
-            );
-            scan_phase(
-                &mem,
-                alive,
-                protocol,
-                &states,
-                &ads,
-                &mut intents,
-                seed,
-                round as u64,
-                self.threads,
-            );
-            let resolution = resolve_connections_sharded(
-                &mem,
-                &intents,
-                seed,
-                round as u64,
-                MATCH_REGIONS,
-                self.threads,
-            );
-            let transfer = if probe.enabled() {
-                emit_round_events(probe, &mem, &intents, &resolution, round as u64);
-                traced_transfer(probe, &mut states, &resolution.connections, round as u64)
-            } else {
-                states.union_pairs_parallel(&resolution.connections, self.threads)
-            };
-            dynr.alive_informed += transfer.newly_full;
-            dynr.alive_messages += transfer.moved;
-
-            let formed = resolution.connections.len();
-            result.rounds_executed = round;
-            result.total_connections += formed;
-            result.productive_connections += transfer.productive;
-            result.wasted_connections += formed - transfer.productive;
-            result.dropped_proposals += resolution.dropped_proposals;
-            dynr.record(horizon);
-            if let Some(history) = &mut result.rounds {
-                history.push(RoundStats {
-                    round,
-                    connections: formed,
-                    productive: transfer.productive,
-                    complete_nodes: dynr.alive_informed,
-                    messages_held: dynr.alive_messages,
-                });
-            }
-
-            if probe.enabled() {
-                probe.record(&TraceEvent::Boundary {
-                    t: round as u64 * TICKS_PER_ROUND,
-                    round: round as u64,
-                    scope: BoundaryScope::Round,
-                });
-            }
-
-            if dynr.complete() {
-                result.completed = true;
-                result.rounds_to_completion = Some(round);
-                break;
-            }
-        }
-
-        result.complete_nodes = dynr.alive_informed;
-        result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
-        result.virtual_time_to_completion = result
-            .rounds_to_completion
-            .map(|r| r as u64 * TICKS_PER_ROUND);
-        result.membership = Some(mem.finish(Some(dynr.topo.alive_mask())));
-        result.dynamics = Some(dynr.finish(SimTime(result.virtual_time)));
-        result
-    }
 }

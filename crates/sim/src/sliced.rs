@@ -1,10 +1,10 @@
 //! The time-sliced parallel event engine behind [`AsyncScheduler`].
 //!
-//! The serial event loop in [`crate::event_driven`] executes every event
-//! in exact global `(time, seq)` order — inherently sequential. This
-//! module trades that total order for a *deterministic partial order*
-//! that parallelizes, mirroring the design of the sharded matching
-//! resolver (`resolve_connections_sharded`):
+//! A single event heap would execute every event in exact global
+//! `(time, seq)` order — inherently sequential. This module trades that
+//! total order for a *deterministic partial order* that parallelizes,
+//! mirroring the design of the sharded matching resolver
+//! (`resolve_connections_sharded`):
 //!
 //! - **Fixed partition.** Nodes are split into [`EVENT_REGIONS`]
 //!   contiguous blocks of `block = ceil(n / EVENT_REGIONS)` nodes, and
@@ -43,26 +43,30 @@
 //!   history rows) replays serially, so `SimResult` assembly is one
 //!   deterministic sequence regardless of which worker did what.
 //!
+//! There is **one pass loop** ([`run_sliced`]) for every kind of input.
 //! Dynamics keep slice granularity: all mutations due inside a slice are
 //! applied serially at the *start* of the pass (stream
 //! `Rng::stream(seed, pass, MUTATE_STREAM)`), before any of the slice's
 //! events execute — the event-loop analogue of the synchronous
 //! scheduler's round-boundary mutation semantics. Deaths therefore
 //! precede every union of the slice, and generation stamps lazily
-//! discard the dead node's queued events exactly as in the serial
-//! engine.
+//! discard the dead node's queued events when they pop. A static run is
+//! the same loop with no `DynRun` to drain: the stamps stay zero, the
+//! graph is the frozen [`Topology`], and nothing dynamic is allocated.
 //!
-//! Relaxations vs. the serial loop (all deterministic, argued in
-//! ARCHITECTURE.md): events in different regions within a slice
-//! interleave by region rather than globally by time; cross-region scans
-//! read a start-of-slice advertisement snapshot; an event a sweep
+//! Relaxations vs. a globally time-ordered loop (all deterministic,
+//! argued in ARCHITECTURE.md): events in different regions within a
+//! slice interleave by region rather than globally by time; cross-region
+//! scans read a start-of-slice advertisement snapshot; an event a sweep
 //! schedules *inside* the current slice executes in the next pass.
 
-use crate::dynamic::{mutate_event, DynRun};
-use crate::event_driven::{AsyncScheduler, EpochAccounting, Scheduled};
-use crate::scheduler::init_run;
-use crate::{SimConfig, SimResult};
+use crate::dynamic::{mutate_event, Coverage, DynRun};
+use crate::event_driven::AsyncScheduler;
+use crate::metrics::RoundStats;
+use crate::scheduler::{finish_run, init_run, RunInputs};
+use crate::SimResult;
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
@@ -71,8 +75,8 @@ use gossip_core::{
     Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk, MatrixChunk, MessageMatrix,
     NodeId, PeerState, Rng, Topology,
 };
-use gossip_dynamics::{DynamicsModel, MutationKind};
-use gossip_membership::{Membership, MembershipConfig};
+use gossip_dynamics::MutationKind;
+use gossip_membership::Membership;
 use gossip_protocols::{GossipProtocol, NodeCtx};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{BoundaryScope, Probe, TraceEvent};
@@ -227,6 +231,35 @@ fn append_by_tick<'a, T: Copy + 'a>(
         let slot = &mut next[(tick(item) - lo) as usize];
         out[*slot as usize] = *item;
         *slot += 1;
+    }
+}
+
+/// Queue entry: events fire in `(time, seq)` order. `seq` is a unique,
+/// monotonically increasing tie-breaker, so simultaneous events fire in
+/// scheduling order and the execution is deterministic.
+#[derive(Clone, Copy, Debug)]
+struct Scheduled<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> Ord for Scheduled<E> {
+    // Reversed: BinaryHeap is a max-heap, and we want the earliest event.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -483,8 +516,11 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                         task.scratch.push(now.after(delay), Ev::Act(u, gen));
                     }
                     PeerState::Proposing => {
-                        // See the serial engine: a proposing node's chain
-                        // is owned by its Attempt event.
+                        // A proposing node's chain is owned by its Attempt
+                        // event, so rescheduling here would fork the chain;
+                        // dropping the stale Act is the safe release-mode
+                        // recovery (the Attempt always restarts the cycle),
+                        // while debug builds flag the broken invariant.
                         debug_assert!(false, "act event fired for a proposing node");
                     }
                     state => {
@@ -713,43 +749,133 @@ fn execute_slice<G: GraphView + Sync + ?Sized>(
     });
 }
 
-/// The sliced engine for a frozen topology. Byte-identical to itself at
-/// any `threads`; see the module docs for the determinism argument.
+/// Accumulators for the optional per-epoch [`RoundStats`] history:
+/// counters for the currently open row, plus the number of rows already
+/// flushed. An event at time `t` belongs to row `ceil(t / TICKS_PER_ROUND)`
+/// — round `r` covers `((r-1)·TPR, r·TPR]`, matching
+/// [`SimTime::round_equivalent`] — so a transfer landing exactly on a
+/// round boundary counts toward the round that ends there.
+#[derive(Default)]
+struct EpochAccounting {
+    /// Rows already flushed; the open row is number `flushed + 1`.
+    flushed: usize,
+    /// Connections completing transfers in the open row so far.
+    connections: usize,
+    /// Productive connections in the open row so far.
+    productive: usize,
+}
+
+impl EpochAccounting {
+    /// Close and record every row numbered strictly below `row`, leaving
+    /// `row` as the open row accumulating subsequent counters. Rows stay
+    /// dense and 1-based like synchronous rounds; both the in-loop flush
+    /// (before each event) and the final drain route through here so the
+    /// attribution rule cannot diverge between them.
+    fn flush_rows_below(&mut self, history: &mut Vec<RoundStats>, row: usize, cover: &Coverage) {
+        while self.flushed + 1 < row {
+            history.push(RoundStats {
+                round: self.flushed + 1,
+                connections: self.connections,
+                productive: self.productive,
+                complete_nodes: cover.informed,
+                messages_held: cover.held,
+            });
+            self.connections = 0;
+            self.productive = 0;
+            self.flushed += 1;
+        }
+    }
+
+    /// Flush the rows strictly before the row of an event at `time`, so
+    /// the event's counters accumulate into the right (still-open) row.
+    fn flush_rows_before(
+        &mut self,
+        history: &mut Vec<RoundStats>,
+        time: SimTime,
+        cover: &Coverage,
+    ) {
+        self.flush_rows_below(history, time.round_equivalent().max(1), cover);
+    }
+
+    /// Count one completed transfer — in the run totals, the open history
+    /// row, and the coverage counters.
+    fn count_finish(
+        &mut self,
+        result: &mut SimResult,
+        cover: &mut Coverage,
+        moved: usize,
+        newly_full: usize,
+    ) {
+        cover.informed += newly_full;
+        cover.held += moved;
+        result.total_connections += 1;
+        if moved > 0 {
+            result.productive_connections += 1;
+            self.productive += 1;
+        } else {
+            result.wasted_connections += 1;
+        }
+        self.connections += 1;
+    }
+}
+
+/// The graph gossip runs over right now: the membership overlay when one
+/// is on, else the active view of the mutating underlay, else the frozen
+/// topology itself.
+fn gossip_graph<'a>(
+    topology: &'a Topology,
+    dynr: &'a Option<DynRun>,
+    mem: &'a Option<Membership>,
+) -> &'a (dyn GraphView + Sync) {
+    match (mem, dynr) {
+        (Some(m), _) => m,
+        (None, Some(d)) => &d.topo,
+        (None, None) => topology,
+    }
+}
+
+/// The sliced engine: the one pass loop behind
+/// [`AsyncScheduler::run_timed`]. Byte-identical to itself at any
+/// `threads`; see the module docs for the determinism argument.
+///
+/// Under dynamics, mutations apply serially at slice starts (phase 0 —
+/// the analogue of the sync scheduler's round-boundary semantics) and the
+/// event phases run over the active graph with generation-stamp checks
+/// in play; static inputs have no `DynRun`, so phase 0 and every
+/// coverage-timeline sample vanish and the stamps stay all-zero.
+/// `membership` swaps the gossip graph for a discovered overlay, ticked
+/// serially at slice starts after the slice's mutations landed.
 ///
 /// Tracing rides the replay: workers log trace-only entries into their
 /// region logs (never touching the probe or any RNG), and the serial
-/// phases — the `(time, region)` merge replay and the boundary sweep —
-/// are the only places `probe.record` is called, so the emitted stream
-/// is one deterministic global order at any thread count.
-// Mirrors the `Scheduler` entry points — the argument list is the
-// determinism contract. `membership: Some(cfg)` swaps the gossip graph
-// for a discovered overlay, ticked serially at slice starts.
-#[allow(clippy::too_many_arguments)]
+/// phases — mutation drain, the `(time, region)` merge replay and the
+/// boundary sweep — are the only places `probe.record` is called, so the
+/// emitted stream is one deterministic global order at any thread count.
 pub(crate) fn run_sliced(
     sched: &AsyncScheduler,
-    topology: &Topology,
-    membership: Option<&MembershipConfig>,
-    protocol: &dyn GossipProtocol,
-    sources: &[NodeId],
-    seed: u64,
-    config: &SimConfig,
+    inputs: &RunInputs<'_>,
     probe: &mut dyn Probe,
 ) -> (SimResult, SliceTimings) {
+    let RunInputs {
+        topology,
+        protocol,
+        sources,
+        seed,
+        config,
+        ..
+    } = *inputs;
     sched
         .timing
         .validate()
         .unwrap_or_else(|e| panic!("invalid timing config: {e}"));
     let n = topology.num_nodes();
     let mut rng = Rng::new(seed);
-    let (mut states, mut result) = init_run(topology, protocol, "async", sources, seed, config);
-    let mut mem = membership.map(|cfg| Membership::new(n, *cfg));
+    let (mut states, mut cover, mut result) = init_run(inputs, "async");
+    let mut dynr = inputs
+        .dynamics
+        .map(|model| DynRun::new(topology, model, seed, &cover));
+    let mut mem = inputs.membership.map(|cfg| Membership::new(n, *cfg));
     let mut timings = SliceTimings::default();
-    if result.completed {
-        result.membership = mem.as_ref().map(|m| m.finish(None));
-        return (result, timings);
-    }
-    let mut complete_nodes = result.complete_nodes;
-    let mut messages_held: usize = states.total_messages();
 
     let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
     let drift: Vec<f64> = (0..n)
@@ -761,9 +887,9 @@ pub(crate) fn run_sliced(
     let mut ads_snap = ads.clone();
     let mut matcher = IncrementalMatcher::new(n);
     let mut partner: Vec<Option<(NodeId, bool)>> = vec![None; n];
-    // Static runs never bump a generation; the stamps exist so both run
-    // flavors share the worker code.
-    let gens: Vec<u64> = vec![0; n];
+    // A node's incarnation number; death bumps it, orphaning every event
+    // queued against the old incarnation. All-zero on static runs.
+    let mut gens: Vec<u64> = vec![0; n];
 
     let block = n.div_ceil(EVENT_REGIONS);
     let regions = n.div_ceil(block);
@@ -772,8 +898,7 @@ pub(crate) fn run_sliced(
         (0..regions).map(|_| RegionScratch::default()).collect();
 
     // Stagger initial act cycles uniformly over the first nominal period,
-    // so the network does not start phase-locked. Serial draws, exactly
-    // like the serial engine's setup.
+    // so the network does not start phase-locked.
     for u in 0..n {
         let offset = rng.gen_range(TICKS_PER_ROUND as usize) as u64;
         scratches[u / block].push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
@@ -788,17 +913,26 @@ pub(crate) fn run_sliced(
     let mut prev_pass: Option<u64> = None;
     let tracing = probe.enabled();
     let mut sweep_moved: Vec<(u32, bool)> = Vec::new();
-    let now_ticks: u64;
 
-    'run: loop {
-        let next = scratches.iter().filter_map(|s| s.queue.earliest()).min();
+    let now_ticks: u64 = 'run: loop {
+        if result.completed {
+            // Already complete at time zero (a single node, say).
+            break 'run 0;
+        }
+        let next = scratches
+            .iter()
+            .filter_map(|s| s.queue.earliest())
+            .chain(
+                dynr.as_ref()
+                    .and_then(|d| d.peek_time())
+                    .map(SimTime::ticks),
+            )
+            .min();
         let Some(next_t) = next else {
-            now_ticks = last_time;
-            break 'run;
+            break 'run last_time;
         };
         if next_t > max_time {
-            now_ticks = max_time;
-            break 'run;
+            break 'run max_time;
         }
         // Monotonic pass index: each (pass, region) stream is used at
         // most once even when a sweep schedules events back inside an
@@ -816,27 +950,96 @@ pub(crate) fn run_sliced(
             });
         }
 
-        // Membership ticks serially at the slice start — the async
-        // analogue of the sync scheduler's round-boundary tick — so the
-        // whole slice executes against frozen views.
-        if let Some(m) = mem.as_mut() {
-            m.tick(topology, None, seed, pass, probe);
+        // Phase 0 (serial, dynamic runs): apply every mutation due inside
+        // this slice before any of its events execute, so deaths precede
+        // the slice's unions both physically and in the accounting.
+        if let Some(d) = dynr.as_mut() {
+            let t2 = Instant::now();
+            let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
+            let mut last_mut: Option<u64> = None;
+            while let Some(mutation) = d.next_before(SimTime(end)) {
+                let mtime = mutation.time;
+                if let MutationKind::Depart(u) = mutation.kind {
+                    if d.topo.is_alive(u) {
+                        // Disentangle the node before it goes down.
+                        match matcher.state(u) {
+                            PeerState::Free => {}
+                            PeerState::Listening | PeerState::Proposing => matcher.cancel(u),
+                            PeerState::Connected => {
+                                let (v, u_initiated) =
+                                    partner[u.index()].expect("connected node has a partner");
+                                matcher.release(u, v);
+                                partner[u.index()] = None;
+                                partner[v.index()] = None;
+                                d.stats.severed_connections += 1;
+                                if tracing {
+                                    probe.record(&TraceEvent::Sever {
+                                        t: mtime.ticks(),
+                                        round: mtime.round_equivalent() as u64,
+                                        a: u.0,
+                                        b: v.0,
+                                    });
+                                }
+                                if !u_initiated {
+                                    // The survivor initiated: its act chain
+                                    // was parked on the Finish event dying
+                                    // with this connection — restart it.
+                                    let delay = sched
+                                        .timing
+                                        .refresh_interval(drift[v.index()], &mut rng_mut);
+                                    scratches[v.index() / block]
+                                        .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
+                                }
+                            }
+                        }
+                        gens[u.index()] += 1;
+                    }
+                }
+                if d.apply(&mutation, &mut states, sources, &mut cover) {
+                    if tracing {
+                        probe.record(&mutate_event(&mutation, mtime.round_equivalent() as u64));
+                    }
+                    if let MutationKind::Rejoin { node, .. } = mutation.kind {
+                        // The revived node starts a fresh act chain.
+                        let delay = sched
+                            .timing
+                            .refresh_interval(drift[node.index()], &mut rng_mut);
+                        scratches[node.index() / block]
+                            .push(mtime.after(delay), Ev::Act(node, gens[node.index()]));
+                    }
+                }
+                last_mut = Some(mtime.ticks());
+            }
+            d.topo.settle();
+            timings.sweep += t2.elapsed();
+            if let Some(t) = last_mut.filter(|_| cover.complete(d.topo.alive_count())) {
+                // Mutations alone completed gossip.
+                result.completed = true;
+                result.virtual_time_to_completion = Some(t);
+                result.rounds_to_completion = Some(SimTime(t).round_equivalent());
+                break 'run t;
+            }
         }
 
-        // Phase A: parallel region execution against a start-of-slice
-        // advertisement snapshot. With membership, attempts may outlive
-        // the view edge they were proposed over (ticks run between
-        // passes), so the region workers treat the graph as mutable
-        // (`dynamic`) and fail such attempts instead of asserting.
+        // Membership ticks serially at the slice start — the async
+        // analogue of the sync scheduler's round-boundary tick — after
+        // the slice's mutations landed, so the failure detector sees a
+        // departure the very slice it happens, a rejoiner can re-join
+        // immediately, and the whole slice executes against frozen views.
+        if let Some(m) = mem.as_mut() {
+            match &dynr {
+                Some(d) => m.tick(&d.topo, Some(d.topo.alive_mask()), seed, pass, probe),
+                None => m.tick(topology, None, seed, pass, probe),
+            }
+        }
+
+        // Phase A: parallel region execution over the gossip graph,
+        // against a start-of-slice advertisement snapshot.
         let t0 = Instant::now();
         ads_snap.copy_from_slice(&ads);
         {
-            let graph: &(dyn GraphView + Sync) = match mem.as_ref() {
-                Some(m) => m,
-                None => topology,
-            };
             let ctx = SliceCtx {
-                graph,
+                graph: gossip_graph(topology, &dynr, &mem),
                 protocol,
                 timing: &sched.timing,
                 drift: &drift,
@@ -846,7 +1049,10 @@ pub(crate) fn run_sliced(
                 pass,
                 end,
                 block,
-                dynamic: mem.is_some(),
+                // Mutations and membership ticks run between passes, so
+                // an attempt may outlive the edge it was proposed over:
+                // the workers fail it instead of asserting.
+                dynamic: dynr.is_some() || mem.is_some(),
                 tracing,
             };
             execute_slice(
@@ -862,7 +1068,10 @@ pub(crate) fn run_sliced(
         timings.execute += t0.elapsed();
 
         // Phase B: merge region logs in (time, region) order and replay
-        // the accounting serially.
+        // the accounting serially. On dynamic runs both endpoints of
+        // every logged transfer were alive for the whole slice (deaths
+        // applied in phase 0 bumped generations, so their events
+        // discarded), which keeps `cover` alive-only.
         let t1 = Instant::now();
         merged.clear();
         // Region logs are individually time-sorted; a stable order keyed
@@ -904,8 +1113,7 @@ pub(crate) fn run_sliced(
                 }),
                 EntryKind::Drop { from, to } => {
                     if let Some(history) = &mut result.rounds {
-                        let row = SimTime(e.time).round_equivalent().max(1);
-                        epochs.flush_rows_below(history, row, complete_nodes, messages_held);
+                        epochs.flush_rows_before(history, SimTime(e.time), &cover);
                     }
                     result.dropped_proposals += 1;
                     if tracing {
@@ -919,26 +1127,12 @@ pub(crate) fn run_sliced(
                 }
                 EntryKind::Finish { moved, newly_full } => {
                     if let Some(history) = &mut result.rounds {
-                        let row = SimTime(e.time).round_equivalent().max(1);
-                        epochs.flush_rows_below(history, row, complete_nodes, messages_held);
+                        epochs.flush_rows_before(history, SimTime(e.time), &cover);
                     }
-                    complete_nodes += newly_full;
-                    messages_held += moved;
-                    result.total_connections += 1;
-                    if moved > 0 {
-                        result.productive_connections += 1;
-                        epochs.productive += 1;
-                    } else {
-                        result.wasted_connections += 1;
-                    }
-                    epochs.connections += 1;
-                    if complete_nodes == n {
-                        result.completed = true;
-                        result.virtual_time_to_completion = Some(e.time);
-                        result.rounds_to_completion = Some(SimTime(e.time).round_equivalent());
+                    epochs.count_finish(&mut result, &mut cover, moved, newly_full);
+                    if finished(&mut result, &mut dynr, &cover, SimTime(e.time)) {
                         timings.merge += t1.elapsed();
-                        now_ticks = e.time;
-                        break 'run;
+                        break 'run e.time;
                     }
                 }
             }
@@ -964,24 +1158,22 @@ pub(crate) fn run_sliced(
             last_time = last_time.max(now.ticks());
             sweep_events += 1;
             if let Some(history) = &mut result.rounds {
-                let row = now.round_equivalent().max(1);
-                epochs.flush_rows_below(history, row, complete_nodes, messages_held);
+                epochs.flush_rows_before(history, now, &cover);
             }
             match ev.event {
                 Ev::Attempt { from, to, gen } => {
                     // Membership views on a static underlay are always a
-                    // subgraph of it, so the non-edge assert stays valid;
-                    // the *connect* check runs against the overlay, where
-                    // an evicted view edge fails the attempt naturally.
+                    // subgraph of it, so without dynamics a proposal
+                    // across a non-edge can only be a protocol bug. The
+                    // *connect* check consults the current gossip graph,
+                    // where a target that died, an edge that faded, a
+                    // peer that moved away or an evicted view edge fails
+                    // the attempt naturally.
                     debug_assert!(
-                        topology.are_neighbors(from, to),
+                        dynr.is_some() || topology.are_neighbors(from, to),
                         "protocol proposed {from} -> {to} across a non-edge"
                     );
-                    let connected = match mem.as_ref() {
-                        Some(m) => matcher.try_connect(m, from, to),
-                        None => matcher.try_connect(topology, from, to),
-                    };
-                    if connected {
+                    if matcher.try_connect(gossip_graph(topology, &dynr, &mem), from, to) {
                         if tracing {
                             probe.record(&TraceEvent::Connect {
                                 t: now.ticks(),
@@ -1048,50 +1240,33 @@ pub(crate) fn run_sliced(
                     } else {
                         states.union_pair_stats(i, j)
                     };
-                    complete_nodes += stats.newly_full;
-                    messages_held += stats.moved;
-                    result.total_connections += 1;
-                    if stats.moved > 0 {
-                        result.productive_connections += 1;
-                        epochs.productive += 1;
-                    } else {
-                        result.wasted_connections += 1;
-                    }
-                    epochs.connections += 1;
+                    epochs.count_finish(&mut result, &mut cover, stats.moved, stats.newly_full);
                     matcher.release(initiator, acceptor);
                     partner[i] = None;
                     partner[j] = None;
                     let delay = sched.timing.refresh_interval(drift[i], &mut rng_sweep);
                     scratches[i / block].push(now.after(delay), Ev::Act(initiator, gen_i));
-                    if complete_nodes == n {
-                        result.completed = true;
-                        result.virtual_time_to_completion = Some(now.ticks());
-                        result.rounds_to_completion = Some(now.round_equivalent());
+                    if finished(&mut result, &mut dynr, &cover, now) {
                         timings.sweep += t2.elapsed();
-                        now_ticks = now.ticks();
-                        break 'run;
+                        break 'run now.ticks();
                     }
                 }
                 Ev::Act(..) => unreachable!("act events are never deferred"),
             }
         }
         timings.sweep += t2.elapsed();
-    }
+    };
 
-    result.complete_nodes = complete_nodes;
     result.virtual_time = now_ticks.min(max_time);
     result.rounds_executed = SimTime(result.virtual_time)
         .round_equivalent()
         .min(config.max_rounds);
     if let Some(history) = &mut result.rounds {
-        epochs.flush_rows_below(
-            history,
-            result.rounds_executed + 1,
-            complete_nodes,
-            messages_held,
-        );
+        // Remaining epochs (including the final partial one), so the
+        // history covers exactly `rounds_executed` rows.
+        epochs.flush_rows_below(history, result.rounds_executed + 1, &cover);
     }
-    result.membership = mem.as_ref().map(|m| m.finish(None));
+    finish_run(&mut result, &cover, dynr, mem);
     timings.events = scratches.iter().map(|s| s.events).sum::<u64>() + sweep_events;
     for (r, s) in scratches.iter().enumerate() {
         timings.events_by_region.add(r, s.events);
@@ -1099,459 +1274,28 @@ pub(crate) fn run_sliced(
     (result, timings)
 }
 
-/// The sliced engine over a dynamic topology. Mutations apply serially
-/// at slice starts (the analogue of the sync scheduler's round-boundary
-/// semantics); the event phases are identical to [`run_sliced`] with the
-/// active graph and generation-stamp checks in play.
-// Mirrors `Scheduler::run_dynamic_probed` — the argument list is the
-// determinism contract.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dynamic_sliced(
-    sched: &AsyncScheduler,
-    topology: &Topology,
-    dynamics: &dyn DynamicsModel,
-    membership: Option<&MembershipConfig>,
-    protocol: &dyn GossipProtocol,
-    sources: &[NodeId],
-    seed: u64,
-    config: &SimConfig,
-    probe: &mut dyn Probe,
-) -> (SimResult, SliceTimings) {
-    sched
-        .timing
-        .validate()
-        .unwrap_or_else(|e| panic!("invalid timing config: {e}"));
-    let n = topology.num_nodes();
-    let mut rng = Rng::new(seed);
-    let (mut states, mut result) = init_run(topology, protocol, "async", sources, seed, config);
-    let mut dynr = DynRun::new(topology, dynamics, seed, &states);
-    let mut mem = membership.map(|cfg| Membership::new(n, *cfg));
-    let mut timings = SliceTimings::default();
-    if result.completed {
-        result.membership = mem.as_ref().map(|m| m.finish(Some(dynr.topo.alive_mask())));
-        result.dynamics = Some(dynr.finish(SimTime::ZERO));
-        return (result, timings);
+/// After a transfer landing at `now` was counted: sample the coverage
+/// timeline, and if gossip is now complete stamp the completion time on
+/// `result` and say so.
+fn finished(
+    result: &mut SimResult,
+    dynr: &mut Option<DynRun>,
+    cover: &Coverage,
+    now: SimTime,
+) -> bool {
+    let population = match dynr {
+        Some(d) => {
+            d.record(now, cover);
+            d.topo.alive_count()
+        }
+        None => result.nodes,
+    };
+    if cover.complete(population) {
+        result.completed = true;
+        result.virtual_time_to_completion = Some(now.ticks());
+        result.rounds_to_completion = Some(now.round_equivalent());
     }
-
-    let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
-    let drift: Vec<f64> = (0..n)
-        .map(|_| sched.timing.drift_factor(&mut rng))
-        .collect();
-    let mut ads = vec![Advertisement::default(); n];
-    protocol.advertise_rows(&states, 0, 0, &mut ads);
-    let mut ads_snap = ads.clone();
-    let mut matcher = IncrementalMatcher::new(n);
-    let mut partner: Vec<Option<(NodeId, bool)>> = vec![None; n];
-    // A node's incarnation number; death bumps it, orphaning every event
-    // queued against the old incarnation.
-    let mut gens: Vec<u64> = vec![0; n];
-
-    let block = n.div_ceil(EVENT_REGIONS);
-    let regions = n.div_ceil(block);
-    let threads = sched.threads.clamp(1, regions);
-    let mut scratches: Vec<RegionScratch> =
-        (0..regions).map(|_| RegionScratch::default()).collect();
-
-    for u in 0..n {
-        let offset = rng.gen_range(TICKS_PER_ROUND as usize) as u64;
-        scratches[u / block].push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
-    }
-
-    let mut epochs = EpochAccounting::default();
-    let mut merged: Vec<Entry> = Vec::new();
-    let mut sweep_q: Vec<Scheduled<Ev>> = Vec::new();
-    let mut tick_counters = vec![0u32; SERIAL_TICK_COUNTERS];
-    let mut sweep_events: u64 = 0;
-    let mut last_time: u64 = 0;
-    let mut prev_pass: Option<u64> = None;
-    let tracing = probe.enabled();
-    let mut sweep_moved: Vec<(u32, bool)> = Vec::new();
-    let now_ticks: u64;
-
-    'run: loop {
-        let mut next = scratches.iter().filter_map(|s| s.queue.earliest()).min();
-        if let Some(t) = dynr.peek_time() {
-            next = Some(next.map_or(t.ticks(), |x| x.min(t.ticks())));
-        }
-        let Some(next_t) = next else {
-            now_ticks = last_time;
-            break 'run;
-        };
-        if next_t > max_time {
-            now_ticks = max_time;
-            break 'run;
-        }
-        let pass = prev_pass.map_or(next_t / SLICE_TICKS, |p| (p + 1).max(next_t / SLICE_TICKS));
-        prev_pass = Some(pass);
-        timings.slices += 1;
-        let slice_end = (pass + 1).saturating_mul(SLICE_TICKS);
-        let end = slice_end.min(max_time.saturating_add(1));
-        if tracing {
-            probe.record(&TraceEvent::Boundary {
-                t: pass.saturating_mul(SLICE_TICKS),
-                round: pass,
-                scope: BoundaryScope::Slice,
-            });
-        }
-
-        // Phase 0 (serial): apply every mutation due inside this slice
-        // before any of its events execute, so deaths precede the
-        // slice's unions both physically and in the accounting.
-        let t2 = Instant::now();
-        let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
-        let mut mutated = false;
-        let mut last_mut: u64 = 0;
-        while dynr.peek_time().is_some_and(|t| t.ticks() < end) {
-            let mutation = dynr.pop().expect("peeked mutation must pop");
-            let mtime = mutation.time;
-            if let MutationKind::Depart(u) = mutation.kind {
-                if dynr.topo.is_alive(u) {
-                    // Disentangle the node before it goes down.
-                    match matcher.state(u) {
-                        PeerState::Free => {}
-                        PeerState::Listening | PeerState::Proposing => matcher.cancel(u),
-                        PeerState::Connected => {
-                            let (v, u_initiated) =
-                                partner[u.index()].expect("connected node has a partner");
-                            matcher.release(u, v);
-                            partner[u.index()] = None;
-                            partner[v.index()] = None;
-                            dynr.stats.severed_connections += 1;
-                            if tracing {
-                                probe.record(&TraceEvent::Sever {
-                                    t: mtime.ticks(),
-                                    round: mtime.round_equivalent() as u64,
-                                    a: u.0,
-                                    b: v.0,
-                                });
-                            }
-                            if !u_initiated {
-                                // The survivor initiated: its act chain
-                                // was parked on the Finish event dying
-                                // with this connection — restart it.
-                                let delay = sched
-                                    .timing
-                                    .refresh_interval(drift[v.index()], &mut rng_mut);
-                                scratches[v.index() / block]
-                                    .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
-                            }
-                        }
-                    }
-                    gens[u.index()] += 1;
-                }
-            }
-            let applied = dynr.apply(&mutation, &mut states, sources);
-            if applied && tracing {
-                probe.record(&mutate_event(&mutation, mtime.round_equivalent() as u64));
-            }
-            if applied {
-                if let MutationKind::Rejoin { node, .. } = mutation.kind {
-                    // The revived node starts a fresh act chain.
-                    let delay = sched
-                        .timing
-                        .refresh_interval(drift[node.index()], &mut rng_mut);
-                    scratches[node.index() / block]
-                        .push(mtime.after(delay), Ev::Act(node, gens[node.index()]));
-                }
-            }
-            mutated = true;
-            last_mut = mtime.ticks();
-        }
-        dynr.topo.settle();
-        if mutated && dynr.complete() {
-            result.completed = true;
-            result.virtual_time_to_completion = Some(last_mut);
-            result.rounds_to_completion = Some(SimTime(last_mut).round_equivalent());
-            timings.sweep += t2.elapsed();
-            now_ticks = last_mut;
-            break 'run;
-        }
-        timings.sweep += t2.elapsed();
-
-        // Membership ticks serially after the slice's mutations landed,
-        // so the failure detector sees a departure the very slice it
-        // happens and a rejoiner can re-join immediately.
-        if let Some(m) = mem.as_mut() {
-            m.tick(&dynr.topo, Some(dynr.topo.alive_mask()), seed, pass, probe);
-        }
-
-        // Phase A: parallel region execution over the active graph (the
-        // discovered overlay when membership is on).
-        let t0 = Instant::now();
-        ads_snap.copy_from_slice(&ads);
-        {
-            let graph: &(dyn GraphView + Sync) = match mem.as_ref() {
-                Some(m) => m,
-                None => &dynr.topo,
-            };
-            let ctx = SliceCtx {
-                graph,
-                protocol,
-                timing: &sched.timing,
-                drift: &drift,
-                ads_snap: &ads_snap,
-                gens: &gens,
-                seed,
-                pass,
-                end,
-                block,
-                dynamic: true,
-                tracing,
-            };
-            execute_slice(
-                &ctx,
-                &mut scratches,
-                &mut matcher,
-                &mut states,
-                &mut ads,
-                &mut partner,
-                threads,
-            );
-        }
-        timings.execute += t0.elapsed();
-
-        // Phase B: merge and replay, with alive-only accounting. Both
-        // endpoints of every logged transfer were alive for the whole
-        // slice (deaths applied in phase 0 bumped generations, so their
-        // events discarded).
-        let t1 = Instant::now();
-        merged.clear();
-        append_by_tick(
-            scratches.iter().flat_map(|s| s.log.iter()),
-            &mut merged,
-            &mut tick_counters,
-            |e| e.time,
-        );
-        for s in scratches.iter_mut() {
-            last_time = last_time.max(s.last_time);
-            s.log.clear();
-        }
-        for e in merged.iter() {
-            let round = SimTime(e.time).round_equivalent() as u64;
-            match e.kind {
-                EntryKind::Propose { from, to } => probe.record(&TraceEvent::Propose {
-                    t: e.time,
-                    round,
-                    from,
-                    to,
-                }),
-                EntryKind::Connect {
-                    initiator,
-                    acceptor,
-                } => probe.record(&TraceEvent::Connect {
-                    t: e.time,
-                    round,
-                    initiator,
-                    acceptor,
-                }),
-                EntryKind::Moved { from, to, msg } => probe.record(&TraceEvent::Transfer {
-                    t: e.time,
-                    round,
-                    from,
-                    to,
-                    msg,
-                }),
-                EntryKind::Drop { from, to } => {
-                    if let Some(history) = &mut result.rounds {
-                        let row = SimTime(e.time).round_equivalent().max(1);
-                        epochs.flush_rows_below(
-                            history,
-                            row,
-                            dynr.alive_informed,
-                            dynr.alive_messages,
-                        );
-                    }
-                    result.dropped_proposals += 1;
-                    if tracing {
-                        probe.record(&TraceEvent::Reject {
-                            t: e.time,
-                            round,
-                            from,
-                            to,
-                        });
-                    }
-                }
-                EntryKind::Finish { moved, newly_full } => {
-                    if let Some(history) = &mut result.rounds {
-                        let row = SimTime(e.time).round_equivalent().max(1);
-                        epochs.flush_rows_below(
-                            history,
-                            row,
-                            dynr.alive_informed,
-                            dynr.alive_messages,
-                        );
-                    }
-                    dynr.alive_informed += newly_full;
-                    dynr.alive_messages += moved;
-                    result.total_connections += 1;
-                    if moved > 0 {
-                        result.productive_connections += 1;
-                        epochs.productive += 1;
-                    } else {
-                        result.wasted_connections += 1;
-                    }
-                    epochs.connections += 1;
-                    dynr.record(SimTime(e.time));
-                    if dynr.complete() {
-                        result.completed = true;
-                        result.virtual_time_to_completion = Some(e.time);
-                        result.rounds_to_completion = Some(SimTime(e.time).round_equivalent());
-                        timings.merge += t1.elapsed();
-                        now_ticks = e.time;
-                        break 'run;
-                    }
-                }
-            }
-        }
-        timings.merge += t1.elapsed();
-
-        // Phase C: serial boundary sweep. `try_connect` consults the
-        // *current* active graph, so a target that died, an edge that
-        // faded, or a peer that moved away fails the attempt naturally.
-        let t2 = Instant::now();
-        sweep_q.clear();
-        append_by_tick(
-            scratches.iter().flat_map(|s| s.deferred.iter()),
-            &mut sweep_q,
-            &mut tick_counters,
-            |ev| ev.time.ticks(),
-        );
-        for s in scratches.iter_mut() {
-            s.deferred.clear();
-        }
-        let mut rng_sweep = Rng::stream(seed, pass, SWEEP_STREAM);
-        for ev in sweep_q.iter().copied() {
-            let now = ev.time;
-            last_time = last_time.max(now.ticks());
-            sweep_events += 1;
-            if let Some(history) = &mut result.rounds {
-                let row = now.round_equivalent().max(1);
-                epochs.flush_rows_below(history, row, dynr.alive_informed, dynr.alive_messages);
-            }
-            match ev.event {
-                Ev::Attempt { from, to, gen } => {
-                    let connected = match mem.as_ref() {
-                        Some(m) => matcher.try_connect(m, from, to),
-                        None => matcher.try_connect(&dynr.topo, from, to),
-                    };
-                    if connected {
-                        if tracing {
-                            probe.record(&TraceEvent::Connect {
-                                t: now.ticks(),
-                                round: now.round_equivalent() as u64,
-                                initiator: from.0,
-                                acceptor: to.0,
-                            });
-                        }
-                        partner[from.index()] = Some((to, true));
-                        partner[to.index()] = Some((from, false));
-                        let delay = sched.timing.latency(&mut rng_sweep);
-                        scratches[from.index() / block].push(
-                            now.after(delay),
-                            Ev::Finish {
-                                initiator: from,
-                                acceptor: to,
-                                gen_i: gen,
-                                gen_a: gens[to.index()],
-                            },
-                        );
-                    } else {
-                        matcher.cancel(from);
-                        result.dropped_proposals += 1;
-                        if tracing {
-                            probe.record(&TraceEvent::Reject {
-                                t: now.ticks(),
-                                round: now.round_equivalent() as u64,
-                                from: from.0,
-                                to: to.0,
-                            });
-                        }
-                        let delay = sched
-                            .timing
-                            .refresh_interval(drift[from.index()], &mut rng_sweep);
-                        scratches[from.index() / block].push(now.after(delay), Ev::Act(from, gen));
-                    }
-                }
-                Ev::Finish {
-                    initiator,
-                    acceptor,
-                    gen_i,
-                    ..
-                } => {
-                    let (i, j) = (initiator.index(), acceptor.index());
-                    let stats = if tracing {
-                        sweep_moved.clear();
-                        let stats = states.union_pair_stats_traced(i, j, &mut sweep_moved);
-                        let round = now.round_equivalent() as u64;
-                        for &(msg, forward) in sweep_moved.iter() {
-                            let (from, to) = if forward {
-                                (initiator.0, acceptor.0)
-                            } else {
-                                (acceptor.0, initiator.0)
-                            };
-                            probe.record(&TraceEvent::Transfer {
-                                t: now.ticks(),
-                                round,
-                                from,
-                                to,
-                                msg,
-                            });
-                        }
-                        stats
-                    } else {
-                        states.union_pair_stats(i, j)
-                    };
-                    dynr.alive_informed += stats.newly_full;
-                    dynr.alive_messages += stats.moved;
-                    result.total_connections += 1;
-                    if stats.moved > 0 {
-                        result.productive_connections += 1;
-                        epochs.productive += 1;
-                    } else {
-                        result.wasted_connections += 1;
-                    }
-                    epochs.connections += 1;
-                    matcher.release(initiator, acceptor);
-                    partner[i] = None;
-                    partner[j] = None;
-                    let delay = sched.timing.refresh_interval(drift[i], &mut rng_sweep);
-                    scratches[i / block].push(now.after(delay), Ev::Act(initiator, gen_i));
-                    dynr.record(now);
-                    if dynr.complete() {
-                        result.completed = true;
-                        result.virtual_time_to_completion = Some(now.ticks());
-                        result.rounds_to_completion = Some(now.round_equivalent());
-                        timings.sweep += t2.elapsed();
-                        now_ticks = now.ticks();
-                        break 'run;
-                    }
-                }
-                Ev::Act(..) => unreachable!("act events are never deferred"),
-            }
-        }
-        timings.sweep += t2.elapsed();
-    }
-
-    result.complete_nodes = dynr.alive_informed;
-    result.virtual_time = now_ticks.min(max_time);
-    result.rounds_executed = SimTime(result.virtual_time)
-        .round_equivalent()
-        .min(config.max_rounds);
-    if let Some(history) = &mut result.rounds {
-        epochs.flush_rows_below(
-            history,
-            result.rounds_executed + 1,
-            dynr.alive_informed,
-            dynr.alive_messages,
-        );
-    }
-    result.membership = mem.as_ref().map(|m| m.finish(Some(dynr.topo.alive_mask())));
-    result.dynamics = Some(dynr.finish(SimTime(result.virtual_time)));
-    timings.events = scratches.iter().map(|s| s.events).sum::<u64>() + sweep_events;
-    for (r, s) in scratches.iter().enumerate() {
-        timings.events_by_region.add(r, s.events);
-    }
-    (result, timings)
+    result.completed
 }
 
 #[cfg(test)]

@@ -15,9 +15,7 @@
 //! `(seed, slice, region)` RNG streams, a fixed 64-region event
 //! partition, and the serial boundary sweep make `AsyncScheduler` a pure
 //! function of its inputs too, so sliced runs at 1, 2, and 8 threads
-//! must be structurally identical — static and churning — and the
-//! original single-heap event loop survives as the `run_serial` oracle
-//! whose pre-sliced pinned output must never move.
+//! must be structurally identical — static and churning.
 
 use gossip_core::time::TimingConfig;
 use gossip_core::{NodeId, Rng, Topology};
@@ -27,7 +25,10 @@ use gossip_dynamics::{
 };
 use gossip_membership::MembershipConfig;
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{random_sources, AsyncScheduler, Scheduler, SimConfig, SimResult, SyncScheduler};
+use gossip_sim::{
+    random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler,
+};
+use gossip_telemetry::NoopProbe;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -51,7 +52,10 @@ fn run_static(threads: usize, topo: &Topology, proto: &dyn GossipProtocol, k: us
         max_rounds: 60 * topo.num_nodes() + 200,
         record_rounds: true,
     };
-    SyncScheduler::with_threads(threads).run(topo, proto, &sources, 42, &cfg)
+    SyncScheduler::with_threads(threads).run(
+        &RunInputs::new(topo, proto, &sources, 42, cfg),
+        &mut NoopProbe,
+    )
 }
 
 #[test]
@@ -126,7 +130,13 @@ fn run_dyn(
         max_rounds: 60 * topo.num_nodes() + 200,
         record_rounds: true,
     };
-    SyncScheduler::with_threads(threads).run_dynamic(topo, dynamics, proto, &sources, 77, &cfg)
+    SyncScheduler::with_threads(threads).run(
+        &RunInputs {
+            dynamics: Some(dynamics),
+            ..RunInputs::new(topo, proto, &sources, 77, cfg)
+        },
+        &mut NoopProbe,
+    )
 }
 
 #[test]
@@ -180,8 +190,10 @@ fn pinned_ring_regression_holds_on_the_csr_engine_at_any_thread_count() {
     let topo = Topology::ring(1000);
     let cfg = SimConfig::default();
     for threads in [1usize, 4] {
-        let result =
-            SyncScheduler::with_threads(threads).run(&topo, &AdvertGossip, &[NodeId(0)], 42, &cfg);
+        let result = SyncScheduler::with_threads(threads).run(
+            &RunInputs::new(&topo, &AdvertGossip, &[NodeId(0)], 42, cfg),
+            &mut NoopProbe,
+        );
         assert!(result.completed, "threads={threads}");
         assert_eq!(
             result.rounds_to_completion,
@@ -208,8 +220,10 @@ fn pinned_grid_alltoall_regression_holds_in_the_hashed_tag_regime() {
         record_rounds: false,
     };
     for threads in THREAD_COUNTS {
-        let result =
-            SyncScheduler::with_threads(threads).run(&topo, &AdvertGossip, &sources, 42, &cfg);
+        let result = SyncScheduler::with_threads(threads).run(
+            &RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg),
+            &mut NoopProbe,
+        );
         assert_eq!(result.rounds_to_completion, Some(69), "threads={threads}");
         assert_eq!(result.total_connections, 8011, "threads={threads}");
         assert_eq!(result.productive_connections, 6257, "threads={threads}");
@@ -235,7 +249,10 @@ fn run_async_static(
         max_rounds: 60 * topo.num_nodes() + 200,
         record_rounds: true,
     };
-    async_sched(threads).run(topo, proto, &sources, 42, &cfg)
+    async_sched(threads).run(
+        &RunInputs::new(topo, proto, &sources, 42, cfg),
+        &mut NoopProbe,
+    )
 }
 
 #[test]
@@ -285,10 +302,13 @@ fn async_churn_runs_are_identical_at_any_thread_count() {
                 max_rounds: 60 * topo.num_nodes() + 200,
                 record_rounds: true,
             };
-            let baseline = async_sched(1).run_dynamic(&topo, &churn, proto, &sources, 77, &cfg);
+            let inputs = RunInputs {
+                dynamics: Some(&churn),
+                ..RunInputs::new(&topo, proto, &sources, 77, cfg)
+            };
+            let baseline = async_sched(1).run(&inputs, &mut NoopProbe);
             for threads in THREAD_COUNTS {
-                let sharded =
-                    async_sched(threads).run_dynamic(&topo, &churn, proto, &sources, 77, &cfg);
+                let sharded = async_sched(threads).run(&inputs, &mut NoopProbe);
                 assert_eq!(
                     baseline,
                     sharded,
@@ -322,11 +342,15 @@ fn pinned_ring_regression_holds_on_the_sliced_engine_at_any_thread_count() {
     // byte through the CLI in crates/cli/tests/experiments.rs): advert
     // gossip on a 1000-ring, one source, default timing. Relaxed ad reads
     // and boundary-deferred handshakes make it take slightly longer than
-    // the globally-ordered oracle below, but the output is a constant of
+    // the globally time-ordered single-heap loop it replaced (890 rounds /
+    // 911045 ticks, deleted in PR 16), but the output is a constant of
     // the inputs — independent of worker count.
     let (topo, sources, cfg) = pinned_async_scenario();
     for threads in THREAD_COUNTS {
-        let result = async_sched(threads).run(&topo, &AdvertGossip, &sources, 42, &cfg);
+        let result = async_sched(threads).run(
+            &RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg),
+            &mut NoopProbe,
+        );
         assert!(result.completed, "threads={threads}");
         assert_eq!(
             result.rounds_to_completion,
@@ -344,21 +368,6 @@ fn pinned_ring_regression_holds_on_the_sliced_engine_at_any_thread_count() {
 }
 
 #[test]
-fn pinned_ring_regression_holds_on_the_serial_oracle() {
-    // The pre-sliced event loop lives on as `run_serial`, and the output
-    // pinned through the CLI since PR 3 must never move: 890 rounds /
-    // 911045 ticks / 999 all-productive connections on the 1000-ring
-    // advert sweep.
-    let (topo, sources, cfg) = pinned_async_scenario();
-    let result = AsyncScheduler::default().run_serial(&topo, &AdvertGossip, &sources, 42, &cfg);
-    assert!(result.completed);
-    assert_eq!(result.rounds_to_completion, Some(890));
-    assert_eq!(result.virtual_time_to_completion, Some(911045));
-    assert_eq!(result.total_connections, 999);
-    assert_eq!(result.productive_connections, 999);
-}
-
-#[test]
 fn thread_count_zero_and_oversubscription_are_harmless() {
     // with_threads(0) clamps to 1, and more workers than nodes clamps to
     // the node count — both still byte-identical to serial.
@@ -368,12 +377,18 @@ fn thread_count_zero_and_oversubscription_are_harmless() {
         record_rounds: true,
         ..SimConfig::default()
     };
-    let serial = SyncScheduler::default().run(&topo, &UniformGossip, &sources, 9, &cfg);
+    let serial = SyncScheduler::default().run(
+        &RunInputs::new(&topo, &UniformGossip, &sources, 9, cfg),
+        &mut NoopProbe,
+    );
     for scheduler in [
         SyncScheduler::with_threads(0),
         SyncScheduler::with_threads(64),
     ] {
-        let run = scheduler.run(&topo, &UniformGossip, &sources, 9, &cfg);
+        let run = scheduler.run(
+            &RunInputs::new(&topo, &UniformGossip, &sources, 9, cfg),
+            &mut NoopProbe,
+        );
         assert_eq!(serial, run);
     }
 }
@@ -427,56 +442,25 @@ fn pinned_mobile_churn_hyparview_run_holds_on_both_engines_at_any_thread_count()
     // settle-time rebuild (per-mutation in-place edits).
     let (topo, dynamics, sources, cfg) = mobile_churn_scenario();
     let membership = MembershipConfig::default();
+    let inputs = RunInputs {
+        dynamics: Some(&dynamics),
+        membership: Some(&membership),
+        ..RunInputs::new(&topo, &AdvertGossip, &sources, 77, cfg)
+    };
     for threads in THREAD_COUNTS {
-        let sync = SyncScheduler::with_threads(threads).run_dynamic_membership(
-            &topo,
-            &dynamics,
-            &membership,
-            &AdvertGossip,
-            &sources,
-            77,
-            &cfg,
-        );
+        let sync = SyncScheduler::with_threads(threads).run(&inputs, &mut NoopProbe);
         assert_eq!(
             mobile_fingerprint(&sync),
             [18, 18432, 1826, 1724, 805, 639, 1322, 2381],
             "sync threads={threads}"
         );
-        let sliced = async_sched(threads).run_dynamic_membership(
-            &topo,
-            &dynamics,
-            &membership,
-            &AdvertGossip,
-            &sources,
-            77,
-            &cfg,
-        );
+        let sliced = async_sched(threads).run(&inputs, &mut NoopProbe);
         assert_eq!(
             mobile_fingerprint(&sliced),
             [57, 57628, 1746, 1692, 2505, 2321, 4857, 10856],
             "async threads={threads}"
         );
     }
-}
-
-#[test]
-fn pinned_mobile_churn_run_holds_on_the_serial_oracle() {
-    // The single-heap oracle interleaves mutations at their exact virtual
-    // times (batches of one, mostly) — the opposite extreme from the
-    // round-sized batches above. Captured from the same parent commit.
-    let (topo, dynamics, sources, cfg) = mobile_churn_scenario();
-    let result = AsyncScheduler::default().run_dynamic_serial(
-        &topo,
-        &dynamics,
-        &AdvertGossip,
-        &sources,
-        77,
-        &cfg,
-    );
-    assert_eq!(
-        mobile_fingerprint(&result),
-        [33, 33062, 1679, 1659, 1428, 1260, 2567, 0]
-    );
 }
 
 /// The counts an event-ordering change in the sliced engine would move.
@@ -527,7 +511,10 @@ fn pinned_extreme_latency_rings_hold_on_the_sliced_engine_at_any_thread_count() 
                 },
                 threads,
             };
-            let result = sched.run(&topo, &AdvertGossip, &sources, 42, &cfg);
+            let result = sched.run(
+                &RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg),
+                &mut NoopProbe,
+            );
             assert_eq!(
                 async_fingerprint(&result),
                 expected,
@@ -556,8 +543,13 @@ fn pinned_churned_grid_holds_on_the_sliced_engine_at_any_thread_count() {
         record_rounds: false,
     };
     for threads in THREAD_COUNTS {
-        let result =
-            async_sched(threads).run_dynamic(&topo, &churn, &UniformGossip, &sources, 77, &cfg);
+        let result = async_sched(threads).run(
+            &RunInputs {
+                dynamics: Some(&churn),
+                ..RunInputs::new(&topo, &UniformGossip, &sources, 77, cfg)
+            },
+            &mut NoopProbe,
+        );
         let d = result.dynamics.as_ref().expect("dynamic run");
         assert_eq!(
             (

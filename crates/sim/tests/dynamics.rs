@@ -10,7 +10,10 @@ use gossip_dynamics::{
     Waypoint, DEFAULT_SPEED_PER_ROUND,
 };
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{random_sources, AsyncScheduler, Scheduler, SimConfig, SimResult, SyncScheduler};
+use gossip_sim::{
+    random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler,
+};
+use gossip_telemetry::NoopProbe;
 
 /// A fixed, pre-scripted mutation sequence — the deterministic harness
 /// for pinning exactly when each scheduler applies a mutation.
@@ -79,7 +82,13 @@ fn run_dynamic(
         max_rounds: 60 * topo.num_nodes() + 200,
         record_rounds: true,
     };
-    scheduler.run_dynamic(topo, dynamics, protocol, &sources, seed, &cfg)
+    scheduler.run(
+        &RunInputs {
+            dynamics: Some(dynamics),
+            ..RunInputs::new(topo, protocol, &sources, seed, cfg)
+        },
+        &mut NoopProbe,
+    )
 }
 
 fn assert_result_invariants(result: &SimResult) {
@@ -117,8 +126,13 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     // round 1 runs: node 1 is gone, the survivor covers the network, and
     // gossip is complete at round 0.
     let early = Script(vec![Script::depart(1023, 1)]);
-    let result =
-        SyncScheduler::default().run_dynamic(&topo, &early, &AdvertGossip, &sources, 7, &cfg);
+    let result = SyncScheduler::default().run(
+        &RunInputs {
+            dynamics: Some(&early),
+            ..RunInputs::new(&topo, &AdvertGossip, &sources, 7, cfg)
+        },
+        &mut NoopProbe,
+    );
     assert!(result.completed);
     assert_eq!(result.rounds_to_completion, Some(0));
     assert_eq!(result.complete_nodes, 1);
@@ -126,8 +140,13 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     // One tick later the departure belongs to round 2's window, so round
     // 1 still runs on the full line and completes gossip first.
     let late = Script(vec![Script::depart(1024, 1)]);
-    let result =
-        SyncScheduler::default().run_dynamic(&topo, &late, &AdvertGossip, &sources, 7, &cfg);
+    let result = SyncScheduler::default().run(
+        &RunInputs {
+            dynamics: Some(&late),
+            ..RunInputs::new(&topo, &AdvertGossip, &sources, 7, cfg)
+        },
+        &mut NoopProbe,
+    );
     assert!(result.completed);
     assert_eq!(result.rounds_to_completion, Some(1));
     assert_eq!(result.complete_nodes, 2);
@@ -146,7 +165,13 @@ fn emptied_network_never_completes() {
         ..SimConfig::default()
     };
     for scheduler in schedulers() {
-        let result = scheduler.run_dynamic(&topo, &script, &UniformGossip, &[NodeId(0)], 3, &cfg);
+        let result = scheduler.run(
+            &RunInputs {
+                dynamics: Some(&script),
+                ..RunInputs::new(&topo, &UniformGossip, &[NodeId(0)], 3, cfg)
+            },
+            &mut NoopProbe,
+        );
         assert!(
             !result.completed,
             "{}: empty network completed",
@@ -172,7 +197,13 @@ fn gossip_crosses_a_dead_gap_only_after_the_rejoin() {
     ]);
     for scheduler in schedulers() {
         let cfg = SimConfig::default();
-        let result = scheduler.run_dynamic(&topo, &script, &AdvertGossip, &[NodeId(0)], 11, &cfg);
+        let result = scheduler.run(
+            &RunInputs {
+                dynamics: Some(&script),
+                ..RunInputs::new(&topo, &AdvertGossip, &[NodeId(0)], 11, cfg)
+            },
+            &mut NoopProbe,
+        );
         assert!(result.completed, "{}", scheduler.name());
         assert!(
             result.virtual_time_to_completion.unwrap() > rejoin_ticks,

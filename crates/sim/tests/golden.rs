@@ -1,0 +1,164 @@
+//! The two tests the one-entry-point refactor (PR 16) rests on.
+//!
+//! **A golden matrix captured on the parent commit through the old entry
+//! points** (`run_probed`, `run_dynamic_probed`, `run_membership_probed`,
+//! `run_dynamic_membership_probed`): both schedulers × {static, dynamics,
+//! membership, both}, history on, a `MemoryProbe` attached. Each cell pins
+//! an FNV-1a fingerprint of the whole `SimResult` (its `Debug` rendering)
+//! and of the traced event stream, at 1, 2 and 8 threads. The thread-count
+//! *equality* tests elsewhere cannot see a change that shifts every
+//! thread count alike; these can.
+//!
+//! **Static = the empty mutation stream.** The dynamic loop with nothing
+//! to drain must compute exactly what the static path computes (only
+//! `SimResult::dynamics` tells them apart) — which is why one loop body
+//! per engine can serve both.
+
+use gossip_core::{NodeId, Rng, SimTime, Topology};
+use gossip_dynamics::{Churn, DynamicsModel, Mutation, MutationStream, RejoinPolicy};
+use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_sim::{
+    random_sources, AsyncScheduler, MembershipConfig, RunInputs, Scheduler, SimConfig,
+    SyncScheduler,
+};
+use gossip_telemetry::{MemoryProbe, NoopProbe};
+
+fn schedulers(threads: usize) -> [Box<dyn Scheduler>; 2] {
+    [
+        Box::new(SyncScheduler::with_threads(threads)),
+        Box::new(AsyncScheduler::with_threads(threads)),
+    ]
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(SimResult fingerprint, event-stream fingerprint)` per cell, in
+/// scheduler-major order over (dynamics, membership) ∈ {(no, no),
+/// (yes, no), (no, yes), (yes, yes)}.
+const GOLDEN: [[(u64, u64); 4]; 2] = [
+    [
+        (0x51c39d2e024d8c5a, 0x851edb9bdf55aae7),
+        (0xf9faf57fa5756e81, 0x023334c7f5a9b845),
+        (0xcd237741f1df072b, 0xb27fee0a7e87a9db),
+        (0x9470570bf1c27e88, 0xcceb093542e4e816),
+    ],
+    [
+        (0x31b2eca894171519, 0x53557573a5783687),
+        (0x818bbe7a3b7fd72e, 0x934932346205366b),
+        (0xf4f4b79fe3b9f6b9, 0xf3ecaf2d04e2548e),
+        (0xa2f85e4a55c19b0b, 0x478c34a546b399fd),
+    ],
+];
+
+#[test]
+fn golden_matrix_captured_on_the_parent_holds_through_the_one_entry_point() {
+    let topo = Topology::random_geometric(120, &mut Rng::new(404));
+    let sources = random_sources(120, 3, &mut Rng::new(0xfeed));
+    let cfg = SimConfig {
+        max_rounds: 120,
+        record_rounds: true,
+    };
+    let churn = Churn {
+        rate: 0.05,
+        rejoin: RejoinPolicy::Lose,
+        mean_downtime: 3.0,
+    };
+    let membership = MembershipConfig::default();
+    for threads in [1usize, 2, 8] {
+        for (sched, golden) in schedulers(threads).iter().zip(GOLDEN) {
+            let layers = [(false, false), (true, false), (false, true), (true, true)];
+            for ((dynamic, overlay), expected) in layers.into_iter().zip(golden) {
+                let inputs = RunInputs {
+                    dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
+                    membership: overlay.then_some(&membership),
+                    ..RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg)
+                };
+                let mut probe = MemoryProbe::default();
+                let result = sched.run(&inputs, &mut probe);
+                let got = (
+                    fnv(format!("{result:?}").as_bytes()),
+                    fnv(format!("{:?}", probe.events).as_bytes()),
+                );
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} dynamics={dynamic} membership={overlay} threads={threads}: \
+                     (result, events) fingerprint {got:#018x?} left the parent's",
+                    sched.name()
+                );
+            }
+        }
+    }
+}
+
+/// A dynamics model under which nothing ever happens.
+struct Still;
+
+impl DynamicsModel for Still {
+    fn name(&self) -> String {
+        "still".to_string()
+    }
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
+    }
+    fn stream(&self, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
+        struct Empty;
+        impl MutationStream for Empty {
+            fn peek_time(&self) -> Option<SimTime> {
+                None
+            }
+            fn next(&mut self) -> Option<Mutation> {
+                None
+            }
+        }
+        Box::new(Empty)
+    }
+}
+
+#[test]
+fn an_empty_mutation_stream_runs_exactly_the_static_run() {
+    let topologies = [
+        Topology::ring(90),
+        Topology::grid(90),
+        Topology::random_geometric(90, &mut Rng::new(404)),
+    ];
+    let protocols: [&dyn GossipProtocol; 2] = [&UniformGossip, &AdvertGossip];
+    for topo in &topologies {
+        let n = topo.num_nodes();
+        let sources: Vec<NodeId> = random_sources(n, 2, &mut Rng::new(0xfeed));
+        let cfg = SimConfig {
+            max_rounds: 60 * n + 200,
+            record_rounds: true,
+        };
+        for proto in protocols {
+            for threads in [1usize, 8] {
+                for sched in schedulers(threads) {
+                    let inputs = RunInputs::new(topo, proto, &sources, 42, cfg);
+                    let fixed = sched.run(&inputs, &mut NoopProbe);
+                    assert!(fixed.completed && fixed.dynamics.is_none());
+                    let mut still = sched.run(
+                        &RunInputs {
+                            dynamics: Some(&Still),
+                            ..inputs
+                        },
+                        &mut NoopProbe,
+                    );
+                    let stats = still.dynamics.take().expect("a dynamic run");
+                    assert_eq!((stats.departures, stats.final_alive), (0, n));
+                    assert_eq!(
+                        fixed,
+                        still,
+                        "{} {} on {} threads={threads}",
+                        sched.name(),
+                        proto.name(),
+                        topo.name()
+                    );
+                }
+            }
+        }
+    }
+}

@@ -11,7 +11,7 @@ use gossip_core::{GraphView, NodeId, Rng, Topology};
 use gossip_dynamics::{Churn, RejoinPolicy};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
 use gossip_sim::{
-    random_sources, AsyncScheduler, Membership, MembershipConfig, Scheduler, SimConfig,
+    random_sources, AsyncScheduler, Membership, MembershipConfig, RunInputs, Scheduler, SimConfig,
     SyncScheduler,
 };
 use gossip_telemetry::NoopProbe;
@@ -44,15 +44,12 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
         for seed in [7u64, 42] {
             let n = topo.num_nodes();
             let sources = random_sources(n, 2, &mut Rng::new(seed ^ 0xfeed));
-            let cfg = sim_cfg(n);
-            let sync_base = SyncScheduler::with_threads(1).run_membership(
-                &topo,
-                &mem_cfg(),
-                &AdvertGossip,
-                &sources,
-                seed,
-                &cfg,
-            );
+            let membership = mem_cfg();
+            let inputs = RunInputs {
+                membership: Some(&membership),
+                ..RunInputs::new(&topo, &AdvertGossip, &sources, seed, sim_cfg(n))
+            };
+            let sync_base = SyncScheduler::with_threads(1).run(&inputs, &mut NoopProbe);
             assert!(
                 sync_base.membership.is_some(),
                 "membership runs must carry overlay stats"
@@ -61,17 +58,10 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
                 timing: TimingConfig::default(),
                 threads: 1,
             }
-            .run_membership(&topo, &mem_cfg(), &AdvertGossip, &sources, seed, &cfg);
+            .run(&inputs, &mut NoopProbe);
             assert!(async_base.membership.is_some());
             for threads in THREAD_COUNTS {
-                let sync_run = SyncScheduler::with_threads(threads).run_membership(
-                    &topo,
-                    &mem_cfg(),
-                    &AdvertGossip,
-                    &sources,
-                    seed,
-                    &cfg,
-                );
+                let sync_run = SyncScheduler::with_threads(threads).run(&inputs, &mut NoopProbe);
                 assert_eq!(
                     sync_base,
                     sync_run,
@@ -82,14 +72,7 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
                     timing: TimingConfig::default(),
                     threads,
                 }
-                .run_membership(
-                    &topo,
-                    &mem_cfg(),
-                    &AdvertGossip,
-                    &sources,
-                    seed,
-                    &cfg,
-                );
+                .run(&inputs, &mut NoopProbe);
                 assert_eq!(
                     async_base,
                     async_run,
@@ -113,43 +96,24 @@ fn assert_membership_churn_is_thread_independent(
     for topo in topologies(96) {
         let n = topo.num_nodes();
         let sources = random_sources(n, k, &mut Rng::new(0xfeed));
-        let cfg = cfg_for(n);
-        let sync_base = SyncScheduler::with_threads(1).run_dynamic_membership(
-            &topo,
-            churn,
-            &mem_cfg(),
-            &AdvertGossip,
-            &sources,
-            77,
-            &cfg,
-        );
+        let membership = mem_cfg();
+        let inputs = RunInputs {
+            dynamics: Some(churn),
+            membership: Some(&membership),
+            ..RunInputs::new(&topo, &AdvertGossip, &sources, 77, cfg_for(n))
+        };
+        let sync_base = SyncScheduler::with_threads(1).run(&inputs, &mut NoopProbe);
         let async_base = AsyncScheduler {
             timing: TimingConfig::default(),
             threads: 1,
         }
-        .run_dynamic_membership(
-            &topo,
-            churn,
-            &mem_cfg(),
-            &AdvertGossip,
-            &sources,
-            77,
-            &cfg,
-        );
+        .run(&inputs, &mut NoopProbe);
         // Churn under the overlay exercises the failure detector: departed
         // peers must be suspected and eventually evicted.
         let stats = sync_base.membership.as_ref().unwrap();
         assert!(stats.probes > 0, "the failure detector never probed");
         for &threads in thread_counts {
-            let sync_run = SyncScheduler::with_threads(threads).run_dynamic_membership(
-                &topo,
-                churn,
-                &mem_cfg(),
-                &AdvertGossip,
-                &sources,
-                77,
-                &cfg,
-            );
+            let sync_run = SyncScheduler::with_threads(threads).run(&inputs, &mut NoopProbe);
             assert_eq!(
                 sync_base,
                 sync_run,
@@ -160,15 +124,7 @@ fn assert_membership_churn_is_thread_independent(
                 timing: TimingConfig::default(),
                 threads,
             }
-            .run_dynamic_membership(
-                &topo,
-                churn,
-                &mem_cfg(),
-                &AdvertGossip,
-                &sources,
-                77,
-                &cfg,
-            );
+            .run(&inputs, &mut NoopProbe);
             assert_eq!(
                 async_base,
                 async_run,
@@ -260,13 +216,19 @@ fn full_view_default_is_byte_identical_to_the_pre_membership_path() {
     let sources = random_sources(256, 1, &mut Rng::new(5));
     let cfg = sim_cfg(256);
     for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
-        let plain = SyncScheduler::with_threads(2).run(&topo, proto, &sources, 11, &cfg);
+        let plain = SyncScheduler::with_threads(2).run(
+            &RunInputs::new(&topo, proto, &sources, 11, cfg),
+            &mut NoopProbe,
+        );
         assert!(plain.membership.is_none());
         let async_plain = AsyncScheduler {
             timing: TimingConfig::default(),
             threads: 2,
         }
-        .run(&topo, proto, &sources, 11, &cfg);
+        .run(
+            &RunInputs::new(&topo, proto, &sources, 11, cfg),
+            &mut NoopProbe,
+        );
         assert!(async_plain.membership.is_none());
     }
 }
@@ -280,13 +242,12 @@ fn gossip_over_discovered_views_still_completes() {
         let n = topo.num_nodes();
         let sources = random_sources(n, 1, &mut Rng::new(0xfeed));
         let cfg = sim_cfg(n);
-        let sync_run = SyncScheduler::with_threads(2).run_membership(
-            &topo,
-            &mem_cfg(),
-            &AdvertGossip,
-            &sources,
-            3,
-            &cfg,
+        let sync_run = SyncScheduler::with_threads(2).run(
+            &RunInputs {
+                membership: Some(&mem_cfg()),
+                ..RunInputs::new(&topo, &AdvertGossip, &sources, 3, cfg)
+            },
+            &mut NoopProbe,
         );
         assert!(
             sync_run.completed,
@@ -304,7 +265,13 @@ fn gossip_over_discovered_views_still_completes() {
             timing: TimingConfig::default(),
             threads: 2,
         }
-        .run_membership(&topo, &mem_cfg(), &AdvertGossip, &sources, 3, &cfg);
+        .run(
+            &RunInputs {
+                membership: Some(&mem_cfg()),
+                ..RunInputs::new(&topo, &AdvertGossip, &sources, 3, cfg)
+            },
+            &mut NoopProbe,
+        );
         assert!(
             async_run.completed,
             "async membership gossip on {} did not complete",

@@ -7,8 +7,9 @@ use gossip_core::time::{TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{Rng, Topology};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
 use gossip_sim::{
-    random_sources, run, AsyncScheduler, Scheduler, SimConfig, SimResult, SyncScheduler,
+    random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler,
 };
+use gossip_telemetry::NoopProbe;
 
 fn run_with(
     scheduler: &dyn Scheduler,
@@ -23,13 +24,17 @@ fn run_with(
         max_rounds: 60 * topo.num_nodes() + 200,
         record_rounds: true,
     };
-    scheduler.run(topo, protocol, &sources, seed, &cfg)
+    scheduler.run(
+        &RunInputs::new(topo, protocol, &sources, seed, cfg),
+        &mut NoopProbe,
+    )
 }
 
 #[test]
 fn sync_scheduler_is_bit_for_bit_the_legacy_engine() {
-    // `run()` and `SyncScheduler::run` must be the same execution — same
-    // RNG consumption, same round counts, same per-round history.
+    // `SyncScheduler::run_timed` and the trait's `run` must be the same
+    // execution — same RNG consumption, same round counts, same per-round
+    // history.
     for topo in [Topology::ring(48), Topology::grid(30)] {
         let mut rng = Rng::new(0xfeed);
         let sources = random_sources(topo.num_nodes(), 3, &mut rng);
@@ -37,8 +42,10 @@ fn sync_scheduler_is_bit_for_bit_the_legacy_engine() {
             record_rounds: true,
             ..SimConfig::default()
         };
-        let legacy = run(&topo, &AdvertGossip, &sources, 77, &cfg);
-        let via_trait = SyncScheduler::default().run(&topo, &AdvertGossip, &sources, 77, &cfg);
+        let inputs = RunInputs::new(&topo, &AdvertGossip, &sources, 77, cfg);
+        let (legacy, _) = SyncScheduler::default().run_timed(&inputs, &mut NoopProbe);
+        let via_trait: &dyn Scheduler = &SyncScheduler::default();
+        let via_trait = via_trait.run(&inputs, &mut NoopProbe);
         assert_eq!(legacy.rounds_to_completion, via_trait.rounds_to_completion);
         assert_eq!(legacy.total_connections, via_trait.total_connections);
         assert_eq!(
@@ -123,7 +130,10 @@ fn async_respects_the_virtual_time_cap() {
         record_rounds: true,
     };
     let sources = [gossip_core::NodeId(0)];
-    let result = AsyncScheduler::default().run(&topo, &UniformGossip, &sources, 3, &cfg);
+    let result = AsyncScheduler::default().run(
+        &RunInputs::new(&topo, &UniformGossip, &sources, 3, cfg),
+        &mut NoopProbe,
+    );
     assert!(!result.completed);
     assert!(result.virtual_time <= 25 * TICKS_PER_ROUND);
     assert!(result.rounds_executed <= 25);
@@ -198,11 +208,14 @@ fn async_history_counts_boundary_events() {
 fn async_single_node_completes_instantly() {
     let topo = Topology::complete(1);
     let result = AsyncScheduler::default().run(
-        &topo,
-        &UniformGossip,
-        &[gossip_core::NodeId(0)],
-        1,
-        &SimConfig::default(),
+        &RunInputs::new(
+            &topo,
+            &UniformGossip,
+            &[gossip_core::NodeId(0)],
+            1,
+            SimConfig::default(),
+        ),
+        &mut NoopProbe,
     );
     assert!(result.completed);
     assert_eq!(result.rounds_to_completion, Some(0));

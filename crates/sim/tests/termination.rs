@@ -5,7 +5,8 @@
 
 use gossip_core::{Rng, Topology};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{random_sources, run, SimConfig, SimResult};
+use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler};
+use gossip_telemetry::NoopProbe;
 
 fn run_one(topo: &Topology, protocol: &dyn GossipProtocol, k: usize, seed: u64) -> SimResult {
     let mut rng = Rng::new(seed ^ 0xfeed);
@@ -14,7 +15,10 @@ fn run_one(topo: &Topology, protocol: &dyn GossipProtocol, k: usize, seed: u64) 
         max_rounds: 60 * topo.num_nodes() + 200,
         ..SimConfig::default()
     };
-    run(topo, protocol, &sources, seed, &cfg)
+    SyncScheduler::default().run(
+        &RunInputs::new(topo, protocol, &sources, seed, cfg),
+        &mut NoopProbe,
+    )
 }
 
 /// Completion requires at least n-1 rounds-worth of information flow on a
