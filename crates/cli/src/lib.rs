@@ -355,10 +355,9 @@ fn parse_soak_args(args: &[String]) -> Result<Command, String> {
 }
 
 /// Parse the arguments of the `bench` subcommand (everything after the
-/// literal `bench`). Bench shares the scenario vocabulary — restricted to
-/// the keys that affect the synchronous engine — plus the `--rounds`
-/// budget, and defaults to the 10^6-node advert ring the scale work
-/// targets.
+/// literal `bench`). Bench shares the scenario vocabulary — everything
+/// but the sweep, cap and output keys — plus the `--rounds` budget, and
+/// defaults to the 10^6-node advert ring the scale work targets.
 fn parse_bench_args(args: &[String]) -> Result<Command, String> {
     let mut builder = ScenarioBuilder::new()
         .nodes(1_000_000)
@@ -701,6 +700,29 @@ mod tests {
         assert_eq!(bench.scenario.scheduler, SchedulerSpec::Sync { threads: 2 });
         assert_eq!(bench.rounds, 16);
         assert_eq!(bench.scenario.seed, 9);
+
+        // The dynamics and membership keys reach the bench scenario, with
+        // the run front-end's validation.
+        let Ok(Command::Bench(bench)) = parse(&[
+            "bench",
+            "--topology",
+            "rgg",
+            "--churn-rate",
+            "0.05",
+            "--rejoin",
+            "keep",
+            "--mobility",
+            "--membership",
+            "hyparview",
+            "--active-view",
+            "4",
+        ]) else {
+            panic!("expected Bench");
+        };
+        assert!(bench.scenario.dynamics.mobility && bench.scenario.dynamics.churn.is_some());
+        assert!(bench.scenario.scenario_id().contains("-mem@a4p30"));
+        assert!(parse(&["bench", "--mobility"]).is_err(), "rgg only");
+        assert!(parse(&["bench", "--probe-period", "2"]).is_err());
 
         assert!(parse(&["bench", "--rounds", "0"]).is_err());
         assert!(parse(&["bench", "--threads", "0"]).is_err());

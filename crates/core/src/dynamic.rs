@@ -10,25 +10,57 @@
 //!   checks and a maintained alive count,
 //! - a **faded-edge overlay** so interference can hide a base edge without
 //!   forgetting it,
-//! - a mutable **base adjacency** so mobility can rewire a node wholesale,
-//!   edited in place and left sorted and symmetric by every mutation,
+//! - a mutable **base adjacency** so mobility can rewire a node wholesale:
+//!   a rewire is *pending* until the batch settles, when one pass rewrites
+//!   every base slot it touches in place, sorted and symmetric again,
 //! - and a **derived active adjacency**: per node, the sorted list of
 //!   neighbors that are alive and reachable over a non-faded edge. No
-//!   mutation edits it: a mutation updates the mask, the flags or the base
-//!   lists and marks every node whose view it changed *stale*, and
+//!   mutation edits it: a mutation updates the mask or the flags or queues
+//!   a rewire, the nodes whose view it changes are marked *stale* (a
+//!   rewire's neighbors when its batch is planned), and
 //!   [`settle`](DynamicTopology::settle) rebuilds each stale view in one
 //!   filter pass (`alive & !faded`, base order kept) over the node's base
 //!   slot. Reads ([`GraphView`]) are exactly as fast as on a static
 //!   [`Topology`]; a batch of mutations pays one rebuild per touched node,
 //!   not one edit per mutation and neighbor.
 //!
+//! # Batches
+//!
 //! The engines apply a whole round's or slice's mutations through the
 //! `defer_*` mutators and settle once — at the end of the sync engine's
-//! mutation drain, after phase 0 of the sliced engine — reading only the
-//! alive mask and count in between, which are always current. The one-at-a-time mutators (`kill`,
-//! `rewire`, …) are the deferred form plus `settle`, so views are
-//! consistent when they return. Reading a view while any node is stale is
-//! a bug, and `active_neighbors` asserts against it in debug builds.
+//! mutation drain, after phase 0 of the sliced engine. In between, the
+//! alive mask and count are always current and may be read; the base
+//! adjacency and the views may not: `base` is current from `settle` to
+//! the next `defer_rewire`, the views from `settle` to the next `defer_*`.
+//! Reading a view while any node is stale is a bug, and `active_neighbors`
+//! asserts against it in debug builds. The one-at-a-time mutators (`kill`,
+//! `rewire`, …) are the deferred form plus `settle`, so everything is
+//! consistent when they return.
+//!
+//! `defer_rewire` only records its cleaned list and stamps the node with
+//! the rewire's sequence number in the batch; `settle` applies the batch
+//! **last writer wins**. Applied on its own, a rewire of `r` to the list
+//! `L` deletes every base edge at `r` and creates `r — x`, un-faded, for
+//! each `x ∈ L`; it touches no edge that does not end at `r`. So after any
+//! sequence of rewires the edge `a — b` is what the last rewire *of `a` or
+//! of `b`* made it — there, un-faded, iff that rewire's list names the
+//! other end — and is as it was, fade flag included, if neither was
+//! rewired. With `s_u` the stamp of `u`'s last rewire (0 for none) and
+//! `L_u` its list, slot by slot: a node that was not rewired keeps its
+//! entries that were not rewired either and gains every rewired `r` with
+//! the node in `L_r`; a rewired `w` holds
+//! `{x ∈ L_w : s_x < s_w} ∪ {r : w ∈ L_r, s_r > s_w}`. Both halves are one
+//! test of a list entry — `x ∈ L_r` with `s_x < s_r` puts `x` in `r`'s
+//! slot and `r` in `x`'s — so `settle` cuts every live list down to the
+//! entries that pass, groups them by receiving node with one counting
+//! scatter over the rewired nodes in ascending order (each group arrives
+//! sorted), and walks the stale nodes once, ascending: filter the slot in
+//! place (or copy the cut list in), merge the gains in from the back,
+//! rebuild the view while the slot is hot. `defer_alive` marks the node's
+//! neighbors as of the last settle and the plan marks every rewired
+//! node's old and new ones, which together cover every view that changes.
+//! `defer_fade` reads `base`, so it settles first when an endpoint has a
+//! pending rewire; no other rewire can create, delete or un-fade its edge.
 //!
 //! # Memory layout
 //!
@@ -36,10 +68,13 @@
 //! per-node `Vec`s: each node owns a capacity slot in three parallel
 //! arrays — `base` (sorted base neighbors), `faded` (per-base-edge fade
 //! flags, found by binary search in the node's own slot), and `active`
-//! (the sorted active sublist). A base slot that outgrows its capacity
-//! relocates to the slab tail, and the slab compacts itself once the
-//! stranded capacity is worth reclaiming. No hashing, no per-node
-//! allocation on the mutation path, deterministic iteration order.
+//! (the sorted active sublist). A base slot that outgrows its capacity at
+//! `settle` relocates to the slab tail, and the slab compacts itself at
+//! the end of that settle once the stranded capacity is worth reclaiming.
+//! A batch's lists and gains sit in two arenas that are cleared, not
+//! freed, and a settle does work proportional to the nodes it touches,
+//! never to `n`. No hashing, no per-node allocation on the mutation path,
+//! deterministic iteration order.
 //!
 //! Dead nodes read as isolated: their active neighbor list is empty and
 //! they appear in no other node's list, so protocols — which only ever see
@@ -64,7 +99,8 @@ pub struct DynamicTopology {
     /// Active neighbors used in `u`'s slot (sorted prefix).
     active_len: Vec<u32>,
     /// Slab of base adjacency, including edges of dead nodes and faded
-    /// edges. Mobility rewires mutate this; churn and fading do not.
+    /// edges. Mobility rewires mutate this, at `settle`; churn and fading
+    /// do not.
     base: Vec<NodeId>,
     /// Parallel to `base`: is this base edge currently faded out?
     /// (Maintained symmetrically on both endpoints' slots.)
@@ -79,6 +115,27 @@ pub struct DynamicTopology {
     is_stale: Vec<bool>,
     /// Slab capacity stranded by slot relocations, pending compaction.
     waste: usize,
+    /// The batch's deferred rewires in call order, so a rewire's 1-based
+    /// sequence number is its index here plus one. Empty outside a batch.
+    pending: Vec<PendingRewire>,
+    /// Arena of the pending rewires' cleaned neighbor lists.
+    lists: Vec<NodeId>,
+    /// Sequence number of `u`'s last rewire in this batch; 0 if it has none.
+    stamp: Vec<u32>,
+    /// Arena of the base edges the batch's live rewires hand to *other*
+    /// nodes, grouped by receiving node; filled and emptied by `settle`.
+    gains: Vec<NodeId>,
+    /// How many of `gains` node `u` receives; 0 outside `settle`.
+    gain_len: Vec<u32>,
+    /// End of `u`'s group in `gains`; meaningful only while `gain_len[u] > 0`.
+    gain_end: Vec<u32>,
+}
+
+/// One deferred rewire: `node`'s new neighbors are `lists[list]`.
+#[derive(Clone, Debug)]
+struct PendingRewire {
+    node: NodeId,
+    list: std::ops::Range<usize>,
 }
 
 /// Compact once stranded capacity reaches 1/8 of the live slab, so a mobile
@@ -109,6 +166,12 @@ impl DynamicTopology {
             stale: Vec::new(),
             is_stale: vec![false; n],
             waste: 0,
+            pending: Vec::new(),
+            lists: Vec::new(),
+            stamp: vec![0; n],
+            gains: Vec::new(),
+            gain_len: vec![0; n],
+            gain_end: vec![0; n],
         }
     }
 
@@ -173,65 +236,187 @@ impl DynamicTopology {
         }
     }
 
-    /// Rebuild every stale active view from its base slot: the neighbors
+    /// Bring `base` and every stale active view up to date: apply the
+    /// batch's pending rewires (the last-writer rule of the module docs),
+    /// then rebuild each stale view from its base slot — the neighbors
     /// that are alive over a non-faded edge, in base (sorted) order.
+    /// Returns with nothing pending and nothing stale.
     pub fn settle(&mut self) {
+        let rewiring = !self.pending.is_empty();
+        if rewiring {
+            self.plan_rewires();
+        }
         let mut stale = std::mem::take(&mut self.stale);
         // Slots mostly sit in node order: an ascending pass streams the
         // slabs (24 ms against 36 ms in marking order on the mobile run).
         stale.sort_unstable();
+        if rewiring {
+            self.group_gains(&stale);
+        }
         for u in stale.drain(..).map(|u| u as usize) {
             self.is_stale[u] = false;
-            let s = self.start[u] as usize;
-            let mut alen = 0usize;
-            if self.alive[u] {
-                // Branch-free filter: always store, bump the length only
-                // for a keeper (a branch per edge: 44 ms against 24 ms).
-                for k in s..s + self.base_len[u] as usize {
-                    let v = self.base[k];
-                    self.active[s + alen] = v;
-                    alen += usize::from(self.alive[v.index()] & !self.faded[k]);
-                }
+            if rewiring {
+                // Right before the view, so the slot is read while hot.
+                self.rebuild_base(u);
             }
-            self.active_len[u] = alen as u32;
+            self.rebuild_view(u);
         }
         self.stale = stale;
+        if rewiring {
+            for p in self.pending.drain(..) {
+                self.stamp[p.node.index()] = 0;
+            }
+            self.lists.clear();
+            self.gains.clear();
+            if self.compact_if_wasteful() {
+                // Every view went stale again; the batch is empty now.
+                self.settle();
+            }
+        }
     }
 
-    /// Insert `v` (un-faded) into `u`'s sorted base prefix, growing the
-    /// slot if full. No-op if present.
-    fn base_insert(&mut self, u: usize, v: NodeId) {
-        if self.base_len[u] == self.cap[u] {
-            self.grow_slot(u, self.base_len[u] as usize + 1);
+    /// First half of the plan. For every live rewire — a node's last of
+    /// the batch — cut its list down to the edges it decides (peers
+    /// rewired earlier in the batch or not at all; a peer rewired later
+    /// decides the shared edge from its own list), count each as a gain
+    /// of that peer, and mark every node whose slot the rewire touches:
+    /// its old neighbors and its new ones (the node marked itself).
+    fn plan_rewires(&mut self) {
+        // Gains are offset in `u32`, and there is at most one per list entry.
+        assert!(
+            self.lists.len() < u32::MAX as usize,
+            "dynamic adjacency slab overflows u32 offsets"
+        );
+        for i in 0..self.pending.len() {
+            let PendingRewire { node, list } = self.pending[i].clone();
+            let (r, seq) = (node.index(), i as u32 + 1);
+            if self.stamp[r] != seq {
+                continue; // superseded later in the batch
+            }
+            let s = self.start[r] as usize;
+            for k in s..s + self.base_len[r] as usize {
+                self.mark(self.base[k].index());
+            }
+            let mut end = list.start;
+            for k in list {
+                let w = self.lists[k];
+                if self.stamp[w.index()] < seq {
+                    self.lists[end] = w;
+                    end += 1;
+                    self.gain_len[w.index()] += 1;
+                    self.mark(w.index());
+                }
+            }
+            self.pending[i].list.end = end;
         }
-        let s = self.start[u] as usize;
-        let len = self.base_len[u] as usize;
-        if let Err(i) = self.base[s..s + len].binary_search(&v) {
-            self.base.copy_within(s + i..s + len, s + i + 1);
-            self.faded.copy_within(s + i..s + len, s + i + 1);
-            self.base[s + i] = v;
-            self.faded[s + i] = false;
-            self.base_len[u] += 1;
-        }
-        self.mark(u);
     }
 
-    /// Remove `v` from `u`'s sorted base prefix (and its fade flag).
-    /// No-op if absent.
-    fn base_remove(&mut self, u: usize, v: NodeId) {
-        let s = self.start[u] as usize;
-        let len = self.base_len[u] as usize;
-        if let Ok(i) = self.base[s..s + len].binary_search(&v) {
-            self.base.copy_within(s + i + 1..s + len, s + i);
-            self.faded.copy_within(s + i + 1..s + len, s + i);
-            self.base_len[u] -= 1;
+    /// Where in `lists` the live rewire of `u`, a rewired node, keeps its list.
+    fn live_list(&self, u: usize) -> std::ops::Range<usize> {
+        self.pending[self.stamp[u] as usize - 1].list.clone()
+    }
+
+    /// Second half: group the gains by receiving node with one counting
+    /// scatter over the live rewires in ascending node order (`stale`,
+    /// sorted, holds them all), so every group arrives sorted. Offsets
+    /// run over the stale nodes only: a settle costs what it touches.
+    fn group_gains(&mut self, stale: &[u32]) {
+        let mut total = 0;
+        for &u in stale {
+            self.gain_end[u as usize] = total;
+            total += self.gain_len[u as usize];
         }
-        self.mark(u);
+        self.gains.resize(total as usize, NodeId(0));
+        for &r in stale.iter().filter(|&&r| self.stamp[r as usize] != 0) {
+            for w in &self.lists[self.live_list(r as usize)] {
+                let at = &mut self.gain_end[w.index()];
+                self.gains[*at as usize] = NodeId(r);
+                *at += 1;
+            }
+        }
+    }
+
+    /// Rewrite `u`'s base slot in place for the planned batch: what it
+    /// keeps — its cut list if it was rewired, else its old entries that
+    /// were not (fade flags carried along) — then its gains, un-faded,
+    /// merged in from the back.
+    fn rebuild_base(&mut self, u: usize) {
+        let gained = self.gain_len[u] as usize;
+        let kept = if self.stamp[u] != 0 {
+            let list = self.live_list(u);
+            if list.len() + gained > self.cap[u] as usize {
+                self.base_len[u] = 0; // nothing worth relocating
+                self.grow_slot(u, list.len() + gained);
+            }
+            let s = self.start[u] as usize;
+            self.base[s..s + list.len()].copy_from_slice(&self.lists[list.clone()]);
+            self.faded[s..s + list.len()].fill(false);
+            list.len()
+        } else {
+            let s = self.start[u] as usize;
+            let len = self.base_len[u] as usize;
+            // Slices hoisted so the per-entry bounds checks go, and the
+            // filter branch-free like the view's: always store, bump the
+            // length only for a keeper.
+            let (slot, flags) = (&mut self.base[s..s + len], &mut self.faded[s..s + len]);
+            let stamp = &self.stamp[..];
+            let mut kept = 0;
+            for k in 0..len {
+                let x = slot[k];
+                slot[kept] = x;
+                flags[kept] = flags[k];
+                kept += usize::from(stamp[x.index()] == 0);
+            }
+            if kept + gained > self.cap[u] as usize {
+                self.base_len[u] = kept as u32;
+                self.grow_slot(u, kept + gained);
+            }
+            kept
+        };
+        let s = self.start[u] as usize;
+        let len = kept + gained;
+        let (slot, flags) = (&mut self.base[s..s + len], &mut self.faded[s..s + len]);
+        let end = self.gain_end[u] as usize;
+        let gains = &self.gains[end - gained..end];
+        // Kept and gained never share a node, so the merge needs no tie rule.
+        let (mut k, mut g) = (kept, gained);
+        while g > 0 {
+            if k > 0 && slot[k - 1] > gains[g - 1] {
+                slot[k + g - 1] = slot[k - 1];
+                flags[k + g - 1] = flags[k - 1];
+                k -= 1;
+            } else {
+                slot[k + g - 1] = gains[g - 1];
+                flags[k + g - 1] = false;
+                g -= 1;
+            }
+        }
+        self.base_len[u] = len as u32;
+        self.gain_len[u] = 0;
+    }
+
+    /// Refill `u`'s active view from its base slot.
+    fn rebuild_view(&mut self, u: usize) {
+        let s = self.start[u] as usize;
+        let mut alen = 0;
+        if self.alive[u] {
+            let len = self.base_len[u] as usize;
+            let (slot, flags) = (&self.base[s..s + len], &self.faded[s..s + len]);
+            let (view, alive) = (&mut self.active[s..s + len], &self.alive[..]);
+            // Branch-free filter: always store, bump the length only
+            // for a keeper (a branch per edge: 44 ms against 24 ms).
+            for k in 0..len {
+                view[alen] = slot[k];
+                alen += usize::from(alive[slot[k].index()] & !flags[k]);
+            }
+        }
+        self.active_len[u] = alen as u32;
     }
 
     /// Relocate `u`'s base slot to the slab tail with capacity at least
-    /// `need`, stranding the old capacity until the next compaction. Every
-    /// caller marks `u` stale, so its active view is rebuilt, not moved.
+    /// `need`, stranding the old capacity until the next compaction. Only
+    /// `settle`'s pass calls this, just before it rebuilds `u`'s active
+    /// view — which is therefore not moved.
     fn grow_slot(&mut self, u: usize, need: usize) {
         let new_cap = need + need / 2 + 2;
         let old_s = self.start[u] as usize;
@@ -252,14 +437,15 @@ impl DynamicTopology {
     }
 
     /// Rebuild the slabs compactly once relocation waste is worth
-    /// reclaiming, with a little per-slot slack so the next few inserts do
-    /// not relocate again. Every node goes stale: settle refills `active`.
-    fn maybe_compact(&mut self) {
+    /// reclaiming, with a little per-slot slack so the next few gains do
+    /// not relocate again. Returns whether it did — then every node is
+    /// stale: `active` is emptied, not moved.
+    fn compact_if_wasteful(&mut self) -> bool {
         // The slab is the slots in use plus the stranded ones.
         let live = self.base.len() - self.waste;
         debug_assert_eq!(live, self.cap.iter().map(|&c| c as usize).sum());
         if self.waste < 256 || self.waste * COMPACT_WASTE_SHARE < live {
-            return;
+            return false;
         }
         let mut base = Vec::with_capacity(live);
         let mut faded = Vec::with_capacity(live);
@@ -279,6 +465,7 @@ impl DynamicTopology {
         self.base = base;
         self.faded = faded;
         self.waste = 0;
+        true
     }
 
     /// Deferred [`kill`](Self::kill) (`up = false`) or
@@ -305,6 +492,12 @@ impl DynamicTopology {
     /// on both endpoints' slots now, leaves their views stale until
     /// [`settle`](Self::settle). Returns false if nothing changed.
     pub fn defer_fade(&mut self, u: NodeId, v: NodeId, fade: bool) -> bool {
+        // A pending rewire of an endpoint decides whether this edge exists
+        // (and clears its flag): only then must `base` be made current.
+        let rewired = |x: NodeId| self.stamp.get(x.index()).is_some_and(|&s| s != 0);
+        if rewired(u) || rewired(v) {
+            self.settle();
+        }
         let iu = match self.base_pos(u.index(), v) {
             Some(iu) if self.faded[iu] != fade => iu,
             _ => return false,
@@ -317,9 +510,9 @@ impl DynamicTopology {
         true
     }
 
-    /// Deferred [`rewire`](Self::rewire): edits the base lists of `node`
-    /// and of its old and new neighbors now, leaves all their views stale
-    /// until [`settle`](Self::settle).
+    /// Deferred [`rewire`](Self::rewire): records the cleaned list as the
+    /// node's pending rewire, superseding an earlier one of the batch.
+    /// `base` and the views catch up at [`settle`](Self::settle).
     pub fn defer_rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
         let ui = node.index();
         let n = self.alive.len();
@@ -335,23 +528,14 @@ impl DynamicTopology {
             sorted.dedup();
         }
         let fresh = if clean { new_neighbors } else { &sorted[..] };
-        // Detach from the old neighbors: their slots shift, ours is only read.
-        for k in 0..self.base_len[ui] as usize {
-            let v = self.base[self.start[ui] as usize + k];
-            self.base_remove(v.index(), node);
-        }
-        if fresh.len() > self.cap[ui] as usize {
-            self.grow_slot(ui, fresh.len());
-        }
-        let s = self.start[ui] as usize;
-        self.base[s..s + fresh.len()].copy_from_slice(fresh);
-        self.faded[s..s + fresh.len()].fill(false);
-        self.base_len[ui] = fresh.len() as u32;
+        let at = self.lists.len();
+        self.lists.extend_from_slice(fresh);
+        self.pending.push(PendingRewire {
+            node,
+            list: at..self.lists.len(),
+        });
+        self.stamp[ui] = u32::try_from(self.pending.len()).expect("rewires in one batch fit u32");
         self.mark(ui);
-        for &v in fresh {
-            self.base_insert(v.index(), node);
-        }
-        self.maybe_compact();
     }
 
     /// Take `node` down. Its active neighbor list empties and it vanishes
@@ -639,19 +823,21 @@ mod tests {
         }
     }
 
-    /// The seeded 3 000-step kill/revive/fade/restore/rewire storm on a
+    /// A seeded 3 000-step kill/revive/fade/restore/rewire storm on a
     /// 64-node grid, checked against the model whenever views are settled:
     /// after every step through the one-at-a-time mutators, or
     /// (`batched`) after each batch of 1..=64 deferred mutations and its
-    /// one settle. Each run relocates ~170 slots and compacts three times.
-    fn storm(batched: bool) -> DynamicTopology {
+    /// one settle. Rewire lists are dirty — duplicates, the node itself,
+    /// out-of-range ids — and one in eight is long, up to `n - 1` draws.
+    /// A run relocates ~240 slots and compacts about six times.
+    fn storm(seed: u64, batched: bool) -> DynamicTopology {
         use crate::Rng;
         let n = 64usize;
         let topo = Topology::grid(n);
         let mut dt = DynamicTopology::new(&topo);
         let mut model = Model::new(&topo);
-        let mut rng = Rng::new(2024);
-        let mut batch_rng = Rng::new(4202);
+        let mut rng = Rng::new(seed);
+        let mut batch_rng = Rng::new(seed ^ 4202);
         let mut left_in_batch = 0;
         for _ in 0..3000 {
             let u = rng.gen_range(n) as u32;
@@ -662,8 +848,9 @@ mod tests {
                 2 => Fade(u, v),
                 3 => Restore(u, v),
                 _ => {
-                    let deg = 1 + rng.gen_range(10);
-                    Rewire(u, (0..deg).map(|_| rng.gen_range(n) as u32).collect())
+                    let long = rng.gen_range(8) == 0;
+                    let deg = rng.gen_range(if long { n } else { 11 });
+                    Rewire(u, (0..deg).map(|_| rng.gen_range(n + 2) as u32).collect())
                 }
             };
             let expect = model.apply(&step);
@@ -687,21 +874,27 @@ mod tests {
         dt
     }
 
+    const STORM_SEEDS: [u64; 8] = [2024, 1, 7, 42, 301, 0xfeed, 90_210, u64::MAX];
+
     #[test]
     fn slab_survives_a_mutation_storm() {
-        storm(false);
+        for seed in STORM_SEEDS {
+            storm(seed, false);
+        }
     }
 
     #[test]
     fn batched_storm_matches_one_at_a_time_and_the_model() {
-        let (eager, batched) = (storm(false), storm(true));
-        for w in 0..eager.num_nodes() as u32 {
-            let w = NodeId(w);
-            assert_eq!(eager.active_neighbors(w), batched.active_neighbors(w));
+        for seed in STORM_SEEDS {
+            let (eager, batched) = (storm(seed, false), storm(seed, true));
+            for w in 0..eager.num_nodes() as u32 {
+                let w = NodeId(w);
+                assert_eq!(eager.active_neighbors(w), batched.active_neighbors(w));
+            }
+            assert_eq!(eager.alive_mask(), batched.alive_mask());
+            assert_eq!(eager.alive_count(), batched.alive_count());
+            assert_eq!(eager.active_edge_count(), batched.active_edge_count());
         }
-        assert_eq!(eager.alive_mask(), batched.alive_mask());
-        assert_eq!(eager.alive_count(), batched.alive_count());
-        assert_eq!(eager.active_edge_count(), batched.active_edge_count());
     }
 
     /// Apply `steps` once as a single batch with one settle and once a
@@ -748,18 +941,54 @@ mod tests {
     }
 
     #[test]
+    fn later_rewire_decides_a_shared_edge() {
+        let line = Topology::line(6); // 0-1-2-3-4-5
+        let linked = |dt: &DynamicTopology, a: u32, b: u32| dt.are_neighbors(NodeId(a), NodeId(b));
+        // One pair rewired a, b, a and b, a, b: whatever the earlier lists
+        // said, the edge is there iff the last list names the other end.
+        for (a, b) in [(1, 4), (4, 1), (1, 2), (2, 1)] {
+            let steps = [Rewire(a, vec![b]), Rewire(b, vec![]), Rewire(a, vec![b])];
+            assert!(linked(&batch_matches_eager(&line, &steps), a, b));
+            let steps = [Rewire(a, vec![b]), Rewire(b, vec![a]), Rewire(a, vec![])];
+            assert!(!linked(&batch_matches_eager(&line, &steps), a, b));
+        }
+        // Both ends rewired once: only the later list counts.
+        let dt = batch_matches_eager(&line, &[Rewire(1, vec![4]), Rewire(4, vec![0])]);
+        assert!(!linked(&dt, 1, 4), "only the earlier list names the other");
+        assert_eq!(dt.active_neighbors(NodeId(4)), ids(&[0]));
+        let dt = batch_matches_eager(&line, &[Rewire(1, vec![0]), Rewire(4, vec![1])]);
+        assert!(linked(&dt, 1, 4), "only the later list names the other");
+        assert_eq!(dt.active_neighbors(NodeId(1)), ids(&[0, 4]));
+        // A dead node rewired between two live ones: 2's earlier claim on
+        // it is dropped, 5's later one holds, and nothing shows until the
+        // node is back.
+        let steps = [
+            Kill(3),
+            Rewire(2, vec![3]),
+            Rewire(3, vec![0, 5]),
+            Rewire(5, vec![3]),
+        ];
+        let dt = batch_matches_eager(&line, &steps);
+        assert!((0..6).all(|w| !linked(&dt, w, 3)));
+        let dt = batch_matches_eager(&line, &[&steps[..], &[Revive(3)]].concat());
+        assert_eq!(dt.active_neighbors(NodeId(3)), ids(&[0, 5]));
+        assert!(dt.active_neighbors(NodeId(2)).is_empty());
+    }
+
+    #[test]
     fn rewire_relocates_a_stale_neighbors_slot_mid_batch() {
         let ring = Topology::ring(8);
         let mut dt = DynamicTopology::new(&ring);
         // Node 4 goes stale (its neighbor died), then 0 moves next to it:
-        // 4's slot is full (cap = degree), so the insert relocates it
-        // while its view is still waiting for the settle.
+        // 4's slot is full (cap = degree), so the settle that hands it the
+        // new edge relocates it on the way to rebuilding its view.
         dt.defer_alive(NodeId(3), false);
         let before = dt.start[4];
         dt.defer_rewire(NodeId(0), &ids(&[4]));
-        assert_ne!(dt.start[4], before, "slot must have moved");
-        assert!(dt.is_stale[4]);
+        assert!(dt.is_stale[0] && dt.is_stale[4]);
         dt.settle();
+        assert_ne!(dt.start[4], before, "slot must have moved");
+        assert!(dt.stale.is_empty() && dt.pending.is_empty());
         assert_eq!(dt.active_neighbors(NodeId(4)), ids(&[0, 5]));
         batch_matches_eager(&ring, &[Kill(3), Rewire(0, vec![4])]);
     }
@@ -768,8 +997,8 @@ mod tests {
     fn compaction_mid_batch_keeps_every_view() {
         // One node moving next to everyone relocates all 300 degree-2
         // slots: the stranded capacity passes both compaction thresholds
-        // inside that one rewire, with earlier mutations still unsettled
-        // and more to come.
+        // in the settle of that one rewire, with other mutations settled
+        // alongside it and more to come on the compacted slab.
         let ring = Topology::ring(300);
         let everyone: Vec<u32> = (0..300).collect();
         let steps = [
@@ -781,12 +1010,22 @@ mod tests {
             Rewire(5, vec![100, 200]),
         ];
         let mut dt = DynamicTopology::new(&ring);
-        for step in &steps[..3] {
-            step.deferred(&mut dt);
+        let mut model = Model::new(&ring);
+        for (i, step) in steps.iter().enumerate() {
+            assert_eq!(step.deferred(&mut dt), model.apply(step), "{step:?}");
+            if i == 2 {
+                dt.settle();
+                assert_ne!(dt.start[1], 2, "the big rewire must have relocated");
+                assert_eq!(dt.waste, 0, "... and then compacted");
+                assert!(dt.stale.is_empty(), "compaction's stale views are rebuilt");
+                model.check(&dt);
+            }
         }
-        assert_eq!(dt.waste, 0, "the big rewire must have compacted");
-        assert_eq!(dt.stale.len(), 300, "compaction leaves every view stale");
+        dt.settle();
+        model.check(&dt);
+        // The same six as one batch: the compaction closes its settle.
         let dt = batch_matches_eager(&ring, &steps);
+        assert_eq!(dt.waste, 0);
         assert_eq!(dt.active_neighbors(NodeId(0)).len(), 297); // all but 0, 9 and 5
     }
 

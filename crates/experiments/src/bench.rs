@@ -20,8 +20,10 @@ use std::time::Instant;
 /// run and grid lines are unchanged). Version 2 added the `phase_ms`
 /// per-phase timing breakdown; version 3 added the `region_load`
 /// balance summary (plus, for sync, the confined/boundary proposal
-/// split of the sharded resolver).
-pub const BENCH_SCHEMA_VERSION: u64 = 3;
+/// split of the sharded resolver); version 4 appended `drain` and
+/// `membership` to the sync line's `phase_ms` (async lines changed only
+/// in this stamp, so version-3 async baselines still read).
+pub const BENCH_SCHEMA_VERSION: u64 = 4;
 
 /// One bench invocation: a [`Scenario`] (built by the same
 /// [`ScenarioBuilder`](crate::ScenarioBuilder) as every other front-end,
@@ -117,6 +119,10 @@ pub struct PhaseMs {
     pub matching: f64,
     /// Phase 4: push-pull transfer.
     pub transfer: f64,
+    /// Round-boundary mutation drain (0 on a static scenario).
+    pub drain: f64,
+    /// Membership overlay tick (0 without an overlay).
+    pub membership: f64,
     /// Proposals the sharded resolver settled entirely inside one
     /// region, summed over rounds.
     pub confined_proposals: u64,
@@ -133,6 +139,8 @@ impl From<gossip_sim::PhaseTimings> for PhaseMs {
             decide: ms(t.decide),
             matching: ms(t.matching),
             transfer: ms(t.transfer),
+            drain: ms(t.drain),
+            membership: ms(t.membership),
             confined_proposals: t.confined_proposals,
             boundary_proposals: t.boundary_proposals,
         }
@@ -264,6 +272,8 @@ impl BenchReport {
                 reg.set_gauge("phase_ms.decide", p.decide);
                 reg.set_gauge("phase_ms.match", p.matching);
                 reg.set_gauge("phase_ms.transfer", p.transfer);
+                reg.set_gauge("phase_ms.drain", p.drain);
+                reg.set_gauge("phase_ms.membership", p.membership);
                 reg.inc("confined_proposals", p.confined_proposals);
                 reg.inc("boundary_proposals", p.boundary_proposals);
             }
@@ -320,9 +330,16 @@ pub fn bench_to_json(report: &BenchReport) -> String {
     out.push(',');
     match &report.phases {
         EnginePhases::Sync(p) => out.push_str(&format!(
-            "\"phase_ms\":{{\"advertise\":{:.2},\"decide\":{:.2},\"match\":{:.2},\"transfer\":{:.2}}},\
+            "\"phase_ms\":{{\"advertise\":{:.2},\"decide\":{:.2},\"match\":{:.2},\"transfer\":{:.2},\
+             \"drain\":{:.2},\"membership\":{:.2}}},\
              \"confined_proposals\":{},\"boundary_proposals\":{}",
-            p.advertise, p.decide, p.matching, p.transfer, p.confined_proposals,
+            p.advertise,
+            p.decide,
+            p.matching,
+            p.transfer,
+            p.drain,
+            p.membership,
+            p.confined_proposals,
             p.boundary_proposals
         )),
         EnginePhases::Async(s) => out.push_str(&format!(
@@ -396,7 +413,7 @@ mod tests {
         assert_eq!(report.region_load.regions, 63, "2000 nodes -> 63 regions");
         let json = bench_to_json(&report);
         for key in [
-            "\"schema\":3",
+            "\"schema\":4",
             "\"bench\":\"sync_round_loop\"",
             "\"scenario_id\":\"ring-advert-sync-n2000-k1-s5\"",
             "\"topology\":\"ring\"",
@@ -408,6 +425,7 @@ mod tests {
             "\"decide\":",
             "\"match\":",
             "\"transfer\":",
+            "\"drain\":0.00,\"membership\":0.00}",
             "\"confined_proposals\":",
             "\"boundary_proposals\":",
             "\"region_load\":{\"regions\":63,",
@@ -468,7 +486,7 @@ mod tests {
 
         let json = bench_to_json(&report);
         for key in [
-            "\"schema\":3",
+            "\"schema\":4",
             "\"bench\":\"async_event_loop\"",
             "\"phase_ms\":{\"execute\":",
             "\"merge\":",
@@ -519,6 +537,9 @@ mod tests {
                 rounds: 10,
             });
             assert_eq!(report.scenario_id, scenario.scenario_id());
+            if let EnginePhases::Sync(p) = report.phases {
+                assert!(p.drain > 0.0 && p.membership > 0.0, "{p:?}");
+            }
             assert_eq!(
                 (
                     report.rounds_executed,

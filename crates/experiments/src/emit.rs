@@ -353,21 +353,10 @@ impl<W: Write> Emitter<W> {
 }
 
 pub(crate) fn json_str(out: &mut String, key: &str, value: &str) {
-    // Names and ids are ASCII identifiers; escape the JSON specials
-    // anyway so the writer is safe for future string fields.
     out.push('"');
     out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    out.push_str("\":");
+    out.push_str(&gossip_telemetry::json::json_str(value));
 }
 
 pub(crate) fn json_num(out: &mut String, key: &str, value: u64) {

@@ -902,7 +902,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("F"),
         help: "nodes churn: depart with per-round\nprobability F (geometric lifetimes),\n0 < F < 1 [default: off]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -910,7 +910,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("keep|lose|none"),
         help: "what a churned node remembers when it\nrejoins; 'none' means departed nodes\nnever return (requires churn-rate)\n[default: keep]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -918,7 +918,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("F"),
         help: "edges flap: fade with per-round\nprobability F, 0 < F < 1 [default: off]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -926,7 +926,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: None,
         help: "random-waypoint mobility: nodes walk the\nunit square and re-derive radius edges\n(rgg topology only; incompatible\nwith fade-prob)",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -934,7 +934,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("full|hyparview"),
         help: "neighborhoods the protocol gossips over:\nthe full underlay neighbor list, or a\nbounded HyParView-style partial view with\nSWIM-style failure detection [default: full]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -942,7 +942,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("N"),
         help: "membership: active (gossip) view capacity\nper node (requires membership hyparview)\n[default: 5]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -950,7 +950,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("N"),
         help: "membership: passive reservoir capacity\nper node (requires membership hyparview)\n[default: 30]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -958,7 +958,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("R"),
         help: "membership: rounds between view shuffles\n(requires membership hyparview) [default: 1]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {
@@ -966,7 +966,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("R"),
         help: "membership: rounds between failure-detector\nprobes (requires membership hyparview)\n[default: 1]",
         run: true,
-        bench: false,
+        bench: true,
         axis: true,
     },
     AssignmentDef {

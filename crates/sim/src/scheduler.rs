@@ -205,6 +205,11 @@ pub struct PhaseTimings {
     pub matching: Duration,
     /// Phase 4: push-pull transfer over the matched pairs.
     pub transfer: Duration,
+    /// The round-boundary mutation drain — stream pops, `DynRun::apply`
+    /// and the topology's settle. Zero on a static run.
+    pub drain: Duration,
+    /// `Membership::tick`. Zero without an overlay.
+    pub membership: Duration,
     /// Connections formed per matching region (by initiator), summed over
     /// rounds — the resolver's load-balance instrument. Deterministic:
     /// the partition is fixed, never a function of the thread count.
@@ -298,6 +303,7 @@ impl SyncScheduler {
             for round in 1..=config.max_rounds {
                 let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
                 if let Some(d) = dynr.as_mut() {
+                    let draining = Instant::now();
                     let mutated = d.drain_until(
                         horizon,
                         &mut phases.states,
@@ -306,6 +312,7 @@ impl SyncScheduler {
                         probe,
                         round as u64,
                     );
+                    phases.timings.drain += draining.elapsed();
                     if mutated && cover.complete(d.topo.alive_count()) {
                         // Mutations alone completed gossip (the last uninformed
                         // node departed, or an informed one rejoined an already-
@@ -321,10 +328,12 @@ impl SyncScheduler {
                 // every transfer are alive and `cover` stays alive-only.
                 let alive = dynr.as_ref().map(|d| d.topo.alive_mask());
                 if let Some(m) = mem.as_mut() {
+                    let ticking = Instant::now();
                     match &dynr {
                         Some(d) => m.tick(&d.topo, alive, seed, round as u64, probe),
                         None => m.tick(topology, alive, seed, round as u64, probe),
                     }
+                    phases.timings.membership += ticking.elapsed();
                 }
                 let (resolution, transfer) = match (&mem, &dynr) {
                     (Some(m), _) => phases.step(m, alive, round as u64, probe),
