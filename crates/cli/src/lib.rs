@@ -548,6 +548,31 @@ mod tests {
     }
 
     #[test]
+    fn rejects_node_counts_past_the_node_id_range() {
+        // `NodeId` is a `u32`; a larger count used to be accepted and then
+        // never return. Flags, grid axes and spec files all assign through
+        // `ScenarioBuilder::set`, so all three name the bound.
+        let mut messages: Vec<String> = [
+            &["--nodes", "5000000000"][..],
+            &["--nodes", "4294967296"],
+            &["bench", "--nodes", "4294967296"],
+            &["grid", "--axis", "nodes=10,4294967296"],
+        ]
+        .iter()
+        .map(|args| parse(args).unwrap_err())
+        .collect();
+        // What `grid --spec FILE` does once the file is read.
+        let from_file = parse_spec("[scenario]\nnodes = 4294967296\n").unwrap();
+        messages.push(from_file.expand().unwrap_err().to_string());
+        for message in &messages {
+            assert!(message.contains("nodes"), "{message}");
+            assert!(message.contains("4294967295"), "{message}");
+        }
+        let largest = parse_run(&["--nodes", "4294967295"]);
+        assert_eq!(largest.nodes, u32::MAX as usize);
+    }
+
+    #[test]
     fn errors_accumulate_rather_than_stopping_at_the_first() {
         let message = parse(&["--nodes", "0", "--churn-rate", "2.0"]).unwrap_err();
         assert!(message.contains("nodes"), "{message}");

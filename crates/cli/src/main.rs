@@ -144,10 +144,7 @@ fn run_soak(paths: &[String], config: &SoakConfig) -> io::Result<bool> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| io::Error::new(e.kind(), format!("soak: cannot read '{path}': {e}")))?;
         let (baselines, warnings) = parse_baselines(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("soak: '{path}' is not a usable baseline file: {e}"),
-            )
+            io::Error::new(io::ErrorKind::InvalidData, format!("soak: '{path}' {e}"))
         })?;
         for warning in warnings {
             eprintln!("warning: soak: {path}: {warning}");

@@ -90,8 +90,16 @@ pub struct Resolution {
 /// `base` at the region's first node, which is sound because every node a
 /// region touches (proposer, target, rebound candidate) lies inside its
 /// slice by construction. Connections are appended to `connections`.
+///
+/// Every caller has already tested each proposal's edge to count the
+/// dropped ones; `any_dropped` says whether that count (over a superset of
+/// `proposals`) was non-zero. Only then can the batch hold a non-edge, so
+/// only then is each proposal's edge looked up a second time — a clean
+/// batch, which is every batch of a correct protocol, skips the lookups.
+#[allow(clippy::too_many_arguments)] // one flat hot-path call, not an API
 fn resolve_batch<G: GraphView + ?Sized>(
     proposals: &mut [(NodeId, NodeId)],
+    any_dropped: bool,
     topology: &G,
     intents: &[Intent],
     rng: &mut Rng,
@@ -102,7 +110,7 @@ fn resolve_batch<G: GraphView + ?Sized>(
     // Phase 1: explicit proposals, in random arrival order.
     rng.shuffle(proposals);
     for &(u, v) in proposals.iter() {
-        if !topology.are_neighbors(u, v) {
+        if any_dropped && !topology.are_neighbors(u, v) {
             continue; // dropped (counted by the caller)
         }
         if intents[v.index()] == Intent::Listen
@@ -199,6 +207,7 @@ pub fn resolve_connections<G: GraphView + ?Sized>(
     let mut connections = Vec::new();
     resolve_batch(
         &mut proposals,
+        dropped_proposals != 0,
         topology,
         intents,
         rng,
@@ -285,6 +294,7 @@ fn resolve_region<G: GraphView + ?Sized>(
     let mut rng = Rng::stream(seed, round, REGION_STREAM_BASE + region as u64);
     resolve_batch(
         &mut confined,
+        out.dropped != 0,
         topology,
         intents,
         &mut rng,
@@ -389,6 +399,7 @@ pub fn resolve_connections_sharded<G: GraphView + Sync + ?Sized>(
     let mut rng = Rng::stream(seed, round, BOUNDARY_STREAM);
     resolve_batch(
         &mut deferred,
+        dropped_proposals != 0,
         topology,
         intents,
         &mut rng,

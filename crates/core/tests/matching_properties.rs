@@ -18,7 +18,7 @@ use gossip_core::{
     resolve_connections, resolve_connections_sharded, Connection, Intent, MessageMatrix, NodeId,
     Rng, Topology,
 };
-use gossip_protocols::{AdvertGossip, GossipProtocol, NodeCtx, UniformGossip};
+use gossip_protocols::{AdvertGossip, GossipProtocol, NodeCtx, Tags, UniformGossip};
 
 fn random_intents(topo: &Topology, rng: &mut Rng) -> Vec<Intent> {
     (0..topo.num_nodes())
@@ -56,15 +56,13 @@ fn protocol_intents(topo: &Topology, protocol: &dyn GossipProtocol, seed: u64) -
     (0..n)
         .map(|u| {
             let id = NodeId(u as u32);
-            let neighbors = topo.neighbors(id);
-            let neighbor_ads: Vec<_> = neighbors.iter().map(|v| ads[v.index()]).collect();
             let ctx = NodeCtx {
                 id,
                 salt: round,
                 messages: states.view(u),
                 own_ad: ads[u],
-                neighbors,
-                neighbor_ads: &neighbor_ads,
+                neighbors: topo.neighbors(id),
+                tags: Tags::all(&ads),
             };
             protocol.decide(&ctx, &mut Rng::stream(seed, round, u as u64))
         })
@@ -188,6 +186,52 @@ fn sharded_resolver_upholds_the_serial_invariants() {
                         assert_eq!(res, again, "{what}: threads={threads} diverged");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Release only: debug builds panic on the first non-edge proposal.
+#[cfg(not(debug_assertions))]
+#[test]
+fn non_neighbor_proposals_drop_and_the_matching_stays_valid() {
+    // The resolvers look a proposal's edge up a second time only when the
+    // first pass counted a non-edge; here some batches are clean and some
+    // are not, region by region. The matching must treat a re-aimed
+    // proposal as declined: counted, never connected, its proposer still
+    // free to rebound.
+    for seed in 0..20u64 {
+        let mut rng = Rng::new(seed ^ 0xd209);
+        let topologies = [
+            Topology::ring(96),
+            Topology::grid(100),
+            Topology::random_geometric(90, &mut rng),
+        ];
+        for topo in &topologies {
+            let n = topo.num_nodes();
+            let mut intents = random_intents(topo, &mut rng);
+            let mut re_aimed = 0;
+            for u in 0..n {
+                let id = NodeId(u as u32);
+                if !matches!(intents[u], Intent::Propose(_)) || rng.gen_range(12) != 0 {
+                    continue;
+                }
+                let stranger = NodeId(rng.gen_range(n) as u32);
+                if stranger != id && !topo.are_neighbors(id, stranger) {
+                    intents[u] = Intent::Propose(stranger);
+                    re_aimed += 1;
+                }
+            }
+            let serial = resolve_connections(topo, &intents, &mut Rng::new(seed));
+            assert_eq!(serial.dropped_proposals, re_aimed, "serial seed {seed}");
+            check_invariants(topo, &intents, &serial.connections, "serial");
+            for regions in [1usize, 3, 64] {
+                let what = format!("{} seed {seed} regions {regions}", topo.name());
+                let res = resolve_connections_sharded(topo, &intents, seed, 5, regions, 1);
+                assert_eq!(res.dropped_proposals, re_aimed, "{what}");
+                check_invariants(topo, &intents, &res.connections, &what);
+                let again = resolve_connections_sharded(topo, &intents, seed, 5, regions, 4);
+                assert_eq!(res, again, "{what}: threads=4 diverged");
             }
         }
     }

@@ -230,7 +230,8 @@ pub fn parse_baseline_line(line: &str) -> Result<Baseline, String> {
 /// warnings for duplicate scenario ids (the **last** line wins — a
 /// trajectory file appends newest-last, and the newest capture reflects
 /// the current code). Blank lines are skipped; anything else malformed is
-/// an error naming its line.
+/// an error naming its line. A file with no baseline line at all is an
+/// error too: an empty gate would pass whatever the code does.
 pub fn parse_baselines(text: &str) -> Result<(Vec<Baseline>, Vec<String>), String> {
     let mut baselines: Vec<Baseline> = Vec::new();
     let mut warnings = Vec::new();
@@ -252,6 +253,10 @@ pub fn parse_baselines(text: &str) -> Result<(Vec<Baseline>, Vec<String>), Strin
         } else {
             baselines.push(baseline);
         }
+    }
+    if baselines.is_empty() {
+        // A truncated file must not read as "nothing regressed".
+        return Err("holds no baseline".to_string());
     }
     Ok((baselines, warnings))
 }
@@ -383,6 +388,10 @@ mod tests {
     fn malformed_baselines_name_their_line() {
         let err = parse_baselines("\nnot json\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        // An empty (truncated) file gates nothing: an error, not a pass.
+        for empty in ["", "\n  \n"] {
+            assert_eq!(parse_baselines(empty).unwrap_err(), "holds no baseline");
+        }
         // A bench line whose fields cannot rebuild its id is refused.
         let bench = BenchScenario {
             scenario: Scenario::builder().nodes(32).seed(3).finish().unwrap(),

@@ -1210,6 +1210,10 @@ impl ScenarioBuilder {
                     self.nodes = n;
                     if n == 0 {
                         self.out_of_range(key, "must be at least 1");
+                    } else if u32::try_from(n).is_err() {
+                        // `NodeId` is a `u32` and every engine casts into it.
+                        let bound = format!("must be at most {} (node ids are 32-bit)", u32::MAX);
+                        self.out_of_range(key, &bound);
                     }
                 }
             }

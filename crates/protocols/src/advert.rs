@@ -41,8 +41,8 @@ impl AdvertGossip {
         let mut pool_pick = 0usize;
         let mut mixed_exists = false;
         let mut teacher_exists = false;
-        for (i, ad) in ctx.neighbor_ads.iter().enumerate() {
-            let theirs = ad.0;
+        for (i, &v) in ctx.neighbors.iter().enumerate() {
+            let theirs = ctx.tags.of(v).0;
             if theirs == mine {
                 continue;
             }
@@ -83,8 +83,8 @@ impl AdvertGossip {
         let mine = ctx.own_ad.0;
         let mut diff_count = 0usize;
         let mut pick = 0usize;
-        for (i, ad) in ctx.neighbor_ads.iter().enumerate() {
-            if ad.0 != mine {
+        for (i, &v) in ctx.neighbors.iter().enumerate() {
+            if ctx.tags.of(v).0 != mine {
                 diff_count += 1;
                 if rng.gen_range(diff_count) == 0 {
                     pick = i;
@@ -132,6 +132,7 @@ impl GossipProtocol for AdvertGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tags;
     use gossip_core::{MessageSet, NodeId};
 
     fn set_with(universe: usize, ids: &[usize]) -> MessageSet {
@@ -142,6 +143,8 @@ mod tests {
         s
     }
 
+    /// `ads[v]` is node `v`'s tag; slot 0 is the deciding node's own and
+    /// is never scanned.
     fn ctx<'a>(
         messages: &'a MessageSet,
         neighbors: &'a [NodeId],
@@ -154,14 +157,14 @@ mod tests {
             messages: messages.view(),
             own_ad: AdvertGossip.advertise(messages.view(), salt),
             neighbors,
-            neighbor_ads: ads,
+            tags: Tags::all(ads),
         }
     }
 
     #[test]
     fn idles_when_no_neighbor_differs() {
         let messages = set_with(4, &[0]);
-        let ads = [Advertisement(0b1), Advertisement(0b1)];
+        let ads = [Advertisement(0b1); 3];
         let neighbors = [NodeId(1), NodeId(2)];
         let ctx = ctx(&messages, &neighbors, &ads, 1);
         for seed in 0..20 {
@@ -173,7 +176,7 @@ mod tests {
     fn frontier_source_proposes_to_uninformed() {
         // We hold {0}; neighbor 1 holds nothing, neighbor 2 matches us.
         let messages = set_with(4, &[0]);
-        let ads = [Advertisement(0), Advertisement(0b1)];
+        let ads = [Advertisement(0b1), Advertisement(0), Advertisement(0b1)];
         let neighbors = [NodeId(1), NodeId(2)];
         let ctx = ctx(&messages, &neighbors, &ads, 1);
         for seed in 0..20 {
@@ -189,7 +192,7 @@ mod tests {
     #[test]
     fn uninformed_node_next_to_source_listens() {
         let messages = MessageSet::new(4);
-        let ads = [Advertisement(0b1)];
+        let ads = [Advertisement(0), Advertisement(0b1)];
         let neighbors = [NodeId(1)];
         let ctx = ctx(&messages, &neighbors, &ads, 1);
         for seed in 0..20 {
@@ -204,7 +207,7 @@ mod tests {
     fn mixed_neighborhood_takes_both_roles() {
         // We hold {0}; neighbor holds {1}: both sides offer something.
         let messages = set_with(4, &[0]);
-        let ads = [Advertisement(0b10)];
+        let ads = [Advertisement(0b1), Advertisement(0b10)];
         let neighbors = [NodeId(1)];
         let ctx = ctx(&messages, &neighbors, &ads, 1);
         let mut rng = Rng::new(13);
@@ -240,7 +243,7 @@ mod tests {
         let messages = set_with(128, &[4]);
         let other = set_with(128, &[67]);
         let round = 3;
-        let ads = [AdvertGossip.advertise(other.view(), round)];
+        let ads = [AdvertGossip.advertise(other.view(), round); 2];
         let neighbors = [NodeId(1)];
         let ctx = ctx(&messages, &neighbors, &ads, round);
         let mut rng = Rng::new(21);

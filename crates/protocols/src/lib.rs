@@ -22,15 +22,60 @@ pub use uniform::UniformGossip;
 
 use gossip_core::{Advertisement, Intent, MessageMatrix, MsgView, NodeId, Rng};
 
+/// The tags a deciding node can scan: a view over the engine's tag
+/// storage, read one neighbor at a time through [`of`](Self::of). The
+/// engine hands over the view, not a copy of the neighborhood's tags, so a
+/// scan costs what the protocol reads — nothing for a protocol that
+/// ignores tags.
+///
+/// Node `v`'s tag is `live[v - base]` when `v` falls in
+/// `base..base + live.len()`, else `snap[v]`.
+#[derive(Clone, Copy)]
+pub struct Tags<'a> {
+    live: &'a [Advertisement],
+    base: usize,
+    snap: &'a [Advertisement],
+}
+
+impl<'a> Tags<'a> {
+    /// One array holds every node's current tag (the synchronous engine:
+    /// all tags of a round are published before anyone scans).
+    pub fn all(ads: &'a [Advertisement]) -> Self {
+        Self::split(ads, 0, &[])
+    }
+
+    /// `live` answers for the nodes `base..base + live.len()`, `snap`
+    /// (indexed by node id) for everyone else — the sliced event engine,
+    /// where a region reads its own nodes' current tags and a
+    /// start-of-slice snapshot of every other region's.
+    pub fn split(live: &'a [Advertisement], base: usize, snap: &'a [Advertisement]) -> Self {
+        Tags { live, base, snap }
+    }
+
+    /// The tag most recently scanned from node `v`.
+    ///
+    /// # Panics
+    /// If `v` is outside both arrays — a neighbor list naming a node the
+    /// engine holds no tag for.
+    pub fn of(self, v: NodeId) -> Advertisement {
+        // A node below `base` wraps to a huge offset and misses `live`.
+        match self.live.get(v.index().wrapping_sub(self.base)) {
+            Some(&ad) => ad,
+            None => self.snap[v.index()],
+        }
+    }
+}
+
 /// Everything a node is allowed to see when committing a connection
-/// intent: its own state plus a snapshot of its neighborhood — the most
-/// recent advertisement scanned from each neighbor.
+/// intent: its own state plus its neighborhood — who the neighbors are and,
+/// through [`tags`](Self::tags), the most recent advertisement scanned
+/// from each.
 ///
 /// The context is scheduler-agnostic. Under the synchronous engine the
-/// snapshot is exactly "this round's advertisements" and `salt` is the
-/// shared round number; under an event-driven scheduler the snapshot holds
+/// tags are exactly "this round's advertisements" and `salt` is the
+/// shared round number; under an event-driven scheduler they are
 /// whatever each neighbor last published (possibly stale) and `salt` is a
-/// coarse virtual-time epoch. Protocols observe only the snapshot, so the
+/// coarse virtual-time epoch. Protocols observe only the context, so the
 /// same implementation runs unmodified under both schedulers.
 pub struct NodeCtx<'a> {
     pub id: NodeId,
@@ -50,10 +95,12 @@ pub struct NodeCtx<'a> {
     /// instead of recomputing it (for a hashed tag that is a pass over
     /// the whole row saved per decide).
     pub own_ad: Advertisement,
-    /// Neighbors in the topology, parallel to `neighbor_ads`.
+    /// Neighbors in the topology.
     pub neighbors: &'a [NodeId],
-    /// The advertisement most recently scanned from each neighbor.
-    pub neighbor_ads: &'a [Advertisement],
+    /// The advertisement most recently scanned from each neighbor:
+    /// `tags.of(v)` for `v` in `neighbors`. Read on demand — the engine
+    /// gathers nothing on the node's behalf.
+    pub tags: Tags<'a>,
 }
 
 /// A gossip protocol in the mobile telephone model. Implementations must be
@@ -110,3 +157,36 @@ pub fn by_name(name: &str) -> Option<Box<dyn GossipProtocol>> {
 
 /// Names accepted by [`by_name`].
 pub const PROTOCOL_NAMES: &[&str] = &["uniform", "advert"];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_tags_read_live_inside_the_range_and_the_snapshot_outside() {
+        // Every (base, len) cut of every array of 0..=70 nodes: an empty
+        // live chunk, a chunk at either end, the whole array, and the short
+        // last region of a node count that is no multiple of the block.
+        // Reading every node covers the four edges `base - 1`, `base`,
+        // `base + len - 1` and `base + len` of each cut.
+        for n in 0..=70usize {
+            let ads: Vec<_> = (0..n as u64).map(Advertisement).collect();
+            let snap: Vec<_> = (0..n as u64).map(|v| Advertisement(1000 + v)).collect();
+            let all = Tags::all(&ads);
+            for base in 0..=n {
+                for len in 0..=n - base {
+                    let live = &ads[base..base + len];
+                    let split = Tags::split(live, base, &snap);
+                    let one_array = Tags::split(live, base, &ads);
+                    for v in 0..n {
+                        let id = NodeId(v as u32);
+                        let owned = (base..base + len).contains(&v);
+                        let want = if owned { ads[v] } else { snap[v] };
+                        assert_eq!(split.of(id), want, "n {n} base {base} len {len} v {v}");
+                        assert_eq!(one_array.of(id), all.of(id));
+                    }
+                }
+            }
+        }
+    }
+}

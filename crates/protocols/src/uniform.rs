@@ -34,19 +34,28 @@ impl GossipProtocol for UniformGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tags;
     use gossip_core::{MessageSet, NodeId};
 
-    #[test]
-    fn isolated_node_idles() {
-        let messages = MessageSet::new(1);
-        let ctx = NodeCtx {
+    fn ctx<'a>(
+        messages: &'a MessageSet,
+        neighbors: &'a [NodeId],
+        ads: &'a [Advertisement],
+    ) -> NodeCtx<'a> {
+        NodeCtx {
             id: NodeId(0),
             salt: 1,
             messages: messages.view(),
             own_ad: Advertisement(0),
-            neighbors: &[],
-            neighbor_ads: &[],
-        };
+            neighbors,
+            tags: Tags::all(ads),
+        }
+    }
+
+    #[test]
+    fn isolated_node_idles() {
+        let messages = MessageSet::new(1);
+        let ctx = ctx(&messages, &[], &[]);
         assert_eq!(UniformGossip.decide(&ctx, &mut Rng::new(1)), Intent::Idle);
     }
 
@@ -54,15 +63,8 @@ mod tests {
     fn proposals_target_actual_neighbors() {
         let messages = MessageSet::new(1);
         let neighbors = [NodeId(3), NodeId(8)];
-        let ads = [Advertisement(0), Advertisement(0)];
-        let ctx = NodeCtx {
-            id: NodeId(0),
-            salt: 1,
-            messages: messages.view(),
-            own_ad: Advertisement(0),
-            neighbors: &neighbors,
-            neighbor_ads: &ads,
-        };
+        let ads = [Advertisement(0); 9];
+        let ctx = ctx(&messages, &neighbors, &ads);
         let mut rng = Rng::new(7);
         let mut proposed = false;
         let mut listened = false;
@@ -77,5 +79,19 @@ mod tests {
             }
         }
         assert!(proposed && listened, "both roles should occur");
+    }
+
+    #[test]
+    fn uniform_reads_no_tags() {
+        // The b = 0 protocol never scans: with no tag behind any neighbor,
+        // a single `tags.of` would panic. Engines rely on this — they hand
+        // over a view and gather nothing, so `uniform` pays for no scan.
+        let messages = MessageSet::new(1);
+        let neighbors = [NodeId(3), NodeId(8), NodeId(70_000)];
+        let ctx = ctx(&messages, &neighbors, &[]);
+        let mut rng = Rng::new(11);
+        for _ in 0..200 {
+            UniformGossip.decide(&ctx, &mut rng);
+        }
     }
 }

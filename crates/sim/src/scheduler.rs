@@ -50,7 +50,7 @@ use gossip_core::{
 };
 use gossip_dynamics::DynamicsModel;
 use gossip_membership::{Membership, MembershipConfig};
-use gossip_protocols::{GossipProtocol, NodeCtx};
+use gossip_protocols::{GossipProtocol, NodeCtx, Tags};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{BoundaryScope, Probe, TraceEvent};
 
@@ -623,7 +623,6 @@ fn decide_range<G: GraphView + ?Sized>(
     seed: u64,
     round: u64,
 ) {
-    let mut ad_scratch: Vec<Advertisement> = Vec::new();
     for (i, slot) in out.iter_mut().enumerate() {
         let u = base + i;
         if !alive.is_none_or(|mask| mask[u]) {
@@ -631,16 +630,13 @@ fn decide_range<G: GraphView + ?Sized>(
             continue;
         }
         let id = NodeId(u as u32);
-        let neighbors = graph.neighbors(id);
-        ad_scratch.clear();
-        ad_scratch.extend(neighbors.iter().map(|v| ads[v.index()]));
         let ctx = NodeCtx {
             id,
             salt: round,
             messages: states.view(u),
             own_ad: ads[u],
-            neighbors,
-            neighbor_ads: &ad_scratch,
+            neighbors: graph.neighbors(id),
+            tags: Tags::all(ads),
         };
         let mut rng = Rng::stream(seed, round, u as u64);
         *slot = protocol.decide(&ctx, &mut rng);

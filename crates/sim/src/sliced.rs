@@ -77,7 +77,7 @@ use gossip_core::{
 };
 use gossip_dynamics::MutationKind;
 use gossip_membership::Membership;
-use gossip_protocols::{GossipProtocol, NodeCtx};
+use gossip_protocols::{GossipProtocol, NodeCtx, Tags};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{BoundaryScope, Probe, TraceEvent};
 
@@ -437,7 +437,6 @@ struct RegionScratch {
     queue: SliceQueue,
     deferred: Vec<Scheduled<Ev>>,
     log: Vec<Entry>,
-    ad_scratch: Vec<Advertisement>,
     moved_scratch: Vec<(u32, bool)>,
     events: u64,
     last_time: u64,
@@ -497,6 +496,8 @@ struct RegionTask<'a> {
 /// other.
 fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut RegionTask<'_>) {
     let base = task.matcher.base();
+    // The nodes every chunk of the task spans: ownership is a range check.
+    let owned = base..base + task.ads.len();
     let r = base / ctx.block;
     let mut rng = Rng::stream(ctx.seed, ctx.pass, REGION_STREAM_BASE + r as u64);
     while let Some(ev) = task.scratch.queue.pop_below(ctx.end) {
@@ -530,27 +531,13 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                         let epoch = now.epoch();
                         let own_ad = ctx.protocol.advertise(task.states.view(ui), epoch);
                         task.ads[ui - base] = own_ad;
-                        let neighbors = ctx.graph.neighbors(u);
-                        {
-                            let ads_live: &[Advertisement] = task.ads;
-                            let scr = &mut task.scratch.ad_scratch;
-                            scr.clear();
-                            scr.extend(neighbors.iter().map(|v| {
-                                let vi = v.index();
-                                if vi / ctx.block == r {
-                                    ads_live[vi - base]
-                                } else {
-                                    ctx.ads_snap[vi]
-                                }
-                            }));
-                        }
                         let node_ctx = NodeCtx {
                             id: u,
                             salt: epoch,
                             messages: task.states.view(ui),
                             own_ad,
-                            neighbors,
-                            neighbor_ads: &task.scratch.ad_scratch,
+                            neighbors: ctx.graph.neighbors(u),
+                            tags: Tags::split(task.ads, base, ctx.ads_snap),
                         };
                         match ctx.protocol.decide(&node_ctx, &mut rng) {
                             Intent::Idle => {
@@ -589,7 +576,7 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                     task.scratch.note(now);
                     continue; // the proposer died mid-flight
                 }
-                if to.index() / ctx.block != r {
+                if !owned.contains(&to.index()) {
                     // Cross-region acceptor: defer to the boundary sweep
                     // before consuming any randomness.
                     task.scratch.deferred.push(ev);
@@ -649,7 +636,7 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                     task.scratch.note(now);
                     continue; // the connection was severed by a death
                 }
-                if acceptor.index() / ctx.block != r {
+                if !owned.contains(&acceptor.index()) {
                     task.scratch.deferred.push(ev);
                     continue;
                 }
@@ -1336,6 +1323,23 @@ mod tests {
                 |&(t, _)| t,
             );
             assert_eq!(got, expected, "len {len} span {span}");
+        }
+    }
+
+    #[test]
+    fn region_ownership_by_range_equals_the_block_division() {
+        // `run_region`'s range over the chunks `execute_slice` carves must
+        // agree with `id / block == r` at both edges of every region.
+        for n in [1usize, 63, 64, 65, 1000, 14_400, 1_000_001] {
+            let block = n.div_ceil(EVENT_REGIONS);
+            for (r, chunk) in vec![(); n].chunks(block).enumerate() {
+                let base = r * block;
+                let owned = base..base + chunk.len();
+                let edges = [base.wrapping_sub(1), base, owned.end - 1, owned.end];
+                for id in edges.into_iter().filter(|&id| id < n) {
+                    assert_eq!(owned.contains(&id), id / block == r, "n {n} r {r} id {id}");
+                }
+            }
         }
     }
 
