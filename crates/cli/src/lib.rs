@@ -12,8 +12,8 @@
 //! only formats them.
 
 use gossip_experiments::{
-    join_errors, parse_spec, AssignmentDef, Axis, BenchScenario, Grid, ProtocolSpec, Scenario,
-    ScenarioBuilder, ASSIGNMENTS, DEFAULT_BENCH_ROUNDS,
+    effective_threads, join_errors, parse_spec, AssignmentDef, Axis, BenchScenario, Grid,
+    ProtocolSpec, Scenario, ScenarioBuilder, ASSIGNMENTS, DEFAULT_BENCH_ROUNDS,
 };
 
 /// Outcome of argument parsing: run a scenario sweep, expand and run a
@@ -75,6 +75,16 @@ pub const DEFAULT_SOAK_ITERATIONS: usize = 3;
 /// Default soak tolerance: a mean more than 20% below the baseline
 /// regresses.
 pub const DEFAULT_SOAK_TOLERANCE: f64 = 0.2;
+
+/// The warning an invocation owes the user when a scenario of it asks for
+/// more worker threads than the machine has — under either scheduler; the
+/// clamp costs throughput only, never results. One per invocation: that of
+/// the first over-subscribed scenario.
+pub fn thread_clamp_warning(scenarios: &[Scenario]) -> Option<String> {
+    scenarios
+        .iter()
+        .find_map(|scenario| effective_threads(scenario.scheduler.threads()).1)
+}
 
 /// Column where generated help text starts, matching the historical
 /// hand-written layout.
@@ -691,6 +701,26 @@ mod tests {
             scenario.scheduler,
             SchedulerSpec::Async { threads: 2, .. }
         ));
+    }
+
+    #[test]
+    fn over_subscribed_threads_warn_under_either_scheduler() {
+        let too_many = usize::MAX.to_string();
+        for scheduler in ["sync", "async"] {
+            let mut cells = vec![parse_run(&["--scheduler", scheduler, "--threads", "1"])];
+            assert_eq!(thread_clamp_warning(&cells), None);
+            cells.push(parse_run(&[
+                "--scheduler",
+                scheduler,
+                "--threads",
+                &too_many,
+            ]));
+            let warning = thread_clamp_warning(&cells)
+                .unwrap_or_else(|| panic!("{scheduler}: the clamp must not be silent"));
+            assert!(warning.contains("capping at"), "{warning}");
+            assert!(warning.contains(&too_many), "{warning}");
+        }
+        assert_eq!(thread_clamp_warning(&[]), None);
     }
 
     #[test]

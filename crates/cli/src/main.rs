@@ -1,8 +1,7 @@
-use gossip_cli::{parse_args, usage, Command};
+use gossip_cli::{parse_args, thread_clamp_warning, usage, Command};
 use gossip_experiments::{
-    bench_to_json, effective_threads, execute_grid, parse_baselines, read_checkpoint, run_bench,
-    soak_line_json, soak_one, verify_against, CellRecord, CheckpointWriter, Emitter, RunMeta,
-    Scenario, SchedulerSpec, SoakConfig,
+    bench_to_json, execute_grid, parse_baselines, read_checkpoint, run_bench, soak_line_json,
+    soak_one, verify_against, CellRecord, CheckpointWriter, Emitter, RunMeta, Scenario, SoakConfig,
 };
 use gossip_telemetry::analyze::Analyzer;
 use gossip_telemetry::TraceWriter;
@@ -67,16 +66,11 @@ fn run_and_emit(scenario: &Scenario, trace: Option<&str>) -> io::Result<()> {
     Ok(())
 }
 
-/// Warn (once) when a sync cell's requested thread count exceeds the
-/// machine and will be clamped — the same warning the serial path prints.
+/// Warn (once) when a scenario's requested thread count exceeds the
+/// machine and will be clamped.
 fn warn_thread_clamp(scenarios: &[Scenario]) {
-    for scenario in scenarios {
-        if let SchedulerSpec::Sync { threads } = scenario.scheduler {
-            if let (_, Some(warning)) = effective_threads(threads) {
-                eprintln!("warning: {warning}");
-                return;
-            }
-        }
+    if let Some(warning) = thread_clamp_warning(scenarios) {
+        eprintln!("warning: {warning}");
     }
 }
 
@@ -236,11 +230,7 @@ fn real_main() -> i32 {
             };
         }
         Command::Bench(bench) => {
-            if let SchedulerSpec::Sync { threads } = bench.scenario.scheduler {
-                if let (_, Some(warning)) = effective_threads(threads) {
-                    eprintln!("warning: {warning}");
-                }
-            }
+            warn_thread_clamp(std::slice::from_ref(&bench.scenario));
             let report = run_bench(&bench);
             writeln!(io::stdout(), "{}", bench_to_json(&report))
         }

@@ -7,7 +7,7 @@
 
 use gossip_cli::{parse_args, Command};
 use gossip_core::Rng;
-use gossip_experiments::{parse_spec, Scenario};
+use gossip_experiments::{parse_spec, Scenario, ASSIGNMENTS};
 
 fn parse_run(args: &[String]) -> Scenario {
     match parse_args(args) {
@@ -121,6 +121,22 @@ fn random_flags(rng: &mut Rng) -> Vec<String> {
         push("--fade-prob", pct(rng, 1, 90));
     }
 
+    if rng.gen_bool() {
+        push("--membership", "hyparview".to_string());
+        for knob in [
+            "--active-view",
+            "--passive-view",
+            "--shuffle-period",
+            "--probe-period",
+        ] {
+            if rng.gen_bool() {
+                push(knob, (1 + rng.gen_range(12)).to_string());
+            }
+        }
+    } else if rng.gen_bool() {
+        push("--membership", "full".to_string());
+    }
+
     let history = rng.gen_bool();
     if history {
         push("--history", String::new());
@@ -133,9 +149,20 @@ fn random_flags(rng: &mut Rng) -> Vec<String> {
 #[test]
 fn every_accepted_flag_combination_round_trips_through_spec_files() {
     let mut rng = Rng::new(0x5bec);
+    let mut drawn = std::collections::BTreeSet::new();
     for _ in 0..400 {
         let args = random_flags(&mut rng);
         assert_round_trips(&args);
+        drawn.extend(args.into_iter().filter(|arg| arg.starts_with("--")));
+    }
+    // The property covers the whole vocabulary: a new run row must join
+    // the generator.
+    for def in ASSIGNMENTS.iter().filter(|def| def.run) {
+        assert!(
+            drawn.contains(&format!("--{}", def.key)),
+            "random_flags never draws --{}",
+            def.key
+        );
     }
 }
 

@@ -436,10 +436,10 @@ pub enum PeerState {
 /// one batch, an asynchronous execution sees proposals *arrive* at their
 /// targets at different virtual times. `IncrementalMatcher` tracks every
 /// node's [`PeerState`] so that each arriving proposal can be resolved on
-/// the spot — [`try_connect`](Self::try_connect) succeeds exactly when the
-/// target is still listening and free — while the model's defining
-/// invariant holds at every instant: **a node is in at most one connection
-/// at a time**.
+/// the spot — [`try_connect`](MatcherChunk::try_connect) succeeds exactly
+/// when the target is still listening and free — while the model's
+/// defining invariant holds at every instant: **a node is in at most one
+/// connection at a time**.
 ///
 /// There is no rebound phase here: a failed proposer returns to its
 /// advertise/scan cycle and retries naturally in continuous time.
@@ -456,67 +456,14 @@ impl IncrementalMatcher {
         }
     }
 
-    /// Current state of `node`.
-    pub fn state(&self, node: NodeId) -> PeerState {
-        self.states[node.index()]
-    }
-
-    /// `Free → Listening`: the node starts accepting proposals.
-    pub fn listen(&mut self, node: NodeId) {
-        debug_assert_eq!(self.states[node.index()], PeerState::Free);
-        self.states[node.index()] = PeerState::Listening;
-    }
-
-    /// `Free → Proposing`: the node commits to a proposal in flight.
-    pub fn propose(&mut self, node: NodeId) {
-        debug_assert_eq!(self.states[node.index()], PeerState::Free);
-        self.states[node.index()] = PeerState::Proposing;
-    }
-
-    /// `Listening | Proposing → Free`: a listener re-entering its scan
-    /// cycle, or a proposer whose attempt failed.
-    pub fn cancel(&mut self, node: NodeId) {
-        debug_assert!(matches!(
-            self.states[node.index()],
-            PeerState::Listening | PeerState::Proposing
-        ));
-        self.states[node.index()] = PeerState::Free;
-    }
-
-    /// Resolve `initiator`'s arriving proposal against `acceptor`.
-    ///
-    /// Succeeds — moving both endpoints to [`PeerState::Connected`] — iff
-    /// the acceptor is currently listening and the pair is an edge of
-    /// `topology` *at arrival time*. The initiator must be
-    /// [`PeerState::Proposing`]; on failure it stays so (callers typically
-    /// [`cancel`](Self::cancel) it back into its scan cycle). A proposal
-    /// across a non-edge simply fails: under a dynamic topology the edge
-    /// may legitimately have vanished — endpoint died, link faded, node
-    /// moved — while the proposal was in flight.
-    pub fn try_connect<G: GraphView + ?Sized>(
-        &mut self,
-        topology: &G,
-        initiator: NodeId,
-        acceptor: NodeId,
-    ) -> bool {
-        debug_assert_eq!(self.states[initiator.index()], PeerState::Proposing);
-        if !topology.are_neighbors(initiator, acceptor)
-            || self.states[acceptor.index()] != PeerState::Listening
-        {
-            return false;
+    /// The chunk spanning every node (`base = 0`): how serial code — a
+    /// boundary sweep, a mutation drain — reaches the transitions, which
+    /// live on [`MatcherChunk`] only.
+    pub fn whole(&mut self) -> MatcherChunk<'_> {
+        MatcherChunk {
+            base: 0,
+            states: &mut self.states,
         }
-        self.states[initiator.index()] = PeerState::Connected;
-        self.states[acceptor.index()] = PeerState::Connected;
-        true
-    }
-
-    /// `Connected → Free` for both endpoints: the transfer finished and
-    /// the connection closed.
-    pub fn release(&mut self, a: NodeId, b: NodeId) {
-        debug_assert_eq!(self.states[a.index()], PeerState::Connected);
-        debug_assert_eq!(self.states[b.index()], PeerState::Connected);
-        self.states[a.index()] = PeerState::Free;
-        self.states[b.index()] = PeerState::Free;
     }
 
     /// Split the matcher into disjoint mutable blocks of `block`
@@ -524,9 +471,7 @@ impl IncrementalMatcher {
     /// region-parallel access pattern of the time-sliced event engine.
     /// Each [`MatcherChunk`] owns its nodes' states exclusively, so
     /// workers on different chunks resolve region-local events
-    /// concurrently in safe Rust; chunk methods take the same [`NodeId`]s
-    /// as their full-matcher counterparts and enforce the identical state
-    /// transitions.
+    /// concurrently in safe Rust; chunk methods take global [`NodeId`]s.
     pub fn region_chunks(&mut self, block: usize) -> impl Iterator<Item = MatcherChunk<'_>> {
         assert!(block > 0, "region block size must be non-zero");
         self.states
@@ -540,11 +485,13 @@ impl IncrementalMatcher {
 }
 
 /// Exclusive access to nodes `base..base + len` of an
-/// [`IncrementalMatcher`], produced by
-/// [`IncrementalMatcher::region_chunks`]. Every node passed to a chunk
-/// method must fall inside the chunk's range (debug-asserted) — the
-/// time-sliced event engine guarantees this by deferring events whose
-/// endpoints straddle regions to its serial boundary sweep.
+/// [`IncrementalMatcher`] — one region from
+/// [`region_chunks`](IncrementalMatcher::region_chunks), or all of it from
+/// [`whole`](IncrementalMatcher::whole) — and the only place the state
+/// transitions are written. Every node passed to a chunk method must fall
+/// inside the chunk's range (debug-asserted) — the time-sliced event
+/// engine guarantees this by deferring events whose endpoints straddle
+/// regions to its serial boundary sweep.
 pub struct MatcherChunk<'a> {
     base: usize,
     states: &'a mut [PeerState],
@@ -572,21 +519,22 @@ impl MatcherChunk<'_> {
         self.states[self.local(node)]
     }
 
-    /// `Free → Listening`; see [`IncrementalMatcher::listen`].
+    /// `Free → Listening`: the node starts accepting proposals.
     pub fn listen(&mut self, node: NodeId) {
         let l = self.local(node);
         debug_assert_eq!(self.states[l], PeerState::Free);
         self.states[l] = PeerState::Listening;
     }
 
-    /// `Free → Proposing`; see [`IncrementalMatcher::propose`].
+    /// `Free → Proposing`: the node commits to a proposal in flight.
     pub fn propose(&mut self, node: NodeId) {
         let l = self.local(node);
         debug_assert_eq!(self.states[l], PeerState::Free);
         self.states[l] = PeerState::Proposing;
     }
 
-    /// `Listening | Proposing → Free`; see [`IncrementalMatcher::cancel`].
+    /// `Listening | Proposing → Free`: a listener re-entering its scan
+    /// cycle, or a proposer whose attempt failed.
     pub fn cancel(&mut self, node: NodeId) {
         let l = self.local(node);
         debug_assert!(matches!(
@@ -597,7 +545,16 @@ impl MatcherChunk<'_> {
     }
 
     /// Resolve `initiator`'s arriving proposal against `acceptor`, both in
-    /// this chunk; see [`IncrementalMatcher::try_connect`].
+    /// this chunk.
+    ///
+    /// Succeeds — moving both endpoints to [`PeerState::Connected`] — iff
+    /// the acceptor is currently listening and the pair is an edge of
+    /// `topology` *at arrival time*. The initiator must be
+    /// [`PeerState::Proposing`]; on failure it stays so (callers typically
+    /// [`cancel`](Self::cancel) it back into its scan cycle). A proposal
+    /// across a non-edge simply fails: under a dynamic topology the edge
+    /// may legitimately have vanished — endpoint died, link faded, node
+    /// moved — while the proposal was in flight.
     pub fn try_connect<G: GraphView + ?Sized>(
         &mut self,
         topology: &G,
@@ -614,8 +571,8 @@ impl MatcherChunk<'_> {
         true
     }
 
-    /// `Connected → Free` for both endpoints; see
-    /// [`IncrementalMatcher::release`].
+    /// `Connected → Free` for both endpoints: the transfer finished and
+    /// the connection closed.
     pub fn release(&mut self, a: NodeId, b: NodeId) {
         let (la, lb) = (self.local(a), self.local(b));
         debug_assert_eq!(self.states[la], PeerState::Connected);
@@ -643,51 +600,6 @@ mod tests {
             }]
         );
         assert_eq!(res.dropped_proposals, 0);
-    }
-
-    #[test]
-    fn matcher_chunks_mirror_full_matcher_transitions() {
-        // 6-node ring split into blocks of 3: run the same transition
-        // sequence through chunked and full matchers and compare states.
-        let topo = Topology::ring(6);
-        let mut full = IncrementalMatcher::new(6);
-        let mut chunked = IncrementalMatcher::new(6);
-        {
-            let mut chunks: Vec<_> = chunked.region_chunks(3).collect();
-            assert_eq!(chunks.len(), 2);
-            assert_eq!(chunks[0].base(), 0);
-            assert_eq!(chunks[1].base(), 3);
-            // In-chunk pair 0-1 (block 0) and 4-5 (block 1).
-            chunks[0].listen(NodeId(1));
-            chunks[0].propose(NodeId(0));
-            assert!(chunks[0].try_connect(&topo, NodeId(0), NodeId(1)));
-            chunks[1].listen(NodeId(4));
-            chunks[1].propose(NodeId(5));
-            assert!(chunks[1].try_connect(&topo, NodeId(5), NodeId(4)));
-            chunks[1].release(NodeId(5), NodeId(4));
-            // Failed proposal: node 3 proposes to idle node 4 (now Free).
-            chunks[1].propose(NodeId(3));
-            assert!(!chunks[1].try_connect(&topo, NodeId(3), NodeId(4)));
-            chunks[1].cancel(NodeId(3));
-            assert_eq!(chunks[0].state(NodeId(0)), PeerState::Connected);
-            assert_eq!(chunks[1].state(NodeId(3)), PeerState::Free);
-        }
-        full.listen(NodeId(1));
-        full.propose(NodeId(0));
-        assert!(full.try_connect(&topo, NodeId(0), NodeId(1)));
-        full.listen(NodeId(4));
-        full.propose(NodeId(5));
-        assert!(full.try_connect(&topo, NodeId(5), NodeId(4)));
-        full.release(NodeId(5), NodeId(4));
-        full.propose(NodeId(3));
-        assert!(!full.try_connect(&topo, NodeId(3), NodeId(4)));
-        full.cancel(NodeId(3));
-        for u in 0..6 {
-            assert_eq!(
-                chunked.state(NodeId(u as u32)),
-                full.state(NodeId(u as u32))
-            );
-        }
     }
 
     #[test]
@@ -797,7 +709,8 @@ mod tests {
     #[test]
     fn incremental_connect_requires_a_free_listener() {
         let topo = Topology::line(3);
-        let mut m = IncrementalMatcher::new(3);
+        let mut matcher = IncrementalMatcher::new(3);
+        let mut m = matcher.whole();
         m.propose(NodeId(0));
         // Target idle: the proposal is lost.
         assert!(!m.try_connect(&topo, NodeId(0), NodeId(1)));
@@ -814,7 +727,8 @@ mod tests {
         // Both ends of a 3-line propose to the middle listener; only the
         // first arriving proposal may connect.
         let topo = Topology::line(3);
-        let mut m = IncrementalMatcher::new(3);
+        let mut matcher = IncrementalMatcher::new(3);
+        let mut m = matcher.whole();
         m.listen(NodeId(1));
         m.propose(NodeId(0));
         m.propose(NodeId(2));
@@ -828,7 +742,8 @@ mod tests {
     #[test]
     fn incremental_release_frees_both_endpoints() {
         let topo = Topology::line(2);
-        let mut m = IncrementalMatcher::new(2);
+        let mut matcher = IncrementalMatcher::new(2);
+        let mut m = matcher.whole();
         m.listen(NodeId(1));
         m.propose(NodeId(0));
         assert!(m.try_connect(&topo, NodeId(0), NodeId(1)));
@@ -847,7 +762,8 @@ mod tests {
         // arriving proposals fail — exactly the mutual-proposal loss the
         // batch resolver models.
         let topo = Topology::line(2);
-        let mut m = IncrementalMatcher::new(2);
+        let mut matcher = IncrementalMatcher::new(2);
+        let mut m = matcher.whole();
         m.propose(NodeId(0));
         m.propose(NodeId(1));
         assert!(!m.try_connect(&topo, NodeId(0), NodeId(1)));

@@ -400,63 +400,6 @@ impl MessageMatrix {
         self.counts[u] = 0;
     }
 
-    /// The push-pull transfer over a connection: both rows become their
-    /// union. Returns the total number of messages that moved (in both
-    /// directions together).
-    pub fn union_pair(&mut self, i: usize, j: usize) -> usize {
-        self.union_pair_stats(i, j).moved
-    }
-
-    /// [`union_pair`](Self::union_pair) with the full per-pair stats.
-    pub fn union_pair_stats(&mut self, i: usize, j: usize) -> TransferStats {
-        assert_ne!(i, j, "a connection cannot join a node to itself");
-        let stride = self.stride;
-        let (lo, hi) = (i.min(j), i.max(j));
-        let (head, tail) = self.words.split_at_mut(hi * stride);
-        let (counts_head, counts_tail) = self.counts.split_at_mut(hi);
-        union_rows(
-            &mut head[lo * stride..(lo + 1) * stride],
-            &mut tail[..stride],
-            &mut counts_head[lo],
-            &mut counts_tail[0],
-            self.universe,
-        )
-    }
-
-    /// [`union_pair_stats`](Self::union_pair_stats) that also appends every
-    /// moved message to `moved` as `(message id, moved i → j)`, in
-    /// ascending message-id order — the traced-transfer primitive probes
-    /// consume. Identical union and stats to the untraced form.
-    pub fn union_pair_stats_traced(
-        &mut self,
-        i: usize,
-        j: usize,
-        moved: &mut Vec<(u32, bool)>,
-    ) -> TransferStats {
-        assert_ne!(i, j, "a connection cannot join a node to itself");
-        let stride = self.stride;
-        let (lo, hi) = (i.min(j), i.max(j));
-        let (head, tail) = self.words.split_at_mut(hi * stride);
-        let (counts_head, counts_tail) = self.counts.split_at_mut(hi);
-        let start = moved.len();
-        let stats = union_rows_traced(
-            &mut head[lo * stride..(lo + 1) * stride],
-            &mut tail[..stride],
-            &mut counts_head[lo],
-            &mut counts_tail[0],
-            self.universe,
-            moved,
-        );
-        // The core reports lo → hi direction; flip when the caller's `i`
-        // is the hi row.
-        if i > j {
-            for m in &mut moved[start..] {
-                m.1 = !m.1;
-            }
-        }
-        stats
-    }
-
     /// The whole transfer phase of a round: every connection's row pair
     /// becomes its union, sharded over up to `threads` workers, returning
     /// the summed [`TransferStats`].
@@ -492,9 +435,10 @@ impl MessageMatrix {
         const PAR_MIN_PAIRS: usize = 512;
         let threads = threads.clamp(1, pairs.len().max(1));
         if threads == 1 || pairs.len() < PAR_MIN_PAIRS {
+            let mut rows = self.whole();
             let mut total = TransferStats::default();
             for c in pairs {
-                total += self.union_pair_stats(c.initiator.index(), c.acceptor.index());
+                total += rows.union_pair_stats(c.initiator.index(), c.acceptor.index());
             }
             return total;
         }
@@ -569,13 +513,24 @@ impl MessageMatrix {
         total
     }
 
+    /// The chunk spanning every row (`base = 0`): how serial code reaches
+    /// the pair unions, which live on [`MatrixChunk`] only.
+    pub fn whole(&mut self) -> MatrixChunk<'_> {
+        MatrixChunk {
+            base: 0,
+            words: &mut self.words,
+            counts: &mut self.counts,
+            universe: self.universe,
+            stride: self.stride,
+        }
+    }
+
     /// Split the matrix into disjoint mutable blocks of `block` contiguous
     /// rows each (the last block may be shorter) — the region-parallel
     /// access pattern of the time-sliced event engine. Each
     /// [`MatrixChunk`] owns its rows exclusively, so workers on different
     /// chunks mutate concurrently in safe Rust; chunk methods take
-    /// **global** row indices so call sites read like their full-matrix
-    /// counterparts.
+    /// **global** row indices.
     pub fn region_chunks(&mut self, block: usize) -> impl Iterator<Item = MatrixChunk<'_>> {
         assert!(block > 0, "region block size must be non-zero");
         let stride = self.stride;
@@ -605,8 +560,9 @@ impl MessageMatrix {
     }
 }
 
-/// Exclusive access to rows `base..base + len` of a [`MessageMatrix`],
-/// produced by [`MessageMatrix::region_chunks`]. All row indices passed to
+/// Exclusive access to rows `base..base + len` of a [`MessageMatrix`] —
+/// one region from [`region_chunks`](MessageMatrix::region_chunks), or all
+/// of it from [`whole`](MessageMatrix::whole). All row indices passed to
 /// chunk methods are **global** node indices and must fall inside the
 /// chunk's range (debug-asserted).
 pub struct MatrixChunk<'a> {
@@ -652,9 +608,8 @@ impl MatrixChunk<'_> {
         self.counts[self.local(u)] as usize == self.universe
     }
 
-    /// The push-pull transfer between two rows of this chunk (both become
-    /// their union), with per-pair stats — the in-region counterpart of
-    /// [`MessageMatrix::union_pair_stats`].
+    /// The push-pull transfer between two rows of this chunk: both become
+    /// their union. Returns the per-pair stats.
     pub fn union_pair_stats(&mut self, i: usize, j: usize) -> TransferStats {
         assert_ne!(i, j, "a connection cannot join a node to itself");
         let (li, lj) = (self.local(i), self.local(j));
@@ -671,9 +626,10 @@ impl MatrixChunk<'_> {
         )
     }
 
-    /// The in-region counterpart of
-    /// [`MessageMatrix::union_pair_stats_traced`]: same union and stats,
-    /// plus every moved message as `(message id, moved i → j)`.
+    /// [`union_pair_stats`](Self::union_pair_stats) that also appends every
+    /// moved message to `moved` as `(message id, moved i → j)`, in
+    /// ascending message-id order — the traced-transfer primitive probes
+    /// consume. Identical union and stats to the untraced form.
     pub fn union_pair_stats_traced(
         &mut self,
         i: usize,
@@ -695,6 +651,8 @@ impl MatrixChunk<'_> {
             self.universe,
             moved,
         );
+        // The core reports lo → hi direction; flip when the caller's `i`
+        // is the hi row.
         if i > j {
             for m in &mut moved[start..] {
                 m.1 = !m.1;
@@ -803,10 +761,14 @@ mod tests {
         m.insert(1, 100);
         m.insert(1, 129);
         // 0 gains 129, 1 gains 0: two messages moved in total.
-        assert_eq!(m.union_pair(0, 1), 2);
+        assert_eq!(m.whole().union_pair_stats(0, 1).moved, 2);
         assert_eq!(m.count(0), 3);
         assert_eq!(m.count(1), 3);
-        assert_eq!(m.union_pair(1, 0), 0, "re-union moves nothing");
+        assert_eq!(
+            m.whole().union_pair_stats(1, 0).moved,
+            0,
+            "re-union moves nothing"
+        );
     }
 
     #[test]
@@ -891,7 +853,7 @@ mod tests {
             let (i, j) = (c.initiator.index(), c.acceptor.index());
             let before_i = serial.is_full(i);
             let before_j = serial.is_full(j);
-            let m = serial.union_pair(i, j);
+            let m = serial.whole().union_pair_stats(i, j).moved;
             moved += m;
             productive += (m > 0) as usize;
             newly_full += (serial.is_full(i) && !before_i) as usize;
@@ -922,32 +884,17 @@ mod tests {
         m.insert(1, 129);
         let mut untraced = m.clone();
         let mut moved = Vec::new();
-        let stats = m.union_pair_stats_traced(1, 0, &mut moved);
-        assert_eq!(stats, untraced.union_pair_stats(1, 0));
+        let stats = m.whole().union_pair_stats_traced(1, 0, &mut moved);
+        assert_eq!(stats, untraced.whole().union_pair_stats(1, 0));
         assert_eq!(m, untraced, "tracing must not change the union");
         // Ascending message order; direction is relative to (i=1, j=0):
         // message 0 moves 0→1 (false), 129 moves 1→0 (true).
         assert_eq!(moved, vec![(0, false), (129, true)]);
         // Re-union moves nothing and appends nothing.
         moved.clear();
-        let stats = m.union_pair_stats_traced(0, 1, &mut moved);
+        let stats = m.whole().union_pair_stats_traced(0, 1, &mut moved);
         assert_eq!(stats, TransferStats::default());
         assert!(moved.is_empty());
-    }
-
-    #[test]
-    fn chunk_traced_union_matches_full_matrix() {
-        let (mut m, _) = transfer_fixture(10);
-        let mut full = m.clone();
-        let mut moved_full = Vec::new();
-        let full_stats = full.union_pair_stats_traced(6, 5, &mut moved_full);
-        let mut chunks: Vec<_> = m.region_chunks(4).collect();
-        let mut moved_chunk = Vec::new();
-        let chunk_stats = chunks[1].union_pair_stats_traced(6, 5, &mut moved_chunk);
-        drop(chunks);
-        assert_eq!(chunk_stats, full_stats);
-        assert_eq!(moved_chunk, moved_full);
-        assert_eq!(m, full);
     }
 
     #[test]
@@ -993,28 +940,6 @@ mod tests {
             },
         ];
         m.union_pairs_parallel(&overlapping, 2);
-    }
-
-    #[test]
-    fn region_chunks_mirror_full_matrix_operations() {
-        // 10 rows split into blocks of 4 → chunks of 4, 4, 2 rows.
-        let (mut m, _) = transfer_fixture(10);
-        let reference = m.clone();
-        let mut chunks: Vec<_> = m.region_chunks(4).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[2].base(), 8);
-        for u in 0..10 {
-            let c = &chunks[u / 4];
-            assert_eq!(c.view(u).fingerprint(), reference.view(u).fingerprint());
-            assert_eq!(c.is_full(u), reference.is_full(u));
-        }
-        // An in-chunk union matches the full-matrix union byte for byte.
-        let stats = chunks[1].union_pair_stats(5, 6);
-        drop(chunks);
-        let mut expect = reference.clone();
-        let expect_stats = expect.union_pair_stats(5, 6);
-        assert_eq!(stats, expect_stats);
-        assert_eq!(m, expect);
     }
 
     #[test]

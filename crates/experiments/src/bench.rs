@@ -22,8 +22,10 @@ use std::time::Instant;
 /// balance summary (plus, for sync, the confined/boundary proposal
 /// split of the sharded resolver); version 4 appended `drain` and
 /// `membership` to the sync line's `phase_ms` (async lines changed only
-/// in this stamp, so version-3 async baselines still read).
-pub const BENCH_SCHEMA_VERSION: u64 = 4;
+/// in this stamp); version 5 added `spec`, the scenario's
+/// [`to_spec`](Scenario::to_spec) text, which is what `soak` replays a
+/// line from.
+pub const BENCH_SCHEMA_VERSION: u64 = 5;
 
 /// One bench invocation: a [`Scenario`] (built by the same
 /// [`ScenarioBuilder`](crate::ScenarioBuilder) as every other front-end,
@@ -46,6 +48,9 @@ pub const DEFAULT_BENCH_ROUNDS: usize = 64;
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchReport {
     pub scenario_id: String,
+    /// The scenario as [`Scenario::to_spec`] writes it: everything needed
+    /// to run this bench again, execution knobs included.
+    pub spec: String,
     pub topology: String,
     pub nodes: usize,
     pub protocol: String,
@@ -230,6 +235,7 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
     let secs = wall.as_secs_f64().max(1e-9);
     BenchReport {
         scenario_id: scenario.scenario_id(),
+        spec: scenario.to_spec(),
         topology: result.topology.clone(),
         nodes: scenario.nodes,
         protocol: scenario.protocol.name().to_string(),
@@ -295,8 +301,9 @@ impl BenchReport {
 }
 
 /// Serialize a bench report as one JSON line, shaped for appending to
-/// `BENCH_*.json` trajectory files. Versioned by [`BENCH_SCHEMA_VERSION`]
-/// and stamped with the same `scenario_id` as run/grid lines.
+/// `BENCH_*.json` trajectory files. Versioned by [`BENCH_SCHEMA_VERSION`],
+/// stamped with the same `scenario_id` as run/grid lines, and replayable
+/// from its own `spec` field.
 pub fn bench_to_json(report: &BenchReport) -> String {
     let mut out = String::with_capacity(640);
     out.push('{');
@@ -305,6 +312,8 @@ pub fn bench_to_json(report: &BenchReport) -> String {
     json_str(&mut out, "bench", report.phases.bench_name());
     out.push(',');
     json_str(&mut out, "scenario_id", &report.scenario_id);
+    out.push(',');
+    json_str(&mut out, "spec", &report.spec);
     out.push(',');
     json_str(&mut out, "topology", &report.topology);
     out.push(',');
@@ -413,9 +422,10 @@ mod tests {
         assert_eq!(report.region_load.regions, 63, "2000 nodes -> 63 regions");
         let json = bench_to_json(&report);
         for key in [
-            "\"schema\":4",
+            "\"schema\":5",
             "\"bench\":\"sync_round_loop\"",
             "\"scenario_id\":\"ring-advert-sync-n2000-k1-s5\"",
+            "\"spec\":\"[scenario]\\ntopology = ring\\nnodes = 2000\\n",
             "\"topology\":\"ring\"",
             "\"nodes\":2000",
             "\"threads\":1",
@@ -486,7 +496,7 @@ mod tests {
 
         let json = bench_to_json(&report);
         for key in [
-            "\"schema\":4",
+            "\"schema\":5",
             "\"bench\":\"async_event_loop\"",
             "\"phase_ms\":{\"execute\":",
             "\"merge\":",

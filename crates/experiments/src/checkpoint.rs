@@ -19,15 +19,16 @@
 //!   resumed sweep.
 //! - **Verification** ([`verify_against`]): before any cell is skipped,
 //!   every record is checked against the expanded grid — index in range,
-//!   `scenario_id` and seed matching that cell, one line per sweep seed,
-//!   no duplicates — so resuming with the wrong spec file (or a stale
-//!   checkpoint) fails loudly instead of splicing mismatched results.
+//!   `scenario_id` and seed matching that cell, one line per sweep seed
+//!   in the shape the cell's `[output]` asks for, no duplicates — so
+//!   resuming with the wrong spec file (or a stale checkpoint) fails
+//!   loudly instead of splicing mismatched results.
 //!
 //! Because records carry the cell's rendered output lines, `--resume`
 //! replays completed cells byte-for-byte: the resumed run's stdout is
 //! identical to an uninterrupted run's, which is the property CI enforces.
 
-use crate::spec::Scenario;
+use crate::spec::{OutputFormat, OutputSpec, Scenario};
 use gossip_telemetry::json::{self, Value};
 
 use std::fs::{File, OpenOptions};
@@ -239,10 +240,20 @@ pub fn parse_checkpoint(text: &str) -> Result<Checkpoint, String> {
     Ok(Checkpoint { records, torn_tail })
 }
 
+/// Does a recorded stdout line have the shape `output` asks for? The
+/// output knobs are outside the `scenario_id`, so this is the only check
+/// that sees a `format` or `history` changed between the checkpointed run
+/// and the resume: JSON lines open with `{` and CSV rows never do, and
+/// exactly the history lines carry a `"rounds":[` array.
+fn has_shape(line: &str, output: &OutputSpec) -> bool {
+    line.starts_with('{') == (output.format == OutputFormat::Json)
+        && line.contains("\"rounds\":[") == output.history
+}
+
 /// Verify records against the expanded grid and slot them by cell index.
 /// Returns one `Option<CellRecord>` per grid cell (`Some` = completed,
 /// skip and replay), or a message naming the first mismatch — wrong grid,
-/// stale spec, duplicate record, wrong sweep width.
+/// stale spec, duplicate record, wrong sweep width, wrong output shape.
 pub fn verify_against(
     records: Vec<CellRecord>,
     scenarios: &[Scenario],
@@ -277,6 +288,19 @@ pub fn verify_against(
                 record.cell,
                 record.lines.len(),
                 scenario.seeds
+            ));
+        }
+        if !record
+            .lines
+            .iter()
+            .all(|line| has_shape(line, &scenario.output))
+        {
+            return Err(format!(
+                "cell {}: checkpoint lines are not what [output] format = {}, history = {} \
+                 prints (was [output] changed since the checkpoint was written?)",
+                record.cell,
+                scenario.output.format.name(),
+                scenario.output.history,
             ));
         }
         let cell = record.cell;
@@ -321,6 +345,15 @@ mod tests {
         let line = record.to_json();
         assert!(!line.contains('\n'), "records must be line-oriented");
         assert_eq!(CellRecord::parse(&line).unwrap(), record);
+        // Seeds are `u64`: past 2^53 an `f64` would round them, and the
+        // resume would refuse its own checkpoint.
+        for seed in [(1 << 53) + 1, u64::MAX] {
+            let record = CellRecord {
+                seed,
+                ..record.clone()
+            };
+            assert_eq!(CellRecord::parse(&record.to_json()).unwrap(), record);
+        }
     }
 
     #[test]
@@ -357,6 +390,10 @@ mod tests {
         let garbage = format!("{a}\nxyzzy\n{b}\n");
         let err = parse_checkpoint(&garbage).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        // So is a bottomless line: an error, not a stack overflow.
+        let bottomless = format!("{a}\n{}\n", "[".repeat(2_000_000));
+        let err = parse_checkpoint(&bottomless).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("nesting"), "{err}");
 
         // A clean file parses fully; a last line merely missing its
         // newline but parsing fine is accepted, not treated as torn.
@@ -384,7 +421,7 @@ mod tests {
             scenario_id: cells[1].scenario_id(),
             seed: 8,
             wall_ms: 1,
-            lines: vec!["line".to_string()],
+            lines: vec!["{\"line\":1}".to_string()],
         };
         let slots = verify_against(vec![good.clone()], &cells).unwrap();
         assert_eq!(slots.len(), 3);
@@ -414,7 +451,7 @@ mod tests {
 
         // Wrong sweep width.
         let mut bad = good.clone();
-        bad.lines.push("extra".to_string());
+        bad.lines.push("{\"extra\":1}".to_string());
         assert!(verify_against(vec![bad], &cells)
             .unwrap_err()
             .contains("2 output line(s)"));
@@ -423,5 +460,48 @@ mod tests {
         assert!(verify_against(vec![good.clone(), good], &cells)
             .unwrap_err()
             .contains("twice"));
+    }
+
+    #[test]
+    fn verification_refuses_lines_of_another_output_shape() {
+        // `format` and `history` are outside the scenario_id, so only the
+        // recorded lines themselves can tell that the resume asks for a
+        // different [output] than the checkpointed run printed.
+        let cell_with = |format: &str, history: &str| {
+            let mut b = ScenarioBuilder::new();
+            b.set("nodes", "24")
+                .set("format", format)
+                .set("history", history);
+            b.finish().unwrap()
+        };
+        let shapes = [
+            cell_with("json", "false"),
+            cell_with("json", "true"),
+            cell_with("csv", "false"),
+        ];
+        for recorded in &shapes {
+            let output = crate::run_cell(recorded);
+            for resumed in &shapes {
+                let record = CellRecord {
+                    cell: 0,
+                    scenario_id: recorded.scenario_id(),
+                    seed: recorded.seed,
+                    wall_ms: output.wall_ms,
+                    lines: output.lines.clone(),
+                };
+                let verdict = verify_against(vec![record], std::slice::from_ref(resumed));
+                if recorded == resumed {
+                    assert!(verdict.is_ok(), "{verdict:?}");
+                } else {
+                    let err = verdict.unwrap_err();
+                    let asked = format!(
+                        "cell 0: checkpoint lines are not what [output] format = {}, history = {} ",
+                        resumed.output.format.name(),
+                        resumed.output.history,
+                    );
+                    assert!(err.starts_with(&asked), "{err}");
+                }
+            }
+        }
     }
 }

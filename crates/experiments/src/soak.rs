@@ -5,8 +5,8 @@
 //! one JSON line per captured bench run. Those numbers rot silently: a
 //! perf regression that slips into the round loop shows up in nobody's
 //! unit test. `soak` closes the loop deterministically on the *scenario*
-//! side (what runs is reconstructed exactly from the baseline line; a
-//! self-check compares scenario ids) and statistically on the *timing*
+//! side (what runs is rebuilt from the baseline line's own `spec` field;
+//! a self-check compares scenario ids) and statistically on the *timing*
 //! side (N iterations, mean/min/stddev, a relative tolerance absorbing
 //! machine noise).
 //!
@@ -18,7 +18,8 @@
 //! the min is still reported for eyeballing variance.
 
 use crate::bench::{run_bench, BenchScenario, EnginePhases};
-use crate::spec::{join_errors, Scenario, ScenarioBuilder};
+use crate::spec::{join_errors, Scenario};
+use crate::specfile::parse_spec;
 use gossip_telemetry::json::{self, fmt_f64};
 
 /// Version of the emitted soak line format.
@@ -127,29 +128,12 @@ pub fn soak_one(baseline: &Baseline, config: &SoakConfig) -> SoakOutcome {
     )
 }
 
-/// Parse the async timing segment of a scenario id —
-/// `async@d{drift}j{jitter}l{min}:{max}` — back into its four numbers.
-fn parse_async_timing(id: &str) -> Option<(f64, f64, u64, u64)> {
-    let rest = &id[id.find("-async@d")? + "-async@d".len()..];
-    let (drift, rest) = rest.split_once('j')?;
-    let (jitter, rest) = rest.split_once('l')?;
-    let (min, rest) = rest.split_once(':')?;
-    let max = rest.split('-').next()?;
-    Some((
-        drift.parse().ok()?,
-        jitter.parse().ok()?,
-        min.parse().ok()?,
-        max.parse().ok()?,
-    ))
-}
-
-/// Reconstruct the bench invocation a baseline line describes. The
-/// builder is fed from the line's structured fields (topology, nodes,
-/// protocol, messages, seed, threads, round budget) plus the async timing
-/// parsed back out of the `scenario_id`; the reconstruction is then
-/// verified by re-deriving the id — any field the line does not carry
-/// (an rgg radius, dynamics) surfaces as a loud mismatch instead of a
-/// silently different benchmark.
+/// Rebuild the bench invocation a baseline line describes: the scenario
+/// from the line's own `spec` (what [`Scenario::to_spec`] wrote when the
+/// line was captured, read by the spec parser like any spec file), the
+/// round budget from `round_budget`. The rebuilt scenario must re-derive
+/// the recorded `scenario_id` — a line whose two halves disagree would
+/// gate a different benchmark than the one it names.
 pub fn parse_baseline_line(line: &str) -> Result<Baseline, String> {
     let value = json::parse(line).map_err(|e| format!("not a JSON bench line: {e}"))?;
     let field = |key: &str| {
@@ -162,15 +146,9 @@ pub fn parse_baseline_line(line: &str) -> Result<Baseline, String> {
             .as_str()
             .ok_or_else(|| format!("field '{key}' is not a string"))
     };
-    let num_field = |key: &str| -> Result<u64, String> {
-        field(key)?
-            .as_u64()
-            .ok_or_else(|| format!("field '{key}' is not an integer"))
-    };
 
     let scenario_id = str_field("scenario_id")?.to_string();
-    let bench_kind = str_field("bench")?;
-    let metric = match bench_kind {
+    let metric = match str_field("bench")? {
         "async_event_loop" => "events_per_sec",
         "sync_round_loop" => "node_events_per_sec",
         other => return Err(format!("unknown bench kind '{other}'")),
@@ -178,48 +156,27 @@ pub fn parse_baseline_line(line: &str) -> Result<Baseline, String> {
     let value_recorded = field(metric)?
         .as_f64()
         .ok_or_else(|| format!("field '{metric}' is not a number"))?;
+    let rounds = field("round_budget")?
+        .as_u64()
+        .ok_or("field 'round_budget' is not an integer")? as usize;
 
-    let mut builder = ScenarioBuilder::new();
-    builder
-        .set("topology", str_field("topology")?)
-        .set("nodes", &num_field("nodes")?.to_string())
-        .set("protocol", str_field("protocol")?)
-        .set("messages", &num_field("messages")?.to_string())
-        .set("seed", &num_field("seed")?.to_string())
-        .set("threads", &num_field("threads")?.to_string());
-    if let Some(rest) = scenario_id.strip_prefix("rgg@r") {
-        let radius = rest.split('-').next().unwrap_or_default();
-        builder.set("radius", radius);
-    }
-    if bench_kind == "async_event_loop" {
-        let (drift, jitter, min, max) = parse_async_timing(&scenario_id).ok_or_else(|| {
-            format!("cannot parse async timing out of scenario_id '{scenario_id}'")
-        })?;
-        builder
-            .set("scheduler", "async")
-            .set("drift", &drift.to_string())
-            .set("refresh-jitter", &jitter.to_string())
-            .set("min-latency", &min.to_string())
-            .set("max-latency", &max.to_string());
-    }
-    let scenario: Scenario = builder.finish().map_err(|e| join_errors(&e))?;
+    let cells = parse_spec(str_field("spec")?)
+        .map_err(|e| join_errors(&e))?
+        .expand()
+        .map_err(|e| e.to_string())?;
+    let [scenario] = <[Scenario; 1]>::try_from(cells)
+        .map_err(|cells| format!("field 'spec' expands to {} scenarios", cells.len()))?;
 
-    // The self-check: a reconstruction that does not re-derive the
-    // recorded id is benchmarking something else.
     let derived = scenario.scenario_id();
     if derived != scenario_id {
         return Err(format!(
             "cannot reconstruct this baseline: its scenario_id is '{scenario_id}' \
-             but the line's fields rebuild '{derived}' \
-             (dynamics and capped scenarios are not soak-able)"
+             but its spec rebuilds '{derived}'"
         ));
     }
 
     Ok(Baseline {
-        bench: BenchScenario {
-            scenario,
-            rounds: num_field("round_budget")? as usize,
-        },
+        bench: BenchScenario { scenario, rounds },
         scenario_id,
         metric,
         value: value_recorded,
@@ -265,7 +222,8 @@ pub fn parse_baselines(text: &str) -> Result<(Vec<Baseline>, Vec<String>), Strin
 mod tests {
     use super::*;
     use crate::bench::bench_to_json;
-    use crate::spec::{ProtocolSpec, SchedulerSpec};
+    use crate::spec::{MembershipSpec, ProtocolSpec, SchedulerSpec, TopologySpec};
+    use gossip_dynamics::RejoinPolicy;
 
     #[test]
     fn summarize_applies_the_tolerance_to_the_mean() {
@@ -355,6 +313,61 @@ mod tests {
     }
 
     #[test]
+    fn any_scenario_a_bench_line_names_is_a_baseline() {
+        // Everything the structured fields of a bench line never carried:
+        // churn, a round cap, a fixed rgg radius, the membership overlay,
+        // a thread count past the machine's clamp.
+        let bench = BenchScenario {
+            scenario: Scenario::builder()
+                .topology(TopologySpec::Rgg { radius: Some(0.3) })
+                .nodes(48)
+                .protocol(ProtocolSpec::Advert)
+                .sync_scheduler(4096)
+                .churn(0.05, RejoinPolicy::Lose)
+                .membership(MembershipSpec::HyParView {
+                    active: 4,
+                    passive: 12,
+                    shuffle_period: 2,
+                    probe_period: 3,
+                })
+                .max_rounds(6)
+                .seed(11)
+                .finish()
+                .unwrap(),
+            rounds: 6,
+        };
+        let line = bench_to_json(&run_bench(&bench));
+        let baseline = parse_baseline_line(&line).unwrap();
+        assert_eq!(baseline.bench, bench);
+        assert_eq!(
+            baseline.scenario_id,
+            "rgg@r0.3-advert-sync-n48-k1-cap6-churn0.05:lose-mem@a4p12sh2pr3-s11"
+        );
+
+        // The id self-check still holds: a spec edited away from the id
+        // it sits next to is refused.
+        for lying in [
+            line.replace("seed = 11", "seed = 12"),
+            line.replace("rejoin = lose", "rejoin = keep"),
+        ] {
+            let err = parse_baseline_line(&lying).unwrap_err();
+            assert!(err.contains("cannot reconstruct"), "{err}");
+        }
+        // A spec is read by the spec parser, with its errors.
+        let err = parse_baseline_line(&line.replace("nodes = 48", "nodes = 0")).unwrap_err();
+        assert!(err.contains("nodes: must be at least 1"), "{err}");
+        let gridded = line.replace("[output]", "[axis]\\nseed = 1, 2\\n[output]");
+        let err = parse_baseline_line(&gridded).unwrap_err();
+        assert!(err.contains("expands to 2 scenarios"), "{err}");
+        // No fallback for a pre-schema-5 line.
+        let bare = line.replacen("\"spec\":", "\"was_spec\":", 1);
+        assert_eq!(
+            parse_baseline_line(&bare).unwrap_err(),
+            "missing field 'spec'"
+        );
+    }
+
+    #[test]
     fn duplicate_scenario_ids_warn_and_keep_the_newest() {
         let bench = BenchScenario {
             scenario: Scenario::builder().nodes(32).seed(3).finish().unwrap(),
@@ -392,7 +405,7 @@ mod tests {
         for empty in ["", "\n  \n"] {
             assert_eq!(parse_baselines(empty).unwrap_err(), "holds no baseline");
         }
-        // A bench line whose fields cannot rebuild its id is refused.
+        // A bench line whose spec does not rebuild its id is refused.
         let bench = BenchScenario {
             scenario: Scenario::builder().nodes(32).seed(3).finish().unwrap(),
             rounds: 4,

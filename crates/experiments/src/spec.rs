@@ -7,11 +7,14 @@
 //! grids, future Byzantine/tag-budget axes) extends the space by adding
 //! variants, not by teaching every front-end a new magic string.
 //!
-//! Construction goes through [`ScenarioBuilder`], which accepts both typed
-//! setters and stringly `key = value` assignments (the shared vocabulary of
-//! CLI flags, spec files, and grid axes — see [`ASSIGNMENTS`]) and
-//! **accumulates** structured [`SpecError`]s instead of failing on the
-//! first problem, so a user fixing a spec sees every mistake at once.
+//! Construction goes through [`ScenarioBuilder`], which takes `key =
+//! value` assignments — the shared vocabulary of CLI flags, spec files,
+//! and grid axes — and **accumulates** structured [`SpecError`]s instead
+//! of failing on the first problem, so a user fixing a spec sees every
+//! mistake at once. A key is one row of [`ASSIGNMENTS`]: its help text,
+//! how its value is parsed and range-checked, and how
+//! [`Scenario::to_spec`] writes it back; the builder's typed setters are
+//! sugar over the same rows.
 
 use gossip_core::{NodeId, RggGeometry, Rng, TimingConfig, Topology};
 use gossip_dynamics::{
@@ -251,26 +254,33 @@ impl SchedulerSpec {
         }
     }
 
+    /// Worker threads requested, before the [`effective_threads`] clamp.
+    pub fn threads(&self) -> usize {
+        match self {
+            SchedulerSpec::Sync { threads } | SchedulerSpec::Async { threads, .. } => *threads,
+        }
+    }
+
     /// Worker threads this spec will actually run with, after the
     /// [`effective_threads`] clamp.
     pub fn effective_threads(&self) -> usize {
+        effective_threads(self.threads()).0
+    }
+
+    /// The async timing model; `None` under the sync scheduler.
+    fn timing(&self) -> Option<&TimingConfig> {
         match self {
-            SchedulerSpec::Sync { threads } | SchedulerSpec::Async { threads, .. } => {
-                effective_threads(*threads).0
-            }
+            SchedulerSpec::Sync { .. } => None,
+            SchedulerSpec::Async { timing, .. } => Some(timing),
         }
     }
 
     /// Instantiate the scheduler (thread count clamped to the machine).
     pub fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerSpec::Sync { threads } => {
-                Box::new(SyncScheduler::with_threads(effective_threads(*threads).0))
-            }
-            SchedulerSpec::Async { timing, threads } => Box::new(AsyncScheduler {
-                timing: *timing,
-                threads: effective_threads(*threads).0,
-            }),
+        let threads = self.effective_threads();
+        match self.timing() {
+            None => Box::new(SyncScheduler::with_threads(threads)),
+            Some(&timing) => Box::new(AsyncScheduler { timing, threads }),
         }
     }
 }
@@ -692,78 +702,28 @@ impl Scenario {
 
     /// Serialize this scenario as a spec file ([`crate::parse_spec`]
     /// reads it back to an equal scenario — the round-trip property the
-    /// test suite enforces). Scheduler-irrelevant knobs (async timing
+    /// test suite enforces): every run key of [`ASSIGNMENTS`] the scenario
+    /// carries, in table order, the output knobs — the keys a grid cannot
+    /// sweep — under `[output]`. Scheduler-irrelevant knobs (async timing
     /// under a sync scheduler) do not survive the typed spec, so they
     /// never appear here either.
     pub fn to_spec(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("[scenario]\n");
-        let mut kv = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        kv("topology", self.topology.name().to_string());
-        if let TopologySpec::Rgg { radius: Some(r) } = &self.topology {
-            kv("radius", r.to_string());
-        }
-        kv("nodes", self.nodes.to_string());
-        kv("protocol", self.protocol.name().to_string());
-        kv("scheduler", self.scheduler.name().to_string());
-        match &self.scheduler {
-            SchedulerSpec::Sync { threads } => kv("threads", threads.to_string()),
-            SchedulerSpec::Async { timing, threads } => {
-                kv("threads", threads.to_string());
-                kv("drift", timing.drift.to_string());
-                kv("refresh-jitter", timing.refresh_jitter.to_string());
-                kv("min-latency", timing.min_latency.to_string());
-                kv("max-latency", timing.max_latency.to_string());
+        let mut sections = ["[scenario]\n".to_string(), "\n[output]\n".to_string()];
+        for def in ASSIGNMENTS.iter().filter(|def| def.run) {
+            if let Some(value) = (def.get)(self) {
+                sections[usize::from(!def.axis)].push_str(&format!("{} = {value}\n", def.key));
             }
         }
-        kv("messages", self.messages.to_string());
-        kv("seed", self.seed.to_string());
-        kv("seeds", self.seeds.to_string());
-        if let Some(cap) = self.max_rounds {
-            kv("max-rounds", cap.to_string());
-        }
-        if let Some(churn) = &self.dynamics.churn {
-            kv("churn-rate", churn.rate.to_string());
-            kv("rejoin", churn.rejoin.name().to_string());
-        }
-        if let Some(fade) = self.dynamics.fade_prob {
-            kv("fade-prob", fade.to_string());
-        }
-        if self.dynamics.mobility {
-            kv("mobility", "true".to_string());
-        }
-        if let MembershipSpec::HyParView {
-            active,
-            passive,
-            shuffle_period,
-            probe_period,
-        } = &self.membership
-        {
-            kv("membership", "hyparview".to_string());
-            kv("active-view", active.to_string());
-            kv("passive-view", passive.to_string());
-            kv("shuffle-period", shuffle_period.to_string());
-            kv("probe-period", probe_period.to_string());
-        }
-        out.push_str("\n[output]\n");
-        out.push_str(&format!("format = {}\n", self.output.format.name()));
-        if self.output.history {
-            out.push_str("history = true\n");
-        }
-        out
+        sections.concat()
     }
 }
 
 /// One entry of the shared assignment vocabulary: a canonical key, its
-/// value shape, and its help text. CLI flags (`--key value`), spec-file
-/// assignments (`key = value`), and grid axes (`key = v1, v2`) all speak
-/// exactly this table, so the parser, the spec format, and the generated
-/// help text cannot diverge.
+/// value shape, its help text, and both directions between its text and
+/// the typed scenario. CLI flags (`--key value`), spec-file assignments
+/// (`key = value`), and grid axes (`key = v1, v2`) all speak exactly this
+/// table, so the parser, the spec format, and the generated help text
+/// cannot diverge — adding a key is adding a row.
 #[derive(Clone, Copy, Debug)]
 pub struct AssignmentDef {
     /// Canonical key (CLI flag name without the `--`).
@@ -781,7 +741,16 @@ pub struct AssignmentDef {
     /// Usable as a grid axis (output knobs are not: a grid streams one
     /// format).
     pub axis: bool,
+    /// Parse `value`, store it on the builder and range-check it; problems
+    /// accumulate on the builder. [`ScenarioBuilder::set`] dispatches here.
+    set: fn(builder: &mut ScenarioBuilder, key: &str, value: &str),
+    /// The value [`Scenario::to_spec`] writes for this key; `None` when the
+    /// scenario does not carry it.
+    get: fn(&Scenario) -> Option<String>,
 }
+
+/// The range error of every count that cannot be zero.
+const AT_LEAST_ONE: &str = "must be at least 1";
 
 /// The shared assignment table. Order is the order help text lists flags.
 pub const ASSIGNMENTS: &[AssignmentDef] = &[
@@ -792,6 +761,11 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| match TopologySpec::parse(v) {
+            Some(spec) => b.topology = spec,
+            None => b.unknown_value(k, v, TopologySpec::NAMES),
+        },
+        get: |s| Some(s.topology.name().to_string()),
     },
     AssignmentDef {
         key: "nodes",
@@ -800,6 +774,18 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| {
+            let Some(n) = b.positive(k, v, AT_LEAST_ONE) else {
+                return;
+            };
+            b.nodes = n;
+            if u32::try_from(n).is_err() {
+                // `NodeId` is a `u32` and every engine casts into it.
+                let bound = format!("must be at most {} (node ids are 32-bit)", u32::MAX);
+                b.out_of_range(k, &bound);
+            }
+        },
+        get: |s| Some(s.nodes.to_string()),
     },
     AssignmentDef {
         key: "protocol",
@@ -808,6 +794,11 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| match ProtocolSpec::parse(v) {
+            Some(spec) => b.protocol = spec,
+            None => b.unknown_value(k, v, ProtocolSpec::NAMES),
+        },
+        get: |s| Some(s.protocol.name().to_string()),
     },
     AssignmentDef {
         key: "scheduler",
@@ -816,6 +807,12 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| match v {
+            "sync" => b.asynchronous = false,
+            "async" => b.asynchronous = true,
+            _ => b.unknown_value(k, v, SchedulerSpec::NAMES),
+        },
+        get: |s| Some(s.scheduler.name().to_string()),
     },
     AssignmentDef {
         key: "messages",
@@ -824,6 +821,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.messages = b.positive(k, v, AT_LEAST_ONE).unwrap_or(b.messages),
+        get: |s| Some(s.messages.to_string()),
     },
     AssignmentDef {
         key: "seed",
@@ -832,6 +831,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.seed = b.int(k, v).unwrap_or(b.seed),
+        get: |s| Some(s.seed.to_string()),
     },
     AssignmentDef {
         key: "seeds",
@@ -840,6 +841,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: false,
         axis: true,
+        set: |b, k, v| b.seeds = b.positive(k, v, AT_LEAST_ONE).unwrap_or(b.seeds),
+        get: |s| Some(s.seeds.to_string()),
     },
     AssignmentDef {
         key: "max-rounds",
@@ -848,6 +851,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: false,
         axis: true,
+        set: |b, k, v| b.max_rounds = b.int(k, v).or(b.max_rounds),
+        get: |s| s.max_rounds.map(|r| r.to_string()),
     },
     AssignmentDef {
         key: "threads",
@@ -856,6 +861,11 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| {
+            let reason = "0 is meaningless: the round loop needs at least one worker";
+            b.threads = b.positive(k, v, reason).unwrap_or(b.threads)
+        },
+        get: |s| Some(s.scheduler.threads().to_string()),
     },
     AssignmentDef {
         key: "radius",
@@ -864,6 +874,18 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| {
+            if let Some(r) = b.float(k, v) {
+                b.radius = Some(r);
+                if !(r > 0.0 && r.is_finite()) {
+                    b.out_of_range(k, "the connection radius must be a positive number");
+                }
+            }
+        },
+        get: |s| match s.topology {
+            TopologySpec::Rgg { radius } => radius.map(|r| r.to_string()),
+            _ => None,
+        },
     },
     AssignmentDef {
         key: "drift",
@@ -872,6 +894,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.timing.drift = b.float(k, v).unwrap_or(b.timing.drift),
+        get: |s| s.scheduler.timing().map(|t| t.drift.to_string()),
     },
     AssignmentDef {
         key: "refresh-jitter",
@@ -880,6 +904,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.timing.refresh_jitter = b.float(k, v).unwrap_or(b.timing.refresh_jitter),
+        get: |s| s.scheduler.timing().map(|t| t.refresh_jitter.to_string()),
     },
     AssignmentDef {
         key: "min-latency",
@@ -888,6 +914,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.timing.min_latency = b.int(k, v).unwrap_or(b.timing.min_latency),
+        get: |s| s.scheduler.timing().map(|t| t.min_latency.to_string()),
     },
     AssignmentDef {
         key: "max-latency",
@@ -896,6 +924,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.timing.max_latency = b.int(k, v).unwrap_or(b.timing.max_latency),
+        get: |s| s.scheduler.timing().map(|t| t.max_latency.to_string()),
     },
     AssignmentDef {
         key: "churn-rate",
@@ -904,6 +934,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.churn_rate = b.float(k, v).or(b.churn_rate),
+        get: |s| s.dynamics.churn.map(|c| c.rate.to_string()),
     },
     AssignmentDef {
         key: "rejoin",
@@ -912,6 +944,11 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| match RejoinPolicy::parse(v) {
+            Some(policy) => b.rejoin = Some(policy),
+            None => b.unknown_value(k, v, RejoinPolicy::NAMES),
+        },
+        get: |s| s.dynamics.churn.map(|c| c.rejoin.name().to_string()),
     },
     AssignmentDef {
         key: "fade-prob",
@@ -920,6 +957,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.fade_prob = b.float(k, v).or(b.fade_prob),
+        get: |s| s.dynamics.fade_prob.map(|p| p.to_string()),
     },
     AssignmentDef {
         key: "mobility",
@@ -928,6 +967,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.mobility = b.boolean(k, v).unwrap_or(b.mobility),
+        get: |s| s.dynamics.mobility.then(|| "true".to_string()),
     },
     AssignmentDef {
         key: "membership",
@@ -936,6 +977,12 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| match v {
+            "full" => b.hyparview = false,
+            "hyparview" => b.hyparview = true,
+            _ => b.unknown_value(k, v, MembershipSpec::NAMES),
+        },
+        get: |s| (!s.membership.is_full()).then(|| s.membership.name().to_string()),
     },
     AssignmentDef {
         key: "active-view",
@@ -944,6 +991,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.active_view = b.int(k, v).or(b.active_view),
+        get: |s| s.membership.to_config().map(|c| c.active_size.to_string()),
     },
     AssignmentDef {
         key: "passive-view",
@@ -952,6 +1001,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.passive_view = b.int(k, v).or(b.passive_view),
+        get: |s| s.membership.to_config().map(|c| c.passive_size.to_string()),
     },
     AssignmentDef {
         key: "shuffle-period",
@@ -960,6 +1011,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.shuffle_period = b.int(k, v).or(b.shuffle_period),
+        get: |s| s.membership.to_config().map(|c| c.shuffle_period.to_string()),
     },
     AssignmentDef {
         key: "probe-period",
@@ -968,6 +1021,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
+        set: |b, k, v| b.probe_period = b.int(k, v).or(b.probe_period),
+        get: |s| s.membership.to_config().map(|c| c.probe_period.to_string()),
     },
     AssignmentDef {
         key: "format",
@@ -976,6 +1031,11 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: false,
         axis: false,
+        set: |b, k, v| match OutputFormat::parse(v) {
+            Some(format) => b.format = format,
+            None => b.unknown_value(k, v, OutputFormat::NAMES),
+        },
+        get: |s| Some(s.output.format.name().to_string()),
     },
     AssignmentDef {
         key: "history",
@@ -984,6 +1044,8 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: false,
         axis: false,
+        set: |b, k, v| b.history = b.boolean(k, v).unwrap_or(b.history),
+        get: |s| s.output.history.then(|| "true".to_string()),
     },
     AssignmentDef {
         key: "rounds",
@@ -992,20 +1054,14 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: false,
         bench: true,
         axis: false,
+        set: |b, k, v| b.bench_rounds = b.positive(k, v, AT_LEAST_ONE).or(b.bench_rounds),
+        get: |_| None,
     },
 ];
 
 /// Look up an assignment key in [`ASSIGNMENTS`].
 pub fn assignment(key: &str) -> Option<&'static AssignmentDef> {
     ASSIGNMENTS.iter().find(|def| def.key == key)
-}
-
-/// Internal scheduler selector before the builder assembles a
-/// [`SchedulerSpec`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum SchedulerKind {
-    Sync,
-    Async,
 }
 
 /// Accumulating builder for [`Scenario`]s. Setters never fail; every
@@ -1018,7 +1074,7 @@ pub struct ScenarioBuilder {
     radius: Option<f64>,
     nodes: usize,
     protocol: ProtocolSpec,
-    scheduler: SchedulerKind,
+    asynchronous: bool,
     threads: usize,
     timing: TimingConfig,
     messages: usize,
@@ -1029,11 +1085,11 @@ pub struct ScenarioBuilder {
     rejoin: Option<RejoinPolicy>,
     fade_prob: Option<f64>,
     mobility: bool,
-    membership_hyparview: bool,
+    hyparview: bool,
     active_view: Option<usize>,
     passive_view: Option<usize>,
-    shuffle_period: Option<usize>,
-    probe_period: Option<usize>,
+    shuffle_period: Option<u64>,
+    probe_period: Option<u64>,
     format: OutputFormat,
     history: bool,
     bench_rounds: Option<usize>,
@@ -1055,7 +1111,7 @@ impl ScenarioBuilder {
             radius: None,
             nodes: 100,
             protocol: ProtocolSpec::Uniform,
-            scheduler: SchedulerKind::Sync,
+            asynchronous: false,
             threads: 1,
             timing: TimingConfig::default(),
             messages: 1,
@@ -1066,7 +1122,7 @@ impl ScenarioBuilder {
             rejoin: None,
             fade_prob: None,
             mobility: false,
-            membership_hyparview: false,
+            hyparview: false,
             active_view: None,
             passive_view: None,
             shuffle_period: None,
@@ -1078,106 +1134,95 @@ impl ScenarioBuilder {
         }
     }
 
-    // ---- typed setters -------------------------------------------------
+    /// Apply one `key = value` assignment from the shared vocabulary:
+    /// the key's [`ASSIGNMENTS`] row parses, stores and range-checks the
+    /// value. Boolean keys take `true`/`false`. Never fails; problems
+    /// accumulate for [`finish`](Self::finish).
+    pub fn set(&mut self, key: &str, value: &str) -> &mut Self {
+        match assignment(key) {
+            Some(def) => (def.set)(self, key, value),
+            None => self.errors.push(SpecError::UnknownKey {
+                key: key.to_string(),
+            }),
+        }
+        self
+    }
 
-    pub fn topology(mut self, topology: TopologySpec) -> Self {
+    // ---- typed setters: sugar over `set` (`Display` of a number parses
+    // back to the same number), so both routes validate alike ------------
+
+    fn with(mut self, key: &str, value: impl ToString) -> Self {
+        self.set(key, &value.to_string());
+        self
+    }
+
+    pub fn topology(self, topology: TopologySpec) -> Self {
+        let mut this = self.with("topology", topology.name());
         // An Rgg spec carries its radius authoritatively — including
         // `None` (the adaptive builder), which must clear any radius set
         // earlier rather than silently surviving it.
         if let TopologySpec::Rgg { radius } = topology {
-            self.radius = radius;
+            this.radius = None;
+            if let Some(r) = radius {
+                this = this.with("radius", r);
+            }
         }
-        self.topology = topology;
-        self
+        this
     }
 
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
+    pub fn nodes(self, nodes: usize) -> Self {
+        self.with("nodes", nodes)
     }
 
-    pub fn protocol(mut self, protocol: ProtocolSpec) -> Self {
-        self.protocol = protocol;
-        self
+    pub fn protocol(self, protocol: ProtocolSpec) -> Self {
+        self.with("protocol", protocol.name())
     }
 
-    pub fn sync_scheduler(mut self, threads: usize) -> Self {
-        self.scheduler = SchedulerKind::Sync;
-        self.threads = threads;
-        self
+    pub fn sync_scheduler(self, threads: usize) -> Self {
+        self.with("scheduler", "sync").with("threads", threads)
     }
 
-    pub fn async_scheduler(mut self, timing: TimingConfig) -> Self {
-        self.scheduler = SchedulerKind::Async;
-        self.timing = timing;
-        self
+    pub fn async_scheduler(self, timing: TimingConfig) -> Self {
+        self.with("scheduler", "async")
+            .with("drift", timing.drift)
+            .with("refresh-jitter", timing.refresh_jitter)
+            .with("min-latency", timing.min_latency)
+            .with("max-latency", timing.max_latency)
     }
 
-    pub fn messages(mut self, messages: usize) -> Self {
-        self.messages = messages;
-        self
+    pub fn seed(self, seed: u64) -> Self {
+        self.with("seed", seed)
     }
 
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn seeds(self, seeds: usize) -> Self {
+        self.with("seeds", seeds)
     }
 
-    pub fn seeds(mut self, seeds: usize) -> Self {
-        self.seeds = seeds;
-        self
+    pub fn max_rounds(self, max_rounds: usize) -> Self {
+        self.with("max-rounds", max_rounds)
     }
 
-    pub fn max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = Some(max_rounds);
-        self
-    }
-
-    pub fn churn(mut self, rate: f64, rejoin: RejoinPolicy) -> Self {
-        self.churn_rate = Some(rate);
-        self.rejoin = Some(rejoin);
-        self
-    }
-
-    pub fn fading(mut self, fade_prob: f64) -> Self {
-        self.fade_prob = Some(fade_prob);
-        self
-    }
-
-    pub fn mobility(mut self, mobility: bool) -> Self {
-        self.mobility = mobility;
-        self
+    pub fn churn(self, rate: f64, rejoin: RejoinPolicy) -> Self {
+        self.with("churn-rate", rate).with("rejoin", rejoin.name())
     }
 
     pub fn membership(mut self, membership: MembershipSpec) -> Self {
-        match membership {
-            MembershipSpec::Full => {
-                self.membership_hyparview = false;
-                self.active_view = None;
-                self.passive_view = None;
-                self.shuffle_period = None;
-                self.probe_period = None;
-            }
-            MembershipSpec::HyParView {
-                active,
-                passive,
-                shuffle_period,
-                probe_period,
-            } => {
-                self.membership_hyparview = true;
-                self.active_view = Some(active);
-                self.passive_view = Some(passive);
-                self.shuffle_period = Some(shuffle_period as usize);
-                self.probe_period = Some(probe_period as usize);
-            }
+        // A typed spec is authoritative: view knobs set earlier go.
+        (self.active_view, self.passive_view) = (None, None);
+        (self.shuffle_period, self.probe_period) = (None, None);
+        match membership.to_config() {
+            None => self.with("membership", "full"),
+            Some(cfg) => self
+                .with("membership", "hyparview")
+                .with("active-view", cfg.active_size)
+                .with("passive-view", cfg.passive_size)
+                .with("shuffle-period", cfg.shuffle_period)
+                .with("probe-period", cfg.probe_period),
         }
-        self
     }
 
-    pub fn output(mut self, format: OutputFormat, history: bool) -> Self {
-        self.format = format;
-        self.history = history;
-        self
+    pub fn output(self, format: OutputFormat, history: bool) -> Self {
+        self.with("format", format.name()).with("history", history)
     }
 
     /// The bench-only round budget, if `rounds` was assigned (consumed by
@@ -1194,207 +1239,45 @@ impl ScenarioBuilder {
         &self.errors
     }
 
-    // ---- stringly assignment (the shared key = value vocabulary) -------
+    // ---- what the `ASSIGNMENTS` rows parse with ------------------------
 
-    /// Apply one `key = value` assignment from the shared vocabulary
-    /// ([`ASSIGNMENTS`]). Boolean keys take `true`/`false`. Never fails;
-    /// problems accumulate for [`finish`](Self::finish).
-    pub fn set(&mut self, key: &str, value: &str) -> &mut Self {
-        match key {
-            "topology" => match TopologySpec::parse(value) {
-                Some(spec) => self.topology = spec,
-                None => self.unknown_value(key, value, TopologySpec::NAMES),
-            },
-            "nodes" => {
-                if let Some(n) = self.num(key, value) {
-                    self.nodes = n;
-                    if n == 0 {
-                        self.out_of_range(key, "must be at least 1");
-                    } else if u32::try_from(n).is_err() {
-                        // `NodeId` is a `u32` and every engine casts into it.
-                        let bound = format!("must be at most {} (node ids are 32-bit)", u32::MAX);
-                        self.out_of_range(key, &bound);
-                    }
-                }
-            }
-            "protocol" => match ProtocolSpec::parse(value) {
-                Some(spec) => self.protocol = spec,
-                None => self.unknown_value(key, value, ProtocolSpec::NAMES),
-            },
-            "scheduler" => match value {
-                "sync" => self.scheduler = SchedulerKind::Sync,
-                "async" => self.scheduler = SchedulerKind::Async,
-                _ => self.unknown_value(key, value, SchedulerSpec::NAMES),
-            },
-            "messages" => {
-                if let Some(k) = self.num(key, value) {
-                    self.messages = k;
-                    if k == 0 {
-                        self.out_of_range(key, "must be at least 1");
-                    }
-                }
-            }
-            "seed" => match value.parse::<u64>() {
-                Ok(seed) => self.seed = seed,
-                Err(_) => self.bad_value(key, value, "a non-negative integer"),
-            },
-            "seeds" => {
-                if let Some(n) = self.num(key, value) {
-                    self.seeds = n;
-                    if n == 0 {
-                        self.out_of_range(key, "must be at least 1");
-                    }
-                }
-            }
-            "max-rounds" => {
-                if let Some(r) = self.num(key, value) {
-                    self.max_rounds = Some(r);
-                }
-            }
-            "threads" => {
-                if let Some(t) = self.num(key, value) {
-                    self.threads = t;
-                    if t == 0 {
-                        self.out_of_range(
-                            key,
-                            "0 is meaningless: the round loop needs at least one worker",
-                        );
-                    }
-                }
-            }
-            "radius" => {
-                if let Some(r) = self.float(key, value) {
-                    self.radius = Some(r);
-                    if !(r > 0.0 && r.is_finite()) {
-                        self.out_of_range(key, "the connection radius must be a positive number");
-                    }
-                }
-            }
-            "drift" => {
-                if let Some(d) = self.float(key, value) {
-                    self.timing.drift = d;
-                }
-            }
-            "refresh-jitter" => {
-                if let Some(j) = self.float(key, value) {
-                    self.timing.refresh_jitter = j;
-                }
-            }
-            "min-latency" => {
-                if let Some(t) = self.num(key, value) {
-                    self.timing.min_latency = t as u64;
-                }
-            }
-            "max-latency" => {
-                if let Some(t) = self.num(key, value) {
-                    self.timing.max_latency = t as u64;
-                }
-            }
-            "churn-rate" => {
-                if let Some(rate) = self.float(key, value) {
-                    self.churn_rate = Some(rate);
-                }
-            }
-            "rejoin" => match RejoinPolicy::parse(value) {
-                Some(policy) => self.rejoin = Some(policy),
-                None => self.unknown_value(key, value, RejoinPolicy::NAMES),
-            },
-            "fade-prob" => {
-                if let Some(p) = self.float(key, value) {
-                    self.fade_prob = Some(p);
-                }
-            }
-            "mobility" => {
-                if let Some(b) = self.boolean(key, value) {
-                    self.mobility = b;
-                }
-            }
-            "membership" => match value {
-                "full" => self.membership_hyparview = false,
-                "hyparview" => self.membership_hyparview = true,
-                _ => self.unknown_value(key, value, MembershipSpec::NAMES),
-            },
-            "active-view" => {
-                if let Some(n) = self.num(key, value) {
-                    self.active_view = Some(n);
-                }
-            }
-            "passive-view" => {
-                if let Some(n) = self.num(key, value) {
-                    self.passive_view = Some(n);
-                }
-            }
-            "shuffle-period" => {
-                if let Some(n) = self.num(key, value) {
-                    self.shuffle_period = Some(n);
-                }
-            }
-            "probe-period" => {
-                if let Some(n) = self.num(key, value) {
-                    self.probe_period = Some(n);
-                }
-            }
-            "format" => match OutputFormat::parse(value) {
-                Some(format) => self.format = format,
-                None => self.unknown_value(key, value, OutputFormat::NAMES),
-            },
-            "history" => {
-                if let Some(b) = self.boolean(key, value) {
-                    self.history = b;
-                }
-            }
-            "rounds" => {
-                if let Some(r) = self.num(key, value) {
-                    self.bench_rounds = Some(r);
-                    if r == 0 {
-                        self.out_of_range(key, "must be at least 1");
-                    }
-                }
-            }
-            _ => self.errors.push(SpecError::UnknownKey {
+    /// `value` as a `T`, or `None` with the mismatch recorded.
+    fn parse<T: std::str::FromStr>(
+        &mut self,
+        key: &str,
+        value: &str,
+        expected: &'static str,
+    ) -> Option<T> {
+        let parsed = value.parse().ok();
+        if parsed.is_none() {
+            self.errors.push(SpecError::BadValue {
                 key: key.to_string(),
-            }),
+                value: value.to_string(),
+                expected,
+            });
         }
-        self
+        parsed
     }
 
-    fn num(&mut self, key: &str, value: &str) -> Option<usize> {
-        match value.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                self.bad_value(key, value, "a non-negative integer");
-                None
-            }
+    fn int<T: std::str::FromStr>(&mut self, key: &str, value: &str) -> Option<T> {
+        self.parse(key, value, "a non-negative integer")
+    }
+
+    /// [`int`](Self::int) that refuses zero, for `reason`.
+    fn positive(&mut self, key: &str, value: &str, reason: &str) -> Option<usize> {
+        let n = self.int(key, value)?;
+        if n == 0 {
+            self.out_of_range(key, reason);
         }
+        (n > 0).then_some(n)
     }
 
     fn float(&mut self, key: &str, value: &str) -> Option<f64> {
-        match value.parse::<f64>() {
-            Ok(f) => Some(f),
-            Err(_) => {
-                self.bad_value(key, value, "a number");
-                None
-            }
-        }
+        self.parse(key, value, "a number")
     }
 
     fn boolean(&mut self, key: &str, value: &str) -> Option<bool> {
-        match value {
-            "true" => Some(true),
-            "false" => Some(false),
-            _ => {
-                self.bad_value(key, value, "'true' or 'false'");
-                None
-            }
-        }
-    }
-
-    fn bad_value(&mut self, key: &str, value: &str, expected: &'static str) {
-        self.errors.push(SpecError::BadValue {
-            key: key.to_string(),
-            value: value.to_string(),
-            expected,
-        });
+        self.parse(key, value, "'true' or 'false'")
     }
 
     fn unknown_value(&mut self, key: &str, value: &str, expected: &[&str]) {
@@ -1445,13 +1328,12 @@ impl ScenarioBuilder {
                 reason: e,
             });
         }
-        let scheduler = match self.scheduler {
-            SchedulerKind::Sync => SchedulerSpec::Sync {
-                threads: self.threads,
-            },
-            SchedulerKind::Async => SchedulerSpec::Async {
+        let threads = self.threads;
+        let scheduler = match self.asynchronous {
+            false => SchedulerSpec::Sync { threads },
+            true => SchedulerSpec::Async {
                 timing: self.timing,
-                threads: self.threads,
+                threads,
             },
         };
 
@@ -1509,16 +1391,13 @@ impl ScenarioBuilder {
         // Membership: view/period knobs only mean something on the
         // HyParView overlay; the crate's own validator decides the usable
         // ranges so no front-end admits a config the engine panics on.
-        let membership = if self.membership_hyparview {
+        let membership = if self.hyparview {
             let defaults = MembershipConfig::default();
             let spec = MembershipSpec::HyParView {
                 active: self.active_view.unwrap_or(defaults.active_size),
                 passive: self.passive_view.unwrap_or(defaults.passive_size),
-                shuffle_period: self
-                    .shuffle_period
-                    .unwrap_or(defaults.shuffle_period as usize)
-                    as u64,
-                probe_period: self.probe_period.unwrap_or(defaults.probe_period as usize) as u64,
+                shuffle_period: self.shuffle_period.unwrap_or(defaults.shuffle_period),
+                probe_period: self.probe_period.unwrap_or(defaults.probe_period),
             };
             if let Some(cfg) = spec.to_config() {
                 if let Err(e) = cfg.validate() {
@@ -1588,6 +1467,80 @@ mod tests {
                 .unwrap_or_else(|| panic!("registry protocol '{name}' has no ProtocolSpec"));
             assert_eq!(spec.name(), name);
             assert_eq!(spec.build().name(), name);
+        }
+    }
+
+    #[test]
+    fn typed_and_string_routes_validate_alike() {
+        // A typed setter is its row's `set` under another name, so it
+        // cannot build what the string route refuses. It used to:
+        // `nodes(0)` finished `Ok` and `run()` panicked on the empty
+        // topology. (`messages`, the fifth such hole, lost its setter.)
+        let new = ScenarioBuilder::new;
+        for (typed, key, value) in [
+            (new().nodes(0), "nodes", "0"),
+            (new().nodes(5_000_000_000), "nodes", "5000000000"),
+            (new().seeds(0), "seeds", "0"),
+            (new().sync_scheduler(0), "threads", "0"),
+        ] {
+            let mut stringly = new();
+            stringly.set(key, value);
+            let refused = stringly.finish().unwrap_err();
+            assert_eq!(refused.len(), 1, "{refused:?}");
+            assert_eq!(typed.finish().unwrap_err(), refused, "{key} = {value}");
+        }
+    }
+
+    #[test]
+    fn every_row_a_scenario_carries_is_rendered_and_read_back() {
+        // Every run key away from its default; `mobility` and `fade-prob`
+        // exclude each other, so they take turns.
+        let common = [
+            ("topology", "rgg"),
+            ("nodes", "37"),
+            ("protocol", "advert"),
+            ("scheduler", "async"),
+            ("messages", "3"),
+            ("seed", "9"),
+            ("seeds", "2"),
+            ("max-rounds", "50"),
+            ("threads", "3"),
+            ("radius", "0.4"),
+            ("drift", "0.2"),
+            ("refresh-jitter", "0.3"),
+            ("min-latency", "8"),
+            ("max-latency", "64"),
+            ("churn-rate", "0.05"),
+            ("rejoin", "lose"),
+            ("membership", "hyparview"),
+            ("active-view", "4"),
+            ("passive-view", "12"),
+            ("shuffle-period", "2"),
+            ("probe-period", "3"),
+            ("format", "json"),
+            ("history", "true"),
+        ];
+        for link in [("mobility", "true"), ("fade-prob", "0.1")] {
+            let assigned: Vec<(&str, &str)> = common.iter().copied().chain([link]).collect();
+            let mut builder = ScenarioBuilder::new();
+            for (key, value) in &assigned {
+                builder.set(key, value);
+            }
+            let scenario = builder.finish().unwrap();
+            let spec = scenario.to_spec();
+            let (scenario_section, output_section) = spec.split_once("\n[output]\n").unwrap();
+            for def in ASSIGNMENTS {
+                let carried = assigned.iter().find(|(key, _)| *key == def.key);
+                let value = carried.map(|(_, value)| value.to_string());
+                assert_eq!((def.get)(&scenario), value, "{}", def.key);
+                if let Some(value) = value {
+                    let section = [output_section, scenario_section][usize::from(def.axis)];
+                    let line = format!("{} = {value}\n", def.key);
+                    assert!(section.contains(&line), "{line:?} not in {section:?}");
+                }
+            }
+            let read_back = crate::parse_spec(&spec).unwrap().expand().unwrap();
+            assert_eq!(read_back, vec![scenario]);
         }
     }
 

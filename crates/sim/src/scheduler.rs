@@ -45,8 +45,8 @@ use std::time::{Duration, Instant};
 use gossip_core::time::{SimTime, TICKS_PER_ROUND};
 use gossip_core::topology::GraphView;
 use gossip_core::{
-    resolve_connections_sharded, Advertisement, Connection, Intent, MessageMatrix, NodeId,
-    Resolution, Rng, Topology, TransferStats, MATCH_REGIONS,
+    resolve_connections_sharded, Advertisement, Connection, Intent, MatrixChunk, MessageMatrix,
+    NodeId, Resolution, Rng, Topology, TransferStats, MATCH_REGIONS,
 };
 use gossip_dynamics::DynamicsModel;
 use gossip_membership::{Membership, MembershipConfig};
@@ -462,14 +462,12 @@ impl RoundPhases<'_> {
         );
 
         // Phase 4: push-pull transfer over the (node-disjoint) matched
-        // pairs. The traced path runs the identical per-pair unions
-        // serially so moved messages emit in deterministic order — the
-        // pairs are node-disjoint, so the totals (and the matrix) cannot
-        // differ from the parallel path.
+        // pairs; under observation, the same unions run serially over the
+        // `whole()` chunk (see `traced_transfer`).
         let t3 = Instant::now();
         let transfer = if probe.enabled() {
             emit_round_events(probe, graph, &self.intents, &resolution, round);
-            traced_transfer(probe, &mut self.states, &resolution.connections, round)
+            traced_transfer(probe, self.states.whole(), &resolution.connections, round)
         } else {
             self.states
                 .union_pairs_parallel(&resolution.connections, self.threads)
@@ -553,7 +551,7 @@ fn emit_round_events<G: GraphView + ?Sized>(
 /// irrelevant to the outcome.
 fn traced_transfer(
     probe: &mut dyn Probe,
-    states: &mut MessageMatrix,
+    mut rows: MatrixChunk<'_>,
     connections: &[Connection],
     round: u64,
 ) -> TransferStats {
@@ -562,8 +560,7 @@ fn traced_transfer(
     let mut moved: Vec<(u32, bool)> = Vec::new();
     for c in connections {
         moved.clear();
-        total +=
-            states.union_pair_stats_traced(c.initiator.index(), c.acceptor.index(), &mut moved);
+        total += rows.union_pair_stats_traced(c.initiator.index(), c.acceptor.index(), &mut moved);
         for &(msg, forward) in &moved {
             let (from, to) = if forward {
                 (c.initiator.0, c.acceptor.0)

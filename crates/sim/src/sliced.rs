@@ -35,8 +35,8 @@
 //!   acceptor lives in another region, a `Finish` whose endpoints
 //!   straddle regions — are **deferred** untouched (no RNG consumed) to
 //!   a serial **boundary sweep** at the slice edge, which executes them
-//!   in `(time, region)` order against the full matcher/matrix with its
-//!   own stream `Rng::stream(seed, pass, SWEEP_STREAM)`.
+//!   in `(time, region)` order against the `whole()` matcher and matrix
+//!   chunks with its own stream `Rng::stream(seed, pass, SWEEP_STREAM)`.
 //! - **Serial replay.** Workers record what each transfer moved; after
 //!   the scope joins, the logs merge in `(time, region)` order and the
 //!   accounting (connection counters, completion detection, per-epoch
@@ -944,6 +944,7 @@ pub(crate) fn run_sliced(
             let t2 = Instant::now();
             let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
             let mut last_mut: Option<u64> = None;
+            let mut matcher = matcher.whole();
             while let Some(mutation) = d.next_before(SimTime(end)) {
                 let mtime = mutation.time;
                 if let MutationKind::Depart(u) = mutation.kind {
@@ -1127,7 +1128,7 @@ pub(crate) fn run_sliced(
         timings.merge += t1.elapsed();
 
         // Phase C: serial boundary sweep over the deferred cross-region
-        // events, in (time, region) order, against the full state.
+        // events, in (time, region) order, against the `whole()` chunks.
         let t2 = Instant::now();
         sweep_q.clear();
         append_by_tick(
@@ -1140,6 +1141,7 @@ pub(crate) fn run_sliced(
             s.deferred.clear();
         }
         let mut rng_sweep = Rng::stream(seed, pass, SWEEP_STREAM);
+        let (mut matcher, mut states) = (matcher.whole(), states.whole());
         for ev in sweep_q.iter().copied() {
             let now = ev.time;
             last_time = last_time.max(now.ticks());

@@ -35,12 +35,15 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// A parsed JSON value. Objects preserve key order; numbers are `f64`
-/// (every quantity the emitters write fits exactly).
+/// A parsed JSON value. Objects preserve key order. A plain non-negative
+/// integer literal that fits a `u64` stays exact in [`Value::Int`] — seeds
+/// are `u64`, and an `f64` rounds them above 2^53; every other number is
+/// an `f64`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Null,
     Bool(bool),
+    Int(u64),
     Num(f64),
     Str(String),
     Arr(Vec<Value>),
@@ -59,6 +62,7 @@ impl Value {
     /// The value as a float, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(v) => Some(*v),
             _ => None,
         }
@@ -67,6 +71,7 @@ impl Value {
     /// The value as a non-negative integer, if numeric and integral.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Value::Int(n) => Some(*n),
             Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
             _ => None,
         }
@@ -89,12 +94,18 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] follows. The emitters nest four
+/// deep; the parser recurses once per level, so input from outside must
+/// not choose the depth.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Trailing garbage after the document is an
-/// error; surrounding whitespace is fine.
+/// error, as is nesting deeper than 128 levels; surrounding whitespace is
+/// fine.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -117,8 +128,14 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
@@ -134,7 +151,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -159,7 +176,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -172,7 +189,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos).map(Value::Num),
+        Some(_) => parse_number(bytes, pos),
     }
 }
 
@@ -233,7 +250,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -242,7 +259,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
     }
     let text =
         std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid number".to_string())?;
+    if let Ok(n) = text.parse::<u64>() {
+        return Ok(Value::Int(n));
+    }
     text.parse::<f64>()
+        .map(Value::Num)
         .map_err(|_| format!("invalid number `{text}` at byte {start}"))
 }
 
@@ -288,6 +309,37 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // What `analyze` and `--resume` used to die on: unclosed, and deep
+        // enough to exhaust the stack one frame per level.
+        assert!(parse(&"[".repeat(2_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(2_000_000)).is_err());
+    }
+
+    #[test]
+    fn integer_literals_stay_exact_past_f64_precision() {
+        for n in [0, (1 << 53) + 1, u64::MAX] {
+            assert_eq!(parse(&n.to_string()).unwrap().as_u64(), Some(n));
+        }
+        assert_eq!(
+            parse("9007199254740993").unwrap().as_f64(),
+            Some(2f64.powi(53))
+        );
+        // Anything else numeric is still a float, integral or not.
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(parse("2.0").unwrap(), Value::Num(2.0));
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Value::Num(2f64.powi(64))
+        );
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
     }
 
     #[test]
