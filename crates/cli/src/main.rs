@@ -1,13 +1,12 @@
 use gossip_cli::{parse_args, thread_clamp_warning, usage, Command};
 use gossip_experiments::{
     bench_to_json, execute_grid, parse_baselines, read_checkpoint, run_bench, soak_line_json,
-    soak_one, verify_against, CellRecord, CheckpointWriter, Emitter, RunMeta, Scenario, SoakConfig,
+    soak_one, verify_against, CellRecord, CheckpointWriter, Emitter, Scenario, SoakConfig,
 };
 use gossip_telemetry::analyze::Analyzer;
-use gossip_telemetry::TraceWriter;
+use gossip_telemetry::{NoopProbe, TraceWriter};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::time::Instant;
 
 /// Run one scenario's sweep (the `run` subcommand), streaming one line per
 /// run to stdout through a buffered, explicitly flushed writer. I/O errors
@@ -16,10 +15,11 @@ use std::time::Instant;
 /// real error. (Grids go through [`run_grid`]'s cell pool instead.)
 ///
 /// With `trace`, every run's semantic events stream to the given file as
-/// schema-versioned JSONL: one header line per run, then one line per
-/// event. Tracing is execution-only — by the engines' determinism-under-
-/// observation contract the emitted run lines are byte-identical with it
-/// on or off, and the trace itself is byte-identical at any thread count.
+/// schema-versioned JSONL: one header line per run (the sweep loop's
+/// `Probe::begin_run`), then one line per event. Tracing is
+/// execution-only — by the engines' determinism-under-observation
+/// contract the emitted run lines are byte-identical with it on or off,
+/// and the trace itself is byte-identical at any thread count.
 fn run_and_emit(scenario: &Scenario, trace: Option<&str>) -> io::Result<()> {
     let mut emitter = Emitter::new(scenario.output.format, BufWriter::new(io::stdout().lock()));
     let mut tracer = match trace {
@@ -31,32 +31,9 @@ fn run_and_emit(scenario: &Scenario, trace: Option<&str>) -> io::Result<()> {
         None => None,
     };
     warn_thread_clamp(std::slice::from_ref(scenario));
-    // The per-seed loop mirrors `Scenario::sweep_timed_iter` exactly
-    // (same seed derivation, same timing) but is inlined so the trace
-    // writer can stamp each run's header before probing it.
-    let threads = scenario.scheduler.effective_threads();
-    for offset in 0..scenario.seeds as u64 {
-        let one = scenario.with_seed(scenario.seed.wrapping_add(offset));
-        let started = Instant::now();
-        let result = match tracer.as_mut() {
-            Some(tw) => {
-                tw.begin_run(&one.scenario_id(), one.nodes, one.messages, one.seed);
-                one.run_probed(tw)
-            }
-            None => one.run(),
-        };
-        let meta = RunMeta {
-            threads,
-            wall_ms: started.elapsed().as_millis() as u64,
-        };
-        emitter.emit(scenario, &result, &meta)?;
-        if !result.completed {
-            eprintln!(
-                "warning: {}: gossip did not complete within {} rounds",
-                one.scenario_id(),
-                result.rounds_executed
-            );
-        }
+    match tracer.as_mut() {
+        Some(tracer) => emitter.emit_sweep(scenario, tracer)?,
+        None => emitter.emit_sweep(scenario, &mut NoopProbe)?,
     }
     emitter.into_inner().flush()?;
     if let Some(tw) = tracer {

@@ -3,9 +3,10 @@
 
 use gossip_cli::{parse_args, Command};
 use gossip_experiments::{
-    csv_header, run_bench, run_line_csv, to_json, BenchScenario, ProtocolSpec, RunMeta, Scenario,
-    ScenarioBuilder,
+    csv_header, run_bench, run_line_csv, sweep_runs, to_json, BenchScenario, ProtocolSpec, RunMeta,
+    Scenario, ScenarioBuilder,
 };
+use gossip_telemetry::NoopProbe;
 
 fn parse_run(args: &[&str]) -> Scenario {
     match parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()) {
@@ -487,15 +488,15 @@ fn threads_flag_does_not_change_results_end_to_end() {
 #[test]
 fn timed_sweep_surfaces_threads_and_wall_time() {
     let scenario = parse_run(&["--nodes", "30", "--seeds", "2", "--threads", "1"]);
-    let records: Vec<_> = scenario.sweep_timed_iter().collect();
+    let records: Vec<_> = sweep_runs(&scenario, &mut NoopProbe).collect();
     assert_eq!(records.len(), 2);
-    for (result, meta) in &records {
-        assert_eq!(meta.threads, 1);
-        assert!(result.completed);
+    for run in &records {
+        assert_eq!(run.meta.threads, 1);
+        assert!(run.result.completed);
     }
     // The result half matches the untimed sweep exactly.
     let untimed = scenario.run_sweep();
-    let timed_results: Vec<_> = records.into_iter().map(|(r, _)| r).collect();
+    let timed_results: Vec<_> = records.into_iter().map(|run| run.result).collect();
     assert_eq!(untimed, timed_results);
 }
 
@@ -562,4 +563,79 @@ fn csv_sweeps_emit_one_well_formed_row_per_seed() {
         assert!(row.contains(&format!(",{},", 9 + i as u64)), "seed echoed");
         assert!(row.contains(",churn,"), "dynamics columns filled");
     }
+}
+
+#[test]
+fn csv_columns_are_pinned_byte_for_byte() {
+    assert_eq!(
+        csv_header(),
+        "schema,scenario_id,topology,protocol,scheduler,nodes,messages,seed,\
+         completed,rounds_to_completion,rounds_executed,virtual_time,\
+         virtual_time_to_completion,total_connections,productive_connections,\
+         wasted_connections,complete_nodes,dropped_proposals,dynamics_model,\
+         departures,rejoins,edge_downs,edge_ups,rewires,severed_connections,\
+         peak_alive,min_alive,final_alive,mem_active_min,mem_active_mean,\
+         mem_active_max,mem_isolated_nodes,mem_joins,mem_shuffles,mem_probes,\
+         mem_suspicions,mem_evictions,mem_false_positive_evictions,threads,\
+         wall_ms"
+    );
+}
+
+#[test]
+fn a_churned_overlay_run_renders_what_the_hand_written_serializers_did() {
+    // Both strings were captured from the commit before the field
+    // tables: every layer on, an unfinished run (null / empty
+    // completion cells), history in JSON only.
+    let flags = [
+        "--topology",
+        "rgg",
+        "--nodes",
+        "24",
+        "--protocol",
+        "advert",
+        "--churn-rate",
+        "0.1",
+        "--rejoin",
+        "keep",
+        "--membership",
+        "hyparview",
+        "--max-rounds",
+        "4",
+        "--seed",
+        "42",
+    ];
+    let plain = parse_run(&flags);
+    let with_history = parse_run(&[&flags[..], &["--history"]].concat());
+    assert_eq!(
+        to_json(&with_history.run()),
+        concat!(
+            r#"{"topology":"rgg","protocol":"advert","scheduler":"sync","nodes":24,"messages":1,"seed":42,"#,
+            r#""completed":false,"rounds_to_completion":null,"rounds_executed":4,"virtual_time":4096,"#,
+            r#""virtual_time_to_completion":null,"total_connections":10,"productive_connections":10,"#,
+            r#""wasted_connections":0,"complete_nodes":10,"#,
+            r#""dynamics":{"model":"churn","departures":3,"rejoins":0,"edge_downs":0,"edge_ups":0,"#,
+            r#""rewires":0,"severed_connections":0,"peak_alive":24,"min_alive":21,"final_alive":21,"#,
+            r#""coverage_timeline":[{"time":0,"alive":24,"informed_alive":1},"#,
+            r#"{"time":430,"alive":23,"informed_alive":1},{"time":1024,"alive":23,"informed_alive":2},"#,
+            r#"{"time":2377,"alive":22,"informed_alive":3},{"time":3779,"alive":21,"informed_alive":6},"#,
+            r#"{"time":4096,"alive":21,"informed_alive":10}]},"#,
+            r#""membership":{"active_min":2,"active_mean":4.238095238095238,"active_max":5,"#,
+            r#""isolated_nodes":0,"joins":14,"shuffles":89,"probes":89,"suspicions":3,"evictions":0,"#,
+            r#""false_positive_evictions":0},"#,
+            r#""rounds":[{"round":1,"connections":1,"productive":1,"complete_nodes":2,"messages_held":2},"#,
+            r#"{"round":2,"connections":2,"productive":2,"complete_nodes":4,"messages_held":4},"#,
+            r#"{"round":3,"connections":3,"productive":3,"complete_nodes":6,"messages_held":6},"#,
+            r#"{"round":4,"connections":4,"productive":4,"complete_nodes":10,"messages_held":10}]}"#,
+        )
+    );
+    let meta = RunMeta {
+        threads: 1,
+        wall_ms: 0,
+    };
+    assert_eq!(
+        run_line_csv(&plain.scenario_id(), &plain.run(), &meta),
+        "1,rgg-advert-sync-n24-k1-cap4-churn0.1:keep-mem@a5p30sh1pr1-s42,rgg,advert,sync,24,1,42,\
+         false,,4,4096,,10,10,0,10,0,churn,3,0,0,0,0,0,24,21,21,2,4.238095238095238,5,0,14,89,89,\
+         3,0,0,1,0"
+    );
 }

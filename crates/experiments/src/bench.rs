@@ -7,13 +7,19 @@
 //! time-sliced event loop (per-slice execute/merge/sweep breakdown plus
 //! event throughput).
 
-use crate::emit::{json_num, json_str};
-use crate::spec::{Scenario, SchedulerSpec};
-use gossip_sim::{AsyncScheduler, SimConfig, SliceTimings, SyncScheduler};
-use gossip_telemetry::metrics::{regions_for, LoadSummary, Registry};
+use crate::spec::Scenario;
+use gossip_sim::SimConfig;
+use gossip_telemetry::json::Obj;
+use gossip_telemetry::metrics::{regions_for, LoadSummary};
 use gossip_telemetry::NoopProbe;
 
 use std::time::Instant;
+
+/// The engine-specific half of a [`BenchReport`] — which loop ran and its
+/// phase breakdown, in milliseconds — is the engine's own report.
+pub use gossip_sim::{
+    EngineTimings as EnginePhases, PhaseTimings as PhaseMs, SliceTimings as SliceMs,
+};
 
 /// Version of the bench line format, independent of the run/grid
 /// [`SCHEMA_VERSION`](crate::emit::SCHEMA_VERSION) (which stays at 1 —
@@ -92,100 +98,6 @@ pub struct BenchReport {
     pub region_load: LoadSummary,
 }
 
-/// The engine-specific half of a [`BenchReport`]: which loop ran and its
-/// phase breakdown.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum EnginePhases {
-    /// The sharded synchronous round loop.
-    Sync(PhaseMs),
-    /// The time-sliced asynchronous event loop.
-    Async(SliceMs),
-}
-
-impl EnginePhases {
-    /// The `"bench"` discriminator stamped on the JSON line.
-    pub fn bench_name(&self) -> &'static str {
-        match self {
-            EnginePhases::Sync(_) => "sync_round_loop",
-            EnginePhases::Async(_) => "async_event_loop",
-        }
-    }
-}
-
-/// Per-phase wall-clock milliseconds of the synchronous round loop
-/// (engine [`gossip_sim::PhaseTimings`], converted for reporting).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseMs {
-    /// Phase 1: advertisement refresh.
-    pub advertise: f64,
-    /// Phase 2: scan + intent decision.
-    pub decide: f64,
-    /// Phase 3: connection matching.
-    pub matching: f64,
-    /// Phase 4: push-pull transfer.
-    pub transfer: f64,
-    /// Round-boundary mutation drain (0 on a static scenario).
-    pub drain: f64,
-    /// Membership overlay tick (0 without an overlay).
-    pub membership: f64,
-    /// Proposals the sharded resolver settled entirely inside one
-    /// region, summed over rounds.
-    pub confined_proposals: u64,
-    /// Proposals deferred to the serial boundary sweep (both endpoints
-    /// in different regions) — the serial-fraction instrument.
-    pub boundary_proposals: u64,
-}
-
-impl From<gossip_sim::PhaseTimings> for PhaseMs {
-    fn from(t: gossip_sim::PhaseTimings) -> Self {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        PhaseMs {
-            advertise: ms(t.advertise),
-            decide: ms(t.decide),
-            matching: ms(t.matching),
-            transfer: ms(t.transfer),
-            drain: ms(t.drain),
-            membership: ms(t.membership),
-            confined_proposals: t.confined_proposals,
-            boundary_proposals: t.boundary_proposals,
-        }
-    }
-}
-
-/// Per-phase wall-clock milliseconds of the time-sliced event loop
-/// (engine [`SliceTimings`], converted for reporting), plus its event
-/// throughput — the async analogue of rounds/sec, and the number CI and
-/// `BENCH_async_*.json` baselines compare across thread counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SliceMs {
-    /// Parallel region execution across all slice passes.
-    pub execute: f64,
-    /// Serial log merge + accounting replay.
-    pub merge: f64,
-    /// Serial boundary sweep (cross-region events and mutations).
-    pub sweep: f64,
-    /// Slice passes taken.
-    pub slices: u64,
-    /// Events executed (each event counted once, where it ran).
-    pub events: u64,
-    /// `events / wall seconds` of the simulation.
-    pub events_per_sec: f64,
-}
-
-impl SliceMs {
-    fn new(t: SliceTimings, wall_secs: f64) -> Self {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        SliceMs {
-            execute: ms(t.execute),
-            merge: ms(t.merge),
-            sweep: ms(t.sweep),
-            slices: t.slices,
-            events: t.events,
-            events_per_sec: t.events as f64 / wall_secs.max(1e-9),
-        }
-    }
-}
-
 /// Run one engine benchmark: instantiate the scenario (timed separately)
 /// exactly as [`Scenario::run`] would — dynamics and membership overlay
 /// included — run its scheduler for the configured round budget (async
@@ -203,33 +115,9 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
         max_rounds: bench.rounds,
         record_rounds: false,
     });
+    let scheduler = scenario.scheduler.build();
     let running = Instant::now();
-    let (result, phases, region_load) = match &scenario.scheduler {
-        SchedulerSpec::Sync { .. } => {
-            let scheduler = SyncScheduler::with_threads(threads);
-            let (result, timings) = scheduler.run_timed(&inputs, &mut NoopProbe);
-            let load = timings
-                .connections_by_region
-                .summary(regions_for(scenario.nodes));
-            (result, EnginePhases::Sync(timings.into()), load)
-        }
-        SchedulerSpec::Async { timing, .. } => {
-            let scheduler = AsyncScheduler {
-                timing: *timing,
-                threads,
-            };
-            let (result, timings) = scheduler.run_timed(&inputs, &mut NoopProbe);
-            let secs = running.elapsed().as_secs_f64();
-            let load = timings
-                .events_by_region
-                .summary(regions_for(scenario.nodes));
-            (
-                result,
-                EnginePhases::Async(SliceMs::new(timings, secs)),
-                load,
-            )
-        }
-    };
+    let (result, phases) = scheduler.run_timed(&inputs, &mut NoopProbe);
     let wall = running.elapsed();
 
     let secs = wall.as_secs_f64().max(1e-9);
@@ -253,50 +141,7 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
         productive_connections: result.productive_connections,
         complete_nodes: result.complete_nodes,
         phases,
-        region_load,
-    }
-}
-
-impl BenchReport {
-    /// Flatten this report into a [`Registry`] — the typed metrics view
-    /// of a bench line: accounting totals as counters, throughput and
-    /// phase times as gauges, the per-region load summary as a
-    /// histogram-free counter set. Downstream tools aggregating many
-    /// bench runs can merge registries instead of re-parsing JSON.
-    pub fn registry(&self) -> Registry {
-        let mut reg = Registry::default();
-        reg.inc("rounds_executed", self.rounds_executed as u64);
-        reg.inc("total_connections", self.total_connections as u64);
-        reg.inc("productive_connections", self.productive_connections as u64);
-        reg.inc("complete_nodes", self.complete_nodes as u64);
-        reg.set_gauge("wall_ms", self.wall_ms as f64);
-        reg.set_gauge("rounds_per_sec", self.rounds_per_sec);
-        reg.set_gauge("node_events_per_sec", self.node_events_per_sec);
-        match &self.phases {
-            EnginePhases::Sync(p) => {
-                reg.set_gauge("phase_ms.advertise", p.advertise);
-                reg.set_gauge("phase_ms.decide", p.decide);
-                reg.set_gauge("phase_ms.match", p.matching);
-                reg.set_gauge("phase_ms.transfer", p.transfer);
-                reg.set_gauge("phase_ms.drain", p.drain);
-                reg.set_gauge("phase_ms.membership", p.membership);
-                reg.inc("confined_proposals", p.confined_proposals);
-                reg.inc("boundary_proposals", p.boundary_proposals);
-            }
-            EnginePhases::Async(s) => {
-                reg.set_gauge("phase_ms.execute", s.execute);
-                reg.set_gauge("phase_ms.merge", s.merge);
-                reg.set_gauge("phase_ms.sweep", s.sweep);
-                reg.inc("slices", s.slices);
-                reg.inc("events", s.events);
-                reg.set_gauge("events_per_sec", s.events_per_sec);
-            }
-        }
-        reg.inc("region_load.total", self.region_load.total);
-        reg.inc("region_load.min", self.region_load.min);
-        reg.inc("region_load.max", self.region_load.max);
-        reg.set_gauge("region_load.imbalance", self.region_load.imbalance);
-        reg
+        region_load: phases.region_load().summary(regions_for(scenario.nodes)),
     }
 }
 
@@ -305,85 +150,71 @@ impl BenchReport {
 /// stamped with the same `scenario_id` as run/grid lines, and replayable
 /// from its own `spec` field.
 pub fn bench_to_json(report: &BenchReport) -> String {
-    let mut out = String::with_capacity(640);
-    out.push('{');
-    json_num(&mut out, "schema", BENCH_SCHEMA_VERSION);
-    out.push(',');
-    json_str(&mut out, "bench", report.phases.bench_name());
-    out.push(',');
-    json_str(&mut out, "scenario_id", &report.scenario_id);
-    out.push(',');
-    json_str(&mut out, "spec", &report.spec);
-    out.push(',');
-    json_str(&mut out, "topology", &report.topology);
-    out.push(',');
-    json_num(&mut out, "nodes", report.nodes as u64);
-    out.push(',');
-    json_str(&mut out, "protocol", &report.protocol);
-    out.push(',');
-    json_num(&mut out, "messages", report.messages as u64);
-    out.push(',');
-    json_num(&mut out, "seed", report.seed);
-    out.push(',');
-    json_num(&mut out, "threads", report.threads as u64);
-    out.push(',');
-    json_num(&mut out, "round_budget", report.round_budget as u64);
-    out.push(',');
-    json_num(&mut out, "rounds_executed", report.rounds_executed as u64);
-    out.push(',');
-    out.push_str(&format!("\"completed\":{}", report.completed));
-    out.push(',');
-    json_num(&mut out, "build_ms", report.build_ms);
-    out.push(',');
-    json_num(&mut out, "wall_ms", report.wall_ms);
-    out.push(',');
-    match &report.phases {
-        EnginePhases::Sync(p) => out.push_str(&format!(
-            "\"phase_ms\":{{\"advertise\":{:.2},\"decide\":{:.2},\"match\":{:.2},\"transfer\":{:.2},\
-             \"drain\":{:.2},\"membership\":{:.2}}},\
-             \"confined_proposals\":{},\"boundary_proposals\":{}",
-            p.advertise,
-            p.decide,
-            p.matching,
-            p.transfer,
-            p.drain,
-            p.membership,
-            p.confined_proposals,
-            p.boundary_proposals
-        )),
-        EnginePhases::Async(s) => out.push_str(&format!(
-            "\"phase_ms\":{{\"execute\":{:.2},\"merge\":{:.2},\"sweep\":{:.2}}},\
-             \"slices\":{},\"events\":{},\"events_per_sec\":{:.2}",
-            s.execute, s.merge, s.sweep, s.slices, s.events, s.events_per_sec
-        )),
+    /// A clock or rate at the bench line's two-decimal resolution.
+    fn f2(v: f64) -> String {
+        format!("{v:.2}")
     }
-    out.push(',');
+    let bench = match report.phases {
+        EnginePhases::Sync(_) => "sync_round_loop",
+        EnginePhases::Async(_) => "async_event_loop",
+    };
+    let mut phase_ms = Obj::default();
+    let mut o = Obj::default();
+    o.raw("schema", BENCH_SCHEMA_VERSION)
+        .str("bench", bench)
+        .str("scenario_id", &report.scenario_id)
+        .str("spec", &report.spec)
+        .str("topology", &report.topology)
+        .raw("nodes", report.nodes)
+        .str("protocol", &report.protocol)
+        .raw("messages", report.messages)
+        .raw("seed", report.seed)
+        .raw("threads", report.threads)
+        .raw("round_budget", report.round_budget)
+        .raw("rounds_executed", report.rounds_executed)
+        .raw("completed", report.completed)
+        .raw("build_ms", report.build_ms)
+        .raw("wall_ms", report.wall_ms);
+    match &report.phases {
+        EnginePhases::Sync(p) => {
+            phase_ms
+                .raw("advertise", f2(p.advertise))
+                .raw("decide", f2(p.decide))
+                .raw("match", f2(p.matching))
+                .raw("transfer", f2(p.transfer))
+                .raw("drain", f2(p.drain))
+                .raw("membership", f2(p.membership));
+            o.raw("phase_ms", phase_ms.finish())
+                .raw("confined_proposals", p.confined_proposals)
+                .raw("boundary_proposals", p.boundary_proposals);
+        }
+        EnginePhases::Async(s) => {
+            phase_ms
+                .raw("execute", f2(s.execute))
+                .raw("merge", f2(s.merge))
+                .raw("sweep", f2(s.sweep));
+            o.raw("phase_ms", phase_ms.finish())
+                .raw("slices", s.slices)
+                .raw("events", s.events)
+                .raw("events_per_sec", f2(s.events_per_sec));
+        }
+    }
     let rl = &report.region_load;
-    out.push_str(&format!(
-        "\"region_load\":{{\"regions\":{},\"total\":{},\"min\":{},\"max\":{},\"mean\":{:.2},\"imbalance\":{:.2}}}",
-        rl.regions, rl.total, rl.min, rl.max, rl.mean, rl.imbalance
-    ));
-    out.push(',');
-    out.push_str(&format!(
-        "\"rounds_per_sec\":{:.2},\"node_events_per_sec\":{:.2}",
-        report.rounds_per_sec, report.node_events_per_sec
-    ));
-    out.push(',');
-    json_num(
-        &mut out,
-        "total_connections",
-        report.total_connections as u64,
-    );
-    out.push(',');
-    json_num(
-        &mut out,
-        "productive_connections",
-        report.productive_connections as u64,
-    );
-    out.push(',');
-    json_num(&mut out, "complete_nodes", report.complete_nodes as u64);
-    out.push('}');
-    out
+    let mut region_load = Obj::default();
+    region_load
+        .raw("regions", rl.regions)
+        .raw("total", rl.total)
+        .raw("min", rl.min)
+        .raw("max", rl.max)
+        .raw("mean", f2(rl.mean))
+        .raw("imbalance", f2(rl.imbalance));
+    o.raw("region_load", region_load.finish())
+        .raw("rounds_per_sec", f2(report.rounds_per_sec))
+        .raw("node_events_per_sec", f2(report.node_events_per_sec))
+        .raw("total_connections", report.total_connections)
+        .raw("productive_connections", report.productive_connections)
+        .raw("complete_nodes", report.complete_nodes)
+        .finish()
 }
 
 #[cfg(test)]
@@ -391,6 +222,36 @@ mod tests {
     use super::*;
     use crate::spec::{MembershipSpec, ProtocolSpec, ScenarioBuilder, TopologySpec};
     use gossip_dynamics::RejoinPolicy;
+    use gossip_telemetry::json::{parse, Value};
+
+    /// Every key of a bench line in the order it is written, nested
+    /// objects flattened as `outer.inner`.
+    fn keys_in_order(line: &str) -> Vec<String> {
+        let Value::Obj(members) = parse(line).expect("a bench line is JSON") else {
+            panic!("a bench line is an object: {line}");
+        };
+        let mut keys = Vec::new();
+        for (key, value) in members {
+            match value {
+                Value::Obj(inner) => keys.extend(inner.iter().map(|(k, _)| format!("{key}.{k}"))),
+                _ => keys.push(key),
+            }
+        }
+        keys
+    }
+
+    /// The schema-5 key list: the engine's `phases` under `phase_ms`, then
+    /// its `counters`, in the middle of the keys both engines share.
+    fn schema5_keys(phases: &str, counters: &str) -> Vec<String> {
+        let head = "schema bench scenario_id spec topology nodes protocol messages seed threads \
+                    round_budget rounds_executed completed build_ms wall_ms";
+        let tail = "region_load.regions region_load.total region_load.min region_load.max \
+                    region_load.mean region_load.imbalance rounds_per_sec node_events_per_sec \
+                    total_connections productive_connections complete_nodes";
+        let words = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+        let phases = words(phases).into_iter().map(|p| format!("phase_ms.{p}"));
+        [words(head), phases.collect(), words(counters), words(tail)].concat()
+    }
 
     #[test]
     fn bench_runs_end_to_end_and_reports_throughput() {
@@ -449,17 +310,13 @@ mod tests {
             assert!(json.contains(key), "bench JSON missing {key}: {json}");
         }
         assert!(!json.contains('\n'), "bench output must be line-oriented");
-
-        let reg = report.registry();
         assert_eq!(
-            reg.counter("total_connections"),
-            Some(report.total_connections as u64)
+            keys_in_order(&json),
+            schema5_keys(
+                "advertise decide match transfer drain membership",
+                "confined_proposals boundary_proposals"
+            )
         );
-        assert_eq!(
-            reg.counter("region_load.total"),
-            Some(report.region_load.total)
-        );
-        assert!(reg.gauge("phase_ms.match").is_some());
     }
 
     #[test]
@@ -509,10 +366,10 @@ mod tests {
             assert!(json.contains(key), "async bench JSON missing {key}: {json}");
         }
         assert!(!json.contains('\n'), "bench output must be line-oriented");
-
-        let reg = report.registry();
-        assert_eq!(reg.counter("events"), Some(slice.events));
-        assert!(reg.gauge("events_per_sec").is_some());
+        assert_eq!(
+            keys_in_order(&json),
+            schema5_keys("execute merge sweep", "slices events events_per_sec")
+        );
     }
 
     #[test]

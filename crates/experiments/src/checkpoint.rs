@@ -10,13 +10,15 @@
 //!   single `write` call, then `fsync`'d before the next record. A
 //!   `kill -9` therefore loses at most the record being written, never a
 //!   previously acknowledged one.
-//! - **Read path** ([`read_checkpoint`]): records are parsed strictly. The
-//!   one tolerated defect is a *torn tail* — a final line without its
-//!   trailing newline that does not parse, exactly what a crash mid-write
-//!   leaves behind — which is dropped with a flag the caller turns into a
-//!   warning. Any other malformed or truncated line is a hard error: a
-//!   checkpoint that lies about completed work would silently corrupt the
-//!   resumed sweep.
+//! - **Read path** ([`read_checkpoint`]): records are parsed strictly. A
+//!   record is durable only with its newline, so the one tolerated defect
+//!   is a *torn tail* — a final line without its trailing newline,
+//!   exactly what a crash mid-write leaves behind — which is dropped with
+//!   a flag the caller turns into a warning, and which
+//!   [`CheckpointWriter::append`] cuts off the file before the resumed run
+//!   writes after it. Any other malformed or truncated line is a hard
+//!   error: a checkpoint that lies about completed work would silently
+//!   corrupt the resumed sweep.
 //! - **Verification** ([`verify_against`]): before any cell is skipped,
 //!   every record is checked against the expanded grid — index in range,
 //!   `scenario_id` and seed matching that cell, one line per sweep seed
@@ -59,24 +61,15 @@ pub struct CellRecord {
 impl CellRecord {
     /// Serialize as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out =
-            String::with_capacity(128 + self.lines.iter().map(String::len).sum::<usize>());
-        out.push_str(&format!(
-            "{{\"checkpoint\":{CHECKPOINT_SCHEMA_VERSION},\"cell\":{},\"scenario_id\":{},\
-             \"seed\":{},\"wall_ms\":{},\"lines\":[",
-            self.cell,
-            json::json_str(&self.scenario_id),
-            self.seed,
-            self.wall_ms,
-        ));
-        for (i, line) in self.lines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json::json_str(line));
-        }
-        out.push_str("]}");
-        out
+        let lines: Vec<String> = self.lines.iter().map(|l| json::json_str(l)).collect();
+        json::Obj::default()
+            .raw("checkpoint", CHECKPOINT_SCHEMA_VERSION)
+            .raw("cell", self.cell)
+            .str("scenario_id", &self.scenario_id)
+            .raw("seed", self.seed)
+            .raw("wall_ms", self.wall_ms)
+            .raw("lines", format_args!("[{}]", lines.join(",")))
+            .finish()
     }
 
     /// Parse one checkpoint line. Strict: every field must be present and
@@ -165,12 +158,24 @@ impl CheckpointWriter {
         })
     }
 
-    /// Reopen an existing checkpoint for appending (the `--resume` path).
+    /// Reopen an existing checkpoint for appending (the `--resume` path),
+    /// first cutting the file back to just past its last newline: the
+    /// torn tail [`parse_checkpoint`] dropped must not stay in front of
+    /// the next record, or the two would read back as one corrupt line.
     pub fn append(path: &str) -> io::Result<CheckpointWriter> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("--checkpoint {path}: {e}")))?;
+        let reopen = || -> io::Result<File> {
+            let text = std::fs::read(path)?;
+            let durable = text
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |at| at + 1);
+            let file = OpenOptions::new().append(true).open(path)?;
+            file.set_len(durable as u64)?;
+            file.sync_data()?;
+            Ok(file)
+        };
+        let file =
+            reopen().map_err(|e| io::Error::new(e.kind(), format!("--checkpoint {path}: {e}")))?;
         Ok(CheckpointWriter {
             file,
             path: path.to_string(),
@@ -194,10 +199,10 @@ impl CheckpointWriter {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     pub records: Vec<CellRecord>,
-    /// True when the file ended in an unparseable line with no trailing
-    /// newline — the footprint of a record interrupted mid-write. The
-    /// caller should surface a warning; the torn record's cell simply
-    /// re-runs.
+    /// True when the file ended in a line with no trailing newline — the
+    /// footprint of a record interrupted mid-write, even when the bytes
+    /// that made it happen to parse. The caller should surface a warning;
+    /// the torn record's cell simply re-runs.
     pub torn_tail: bool,
 }
 
@@ -219,23 +224,18 @@ pub fn read_checkpoint(path: &str) -> io::Result<Checkpoint> {
 pub fn parse_checkpoint(text: &str) -> Result<Checkpoint, String> {
     let mut records = Vec::new();
     let mut torn_tail = false;
-    let mut chunks = text.split_inclusive('\n').enumerate().peekable();
-    while let Some((idx, chunk)) = chunks.next() {
-        let terminated = chunk.ends_with('\n');
-        let line = chunk.trim_end_matches(['\n', '\r']);
+    for (idx, chunk) in text.split_inclusive('\n').enumerate() {
+        let Some(line) = chunk.strip_suffix('\n') else {
+            // The one forgivable defect: a torn final line, i.e. a crash
+            // caught mid-write. Everything durable precedes it.
+            torn_tail = !chunk.trim().is_empty();
+            break;
+        };
+        let line = line.trim_end_matches('\r');
         if line.is_empty() {
             continue;
         }
-        match CellRecord::parse(line) {
-            Ok(record) => records.push(record),
-            Err(e) if !terminated && chunks.peek().is_none() => {
-                // The one forgivable defect: a torn final line, i.e. a
-                // crash caught mid-write. Everything durable precedes it.
-                let _ = e;
-                torn_tail = true;
-            }
-            Err(e) => return Err(format!("line {}: {e}", idx + 1)),
-        }
+        records.push(CellRecord::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
     }
     Ok(Checkpoint { records, torn_tail })
 }
@@ -395,16 +395,58 @@ mod tests {
         let err = parse_checkpoint(&bottomless).unwrap_err();
         assert!(err.contains("line 2") && err.contains("nesting"), "{err}");
 
-        // A clean file parses fully; a last line merely missing its
-        // newline but parsing fine is accepted, not treated as torn.
-        let clean = format!("{a}\n{b}");
-        let checkpoint = parse_checkpoint(&clean).unwrap();
-        assert_eq!(checkpoint.records.len(), 2);
-        assert!(!checkpoint.torn_tail);
+        // A clean file parses fully. A last record merely missing its
+        // newline is torn too, even though its bytes parse: `append` is
+        // about to cut it off, so its cell must re-run.
+        let clean = parse_checkpoint(&format!("{a}\n{b}\n")).unwrap();
+        assert_eq!(clean.records.len(), 2);
+        assert!(!clean.torn_tail);
+        let unterminated = parse_checkpoint(&format!("{a}\n{b}")).unwrap();
+        assert_eq!(unterminated.records, vec![sample_record(0)]);
+        assert!(unterminated.torn_tail);
 
         // Empty file: nothing done yet, nothing wrong.
         let empty = parse_checkpoint("").unwrap();
         assert!(empty.records.is_empty() && !empty.torn_tail);
+    }
+
+    #[test]
+    fn append_cuts_the_torn_tail_so_a_second_crash_resumes_too() {
+        let dir = std::env::temp_dir().join(format!("gossip-cp-append-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cp.jsonl");
+        let path = path.to_str().unwrap();
+        let record = |cell: usize| sample_record(cell).to_json();
+        let half = |cell: usize| record(cell)[..record(cell).len() / 2].to_string();
+
+        // Crash one: two records and half of the third. Resume writes a
+        // record; crash two leaves half of another behind it.
+        std::fs::write(path, format!("{}\n{}\n{}", record(0), record(1), half(2))).unwrap();
+        assert!(read_checkpoint(path).unwrap().torn_tail);
+        let mut writer = CheckpointWriter::append(path).unwrap();
+        writer.record(&sample_record(3)).unwrap();
+        drop(writer);
+        let mut file = OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(half(2).as_bytes()).unwrap();
+        drop(file);
+
+        // The second resume reads three whole records and one torn tail —
+        // not a third line glued together from a fragment and a record.
+        let replay = read_checkpoint(path).unwrap();
+        assert!(replay.torn_tail);
+        let cells: Vec<usize> = replay.records.iter().map(|r| r.cell).collect();
+        assert_eq!(cells, [0, 1, 3]);
+        drop(CheckpointWriter::append(path).unwrap());
+        assert_eq!(
+            std::fs::read_to_string(path).unwrap(),
+            format!("{}\n{}\n{}\n", record(0), record(1), record(3))
+        );
+
+        // A file that is all torn tail is cut back to nothing.
+        std::fs::write(path, half(0)).unwrap();
+        drop(CheckpointWriter::append(path).unwrap());
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! Serialization is hand-rolled: the workspace is dependency-free by
 //! design (simulation state is flat integers, so a JSON writer is ~40
-//! lines), which keeps builds hermetic.
+//! lines — [`Obj`]), which keeps builds hermetic. A run line's scalars
+//! are rows of the `RESULT`, `DYNAMICS` and `MEMBERSHIP` tables, which
+//! the JSON body, the CSV header and the CSV row all render from.
 //!
 //! Every emitted line is versioned: a `schema` field (JSON) / column (CSV)
 //! carries [`SCHEMA_VERSION`], and a `scenario_id` stamps the cell
@@ -14,9 +16,13 @@
 //! metadata.
 
 use crate::spec::{OutputFormat, Scenario};
-use gossip_sim::SimResult;
+use gossip_sim::{DynamicsStats, MembershipStats, SimResult};
+use gossip_telemetry::json::Obj;
+use gossip_telemetry::Probe;
 
+use std::fmt;
 use std::io::{self, Write};
+use std::time::Instant;
 
 /// Version of the emitted line format. Bump when fields are added,
 /// removed, or renamed in run/grid/bench output lines.
@@ -35,265 +41,285 @@ pub struct RunMeta {
     pub wall_ms: u64,
 }
 
+/// One scalar of a run line. `Display` is its CSV cell; JSON differs only
+/// where a variant says so.
+enum Cell<'a> {
+    /// Quoted and escaped in JSON. Names and scenario ids are comma- and
+    /// quote-free by construction, so CSV needs no quoting.
+    Str(&'a str),
+    Int(u64),
+    /// Absent is `null` in JSON and an empty CSV cell.
+    Opt(Option<u64>),
+    /// Always a CSV cell, but a JSON member only when nonzero: absence is
+    /// the normal case, and keeps clean static runs serializing as they
+    /// did before the counter existed (the serialization pins rely on it).
+    NonZero(u64),
+    Bool(bool),
+    /// Via `Display`: the shortest round-trip representation, stable
+    /// across platforms for the deterministic engine's values.
+    Float(f64),
+}
+use Cell::{Bool, Float, Int, NonZero, Opt, Str};
+
+impl fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Str(s) => f.write_str(s),
+            Int(n) | NonZero(n) | Opt(Some(n)) => n.fmt(f),
+            Opt(None) => Ok(()),
+            Bool(b) => b.fmt(f),
+            Float(x) => x.fmt(f),
+        }
+    }
+}
+
+type Get<T> = for<'a> fn(&'a T) -> Cell<'a>;
+
+/// One run-line field of a `T`: its JSON key, its CSV column, and how to
+/// read it. The JSON body, the CSV header and the CSV row all render from
+/// these rows, so a column cannot exist, or sit elsewhere, in only one.
+struct Field<T> {
+    key: &'static str,
+    column: &'static str,
+    get: Get<T>,
+}
+
+/// A field of a nested JSON object, whose flat CSV column says which.
+const fn nested<T>(key: &'static str, column: &'static str, get: Get<T>) -> Field<T> {
+    Field { key, column, get }
+}
+
+/// A field whose CSV column is named after its JSON key.
+const fn field<T>(key: &'static str, get: Get<T>) -> Field<T> {
+    nested(key, key, get)
+}
+
+const RESULT: [Field<SimResult>; 16] = [
+    field("topology", |r| Str(&r.topology)),
+    field("protocol", |r| Str(&r.protocol)),
+    field("scheduler", |r| Str(&r.scheduler)),
+    field("nodes", |r| Int(r.nodes as u64)),
+    field("messages", |r| Int(r.messages as u64)),
+    field("seed", |r| Int(r.seed)),
+    field("completed", |r| Bool(r.completed)),
+    field("rounds_to_completion", |r| {
+        Opt(r.rounds_to_completion.map(|n| n as u64))
+    }),
+    field("rounds_executed", |r| Int(r.rounds_executed as u64)),
+    field("virtual_time", |r| Int(r.virtual_time)),
+    field("virtual_time_to_completion", |r| {
+        Opt(r.virtual_time_to_completion)
+    }),
+    field("total_connections", |r| Int(r.total_connections as u64)),
+    field("productive_connections", |r| {
+        Int(r.productive_connections as u64)
+    }),
+    field("wasted_connections", |r| Int(r.wasted_connections as u64)),
+    field("complete_nodes", |r| Int(r.complete_nodes as u64)),
+    field("dropped_proposals", |r| NonZero(r.dropped_proposals)),
+];
+
+const DYNAMICS: [Field<DynamicsStats>; 10] = [
+    nested("model", "dynamics_model", |d| Str(&d.model)),
+    field("departures", |d| Int(d.departures as u64)),
+    field("rejoins", |d| Int(d.rejoins as u64)),
+    field("edge_downs", |d| Int(d.edge_downs as u64)),
+    field("edge_ups", |d| Int(d.edge_ups as u64)),
+    field("rewires", |d| Int(d.rewires as u64)),
+    field("severed_connections", |d| Int(d.severed_connections as u64)),
+    field("peak_alive", |d| Int(d.peak_alive as u64)),
+    field("min_alive", |d| Int(d.min_alive as u64)),
+    field("final_alive", |d| Int(d.final_alive as u64)),
+];
+
+const MEMBERSHIP: [Field<MembershipStats>; 10] = [
+    nested("active_min", "mem_active_min", |m| Int(m.active_min as u64)),
+    nested("active_mean", "mem_active_mean", |m| Float(m.active_mean)),
+    nested("active_max", "mem_active_max", |m| Int(m.active_max as u64)),
+    nested("isolated_nodes", "mem_isolated_nodes", |m| {
+        Int(m.isolated_nodes as u64)
+    }),
+    nested("joins", "mem_joins", |m| Int(m.joins)),
+    nested("shuffles", "mem_shuffles", |m| Int(m.shuffles)),
+    nested("probes", "mem_probes", |m| Int(m.probes)),
+    nested("suspicions", "mem_suspicions", |m| Int(m.suspicions)),
+    nested("evictions", "mem_evictions", |m| Int(m.evictions)),
+    nested(
+        "false_positive_evictions",
+        "mem_false_positive_evictions",
+        |m| Int(m.false_positive_evictions),
+    ),
+];
+
+/// Write `of`'s fields as JSON members, in table order.
+fn members<T>(o: &mut Obj, fields: &[Field<T>], of: &T) {
+    for f in fields {
+        match (f.get)(of) {
+            Str(s) => o.str(f.key, s),
+            Opt(None) => o.raw(f.key, "null"),
+            NonZero(0) => continue,
+            cell => o.raw(f.key, cell),
+        };
+    }
+}
+
+/// Append `of`'s fields as CSV cells, in table order — all empty when the
+/// run had no such layer.
+fn cells<T>(row: &mut Vec<String>, fields: &[Field<T>], of: Option<&T>) {
+    for f in fields {
+        row.push(of.map_or_else(String::new, |of| (f.get)(of).to_string()));
+    }
+}
+
+/// A JSON array of objects, one per item.
+fn array<T>(items: &[T], write: impl Fn(&mut Obj, &T)) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let mut o = Obj::default();
+        write(&mut o, item);
+        out.push_str(&o.finish());
+    }
+    out.push(']');
+    out
+}
+
+/// The members of [`to_json`]: the result's scalars, then a `dynamics`
+/// and a `membership` object when the run had that layer, then the
+/// per-round history when it was recorded.
+fn result_members(o: &mut Obj, result: &SimResult) {
+    members(o, &RESULT, result);
+    if let Some(d) = &result.dynamics {
+        let mut dynamics = Obj::default();
+        members(&mut dynamics, &DYNAMICS, d);
+        let timeline = array(&d.coverage_timeline, |o, p| {
+            o.raw("time", p.time)
+                .raw("alive", p.alive)
+                .raw("informed_alive", p.informed_alive);
+        });
+        dynamics.raw("coverage_timeline", timeline);
+        o.raw("dynamics", dynamics.finish());
+    }
+    if let Some(m) = &result.membership {
+        let mut membership = Obj::default();
+        members(&mut membership, &MEMBERSHIP, m);
+        o.raw("membership", membership.finish());
+    }
+    if let Some(rounds) = &result.rounds {
+        let rounds = array(rounds, |o, r| {
+            o.raw("round", r.round)
+                .raw("connections", r.connections)
+                .raw("productive", r.productive)
+                .raw("complete_nodes", r.complete_nodes)
+                .raw("messages_held", r.messages_held);
+        });
+        o.raw("rounds", rounds);
+    }
+}
+
 /// Serialize the deterministic core of a result as a single JSON object.
 /// This is a pure function of the [`SimResult`] — no schema version, no
 /// scenario id, no timing — so byte-for-byte regression pins on it stay
 /// stable across line-format revisions.
 pub fn to_json(result: &SimResult) -> String {
-    let mut out = String::with_capacity(512);
-    out.push('{');
-    json_str(&mut out, "topology", &result.topology);
-    out.push(',');
-    json_str(&mut out, "protocol", &result.protocol);
-    out.push(',');
-    json_str(&mut out, "scheduler", &result.scheduler);
-    out.push(',');
-    json_num(&mut out, "nodes", result.nodes as u64);
-    out.push(',');
-    json_num(&mut out, "messages", result.messages as u64);
-    out.push(',');
-    json_num(&mut out, "seed", result.seed);
-    out.push(',');
-    out.push_str(&format!("\"completed\":{}", result.completed));
-    out.push(',');
-    match result.rounds_to_completion {
-        Some(r) => json_num(&mut out, "rounds_to_completion", r as u64),
-        None => out.push_str("\"rounds_to_completion\":null"),
-    }
-    out.push(',');
-    json_num(&mut out, "rounds_executed", result.rounds_executed as u64);
-    out.push(',');
-    json_num(&mut out, "virtual_time", result.virtual_time);
-    out.push(',');
-    match result.virtual_time_to_completion {
-        Some(t) => json_num(&mut out, "virtual_time_to_completion", t),
-        None => out.push_str("\"virtual_time_to_completion\":null"),
-    }
-    out.push(',');
-    json_num(
-        &mut out,
-        "total_connections",
-        result.total_connections as u64,
-    );
-    out.push(',');
-    json_num(
-        &mut out,
-        "productive_connections",
-        result.productive_connections as u64,
-    );
-    out.push(',');
-    json_num(
-        &mut out,
-        "wasted_connections",
-        result.wasted_connections as u64,
-    );
-    out.push(',');
-    json_num(&mut out, "complete_nodes", result.complete_nodes as u64);
-    // Emitted only when nonzero — like `dynamics`, absence is the normal
-    // case, and conditional emission keeps clean static runs serializing
-    // byte-identically to pre-counter builds (the serialization pins rely
-    // on that).
-    if result.dropped_proposals > 0 {
-        out.push(',');
-        json_num(&mut out, "dropped_proposals", result.dropped_proposals);
-    }
-    if let Some(d) = &result.dynamics {
-        out.push_str(",\"dynamics\":{");
-        json_str(&mut out, "model", &d.model);
-        out.push(',');
-        json_num(&mut out, "departures", d.departures as u64);
-        out.push(',');
-        json_num(&mut out, "rejoins", d.rejoins as u64);
-        out.push(',');
-        json_num(&mut out, "edge_downs", d.edge_downs as u64);
-        out.push(',');
-        json_num(&mut out, "edge_ups", d.edge_ups as u64);
-        out.push(',');
-        json_num(&mut out, "rewires", d.rewires as u64);
-        out.push(',');
-        json_num(
-            &mut out,
-            "severed_connections",
-            d.severed_connections as u64,
-        );
-        out.push(',');
-        json_num(&mut out, "peak_alive", d.peak_alive as u64);
-        out.push(',');
-        json_num(&mut out, "min_alive", d.min_alive as u64);
-        out.push(',');
-        json_num(&mut out, "final_alive", d.final_alive as u64);
-        out.push_str(",\"coverage_timeline\":[");
-        for (i, p) in d.coverage_timeline.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_num(&mut out, "time", p.time);
-            out.push(',');
-            json_num(&mut out, "alive", p.alive as u64);
-            out.push(',');
-            json_num(&mut out, "informed_alive", p.informed_alive as u64);
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    if let Some(m) = &result.membership {
-        out.push_str(",\"membership\":{");
-        json_num(&mut out, "active_min", m.active_min as u64);
-        out.push(',');
-        // f64 via Display: shortest round-trip representation, stable
-        // across platforms for the deterministic engine's values.
-        out.push_str(&format!("\"active_mean\":{}", m.active_mean));
-        out.push(',');
-        json_num(&mut out, "active_max", m.active_max as u64);
-        out.push(',');
-        json_num(&mut out, "isolated_nodes", m.isolated_nodes as u64);
-        out.push(',');
-        json_num(&mut out, "joins", m.joins);
-        out.push(',');
-        json_num(&mut out, "shuffles", m.shuffles);
-        out.push(',');
-        json_num(&mut out, "probes", m.probes);
-        out.push(',');
-        json_num(&mut out, "suspicions", m.suspicions);
-        out.push(',');
-        json_num(&mut out, "evictions", m.evictions);
-        out.push(',');
-        json_num(
-            &mut out,
-            "false_positive_evictions",
-            m.false_positive_evictions,
-        );
-        out.push('}');
-    }
-    if let Some(rounds) = &result.rounds {
-        out.push_str(",\"rounds\":[");
-        for (i, r) in rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_num(&mut out, "round", r.round as u64);
-            out.push(',');
-            json_num(&mut out, "connections", r.connections as u64);
-            out.push(',');
-            json_num(&mut out, "productive", r.productive as u64);
-            out.push(',');
-            json_num(&mut out, "complete_nodes", r.complete_nodes as u64);
-            out.push(',');
-            json_num(&mut out, "messages_held", r.messages_held as u64);
-            out.push('}');
-        }
-        out.push(']');
-    }
-    out.push('}');
-    out
+    let mut o = Obj::default();
+    result_members(&mut o, result);
+    o.finish()
 }
 
 /// One emitted JSON line: schema version and scenario id leading, the
-/// deterministic [`to_json`] body in the middle, execution metadata
+/// deterministic [`to_json`] members in the middle, execution metadata
 /// (threads, wall time) trailing.
 pub fn run_line_json(scenario_id: &str, result: &SimResult, meta: &RunMeta) -> String {
-    let mut out = String::with_capacity(640);
-    out.push('{');
-    json_num(&mut out, "schema", SCHEMA_VERSION);
-    out.push(',');
-    json_str(&mut out, "scenario_id", scenario_id);
-    out.push(',');
-    let body = to_json(result);
-    out.push_str(&body[1..body.len() - 1]);
-    out.push(',');
-    json_num(&mut out, "threads", meta.threads as u64);
-    out.push(',');
-    json_num(&mut out, "wall_ms", meta.wall_ms);
-    out.push('}');
-    out
+    let mut o = Obj::default();
+    o.raw("schema", SCHEMA_VERSION)
+        .str("scenario_id", scenario_id);
+    result_members(&mut o, result);
+    o.raw("threads", meta.threads)
+        .raw("wall_ms", meta.wall_ms)
+        .finish()
 }
 
 /// The header row for CSV output. The column set is fixed — dynamics and
 /// membership columns are simply empty on runs that used neither — so
 /// outputs from different configs concatenate and load uniformly in
 /// plotting tools.
-pub fn csv_header() -> &'static str {
-    "schema,scenario_id,topology,protocol,scheduler,nodes,messages,seed,\
-     completed,rounds_to_completion,rounds_executed,virtual_time,\
-     virtual_time_to_completion,total_connections,productive_connections,\
-     wasted_connections,complete_nodes,dropped_proposals,dynamics_model,\
-     departures,rejoins,edge_downs,edge_ups,rewires,severed_connections,\
-     peak_alive,min_alive,final_alive,mem_active_min,mem_active_mean,\
-     mem_active_max,mem_isolated_nodes,mem_joins,mem_shuffles,mem_probes,\
-     mem_suspicions,mem_evictions,mem_false_positive_evictions,threads,\
-     wall_ms"
+pub fn csv_header() -> String {
+    let mut columns = vec!["schema", "scenario_id"];
+    columns.extend(RESULT.iter().map(|f| f.column));
+    columns.extend(DYNAMICS.iter().map(|f| f.column));
+    columns.extend(MEMBERSHIP.iter().map(|f| f.column));
+    columns.extend(["threads", "wall_ms"]);
+    columns.join(",")
 }
 
 /// Serialize one run as a CSV row matching [`csv_header`]. Absent values
 /// (an uncompleted run's completion columns, dynamics columns of a static
-/// run) serialize as empty cells. Names and scenario ids are
-/// comma/quote-free by construction, so no quoting is needed.
+/// run) serialize as empty cells; the per-round history is JSON-only.
 pub fn run_line_csv(scenario_id: &str, result: &SimResult, meta: &RunMeta) -> String {
-    fn opt(v: Option<u64>) -> String {
-        v.map(|v| v.to_string()).unwrap_or_default()
-    }
-    let d = result.dynamics.as_ref();
-    let mut fields: Vec<String> = vec![
-        SCHEMA_VERSION.to_string(),
-        scenario_id.to_string(),
-        result.topology.clone(),
-        result.protocol.clone(),
-        result.scheduler.clone(),
-        result.nodes.to_string(),
-        result.messages.to_string(),
-        result.seed.to_string(),
-        result.completed.to_string(),
-        opt(result.rounds_to_completion.map(|r| r as u64)),
-        result.rounds_executed.to_string(),
-        result.virtual_time.to_string(),
-        opt(result.virtual_time_to_completion),
-        result.total_connections.to_string(),
-        result.productive_connections.to_string(),
-        result.wasted_connections.to_string(),
-        result.complete_nodes.to_string(),
-        result.dropped_proposals.to_string(),
-    ];
-    fields.push(d.map(|d| d.model.clone()).unwrap_or_default());
-    for value in [
-        d.map(|d| d.departures),
-        d.map(|d| d.rejoins),
-        d.map(|d| d.edge_downs),
-        d.map(|d| d.edge_ups),
-        d.map(|d| d.rewires),
-        d.map(|d| d.severed_connections),
-        d.map(|d| d.peak_alive),
-        d.map(|d| d.min_alive),
-        d.map(|d| d.final_alive),
-    ] {
-        fields.push(opt(value.map(|v| v as u64)));
-    }
-    let m = result.membership.as_ref();
-    fields.push(opt(m.map(|m| m.active_min as u64)));
-    fields.push(m.map(|m| m.active_mean.to_string()).unwrap_or_default());
-    fields.push(opt(m.map(|m| m.active_max as u64)));
-    fields.push(opt(m.map(|m| m.isolated_nodes as u64)));
-    for value in [
-        m.map(|m| m.joins),
-        m.map(|m| m.shuffles),
-        m.map(|m| m.probes),
-        m.map(|m| m.suspicions),
-        m.map(|m| m.evictions),
-        m.map(|m| m.false_positive_evictions),
-    ] {
-        fields.push(opt(value));
-    }
-    fields.push(meta.threads.to_string());
-    fields.push(meta.wall_ms.to_string());
-    fields.join(",")
+    let mut row = vec![SCHEMA_VERSION.to_string(), scenario_id.to_string()];
+    cells(&mut row, &RESULT, Some(result));
+    cells(&mut row, &DYNAMICS, result.dynamics.as_ref());
+    cells(&mut row, &MEMBERSHIP, result.membership.as_ref());
+    row.extend([meta.threads.to_string(), meta.wall_ms.to_string()]);
+    row.join(",")
+}
+
+/// One run of a sweep: the result, and the line it prints.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepRun {
+    pub result: SimResult,
+    pub meta: RunMeta,
+    /// The run's output line in the scenario's `[output]` format, stamped
+    /// with the id of the exact seed it ran.
+    pub line: String,
+    /// What to tell the user on stderr when the run hit its round cap.
+    pub warning: Option<String>,
+}
+
+/// The sweep loop — the only one: run `scenario` once per seed of its
+/// sweep ([`Scenario::sweep`]), lazily and in seed order, so a consumer
+/// can stream one line per run. Each run is announced to `probe`
+/// ([`Probe::begin_run`]), observed by it, timed and rendered. `run` and
+/// grid cells both print these lines, which is what makes a cell's line
+/// byte-comparable (modulo wall time) to the standalone run's.
+pub fn sweep_runs<'a>(
+    scenario: &'a Scenario,
+    probe: &'a mut dyn Probe,
+) -> impl Iterator<Item = SweepRun> + 'a {
+    let threads = scenario.scheduler.effective_threads();
+    scenario.sweep().map(move |one| {
+        let id = one.scenario_id();
+        let started = Instant::now();
+        probe.begin_run(&id, one.nodes, one.messages, one.seed);
+        let result = one.run_probed(probe);
+        let meta = RunMeta {
+            threads,
+            wall_ms: started.elapsed().as_millis() as u64,
+        };
+        let line = match scenario.output.format {
+            OutputFormat::Json => run_line_json(&id, &result, &meta),
+            OutputFormat::Csv => run_line_csv(&id, &result, &meta),
+        };
+        let warning = (!result.completed).then(|| {
+            format!(
+                "{id}: gossip did not complete within {} rounds",
+                result.rounds_executed
+            )
+        });
+        SweepRun {
+            result,
+            meta,
+            line,
+            warning,
+        }
+    })
 }
 
 /// Streams run lines in one format to one writer: CSV emits its header
-/// before the first row, JSON needs none. `run`, sweeps, and grids all
-/// emit through this, which is what makes a grid cell's line byte-
-/// comparable (modulo wall time) to the standalone run of the same
-/// scenario.
+/// before the first row, JSON needs none.
 pub struct Emitter<W: Write> {
     format: OutputFormat,
     out: W,
@@ -309,35 +335,22 @@ impl<W: Write> Emitter<W> {
         }
     }
 
-    /// Emit one run line. The scenario id is stamped from `scenario` with
-    /// the **result's** seed, so every line of a sweep carries the
-    /// identity of the exact cell it ran.
-    pub fn emit(
-        &mut self,
-        scenario: &Scenario,
-        result: &SimResult,
-        meta: &RunMeta,
-    ) -> io::Result<()> {
-        let id = scenario.with_seed(result.seed).scenario_id();
-        match self.format {
-            OutputFormat::Json => writeln!(self.out, "{}", run_line_json(&id, result, meta)),
-            OutputFormat::Csv => {
-                if !self.header_written {
-                    self.header_written = true;
-                    writeln!(self.out, "{}", csv_header())?;
-                }
-                writeln!(self.out, "{}", run_line_csv(&id, result, meta))
+    /// Stream `scenario`'s sweep ([`sweep_runs`]): each run's line as it
+    /// completes, its warning, if any, to stderr.
+    pub fn emit_sweep(&mut self, scenario: &Scenario, probe: &mut dyn Probe) -> io::Result<()> {
+        for run in sweep_runs(scenario, probe) {
+            self.emit_rendered(&run.line)?;
+            if let Some(warning) = run.warning {
+                eprintln!("warning: {warning}");
             }
         }
+        Ok(())
     }
 
-    /// Emit one **pre-rendered** run line. This is how the parallel grid
-    /// pool streams its buffered cells and how `--resume` replays
-    /// checkpointed ones: cells render their lines off-thread (or read
-    /// them back from the checkpoint file), and the sequencer funnels
-    /// them through the emitter so the CSV header discipline — one
-    /// header, before the first row, wherever the row came from — still
-    /// holds.
+    /// Emit one rendered run line — a sweep's, one the grid pool rendered
+    /// off-thread, or one `--resume` read back from the checkpoint. Every
+    /// line goes through here, so the CSV header discipline (one header,
+    /// before the first row, wherever the row came from) holds.
     pub fn emit_rendered(&mut self, line: &str) -> io::Result<()> {
         if self.format == OutputFormat::Csv && !self.header_written {
             self.header_written = true;
@@ -352,31 +365,10 @@ impl<W: Write> Emitter<W> {
     }
 }
 
-pub(crate) fn json_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&gossip_telemetry::json::json_str(value));
-}
-
-pub(crate) fn json_num(out: &mut String, key: &str, value: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::ScenarioBuilder;
-
-    #[test]
-    fn json_escapes_specials() {
-        let mut out = String::new();
-        json_str(&mut out, "k", "a\"b\\c\nd");
-        assert_eq!(out, r#""k":"a\"b\\c\nd""#);
-    }
 
     #[test]
     fn run_lines_carry_schema_id_and_metadata() {
@@ -455,9 +447,9 @@ mod tests {
             .finish()
             .unwrap();
         let mut emitter = Emitter::new(scenario.output.format, Vec::<u8>::new());
-        for (result, meta) in scenario.sweep_timed_iter() {
-            emitter.emit(&scenario, &result, &meta).unwrap();
-        }
+        emitter
+            .emit_sweep(&scenario, &mut gossip_telemetry::NoopProbe)
+            .unwrap();
         let out = String::from_utf8(emitter.into_inner()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3, "header + one row per seed");

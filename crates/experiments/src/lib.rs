@@ -10,8 +10,8 @@
 //!   a validated [`Scenario`] via [`ScenarioBuilder`], which accumulates
 //!   structured [`SpecError`]s instead of failing fast. A scenario owns
 //!   its whole execution: [`Scenario::run`] builds the topology, sources,
-//!   dynamics, and scheduler, and [`Scenario::sweep_timed_iter`] streams
-//!   a multi-seed sweep.
+//!   dynamics, and scheduler, and [`sweep_runs`] streams a multi-seed
+//!   sweep.
 //! - **Grids** ([`grid`]): [`Axis`] lists over the shared `key = value`
 //!   vocabulary ([`ASSIGNMENTS`]) expand — in a documented deterministic
 //!   order — into scenario cells, each stamped with a stable
@@ -56,7 +56,8 @@ pub use checkpoint::{
     CHECKPOINT_SCHEMA_VERSION,
 };
 pub use emit::{
-    csv_header, run_line_csv, run_line_json, to_json, Emitter, RunMeta, SCHEMA_VERSION,
+    csv_header, run_line_csv, run_line_json, sweep_runs, to_json, Emitter, RunMeta, SweepRun,
+    SCHEMA_VERSION,
 };
 pub use grid::{Axis, Grid, GridExpandError};
 pub use pool::{execute_grid, run_cell, worker_count, CellOutput, PoolSummary};

@@ -33,9 +33,10 @@
 //! cells block on nothing, so extra workers merely time-slice.
 
 use crate::checkpoint::{CellRecord, CheckpointWriter};
-use crate::emit::{run_line_csv, run_line_json, Emitter};
-use crate::spec::{OutputFormat, Scenario};
+use crate::emit::{sweep_runs, Emitter};
+use crate::spec::Scenario;
 use gossip_telemetry::progress::PoolProgress;
+use gossip_telemetry::NoopProbe;
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -59,25 +60,17 @@ pub struct CellOutput {
     pub wall_ms: u64,
 }
 
-/// Run one grid cell — the full seed sweep — and render its output lines
-/// exactly as the serial grid would have emitted them. Pure with respect
-/// to the pool: no shared state, no I/O, safe to call from any worker.
+/// Run one grid cell — the full seed sweep ([`sweep_runs`]) — keeping
+/// its output lines exactly as the serial grid would have emitted them.
+/// Pure with respect to the pool: no shared state, no I/O, safe to call
+/// from any worker.
 pub fn run_cell(scenario: &Scenario) -> CellOutput {
     let started = Instant::now();
     let mut lines = Vec::with_capacity(scenario.seeds);
     let mut warnings = Vec::new();
-    for (result, meta) in scenario.sweep_timed_iter() {
-        let id = scenario.with_seed(result.seed).scenario_id();
-        if !result.completed {
-            warnings.push(format!(
-                "{id}: gossip did not complete within {} rounds",
-                result.rounds_executed
-            ));
-        }
-        lines.push(match scenario.output.format {
-            OutputFormat::Json => run_line_json(&id, &result, &meta),
-            OutputFormat::Csv => run_line_csv(&id, &result, &meta),
-        });
+    for run in sweep_runs(scenario, &mut NoopProbe) {
+        lines.push(run.line);
+        warnings.extend(run.warning);
     }
     CellOutput {
         lines,

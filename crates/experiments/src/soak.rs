@@ -91,20 +91,18 @@ pub fn summarize(
 
 /// Serialize one soak outcome as a JSON line (no trailing newline).
 pub fn soak_line_json(outcome: &SoakOutcome, config: &SoakConfig) -> String {
-    format!(
-        "{{\"soak\":{SOAK_SCHEMA_VERSION},\"scenario_id\":{},\"metric\":{},\
-         \"baseline\":{},\"mean\":{},\"min\":{},\"stddev\":{},\
-         \"iterations\":{},\"tolerance\":{},\"regressed\":{}}}",
-        json::json_str(&outcome.scenario_id),
-        json::json_str(outcome.metric),
-        fmt_f64(outcome.baseline),
-        fmt_f64(outcome.mean),
-        fmt_f64(outcome.min),
-        fmt_f64(outcome.stddev),
-        config.iterations,
-        fmt_f64(config.tolerance),
-        outcome.regressed,
-    )
+    json::Obj::default()
+        .raw("soak", SOAK_SCHEMA_VERSION)
+        .str("scenario_id", &outcome.scenario_id)
+        .str("metric", outcome.metric)
+        .raw("baseline", fmt_f64(outcome.baseline))
+        .raw("mean", fmt_f64(outcome.mean))
+        .raw("min", fmt_f64(outcome.min))
+        .raw("stddev", fmt_f64(outcome.stddev))
+        .raw("iterations", config.iterations)
+        .raw("tolerance", fmt_f64(config.tolerance))
+        .raw("regressed", outcome.regressed)
+        .finish()
 }
 
 /// Re-measure one baseline: `iterations` fresh bench runs, reduced by

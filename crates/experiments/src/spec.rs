@@ -28,9 +28,6 @@ use gossip_sim::{
 };
 use gossip_telemetry::{NoopProbe, Probe};
 
-use crate::emit::RunMeta;
-use std::time::Instant;
-
 /// Seed salt for topology construction, preserved from the original CLI so
 /// every randomized topology (and therefore every pinned result) is
 /// byte-identical across the refactor.
@@ -641,7 +638,7 @@ impl Scenario {
     }
 
     /// Run this scenario end to end for its own seed (ignoring the sweep
-    /// width; see [`sweep_timed_iter`](Self::sweep_timed_iter)). Static
+    /// width; see [`sweep`](Self::sweep)). Static
     /// configs take the dynamics-free fast path, whose output is
     /// bit-for-bit that of pre-dynamics builds.
     pub fn run(&self) -> SimResult {
@@ -675,29 +672,17 @@ impl Scenario {
         }
     }
 
-    /// Run the configured sweep lazily: `seeds` consecutive seeds starting
-    /// at `seed`, each a fully independent experiment (randomized
-    /// topologies and source placement are re-drawn per seed), yielded in
-    /// seed order with per-run wall-clock metadata — so consumers can
-    /// stream one output line per run without buffering the sweep.
-    pub fn sweep_timed_iter(&self) -> impl Iterator<Item = (SimResult, RunMeta)> + '_ {
-        let threads = self.scheduler.effective_threads();
-        (0..self.seeds as u64).map(move |offset| {
-            let one = self.with_seed(self.seed.wrapping_add(offset));
-            let started = Instant::now();
-            let result = one.run();
-            let meta = RunMeta {
-                threads,
-                wall_ms: started.elapsed().as_millis() as u64,
-            };
-            (result, meta)
-        })
+    /// The configured sweep, one scenario per run: `seeds` consecutive
+    /// seeds starting at `seed`, each a fully independent experiment
+    /// (randomized topologies and source placement are re-drawn per
+    /// seed). [`sweep_runs`](crate::sweep_runs) runs and renders them.
+    pub fn sweep(&self) -> impl Iterator<Item = Scenario> + '_ {
+        (0..self.seeds as u64).map(move |offset| self.with_seed(self.seed.wrapping_add(offset)))
     }
 
-    /// [`sweep_timed_iter`](Self::sweep_timed_iter) without the metadata,
-    /// collected.
+    /// The results of the configured [`sweep`](Self::sweep), collected.
     pub fn run_sweep(&self) -> Vec<SimResult> {
-        self.sweep_timed_iter().map(|(result, _)| result).collect()
+        self.sweep().map(|one| one.run()).collect()
     }
 
     /// Serialize this scenario as a spec file ([`crate::parse_spec`]

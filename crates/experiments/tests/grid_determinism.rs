@@ -4,8 +4,10 @@
 //! job re-checks in release mode against the real binary.
 
 use gossip_experiments::{
-    parse_spec, run_line_json, to_json, Emitter, Grid, OutputFormat, Scenario, ScenarioBuilder,
+    parse_spec, run_line_json, sweep_runs, to_json, Emitter, Grid, OutputFormat, Scenario,
+    ScenarioBuilder,
 };
+use gossip_telemetry::NoopProbe;
 
 /// A small but representative grid: both protocols and both schedulers
 /// over two topologies, two seeds each, with one churned cell axis-free
@@ -88,22 +90,21 @@ fn emitted_lines_match_modulo_wall_time() {
         let at = line.find("\"wall_ms\":").expect("timed line");
         line[..at].to_string()
     };
-    let mut grid_lines = Vec::new();
+    let sweep_lines = |scenario: &Scenario| -> Vec<String> {
+        sweep_runs(scenario, &mut NoopProbe)
+            .map(|run| {
+                let id = scenario.with_seed(run.result.seed).scenario_id();
+                assert_eq!(run.line, run_line_json(&id, &run.result, &run.meta));
+                strip(&run.line)
+            })
+            .collect()
+    };
+    let grid_lines: Vec<String> = cells.iter().flat_map(sweep_lines).collect();
     let mut solo_lines = Vec::new();
-    for cell in &cells {
-        for (result, meta) in cell.sweep_timed_iter() {
-            let id = cell.with_seed(result.seed).scenario_id();
-            grid_lines.push(strip(&run_line_json(&id, &result, &meta)));
-        }
-    }
     for topology in ["ring", "rgg"] {
         for protocol in ["uniform", "advert"] {
             for scheduler in ["sync", "async"] {
-                let solo = standalone(topology, protocol, scheduler);
-                for (result, meta) in solo.sweep_timed_iter() {
-                    let id = solo.with_seed(result.seed).scenario_id();
-                    solo_lines.push(strip(&run_line_json(&id, &result, &meta)));
-                }
+                solo_lines.extend(sweep_lines(&standalone(topology, protocol, scheduler)));
             }
         }
     }
@@ -112,9 +113,7 @@ fn emitted_lines_match_modulo_wall_time() {
     // And the Emitter streams exactly those lines (JSON needs no header).
     let mut emitter = Emitter::new(OutputFormat::Json, Vec::<u8>::new());
     for cell in &cells {
-        for (result, meta) in cell.sweep_timed_iter() {
-            emitter.emit(cell, &result, &meta).unwrap();
-        }
+        emitter.emit_sweep(cell, &mut NoopProbe).unwrap();
     }
     let out = String::from_utf8(emitter.into_inner()).unwrap();
     let emitted: Vec<String> = out.lines().map(strip).collect();

@@ -110,6 +110,49 @@ fn every_completed_prefix_of_a_checkpoint_resumes_to_identical_output() {
 }
 
 #[test]
+fn a_grid_killed_twice_mid_record_resumes_twice_to_the_uninterrupted_output() {
+    let cells = smoke_grid().expand().unwrap();
+    let dir = std::env::temp_dir().join(format!("gossip-pool-twice-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cp.jsonl");
+    let path = path.to_str().unwrap();
+
+    let mut out = Vec::<u8>::new();
+    let writer = CheckpointWriter::create(path).unwrap();
+    execute_grid(&cells, 1, Vec::new(), Some(writer), false, &mut out).unwrap();
+    let reference = strip_wall_ms(&String::from_utf8(out).unwrap());
+
+    // `kill -9` while record `whole + 1` is being written: `whole`
+    // records stay, then half a line with no newline.
+    let kill_during_record = |whole: usize| {
+        let text = fs::read_to_string(path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let fragment = &lines[whole][..lines[whole].len() / 2];
+        fs::write(path, format!("{}\n{fragment}", lines[..whole].join("\n"))).unwrap();
+    };
+    // What `grid --checkpoint cp --resume` does.
+    let resume = |done: usize| {
+        let replay = read_checkpoint(path).unwrap();
+        assert!(replay.torn_tail);
+        let resumed = verify_against(replay.records, &cells).unwrap();
+        let writer = CheckpointWriter::append(path).unwrap();
+        let mut out = Vec::<u8>::new();
+        let summary = execute_grid(&cells, 2, resumed, Some(writer), false, &mut out).unwrap();
+        assert_eq!(summary.resumed, done);
+        assert_eq!(strip_wall_ms(&String::from_utf8(out).unwrap()), reference);
+    };
+    kill_during_record(2);
+    resume(2);
+    kill_during_record(5);
+    resume(5);
+
+    let replay = read_checkpoint(path).unwrap();
+    assert_eq!(replay.records.len(), cells.len());
+    assert!(!replay.torn_tail);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn checkpoint_files_survive_torn_tails_but_reject_corruption() {
     let cells = smoke_grid().expand().unwrap();
     let dir = std::env::temp_dir().join(format!("gossip-pool-corrupt-{}", std::process::id()));

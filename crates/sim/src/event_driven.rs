@@ -33,8 +33,7 @@
 //! (935 vs 890 rounds on the pinned ring), so it was never an equality
 //! oracle, only a second engine kept alive for two self-pins.
 
-use crate::scheduler::{RunInputs, Scheduler};
-use crate::sliced::SliceTimings;
+use crate::scheduler::{EngineTimings, RunInputs, Scheduler};
 use crate::SimResult;
 
 use gossip_core::time::TimingConfig;
@@ -79,17 +78,6 @@ impl AsyncScheduler {
             threads: threads.max(1),
         }
     }
-
-    /// The time-sliced event loop — the one body behind
-    /// [`Scheduler::run`] — also reporting its per-phase wall-time
-    /// breakdown ([`SliceTimings`]) for `bench`.
-    pub fn run_timed(
-        &self,
-        inputs: &RunInputs<'_>,
-        probe: &mut dyn Probe,
-    ) -> (SimResult, SliceTimings) {
-        crate::sliced::run_sliced(self, inputs, probe)
-    }
 }
 
 impl Scheduler for AsyncScheduler {
@@ -97,7 +85,13 @@ impl Scheduler for AsyncScheduler {
         "async"
     }
 
-    fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
-        self.run_timed(inputs, probe).0
+    /// The time-sliced event loop (the `sliced` module), with its
+    /// per-phase clocks.
+    fn run_timed(
+        &self,
+        inputs: &RunInputs<'_>,
+        probe: &mut dyn Probe,
+    ) -> (SimResult, EngineTimings) {
+        crate::sliced::run_sliced(self, inputs, probe)
     }
 }

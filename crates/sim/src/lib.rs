@@ -16,13 +16,13 @@
 //!   boundary sweep — see the `sliced` module), deterministic at any
 //!   thread count.
 //!
-//! There is **one entry point**: [`Scheduler::run`] takes a [`RunInputs`]
-//! — topology, protocol, sources, seed, [`SimConfig`], and two optional
-//! layers — plus a [`Probe`](gossip_telemetry::Probe) to observe the run
-//! ([`NoopProbe`](gossip_telemetry::NoopProbe) for none). Each engine has
-//! exactly one loop body behind it, also exposed as
-//! [`SyncScheduler::run_timed`] / [`AsyncScheduler::run_timed`], which
-//! additionally return the per-phase wall-time breakdown `bench` reports.
+//! There is **one entry point**: [`Scheduler::run_timed`] takes a
+//! [`RunInputs`] — topology, protocol, sources, seed, [`SimConfig`], and
+//! two optional layers — plus a [`Probe`](gossip_telemetry::Probe) to
+//! observe the run ([`NoopProbe`](gossip_telemetry::NoopProbe) for none),
+//! and returns the [`SimResult`] beside the engine's own clocks
+//! ([`EngineTimings`]: milliseconds per phase, what `bench` prints);
+//! [`Scheduler::run`] is its `.0`. One loop body per engine is behind it.
 //!
 //! Both record the metrics the papers analyze — rounds (or virtual time)
 //! to completion, connections formed, and how many of those connections
@@ -67,7 +67,7 @@ mod sliced;
 pub use event_driven::AsyncScheduler;
 pub use gossip_membership::{Membership, MembershipConfig, MembershipStats};
 pub use metrics::{CoveragePoint, DynamicsStats, RoundStats, SimResult};
-pub use scheduler::{PhaseTimings, RunInputs, Scheduler, SyncScheduler};
+pub use scheduler::{EngineTimings, PhaseTimings, RunInputs, Scheduler, SyncScheduler};
 pub use sliced::{SliceTimings, EVENT_REGIONS, SLICE_TICKS};
 
 use gossip_core::{NodeId, Rng};

@@ -5,9 +5,10 @@
 //! Protocols are scheduler-agnostic — they only ever see a
 //! [`NodeCtx`] neighborhood snapshot — so the same protocol runs under
 //! every scheduler. The trait has one entry point,
-//! [`run`](Scheduler::run)`(&`[`RunInputs`]`, &mut dyn Probe)`: a mutating
-//! network and a membership overlay are optional *inputs*, not separate
-//! methods, and each engine serves every combination from one loop.
+//! [`run_timed`](Scheduler::run_timed)`(&`[`RunInputs`]`, &mut dyn Probe)`
+//! ([`run`](Scheduler::run) drops its clocks): a mutating network and a
+//! membership overlay are optional *inputs*, not separate methods, and
+//! each engine serves every combination from one loop.
 //!
 //! [`SyncScheduler`] is the engine of the PODC 2017 paper: globally
 //! synchronized advertise → scan → connect → transfer rounds, with batch
@@ -38,6 +39,7 @@
 
 use crate::dynamic::{Coverage, DynRun};
 use crate::metrics::RoundStats;
+use crate::sliced::SliceTimings;
 use crate::{SimConfig, SimResult};
 
 use std::time::{Duration, Instant};
@@ -124,8 +126,45 @@ pub trait Scheduler {
     /// observation: the `SimResult` is byte-identical whether the probe
     /// is enabled or not ([`NoopProbe`](gossip_telemetry::NoopProbe)
     /// costs one branch per round), and an enabled probe sees the
-    /// identical event sequence at any thread count.
-    fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult;
+    /// identical event sequence at any thread count. The engine's own
+    /// clocks ride alongside the result, never inside it: results are a
+    /// pure function of the inputs, and wall clocks are anything but.
+    fn run_timed(
+        &self,
+        inputs: &RunInputs<'_>,
+        probe: &mut dyn Probe,
+    ) -> (SimResult, EngineTimings);
+
+    /// [`run_timed`](Self::run_timed) without the clocks.
+    fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
+        self.run_timed(inputs, probe).0
+    }
+}
+
+/// Where a run's wall time went, by engine, in the unit `bench` prints:
+/// phase times are `f64` milliseconds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum EngineTimings {
+    /// The sharded synchronous round loop.
+    Sync(PhaseTimings),
+    /// The time-sliced asynchronous event loop.
+    Async(SliceTimings),
+}
+
+impl EngineTimings {
+    /// How the engine's fixed 64-region partition was loaded: connections
+    /// per region (sync), events per region (async).
+    pub fn region_load(&self) -> &RegionLoad {
+        match self {
+            EngineTimings::Sync(p) => &p.connections_by_region,
+            EngineTimings::Async(s) => &s.events_by_region,
+        }
+    }
+}
+
+/// A clock reading in the timings' unit.
+pub(crate) fn ms(elapsed: Duration) -> f64 {
+    elapsed.as_secs_f64() * 1e3
 }
 
 /// Shared run setup: seed the per-node message matrix from the sources,
@@ -190,26 +229,24 @@ pub(crate) fn finish_run(
     result.dynamics = dynr.map(|d| d.finish(SimTime(result.virtual_time), cover));
 }
 
-/// Wall-clock time spent in each phase of the synchronous round loop,
-/// summed across rounds. Reported alongside (never inside) [`SimResult`]
-/// — results must be a pure function of the inputs, and wall clocks are
-/// anything but — so the bench harness can show *which* phase a thread
+/// Wall-clock milliseconds spent in each phase of the synchronous round
+/// loop, summed across rounds, so `bench` can show *which* phase a thread
 /// count is buying down.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Phase 1: refreshing every node's advertisement tag.
-    pub advertise: Duration,
+    pub advertise: f64,
     /// Phase 2: every node scans neighbor tags and commits an intent.
-    pub decide: Duration,
+    pub decide: f64,
     /// Phase 3: the partitioned matching resolver.
-    pub matching: Duration,
+    pub matching: f64,
     /// Phase 4: push-pull transfer over the matched pairs.
-    pub transfer: Duration,
+    pub transfer: f64,
     /// The round-boundary mutation drain — stream pops, `DynRun::apply`
     /// and the topology's settle. Zero on a static run.
-    pub drain: Duration,
+    pub drain: f64,
     /// `Membership::tick`. Zero without an overlay.
-    pub membership: Duration,
+    pub membership: f64,
     /// Connections formed per matching region (by initiator), summed over
     /// rounds — the resolver's load-balance instrument. Deterministic:
     /// the partition is fixed, never a function of the thread count.
@@ -252,11 +289,15 @@ impl SyncScheduler {
             threads: threads.max(1),
         }
     }
+}
 
-    /// The round loop — the one body behind [`Scheduler::run`] — also
-    /// reporting how long each phase took ([`PhaseTimings`], summed over
-    /// rounds) for `bench`; the timings ride alongside the result, never
-    /// inside it.
+impl Scheduler for SyncScheduler {
+    fn name(&self) -> &'static str {
+        "sync"
+    }
+
+    /// The round loop, with its per-phase clocks ([`PhaseTimings`],
+    /// summed over rounds).
     ///
     /// Every round: drain the mutations due in its window
     /// `[(r-1)·TPR, r·TPR)` (so a departure "during" a round is visible
@@ -268,11 +309,11 @@ impl SyncScheduler {
     /// skip the first two steps entirely: the phase step is monomorphised
     /// per graph type, so a frozen [`Topology`] is read directly, with no
     /// alive mask and the batched advertise kernel.
-    pub fn run_timed(
+    fn run_timed(
         &self,
         inputs: &RunInputs<'_>,
         probe: &mut dyn Probe,
-    ) -> (SimResult, PhaseTimings) {
+    ) -> (SimResult, EngineTimings) {
         let RunInputs {
             topology,
             protocol,
@@ -312,7 +353,7 @@ impl SyncScheduler {
                         probe,
                         round as u64,
                     );
-                    phases.timings.drain += draining.elapsed();
+                    phases.timings.drain += ms(draining.elapsed());
                     if mutated && cover.complete(d.topo.alive_count()) {
                         // Mutations alone completed gossip (the last uninformed
                         // node departed, or an informed one rejoined an already-
@@ -333,7 +374,7 @@ impl SyncScheduler {
                         Some(d) => m.tick(&d.topo, alive, seed, round as u64, probe),
                         None => m.tick(topology, alive, seed, round as u64, probe),
                     }
-                    phases.timings.membership += ticking.elapsed();
+                    phases.timings.membership += ms(ticking.elapsed());
                 }
                 let (resolution, transfer) = match (&mem, &dynr) {
                     (Some(m), _) => phases.step(m, alive, round as u64, probe),
@@ -383,17 +424,7 @@ impl SyncScheduler {
             .rounds_to_completion
             .map(|r| r as u64 * TICKS_PER_ROUND);
         finish_run(&mut result, &cover, dynr, mem);
-        (result, phases.timings)
-    }
-}
-
-impl Scheduler for SyncScheduler {
-    fn name(&self) -> &'static str {
-        "sync"
-    }
-
-    fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
-        self.run_timed(inputs, probe).0
+        (result, EngineTimings::Sync(phases.timings))
     }
 }
 
@@ -475,10 +506,10 @@ impl RoundPhases<'_> {
         let t4 = Instant::now();
 
         let timings = &mut self.timings;
-        timings.advertise += t1 - t0;
-        timings.decide += t2 - t1;
-        timings.matching += t3 - t2;
-        timings.transfer += t4 - t3;
+        timings.advertise += ms(t1 - t0);
+        timings.decide += ms(t2 - t1);
+        timings.matching += ms(t3 - t2);
+        timings.transfer += ms(t4 - t3);
         for c in &resolution.connections {
             timings
                 .connections_by_region

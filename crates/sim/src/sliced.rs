@@ -63,12 +63,12 @@
 use crate::dynamic::{mutate_event, Coverage, DynRun};
 use crate::event_driven::AsyncScheduler;
 use crate::metrics::RoundStats;
-use crate::scheduler::{finish_run, init_run, RunInputs};
+use crate::scheduler::{finish_run, init_run, ms, EngineTimings, RunInputs};
 use crate::SimResult;
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{
@@ -107,23 +107,27 @@ const SWEEP_STREAM: u64 = u64::MAX - 2;
 /// [`gossip_membership::MEMBERSHIP_STREAM`] — keep them disjoint.)
 const MUTATE_STREAM: u64 = u64::MAX - 3;
 
-/// Wall-time breakdown of a sliced run, for `bench`. `execute` is the
-/// parallel region phase; `merge` the serial log merge + accounting
-/// replay; `sweep` the serial boundary sweep (plus, on dynamic runs, the
-/// start-of-slice mutation drain).
-#[derive(Clone, Copy, Debug, Default)]
+/// Wall-clock milliseconds of a sliced run by phase, for `bench`.
+/// `execute` is the parallel region phase; `merge` the serial log merge +
+/// accounting replay; `sweep` the serial boundary sweep (plus, on dynamic
+/// runs, the start-of-slice mutation drain).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SliceTimings {
     /// Parallel region execution.
-    pub execute: Duration,
+    pub execute: f64,
     /// Log merge + serial accounting replay.
-    pub merge: Duration,
+    pub merge: f64,
     /// Serial boundary sweep (and mutation drain).
-    pub sweep: Duration,
+    pub sweep: f64,
     /// Events executed (region pops + sweep executions; deferred events
     /// count once, where they execute).
     pub events: u64,
     /// Slice passes taken.
     pub slices: u64,
+    /// `events` per second of the run's wall time, setup included — the
+    /// async analogue of rounds/sec, and the number `soak` and the
+    /// `BENCH_async_*.json` baselines compare.
+    pub events_per_sec: f64,
     /// Events popped per fixed region during the parallel phase (sweep
     /// executions are serial and excluded) — the load-balance signal for
     /// `bench`.
@@ -821,8 +825,8 @@ fn gossip_graph<'a>(
     }
 }
 
-/// The sliced engine: the one pass loop behind
-/// [`AsyncScheduler::run_timed`]. Byte-identical to itself at any
+/// The sliced engine: the one pass loop behind [`AsyncScheduler`]'s
+/// [`run_timed`](crate::Scheduler::run_timed). Byte-identical to itself at any
 /// `threads`; see the module docs for the determinism argument.
 ///
 /// Under dynamics, mutations apply serially at slice starts (phase 0 —
@@ -842,7 +846,8 @@ pub(crate) fn run_sliced(
     sched: &AsyncScheduler,
     inputs: &RunInputs<'_>,
     probe: &mut dyn Probe,
-) -> (SimResult, SliceTimings) {
+) -> (SimResult, EngineTimings) {
+    let started = Instant::now();
     let RunInputs {
         topology,
         protocol,
@@ -999,7 +1004,7 @@ pub(crate) fn run_sliced(
                 last_mut = Some(mtime.ticks());
             }
             d.topo.settle();
-            timings.sweep += t2.elapsed();
+            timings.sweep += ms(t2.elapsed());
             if let Some(t) = last_mut.filter(|_| cover.complete(d.topo.alive_count())) {
                 // Mutations alone completed gossip.
                 result.completed = true;
@@ -1053,7 +1058,7 @@ pub(crate) fn run_sliced(
                 threads,
             );
         }
-        timings.execute += t0.elapsed();
+        timings.execute += ms(t0.elapsed());
 
         // Phase B: merge region logs in (time, region) order and replay
         // the accounting serially. On dynamic runs both endpoints of
@@ -1119,13 +1124,13 @@ pub(crate) fn run_sliced(
                     }
                     epochs.count_finish(&mut result, &mut cover, moved, newly_full);
                     if finished(&mut result, &mut dynr, &cover, SimTime(e.time)) {
-                        timings.merge += t1.elapsed();
+                        timings.merge += ms(t1.elapsed());
                         break 'run e.time;
                     }
                 }
             }
         }
-        timings.merge += t1.elapsed();
+        timings.merge += ms(t1.elapsed());
 
         // Phase C: serial boundary sweep over the deferred cross-region
         // events, in (time, region) order, against the `whole()` chunks.
@@ -1236,14 +1241,14 @@ pub(crate) fn run_sliced(
                     let delay = sched.timing.refresh_interval(drift[i], &mut rng_sweep);
                     scratches[i / block].push(now.after(delay), Ev::Act(initiator, gen_i));
                     if finished(&mut result, &mut dynr, &cover, now) {
-                        timings.sweep += t2.elapsed();
+                        timings.sweep += ms(t2.elapsed());
                         break 'run now.ticks();
                     }
                 }
                 Ev::Act(..) => unreachable!("act events are never deferred"),
             }
         }
-        timings.sweep += t2.elapsed();
+        timings.sweep += ms(t2.elapsed());
     };
 
     result.virtual_time = now_ticks.min(max_time);
@@ -1260,7 +1265,8 @@ pub(crate) fn run_sliced(
     for (r, s) in scratches.iter().enumerate() {
         timings.events_by_region.add(r, s.events);
     }
-    (result, timings)
+    timings.events_per_sec = timings.events as f64 / started.elapsed().as_secs_f64().max(1e-9);
+    (result, EngineTimings::Async(timings))
 }
 
 /// After a transfer landing at `now` was counted: sample the coverage

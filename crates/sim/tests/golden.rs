@@ -18,8 +18,8 @@ use gossip_core::{NodeId, Rng, SimTime, Topology};
 use gossip_dynamics::{Churn, DynamicsModel, Mutation, MutationStream, RejoinPolicy};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
 use gossip_sim::{
-    random_sources, AsyncScheduler, MembershipConfig, RunInputs, Scheduler, SimConfig,
-    SyncScheduler,
+    random_sources, AsyncScheduler, EngineTimings, MembershipConfig, RunInputs, Scheduler,
+    SimConfig, SyncScheduler,
 };
 use gossip_telemetry::{MemoryProbe, NoopProbe};
 
@@ -77,8 +77,16 @@ fn golden_matrix_captured_on_the_parent_holds_through_the_one_entry_point() {
                     membership: overlay.then_some(&membership),
                     ..RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg)
                 };
+                // Through `run_timed`, the entry point `run` is the `.0`
+                // of: the clocks ride beside the result and name the
+                // engine that ran.
                 let mut probe = MemoryProbe::default();
-                let result = sched.run(&inputs, &mut probe);
+                let (result, timings) = sched.run_timed(&inputs, &mut probe);
+                assert_eq!(result.scheduler, sched.name());
+                assert_eq!(
+                    matches!(timings, EngineTimings::Sync(_)),
+                    sched.name() == "sync"
+                );
                 let got = (
                     fnv(format!("{result:?}").as_bytes()),
                     fnv(format!("{:?}", probe.events).as_bytes()),

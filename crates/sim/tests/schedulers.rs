@@ -1,14 +1,11 @@
-//! Cross-scheduler tests: the synchronous scheduler reproduces the
-//! pre-refactor engine bit-for-bit, and the asynchronous event-driven
-//! scheduler completes gossip on ring / grid / random-geometric
-//! topologies with deterministic virtual-time results for a fixed seed.
+//! Cross-scheduler tests: the asynchronous event-driven scheduler
+//! completes gossip on ring / grid / random-geometric topologies with
+//! deterministic virtual-time results for a fixed seed.
 
 use gossip_core::time::{TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{Rng, Topology};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{
-    random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler,
-};
+use gossip_sim::{random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
 fn run_with(
@@ -28,33 +25,6 @@ fn run_with(
         &RunInputs::new(topo, protocol, &sources, seed, cfg),
         &mut NoopProbe,
     )
-}
-
-#[test]
-fn sync_scheduler_is_bit_for_bit_the_legacy_engine() {
-    // `SyncScheduler::run_timed` and the trait's `run` must be the same
-    // execution — same RNG consumption, same round counts, same per-round
-    // history.
-    for topo in [Topology::ring(48), Topology::grid(30)] {
-        let mut rng = Rng::new(0xfeed);
-        let sources = random_sources(topo.num_nodes(), 3, &mut rng);
-        let cfg = SimConfig {
-            record_rounds: true,
-            ..SimConfig::default()
-        };
-        let inputs = RunInputs::new(&topo, &AdvertGossip, &sources, 77, cfg);
-        let (legacy, _) = SyncScheduler::default().run_timed(&inputs, &mut NoopProbe);
-        let via_trait: &dyn Scheduler = &SyncScheduler::default();
-        let via_trait = via_trait.run(&inputs, &mut NoopProbe);
-        assert_eq!(legacy.rounds_to_completion, via_trait.rounds_to_completion);
-        assert_eq!(legacy.total_connections, via_trait.total_connections);
-        assert_eq!(
-            legacy.productive_connections,
-            via_trait.productive_connections
-        );
-        assert_eq!(legacy.rounds, via_trait.rounds);
-        assert_eq!(via_trait.scheduler, "sync");
-    }
 }
 
 #[test]

@@ -4,11 +4,14 @@
 //! dissemination-depth stats from the infection DAG, and per-region
 //! balance summaries.
 //!
-//! Input is line-oriented and self-describing: a line with `"schema"` and
-//! `"scenario_id"` is a run line, one with `"trace_schema"` opens a trace
-//! stream, one with `"ev"` is a trace event of the currently open stream.
-//! Anything else (CSV headers, blank lines) is counted and skipped, so
-//! `analyze` accepts whole output directories without ceremony.
+//! Input is line-oriented and self-describing: a line with `"bench"` or
+//! `"soak"` is a timing line (counted, and kept out of the run tables: a
+//! bench run stops at its round budget, so it would read as a failed
+//! run), any other with `"schema"` and `"scenario_id"` is a run line, one
+//! with `"trace_schema"` opens a trace stream, one with `"ev"` is a trace
+//! event of the currently open stream. Anything else (CSV headers, other
+//! JSON) is counted and skipped, so `analyze` accepts whole output
+//! directories without ceremony.
 
 use crate::json::{parse, Value};
 use crate::metrics::{regions_for, LoadSummary, RegionLoad};
@@ -115,7 +118,11 @@ pub struct Analyzer {
     runs: Vec<RunRow>,
     traces: Vec<TraceStats>,
     current: Option<TraceAccum>,
-    skipped: u64,
+    /// Lines left out, by why: `bench`/`soak` lines (recognised, but not
+    /// runs), JSON of no known shape, and not JSON at all.
+    timing_lines: u64,
+    unrecognised: u64,
+    unparsable: u64,
 }
 
 /// Strip the trailing `-s<seed>` component a sweep appends to each cell's
@@ -145,7 +152,7 @@ impl Analyzer {
             return;
         }
         let Ok(v) = parse(line) else {
-            self.skipped += 1;
+            self.unparsable += 1;
             return;
         };
         if v.get("trace_schema").is_some() {
@@ -170,10 +177,14 @@ impl Analyzer {
         }
         if let Some(ev) = v.get("ev").and_then(Value::as_str) {
             let Some(accum) = self.current.as_mut() else {
-                self.skipped += 1; // event before any header
+                self.unrecognised += 1; // event before any header
                 return;
             };
             accum.observe(ev, &v);
+            return;
+        }
+        if v.get("bench").is_some() || v.get("soak").is_some() {
+            self.timing_lines += 1;
             return;
         }
         if v.get("schema").is_some() && v.get("scenario_id").is_some() {
@@ -207,7 +218,7 @@ impl Analyzer {
             });
             return;
         }
-        self.skipped += 1;
+        self.unrecognised += 1;
     }
 
     fn finish_trace(&mut self) {
@@ -391,8 +402,14 @@ impl Analyzer {
             ));
         }
 
-        if self.skipped > 0 {
-            out.push_str(&format!("\nskipped {} unparsable lines\n", self.skipped));
+        for (count, what) in [
+            (self.timing_lines, "bench/soak lines (timings, not runs)"),
+            (self.unrecognised, "unrecognised lines"),
+            (self.unparsable, "unparsable lines"),
+        ] {
+            if count > 0 {
+                out.push_str(&format!("\nskipped {count} {what}\n"));
+            }
         }
         if out.is_empty() {
             out.push_str("no run lines or trace streams found in input\n");
@@ -631,6 +648,38 @@ mod tests {
         a.add_line(&run_line("line-advert-sync-n9-k1", "advert", 1, None));
         let report = a.report();
         assert!(report.contains("(no completed runs)"), "{report}");
+    }
+
+    #[test]
+    fn bench_and_soak_lines_are_recognised_and_kept_out_of_the_run_tables() {
+        let mut a = Analyzer::default();
+        a.add_line(&run_line(
+            "ring-advert-sync-n2000-k1",
+            "advert",
+            1,
+            Some(90),
+        ));
+        // A bench line has `schema` and `scenario_id` too, and never a
+        // `rounds_to_completion`: read as a run it is a phantom failure.
+        a.add_line(
+            r#"{"schema":5,"bench":"sync_round_loop","scenario_id":"ring-advert-sync-n2000-k1-s1","round_budget":8,"rounds_executed":8,"completed":false}"#,
+        );
+        a.add_line(
+            r#"{"soak":1,"scenario_id":"ring-advert-sync-n2000-k1-s1","metric":"node_events_per_sec","regressed":false}"#,
+        );
+        a.add_line(r#"{"some":"other json"}"#);
+        let report = a.report();
+        assert!(!report.contains("(no completed runs)"), "{report}");
+        let row = report.lines().find(|l| l.contains("n2000")).unwrap();
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(
+            cells[..3],
+            ["ring-advert-sync-n2000-k1", "1", "1"],
+            "{report}"
+        );
+        assert!(report.contains("skipped 2 bench/soak lines"), "{report}");
+        assert!(report.contains("skipped 1 unrecognised lines"), "{report}");
+        assert!(!report.contains("unparsable"), "{report}");
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! Minimal JSON: string escaping and float formatting for emission, and a
-//! tolerant recursive-descent parser for the `analyze` stage's readback of
-//! run lines and trace files. Hand-rolled because the workspace is
+//! Minimal JSON: string escaping, an object member writer and float
+//! formatting for emission, and a tolerant recursive-descent parser for
+//! the `analyze` stage's readback of run lines and trace files. Hand-rolled because the workspace is
 //! dependency-free by design; tolerant because `analyze` must skip
 //! non-JSON lines (CSV output, blank lines) rather than abort a report.
 
 /// Escape `s` as a JSON string literal, quotes included.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
+    out
+}
+
+fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -20,7 +25,49 @@ pub fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
+}
+
+/// Writes one JSON object member by member, in call order: the commas,
+/// the key quoting and the string escaping that every emitted line
+/// shares. Keys are written as given (the emitters' keys are plain
+/// identifiers).
+#[derive(Debug, Default)]
+pub struct Obj {
+    buf: String,
+}
+
+impl Obj {
+    fn key(&mut self, key: &str) {
+        self.buf.push(if self.buf.is_empty() { '{' } else { ',' });
+        self.buf.push('"');
+        self.buf.push_str(key);
+        self.buf.push_str("\":");
+    }
+
+    /// A string member, escaped.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key);
+        push_json_str(&mut self.buf, value);
+        self
+    }
+
+    /// A member whose `Display` form is already JSON: an integer, a bool,
+    /// `null`, a formatted float, a finished nested object or array.
+    pub fn raw(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
+        use std::fmt::Write;
+        self.key(key);
+        write!(self.buf, "{value}").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// Close the object and take its text.
+    pub fn finish(&mut self) -> String {
+        if self.buf.is_empty() {
+            self.buf.push('{');
+        }
+        self.buf.push('}');
+        std::mem::take(&mut self.buf)
+    }
 }
 
 /// Format a float the way the emitters do: integral values without a
@@ -300,6 +347,22 @@ mod tests {
         let encoded = json_str(original);
         let decoded = parse(&encoded).expect("parses");
         assert_eq!(decoded.as_str(), Some(original));
+    }
+
+    #[test]
+    fn obj_writes_members_in_order_with_commas_and_escaping() {
+        let mut o = Obj::default();
+        o.str("k", "a\"b\\c\nd").raw("n", 7).raw("none", "null");
+        let mut inner = Obj::default();
+        inner.raw("x", format_args!("{:.2}", 1.0));
+        o.raw("inner", inner.finish()).raw("on", true);
+        let text = o.finish();
+        assert_eq!(
+            text,
+            r#"{"k":"a\"b\\c\nd","n":7,"none":null,"inner":{"x":1.00},"on":true}"#
+        );
+        assert!(parse(&text).is_ok());
+        assert_eq!(Obj::default().finish(), "{}");
     }
 
     #[test]

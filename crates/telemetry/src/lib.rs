@@ -1,10 +1,10 @@
-//! Deterministic telemetry for the gossip engines: trace probes, a
-//! hand-rolled metrics registry, and offline analysis of run output.
+//! Deterministic telemetry for the gossip engines: trace probes, the
+//! per-region load accumulator, and offline analysis of run output.
 //!
 //! This crate sits at the *bottom* of the workspace dependency graph — it
 //! knows nothing about topologies, protocols, or schedulers, only raw node
 //! and message ids — so every other crate can depend on it without cycles.
-//! Three pieces:
+//! Its pieces:
 //!
 //! - [`Probe`] / [`TraceEvent`] — the observation interface the engines
 //!   call at semantic points (connection proposed / accepted / rejected /
@@ -15,10 +15,10 @@
 //!   order), never consume engine randomness, and never feed back into the
 //!   simulation — so a run's `SimResult` is byte-identical with tracing on
 //!   or off, at any thread count, and so is the trace itself.
-//! - [`metrics`] — counters, gauges, and log-bucketed histograms, all
-//!   hand-rolled (the workspace is dependency-free by design), plus the
-//!   fixed-width [`metrics::RegionLoad`] accumulator the sharded engines
-//!   use for per-region load-balance accounting.
+//! - [`metrics`] — the fixed-width [`metrics::RegionLoad`] accumulator
+//!   the sharded engines use for per-region load-balance accounting, and
+//!   its [`metrics::LoadSummary`]. (Wall-clock timings live in the
+//!   engines: `gossip_sim::EngineTimings`.)
 //! - [`analyze`] — consumes emitted run/sweep JSONL lines and trace files
 //!   and produces rounds-to-completion percentile tables,
 //!   advert-vs-uniform speedup comparisons, dissemination-depth stats from

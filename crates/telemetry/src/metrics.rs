@@ -1,13 +1,6 @@
-//! A hand-rolled metrics registry: counters, gauges, log-bucketed
-//! histograms, and the fixed-width per-region load accumulator the
-//! sharded engines feed it from.
-//!
-//! Everything here is deterministic and allocation-light: names are
-//! registered in insertion order (which is how they serialize), histogram
-//! buckets are powers of two, and [`RegionLoad`] is a plain `[u64; 64]`
-//! so the engines' timing structs stay `Copy`.
-
-use crate::json::{fmt_f64, json_str};
+//! The fixed-width per-region load accumulator of the sharded engines
+//! and its balance summary. [`RegionLoad`] is a plain `[u64; 64]` so the
+//! engines' timing structs stay `Copy`.
 
 /// The fixed region fan-out of the sharded engines. Mirrors
 /// `MATCH_REGIONS` / `EVENT_REGIONS` in the engine crates (asserted equal
@@ -65,11 +58,6 @@ impl RegionLoad {
         self.counts[region] += n;
     }
 
-    /// Sum over all regions.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Summarize the first `regions` tallies (the regions a run of its
     /// size actually populated; see [`regions_for`]).
     pub fn summary(&self, regions: usize) -> LoadSummary {
@@ -86,189 +74,6 @@ impl RegionLoad {
             mean,
             imbalance: if total == 0 { 1.0 } else { max as f64 / mean },
         }
-    }
-}
-
-/// A histogram over power-of-two buckets: bucket 0 holds zeros, bucket
-/// `b >= 1` holds values in `[2^(b-1), 2^b)`. Hand-rolled, fixed
-/// footprint, exact min/max/sum on the side.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one value.
-    pub fn record(&mut self, v: u64) {
-        let b = (64 - v.leading_zeros()) as usize;
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Exact largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact mean of recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Bucket-resolution quantile estimate: the inclusive upper bound of
-    /// the bucket containing the `q`-quantile rank, clamped to the exact
-    /// min/max. Resolution is a factor of two — what log bucketing buys.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let upper = if b == 0 { 0 } else { (1u64 << b) - 1 };
-                return upper.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// Name → value stores for one run's metrics. Names are registered in
-/// insertion order and serialize in that order, so registry JSON is as
-/// deterministic as everything else.
-#[derive(Clone, Debug, Default)]
-pub struct Registry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, Histogram)>,
-}
-
-impl Registry {
-    /// Add `by` to counter `name`, registering it at zero on first use.
-    pub fn inc(&mut self, name: &str, by: u64) {
-        match self.counters.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v += by,
-            None => self.counters.push((name.to_string(), by)),
-        }
-    }
-
-    /// Current value of counter `name`.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Set gauge `name` to `v` (last write wins).
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        match self.gauges.iter_mut().find(|(n, _)| n == name) {
-            Some((_, g)) => *g = v,
-            None => self.gauges.push((name.to_string(), v)),
-        }
-    }
-
-    /// Current value of gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// Record `v` into histogram `name`, registering it on first use.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        match self.histograms.iter_mut().find(|(n, _)| n == name) {
-            Some((_, h)) => h.record(v),
-            None => {
-                let mut h = Histogram::default();
-                h.record(v);
-                self.histograms.push((name.to_string(), h));
-            }
-        }
-    }
-
-    /// Histogram `name`, if registered.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
-
-    /// Serialize the whole registry as one JSON object, in registration
-    /// order: counters as integers, gauges as floats, histograms as
-    /// `{count, min, max, mean, p50, p90, p99}` summaries.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{}:{v}", json_str(n)));
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{}:{}", json_str(n), fmt_f64(*v)));
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (n, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{}:{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json_str(n),
-                h.count(),
-                h.min(),
-                h.max(),
-                fmt_f64(h.mean()),
-                h.quantile(0.5),
-                h.quantile(0.9),
-                h.quantile(0.99),
-            ));
-        }
-        s.push_str("}}");
-        s
     }
 }
 
@@ -302,40 +107,5 @@ mod tests {
         assert_eq!(regions_for(64), 64);
         assert_eq!(regions_for(1000), 63, "ceil rounding drops a region");
         assert_eq!(regions_for(1 << 20), 64);
-    }
-
-    #[test]
-    fn histogram_buckets_by_powers_of_two() {
-        let mut h = Histogram::default();
-        for v in [0u64, 1, 2, 3, 4, 100, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 1110.0 / 7.0).abs() < 1e-9);
-        // p50 of 7 values is the 4th: value 3, bucket [2,4) → upper 3.
-        assert_eq!(h.quantile(0.5), 3);
-        // Top quantile clamps to the exact max.
-        assert_eq!(h.quantile(1.0), 1000);
-        assert_eq!(Histogram::default().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn registry_round_trips_by_name() {
-        let mut reg = Registry::default();
-        reg.inc("conns", 2);
-        reg.inc("conns", 3);
-        reg.set_gauge("ms", 1.5);
-        reg.set_gauge("ms", 2.5);
-        reg.observe("load", 8);
-        assert_eq!(reg.counter("conns"), Some(5));
-        assert_eq!(reg.gauge("ms"), Some(2.5));
-        assert_eq!(reg.histogram("load").unwrap().count(), 1);
-        assert_eq!(reg.counter("missing"), None);
-        let json = reg.to_json();
-        assert!(json.starts_with("{\"counters\":{\"conns\":5}"));
-        assert!(json.contains("\"gauges\":{\"ms\":2.5}"));
-        assert!(json.contains("\"load\":{\"count\":1,"));
     }
 }

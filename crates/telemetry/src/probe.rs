@@ -263,6 +263,12 @@ pub trait Probe {
     fn record(&mut self, event: &TraceEvent) {
         let _ = event;
     }
+
+    /// A new run's events follow: the sweep loop calls this before each
+    /// run, so a probe that spans runs can mark where one begins.
+    fn begin_run(&mut self, scenario_id: &str, nodes: usize, messages: usize, seed: u64) {
+        let _ = (scenario_id, nodes, messages, seed);
+    }
 }
 
 /// The disabled probe: engines run exactly their untraced hot path.
@@ -373,6 +379,10 @@ impl<W: Write> Probe for TraceWriter<W> {
         let mut line = event.to_json();
         line.push('\n');
         self.write(line.as_bytes());
+    }
+
+    fn begin_run(&mut self, scenario_id: &str, nodes: usize, messages: usize, seed: u64) {
+        TraceWriter::begin_run(self, scenario_id, nodes, messages, seed);
     }
 }
 
