@@ -73,31 +73,6 @@ fn union_rows(
     }
 }
 
-/// [`union_rows`] that additionally reports every message that moved, as
-/// `(message id, moved a → b)` in ascending id order. The union and stats
-/// are computed by the exact same code as the untraced path, so enabling
-/// tracing cannot change a transfer's outcome — only describe it.
-#[inline]
-fn union_rows_traced(
-    a: &mut [u64],
-    b: &mut [u64],
-    count_a: &mut u32,
-    count_b: &mut u32,
-    universe: usize,
-    moved: &mut Vec<(u32, bool)>,
-) -> TransferStats {
-    for (w, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        let mut diff = *x ^ *y;
-        let only_a = *x & !*y;
-        while diff != 0 {
-            let bit = diff.trailing_zeros();
-            diff &= diff - 1;
-            moved.push(((w * 64) as u32 + bit, only_a >> bit & 1 == 1));
-        }
-    }
-    union_rows(a, b, count_a, count_b, universe)
-}
-
 /// Initial state of the hashed-fingerprint chain: the salt *is* the
 /// chain's starting point, so no prefix of the chain can be reused under
 /// a different salt.
@@ -626,39 +601,32 @@ impl MatrixChunk<'_> {
         )
     }
 
-    /// [`union_pair_stats`](Self::union_pair_stats) that also appends every
-    /// moved message to `moved` as `(message id, moved i → j)`, in
-    /// ascending message-id order — the traced-transfer primitive probes
-    /// consume. Identical union and stats to the untraced form.
-    pub fn union_pair_stats_traced(
+    /// [`union_pair_stats`](Self::union_pair_stats) that first itemises the
+    /// transfer: `moved(from, to, msg)` for every message one row holds and
+    /// the other lacks, in ascending `msg` order — what a probe's transfer
+    /// events are made of. The union itself is the untraced call, so
+    /// observing a transfer cannot change it.
+    pub fn union_pair_traced(
         &mut self,
         i: usize,
         j: usize,
-        moved: &mut Vec<(u32, bool)>,
+        mut moved: impl FnMut(u32, u32, u32),
     ) -> TransferStats {
-        assert_ne!(i, j, "a connection cannot join a node to itself");
-        let (li, lj) = (self.local(i), self.local(j));
-        let stride = self.stride;
-        let (lo, hi) = (li.min(lj), li.max(lj));
-        let (head, tail) = self.words.split_at_mut(hi * stride);
-        let (counts_head, counts_tail) = self.counts.split_at_mut(hi);
-        let start = moved.len();
-        let stats = union_rows_traced(
-            &mut head[lo * stride..(lo + 1) * stride],
-            &mut tail[..stride],
-            &mut counts_head[lo],
-            &mut counts_tail[0],
-            self.universe,
-            moved,
-        );
-        // The core reports lo → hi direction; flip when the caller's `i`
-        // is the hi row.
-        if i > j {
-            for m in &mut moved[start..] {
-                m.1 = !m.1;
+        let (row_i, row_j) = (self.view(i).words, self.view(j).words);
+        for (w, (x, y)) in row_i.iter().zip(row_j).enumerate() {
+            let mut diff = x ^ y;
+            while diff != 0 {
+                let bit = diff.trailing_zeros();
+                diff &= diff - 1;
+                let msg = (w * 64) as u32 + bit;
+                if x >> bit & 1 == 1 {
+                    moved(i as u32, j as u32, msg);
+                } else {
+                    moved(j as u32, i as u32, msg);
+                }
             }
         }
-        stats
+        self.union_pair_stats(i, j)
     }
 }
 
@@ -877,24 +845,31 @@ mod tests {
 
     #[test]
     fn traced_union_reports_every_moved_message_and_matches_untraced() {
-        let mut m = MessageMatrix::new(2, 130);
-        m.insert(0, 0);
-        m.insert(0, 100);
-        m.insert(1, 100);
-        m.insert(1, 129);
-        let mut untraced = m.clone();
-        let mut moved = Vec::new();
-        let stats = m.whole().union_pair_stats_traced(1, 0, &mut moved);
-        assert_eq!(stats, untraced.whole().union_pair_stats(1, 0));
-        assert_eq!(m, untraced, "tracing must not change the union");
-        // Ascending message order; direction is relative to (i=1, j=0):
-        // message 0 moves 0→1 (false), 129 moves 1→0 (true).
-        assert_eq!(moved, vec![(0, false), (129, true)]);
-        // Re-union moves nothing and appends nothing.
-        moved.clear();
-        let stats = m.whole().union_pair_stats_traced(0, 1, &mut moved);
-        assert_eq!(stats, TransferStats::default());
-        assert!(moved.is_empty());
+        // Row 2 sits between the pair: the caller's lower row need not be
+        // the first in memory.
+        let mut fresh = MessageMatrix::new(3, 130);
+        for (row, msg) in [(0, 0), (0, 64), (0, 100), (2, 100), (2, 129), (1, 5)] {
+            fresh.insert(row, msg);
+        }
+        // 0 and 64 move 0 → 2, 129 moves 2 → 0, 100 is held by both:
+        // ascending message order, whichever row the caller names first.
+        let expected = vec![(0, 2, 0), (0, 2, 64), (2, 0, 129)];
+        for (i, j) in [(0, 2), (2, 0)] {
+            let (mut m, mut untraced) = (fresh.clone(), fresh.clone());
+            let mut moved = Vec::new();
+            let stats = m
+                .whole()
+                .union_pair_traced(i, j, |from, to, msg| moved.push((from, to, msg)));
+            assert_eq!(moved, expected, "i {i} j {j}");
+            assert_eq!(stats, untraced.whole().union_pair_stats(i, j));
+            assert_eq!(stats.moved, expected.len());
+            assert_eq!(m, untraced, "tracing must not change the union");
+            // Re-union moves nothing and reports nothing.
+            let again = m
+                .whole()
+                .union_pair_traced(j, i, |_, _, _| panic!("nothing left to move"));
+            assert_eq!(again, TransferStats::default());
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! are exactly the staleness the layer is modeling.
 
 use gossip_core::{GraphView, NodeId, Rng, TICKS_PER_ROUND};
-use gossip_telemetry::{Probe, TraceEvent};
+use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
 /// Stream id for membership ticks, disjoint from every engine stream
 /// (matching boundary `u64::MAX - 1`, sliced sweep `u64::MAX - 2`, sliced
@@ -241,7 +241,12 @@ impl Membership {
         let n = self.active.len();
         let mut rng = Rng::stream(seed, tick, MEMBERSHIP_STREAM);
         let tracing = probe.enabled();
-        let t = tick * TICKS_PER_ROUND;
+        let trace = |probe: &mut dyn Probe, kind, node: usize, peer: NodeId| {
+            if tracing {
+                let t = tick * TICKS_PER_ROUND;
+                probe.record(&TraceEvent::new(kind, t, tick, &[node as u32, peer.0]));
+            }
+        };
 
         // 1. Edge-triggered deaths: a departing node loses its own state
         //    (it powered off). Peers keep their dangling links — the
@@ -275,14 +280,7 @@ impl Membership {
             let c = self.scratch[rng.gen_range(self.scratch.len())];
             self.link(u, c.index(), &mut rng);
             self.joins += 1;
-            if tracing {
-                probe.record(&TraceEvent::Join {
-                    t,
-                    round: tick,
-                    node: u as u32,
-                    peer: c.0,
-                });
-            }
+            trace(probe, EventKind::Join, u, c);
         }
 
         // 3. Shuffle: refresh the passive reservoir with one random alive
@@ -303,14 +301,7 @@ impl Membership {
                     let v = self.scratch[rng.gen_range(self.scratch.len())];
                     self.note_passive(u, v.index(), &mut rng);
                     self.shuffles += 1;
-                    if tracing {
-                        probe.record(&TraceEvent::Shuffle {
-                            t,
-                            round: tick,
-                            node: u as u32,
-                            peer: v.0,
-                        });
-                    }
+                    trace(probe, EventKind::Shuffle, u, v);
                 }
                 self.promote(u, alive, &mut rng);
             }
@@ -333,14 +324,7 @@ impl Membership {
                 } else if !self.suspects[u].iter().any(|&(s, _)| s == v) {
                     self.suspects[u].push((v, tick + self.cfg.suspect_timeout()));
                     self.suspicions += 1;
-                    if tracing {
-                        probe.record(&TraceEvent::Suspect {
-                            t,
-                            round: tick,
-                            node: u as u32,
-                            peer: v.0,
-                        });
-                    }
+                    trace(probe, EventKind::Suspect, u, v);
                 }
             }
         }
@@ -362,14 +346,7 @@ impl Membership {
                     if is_alive(alive, v.index()) && underlay.are_neighbors(NodeId(u as u32), v) {
                         self.false_positive_evictions += 1;
                     }
-                    if tracing {
-                        probe.record(&TraceEvent::Evict {
-                            t,
-                            round: tick,
-                            node: u as u32,
-                            peer: v.0,
-                        });
-                    }
+                    trace(probe, EventKind::Evict, u, v);
                 }
             }
         }
@@ -569,10 +546,7 @@ mod tests {
         }
         assert_eq!(a.finish(None), b.finish(None));
         assert!(
-            probe
-                .events
-                .iter()
-                .any(|e| matches!(e, TraceEvent::Join { .. })),
+            probe.events.iter().any(|e| e.kind == EventKind::Join),
             "tracing a converging overlay must observe joins"
         );
     }

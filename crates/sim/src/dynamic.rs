@@ -10,24 +10,19 @@ use crate::metrics::{CoveragePoint, DynamicsStats};
 use gossip_core::time::TICKS_PER_ROUND;
 use gossip_core::{DynamicTopology, MessageMatrix, NodeId, SimTime, Topology};
 use gossip_dynamics::{dynamics_seed, DynamicsModel, Mutation, MutationKind, MutationStream};
-use gossip_telemetry::{MutateKind, Probe, TraceEvent};
+use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
-/// The [`TraceEvent::Mutate`] record for an applied mutation, stamped with
-/// the round (or slice pass) whose window it lands in.
+/// The trace record of an applied mutation, stamped with the round (or
+/// slice pass) whose window it lands in.
 pub(crate) fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
-    let (kind, node, peer) = match &mutation.kind {
-        MutationKind::Depart(u) => (MutateKind::Depart, u.0, None),
-        MutationKind::Rejoin { node, .. } => (MutateKind::Rejoin, node.0, None),
-        MutationKind::EdgeDown(a, b) => (MutateKind::EdgeDown, a.0, Some(b.0)),
-        MutationKind::EdgeUp(a, b) => (MutateKind::EdgeUp, a.0, Some(b.0)),
-        MutationKind::Rewire { node, .. } => (MutateKind::Rewire, node.0, None),
-    };
-    TraceEvent::Mutate {
-        t: mutation.time.ticks(),
-        round,
-        kind,
-        node,
-        peer,
+    let t = mutation.time.ticks();
+    let event = |kind, ids: &[u32]| TraceEvent::new(kind, t, round, ids);
+    match &mutation.kind {
+        MutationKind::Depart(u) => event(EventKind::Depart, &[u.0]),
+        MutationKind::Rejoin { node, .. } => event(EventKind::Rejoin, &[node.0]),
+        MutationKind::EdgeDown(a, b) => event(EventKind::EdgeDown, &[a.0, b.0]),
+        MutationKind::EdgeUp(a, b) => event(EventKind::EdgeUp, &[a.0, b.0]),
+        MutationKind::Rewire { node, .. } => event(EventKind::Rewire, &[node.0]),
     }
 }
 

@@ -54,7 +54,7 @@ use gossip_dynamics::DynamicsModel;
 use gossip_membership::{Membership, MembershipConfig};
 use gossip_protocols::{GossipProtocol, NodeCtx, Tags};
 use gossip_telemetry::metrics::RegionLoad;
-use gossip_telemetry::{BoundaryScope, Probe, TraceEvent};
+use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
 // The telemetry crate's fixed region width must mirror the engines' — the
 // per-region load counters index one with the other's partition.
@@ -404,11 +404,8 @@ impl Scheduler for SyncScheduler {
                 }
 
                 if probe.enabled() {
-                    probe.record(&TraceEvent::Boundary {
-                        t: horizon.ticks(),
-                        round: round as u64,
-                        scope: BoundaryScope::Round,
-                    });
+                    let (t, round) = (horizon.ticks(), round as u64);
+                    probe.record(&TraceEvent::new(EventKind::Round, t, round, &[]));
                 }
 
                 if cover.complete(dynr.as_ref().map_or(n, |d| d.topo.alive_count())) {
@@ -535,42 +532,25 @@ fn emit_round_events<G: GraphView + ?Sized>(
     round: u64,
 ) {
     let t = round * TICKS_PER_ROUND;
+    let mut emit = |kind, from: u32, to: u32| {
+        probe.record(&TraceEvent::new(kind, t, round, &[from, to]));
+    };
     for (u, intent) in intents.iter().enumerate() {
         let Intent::Propose(v) = intent else { continue };
-        probe.record(&TraceEvent::Propose {
-            t,
-            round,
-            from: u as u32,
-            to: v.0,
-        });
+        emit(EventKind::Propose, u as u32, v.0);
         if !graph.are_neighbors(NodeId(u as u32), *v) {
-            probe.record(&TraceEvent::Drop {
-                t,
-                round,
-                from: u as u32,
-                to: v.0,
-            });
+            emit(EventKind::Drop, u as u32, v.0);
         }
     }
     let mut initiated = vec![false; intents.len()];
     for c in &resolution.connections {
         initiated[c.initiator.index()] = true;
-        probe.record(&TraceEvent::Connect {
-            t,
-            round,
-            initiator: c.initiator.0,
-            acceptor: c.acceptor.0,
-        });
+        emit(EventKind::Connect, c.initiator.0, c.acceptor.0);
     }
     for (u, intent) in intents.iter().enumerate() {
         let Intent::Propose(v) = intent else { continue };
         if !initiated[u] {
-            probe.record(&TraceEvent::Reject {
-                t,
-                round,
-                from: u as u32,
-                to: v.0,
-            });
+            emit(EventKind::Reject, u as u32, v.0);
         }
     }
 }
@@ -588,24 +568,16 @@ fn traced_transfer(
 ) -> TransferStats {
     let t = round * TICKS_PER_ROUND;
     let mut total = TransferStats::default();
-    let mut moved: Vec<(u32, bool)> = Vec::new();
     for c in connections {
-        moved.clear();
-        total += rows.union_pair_stats_traced(c.initiator.index(), c.acceptor.index(), &mut moved);
-        for &(msg, forward) in &moved {
-            let (from, to) = if forward {
-                (c.initiator.0, c.acceptor.0)
-            } else {
-                (c.acceptor.0, c.initiator.0)
-            };
-            probe.record(&TraceEvent::Transfer {
+        let (i, j) = (c.initiator.index(), c.acceptor.index());
+        total += rows.union_pair_traced(i, j, |from, to, msg| {
+            probe.record(&TraceEvent::new(
+                EventKind::Transfer,
                 t,
                 round,
-                from,
-                to,
-                msg,
-            });
-        }
+                &[from, to, msg],
+            ));
+        });
     }
     total
 }

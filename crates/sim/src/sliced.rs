@@ -79,7 +79,7 @@ use gossip_dynamics::MutationKind;
 use gossip_membership::Membership;
 use gossip_protocols::{GossipProtocol, NodeCtx, Tags};
 use gossip_telemetry::metrics::RegionLoad;
-use gossip_telemetry::{BoundaryScope, Probe, TraceEvent};
+use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
 /// Width of one virtual-time slice. One nominal act period: long enough
 /// that most act→attempt→finish chains stay inside a slice, short enough
@@ -153,8 +153,8 @@ enum Ev {
 }
 
 /// What a worker logs for the serial replay to account. The first two
-/// variants carry the run's accounting and are always logged; the rest
-/// exist purely for tracing and are logged only when a probe is enabled,
+/// variants carry the run's accounting and are always logged; the third
+/// exists purely for tracing and is logged only when a probe is enabled,
 /// so the replay can emit the region phase's trace events in one
 /// deterministic global order without the workers ever touching the
 /// probe.
@@ -166,14 +166,12 @@ enum EntryKind {
     /// An attempt was rejected (busy acceptor, or a vanished edge on
     /// dynamic runs).
     Drop { from: u32, to: u32 },
-    /// Trace-only: a node committed to proposing.
-    Propose { from: u32, to: u32 },
-    /// Trace-only: an in-region attempt was accepted.
-    Connect { initiator: u32, acceptor: u32 },
-    /// Trace-only: one message crossed a completed connection. Logged
-    /// *before* the connection's `Finish` entry so transfers replay
-    /// ahead of the completion check they might trigger.
-    Moved { from: u32, to: u32, msg: u32 },
+    /// Trace-only: the kind and ids of the [`TraceEvent`] to replay — a
+    /// proposal, an in-region connect, or one message crossing a completed
+    /// connection. A connection's transfers are logged *before* its
+    /// `Finish` entry, so they replay ahead of the completion check they
+    /// might trigger.
+    Trace(EventKind, [u32; 3]),
 }
 
 /// One replay-log record, ordered by `(time, region)` at merge.
@@ -181,6 +179,16 @@ enum EntryKind {
 struct Entry {
     time: u64,
     kind: EntryKind,
+}
+
+// Every finished or failed attempt moves an entry through the region log
+// and the merge, traced or not: the trace-only variant must not widen it.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+
+/// The trace event of `kind` at `now`, in the round-equivalent `now`
+/// falls in.
+fn event_at(kind: EventKind, now: SimTime, ids: &[u32]) -> TraceEvent {
+    TraceEvent::new(kind, now.ticks(), now.round_equivalent() as u64, ids)
 }
 
 /// Tick counters the serial phases hand to [`append_by_tick`]. A pass's
@@ -441,7 +449,6 @@ struct RegionScratch {
     queue: SliceQueue,
     deferred: Vec<Scheduled<Ev>>,
     log: Vec<Entry>,
-    moved_scratch: Vec<(u32, bool)>,
     events: u64,
     last_time: u64,
 }
@@ -477,8 +484,8 @@ struct SliceCtx<'a, G: GraphView + Sync + ?Sized> {
     /// Dynamic runs skip the static-graph neighbor assertion — there an
     /// edge may legitimately vanish while a proposal is in flight.
     dynamic: bool,
-    /// Hoisted `probe.enabled()`: workers log the trace-only entry kinds
-    /// (and itemize transfers) only when a probe will consume them.
+    /// Hoisted `probe.enabled()`: workers log the trace-only entries (and
+    /// itemize transfers) only when a probe will consume them.
     tracing: bool,
 }
 
@@ -558,7 +565,7 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                                 if ctx.tracing {
                                     task.scratch.log.push(Entry {
                                         time: now.ticks(),
-                                        kind: EntryKind::Propose { from: u.0, to: v.0 },
+                                        kind: EntryKind::Trace(EventKind::Propose, [u.0, v.0, 0]),
                                     });
                                 }
                                 let delay = ctx.timing.latency(&mut rng);
@@ -597,10 +604,7 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                     if ctx.tracing {
                         task.scratch.log.push(Entry {
                             time: now.ticks(),
-                            kind: EntryKind::Connect {
-                                initiator: from.0,
-                                acceptor: to.0,
-                            },
+                            kind: EntryKind::Trace(EventKind::Connect, [from.0, to.0, 0]),
                         });
                     }
                     task.partner[from.index() - base] = Some((to, true));
@@ -649,24 +653,14 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
                 let stats = if ctx.tracing {
                     // Itemize the moved messages (same union, same
                     // totals) so the replay can emit per-message
-                    // `Transfer` events ahead of this `Finish`.
-                    let scratch = &mut *task.scratch;
-                    scratch.moved_scratch.clear();
-                    let stats =
-                        task.states
-                            .union_pair_stats_traced(i, j, &mut scratch.moved_scratch);
-                    for &(msg, forward) in scratch.moved_scratch.iter() {
-                        let (from, to) = if forward {
-                            (initiator.0, acceptor.0)
-                        } else {
-                            (acceptor.0, initiator.0)
-                        };
-                        scratch.log.push(Entry {
+                    // transfer events ahead of this `Finish`.
+                    let log = &mut task.scratch.log;
+                    task.states.union_pair_traced(i, j, |from, to, msg| {
+                        log.push(Entry {
                             time: now.ticks(),
-                            kind: EntryKind::Moved { from, to, msg },
-                        });
-                    }
-                    stats
+                            kind: EntryKind::Trace(EventKind::Transfer, [from, to, msg]),
+                        })
+                    })
                 } else {
                     task.states.union_pair_stats(i, j)
                 };
@@ -904,7 +898,6 @@ pub(crate) fn run_sliced(
     let mut last_time: u64 = 0;
     let mut prev_pass: Option<u64> = None;
     let tracing = probe.enabled();
-    let mut sweep_moved: Vec<(u32, bool)> = Vec::new();
 
     let now_ticks: u64 = 'run: loop {
         if result.completed {
@@ -935,11 +928,8 @@ pub(crate) fn run_sliced(
         let slice_end = (pass + 1).saturating_mul(SLICE_TICKS);
         let end = slice_end.min(max_time.saturating_add(1));
         if tracing {
-            probe.record(&TraceEvent::Boundary {
-                t: pass.saturating_mul(SLICE_TICKS),
-                round: pass,
-                scope: BoundaryScope::Slice,
-            });
+            let t = pass.saturating_mul(SLICE_TICKS);
+            probe.record(&TraceEvent::new(EventKind::Slice, t, pass, &[]));
         }
 
         // Phase 0 (serial, dynamic runs): apply every mutation due inside
@@ -966,12 +956,7 @@ pub(crate) fn run_sliced(
                                 partner[v.index()] = None;
                                 d.stats.severed_connections += 1;
                                 if tracing {
-                                    probe.record(&TraceEvent::Sever {
-                                        t: mtime.ticks(),
-                                        round: mtime.round_equivalent() as u64,
-                                        a: u.0,
-                                        b: v.0,
-                                    });
+                                    probe.record(&event_at(EventKind::Sever, mtime, &[u.0, v.0]));
                                 }
                                 if !u_initiated {
                                     // The survivor initiated: its act chain
@@ -1082,27 +1067,11 @@ pub(crate) fn run_sliced(
         for e in merged.iter() {
             let round = SimTime(e.time).round_equivalent() as u64;
             match e.kind {
-                EntryKind::Propose { from, to } => probe.record(&TraceEvent::Propose {
+                EntryKind::Trace(kind, ids) => probe.record(&TraceEvent {
                     t: e.time,
                     round,
-                    from,
-                    to,
-                }),
-                EntryKind::Connect {
-                    initiator,
-                    acceptor,
-                } => probe.record(&TraceEvent::Connect {
-                    t: e.time,
-                    round,
-                    initiator,
-                    acceptor,
-                }),
-                EntryKind::Moved { from, to, msg } => probe.record(&TraceEvent::Transfer {
-                    t: e.time,
-                    round,
-                    from,
-                    to,
-                    msg,
+                    kind,
+                    ids,
                 }),
                 EntryKind::Drop { from, to } => {
                     if let Some(history) = &mut result.rounds {
@@ -1110,12 +1079,7 @@ pub(crate) fn run_sliced(
                     }
                     result.dropped_proposals += 1;
                     if tracing {
-                        probe.record(&TraceEvent::Reject {
-                            t: e.time,
-                            round,
-                            from,
-                            to,
-                        });
+                        probe.record(&event_at(EventKind::Reject, SimTime(e.time), &[from, to]));
                     }
                 }
                 EntryKind::Finish { moved, newly_full } => {
@@ -1169,12 +1133,7 @@ pub(crate) fn run_sliced(
                     );
                     if matcher.try_connect(gossip_graph(topology, &dynr, &mem), from, to) {
                         if tracing {
-                            probe.record(&TraceEvent::Connect {
-                                t: now.ticks(),
-                                round: now.round_equivalent() as u64,
-                                initiator: from.0,
-                                acceptor: to.0,
-                            });
+                            probe.record(&event_at(EventKind::Connect, now, &[from.0, to.0]));
                         }
                         partner[from.index()] = Some((to, true));
                         partner[to.index()] = Some((from, false));
@@ -1192,12 +1151,7 @@ pub(crate) fn run_sliced(
                         matcher.cancel(from);
                         result.dropped_proposals += 1;
                         if tracing {
-                            probe.record(&TraceEvent::Reject {
-                                t: now.ticks(),
-                                round: now.round_equivalent() as u64,
-                                from: from.0,
-                                to: to.0,
-                            });
+                            probe.record(&event_at(EventKind::Reject, now, &[from.0, to.0]));
                         }
                         let delay = sched
                             .timing
@@ -1213,24 +1167,9 @@ pub(crate) fn run_sliced(
                 } => {
                     let (i, j) = (initiator.index(), acceptor.index());
                     let stats = if tracing {
-                        sweep_moved.clear();
-                        let stats = states.union_pair_stats_traced(i, j, &mut sweep_moved);
-                        let round = now.round_equivalent() as u64;
-                        for &(msg, forward) in sweep_moved.iter() {
-                            let (from, to) = if forward {
-                                (initiator.0, acceptor.0)
-                            } else {
-                                (acceptor.0, initiator.0)
-                            };
-                            probe.record(&TraceEvent::Transfer {
-                                t: now.ticks(),
-                                round,
-                                from,
-                                to,
-                                msg,
-                            });
-                        }
-                        stats
+                        states.union_pair_traced(i, j, |from, to, msg| {
+                            probe.record(&event_at(EventKind::Transfer, now, &[from, to, msg]))
+                        })
                     } else {
                         states.union_pair_stats(i, j)
                     };

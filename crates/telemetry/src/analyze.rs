@@ -9,12 +9,16 @@
 //! bench run stops at its round budget, so it would read as a failed
 //! run), any other with `"schema"` and `"scenario_id"` is a run line, one
 //! with `"trace_schema"` opens a trace stream, one with `"ev"` is a trace
-//! event of the currently open stream. Anything else (CSV headers, other
-//! JSON) is counted and skipped, so `analyze` accepts whole output
-//! directories without ceremony.
+//! event of the currently open stream, read through
+//! [`TraceEvent::from_json`] — the one reader of the trace format. Anything
+//! else (CSV headers, other JSON, an event line no schema row describes)
+//! is counted and skipped, so `analyze` accepts whole output directories
+//! without ceremony.
 
 use crate::json::{parse, Value};
-use crate::metrics::{regions_for, LoadSummary, RegionLoad};
+use crate::metrics::{region_of, regions_for, LoadSummary, RegionLoad};
+use crate::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
+use std::collections::HashMap;
 
 /// One run line's distilled facts.
 #[derive(Clone, Debug)]
@@ -45,61 +49,30 @@ struct MemRow {
 #[derive(Debug)]
 struct TraceAccum {
     scenario_id: String,
+    /// `Some` when the header's `trace_schema` is not
+    /// [`TRACE_SCHEMA_VERSION`]: what it says instead, and how many event
+    /// lines of the stream were therefore left unread.
+    unread: Option<(String, u64)>,
     nodes: usize,
     messages: usize,
-    /// Infection depth per `(message, node)`; `u32::MAX` = not reached.
+    /// Infection depth of every `(message, node)` pair reached so far.
     /// The first node seen *sending* a message is its source (depth 0).
-    depth: Vec<u32>,
-    counts: EventCounts,
+    /// Keyed, not laid out as `messages × nodes`: the header is input from
+    /// outside and must not choose an allocation.
+    depth: HashMap<(u32, u32), u32>,
+    /// Events seen, indexed by `EventKind as usize`.
+    counts: [u64; EventKind::COUNT],
     connects: RegionLoad,
     transfers: RegionLoad,
-    block: usize,
-}
-
-/// Tallies of each trace event kind.
-#[derive(Clone, Copy, Debug, Default)]
-struct EventCounts {
-    propose: u64,
-    connect: u64,
-    reject: u64,
-    drop: u64,
-    transfer: u64,
-    sever: u64,
-    mutate: u64,
-    boundary: u64,
-    join: u64,
-    shuffle: u64,
-    suspect: u64,
-    evict: u64,
-    other: u64,
-}
-
-impl EventCounts {
-    fn total(&self) -> u64 {
-        self.propose
-            + self.connect
-            + self.reject
-            + self.drop
-            + self.transfer
-            + self.sever
-            + self.mutate
-            + self.boundary
-            + self.membership_total()
-            + self.other
-    }
-
-    /// Events emitted by the membership overlay; zero on traces of
-    /// full-view runs, whose report lines are then unchanged.
-    fn membership_total(&self) -> u64 {
-        self.join + self.shuffle + self.suspect + self.evict
-    }
 }
 
 /// One finished trace stream's summary.
 #[derive(Debug)]
 struct TraceStats {
     scenario_id: String,
-    counts: EventCounts,
+    /// As [`TraceAccum::unread`].
+    unread: Option<(String, u64)>,
+    counts: [u64; EventKind::COUNT],
     /// `(message, node)` pairs reached (sources included) out of
     /// `messages × nodes`.
     reached: usize,
@@ -109,6 +82,21 @@ struct TraceStats {
     depth_mean: f64,
     connects: LoadSummary,
     transfers: LoadSummary,
+}
+
+/// The total and the `"propose 3, connect 2, …"` listing of `counts` over
+/// the kinds `keep` admits, by `ev` tag: kinds sharing a tag (the five
+/// mutations, the two clock edges) are adjacent and sum into one item.
+fn tally(counts: &[u64; EventKind::COUNT], keep: impl Fn(EventKind) -> bool) -> (u64, String) {
+    let mut items: Vec<(&str, u64)> = Vec::new();
+    for kind in EventKind::all().filter(|&k| keep(k)) {
+        match items.last_mut() {
+            Some((tag, n)) if *tag == kind.tag() => *n += counts[kind as usize],
+            _ => items.push((kind.tag(), counts[kind as usize])),
+        }
+    }
+    let listing: Vec<String> = items.iter().map(|(tag, n)| format!("{tag} {n}")).collect();
+    (items.iter().map(|(_, n)| n).sum(), listing.join(", "))
 }
 
 /// Streaming consumer of analyze input; feed lines, then render the
@@ -155,32 +143,39 @@ impl Analyzer {
             self.unparsable += 1;
             return;
         };
-        if v.get("trace_schema").is_some() {
+        if let Some(schema) = v.get("trace_schema") {
             self.finish_trace();
-            let nodes = v.get("nodes").and_then(Value::as_u64).unwrap_or(0) as usize;
-            let messages = v.get("messages").and_then(Value::as_u64).unwrap_or(1) as usize;
+            let size = |key, default| v.get(key).and_then(Value::as_u64).unwrap_or(default);
+            let version = schema.as_u64();
             self.current = Some(TraceAccum {
                 scenario_id: v
                     .get("scenario_id")
                     .and_then(Value::as_str)
                     .unwrap_or("?")
                     .to_string(),
-                nodes,
-                messages,
-                depth: vec![u32::MAX; nodes.saturating_mul(messages)],
-                counts: EventCounts::default(),
+                unread: (version != Some(TRACE_SCHEMA_VERSION.into()))
+                    .then(|| (version.map_or("?".to_string(), |v| v.to_string()), 0)),
+                nodes: size("nodes", 0) as usize,
+                messages: size("messages", 1) as usize,
+                depth: HashMap::new(),
+                counts: [0; EventKind::COUNT],
                 connects: RegionLoad::default(),
                 transfers: RegionLoad::default(),
-                block: nodes.div_ceil(crate::metrics::REGIONS).max(1),
             });
             return;
         }
-        if let Some(ev) = v.get("ev").and_then(Value::as_str) {
-            let Some(accum) = self.current.as_mut() else {
-                self.unrecognised += 1; // event before any header
-                return;
-            };
-            accum.observe(ev, &v);
+        if v.get("ev").is_some() {
+            match self.current.as_mut() {
+                None => self.unrecognised += 1, // event before any header
+                Some(TraceAccum {
+                    unread: Some((_, lines)),
+                    ..
+                }) => *lines += 1,
+                Some(accum) => match TraceEvent::from_json(&v) {
+                    Some(event) => accum.observe(&event),
+                    None => self.unrecognised += 1, // no schema row describes it
+                },
+            }
             return;
         }
         if v.get("bench").is_some() || v.get("soak").is_some() {
@@ -379,17 +374,20 @@ impl Analyzer {
 
         // Per-trace sections.
         for t in &self.traces {
-            let c = &t.counts;
             out.push_str(&format!("\ntrace {}\n", t.scenario_id));
-            out.push_str(&format!(
-                "  events {} (propose {}, connect {}, reject {}, drop {}, transfer {}, sever {}, mutate {}, boundary {})\n",
-                c.total(), c.propose, c.connect, c.reject, c.drop, c.transfer, c.sever, c.mutate, c.boundary
-            ));
-            if c.membership_total() > 0 {
+            if let Some((schema, lines)) = &t.unread {
                 out.push_str(&format!(
-                    "  membership events: join {}, shuffle {}, suspect {}, evict {}\n",
-                    c.join, c.shuffle, c.suspect, c.evict
+                    "  unread: trace_schema {schema} is not the version this build reads ({TRACE_SCHEMA_VERSION}); {lines} event lines skipped\n"
                 ));
+                continue;
+            }
+            // The overlay's events get a line of their own, and only on
+            // traces that have any: full-view reports never show it.
+            let (engine, engine_items) = tally(&t.counts, |k| k < EventKind::Join);
+            let (overlay, overlay_items) = tally(&t.counts, |k| k >= EventKind::Join);
+            out.push_str(&format!("  events {} ({engine_items})\n", engine + overlay));
+            if overlay > 0 {
+                out.push_str(&format!("  membership events: {overlay_items}\n"));
             }
             out.push_str(&format!(
                 "  dissemination depth: reached {}/{} node-messages, max depth {}, mean depth {:.1}\n",
@@ -419,63 +417,34 @@ impl Analyzer {
 }
 
 impl TraceAccum {
-    fn observe(&mut self, ev: &str, v: &Value) {
-        match ev {
-            "propose" => self.counts.propose += 1,
-            "connect" => {
-                self.counts.connect += 1;
-                if let Some(i) = v.get("initiator").and_then(Value::as_u64) {
-                    let region = (i as usize / self.block).min(crate::metrics::REGIONS - 1);
-                    self.connects.add(region, 1);
+    fn observe(&mut self, event: &TraceEvent) {
+        self.counts[event.kind as usize] += 1;
+        let [from, to, msg] = event.ids;
+        match event.kind {
+            // `ids[0]` of a connect is its initiator.
+            EventKind::Connect => self.connects.add(region_of(from as usize, self.nodes), 1),
+            EventKind::Transfer => {
+                self.transfers.add(region_of(from as usize, self.nodes), 1);
+                let inside = |id: u32, bound: usize| (id as usize) < bound;
+                if inside(from, self.nodes) && inside(to, self.nodes) && inside(msg, self.messages)
+                {
+                    // First sighting of a sender for this message: that
+                    // is the message's source (or the frontier of a
+                    // stream that started mid-run) — depth 0.
+                    let sender = *self.depth.entry((msg, from)).or_insert(0);
+                    self.depth.entry((msg, to)).or_insert(sender + 1);
                 }
             }
-            "reject" => self.counts.reject += 1,
-            "drop" => self.counts.drop += 1,
-            "transfer" => {
-                self.counts.transfer += 1;
-                let from = v.get("from").and_then(Value::as_u64);
-                let to = v.get("to").and_then(Value::as_u64);
-                let msg = v.get("msg").and_then(Value::as_u64).unwrap_or(0) as usize;
-                if let (Some(from), Some(to)) = (from, to) {
-                    let region = (from as usize / self.block).min(crate::metrics::REGIONS - 1);
-                    self.transfers.add(region, 1);
-                    let (from, to) = (from as usize, to as usize);
-                    if from < self.nodes && to < self.nodes && msg < self.messages {
-                        let fi = msg * self.nodes + from;
-                        let ti = msg * self.nodes + to;
-                        // First sighting of a sender for this message:
-                        // that is the message's source (or the frontier of
-                        // a stream that started mid-run) — depth 0.
-                        if self.depth[fi] == u32::MAX {
-                            self.depth[fi] = 0;
-                        }
-                        if self.depth[ti] == u32::MAX {
-                            self.depth[ti] = self.depth[fi] + 1;
-                        }
-                    }
-                }
-            }
-            "sever" => self.counts.sever += 1,
-            "mutate" => self.counts.mutate += 1,
-            "boundary" => self.counts.boundary += 1,
-            "join" => self.counts.join += 1,
-            "shuffle" => self.counts.shuffle += 1,
-            "suspect" => self.counts.suspect += 1,
-            "evict" => self.counts.evict += 1,
-            _ => self.counts.other += 1,
+            _ => {}
         }
     }
 
     fn finish(self) -> TraceStats {
-        let mut reached = 0usize;
         let mut depth_max = 0u32;
         let mut depth_sum = 0u64;
         let mut depth_n = 0u64;
-        for &d in &self.depth {
-            if d == u32::MAX {
-                continue;
-            }
-            reached += 1;
+        // Sums and maxima only: the map's iteration order cannot show.
+        for &d in self.depth.values() {
             depth_max = depth_max.max(d);
             if d > 0 {
                 depth_sum += d as u64;
@@ -485,9 +454,10 @@ impl TraceAccum {
         let regions = regions_for(self.nodes);
         TraceStats {
             scenario_id: self.scenario_id,
+            unread: self.unread,
             counts: self.counts,
-            reached,
-            universe: self.depth.len(),
+            reached: self.depth.len(),
+            universe: self.nodes.saturating_mul(self.messages),
             depth_max,
             depth_mean: if depth_n == 0 {
                 0.0
@@ -640,6 +610,55 @@ mod tests {
         plain.add_line(r#"{"trace_schema":1,"scenario_id":"t2","nodes":4,"messages":1,"seed":0}"#);
         plain.add_line(r#"{"ev":"connect","t":1,"round":1,"initiator":0,"acceptor":1}"#);
         assert!(!plain.report().contains("membership events"));
+    }
+
+    #[test]
+    fn a_header_sizes_nothing() {
+        // Either depth table, laid out as `messages × nodes`, would not fit.
+        for (nodes, messages) in [(100_000_000_000u64, 100_000_000_000u64), (3_000_000_000, 4)] {
+            let mut a = Analyzer::default();
+            a.add_line(&format!(
+                "{{\"trace_schema\":1,\"scenario_id\":\"x\",\"nodes\":{nodes},\"messages\":{messages},\"seed\":1}}"
+            ));
+            a.add_line(r#"{"ev":"transfer","t":1,"round":1,"from":4000000000,"to":2,"msg":3}"#);
+            let report = a.report();
+            assert!(report.contains("trace x\n  events 1 ("), "{report}");
+            if messages == 4 {
+                // Node 4·10⁹ is past this header's 3·10⁹: tallied, not placed.
+                assert!(report.contains("reached 0/12000000000"), "{report}");
+            } else {
+                assert!(report.contains("reached 2/"), "{report}");
+            }
+        }
+    }
+
+    #[test]
+    fn what_could_not_be_read_is_named() {
+        let mut a = Analyzer::default();
+        a.add_line(r#"{"trace_schema":99,"scenario_id":"future","nodes":4,"messages":1,"seed":0}"#);
+        a.add_line(r#"{"ev":"connect","t":1,"round":1,"initiator":0,"acceptor":1}"#);
+        a.add_line(r#"{"ev":"warp","t":1,"round":1}"#);
+        a.add_line(r#"{"trace_schema":1,"scenario_id":"now","nodes":4,"messages":1,"seed":0}"#);
+        a.add_line(r#"{"ev":"connect","t":1,"round":1,"initiator":0,"acceptor":1}"#);
+        // An unknown tag, an ill-typed id and a missing one: none is a
+        // connect, all three are lines left out.
+        a.add_line(r#"{"ev":"warp","t":1,"round":1}"#);
+        a.add_line(r#"{"ev":"connect","t":1,"round":1,"initiator":"x","acceptor":1}"#);
+        a.add_line(r#"{"ev":"connect","t":1,"round":1,"initiator":0}"#);
+        let report = a.report();
+        assert!(
+            report.contains(
+                "trace future\n  unread: trace_schema 99 is not the version this build reads (1); 2 event lines skipped\n"
+            ),
+            "{report}"
+        );
+        assert!(
+            report.contains(
+                "trace now\n  events 1 (propose 0, connect 1, reject 0, drop 0, transfer 0, sever 0, mutate 0, boundary 0)\n"
+            ),
+            "{report}"
+        );
+        assert!(report.contains("skipped 3 unrecognised lines"), "{report}");
     }
 
     #[test]

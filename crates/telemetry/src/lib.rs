@@ -39,6 +39,5 @@ mod probe;
 pub mod progress;
 
 pub use probe::{
-    BoundaryScope, MemoryProbe, MutateKind, NoopProbe, Probe, TraceEvent, TraceWriter,
-    TRACE_SCHEMA_VERSION,
+    EventKind, MemoryProbe, NoopProbe, Probe, TraceEvent, TraceWriter, TRACE_SCHEMA_VERSION,
 };

@@ -19,6 +19,12 @@ pub fn regions_for(n: usize) -> usize {
     n.div_ceil(n.div_ceil(REGIONS))
 }
 
+/// The region holding `node` when `nodes` nodes are cut into the fixed
+/// blocks of `ceil(nodes / 64)`; an id past the end counts in the last.
+pub fn region_of(node: usize, nodes: usize) -> usize {
+    (node / nodes.div_ceil(REGIONS).max(1)).min(REGIONS - 1)
+}
+
 /// Per-region event/connection tallies for one run — the load-balance
 /// instrument of the 64-region sharded engines. `Copy` and fixed-size on
 /// purpose: it rides inside `PhaseTimings` / `SliceTimings` without
@@ -107,5 +113,9 @@ mod tests {
         assert_eq!(regions_for(64), 64);
         assert_eq!(regions_for(1000), 63, "ceil rounding drops a region");
         assert_eq!(regions_for(1 << 20), 64);
+        // `region_of` walks the same blocks (16 nodes each at n = 1000).
+        assert_eq!([0, 15, 16, 999].map(|u| region_of(u, 1000)), [0, 0, 1, 62]);
+        assert_eq!(region_of(5, 0), 5, "a headerless stream: blocks of one");
+        assert_eq!(region_of(usize::MAX, 1000), REGIONS - 1);
     }
 }

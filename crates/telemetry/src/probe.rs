@@ -1,246 +1,261 @@
 //! The observation interface: trace events, the probe trait, and the
 //! JSONL trace writer.
 
-use crate::json::json_str;
+use crate::json::{json_str, Value};
+use std::fmt;
 use std::io::{self, Write};
 
 /// Version stamp of the trace stream format. Bumped whenever an event's
 /// JSON shape changes; the golden-file test in `gossip-experiments` pins
-/// the rendering of every variant at the current version.
+/// the rendering of every kind at the current version.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
-/// What kind of topology mutation a [`TraceEvent::Mutate`] records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MutateKind {
-    /// A node departed (powered off / walked away).
-    Depart,
-    /// A departed node returned.
-    Rejoin,
-    /// An edge faded out.
-    EdgeDown,
-    /// A faded edge recovered.
-    EdgeUp,
-    /// A node's neighborhood was replaced (mobility).
-    Rewire,
-}
-
-impl MutateKind {
-    /// Stable lowercase tag used in the JSON rendering.
-    pub fn tag(self) -> &'static str {
-        match self {
-            MutateKind::Depart => "depart",
-            MutateKind::Rejoin => "rejoin",
-            MutateKind::EdgeDown => "edge_down",
-            MutateKind::EdgeUp => "edge_up",
-            MutateKind::Rewire => "rewire",
-        }
-    }
-}
-
-/// Which clock edge a [`TraceEvent::Boundary`] marks: the end of a
-/// synchronous round, or the start of an asynchronous slice pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundaryScope {
-    /// End of synchronous round `round`.
-    Round,
-    /// Start of time-slice pass `round` (the slice index).
-    Slice,
-}
-
-impl BoundaryScope {
-    /// Stable lowercase tag used in the JSON rendering.
-    pub fn tag(self) -> &'static str {
-        match self {
-            BoundaryScope::Round => "round",
-            BoundaryScope::Slice => "slice",
-        }
-    }
-}
-
-/// One semantic event of a run, as observed by a [`Probe`].
-///
-/// Every variant carries the virtual time `t` (ticks) and the round (or
-/// round-equivalent) it belongs to. Node and message ids are raw `u32`s —
-/// this crate deliberately does not know the engine's newtypes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
+/// What a [`TraceEvent`] records — one variant per row of [`SCHEMA`], in
+/// row order. The ids named below are the event's `ids`, in that order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum EventKind {
     /// `from` committed to proposing a connection to `to`.
-    Propose {
-        t: u64,
-        round: u64,
-        from: u32,
-        to: u32,
-    },
+    Propose,
     /// A connection formed: `initiator` proposed, `acceptor` accepted.
-    Connect {
-        t: u64,
-        round: u64,
-        initiator: u32,
-        acceptor: u32,
-    },
+    Connect,
     /// `from`'s proposal to `to` failed to form a connection (the target
     /// was busy, not listening, or gone by arrival time).
-    Reject {
-        t: u64,
-        round: u64,
-        from: u32,
-        to: u32,
-    },
-    /// `from`'s proposal targeted a non-neighbor and was dropped by the
-    /// resolver (a protocol bug surfaced in release builds).
-    Drop {
-        t: u64,
-        round: u64,
-        from: u32,
-        to: u32,
-    },
+    Reject,
+    /// `from`'s proposal targeted the non-neighbor `to` and was dropped by
+    /// the resolver (a protocol bug surfaced in release builds).
+    Drop,
     /// Message `msg` moved from `from` to `to` over a connection.
-    Transfer {
-        t: u64,
-        round: u64,
-        from: u32,
-        to: u32,
-        msg: u32,
-    },
+    Transfer,
     /// An open connection between `a` and `b` was severed by a departure
     /// mid-transfer; nothing moved.
-    Sever { t: u64, round: u64, a: u32, b: u32 },
-    /// A topology mutation was applied. `peer` is the second endpoint for
-    /// edge mutations, absent otherwise.
-    Mutate {
-        t: u64,
-        round: u64,
-        kind: MutateKind,
-        node: u32,
-        peer: Option<u32>,
-    },
-    /// A clock edge: the end of a synchronous round or the start of an
-    /// asynchronous slice pass (see [`BoundaryScope`]).
-    Boundary {
-        t: u64,
-        round: u64,
-        scope: BoundaryScope,
-    },
+    Sever,
+    /// Mutation: `node` departed (powered off / walked away).
+    Depart,
+    /// Mutation: the departed `node` returned.
+    Rejoin,
+    /// Mutation: the edge `node`–`peer` faded out.
+    EdgeDown,
+    /// Mutation: the faded edge `node`–`peer` recovered.
+    EdgeUp,
+    /// Mutation: `node`'s neighborhood was replaced (mobility).
+    Rewire,
+    /// Clock edge: the end of synchronous round `round`. No ids.
+    Round,
+    /// Clock edge: the start of time-slice pass `round` (the slice
+    /// index). No ids.
+    Slice,
     /// Membership: `node` (re)joined the overlay by linking to `peer`.
-    Join {
-        t: u64,
-        round: u64,
-        node: u32,
-        peer: u32,
-    },
+    Join,
     /// Membership: a shuffle step added `peer` to `node`'s passive view.
-    Shuffle {
-        t: u64,
-        round: u64,
-        node: u32,
-        peer: u32,
-    },
+    Shuffle,
     /// Membership: `node`'s probe of `peer` failed; `peer` is now
     /// suspected.
-    Suspect {
-        t: u64,
-        round: u64,
-        node: u32,
-        peer: u32,
-    },
+    Suspect,
     /// Membership: `node` evicted the unrefuted suspect `peer` from its
     /// active view.
-    Evict {
-        t: u64,
-        round: u64,
-        node: u32,
-        peer: u32,
-    },
+    Evict,
+}
+
+/// One kind's line: `{"ev":<ev>,"t":…,"round":…[,<member>],<id>:…}`.
+struct Row {
+    kind: EventKind,
+    ev: &'static str,
+    /// The constant `(key, value)` member that tells apart the kinds
+    /// sharing an `ev` tag.
+    member: Option<(&'static str, &'static str)>,
+    /// The key of each id, in order.
+    ids: &'static [&'static str],
+}
+
+const fn row(
+    kind: EventKind,
+    ev: &'static str,
+    member: Option<(&'static str, &'static str)>,
+    ids: &'static [&'static str],
+) -> Row {
+    Row {
+        kind,
+        ev,
+        member,
+        ids,
+    }
+}
+
+/// The trace schema: [`TraceEvent::to_json`] writes a row front to back,
+/// [`TraceEvent::from_json`] reads it the same way, and nothing else in
+/// the workspace spells a trace key.
+const SCHEMA: [Row; EventKind::COUNT] = {
+    use EventKind::*;
+    [
+        row(Propose, "propose", None, &["from", "to"]),
+        row(Connect, "connect", None, &["initiator", "acceptor"]),
+        row(Reject, "reject", None, &["from", "to"]),
+        row(Drop, "drop", None, &["from", "to"]),
+        row(Transfer, "transfer", None, &["from", "to", "msg"]),
+        row(Sever, "sever", None, &["a", "b"]),
+        row(Depart, "mutate", Some(("kind", "depart")), &["node"]),
+        row(Rejoin, "mutate", Some(("kind", "rejoin")), &["node"]),
+        row(
+            EdgeDown,
+            "mutate",
+            Some(("kind", "edge_down")),
+            &["node", "peer"],
+        ),
+        row(
+            EdgeUp,
+            "mutate",
+            Some(("kind", "edge_up")),
+            &["node", "peer"],
+        ),
+        row(Rewire, "mutate", Some(("kind", "rewire")), &["node"]),
+        row(Round, "boundary", Some(("scope", "round")), &[]),
+        row(Slice, "boundary", Some(("scope", "slice")), &[]),
+        row(Join, "join", None, &["node", "peer"]),
+        row(Shuffle, "shuffle", None, &["node", "peer"]),
+        row(Suspect, "suspect", None, &["node", "peer"]),
+        row(Evict, "evict", None, &["node", "peer"]),
+    ]
+};
+
+// A kind's row sits at the kind's discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < SCHEMA.len() {
+        assert!(SCHEMA[i].kind as usize == i);
+        i += 1;
+    }
+};
+
+impl EventKind {
+    /// How many kinds there are; `kind as usize` is below it.
+    pub const COUNT: usize = EventKind::Evict as usize + 1;
+
+    /// Every kind, in declaration order.
+    pub fn all() -> impl Iterator<Item = EventKind> {
+        SCHEMA.iter().map(|row| row.kind)
+    }
+
+    /// The `ev` tag of the kind's trace line. The five mutations share
+    /// one, as do the two clock edges.
+    pub fn tag(self) -> &'static str {
+        self.row().ev
+    }
+
+    fn row(self) -> &'static Row {
+        &SCHEMA[self as usize]
+    }
+}
+
+/// One semantic event of a run, as observed by a [`Probe`]: the virtual
+/// time `t` (ticks) and the round (or round-equivalent) it belongs to,
+/// what happened, and the node and message ids its [`EventKind`] names.
+/// Ids are raw `u32`s — this crate deliberately does not know the engine's
+/// newtypes — and the slots a kind does not use are zero.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent {
+    pub t: u64,
+    pub round: u64,
+    pub kind: EventKind,
+    pub ids: [u32; 3],
+}
+
+/// Append `,"key":value` to a trace line. By hand because `to_json` runs
+/// once per traced event and spends more in `fmt` than on the digits.
+fn push_member(line: &mut String, key: &str, value: u64) {
+    line.extend([",\"", key, "\":"]);
+    let mut digits = [b'0'; 20];
+    let (mut at, mut rest) = (digits.len(), value);
+    loop {
+        at -= 1;
+        digits[at] += (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    line.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 impl TraceEvent {
+    /// The event of `kind` at tick `t` of `round`, over the ids the kind
+    /// names, in its order.
+    pub fn new(kind: EventKind, t: u64, round: u64, ids: &[u32]) -> Self {
+        debug_assert_eq!(ids.len(), kind.row().ids.len(), "ids of a {kind:?}");
+        let mut padded = [0; 3];
+        padded[..ids.len()].copy_from_slice(ids);
+        TraceEvent {
+            t,
+            round,
+            kind,
+            ids: padded,
+        }
+    }
+
     /// Render the event as its one-line JSON form (no trailing newline).
     /// This *is* the trace schema; the golden-file test pins it.
     pub fn to_json(&self) -> String {
-        match *self {
-            TraceEvent::Propose { t, round, from, to } => {
-                format!("{{\"ev\":\"propose\",\"t\":{t},\"round\":{round},\"from\":{from},\"to\":{to}}}")
-            }
-            TraceEvent::Connect {
-                t,
-                round,
-                initiator,
-                acceptor,
-            } => format!(
-                "{{\"ev\":\"connect\",\"t\":{t},\"round\":{round},\"initiator\":{initiator},\"acceptor\":{acceptor}}}"
-            ),
-            TraceEvent::Reject { t, round, from, to } => {
-                format!("{{\"ev\":\"reject\",\"t\":{t},\"round\":{round},\"from\":{from},\"to\":{to}}}")
-            }
-            TraceEvent::Drop { t, round, from, to } => {
-                format!("{{\"ev\":\"drop\",\"t\":{t},\"round\":{round},\"from\":{from},\"to\":{to}}}")
-            }
-            TraceEvent::Transfer {
-                t,
-                round,
-                from,
-                to,
-                msg,
-            } => format!(
-                "{{\"ev\":\"transfer\",\"t\":{t},\"round\":{round},\"from\":{from},\"to\":{to},\"msg\":{msg}}}"
-            ),
-            TraceEvent::Sever { t, round, a, b } => {
-                format!("{{\"ev\":\"sever\",\"t\":{t},\"round\":{round},\"a\":{a},\"b\":{b}}}")
-            }
-            TraceEvent::Mutate {
-                t,
-                round,
-                kind,
-                node,
-                peer,
-            } => {
-                let kind = kind.tag();
-                match peer {
-                    Some(p) => format!(
-                        "{{\"ev\":\"mutate\",\"t\":{t},\"round\":{round},\"kind\":\"{kind}\",\"node\":{node},\"peer\":{p}}}"
-                    ),
-                    None => format!(
-                        "{{\"ev\":\"mutate\",\"t\":{t},\"round\":{round},\"kind\":\"{kind}\",\"node\":{node}}}"
-                    ),
-                }
-            }
-            TraceEvent::Boundary { t, round, scope } => {
-                let scope = scope.tag();
-                format!("{{\"ev\":\"boundary\",\"t\":{t},\"round\":{round},\"scope\":\"{scope}\"}}")
-            }
-            TraceEvent::Join {
-                t,
-                round,
-                node,
-                peer,
-            } => {
-                format!("{{\"ev\":\"join\",\"t\":{t},\"round\":{round},\"node\":{node},\"peer\":{peer}}}")
-            }
-            TraceEvent::Shuffle {
-                t,
-                round,
-                node,
-                peer,
-            } => {
-                format!("{{\"ev\":\"shuffle\",\"t\":{t},\"round\":{round},\"node\":{node},\"peer\":{peer}}}")
-            }
-            TraceEvent::Suspect {
-                t,
-                round,
-                node,
-                peer,
-            } => {
-                format!("{{\"ev\":\"suspect\",\"t\":{t},\"round\":{round},\"node\":{node},\"peer\":{peer}}}")
-            }
-            TraceEvent::Evict {
-                t,
-                round,
-                node,
-                peer,
-            } => {
-                format!("{{\"ev\":\"evict\",\"t\":{t},\"round\":{round},\"node\":{node},\"peer\":{peer}}}")
+        let row = self.kind.row();
+        let mut line = String::with_capacity(96);
+        line.extend(["{\"ev\":\"", row.ev, "\""]);
+        push_member(&mut line, "t", self.t);
+        push_member(&mut line, "round", self.round);
+        if let Some((key, value)) = row.member {
+            line.extend([",\"", key, "\":\"", value, "\""]);
+        }
+        for (key, id) in row.ids.iter().zip(self.ids) {
+            push_member(&mut line, key, id.into());
+        }
+        line.push('}');
+        line
+    }
+
+    /// Read a parsed trace line back: [`to_json`](Self::to_json) in
+    /// reverse. `None` for an `ev` (or constant member) no row has and for
+    /// a missing or ill-typed time, round or id; members no row names are
+    /// ignored.
+    pub fn from_json(v: &Value) -> Option<TraceEvent> {
+        let ev = v.get("ev")?.as_str()?;
+        let row = SCHEMA.iter().find(|row| {
+            row.ev == ev
+                && row
+                    .member
+                    .is_none_or(|(key, value)| v.get(key).and_then(Value::as_str) == Some(value))
+        })?;
+        let mut ids = [0; 3];
+        for (id, key) in ids.iter_mut().zip(row.ids) {
+            *id = u32::try_from(v.get(key)?.as_u64()?).ok()?;
+        }
+        Some(TraceEvent {
+            t: v.get("t")?.as_u64()?,
+            round: v.get("round")?.as_u64()?,
+            kind: row.kind,
+            ids,
+        })
+    }
+}
+
+/// The rendering `derive(Debug)` gave the per-kind enum this record
+/// replaced (`Mutate { t: 9, round: 1, kind: Depart, node: 7, peer: None }`):
+/// the golden matrix in `sim/tests/golden.rs` fingerprints it.
+impl fmt::Debug for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let row = self.kind.row();
+        let name = row.ev[..1].to_uppercase() + &row.ev[1..];
+        let mut out = f.debug_struct(&name);
+        out.field("t", &self.t).field("round", &self.round);
+        if let Some((key, _)) = row.member {
+            out.field(key, &self.kind);
+        }
+        let ids = &self.ids[..row.ids.len()];
+        if row.ev == "mutate" {
+            // `peer` was an `Option` there.
+            out.field("node", &ids[0]).field("peer", &ids.get(1));
+        } else {
+            for (key, id) in row.ids.iter().zip(ids) {
+                out.field(key, id);
             }
         }
+        out.finish()
     }
 }
 
@@ -389,133 +404,179 @@ impl<W: Write> Probe for TraceWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
+    use EventKind::*;
 
     #[test]
     fn every_variant_renders_its_pinned_shape() {
         let cases = [
             (
-                TraceEvent::Propose {
-                    t: 5,
-                    round: 1,
-                    from: 2,
-                    to: 3,
-                },
+                TraceEvent::new(Propose, 5, 1, &[2, 3]),
                 r#"{"ev":"propose","t":5,"round":1,"from":2,"to":3}"#,
             ),
             (
-                TraceEvent::Connect {
-                    t: 6,
-                    round: 1,
-                    initiator: 2,
-                    acceptor: 3,
-                },
+                TraceEvent::new(Connect, 6, 1, &[2, 3]),
                 r#"{"ev":"connect","t":6,"round":1,"initiator":2,"acceptor":3}"#,
             ),
             (
-                TraceEvent::Reject {
-                    t: 7,
-                    round: 1,
-                    from: 4,
-                    to: 5,
-                },
+                TraceEvent::new(Reject, 7, 1, &[4, 5]),
                 r#"{"ev":"reject","t":7,"round":1,"from":4,"to":5}"#,
             ),
             (
-                TraceEvent::Drop {
-                    t: 8,
-                    round: 1,
-                    from: 4,
-                    to: 9,
-                },
+                TraceEvent::new(Drop, 8, 1, &[4, 9]),
                 r#"{"ev":"drop","t":8,"round":1,"from":4,"to":9}"#,
             ),
             (
-                TraceEvent::Transfer {
-                    t: 9,
-                    round: 1,
-                    from: 2,
-                    to: 3,
-                    msg: 0,
-                },
+                TraceEvent::new(Transfer, 9, 1, &[2, 3, 0]),
                 r#"{"ev":"transfer","t":9,"round":1,"from":2,"to":3,"msg":0}"#,
             ),
             (
-                TraceEvent::Sever {
-                    t: 10,
-                    round: 1,
-                    a: 1,
-                    b: 2,
-                },
+                TraceEvent::new(Sever, 10, 1, &[1, 2]),
                 r#"{"ev":"sever","t":10,"round":1,"a":1,"b":2}"#,
             ),
             (
-                TraceEvent::Mutate {
-                    t: 11,
-                    round: 1,
-                    kind: MutateKind::Depart,
-                    node: 7,
-                    peer: None,
-                },
+                TraceEvent::new(Depart, 11, 1, &[7]),
                 r#"{"ev":"mutate","t":11,"round":1,"kind":"depart","node":7}"#,
             ),
             (
-                TraceEvent::Mutate {
-                    t: 12,
-                    round: 1,
-                    kind: MutateKind::EdgeDown,
-                    node: 7,
-                    peer: Some(8),
-                },
+                TraceEvent::new(EdgeDown, 12, 1, &[7, 8]),
                 r#"{"ev":"mutate","t":12,"round":1,"kind":"edge_down","node":7,"peer":8}"#,
             ),
             (
-                TraceEvent::Boundary {
-                    t: 1024,
-                    round: 1,
-                    scope: BoundaryScope::Round,
-                },
+                TraceEvent::new(Round, 1024, 1, &[]),
                 r#"{"ev":"boundary","t":1024,"round":1,"scope":"round"}"#,
             ),
             (
-                TraceEvent::Join {
-                    t: 1024,
-                    round: 1,
-                    node: 4,
-                    peer: 5,
-                },
+                TraceEvent::new(Join, 1024, 1, &[4, 5]),
                 r#"{"ev":"join","t":1024,"round":1,"node":4,"peer":5}"#,
             ),
             (
-                TraceEvent::Shuffle {
-                    t: 2048,
-                    round: 2,
-                    node: 4,
-                    peer: 6,
-                },
+                TraceEvent::new(Shuffle, 2048, 2, &[4, 6]),
                 r#"{"ev":"shuffle","t":2048,"round":2,"node":4,"peer":6}"#,
             ),
             (
-                TraceEvent::Suspect {
-                    t: 3072,
-                    round: 3,
-                    node: 4,
-                    peer: 5,
-                },
+                TraceEvent::new(Suspect, 3072, 3, &[4, 5]),
                 r#"{"ev":"suspect","t":3072,"round":3,"node":4,"peer":5}"#,
             ),
             (
-                TraceEvent::Evict {
-                    t: 5120,
-                    round: 5,
-                    node: 4,
-                    peer: 5,
-                },
+                TraceEvent::new(Evict, 5120, 5, &[4, 5]),
                 r#"{"ev":"evict","t":5120,"round":5,"node":4,"peer":5}"#,
             ),
         ];
         for (ev, want) in cases {
             assert_eq!(ev.to_json(), want);
         }
+    }
+
+    /// An event of `kind` whose every field differs from the others'.
+    fn sample(kind: EventKind) -> TraceEvent {
+        let ids = [u32::MAX, 7, 129];
+        let n = kind.row().ids.len();
+        TraceEvent::new(kind, u64::MAX - kind as u64, 3 + kind as u64, &ids[..n])
+    }
+
+    #[test]
+    fn every_row_reads_back_what_it_wrote() {
+        assert_eq!(EventKind::all().count(), EventKind::COUNT);
+        for kind in EventKind::all() {
+            let e = sample(kind);
+            let line = e.to_json();
+            assert_eq!(
+                TraceEvent::from_json(&parse(&line).unwrap()),
+                Some(e),
+                "{line}"
+            );
+        }
+        // Both mutate shapes and both boundary scopes are rows of their own.
+        let read = |line: &str| TraceEvent::from_json(&parse(line).unwrap());
+        assert_eq!(
+            read(r#"{"ev":"mutate","t":1,"round":0,"kind":"rewire","node":4}"#),
+            Some(TraceEvent::new(Rewire, 1, 0, &[4]))
+        );
+        assert_eq!(
+            read(r#"{"ev":"mutate","t":1,"round":0,"kind":"edge_up","node":4,"peer":5}"#),
+            Some(TraceEvent::new(EdgeUp, 1, 0, &[4, 5]))
+        );
+        assert_eq!(
+            read(r#"{"ev":"boundary","t":2048,"round":2,"scope":"slice"}"#),
+            Some(TraceEvent::new(Slice, 2048, 2, &[]))
+        );
+    }
+
+    #[test]
+    fn lines_no_row_describes_read_as_none() {
+        for kind in EventKind::all() {
+            let line = sample(kind).to_json();
+            let row = kind.row();
+            // Each id in turn missing, a string, negative, fractional and
+            // past `u32`; then the same for the clock fields.
+            for key in row.ids.iter().chain(&["t", "round"]) {
+                let member = format!("\"{key}\":");
+                let at = line.find(&member).unwrap() + member.len();
+                let end = at + line[at..].find([',', '}']).unwrap();
+                for bad in ["\"x\"", "-1", "1.5", "4294967296", "null"] {
+                    if bad == "4294967296" && ["t", "round"].contains(key) {
+                        continue; // a fine tick
+                    }
+                    let broken = format!("{}{bad}{}", &line[..at], &line[end..]);
+                    assert_eq!(
+                        TraceEvent::from_json(&parse(&broken).unwrap()),
+                        None,
+                        "{broken}"
+                    );
+                }
+                let renamed = line.replace(&member, "\"gone\":");
+                assert_eq!(
+                    TraceEvent::from_json(&parse(&renamed).unwrap()),
+                    None,
+                    "{renamed}"
+                );
+            }
+            if let Some((key, value)) = row.member {
+                let member = format!("\"{key}\":\"{value}\"");
+                for bad in [
+                    format!("\"{key}\":\"other\""),
+                    format!("\"{key}\":3"),
+                    format!("\"gone\":\"{value}\""),
+                ] {
+                    let broken = line.replace(&member, &bad);
+                    assert_eq!(
+                        TraceEvent::from_json(&parse(&broken).unwrap()),
+                        None,
+                        "{broken}"
+                    );
+                }
+            }
+        }
+        for line in [
+            r#"{"ev":"teleport","t":1,"round":1,"from":2,"to":3}"#,
+            r#"{"ev":7,"t":1,"round":1}"#,
+            r#"{"t":1,"round":1,"from":2,"to":3}"#,
+            r#"[1,2]"#,
+        ] {
+            assert_eq!(TraceEvent::from_json(&parse(line).unwrap()), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn debug_keeps_the_rendering_the_golden_fingerprints_hash() {
+        let shown = |e: TraceEvent| format!("{e:?}");
+        assert_eq!(
+            shown(TraceEvent::new(Transfer, 9, 1, &[2, 3, 0])),
+            "Transfer { t: 9, round: 1, from: 2, to: 3, msg: 0 }"
+        );
+        assert_eq!(
+            shown(TraceEvent::new(Depart, 11, 1, &[7])),
+            "Mutate { t: 11, round: 1, kind: Depart, node: 7, peer: None }"
+        );
+        assert_eq!(
+            shown(TraceEvent::new(EdgeDown, 12, 1, &[7, 8])),
+            "Mutate { t: 12, round: 1, kind: EdgeDown, node: 7, peer: Some(8) }"
+        );
+        assert_eq!(
+            shown(TraceEvent::new(Slice, 1024, 1, &[])),
+            "Boundary { t: 1024, round: 1, scope: Slice }"
+        );
     }
 
     #[test]
@@ -535,16 +596,8 @@ mod tests {
         }
         let mut w = TraceWriter::new(Failing(1));
         w.begin_run("x", 2, 1, 0);
-        w.record(&TraceEvent::Boundary {
-            t: 0,
-            round: 0,
-            scope: BoundaryScope::Round,
-        });
-        w.record(&TraceEvent::Boundary {
-            t: 1,
-            round: 0,
-            scope: BoundaryScope::Round,
-        });
+        w.record(&TraceEvent::new(Round, 0, 0, &[]));
+        w.record(&TraceEvent::new(Round, 1, 0, &[]));
         assert_eq!(w.events(), 2, "records still counted after the error");
         let err = w.finish().expect_err("the latched error must surface");
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
@@ -554,18 +607,8 @@ mod tests {
     fn memory_probe_buffers_in_order() {
         let mut p = MemoryProbe::default();
         assert!(p.enabled());
-        let a = TraceEvent::Propose {
-            t: 1,
-            round: 1,
-            from: 0,
-            to: 1,
-        };
-        let b = TraceEvent::Reject {
-            t: 2,
-            round: 1,
-            from: 0,
-            to: 1,
-        };
+        let a = TraceEvent::new(Propose, 1, 1, &[0, 1]);
+        let b = TraceEvent::new(Reject, 2, 1, &[0, 1]);
         p.record(&a);
         p.record(&b);
         assert_eq!(p.events, vec![a, b]);
