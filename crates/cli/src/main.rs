@@ -64,7 +64,9 @@ fn run_grid(
     checkpoint: Option<&str>,
     resume: bool,
 ) -> io::Result<()> {
-    let runs: usize = scenarios.iter().map(|s| s.seeds).sum();
+    let runs = scenarios
+        .iter()
+        .fold(0usize, |runs, s| runs.saturating_add(s.seeds));
     eprintln!("grid: {} cell(s), {} run(s)", scenarios.len(), runs);
     warn_thread_clamp(scenarios);
 

@@ -33,6 +33,9 @@
 //!   parallel form with identical invariants and thread-count-independent
 //!   output, and [`IncrementalMatcher`], the event-at-a-time counterpart
 //!   for asynchronous executions,
+//! - [`shard`]: the fixed 64-region node [`Partition`] and the one
+//!   fork–join ([`shard::for_each`]) every sharded phase of either engine
+//!   runs through,
 //! - [`SimTime`] / [`TimingConfig`]: virtual time and the drift/latency
 //!   distributions of the asynchronous mobile telephone model,
 //! - [`Rng`]: a small deterministic PRNG so whole simulations are seedable.
@@ -41,16 +44,18 @@ pub mod dynamic;
 pub mod matching;
 pub mod message;
 pub mod rng;
+pub mod shard;
 pub mod time;
 pub mod topology;
 
 pub use dynamic::DynamicTopology;
 pub use matching::{
     resolve_connections, resolve_connections_sharded, Connection, IncrementalMatcher, Intent,
-    MatcherChunk, PeerState, Resolution, MATCH_REGIONS,
+    MatcherChunk, PeerState, Resolution,
 };
 pub use message::{MatrixChunk, MessageMatrix, MessageSet, MsgView, TransferStats};
 pub use rng::Rng;
+pub use shard::{Partition, MATCH_REGIONS};
 pub use time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 pub use topology::{GraphView, RggGeometry, Topology};
 

@@ -30,6 +30,7 @@
 //! enforces the same one-connection-per-node invariant across those
 //! individual events.
 
+use crate::shard::{self, Partition};
 use crate::topology::GraphView;
 use crate::{NodeId, Rng};
 
@@ -222,13 +223,6 @@ pub fn resolve_connections<G: GraphView + ?Sized>(
     }
 }
 
-/// Region count of the partitioned resolver. Fixed — deliberately *not* a
-/// function of the thread count, because the partition (and therefore
-/// which proposals are region-internal vs. boundary, and which RNG stream
-/// resolves each) must be identical whether 1 or 64 workers execute it;
-/// only then are results byte-identical at any thread count.
-pub const MATCH_REGIONS: usize = 64;
-
 /// Stream coordinate of region `r`'s resolver RNG. Node streams use the
 /// node id (`< 2^32`) as their coordinate, so offsetting regions by
 /// `2^32` can never collide with one.
@@ -306,11 +300,11 @@ fn resolve_region<G: GraphView + ?Sized>(
 
 /// Resolve one round of intents with the partitioned parallel resolver.
 ///
-/// Nodes are split into `regions` fixed contiguous blocks (callers pass
-/// [`MATCH_REGIONS`]). A proposer whose listening neighbors all lie in its
-/// own block is resolved inside that block, in parallel across blocks —
-/// each block owns a disjoint slice of the occupancy array, so the pass
-/// needs no synchronization. Proposers with a listening neighbor in
+/// Nodes are split by [`Partition::split`]`(n, regions)` (the engine passes
+/// [`MATCH_REGIONS`](crate::MATCH_REGIONS)). A proposer whose listening
+/// neighbors all lie in its own block is resolved inside that block, the
+/// blocks running through [`shard::for_each`] — each owns a disjoint slice
+/// of the occupancy array. Proposers with a listening neighbor in
 /// another block are deferred to a serial *boundary sweep* that runs the
 /// same two-phase resolution over the concatenated leftovers (in node
 /// order) against the whole occupancy array.
@@ -340,48 +334,19 @@ pub fn resolve_connections_sharded<G: GraphView + Sync + ?Sized>(
 ) -> Resolution {
     let n = topology.num_nodes();
     assert_eq!(intents.len(), n, "one intent per node required");
-    if n == 0 {
-        return Resolution::default();
-    }
-    let regions = regions.clamp(1, n);
-    let block = n.div_ceil(regions);
-    // Ceiling rounding can leave fewer non-empty blocks than requested
-    // (e.g. n = 6, regions = 4 → block = 2 → 3 blocks); recompute so every
-    // region is non-empty and `chunks_mut(block)` lines up exactly.
-    let regions = n.div_ceil(block);
-    let threads = threads.clamp(1, regions);
+    let block = Partition::split(n, regions).block;
 
+    // One task per region: its disjoint slice of the occupancy array
+    // (`chunks_mut`, so the pass is safe Rust) and its scratch.
     let mut matched = vec![false; n];
-    let mut outs: Vec<RegionOut> = Vec::new();
-    outs.resize_with(regions, RegionOut::default);
-
-    if threads == 1 {
-        for (r, (chunk, out)) in matched.chunks_mut(block).zip(outs.iter_mut()).enumerate() {
-            resolve_region(r, r * block, chunk, out, topology, intents, seed, round);
-        }
-    } else {
-        // Hand each worker a contiguous group of (region slice, scratch)
-        // pairs. The slices are disjoint by construction (`chunks_mut`),
-        // so the pass is safe Rust — no atomics, no unsafe.
-        let mut work: Vec<(usize, (&mut [bool], &mut RegionOut))> = matched
-            .chunks_mut(block)
-            .zip(outs.iter_mut())
-            .enumerate()
-            .collect();
-        let per_worker = regions.div_ceil(threads);
-        std::thread::scope(|s| {
-            let mut rest = work.as_mut_slice();
-            while !rest.is_empty() {
-                let (group, tail) = rest.split_at_mut(per_worker.min(rest.len()));
-                rest = tail;
-                s.spawn(move || {
-                    for (r, (chunk, out)) in group.iter_mut() {
-                        resolve_region(*r, *r * block, chunk, out, topology, intents, seed, round);
-                    }
-                });
-            }
-        });
-    }
+    let mut tasks: Vec<(usize, &mut [bool], RegionOut)> = matched
+        .chunks_mut(block)
+        .enumerate()
+        .map(|(r, chunk)| (r, chunk, RegionOut::default()))
+        .collect();
+    shard::for_each(threads, &mut tasks, |(r, chunk, out)| {
+        resolve_region(*r, *r * block, chunk, out, topology, intents, seed, round)
+    });
 
     // Deterministic merge in region (= node) order, then the serial
     // boundary sweep over the deferred proposals.
@@ -389,9 +354,9 @@ pub fn resolve_connections_sharded<G: GraphView + Sync + ?Sized>(
     let mut deferred: Vec<(NodeId, NodeId)> = Vec::new();
     let mut dropped_proposals = 0;
     let mut confined_proposals = 0;
-    for out in &mut outs {
+    for (_, _, mut out) in tasks {
         connections.append(&mut out.connections);
-        deferred.extend_from_slice(&out.deferred);
+        deferred.append(&mut out.deferred);
         dropped_proposals += out.dropped;
         confined_proposals += out.confined;
     }
@@ -701,7 +666,7 @@ mod tests {
             }],
             "dropped proposer must still rebound"
         );
-        let sharded = resolve_connections_sharded(&topo, &intents, 4, 1, MATCH_REGIONS, 2);
+        let sharded = resolve_connections_sharded(&topo, &intents, 4, 1, crate::MATCH_REGIONS, 2);
         assert_eq!(sharded.dropped_proposals, 1);
         assert_eq!(sharded.connections, serial.connections);
     }

@@ -16,6 +16,7 @@
 
 use crate::matching::Connection;
 use crate::rng::mix;
+use crate::shard;
 use crate::Advertisement;
 
 /// Aggregate outcome of a batch of push-pull transfers
@@ -402,88 +403,58 @@ impl MessageMatrix {
             }
         }
 
-        // Below this, thread spawn overhead outweighs the row unions. The
-        // cutoff is a fixed property of the input (never of the thread
-        // count alone deciding *which* math runs), so results stay
-        // identical either way — the serial and parallel paths compute the
-        // same per-pair unions and the same sums.
+        // Below this, a fork costs more than the row unions. A property of
+        // the input, and either way the same per-pair unions and the same
+        // sums run, so the cut-off cannot show in a result.
         const PAR_MIN_PAIRS: usize = 512;
-        let threads = threads.clamp(1, pairs.len().max(1));
-        if threads == 1 || pairs.len() < PAR_MIN_PAIRS {
-            let mut rows = self.whole();
-            let mut total = TransferStats::default();
-            for c in pairs {
-                total += rows.union_pair_stats(c.initiator.index(), c.acceptor.index());
-            }
-            return total;
-        }
+        let threads = if pairs.len() < PAR_MIN_PAIRS {
+            1
+        } else {
+            threads
+        };
 
         struct Rows {
             words: *mut u64,
             counts: *mut u32,
         }
-        // SAFETY: `Rows` only crosses into scoped workers below, which
-        // dereference it exclusively at row offsets named by their own
-        // chunk of node-disjoint pairs — no two workers touch the same
+        // SAFETY: `Rows` only crosses into `for_each`'s scoped workers,
+        // which dereference it exclusively at row offsets named by their
+        // own chunks of node-disjoint pairs — no two workers touch the same
         // row, and the scope ends before `self` is usable again.
         unsafe impl Sync for Rows {}
 
-        let stride = self.stride;
-        let universe = self.universe;
+        let (nodes, stride, universe) = (self.num_nodes(), self.stride, self.universe);
         let rows = &Rows {
             words: self.words.as_mut_ptr(),
             counts: self.counts.as_mut_ptr(),
         };
-        let chunk = pairs.len().div_ceil(threads);
-        let totals: Vec<TransferStats> = std::thread::scope(|s| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .map(|chunk_pairs| {
-                    s.spawn(move || {
-                        let mut local = TransferStats::default();
-                        for c in chunk_pairs {
-                            let (i, j) = (c.initiator.index(), c.acceptor.index());
-                            debug_assert_ne!(i, j);
-                            // SAFETY: rows `i` and `j` belong to this
-                            // worker alone — the pairs are node-disjoint
-                            // and chunked by pair, so no other worker
-                            // names either row — and `i != j`, so the
-                            // four reconstituted borrows are themselves
-                            // disjoint. All offsets are in bounds: pairs
-                            // index nodes of this matrix.
-                            local += unsafe {
-                                let a = std::slice::from_raw_parts_mut(
-                                    rows.words.add(i * stride),
-                                    stride,
-                                );
-                                let b = std::slice::from_raw_parts_mut(
-                                    rows.words.add(j * stride),
-                                    stride,
-                                );
-                                union_rows(
-                                    a,
-                                    b,
-                                    &mut *rows.counts.add(i),
-                                    &mut *rows.counts.add(j),
-                                    universe,
-                                )
-                            };
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("transfer worker panicked"))
-                .collect()
+        // One task per worker: a contiguous chunk of pairs and its total.
+        let mut tasks: Vec<(&[Connection], TransferStats)> = pairs
+            .chunks(shard::per_worker(pairs.len(), threads))
+            .map(|chunk| (chunk, TransferStats::default()))
+            .collect();
+        shard::for_each(threads, &mut tasks, |(chunk, total)| {
+            for c in chunk.iter() {
+                let (i, j) = (c.initiator.index(), c.acceptor.index());
+                assert!(i != j && i.max(j) < nodes, "no row pair ({i}, {j})");
+                // SAFETY: rows `i` and `j` belong to this task alone — the
+                // pairs are node-disjoint and chunked by pair, so no other
+                // task names either row — and `i != j`, so the four
+                // reconstituted borrows are themselves disjoint, and in
+                // bounds: both rows were just checked against `nodes`.
+                *total += unsafe {
+                    let a = std::slice::from_raw_parts_mut(rows.words.add(i * stride), stride);
+                    let b = std::slice::from_raw_parts_mut(rows.words.add(j * stride), stride);
+                    let (count_a, count_b) = (&mut *rows.counts.add(i), &mut *rows.counts.add(j));
+                    union_rows(a, b, count_a, count_b, universe)
+                };
+            }
         });
-        // Fold the per-worker deltas in worker order — i.e. node order,
-        // since chunks are contiguous. (The sums are order-independent
-        // anyway; the fixed order keeps that fact uninteresting.)
+        // Fold in chunk (= pair) order; the sums are order-independent
+        // anyway.
         let mut total = TransferStats::default();
-        for t in totals {
-            total += t;
+        for (_, chunk_total) in tasks {
+            total += chunk_total;
         }
         total
     }

@@ -8,9 +8,10 @@
 //! event throughput).
 
 use crate::spec::Scenario;
+use gossip_core::Partition;
 use gossip_sim::SimConfig;
 use gossip_telemetry::json::Obj;
-use gossip_telemetry::metrics::{regions_for, LoadSummary};
+use gossip_telemetry::metrics::LoadSummary;
 use gossip_telemetry::NoopProbe;
 
 use std::time::Instant;
@@ -141,7 +142,9 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
         productive_connections: result.productive_connections,
         complete_nodes: result.complete_nodes,
         phases,
-        region_load: phases.region_load().summary(regions_for(scenario.nodes)),
+        region_load: phases
+            .region_load()
+            .summary(Partition::of(scenario.nodes).regions),
     }
 }
 

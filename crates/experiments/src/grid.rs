@@ -58,6 +58,15 @@ impl std::fmt::Display for GridExpandError {
 
 impl std::error::Error for GridExpandError {}
 
+/// The most runs — cells times their seed sweeps — one grid may hold.
+/// A grid's size is memory before its first run starts: expansion is eager
+/// (one [`Scenario`] per cell), the pool keeps a slot per cell, and a
+/// cell's whole sweep is buffered until it is released in cell order. 2^20
+/// runs is a few hundred MB at the worst and far beyond what one machine
+/// finishes; sweep further with several grids, or stream one cell's seeds
+/// with `run`.
+pub const MAX_GRID_RUNS: usize = 1 << 20;
+
 /// A parameter grid: base scenario assignments plus sweep axes. Expansion
 /// order is documented on the [module](crate::grid).
 #[derive(Clone, Debug)]
@@ -105,9 +114,22 @@ impl Grid {
     }
 
     /// Number of cells the grid expands to (product of axis lengths; 1
-    /// with no axes).
-    pub fn cells(&self) -> usize {
-        self.axes.iter().map(|a| a.values.len()).product()
+    /// with no axes), or `None` when that product overflows `usize`.
+    pub fn cells(&self) -> Option<usize> {
+        self.axes
+            .iter()
+            .try_fold(1usize, |cells, axis| cells.checked_mul(axis.values.len()))
+    }
+
+    /// Grid-level refusal of a grid above [`MAX_GRID_RUNS`].
+    fn too_large(size: String) -> GridExpandError {
+        GridExpandError {
+            cell: None,
+            errors: vec![SpecError::OutOfRange {
+                key: "grid".to_string(),
+                reason: format!("{size}; a grid holds at most {MAX_GRID_RUNS} runs"),
+            }],
+        }
     }
 
     /// Expand the cross product into validated scenarios, in the
@@ -150,8 +172,25 @@ impl Grid {
             });
         }
 
-        let total = self.cells();
+        // Sized before anything is allocated from it: the axis lists are
+        // user input, and five axes of 1000 values name 10^15 cells.
+        let total = match self.cells() {
+            Some(total) if total <= MAX_GRID_RUNS => total,
+            product => {
+                let sizes: Vec<String> = self
+                    .axes
+                    .iter()
+                    .map(|a| a.values.len().to_string())
+                    .collect();
+                let product = product.map_or("more than 2^64".to_string(), |p| p.to_string());
+                return Err(Self::too_large(format!(
+                    "{} = {product} cells",
+                    sizes.join(" x ")
+                )));
+            }
+        };
         let mut scenarios = Vec::with_capacity(total);
+        let mut runs = 0usize;
         for cell in 0..total {
             // Row-major odometer: the last axis has stride 1.
             let mut stride = total;
@@ -164,7 +203,17 @@ impl Grid {
                 cell_desc.push(format!("{}={}", axis.key, value));
             }
             match builder.finish() {
-                Ok(scenario) => scenarios.push(scenario),
+                Ok(scenario) => {
+                    runs = runs.saturating_add(scenario.seeds);
+                    if runs > MAX_GRID_RUNS {
+                        return Err(Self::too_large(format!(
+                            "{runs} runs by cell {} of {total} (seeds = {})",
+                            cell + 1,
+                            scenario.seeds
+                        )));
+                    }
+                    scenarios.push(scenario)
+                }
                 Err(errors) => {
                     return Err(GridExpandError {
                         cell: (!cell_desc.is_empty()).then(|| cell_desc.join(", ")),
@@ -186,7 +235,7 @@ mod tests {
         let grid = Grid::new(ScenarioBuilder::new())
             .axis("topology", ["ring", "line"])
             .axis("protocol", ["uniform", "advert"]);
-        assert_eq!(grid.cells(), 4);
+        assert_eq!(grid.cells(), Some(4));
         let cells = grid.expand().unwrap();
         let order: Vec<(&str, &str)> = cells
             .iter()
@@ -274,6 +323,61 @@ mod tests {
         // radius=0.3 over topology=ring is the invalid combination.
         assert_eq!(err.cell.as_deref(), Some("topology=ring, radius=0.3"));
         assert!(err.to_string().contains("requires topology rgg"), "{err}");
+    }
+
+    #[test]
+    fn oversized_grids_are_refused_before_anything_is_allocated() {
+        // Five axes of 1000 values: 10^15 cells, which no `Vec` may be
+        // sized by.
+        let thousand: Vec<String> = (1..=1000).map(|v| v.to_string()).collect();
+        let mut grid = Grid::new(ScenarioBuilder::new());
+        for key in ["seed", "nodes", "messages", "max-rounds", "seeds"] {
+            grid.push_axis(Axis {
+                key: key.to_string(),
+                values: thousand.clone(),
+            });
+        }
+        assert_eq!(grid.cells(), Some(1_000_000_000_000_000));
+        let err = grid.expand().unwrap_err();
+        assert_eq!(err.cell, None);
+        let text = err.to_string();
+        assert!(text.contains("1000 x 1000 x 1000 x 1000 x 1000"), "{text}");
+        assert!(text.contains("= 1000000000000000 cells"), "{text}");
+        assert!(text.contains(&MAX_GRID_RUNS.to_string()), "{text}");
+
+        // Two more and the product no longer fits a `usize`.
+        for key in ["drift", "churn-rate"] {
+            grid.push_axis(Axis {
+                key: key.to_string(),
+                values: thousand.clone(),
+            });
+        }
+        assert_eq!(grid.cells(), None);
+        let text = grid.expand().unwrap_err().to_string();
+        assert!(text.contains("more than 2^64 cells"), "{text}");
+
+        // The bound itself is allowed; it counts runs, not cells.
+        let mut base = ScenarioBuilder::new();
+        base.set("seeds", &MAX_GRID_RUNS.to_string());
+        assert_eq!(Grid::new(base).expand().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_seed_sweep_too_long_to_buffer_is_refused_at_grid_level() {
+        // `run` streams a sweep line by line; a grid cell buffers its own.
+        let mut base = ScenarioBuilder::new();
+        base.set("nodes", "4").set("seeds", "1000000000000");
+        let err = Grid::new(base).expand().unwrap_err();
+        assert_eq!(err.cell, None);
+        let text = err.to_string();
+        assert!(text.contains("1000000000000 runs"), "{text}");
+        assert!(text.contains(&MAX_GRID_RUNS.to_string()), "{text}");
+
+        // The sum over cells counts, not only one cell's sweep.
+        let mut base = ScenarioBuilder::new();
+        base.set("seeds", &(MAX_GRID_RUNS / 2 + 1).to_string());
+        let err = Grid::new(base).axis("seed", ["1", "2"]).expand();
+        assert!(err.unwrap_err().to_string().contains("by cell 2 of 2"));
     }
 
     #[test]

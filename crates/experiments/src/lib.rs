@@ -59,7 +59,7 @@ pub use emit::{
     csv_header, run_line_csv, run_line_json, sweep_runs, to_json, Emitter, RunMeta, SweepRun,
     SCHEMA_VERSION,
 };
-pub use grid::{Axis, Grid, GridExpandError};
+pub use grid::{Axis, Grid, GridExpandError, MAX_GRID_RUNS};
 pub use pool::{execute_grid, run_cell, worker_count, CellOutput, PoolSummary};
 pub use soak::{
     parse_baselines, soak_line_json, soak_one, summarize, Baseline, SoakConfig, SoakOutcome,

@@ -66,7 +66,7 @@ pub struct CellOutput {
 /// from any worker.
 pub fn run_cell(scenario: &Scenario) -> CellOutput {
     let started = Instant::now();
-    let mut lines = Vec::with_capacity(scenario.seeds);
+    let mut lines = Vec::new();
     let mut warnings = Vec::new();
     for run in sweep_runs(scenario, &mut NoopProbe) {
         lines.push(run.line);

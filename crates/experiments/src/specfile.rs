@@ -146,7 +146,7 @@ mod tests {
              format = csv\n",
         )
         .expect("valid spec");
-        assert_eq!(grid.cells(), 8);
+        assert_eq!(grid.cells(), Some(8));
         let cells = grid.expand().unwrap();
         assert_eq!(cells.len(), 8);
         assert!(cells.iter().all(|s| s.nodes == 64 && s.seed == 7));

@@ -27,11 +27,7 @@
 //! reproducible from the seed.
 //!
 //! The engine itself is the time-sliced sharded loop in [`crate::sliced`],
-//! byte-identical at any thread count. The single-heap, globally
-//! time-ordered loop it replaced (`run_serial` / `run_dynamic_serial`)
-//! was deleted in PR 16: the sliced engine legitimately differs from it
-//! (935 vs 890 rounds on the pinned ring), so it was never an equality
-//! oracle, only a second engine kept alive for two self-pins.
+//! byte-identical at any thread count.
 
 use crate::scheduler::{EngineTimings, RunInputs, Scheduler};
 use crate::SimResult;

@@ -68,7 +68,7 @@ pub use event_driven::AsyncScheduler;
 pub use gossip_membership::{Membership, MembershipConfig, MembershipStats};
 pub use metrics::{CoveragePoint, DynamicsStats, RoundStats, SimResult};
 pub use scheduler::{EngineTimings, PhaseTimings, RunInputs, Scheduler, SyncScheduler};
-pub use sliced::{SliceTimings, EVENT_REGIONS, SLICE_TICKS};
+pub use sliced::{SliceTimings, SLICE_TICKS};
 
 use gossip_core::{NodeId, Rng};
 

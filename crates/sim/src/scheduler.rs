@@ -16,7 +16,7 @@
 //!
 //! - per-node gossip state lives in a [`MessageMatrix`]
 //!   (struct-of-arrays), advertisements and intents in flat arrays;
-//! - **all four phases** shard across `std::thread::scope` workers:
+//! - **all four phases** fork through [`gossip_core::shard::for_each`]:
 //!   advertise and scan/decide over contiguous node ranges, matching via
 //!   the partitioned resolver
 //!   ([`resolve_connections_sharded`](gossip_core::resolve_connections_sharded)),
@@ -25,11 +25,10 @@
 //! - **determinism is independent of the thread count**: each node's
 //!   protocol randomness comes from its own stream
 //!   `Rng::stream(seed, round, node)` and each matching region from its
-//!   own `(seed, round, region)` stream over a *fixed* partition
-//!   ([`gossip_core::MATCH_REGIONS`] blocks, regardless of workers), and
-//!   every merge happens in node order — so `threads = 1` and
-//!   `threads = 64` produce byte-identical [`SimResult`]s. Round-count
-//!   regressions pin this down;
+//!   own `(seed, round, region)` stream over the fixed
+//!   [`Partition`](gossip_core::Partition), and every merge happens in
+//!   node order — so `threads = 1` and `threads = 64` produce
+//!   byte-identical [`SimResult`]s. Round-count regressions pin this down;
 //! - **absent layers cost nothing**: the round loop holds an
 //!   `Option<DynRun>` and an `Option<Membership>`, and its phase step is
 //!   monomorphised over [`GraphView`] — so a static run reads the frozen
@@ -47,18 +46,14 @@ use std::time::{Duration, Instant};
 use gossip_core::time::{SimTime, TICKS_PER_ROUND};
 use gossip_core::topology::GraphView;
 use gossip_core::{
-    resolve_connections_sharded, Advertisement, Connection, Intent, MatrixChunk, MessageMatrix,
-    NodeId, Resolution, Rng, Topology, TransferStats, MATCH_REGIONS,
+    resolve_connections_sharded, shard, Advertisement, Connection, Intent, MatrixChunk,
+    MessageMatrix, NodeId, Partition, Resolution, Rng, Topology, TransferStats, MATCH_REGIONS,
 };
 use gossip_dynamics::DynamicsModel;
 use gossip_membership::{Membership, MembershipConfig};
 use gossip_protocols::{GossipProtocol, NodeCtx, Tags};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
-
-// The telemetry crate's fixed region width must mirror the engines' — the
-// per-region load counters index one with the other's partition.
-const _: () = assert!(MATCH_REGIONS == gossip_telemetry::metrics::REGIONS);
 
 /// Everything that shapes one run — the determinism contract in one
 /// place: identical inputs reproduce identical [`SimResult`]s under a
@@ -335,7 +330,7 @@ impl Scheduler for SyncScheduler {
             states,
             ads: vec![Advertisement::default(); n],
             intents: vec![Intent::Idle; n],
-            region_block: n.div_ceil(MATCH_REGIONS.clamp(1, n)),
+            partition: Partition::of(n),
             timings: PhaseTimings::default(),
         };
 
@@ -434,8 +429,8 @@ struct RoundPhases<'a> {
     states: MessageMatrix,
     ads: Vec<Advertisement>,
     intents: Vec<Intent>,
-    /// Nodes per matching region, for the per-region load tally.
-    region_block: usize,
+    /// The matcher's regions, for the per-region load tally.
+    partition: Partition,
     timings: PhaseTimings,
 }
 
@@ -452,42 +447,42 @@ impl RoundPhases<'_> {
         round: u64,
         probe: &mut dyn Probe,
     ) -> (Resolution, TransferStats) {
+        let (protocol, states, seed, threads) =
+            (self.protocol, &self.states, self.seed, self.threads);
+        // Phases 1 and 2 shard over contiguous node ranges, one per worker;
+        // node-indexed output slots *are* the merge in node order.
+        let range = shard::per_worker(self.ads.len(), threads);
+
         // Phase 1: advertise — all tags published before anyone scans.
         let t0 = Instant::now();
-        advertise_phase(
-            alive,
-            self.protocol,
-            &self.states,
-            &mut self.ads,
-            round,
-            self.threads,
-        );
+        let mut ranges: Vec<_> = self.ads.chunks_mut(range).enumerate().collect();
+        shard::for_each(threads, &mut ranges, |(w, out)| {
+            advertise_range(*w * range, out, alive, protocol, states, round)
+        });
 
         // Phase 2: every node scans and commits an intent.
         let t1 = Instant::now();
-        scan_phase(
-            graph,
-            alive,
-            self.protocol,
-            &self.states,
-            &self.ads,
-            &mut self.intents,
-            self.seed,
-            round,
-            self.threads,
-        );
+        let ads = &self.ads;
+        let mut ranges: Vec<_> = self.intents.chunks_mut(range).enumerate().collect();
+        shard::for_each(threads, &mut ranges, |(w, out)| {
+            decide_range(
+                *w * range,
+                out,
+                graph,
+                alive,
+                protocol,
+                states,
+                ads,
+                seed,
+                round,
+            )
+        });
 
         // Phase 3: connection resolution — the partitioned parallel
         // matching over a fixed region grid.
         let t2 = Instant::now();
-        let resolution = resolve_connections_sharded(
-            graph,
-            &self.intents,
-            self.seed,
-            round,
-            MATCH_REGIONS,
-            self.threads,
-        );
+        let resolution =
+            resolve_connections_sharded(graph, &self.intents, seed, round, MATCH_REGIONS, threads);
 
         // Phase 4: push-pull transfer over the (node-disjoint) matched
         // pairs; under observation, the same unions run serially over the
@@ -498,7 +493,7 @@ impl RoundPhases<'_> {
             traced_transfer(probe, self.states.whole(), &resolution.connections, round)
         } else {
             self.states
-                .union_pairs_parallel(&resolution.connections, self.threads)
+                .union_pairs_parallel(&resolution.connections, threads)
         };
         let t4 = Instant::now();
 
@@ -510,7 +505,7 @@ impl RoundPhases<'_> {
         for c in &resolution.connections {
             timings
                 .connections_by_region
-                .add(c.initiator.index() / self.region_block, 1);
+                .add(self.partition.region_of(c.initiator.index()), 1);
         }
         timings.confined_proposals += resolution.confined_proposals;
         timings.boundary_proposals += resolution.boundary_proposals;
@@ -641,71 +636,4 @@ fn decide_range<G: GraphView + ?Sized>(
         let mut rng = Rng::stream(seed, round, u as u64);
         *slot = protocol.decide(&ctx, &mut rng);
     }
-}
-
-/// Phase 1 of a round — refresh every tag — sharded over `threads`
-/// workers in contiguous node ranges. Must complete before anyone scans:
-/// all tags of round `r` are published before any node reads one.
-fn advertise_phase(
-    alive: Option<&[bool]>,
-    protocol: &dyn GossipProtocol,
-    states: &MessageMatrix,
-    ads: &mut [Advertisement],
-    round: u64,
-    threads: usize,
-) {
-    let n = ads.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        advertise_range(0, ads, alive, protocol, states, round);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, ads_chunk) in ads.chunks_mut(chunk).enumerate() {
-            s.spawn(move || advertise_range(w * chunk, ads_chunk, alive, protocol, states, round));
-        }
-    });
-}
-
-/// Phase 2 of a round — every node scans the published tags and commits
-/// an intent — sharded over `threads` workers in contiguous node ranges.
-/// Intents land in node-indexed slots, which *is* the deterministic
-/// node-order merge.
-#[allow(clippy::too_many_arguments)]
-fn scan_phase<G: GraphView + Sync + ?Sized>(
-    graph: &G,
-    alive: Option<&[bool]>,
-    protocol: &dyn GossipProtocol,
-    states: &MessageMatrix,
-    ads: &[Advertisement],
-    intents: &mut [Intent],
-    seed: u64,
-    round: u64,
-    threads: usize,
-) {
-    let n = intents.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        decide_range(0, intents, graph, alive, protocol, states, ads, seed, round);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, intents_chunk) in intents.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                decide_range(
-                    w * chunk,
-                    intents_chunk,
-                    graph,
-                    alive,
-                    protocol,
-                    states,
-                    ads,
-                    seed,
-                    round,
-                )
-            });
-        }
-    });
 }

@@ -6,10 +6,9 @@
 //! mirroring the design of the sharded matching resolver
 //! (`resolve_connections_sharded`):
 //!
-//! - **Fixed partition.** Nodes are split into [`EVENT_REGIONS`]
-//!   contiguous blocks of `block = ceil(n / EVENT_REGIONS)` nodes, and
-//!   virtual time into slices of [`SLICE_TICKS`] ticks. Both are
-//!   constants — deliberately *not* functions of the thread count — so
+//! - **Fixed partition.** Nodes are split into the regions of
+//!   [`Partition::of`]`(n)` and virtual time into slices of
+//!   [`SLICE_TICKS`] ticks. Neither is a function of the thread count, so
 //!   every RNG draw below is partition-stable and the executed event
 //!   sequence is byte-identical at any `threads`.
 //! - **Per-region queues.** Each region owns a queue of the events it is
@@ -38,7 +37,7 @@
 //!   in `(time, region)` order against the `whole()` matcher and matrix
 //!   chunks with its own stream `Rng::stream(seed, pass, SWEEP_STREAM)`.
 //! - **Serial replay.** Workers record what each transfer moved; after
-//!   the scope joins, the logs merge in `(time, region)` order and the
+//!   the fork joins, the logs merge in `(time, region)` order and the
 //!   accounting (connection counters, completion detection, per-epoch
 //!   history rows) replays serially, so `SimResult` assembly is one
 //!   deterministic sequence regardless of which worker did what.
@@ -72,8 +71,8 @@ use std::time::Instant;
 
 use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{
-    Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk, MatrixChunk, MessageMatrix,
-    NodeId, PeerState, Rng, Topology,
+    shard, Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk, MatrixChunk, NodeId,
+    Partition, PeerState, Rng, Topology,
 };
 use gossip_dynamics::MutationKind;
 use gossip_membership::Membership;
@@ -85,15 +84,6 @@ use gossip_telemetry::{EventKind, Probe, TraceEvent};
 /// that most act→attempt→finish chains stay inside a slice, short enough
 /// that the advertisement snapshot cross-region scans read stays fresh.
 pub const SLICE_TICKS: u64 = TICKS_PER_ROUND;
-
-/// Number of fixed node regions. A constant (not a function of the
-/// thread count) so the event partition — and therefore every RNG draw —
-/// is identical no matter how many workers execute it.
-pub const EVENT_REGIONS: usize = 64;
-
-// The per-region load counters in `SliceTimings` are indexed by event
-// region; keep the fixed partition and the telemetry array in lockstep.
-const _: () = assert!(EVENT_REGIONS == gossip_telemetry::metrics::REGIONS);
 
 /// Per-pass region streams are `stream(seed, pass, REGION_STREAM_BASE + r)`.
 /// Offset by `2^33` to stay disjoint from the matching resolver's region
@@ -480,7 +470,7 @@ struct SliceCtx<'a, G: GraphView + Sync + ?Sized> {
     pass: u64,
     /// Exclusive pop bound: `min(slice end, max_time + 1)`.
     end: u64,
-    block: usize,
+    part: Partition,
     /// Dynamic runs skip the static-graph neighbor assertion — there an
     /// edge may legitimately vanish while a proposal is in flight.
     dynamic: bool,
@@ -509,7 +499,7 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
     let base = task.matcher.base();
     // The nodes every chunk of the task spans: ownership is a range check.
     let owned = base..base + task.ads.len();
-    let r = base / ctx.block;
+    let r = ctx.part.region_of(base);
     let mut rng = Rng::stream(ctx.seed, ctx.pass, REGION_STREAM_BASE + r as u64);
     while let Some(ev) = task.scratch.queue.pop_below(ctx.end) {
         let now = ev.time;
@@ -682,58 +672,6 @@ fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut Re
     }
 }
 
-/// Run one slice's region phase: carve the shared state into per-region
-/// tasks and execute them on `threads` scoped workers (inline when 1).
-/// Which worker runs which region never affects the result — regions
-/// are data-disjoint and their RNG streams are keyed by region index.
-fn execute_slice<G: GraphView + Sync + ?Sized>(
-    ctx: &SliceCtx<'_, G>,
-    scratches: &mut [RegionScratch],
-    matcher: &mut IncrementalMatcher,
-    states: &mut MessageMatrix,
-    ads: &mut [Advertisement],
-    partner: &mut [Option<(NodeId, bool)>],
-    threads: usize,
-) {
-    let block = ctx.block;
-    let mut tasks: Vec<RegionTask<'_>> = scratches
-        .iter_mut()
-        .zip(matcher.region_chunks(block))
-        .zip(states.region_chunks(block))
-        .zip(ads.chunks_mut(block))
-        .zip(partner.chunks_mut(block))
-        .map(
-            |((((scratch, matcher), states), ads), partner)| RegionTask {
-                scratch,
-                matcher,
-                states,
-                ads,
-                partner,
-            },
-        )
-        .collect();
-    if threads <= 1 {
-        for task in tasks.iter_mut() {
-            run_region(ctx, task);
-        }
-        return;
-    }
-    let per_worker = tasks.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = tasks.as_mut_slice();
-        while !rest.is_empty() {
-            let take = per_worker.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            s.spawn(move || {
-                for task in head.iter_mut() {
-                    run_region(ctx, task);
-                }
-            });
-        }
-    });
-}
-
 /// Accumulators for the optional per-epoch [`RoundStats`] history:
 /// counters for the currently open row, plus the number of rows already
 /// flushed. An event at time `t` belongs to row `ceil(t / TICKS_PER_ROUND)`
@@ -877,17 +815,16 @@ pub(crate) fn run_sliced(
     // queued against the old incarnation. All-zero on static runs.
     let mut gens: Vec<u64> = vec![0; n];
 
-    let block = n.div_ceil(EVENT_REGIONS);
-    let regions = n.div_ceil(block);
-    let threads = sched.threads.clamp(1, regions);
-    let mut scratches: Vec<RegionScratch> =
-        (0..regions).map(|_| RegionScratch::default()).collect();
+    let part = Partition::of(n);
+    let mut scratches: Vec<RegionScratch> = (0..part.regions)
+        .map(|_| RegionScratch::default())
+        .collect();
 
     // Stagger initial act cycles uniformly over the first nominal period,
     // so the network does not start phase-locked.
     for u in 0..n {
         let offset = rng.gen_range(TICKS_PER_ROUND as usize) as u64;
-        scratches[u / block].push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
+        scratches[part.region_of(u)].push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
     }
 
     let mut epochs = EpochAccounting::default();
@@ -965,7 +902,7 @@ pub(crate) fn run_sliced(
                                     let delay = sched
                                         .timing
                                         .refresh_interval(drift[v.index()], &mut rng_mut);
-                                    scratches[v.index() / block]
+                                    scratches[part.region_of(v.index())]
                                         .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
                                 }
                             }
@@ -982,7 +919,7 @@ pub(crate) fn run_sliced(
                         let delay = sched
                             .timing
                             .refresh_interval(drift[node.index()], &mut rng_mut);
-                        scratches[node.index() / block]
+                        scratches[part.region_of(node.index())]
                             .push(mtime.after(delay), Ev::Act(node, gens[node.index()]));
                     }
                 }
@@ -1026,22 +963,32 @@ pub(crate) fn run_sliced(
                 seed,
                 pass,
                 end,
-                block,
+                part,
                 // Mutations and membership ticks run between passes, so
                 // an attempt may outlive the edge it was proposed over:
                 // the workers fail it instead of asserting.
                 dynamic: dynr.is_some() || mem.is_some(),
                 tracing,
             };
-            execute_slice(
-                &ctx,
-                &mut scratches,
-                &mut matcher,
-                &mut states,
-                &mut ads,
-                &mut partner,
-                threads,
-            );
+            // One task per region: its scratch and its disjoint chunk of
+            // every per-node array.
+            let mut tasks: Vec<RegionTask<'_>> = scratches
+                .iter_mut()
+                .zip(matcher.region_chunks(part.block))
+                .zip(states.region_chunks(part.block))
+                .zip(ads.chunks_mut(part.block))
+                .zip(partner.chunks_mut(part.block))
+                .map(
+                    |((((scratch, matcher), states), ads), partner)| RegionTask {
+                        scratch,
+                        matcher,
+                        states,
+                        ads,
+                        partner,
+                    },
+                )
+                .collect();
+            shard::for_each(sched.threads, &mut tasks, |task| run_region(&ctx, task));
         }
         timings.execute += ms(t0.elapsed());
 
@@ -1138,7 +1085,7 @@ pub(crate) fn run_sliced(
                         partner[from.index()] = Some((to, true));
                         partner[to.index()] = Some((from, false));
                         let delay = sched.timing.latency(&mut rng_sweep);
-                        scratches[from.index() / block].push(
+                        scratches[part.region_of(from.index())].push(
                             now.after(delay),
                             Ev::Finish {
                                 initiator: from,
@@ -1156,7 +1103,8 @@ pub(crate) fn run_sliced(
                         let delay = sched
                             .timing
                             .refresh_interval(drift[from.index()], &mut rng_sweep);
-                        scratches[from.index() / block].push(now.after(delay), Ev::Act(from, gen));
+                        scratches[part.region_of(from.index())]
+                            .push(now.after(delay), Ev::Act(from, gen));
                     }
                 }
                 Ev::Finish {
@@ -1178,7 +1126,7 @@ pub(crate) fn run_sliced(
                     partner[i] = None;
                     partner[j] = None;
                     let delay = sched.timing.refresh_interval(drift[i], &mut rng_sweep);
-                    scratches[i / block].push(now.after(delay), Ev::Act(initiator, gen_i));
+                    scratches[part.region_of(i)].push(now.after(delay), Ev::Act(initiator, gen_i));
                     if finished(&mut result, &mut dynr, &cover, now) {
                         timings.sweep += ms(t2.elapsed());
                         break 'run now.ticks();
@@ -1275,10 +1223,10 @@ mod tests {
 
     #[test]
     fn region_ownership_by_range_equals_the_block_division() {
-        // `run_region`'s range over the chunks `execute_slice` carves must
+        // `run_region`'s range over the chunks a pass carves must
         // agree with `id / block == r` at both edges of every region.
         for n in [1usize, 63, 64, 65, 1000, 14_400, 1_000_001] {
-            let block = n.div_ceil(EVENT_REGIONS);
+            let block = Partition::of(n).block;
             for (r, chunk) in vec![(); n].chunks(block).enumerate() {
                 let base = r * block;
                 let owned = base..base + chunk.len();

@@ -1,8 +1,6 @@
-//! The two tests the one-entry-point refactor (PR 16) rests on.
+//! The two tests every refactor of the engines' loops rests on.
 //!
-//! **A golden matrix captured on the parent commit through the old entry
-//! points** (`run_probed`, `run_dynamic_probed`, `run_membership_probed`,
-//! `run_dynamic_membership_probed`): both schedulers × {static, dynamics,
+//! **A golden matrix**: both schedulers × {static, dynamics,
 //! membership, both}, history on, a `MemoryProbe` attached. Each cell pins
 //! an FNV-1a fingerprint of the whole `SimResult` (its `Debug` rendering)
 //! and of the traced event stream, at 1, 2 and 8 threads. The thread-count

@@ -16,8 +16,9 @@
 //! without ceremony.
 
 use crate::json::{parse, Value};
-use crate::metrics::{region_of, regions_for, LoadSummary, RegionLoad};
+use crate::metrics::{LoadSummary, RegionLoad};
 use crate::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
+use gossip_core::{Partition, MATCH_REGIONS};
 use std::collections::HashMap;
 
 /// One run line's distilled facts.
@@ -55,6 +56,8 @@ struct TraceAccum {
     unread: Option<(String, u64)>,
     nodes: usize,
     messages: usize,
+    /// The engines' regions of `nodes`, for the balance tallies.
+    part: Partition,
     /// Infection depth of every `(message, node)` pair reached so far.
     /// The first node seen *sending* a message is its source (depth 0).
     /// Keyed, not laid out as `messages × nodes`: the header is input from
@@ -157,6 +160,7 @@ impl Analyzer {
                     .then(|| (version.map_or("?".to_string(), |v| v.to_string()), 0)),
                 nodes: size("nodes", 0) as usize,
                 messages: size("messages", 1) as usize,
+                part: Partition::of(size("nodes", 0) as usize),
                 depth: HashMap::new(),
                 counts: [0; EventKind::COUNT],
                 connects: RegionLoad::default(),
@@ -420,11 +424,15 @@ impl TraceAccum {
     fn observe(&mut self, event: &TraceEvent) {
         self.counts[event.kind as usize] += 1;
         let [from, to, msg] = event.ids;
+        // An id past the header's `nodes` (a header is input from outside)
+        // counts in the last region.
+        let part = self.part;
+        let region = |id: u32| part.region_of(id as usize).min(MATCH_REGIONS - 1);
         match event.kind {
             // `ids[0]` of a connect is its initiator.
-            EventKind::Connect => self.connects.add(region_of(from as usize, self.nodes), 1),
+            EventKind::Connect => self.connects.add(region(from), 1),
             EventKind::Transfer => {
-                self.transfers.add(region_of(from as usize, self.nodes), 1);
+                self.transfers.add(region(from), 1);
                 let inside = |id: u32, bound: usize| (id as usize) < bound;
                 if inside(from, self.nodes) && inside(to, self.nodes) && inside(msg, self.messages)
                 {
@@ -451,7 +459,7 @@ impl TraceAccum {
                 depth_n += 1;
             }
         }
-        let regions = regions_for(self.nodes);
+        let regions = self.part.regions;
         TraceStats {
             scenario_id: self.scenario_id,
             unread: self.unread,

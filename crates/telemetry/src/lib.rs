@@ -1,10 +1,12 @@
 //! Deterministic telemetry for the gossip engines: trace probes, the
 //! per-region load accumulator, and offline analysis of run output.
 //!
-//! This crate sits at the *bottom* of the workspace dependency graph — it
-//! knows nothing about topologies, protocols, or schedulers, only raw node
-//! and message ids — so every other crate can depend on it without cycles.
-//! Its pieces:
+//! This crate sits one step above the bottom of the workspace dependency
+//! graph: it knows nothing about topologies, protocols, or schedulers,
+//! only raw node and message ids plus — its one dependency, on
+//! dependency-free `gossip-core` — the fixed node
+//! [`Partition`](gossip_core::Partition) its per-region counters index by.
+//! Every crate above core can depend on it without cycles. Its pieces:
 //!
 //! - [`Probe`] / [`TraceEvent`] — the observation interface the engines
 //!   call at semantic points (connection proposed / accepted / rejected /

@@ -1,29 +1,9 @@
 //! The fixed-width per-region load accumulator of the sharded engines
-//! and its balance summary. [`RegionLoad`] is a plain `[u64; 64]` so the
-//! engines' timing structs stay `Copy`.
+//! and its balance summary, indexed by the regions of
+//! [`gossip_core::Partition`]. [`RegionLoad`] is a plain
+//! `[u64; MATCH_REGIONS]` so the engines' timing structs stay `Copy`.
 
-/// The fixed region fan-out of the sharded engines. Mirrors
-/// `MATCH_REGIONS` / `EVENT_REGIONS` in the engine crates (asserted equal
-/// there at compile time): both are deliberately constants, never a
-/// function of the thread count, so per-region counters are as
-/// thread-independent as the results themselves.
-pub const REGIONS: usize = 64;
-
-/// The number of non-empty regions a fixed 64-way partition of `n` nodes
-/// actually produces (fewer than 64 when `n < 64`; see the resolver's
-/// block-rounding rule).
-pub fn regions_for(n: usize) -> usize {
-    if n == 0 {
-        return 0;
-    }
-    n.div_ceil(n.div_ceil(REGIONS))
-}
-
-/// The region holding `node` when `nodes` nodes are cut into the fixed
-/// blocks of `ceil(nodes / 64)`; an id past the end counts in the last.
-pub fn region_of(node: usize, nodes: usize) -> usize {
-    (node / nodes.div_ceil(REGIONS).max(1)).min(REGIONS - 1)
-}
+use gossip_core::MATCH_REGIONS;
 
 /// Per-region event/connection tallies for one run — the load-balance
 /// instrument of the 64-region sharded engines. `Copy` and fixed-size on
@@ -32,13 +12,13 @@ pub fn region_of(node: usize, nodes: usize) -> usize {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegionLoad {
     /// One tally per fixed region.
-    pub counts: [u64; REGIONS],
+    pub counts: [u64; MATCH_REGIONS],
 }
 
 impl Default for RegionLoad {
     fn default() -> Self {
         RegionLoad {
-            counts: [0; REGIONS],
+            counts: [0; MATCH_REGIONS],
         }
     }
 }
@@ -65,9 +45,9 @@ impl RegionLoad {
     }
 
     /// Summarize the first `regions` tallies (the regions a run of its
-    /// size actually populated; see [`regions_for`]).
+    /// size actually populated: `Partition::of(n).regions`).
     pub fn summary(&self, regions: usize) -> LoadSummary {
-        let regions = regions.clamp(1, REGIONS);
+        let regions = regions.clamp(1, MATCH_REGIONS);
         let used = &self.counts[..regions];
         let total: u64 = used.iter().sum();
         let mean = total as f64 / regions as f64;
@@ -103,19 +83,5 @@ mod tests {
         assert!((s.imbalance - 2.0).abs() < 1e-9);
         // Regions beyond the used prefix do not drag min to zero.
         assert_eq!(load.summary(64).min, 0, "full-width summary sees empties");
-    }
-
-    #[test]
-    fn regions_for_matches_the_block_rounding_rule() {
-        assert_eq!(regions_for(0), 0);
-        assert_eq!(regions_for(1), 1);
-        assert_eq!(regions_for(6), 6);
-        assert_eq!(regions_for(64), 64);
-        assert_eq!(regions_for(1000), 63, "ceil rounding drops a region");
-        assert_eq!(regions_for(1 << 20), 64);
-        // `region_of` walks the same blocks (16 nodes each at n = 1000).
-        assert_eq!([0, 15, 16, 999].map(|u| region_of(u, 1000)), [0, 0, 1, 62]);
-        assert_eq!(region_of(5, 0), 5, "a headerless stream: blocks of one");
-        assert_eq!(region_of(usize::MAX, 1000), REGIONS - 1);
     }
 }

@@ -10,7 +10,7 @@ use std::io::{self, Write};
 /// the rendering of every kind at the current version.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
-/// What a [`TraceEvent`] records — one variant per row of [`SCHEMA`], in
+/// What a [`TraceEvent`] records — one variant per row of `SCHEMA`, in
 /// row order. The ids named below are the event's `ids`, in that order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
