@@ -5,7 +5,9 @@
 //! an FNV-1a fingerprint of the whole `SimResult` (its `Debug` rendering)
 //! and of the traced event stream, at 1, 2 and 8 threads. The thread-count
 //! *equality* tests elsewhere cannot see a change that shifts every
-//! thread count alike; these can.
+//! thread count alike; these can. Its small RGG sends nearly every
+//! handshake through the sliced engine's boundary sweep, so one more cell —
+//! a 2048-node async ring, static and churned — pins the region workers'.
 //!
 //! **Static = the empty mutation stream.** The dynamic loop with nothing
 //! to drain must compute exactly what the static path computes (only
@@ -97,6 +99,61 @@ fn golden_matrix_captured_on_the_parent_holds_through_the_one_entry_point() {
                     sched.name()
                 );
             }
+        }
+    }
+}
+
+/// `(SimResult fingerprint, event-stream fingerprint)` of the
+/// region-dominant async ring, static then churned.
+const RING_GOLDEN: [(u64, u64); 2] = [
+    (0x3792197b536f8ba8, 0x6dbd73550a694fe1),
+    (0x7956b0b8e5f1988f, 0x7b31f1c0c884acf5),
+];
+
+#[test]
+fn region_dominant_async_ring_captured_on_the_parent_holds() {
+    // The 120-node RGG above has 2-node regions, so nearly every handshake
+    // it pins crosses a region edge and runs in the boundary sweep. On a
+    // 2048-node ring a region is 32 consecutive nodes: all but its two end
+    // nodes handshake inside it, on the region workers.
+    let topo = Topology::ring(2048);
+    let sources = random_sources(2048, 3, &mut Rng::new(0xfeed));
+    let cfg = SimConfig {
+        max_rounds: 40,
+        record_rounds: true,
+    };
+    let churn = Churn {
+        rate: 0.05,
+        rejoin: RejoinPolicy::Lose,
+        mean_downtime: 3.0,
+    };
+    for threads in [1usize, 2, 8] {
+        for (dynamic, expected) in [false, true].into_iter().zip(RING_GOLDEN) {
+            let inputs = RunInputs {
+                dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
+                ..RunInputs::new(&topo, &UniformGossip, &sources, 42, cfg)
+            };
+            let mut probe = MemoryProbe::default();
+            let (result, timings) =
+                AsyncScheduler::with_threads(threads).run_timed(&inputs, &mut probe);
+            let EngineTimings::Async(slices) = timings else {
+                panic!("the async engine ran")
+            };
+            let in_regions: u64 = slices.events_by_region.counts.iter().sum();
+            assert!(
+                in_regions * 10 >= slices.events * 9,
+                "only {in_regions} of {} events ran on the region workers",
+                slices.events
+            );
+            let got = (
+                fnv(format!("{result:?}").as_bytes()),
+                fnv(format!("{:?}", probe.events).as_bytes()),
+            );
+            assert_eq!(
+                got, expected,
+                "ring dynamics={dynamic} threads={threads}: \
+                 (result, events) fingerprint {got:#018x?} left the parent's"
+            );
         }
     }
 }
