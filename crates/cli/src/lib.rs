@@ -578,8 +578,54 @@ mod tests {
             assert!(message.contains("nodes"), "{message}");
             assert!(message.contains("4294967295"), "{message}");
         }
-        let largest = parse_run(&["--nodes", "4294967295"]);
-        assert_eq!(largest.nodes, u32::MAX as usize);
+        // The largest count inside the id range passes its key's check; a
+        // run that large is then refused for its size instead.
+        let largest = parse(&["--nodes", "4294967295"]).unwrap_err();
+        assert!(!largest.contains("32-bit"), "{largest}");
+        assert!(largest.contains("4294967296 words"), "{largest}");
+    }
+
+    #[test]
+    fn refuses_scenarios_too_large_to_allocate() {
+        // Each of these aborted (134) or panicked (101) allocating its
+        // message matrix, source list or adjacency; each is refused before
+        // anything is allocated, naming the bound or the size.
+        for (args, named) in [
+            (
+                &["--nodes", "10", "--messages", "4294967296"][..],
+                "message ids are 32-bit",
+            ),
+            (
+                &["grid", "--nodes", "10", "--axis", "messages=1,4294967296"],
+                "message ids are 32-bit",
+            ),
+            (
+                &["--nodes", "64", "--messages", "18446744073709551615"],
+                "message ids are 32-bit",
+            ),
+            (
+                &["--nodes", "10", "--messages", "4294967295"],
+                "4966055935 words",
+            ),
+            (
+                &["--topology", "complete", "--nodes", "200000"],
+                "39999800000 adjacency",
+            ),
+            (
+                &["--nodes", "4194304", "--messages", "4096"],
+                "268439552 words",
+            ),
+            (
+                &["--topology", "complete", "--nodes", "16385"],
+                "268451840 adjacency",
+            ),
+        ] {
+            let message = parse(args).unwrap_err();
+            assert!(message.contains(named), "{args:?}: {message}");
+        }
+        // One step inside the bound, both still parse.
+        parse_run(&["--nodes", "4194304", "--messages", "4032"]);
+        parse_run(&["--topology", "complete", "--nodes", "16384"]);
     }
 
     #[test]

@@ -67,6 +67,15 @@ impl std::error::Error for GridExpandError {}
 /// with `run`.
 pub const MAX_GRID_RUNS: usize = 1 << 20;
 
+/// The most words a run may allocate whole before its first event: the
+/// message state (a `nodes × ⌈messages/64⌉`-word matrix plus one source
+/// per message) or a complete topology's adjacency (`nodes × (nodes − 1)`
+/// neighbour ids). Past what the machine holds, such an allocation aborts
+/// the process instead of failing, so [`ScenarioBuilder::finish`] refuses
+/// the scenario first. 2^28 words is 2 GiB of matrix, over 250 times the
+/// 10^6-node ring's.
+pub(crate) const MAX_SCENARIO_WORDS: usize = 1 << 28;
+
 /// A parameter grid: base scenario assignments plus sweep axes. Expansion
 /// order is documented on the [module](crate::grid).
 #[derive(Clone, Debug)]

@@ -16,6 +16,8 @@
 //! [`Scenario::to_spec`] writes it back; the builder's typed setters are
 //! sugar over the same rows.
 
+use crate::grid::MAX_SCENARIO_WORDS;
+
 use gossip_core::{NodeId, RggGeometry, Rng, TimingConfig, Topology};
 use gossip_dynamics::{
     Churn, CompositeDynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
@@ -759,17 +761,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
-        set: |b, k, v| {
-            let Some(n) = b.positive(k, v, AT_LEAST_ONE) else {
-                return;
-            };
-            b.nodes = n;
-            if u32::try_from(n).is_err() {
-                // `NodeId` is a `u32` and every engine casts into it.
-                let bound = format!("must be at most {} (node ids are 32-bit)", u32::MAX);
-                b.out_of_range(k, &bound);
-            }
-        },
+        set: |b, k, v| b.nodes = b.id_count(k, v, "node").unwrap_or(b.nodes),
         get: |s| Some(s.nodes.to_string()),
     },
     AssignmentDef {
@@ -806,7 +798,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         run: true,
         bench: true,
         axis: true,
-        set: |b, k, v| b.messages = b.positive(k, v, AT_LEAST_ONE).unwrap_or(b.messages),
+        set: |b, k, v| b.messages = b.id_count(k, v, "message").unwrap_or(b.messages),
         get: |s| Some(s.messages.to_string()),
     },
     AssignmentDef {
@@ -1257,6 +1249,19 @@ impl ScenarioBuilder {
         (n > 0).then_some(n)
     }
 
+    /// [`positive`](Self::positive) for a count of `what`s, which also
+    /// refuses counts past the 32-bit id range: `NodeId` and the message ids
+    /// of trace events and transfer itemisation are `u32`, and the engines
+    /// cast into them.
+    fn id_count(&mut self, key: &str, value: &str, what: &str) -> Option<usize> {
+        let n = self.positive(key, value, AT_LEAST_ONE)?;
+        if u32::try_from(n).is_err() {
+            let bound = format!("must be at most {} ({what} ids are 32-bit)", u32::MAX);
+            self.out_of_range(key, &bound);
+        }
+        Some(n)
+    }
+
     fn float(&mut self, key: &str, value: &str) -> Option<f64> {
         self.parse(key, value, "a number")
     }
@@ -1417,6 +1422,32 @@ impl ScenarioBuilder {
             errors.push(SpecError::Conflict {
                 reason: "history emits nested per-round data, which is JSON-only".to_string(),
             });
+        }
+
+        // What a run allocates whole before its first event; counts past
+        // the id range were refused by their own keys already.
+        let (nodes, messages) = (self.nodes, self.messages);
+        if u32::try_from(nodes.max(messages)).is_ok() {
+            let words = nodes.saturating_mul(messages.div_ceil(64)) + messages;
+            if words > MAX_SCENARIO_WORDS {
+                errors.push(SpecError::OutOfRange {
+                    key: "nodes/messages".to_string(),
+                    reason: format!(
+                        "{nodes} x ceil({messages}/64) + {messages} = {words} words of message \
+                         state; a scenario holds at most {MAX_SCENARIO_WORDS}"
+                    ),
+                });
+            }
+            let adjacency = nodes.saturating_mul(nodes - 1);
+            if topology == TopologySpec::Complete && adjacency > MAX_SCENARIO_WORDS {
+                errors.push(SpecError::OutOfRange {
+                    key: "nodes".to_string(),
+                    reason: format!(
+                        "a complete topology of {nodes} nodes has {adjacency} adjacency \
+                         entries; a scenario holds at most {MAX_SCENARIO_WORDS}"
+                    ),
+                });
+            }
         }
 
         if !errors.is_empty() {

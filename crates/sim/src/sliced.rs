@@ -36,11 +36,14 @@
 //!   a serial **boundary sweep** at the slice edge, which executes them
 //!   in `(time, region)` order against the `whole()` matcher and matrix
 //!   chunks with its own stream `Rng::stream(seed, pass, SWEEP_STREAM)`.
-//! - **Serial replay.** Workers record what each transfer moved; after
-//!   the fork joins, the logs merge in `(time, region)` order and the
-//!   accounting (connection counters, completion detection, per-epoch
-//!   history rows) replays serially, so `SimResult` assembly is one
-//!   deterministic sequence regardless of which worker did what.
+//! - **One handler, one replay.** A worker and the sweep execute an
+//!   `Attempt` or `Finish` through the same handler ([`Chunks::connect`]),
+//!   which logs its effects as entries. One [`replay`] accounts an entry
+//!   (drop and connection counters, completion detection, per-epoch
+//!   history rows, trace events): after the fork joins it runs over the
+//!   region logs merged in `(time, region)` order, and the sweep runs it
+//!   over each event's entries before the next event. `SimResult`
+//!   assembly is one deterministic sequence whichever worker did what.
 //!
 //! There is **one pass loop** ([`run_sliced`]) for every kind of input.
 //! Dynamics keep slice granularity: all mutations due inside a slice are
@@ -142,10 +145,19 @@ enum Ev {
     },
 }
 
-/// What a worker logs for the serial replay to account. The first two
-/// variants carry the run's accounting and are always logged; the third
-/// exists purely for tracing and is logged only when a probe is enabled,
-/// so the replay can emit the region phase's trace events in one
+impl Ev {
+    /// The node whose region queues the event.
+    fn owner(self) -> NodeId {
+        match self {
+            Ev::Act(u, _) | Ev::Attempt { from: u, .. } | Ev::Finish { initiator: u, .. } => u,
+        }
+    }
+}
+
+/// What a worker or the sweep logs for [`replay`] to account. The first
+/// two variants carry the run's accounting and are always logged; the
+/// third exists purely for tracing and is logged only when a probe is
+/// enabled, so the replay can emit the region phase's trace events in one
 /// deterministic global order without the workers ever touching the
 /// probe.
 #[derive(Clone, Copy, Debug)]
@@ -155,12 +167,12 @@ enum EntryKind {
     Finish { moved: usize, newly_full: usize },
     /// An attempt was rejected (busy acceptor, or a vanished edge on
     /// dynamic runs).
-    Drop { from: u32, to: u32 },
+    Drop,
     /// Trace-only: the kind and ids of the [`TraceEvent`] to replay — a
-    /// proposal, an in-region connect, or one message crossing a completed
-    /// connection. A connection's transfers are logged *before* its
-    /// `Finish` entry, so they replay ahead of the completion check they
-    /// might trigger.
+    /// proposal, a connect, a reject (logged right after its `Drop`), or
+    /// one message crossing a completed connection. A connection's
+    /// transfers are logged *before* its `Finish` entry, so they replay
+    /// ahead of the completion check they might trigger.
     Trace(EventKind, [u32; 3]),
 }
 
@@ -456,9 +468,10 @@ impl RegionScratch {
     }
 }
 
-/// Read-only context shared by every worker of one slice pass.
-struct SliceCtx<'a, G: GraphView + Sync + ?Sized> {
-    graph: &'a G,
+/// Read-only context shared by every worker of one slice pass and by its
+/// boundary sweep. The gossip graph is not in it: it may borrow the run's
+/// `DynRun`, which the sweep's replays write to between events.
+struct SliceCtx<'a> {
     protocol: &'a dyn GossipProtocol,
     timing: &'a TimingConfig,
     drift: &'a [f64],
@@ -471,23 +484,119 @@ struct SliceCtx<'a, G: GraphView + Sync + ?Sized> {
     /// Exclusive pop bound: `min(slice end, max_time + 1)`.
     end: u64,
     part: Partition,
-    /// Dynamic runs skip the static-graph neighbor assertion — there an
-    /// edge may legitimately vanish while a proposal is in flight.
-    dynamic: bool,
-    /// Hoisted `probe.enabled()`: workers log the trace-only entries (and
-    /// itemize transfers) only when a probe will consume them.
+    /// The frozen topology when there are no dynamics; `None` under
+    /// dynamics. See [`Chunks::connect`] for the rule it carries.
+    underlay: Option<&'a Topology>,
+    /// Hoisted `probe.enabled()`: the handler logs the trace-only entries
+    /// (and itemizes transfers) only when a probe will consume them.
     tracing: bool,
 }
 
-/// The disjoint mutable state a worker owns for one region: its scratch,
-/// plus region-sized chunks of the matcher, message matrix,
-/// advertisement array, and partner table.
-struct RegionTask<'a> {
-    scratch: &'a mut RegionScratch,
+/// The chunks of the per-node arrays a connection event touches, all over
+/// one node range: a region's, or every node's in the boundary sweep.
+struct Chunks<'a> {
     matcher: MatcherChunk<'a>,
     states: MatrixChunk<'a>,
-    ads: &'a mut [Advertisement],
     partner: &'a mut [Option<(NodeId, bool)>],
+}
+
+impl Chunks<'_> {
+    /// Execute a live `Attempt` or `Finish` at `now` whose endpoints both
+    /// lie in these chunks — the one handshake path, run by a region worker
+    /// on its region's chunks and by the boundary sweep on the `whole()`
+    /// ones. Effects go to `log` as [`Entry`] records for [`replay`]; the
+    /// follow-up event its owner schedules is returned.
+    ///
+    /// On a static underlay every proposal crosses one of its edges (a
+    /// membership overlay's views are subgraphs of it), which debug builds
+    /// assert. Under dynamics an edge may vanish while a proposal is in
+    /// flight; the *connect* check consults the current gossip graph, so a
+    /// target that died, an edge that faded, a peer that moved away or an
+    /// evicted view edge fails the attempt naturally.
+    // Forced into both callers: out of line, the serial sweep ran ~40 %
+    // slower on a 14 400-node async grid.
+    #[inline(always)]
+    fn connect(
+        &mut self,
+        ctx: &SliceCtx<'_>,
+        graph: &dyn GraphView,
+        now: SimTime,
+        ev: Ev,
+        rng: &mut Rng,
+        log: &mut Vec<Entry>,
+    ) -> (SimTime, Ev) {
+        let base = self.matcher.base();
+        let at = |kind| Entry {
+            time: now.ticks(),
+            kind,
+        };
+        match ev {
+            Ev::Attempt { from, to, gen } => {
+                debug_assert!(
+                    ctx.underlay.is_none_or(|t| t.are_neighbors(from, to)),
+                    "protocol proposed {from} -> {to} across a non-edge"
+                );
+                if self.matcher.try_connect(graph, from, to) {
+                    if ctx.tracing {
+                        log.push(at(EntryKind::Trace(EventKind::Connect, [from.0, to.0, 0])));
+                    }
+                    self.partner[from.index() - base] = Some((to, true));
+                    self.partner[to.index() - base] = Some((from, false));
+                    let finish = Ev::Finish {
+                        initiator: from,
+                        acceptor: to,
+                        gen_i: gen,
+                        gen_a: ctx.gens[to.index()],
+                    };
+                    (now.after(ctx.timing.latency(rng)), finish)
+                } else {
+                    self.matcher.cancel(from);
+                    log.push(at(EntryKind::Drop));
+                    if ctx.tracing {
+                        log.push(at(EntryKind::Trace(EventKind::Reject, [from.0, to.0, 0])));
+                    }
+                    let delay = ctx.timing.refresh_interval(ctx.drift[from.index()], rng);
+                    (now.after(delay), Ev::Act(from, gen))
+                }
+            }
+            Ev::Finish {
+                initiator,
+                acceptor,
+                gen_i,
+                ..
+            } => {
+                let (i, j) = (initiator.index(), acceptor.index());
+                let stats = if ctx.tracing {
+                    // Itemize the moved messages (same union, same totals)
+                    // so the replay emits per-message transfer events
+                    // ahead of this `Finish`.
+                    self.states.union_pair_traced(i, j, |from, to, msg| {
+                        log.push(at(EntryKind::Trace(EventKind::Transfer, [from, to, msg])))
+                    })
+                } else {
+                    self.states.union_pair_stats(i, j)
+                };
+                log.push(at(EntryKind::Finish {
+                    moved: stats.moved,
+                    newly_full: stats.newly_full,
+                }));
+                self.matcher.release(initiator, acceptor);
+                self.partner[i - base] = None;
+                self.partner[j - base] = None;
+                let delay = ctx.timing.refresh_interval(ctx.drift[i], rng);
+                (now.after(delay), Ev::Act(initiator, gen_i))
+            }
+            Ev::Act(..) => unreachable!("an act is not a connection event"),
+        }
+    }
+}
+
+/// The disjoint mutable state a worker owns for one region: its scratch,
+/// its advertisements and the region's [`Chunks`].
+struct RegionTask<'a> {
+    scratch: &'a mut RegionScratch,
+    ads: &'a mut [Advertisement],
+    chunks: Chunks<'a>,
 }
 
 /// Drain one region's events below the slice end. Everything a region
@@ -495,178 +604,106 @@ struct RegionTask<'a> {
 /// and finishes with a cross-region peer are deferred before consuming
 /// any randomness), so workers on different regions never observe each
 /// other.
-fn run_region<G: GraphView + Sync + ?Sized>(ctx: &SliceCtx<'_, G>, task: &mut RegionTask<'_>) {
-    let base = task.matcher.base();
+fn run_region(ctx: &SliceCtx<'_>, graph: &(dyn GraphView + Sync), task: &mut RegionTask<'_>) {
+    let RegionTask {
+        scratch,
+        ads,
+        chunks,
+    } = task;
+    let base = chunks.matcher.base();
     // The nodes every chunk of the task spans: ownership is a range check.
-    let owned = base..base + task.ads.len();
+    let owned = base..base + ads.len();
     let r = ctx.part.region_of(base);
     let mut rng = Rng::stream(ctx.seed, ctx.pass, REGION_STREAM_BASE + r as u64);
-    while let Some(ev) = task.scratch.queue.pop_below(ctx.end) {
+    let gens = ctx.gens;
+    while let Some(ev) = scratch.queue.pop_below(ctx.end) {
         let now = ev.time;
-        match ev.event {
-            Ev::Act(u, gen) => {
-                task.scratch.note(now);
-                if gen != ctx.gens[u.index()] {
-                    continue; // the node died since this was scheduled
-                }
-                let ui = u.index();
-                match task.matcher.state(u) {
-                    PeerState::Connected => {
-                        // Captured as a listener mid-connection: keep the
-                        // act chain alive and re-decide later.
-                        let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
-                        task.scratch.push(now.after(delay), Ev::Act(u, gen));
-                    }
-                    PeerState::Proposing => {
-                        // A proposing node's chain is owned by its Attempt
-                        // event, so rescheduling here would fork the chain;
-                        // dropping the stale Act is the safe release-mode
-                        // recovery (the Attempt always restarts the cycle),
-                        // while debug builds flag the broken invariant.
-                        debug_assert!(false, "act event fired for a proposing node");
-                    }
-                    state => {
-                        if state == PeerState::Listening {
-                            task.matcher.cancel(u);
-                        }
-                        let epoch = now.epoch();
-                        let own_ad = ctx.protocol.advertise(task.states.view(ui), epoch);
-                        task.ads[ui - base] = own_ad;
-                        let node_ctx = NodeCtx {
-                            id: u,
-                            salt: epoch,
-                            messages: task.states.view(ui),
-                            own_ad,
-                            neighbors: ctx.graph.neighbors(u),
-                            tags: Tags::split(task.ads, base, ctx.ads_snap),
-                        };
-                        match ctx.protocol.decide(&node_ctx, &mut rng) {
-                            Intent::Idle => {
-                                let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
-                                task.scratch.push(now.after(delay), Ev::Act(u, gen));
-                            }
-                            Intent::Listen => {
-                                task.matcher.listen(u);
-                                let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
-                                task.scratch.push(now.after(delay), Ev::Act(u, gen));
-                            }
-                            Intent::Propose(v) => {
-                                task.matcher.propose(u);
-                                if ctx.tracing {
-                                    task.scratch.log.push(Entry {
-                                        time: now.ticks(),
-                                        kind: EntryKind::Trace(EventKind::Propose, [u.0, v.0, 0]),
-                                    });
-                                }
-                                let delay = ctx.timing.latency(&mut rng);
-                                task.scratch.push(
-                                    now.after(delay),
-                                    Ev::Attempt {
-                                        from: u,
-                                        to: v,
-                                        gen,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            Ev::Attempt { from, to, gen } => {
-                if gen != ctx.gens[from.index()] {
-                    task.scratch.note(now);
-                    continue; // the proposer died mid-flight
-                }
-                if !owned.contains(&to.index()) {
-                    // Cross-region acceptor: defer to the boundary sweep
-                    // before consuming any randomness.
-                    task.scratch.deferred.push(ev);
-                    continue;
-                }
-                task.scratch.note(now);
-                if !ctx.dynamic {
-                    debug_assert!(
-                        ctx.graph.are_neighbors(from, to),
-                        "protocol proposed {from} -> {to} across a non-edge"
-                    );
-                }
-                if task.matcher.try_connect(ctx.graph, from, to) {
-                    if ctx.tracing {
-                        task.scratch.log.push(Entry {
-                            time: now.ticks(),
-                            kind: EntryKind::Trace(EventKind::Connect, [from.0, to.0, 0]),
-                        });
-                    }
-                    task.partner[from.index() - base] = Some((to, true));
-                    task.partner[to.index() - base] = Some((from, false));
-                    let delay = ctx.timing.latency(&mut rng);
-                    task.scratch.push(
-                        now.after(delay),
-                        Ev::Finish {
-                            initiator: from,
-                            acceptor: to,
-                            gen_i: gen,
-                            gen_a: ctx.gens[to.index()],
-                        },
-                    );
-                } else {
-                    task.matcher.cancel(from);
-                    task.scratch.log.push(Entry {
-                        time: now.ticks(),
-                        kind: EntryKind::Drop {
-                            from: from.0,
-                            to: to.0,
-                        },
-                    });
-                    let delay = ctx
-                        .timing
-                        .refresh_interval(ctx.drift[from.index()], &mut rng);
-                    task.scratch.push(now.after(delay), Ev::Act(from, gen));
-                }
-            }
+        // Whether every node the event names is the incarnation it was
+        // scheduled for, and the other node it touches.
+        let (live, peer) = match ev.event {
+            Ev::Act(u, gen) => (gen == gens[u.index()], u),
+            Ev::Attempt { from, to, gen } => (gen == gens[from.index()], to),
             Ev::Finish {
                 initiator,
                 acceptor,
                 gen_i,
                 gen_a,
             } => {
-                if gen_i != ctx.gens[initiator.index()] || gen_a != ctx.gens[acceptor.index()] {
-                    task.scratch.note(now);
-                    continue; // the connection was severed by a death
+                let live = gen_i == gens[initiator.index()] && gen_a == gens[acceptor.index()];
+                (live, acceptor)
+            }
+        };
+        if live && !owned.contains(&peer.index()) {
+            // Cross-region peer: defer to the boundary sweep before
+            // consuming any randomness.
+            scratch.deferred.push(ev);
+            continue;
+        }
+        scratch.note(now);
+        if !live {
+            continue; // a death since it was scheduled orphaned it
+        }
+        let Ev::Act(u, gen) = ev.event else {
+            let (at, next) = chunks.connect(ctx, graph, now, ev.event, &mut rng, &mut scratch.log);
+            scratch.push(at, next);
+            continue;
+        };
+        let ui = u.index();
+        match chunks.matcher.state(u) {
+            PeerState::Connected => {
+                // Captured as a listener mid-connection: keep the act
+                // chain alive and re-decide later.
+                let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
+                scratch.push(now.after(delay), Ev::Act(u, gen));
+            }
+            PeerState::Proposing => {
+                // A proposing node's chain is owned by its Attempt event,
+                // so rescheduling here would fork the chain; dropping the
+                // stale Act is the safe release-mode recovery (the Attempt
+                // always restarts the cycle), while debug builds flag the
+                // broken invariant.
+                debug_assert!(false, "act event fired for a proposing node");
+            }
+            state => {
+                if state == PeerState::Listening {
+                    chunks.matcher.cancel(u);
                 }
-                if !owned.contains(&acceptor.index()) {
-                    task.scratch.deferred.push(ev);
-                    continue;
-                }
-                task.scratch.note(now);
-                let (i, j) = (initiator.index(), acceptor.index());
-                let stats = if ctx.tracing {
-                    // Itemize the moved messages (same union, same
-                    // totals) so the replay can emit per-message
-                    // transfer events ahead of this `Finish`.
-                    let log = &mut task.scratch.log;
-                    task.states.union_pair_traced(i, j, |from, to, msg| {
-                        log.push(Entry {
-                            time: now.ticks(),
-                            kind: EntryKind::Trace(EventKind::Transfer, [from, to, msg]),
-                        })
-                    })
-                } else {
-                    task.states.union_pair_stats(i, j)
+                let epoch = now.epoch();
+                let own_ad = ctx.protocol.advertise(chunks.states.view(ui), epoch);
+                ads[ui - base] = own_ad;
+                let node_ctx = NodeCtx {
+                    id: u,
+                    salt: epoch,
+                    messages: chunks.states.view(ui),
+                    own_ad,
+                    neighbors: graph.neighbors(u),
+                    tags: Tags::split(ads, base, ctx.ads_snap),
                 };
-                task.scratch.log.push(Entry {
-                    time: now.ticks(),
-                    kind: EntryKind::Finish {
-                        moved: stats.moved,
-                        newly_full: stats.newly_full,
-                    },
-                });
-                task.matcher.release(initiator, acceptor);
-                task.partner[i - base] = None;
-                task.partner[j - base] = None;
-                let delay = ctx.timing.refresh_interval(ctx.drift[i], &mut rng);
-                task.scratch
-                    .push(now.after(delay), Ev::Act(initiator, gen_i));
+                match ctx.protocol.decide(&node_ctx, &mut rng) {
+                    Intent::Propose(v) => {
+                        chunks.matcher.propose(u);
+                        if ctx.tracing {
+                            scratch.log.push(Entry {
+                                time: now.ticks(),
+                                kind: EntryKind::Trace(EventKind::Propose, [u.0, v.0, 0]),
+                            });
+                        }
+                        let delay = ctx.timing.latency(&mut rng);
+                        let attempt = Ev::Attempt {
+                            from: u,
+                            to: v,
+                            gen,
+                        };
+                        scratch.push(now.after(delay), attempt);
+                    }
+                    intent => {
+                        if intent == Intent::Listen {
+                            chunks.matcher.listen(u);
+                        }
+                        let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
+                        scratch.push(now.after(delay), Ev::Act(u, gen));
+                    }
+                }
             }
         }
     }
@@ -711,13 +748,16 @@ impl EpochAccounting {
 
     /// Flush the rows strictly before the row of an event at `time`, so
     /// the event's counters accumulate into the right (still-open) row.
+    /// A no-op when the run keeps no history.
     fn flush_rows_before(
         &mut self,
-        history: &mut Vec<RoundStats>,
+        rounds: &mut Option<Vec<RoundStats>>,
         time: SimTime,
         cover: &Coverage,
     ) {
-        self.flush_rows_below(history, time.round_equivalent().max(1), cover);
+        if let Some(history) = rounds {
+            self.flush_rows_below(history, time.round_equivalent().max(1), cover);
+        }
     }
 
     /// Count one completed transfer — in the run totals, the open history
@@ -740,6 +780,55 @@ impl EpochAccounting {
         }
         self.connections += 1;
     }
+}
+
+/// Account one logged effect at its place in the serial order — the merge
+/// replays every region-log entry, the sweep each entry its events log:
+/// flush the history rows before it, count a drop or a finished transfer,
+/// emit its trace event, and, after a transfer, sample the coverage
+/// timeline and say whether gossip just completed (stamping the time).
+// Forced into both callers, like `Chunks::connect`: out of line, the
+// merge ran ~20 % slower.
+#[inline(always)]
+fn replay(
+    e: &Entry,
+    result: &mut SimResult,
+    epochs: &mut EpochAccounting,
+    cover: &mut Coverage,
+    dynr: &mut Option<DynRun>,
+    probe: &mut dyn Probe,
+) -> bool {
+    let now = SimTime(e.time);
+    match e.kind {
+        EntryKind::Trace(kind, ids) => probe.record(&TraceEvent {
+            t: e.time,
+            round: now.round_equivalent() as u64,
+            kind,
+            ids,
+        }),
+        EntryKind::Drop => {
+            epochs.flush_rows_before(&mut result.rounds, now, cover);
+            result.dropped_proposals += 1;
+        }
+        EntryKind::Finish { moved, newly_full } => {
+            epochs.flush_rows_before(&mut result.rounds, now, cover);
+            epochs.count_finish(result, cover, moved, newly_full);
+            let population = match dynr {
+                Some(d) => {
+                    d.record(now, cover);
+                    d.topo.alive_count()
+                }
+                None => result.nodes,
+            };
+            if cover.complete(population) {
+                result.completed = true;
+                result.virtual_time_to_completion = Some(e.time);
+                result.rounds_to_completion = Some(now.round_equivalent());
+            }
+            return result.completed;
+        }
+    }
+    false
 }
 
 /// The graph gossip runs over right now: the membership overlay when one
@@ -769,11 +858,10 @@ fn gossip_graph<'a>(
 /// `membership` swaps the gossip graph for a discovered overlay, ticked
 /// serially at slice starts after the slice's mutations landed.
 ///
-/// Tracing rides the replay: workers log trace-only entries into their
-/// region logs (never touching the probe or any RNG), and the serial
-/// phases — mutation drain, the `(time, region)` merge replay and the
-/// boundary sweep — are the only places `probe.record` is called, so the
-/// emitted stream is one deterministic global order at any thread count.
+/// Tracing rides the replay: the handler logs trace-only entries (never
+/// touching the probe or any RNG), and the mutation drain and [`replay`]
+/// are the only places `probe.record` is called, so the emitted stream is
+/// one deterministic global order at any thread count.
 pub(crate) fn run_sliced(
     sched: &AsyncScheduler,
     inputs: &RunInputs<'_>,
@@ -830,6 +918,7 @@ pub(crate) fn run_sliced(
     let mut epochs = EpochAccounting::default();
     let mut merged: Vec<Entry> = Vec::new();
     let mut sweep_q: Vec<Scheduled<Ev>> = Vec::new();
+    let mut sweep_log: Vec<Entry> = Vec::new();
     let mut tick_counters = vec![0u32; SERIAL_TICK_COUNTERS];
     let mut sweep_events: u64 = 0;
     let mut last_time: u64 = 0;
@@ -952,24 +1041,20 @@ pub(crate) fn run_sliced(
         // against a start-of-slice advertisement snapshot.
         let t0 = Instant::now();
         ads_snap.copy_from_slice(&ads);
+        let ctx = SliceCtx {
+            protocol,
+            timing: &sched.timing,
+            drift: &drift,
+            ads_snap: &ads_snap,
+            gens: &gens,
+            seed,
+            pass,
+            end,
+            part,
+            underlay: dynr.is_none().then_some(topology),
+            tracing,
+        };
         {
-            let ctx = SliceCtx {
-                graph: gossip_graph(topology, &dynr, &mem),
-                protocol,
-                timing: &sched.timing,
-                drift: &drift,
-                ads_snap: &ads_snap,
-                gens: &gens,
-                seed,
-                pass,
-                end,
-                part,
-                // Mutations and membership ticks run between passes, so
-                // an attempt may outlive the edge it was proposed over:
-                // the workers fail it instead of asserting.
-                dynamic: dynr.is_some() || mem.is_some(),
-                tracing,
-            };
             // One task per region: its scratch and its disjoint chunk of
             // every per-node array.
             let mut tasks: Vec<RegionTask<'_>> = scratches
@@ -981,22 +1066,27 @@ pub(crate) fn run_sliced(
                 .map(
                     |((((scratch, matcher), states), ads), partner)| RegionTask {
                         scratch,
-                        matcher,
-                        states,
                         ads,
-                        partner,
+                        chunks: Chunks {
+                            matcher,
+                            states,
+                            partner,
+                        },
                     },
                 )
                 .collect();
-            shard::for_each(sched.threads, &mut tasks, |task| run_region(&ctx, task));
+            let graph = gossip_graph(topology, &dynr, &mem);
+            shard::for_each(sched.threads, &mut tasks, |task| {
+                run_region(&ctx, graph, task)
+            });
         }
         timings.execute += ms(t0.elapsed());
 
         // Phase B: merge region logs in (time, region) order and replay
-        // the accounting serially. On dynamic runs both endpoints of
-        // every logged transfer were alive for the whole slice (deaths
-        // applied in phase 0 bumped generations, so their events
-        // discarded), which keeps `cover` alive-only.
+        // them serially. On dynamic runs both endpoints of every logged
+        // transfer were alive for the whole slice (deaths applied in phase
+        // 0 bumped generations, so their events discarded), which keeps
+        // `cover` alive-only.
         let t1 = Instant::now();
         merged.clear();
         // Region logs are individually time-sorted; a stable order keyed
@@ -1012,39 +1102,17 @@ pub(crate) fn run_sliced(
             s.log.clear();
         }
         for e in merged.iter() {
-            let round = SimTime(e.time).round_equivalent() as u64;
-            match e.kind {
-                EntryKind::Trace(kind, ids) => probe.record(&TraceEvent {
-                    t: e.time,
-                    round,
-                    kind,
-                    ids,
-                }),
-                EntryKind::Drop { from, to } => {
-                    if let Some(history) = &mut result.rounds {
-                        epochs.flush_rows_before(history, SimTime(e.time), &cover);
-                    }
-                    result.dropped_proposals += 1;
-                    if tracing {
-                        probe.record(&event_at(EventKind::Reject, SimTime(e.time), &[from, to]));
-                    }
-                }
-                EntryKind::Finish { moved, newly_full } => {
-                    if let Some(history) = &mut result.rounds {
-                        epochs.flush_rows_before(history, SimTime(e.time), &cover);
-                    }
-                    epochs.count_finish(&mut result, &mut cover, moved, newly_full);
-                    if finished(&mut result, &mut dynr, &cover, SimTime(e.time)) {
-                        timings.merge += ms(t1.elapsed());
-                        break 'run e.time;
-                    }
-                }
+            if replay(e, &mut result, &mut epochs, &mut cover, &mut dynr, probe) {
+                timings.merge += ms(t1.elapsed());
+                break 'run e.time;
             }
         }
         timings.merge += ms(t1.elapsed());
 
         // Phase C: serial boundary sweep over the deferred cross-region
-        // events, in (time, region) order, against the `whole()` chunks.
+        // events, in (time, region) order, through the same handler on the
+        // `whole()` chunks; each event's entries replay before the next
+        // event runs.
         let t2 = Instant::now();
         sweep_q.clear();
         append_by_tick(
@@ -1057,82 +1125,25 @@ pub(crate) fn run_sliced(
             s.deferred.clear();
         }
         let mut rng_sweep = Rng::stream(seed, pass, SWEEP_STREAM);
-        let (mut matcher, mut states) = (matcher.whole(), states.whole());
-        for ev in sweep_q.iter().copied() {
+        let mut whole = Chunks {
+            matcher: matcher.whole(),
+            states: states.whole(),
+            partner: &mut partner,
+        };
+        for ev in sweep_q.iter() {
             let now = ev.time;
             last_time = last_time.max(now.ticks());
             sweep_events += 1;
-            if let Some(history) = &mut result.rounds {
-                epochs.flush_rows_before(history, now, &cover);
-            }
-            match ev.event {
-                Ev::Attempt { from, to, gen } => {
-                    // Membership views on a static underlay are always a
-                    // subgraph of it, so without dynamics a proposal
-                    // across a non-edge can only be a protocol bug. The
-                    // *connect* check consults the current gossip graph,
-                    // where a target that died, an edge that faded, a
-                    // peer that moved away or an evicted view edge fails
-                    // the attempt naturally.
-                    debug_assert!(
-                        dynr.is_some() || topology.are_neighbors(from, to),
-                        "protocol proposed {from} -> {to} across a non-edge"
-                    );
-                    if matcher.try_connect(gossip_graph(topology, &dynr, &mem), from, to) {
-                        if tracing {
-                            probe.record(&event_at(EventKind::Connect, now, &[from.0, to.0]));
-                        }
-                        partner[from.index()] = Some((to, true));
-                        partner[to.index()] = Some((from, false));
-                        let delay = sched.timing.latency(&mut rng_sweep);
-                        scratches[part.region_of(from.index())].push(
-                            now.after(delay),
-                            Ev::Finish {
-                                initiator: from,
-                                acceptor: to,
-                                gen_i: gen,
-                                gen_a: gens[to.index()],
-                            },
-                        );
-                    } else {
-                        matcher.cancel(from);
-                        result.dropped_proposals += 1;
-                        if tracing {
-                            probe.record(&event_at(EventKind::Reject, now, &[from.0, to.0]));
-                        }
-                        let delay = sched
-                            .timing
-                            .refresh_interval(drift[from.index()], &mut rng_sweep);
-                        scratches[part.region_of(from.index())]
-                            .push(now.after(delay), Ev::Act(from, gen));
-                    }
+            epochs.flush_rows_before(&mut result.rounds, now, &cover);
+            let graph = gossip_graph(topology, &dynr, &mem);
+            let (at, next) =
+                whole.connect(&ctx, graph, now, ev.event, &mut rng_sweep, &mut sweep_log);
+            scratches[part.region_of(next.owner().index())].push(at, next);
+            for e in sweep_log.drain(..) {
+                if replay(&e, &mut result, &mut epochs, &mut cover, &mut dynr, probe) {
+                    timings.sweep += ms(t2.elapsed());
+                    break 'run e.time;
                 }
-                Ev::Finish {
-                    initiator,
-                    acceptor,
-                    gen_i,
-                    ..
-                } => {
-                    let (i, j) = (initiator.index(), acceptor.index());
-                    let stats = if tracing {
-                        states.union_pair_traced(i, j, |from, to, msg| {
-                            probe.record(&event_at(EventKind::Transfer, now, &[from, to, msg]))
-                        })
-                    } else {
-                        states.union_pair_stats(i, j)
-                    };
-                    epochs.count_finish(&mut result, &mut cover, stats.moved, stats.newly_full);
-                    matcher.release(initiator, acceptor);
-                    partner[i] = None;
-                    partner[j] = None;
-                    let delay = sched.timing.refresh_interval(drift[i], &mut rng_sweep);
-                    scratches[part.region_of(i)].push(now.after(delay), Ev::Act(initiator, gen_i));
-                    if finished(&mut result, &mut dynr, &cover, now) {
-                        timings.sweep += ms(t2.elapsed());
-                        break 'run now.ticks();
-                    }
-                }
-                Ev::Act(..) => unreachable!("act events are never deferred"),
             }
         }
         timings.sweep += ms(t2.elapsed());
@@ -1154,30 +1165,6 @@ pub(crate) fn run_sliced(
     }
     timings.events_per_sec = timings.events as f64 / started.elapsed().as_secs_f64().max(1e-9);
     (result, EngineTimings::Async(timings))
-}
-
-/// After a transfer landing at `now` was counted: sample the coverage
-/// timeline, and if gossip is now complete stamp the completion time on
-/// `result` and say so.
-fn finished(
-    result: &mut SimResult,
-    dynr: &mut Option<DynRun>,
-    cover: &Coverage,
-    now: SimTime,
-) -> bool {
-    let population = match dynr {
-        Some(d) => {
-            d.record(now, cover);
-            d.topo.alive_count()
-        }
-        None => result.nodes,
-    };
-    if cover.complete(population) {
-        result.completed = true;
-        result.virtual_time_to_completion = Some(now.ticks());
-        result.rounds_to_completion = Some(now.round_equivalent());
-    }
-    result.completed
 }
 
 #[cfg(test)]
