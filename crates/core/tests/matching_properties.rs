@@ -16,7 +16,7 @@
 
 use gossip_core::{
     resolve_connections, resolve_connections_sharded, Connection, Intent, MessageMatrix, NodeId,
-    Rng, Topology,
+    Resolution, Rng, Topology,
 };
 use gossip_protocols::{AdvertGossip, GossipProtocol, NodeCtx, Tags, UniformGossip};
 
@@ -299,4 +299,133 @@ fn resolution_is_deterministic_for_a_fixed_seed() {
     let c = resolve_connections_sharded(&topo, &intents, 1234, 9, 8, 3);
     let d = resolve_connections_sharded(&topo, &intents, 1234, 9, 8, 3);
     assert_eq!(c, d);
+}
+
+/// FNV-1a 64 of `res` folded into `h`: its connections in order, then the
+/// dropped, confined and boundary counts.
+fn fold(h: &mut u64, res: &Resolution) {
+    let ids = res
+        .connections
+        .iter()
+        .flat_map(|c| [c.initiator.0, c.acceptor.0])
+        .map(u64::from);
+    let counts = [
+        res.connections.len() as u64,
+        res.dropped_proposals,
+        res.confined_proposals,
+        res.boundary_proposals,
+    ];
+    for word in ids.chain(counts) {
+        for byte in word.to_le_bytes() {
+            *h = (*h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// Fold every resolution of `intents` the pins cover: the serial resolver,
+/// then the sharded one at 1, 3 and 64 regions.
+fn fold_resolutions(h: &mut u64, topo: &Topology, intents: &[Intent], seed: u64) {
+    fold(h, &resolve_connections(topo, intents, &mut Rng::new(seed)));
+    for regions in [1usize, 3, 64] {
+        fold(
+            h,
+            &resolve_connections_sharded(topo, intents, seed, 5, regions, 2),
+        );
+    }
+}
+
+/// The pinned topologies: a ring whose last 64-region is short, a line
+/// where every 64-region is one node, a grid, an RGG with long rows, and a
+/// complete graph where every proposal crosses a region edge.
+fn pinned_topologies() -> [Topology; 5] {
+    [
+        Topology::ring(4099),
+        Topology::line(40),
+        Topology::grid(1000),
+        Topology::random_geometric(600, &mut Rng::new(0x9e37)),
+        Topology::complete(20),
+    ]
+}
+
+fn fnv_per_topology(intents_of: impl Fn(&Topology, u64) -> Vec<Vec<Intent>>) -> Vec<u64> {
+    pinned_topologies()
+        .iter()
+        .map(|topo| {
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for seed in [1u64, 7, 42] {
+                for intents in intents_of(topo, seed) {
+                    fold_resolutions(&mut h, topo, &intents, seed);
+                }
+            }
+            h
+        })
+        .collect()
+}
+
+#[test]
+fn resolutions_are_pinned_byte_for_byte() {
+    // The invariant tests above accept any valid maximal matching; these
+    // pins accept only the one the resolvers pick, so a rewrite of the
+    // matching kernel must keep every RNG draw and every output byte.
+    let protocols: [&dyn GossipProtocol; 2] = [&UniformGossip, &AdvertGossip];
+    let got = fnv_per_topology(|topo, seed| {
+        let mut sets = vec![random_intents(topo, &mut Rng::new(seed))];
+        sets.extend(protocols.map(|p| protocol_intents(topo, p, seed)));
+        sets
+    });
+    // ring 4099, line 40, grid 1000, rgg 600, complete 20.
+    let want: [u64; 5] = [
+        0xcf59_b924_9690_a5ec,
+        0xc4e2_6c21_62f0_5c6d,
+        0xaeaa_e439_e865_a11a,
+        0xf8c7_79da_07c1_7e80,
+        0x9579_340a_a35d_9887,
+    ];
+    assert_eq!(got, want);
+}
+
+/// Release only: debug builds panic on the first non-edge proposal.
+#[cfg(not(debug_assertions))]
+#[test]
+fn non_neighbor_resolutions_are_pinned_byte_for_byte() {
+    // Every fifth proposer is re-aimed at the node half the graph away — a
+    // non-neighbor in another region at 3 and 64 regions — so a region
+    // reads the occupancy and intent of a target outside its own slice.
+    let got = fnv_per_topology(|topo, seed| {
+        let n = topo.num_nodes();
+        let mut intents = random_intents(topo, &mut Rng::new(seed));
+        for u in (0..n).step_by(5) {
+            let (id, far) = (NodeId(u as u32), NodeId(((u + n / 2) % n) as u32));
+            if matches!(intents[u], Intent::Propose(_)) && far != id && !topo.are_neighbors(id, far)
+            {
+                intents[u] = Intent::Propose(far);
+            }
+        }
+        vec![intents]
+    });
+    // ring 4099, line 40, grid 1000, rgg 600, complete 20.
+    let want: [u64; 5] = [
+        0xccfc_14cb_dab0_d455,
+        0x8652_485b_f615_f509,
+        0xc86e_5773_8aec_a06e,
+        0x0417_ebde_b6d3_5467,
+        0xa87a_05f3_cb14_207c,
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn empty_and_single_node_graphs_resolve_to_nothing() {
+    for n in [0usize, 1] {
+        let topo = Topology::line(n);
+        let intents = vec![Intent::Listen; n];
+        let serial = resolve_connections(&topo, &intents, &mut Rng::new(3));
+        assert_eq!(serial, Resolution::default(), "serial, {n} nodes");
+        for regions in [1usize, 64] {
+            for threads in [1usize, 2] {
+                let sharded = resolve_connections_sharded(&topo, &intents, 3, 1, regions, threads);
+                assert_eq!(sharded, Resolution::default(), "sharded, {n} nodes");
+            }
+        }
+    }
 }
