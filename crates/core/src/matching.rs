@@ -89,14 +89,23 @@ pub struct Resolution {
 /// free listening neighbor (phase 2). `matched[i]` tracks node `base + i`
 /// — regions pass their own slice of the global occupancy array with
 /// `base` at the region's first node, which is sound because every node a
-/// region touches (proposer, target, rebound candidate) lies inside its
-/// slice by construction. Connections are appended to `connections`.
+/// region can *match* (proposer, listening target, rebound candidate) lies
+/// inside its slice by construction. Connections are appended to
+/// `connections`.
+///
+/// The loops are select-and-bump: each writes its item unconditionally and
+/// advances the output index by the keep flag, because uniform intents make
+/// every `Listen` and `matched` test a coin flip a branch would mispredict.
+/// So they also read the occupancy of targets and neighbors that are not
+/// listening, which may lie outside a region's slice: [`slot`] clamps those
+/// reads into it, harmlessly, as such a node is never kept or matched.
 ///
 /// Every caller has already tested each proposal's edge to count the
-/// dropped ones; `any_dropped` says whether that count (over a superset of
-/// `proposals`) was non-zero. Only then can the batch hold a non-edge, so
-/// only then is each proposal's edge looked up a second time — a clean
-/// batch, which is every batch of a correct protocol, skips the lookups.
+/// dropped ones (the region pass in its scan of the proposer's row);
+/// `any_dropped` says whether that count (over a superset of `proposals`)
+/// was non-zero. Only then can the batch hold a non-edge, so only then is
+/// each proposal's edge looked up a second time — a clean batch, which is
+/// every batch of a correct protocol, skips the lookups.
 #[allow(clippy::too_many_arguments)] // one flat hot-path call, not an API
 fn resolve_batch<G: GraphView + ?Sized>(
     proposals: &mut [(NodeId, NodeId)],
@@ -108,49 +117,56 @@ fn resolve_batch<G: GraphView + ?Sized>(
     matched: &mut [bool],
     connections: &mut Vec<Connection>,
 ) {
+    let listens = |v: NodeId| intents[v.index()] == Intent::Listen;
+
     // Phase 1: explicit proposals, in random arrival order.
     rng.shuffle(proposals);
+    let mut len = connections.len();
+    let placeholder = Connection {
+        initiator: NodeId(0),
+        acceptor: NodeId(0),
+    };
+    connections.resize(len + proposals.len(), placeholder);
     for &(u, v) in proposals.iter() {
-        if any_dropped && !topology.are_neighbors(u, v) {
-            continue; // dropped (counted by the caller)
-        }
-        if intents[v.index()] == Intent::Listen
-            && !matched[u.index() - base]
-            && !matched[v.index() - base]
-        {
-            matched[u.index() - base] = true;
-            matched[v.index() - base] = true;
-            connections.push(Connection {
-                initiator: u,
-                acceptor: v,
-            });
-        }
+        // A non-edge is dropped (counted by the caller).
+        let edge = !any_dropped || topology.are_neighbors(u, v);
+        let (iu, iv) = (u.index() - base, slot(v, base, matched));
+        let ok = edge & listens(v) & !matched[iu] & !matched[iv];
+        matched[iu] |= ok;
+        matched[iv] |= ok;
+        connections[len] = Connection {
+            initiator: u,
+            acceptor: v,
+        };
+        len += usize::from(ok);
     }
+    connections.truncate(len);
 
     // Phase 2: rebound. Failed proposers retry against any free listener in
     // range, making the matching maximal over willing (proposer, listener)
     // pairs.
-    let mut free_proposers: Vec<NodeId> = proposals
-        .iter()
-        .map(|&(u, _)| u)
-        .filter(|u| !matched[u.index() - base])
-        .collect();
+    let mut free_proposers = vec![NodeId(0); proposals.len()];
+    let mut free = 0;
+    for &(u, _) in proposals.iter() {
+        free_proposers[free] = u;
+        free += usize::from(!matched[u.index() - base]);
+    }
+    free_proposers.truncate(free);
     rng.shuffle(&mut free_proposers);
 
     let mut candidates = Vec::new();
     for u in free_proposers {
-        candidates.clear();
-        candidates.extend(
-            topology
-                .neighbors(u)
-                .iter()
-                .copied()
-                .filter(|v| intents[v.index()] == Intent::Listen && !matched[v.index() - base]),
-        );
-        if candidates.is_empty() {
+        let row = topology.neighbors(u);
+        candidates.resize(candidates.len().max(row.len()), NodeId(0));
+        let mut found = 0;
+        for &v in row {
+            candidates[found] = v;
+            found += usize::from(listens(v) & !matched[slot(v, base, matched)]);
+        }
+        if found == 0 {
             continue;
         }
-        let v = candidates[rng.gen_range(candidates.len())];
+        let v = candidates[rng.gen_range(found)];
         matched[u.index() - base] = true;
         matched[v.index() - base] = true;
         connections.push(Connection {
@@ -158,6 +174,15 @@ fn resolve_batch<G: GraphView + ?Sized>(
             acceptor: v,
         });
     }
+}
+
+/// `v`'s index into `matched` (which tracks nodes from `base` on), clamped
+/// to its last entry: only ever wrong for a node outside the slice, which
+/// the callers never keep or match. `matched` is non-empty wherever this
+/// runs, since a proposer of the batch lies in it.
+#[inline]
+fn slot(v: NodeId, base: usize, matched: &[bool]) -> usize {
+    v.index().wrapping_sub(base).min(matched.len() - 1)
 }
 
 /// Collect `(proposer, target)` pairs in node order and count (and, in
@@ -260,31 +285,44 @@ fn resolve_region<G: GraphView + ?Sized>(
     seed: u64,
     round: u64,
 ) {
-    let hi = base + matched.len();
-    let mut confined: Vec<(NodeId, NodeId)> = Vec::new();
-    for u in base..hi {
-        let Intent::Propose(v) = intents[u] else {
-            continue;
-        };
-        let u_id = NodeId(u as u32);
-        debug_assert!(
-            topology.are_neighbors(u_id, v),
-            "protocol proposed {u_id} -> {v} across a non-edge"
-        );
-        // A dropped (non-neighbor) proposal still rebounds, so it stays in
-        // whichever pool its listening neighborhood assigns it to.
-        out.dropped += !topology.are_neighbors(u_id, v) as u64;
-        let is_confined = topology
-            .neighbors(u_id)
-            .iter()
-            .all(|w| intents[w.index()] != Intent::Listen || (base..hi).contains(&w.index()));
-        if is_confined {
-            confined.push((u_id, v));
-        } else {
-            out.deferred.push((u_id, v));
-        }
+    // Gather the region's proposers, select-and-bump (see `resolve_batch`).
+    // Only the tag is tested: reading a target here would branch on it.
+    let span = matched.len();
+    let mut proposers = vec![NodeId(0); span];
+    let mut len = 0;
+    for (u, intent) in (base..).zip(&intents[base..base + span]) {
+        proposers[len] = NodeId(u as u32);
+        len += usize::from(matches!(intent, Intent::Propose(_)));
     }
-    out.confined += confined.len() as u64;
+    proposers.truncate(len);
+
+    // Split them: one scan of each row finds both the edge to the target
+    // and any listening neighbor outside the region. A dropped
+    // (non-neighbor) proposal still rebounds, so it stays in whichever pool
+    // its listening neighborhood assigns it to.
+    let mut confined = vec![(NodeId(0), NodeId(0)); len];
+    out.deferred.resize(len, (NodeId(0), NodeId(0)));
+    let (mut kept, mut deferred) = (0, 0);
+    for u in proposers {
+        let Intent::Propose(v) = intents[u.index()] else {
+            unreachable!("gathered as a proposer")
+        };
+        let (mut edge, mut leaves) = (false, false);
+        for &w in topology.neighbors(u) {
+            edge |= w == v;
+            leaves |=
+                (intents[w.index()] == Intent::Listen) & (w.index().wrapping_sub(base) >= span);
+        }
+        debug_assert!(edge, "protocol proposed {u} -> {v} across a non-edge");
+        out.dropped += u64::from(!edge);
+        confined[kept] = (u, v);
+        out.deferred[deferred] = (u, v);
+        kept += usize::from(!leaves);
+        deferred += usize::from(leaves);
+    }
+    confined.truncate(kept);
+    out.deferred.truncate(deferred);
+    out.confined += kept as u64;
     let mut rng = Rng::stream(seed, round, REGION_STREAM_BASE + region as u64);
     resolve_batch(
         &mut confined,
@@ -349,9 +387,14 @@ pub fn resolve_connections_sharded<G: GraphView + Sync + ?Sized>(
     });
 
     // Deterministic merge in region (= node) order, then the serial
-    // boundary sweep over the deferred proposals.
-    let mut connections = Vec::new();
-    let mut deferred: Vec<(NodeId, NodeId)> = Vec::new();
+    // boundary sweep over the deferred proposals. Sized exactly, so neither
+    // the merge nor the sweep's phase 1 (a slot per deferred proposal)
+    // reallocates.
+    let (formed, boundary) = tasks.iter().fold((0, 0), |(c, d), (_, _, out)| {
+        (c + out.connections.len(), d + out.deferred.len())
+    });
+    let mut connections = Vec::with_capacity(formed + boundary);
+    let mut deferred = Vec::with_capacity(boundary);
     let mut dropped_proposals = 0;
     let mut confined_proposals = 0;
     for (_, _, mut out) in tasks {
