@@ -53,28 +53,11 @@ pub enum Command {
         /// (verified against this grid) and run only the rest.
         resume: bool,
     },
-    /// `soak FILE...`: re-measure committed bench baselines and fail on
-    /// throughput regressions beyond the tolerance.
-    Soak {
-        paths: Vec<String>,
-        /// `--iterations N`: re-measurements per baseline.
-        iterations: usize,
-        /// `--tolerance F`: relative slack before a mean counts as
-        /// regressed.
-        tolerance: f64,
-    },
     /// `analyze FILE...`: read run lines and trace streams, print the
     /// aggregate report (stdin when no files are given).
     Analyze(Vec<String>),
     Help,
 }
-
-/// Default soak iterations per baseline.
-pub const DEFAULT_SOAK_ITERATIONS: usize = 3;
-
-/// Default soak tolerance: a mean more than 20% below the baseline
-/// regresses.
-pub const DEFAULT_SOAK_TOLERANCE: f64 = 0.2;
 
 /// The warning an invocation owes the user when a scenario of it asks for
 /// more worker threads than the machine has — under either scheduler; the
@@ -101,7 +84,6 @@ USAGE:
     gossip-sim [OPTIONS]
     gossip-sim grid [GRID OPTIONS] [OPTIONS]
     gossip-sim bench [BENCH OPTIONS]
-    gossip-sim soak [SOAK OPTIONS] FILE...
     gossip-sim analyze [FILE...]
 
 SUBCOMMANDS:
@@ -114,11 +96,6 @@ SUBCOMMANDS:
              line: sync specs bench the round loop (rounds/sec,
              node-events/sec, per-phase breakdown), async specs the sliced
              event loop (events/sec, execute/merge/sweep breakdown)
-    soak     re-run the bench scenarios recorded in BENCH_*.json baseline
-             files and compare throughput (events/sec for async baselines,
-             node-events/sec for sync ones) against the committed values;
-             one JSON verdict line per baseline, nonzero exit when any
-             mean regresses beyond the tolerance
     analyze  aggregate run lines and trace streams (files, or stdin when no
              files are given) into a plain-text report: rounds-to-completion
              percentiles per scenario, advert-vs-uniform speedup tables,
@@ -152,13 +129,6 @@ GRID OPTIONS:
                                                 is untouched
     plus every run option below as a base assignment shared by all cells
     (overriding the spec file's [scenario] section)
-
-SOAK OPTIONS:
-    --iterations <N>                            re-measurements per baseline; the mean
-                                                is compared [default: 3]
-    --tolerance <F>                             relative slack, 0 <= F < 1: regressed
-                                                iff mean < baseline * (1 - F)
-                                                [default: 0.2]
 
 OPTIONS:
 ",
@@ -261,9 +231,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     if args.first().is_some_and(|a| a == "grid") {
         return parse_grid_args(&args[1..]);
     }
-    if args.first().is_some_and(|a| a == "soak") {
-        return parse_soak_args(&args[1..]);
-    }
     if args.first().is_some_and(|a| a == "analyze") {
         return parse_analyze_args(&args[1..]);
     }
@@ -310,58 +277,6 @@ fn parse_analyze_args(args: &[String]) -> Result<Command, String> {
         paths.push(arg.clone());
     }
     Ok(Command::Analyze(paths))
-}
-
-/// Parse the arguments of the `soak` subcommand: baseline file paths plus
-/// the iteration count and tolerance knobs.
-fn parse_soak_args(args: &[String]) -> Result<Command, String> {
-    let mut paths = Vec::new();
-    let mut iterations = DEFAULT_SOAK_ITERATIONS;
-    let mut tolerance = DEFAULT_SOAK_TOLERANCE;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if is_help(arg) {
-            return Ok(Command::Help);
-        }
-        if arg == "--iterations" {
-            let raw = it
-                .next()
-                .ok_or_else(|| "--iterations requires a count".to_string())?;
-            iterations = raw
-                .parse()
-                .map_err(|_| format!("--iterations '{raw}' is not a positive integer"))?;
-            if iterations == 0 {
-                return Err("--iterations must be at least 1".to_string());
-            }
-            continue;
-        }
-        if arg == "--tolerance" {
-            let raw = it
-                .next()
-                .ok_or_else(|| "--tolerance requires a fraction".to_string())?;
-            tolerance = raw
-                .parse()
-                .map_err(|_| format!("--tolerance '{raw}' is not a number"))?;
-            if !(0.0..1.0).contains(&tolerance) {
-                return Err(format!(
-                    "--tolerance {raw}: the relative slack must satisfy 0 <= F < 1"
-                ));
-            }
-            continue;
-        }
-        if arg.starts_with('-') {
-            return Err(format!("unknown soak argument '{arg}' (try --help)"));
-        }
-        paths.push(arg.clone());
-    }
-    if paths.is_empty() {
-        return Err("soak requires at least one BENCH_*.json baseline file".to_string());
-    }
-    Ok(Command::Soak {
-        paths,
-        iterations,
-        tolerance,
-    })
 }
 
 /// Parse the arguments of the `bench` subcommand (everything after the
@@ -931,43 +846,13 @@ mod tests {
     }
 
     #[test]
-    fn soak_subcommand_parses() {
-        let Ok(Command::Soak {
-            paths,
-            iterations,
-            tolerance,
-        }) = parse(&["soak", "BENCH_a.json", "BENCH_b.json"])
-        else {
-            panic!("expected Soak");
-        };
-        assert_eq!(paths, vec!["BENCH_a.json", "BENCH_b.json"]);
-        assert_eq!(iterations, DEFAULT_SOAK_ITERATIONS);
-        assert_eq!(tolerance, DEFAULT_SOAK_TOLERANCE);
-
-        let Ok(Command::Soak {
-            iterations,
-            tolerance,
-            ..
-        }) = parse(&[
-            "soak",
-            "--iterations",
-            "5",
-            "--tolerance",
-            "0.5",
-            "BENCH_a.json",
-        ])
-        else {
-            panic!("expected Soak");
-        };
-        assert_eq!(iterations, 5);
-        assert_eq!(tolerance, 0.5);
-
-        assert!(matches!(parse(&["soak", "--help"]), Ok(Command::Help)));
-        assert!(parse(&["soak"]).is_err(), "a soak needs baselines");
-        assert!(parse(&["soak", "--iterations", "0", "f"]).is_err());
-        assert!(parse(&["soak", "--tolerance", "1.5", "f"]).is_err());
-        assert!(parse(&["soak", "--tolerance", "-0.1", "f"]).is_err());
-        assert!(parse(&["soak", "--frobnicate", "f"]).is_err());
+    fn soak_is_refused() {
+        // An unknown argument like any other: the binary exits 2 on it.
+        let message = parse(&["soak", "BENCH_a.json"]).unwrap_err();
+        assert!(message.contains("unknown argument 'soak'"), "{message}");
+        let usage = usage();
+        assert!(!usage.contains("soak"), "{usage}");
+        assert!(!usage.contains("SOAK OPTIONS"), "{usage}");
     }
 
     #[test]
@@ -1042,8 +927,6 @@ mod tests {
                     "cores",
                     "checkpoint",
                     "resume",
-                    "iterations",
-                    "tolerance",
                 ]
                 .contains(&key);
             assert!(known, "usage advertises unknown flag --{key}");

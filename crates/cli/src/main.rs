@@ -1,7 +1,7 @@
 use gossip_cli::{parse_args, thread_clamp_warning, usage, Command};
 use gossip_experiments::{
-    bench_to_json, execute_grid, parse_baselines, read_checkpoint, run_bench, soak_line_json,
-    soak_one, verify_against, CellRecord, CheckpointWriter, Emitter, Scenario, SoakConfig,
+    bench_to_json, execute_grid, read_checkpoint, run_bench, verify_against, CellRecord,
+    CheckpointWriter, Emitter, Scenario,
 };
 use gossip_telemetry::analyze::Analyzer;
 use gossip_telemetry::{NoopProbe, TraceWriter};
@@ -107,41 +107,6 @@ fn run_grid(
     Ok(())
 }
 
-/// `soak`: re-measure every baseline in the given `BENCH_*.json` files and
-/// emit one JSON verdict line each. Returns whether any baseline
-/// regressed (the caller turns that into a nonzero exit).
-fn run_soak(paths: &[String], config: &SoakConfig) -> io::Result<bool> {
-    let mut out = BufWriter::new(io::stdout().lock());
-    let mut any_regressed = false;
-    for path in paths {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("soak: cannot read '{path}': {e}")))?;
-        let (baselines, warnings) = parse_baselines(&text).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("soak: '{path}' {e}"))
-        })?;
-        for warning in warnings {
-            eprintln!("warning: soak: {path}: {warning}");
-        }
-        for baseline in &baselines {
-            let outcome = soak_one(baseline, config);
-            if outcome.regressed {
-                any_regressed = true;
-                eprintln!(
-                    "soak: REGRESSED {}: mean {:.0} {} vs baseline {:.0} (floor {:.0})",
-                    outcome.scenario_id,
-                    outcome.mean,
-                    outcome.metric,
-                    outcome.baseline,
-                    outcome.baseline * (1.0 - config.tolerance)
-                );
-            }
-            writeln!(out, "{}", soak_line_json(&outcome, config))?;
-        }
-    }
-    out.flush()?;
-    Ok(any_regressed)
-}
-
 /// `analyze`: aggregate run lines and trace streams from the given files
 /// (stdin when none) into a plain-text report on stdout.
 fn analyze(paths: &[String]) -> io::Result<()> {
@@ -186,28 +151,6 @@ fn real_main() -> i32 {
             checkpoint,
             resume,
         } => run_grid(&scenarios, progress, cores, checkpoint.as_deref(), resume),
-        Command::Soak {
-            paths,
-            iterations,
-            tolerance,
-        } => {
-            let config = SoakConfig {
-                iterations,
-                tolerance,
-            };
-            return match run_soak(&paths, &config) {
-                Ok(false) => 0,
-                Ok(true) => {
-                    eprintln!("error: soak: throughput regressed beyond the tolerance");
-                    1
-                }
-                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
-            };
-        }
         Command::Bench(bench) => {
             warn_thread_clamp(std::slice::from_ref(&bench.scenario));
             let report = run_bench(&bench);

@@ -639,3 +639,12 @@ fn a_churned_overlay_run_renders_what_the_hand_written_serializers_did() {
          3,0,0,1,0"
     );
 }
+
+#[test]
+fn a_retired_subcommand_exits_as_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
+        .args(["soak", "X"])
+        .output()
+        .expect("the binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+}

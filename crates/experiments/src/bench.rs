@@ -30,7 +30,7 @@ pub use gossip_sim::{
 /// split of the sharded resolver); version 4 appended `drain` and
 /// `membership` to the sync line's `phase_ms` (async lines changed only
 /// in this stamp); version 5 added `spec`, the scenario's
-/// [`to_spec`](Scenario::to_spec) text, which is what `soak` replays a
+/// [`to_spec`](Scenario::to_spec) text, which `grid --spec` replays a
 /// line from.
 pub const BENCH_SCHEMA_VERSION: u64 = 5;
 

@@ -31,8 +31,6 @@
 //!   while a sequencer keeps stdout byte-identical to the serial grid;
 //!   [`checkpoint`] makes long sweeps crash-safe (fsync'd per-cell JSONL
 //!   records, verified replay on `--resume`).
-//! - **Soak** ([`soak`]): re-measure committed `BENCH_*.json` baselines
-//!   and fail on throughput regressions beyond a tolerance.
 //!
 //! The `gossip-sim` binary is a thin flag-parsing front-end over this
 //! crate; any downstream tool can drive the identical experiment surface
@@ -43,7 +41,6 @@ pub mod checkpoint;
 pub mod emit;
 pub mod grid;
 pub mod pool;
-pub mod soak;
 pub mod spec;
 pub mod specfile;
 
@@ -61,10 +58,6 @@ pub use emit::{
 };
 pub use grid::{Axis, Grid, GridExpandError, MAX_GRID_RUNS};
 pub use pool::{execute_grid, run_cell, worker_count, CellOutput, PoolSummary};
-pub use soak::{
-    parse_baselines, soak_line_json, soak_one, summarize, Baseline, SoakConfig, SoakOutcome,
-    SOAK_SCHEMA_VERSION,
-};
 pub use spec::{
     assignment, effective_threads, join_errors, AssignmentDef, ChurnSpec, DynamicsSpec,
     MembershipSpec, OutputFormat, OutputSpec, ProtocolSpec, Scenario, ScenarioBuilder,

@@ -118,8 +118,7 @@ pub struct SliceTimings {
     /// Slice passes taken.
     pub slices: u64,
     /// `events` per second of the run's wall time, setup included — the
-    /// async analogue of rounds/sec, and the number `soak` and the
-    /// `BENCH_async_*.json` baselines compare.
+    /// async analogue of rounds/sec.
     pub events_per_sec: f64,
     /// Events popped per fixed region during the parallel phase (sweep
     /// executions are serial and excluded) — the load-balance signal for

@@ -4,10 +4,10 @@
 //! dissemination-depth stats from the infection DAG, and per-region
 //! balance summaries.
 //!
-//! Input is line-oriented and self-describing: a line with `"bench"` or
-//! `"soak"` is a timing line (counted, and kept out of the run tables: a
-//! bench run stops at its round budget, so it would read as a failed
-//! run), any other with `"schema"` and `"scenario_id"` is a run line, one
+//! Input is line-oriented and self-describing: a line with `"bench"` is a
+//! timing line (counted, and kept out of the run tables: a bench run
+//! stops at its round budget, so it would read as a failed run), any
+//! other with `"schema"` and `"scenario_id"` is a run line, one
 //! with `"trace_schema"` opens a trace stream, one with `"ev"` is a trace
 //! event of the currently open stream, read through
 //! [`TraceEvent::from_json`] — the one reader of the trace format. Anything
@@ -109,8 +109,8 @@ pub struct Analyzer {
     runs: Vec<RunRow>,
     traces: Vec<TraceStats>,
     current: Option<TraceAccum>,
-    /// Lines left out, by why: `bench`/`soak` lines (recognised, but not
-    /// runs), JSON of no known shape, and not JSON at all.
+    /// Lines left out, by why: `bench` lines (recognised, but not runs),
+    /// JSON of no known shape, and not JSON at all.
     timing_lines: u64,
     unrecognised: u64,
     unparsable: u64,
@@ -182,7 +182,7 @@ impl Analyzer {
             }
             return;
         }
-        if v.get("bench").is_some() || v.get("soak").is_some() {
+        if v.get("bench").is_some() {
             self.timing_lines += 1;
             return;
         }
@@ -405,7 +405,7 @@ impl Analyzer {
         }
 
         for (count, what) in [
-            (self.timing_lines, "bench/soak lines (timings, not runs)"),
+            (self.timing_lines, "bench lines (timings, not runs)"),
             (self.unrecognised, "unrecognised lines"),
             (self.unparsable, "unparsable lines"),
         ] {
@@ -678,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_and_soak_lines_are_recognised_and_kept_out_of_the_run_tables() {
+    fn bench_lines_are_recognised_and_kept_out_of_the_run_tables() {
         let mut a = Analyzer::default();
         a.add_line(&run_line(
             "ring-advert-sync-n2000-k1",
@@ -691,6 +691,8 @@ mod tests {
         a.add_line(
             r#"{"schema":5,"bench":"sync_round_loop","scenario_id":"ring-advert-sync-n2000-k1-s1","round_budget":8,"rounds_executed":8,"completed":false}"#,
         );
+        // A retired `soak` verdict line has no `schema`: unrecognised, so
+        // old output directories analyse without phantom failed runs.
         a.add_line(
             r#"{"soak":1,"scenario_id":"ring-advert-sync-n2000-k1-s1","metric":"node_events_per_sec","regressed":false}"#,
         );
@@ -704,8 +706,8 @@ mod tests {
             ["ring-advert-sync-n2000-k1", "1", "1"],
             "{report}"
         );
-        assert!(report.contains("skipped 2 bench/soak lines"), "{report}");
-        assert!(report.contains("skipped 1 unrecognised lines"), "{report}");
+        assert!(report.contains("skipped 1 bench lines"), "{report}");
+        assert!(report.contains("skipped 2 unrecognised lines"), "{report}");
         assert!(!report.contains("unparsable"), "{report}");
     }
 

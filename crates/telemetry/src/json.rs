@@ -1,5 +1,5 @@
-//! Minimal JSON: string escaping, an object member writer and float
-//! formatting for emission, and a tolerant recursive-descent parser for
+//! Minimal JSON: string escaping and an object member writer for
+//! emission, and a tolerant recursive-descent parser for
 //! the `analyze` stage's readback of run lines and trace files. Hand-rolled because the workspace is
 //! dependency-free by design; tolerant because `analyze` must skip
 //! non-JSON lines (CSV output, blank lines) rather than abort a report.
@@ -70,18 +70,6 @@ impl Obj {
     }
 }
 
-/// Format a float the way the emitters do: integral values without a
-/// trailing `.0` would parse back as integers, so keep Rust's shortest
-/// round-trip form but pin NaN/infinity to null (JSON has no spelling for
-/// them).
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// A parsed JSON value. Objects preserve key order. A plain non-negative
 /// integer literal that fits a `u64` stays exact in [`Value::Int`] — seeds
 /// are `u64`, and an `f64` rounds them above 2^53; every other number is
@@ -106,15 +94,6 @@ impl Value {
         }
     }
 
-    /// The value as a float, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(n) => Some(*n as f64),
-            Value::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as a non-negative integer, if numeric and integral.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -128,14 +107,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -327,7 +298,7 @@ mod tests {
             v.get("scenario_id").and_then(Value::as_str),
             Some("ring-advert")
         );
-        assert_eq!(v.get("completed").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("completed"), Some(&Value::Bool(true)));
         assert_eq!(
             v.get("rounds_to_completion").and_then(Value::as_u64),
             Some(500)
@@ -336,8 +307,8 @@ mod tests {
         let Some(Value::Arr(items)) = v.get("history") else {
             panic!("history must be an array");
         };
-        assert_eq!(items[1].as_f64(), Some(2.5));
-        assert_eq!(items[2].as_f64(), Some(-300.0));
+        assert_eq!(items[1], Value::Num(2.5));
+        assert_eq!(items[2], Value::Num(-300.0));
         assert_eq!(items[2].as_u64(), None, "negative is not u64");
     }
 
@@ -391,10 +362,6 @@ mod tests {
         for n in [0, (1 << 53) + 1, u64::MAX] {
             assert_eq!(parse(&n.to_string()).unwrap().as_u64(), Some(n));
         }
-        assert_eq!(
-            parse("9007199254740993").unwrap().as_f64(),
-            Some(2f64.powi(53))
-        );
         // Anything else numeric is still a float, integral or not.
         assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
         assert_eq!(parse("2.0").unwrap(), Value::Num(2.0));
@@ -403,12 +370,5 @@ mod tests {
             Value::Num(2f64.powi(64))
         );
         assert_eq!(parse("-1").unwrap().as_u64(), None);
-    }
-
-    #[test]
-    fn fmt_f64_pins_integral_and_non_finite_forms() {
-        assert_eq!(fmt_f64(2.0), "2");
-        assert_eq!(fmt_f64(2.5), "2.5");
-        assert_eq!(fmt_f64(f64::NAN), "null");
     }
 }
