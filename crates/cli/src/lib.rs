@@ -411,7 +411,7 @@ fn parse_grid_args(args: &[String]) -> Result<Command, String> {
 mod tests {
     use super::*;
     use gossip_dynamics::RejoinPolicy;
-    use gossip_experiments::{OutputFormat, SchedulerSpec, TopologySpec};
+    use gossip_experiments::{OutputFormat, Scheduler, TopologySpec};
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -627,7 +627,7 @@ mod tests {
             "500",
         ]);
         assert_eq!(scenario.seeds, 8);
-        let SchedulerSpec::Async { timing, threads } = scenario.scheduler else {
+        let Scheduler::Async { timing, threads } = scenario.scheduler else {
             panic!("expected the async scheduler");
         };
         assert_eq!(timing.drift, 0.25);
@@ -649,10 +649,10 @@ mod tests {
     #[test]
     fn threads_flag_parses_and_is_validated() {
         let scenario = parse_run(&["--threads", "4"]);
-        assert_eq!(scenario.scheduler, SchedulerSpec::Sync { threads: 4 });
+        assert_eq!(scenario.scheduler, Scheduler::Sync { threads: 4 });
         assert_eq!(
             Scenario::default().scheduler,
-            SchedulerSpec::Sync { threads: 1 }
+            Scheduler::Sync { threads: 1 }
         );
         assert!(parse(&["--threads", "0"]).is_err(), "zero workers rejected");
         assert!(parse(&["--threads", "many"]).is_err());
@@ -660,7 +660,7 @@ mod tests {
         let scenario = parse_run(&["--threads", "2", "--scheduler", "async"]);
         assert!(matches!(
             scenario.scheduler,
-            SchedulerSpec::Async { threads: 2, .. }
+            Scheduler::Async { threads: 2, .. }
         ));
     }
 
@@ -713,7 +713,7 @@ mod tests {
         assert_eq!(bench.scenario.topology, TopologySpec::Grid);
         assert_eq!(bench.scenario.nodes, 5000);
         assert_eq!(bench.scenario.protocol, ProtocolSpec::Uniform);
-        assert_eq!(bench.scenario.scheduler, SchedulerSpec::Sync { threads: 2 });
+        assert_eq!(bench.scenario.scheduler, Scheduler::Sync { threads: 2 });
         assert_eq!(bench.rounds, 16);
         assert_eq!(bench.scenario.seed, 9);
 

@@ -112,22 +112,26 @@ fn run_grid(
 fn analyze(paths: &[String]) -> io::Result<()> {
     let mut analyzer = Analyzer::default();
     if paths.is_empty() {
-        for line in io::stdin().lock().lines() {
-            analyzer.add_line(&line?);
-        }
+        feed(&mut analyzer, io::stdin().lock())?;
     } else {
         for path in paths {
-            let file =
-                File::open(path).map_err(|e| io::Error::new(e.kind(), format!("{path}: {e}")))?;
-            for line in BufReader::new(file).lines() {
-                analyzer
-                    .add_line(&line.map_err(|e| io::Error::new(e.kind(), format!("{path}: {e}")))?);
-            }
+            let with_path = |e: io::Error| io::Error::new(e.kind(), format!("{path}: {e}"));
+            let file = File::open(path).map_err(with_path)?;
+            feed(&mut analyzer, BufReader::new(file)).map_err(with_path)?;
         }
     }
     let mut out = BufWriter::new(io::stdout().lock());
     out.write_all(analyzer.report().as_bytes())?;
     out.flush()
+}
+
+/// Feed `input` to `analyzer` line by line as raw bytes, so a line that is
+/// not UTF-8 is skipped as unparsable instead of ending the read.
+fn feed(analyzer: &mut Analyzer, input: impl BufRead) -> io::Result<()> {
+    for line in input.split(b'\n') {
+        analyzer.add_bytes(&line?);
+    }
+    Ok(())
 }
 
 /// Dispatch the parsed command; every arm funnels its I/O into one

@@ -648,3 +648,31 @@ fn a_retired_subcommand_exits_as_a_usage_error() {
         .expect("the binary runs");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+#[test]
+fn analyze_skips_a_line_that_is_not_utf8() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let bin = env!("CARGO_BIN_EXE_gossip-sim");
+    let runs = Command::new(bin)
+        .args(["--nodes", "50", "--seeds", "2"])
+        .output()
+        .expect("the binary runs");
+    assert!(runs.status.success(), "{runs:?}");
+    let mut input = runs.stdout;
+    input.extend_from_slice(b"\xff\xfe\n");
+
+    let mut analyze = Command::new(bin)
+        .arg("analyze")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the binary runs");
+    analyze.stdin.take().unwrap().write_all(&input).unwrap();
+    let out = analyze.wait_with_output().unwrap();
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(report.contains("rounds to completion"), "{report}");
+    assert!(report.contains("skipped 1 unparsable lines"), "{report}");
+}

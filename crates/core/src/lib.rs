@@ -24,9 +24,9 @@
 //!   alive-node set, faded-edge overlay, wholesale rewiring, and
 //!   active-neighbor views rebuilt once per mutation batch,
 //! - [`Advertisement`]: the per-round tag a node broadcasts,
-//! - [`MessageSet`] / [`MessageMatrix`]: the gossip state (which rumors a
-//!   node holds) — standalone bitsets, and the engine's struct-of-arrays
-//!   packing of all nodes' state, both read through [`MsgView`],
+//! - [`MessageMatrix`]: the gossip state (which rumors a node holds), all
+//!   nodes' bitsets packed struct-of-arrays, each row read through
+//!   [`MsgView`],
 //! - [`Intent`] / [`resolve_connections`]: connection proposals and the
 //!   batch matching resolver enforcing the one-connection-per-node
 //!   invariant, plus [`resolve_connections_sharded`], the partitioned
@@ -53,7 +53,7 @@ pub use matching::{
     resolve_connections, resolve_connections_sharded, Connection, IncrementalMatcher, Intent,
     MatcherChunk, PeerState, Resolution,
 };
-pub use message::{MatrixChunk, MessageMatrix, MessageSet, MsgView, TransferStats};
+pub use message::{MatrixChunk, MessageMatrix, MsgView, TransferStats};
 pub use rng::Rng;
 pub use shard::{Partition, MATCH_REGIONS};
 pub use time::{SimTime, TimingConfig, TICKS_PER_ROUND};

@@ -1,18 +1,11 @@
 //! Gossip state: the set of rumors a node currently holds.
 //!
 //! The gossip problem starts `k` messages (rumors) at designated sources and
-//! completes when every node holds all `k`. Two owners of that state exist:
-//!
-//! - [`MessageSet`] — a standalone fixed-universe bitset, convenient for
-//!   tests and incremental construction;
-//! - [`MessageMatrix`] — the engine's **struct-of-arrays** form: all `n`
-//!   nodes' bitset words packed into one flat `Vec<u64>` (plus one flat
-//!   counts array), so a round sweep touches two contiguous buffers
-//!   instead of chasing `n` per-node heap allocations.
-//!
-//! Both expose their per-node state as a borrowed [`MsgView`], which is
-//! what protocols consume — a protocol cannot tell (and must not care)
-//! which storage backs the node it is deciding for.
+//! completes when every node holds all `k`. [`MessageMatrix`] owns that
+//! state in **struct-of-arrays** form: all `n` nodes' bitset words packed
+//! into one flat `Vec<u64>` (plus one flat counts array), so a round sweep
+//! touches two contiguous buffers instead of chasing `n` per-node heap
+//! allocations. A row is handed to protocols as a borrowed [`MsgView`].
 
 use crate::matching::Connection;
 use crate::rng::mix;
@@ -106,9 +99,8 @@ fn fingerprint_words(words: &[u64], universe: usize, salt: u64) -> u64 {
 /// 12 → 29, 16 → 50 (the lanes spill).
 const FINGERPRINT_LANES: usize = 8;
 
-/// A borrowed, read-only view of one node's message set — the shape
-/// protocols see, regardless of whether a [`MessageSet`] or a row of the
-/// engine's [`MessageMatrix`] backs it.
+/// A borrowed, read-only view of one node's message set — a row of a
+/// [`MessageMatrix`], in the shape protocols see.
 #[derive(Clone, Copy, Debug)]
 pub struct MsgView<'a> {
     words: &'a [u64],
@@ -165,91 +157,6 @@ impl MsgView<'_> {
     /// out advertisement-guided livelock on large universes.
     pub fn fingerprint_salted(&self, salt: u64) -> u64 {
         fingerprint_words(self.words, self.universe, salt)
-    }
-}
-
-/// A set of message ids drawn from a fixed universe `0..universe`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MessageSet {
-    words: Vec<u64>,
-    universe: usize,
-    count: usize,
-}
-
-impl MessageSet {
-    /// Empty set over message ids `0..universe`.
-    pub fn new(universe: usize) -> Self {
-        MessageSet {
-            words: vec![0; universe.div_ceil(64)],
-            universe,
-            count: 0,
-        }
-    }
-
-    /// A borrowed view of this set, as handed to protocols.
-    #[inline]
-    pub fn view(&self) -> MsgView<'_> {
-        MsgView {
-            words: &self.words,
-            universe: self.universe,
-            count: self.count,
-        }
-    }
-
-    /// Size of the message universe (the `k` of k-gossip).
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Number of messages currently held.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// True once every message in the universe is held.
-    pub fn is_full(&self) -> bool {
-        self.count == self.universe
-    }
-
-    /// Insert message `id`; returns true if it was newly added.
-    pub fn insert(&mut self, id: usize) -> bool {
-        assert!(id < self.universe, "message id {id} out of universe");
-        let (w, b) = (id / 64, id % 64);
-        let fresh = self.words[w] & (1 << b) == 0;
-        if fresh {
-            self.words[w] |= 1 << b;
-            self.count += 1;
-        }
-        fresh
-    }
-
-    /// Does this set contain message `id`?
-    pub fn contains(&self, id: usize) -> bool {
-        self.view().contains(id)
-    }
-
-    /// Union `other` into `self` (one direction of a push-pull transfer).
-    /// Returns how many messages were newly added.
-    pub fn union_with(&mut self, other: &MessageSet) -> usize {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let before = self.count;
-        let mut count = 0usize;
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-            count += w.count_ones() as usize;
-        }
-        self.count = count;
-        self.count - before
-    }
-
-    /// See [`MsgView::fingerprint`].
-    pub fn fingerprint(&self) -> u64 {
-        self.view().fingerprint()
-    }
-
-    /// See [`MsgView::fingerprint_salted`].
-    pub fn fingerprint_salted(&self, salt: u64) -> u64 {
-        self.view().fingerprint_salted(salt)
     }
 }
 
@@ -605,74 +512,46 @@ impl MatrixChunk<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn insert_contains_count() {
-        let mut s = MessageSet::new(10);
-        assert!(!s.contains(3));
-        assert!(s.insert(3));
-        assert!(!s.insert(3), "double insert is not fresh");
-        assert!(s.contains(3));
-        assert_eq!(s.count(), 1);
-        assert!(!s.is_full());
-    }
-
-    #[test]
-    fn union_reports_added() {
-        let mut a = MessageSet::new(130);
-        let mut b = MessageSet::new(130);
-        a.insert(0);
-        a.insert(100);
-        b.insert(100);
-        b.insert(129);
-        assert_eq!(a.union_with(&b), 1);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.union_with(&b), 0, "re-union adds nothing");
+    /// A one-row matrix holding `ids` of `0..universe`.
+    fn row(universe: usize, ids: &[usize]) -> MessageMatrix {
+        let mut m = MessageMatrix::new(1, universe);
+        for &id in ids {
+            m.insert(0, id);
+        }
+        m
     }
 
     #[test]
     fn full_after_all_inserted() {
-        let mut s = MessageSet::new(65);
-        for i in 0..65 {
-            s.insert(i);
-        }
-        assert!(s.is_full());
+        let ids: Vec<usize> = (0..65).collect();
+        assert!(row(65, &ids).is_full(0));
     }
 
     #[test]
     fn small_universe_fingerprint_is_exact_mask() {
-        let mut s = MessageSet::new(64);
-        s.insert(0);
-        s.insert(5);
-        assert_eq!(s.fingerprint(), 0b100001);
+        assert_eq!(row(64, &[0, 5]).view(0).fingerprint(), 0b100001);
     }
 
     #[test]
     fn large_universe_fingerprints_differ_for_different_sets() {
-        let mut a = MessageSet::new(200);
-        let mut b = MessageSet::new(200);
-        a.insert(3);
-        b.insert(150);
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        let tag = |universe, id| row(universe, &[id]).view(0).fingerprint();
+        assert_ne!(tag(200, 3), tag(200, 150));
         // The word-fold collision family of the old XOR-rotate scheme
         // (ids i and 64 + (i - 1) collided) must not survive the hash.
-        let mut c = MessageSet::new(128);
-        let mut d = MessageSet::new(128);
-        c.insert(4);
-        d.insert(67);
-        assert_ne!(c.fingerprint(), d.fingerprint());
+        assert_ne!(tag(128, 4), tag(128, 67));
     }
 
     #[test]
     fn salt_changes_large_universe_tags_but_not_small() {
-        let mut large = MessageSet::new(100);
-        large.insert(42);
+        let large = row(100, &[42]);
+        let large = large.view(0);
         assert_ne!(
             large.fingerprint_salted(1),
             large.fingerprint_salted(2),
             "same set must re-hash differently under a new salt"
         );
-        let mut small = MessageSet::new(8);
-        small.insert(3);
+        let small = row(8, &[3]);
+        let small = small.view(0);
         assert_eq!(small.fingerprint_salted(1), small.fingerprint_salted(2));
         assert_eq!(small.fingerprint_salted(7), small.fingerprint());
     }
@@ -708,22 +587,6 @@ mod tests {
             0,
             "re-union moves nothing"
         );
-    }
-
-    #[test]
-    fn matrix_views_match_equivalent_message_sets() {
-        let mut m = MessageMatrix::new(2, 80);
-        let mut s = MessageSet::new(80);
-        for id in [3usize, 64, 79] {
-            m.insert(1, id);
-            s.insert(id);
-        }
-        let v = m.view(1);
-        assert_eq!(v.count(), s.count());
-        assert_eq!(v.universe(), s.universe());
-        assert_eq!(v.fingerprint(), s.fingerprint());
-        assert_eq!(v.fingerprint_salted(9), s.fingerprint_salted(9));
-        assert!(v.contains(64) && !v.contains(4));
     }
 
     #[test]

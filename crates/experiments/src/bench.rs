@@ -18,9 +18,7 @@ use std::time::Instant;
 
 /// The engine-specific half of a [`BenchReport`] — which loop ran and its
 /// phase breakdown, in milliseconds — is the engine's own report.
-pub use gossip_sim::{
-    EngineTimings as EnginePhases, PhaseTimings as PhaseMs, SliceTimings as SliceMs,
-};
+pub use gossip_sim::EngineTimings as EnginePhases;
 
 /// Version of the bench line format, independent of the run/grid
 /// [`SCHEMA_VERSION`](crate::emit::SCHEMA_VERSION) (which stays at 1 —
@@ -116,9 +114,8 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
         max_rounds: bench.rounds,
         record_rounds: false,
     });
-    let scheduler = scenario.scheduler.build();
     let running = Instant::now();
-    let (result, phases) = scheduler.run_timed(&inputs, &mut NoopProbe);
+    let (result, phases) = scenario.engine().run_timed(&inputs, &mut NoopProbe);
     let wall = running.elapsed();
 
     let secs = wall.as_secs_f64().max(1e-9);

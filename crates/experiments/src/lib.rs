@@ -5,13 +5,13 @@
 //! × protocol × scheduler × dynamics × seed. This crate makes that space
 //! a first-class, typed value instead of a pile of CLI strings:
 //!
-//! - **Specs** ([`spec`]): [`TopologySpec`], [`ProtocolSpec`],
-//!   [`SchedulerSpec`], [`DynamicsSpec`], and [`OutputSpec`] compose into
-//!   a validated [`Scenario`] via [`ScenarioBuilder`], which accumulates
-//!   structured [`SpecError`]s instead of failing fast. A scenario owns
-//!   its whole execution: [`Scenario::run`] builds the topology, sources,
-//!   dynamics, and scheduler, and [`sweep_runs`] streams a multi-seed
-//!   sweep.
+//! - **Specs** ([`spec`]): [`TopologySpec`], [`ProtocolSpec`], the
+//!   engine's own [`Scheduler`], [`DynamicsSpec`], and [`OutputSpec`]
+//!   compose into a validated [`Scenario`] via [`ScenarioBuilder`], which
+//!   accumulates structured [`SpecError`]s instead of failing fast. A
+//!   scenario owns its whole execution: [`Scenario::run`] builds the
+//!   topology, sources, dynamics, and membership, and [`sweep_runs`]
+//!   streams a multi-seed sweep.
 //! - **Grids** ([`grid`]): [`Axis`] lists over the shared `key = value`
 //!   vocabulary ([`ASSIGNMENTS`]) expand — in a documented deterministic
 //!   order — into scenario cells, each stamped with a stable
@@ -45,8 +45,8 @@ pub mod spec;
 pub mod specfile;
 
 pub use bench::{
-    bench_to_json, run_bench, BenchReport, BenchScenario, EnginePhases, PhaseMs, SliceMs,
-    BENCH_SCHEMA_VERSION, DEFAULT_BENCH_ROUNDS,
+    bench_to_json, run_bench, BenchReport, BenchScenario, EnginePhases, BENCH_SCHEMA_VERSION,
+    DEFAULT_BENCH_ROUNDS,
 };
 pub use checkpoint::{
     parse_checkpoint, read_checkpoint, verify_against, CellRecord, Checkpoint, CheckpointWriter,
@@ -56,11 +56,12 @@ pub use emit::{
     csv_header, run_line_csv, run_line_json, sweep_runs, to_json, Emitter, RunMeta, SweepRun,
     SCHEMA_VERSION,
 };
+pub use gossip_sim::{effective_threads, Scheduler};
 pub use grid::{Axis, Grid, GridExpandError, MAX_GRID_RUNS};
 pub use pool::{execute_grid, run_cell, worker_count, CellOutput, PoolSummary};
 pub use spec::{
-    assignment, effective_threads, join_errors, AssignmentDef, ChurnSpec, DynamicsSpec,
-    MembershipSpec, OutputFormat, OutputSpec, ProtocolSpec, Scenario, ScenarioBuilder,
-    SchedulerSpec, SpecError, TopologySpec, ASSIGNMENTS, SOURCES_SEED_SALT, TOPOLOGY_SEED_SALT,
+    assignment, join_errors, AssignmentDef, ChurnSpec, DynamicsSpec, MembershipSpec, OutputFormat,
+    OutputSpec, ProtocolSpec, Scenario, ScenarioBuilder, SpecError, TopologySpec, ASSIGNMENTS,
+    SOURCES_SEED_SALT, TOPOLOGY_SEED_SALT,
 };
 pub use specfile::parse_spec;

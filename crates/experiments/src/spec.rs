@@ -25,8 +25,7 @@ use gossip_dynamics::{
 };
 use gossip_protocols::GossipProtocol;
 use gossip_sim::{
-    default_round_cap, random_sources, AsyncScheduler, MembershipConfig, RunInputs, Scheduler,
-    SimConfig, SimResult, SyncScheduler,
+    default_round_cap, random_sources, MembershipConfig, RunInputs, Scheduler, SimConfig, SimResult,
 };
 use gossip_telemetry::{NoopProbe, Probe};
 
@@ -225,86 +224,6 @@ impl ProtocolSpec {
     }
 }
 
-/// The execution model of a scenario.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SchedulerSpec {
-    /// Synchronized rounds, optionally sharded over worker threads
-    /// (thread count never changes results, only throughput).
-    Sync { threads: usize },
-    /// Event-driven virtual time with the given drift/latency
-    /// distributions, executed by the time-sliced engine — optionally
-    /// sharded over worker threads (thread count never changes results,
-    /// only throughput).
-    Async {
-        timing: TimingConfig,
-        threads: usize,
-    },
-}
-
-impl SchedulerSpec {
-    /// Canonical names, in the order help text lists them.
-    pub const NAMES: &'static [&'static str] = &["sync", "async"];
-
-    /// The canonical name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerSpec::Sync { .. } => "sync",
-            SchedulerSpec::Async { .. } => "async",
-        }
-    }
-
-    /// Worker threads requested, before the [`effective_threads`] clamp.
-    pub fn threads(&self) -> usize {
-        match self {
-            SchedulerSpec::Sync { threads } | SchedulerSpec::Async { threads, .. } => *threads,
-        }
-    }
-
-    /// Worker threads this spec will actually run with, after the
-    /// [`effective_threads`] clamp.
-    pub fn effective_threads(&self) -> usize {
-        effective_threads(self.threads()).0
-    }
-
-    /// The async timing model; `None` under the sync scheduler.
-    fn timing(&self) -> Option<&TimingConfig> {
-        match self {
-            SchedulerSpec::Sync { .. } => None,
-            SchedulerSpec::Async { timing, .. } => Some(timing),
-        }
-    }
-
-    /// Instantiate the scheduler (thread count clamped to the machine).
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        let threads = self.effective_threads();
-        match self.timing() {
-            None => Box::new(SyncScheduler::with_threads(threads)),
-            Some(&timing) => Box::new(AsyncScheduler { timing, threads }),
-        }
-    }
-}
-
-/// Clamp a requested thread count to the machine's available parallelism.
-/// Returns the effective count and, when clamping occurred, a warning for
-/// the user. Results never depend on the clamp — the engine is
-/// deterministic at any thread count — only throughput does.
-pub fn effective_threads(requested: usize) -> (usize, Option<String>) {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if requested > available {
-        (
-            available,
-            Some(format!(
-                "--threads {requested} exceeds the machine's available parallelism; \
-                 capping at {available} (results are identical, only throughput changes)"
-            )),
-        )
-    } else {
-        (requested, None)
-    }
-}
-
 /// The churn half of a [`DynamicsSpec`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnSpec {
@@ -498,7 +417,7 @@ pub struct Scenario {
     pub topology: TopologySpec,
     pub nodes: usize,
     pub protocol: ProtocolSpec,
-    pub scheduler: SchedulerSpec,
+    pub scheduler: Scheduler,
     pub messages: usize,
     pub seed: u64,
     /// Number of consecutive seeds to sweep, starting at `seed`.
@@ -601,10 +520,10 @@ impl Scenario {
         id.push('-');
         id.push_str(self.protocol.name());
         match &self.scheduler {
-            SchedulerSpec::Sync { .. } => id.push_str("-sync"),
+            Scheduler::Sync { .. } => id.push_str("-sync"),
             // `threads` is execution-only (never changes results), so it
             // stays out of the id just like the sync thread count.
-            SchedulerSpec::Async { timing, .. } => {
+            Scheduler::Async { timing, .. } => {
                 id.push_str(&format!(
                     "-async@d{}j{}l{}:{}",
                     timing.drift, timing.refresh_jitter, timing.min_latency, timing.max_latency
@@ -656,7 +575,18 @@ impl Scenario {
     pub fn run_probed(&self, probe: &mut dyn Probe) -> SimResult {
         let parts = self.instantiate();
         let inputs = parts.inputs(self.sim_config());
-        self.scheduler.build().run(&inputs, probe)
+        self.engine().run(&inputs, probe)
+    }
+
+    /// The scheduler as it runs: its thread count clamped to the machine
+    /// ([`Scheduler::effective_threads`]). The engines never clamp, so
+    /// `run` and `bench` both take their scheduler from here.
+    pub(crate) fn engine(&self) -> Scheduler {
+        let threads = self.scheduler.effective_threads();
+        match self.scheduler {
+            Scheduler::Sync { .. } => Scheduler::Sync { threads },
+            Scheduler::Async { timing, .. } => Scheduler::Async { timing, threads },
+        }
     }
 
     /// Build everything this scenario names for its own seed. `run` and
@@ -787,7 +717,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         set: |b, k, v| match v {
             "sync" => b.asynchronous = false,
             "async" => b.asynchronous = true,
-            _ => b.unknown_value(k, v, SchedulerSpec::NAMES),
+            _ => b.unknown_value(k, v, Scheduler::NAMES),
         },
         get: |s| Some(s.scheduler.name().to_string()),
     },
@@ -1320,8 +1250,8 @@ impl ScenarioBuilder {
         }
         let threads = self.threads;
         let scheduler = match self.asynchronous {
-            false => SchedulerSpec::Sync { threads },
-            true => SchedulerSpec::Async {
+            false => Scheduler::Sync { threads },
+            true => Scheduler::Async {
                 timing: self.timing,
                 threads,
             },

@@ -133,12 +133,13 @@ impl GossipProtocol for AdvertGossip {
 mod tests {
     use super::*;
     use crate::Tags;
-    use gossip_core::{MessageSet, NodeId};
+    use gossip_core::{MessageMatrix, NodeId};
 
-    fn set_with(universe: usize, ids: &[usize]) -> MessageSet {
-        let mut s = MessageSet::new(universe);
+    /// A one-row matrix holding `ids` of `0..universe`.
+    fn set_with(universe: usize, ids: &[usize]) -> MessageMatrix {
+        let mut s = MessageMatrix::new(1, universe);
         for &i in ids {
-            s.insert(i);
+            s.insert(0, i);
         }
         s
     }
@@ -146,7 +147,7 @@ mod tests {
     /// `ads[v]` is node `v`'s tag; slot 0 is the deciding node's own and
     /// is never scanned.
     fn ctx<'a>(
-        messages: &'a MessageSet,
+        messages: &'a MessageMatrix,
         neighbors: &'a [NodeId],
         ads: &'a [Advertisement],
         salt: u64,
@@ -154,8 +155,8 @@ mod tests {
         NodeCtx {
             id: NodeId(0),
             salt,
-            messages: messages.view(),
-            own_ad: AdvertGossip.advertise(messages.view(), salt),
+            messages: messages.view(0),
+            own_ad: AdvertGossip.advertise(messages.view(0), salt),
             neighbors,
             tags: Tags::all(ads),
         }
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn uninformed_node_next_to_source_listens() {
-        let messages = MessageSet::new(4);
+        let messages = set_with(4, &[]);
         let ads = [Advertisement(0), Advertisement(0b1)];
         let neighbors = [NodeId(1)];
         let ctx = ctx(&messages, &neighbors, &ads, 1);
@@ -233,8 +234,8 @@ mod tests {
         // two different sets cannot persist.
         let messages = set_with(128, &[4]);
         assert_ne!(
-            AdvertGossip.advertise(messages.view(), 1),
-            AdvertGossip.advertise(messages.view(), 2)
+            AdvertGossip.advertise(messages.view(0), 1),
+            AdvertGossip.advertise(messages.view(0), 2)
         );
     }
 
@@ -243,7 +244,7 @@ mod tests {
         let messages = set_with(128, &[4]);
         let other = set_with(128, &[67]);
         let round = 3;
-        let ads = [AdvertGossip.advertise(other.view(), round); 2];
+        let ads = [AdvertGossip.advertise(other.view(0), round); 2];
         let neighbors = [NodeId(1)];
         let ctx = ctx(&messages, &neighbors, &ads, round);
         let mut rng = Rng::new(21);

@@ -84,9 +84,8 @@ pub struct NodeCtx<'a> {
     /// epoch under an asynchronous one. Protocols hashing their tags mix
     /// this in so stale hash collisions cannot persist.
     pub salt: u64,
-    /// The node's own message set — a borrowed view, so the engine can
-    /// back it with a row of its struct-of-arrays state or a standalone
-    /// [`gossip_core::MessageSet`] interchangeably.
+    /// The node's own message set — a borrowed view of its row of the
+    /// engine's struct-of-arrays [`gossip_core::MessageMatrix`].
     pub messages: MsgView<'a>,
     /// The tag this node itself last published: exactly
     /// `advertise(messages, salt)`. Every engine refreshes a node's tag

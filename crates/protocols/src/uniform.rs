@@ -35,17 +35,17 @@ impl GossipProtocol for UniformGossip {
 mod tests {
     use super::*;
     use crate::Tags;
-    use gossip_core::{MessageSet, NodeId};
+    use gossip_core::{MessageMatrix, NodeId};
 
     fn ctx<'a>(
-        messages: &'a MessageSet,
+        messages: &'a MessageMatrix,
         neighbors: &'a [NodeId],
         ads: &'a [Advertisement],
     ) -> NodeCtx<'a> {
         NodeCtx {
             id: NodeId(0),
             salt: 1,
-            messages: messages.view(),
+            messages: messages.view(0),
             own_ad: Advertisement(0),
             neighbors,
             tags: Tags::all(ads),
@@ -54,14 +54,14 @@ mod tests {
 
     #[test]
     fn isolated_node_idles() {
-        let messages = MessageSet::new(1);
+        let messages = MessageMatrix::new(1, 1);
         let ctx = ctx(&messages, &[], &[]);
         assert_eq!(UniformGossip.decide(&ctx, &mut Rng::new(1)), Intent::Idle);
     }
 
     #[test]
     fn proposals_target_actual_neighbors() {
-        let messages = MessageSet::new(1);
+        let messages = MessageMatrix::new(1, 1);
         let neighbors = [NodeId(3), NodeId(8)];
         let ads = [Advertisement(0); 9];
         let ctx = ctx(&messages, &neighbors, &ads);
@@ -86,7 +86,7 @@ mod tests {
         // The b = 0 protocol never scans: with no tag behind any neighbor,
         // a single `tags.of` would panic. Engines rely on this — they hand
         // over a view and gather nothing, so `uniform` pays for no scan.
-        let messages = MessageSet::new(1);
+        let messages = MessageMatrix::new(1, 1);
         let neighbors = [NodeId(3), NodeId(8), NodeId(70_000)];
         let ctx = ctx(&messages, &neighbors, &[]);
         let mut rng = Rng::new(11);

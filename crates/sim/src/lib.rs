@@ -1,13 +1,13 @@
 //! Deterministic simulation engines for gossip in the mobile telephone
-//! model, behind a pluggable [`Scheduler`] abstraction.
+//! model, chosen by the [`Scheduler`] enum.
 //!
-//! Two execution models drive any [`gossip_protocols::GossipProtocol`]
+//! Its two variants drive any [`gossip_protocols::GossipProtocol`]
 //! over any [`Topology`](gossip_core::Topology):
 //!
-//! - [`SyncScheduler`] — the PODC 2017 round structure: globally
+//! - [`Scheduler::Sync`] — the PODC 2017 round structure: globally
 //!   synchronized advertise → scan → connect → transfer rounds with batch
 //!   connection resolution.
-//! - [`AsyncScheduler`] — the asynchronous variant (Newport, Weaver &
+//! - [`Scheduler::Async`] — the asynchronous variant (Newport, Weaver &
 //!   Zheng 2021): per-node clock drift, randomized advertisement refresh
 //!   intervals, and variable connection/transfer latency, resolving
 //!   proposals incrementally as their events fire. Its event loop is
@@ -59,15 +59,13 @@
 //! peak RSS on the sync-ring / async-grid benchmark workloads).
 
 mod dynamic;
-mod event_driven;
 mod metrics;
 mod scheduler;
 mod sliced;
 
-pub use event_driven::AsyncScheduler;
 pub use gossip_membership::{Membership, MembershipConfig, MembershipStats};
 pub use metrics::{CoveragePoint, DynamicsStats, RoundStats, SimResult};
-pub use scheduler::{EngineTimings, PhaseTimings, RunInputs, Scheduler, SyncScheduler};
+pub use scheduler::{effective_threads, EngineTimings, PhaseTimings, RunInputs, Scheduler};
 pub use sliced::{SliceTimings, SLICE_TICKS};
 
 use gossip_core::{NodeId, Rng};
@@ -148,7 +146,7 @@ mod tests {
         config: &SimConfig,
     ) -> SimResult {
         let inputs = RunInputs::new(topology, protocol, sources, seed, *config);
-        SyncScheduler::default().run(&inputs, &mut NoopProbe)
+        Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe)
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! The scheduler abstraction and the synchronous round-based scheduler.
+//! The [`Scheduler`] choice and the synchronous round-based engine.
 //!
-//! A [`Scheduler`] owns the *execution model*: how virtual time advances,
+//! A [`Scheduler`] names the *execution model*: how virtual time advances,
 //! when nodes advertise and scan, and when proposed connections resolve.
 //! Protocols are scheduler-agnostic — they only ever see a
 //! [`NodeCtx`] neighborhood snapshot — so the same protocol runs under
-//! every scheduler. The trait has one entry point,
+//! either variant. There is one entry point,
 //! [`run_timed`](Scheduler::run_timed)`(&`[`RunInputs`]`, &mut dyn Probe)`
 //! ([`run`](Scheduler::run) drops its clocks): a mutating network and a
 //! membership overlay are optional *inputs*, not separate methods, and
 //! each engine serves every combination from one loop.
 //!
-//! [`SyncScheduler`] is the engine of the PODC 2017 paper: globally
+//! [`Scheduler::Sync`] is the engine of the PODC 2017 paper: globally
 //! synchronized advertise → scan → connect → transfer rounds, with batch
 //! connection resolution. Its hot path is built for scale:
 //!
@@ -38,12 +38,12 @@
 
 use crate::dynamic::{Coverage, DynRun};
 use crate::metrics::RoundStats;
-use crate::sliced::SliceTimings;
+use crate::sliced::{run_sliced, SliceTimings};
 use crate::{SimConfig, SimResult};
 
 use std::time::{Duration, Instant};
 
-use gossip_core::time::{SimTime, TICKS_PER_ROUND};
+use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::topology::GraphView;
 use gossip_core::{
     resolve_connections_sharded, shard, Advertisement, Connection, Intent, MatrixChunk,
@@ -109,10 +109,62 @@ impl<'a> RunInputs<'a> {
 }
 
 /// An execution model for gossip in the mobile telephone model: drives a
-/// protocol over a topology and reports [`SimResult`] metrics.
-pub trait Scheduler {
-    /// Stable scheduler name, used in CLI selection and reporting.
-    fn name(&self) -> &'static str;
+/// protocol over a topology and reports [`SimResult`] metrics. `threads`
+/// workers (0 counts as 1) never change a result, only throughput; the
+/// engine runs the count it is given, so front-ends clamp it first
+/// ([`effective_threads`](Self::effective_threads)).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Scheduler {
+    /// The synchronized rounds of the PODC 2017 paper (the module docs),
+    /// virtual time advancing [`TICKS_PER_ROUND`] per round.
+    Sync { threads: usize },
+    /// The asynchronous model (Newport, Weaver & Zheng 2021): each node
+    /// acts on its own drifted clock — refresh its tag, scan neighbors'
+    /// possibly stale tags, commit an intent; a proposal reaches its
+    /// target after a sampled latency and resolves against the target's
+    /// state then, and a connection holds both ends busy for a sampled
+    /// transfer latency. `timing` holds those distributions; all draws
+    /// are seeded and events order by `(time, seq)`, so runs reproduce.
+    /// `max_rounds` caps virtual time at `max_rounds ×`
+    /// [`TICKS_PER_ROUND`], and round counts (and [`RoundStats`] epochs)
+    /// are round equivalents of virtual time.
+    Async {
+        timing: TimingConfig,
+        threads: usize,
+    },
+}
+
+impl Scheduler {
+    /// Canonical names, in the order help text lists them.
+    pub const NAMES: &'static [&'static str] = &["sync", "async"];
+
+    /// The canonical name, used in CLI selection and reporting.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scheduler::Sync { .. } => "sync",
+            Scheduler::Async { .. } => "async",
+        }
+    }
+
+    /// Worker threads requested, before the [`effective_threads`] clamp.
+    pub fn threads(&self) -> usize {
+        match self {
+            Scheduler::Sync { threads } | Scheduler::Async { threads, .. } => *threads,
+        }
+    }
+
+    /// Worker threads after the [`effective_threads`] clamp.
+    pub fn effective_threads(&self) -> usize {
+        effective_threads(self.threads()).0
+    }
+
+    /// The async timing model; `None` under the sync scheduler.
+    pub fn timing(&self) -> Option<&TimingConfig> {
+        match self {
+            Scheduler::Sync { .. } => None,
+            Scheduler::Async { timing, .. } => Some(timing),
+        }
+    }
 
     /// Run one simulation under observation: the run ends when every
     /// (alive) node holds every message or the `config` cap (rounds, or
@@ -124,15 +176,41 @@ pub trait Scheduler {
     /// identical event sequence at any thread count. The engine's own
     /// clocks ride alongside the result, never inside it: results are a
     /// pure function of the inputs, and wall clocks are anything but.
-    fn run_timed(
+    pub fn run_timed(
         &self,
         inputs: &RunInputs<'_>,
         probe: &mut dyn Probe,
-    ) -> (SimResult, EngineTimings);
+    ) -> (SimResult, EngineTimings) {
+        match self {
+            Scheduler::Sync { threads } => run_sync(*threads, inputs, probe),
+            Scheduler::Async { timing, threads } => run_sliced(timing, *threads, inputs, probe),
+        }
+    }
 
     /// [`run_timed`](Self::run_timed) without the clocks.
-    fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
+    pub fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
         self.run_timed(inputs, probe).0
+    }
+}
+
+/// Clamp a requested thread count to the machine's available parallelism.
+/// Returns the effective count and, when clamping occurred, a warning for
+/// the user. Results never depend on the clamp — the engines are
+/// deterministic at any thread count — only throughput does.
+pub fn effective_threads(requested: usize) -> (usize, Option<String>) {
+    let available = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    if requested > available {
+        (
+            available,
+            Some(format!(
+                "--threads {requested} exceeds the machine's available parallelism; \
+                 capping at {available} (results are identical, only throughput changes)"
+            )),
+        )
+    } else {
+        (requested, None)
     }
 }
 
@@ -254,170 +332,132 @@ pub struct PhaseTimings {
     pub boundary_proposals: u64,
 }
 
-/// The synchronous round-based scheduler from the PODC 2017 paper: every
-/// round, all nodes advertise, scan, commit an intent, the batch matching
-/// resolver forms connections, and matched pairs transfer — all against a
-/// single global clock. Virtual time advances by
-/// [`TICKS_PER_ROUND`] per round.
+/// The round loop behind [`Scheduler::Sync`], with its per-phase clocks
+/// ([`PhaseTimings`], summed over rounds).
 ///
-/// `threads` shards all four phases — advertise, scan/decide, matching,
-/// transfer — over that many workers. The engine is deterministic *at any
-/// thread count* (see the module docs); `threads = 1` (the default) runs
-/// the identical computation serially without spawning.
-#[derive(Clone, Copy, Debug)]
-pub struct SyncScheduler {
-    /// Worker threads for every phase of the round; clamped to at least 1.
-    pub threads: usize,
-}
+/// Every round: drain the mutations due in its window
+/// `[(r-1)·TPR, r·TPR)` (so a departure "during" a round is visible
+/// for the whole round — the natural discretization of the
+/// continuous-time stream the asynchronous scheduler interleaves by
+/// slice), tick the membership overlay against the settled underlay,
+/// then run the four phases over a graph that stays frozen for the
+/// round, so scan, intent, and matching are coherent. Static inputs
+/// skip the first two steps entirely: the phase step is monomorphised
+/// per graph type, so a frozen [`Topology`] is read directly, with no
+/// alive mask and the batched advertise kernel.
+fn run_sync(
+    threads: usize,
+    inputs: &RunInputs<'_>,
+    probe: &mut dyn Probe,
+) -> (SimResult, EngineTimings) {
+    let RunInputs {
+        topology,
+        protocol,
+        sources,
+        seed,
+        config,
+        ..
+    } = *inputs;
+    let n = topology.num_nodes();
+    let (states, mut cover, mut result) = init_run(inputs, "sync");
+    let mut dynr = inputs
+        .dynamics
+        .map(|model| DynRun::new(topology, model, seed, &cover));
+    let mut mem = inputs.membership.map(|cfg| Membership::new(n, *cfg));
+    let mut phases = RoundPhases {
+        protocol,
+        seed,
+        threads,
+        states,
+        ads: vec![Advertisement::default(); n],
+        intents: vec![Intent::Idle; n],
+        partition: Partition::of(n),
+        timings: PhaseTimings::default(),
+    };
 
-impl Default for SyncScheduler {
-    fn default() -> Self {
-        SyncScheduler { threads: 1 }
-    }
-}
-
-impl SyncScheduler {
-    /// A scheduler sharding its round loop over `threads` workers
-    /// (0 is treated as 1).
-    pub fn with_threads(threads: usize) -> Self {
-        SyncScheduler {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl Scheduler for SyncScheduler {
-    fn name(&self) -> &'static str {
-        "sync"
-    }
-
-    /// The round loop, with its per-phase clocks ([`PhaseTimings`],
-    /// summed over rounds).
-    ///
-    /// Every round: drain the mutations due in its window
-    /// `[(r-1)·TPR, r·TPR)` (so a departure "during" a round is visible
-    /// for the whole round — the natural discretization of the
-    /// continuous-time stream the asynchronous scheduler interleaves by
-    /// slice), tick the membership overlay against the settled underlay,
-    /// then run the four phases over a graph that stays frozen for the
-    /// round, so scan, intent, and matching are coherent. Static inputs
-    /// skip the first two steps entirely: the phase step is monomorphised
-    /// per graph type, so a frozen [`Topology`] is read directly, with no
-    /// alive mask and the batched advertise kernel.
-    fn run_timed(
-        &self,
-        inputs: &RunInputs<'_>,
-        probe: &mut dyn Probe,
-    ) -> (SimResult, EngineTimings) {
-        let RunInputs {
-            topology,
-            protocol,
-            sources,
-            seed,
-            config,
-            ..
-        } = *inputs;
-        let n = topology.num_nodes();
-        let (states, mut cover, mut result) = init_run(inputs, "sync");
-        let mut dynr = inputs
-            .dynamics
-            .map(|model| DynRun::new(topology, model, seed, &cover));
-        let mut mem = inputs.membership.map(|cfg| Membership::new(n, *cfg));
-        let mut phases = RoundPhases {
-            protocol,
-            seed,
-            threads: self.threads,
-            states,
-            ads: vec![Advertisement::default(); n],
-            intents: vec![Intent::Idle; n],
-            partition: Partition::of(n),
-            timings: PhaseTimings::default(),
-        };
-
-        // Already complete at time zero (a single node, say): no round runs.
-        if !result.completed {
-            for round in 1..=config.max_rounds {
-                let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
-                if let Some(d) = dynr.as_mut() {
-                    let draining = Instant::now();
-                    let mutated = d.drain_until(
-                        horizon,
-                        &mut phases.states,
-                        sources,
-                        &mut cover,
-                        probe,
-                        round as u64,
-                    );
-                    phases.timings.drain += ms(draining.elapsed());
-                    if mutated && cover.complete(d.topo.alive_count()) {
-                        // Mutations alone completed gossip (the last uninformed
-                        // node departed, or an informed one rejoined an already-
-                        // covered network) — at the boundary closing round r-1.
-                        result.completed = true;
-                        result.rounds_to_completion = Some(round - 1);
-                        break;
-                    }
-                }
-
-                // Dead nodes neither advertise nor scan, active neighbor views
-                // exclude them, and they cannot match — so both endpoints of
-                // every transfer are alive and `cover` stays alive-only.
-                let alive = dynr.as_ref().map(|d| d.topo.alive_mask());
-                if let Some(m) = mem.as_mut() {
-                    let ticking = Instant::now();
-                    match &dynr {
-                        Some(d) => m.tick(&d.topo, alive, seed, round as u64, probe),
-                        None => m.tick(topology, alive, seed, round as u64, probe),
-                    }
-                    phases.timings.membership += ms(ticking.elapsed());
-                }
-                let (resolution, transfer) = match (&mem, &dynr) {
-                    (Some(m), _) => phases.step(m, alive, round as u64, probe),
-                    (None, Some(d)) => phases.step(&d.topo, alive, round as u64, probe),
-                    (None, None) => phases.step(topology, None, round as u64, probe),
-                };
-
-                cover.informed += transfer.newly_full;
-                cover.held += transfer.moved;
-                let formed = resolution.connections.len();
-                result.rounds_executed = round;
-                result.total_connections += formed;
-                result.productive_connections += transfer.productive;
-                result.wasted_connections += formed - transfer.productive;
-                result.dropped_proposals += resolution.dropped_proposals;
-                if let Some(d) = dynr.as_mut() {
-                    d.record(horizon, &cover);
-                }
-                if let Some(history) = &mut result.rounds {
-                    history.push(RoundStats {
-                        round,
-                        connections: formed,
-                        productive: transfer.productive,
-                        complete_nodes: cover.informed,
-                        messages_held: cover.held,
-                    });
-                }
-
-                if probe.enabled() {
-                    let (t, round) = (horizon.ticks(), round as u64);
-                    probe.record(&TraceEvent::new(EventKind::Round, t, round, &[]));
-                }
-
-                if cover.complete(dynr.as_ref().map_or(n, |d| d.topo.alive_count())) {
+    // Already complete at time zero (a single node, say): no round runs.
+    if !result.completed {
+        for round in 1..=config.max_rounds {
+            let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
+            if let Some(d) = dynr.as_mut() {
+                let draining = Instant::now();
+                let mutated = d.drain_until(
+                    horizon,
+                    &mut phases.states,
+                    sources,
+                    &mut cover,
+                    probe,
+                    round as u64,
+                );
+                phases.timings.drain += ms(draining.elapsed());
+                if mutated && cover.complete(d.topo.alive_count()) {
+                    // Mutations alone completed gossip (the last uninformed
+                    // node departed, or an informed one rejoined an already-
+                    // covered network) — at the boundary closing round r-1.
                     result.completed = true;
-                    result.rounds_to_completion = Some(round);
+                    result.rounds_to_completion = Some(round - 1);
                     break;
                 }
             }
-        }
 
-        result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
-        result.virtual_time_to_completion = result
-            .rounds_to_completion
-            .map(|r| r as u64 * TICKS_PER_ROUND);
-        finish_run(&mut result, &cover, dynr, mem);
-        (result, EngineTimings::Sync(phases.timings))
+            // Dead nodes neither advertise nor scan, active neighbor views
+            // exclude them, and they cannot match — so both endpoints of
+            // every transfer are alive and `cover` stays alive-only.
+            let alive = dynr.as_ref().map(|d| d.topo.alive_mask());
+            if let Some(m) = mem.as_mut() {
+                let ticking = Instant::now();
+                match &dynr {
+                    Some(d) => m.tick(&d.topo, alive, seed, round as u64, probe),
+                    None => m.tick(topology, alive, seed, round as u64, probe),
+                }
+                phases.timings.membership += ms(ticking.elapsed());
+            }
+            let (resolution, transfer) = match (&mem, &dynr) {
+                (Some(m), _) => phases.step(m, alive, round as u64, probe),
+                (None, Some(d)) => phases.step(&d.topo, alive, round as u64, probe),
+                (None, None) => phases.step(topology, None, round as u64, probe),
+            };
+
+            cover.informed += transfer.newly_full;
+            cover.held += transfer.moved;
+            let formed = resolution.connections.len();
+            result.rounds_executed = round;
+            result.total_connections += formed;
+            result.productive_connections += transfer.productive;
+            result.wasted_connections += formed - transfer.productive;
+            result.dropped_proposals += resolution.dropped_proposals;
+            if let Some(d) = dynr.as_mut() {
+                d.record(horizon, &cover);
+            }
+            if let Some(history) = &mut result.rounds {
+                history.push(RoundStats {
+                    round,
+                    connections: formed,
+                    productive: transfer.productive,
+                    complete_nodes: cover.informed,
+                    messages_held: cover.held,
+                });
+            }
+
+            if probe.enabled() {
+                let (t, round) = (horizon.ticks(), round as u64);
+                probe.record(&TraceEvent::new(EventKind::Round, t, round, &[]));
+            }
+
+            if cover.complete(dynr.as_ref().map_or(n, |d| d.topo.alive_count())) {
+                result.completed = true;
+                result.rounds_to_completion = Some(round);
+                break;
+            }
+        }
     }
+
+    result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
+    result.virtual_time_to_completion = result
+        .rounds_to_completion
+        .map(|r| r as u64 * TICKS_PER_ROUND);
+    finish_run(&mut result, &cover, dynr, mem);
+    (result, EngineTimings::Sync(phases.timings))
 }
 
 /// What every round's phases share: the run's constants, the per-node

@@ -1,4 +1,4 @@
-//! The time-sliced parallel event engine behind [`AsyncScheduler`].
+//! The time-sliced parallel event engine behind [`Scheduler::Async`](crate::Scheduler::Async).
 //!
 //! A single event heap would execute every event in exact global
 //! `(time, seq)` order — inherently sequential. This module trades that
@@ -63,7 +63,6 @@
 //! schedules *inside* the current slice executes in the next pass.
 
 use crate::dynamic::{mutate_event, Coverage, DynRun};
-use crate::event_driven::AsyncScheduler;
 use crate::metrics::RoundStats;
 use crate::scheduler::{finish_run, init_run, ms, EngineTimings, RunInputs};
 use crate::SimResult;
@@ -845,9 +844,9 @@ fn gossip_graph<'a>(
     }
 }
 
-/// The sliced engine: the one pass loop behind [`AsyncScheduler`]'s
-/// [`run_timed`](crate::Scheduler::run_timed). Byte-identical to itself at any
-/// `threads`; see the module docs for the determinism argument.
+/// The sliced engine: the one pass loop behind
+/// [`Scheduler::Async`](crate::Scheduler::Async). Byte-identical to itself
+/// at any `threads`; see the module docs for the determinism argument.
 ///
 /// Under dynamics, mutations apply serially at slice starts (phase 0 —
 /// the analogue of the sync scheduler's round-boundary semantics) and the
@@ -862,7 +861,8 @@ fn gossip_graph<'a>(
 /// are the only places `probe.record` is called, so the emitted stream is
 /// one deterministic global order at any thread count.
 pub(crate) fn run_sliced(
-    sched: &AsyncScheduler,
+    timing: &TimingConfig,
+    threads: usize,
     inputs: &RunInputs<'_>,
     probe: &mut dyn Probe,
 ) -> (SimResult, EngineTimings) {
@@ -875,8 +875,7 @@ pub(crate) fn run_sliced(
         config,
         ..
     } = *inputs;
-    sched
-        .timing
+    timing
         .validate()
         .unwrap_or_else(|e| panic!("invalid timing config: {e}"));
     let n = topology.num_nodes();
@@ -889,9 +888,7 @@ pub(crate) fn run_sliced(
     let mut timings = SliceTimings::default();
 
     let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
-    let drift: Vec<f64> = (0..n)
-        .map(|_| sched.timing.drift_factor(&mut rng))
-        .collect();
+    let drift: Vec<f64> = (0..n).map(|_| timing.drift_factor(&mut rng)).collect();
     // Every node publishes an initial epoch-0 tag before anyone scans.
     let mut ads = vec![Advertisement::default(); n];
     protocol.advertise_rows(&states, 0, 0, &mut ads);
@@ -987,9 +984,8 @@ pub(crate) fn run_sliced(
                                     // The survivor initiated: its act chain
                                     // was parked on the Finish event dying
                                     // with this connection — restart it.
-                                    let delay = sched
-                                        .timing
-                                        .refresh_interval(drift[v.index()], &mut rng_mut);
+                                    let delay =
+                                        timing.refresh_interval(drift[v.index()], &mut rng_mut);
                                     scratches[part.region_of(v.index())]
                                         .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
                                 }
@@ -1004,9 +1000,7 @@ pub(crate) fn run_sliced(
                     }
                     if let MutationKind::Rejoin { node, .. } = mutation.kind {
                         // The revived node starts a fresh act chain.
-                        let delay = sched
-                            .timing
-                            .refresh_interval(drift[node.index()], &mut rng_mut);
+                        let delay = timing.refresh_interval(drift[node.index()], &mut rng_mut);
                         scratches[part.region_of(node.index())]
                             .push(mtime.after(delay), Ev::Act(node, gens[node.index()]));
                     }
@@ -1042,7 +1036,7 @@ pub(crate) fn run_sliced(
         ads_snap.copy_from_slice(&ads);
         let ctx = SliceCtx {
             protocol,
-            timing: &sched.timing,
+            timing,
             drift: &drift,
             ads_snap: &ads_snap,
             gens: &gens,
@@ -1075,9 +1069,7 @@ pub(crate) fn run_sliced(
                 )
                 .collect();
             let graph = gossip_graph(topology, &dynr, &mem);
-            shard::for_each(sched.threads, &mut tasks, |task| {
-                run_region(&ctx, graph, task)
-            });
+            shard::for_each(threads, &mut tasks, |task| run_region(&ctx, graph, task));
         }
         timings.execute += ms(t0.elapsed());
 

@@ -13,7 +13,7 @@
 //!
 //! The time-sliced asynchronous engine gets the same treatment: per-
 //! `(seed, slice, region)` RNG streams, a fixed 64-region event
-//! partition, and the serial boundary sweep make `AsyncScheduler` a pure
+//! partition, and the serial boundary sweep make `Scheduler::Async` a pure
 //! function of its inputs too, so sliced runs at 1, 2, and 8 threads
 //! must be structurally identical — static and churning.
 
@@ -25,9 +25,7 @@ use gossip_dynamics::{
 };
 use gossip_membership::MembershipConfig;
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{
-    random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler,
-};
+use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -52,7 +50,7 @@ fn run_static(threads: usize, topo: &Topology, proto: &dyn GossipProtocol, k: us
         max_rounds: 60 * topo.num_nodes() + 200,
         record_rounds: true,
     };
-    SyncScheduler::with_threads(threads).run(
+    Scheduler::Sync { threads }.run(
         &RunInputs::new(topo, proto, &sources, 42, cfg),
         &mut NoopProbe,
     )
@@ -130,7 +128,7 @@ fn run_dyn(
         max_rounds: 60 * topo.num_nodes() + 200,
         record_rounds: true,
     };
-    SyncScheduler::with_threads(threads).run(
+    Scheduler::Sync { threads }.run(
         &RunInputs {
             dynamics: Some(dynamics),
             ..RunInputs::new(topo, proto, &sources, 77, cfg)
@@ -190,7 +188,7 @@ fn pinned_ring_regression_holds_on_the_csr_engine_at_any_thread_count() {
     let topo = Topology::ring(1000);
     let cfg = SimConfig::default();
     for threads in [1usize, 4] {
-        let result = SyncScheduler::with_threads(threads).run(
+        let result = Scheduler::Sync { threads }.run(
             &RunInputs::new(&topo, &AdvertGossip, &[NodeId(0)], 42, cfg),
             &mut NoopProbe,
         );
@@ -220,7 +218,7 @@ fn pinned_grid_alltoall_regression_holds_in_the_hashed_tag_regime() {
         record_rounds: false,
     };
     for threads in THREAD_COUNTS {
-        let result = SyncScheduler::with_threads(threads).run(
+        let result = Scheduler::Sync { threads }.run(
             &RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg),
             &mut NoopProbe,
         );
@@ -230,8 +228,8 @@ fn pinned_grid_alltoall_regression_holds_in_the_hashed_tag_regime() {
     }
 }
 
-fn async_sched(threads: usize) -> AsyncScheduler {
-    AsyncScheduler {
+fn async_sched(threads: usize) -> Scheduler {
+    Scheduler::Async {
         timing: TimingConfig::default(),
         threads,
     }
@@ -369,27 +367,24 @@ fn pinned_ring_regression_holds_on_the_sliced_engine_at_any_thread_count() {
 
 #[test]
 fn thread_count_zero_and_oversubscription_are_harmless() {
-    // with_threads(0) clamps to 1, and more workers than nodes clamps to
-    // the node count — both still byte-identical to serial.
-    let topo = Topology::ring(12);
-    let sources = [NodeId(3)];
+    // Nothing clamps `threads` before an engine sees it: 0 workers count
+    // as 1, and more workers than nodes (or regions) as that many — both
+    // still byte-identical to serial, on either engine.
+    let ring = Topology::ring(12);
+    let big_ring = Topology::ring(300);
     let cfg = SimConfig {
         record_rounds: true,
         ..SimConfig::default()
     };
-    let serial = SyncScheduler::default().run(
-        &RunInputs::new(&topo, &UniformGossip, &sources, 9, cfg),
-        &mut NoopProbe,
-    );
-    for scheduler in [
-        SyncScheduler::with_threads(0),
-        SyncScheduler::with_threads(64),
+    for (topo, schedulers) in [
+        (&ring, [1, 0, 64].map(|threads| Scheduler::Sync { threads })),
+        (&big_ring, [1, 0, 64].map(async_sched)),
     ] {
-        let run = scheduler.run(
-            &RunInputs::new(&topo, &UniformGossip, &sources, 9, cfg),
-            &mut NoopProbe,
-        );
-        assert_eq!(serial, run);
+        let inputs = RunInputs::new(topo, &UniformGossip, &[NodeId(3)], 9, cfg);
+        let [serial, zero, many] = schedulers.map(|s| s.run(&inputs, &mut NoopProbe));
+        assert!(serial.completed, "{}", serial.scheduler);
+        assert_eq!(serial, zero, "{} threads=0", serial.scheduler);
+        assert_eq!(serial, many, "{} threads=64", serial.scheduler);
     }
 }
 
@@ -448,7 +443,7 @@ fn pinned_mobile_churn_hyparview_run_holds_on_both_engines_at_any_thread_count()
         ..RunInputs::new(&topo, &AdvertGossip, &sources, 77, cfg)
     };
     for threads in THREAD_COUNTS {
-        let sync = SyncScheduler::with_threads(threads).run(&inputs, &mut NoopProbe);
+        let sync = Scheduler::Sync { threads }.run(&inputs, &mut NoopProbe);
         assert_eq!(
             mobile_fingerprint(&sync),
             [18, 18432, 1826, 1724, 805, 639, 1322, 2381],
@@ -503,7 +498,7 @@ fn pinned_extreme_latency_rings_hold_on_the_sliced_engine_at_any_thread_count() 
             record_rounds: false,
         };
         for threads in THREAD_COUNTS {
-            let sched = AsyncScheduler {
+            let sched = Scheduler::Async {
                 timing: TimingConfig {
                     min_latency,
                     max_latency,

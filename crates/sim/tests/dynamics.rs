@@ -3,16 +3,14 @@
 //! waypoint models are exercised for reproducibility, termination, and
 //! accounting invariants.
 
-use gossip_core::time::TICKS_PER_ROUND;
+use gossip_core::time::{TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{NodeId, Rng, SimTime, Topology};
 use gossip_dynamics::{
     Churn, DynamicsModel, EdgeFading, Mutation, MutationKind, MutationStream, RejoinPolicy,
     Waypoint, DEFAULT_SPEED_PER_ROUND,
 };
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{
-    random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler,
-};
+use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
 /// A fixed, pre-scripted mutation sequence — the deterministic harness
@@ -61,15 +59,18 @@ impl MutationStream for ScriptStream {
     }
 }
 
-fn schedulers() -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(SyncScheduler::default()),
-        Box::new(AsyncScheduler::default()),
+fn schedulers() -> [Scheduler; 2] {
+    [
+        Scheduler::Sync { threads: 1 },
+        Scheduler::Async {
+            timing: TimingConfig::default(),
+            threads: 1,
+        },
     ]
 }
 
 fn run_dynamic(
-    scheduler: &dyn Scheduler,
+    scheduler: &Scheduler,
     topo: &Topology,
     dynamics: &dyn DynamicsModel,
     protocol: &dyn GossipProtocol,
@@ -126,7 +127,7 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     // round 1 runs: node 1 is gone, the survivor covers the network, and
     // gossip is complete at round 0.
     let early = Script(vec![Script::depart(1023, 1)]);
-    let result = SyncScheduler::default().run(
+    let result = Scheduler::Sync { threads: 1 }.run(
         &RunInputs {
             dynamics: Some(&early),
             ..RunInputs::new(&topo, &AdvertGossip, &sources, 7, cfg)
@@ -140,7 +141,7 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     // One tick later the departure belongs to round 2's window, so round
     // 1 still runs on the full line and completes gossip first.
     let late = Script(vec![Script::depart(1024, 1)]);
-    let result = SyncScheduler::default().run(
+    let result = Scheduler::Sync { threads: 1 }.run(
         &RunInputs {
             dynamics: Some(&late),
             ..RunInputs::new(&topo, &AdvertGossip, &sources, 7, cfg)
@@ -225,8 +226,8 @@ fn churn_runs_are_reproducible_and_terminate() {
         mean_downtime: 4.0,
     };
     for scheduler in schedulers() {
-        let a = run_dynamic(scheduler.as_ref(), &topo, &model, &AdvertGossip, 1, 42);
-        let b = run_dynamic(scheduler.as_ref(), &topo, &model, &AdvertGossip, 1, 42);
+        let a = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 42);
+        let b = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 42);
         assert_eq!(
             a,
             b,
@@ -238,7 +239,7 @@ fn churn_runs_are_reproducible_and_terminate() {
         assert!(stats.departures > 0, "10% churn must actually churn");
         assert!(stats.rejoins > 0);
         // Different seeds diverge.
-        let c = run_dynamic(scheduler.as_ref(), &topo, &model, &AdvertGossip, 1, 43);
+        let c = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 43);
         assert_ne!(
             (a.virtual_time, a.total_connections),
             (c.virtual_time, c.total_connections),
@@ -257,7 +258,7 @@ fn churn_with_lose_policy_still_completes() {
         mean_downtime: 2.0,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(scheduler.as_ref(), &topo, &model, &UniformGossip, 2, 9);
+        let result = run_dynamic(&scheduler, &topo, &model, &UniformGossip, 2, 9);
         assert!(
             result.completed,
             "{}: losing rejoiners must still re-learn and complete",
@@ -275,7 +276,7 @@ fn fading_runs_complete_and_count_edge_events() {
         mean_downtime: 1.0,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(scheduler.as_ref(), &topo, &model, &AdvertGossip, 1, 5);
+        let result = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 5);
         assert!(
             result.completed,
             "{}: fading stalled the run",
@@ -299,7 +300,7 @@ fn waypoint_mobility_completes_on_an_rgg() {
         speed: DEFAULT_SPEED_PER_ROUND,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(scheduler.as_ref(), &topo, &model, &AdvertGossip, 1, 13);
+        let result = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 13);
         assert!(
             result.completed,
             "{}: mobility stalled the run",
@@ -323,9 +324,9 @@ fn async_severs_connections_whose_endpoints_die() {
         rejoin: RejoinPolicy::Keep,
         mean_downtime: 1.0,
     };
-    let sched = AsyncScheduler {
+    let sched = Scheduler::Async {
         threads: 1,
-        timing: gossip_core::TimingConfig {
+        timing: TimingConfig {
             min_latency: 512,
             max_latency: 2048,
             ..Default::default()
@@ -352,7 +353,7 @@ fn history_rows_stay_consistent_under_churn() {
         mean_downtime: 3.0,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(scheduler.as_ref(), &topo, &model, &UniformGossip, 1, 21);
+        let result = run_dynamic(&scheduler, &topo, &model, &UniformGossip, 1, 21);
         let history = result.rounds.as_ref().expect("history requested");
         assert_eq!(
             history.len(),

@@ -14,20 +14,24 @@
 //! `SimResult::dynamics` tells them apart) — which is why one loop body
 //! per engine can serve both.
 
+use gossip_core::time::TimingConfig;
 use gossip_core::{NodeId, Rng, SimTime, Topology};
 use gossip_dynamics::{Churn, DynamicsModel, Mutation, MutationStream, RejoinPolicy};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
 use gossip_sim::{
-    random_sources, AsyncScheduler, EngineTimings, MembershipConfig, RunInputs, Scheduler,
-    SimConfig, SyncScheduler,
+    random_sources, EngineTimings, MembershipConfig, RunInputs, Scheduler, SimConfig,
 };
 use gossip_telemetry::{MemoryProbe, NoopProbe};
 
-fn schedulers(threads: usize) -> [Box<dyn Scheduler>; 2] {
-    [
-        Box::new(SyncScheduler::with_threads(threads)),
-        Box::new(AsyncScheduler::with_threads(threads)),
-    ]
+fn async_sched(threads: usize) -> Scheduler {
+    Scheduler::Async {
+        timing: TimingConfig::default(),
+        threads,
+    }
+}
+
+fn schedulers(threads: usize) -> [Scheduler; 2] {
+    [Scheduler::Sync { threads }, async_sched(threads)]
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -134,8 +138,7 @@ fn region_dominant_async_ring_captured_on_the_parent_holds() {
                 ..RunInputs::new(&topo, &UniformGossip, &sources, 42, cfg)
             };
             let mut probe = MemoryProbe::default();
-            let (result, timings) =
-                AsyncScheduler::with_threads(threads).run_timed(&inputs, &mut probe);
+            let (result, timings) = async_sched(threads).run_timed(&inputs, &mut probe);
             let EngineTimings::Async(slices) = timings else {
                 panic!("the async engine ran")
             };

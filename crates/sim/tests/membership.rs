@@ -10,10 +10,7 @@ use gossip_core::time::TimingConfig;
 use gossip_core::{GraphView, NodeId, Rng, Topology};
 use gossip_dynamics::{Churn, RejoinPolicy};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{
-    random_sources, AsyncScheduler, Membership, MembershipConfig, RunInputs, Scheduler, SimConfig,
-    SyncScheduler,
-};
+use gossip_sim::{random_sources, Membership, MembershipConfig, RunInputs, Scheduler, SimConfig};
 use gossip_telemetry::NoopProbe;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
@@ -25,6 +22,13 @@ fn topologies(n: usize) -> Vec<Topology> {
         Topology::grid(n),
         Topology::random_geometric(n, &mut rng),
     ]
+}
+
+fn async_sched(threads: usize) -> Scheduler {
+    Scheduler::Async {
+        timing: TimingConfig::default(),
+        threads,
+    }
 }
 
 fn mem_cfg() -> MembershipConfig {
@@ -49,30 +53,22 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
                 membership: Some(&membership),
                 ..RunInputs::new(&topo, &AdvertGossip, &sources, seed, sim_cfg(n))
             };
-            let sync_base = SyncScheduler::with_threads(1).run(&inputs, &mut NoopProbe);
+            let sync_base = Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe);
             assert!(
                 sync_base.membership.is_some(),
                 "membership runs must carry overlay stats"
             );
-            let async_base = AsyncScheduler {
-                timing: TimingConfig::default(),
-                threads: 1,
-            }
-            .run(&inputs, &mut NoopProbe);
+            let async_base = async_sched(1).run(&inputs, &mut NoopProbe);
             assert!(async_base.membership.is_some());
             for threads in THREAD_COUNTS {
-                let sync_run = SyncScheduler::with_threads(threads).run(&inputs, &mut NoopProbe);
+                let sync_run = Scheduler::Sync { threads }.run(&inputs, &mut NoopProbe);
                 assert_eq!(
                     sync_base,
                     sync_run,
                     "sync membership run on {} diverged at {threads} threads",
                     topo.name()
                 );
-                let async_run = AsyncScheduler {
-                    timing: TimingConfig::default(),
-                    threads,
-                }
-                .run(&inputs, &mut NoopProbe);
+                let async_run = async_sched(threads).run(&inputs, &mut NoopProbe);
                 assert_eq!(
                     async_base,
                     async_run,
@@ -102,29 +98,21 @@ fn assert_membership_churn_is_thread_independent(
             membership: Some(&membership),
             ..RunInputs::new(&topo, &AdvertGossip, &sources, 77, cfg_for(n))
         };
-        let sync_base = SyncScheduler::with_threads(1).run(&inputs, &mut NoopProbe);
-        let async_base = AsyncScheduler {
-            timing: TimingConfig::default(),
-            threads: 1,
-        }
-        .run(&inputs, &mut NoopProbe);
+        let sync_base = Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe);
+        let async_base = async_sched(1).run(&inputs, &mut NoopProbe);
         // Churn under the overlay exercises the failure detector: departed
         // peers must be suspected and eventually evicted.
         let stats = sync_base.membership.as_ref().unwrap();
         assert!(stats.probes > 0, "the failure detector never probed");
         for &threads in thread_counts {
-            let sync_run = SyncScheduler::with_threads(threads).run(&inputs, &mut NoopProbe);
+            let sync_run = Scheduler::Sync { threads }.run(&inputs, &mut NoopProbe);
             assert_eq!(
                 sync_base,
                 sync_run,
                 "sync membership+churn run (k={k}) on {} diverged at {threads} threads",
                 topo.name()
             );
-            let async_run = AsyncScheduler {
-                timing: TimingConfig::default(),
-                threads,
-            }
-            .run(&inputs, &mut NoopProbe);
+            let async_run = async_sched(threads).run(&inputs, &mut NoopProbe);
             assert_eq!(
                 async_base,
                 async_run,
@@ -216,16 +204,12 @@ fn full_view_default_is_byte_identical_to_the_pre_membership_path() {
     let sources = random_sources(256, 1, &mut Rng::new(5));
     let cfg = sim_cfg(256);
     for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
-        let plain = SyncScheduler::with_threads(2).run(
+        let plain = Scheduler::Sync { threads: 2 }.run(
             &RunInputs::new(&topo, proto, &sources, 11, cfg),
             &mut NoopProbe,
         );
         assert!(plain.membership.is_none());
-        let async_plain = AsyncScheduler {
-            timing: TimingConfig::default(),
-            threads: 2,
-        }
-        .run(
+        let async_plain = async_sched(2).run(
             &RunInputs::new(&topo, proto, &sources, 11, cfg),
             &mut NoopProbe,
         );
@@ -242,7 +226,7 @@ fn gossip_over_discovered_views_still_completes() {
         let n = topo.num_nodes();
         let sources = random_sources(n, 1, &mut Rng::new(0xfeed));
         let cfg = sim_cfg(n);
-        let sync_run = SyncScheduler::with_threads(2).run(
+        let sync_run = Scheduler::Sync { threads: 2 }.run(
             &RunInputs {
                 membership: Some(&mem_cfg()),
                 ..RunInputs::new(&topo, &AdvertGossip, &sources, 3, cfg)
@@ -261,11 +245,7 @@ fn gossip_over_discovered_views_still_completes() {
         assert!(stats.joins > 0, "nobody joined the overlay");
         assert!(stats.active_min >= 1 && stats.active_max <= mem_cfg().active_size);
         assert_eq!(stats.isolated_nodes, 0);
-        let async_run = AsyncScheduler {
-            timing: TimingConfig::default(),
-            threads: 2,
-        }
-        .run(
+        let async_run = async_sched(2).run(
             &RunInputs {
                 membership: Some(&mem_cfg()),
                 ..RunInputs::new(&topo, &AdvertGossip, &sources, 3, cfg)

@@ -5,11 +5,19 @@
 use gossip_core::time::{TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{Rng, Topology};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{random_sources, AsyncScheduler, RunInputs, Scheduler, SimConfig, SimResult};
+use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
+/// The async engine with default timing, on one worker.
+fn default_async() -> Scheduler {
+    Scheduler::Async {
+        timing: TimingConfig::default(),
+        threads: 1,
+    }
+}
+
 fn run_with(
-    scheduler: &dyn Scheduler,
+    scheduler: &Scheduler,
     topo: &Topology,
     protocol: &dyn GossipProtocol,
     k: usize,
@@ -36,7 +44,7 @@ fn async_completes_on_ring_grid_rgg() {
         Topology::grid(n),
         Topology::random_geometric(n, &mut topo_rng),
     ];
-    let sched = AsyncScheduler::default();
+    let sched = default_async();
     for topo in &topologies {
         for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
             let result = run_with(&sched, topo, proto, 1, 42);
@@ -65,7 +73,7 @@ fn async_completes_on_ring_grid_rgg() {
 #[test]
 fn async_virtual_time_is_deterministic_per_seed() {
     let n = 64;
-    let sched = AsyncScheduler::default();
+    let sched = default_async();
     for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
         let topo = Topology::grid(n);
         let a = run_with(&sched, &topo, proto, 4, 1234);
@@ -100,7 +108,7 @@ fn async_respects_the_virtual_time_cap() {
         record_rounds: true,
     };
     let sources = [gossip_core::NodeId(0)];
-    let result = AsyncScheduler::default().run(
+    let result = default_async().run(
         &RunInputs::new(&topo, &UniformGossip, &sources, 3, cfg),
         &mut NoopProbe,
     );
@@ -116,7 +124,7 @@ fn async_respects_the_virtual_time_cap() {
 #[test]
 fn async_connection_accounting_is_consistent() {
     let topo = Topology::ring(16);
-    let result = run_with(&AsyncScheduler::default(), &topo, &UniformGossip, 1, 9);
+    let result = run_with(&default_async(), &topo, &UniformGossip, 1, 9);
     assert!(result.completed);
     assert_eq!(
         result.total_connections,
@@ -155,7 +163,7 @@ fn async_history_counts_boundary_events() {
         min_latency: 512,
         max_latency: 512,
     };
-    let sched = AsyncScheduler { timing, threads: 1 };
+    let sched = Scheduler::Async { timing, threads: 1 };
     let topo = Topology::ring(8);
     for seed in [318u64, 474, 1850, 1, 2, 3] {
         let result = run_with(&sched, &topo, &UniformGossip, 1, seed);
@@ -177,7 +185,7 @@ fn async_history_counts_boundary_events() {
 #[test]
 fn async_single_node_completes_instantly() {
     let topo = Topology::complete(1);
-    let result = AsyncScheduler::default().run(
+    let result = default_async().run(
         &RunInputs::new(
             &topo,
             &UniformGossip,
@@ -203,7 +211,7 @@ fn async_zero_drift_zero_jitter_still_completes() {
         min_latency: 64,
         max_latency: 64,
     };
-    let sched = AsyncScheduler { timing, threads: 1 };
+    let sched = Scheduler::Async { timing, threads: 1 };
     let topo = Topology::ring(32);
     let result = run_with(&sched, &topo, &AdvertGossip, 1, 5);
     assert!(result.completed, "degenerate timing deadlocked the run");
@@ -217,7 +225,7 @@ fn async_heavy_drift_still_completes() {
         min_latency: 1,
         max_latency: 2048,
     };
-    let sched = AsyncScheduler { timing, threads: 1 };
+    let sched = Scheduler::Async { timing, threads: 1 };
     let topo = Topology::grid(36);
     for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
         let result = run_with(&sched, &topo, proto, 2, 8);
@@ -234,6 +242,6 @@ fn async_large_universe_gossip_terminates() {
     // The hashed-tag path under the async scheduler: epoch-salted tags
     // keep collisions transient even without a shared round counter.
     let topo = Topology::ring(10);
-    let result = run_with(&AsyncScheduler::default(), &topo, &AdvertGossip, 80, 11);
+    let result = run_with(&default_async(), &topo, &AdvertGossip, 80, 11);
     assert!(result.completed, "80-gossip on async ring(10) stalled");
 }

@@ -5,7 +5,7 @@
 
 use gossip_core::{Rng, Topology};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult, SyncScheduler};
+use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
 fn run_one(topo: &Topology, protocol: &dyn GossipProtocol, k: usize, seed: u64) -> SimResult {
@@ -15,7 +15,7 @@ fn run_one(topo: &Topology, protocol: &dyn GossipProtocol, k: usize, seed: u64) 
         max_rounds: 60 * topo.num_nodes() + 200,
         ..SimConfig::default()
     };
-    SyncScheduler::default().run(
+    Scheduler::Sync { threads: 1 }.run(
         &RunInputs::new(topo, protocol, &sources, seed, cfg),
         &mut NoopProbe,
     )

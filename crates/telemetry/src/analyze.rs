@@ -136,6 +136,15 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 }
 
 impl Analyzer {
+    /// [`add_line`](Self::add_line) for a line read as raw bytes: one that
+    /// is not UTF-8 is unparsable, like any other line that is not JSON.
+    pub fn add_bytes(&mut self, line: &[u8]) {
+        match std::str::from_utf8(line) {
+            Ok(line) => self.add_line(line),
+            Err(_) => self.unparsable += 1,
+        }
+    }
+
     /// Consume one input line, classifying it by shape.
     pub fn add_line(&mut self, line: &str) {
         let line = line.trim();
@@ -528,6 +537,7 @@ mod tests {
             ));
         }
         a.add_line("not json at all");
+        a.add_bytes(b"{\"schema\":1,\"scenario_id\":\"\xff\"}");
         let report = a.report();
         assert!(report.contains("rounds to completion"), "{report}");
         assert!(report.contains("ring-advert-sync-n1000-k1"), "{report}");
@@ -535,7 +545,7 @@ mod tests {
         assert!(report.contains("advert vs uniform speedup"), "{report}");
         // p50: advert 500, uniform 1600 → 3.20x.
         assert!(report.contains("3.20x"), "{report}");
-        assert!(report.contains("skipped 1 unparsable lines"), "{report}");
+        assert!(report.contains("skipped 2 unparsable lines"), "{report}");
     }
 
     #[test]
