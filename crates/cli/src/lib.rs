@@ -38,13 +38,13 @@ pub enum Command {
     Grid {
         scenarios: Vec<Scenario>,
         /// `--progress`: per-cell heartbeat on stderr (done/total,
-        /// running and stolen counts, running-mean ETA, per-worker
-        /// active cell). Never touches stdout.
+        /// running count, running-mean ETA, per-worker active cell).
+        /// Never touches stdout.
         progress: bool,
-        /// `--cores N`: global core budget for the work-stealing cell
-        /// pool, partitioned between cell-level parallelism and each
-        /// cell's own `--threads`. Execution-only — stdout is
-        /// byte-identical (modulo `wall_ms`) at any value.
+        /// `--cores N`: global core budget for the cell pool (the binary
+        /// clamps it to the machine), partitioned between cell-level
+        /// parallelism and each cell's own `--threads`. Execution-only —
+        /// stdout is byte-identical (modulo `wall_ms`) at any value.
         cores: usize,
         /// `--checkpoint FILE`: append one fsync'd record per completed
         /// cell, so a killed sweep resumes instead of restarting.
@@ -66,7 +66,7 @@ pub enum Command {
 pub fn thread_clamp_warning(scenarios: &[Scenario]) -> Option<String> {
     scenarios
         .iter()
-        .find_map(|scenario| effective_threads(scenario.scheduler.threads()).1)
+        .find_map(|scenario| effective_threads("--threads", scenario.scheduler.threads()).1)
 }
 
 /// Column where generated help text starts, matching the historical
@@ -108,11 +108,12 @@ GRID OPTIONS:
                                                 fastest), [output] format/history
     --axis <KEY=V1,V2,...>                      append one sweep axis (repeatable);
                                                 applied after the spec file's axes
-    --cores <N>                                 global core budget for the work-stealing
-                                                cell pool: cells run concurrently on
-                                                max(1, N / threads) workers; stdout stays
-                                                byte-identical (modulo wall_ms) to
-                                                --cores 1 [default: 1]
+    --cores <N>                                 global core budget for the cell pool,
+                                                capped at the machine's parallelism:
+                                                cells run on max(1, N / threads)
+                                                workers, started in cell order; stdout
+                                                stays byte-identical (modulo wall_ms)
+                                                to --cores 1 [default: 1]
     --checkpoint <FILE>                         append one fsync'd JSONL record per
                                                 completed cell to FILE; a killed sweep
                                                 restarts from its checkpoint via --resume
@@ -123,10 +124,10 @@ GRID OPTIONS:
                                                 combined stdout is byte-identical to an
                                                 uninterrupted run
     --progress                                  per-cell heartbeat on stderr (done/total,
-                                                running + stolen counts, ETA from the
-                                                running mean of completed-cell wall
-                                                times, per-worker active cell); stdout
-                                                is untouched
+                                                running count, ETA from the running
+                                                mean of completed-cell wall times,
+                                                per-worker active cell); stdout is
+                                                untouched
     plus every run option below as a base assignment shared by all cells
     (overriding the spec file's [scenario] section)
 

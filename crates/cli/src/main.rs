@@ -1,7 +1,7 @@
 use gossip_cli::{parse_args, thread_clamp_warning, usage, Command};
 use gossip_experiments::{
-    bench_to_json, execute_grid, read_checkpoint, run_bench, verify_against, CellRecord,
-    CheckpointWriter, Emitter, Scenario,
+    bench_to_json, effective_threads, execute_grid, read_checkpoint, run_bench, verify_against,
+    CellRecord, CheckpointWriter, Emitter, Scenario,
 };
 use gossip_telemetry::analyze::Analyzer;
 use gossip_telemetry::{NoopProbe, TraceWriter};
@@ -51,12 +51,13 @@ fn warn_thread_clamp(scenarios: &[Scenario]) {
     }
 }
 
-/// `grid`: run the expanded cells on the work-stealing pool, streaming
-/// lines to stdout in row-major cell order — byte-identical (modulo
-/// `wall_ms`) to a serial grid at any `--cores` value. With
-/// `--checkpoint`, every completed cell is durably recorded; with
-/// `--resume`, recorded cells replay from the checkpoint instead of
-/// re-running, and the combined stdout matches an uninterrupted run.
+/// `grid`: run the expanded cells on the cell pool, streaming lines to
+/// stdout in row-major cell order — byte-identical (modulo `wall_ms`) to
+/// a serial grid at any `--cores` value, which is clamped to the machine
+/// like `--threads`. With `--checkpoint`, every completed cell is durably
+/// recorded; with `--resume`, recorded cells replay from the checkpoint
+/// instead of re-running, and the combined stdout matches an
+/// uninterrupted run.
 fn run_grid(
     scenarios: &[Scenario],
     progress: bool,
@@ -69,6 +70,10 @@ fn run_grid(
         .fold(0usize, |runs, s| runs.saturating_add(s.seeds));
     eprintln!("grid: {} cell(s), {} run(s)", scenarios.len(), runs);
     warn_thread_clamp(scenarios);
+    let (cores, clamped) = effective_threads("--cores", cores);
+    if let Some(warning) = clamped {
+        eprintln!("warning: {warning}");
+    }
 
     let mut resumed: Vec<Option<CellRecord>> = Vec::new();
     let writer = match (checkpoint, resume) {
@@ -101,8 +106,8 @@ fn run_grid(
     let summary = execute_grid(scenarios, cores, resumed, writer, progress, &mut out)?;
     out.flush()?;
     eprintln!(
-        "grid: done ({} worker(s), {} cell(s) stolen, {} cell(s) resumed)",
-        summary.workers, summary.stolen, summary.resumed
+        "grid: done ({} worker(s), {} cell(s) resumed)",
+        summary.workers, summary.resumed
     );
     Ok(())
 }

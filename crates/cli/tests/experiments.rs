@@ -676,3 +676,49 @@ fn analyze_skips_a_line_that_is_not_utf8() {
     assert!(report.contains("rounds to completion"), "{report}");
     assert!(report.contains("skipped 1 unparsable lines"), "{report}");
 }
+
+/// Run `gossip-sim grid` on a six-cell grid with `extra` flags; return
+/// stdout with `wall_ms` stripped, and stderr.
+fn small_grid(extra: &[&str]) -> (String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
+        .args(["grid", "--nodes", "16", "--axis", "seed=1,2,3,4,5,6"])
+        .args(extra)
+        .output()
+        .expect("the binary runs");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stripped = stdout
+        .lines()
+        .map(|line| &line[..line.find("\"wall_ms\":").expect("timed line")])
+        .collect::<Vec<_>>()
+        .join("\n");
+    (stripped, String::from_utf8(out.stderr).unwrap())
+}
+
+#[test]
+fn grid_cores_beyond_the_machine_are_clamped_with_one_warning() {
+    let (serial, _) = small_grid(&["--cores", "1"]);
+    let (clamped, stderr) = small_grid(&["--cores", "100000"]);
+    assert_eq!(clamped, serial);
+    assert_eq!(serial.lines().count(), 6);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning:"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains("--cores 100000"), "{stderr}");
+}
+
+#[test]
+fn grid_progress_heartbeats_once_per_cell_on_stderr_only() {
+    let (plain, _) = small_grid(&["--cores", "2"]);
+    let (with_progress, stderr) = small_grid(&["--cores", "2", "--progress"]);
+    assert_eq!(with_progress, plain);
+    for cell in 1..=6 {
+        let done = format!("progress: cell {cell}/6 done ");
+        let count = stderr.lines().filter(|l| l.starts_with(&done)).count();
+        assert_eq!(count, 1, "{stderr}");
+    }
+    assert_eq!(stderr.matches("progress:").count(), 6, "{stderr}");
+    assert!(!stderr.contains("stole"), "{stderr}");
+}

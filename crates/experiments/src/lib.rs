@@ -26,9 +26,9 @@
 //!   shared by run, grid, and bench front-ends.
 //! - **Bench** ([`mod@bench`]): fixed-round-budget engine timing over the
 //!   same scenario specs, so benchmarks cannot drift from experiments.
-//! - **Parallel execution** ([`pool`]): a work-stealing cell pool that
-//!   runs independent grid cells concurrently under a global core budget
-//!   while a sequencer keeps stdout byte-identical to the serial grid;
+//! - **Parallel execution** ([`pool`]): a cell pool that runs independent
+//!   grid cells concurrently under a global core budget while a sequencer
+//!   keeps stdout byte-identical to the serial grid;
 //!   [`checkpoint`] makes long sweeps crash-safe (fsync'd per-cell JSONL
 //!   records, verified replay on `--resume`).
 //!

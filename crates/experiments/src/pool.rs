@@ -1,5 +1,4 @@
-//! Parallel grid execution: a work-stealing cell pool with ordered
-//! emission.
+//! Parallel grid execution: a cell pool with ordered emission.
 //!
 //! Grid cells are **independent by construction** — each is a pure
 //! function of its scenario (PR 5's byte-identity contract), so the only
@@ -8,29 +7,29 @@
 //! run in row-major cell order with the seed sweep innermost. The design
 //! here splits those concerns:
 //!
-//! - **Workers** (`StealQueues`) pull cell indices from per-worker
-//!   contiguous ranges of the pending list; a worker that drains its own
-//!   range steals the back half of the fullest other range (two locks,
-//!   taken in index order, so concurrent thieves cannot deadlock). Cells
-//!   are coarse — whole simulations, milliseconds to minutes each — so a
-//!   `Mutex` per range costs nothing and keeps the pool `std`-only.
+//! - **Workers** claim cells through one shared cursor over the pending
+//!   list, so cells start in ascending cell order. Cells are coarse —
+//!   whole simulations, milliseconds to minutes each — so one atomic
+//!   increment per cell is all the scheduling they need.
 //! - **The sequencer** (the caller's thread) receives completed cells
 //!   over a channel in *completion* order, but releases their rendered
 //!   lines in *cell* order: out-of-order completions buffer in their slot
-//!   until the gap before them fills. Completion order is where the
-//!   nondeterminism of scheduling goes to die; it never reaches stdout.
+//!   until the gap before them fills. Because cells start in order, that
+//!   gap is always a cell some worker is running. Completion order is
+//!   where the nondeterminism of scheduling goes to die; it never reaches
+//!   stdout.
 //!
 //! The sequencer is also where checkpointing and progress live, precisely
 //! because it is the one serial point: checkpoint records append (fsync'd)
 //! in completion order as results arrive, and the heartbeat renders from
-//! one consistent view of done/running/stolen counts.
+//! one consistent view of done/running counts.
 //!
 //! The global `--cores` budget partitions between the two levels of
 //! parallelism: with cells that themselves run sharded engines
 //! (`--threads T`), the pool spawns `max(1, cores / T)` cell workers so
 //! the total worker-thread footprint stays within the budget
-//! ([`worker_count`]). Oversubscription beyond the machine is allowed —
-//! cells block on nothing, so extra workers merely time-slice.
+//! ([`worker_count`]). The pool runs the budget it is given; the CLI
+//! clamps `--cores` to the machine first.
 
 use crate::checkpoint::{CellRecord, CheckpointWriter};
 use crate::emit::{sweep_runs, Emitter};
@@ -39,8 +38,8 @@ use gossip_telemetry::progress::PoolProgress;
 use gossip_telemetry::NoopProbe;
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Sentinel for "worker has no active cell" in the activity table.
@@ -98,125 +97,25 @@ pub fn worker_count(cores: usize, scenarios: &[Scenario], pending: usize) -> usi
 pub struct PoolSummary {
     /// Cell workers the core budget afforded.
     pub workers: usize,
-    /// Cells that moved between workers via stealing.
+    /// Always 0: cells are claimed from one cursor and never move between
+    /// workers. Kept because `benchmark/layers` reads it; ROADMAP 3(c)
+    /// deletes it.
     pub stolen: u64,
     /// Cells replayed from the checkpoint instead of re-run.
     pub resumed: usize,
 }
 
-/// Per-worker contiguous ranges over the pending-cell list, with
-/// back-half stealing. Invariant: until popped by [`next`](Self::next),
-/// every pending cell is inside exactly one range — moves between ranges
-/// happen with both endpoints locked, so work is never lost. (A worker
-/// *may* conclude the pool is empty while a thief holds freshly stolen
-/// cells; those cells belong to the thief, which is alive and will run
-/// them — the cost is a little tail parallelism, never correctness.)
-struct StealQueues {
-    /// Cell indices still to run, partitioned contiguously by `ranges`.
-    pending: Vec<usize>,
-    /// Half-open `(next, end)` window into `pending` per worker.
-    ranges: Vec<Mutex<(usize, usize)>>,
-    /// Cells moved between workers, for the heartbeat.
-    stolen: AtomicU64,
-    /// Cooperative cancellation (the sequencer hit an I/O error).
-    aborted: AtomicBool,
-}
-
-impl StealQueues {
-    fn new(pending: Vec<usize>, workers: usize) -> Self {
-        let len = pending.len();
-        let ranges = (0..workers)
-            .map(|w| Mutex::new((w * len / workers, (w + 1) * len / workers)))
-            .collect();
-        StealQueues {
-            pending,
-            ranges,
-            stolen: AtomicU64::new(0),
-            aborted: AtomicBool::new(false),
-        }
-    }
-
-    fn stolen(&self) -> u64 {
-        self.stolen.load(Ordering::Relaxed)
-    }
-
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::Relaxed);
-    }
-
-    /// Worker `w`'s next cell: from its own range, else stolen. `None`
-    /// when the pool is drained (or aborted).
-    fn next(&self, w: usize) -> Option<usize> {
-        loop {
-            if self.aborted.load(Ordering::Relaxed) {
-                return None;
-            }
-            {
-                let mut own = self.ranges[w].lock().unwrap();
-                if own.0 < own.1 {
-                    let cell = self.pending[own.0];
-                    own.0 += 1;
-                    return Some(cell);
-                }
-            }
-            if !self.steal_into(w) {
-                return None;
-            }
-        }
-    }
-
-    /// Steal the back half of the fullest other range into `w`'s (empty)
-    /// range. Returns false when no other range has visible work.
-    fn steal_into(&self, w: usize) -> bool {
-        loop {
-            let victim = (0..self.ranges.len())
-                .filter(|&v| v != w)
-                .map(|v| {
-                    let r = self.ranges[v].lock().unwrap();
-                    (r.1 - r.0, v)
-                })
-                .max();
-            let Some((remaining, v)) = victim else {
-                return false; // single-worker pool: nobody to steal from
-            };
-            if remaining == 0 {
-                return false;
-            }
-            // Lock both ranges in index order — the global order that
-            // keeps two concurrent thieves deadlock-free — then re-check:
-            // the victim may have drained between the scan and the lock.
-            let (lo, hi) = (w.min(v), w.max(v));
-            let lo_guard = self.ranges[lo].lock().unwrap();
-            let hi_guard = self.ranges[hi].lock().unwrap();
-            let (mut own, mut vict) = if w < v {
-                (lo_guard, hi_guard)
-            } else {
-                (hi_guard, lo_guard)
-            };
-            let len = vict.1 - vict.0;
-            if len == 0 {
-                continue; // drained under us; rescan for another victim
-            }
-            let take = len - len / 2; // ceil half, off the tail
-            *own = (vict.1 - take, vict.1);
-            vict.1 -= take;
-            self.stolen.fetch_add(take as u64, Ordering::Relaxed);
-            return true;
-        }
-    }
-}
-
-/// Execute an expanded grid on a work-stealing cell pool, streaming its
-/// output lines to `out` in row-major cell order — byte-identical to the
-/// serial grid at any `cores` value.
+/// Execute an expanded grid on a cell pool, streaming its output lines to
+/// `out` in row-major cell order — byte-identical to the serial grid at
+/// any `cores` value.
 ///
 /// `resumed` carries the checkpoint replay: one slot per cell, `Some` for
 /// cells already completed (their recorded lines are emitted verbatim in
 /// place, never re-run). Pass an empty vec for a fresh run. `checkpoint`,
 /// when present, receives one fsync'd record per newly completed cell, in
 /// completion order. With `progress`, a per-cell heartbeat (done/total,
-/// running/stolen counts, running-mean ETA, per-worker active cell) goes
-/// to stderr.
+/// running count, running-mean ETA, per-worker active cell) goes to
+/// stderr.
 pub fn execute_grid<W: Write>(
     scenarios: &[Scenario],
     cores: usize,
@@ -276,17 +175,23 @@ pub fn execute_grid<W: Write>(
         });
     }
 
-    let queues = StealQueues::new(pending, workers);
+    // Workers claim `pending[cursor++]` until the list runs out or the
+    // sequencer aborts. `Relaxed` suffices: `pending` is fixed before any
+    // worker spawns, and neither atomic publishes other data.
+    let cursor = AtomicUsize::new(0);
+    let aborted = AtomicBool::new(false);
     let active: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(IDLE)).collect();
     let (tx, rx) = mpsc::channel::<(usize, CellOutput)>();
 
     let outcome = std::thread::scope(|scope| -> io::Result<()> {
         for w in 0..workers {
             let tx = tx.clone();
-            let queues = &queues;
-            let active = &active;
+            let (pending, cursor, aborted, active) = (&pending, &cursor, &aborted, &active);
             scope.spawn(move || {
-                while let Some(cell) = queues.next(w) {
+                while !aborted.load(Ordering::Relaxed) {
+                    let Some(&cell) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                        return;
+                    };
                     active[w].store(cell, Ordering::Relaxed);
                     let output = run_cell(&scenarios[cell]);
                     active[w].store(IDLE, Ordering::Relaxed);
@@ -319,7 +224,6 @@ pub fn execute_grid<W: Write>(
                     })?;
                 }
                 tracker.cell_done(output.wall_ms);
-                tracker.set_stolen(queues.stolen());
                 slots[cell] = Some(output);
                 flush_ready(emitter, slots, next_emit)?;
                 if progress {
@@ -345,7 +249,7 @@ pub fn execute_grid<W: Write>(
         let run = sequence(&mut slots, &mut next_emit, &mut emitter, &mut tracker);
         if run.is_err() {
             // Stop workers from burning cores on output nobody will read.
-            queues.abort();
+            aborted.store(true, Ordering::Relaxed);
         }
         run
     });
@@ -354,7 +258,7 @@ pub fn execute_grid<W: Write>(
     debug_assert_eq!(next_emit, total, "every cell must have been released");
     Ok(PoolSummary {
         workers,
-        stolen: queues.stolen(),
+        stolen: 0,
         resumed: resumed_count,
     })
 }
@@ -403,54 +307,6 @@ mod tests {
         let wide = std::slice::from_ref(&wide);
         assert_eq!(worker_count(8, wide, 10), (8 / widest).min(10));
         assert_eq!(worker_count(1, wide, 10), 1, "budget below one cell");
-    }
-
-    #[test]
-    fn steal_queues_hand_out_every_cell_exactly_once() {
-        for workers in [1usize, 2, 3, 7] {
-            let queues = StealQueues::new((0..20).collect(), workers);
-            let seen = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let seen = &seen;
-                    scope.spawn(move || {
-                        while let Some(cell) = queues.next(w) {
-                            seen.lock().unwrap().push(cell);
-                        }
-                    });
-                }
-            });
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..20).collect::<Vec<_>>(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn stealing_moves_work_and_counts_it() {
-        // Two workers, all cells in worker 0's range: worker 1 must steal
-        // everything it runs.
-        let queues = StealQueues::new((0..8).collect(), 2);
-        {
-            // Rig the split: give worker 0 the whole list.
-            let mut r0 = queues.ranges[0].lock().unwrap();
-            let mut r1 = queues.ranges[1].lock().unwrap();
-            *r0 = (0, 8);
-            *r1 = (8, 8);
-        }
-        assert_eq!(queues.next(1), Some(4), "stole the back half [4, 8)");
-        assert_eq!(queues.stolen(), 4);
-        // Worker 0 still owns the front half.
-        assert_eq!(queues.next(0), Some(0));
-    }
-
-    #[test]
-    fn abort_drains_the_pool() {
-        let queues = StealQueues::new((0..4).collect(), 1);
-        assert_eq!(queues.next(0), Some(0));
-        queues.abort();
-        assert_eq!(queues.next(0), None, "aborted pools hand out nothing");
     }
 
     #[test]

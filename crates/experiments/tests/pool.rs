@@ -1,7 +1,8 @@
-//! The parallel-grid contract: the work-stealing pool's stdout is
-//! byte-identical (modulo `wall_ms`) to the serial grid at any core
-//! count, checkpoints make any completed-cell prefix resumable with the
-//! same combined output, and corrupted checkpoints are rejected loudly.
+//! The parallel-grid contract: the cell pool's stdout is byte-identical
+//! (modulo `wall_ms`) to the serial grid at any core count, a failing
+//! writer stops the pool with its error, checkpoints make any
+//! completed-cell prefix resumable with the same combined output, and
+//! corrupted checkpoints are rejected loudly.
 //! This is the invariant the CI grid-smoke job re-checks in release mode
 //! against the real binary (including a real `kill -9` resume).
 
@@ -11,6 +12,7 @@ use gossip_experiments::{
 };
 
 use std::fs;
+use std::io::{self, Write};
 
 /// The 3-axis × 2-seed grid the CI smoke spec mirrors: 8 cells, 16 runs,
 /// sync and async engines, deterministic and fast.
@@ -69,6 +71,28 @@ fn pool_output_is_byte_identical_to_serial_at_any_core_count() {
             "--cores {cores} diverged from the serial grid"
         );
     }
+}
+
+/// A stdout whose reader has gone: every write fails.
+struct ClosedPipe;
+
+impl Write for ClosedPipe {
+    fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+        Err(io::ErrorKind::BrokenPipe.into())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Err(io::ErrorKind::BrokenPipe.into())
+    }
+}
+
+#[test]
+fn a_failing_writer_stops_the_pool_with_its_error() {
+    let mut base = ScenarioBuilder::new();
+    base.set("nodes", "16");
+    let seeds: Vec<String> = (1..=32).map(|seed| seed.to_string()).collect();
+    let cells = Grid::new(base).axis("seed", seeds).expand().unwrap();
+    let err = execute_grid(&cells, 2, Vec::new(), None, false, &mut ClosedPipe).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{err}");
 }
 
 #[test]

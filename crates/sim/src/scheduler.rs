@@ -155,7 +155,7 @@ impl Scheduler {
 
     /// Worker threads after the [`effective_threads`] clamp.
     pub fn effective_threads(&self) -> usize {
-        effective_threads(self.threads()).0
+        effective_threads("--threads", self.threads()).0
     }
 
     /// The async timing model; `None` under the sync scheduler.
@@ -193,11 +193,12 @@ impl Scheduler {
     }
 }
 
-/// Clamp a requested thread count to the machine's available parallelism.
-/// Returns the effective count and, when clamping occurred, a warning for
-/// the user. Results never depend on the clamp — the engines are
+/// Clamp a requested thread count — a run's `--threads`, or a grid's
+/// `--cores` — to the machine's available parallelism. Returns the
+/// effective count and, when clamping occurred, a warning naming `flag`.
+/// Results never depend on the clamp — the engines and the grid pool are
 /// deterministic at any thread count — only throughput does.
-pub fn effective_threads(requested: usize) -> (usize, Option<String>) {
+pub fn effective_threads(flag: &str, requested: usize) -> (usize, Option<String>) {
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -205,7 +206,7 @@ pub fn effective_threads(requested: usize) -> (usize, Option<String>) {
         (
             available,
             Some(format!(
-                "--threads {requested} exceeds the machine's available parallelism; \
+                "{flag} {requested} exceeds the machine's available parallelism; \
                  capping at {available} (results are identical, only throughput changes)"
             )),
         )

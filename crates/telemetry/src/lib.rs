@@ -25,9 +25,8 @@
 //!   and produces rounds-to-completion percentile tables,
 //!   advert-vs-uniform speedup comparisons, dissemination-depth stats from
 //!   the infection DAG, and per-region balance summaries.
-//! - [`progress`] — pool-aware sweep progress bookkeeping (done/running/
-//!   stolen counts, running-mean ETA) behind the `grid --progress`
-//!   heartbeat.
+//! - [`progress`] — pool-aware sweep progress bookkeeping (done/running
+//!   counts, running-mean ETA) behind the `grid --progress` heartbeat.
 //!
 //! [`TraceWriter`] bridges the two worlds: a [`Probe`] that renders every
 //! event as one JSONL line (schema-versioned via

@@ -1,9 +1,8 @@
 //! Pool-aware progress accounting for long sweeps.
 //!
 //! [`PoolProgress`] is the bookkeeping half of the `grid --progress`
-//! heartbeat: it tracks how many cells a run has completed, how much
-//! wall-clock time those cells cost, and how much work the cell pool's
-//! workers stole from each other, and renders one stderr line per
+//! heartbeat: it tracks how many cells a run has completed and how much
+//! wall-clock time those cells cost, and renders one stderr line per
 //! completed cell. Like everything in this crate it knows nothing about
 //! scenarios — callers pass opaque labels and cell indices — so the
 //! experiment layer can evolve without touching it.
@@ -11,11 +10,11 @@
 //! The ETA deliberately comes from the **running mean of completed-cell
 //! wall times**, divided by the worker count, rather than from
 //! `elapsed / done`: grid cells are heterogeneous (a 10⁶-node async cell
-//! next to a 100-node sync one), and under a work-stealing pool the
-//! elapsed wall clock conflates cells still in flight with cells done.
-//! The mean-of-completed estimate is wrong early (the first completed
-//! cells are biased toward the cheap ones) but converges as the sweep
-//! drains, which is when an ETA matters.
+//! next to a 100-node sync one), and with several workers the elapsed
+//! wall clock conflates cells still in flight with cells done. The
+//! mean-of-completed estimate is wrong early (the first completed cells
+//! are biased toward the cheap ones) but converges as the sweep drains,
+//! which is when an ETA matters.
 
 /// Progress bookkeeping for a pool of workers draining a fixed set of
 /// cells. Drive it from the pool's sequencer: [`cell_done`] per
@@ -31,8 +30,6 @@ pub struct PoolProgress {
     workers: usize,
     /// Cells completed so far.
     done: usize,
-    /// Cells whose work moved between workers via stealing.
-    stolen: u64,
     /// Sum of completed-cell wall times, the running-mean numerator.
     completed_wall_ms: u64,
 }
@@ -44,7 +41,6 @@ impl PoolProgress {
             total,
             workers: workers.max(1),
             done: 0,
-            stolen: 0,
             completed_wall_ms: 0,
         }
     }
@@ -55,12 +51,6 @@ impl PoolProgress {
     pub fn cell_done(&mut self, wall_ms: u64) {
         self.done += 1;
         self.completed_wall_ms += wall_ms;
-    }
-
-    /// Update the stolen-cell count (the pool owns the authoritative
-    /// atomic counter; this mirrors it for rendering).
-    pub fn set_stolen(&mut self, stolen: u64) {
-        self.stolen = stolen;
     }
 
     /// Cells completed so far.
@@ -83,15 +73,14 @@ impl PoolProgress {
     }
 
     /// Render one heartbeat line (no trailing newline): done/total, the
-    /// completed cell's label, in-flight and stolen counts, elapsed and
+    /// completed cell's label, the in-flight count, elapsed and
     /// mean-based ETA, and each worker's active cell (`-` when idle).
     /// `active[w]` is worker `w`'s current cell index, if any.
     pub fn heartbeat(&self, label: &str, elapsed_secs: f64, active: &[Option<usize>]) -> String {
         let running = active.iter().filter(|slot| slot.is_some()).count();
         let mut line = format!(
-            "progress: cell {}/{} done ({label}) running {running} stolen {} \
-             elapsed {elapsed_secs:.1}s",
-            self.done, self.total, self.stolen
+            "progress: cell {}/{} done ({label}) running {running} elapsed {elapsed_secs:.1}s",
+            self.done, self.total
         );
         match self.eta_secs() {
             Some(eta) => line.push_str(&format!(" eta {eta:.1}s")),
@@ -137,14 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_renders_counts_workers_and_steals() {
+    fn heartbeat_renders_counts_and_workers() {
         let mut progress = PoolProgress::new(4, 3);
         progress.cell_done(2000);
-        progress.set_stolen(5);
         let line = progress.heartbeat("ring-advert-sync-n64-k1-s7", 2.0, &[Some(1), None, Some(3)]);
         assert!(line.starts_with("progress: cell 1/4 done (ring-advert-sync-n64-k1-s7)"));
         assert!(line.contains("running 2"), "{line}");
-        assert!(line.contains("stolen 5"), "{line}");
         assert!(line.contains("elapsed 2.0s"), "{line}");
         assert!(line.contains("eta 2.0s"), "{line}");
         assert!(line.ends_with("workers [#1 - #3]"), "{line}");
