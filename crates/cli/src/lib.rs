@@ -535,13 +535,30 @@ mod tests {
                 &["--topology", "complete", "--nodes", "16385"],
                 "268451840 adjacency",
             ),
+            (&["--nodes", "134217729"], "268435458 adjacency"),
+            (
+                &["--topology", "grid", "--nodes", "67108865"],
+                "268435460 adjacency",
+            ),
+            (
+                &["--topology", "rgg", "--radius", "1.5", "--nodes", "60000"],
+                "3599940000 adjacency",
+            ),
+            // Adaptive: 94 expected neighbours at the starting radius.
+            (
+                &["--topology", "rgg", "--nodes", "3000000"],
+                "282000000 adjacency",
+            ),
         ] {
             let message = parse(args).unwrap_err();
             assert!(message.contains(named), "{args:?}: {message}");
         }
-        // One step inside the bound, both still parse.
+        // One step inside the bound, all still parse.
         parse_run(&["--nodes", "4194304", "--messages", "4032"]);
         parse_run(&["--topology", "complete", "--nodes", "16384"]);
+        parse_run(&["--nodes", "134217728"]);
+        parse_run(&["--topology", "grid", "--nodes", "67108864"]);
+        parse_run(&["--topology", "rgg", "--nodes", "1000000"]);
     }
 
     #[test]

@@ -149,6 +149,27 @@ impl RggGeometry {
         }
     }
 
+    /// The adaptive builder's starting radius: the connectivity threshold
+    /// `sqrt(2 ln n / n)`, or 1 below two nodes.
+    pub fn threshold_radius(n: usize) -> f64 {
+        if n > 1 {
+            (2.0 * (n as f64).ln() / n as f64).sqrt()
+        } else {
+            1.0
+        }
+    }
+
+    /// Expected adjacency entries of `n` uniform points at `radius`:
+    /// `n · min(n − 1, π r² n)`, saturating. Points near the border have
+    /// fewer neighbours, so the count a build produces is at most about
+    /// this.
+    pub fn expected_entries(n: usize, radius: f64) -> usize {
+        let degree = (std::f64::consts::PI * radius * radius * n as f64)
+            .min(n.saturating_sub(1) as f64)
+            .ceil() as usize;
+        n.saturating_mul(degree)
+    }
+
     /// Number of embedded nodes.
     pub fn num_nodes(&self) -> usize {
         self.positions.len()
@@ -178,16 +199,31 @@ impl RggGeometry {
         self.grid.insert(pos, node.0);
     }
 
+    /// Change the connection radius, re-bucketing the same points.
+    fn regrid(&mut self, radius: f64) {
+        self.radius = radius;
+        self.grid = SpatialGrid::new(&self.positions, radius);
+    }
+
     /// Sorted ids of every node within `radius` of `node`'s position
     /// (excluding `node` itself), against the current positions. Queries
     /// only the grid cells a radius can span, so the cost scales with
     /// local density, not `n`.
     pub fn neighbors_of(&self, node: NodeId) -> Vec<NodeId> {
-        let (x, y) = self.positions[node.index()];
-        let r2 = self.radius * self.radius;
         let mut out = Vec::new();
+        self.gather_row(node.0, &mut out);
+        out
+    }
+
+    /// The row kernel behind both the built graph and
+    /// [`neighbors_of`](Self::neighbors_of): append `node`'s radius
+    /// neighbours to `out`, then sort the appended run.
+    fn gather_row(&self, node: u32, out: &mut Vec<NodeId>) {
+        let start = out.len();
+        let (x, y) = self.positions[node as usize];
+        let r2 = self.radius * self.radius;
         self.grid.for_window((x, y), |v| {
-            if v != node.0 {
+            if v != node {
                 let (px, py) = self.positions[v as usize];
                 let (dx, dy) = (x - px, y - py);
                 if dx * dx + dy * dy <= r2 {
@@ -195,26 +231,15 @@ impl RggGeometry {
                 }
             }
         });
-        out.sort_unstable();
-        out
+        out[start..].sort_unstable();
     }
 
-    /// Every radius edge as a `(u, v)` pair with `u < v`, via the grid.
-    fn edge_pairs(&self) -> Vec<(u32, u32)> {
-        let r2 = self.radius * self.radius;
-        let mut edges = Vec::new();
-        for (u, &(x, y)) in self.positions.iter().enumerate() {
-            self.grid.for_window((x, y), |v| {
-                if (v as usize) > u {
-                    let (px, py) = self.positions[v as usize];
-                    let (dx, dy) = (x - px, y - py);
-                    if dx * dx + dy * dy <= r2 {
-                        edges.push((u as u32, v));
-                    }
-                }
-            });
-        }
-        edges
+    /// The radius graph over the current positions, one gathered row per
+    /// node.
+    fn graph(&self) -> Topology {
+        let n = self.num_nodes();
+        let capacity = Self::expected_entries(n, self.radius);
+        Topology::from_rows("rgg", n, capacity, |u, row| self.gather_row(u, row))
     }
 }
 
@@ -232,34 +257,26 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Build a topology from an undirected edge list. Self-loops and
-    /// duplicate edges are ignored.
-    pub fn from_edges(name: &str, n: usize, edges: &[(u32, u32)]) -> Self {
-        // Materialize both directions, sort, dedup, then cut into CSR.
-        let mut directed: Vec<(u32, u32)> = Vec::with_capacity(edges.len() * 2);
-        for &(u, v) in edges {
-            let (ui, vi) = (u as usize, v as usize);
-            assert!(ui < n && vi < n, "edge ({u},{v}) out of range for n={n}");
-            if ui == vi {
-                continue;
-            }
-            directed.push((u, v));
-            directed.push((v, u));
+    /// The row builder every family goes through: `row(u, edges)` appends
+    /// `u`'s sorted, duplicate-free neighbours to `edges`, for `u` in id
+    /// order. `capacity` is the expected entry count.
+    ///
+    /// Offsets are `u32`, so the graph must hold fewer than `u32::MAX`
+    /// entries. No CLI input reaches that: the scenario builder refuses
+    /// any topology whose expected adjacency exceeds its word budget.
+    fn from_rows(
+        name: &str,
+        n: usize,
+        capacity: usize,
+        mut row: impl FnMut(u32, &mut Vec<NodeId>),
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut edges = Vec::with_capacity(capacity);
+        for u in 0..n as u32 {
+            row(u, &mut edges);
+            offsets.push(u32::try_from(edges.len()).expect("edge count overflows u32 CSR offsets"));
         }
-        directed.sort_unstable();
-        directed.dedup();
-        assert!(
-            directed.len() < u32::MAX as usize,
-            "edge count overflows u32 CSR offsets"
-        );
-        let mut offsets = vec![0u32; n + 1];
-        for &(u, _) in &directed {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let edges = directed.into_iter().map(|(_, v)| NodeId(v)).collect();
         Topology {
             offsets,
             edges,
@@ -267,19 +284,103 @@ impl Topology {
         }
     }
 
+    /// Build a topology from an undirected edge list. Self-loops and
+    /// duplicate edges are ignored.
+    ///
+    /// Counts each node's degree, prefix-sums the counts into offsets,
+    /// scatters both directions of every edge into its rows, then sorts
+    /// and dedups each row in place.
+    ///
+    /// # Panics
+    ///
+    /// If an edge names a node `>= n`, or the list holds `u32::MAX` or
+    /// more non-loop entries counted both ways (the `u32` offsets' range).
+    /// Both are caller bugs: no CLI input builds a topology from an edge
+    /// list, and the scenario builder bounds every family's adjacency far
+    /// below that range.
+    pub fn from_edges(name: &str, n: usize, edges: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        let mut entries = 0usize;
+        for &(u, v) in edges {
+            let (ui, vi) = (u as usize, v as usize);
+            assert!(ui < n && vi < n, "edge ({u},{v}) out of range for n={n}");
+            if ui != vi {
+                offsets[ui + 1] += 1;
+                offsets[vi + 1] += 1;
+                entries += 2;
+            }
+        }
+        assert!(
+            entries < u32::MAX as usize,
+            "edge count overflows u32 CSR offsets"
+        );
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // `next[u]` is the first unfilled slot of `u`'s row.
+        let mut next = offsets[..n].to_vec();
+        let mut adj = vec![NodeId(0); entries];
+        for &(u, v) in edges {
+            if u != v {
+                for (from, to) in [(u, v), (v, u)] {
+                    let slot = &mut next[from as usize];
+                    adj[*slot as usize] = NodeId(to);
+                    *slot += 1;
+                }
+            }
+        }
+        // Sort each row, then keep its distinct ids, packed leftwards.
+        let (mut kept, mut start) = (0, 0);
+        for u in 0..n {
+            let end = offsets[u + 1] as usize;
+            adj[start..end].sort_unstable();
+            offsets[u] = kept as u32;
+            let row_start = kept;
+            for i in start..end {
+                if kept == row_start || adj[kept - 1] != adj[i] {
+                    adj[kept] = adj[i];
+                    kept += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = kept as u32;
+        adj.truncate(kept);
+        Topology {
+            offsets,
+            edges: adj,
+            name: name.to_string(),
+        }
+    }
+
     /// Path graph: `0 — 1 — … — n-1`.
     pub fn line(n: usize) -> Self {
-        let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
-        Self::from_edges("line", n, &edges)
+        Self::from_rows("line", n, 2 * n.saturating_sub(1), |u, row| {
+            if u > 0 {
+                row.push(NodeId(u - 1));
+            }
+            if u as usize + 1 < n {
+                row.push(NodeId(u + 1));
+            }
+        })
     }
 
     /// Cycle graph: the line plus the wrap-around edge `n-1 — 0`.
     pub fn ring(n: usize) -> Self {
-        let mut edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
-        if n > 2 {
-            edges.push((n as u32 - 1, 0));
+        // Below three nodes the wrap-around edge would repeat the line's
+        // only edge, or be a self-loop.
+        if n < 3 {
+            return Topology {
+                name: "ring".to_string(),
+                ..Self::line(n)
+            };
         }
-        Self::from_edges("ring", n, &edges)
+        let last = n as u32 - 1;
+        Self::from_rows("ring", n, 2 * n, |u, row| {
+            let prev = if u == 0 { last } else { u - 1 };
+            let next = if u == last { 0 } else { u + 1 };
+            row.extend([NodeId(prev.min(next)), NodeId(prev.max(next))]);
+        })
     }
 
     /// Near-square 4-neighbor lattice over `n` nodes. The grid has
@@ -287,28 +388,30 @@ impl Topology {
     pub fn grid(n: usize) -> Self {
         let rows = (n as f64).sqrt().floor().max(1.0) as usize;
         let cols = n.div_ceil(rows);
-        let mut edges = Vec::new();
-        for i in 0..n {
+        Self::from_rows("grid", n, 4 * n, |u, row| {
+            let i = u as usize;
             let c = i % cols;
+            if i >= cols {
+                row.push(NodeId((i - cols) as u32));
+            }
+            if c > 0 {
+                row.push(NodeId(u - 1));
+            }
             if c + 1 < cols && i + 1 < n {
-                edges.push((i as u32, i as u32 + 1));
+                row.push(NodeId(u + 1));
             }
             if i + cols < n {
-                edges.push((i as u32, (i + cols) as u32));
+                row.push(NodeId((i + cols) as u32));
             }
-        }
-        Self::from_edges("grid", n, &edges)
+        })
     }
 
     /// Complete graph: every pair of nodes is adjacent.
     pub fn complete(n: usize) -> Self {
-        let mut edges = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
-        for u in 0..n as u32 {
-            for v in (u + 1)..n as u32 {
-                edges.push((u, v));
-            }
-        }
-        Self::from_edges("complete", n, &edges)
+        let ids = n as u32;
+        Self::from_rows("complete", n, n * n.saturating_sub(1), |u, row| {
+            row.extend((0..u).chain(u + 1..ids).map(NodeId));
+        })
     }
 
     /// Random geometric graph: `n` points placed uniformly in the unit
@@ -326,24 +429,19 @@ impl Topology {
     /// point set and final radius so mobility models can move the nodes
     /// and re-derive radius-based edges. Same RNG consumption, same graph.
     ///
-    /// Edge derivation goes through the geometry's spatial grid — each
-    /// node checks only the points bucketed within a radius of itself —
-    /// so a million-node RGG builds in `O(n · expected degree)` rather
-    /// than the old all-pairs `O(n²)` sweep.
+    /// Each node's row is gathered from the geometry's spatial grid —
+    /// only the points bucketed within a radius of it — sorted, and
+    /// appended to the CSR edge array, so a million-node RGG builds in
+    /// `O(n · expected degree)` with no intermediate edge list.
     pub fn random_geometric_with_geometry(n: usize, rng: &mut Rng) -> (Self, RggGeometry) {
         let pts = Self::sample_unit_square(n, rng);
-        let mut radius = if n > 1 {
-            (2.0 * (n as f64).ln() / n as f64).sqrt()
-        } else {
-            1.0
-        };
+        let mut geometry = RggGeometry::new(pts, RggGeometry::threshold_radius(n));
         loop {
-            let geometry = RggGeometry::new(pts.clone(), radius);
-            let topo = Self::from_edges("rgg", n, &geometry.edge_pairs());
+            let topo = geometry.graph();
             if topo.is_connected() {
                 return (topo, geometry);
             }
-            radius *= 1.25;
+            geometry.regrid(geometry.radius * 1.25);
         }
     }
 
@@ -362,8 +460,7 @@ impl Topology {
     ) -> (Self, RggGeometry) {
         let pts = Self::sample_unit_square(n, rng);
         let geometry = RggGeometry::new(pts, radius);
-        let topo = Self::from_edges("rgg", n, &geometry.edge_pairs());
-        (topo, geometry)
+        (geometry.graph(), geometry)
     }
 
     /// The shared point sampling of both RGG builders: `n` uniform points

@@ -1,8 +1,145 @@
 //! Property tests for the static topology builders: exact edge counts for
 //! the regular families, structural invariants of `from_edges` (symmetry,
-//! sortedness, dedup), and connectivity across all builders and sizes.
+//! sortedness, dedup), connectivity across all builders and sizes, and
+//! every builder's rows against the sort-and-dedup reference build.
 
-use gossip_core::{NodeId, Rng, Topology};
+use gossip_core::{NodeId, RggGeometry, Rng, Topology};
+
+/// The reference build: both directions of every non-loop edge as pairs,
+/// sorted and deduped globally, then cut into rows. The CSR builders must
+/// produce exactly these rows.
+fn reference_rows(n: usize, edges: &[(u32, u32)]) -> Vec<Vec<NodeId>> {
+    let mut directed: Vec<(u32, u32)> = edges
+        .iter()
+        .filter(|(u, v)| u != v)
+        .flat_map(|&(u, v)| [(u, v), (v, u)])
+        .collect();
+    directed.sort_unstable();
+    directed.dedup();
+    let mut rows = vec![Vec::new(); n];
+    for (u, v) in directed {
+        rows[u as usize].push(NodeId(v));
+    }
+    rows
+}
+
+fn assert_matches_reference(t: &Topology, n: usize, edges: &[(u32, u32)]) {
+    assert_eq!(t.num_nodes(), n, "{}", t.name());
+    for (u, row) in reference_rows(n, edges).iter().enumerate() {
+        assert_eq!(
+            t.neighbors(NodeId(u as u32)),
+            &row[..],
+            "{}({n}) node {u}",
+            t.name()
+        );
+    }
+}
+
+/// The edge lists the regular families were once built from.
+fn line_edges(n: usize) -> Vec<(u32, u32)> {
+    (1..n as u32).map(|v| (v - 1, v)).collect()
+}
+
+fn ring_edges(n: usize) -> Vec<(u32, u32)> {
+    let mut edges = line_edges(n);
+    if n > 2 {
+        edges.push((n as u32 - 1, 0));
+    }
+    edges
+}
+
+fn grid_edges(n: usize) -> Vec<(u32, u32)> {
+    let rows = (n as f64).sqrt().floor().max(1.0) as usize;
+    let cols = n.div_ceil(rows);
+    let mut edges = Vec::new();
+    for i in 0..n {
+        if i % cols + 1 < cols && i + 1 < n {
+            edges.push((i as u32, i as u32 + 1));
+        }
+        if i + cols < n {
+            edges.push((i as u32, (i + cols) as u32));
+        }
+    }
+    edges
+}
+
+fn complete_edges(n: usize) -> Vec<(u32, u32)> {
+    let n = n as u32;
+    (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect()
+}
+
+/// Every pair within the geometry's radius, by all-pairs scan.
+fn radius_edges(geometry: &RggGeometry) -> Vec<(u32, u32)> {
+    let (pts, r2) = (geometry.positions(), geometry.radius() * geometry.radius());
+    let n = pts.len() as u32;
+    (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .filter(|&(u, v)| {
+            let ((x, y), (px, py)) = (pts[u as usize], pts[v as usize]);
+            let (dx, dy) = (x - px, y - py);
+            dx * dx + dy * dy <= r2
+        })
+        .collect()
+}
+
+#[test]
+fn regular_families_match_the_reference_build() {
+    for n in 0..=80 {
+        assert_matches_reference(&Topology::line(n), n, &line_edges(n));
+        assert_matches_reference(&Topology::ring(n), n, &ring_edges(n));
+        assert_matches_reference(&Topology::grid(n), n, &grid_edges(n));
+        assert_matches_reference(&Topology::complete(n), n, &complete_edges(n));
+    }
+}
+
+#[test]
+fn rgg_matches_the_reference_build() {
+    let n = 150;
+    for seed in 0..8 {
+        let mut builds = vec![Topology::random_geometric_with_geometry(
+            n,
+            &mut Rng::new(seed),
+        )];
+        for radius in [1e-6, 0.1, 1.5] {
+            builds.push(Topology::random_geometric_fixed_radius(
+                n,
+                radius,
+                &mut Rng::new(seed),
+            ));
+        }
+        for (t, geometry) in &builds {
+            assert_matches_reference(t, n, &radius_edges(geometry));
+        }
+    }
+}
+
+#[test]
+fn from_edges_matches_the_reference_build_on_multigraphs() {
+    for seed in 0..40 {
+        let mut rng = Rng::new(2000 + seed);
+        // Ids are drawn from the first `used` nodes only, so the rest are
+        // isolated; a small pool makes parallel and reversed duplicates
+        // common, and every fifth edge is a self-loop.
+        let n = 1 + rng.gen_range(60);
+        let used = 1 + rng.gen_range(n);
+        let m = rng.gen_range(4 * n);
+        let edges: Vec<(u32, u32)> = (0..m)
+            .map(|i| {
+                let u = rng.gen_range(used) as u32;
+                let v = if i % 5 == 0 {
+                    u
+                } else {
+                    rng.gen_range(used) as u32
+                };
+                (u, v)
+            })
+            .collect();
+        let doubled: Vec<(u32, u32)> = edges.iter().chain(&edges).copied().collect();
+        assert_matches_reference(&Topology::from_edges("multi", n, &doubled), n, &edges);
+    }
+}
 
 /// Every adjacency list is sorted, duplicate-free, self-loop-free, and
 /// symmetric (`v ∈ adj[u]` iff `u ∈ adj[v]`).

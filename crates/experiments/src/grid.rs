@@ -69,11 +69,12 @@ pub const MAX_GRID_RUNS: usize = 1 << 20;
 
 /// The most words a run may allocate whole before its first event: the
 /// message state (a `nodes × ⌈messages/64⌉`-word matrix plus one source
-/// per message) or a complete topology's adjacency (`nodes × (nodes − 1)`
-/// neighbour ids). Past what the machine holds, such an allocation aborts
-/// the process instead of failing, so [`ScenarioBuilder::finish`] refuses
-/// the scenario first. 2^28 words is 2 GiB of matrix, over 250 times the
-/// 10^6-node ring's.
+/// per message) or the topology's adjacency (neighbour ids, counted by
+/// `TopologySpec::adjacency_entries`). Past what the machine holds, such
+/// an allocation aborts the process instead of failing, so
+/// [`ScenarioBuilder::finish`] refuses the scenario first. 2^28 words is
+/// 2 GiB of matrix, over 250 times the 10^6-node ring's. It also keeps
+/// every CSR edge array below the `u32` offsets' range.
 pub(crate) const MAX_SCENARIO_WORDS: usize = 1 << 28;
 
 /// A parameter grid: base scenario assignments plus sweep axes. Expansion

@@ -98,7 +98,7 @@ pub struct PoolSummary {
     /// Cell workers the core budget afforded.
     pub workers: usize,
     /// Always 0: cells are claimed from one cursor and never move between
-    /// workers. Kept because `benchmark/layers` reads it; ROADMAP 3(c)
+    /// workers. Kept because `benchmark/layers` reads it; ROADMAP 4(c)
     /// deletes it.
     pub stolen: u64,
     /// Cells replayed from the checkpoint instead of re-run.

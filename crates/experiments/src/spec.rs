@@ -162,6 +162,22 @@ impl TopologySpec {
         matches!(self, TopologySpec::Rgg { .. })
     }
 
+    /// Adjacency entries (twice the edges) of this family at `nodes`
+    /// nodes: at most `2n` for ring and line, `4n` for grid, `n(n − 1)`
+    /// for complete; for rgg the expected `n · min(n − 1, π r² n)` at the
+    /// given radius, or at the adaptive builder's starting one.
+    pub(crate) fn adjacency_entries(&self, nodes: usize) -> usize {
+        match self {
+            TopologySpec::Line | TopologySpec::Ring => nodes.saturating_mul(2),
+            TopologySpec::Grid => nodes.saturating_mul(4),
+            TopologySpec::Complete => nodes.saturating_mul(nodes.saturating_sub(1)),
+            TopologySpec::Rgg { radius } => RggGeometry::expected_entries(
+                nodes,
+                radius.unwrap_or_else(|| RggGeometry::threshold_radius(nodes)),
+            ),
+        }
+    }
+
     /// Build the topology for a run with seed `seed`. Randomized
     /// topologies draw from a stream forked off the run seed
     /// ([`TOPOLOGY_SEED_SALT`]), so the whole experiment stays a pure
@@ -1368,13 +1384,14 @@ impl ScenarioBuilder {
                     ),
                 });
             }
-            let adjacency = nodes.saturating_mul(nodes - 1);
-            if topology == TopologySpec::Complete && adjacency > MAX_SCENARIO_WORDS {
+            let adjacency = topology.adjacency_entries(nodes);
+            if adjacency > MAX_SCENARIO_WORDS {
                 errors.push(SpecError::OutOfRange {
                     key: "nodes".to_string(),
                     reason: format!(
-                        "a complete topology of {nodes} nodes has {adjacency} adjacency \
-                         entries; a scenario holds at most {MAX_SCENARIO_WORDS}"
+                        "a {} topology of {nodes} nodes has {adjacency} adjacency \
+                         entries; a scenario holds at most {MAX_SCENARIO_WORDS}",
+                        topology.name()
                     ),
                 });
             }
