@@ -7,10 +7,15 @@
 //! bit-for-bit what the pre-membership engines produced.
 
 use gossip_core::time::TimingConfig;
-use gossip_core::{GraphView, NodeId, Rng, Topology};
-use gossip_dynamics::{Churn, RejoinPolicy};
+use gossip_core::{DynamicTopology, GraphView, NodeId, Rng, SimTime, Topology, TICKS_PER_ROUND};
+use gossip_dynamics::{
+    dynamics_seed, Churn, CompositeDynamics, DynamicsModel, RejoinPolicy, Waypoint,
+    DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
+};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{random_sources, Membership, MembershipConfig, RunInputs, Scheduler, SimConfig};
+use gossip_sim::{
+    random_sources, Membership, MembershipConfig, MembershipStats, RunInputs, Scheduler, SimConfig,
+};
 use gossip_telemetry::NoopProbe;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
@@ -258,4 +263,105 @@ fn gossip_over_discovered_views_still_completes() {
             topo.name()
         );
     }
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The mobile regime at CI size: a 2 000-node RGG under 5 % churn
+/// (`keep`) and waypoint mobility, composed as the scenario builder
+/// composes them.
+fn mobile_churn(seed: u64) -> (Topology, CompositeDynamics) {
+    let (topo, geometry) = Topology::random_geometric_with_geometry(2000, &mut Rng::new(seed));
+    let churn = Churn {
+        rate: 0.05,
+        rejoin: RejoinPolicy::Keep,
+        mean_downtime: DEFAULT_MEAN_DOWNTIME_ROUNDS,
+    };
+    let waypoint = Waypoint {
+        geometry,
+        speed: DEFAULT_SPEED_PER_ROUND,
+    };
+    let parts: Vec<Box<dyn DynamicsModel>> = vec![Box::new(churn), Box::new(waypoint)];
+    (topo, CompositeDynamics { parts })
+}
+
+/// The overlay after 24 ticks of [`mobile_churn`], captured while the
+/// views were still one `Vec` per node: its end-of-run stats, and an
+/// FNV-1a hash over every node's active then passive view (length, then
+/// ids, little-endian `u32`s).
+const MOBILE_STATS: MembershipStats = MembershipStats {
+    active_min: 0,
+    active_mean: 4.277943813508667,
+    active_max: 5,
+    isolated_nodes: 1,
+    joins: 2695,
+    shuffles: 40929,
+    probes: 40925,
+    suspicions: 14814,
+    evictions: 7179,
+    false_positive_evictions: 175,
+};
+const MOBILE_VIEWS: u64 = 0xf35a62bac77d9aca;
+
+/// FNV-1a of the `SimResult` `Debug` rendering of the same regime run
+/// 24 rounds by the sync engine (1 thread) and the async one (2 threads).
+const MOBILE_RUNS: [u64; 2] = [0xc40e008b10a2f101, 0x327084a57ba0a5a8];
+
+#[test]
+fn mobile_churned_views_captured_on_the_parent_hold() {
+    let seed = 42;
+    let (topo, model) = mobile_churn(seed);
+    let n = topo.num_nodes();
+    // The sync engine's order per round: drain the round's mutations,
+    // settle, tick.
+    let mut dt = DynamicTopology::new(&topo);
+    let mut stream = model.stream(&topo, dynamics_seed(seed));
+    let mut mem = Membership::new(n, mem_cfg());
+    for tick in 1..=24 {
+        let horizon = SimTime(tick * TICKS_PER_ROUND);
+        while stream.peek_time().is_some_and(|t| t < horizon) {
+            let mutation = stream.next().expect("a peeked mutation pops");
+            mutation.kind.apply_deferred(&mut dt);
+        }
+        dt.settle();
+        mem.tick(&dt, Some(dt.alive_mask()), seed, tick, &mut NoopProbe);
+    }
+    let mut views = Vec::new();
+    for u in 0..n as u32 {
+        for view in [mem.neighbors(NodeId(u)), mem.passive_view(NodeId(u))] {
+            views.extend((view.len() as u32).to_le_bytes());
+            views.extend(view.iter().flat_map(|v| v.0.to_le_bytes()));
+        }
+    }
+    let stats = mem.finish(Some(dt.alive_mask()));
+    let views = fnv(&views);
+    assert_eq!(
+        (stats, views),
+        (MOBILE_STATS, MOBILE_VIEWS),
+        "views {views:#018x} left the parent's"
+    );
+
+    let sources = random_sources(n, 4, &mut Rng::new(0xfeed));
+    let membership = mem_cfg();
+    let inputs = RunInputs {
+        dynamics: Some(&model),
+        membership: Some(&membership),
+        ..RunInputs::new(
+            &topo,
+            &AdvertGossip,
+            &sources,
+            seed,
+            SimConfig {
+                max_rounds: 24,
+                record_rounds: true,
+            },
+        )
+    };
+    let runs = [Scheduler::Sync { threads: 1 }, async_sched(2)]
+        .map(|sched| fnv(format!("{:?}", sched.run(&inputs, &mut NoopProbe)).as_bytes()));
+    assert_eq!(runs, MOBILE_RUNS, "runs {runs:#018x?} left the parent's");
 }
