@@ -549,6 +549,17 @@ mod tests {
                 &["--topology", "rgg", "--nodes", "3000000"],
                 "282000000 adjacency",
             ),
+            (
+                &[
+                    "--membership",
+                    "hyparview",
+                    "--nodes",
+                    "100000",
+                    "--passive-view",
+                    "3000",
+                ],
+                "100000 x (5 + 3000) = 300500000 view slots",
+            ),
         ] {
             let message = parse(args).unwrap_err();
             assert!(message.contains(named), "{args:?}: {message}");
@@ -559,6 +570,16 @@ mod tests {
         parse_run(&["--nodes", "134217728"]);
         parse_run(&["--topology", "grid", "--nodes", "67108864"]);
         parse_run(&["--topology", "rgg", "--nodes", "1000000"]);
+        // A view never needs more than `nodes - 1` slots, so a huge
+        // passive view on a small scenario stays small.
+        parse_run(&[
+            "--membership",
+            "hyparview",
+            "--nodes",
+            "100",
+            "--passive-view",
+            "1000000000",
+        ]);
     }
 
     #[test]

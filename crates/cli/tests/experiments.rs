@@ -650,6 +650,21 @@ fn a_retired_subcommand_exits_as_a_usage_error() {
 }
 
 #[test]
+fn oversize_membership_views_exit_2_naming_the_keys() {
+    // Views are allocated at capacity: 100 000 × (5 + 3 000) slots is past
+    // the scenario budget and must be refused before anything is sized.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
+        .args(["--membership", "hyparview", "--nodes", "100000"])
+        .args(["--passive-view", "3000"])
+        .output()
+        .expect("the binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("active-view/passive-view"), "{err}");
+    assert!(err.contains("300500000 view slots"), "{err}");
+}
+
+#[test]
 fn analyze_skips_a_line_that_is_not_utf8() {
     use std::io::Write;
     use std::process::{Command, Stdio};

@@ -68,9 +68,12 @@
 //! per-node `Vec`s: each node owns a capacity slot in three parallel
 //! arrays — `base` (sorted base neighbors), `faded` (per-base-edge fade
 //! flags, found by binary search in the node's own slot), and `active`
-//! (the sorted active sublist). A base slot that outgrows its capacity at
-//! `settle` relocates to the slab tail, and the slab compacts itself at
-//! the end of that settle once the stranded capacity is worth reclaiming.
+//! (the sorted active sublist). Every slot holds its entries plus slack —
+//! a quarter of its length, plus two — from birth, so a rewire that hands
+//! a node a few edges lands in place. A base slot that outgrows its
+//! capacity at `settle` relocates to the slab tail, and the slab compacts
+//! itself, handing every slot the same slack again, at the end of that
+//! settle once the stranded capacity is worth reclaiming.
 //! A batch's lists and gains sit in two arenas that are cleared, not
 //! freed, and a settle does work proportional to the nodes it touches,
 //! never to `n`. No hashing, no per-node allocation on the mutation path,
@@ -138,29 +141,47 @@ struct PendingRewire {
     list: std::ops::Range<usize>,
 }
 
-/// Compact once stranded capacity reaches 1/8 of the live slab, so a mobile
-/// run leaves the slack-free initial layout early; churn and fading never
-/// relocate, so they never pay for slack. Picked on the 20 000-node mobile
-/// RGG benchmark run, share → relocations / compactions / wall / peak RSS:
-/// 1 → 19 125 / 0 / 0.476 s / 50.4 MB; 2 → 16 517 / 1 / 0.470 / 52.4;
-/// 4 → 8 529 / 1 / 0.447 / 46.7; **8 → 5 467 / 1 / 0.442 / 44.8**;
-/// 16 → 3 720 / 2 / 0.456 / 46.3; 32 → 2 754 / 3 / 0.474 / 45.9.
+/// Compact once stranded capacity reaches 1/8 of the live slab: a larger
+/// share strands more memory between compactions, a smaller one copies
+/// the whole slab more often.
 const COMPACT_WASTE_SHARE: usize = 8;
 
+/// Capacity of a slot holding `len` base entries: room for a few gains
+/// before it relocates. Slots are born with it and compaction restores it.
+fn slot_capacity(len: usize) -> usize {
+    len + len / 4 + 2
+}
+
 impl DynamicTopology {
-    /// Start from a static topology: everyone alive, every edge active.
+    /// Start from a static topology: everyone alive, every edge active,
+    /// each slot laid out with its slack.
     pub fn new(topology: &Topology) -> Self {
         let n = topology.num_nodes();
         let degrees: Vec<u32> = topology.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let slots: usize = degrees.iter().map(|&d| slot_capacity(d as usize)).sum();
+        assert!(
+            slots < u32::MAX as usize,
+            "dynamic adjacency slab overflows u32 offsets"
+        );
+        let (mut start, mut cap) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut base = Vec::with_capacity(slots);
+        for u in 0..n {
+            let row = topology.neighbors(NodeId(u as u32));
+            let (at, slot) = (base.len(), slot_capacity(row.len()));
+            start.push(at as u32);
+            cap.push(slot as u32);
+            base.extend_from_slice(row);
+            base.resize(at + slot, NodeId(0));
+        }
         DynamicTopology {
             name: topology.name().to_string(),
-            start: topology.offsets[..n].to_vec(),
-            cap: degrees.clone(),
+            start,
+            cap,
             base_len: degrees.clone(),
             active_len: degrees,
-            base: topology.edges.clone(),
-            faded: vec![false; topology.edges.len()],
-            active: topology.edges.clone(),
+            faded: vec![false; slots],
+            active: base.clone(),
+            base,
             alive: vec![true; n],
             alive_count: n,
             stale: Vec::new(),
@@ -451,7 +472,7 @@ impl DynamicTopology {
         let mut faded = Vec::with_capacity(live);
         for u in 0..self.num_nodes() {
             let (os, blen) = (self.start[u] as usize, self.base_len[u] as usize);
-            let end = base.len() + blen + blen / 4 + 2;
+            let end = base.len() + slot_capacity(blen);
             self.start[u] = base.len() as u32;
             self.cap[u] = (end - base.len()) as u32;
             base.extend_from_slice(&self.base[os..os + blen]);
@@ -829,7 +850,8 @@ mod tests {
     /// (`batched`) after each batch of 1..=64 deferred mutations and its
     /// one settle. Rewire lists are dirty — duplicates, the node itself,
     /// out-of-range ids — and one in eight is long, up to `n - 1` draws.
-    /// A run relocates ~240 slots and compacts about six times.
+    /// Despite the birth slack a run relocates ~200–240 slots and compacts
+    /// five to seven times.
     fn storm(seed: u64, batched: bool) -> DynamicTopology {
         use crate::Rng;
         let n = 64usize;
@@ -979,32 +1001,62 @@ mod tests {
     fn rewire_relocates_a_stale_neighbors_slot_mid_batch() {
         let ring = Topology::ring(8);
         let mut dt = DynamicTopology::new(&ring);
-        // Node 4 goes stale (its neighbor died), then 0 moves next to it:
-        // 4's slot is full (cap = degree), so the settle that hands it the
-        // new edge relocates it on the way to rebuilding its view.
+        // Node 4 goes stale (its neighbor died), then 0, 1 and 2 move next
+        // to it: three gains overflow the two spare entries its slot was
+        // born with, so the settle that hands it the new edges relocates
+        // it on the way to rebuilding its view.
         dt.defer_alive(NodeId(3), false);
         let before = dt.start[4];
-        dt.defer_rewire(NodeId(0), &ids(&[4]));
+        for r in 0..3 {
+            dt.defer_rewire(NodeId(r), &ids(&[4]));
+        }
         assert!(dt.is_stale[0] && dt.is_stale[4]);
         dt.settle();
         assert_ne!(dt.start[4], before, "slot must have moved");
         assert!(dt.stale.is_empty() && dt.pending.is_empty());
-        assert_eq!(dt.active_neighbors(NodeId(4)), ids(&[0, 5]));
-        batch_matches_eager(&ring, &[Kill(3), Rewire(0, vec![4])]);
+        assert_eq!(dt.active_neighbors(NodeId(4)), ids(&[0, 1, 2, 5]));
+        let steps = [
+            Kill(3),
+            Rewire(0, vec![4]),
+            Rewire(1, vec![4]),
+            Rewire(2, vec![4]),
+        ];
+        batch_matches_eager(&ring, &steps);
+    }
+
+    #[test]
+    fn a_batch_within_the_birth_slack_strands_nothing() {
+        // Degree-2 slots are born with room for two more entries: rewires
+        // that hand no node more than that settle entirely in place.
+        let ring = Topology::ring(300);
+        let steps = [
+            Rewire(0, vec![100, 200]),
+            Rewire(50, vec![100, 250]),
+            Kill(9),
+            Fade(20, 21),
+            Rewire(150, vec![0]),
+        ];
+        let dt = batch_matches_eager(&ring, &steps);
+        assert_eq!(dt.waste, 0, "no slot relocated");
+        assert_eq!(dt.start, DynamicTopology::new(&ring).start);
+        assert_eq!(dt.active_neighbors(NodeId(100)), ids(&[0, 50, 99, 101]));
     }
 
     #[test]
     fn compaction_mid_batch_keeps_every_view() {
-        // One node moving next to everyone relocates all 300 degree-2
-        // slots: the stranded capacity passes both compaction thresholds
-        // in the settle of that one rewire, with other mutations settled
-        // alongside it and more to come on the compacted slab.
+        // Three nodes moving next to everyone hand nearly all 300 degree-2
+        // slots three gains, one past their birth slack: the stranded
+        // capacity passes both compaction thresholds in the settle of
+        // those rewires, with other mutations settled alongside them and
+        // more to come on the compacted slab.
         let ring = Topology::ring(300);
         let everyone: Vec<u32> = (0..300).collect();
         let steps = [
             Kill(7),
             Fade(20, 21),
-            Rewire(0, everyone),
+            Rewire(0, everyone.clone()),
+            Rewire(1, everyone.clone()),
+            Rewire(2, everyone),
             Revive(7),
             Kill(9),
             Rewire(5, vec![100, 200]),
@@ -1013,9 +1065,10 @@ mod tests {
         let mut model = Model::new(&ring);
         for (i, step) in steps.iter().enumerate() {
             assert_eq!(step.deferred(&mut dt), model.apply(step), "{step:?}");
-            if i == 2 {
+            if i == 4 {
                 dt.settle();
-                assert_ne!(dt.start[1], 2, "the big rewire must have relocated");
+                let len = dt.base_len[150] as usize;
+                assert!(len > slot_capacity(2), "{len} entries must have relocated");
                 assert_eq!(dt.waste, 0, "... and then compacted");
                 assert!(dt.stale.is_empty(), "compaction's stale views are rebuilt");
                 model.check(&dt);
@@ -1023,7 +1076,7 @@ mod tests {
         }
         dt.settle();
         model.check(&dt);
-        // The same six as one batch: the compaction closes its settle.
+        // The same eight as one batch: the compaction closes its settle.
         let dt = batch_matches_eager(&ring, &steps);
         assert_eq!(dt.waste, 0);
         assert_eq!(dt.active_neighbors(NodeId(0)).len(), 297); // all but 0, 9 and 5

@@ -96,8 +96,9 @@ impl SpatialGrid {
         self.buckets[b].push(id);
     }
 
-    /// Visit every node id bucketed within `reach` cells of `pos`.
-    fn for_window(&self, pos: (f64, f64), mut f: impl FnMut(u32)) {
+    /// The buckets within `reach` cells of `pos`: one run of adjacent
+    /// buckets per grid row the window spans.
+    fn window(&self, pos: (f64, f64)) -> impl Iterator<Item = &[Vec<u32>]> + '_ {
         let (cx, cy) = (self.axis_cell(pos.0), self.axis_cell(pos.1));
         let (x0, x1) = (
             cx.saturating_sub(self.reach),
@@ -107,13 +108,7 @@ impl SpatialGrid {
             cy.saturating_sub(self.reach),
             (cy + self.reach).min(self.dims - 1),
         );
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                for &id in &self.buckets[y * self.dims + x] {
-                    f(id);
-                }
-            }
-        }
+        (y0..=y1).map(move |y| &self.buckets[y * self.dims + x0..=y * self.dims + x1])
     }
 }
 
@@ -217,20 +212,28 @@ impl RggGeometry {
 
     /// The row kernel behind both the built graph and
     /// [`neighbors_of`](Self::neighbors_of): append `node`'s radius
-    /// neighbours to `out`, then sort the appended run.
+    /// neighbours to `out`, then sort the appended run. Branch-free: `out`
+    /// grows by the whole window, every candidate is stored and the length
+    /// advances only past a keeper, then `out` is cut back to the keepers.
     fn gather_row(&self, node: u32, out: &mut Vec<NodeId>) {
         let start = out.len();
-        let (x, y) = self.positions[node as usize];
+        let p @ (x, y) = self.positions[node as usize];
+        let window: usize = self.grid.window(p).flatten().map(Vec::len).sum();
+        out.resize(start + window, NodeId(0));
+        let row = &mut out[start..];
         let r2 = self.radius * self.radius;
-        self.grid.for_window((x, y), |v| {
-            if v != node {
-                let (px, py) = self.positions[v as usize];
-                let (dx, dy) = (x - px, y - py);
-                if dx * dx + dy * dy <= r2 {
-                    out.push(NodeId(v));
+        let mut len = 0;
+        for buckets in self.grid.window(p) {
+            for bucket in buckets {
+                for &v in bucket {
+                    let (px, py) = self.positions[v as usize];
+                    let (dx, dy) = (x - px, y - py);
+                    row[len] = NodeId(v);
+                    len += usize::from((dx * dx + dy * dy <= r2) & (v != node));
                 }
             }
-        });
+        }
+        out.truncate(start + len);
         out[start..].sort_unstable();
     }
 
@@ -238,7 +241,10 @@ impl RggGeometry {
     /// node.
     fn graph(&self) -> Topology {
         let n = self.num_nodes();
-        let capacity = Self::expected_entries(n, self.radius);
+        // A row is gathered a whole window at a time before it is cut
+        // back: `n` spare entries cover the widest window, so the edge
+        // array is not regrown near its end.
+        let capacity = Self::expected_entries(n, self.radius).saturating_add(n);
         Topology::from_rows("rgg", n, capacity, |u, row| self.gather_row(u, row))
     }
 }

@@ -11,12 +11,12 @@ use gossip_core::{NodeId, RggGeometry, Rng, SimTime, Topology, TICKS_PER_ROUND};
 /// to a uniformly chosen waypoint in the unit square at a per-leg speed
 /// drawn from `[0.5, 1.5] × speed` units per round, then immediately picks
 /// the next waypoint. On arrival the node's radius-based edges are
-/// re-derived against every other node's current position and emitted as a
-/// [`MutationKind::Rewire`].
+/// re-derived against the current positions of the nodes bucketed within a
+/// radius of it and emitted as a [`MutationKind::Rewire`].
 ///
 /// Positions update lazily — a node's position changes only at its own
-/// arrival events — which keeps every event `O(n)` and the whole stream an
-/// exact function of the seed. The `geometry` must be the one returned by
+/// arrival events — so an event costs `O(local density)`, not `O(n)`, and
+/// the whole stream is an exact function of the seed. The `geometry` must be the one returned by
 /// [`Topology::random_geometric_with_geometry`] for the run's topology, so
 /// the initial graph and the mobility model agree on where everyone is.
 #[derive(Clone, Debug)]

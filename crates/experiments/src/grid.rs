@@ -69,8 +69,9 @@ pub const MAX_GRID_RUNS: usize = 1 << 20;
 
 /// The most words a run may allocate whole before its first event: the
 /// message state (a `nodes × ⌈messages/64⌉`-word matrix plus one source
-/// per message) or the topology's adjacency (neighbour ids, counted by
-/// `TopologySpec::adjacency_entries`). Past what the machine holds, such
+/// per message), the topology's adjacency (neighbour ids, counted by
+/// `TopologySpec::adjacency_entries`) or the membership views (allocated
+/// at their capacity, clamped to `nodes − 1`). Past what the machine holds, such
 /// an allocation aborts the process instead of failing, so
 /// [`ScenarioBuilder::finish`] refuses the scenario first. 2^28 words is
 /// 2 GiB of matrix, over 250 times the 10^6-node ring's. It also keeps

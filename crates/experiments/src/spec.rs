@@ -1395,6 +1395,21 @@ impl ScenarioBuilder {
                     ),
                 });
             }
+            // Membership views are allocated at capacity, one slab each.
+            if let Some(cfg) = membership.to_config() {
+                let stride = |size: usize| size.min(nodes.saturating_sub(1));
+                let (active, passive) = (stride(cfg.active_size), stride(cfg.passive_size));
+                let slots = nodes.saturating_mul(active + passive);
+                if slots > MAX_SCENARIO_WORDS {
+                    errors.push(SpecError::OutOfRange {
+                        key: "active-view/passive-view".to_string(),
+                        reason: format!(
+                            "{nodes} x ({active} + {passive}) = {slots} view slots; a \
+                             scenario holds at most {MAX_SCENARIO_WORDS}"
+                        ),
+                    });
+                }
+            }
         }
 
         if !errors.is_empty() {

@@ -45,6 +45,20 @@
 //! back empty and re-enters through the join step. The symmetry invariant
 //! therefore holds between *alive* nodes; links dangling toward the dead
 //! are exactly the staleness the layer is modeling.
+//!
+//! # Memory layout
+//!
+//! The active and the passive views are each one fixed-stride slab, not a
+//! `Vec` per node: node `u` owns ids `u·s .. (u + 1)·s` of a flat array,
+//! its view is a sorted prefix of them, and the prefix lengths sit in a
+//! `u32` array beside it. The stride `s` is the configured view size,
+//! clamped to `n − 1` (a view holds distinct peers other than its node).
+//! A tick's binary searches and insert/remove shifts stay inside one short
+//! run of memory, and [`GraphView::neighbors`] is a slice of the slab. The
+//! price is that every view is allocated at capacity up front:
+//! `n × (s_a + s_p)` ids of 4 bytes, whatever the views hold — 2.8 MB for
+//! the default sizes 5 and 30 on 20 000 nodes. The scenario builder
+//! refuses slabs past its word budget.
 
 use gossip_core::{GraphView, NodeId, Rng, TICKS_PER_ROUND};
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
@@ -141,15 +155,13 @@ pub struct MembershipStats {
 pub struct Membership {
     cfg: MembershipConfig,
     /// Sorted active view per node (the `GraphView` adjacency).
-    active: Vec<Vec<NodeId>>,
+    active: Views,
     /// Sorted passive view per node, disjoint from the active view.
-    passive: Vec<Vec<NodeId>>,
+    passive: Views,
     /// Open suspicions per node: `(suspect, eviction deadline tick)`.
     suspects: Vec<Vec<(NodeId, u64)>>,
     /// Liveness at the previous tick, to detect deaths edge-triggered.
     alive_prev: Vec<bool>,
-    /// Scratch candidate buffer, reused across ticks.
-    scratch: Vec<NodeId>,
     joins: u64,
     shuffles: u64,
     probes: u64,
@@ -160,11 +172,11 @@ pub struct Membership {
 
 impl GraphView for Membership {
     fn num_nodes(&self) -> usize {
-        self.active.len()
+        self.active.num_nodes()
     }
 
     fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.active[node.index()]
+        self.active.get(node.index())
     }
 }
 
@@ -172,24 +184,105 @@ fn is_alive(alive: Option<&[bool]>, u: usize) -> bool {
     alive.is_none_or(|mask| mask[u])
 }
 
-fn contains(view: &[NodeId], v: NodeId) -> bool {
-    view.binary_search(&v).is_ok()
+/// `u`'s underlay neighbors: the peers it could discover. Every underlay
+/// an engine hands [`Membership::tick`] lists only alive peers and never
+/// the node itself (a `DynamicTopology` view filters both), so a random
+/// pick indexes this slice directly.
+fn discoverable<'a, G: GraphView + ?Sized>(
+    underlay: &'a G,
+    alive: Option<&[bool]>,
+    u: usize,
+) -> &'a [NodeId] {
+    let peers = underlay.neighbors(NodeId(u as u32));
+    debug_assert!(
+        peers
+            .iter()
+            .all(|v| v.index() != u && is_alive(alive, v.index())),
+        "node {u}: the underlay view lists the node itself or a dead peer"
+    );
+    peers
 }
 
-fn insert_sorted(view: &mut Vec<NodeId>, v: NodeId) {
-    if let Err(pos) = view.binary_search(&v) {
-        view.insert(pos, v);
-    }
+/// One sorted view per node in a single fixed-stride slab: node `u` owns
+/// `ids[u * stride..][..stride]`, of which the first `len[u]` are its
+/// view. The caller keeps every view within the stride.
+#[derive(Clone, Debug)]
+struct Views {
+    stride: usize,
+    len: Vec<u32>,
+    ids: Vec<NodeId>,
 }
 
-/// Remove `v` if present; reports whether it was.
-fn remove_sorted(view: &mut Vec<NodeId>, v: NodeId) -> bool {
-    match view.binary_search(&v) {
-        Ok(pos) => {
-            view.remove(pos);
-            true
+impl Views {
+    /// `n` empty views of at most `capacity` peers each; a view of
+    /// distinct peers other than its node never needs more than `n − 1`.
+    fn new(n: usize, capacity: usize) -> Self {
+        let stride = capacity.min(n.saturating_sub(1));
+        let slots = n
+            .checked_mul(stride)
+            .expect("membership view slab overflows usize");
+        Views {
+            stride,
+            len: vec![0; n],
+            ids: vec![NodeId(0); slots],
         }
-        Err(_) => false,
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.len.len()
+    }
+
+    #[inline]
+    fn len(&self, u: usize) -> usize {
+        self.len[u] as usize
+    }
+
+    /// `u`'s view, sorted.
+    #[inline]
+    fn get(&self, u: usize) -> &[NodeId] {
+        let s = u * self.stride;
+        &self.ids[s..s + self.len(u)]
+    }
+
+    fn contains(&self, u: usize, v: NodeId) -> bool {
+        self.get(u).binary_search(&v).is_ok()
+    }
+
+    fn clear(&mut self, u: usize) {
+        self.len[u] = 0;
+    }
+
+    /// Insert `v` at its sorted position in `u`'s view, if absent.
+    fn insert(&mut self, u: usize, v: NodeId) {
+        if let Err(pos) = self.get(u).binary_search(&v) {
+            let (s, len) = (u * self.stride, self.len(u));
+            debug_assert!(len < self.stride, "node {u}: view overflows its stride");
+            let view = &mut self.ids[s..s + len + 1];
+            view.copy_within(pos..len, pos + 1);
+            view[pos] = v;
+            self.len[u] += 1;
+        }
+    }
+
+    /// Remove `v` from `u`'s view if present; reports whether it was.
+    fn remove(&mut self, u: usize, v: NodeId) -> bool {
+        match self.get(u).binary_search(&v) {
+            Ok(pos) => {
+                self.remove_at(u, pos);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Remove and return the entry at `idx` of `u`'s view.
+    fn remove_at(&mut self, u: usize, idx: usize) -> NodeId {
+        let (s, len) = (u * self.stride, self.len(u));
+        let view = &mut self.ids[s..s + len];
+        let v = view[idx];
+        view.copy_within(idx + 1..len, idx);
+        self.len[u] -= 1;
+        v
     }
 }
 
@@ -199,11 +292,10 @@ impl Membership {
     pub fn new(n: usize, cfg: MembershipConfig) -> Self {
         Membership {
             cfg,
-            active: vec![Vec::new(); n],
-            passive: vec![Vec::new(); n],
+            active: Views::new(n, cfg.active_size),
+            passive: Views::new(n, cfg.passive_size),
             suspects: vec![Vec::new(); n],
             alive_prev: vec![true; n],
-            scratch: Vec::new(),
             joins: 0,
             shuffles: 0,
             probes: 0,
@@ -220,7 +312,7 @@ impl Membership {
 
     /// `node`'s current passive view (sorted).
     pub fn passive_view(&self, node: NodeId) -> &[NodeId] {
-        &self.passive[node.index()]
+        self.passive.get(node.index())
     }
 
     /// Advance the overlay by one tick (a synchronous round or an
@@ -229,7 +321,9 @@ impl Membership {
     /// / suspect / evict events but never perturbs the stream.
     ///
     /// `underlay` is the physical topology (who *could* be discovered),
-    /// `alive` the dynamics liveness mask (`None` = everyone alive).
+    /// `alive` the dynamics liveness mask (`None` = everyone alive). The
+    /// underlay's views must already leave out dead peers and the node
+    /// itself, as every `DynamicTopology` view does.
     pub fn tick<G: GraphView + ?Sized>(
         &mut self,
         underlay: &G,
@@ -238,7 +332,7 @@ impl Membership {
         tick: u64,
         probe: &mut dyn Probe,
     ) {
-        let n = self.active.len();
+        let n = self.active.num_nodes();
         let mut rng = Rng::stream(seed, tick, MEMBERSHIP_STREAM);
         let tracing = probe.enabled();
         let trace = |probe: &mut dyn Probe, kind, node: usize, peer: NodeId| {
@@ -254,8 +348,8 @@ impl Membership {
         for u in 0..n {
             let a = is_alive(alive, u);
             if !a && self.alive_prev[u] {
-                self.active[u].clear();
-                self.passive[u].clear();
+                self.active.clear(u);
+                self.passive.clear(u);
                 self.suspects[u].clear();
             }
             self.alive_prev[u] = a;
@@ -265,19 +359,14 @@ impl Membership {
         //    alive underlay neighbor (initial discovery and churn
         //    re-entry both land here).
         for u in 0..n {
-            if !is_alive(alive, u) || !self.active[u].is_empty() {
+            if !is_alive(alive, u) || self.active.len(u) > 0 {
                 continue;
             }
-            self.scratch.clear();
-            for &v in underlay.neighbors(NodeId(u as u32)) {
-                if is_alive(alive, v.index()) {
-                    self.scratch.push(v);
-                }
-            }
-            if self.scratch.is_empty() {
+            let peers = discoverable(underlay, alive, u);
+            if peers.is_empty() {
                 continue; // physically isolated right now
             }
-            let c = self.scratch[rng.gen_range(self.scratch.len())];
+            let c = peers[rng.gen_range(peers.len())];
             self.link(u, c.index(), &mut rng);
             self.joins += 1;
             trace(probe, EventKind::Join, u, c);
@@ -291,14 +380,9 @@ impl Membership {
                 if !is_alive(alive, u) {
                     continue;
                 }
-                self.scratch.clear();
-                for &v in underlay.neighbors(NodeId(u as u32)) {
-                    if is_alive(alive, v.index()) && v.index() != u {
-                        self.scratch.push(v);
-                    }
-                }
-                if !self.scratch.is_empty() {
-                    let v = self.scratch[rng.gen_range(self.scratch.len())];
+                let peers = discoverable(underlay, alive, u);
+                if !peers.is_empty() {
+                    let v = peers[rng.gen_range(peers.len())];
                     self.note_passive(u, v.index(), &mut rng);
                     self.shuffles += 1;
                     trace(probe, EventKind::Shuffle, u, v);
@@ -312,10 +396,10 @@ impl Membership {
         //    any standing one.
         if tick.is_multiple_of(self.cfg.probe_period) {
             for u in 0..n {
-                if !is_alive(alive, u) || self.active[u].is_empty() {
+                if !is_alive(alive, u) || self.active.len(u) == 0 {
                     continue;
                 }
-                let v = self.active[u][rng.gen_range(self.active[u].len())];
+                let v = self.active.get(u)[rng.gen_range(self.active.len(u))];
                 self.probes += 1;
                 let reachable =
                     is_alive(alive, v.index()) && underlay.are_neighbors(NodeId(u as u32), v);
@@ -340,8 +424,8 @@ impl Membership {
                     continue;
                 }
                 let (v, _) = self.suspects[u].remove(i);
-                if remove_sorted(&mut self.active[u], v) {
-                    remove_sorted(&mut self.active[v.index()], NodeId(u as u32));
+                if self.active.remove(u, v) {
+                    self.active.remove(v.index(), NodeId(u as u32));
                     self.evictions += 1;
                     if is_alive(alive, v.index()) && underlay.are_neighbors(NodeId(u as u32), v) {
                         self.false_positive_evictions += 1;
@@ -359,28 +443,29 @@ impl Membership {
         if u == v {
             return;
         }
-        if !contains(&self.active[u], NodeId(v as u32)) {
+        let (nu, nv) = (NodeId(u as u32), NodeId(v as u32));
+        if !self.active.contains(u, nv) {
             self.make_room(u, rng);
-            insert_sorted(&mut self.active[u], NodeId(v as u32));
+            self.active.insert(u, nv);
         }
-        if !contains(&self.active[v], NodeId(u as u32)) {
+        if !self.active.contains(v, nu) {
             self.make_room(v, rng);
-            insert_sorted(&mut self.active[v], NodeId(u as u32));
+            self.active.insert(v, nu);
         }
         // Active and passive stay disjoint.
-        remove_sorted(&mut self.passive[u], NodeId(v as u32));
-        remove_sorted(&mut self.passive[v], NodeId(u as u32));
+        self.passive.remove(u, nv);
+        self.passive.remove(v, nu);
     }
 
     /// If `u`'s active view is full, demote one random link to make room:
     /// the severed endpoints remember each other passively.
     fn make_room(&mut self, u: usize, rng: &mut Rng) {
-        if self.active[u].len() < self.cfg.active_size {
+        if self.active.len(u) < self.cfg.active_size {
             return;
         }
-        let idx = rng.gen_range(self.active[u].len());
-        let w = self.active[u].remove(idx);
-        remove_sorted(&mut self.active[w.index()], NodeId(u as u32));
+        let idx = rng.gen_range(self.active.len(u));
+        let w = self.active.remove_at(u, idx);
+        self.active.remove(w.index(), NodeId(u as u32));
         self.note_passive(u, w.index(), rng);
         self.note_passive(w.index(), u, rng);
     }
@@ -388,35 +473,36 @@ impl Membership {
     /// Remember `v` in `u`'s bounded passive view (evicting a random
     /// entry when full); no-op if already known actively or passively.
     fn note_passive(&mut self, u: usize, v: usize, rng: &mut Rng) {
-        if u == v
-            || contains(&self.active[u], NodeId(v as u32))
-            || contains(&self.passive[u], NodeId(v as u32))
-        {
+        let nv = NodeId(v as u32);
+        if u == v || self.active.contains(u, nv) || self.passive.contains(u, nv) {
             return;
         }
-        if self.passive[u].len() >= self.cfg.passive_size {
-            let idx = rng.gen_range(self.passive[u].len());
-            self.passive[u].remove(idx);
+        if self.passive.len(u) >= self.cfg.passive_size {
+            let idx = rng.gen_range(self.passive.len(u));
+            self.passive.remove_at(u, idx);
         }
-        insert_sorted(&mut self.passive[u], NodeId(v as u32));
+        self.passive.insert(u, nv);
     }
 
     /// Promote random alive passive peers into `u`'s active view until it
-    /// is full (or the passive view runs out of alive candidates).
+    /// is full (or the passive view runs out of alive candidates): count
+    /// the alive candidates, draw k, take the k-th.
     fn promote(&mut self, u: usize, alive: Option<&[bool]>, rng: &mut Rng) {
-        while self.active[u].len() < self.cfg.active_size {
-            self.scratch.clear();
-            self.scratch.extend(
-                self.passive[u]
-                    .iter()
-                    .copied()
-                    .filter(|v| is_alive(alive, v.index())),
-            );
-            if self.scratch.is_empty() {
+        let up = |v: &NodeId| is_alive(alive, v.index());
+        while self.active.len(u) < self.cfg.active_size {
+            let passive = self.passive.get(u);
+            let candidates = passive.iter().filter(|v| up(v)).count();
+            if candidates == 0 {
                 return;
             }
-            let v = self.scratch[rng.gen_range(self.scratch.len())];
-            remove_sorted(&mut self.passive[u], v);
+            let k = rng.gen_range(candidates);
+            let (idx, &v) = passive
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| up(v))
+                .nth(k)
+                .expect("k counts alive candidates");
+            self.passive.remove_at(u, idx);
             self.link(u, v.index(), rng);
         }
     }
@@ -424,7 +510,7 @@ impl Membership {
     /// End-of-run stats over the final views; `alive` masks the view-size
     /// aggregates to nodes that are still up.
     pub fn finish(&self, alive: Option<&[bool]>) -> MembershipStats {
-        let n = self.active.len();
+        let n = self.active.num_nodes();
         let mut min = usize::MAX;
         let mut max = 0usize;
         let mut sum = 0usize;
@@ -434,7 +520,7 @@ impl Membership {
             if !is_alive(alive, u) {
                 continue;
             }
-            let len = self.active[u].len();
+            let len = self.active.len(u);
             min = min.min(len);
             max = max.max(len);
             sum += len;
@@ -465,7 +551,7 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_core::Topology;
+    use gossip_core::{DynamicTopology, Topology};
     use gossip_telemetry::{MemoryProbe, NoopProbe};
 
     fn run_ticks(topo: &Topology, cfg: MembershipConfig, seed: u64, ticks: u64) -> Membership {
@@ -500,7 +586,7 @@ mod tests {
                     "link {u} -> {v:?} is not symmetric"
                 );
                 assert!(
-                    !contains(mem.passive_view(NodeId(u as u32)), v),
+                    !mem.passive_view(NodeId(u as u32)).contains(&v),
                     "node {u}: {v:?} both active and passive"
                 );
             }
@@ -553,30 +639,30 @@ mod tests {
 
     #[test]
     fn dead_peers_are_suspected_then_evicted() {
-        let topo = Topology::complete(8);
+        // A dynamic underlay, as the engines hand one: its views drop the
+        // dead node the moment it departs.
+        let mut topo = DynamicTopology::new(&Topology::complete(8));
         let cfg = MembershipConfig {
             active_size: 7,
             ..MembershipConfig::default()
         };
         let mut mem = Membership::new(8, cfg);
-        let all_alive = vec![true; 8];
         for tick in 1..=6 {
-            mem.tick(&topo, Some(&all_alive), 3, tick, &mut NoopProbe);
+            mem.tick(&topo, Some(topo.alive_mask()), 3, tick, &mut NoopProbe);
         }
         // Node 0 departs; its links dangle until probes find the death.
-        let mut alive = all_alive.clone();
-        alive[0] = false;
+        topo.kill(NodeId(0));
         let dangling: Vec<usize> = (1..8)
-            .filter(|&u| contains(mem.neighbors(NodeId(u as u32)), NodeId(0)))
+            .filter(|&u| mem.neighbors(NodeId(u as u32)).contains(&NodeId(0)))
             .collect();
         assert!(
             !dangling.is_empty(),
             "a 7-wide view on K8 must include node 0"
         );
         for tick in 7..=40 {
-            mem.tick(&topo, Some(&alive), 3, tick, &mut NoopProbe);
+            mem.tick(&topo, Some(topo.alive_mask()), 3, tick, &mut NoopProbe);
         }
-        let stats = mem.finish(Some(&alive));
+        let stats = mem.finish(Some(topo.alive_mask()));
         assert!(stats.suspicions > 0, "the dead peer was never suspected");
         assert!(stats.evictions > 0, "the dead peer was never evicted");
         assert_eq!(
@@ -585,7 +671,7 @@ mod tests {
         );
         for u in 1..8 {
             assert!(
-                !contains(mem.neighbors(NodeId(u as u32)), NodeId(0)),
+                !mem.neighbors(NodeId(u as u32)).contains(&NodeId(0)),
                 "node {u} still links the departed node 0"
             );
         }
@@ -596,23 +682,22 @@ mod tests {
 
     #[test]
     fn rejoiners_reenter_through_join() {
-        let topo = Topology::ring(16);
+        let mut topo = DynamicTopology::new(&Topology::ring(16));
         let mut mem = Membership::new(16, MembershipConfig::default());
-        let mut alive = vec![true; 16];
         for tick in 1..=4 {
-            mem.tick(&topo, Some(&alive), 9, tick, &mut NoopProbe);
+            mem.tick(&topo, Some(topo.alive_mask()), 9, tick, &mut NoopProbe);
         }
-        alive[5] = false;
+        topo.kill(NodeId(5));
         for tick in 5..=12 {
-            mem.tick(&topo, Some(&alive), 9, tick, &mut NoopProbe);
+            mem.tick(&topo, Some(topo.alive_mask()), 9, tick, &mut NoopProbe);
         }
         assert!(mem.neighbors(NodeId(5)).is_empty());
-        let joins_before = mem.finish(Some(&alive)).joins;
-        alive[5] = true;
+        let joins_before = mem.finish(Some(topo.alive_mask())).joins;
+        topo.revive(NodeId(5));
         for tick in 13..=16 {
-            mem.tick(&topo, Some(&alive), 9, tick, &mut NoopProbe);
+            mem.tick(&topo, Some(topo.alive_mask()), 9, tick, &mut NoopProbe);
         }
-        let stats = mem.finish(Some(&alive));
+        let stats = mem.finish(Some(topo.alive_mask()));
         assert!(stats.joins > joins_before, "the rejoiner never re-joined");
         assert!(!mem.neighbors(NodeId(5)).is_empty());
     }
@@ -626,6 +711,68 @@ mod tests {
         let stats = mem.finish(None);
         assert_eq!(stats.isolated_nodes, 1);
         assert_eq!(stats.active_min, 0);
+    }
+
+    /// The slab against a sorted-`Vec` reference through a seeded storm of
+    /// inserts, removes, positional removes and clears, driven the way the
+    /// overlay drives it: a full view drops a random entry before an
+    /// insert. Strides 1 and 3, a capacity clamped to `n − 1` (views fill
+    /// up with every other node), and a capacity views keep evicting from.
+    #[test]
+    fn views_match_a_sorted_vec_reference() {
+        for (n, capacity) in [(6, 1), (6, 3), (5, 30), (40, 12)] {
+            let mut views = Views::new(n, capacity);
+            let stride = capacity.min(n - 1);
+            assert_eq!(views.stride, stride);
+            let mut model: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+            let mut rng = Rng::new(31 * n as u64 + capacity as u64);
+            let (mut evictions, mut filled) = (0, 0);
+            for _ in 0..6000 {
+                let u = rng.gen_range(n);
+                let v = NodeId(rng.gen_range(n) as u32);
+                match rng.gen_range(8) {
+                    0..=3 if v.index() != u => {
+                        let present = model[u].contains(&v);
+                        assert_eq!(views.contains(u, v), present);
+                        if !present && model[u].len() == stride {
+                            let idx = rng.gen_range(stride);
+                            assert_eq!(views.remove_at(u, idx), model[u].remove(idx));
+                            evictions += 1;
+                        }
+                        views.insert(u, v);
+                        if let Err(at) = model[u].binary_search(&v) {
+                            model[u].insert(at, v);
+                        }
+                        filled += usize::from(model[u].len() == stride);
+                    }
+                    4 | 5 => {
+                        let at = model[u].binary_search(&v);
+                        assert_eq!(views.remove(u, v), at.is_ok());
+                        if let Ok(at) = at {
+                            model[u].remove(at);
+                        }
+                    }
+                    6 if !model[u].is_empty() => {
+                        let idx = rng.gen_range(model[u].len());
+                        assert_eq!(views.remove_at(u, idx), model[u].remove(idx));
+                    }
+                    7 if rng.gen_range(8) == 0 => {
+                        views.clear(u);
+                        model[u].clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(views.get(u), &model[u][..], "n {n} capacity {capacity}");
+            }
+            for (u, expect) in model.iter().enumerate() {
+                assert_eq!(views.get(u), &expect[..]);
+                assert_eq!(views.len(u), expect.len());
+            }
+            assert!(filled > 0, "n {n} capacity {capacity}: no view ever filled");
+            if stride < n - 1 {
+                assert!(evictions > 0, "n {n} capacity {capacity}: no eviction");
+            }
+        }
     }
 
     #[test]
