@@ -12,12 +12,12 @@
 //! only formats them.
 
 use gossip_experiments::{
-    effective_threads, join_errors, parse_spec, AssignmentDef, Axis, BenchScenario, Grid,
-    ProtocolSpec, Scenario, ScenarioBuilder, ASSIGNMENTS, DEFAULT_BENCH_ROUNDS,
+    assignment, effective_threads, join_errors, parse_spec, AssignmentDef, Axis, Grid,
+    OutputFormat, ProtocolSpec, Scenario, ScenarioBuilder, ASSIGNMENTS,
 };
 
-/// Outcome of argument parsing: run a scenario sweep, expand and run a
-/// grid, bench the engine, analyze output files, or print help.
+/// Outcome of argument parsing: run (or bench) a scenario sweep, expand
+/// and run a grid, analyze output files, or print help.
 // One Command exists per process; boxing the payloads to shrink the enum
 // would be indirection for its own sake.
 #[allow(clippy::large_enum_variant)]
@@ -31,8 +31,10 @@ pub enum Command {
         /// (by the engines' determinism-under-observation contract) never
         /// changes the results.
         trace: Option<String>,
+        /// `bench`: every line ends in a `metrics` object of the run's
+        /// clocks.
+        metrics: bool,
     },
-    Bench(BenchScenario),
     /// A grid, already expanded into its validated cells (in the
     /// documented expansion order).
     Grid {
@@ -73,8 +75,8 @@ pub fn thread_clamp_warning(scenarios: &[Scenario]) -> Option<String> {
 /// hand-written layout.
 const HELP_COL: usize = 48;
 
-/// The full help text. The OPTIONS and BENCH OPTIONS flag lines are
-/// generated from [`ASSIGNMENTS`]; only the framing prose is hand-written.
+/// The full help text. The OPTIONS flag lines are generated from
+/// [`ASSIGNMENTS`]; only the framing prose is hand-written.
 pub fn usage() -> String {
     let mut out = String::with_capacity(4096);
     out.push_str(
@@ -83,7 +85,7 @@ pub fn usage() -> String {
 USAGE:
     gossip-sim [OPTIONS]
     gossip-sim grid [GRID OPTIONS] [OPTIONS]
-    gossip-sim bench [BENCH OPTIONS]
+    gossip-sim bench [OPTIONS]
     gossip-sim analyze [FILE...]
 
 SUBCOMMANDS:
@@ -91,11 +93,10 @@ SUBCOMMANDS:
              parameter grid and run every cell in one invocation, streaming
              one output line per run; each cell's result is byte-identical
              to the same scenario run standalone, at any --cores value
-    bench    time the scenario's engine for a fixed round budget and report
-             throughput plus the deterministic accounting totals as one JSON
-             line: sync specs bench the round loop (rounds/sec,
-             node-events/sec, per-phase breakdown), async specs the sliced
-             event loop (events/sec, execute/merge/sweep breakdown)
+    bench    print run lines that end in a JSON metrics object: build and
+             engine clocks, the engine's per-phase times and counters, its
+             region load, and the spec that replays the line; defaults to a
+             10^6-node advert ring capped at 64 rounds (JSON only)
     analyze  aggregate run lines and trace streams (files, or stdin when no
              files are given) into a plain-text report: rounds-to-completion
              percentiles per scenario, advert-vs-uniform speedup tables,
@@ -134,7 +135,7 @@ GRID OPTIONS:
 OPTIONS:
 ",
     );
-    for def in ASSIGNMENTS.iter().filter(|d| d.run) {
+    for def in ASSIGNMENTS {
         push_flag_lines(&mut out, def);
     }
     out.push_str(&format!(
@@ -166,10 +167,6 @@ OPTIONS:
         "--help",
         width = HELP_COL - 4
     ));
-    out.push_str("\nBENCH OPTIONS:\n");
-    for def in ASSIGNMENTS.iter().filter(|d| d.bench) {
-        push_flag_lines(&mut out, def);
-    }
     out
 }
 
@@ -203,11 +200,9 @@ fn is_help(arg: &str) -> bool {
     arg == "--help" || arg == "-h"
 }
 
-/// Look up a `--key` token in the assignment table, filtered to the
-/// subcommand's scope.
-fn lookup(arg: &str, scope: impl Fn(&AssignmentDef) -> bool) -> Option<&'static AssignmentDef> {
-    let key = arg.strip_prefix("--")?;
-    ASSIGNMENTS.iter().find(|def| def.key == key && scope(def))
+/// Look up a `--key` token in the assignment table.
+fn lookup(arg: &str) -> Option<&'static AssignmentDef> {
+    assignment(arg.strip_prefix("--")?)
 }
 
 /// Pull the flag's value from the argument stream: the next token for
@@ -226,16 +221,29 @@ fn take_value<'a>(
 
 /// Parse CLI arguments (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    if args.first().is_some_and(|a| a == "bench") {
-        return parse_bench_args(&args[1..]);
+    match args.first().map(String::as_str) {
+        // Bench's defaults: the 10^6-node advert ring the scale work
+        // targets, for a 64-round budget.
+        Some("bench") => {
+            let builder = ScenarioBuilder::new()
+                .nodes(1_000_000)
+                .protocol(ProtocolSpec::Advert)
+                .max_rounds(64);
+            parse_run_args(&args[1..], builder, true)
+        }
+        Some("grid") => parse_grid_args(&args[1..]),
+        Some("analyze") => parse_analyze_args(&args[1..]),
+        _ => parse_run_args(args, ScenarioBuilder::new(), false),
     }
-    if args.first().is_some_and(|a| a == "grid") {
-        return parse_grid_args(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "analyze") {
-        return parse_analyze_args(&args[1..]);
-    }
-    let mut builder = ScenarioBuilder::new();
+}
+
+/// Parse a run's arguments onto `builder`; with `metrics`, the lines are
+/// bench lines, which are JSON-only.
+fn parse_run_args(
+    args: &[String],
+    mut builder: ScenarioBuilder,
+    metrics: bool,
+) -> Result<Command, String> {
     let mut trace: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -252,15 +260,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             trace = Some(path.clone());
             continue;
         }
-        let def = lookup(arg, |d| d.run)
-            .ok_or_else(|| format!("unknown argument '{arg}' (try --help)"))?;
+        let def = lookup(arg).ok_or_else(|| format!("unknown argument '{arg}' (try --help)"))?;
         let value = take_value(def, &mut it)?;
         builder.set(def.key, &value);
     }
-    builder
-        .finish()
-        .map(|scenario| Command::Run { scenario, trace })
-        .map_err(|errors| join_errors(&errors))
+    let scenario = builder.finish().map_err(|errors| join_errors(&errors))?;
+    if metrics && scenario.output.format == OutputFormat::Csv {
+        return Err("bench lines end in a nested metrics object, which is JSON-only".to_string());
+    }
+    Ok(Command::Run {
+        scenario,
+        trace,
+        metrics,
+    })
 }
 
 /// Parse the arguments of the `analyze` subcommand: just file paths (stdin
@@ -278,29 +290,6 @@ fn parse_analyze_args(args: &[String]) -> Result<Command, String> {
         paths.push(arg.clone());
     }
     Ok(Command::Analyze(paths))
-}
-
-/// Parse the arguments of the `bench` subcommand (everything after the
-/// literal `bench`). Bench shares the scenario vocabulary — everything
-/// but the sweep, cap and output keys — plus the `--rounds` budget, and
-/// defaults to the 10^6-node advert ring the scale work targets.
-fn parse_bench_args(args: &[String]) -> Result<Command, String> {
-    let mut builder = ScenarioBuilder::new()
-        .nodes(1_000_000)
-        .protocol(ProtocolSpec::Advert);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if is_help(arg) {
-            return Ok(Command::Help);
-        }
-        let def = lookup(arg, |d| d.bench)
-            .ok_or_else(|| format!("unknown bench argument '{arg}' (try --help)"))?;
-        let value = take_value(def, &mut it)?;
-        builder.set(def.key, &value);
-    }
-    let rounds = builder.bench_rounds().unwrap_or(DEFAULT_BENCH_ROUNDS);
-    let scenario = builder.finish().map_err(|errors| join_errors(&errors))?;
-    Ok(Command::Bench(BenchScenario { scenario, rounds }))
 }
 
 /// Parse the arguments of the `grid` subcommand: an optional `--spec`
@@ -370,8 +359,8 @@ fn parse_grid_args(args: &[String]) -> Result<Command, String> {
             });
             continue;
         }
-        let def = lookup(arg, |d| d.run)
-            .ok_or_else(|| format!("unknown grid argument '{arg}' (try --help)"))?;
+        let def =
+            lookup(arg).ok_or_else(|| format!("unknown grid argument '{arg}' (try --help)"))?;
         let value = take_value(def, &mut it)?;
         base.push((def.key, value));
     }
@@ -723,16 +712,30 @@ mod tests {
         assert_eq!(thread_clamp_warning(&[]), None);
     }
 
+    /// `args` parsed as a bench: a run whose lines carry metrics.
+    fn parse_bench(args: &[&str]) -> Scenario {
+        match parse(args) {
+            Ok(Command::Run {
+                scenario,
+                metrics: true,
+                ..
+            }) => scenario,
+            other => panic!("expected a bench run, got {other:?}"),
+        }
+    }
+
     #[test]
     fn bench_subcommand_parses() {
-        let Ok(Command::Bench(bench)) = parse(&["bench"]) else {
-            panic!("expected Bench");
-        };
-        assert_eq!(bench.rounds, 64);
-        assert_eq!(bench.scenario.nodes, 1_000_000);
-        assert_eq!(bench.scenario.protocol, ProtocolSpec::Advert);
+        let bench = parse_bench(&["bench"]);
+        assert_eq!(bench.max_rounds, Some(64));
+        assert_eq!(bench.nodes, 1_000_000);
+        assert_eq!(bench.protocol, ProtocolSpec::Advert);
+        assert!(matches!(
+            parse(&[]),
+            Ok(Command::Run { metrics: false, .. })
+        ));
 
-        let Ok(Command::Bench(bench)) = parse(&[
+        let bench = parse_bench(&[
             "bench",
             "--topology",
             "grid",
@@ -742,23 +745,23 @@ mod tests {
             "uniform",
             "--threads",
             "2",
-            "--rounds",
+            "--max-rounds",
             "16",
             "--seed",
             "9",
-        ]) else {
-            panic!("expected Bench");
-        };
-        assert_eq!(bench.scenario.topology, TopologySpec::Grid);
-        assert_eq!(bench.scenario.nodes, 5000);
-        assert_eq!(bench.scenario.protocol, ProtocolSpec::Uniform);
-        assert_eq!(bench.scenario.scheduler, Scheduler::Sync { threads: 2 });
-        assert_eq!(bench.rounds, 16);
-        assert_eq!(bench.scenario.seed, 9);
+            "--seeds",
+            "3",
+        ]);
+        assert_eq!(bench.topology, TopologySpec::Grid);
+        assert_eq!(bench.nodes, 5000);
+        assert_eq!(bench.protocol, ProtocolSpec::Uniform);
+        assert_eq!(bench.scheduler, Scheduler::Sync { threads: 2 });
+        assert_eq!(bench.max_rounds, Some(16));
+        assert_eq!((bench.seed, bench.seeds), (9, 3));
 
         // The dynamics and membership keys reach the bench scenario, with
         // the run front-end's validation.
-        let Ok(Command::Bench(bench)) = parse(&[
+        let bench = parse_bench(&[
             "bench",
             "--topology",
             "rgg",
@@ -771,25 +774,24 @@ mod tests {
             "hyparview",
             "--active-view",
             "4",
-        ]) else {
-            panic!("expected Bench");
-        };
-        assert!(bench.scenario.dynamics.mobility && bench.scenario.dynamics.churn.is_some());
-        assert!(bench.scenario.scenario_id().contains("-mem@a4p30"));
-        assert!(parse(&["bench", "--mobility"]).is_err(), "rgg only");
-        assert!(parse(&["bench", "--probe-period", "2"]).is_err());
+        ]);
+        assert!(bench.dynamics.mobility && bench.dynamics.churn.is_some());
+        assert!(bench.scenario_id().contains("-mem@a4p30"));
 
-        assert!(parse(&["bench", "--rounds", "0"]).is_err());
-        assert!(parse(&["bench", "--threads", "0"]).is_err());
-        assert!(parse(&["bench", "--topology", "torus"]).is_err());
-        assert!(
-            parse(&["bench", "--seeds", "4"]).is_err(),
-            "sweep flags do not apply to bench"
-        );
-        assert!(
-            parse(&["--rounds", "9"]).is_err(),
-            "the round budget is bench-only"
-        );
+        // Run's errors, word for word.
+        for args in [
+            &["--mobility"][..],
+            &["--probe-period", "2"],
+            &["--max-rounds", "many"],
+            &["--threads", "0"],
+            &["--topology", "torus"],
+            &["--rounds", "8"],
+        ] {
+            let bench = parse(&[&["bench"][..], args].concat()).unwrap_err();
+            assert_eq!(bench, parse(args).unwrap_err(), "{args:?}");
+        }
+        let csv = parse(&["bench", "--format", "csv"]).unwrap_err();
+        assert!(csv.contains("JSON-only"), "{csv}");
     }
 
     #[test]
@@ -896,8 +898,9 @@ mod tests {
 
     #[test]
     fn trace_flag_is_execution_only() {
-        let Ok(Command::Run { scenario, trace }) =
-            parse(&["--nodes", "50", "--trace", "out.jsonl"])
+        let Ok(Command::Run {
+            scenario, trace, ..
+        }) = parse(&["--nodes", "50", "--trace", "out.jsonl"])
         else {
             panic!("expected Run");
         };
@@ -918,7 +921,10 @@ mod tests {
             parse(&["grid", "--trace", "t"]).is_err(),
             "tracing a whole grid is not supported"
         );
-        assert!(parse(&["bench", "--trace", "t"]).is_err());
+        assert_eq!(
+            parse_bench(&["bench", "--trace", "t"]),
+            parse_bench(&["bench"])
+        );
     }
 
     #[test]
@@ -941,7 +947,7 @@ mod tests {
     #[test]
     fn usage_is_generated_from_the_assignment_table() {
         let usage = usage();
-        // Every run/bench key appears as a flag line.
+        // Every key appears as a flag line.
         for def in ASSIGNMENTS {
             assert!(
                 usage.contains(&format!("--{}", def.key)),
@@ -970,7 +976,7 @@ mod tests {
                 .contains(&key);
             assert!(known, "usage advertises unknown flag --{key}");
         }
-        // And every run-scoped flag round-trips through the parser with a
+        // And every flag round-trips through the parser with a
         // representative value.
         let sample = |def: &AssignmentDef| -> Vec<String> {
             let flag = format!("--{}", def.key);
@@ -992,7 +998,7 @@ mod tests {
                 }
             }
         };
-        for def in ASSIGNMENTS.iter().filter(|d| d.run) {
+        for def in ASSIGNMENTS {
             let mut args: Vec<String> = vec!["--topology".into(), "rgg".into()];
             if def.key == "rejoin" {
                 args.extend(["--churn-rate".into(), "0.1".into()]);

@@ -1,18 +1,20 @@
 use gossip_cli::{parse_args, thread_clamp_warning, usage, Command};
 use gossip_experiments::{
-    bench_to_json, effective_threads, execute_grid, read_checkpoint, run_bench, verify_against,
-    CellRecord, CheckpointWriter, Emitter, Scenario,
+    effective_threads, execute_grid, read_checkpoint, verify_against, CellRecord, CheckpointWriter,
+    Emitter, Scenario,
 };
 use gossip_telemetry::analyze::Analyzer;
 use gossip_telemetry::{NoopProbe, TraceWriter};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 
-/// Run one scenario's sweep (the `run` subcommand), streaming one line per
-/// run to stdout through a buffered, explicitly flushed writer. I/O errors
-/// propagate to [`main`], which treats a closed pipe (`gossip-sim | head`)
-/// as a normal way for a consumer to stop reading and anything else as a
-/// real error. (Grids go through [`run_grid`]'s cell pool instead.)
+/// Run one scenario's sweep (the `run` and `bench` subcommands), streaming
+/// one line per run to stdout through a buffered, explicitly flushed
+/// writer; with `metrics` (bench), each line ends in the run's clocks.
+/// I/O errors propagate to [`main`], which treats a closed pipe
+/// (`gossip-sim | head`) as a normal way for a consumer to stop reading
+/// and anything else as a real error. (Grids go through [`run_grid`]'s
+/// cell pool instead.)
 ///
 /// With `trace`, every run's semantic events stream to the given file as
 /// schema-versioned JSONL: one header line per run (the sweep loop's
@@ -20,7 +22,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 /// execution-only — by the engines' determinism-under-observation
 /// contract the emitted run lines are byte-identical with it on or off,
 /// and the trace itself is byte-identical at any thread count.
-fn run_and_emit(scenario: &Scenario, trace: Option<&str>) -> io::Result<()> {
+fn run_and_emit(scenario: &Scenario, trace: Option<&str>, metrics: bool) -> io::Result<()> {
     let mut emitter = Emitter::new(scenario.output.format, BufWriter::new(io::stdout().lock()));
     let mut tracer = match trace {
         Some(path) => {
@@ -32,8 +34,8 @@ fn run_and_emit(scenario: &Scenario, trace: Option<&str>) -> io::Result<()> {
     };
     warn_thread_clamp(std::slice::from_ref(scenario));
     match tracer.as_mut() {
-        Some(tracer) => emitter.emit_sweep(scenario, tracer)?,
-        None => emitter.emit_sweep(scenario, &mut NoopProbe)?,
+        Some(tracer) => emitter.emit_sweep(scenario, tracer, metrics)?,
+        None => emitter.emit_sweep(scenario, &mut NoopProbe, metrics)?,
     }
     emitter.into_inner().flush()?;
     if let Some(tw) = tracer {
@@ -152,7 +154,11 @@ fn real_main() -> i32 {
     };
     let outcome = match command {
         Command::Help => io::stdout().write_all(usage().as_bytes()),
-        Command::Run { scenario, trace } => run_and_emit(&scenario, trace.as_deref()),
+        Command::Run {
+            scenario,
+            trace,
+            metrics,
+        } => run_and_emit(&scenario, trace.as_deref(), metrics),
         Command::Grid {
             scenarios,
             progress,
@@ -160,11 +166,6 @@ fn real_main() -> i32 {
             checkpoint,
             resume,
         } => run_grid(&scenarios, progress, cores, checkpoint.as_deref(), resume),
-        Command::Bench(bench) => {
-            warn_thread_clamp(std::slice::from_ref(&bench.scenario));
-            let report = run_bench(&bench);
-            writeln!(io::stdout(), "{}", bench_to_json(&report))
-        }
         Command::Analyze(paths) => analyze(&paths),
     };
     match outcome {

@@ -2,10 +2,7 @@
 //! parse args, build typed scenarios, execute, serialize.
 
 use gossip_cli::{parse_args, Command};
-use gossip_experiments::{
-    csv_header, run_bench, run_line_csv, sweep_runs, to_json, BenchScenario, ProtocolSpec, RunMeta,
-    Scenario, ScenarioBuilder,
-};
+use gossip_experiments::{csv_header, run_line_csv, sweep_runs, to_json, RunMeta, Scenario};
 use gossip_telemetry::NoopProbe;
 
 fn parse_run(args: &[&str]) -> Scenario {
@@ -488,7 +485,7 @@ fn threads_flag_does_not_change_results_end_to_end() {
 #[test]
 fn timed_sweep_surfaces_threads_and_wall_time() {
     let scenario = parse_run(&["--nodes", "30", "--seeds", "2", "--threads", "1"]);
-    let records: Vec<_> = sweep_runs(&scenario, &mut NoopProbe).collect();
+    let records: Vec<_> = sweep_runs(&scenario, &mut NoopProbe, false).collect();
     assert_eq!(records.len(), 2);
     for run in &records {
         assert_eq!(run.meta.threads, 1);
@@ -500,38 +497,122 @@ fn timed_sweep_surfaces_threads_and_wall_time() {
     assert_eq!(untimed, timed_results);
 }
 
+/// Run the binary with `args`; its exit code, stdout and stderr.
+fn gossip_sim(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
+        .args(args)
+        .output()
+        .expect("the binary runs");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).unwrap();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// A JSON line up to its `threads` member: what is left of a run or bench
+/// line with `threads`, `wall_ms` and `metrics` removed.
+fn before_threads(line: &str) -> &str {
+    &line[..line.find(",\"threads\":").expect("a run line")]
+}
+
 #[test]
 fn bench_runs_over_the_same_specs_as_run() {
-    let bench = BenchScenario {
-        scenario: ScenarioBuilder::new()
-            .nodes(2000)
-            .protocol(ProtocolSpec::Advert)
-            .seed(5)
-            .finish()
-            .unwrap(),
-        rounds: 32,
-    };
-    let report = run_bench(&bench);
-    assert_eq!(report.rounds_executed, 32, "budget-capped, far from done");
-    assert!(!report.completed);
-    // The bench accounting is the same engine the run path drives: a
-    // standalone run capped at the same budget reports identical totals.
-    let capped = parse_run(&[
+    let ring = ["--nodes", "2000", "--protocol", "advert", "--seed", "5"];
+    let capped = [&ring[..], &["--max-rounds", "32"]].concat();
+    let mobile = [
         "--topology",
-        "ring",
+        "rgg",
         "--nodes",
         "2000",
         "--protocol",
         "advert",
-        "--seed",
-        "5",
+        "--churn-rate",
+        "0.05",
+        "--rejoin",
+        "keep",
+        "--mobility",
+        "--membership",
+        "hyparview",
         "--max-rounds",
-        "32",
-    ])
-    .run();
-    assert_eq!(report.total_connections, capped.total_connections);
-    assert_eq!(report.productive_connections, capped.productive_connections);
-    assert_eq!(report.complete_nodes, capped.complete_nodes);
+        "8",
+    ];
+    for flags in [
+        capped.clone(),
+        [&capped[..], &["--scheduler", "async"]].concat(),
+        mobile.to_vec(),
+        [&mobile[..], &["--scheduler", "async"]].concat(),
+    ] {
+        let (code, run, _) = gossip_sim(&flags);
+        assert_eq!(code, Some(0), "{flags:?}");
+        let mut lines = Vec::new();
+        for threads in ["1", "2"] {
+            let args = [&["bench"][..], &flags, &["--threads", threads]].concat();
+            let (code, bench, stderr) = gossip_sim(&args);
+            assert_eq!(code, Some(0), "{args:?}: {stderr}");
+            assert!(bench.contains(",\"metrics\":{\"build_ms\":"), "{bench}");
+            assert!(bench.ends_with("\"}}\n"), "{bench}");
+            lines.push(bench);
+        }
+        // The bench line is the run line, at any thread count.
+        assert_eq!(before_threads(&lines[0]), before_threads(&run), "{flags:?}");
+        assert_eq!(before_threads(&lines[1]), before_threads(&run), "{flags:?}");
+    }
+}
+
+#[test]
+fn bench_lines_are_json_only() {
+    let (code, stdout, stderr) = gossip_sim(&["bench", "--nodes", "50", "--format", "csv"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("JSON-only"), "{stderr}");
+}
+
+#[test]
+fn the_rounds_key_is_unknown_to_bench_run_and_spec_files() {
+    for args in [&["bench", "--rounds", "8"][..], &["--rounds", "8"]] {
+        let (code, _, stderr) = gossip_sim(args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(
+            stderr.contains("unknown argument '--rounds'"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let spec = std::env::temp_dir().join(format!("rounds-{}.spec", std::process::id()));
+    std::fs::write(&spec, "[scenario]\nnodes = 50\nrounds = 8\n").unwrap();
+    let (code, _, stderr) = gossip_sim(&["grid", "--spec", spec.to_str().unwrap()]);
+    std::fs::remove_file(&spec).unwrap();
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown key 'rounds'"), "{stderr}");
+}
+
+#[test]
+fn analyze_counts_bench_lines_old_and_new_as_timing_lines() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let (_, runs, _) = gossip_sim(&["--nodes", "200", "--protocol", "advert", "--seeds", "3"]);
+    let (_, bench, _) = gossip_sim(&["bench", "--nodes", "200", "--max-rounds", "2"]);
+    let legacy = r#"{"schema":5,"bench":"sync_round_loop","scenario_id":"ring-advert-sync-n200-k1-s1","completed":false}"#;
+    let input = format!("{runs}{bench}{legacy}\n");
+
+    let mut analyze = Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
+        .arg("analyze")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("the binary runs");
+    analyze
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = analyze.wait_with_output().unwrap();
+    let report = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{report}");
+    let row = report.lines().find(|l| l.contains("n200")).unwrap();
+    let cells: Vec<&str> = row.split_whitespace().collect();
+    assert_eq!(cells[1..3], ["3", "3"], "{report}");
+    assert!(!report.contains("no completed runs"), "{report}");
+    assert!(report.contains("skipped 2 bench lines"), "{report}");
+    assert!(!report.contains("unrecognised"), "{report}");
 }
 
 #[test]

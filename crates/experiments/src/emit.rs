@@ -15,6 +15,7 @@
 //! unversioned and timing-free; the emitter wraps it with the line-level
 //! metadata.
 
+use crate::bench::metrics_json;
 use crate::spec::{OutputFormat, Scenario};
 use gossip_sim::{DynamicsStats, MembershipStats, SimResult};
 use gossip_telemetry::json::Obj;
@@ -233,13 +234,17 @@ pub fn to_json(result: &SimResult) -> String {
 /// deterministic [`to_json`] members in the middle, execution metadata
 /// (threads, wall time) trailing.
 pub fn run_line_json(scenario_id: &str, result: &SimResult, meta: &RunMeta) -> String {
+    run_line_obj(scenario_id, result, meta).finish()
+}
+
+/// The members of [`run_line_json`], open for a bench line's `metrics`.
+fn run_line_obj(scenario_id: &str, result: &SimResult, meta: &RunMeta) -> Obj {
     let mut o = Obj::default();
     o.raw("schema", SCHEMA_VERSION)
         .str("scenario_id", scenario_id);
     result_members(&mut o, result);
-    o.raw("threads", meta.threads)
-        .raw("wall_ms", meta.wall_ms)
-        .finish()
+    o.raw("threads", meta.threads).raw("wall_ms", meta.wall_ms);
+    o
 }
 
 /// The header row for CSV output. The column set is fixed — dynamics and
@@ -282,24 +287,30 @@ pub struct SweepRun {
 /// The sweep loop — the only one: run `scenario` once per seed of its
 /// sweep ([`Scenario::sweep`]), lazily and in seed order, so a consumer
 /// can stream one line per run. Each run is announced to `probe`
-/// ([`Probe::begin_run`]), observed by it, timed and rendered. `run` and
-/// grid cells both print these lines, which is what makes a cell's line
-/// byte-comparable (modulo wall time) to the standalone run's.
+/// ([`Probe::begin_run`]), observed by it, timed and rendered. `run`,
+/// `bench` and grid cells all print these lines, which is what makes a
+/// cell's line byte-comparable (modulo wall time) to the standalone run's.
+/// With `metrics`, each JSON line ends in the bench `metrics` object
+/// (the `bench` module); CSV rows never do.
 pub fn sweep_runs<'a>(
     scenario: &'a Scenario,
     probe: &'a mut dyn Probe,
+    metrics: bool,
 ) -> impl Iterator<Item = SweepRun> + 'a {
     let threads = scenario.scheduler.effective_threads();
     scenario.sweep().map(move |one| {
         let id = one.scenario_id();
         let started = Instant::now();
         probe.begin_run(&id, one.nodes, one.messages, one.seed);
-        let result = one.run_probed(probe);
+        let (result, clocks) = one.run_clocked(one.sim_config(), probe);
         let meta = RunMeta {
             threads,
             wall_ms: started.elapsed().as_millis() as u64,
         };
         let line = match scenario.output.format {
+            OutputFormat::Json if metrics => run_line_obj(&id, &result, &meta)
+                .raw("metrics", metrics_json(&one, &clocks))
+                .finish(),
             OutputFormat::Json => run_line_json(&id, &result, &meta),
             OutputFormat::Csv => run_line_csv(&id, &result, &meta),
         };
@@ -335,10 +346,15 @@ impl<W: Write> Emitter<W> {
         }
     }
 
-    /// Stream `scenario`'s sweep ([`sweep_runs`]): each run's line as it
-    /// completes, its warning, if any, to stderr.
-    pub fn emit_sweep(&mut self, scenario: &Scenario, probe: &mut dyn Probe) -> io::Result<()> {
-        for run in sweep_runs(scenario, probe) {
+    /// Stream `scenario`'s sweep ([`sweep_runs`], `metrics` as there):
+    /// each run's line as it completes, its warning, if any, to stderr.
+    pub fn emit_sweep(
+        &mut self,
+        scenario: &Scenario,
+        probe: &mut dyn Probe,
+        metrics: bool,
+    ) -> io::Result<()> {
+        for run in sweep_runs(scenario, probe, metrics) {
             self.emit_rendered(&run.line)?;
             if let Some(warning) = run.warning {
                 eprintln!("warning: {warning}");
@@ -448,7 +464,7 @@ mod tests {
             .unwrap();
         let mut emitter = Emitter::new(scenario.output.format, Vec::<u8>::new());
         emitter
-            .emit_sweep(&scenario, &mut gossip_telemetry::NoopProbe)
+            .emit_sweep(&scenario, &mut gossip_telemetry::NoopProbe, false)
             .unwrap();
         let out = String::from_utf8(emitter.into_inner()).unwrap();
         let lines: Vec<&str> = out.lines().collect();

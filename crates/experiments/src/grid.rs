@@ -155,7 +155,7 @@ impl Grid {
                 None => grid_errors.push(SpecError::UnknownKey {
                     key: axis.key.clone(),
                 }),
-                Some(def) if !def.run || !def.axis => grid_errors.push(SpecError::Conflict {
+                Some(def) if !def.axis => grid_errors.push(SpecError::Conflict {
                     reason: format!("'{}' cannot be a grid axis", axis.key),
                 }),
                 Some(_) => {}

@@ -24,8 +24,9 @@
 //! - **Emission** ([`emit`]): the one-JSON-line / one-CSV-row-per-run
 //!   serializers behind an [`Emitter`], versioned with a `schema` field,
 //!   shared by run, grid, and bench front-ends.
-//! - **Bench** ([`mod@bench`]): fixed-round-budget engine timing over the
-//!   same scenario specs, so benchmarks cannot drift from experiments.
+//! - **Bench lines** ([`mod@bench`]): a run line ending in a `metrics`
+//!   object of the run's clocks, taken on the one measured run path every
+//!   run takes, so benchmarks cannot drift from experiments.
 //! - **Parallel execution** ([`pool`]): a cell pool that runs independent
 //!   grid cells concurrently under a global core budget while a sequencer
 //!   keeps stdout byte-identical to the serial grid;
@@ -44,10 +45,7 @@ pub mod pool;
 pub mod spec;
 pub mod specfile;
 
-pub use bench::{
-    bench_to_json, run_bench, BenchReport, BenchScenario, EnginePhases, BENCH_SCHEMA_VERSION,
-    DEFAULT_BENCH_ROUNDS,
-};
+pub use bench::{run_bench, BenchReport, BenchScenario, EnginePhases};
 pub use checkpoint::{
     parse_checkpoint, read_checkpoint, verify_against, CellRecord, Checkpoint, CheckpointWriter,
     CHECKPOINT_SCHEMA_VERSION,

@@ -67,7 +67,7 @@ pub fn run_cell(scenario: &Scenario) -> CellOutput {
     let started = Instant::now();
     let mut lines = Vec::new();
     let mut warnings = Vec::new();
-    for run in sweep_runs(scenario, &mut NoopProbe) {
+    for run in sweep_runs(scenario, &mut NoopProbe, false) {
         lines.push(run.line);
         warnings.extend(run.warning);
     }

@@ -25,9 +25,12 @@ use gossip_dynamics::{
 };
 use gossip_protocols::GossipProtocol;
 use gossip_sim::{
-    default_round_cap, random_sources, MembershipConfig, RunInputs, Scheduler, SimConfig, SimResult,
+    default_round_cap, random_sources, EngineTimings, MembershipConfig, RunInputs, Scheduler,
+    SimConfig, SimResult,
 };
 use gossip_telemetry::{NoopProbe, Probe};
+
+use std::time::Instant;
 
 /// Seed salt for topology construction, preserved from the original CLI so
 /// every randomized topology (and therefore every pinned result) is
@@ -453,30 +456,15 @@ impl Default for Scenario {
     }
 }
 
-/// A [`Scenario`] instantiated: the owner of everything the engine's
-/// [`RunInputs`] borrow.
-pub(crate) struct ScenarioParts {
-    topology: Topology,
-    protocol: Box<dyn GossipProtocol>,
-    sources: Vec<NodeId>,
-    seed: u64,
-    dynamics: Option<Box<dyn DynamicsModel>>,
-    membership: Option<MembershipConfig>,
-}
-
-impl ScenarioParts {
-    /// The engine inputs for a run under `config`.
-    pub(crate) fn inputs(&self, config: SimConfig) -> RunInputs<'_> {
-        RunInputs {
-            topology: &self.topology,
-            protocol: self.protocol.as_ref(),
-            sources: &self.sources,
-            seed: self.seed,
-            config,
-            dynamics: self.dynamics.as_deref(),
-            membership: self.membership.as_ref(),
-        }
-    }
+/// What one run of [`Scenario::run_clocked`] cost, in milliseconds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct RunClocks {
+    /// Building the topology and the scenario's other inputs.
+    pub build_ms: f64,
+    /// The engine's whole run.
+    pub engine_ms: f64,
+    /// The engine's own phase clocks and counters.
+    pub phases: EngineTimings,
 }
 
 impl Scenario {
@@ -589,15 +577,52 @@ impl Scenario {
     /// so the returned [`SimResult`] is byte-identical to an unprobed
     /// run of the same scenario at any thread count.
     pub fn run_probed(&self, probe: &mut dyn Probe) -> SimResult {
-        let parts = self.instantiate();
-        let inputs = parts.inputs(self.sim_config());
-        self.engine().run(&inputs, probe)
+        self.run_clocked(self.sim_config(), probe).0
+    }
+
+    /// The one measured run path: build everything this scenario names
+    /// for its own seed, clocking the build, then run its engine under
+    /// `config` and `probe`, clocked too. [`run`](Self::run), the sweep
+    /// loop and [`run_bench`](crate::run_bench) all come through here, so
+    /// they cannot disagree about which dynamics or membership overlay a
+    /// scenario runs under.
+    pub(crate) fn run_clocked(
+        &self,
+        config: SimConfig,
+        probe: &mut dyn Probe,
+    ) -> (SimResult, RunClocks) {
+        let building = Instant::now();
+        let (topology, dynamics) = {
+            let (topology, geometry) = self.topology.build(self.nodes, self.seed);
+            (topology, self.dynamics.build(geometry.as_ref()))
+        };
+        let protocol = self.protocol.build();
+        let sources = self.sources();
+        let membership = self.membership.to_config();
+        let build_ms = building.elapsed().as_secs_f64() * 1e3;
+        let inputs = RunInputs {
+            topology: &topology,
+            protocol: protocol.as_ref(),
+            sources: &sources,
+            seed: self.seed,
+            config,
+            dynamics: dynamics.as_deref(),
+            membership: membership.as_ref(),
+        };
+        let running = Instant::now();
+        let (result, phases) = self.engine().run_timed(&inputs, probe);
+        let clocks = RunClocks {
+            build_ms,
+            engine_ms: running.elapsed().as_secs_f64() * 1e3,
+            phases,
+        };
+        (result, clocks)
     }
 
     /// The scheduler as it runs: its thread count clamped to the machine
     /// ([`Scheduler::effective_threads`]). The engines never clamp, so
-    /// `run` and `bench` both take their scheduler from here.
-    pub(crate) fn engine(&self) -> Scheduler {
+    /// every run takes its scheduler from here.
+    fn engine(&self) -> Scheduler {
         let threads = self.scheduler.effective_threads();
         match self.scheduler {
             Scheduler::Sync { .. } => Scheduler::Sync { threads },
@@ -605,27 +630,15 @@ impl Scenario {
         }
     }
 
-    /// Build everything this scenario names for its own seed. `run` and
-    /// `bench` both go through here, so they cannot disagree about which
-    /// dynamics or membership overlay a scenario runs under.
-    pub(crate) fn instantiate(&self) -> ScenarioParts {
-        let (topology, geometry) = self.topology.build(self.nodes, self.seed);
-        ScenarioParts {
-            dynamics: self.dynamics.build(geometry.as_ref()),
-            topology,
-            protocol: self.protocol.build(),
-            sources: self.sources(),
-            seed: self.seed,
-            membership: self.membership.to_config(),
-        }
-    }
-
-    /// The configured sweep, one scenario per run: `seeds` consecutive
-    /// seeds starting at `seed`, each a fully independent experiment
-    /// (randomized topologies and source placement are re-drawn per
-    /// seed). [`sweep_runs`](crate::sweep_runs) runs and renders them.
+    /// The configured sweep, one single-seed scenario per run: `seeds`
+    /// consecutive seeds starting at `seed`, each a fully independent
+    /// experiment (randomized topologies and source placement are re-drawn
+    /// per seed). [`sweep_runs`](crate::sweep_runs) runs and renders them.
     pub fn sweep(&self) -> impl Iterator<Item = Scenario> + '_ {
-        (0..self.seeds as u64).map(move |offset| self.with_seed(self.seed.wrapping_add(offset)))
+        (0..self.seeds as u64).map(move |offset| Scenario {
+            seeds: 1,
+            ..self.with_seed(self.seed.wrapping_add(offset))
+        })
     }
 
     /// The results of the configured [`sweep`](Self::sweep), collected.
@@ -635,14 +648,14 @@ impl Scenario {
 
     /// Serialize this scenario as a spec file ([`crate::parse_spec`]
     /// reads it back to an equal scenario — the round-trip property the
-    /// test suite enforces): every run key of [`ASSIGNMENTS`] the scenario
+    /// test suite enforces): every key of [`ASSIGNMENTS`] the scenario
     /// carries, in table order, the output knobs — the keys a grid cannot
     /// sweep — under `[output]`. Scheduler-irrelevant knobs (async timing
     /// under a sync scheduler) do not survive the typed spec, so they
     /// never appear here either.
     pub fn to_spec(&self) -> String {
         let mut sections = ["[scenario]\n".to_string(), "\n[output]\n".to_string()];
-        for def in ASSIGNMENTS.iter().filter(|def| def.run) {
+        for def in ASSIGNMENTS {
             if let Some(value) = (def.get)(self) {
                 sections[usize::from(!def.axis)].push_str(&format!("{} = {value}\n", def.key));
             }
@@ -666,11 +679,6 @@ pub struct AssignmentDef {
     pub metavar: Option<&'static str>,
     /// Help text; embedded newlines become aligned continuation lines.
     pub help: &'static str,
-    /// Accepted by `run`/`grid` (everything except the bench-only round
-    /// budget).
-    pub run: bool,
-    /// Accepted by the `bench` subcommand.
-    pub bench: bool,
     /// Usable as a grid axis (output knobs are not: a grid streams one
     /// format).
     pub axis: bool,
@@ -691,8 +699,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "topology",
         metavar: Some("line|ring|grid|complete|rgg"),
         help: "topology family [default: ring]\n(rgg = random_geometric)",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| match TopologySpec::parse(v) {
             Some(spec) => b.topology = spec,
@@ -704,8 +710,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "nodes",
         metavar: Some("N"),
         help: "number of nodes [default: 100]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.nodes = b.id_count(k, v, "node").unwrap_or(b.nodes),
         get: |s| Some(s.nodes.to_string()),
@@ -714,8 +718,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "protocol",
         metavar: Some("uniform|advert"),
         help: "gossip protocol [default: uniform]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| match ProtocolSpec::parse(v) {
             Some(spec) => b.protocol = spec,
@@ -727,8 +729,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "scheduler",
         metavar: Some("sync|async"),
         help: "execution model: synchronized rounds\nor event-driven virtual time [default: sync]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| match v {
             "sync" => b.asynchronous = false,
@@ -741,8 +741,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "messages",
         metavar: Some("K"),
         help: "rumors to spread (>64 uses\nhashed advertisement tags) [default: 1]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.messages = b.id_count(k, v, "message").unwrap_or(b.messages),
         get: |s| Some(s.messages.to_string()),
@@ -751,8 +749,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "seed",
         metavar: Some("S"),
         help: "RNG seed [default: 1]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.seed = b.int(k, v).unwrap_or(b.seed),
         get: |s| Some(s.seed.to_string()),
@@ -761,8 +757,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "seeds",
         metavar: Some("N"),
         help: "sweep N consecutive seeds starting at\nseed, one output line each [default: 1]",
-        run: true,
-        bench: false,
         axis: true,
         set: |b, k, v| b.seeds = b.positive(k, v, AT_LEAST_ONE).unwrap_or(b.seeds),
         get: |s| Some(s.seeds.to_string()),
@@ -771,8 +765,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "max-rounds",
         metavar: Some("R"),
         help: "round cap; the async scheduler reads it\nas the equivalent virtual-time cap\n[default: 100 + 60*N]",
-        run: true,
-        bench: false,
         axis: true,
         set: |b, k, v| b.max_rounds = b.int(k, v).or(b.max_rounds),
         get: |s| s.max_rounds.map(|r| r.to_string()),
@@ -781,8 +773,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "threads",
         metavar: Some("T"),
         help: "shard the sync round loop / sliced async\nevent loop over T worker threads (results\nare identical at any thread count; capped\nat the machine's available parallelism)\n[default: 1]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| {
             let reason = "0 is meaningless: the round loop needs at least one worker";
@@ -794,8 +784,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "radius",
         metavar: Some("F"),
         help: "rgg only: fix the connection radius\ninstead of growing it to the connectivity\nthreshold (may disconnect the graph)",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| {
             if let Some(r) = b.float(k, v) {
@@ -814,8 +802,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "drift",
         metavar: Some("F"),
         help: "async: max relative clock drift,\n0 <= F < 1 [default: 0.1]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.timing.drift = b.float(k, v).unwrap_or(b.timing.drift),
         get: |s| s.scheduler.timing().map(|t| t.drift.to_string()),
@@ -824,8 +810,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "refresh-jitter",
         metavar: Some("F"),
         help: "async: per-refresh advertisement interval\njitter, 0 <= F < 1 [default: 0.25]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.timing.refresh_jitter = b.float(k, v).unwrap_or(b.timing.refresh_jitter),
         get: |s| s.scheduler.timing().map(|t| t.refresh_jitter.to_string()),
@@ -834,8 +818,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "min-latency",
         metavar: Some("T"),
         help: "async: min connect/transfer latency in\nticks (1024 ticks = 1 round) [default: 32]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.timing.min_latency = b.int(k, v).unwrap_or(b.timing.min_latency),
         get: |s| s.scheduler.timing().map(|t| t.min_latency.to_string()),
@@ -844,8 +826,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "max-latency",
         metavar: Some("T"),
         help: "async: max connect/transfer latency in\nticks [default: 256]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.timing.max_latency = b.int(k, v).unwrap_or(b.timing.max_latency),
         get: |s| s.scheduler.timing().map(|t| t.max_latency.to_string()),
@@ -854,8 +834,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "churn-rate",
         metavar: Some("F"),
         help: "nodes churn: depart with per-round\nprobability F (geometric lifetimes),\n0 < F < 1 [default: off]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.churn_rate = b.float(k, v).or(b.churn_rate),
         get: |s| s.dynamics.churn.map(|c| c.rate.to_string()),
@@ -864,8 +842,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "rejoin",
         metavar: Some("keep|lose|none"),
         help: "what a churned node remembers when it\nrejoins; 'none' means departed nodes\nnever return (requires churn-rate)\n[default: keep]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| match RejoinPolicy::parse(v) {
             Some(policy) => b.rejoin = Some(policy),
@@ -877,8 +853,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "fade-prob",
         metavar: Some("F"),
         help: "edges flap: fade with per-round\nprobability F, 0 < F < 1 [default: off]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.fade_prob = b.float(k, v).or(b.fade_prob),
         get: |s| s.dynamics.fade_prob.map(|p| p.to_string()),
@@ -887,8 +861,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "mobility",
         metavar: None,
         help: "random-waypoint mobility: nodes walk the\nunit square and re-derive radius edges\n(rgg topology only; incompatible\nwith fade-prob)",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.mobility = b.boolean(k, v).unwrap_or(b.mobility),
         get: |s| s.dynamics.mobility.then(|| "true".to_string()),
@@ -897,8 +869,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "membership",
         metavar: Some("full|hyparview"),
         help: "neighborhoods the protocol gossips over:\nthe full underlay neighbor list, or a\nbounded HyParView-style partial view with\nSWIM-style failure detection [default: full]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| match v {
             "full" => b.hyparview = false,
@@ -911,8 +881,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "active-view",
         metavar: Some("N"),
         help: "membership: active (gossip) view capacity\nper node (requires membership hyparview)\n[default: 5]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.active_view = b.int(k, v).or(b.active_view),
         get: |s| s.membership.to_config().map(|c| c.active_size.to_string()),
@@ -921,8 +889,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "passive-view",
         metavar: Some("N"),
         help: "membership: passive reservoir capacity\nper node (requires membership hyparview)\n[default: 30]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.passive_view = b.int(k, v).or(b.passive_view),
         get: |s| s.membership.to_config().map(|c| c.passive_size.to_string()),
@@ -931,8 +897,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "shuffle-period",
         metavar: Some("R"),
         help: "membership: rounds between view shuffles\n(requires membership hyparview) [default: 1]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.shuffle_period = b.int(k, v).or(b.shuffle_period),
         get: |s| s.membership.to_config().map(|c| c.shuffle_period.to_string()),
@@ -941,8 +905,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "probe-period",
         metavar: Some("R"),
         help: "membership: rounds between failure-detector\nprobes (requires membership hyparview)\n[default: 1]",
-        run: true,
-        bench: true,
         axis: true,
         set: |b, k, v| b.probe_period = b.int(k, v).or(b.probe_period),
         get: |s| s.membership.to_config().map(|c| c.probe_period.to_string()),
@@ -951,8 +913,6 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "format",
         metavar: Some("json|csv"),
         help: "output format; csv emits a header row\nplus one row per run [default: json]",
-        run: true,
-        bench: false,
         axis: false,
         set: |b, k, v| match OutputFormat::parse(v) {
             Some(format) => b.format = format,
@@ -964,21 +924,9 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         key: "history",
         metavar: None,
         help: "include per-round stats in the JSON",
-        run: true,
-        bench: false,
         axis: false,
         set: |b, k, v| b.history = b.boolean(k, v).unwrap_or(b.history),
         get: |s| s.output.history.then(|| "true".to_string()),
-    },
-    AssignmentDef {
-        key: "rounds",
-        metavar: Some("R"),
-        help: "bench round budget: the engine runs\nexactly this many rounds (or fewer if\ngossip completes first) [default: 64]",
-        run: false,
-        bench: true,
-        axis: false,
-        set: |b, k, v| b.bench_rounds = b.positive(k, v, AT_LEAST_ONE).or(b.bench_rounds),
-        get: |_| None,
     },
 ];
 
@@ -1015,7 +963,6 @@ pub struct ScenarioBuilder {
     probe_period: Option<u64>,
     format: OutputFormat,
     history: bool,
-    bench_rounds: Option<usize>,
     errors: Vec<SpecError>,
 }
 
@@ -1052,7 +999,6 @@ impl ScenarioBuilder {
             probe_period: None,
             format: OutputFormat::Json,
             history: false,
-            bench_rounds: None,
             errors: Vec::new(),
         }
     }
@@ -1146,12 +1092,6 @@ impl ScenarioBuilder {
 
     pub fn output(self, format: OutputFormat, history: bool) -> Self {
         self.with("format", format.name()).with("history", history)
-    }
-
-    /// The bench-only round budget, if `rounds` was assigned (consumed by
-    /// the bench front-end; ignored by [`finish`](Self::finish)).
-    pub fn bench_rounds(&self) -> Option<usize> {
-        self.bench_rounds
     }
 
     /// The assignment errors accumulated so far (cross-field conflicts

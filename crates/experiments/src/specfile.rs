@@ -31,7 +31,7 @@
 //! round-trip the test suite pins.
 
 use crate::grid::{Axis, Grid};
-use crate::spec::{assignment, ScenarioBuilder, SpecError};
+use crate::spec::{ScenarioBuilder, SpecError};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Section {
@@ -92,18 +92,7 @@ pub fn parse_spec(text: &str) -> Result<Grid, Vec<SpecError>> {
         }
         match section {
             Section::Scenario | Section::Output => {
-                // Keys outside the run scope (the bench-only round
-                // budget) must not silently vanish into the builder.
-                if assignment(key).is_some_and(|def| !def.run) {
-                    errors.push(SpecError::Conflict {
-                        reason: format!(
-                            "spec line {line_no}: '{key}' is bench-only and has no effect \
-                             in a spec file"
-                        ),
-                    });
-                } else {
-                    builder.set(key, value);
-                }
+                builder.set(key, value);
             }
             Section::Axis => {
                 axes.push(Axis {
@@ -190,13 +179,6 @@ mod tests {
             SpecError::UnknownSection { line: 3, .. }
         ));
         assert!(matches!(errors[2], SpecError::Malformed { line: 5, .. }));
-    }
-
-    #[test]
-    fn bench_only_keys_are_rejected_rather_than_dropped() {
-        let errors = parse_spec("[scenario]\nrounds = 50\n").unwrap_err();
-        assert_eq!(errors.len(), 1);
-        assert!(errors[0].to_string().contains("bench-only"), "{errors:?}");
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn emitted_lines_match_modulo_wall_time() {
         line[..at].to_string()
     };
     let sweep_lines = |scenario: &Scenario| -> Vec<String> {
-        sweep_runs(scenario, &mut NoopProbe)
+        sweep_runs(scenario, &mut NoopProbe, false)
             .map(|run| {
                 let id = scenario.with_seed(run.result.seed).scenario_id();
                 assert_eq!(run.line, run_line_json(&id, &run.result, &run.meta));
@@ -113,7 +113,7 @@ fn emitted_lines_match_modulo_wall_time() {
     // And the Emitter streams exactly those lines (JSON needs no header).
     let mut emitter = Emitter::new(OutputFormat::Json, Vec::<u8>::new());
     for cell in &cells {
-        emitter.emit_sweep(cell, &mut NoopProbe).unwrap();
+        emitter.emit_sweep(cell, &mut NoopProbe, false).unwrap();
     }
     let out = String::from_utf8(emitter.into_inner()).unwrap();
     let emitted: Vec<String> = out.lines().map(strip).collect();

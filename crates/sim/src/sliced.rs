@@ -101,15 +101,15 @@ const MUTATE_STREAM: u64 = u64::MAX - 3;
 
 /// Wall-clock milliseconds of a sliced run by phase, for `bench`.
 /// `execute` is the parallel region phase; `merge` the serial log merge +
-/// accounting replay; `sweep` the serial boundary sweep (plus, on dynamic
-/// runs, the start-of-slice mutation drain).
+/// accounting replay; `sweep` every other serial step of a slice.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SliceTimings {
     /// Parallel region execution.
     pub execute: f64,
     /// Log merge + serial accounting replay.
     pub merge: f64,
-    /// Serial boundary sweep (and mutation drain).
+    /// Serial boundary sweep, plus the start-of-slice mutation drain on
+    /// dynamic runs and the membership tick under an overlay.
     pub sweep: f64,
     /// Events executed (region pops + sweep executions; deferred events
     /// count once, where they execute).
@@ -1024,10 +1024,12 @@ pub(crate) fn run_sliced(
         // departure the very slice it happens, a rejoiner can re-join
         // immediately, and the whole slice executes against frozen views.
         if let Some(m) = mem.as_mut() {
+            let t3 = Instant::now();
             match &dynr {
                 Some(d) => m.tick(&d.topo, Some(d.topo.alive_mask()), seed, pass, probe),
                 None => m.tick(topology, None, seed, pass, probe),
             }
+            timings.sweep += ms(t3.elapsed());
         }
 
         // Phase A: parallel region execution over the gossip graph,

@@ -4,9 +4,10 @@
 //! dissemination-depth stats from the infection DAG, and per-region
 //! balance summaries.
 //!
-//! Input is line-oriented and self-describing: a line with `"bench"` is a
-//! timing line (counted, and kept out of the run tables: a bench run
-//! stops at its round budget, so it would read as a failed run), any
+//! Input is line-oriented and self-describing: a line with `"metrics"`
+//! (or, from older builds, `"bench"`) is a bench line, a timing line
+//! (counted, and kept out of the run tables: a bench run stops at its
+//! round budget, so it would read as a failed run), any
 //! other with `"schema"` and `"scenario_id"` is a run line, one
 //! with `"trace_schema"` opens a trace stream, one with `"ev"` is a trace
 //! event of the currently open stream, read through
@@ -109,7 +110,7 @@ pub struct Analyzer {
     runs: Vec<RunRow>,
     traces: Vec<TraceStats>,
     current: Option<TraceAccum>,
-    /// Lines left out, by why: `bench` lines (recognised, but not runs),
+    /// Lines left out, by why: bench lines (recognised, but not runs),
     /// JSON of no known shape, and not JSON at all.
     timing_lines: u64,
     unrecognised: u64,
@@ -191,7 +192,7 @@ impl Analyzer {
             }
             return;
         }
-        if v.get("bench").is_some() {
+        if v.get("metrics").is_some() || v.get("bench").is_some() {
             self.timing_lines += 1;
             return;
         }
@@ -696,8 +697,12 @@ mod tests {
             1,
             Some(90),
         ));
-        // A bench line has `schema` and `scenario_id` too, and never a
-        // `rounds_to_completion`: read as a run it is a phantom failure.
+        // A bench line is a run line with `metrics`, capped short of
+        // completion: read as a run it is a phantom failure. So is the
+        // schema-5 bench line older builds printed.
+        a.add_line(
+            r#"{"schema":1,"scenario_id":"ring-advert-sync-n2000-k1-cap8-s1","protocol":"advert","completed":false,"rounds_to_completion":null,"metrics":{"build_ms":1.25}}"#,
+        );
         a.add_line(
             r#"{"schema":5,"bench":"sync_round_loop","scenario_id":"ring-advert-sync-n2000-k1-s1","round_budget":8,"rounds_executed":8,"completed":false}"#,
         );
@@ -716,7 +721,7 @@ mod tests {
             ["ring-advert-sync-n2000-k1", "1", "1"],
             "{report}"
         );
-        assert!(report.contains("skipped 1 bench lines"), "{report}");
+        assert!(report.contains("skipped 2 bench lines"), "{report}");
         assert!(report.contains("skipped 2 unrecognised lines"), "{report}");
         assert!(!report.contains("unparsable"), "{report}");
     }
