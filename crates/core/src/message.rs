@@ -67,12 +67,14 @@ fn union_rows(
     }
 }
 
-/// Initial state of the hashed-fingerprint chain: the salt *is* the
-/// chain's starting point, so no prefix of the chain can be reused under
-/// a different salt.
+/// Initial state of the hashed-fingerprint chain: the *hashed* salt is
+/// the chain's starting point, so no prefix of the chain can be reused
+/// under a different salt. Hashed, not raw: a raw salt would cancel
+/// against the first word, making `{0}` under salt 1 the tag of `∅` under
+/// salt 0 — a structured collision between tags of different epochs.
 #[inline]
 fn chain_init(universe: usize, salt: u64) -> u64 {
-    salt ^ (universe as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    mix(salt) ^ (universe as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// One link of the hashed-fingerprint chain: absorb word `w` into `h`.
@@ -554,6 +556,30 @@ mod tests {
         let small = small.view(0);
         assert_eq!(small.fingerprint_salted(1), small.fingerprint_salted(2));
         assert_eq!(small.fingerprint_salted(7), small.fingerprint());
+    }
+
+    #[test]
+    fn different_sets_do_not_share_a_tag_across_salts() {
+        // A raw salt XORed into the first hashed word made `{0}` under
+        // salt 1 and `∅` under salt 0 one tag: whenever `A.w0 ^ B.w0` equals
+        // `s1 ^ s2` and the other words agree, the chains met.
+        assert_ne!(
+            row(65, &[0]).view(0).fingerprint_salted(1),
+            row(65, &[]).view(0).fingerprint_salted(0)
+        );
+        let empty = row(130, &[]);
+        // The whole family: `{id}` under `s ^ (1 << id)` against `∅` under `s`.
+        for id in [0usize, 1, 5, 63] {
+            let held = row(130, &[id]);
+            for s in [0u64, 7, u64::MAX] {
+                let salt = s ^ (1 << id);
+                assert_ne!(
+                    held.view(0).fingerprint_salted(salt),
+                    empty.view(0).fingerprint_salted(s),
+                    "id {id} salts {salt} / {s}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -161,6 +161,75 @@ fn region_dominant_async_ring_captured_on_the_parent_holds() {
     }
 }
 
+/// `(SimResult fingerprint, event-stream fingerprint)` of the hashed-tag
+/// cells: a sync 144-grid with k = n, an async 144-grid with k = 100, and
+/// a sync churned (`keep`) HyParView RGG with k = 80.
+const HASHED_GOLDEN: [(u64, u64); 3] = [
+    (0xf722ede9e6979371, 0x87286fcf9d9dcd24),
+    (0x60fe927d33f1883f, 0xd6659f48153b3428),
+    (0x6b5c1eb75f95961e, 0x5ac27449a7c294dd),
+];
+
+#[test]
+fn hashed_tag_cells_hold() {
+    // Every cell above runs k = 3, where a tag is the exact membership
+    // mask. These run k > 64, where it is a salted 64-bit hash: the sync
+    // grid compares one round's tags, the async grid compares a
+    // neighbour's tag from an older epoch against a current one, and the
+    // churned overlay scans the kept tags of dead nodes.
+    let grid = Topology::grid(144);
+    let rgg = Topology::random_geometric(120, &mut Rng::new(404));
+    let all = random_sources(144, 144, &mut Rng::new(0xfeed));
+    let hundred = random_sources(144, 100, &mut Rng::new(0xfeed));
+    let eighty = random_sources(120, 80, &mut Rng::new(0xfeed));
+    let cfg = SimConfig {
+        max_rounds: 400,
+        record_rounds: true,
+    };
+    let churn = Churn {
+        rate: 0.05,
+        rejoin: RejoinPolicy::Keep,
+        mean_downtime: 3.0,
+    };
+    let membership = MembershipConfig::default();
+    for threads in [1usize, 2, 8] {
+        let cells = [
+            (
+                Scheduler::Sync { threads },
+                RunInputs::new(&grid, &AdvertGossip, &all, 42, cfg),
+            ),
+            (
+                async_sched(threads),
+                RunInputs::new(&grid, &AdvertGossip, &hundred, 42, cfg),
+            ),
+            (
+                Scheduler::Sync { threads },
+                RunInputs {
+                    dynamics: Some(&churn as &dyn DynamicsModel),
+                    membership: Some(&membership),
+                    ..RunInputs::new(&rgg, &AdvertGossip, &eighty, 42, cfg)
+                },
+            ),
+        ];
+        let got: Vec<(u64, u64)> = cells
+            .iter()
+            .map(|(sched, inputs)| {
+                let mut probe = MemoryProbe::default();
+                let result = sched.run(inputs, &mut probe);
+                assert!(result.completed, "{} threads={threads}", sched.name());
+                (
+                    fnv(format!("{result:?}").as_bytes()),
+                    fnv(format!("{:?}", probe.events).as_bytes()),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got, HASHED_GOLDEN,
+            "threads={threads}: (result, events) fingerprints {got:#018x?} moved"
+        );
+    }
+}
+
 /// A dynamics model under which nothing ever happens.
 struct Still;
 
