@@ -8,9 +8,8 @@
 //! allocations. A row is handed to protocols as a borrowed [`MsgView`].
 
 use crate::matching::Connection;
-use crate::rng::mix;
+use crate::rng::{mix, GOLDEN_GAMMA};
 use crate::shard;
-use crate::Advertisement;
 
 /// Aggregate outcome of a batch of push-pull transfers
 /// ([`MessageMatrix::union_pairs_parallel`]). Every field is a sum of
@@ -36,15 +35,21 @@ impl std::ops::AddAssign for TransferStats {
 }
 
 /// The push-pull union of two rows (both become their union), given
-/// exclusive access to each row's words and count. Shared by the safe
-/// serial path (slices from `split_at_mut`) and the parallel path (slices
-/// reconstituted from raw parts over provably disjoint rows).
+/// exclusive access to each row's words, count and — for a hashed
+/// universe — digest. Shared by the safe serial path (slices from
+/// `split_at_mut`) and the parallel path (slices reconstituted from raw
+/// parts over provably disjoint rows).
+///
+/// The union's digest is computed once and written to both rows, and only
+/// when a message moved: `moved == 0` means the rows were already equal,
+/// so neither changed.
 #[inline]
 fn union_rows(
     a: &mut [u64],
     b: &mut [u64],
     count_a: &mut u32,
     count_b: &mut u32,
+    digests: Option<[&mut u64; 2]>,
     universe: usize,
 ) -> TransferStats {
     let mut count = 0u32;
@@ -60,6 +65,11 @@ fn union_rows(
     let moved = ((count - *count_a) + (count - *count_b)) as usize;
     *count_a = count;
     *count_b = count;
+    if let (true, Some([digest_a, digest_b])) = (moved > 0, digests) {
+        let d = row_digest(a, universe);
+        *digest_a = d;
+        *digest_b = d;
+    }
     TransferStats {
         moved,
         productive: (moved > 0) as usize,
@@ -67,39 +77,42 @@ fn union_rows(
     }
 }
 
-/// Initial state of the hashed-fingerprint chain: the *hashed* salt is
-/// the chain's starting point, so no prefix of the chain can be reused
-/// under a different salt. Hashed, not raw: a raw salt would cancel
-/// against the first word, making `{0}` under salt 1 the tag of `∅` under
-/// salt 0 — a structured collision between tags of different epochs.
+/// Word `j`'s share of a row digest: `mix(w ^ key_j)` with a fixed odd key
+/// per word index, so equal words at different positions count
+/// differently. `mix` is a bijection, so for a fixed `j` different words
+/// never share a term.
 #[inline]
-fn chain_init(universe: usize, salt: u64) -> u64 {
-    mix(salt) ^ (universe as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+fn word_term(j: usize, w: u64) -> u64 {
+    let key = ((j as u64) << 1 | 1).wrapping_mul(0xd6e8_feb8_6659_fd93);
+    mix(w ^ key)
 }
 
-/// One link of the hashed-fingerprint chain: absorb word `w` into `h`.
-#[inline]
-fn chain_step(h: u64, w: u64) -> u64 {
-    mix(h ^ w)
-}
-
-fn fingerprint_words(words: &[u64], universe: usize, salt: u64) -> u64 {
-    if universe <= 64 {
-        return words.first().copied().unwrap_or(0);
+/// The digest of a hashed-universe row: `k·φ + Σⱼ word_term(j, wⱼ)`,
+/// wrapping. A sum rather than a chain, so one word's change is one
+/// term's swap ([`MessageMatrix::insert`]) and a whole row's terms are
+/// independent — four accumulators keep four `mix`es in flight. Chosen by
+/// measurement — transfer phase of `grid -n 4900 -m 4900 --protocol
+/// advert`, 77-word rows (2 vCPUs, rustc 1.95): 1 accumulator 72 ms,
+/// 4 → 62, 8 → 64; updating the digest per changed word inside the union
+/// loop instead: 93.
+fn row_digest(words: &[u64], universe: usize) -> u64 {
+    let mut acc = [0u64; 4];
+    let mut quads = words.chunks_exact(4);
+    let mut j = 0;
+    for quad in quads.by_ref() {
+        for (l, (acc, &w)) in acc.iter_mut().zip(quad).enumerate() {
+            *acc = acc.wrapping_add(word_term(j + l, w));
+        }
+        j += 4;
     }
-    words
-        .iter()
-        .fold(chain_init(universe, salt), |h, &w| chain_step(h, w))
+    for (l, (acc, &w)) in acc.iter_mut().zip(quads.remainder()).enumerate() {
+        *acc = acc.wrapping_add(word_term(j + l, w));
+    }
+    acc.iter()
+        .fold((universe as u64).wrapping_mul(GOLDEN_GAMMA), |d, &a| {
+            d.wrapping_add(a)
+        })
 }
-
-/// How many rows' hash chains [`MessageMatrix::fingerprint_rows`] runs
-/// interleaved. One chain is a serial dependency of two multiplies per
-/// word, so a lone row is bound by multiply latency; the chains of
-/// different rows are independent and overlap in the pipeline. Chosen by
-/// measurement — advertise phase of 64 rounds over 4900 × 77-word rows
-/// (2.1 GHz Xeon, rustc 1.95): 1 lane 100 ms, 2 → 57, 4 → 34, 8 → 26,
-/// 12 → 29, 16 → 50 (the lanes spill).
-const FINGERPRINT_LANES: usize = 8;
 
 /// A borrowed, read-only view of one node's message set — a row of a
 /// [`MessageMatrix`], in the shape protocols see.
@@ -108,6 +121,8 @@ pub struct MsgView<'a> {
     words: &'a [u64],
     universe: usize,
     count: usize,
+    /// The row's cached digest (0, and unused, for `universe <= 64`).
+    digest: u64,
 }
 
 impl MsgView<'_> {
@@ -146,19 +161,30 @@ impl MsgView<'_> {
     /// Equivalent to [`fingerprint_salted`](Self::fingerprint_salted) with
     /// salt 0.
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_words(self.words, self.universe, 0)
+        self.fingerprint_salted(0)
     }
 
     /// [`fingerprint`](Self::fingerprint) mixed with a caller-chosen salt.
     ///
     /// For universes of at most 64 messages the salt is ignored and the
-    /// exact membership mask is returned. Beyond that, the salt is mixed
-    /// into the hash — protocols salt tags with the round number so that a
-    /// hash collision between two *different* sets cannot persist: the
-    /// colliding pair re-hashes differently next round, which is what rules
-    /// out advertisement-guided livelock on large universes.
+    /// exact membership mask is returned. Beyond that the tag is
+    /// `mix(digest ^ mix(salt ^ k·φ))` over the row digest its matrix keeps
+    /// current — one `mix` per call, not a pass over the row. `mix` is a
+    /// bijection, so under one salt two tags are equal iff the digests are;
+    /// protocols salt tags with the round (or epoch) so that the same
+    /// digest reads differently from one salt to the next, and the hashed
+    /// salt keeps tags of different salts from colliding by structure.
     pub fn fingerprint_salted(&self, salt: u64) -> u64 {
-        fingerprint_words(self.words, self.universe, salt)
+        if self.universe <= 64 {
+            return self.words.first().copied().unwrap_or(0);
+        }
+        debug_assert_eq!(
+            self.digest,
+            row_digest(self.words, self.universe),
+            "stale row digest"
+        );
+        let k_phi = (self.universe as u64).wrapping_mul(GOLDEN_GAMMA);
+        mix(self.digest ^ mix(salt ^ k_phi))
     }
 }
 
@@ -168,10 +194,17 @@ impl MsgView<'_> {
 /// the layout the sharded round loop reads concurrently — a `view` of any
 /// row is just slice arithmetic — while transfers mutate pairs of rows in
 /// place.
+///
+/// A universe of more than 64 messages also keeps one digest per row
+/// (`digests`, empty otherwise), maintained by every mutator below, so a
+/// hashed tag is one `mix` away from a row that did not change.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MessageMatrix {
     words: Vec<u64>,
     counts: Vec<u32>,
+    digests: Vec<u64>,
+    /// The digest of an empty row, which [`reset`](Self::reset) stores.
+    empty_digest: u64,
     universe: usize,
     stride: usize,
 }
@@ -180,9 +213,16 @@ impl MessageMatrix {
     /// `n` empty sets over message ids `0..universe`.
     pub fn new(n: usize, universe: usize) -> Self {
         let stride = universe.div_ceil(64);
+        let empty_digest = row_digest(&vec![0; stride], universe);
         MessageMatrix {
             words: vec![0; n * stride],
             counts: vec![0; n],
+            digests: if universe > 64 {
+                vec![empty_digest; n]
+            } else {
+                Vec::new()
+            },
+            empty_digest,
             universe,
             stride,
         }
@@ -205,6 +245,7 @@ impl MessageMatrix {
             words: &self.words[u * self.stride..(u + 1) * self.stride],
             universe: self.universe,
             count: self.counts[u] as usize,
+            digest: self.digests.get(u).copied().unwrap_or(0),
         }
     }
 
@@ -225,64 +266,33 @@ impl MessageMatrix {
         self.view(u).contains(id)
     }
 
-    /// Insert message `id` into node `u`'s set; true if newly added.
+    /// Insert message `id` into node `u`'s set; true if newly added. A
+    /// digest swaps one word's term: O(1), not a pass over the row.
     pub fn insert(&mut self, u: usize, id: usize) -> bool {
         assert!(id < self.universe, "message id {id} out of universe");
-        let w = u * self.stride + id / 64;
-        let bit = 1u64 << (id % 64);
-        let fresh = self.words[w] & bit == 0;
+        let (j, bit) = (id / 64, 1u64 << (id % 64));
+        let w = u * self.stride + j;
+        let old = self.words[w];
+        let fresh = old & bit == 0;
         if fresh {
-            self.words[w] |= bit;
+            self.words[w] = old | bit;
             self.counts[u] += 1;
+            if let Some(d) = self.digests.get_mut(u) {
+                *d = d
+                    .wrapping_sub(word_term(j, old))
+                    .wrapping_add(word_term(j, old | bit));
+            }
         }
         fresh
-    }
-
-    /// Advertisement tags of the contiguous rows `base..base + out.len()`:
-    /// `out[i]` becomes `view(base + i).fingerprint_salted(salt)`, bit for
-    /// bit — this is the batched form of that call, not a different hash.
-    ///
-    /// Universes of at most 64 messages copy the exact membership mask.
-    /// Larger ones run `FINGERPRINT_LANES` rows' chains side by side so
-    /// their multiplies overlap; rows past the last full group take the
-    /// per-row path.
-    pub fn fingerprint_rows(&self, base: usize, salt: u64, out: &mut [Advertisement]) {
-        let universe = self.universe;
-        if universe <= 64 {
-            // Exact masks: one word per row, no chain to overlap.
-            for (i, tag) in out.iter_mut().enumerate() {
-                *tag = Advertisement(self.view(base + i).fingerprint());
-            }
-            return;
-        }
-        let stride = self.stride;
-        let rows = &self.words[base * stride..(base + out.len()) * stride];
-        let init = chain_init(universe, salt);
-        let mut tag_groups = out.chunks_exact_mut(FINGERPRINT_LANES);
-        let mut row_groups = rows.chunks_exact(FINGERPRINT_LANES * stride);
-        for (tags, group) in tag_groups.by_ref().zip(row_groups.by_ref()) {
-            let lanes: [&[u64]; FINGERPRINT_LANES] =
-                std::array::from_fn(|l| &group[l * stride..(l + 1) * stride]);
-            let mut h = [init; FINGERPRINT_LANES];
-            for j in 0..stride {
-                for (h, lane) in h.iter_mut().zip(&lanes) {
-                    *h = chain_step(*h, lane[j]);
-                }
-            }
-            for (tag, h) in tags.iter_mut().zip(h) {
-                *tag = Advertisement(h);
-            }
-        }
-        let tail_rows = row_groups.remainder().chunks_exact(stride);
-        for (tag, row) in tag_groups.into_remainder().iter_mut().zip(tail_rows) {
-            *tag = Advertisement(fingerprint_words(row, universe, salt));
-        }
     }
 
     /// Clear node `u`'s set (a rejoining device that lost its storage).
     pub fn reset(&mut self, u: usize) {
         self.words[u * self.stride..(u + 1) * self.stride].fill(0);
         self.counts[u] = 0;
+        if let Some(d) = self.digests.get_mut(u) {
+            *d = self.empty_digest;
+        }
     }
 
     /// The whole transfer phase of a round: every connection's row pair
@@ -325,6 +335,8 @@ impl MessageMatrix {
         struct Rows {
             words: *mut u64,
             counts: *mut u32,
+            /// Null for a universe of at most 64 messages: no digests.
+            digests: *mut u64,
         }
         // SAFETY: `Rows` only crosses into `for_each`'s scoped workers,
         // which dereference it exclusively at row offsets named by their
@@ -336,6 +348,11 @@ impl MessageMatrix {
         let rows = &Rows {
             words: self.words.as_mut_ptr(),
             counts: self.counts.as_mut_ptr(),
+            digests: if self.digests.is_empty() {
+                std::ptr::null_mut()
+            } else {
+                self.digests.as_mut_ptr()
+            },
         };
         // One task per worker: a contiguous chunk of pairs and its total.
         let mut tasks: Vec<(&[Connection], TransferStats)> = pairs
@@ -348,14 +365,17 @@ impl MessageMatrix {
                 assert!(i != j && i.max(j) < nodes, "no row pair ({i}, {j})");
                 // SAFETY: rows `i` and `j` belong to this task alone — the
                 // pairs are node-disjoint and chunked by pair, so no other
-                // task names either row — and `i != j`, so the four
+                // task names either row — and `i != j`, so the six
                 // reconstituted borrows are themselves disjoint, and in
-                // bounds: both rows were just checked against `nodes`.
+                // bounds: both rows were just checked against `nodes`, and
+                // a non-null `digests` holds one slot per row.
                 *total += unsafe {
                     let a = std::slice::from_raw_parts_mut(rows.words.add(i * stride), stride);
                     let b = std::slice::from_raw_parts_mut(rows.words.add(j * stride), stride);
                     let (count_a, count_b) = (&mut *rows.counts.add(i), &mut *rows.counts.add(j));
-                    union_rows(a, b, count_a, count_b, universe)
+                    let digests = (!rows.digests.is_null())
+                        .then(|| [&mut *rows.digests.add(i), &mut *rows.digests.add(j)]);
+                    union_rows(a, b, count_a, count_b, digests, universe)
                 };
             }
         });
@@ -375,6 +395,7 @@ impl MessageMatrix {
             base: 0,
             words: &mut self.words,
             counts: &mut self.counts,
+            digests: &mut self.digests,
             universe: self.universe,
             stride: self.stride,
         }
@@ -390,6 +411,8 @@ impl MessageMatrix {
         assert!(block > 0, "region block size must be non-zero");
         let stride = self.stride;
         let universe = self.universe;
+        // No digests (k <= 64) hands every chunk an empty slice.
+        let mut digests = self.digests.chunks_mut(block);
         self.words
             .chunks_mut(block * stride)
             .zip(self.counts.chunks_mut(block))
@@ -398,6 +421,7 @@ impl MessageMatrix {
                 base: i * block,
                 words,
                 counts,
+                digests: digests.next().unwrap_or_default(),
                 universe,
                 stride,
             })
@@ -424,6 +448,8 @@ pub struct MatrixChunk<'a> {
     base: usize,
     words: &'a mut [u64],
     counts: &'a mut [u32],
+    /// The chunk's rows' digests; empty for a universe of at most 64.
+    digests: &'a mut [u64],
     universe: usize,
     stride: usize,
 }
@@ -454,6 +480,7 @@ impl MatrixChunk<'_> {
             words: &self.words[l * self.stride..(l + 1) * self.stride],
             universe: self.universe,
             count: self.counts[l] as usize,
+            digest: self.digests.get(l).copied().unwrap_or(0),
         }
     }
 
@@ -472,11 +499,16 @@ impl MatrixChunk<'_> {
         let (lo, hi) = (li.min(lj), li.max(lj));
         let (head, tail) = self.words.split_at_mut(hi * stride);
         let (counts_head, counts_tail) = self.counts.split_at_mut(hi);
+        let digests = (!self.digests.is_empty()).then(|| {
+            let (digests_head, digests_tail) = self.digests.split_at_mut(hi);
+            [&mut digests_head[lo], &mut digests_tail[0]]
+        });
         union_rows(
             &mut head[lo * stride..(lo + 1) * stride],
             &mut tail[..stride],
             &mut counts_head[lo],
             &mut counts_tail[0],
+            digests,
             self.universe,
         )
     }
@@ -615,36 +647,110 @@ mod tests {
         );
     }
 
+    /// Every cached digest equals the digest recomputed from its row.
+    fn assert_digests_fresh(m: &MessageMatrix, after: &str) {
+        if m.universe <= 64 {
+            assert!(m.digests.is_empty(), "k <= 64 stores no digests");
+            return;
+        }
+        assert_eq!(m.digests.len(), m.num_nodes());
+        for u in 0..m.num_nodes() {
+            assert_eq!(
+                m.digests[u],
+                row_digest(m.view(u).words, m.universe),
+                "row {u} after {after}"
+            );
+        }
+    }
+
     #[test]
-    fn fingerprint_rows_equals_the_per_row_hash() {
-        use crate::Rng;
-        const MAX_ROWS: usize = 2 * FINGERPRINT_LANES + 1;
-        let mut rng = Rng::new(0xf1a9);
-        for universe in [1usize, 64, 65, 128, 4900] {
-            // A few rows of slack so non-zero bases stay in range.
-            let n = MAX_ROWS + 3;
+    fn cached_digests_match_a_recompute_after_any_mutation() {
+        use crate::{NodeId, Rng};
+        // 1030 rows: enough disjoint pairs (515) to cross the parallel
+        // transfer's cut-off.
+        let n = 1030;
+        let mut rng = Rng::new(0xd16e);
+        for universe in [1usize, 64, 65, 130, 320] {
             let mut m = MessageMatrix::new(n, universe);
-            for u in 0..n {
-                for _ in 0..rng.gen_range(2 * universe) {
-                    m.insert(u, rng.gen_range(universe));
+            assert_digests_fresh(&m, "new");
+            for step in 0..24 {
+                for _ in 0..n {
+                    m.insert(rng.gen_range(n), rng.gen_range(universe));
                 }
-            }
-            for rows in 0..=MAX_ROWS {
-                for base in [0usize, 1, 3] {
-                    for salt in [0u64, 1, 224, u64::MAX] {
-                        // Poisoned, so a row the kernel skipped shows up.
-                        let mut tags = vec![Advertisement(0xdead_beef); rows];
-                        m.fingerprint_rows(base, salt, &mut tags);
-                        for (i, tag) in tags.iter().enumerate() {
-                            assert_eq!(
-                                tag.0,
-                                m.view(base + i).fingerprint_salted(salt),
-                                "universe={universe} rows={rows} base={base} salt={salt} row={i}"
-                            );
-                        }
+                assert_digests_fresh(&m, "insert");
+                m.reset(rng.gen_range(n));
+                assert_digests_fresh(&m, "reset");
+                let (i, j) = (rng.gen_range(n / 2), n / 2 + rng.gen_range(n / 2));
+                m.whole().union_pair_stats(i, j);
+                assert_digests_fresh(&m, "union_pair_stats");
+                let (i, j) = (rng.gen_range(n / 2), n / 2 + rng.gen_range(n / 2));
+                m.whole().union_pair_traced(j, i, |_, _, _| ());
+                assert_digests_fresh(&m, "union_pair_traced");
+                // A random perfect matching, or a short prefix of it.
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                for k in (1..n).rev() {
+                    order.swap(k, rng.gen_range(k + 1));
+                }
+                let pairs: Vec<Connection> = order
+                    .chunks_exact(2)
+                    .map(|p| Connection {
+                        initiator: NodeId(p[0]),
+                        acceptor: NodeId(p[1]),
+                    })
+                    .take(if step % 2 == 0 { n / 2 } else { 7 })
+                    .collect();
+                let threads = [1, 2, 8][step % 3];
+                m.union_pairs_parallel(&pairs, threads);
+                assert_digests_fresh(&m, "union_pairs_parallel");
+                // Region chunks, the last one short: one union in each
+                // chunk of at least two rows.
+                let block = [2usize, 7, 64][step % 3];
+                for mut chunk in m.region_chunks(block) {
+                    let len = chunk.counts.len();
+                    if len >= 2 {
+                        let base = chunk.base();
+                        let i = base + rng.gen_range(len);
+                        let j = base + (i - base + 1 + rng.gen_range(len - 1)) % len;
+                        chunk.union_pair_stats(i, j);
                     }
                 }
+                assert_digests_fresh(&m, "region chunk unions");
             }
+        }
+    }
+
+    #[test]
+    fn rows_differing_in_one_word_never_share_a_digest() {
+        // A digest is a sum of per-word terms, so two rows that differ in
+        // word j alone differ by `mix(a ^ key_j) - mix(b ^ key_j)`, which
+        // `mix`'s bijectivity keeps non-zero.
+        use crate::Rng;
+        let mut rng = Rng::new(0x0e0d);
+        for stride in [2usize, 3, 5, 77] {
+            let universe = 64 * stride;
+            for _ in 0..2000 {
+                let a: Vec<u64> = (0..stride).map(|_| rng.next_u64()).collect();
+                let j = rng.gen_range(stride);
+                let mut b = a.clone();
+                b[j] ^= match rng.gen_range(3) {
+                    0 => 1 << rng.gen_range(64),
+                    1 => u64::MAX,
+                    _ => rng.next_u64() | 1,
+                };
+                assert_ne!(row_digest(&a, universe), row_digest(&b, universe));
+            }
+        }
+        // Through the matrix: every single insert into an empty row moves
+        // its tag away from the empty row's.
+        let mut m = MessageMatrix::new(2, 130);
+        for id in 0..130 {
+            m.reset(0);
+            m.insert(0, id);
+            assert_ne!(
+                m.view(0).fingerprint_salted(9),
+                m.view(1).fingerprint_salted(9),
+                "id {id}"
+            );
         }
     }
 

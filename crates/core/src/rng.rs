@@ -13,10 +13,10 @@ pub struct Rng {
     state: u64,
 }
 
-const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The splitmix64 finalizer: a bijective avalanche over `u64`. Shared
-/// with the message-set fingerprint hashing so the crate has exactly one
+/// with the message-row digests and tags so the crate has exactly one
 /// copy of these constants.
 #[inline]
 pub(crate) fn mix(mut z: u64) -> u64 {

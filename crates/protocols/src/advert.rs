@@ -1,7 +1,7 @@
 //! Productive, advertisement-guided gossip.
 
 use crate::{GossipProtocol, NodeCtx};
-use gossip_core::{Advertisement, Intent, MessageMatrix, MsgView, Rng};
+use gossip_core::{Advertisement, Intent, MsgView, Rng};
 
 /// Advertisement-guided gossip from the paper family: each node advertises a
 /// fingerprint of its message set, so neighbors can tell *before* spending
@@ -24,10 +24,12 @@ use gossip_core::{Advertisement, Intent, MessageMatrix, MsgView, Rng};
 /// Larger universes hash the set down to a 64-bit tag, salted with the
 /// round number. Hashed bits carry no subset structure, so only tag
 /// (in)equality is used: differing tags mark a neighbor as (almost surely)
-/// productive and roles are chosen by coin flip. The per-round salt is what
-/// keeps this live: if two *different* sets happen to collide, they re-hash
-/// under a fresh salt next round, so a collision can stall progress for at
-/// most a round at a time rather than forever.
+/// productive and roles are chosen by coin flip. A tag is a salted `mix`
+/// of the row's 64-bit digest, and `mix` is a bijection, so under one salt
+/// two tags collide exactly when the digests do: a fresh salt does not
+/// break up such a pair, and a stall persists only while two *different*
+/// sets share a digest, a 64-bit coincidence that lasts until either row
+/// changes.
 pub struct AdvertGossip;
 
 impl AdvertGossip {
@@ -108,16 +110,6 @@ impl GossipProtocol for AdvertGossip {
 
     fn advertise(&self, messages: MsgView<'_>, salt: u64) -> Advertisement {
         Advertisement(messages.fingerprint_salted(salt))
-    }
-
-    fn advertise_rows(
-        &self,
-        states: &MessageMatrix,
-        base: usize,
-        salt: u64,
-        out: &mut [Advertisement],
-    ) {
-        states.fingerprint_rows(base, salt, out);
     }
 
     fn decide(&self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {

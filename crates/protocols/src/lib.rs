@@ -91,8 +91,7 @@ pub struct NodeCtx<'a> {
     /// `advertise(messages, salt)`. Every engine refreshes a node's tag
     /// immediately before asking it to decide, on the same row and salt,
     /// so a protocol comparing neighbor tags against its own reads this
-    /// instead of recomputing it (for a hashed tag that is a pass over
-    /// the whole row saved per decide).
+    /// instead of recomputing it.
     pub own_ad: Advertisement,
     /// Neighbors in the topology.
     pub neighbors: &'a [NodeId],
@@ -125,10 +124,9 @@ pub trait GossipProtocol: Sync {
     /// `advertise(states.view(base + i), salt)`; the default computes
     /// exactly that, and an override may only compute it faster.
     ///
-    /// Batching across *rows* is the only sharing available to a hashed
-    /// tag: the salt is the hash chain's initial state, so a tag cannot be
-    /// cached from one round (or epoch) to the next, nor can any prefix of
-    /// the chain — every refresh re-reads the whole row.
+    /// A hashed tag needs no batching: the matrix keeps each row's digest
+    /// current, so [`advertise`](Self::advertise) is one `mix` per row and
+    /// the default loop is the whole kernel.
     fn advertise_rows(
         &self,
         states: &MessageMatrix,

@@ -345,7 +345,7 @@ pub struct PhaseTimings {
 /// round, so scan, intent, and matching are coherent. Static inputs
 /// skip the first two steps entirely: the phase step is monomorphised
 /// per graph type, so a frozen [`Topology`] is read directly, with no
-/// alive mask and the batched advertise kernel.
+/// alive mask and one `advertise_rows` call per worker.
 fn run_sync(
     threads: usize,
     inputs: &RunInputs<'_>,
@@ -632,9 +632,9 @@ fn advertise_range(
         protocol.advertise_rows(states, base, round, out);
         return;
     };
-    // Masked rounds stay per-row rather than growing a second batched
-    // kernel: a dead node must keep its last tag — membership views may
-    // still scan it until SWIM evicts the peer — so only alive rows store.
+    // Masked rounds go per row: a dead node must keep its last tag —
+    // membership views may still scan it until SWIM evicts the peer — so
+    // only alive rows store.
     for (i, ad) in out.iter_mut().enumerate() {
         let u = base + i;
         if mask[u] {

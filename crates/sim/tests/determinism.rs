@@ -206,11 +206,11 @@ fn pinned_ring_regression_holds_on_the_csr_engine_at_any_thread_count() {
 
 #[test]
 fn pinned_grid_alltoall_regression_holds_in_the_hashed_tag_regime() {
-    // The only workspace pin with k > 64: the CLI's `--topology grid
-    // --nodes 400 --messages 400 --protocol advert --seed 42` (all-to-all,
-    // 7-word rows, tags hashed and round-salted). Any change to the hash,
-    // to which tag a decide compares against, or to the batched advertise
-    // kernel moves these counts.
+    // The CLI's `--topology grid --nodes 400 --messages 400 --protocol
+    // advert --seed 42` (all-to-all, 7-word rows, tags hashed and
+    // round-salted; `golden.rs` pins more k > 64 cells). A change to which
+    // tag a decide compares against, or a row digest left stale, moves
+    // these counts.
     let topo = Topology::grid(400);
     let sources = random_sources(400, 400, &mut Rng::new(42 ^ SOURCES_SEED_SALT));
     let cfg = SimConfig {
@@ -258,25 +258,29 @@ fn async_static_runs_are_identical_at_any_thread_count() {
     // n = 384 gives every one of the 64 event regions a 6-node block, so
     // most Attempt/Finish events resolve inside parallel regions while the
     // cross-region ones exercise the boundary sweep — both paths are
-    // load-bearing for the identity.
+    // load-bearing for the identity. k = 65 hashes the tags, so the row
+    // digests are maintained by unions on the region chunks and in the
+    // sweep alike.
     for topo in topologies(384) {
         for proto in protocols() {
-            let baseline = run_async_static(1, &topo, proto, 3);
-            assert!(
-                baseline.completed,
-                "async {} on {} must complete",
-                proto.name(),
-                topo.name()
-            );
-            for threads in THREAD_COUNTS {
-                let sharded = run_async_static(threads, &topo, proto, 3);
-                assert_eq!(
-                    baseline,
-                    sharded,
-                    "async {} on {}: {threads}-thread sliced run diverged",
+            for k in [3usize, 65] {
+                let baseline = run_async_static(1, &topo, proto, k);
+                assert!(
+                    baseline.completed,
+                    "async {} on {} (k={k}) must complete",
                     proto.name(),
                     topo.name()
                 );
+                for threads in THREAD_COUNTS {
+                    let sharded = run_async_static(threads, &topo, proto, k);
+                    assert_eq!(
+                        baseline,
+                        sharded,
+                        "async {} on {} (k={k}): {threads}-thread sliced run diverged",
+                        proto.name(),
+                        topo.name()
+                    );
+                }
             }
         }
     }
