@@ -562,3 +562,121 @@ fn pinned_churned_grid_holds_on_the_sliced_engine_at_any_thread_count() {
         );
     }
 }
+
+#[test]
+fn corpus_files_carry_the_old_literal_pins() {
+    let cells: [(&str, &[&str]); 9] = [
+        (
+            "ring1000-sync-sweep",
+            &[
+                "completed: true",
+                "rounds_to_completion: Some(500)",
+                "total_connections: 999",
+                "productive_connections: 999",
+                "wasted_connections: 0",
+            ],
+        ),
+        (
+            "grid400-sync-alltoall",
+            &[
+                "rounds_to_completion: Some(69)",
+                "total_connections: 8011",
+                "productive_connections: 6257",
+            ],
+        ),
+        (
+            "ring1000-async",
+            &[
+                "completed: true",
+                "rounds_to_completion: Some(935)",
+                "virtual_time_to_completion: Some(956925)",
+                "total_connections: 999",
+                "dropped_proposals: 1002",
+            ],
+        ),
+        (
+            "mobile1000-sync",
+            &[
+                "rounds_to_completion: Some(18)",
+                "virtual_time: 18432,",
+                "total_connections: 1826",
+                "productive_connections: 1724",
+                "departures: 805",
+                "rejoins: 639",
+                "rewires: 1322",
+                " evictions: 2381",
+            ],
+        ),
+        (
+            "mobile1000-async",
+            &[
+                "rounds_to_completion: Some(57)",
+                "virtual_time: 57628,",
+                "total_connections: 1746",
+                "productive_connections: 1692",
+                "departures: 2505",
+                "rejoins: 2321",
+                "rewires: 4857",
+                " evictions: 10856",
+            ],
+        ),
+        (
+            "ring1000-async-latency-0",
+            &[
+                "completed: true",
+                "rounds_executed: 843,",
+                "virtual_time: 862303,",
+                "total_connections: 999",
+                "productive_connections: 999",
+                "dropped_proposals: 1216",
+                "complete_nodes: 1000",
+            ],
+        ),
+        (
+            "ring1000-async-latency-100k",
+            &[
+                "completed: false",
+                "rounds_executed: 1500,",
+                "virtual_time: 1536000,",
+                "total_connections: 31,",
+                "productive_connections: 31,",
+                "dropped_proposals: 5,",
+                "complete_nodes: 32,",
+            ],
+        ),
+        (
+            "ring1000-async-latency-max",
+            &[
+                "completed: false",
+                "rounds_executed: 500,",
+                "virtual_time: 512000,",
+                "total_connections: 0,",
+                "productive_connections: 0,",
+                "dropped_proposals: 0,",
+                "complete_nodes: 1,",
+            ],
+        ),
+        (
+            "grid2500-async-churn",
+            &[
+                "completed: false",
+                "rounds_executed: 120,",
+                "virtual_time: 122880,",
+                "total_connections: 31130",
+                "productive_connections: 671,",
+                "dropped_proposals: 67457",
+                "complete_nodes: 6,",
+                "departures: 12741",
+                "rejoins: 12324",
+                "severed_connections: 1809",
+            ],
+        ),
+    ];
+    for (name, fields) in cells {
+        let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).unwrap();
+        for field in fields {
+            assert!(text.contains(field), "{name}: {field}");
+        }
+    }
+}

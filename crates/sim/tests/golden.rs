@@ -297,3 +297,61 @@ fn an_empty_mutation_stream_runs_exactly_the_static_run() {
         }
     }
 }
+
+#[path = "golden/cells.rs"]
+mod cells;
+
+#[test]
+fn every_corpus_cell_holds() {
+    let names: Vec<&str> = cells::CELLS.iter().map(|(name, _)| *name).collect();
+    cells::check(&names);
+}
+
+/// The `SimResult` lines of a corpus file joined back into the one-line
+/// `Debug` rendering, and its `trace_fnv`.
+fn unsplit(name: &str) -> (String, Option<u64>) {
+    let text = std::fs::read_to_string(cells::corpus_dir().join(format!("{name}.txt"))).unwrap();
+    let mut body = Vec::new();
+    let mut trace = None;
+    for line in text.lines().skip(1) {
+        match line.strip_prefix("trace_fnv 0x") {
+            Some(hex) => trace = Some(u64::from_str_radix(hex, 16).unwrap()),
+            None => body.push(line),
+        }
+    }
+    (body.join("\n").replace("},\n", "}, "), trace)
+}
+
+#[test]
+fn corpus_files_hash_to_the_old_constants() {
+    let matrix = [
+        "matrix-sync-static",
+        "matrix-sync-churn",
+        "matrix-sync-hyparview",
+        "matrix-sync-churn-hyparview",
+        "matrix-async-static",
+        "matrix-async-churn",
+        "matrix-async-hyparview",
+        "matrix-async-churn-hyparview",
+    ];
+    let ring = ["region-ring-static", "region-ring-churn"];
+    let hashed = [
+        "hashed-sync-grid-k144",
+        "hashed-async-grid-k100",
+        "hashed-sync-rgg-churn-hyparview-k80",
+    ];
+    let old = GOLDEN
+        .iter()
+        .flatten()
+        .chain(&RING_GOLDEN)
+        .chain(&HASHED_GOLDEN);
+    let names = matrix.iter().chain(&ring).chain(&hashed);
+    let mut n = 0;
+    for (name, &(result, events)) in names.zip(old) {
+        let (body, trace) = unsplit(name);
+        assert_eq!(fnv(body.as_bytes()), result, "{name}: SimResult");
+        assert_eq!(trace, Some(events), "{name}: trace");
+        n += 1;
+    }
+    assert_eq!(n, 13);
+}

@@ -365,3 +365,24 @@ fn mobile_churned_views_captured_on_the_parent_hold() {
         .map(|sched| fnv(format!("{:?}", sched.run(&inputs, &mut NoopProbe)).as_bytes()));
     assert_eq!(runs, MOBILE_RUNS, "runs {runs:#018x?} left the parent's");
 }
+
+#[test]
+fn corpus_files_hash_to_the_old_constants() {
+    let read = |name: &str| {
+        let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).unwrap()
+    };
+    let views = read("mobile2000-views");
+    let lines: Vec<&str> = views.lines().collect();
+    assert_eq!(lines[1], format!("{MOBILE_STATS:?}"));
+    assert_eq!(lines[2], format!("views_fnv {MOBILE_VIEWS:#018x}"));
+    for (name, old) in ["mobile2000-sync", "mobile2000-async"]
+        .iter()
+        .zip(MOBILE_RUNS)
+    {
+        let text = read(name);
+        let body: Vec<&str> = text.lines().skip(1).collect();
+        let body = body.join("\n").replace("},\n", "}, ");
+        assert_eq!(fnv(body.as_bytes()), old, "{name}");
+    }
+}
