@@ -1,233 +1,80 @@
 //! The two tests every refactor of the engines' loops rests on.
 //!
-//! **A golden matrix**: both schedulers × {static, dynamics,
-//! membership, both}, history on, a `MemoryProbe` attached. Each cell pins
-//! an FNV-1a fingerprint of the whole `SimResult` (its `Debug` rendering)
-//! and of the traced event stream, at 1, 2 and 8 threads. The thread-count
-//! *equality* tests elsewhere cannot see a change that shifts every
-//! thread count alike; these can. Its small RGG sends nearly every
-//! handshake through the sliced engine's boundary sweep, so one more cell —
-//! a 2048-node async ring, static and churned — pins the region workers'.
+//! **The golden corpus** (`golden/`, one [`cells::CELLS`] row and one text
+//! file per cell): each pinned run's whole `SimResult` and, for the cells
+//! here, the fingerprint of its traced event stream, at 1, 2 and 8
+//! threads. The thread-count *equality* tests elsewhere cannot see a
+//! change that shifts every thread count alike; these can. The cells
+//! here: both schedulers × {static, dynamics, membership, both} through
+//! the one entry point, a region-dominant async ring beside the
+//! sweep-dominated RGG, and the hashed-tag (k > 64) regime.
 //!
 //! **Static = the empty mutation stream.** The dynamic loop with nothing
 //! to drain must compute exactly what the static path computes (only
 //! `SimResult::dynamics` tells them apart) — which is why one loop body
 //! per engine can serve both.
 
+#[path = "golden/cells.rs"]
+mod cells;
+
 use gossip_core::time::TimingConfig;
 use gossip_core::{NodeId, Rng, SimTime, Topology};
-use gossip_dynamics::{Churn, DynamicsModel, Mutation, MutationStream, RejoinPolicy};
+use gossip_dynamics::{DynamicsModel, Mutation, MutationStream};
 use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
-use gossip_sim::{
-    random_sources, EngineTimings, MembershipConfig, RunInputs, Scheduler, SimConfig,
-};
-use gossip_telemetry::{MemoryProbe, NoopProbe};
-
-fn async_sched(threads: usize) -> Scheduler {
-    Scheduler::Async {
-        timing: TimingConfig::default(),
-        threads,
-    }
-}
+use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig};
+use gossip_telemetry::NoopProbe;
 
 fn schedulers(threads: usize) -> [Scheduler; 2] {
-    [Scheduler::Sync { threads }, async_sched(threads)]
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// `(SimResult fingerprint, event-stream fingerprint)` per cell, in
-/// scheduler-major order over (dynamics, membership) ∈ {(no, no),
-/// (yes, no), (no, yes), (yes, yes)}.
-const GOLDEN: [[(u64, u64); 4]; 2] = [
     [
-        (0x51c39d2e024d8c5a, 0x851edb9bdf55aae7),
-        (0xf9faf57fa5756e81, 0x023334c7f5a9b845),
-        (0xcd237741f1df072b, 0xb27fee0a7e87a9db),
-        (0x9470570bf1c27e88, 0xcceb093542e4e816),
-    ],
-    [
-        (0x31b2eca894171519, 0x53557573a5783687),
-        (0x818bbe7a3b7fd72e, 0x934932346205366b),
-        (0xf4f4b79fe3b9f6b9, 0xf3ecaf2d04e2548e),
-        (0xa2f85e4a55c19b0b, 0x478c34a546b399fd),
-    ],
-];
+        Scheduler::Sync { threads },
+        Scheduler::Async {
+            timing: TimingConfig::default(),
+            threads,
+        },
+    ]
+}
 
 #[test]
 fn golden_matrix_captured_on_the_parent_holds_through_the_one_entry_point() {
-    let topo = Topology::random_geometric(120, &mut Rng::new(404));
-    let sources = random_sources(120, 3, &mut Rng::new(0xfeed));
-    let cfg = SimConfig {
-        max_rounds: 120,
-        record_rounds: true,
-    };
-    let churn = Churn {
-        rate: 0.05,
-        rejoin: RejoinPolicy::Lose,
-        mean_downtime: 3.0,
-    };
-    let membership = MembershipConfig::default();
-    for threads in [1usize, 2, 8] {
-        for (sched, golden) in schedulers(threads).iter().zip(GOLDEN) {
-            let layers = [(false, false), (true, false), (false, true), (true, true)];
-            for ((dynamic, overlay), expected) in layers.into_iter().zip(golden) {
-                let inputs = RunInputs {
-                    dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
-                    membership: overlay.then_some(&membership),
-                    ..RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg)
-                };
-                // Through `run_timed`, the entry point `run` is the `.0`
-                // of: the clocks ride beside the result and name the
-                // engine that ran.
-                let mut probe = MemoryProbe::default();
-                let (result, timings) = sched.run_timed(&inputs, &mut probe);
-                assert_eq!(result.scheduler, sched.name());
-                assert_eq!(
-                    matches!(timings, EngineTimings::Sync(_)),
-                    sched.name() == "sync"
-                );
-                let got = (
-                    fnv(format!("{result:?}").as_bytes()),
-                    fnv(format!("{:?}", probe.events).as_bytes()),
-                );
-                assert_eq!(
-                    got,
-                    expected,
-                    "{} dynamics={dynamic} membership={overlay} threads={threads}: \
-                     (result, events) fingerprint {got:#018x?} left the parent's",
-                    sched.name()
-                );
-            }
-        }
-    }
+    cells::check(&[
+        "matrix-sync-static",
+        "matrix-sync-churn",
+        "matrix-sync-hyparview",
+        "matrix-sync-churn-hyparview",
+        "matrix-async-static",
+        "matrix-async-churn",
+        "matrix-async-hyparview",
+        "matrix-async-churn-hyparview",
+    ]);
 }
-
-/// `(SimResult fingerprint, event-stream fingerprint)` of the
-/// region-dominant async ring, static then churned.
-const RING_GOLDEN: [(u64, u64); 2] = [
-    (0x3792197b536f8ba8, 0x6dbd73550a694fe1),
-    (0x7956b0b8e5f1988f, 0x7b31f1c0c884acf5),
-];
 
 #[test]
 fn region_dominant_async_ring_captured_on_the_parent_holds() {
-    // The 120-node RGG above has 2-node regions, so nearly every handshake
-    // it pins crosses a region edge and runs in the boundary sweep. On a
-    // 2048-node ring a region is 32 consecutive nodes: all but its two end
-    // nodes handshake inside it, on the region workers.
-    let topo = Topology::ring(2048);
-    let sources = random_sources(2048, 3, &mut Rng::new(0xfeed));
-    let cfg = SimConfig {
-        max_rounds: 40,
-        record_rounds: true,
-    };
-    let churn = Churn {
-        rate: 0.05,
-        rejoin: RejoinPolicy::Lose,
-        mean_downtime: 3.0,
-    };
-    for threads in [1usize, 2, 8] {
-        for (dynamic, expected) in [false, true].into_iter().zip(RING_GOLDEN) {
-            let inputs = RunInputs {
-                dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
-                ..RunInputs::new(&topo, &UniformGossip, &sources, 42, cfg)
-            };
-            let mut probe = MemoryProbe::default();
-            let (result, timings) = async_sched(threads).run_timed(&inputs, &mut probe);
-            let EngineTimings::Async(slices) = timings else {
-                panic!("the async engine ran")
-            };
-            let in_regions: u64 = slices.events_by_region.counts.iter().sum();
-            assert!(
-                in_regions * 10 >= slices.events * 9,
-                "only {in_regions} of {} events ran on the region workers",
-                slices.events
-            );
-            let got = (
-                fnv(format!("{result:?}").as_bytes()),
-                fnv(format!("{:?}", probe.events).as_bytes()),
-            );
-            assert_eq!(
-                got, expected,
-                "ring dynamics={dynamic} threads={threads}: \
-                 (result, events) fingerprint {got:#018x?} left the parent's"
-            );
-        }
-    }
+    cells::check(&["region-ring-static", "region-ring-churn"]);
 }
-
-/// `(SimResult fingerprint, event-stream fingerprint)` of the hashed-tag
-/// cells: a sync 144-grid with k = n, an async 144-grid with k = 100, and
-/// a sync churned (`keep`) HyParView RGG with k = 80.
-const HASHED_GOLDEN: [(u64, u64); 3] = [
-    (0xf722ede9e6979371, 0x87286fcf9d9dcd24),
-    (0x60fe927d33f1883f, 0xd6659f48153b3428),
-    (0x6b5c1eb75f95961e, 0x5ac27449a7c294dd),
-];
 
 #[test]
 fn hashed_tag_cells_hold() {
-    // Every cell above runs k = 3, where a tag is the exact membership
-    // mask. These run k > 64, where it is a salted 64-bit hash: the sync
-    // grid compares one round's tags, the async grid compares a
-    // neighbour's tag from an older epoch against a current one, and the
-    // churned overlay scans the kept tags of dead nodes.
-    let grid = Topology::grid(144);
-    let rgg = Topology::random_geometric(120, &mut Rng::new(404));
-    let all = random_sources(144, 144, &mut Rng::new(0xfeed));
-    let hundred = random_sources(144, 100, &mut Rng::new(0xfeed));
-    let eighty = random_sources(120, 80, &mut Rng::new(0xfeed));
-    let cfg = SimConfig {
-        max_rounds: 400,
-        record_rounds: true,
-    };
-    let churn = Churn {
-        rate: 0.05,
-        rejoin: RejoinPolicy::Keep,
-        mean_downtime: 3.0,
-    };
-    let membership = MembershipConfig::default();
-    for threads in [1usize, 2, 8] {
-        let cells = [
-            (
-                Scheduler::Sync { threads },
-                RunInputs::new(&grid, &AdvertGossip, &all, 42, cfg),
-            ),
-            (
-                async_sched(threads),
-                RunInputs::new(&grid, &AdvertGossip, &hundred, 42, cfg),
-            ),
-            (
-                Scheduler::Sync { threads },
-                RunInputs {
-                    dynamics: Some(&churn as &dyn DynamicsModel),
-                    membership: Some(&membership),
-                    ..RunInputs::new(&rgg, &AdvertGossip, &eighty, 42, cfg)
-                },
-            ),
-        ];
-        let got: Vec<(u64, u64)> = cells
-            .iter()
-            .map(|(sched, inputs)| {
-                let mut probe = MemoryProbe::default();
-                let result = sched.run(inputs, &mut probe);
-                assert!(result.completed, "{} threads={threads}", sched.name());
-                (
-                    fnv(format!("{result:?}").as_bytes()),
-                    fnv(format!("{:?}", probe.events).as_bytes()),
-                )
-            })
-            .collect();
-        assert_eq!(
-            got, HASHED_GOLDEN,
-            "threads={threads}: (result, events) fingerprints {got:#018x?} moved"
-        );
-    }
+    cells::check(&[
+        "hashed-sync-grid-k144",
+        "hashed-async-grid-k100",
+        "hashed-sync-rgg-churn-hyparview-k80",
+    ]);
+}
+
+#[test]
+fn every_cell_has_a_file_and_every_file_a_cell() {
+    let mut files: Vec<String> = std::fs::read_dir(cells::corpus_dir())
+        .expect("the corpus directory")
+        .filter_map(|entry| {
+            let name = entry.expect("a directory entry").file_name();
+            name.to_str()?.strip_suffix(".txt").map(str::to_string)
+        })
+        .collect();
+    files.sort();
+    let mut names: Vec<&str> = cells::CELLS.iter().map(|(name, _)| *name).collect();
+    names.sort();
+    assert_eq!(files, names);
 }
 
 /// A dynamics model under which nothing ever happens.
@@ -296,62 +143,4 @@ fn an_empty_mutation_stream_runs_exactly_the_static_run() {
             }
         }
     }
-}
-
-#[path = "golden/cells.rs"]
-mod cells;
-
-#[test]
-fn every_corpus_cell_holds() {
-    let names: Vec<&str> = cells::CELLS.iter().map(|(name, _)| *name).collect();
-    cells::check(&names);
-}
-
-/// The `SimResult` lines of a corpus file joined back into the one-line
-/// `Debug` rendering, and its `trace_fnv`.
-fn unsplit(name: &str) -> (String, Option<u64>) {
-    let text = std::fs::read_to_string(cells::corpus_dir().join(format!("{name}.txt"))).unwrap();
-    let mut body = Vec::new();
-    let mut trace = None;
-    for line in text.lines().skip(1) {
-        match line.strip_prefix("trace_fnv 0x") {
-            Some(hex) => trace = Some(u64::from_str_radix(hex, 16).unwrap()),
-            None => body.push(line),
-        }
-    }
-    (body.join("\n").replace("},\n", "}, "), trace)
-}
-
-#[test]
-fn corpus_files_hash_to_the_old_constants() {
-    let matrix = [
-        "matrix-sync-static",
-        "matrix-sync-churn",
-        "matrix-sync-hyparview",
-        "matrix-sync-churn-hyparview",
-        "matrix-async-static",
-        "matrix-async-churn",
-        "matrix-async-hyparview",
-        "matrix-async-churn-hyparview",
-    ];
-    let ring = ["region-ring-static", "region-ring-churn"];
-    let hashed = [
-        "hashed-sync-grid-k144",
-        "hashed-async-grid-k100",
-        "hashed-sync-rgg-churn-hyparview-k80",
-    ];
-    let old = GOLDEN
-        .iter()
-        .flatten()
-        .chain(&RING_GOLDEN)
-        .chain(&HASHED_GOLDEN);
-    let names = matrix.iter().chain(&ring).chain(&hashed);
-    let mut n = 0;
-    for (name, &(result, events)) in names.zip(old) {
-        let (body, trace) = unsplit(name);
-        assert_eq!(fnv(body.as_bytes()), result, "{name}: SimResult");
-        assert_eq!(trace, Some(events), "{name}: trace");
-        n += 1;
-    }
-    assert_eq!(n, 13);
 }
