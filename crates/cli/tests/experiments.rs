@@ -251,7 +251,7 @@ fn seed_sweep_emits_one_result_per_distinct_seed() {
         "--seed",
         "100",
     ]);
-    let results = scenario.run_sweep();
+    let results: Vec<_> = scenario.sweep().map(|s| s.run()).collect();
     assert_eq!(results.len(), 5, "one result per swept seed");
     let seeds: Vec<u64> = results.iter().map(|r| r.seed).collect();
     assert_eq!(
@@ -281,7 +281,7 @@ fn seed_sweep_emits_one_result_per_distinct_seed() {
 fn default_sweep_width_is_a_single_seed() {
     let scenario = parse_run(&["--nodes", "30"]);
     assert_eq!(scenario.seeds, 1);
-    assert_eq!(scenario.run_sweep().len(), 1);
+    assert_eq!(scenario.sweep().count(), 1);
 }
 
 /// The dynamics-disabled fast path must stay bit-for-bit what the engine
@@ -492,7 +492,7 @@ fn timed_sweep_surfaces_threads_and_wall_time() {
         assert!(run.result.completed);
     }
     // The result half matches the untimed sweep exactly.
-    let untimed = scenario.run_sweep();
+    let untimed: Vec<_> = scenario.sweep().map(|s| s.run()).collect();
     let timed_results: Vec<_> = records.into_iter().map(|run| run.result).collect();
     assert_eq!(untimed, timed_results);
 }
@@ -629,7 +629,7 @@ fn csv_sweeps_emit_one_well_formed_row_per_seed() {
         "--seed",
         "9",
     ]);
-    let results = scenario.run_sweep();
+    let results: Vec<_> = scenario.sweep().map(|s| s.run()).collect();
     assert_eq!(results.len(), 4);
     let columns = csv_header().split(',').count();
     let meta = RunMeta {

@@ -23,7 +23,7 @@ use gossip_dynamics::{
     Churn, CompositeDynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
     DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
 };
-use gossip_protocols::GossipProtocol;
+use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
 use gossip_sim::{
     default_round_cap, random_sources, EngineTimings, MembershipConfig, RunInputs, Scheduler,
     SimConfig, SimResult,
@@ -213,10 +213,10 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// Canonical names, in the order help text lists them — aliased to
-    /// the protocol crate's own registry so the two cannot drift (a test
-    /// checks [`parse`](Self::parse) covers every entry).
-    pub const NAMES: &'static [&'static str] = gossip_protocols::PROTOCOL_NAMES;
+    /// Canonical names, in the order help text lists them (a test checks
+    /// each round-trips through [`parse`](Self::parse),
+    /// [`name`](Self::name) and [`build`](Self::build)).
+    pub const NAMES: &'static [&'static str] = &["uniform", "advert"];
 
     /// Parse a protocol name.
     pub fn parse(name: &str) -> Option<ProtocolSpec> {
@@ -235,11 +235,12 @@ impl ProtocolSpec {
         }
     }
 
-    /// Instantiate the protocol, through the protocol crate's own
-    /// registry.
+    /// Instantiate the protocol.
     pub fn build(&self) -> Box<dyn GossipProtocol> {
-        gossip_protocols::by_name(self.name())
-            .expect("ProtocolSpec names are a subset of the protocol registry")
+        match self {
+            ProtocolSpec::Uniform => Box::new(UniformGossip),
+            ProtocolSpec::Advert => Box::new(AdvertGossip),
+        }
     }
 }
 
@@ -639,11 +640,6 @@ impl Scenario {
             seeds: 1,
             ..self.with_seed(self.seed.wrapping_add(offset))
         })
-    }
-
-    /// The results of the configured [`sweep`](Self::sweep), collected.
-    pub fn run_sweep(&self) -> Vec<SimResult> {
-        self.sweep().map(|one| one.run()).collect()
     }
 
     /// Serialize this scenario as a spec file ([`crate::parse_spec`]
@@ -1377,8 +1373,8 @@ mod tests {
 
     #[test]
     fn protocol_specs_cover_the_protocol_registry_exactly() {
-        // NAMES aliases the registry; parse must accept every entry and
-        // name() must round-trip, so the enum and the registry cannot
+        // Every listed name parses, names itself, and builds the protocol
+        // of that name, so the list, the enum and the protocols cannot
         // drift apart.
         for &name in ProtocolSpec::NAMES {
             let spec = ProtocolSpec::parse(name)

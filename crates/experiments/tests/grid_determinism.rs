@@ -48,8 +48,8 @@ fn every_grid_cell_is_byte_identical_to_its_standalone_run() {
                 let cell = &cells[checked];
                 assert_eq!(cell, &solo, "expansion order must match the nest order");
                 // Byte-identical results, across the whole seed sweep.
-                let cell_runs: Vec<String> = cell.run_sweep().iter().map(to_json).collect();
-                let solo_runs: Vec<String> = solo.run_sweep().iter().map(to_json).collect();
+                let cell_runs: Vec<String> = cell.sweep().map(|s| to_json(&s.run())).collect();
+                let solo_runs: Vec<String> = solo.sweep().map(|s| to_json(&s.run())).collect();
                 assert_eq!(
                     cell_runs, solo_runs,
                     "{topology}/{protocol}/{scheduler} diverged between grid and standalone"

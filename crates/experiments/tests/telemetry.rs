@@ -85,18 +85,26 @@ fn golden_trace(scheduler: &str, threads: usize) -> Vec<u8> {
 
 /// The trace *format* is pinned by a committed golden file: any change to
 /// event shapes, field order, or emission order is a schema change and
-/// must be made deliberately (regenerate with the command in the golden
-/// file's sibling README comment and bump [`TRACE_SCHEMA_VERSION`]
-/// (gossip_telemetry::TRACE_SCHEMA_VERSION) if shapes changed).
+/// must be made deliberately (bump [`TRACE_SCHEMA_VERSION`]
+/// (gossip_telemetry::TRACE_SCHEMA_VERSION) if shapes changed). On a
+/// mismatch the fresh trace is written under `CARGO_TARGET_TMPDIR` and the
+/// failure prints the `cp` that blesses it.
 #[test]
 fn small_ring_trace_matches_the_committed_golden_file() {
-    let traced = golden_trace("sync", 1);
-    let golden = include_bytes!("golden/trace_ring12_sync.jsonl");
-    assert_eq!(
-        String::from_utf8_lossy(&traced),
-        String::from_utf8_lossy(golden),
-        "trace schema drifted from the golden file"
-    );
+    let traced = String::from_utf8(golden_trace("sync", 1)).expect("traces are UTF-8");
+    let golden = include_str!("golden/trace_ring12_sync.jsonl");
+    if traced != golden {
+        let fresh =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_ring12_sync.jsonl");
+        std::fs::write(&fresh, &traced).expect("the fresh trace is written");
+        assert_eq!(
+            traced,
+            golden,
+            "trace schema drifted from the golden file; bless it:\n  cp {} {}/tests/golden/trace_ring12_sync.jsonl",
+            fresh.display(),
+            env!("CARGO_MANIFEST_DIR")
+        );
+    }
 }
 
 #[test]

@@ -143,18 +143,6 @@ pub trait GossipProtocol: Sync {
     fn decide(&self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent;
 }
 
-/// Construct a protocol by its CLI name.
-pub fn by_name(name: &str) -> Option<Box<dyn GossipProtocol>> {
-    match name {
-        "uniform" => Some(Box::new(UniformGossip)),
-        "advert" => Some(Box::new(AdvertGossip)),
-        _ => None,
-    }
-}
-
-/// Names accepted by [`by_name`].
-pub const PROTOCOL_NAMES: &[&str] = &["uniform", "advert"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
