@@ -131,7 +131,7 @@ fn first_difference<'s>(a: &'s str, b: &'s str) -> (usize, &'s str, &'s str) {
     unreachable!()
 }
 
-pub fn fnv(bytes: &[u8]) -> u64 {
+fn fnv(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })

@@ -236,7 +236,7 @@ impl TraceEvent {
 
 /// The rendering `derive(Debug)` gave the per-kind enum this record
 /// replaced (`Mutate { t: 9, round: 1, kind: Depart, node: 7, peer: None }`):
-/// the golden matrix in `sim/tests/golden.rs` fingerprints it.
+/// the `trace_fnv` lines of the golden corpus in `sim/tests/golden/` hash it.
 impl fmt::Debug for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let row = self.kind.row();
