@@ -13,7 +13,7 @@
 
 use gossip_experiments::{
     assignment, effective_threads, join_errors, parse_spec, AssignmentDef, Axis, Grid,
-    OutputFormat, ProtocolSpec, Scenario, ScenarioBuilder, ASSIGNMENTS,
+    OutputFormat, Protocol, Scenario, ScenarioBuilder, ASSIGNMENTS,
 };
 
 /// Outcome of argument parsing: run (or bench) a scenario sweep, expand
@@ -227,7 +227,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         Some("bench") => {
             let builder = ScenarioBuilder::new()
                 .nodes(1_000_000)
-                .protocol(ProtocolSpec::Advert)
+                .protocol(Protocol::Advert)
                 .max_rounds(64);
             parse_run_args(&args[1..], builder, true)
         }
@@ -438,7 +438,7 @@ mod tests {
         ]);
         assert_eq!(scenario.topology, TopologySpec::Grid);
         assert_eq!(scenario.nodes, 500);
-        assert_eq!(scenario.protocol, ProtocolSpec::Advert);
+        assert_eq!(scenario.protocol, Protocol::Advert);
         assert_eq!(scenario.messages, 8);
         assert_eq!(scenario.seed, 42);
         assert_eq!(scenario.max_rounds, Some(1000));
@@ -729,7 +729,7 @@ mod tests {
         let bench = parse_bench(&["bench"]);
         assert_eq!(bench.max_rounds, Some(64));
         assert_eq!(bench.nodes, 1_000_000);
-        assert_eq!(bench.protocol, ProtocolSpec::Advert);
+        assert_eq!(bench.protocol, Protocol::Advert);
         assert!(matches!(
             parse(&[]),
             Ok(Command::Run { metrics: false, .. })
@@ -754,7 +754,7 @@ mod tests {
         ]);
         assert_eq!(bench.topology, TopologySpec::Grid);
         assert_eq!(bench.nodes, 5000);
-        assert_eq!(bench.protocol, ProtocolSpec::Uniform);
+        assert_eq!(bench.protocol, Protocol::Uniform);
         assert_eq!(bench.scheduler, Scheduler::Sync { threads: 2 });
         assert_eq!(bench.max_rounds, Some(16));
         assert_eq!((bench.seed, bench.seeds), (9, 3));

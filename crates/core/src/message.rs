@@ -40,9 +40,11 @@ impl std::ops::AddAssign for TransferStats {
 /// `split_at_mut`) and the parallel path (slices reconstituted from raw
 /// parts over provably disjoint rows).
 ///
-/// The union's digest is computed once and written to both rows, and only
-/// when a message moved: `moved == 0` means the rows were already equal,
-/// so neither changed.
+/// A pair moves nothing exactly when its rows are already equal, and then
+/// the union returns at once and writes nothing: on a sparse spread most
+/// connections join two equal rows, and rewriting them cost a store per
+/// word and dirtied the pages of rows that never change. Otherwise the
+/// union's digest is computed once and written to both rows.
 #[inline]
 fn union_rows(
     a: &mut [u64],
@@ -52,6 +54,11 @@ fn union_rows(
     digests: Option<[&mut u64; 2]>,
     universe: usize,
 ) -> TransferStats {
+    if a == b {
+        return TransferStats::default();
+    }
+    // The rows differ, so at least one message moves: the pair is
+    // productive and both rows change.
     let mut count = 0u32;
     for (x, y) in a.iter_mut().zip(b.iter_mut()) {
         let u = *x | *y;
@@ -65,14 +72,14 @@ fn union_rows(
     let moved = ((count - *count_a) + (count - *count_b)) as usize;
     *count_a = count;
     *count_b = count;
-    if let (true, Some([digest_a, digest_b])) = (moved > 0, digests) {
+    if let Some([digest_a, digest_b]) = digests {
         let d = row_digest(a, universe);
         *digest_a = d;
         *digest_b = d;
     }
     TransferStats {
         moved,
-        productive: (moved > 0) as usize,
+        productive: 1,
         newly_full,
     }
 }
@@ -647,6 +654,38 @@ mod tests {
         );
     }
 
+    #[test]
+    fn unions_of_equal_rows_move_nothing_and_change_nothing() {
+        use crate::Rng;
+        let mut rng = Rng::new(0xe9a1);
+        for universe in [1usize, 64, 65, 200] {
+            for trial in 0..50 {
+                // Rows 0 and 2 hold the same random set (empty on the
+                // first trial, full on the second); row 1 sits between
+                // them and differs.
+                let mut m = MessageMatrix::new(3, universe);
+                let held: Vec<usize> = match trial {
+                    0 => vec![],
+                    1 => (0..universe).collect(),
+                    _ => (0..universe).filter(|_| rng.gen_bool()).collect(),
+                };
+                for &msg in &held {
+                    m.insert(0, msg);
+                    m.insert(2, msg);
+                }
+                m.insert(1, rng.gen_range(universe));
+                let before = m.clone();
+                for (i, j) in [(0, 2), (2, 0)] {
+                    let stats = m.whole().union_pair_stats(i, j);
+                    assert_eq!(stats, TransferStats::default(), "k {universe}");
+                    assert_eq!(m.words, before.words, "k {universe}: words");
+                    assert_eq!(m.counts, before.counts, "k {universe}: counts");
+                    assert_eq!(m.digests, before.digests, "k {universe}: digests");
+                }
+            }
+        }
+    }
+
     /// Every cached digest equals the digest recomputed from its row.
     fn assert_digests_fresh(m: &MessageMatrix, after: &str) {
         if m.universe <= 64 {
@@ -683,6 +722,10 @@ mod tests {
                 let (i, j) = (rng.gen_range(n / 2), n / 2 + rng.gen_range(n / 2));
                 m.whole().union_pair_stats(i, j);
                 assert_digests_fresh(&m, "union_pair_stats");
+                // The pair now holds equal rows: its re-union moves nothing.
+                let again = m.whole().union_pair_stats(j, i);
+                assert_eq!(again, TransferStats::default());
+                assert_digests_fresh(&m, "equal-row union_pair_stats");
                 let (i, j) = (rng.gen_range(n / 2), n / 2 + rng.gen_range(n / 2));
                 m.whole().union_pair_traced(j, i, |_, _, _| ());
                 assert_digests_fresh(&m, "union_pair_traced");
@@ -702,6 +745,11 @@ mod tests {
                 let threads = [1, 2, 8][step % 3];
                 m.union_pairs_parallel(&pairs, threads);
                 assert_digests_fresh(&m, "union_pairs_parallel");
+                // Every pair is now equal: the same batch again is a batch
+                // of equal-row pairs.
+                let again = m.union_pairs_parallel(&pairs, threads);
+                assert_eq!(again, TransferStats::default());
+                assert_digests_fresh(&m, "equal-row union_pairs_parallel");
                 // Region chunks, the last one short: one union in each
                 // chunk of at least two rows.
                 let block = [2usize, 7, 64][step % 3];

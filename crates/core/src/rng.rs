@@ -75,6 +75,15 @@ impl Rng {
         }
     }
 
+    /// Take `ahead`'s state if `take`, else keep this one's — by mask, not
+    /// branch. With `ahead` a clone that ran some draws, a caller draws
+    /// unconditionally yet leaves the stream where a conditional draw would.
+    #[inline]
+    pub fn adopt_if(&mut self, ahead: &Rng, take: bool) {
+        let mask = (take as u64).wrapping_neg();
+        self.state = ahead.state & mask | self.state & !mask;
+    }
+
     /// Fair coin flip.
     pub fn gen_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
@@ -159,6 +168,34 @@ mod tests {
             }
             assert_eq!(lazy.next_u64(), reference.next_u64(), "bound {bound}");
         }
+    }
+
+    #[test]
+    fn adopting_a_masked_draw_equals_drawing_in_place() {
+        // `2^63 + 1` rejects almost half its raw draws, so the loop on the
+        // copy really repeats; the adoption must still land the stream
+        // exactly where the conditional in-place draw leaves it.
+        let mut repeated = false;
+        for bound in [3, (1usize << 63) + 1, usize::MAX] {
+            for seed in 0..2_000u64 {
+                for take in [false, true] {
+                    let mut in_place = Rng::new(seed ^ bound as u64);
+                    let mut masked = in_place.clone();
+                    let want = take.then(|| in_place.gen_range(bound));
+                    let mut ahead = masked.clone();
+                    let got = ahead.gen_range(bound);
+                    let mut one_draw = masked.clone();
+                    one_draw.next_u64();
+                    repeated |= ahead.state != one_draw.state;
+                    masked.adopt_if(&ahead, take);
+                    if take {
+                        assert_eq!(Some(got), want, "bound {bound} seed {seed}");
+                    }
+                    assert_eq!(masked.next_u64(), in_place.next_u64(), "bound {bound}");
+                }
+            }
+        }
+        assert!(repeated, "no bound made the rejection loop repeat");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use gossip_core::{
     resolve_connections, resolve_connections_sharded, Connection, Intent, MessageMatrix, NodeId,
     Resolution, Rng, Topology,
 };
-use gossip_protocols::{AdvertGossip, GossipProtocol, NodeCtx, Tags, UniformGossip};
+use gossip_protocols::{NodeCtx, Protocol, Tags};
 
 fn random_intents(topo: &Topology, rng: &mut Rng) -> Vec<Intent> {
     (0..topo.num_nodes())
@@ -38,7 +38,7 @@ fn random_intents(topo: &Topology, rng: &mut Rng) -> Vec<Intent> {
 /// Intents exactly as the synchronous engine would produce them in one
 /// round of `protocol`: random per-node message subsets, a full advertise
 /// pass, then a scan/decide pass with per-node streams.
-fn protocol_intents(topo: &Topology, protocol: &dyn GossipProtocol, seed: u64) -> Vec<Intent> {
+fn protocol_intents(topo: &Topology, protocol: Protocol, seed: u64) -> Vec<Intent> {
     let n = topo.num_nodes();
     let round = 5u64;
     let mut states = MessageMatrix::new(n, 6);
@@ -157,7 +157,7 @@ fn sharded_resolver_upholds_the_serial_invariants() {
     // invariants as the serial oracle (validity + maximality; invariants,
     // not bytes — the two draw from different streams, so the particular
     // maximal matching may differ).
-    let protocols: [&dyn GossipProtocol; 2] = [&UniformGossip, &AdvertGossip];
+    let protocols: [Protocol; 2] = [Protocol::Uniform, Protocol::Advert];
     for seed in 0..20u64 {
         let mut topo_rng = Rng::new(seed ^ 0x7090);
         let topologies = [
@@ -367,7 +367,7 @@ fn resolutions_are_pinned_byte_for_byte() {
     // The invariant tests above accept any valid maximal matching; these
     // pins accept only the one the resolvers pick, so a rewrite of the
     // matching kernel must keep every RNG draw and every output byte.
-    let protocols: [&dyn GossipProtocol; 2] = [&UniformGossip, &AdvertGossip];
+    let protocols: [Protocol; 2] = [Protocol::Uniform, Protocol::Advert];
     let got = fnv_per_topology(|topo, seed| {
         let mut sets = vec![random_intents(topo, &mut Rng::new(seed))];
         sets.extend(protocols.map(|p| protocol_intents(topo, p, seed)));

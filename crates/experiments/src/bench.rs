@@ -129,8 +129,9 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
 mod tests {
     use super::*;
     use crate::emit::{run_line_json, sweep_runs};
-    use crate::spec::{MembershipSpec, ProtocolSpec, ScenarioBuilder, TopologySpec};
+    use crate::spec::{MembershipSpec, ScenarioBuilder, TopologySpec};
     use gossip_dynamics::RejoinPolicy;
+    use gossip_protocols::Protocol;
     use gossip_telemetry::json::{parse, Value};
 
     /// Every key of a JSON object in the order it is written, nested
@@ -187,7 +188,7 @@ mod tests {
     fn bench_runs_end_to_end_and_reports_throughput() {
         let scenario = ScenarioBuilder::new()
             .nodes(2000)
-            .protocol(ProtocolSpec::Advert)
+            .protocol(Protocol::Advert)
             .max_rounds(32)
             .seed(5)
             .finish()
@@ -227,7 +228,7 @@ mod tests {
     fn async_bench_reports_slice_phases_and_event_throughput() {
         let scenario = ScenarioBuilder::new()
             .nodes(2000)
-            .protocol(ProtocolSpec::Advert)
+            .protocol(Protocol::Advert)
             .async_scheduler(gossip_core::time::TimingConfig::default())
             .max_rounds(32)
             .seed(5)
@@ -257,7 +258,7 @@ mod tests {
         let churned = ScenarioBuilder::new()
             .topology(TopologySpec::Rgg { radius: None })
             .nodes(600)
-            .protocol(ProtocolSpec::Advert)
+            .protocol(Protocol::Advert)
             .churn(0.05, RejoinPolicy::Keep)
             .membership(MembershipSpec::HyParView {
                 active: 5,

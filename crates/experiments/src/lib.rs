@@ -5,13 +5,13 @@
 //! × protocol × scheduler × dynamics × seed. This crate makes that space
 //! a first-class, typed value instead of a pile of CLI strings:
 //!
-//! - **Specs** ([`spec`]): [`TopologySpec`], [`ProtocolSpec`], the
-//!   engine's own [`Scheduler`], [`DynamicsSpec`], and [`OutputSpec`]
-//!   compose into a validated [`Scenario`] via [`ScenarioBuilder`], which
-//!   accumulates structured [`SpecError`]s instead of failing fast. A
-//!   scenario owns its whole execution: [`Scenario::run`] builds the
-//!   topology, sources, dynamics, and membership, and [`sweep_runs`]
-//!   streams a multi-seed sweep.
+//! - **Specs** ([`spec`]): [`TopologySpec`], the protocols' own
+//!   [`Protocol`], the engine's own [`Scheduler`], [`DynamicsSpec`], and
+//!   [`OutputSpec`] compose into a validated [`Scenario`] via
+//!   [`ScenarioBuilder`], which accumulates structured [`SpecError`]s
+//!   instead of failing fast. A scenario owns its whole execution:
+//!   [`Scenario::run`] builds the topology, sources, dynamics, and
+//!   membership, and [`sweep_runs`] streams a multi-seed sweep.
 //! - **Grids** ([`grid`]): [`Axis`] lists over the shared `key = value`
 //!   vocabulary ([`ASSIGNMENTS`]) expand — in a documented deterministic
 //!   order — into scenario cells, each stamped with a stable
@@ -54,12 +54,13 @@ pub use emit::{
     csv_header, run_line_csv, run_line_json, sweep_runs, to_json, Emitter, RunMeta, SweepRun,
     SCHEMA_VERSION,
 };
+pub use gossip_protocols::Protocol;
 pub use gossip_sim::{effective_threads, Scheduler};
 pub use grid::{Axis, Grid, GridExpandError, MAX_GRID_RUNS};
 pub use pool::{execute_grid, run_cell, worker_count, CellOutput, PoolSummary};
 pub use spec::{
     assignment, join_errors, AssignmentDef, ChurnSpec, DynamicsSpec, MembershipSpec, OutputFormat,
-    OutputSpec, ProtocolSpec, Scenario, ScenarioBuilder, SpecError, TopologySpec, ASSIGNMENTS,
-    SOURCES_SEED_SALT, TOPOLOGY_SEED_SALT,
+    OutputSpec, Scenario, ScenarioBuilder, SpecError, TopologySpec, ASSIGNMENTS, SOURCES_SEED_SALT,
+    TOPOLOGY_SEED_SALT,
 };
 pub use specfile::parse_spec;

@@ -23,7 +23,7 @@ use gossip_dynamics::{
     Churn, CompositeDynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
     DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
 };
-use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{
     default_round_cap, random_sources, EngineTimings, MembershipConfig, RunInputs, Scheduler,
     SimConfig, SimResult,
@@ -199,47 +199,6 @@ impl TopologySpec {
                 };
                 (topo, Some(geometry))
             }
-        }
-    }
-}
-
-/// The gossip protocol of a scenario.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ProtocolSpec {
-    /// Blind uniform random spread.
-    Uniform,
-    /// Advertisement-guided (productive) gossip.
-    Advert,
-}
-
-impl ProtocolSpec {
-    /// Canonical names, in the order help text lists them (a test checks
-    /// each round-trips through [`parse`](Self::parse),
-    /// [`name`](Self::name) and [`build`](Self::build)).
-    pub const NAMES: &'static [&'static str] = &["uniform", "advert"];
-
-    /// Parse a protocol name.
-    pub fn parse(name: &str) -> Option<ProtocolSpec> {
-        match name {
-            "uniform" => Some(ProtocolSpec::Uniform),
-            "advert" => Some(ProtocolSpec::Advert),
-            _ => None,
-        }
-    }
-
-    /// The canonical name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolSpec::Uniform => "uniform",
-            ProtocolSpec::Advert => "advert",
-        }
-    }
-
-    /// Instantiate the protocol.
-    pub fn build(&self) -> Box<dyn GossipProtocol> {
-        match self {
-            ProtocolSpec::Uniform => Box::new(UniformGossip),
-            ProtocolSpec::Advert => Box::new(AdvertGossip),
         }
     }
 }
@@ -436,7 +395,7 @@ impl Default for OutputSpec {
 pub struct Scenario {
     pub topology: TopologySpec,
     pub nodes: usize,
-    pub protocol: ProtocolSpec,
+    pub protocol: Protocol,
     pub scheduler: Scheduler,
     pub messages: usize,
     pub seed: u64,
@@ -597,13 +556,12 @@ impl Scenario {
             let (topology, geometry) = self.topology.build(self.nodes, self.seed);
             (topology, self.dynamics.build(geometry.as_ref()))
         };
-        let protocol = self.protocol.build();
         let sources = self.sources();
         let membership = self.membership.to_config();
         let build_ms = building.elapsed().as_secs_f64() * 1e3;
         let inputs = RunInputs {
             topology: &topology,
-            protocol: protocol.as_ref(),
+            protocol: self.protocol,
             sources: &sources,
             seed: self.seed,
             config,
@@ -715,9 +673,9 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         metavar: Some("uniform|advert"),
         help: "gossip protocol [default: uniform]",
         axis: true,
-        set: |b, k, v| match ProtocolSpec::parse(v) {
+        set: |b, k, v| match Protocol::parse(v) {
             Some(spec) => b.protocol = spec,
-            None => b.unknown_value(k, v, ProtocolSpec::NAMES),
+            None => b.unknown_value(k, v, Protocol::NAMES),
         },
         get: |s| Some(s.protocol.name().to_string()),
     },
@@ -940,7 +898,7 @@ pub struct ScenarioBuilder {
     topology: TopologySpec,
     radius: Option<f64>,
     nodes: usize,
-    protocol: ProtocolSpec,
+    protocol: Protocol,
     asynchronous: bool,
     threads: usize,
     timing: TimingConfig,
@@ -976,7 +934,7 @@ impl ScenarioBuilder {
             topology: TopologySpec::Ring,
             radius: None,
             nodes: 100,
-            protocol: ProtocolSpec::Uniform,
+            protocol: Protocol::Uniform,
             asynchronous: false,
             threads: 1,
             timing: TimingConfig::default(),
@@ -1039,7 +997,7 @@ impl ScenarioBuilder {
         self.with("nodes", nodes)
     }
 
-    pub fn protocol(self, protocol: ProtocolSpec) -> Self {
+    pub fn protocol(self, protocol: Protocol) -> Self {
         self.with("protocol", protocol.name())
     }
 
@@ -1373,14 +1331,18 @@ mod tests {
 
     #[test]
     fn protocol_specs_cover_the_protocol_registry_exactly() {
-        // Every listed name parses, names itself, and builds the protocol
-        // of that name, so the list, the enum and the protocols cannot
+        // Every listed name parses, names itself, and is what the
+        // `protocol` key builds, so the list, the enum and the key cannot
         // drift apart.
-        for &name in ProtocolSpec::NAMES {
-            let spec = ProtocolSpec::parse(name)
-                .unwrap_or_else(|| panic!("registry protocol '{name}' has no ProtocolSpec"));
-            assert_eq!(spec.name(), name);
-            assert_eq!(spec.build().name(), name);
+        for &name in Protocol::NAMES {
+            let protocol = Protocol::parse(name)
+                .unwrap_or_else(|| panic!("listed protocol '{name}' does not parse"));
+            assert_eq!(protocol.name(), name);
+            let scenario = ScenarioBuilder::new()
+                .with("protocol", name)
+                .finish()
+                .unwrap_or_else(|e| panic!("protocol = {name}: {}", join_errors(&e)));
+            assert_eq!(scenario.protocol, protocol);
         }
     }
 

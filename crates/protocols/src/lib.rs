@@ -1,4 +1,4 @@
-//! Pluggable gossip protocols for the mobile telephone model.
+//! The gossip protocols of the mobile telephone model.
 //!
 //! A protocol decides, each round and for each node, (a) what to put in the
 //! node's advertisement tag and (b) whether to propose a connection, listen
@@ -6,21 +6,18 @@
 //! visible: the node's own message set and its neighbors' advertisements.
 //!
 //! Two members of the family analyzed in Newport's PODC 2017 paper (and the
-//! follow-up random gossip processes work) are provided:
-//!
-//! - [`UniformGossip`]: blind uniform random spread — ignore advertisements,
-//!   flip a coin for role, propose to a uniformly random neighbor.
-//! - [`AdvertGossip`]: productive, advertisement-guided gossip — advertise a
-//!   fingerprint of the held message set, and only pursue connections that
-//!   can move a new message in at least one direction.
+//! follow-up random gossip processes work) are provided, as the variants
+//! of the [`Protocol`] enum: [`Protocol::Uniform`], blind uniform random
+//! spread, and [`Protocol::Advert`], productive advertisement-guided
+//! gossip. The set is closed on purpose: the engines ask every node for a
+//! tag and an intent every round, and a `match` on a `Copy` enum inlines
+//! into their node loops, where a trait object cost one indirect call per
+//! node per round and hid the rule from the optimiser.
 
 mod advert;
 mod uniform;
 
-pub use advert::AdvertGossip;
-pub use uniform::UniformGossip;
-
-use gossip_core::{Advertisement, Intent, MessageMatrix, MsgView, NodeId, Rng};
+use gossip_core::{Advertisement, Intent, MsgView, NodeId, Rng};
 
 /// The tags a deciding node can scan: a view over the engine's tag
 /// storage, read one neighbor at a time through [`of`](Self::of). The
@@ -101,46 +98,87 @@ pub struct NodeCtx<'a> {
     pub tags: Tags<'a>,
 }
 
-/// A gossip protocol in the mobile telephone model. Implementations must be
-/// deterministic given the RNG: all randomness flows through `rng`.
-///
-/// `Sync` is a supertrait: the synchronous engine shards its advertise and
-/// decide phases across worker threads that share one `&dyn
-/// GossipProtocol`, so implementations must be immutable (or internally
-/// synchronized) per-call — which stateless protocols trivially are.
-pub trait GossipProtocol: Sync {
+/// The gossip protocols. Both rules are deterministic given the RNG: all
+/// randomness flows through `rng`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Protocol {
+    /// Blind uniform random spread: tags carry nothing, and each round a
+    /// node flips a fair coin to propose to a uniformly random neighbor
+    /// or to listen. Connections between equal message sets are wasted,
+    /// the inefficiency advertisement-guided protocols eliminate.
+    Uniform,
+    /// Advertisement-guided gossip from the paper family: each node
+    /// advertises a fingerprint of its message set, so neighbors can tell
+    /// *before* spending their one connection whether a transfer would be
+    /// productive.
+    ///
+    /// With ≤64 messages the tag is the exact membership mask, and role
+    /// selection reads set differences straight off the scanned tags:
+    ///
+    /// - No neighbor's tag differs from ours → **idle**; every possible
+    ///   connection would be wasted.
+    /// - Some neighbor strictly lacks messages we hold (and no neighbor
+    ///   can teach us anything) → **propose** to a random such neighbor;
+    ///   we are a local frontier source and proposing is guaranteed
+    ///   productive.
+    /// - Some neighbor strictly exceeds us (and we cannot teach anyone) →
+    ///   **listen**; the frontier will come to us.
+    /// - Mixed neighborhood → fair coin between proposing to a random
+    ///   productive neighbor and listening, which avoids the livelock of
+    ///   two mutually-productive nodes both insisting on the same role.
+    ///
+    /// Larger universes hash the set down to a 64-bit tag, salted with the
+    /// round number. Hashed bits carry no subset structure, so only tag
+    /// (in)equality is used: differing tags mark a neighbor as (almost
+    /// surely) productive and roles are chosen by coin flip. A tag is a
+    /// salted `mix` of the row's 64-bit digest, and `mix` is a bijection, so
+    /// under one salt two tags collide exactly when the digests do: a fresh
+    /// salt does not break up such a pair, and a stall persists only while
+    /// two *different* sets share a digest, a 64-bit coincidence that lasts
+    /// until either row changes.
+    Advert,
+}
+
+impl Protocol {
+    /// Canonical names, in the order help text lists them (a test checks
+    /// each round-trips through [`parse`](Self::parse) and
+    /// [`name`](Self::name)).
+    pub const NAMES: &'static [&'static str] = &["uniform", "advert"];
+
+    /// Parse a protocol name.
+    pub fn parse(name: &str) -> Option<Protocol> {
+        [Protocol::Uniform, Protocol::Advert]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+
     /// Stable protocol name, used in CLI selection and reporting.
-    fn name(&self) -> &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            Protocol::Uniform => "uniform",
+            Protocol::Advert => "advert",
+        }
+    }
 
     /// The tag this node broadcasts when it (re)advertises. `salt` is the
     /// same value later visible as [`NodeCtx::salt`] to scanners of this
     /// tag's generation.
-    fn advertise(&self, messages: MsgView<'_>, salt: u64) -> Advertisement;
-
-    /// [`advertise`](Self::advertise) for the contiguous rows
-    /// `base..base + out.len()` of `states` under one salt — how engines
-    /// fill an ad table (a synchronous round's refresh, an event engine's
-    /// initial epoch-0 tags). `out[i]` must equal
-    /// `advertise(states.view(base + i), salt)`; the default computes
-    /// exactly that, and an override may only compute it faster.
-    ///
-    /// A hashed tag needs no batching: the matrix keeps each row's digest
-    /// current, so [`advertise`](Self::advertise) is one `mix` per row and
-    /// the default loop is the whole kernel.
-    fn advertise_rows(
-        &self,
-        states: &MessageMatrix,
-        base: usize,
-        salt: u64,
-        out: &mut [Advertisement],
-    ) {
-        for (i, ad) in out.iter_mut().enumerate() {
-            *ad = self.advertise(states.view(base + i), salt);
+    #[inline]
+    pub fn advertise(self, messages: MsgView<'_>, salt: u64) -> Advertisement {
+        match self {
+            Protocol::Uniform => Advertisement(0),
+            Protocol::Advert => advert::advertise(messages, salt),
         }
     }
 
     /// The node's connection intent, after scanning neighbor tags.
-    fn decide(&self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent;
+    #[inline]
+    pub fn decide(self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {
+        match self {
+            Protocol::Uniform => uniform::decide(ctx, rng),
+            Protocol::Advert => advert::decide(ctx, rng),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,41 +1,41 @@
-//! Blind uniform random spread.
+//! Blind uniform random spread: [`Protocol::Uniform`](crate::Protocol).
 
-use crate::{GossipProtocol, NodeCtx};
-use gossip_core::{Advertisement, Intent, MsgView, Rng};
+use crate::NodeCtx;
+use gossip_core::{Intent, Rng};
 
-/// The baseline protocol: advertisements carry nothing, and each round every
-/// node flips a fair coin to pick a role — propose to a uniformly random
-/// neighbor, or listen. Connections that link two nodes with identical
-/// message sets are wasted, which is exactly the inefficiency
-/// advertisement-guided protocols eliminate.
-pub struct UniformGossip;
-
-impl GossipProtocol for UniformGossip {
-    fn name(&self) -> &'static str {
-        "uniform"
+/// Flip a fair coin for the role; on heads, propose to a uniformly random
+/// neighbor, else listen. Isolated nodes idle.
+///
+/// Written without a branch on the coin, which is a coin: a branch on it
+/// mispredicts half the time. The neighbor index is drawn on a copy of the
+/// stream and the target always read; `adopt_if` then keeps the copy's
+/// state only on heads. So the stream ends exactly where the conditional
+/// draw would leave it — the coin, plus the index draws on heads only —
+/// and both engines consume the draws they always did. The sync engine
+/// drops each node's stream after deciding, so there the adoption compiles
+/// away; the sliced engine's region stream advances as before. The test
+/// module keeps the conditional form as the oracle.
+#[inline]
+pub(crate) fn decide(ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {
+    let degree = ctx.neighbors.len();
+    if degree == 0 {
+        return Intent::Idle;
     }
-
-    fn advertise(&self, _messages: MsgView<'_>, _salt: u64) -> Advertisement {
-        Advertisement(0)
-    }
-
-    fn decide(&self, ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {
-        if ctx.neighbors.is_empty() {
-            return Intent::Idle;
-        }
-        if rng.gen_bool() {
-            Intent::Propose(ctx.neighbors[rng.gen_range(ctx.neighbors.len())])
-        } else {
-            Intent::Listen
-        }
+    let propose = rng.gen_bool();
+    let mut ahead = rng.clone();
+    let target = ctx.neighbors[ahead.gen_range(degree)];
+    rng.adopt_if(&ahead, propose);
+    if propose {
+        Intent::Propose(target)
+    } else {
+        Intent::Listen
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Tags;
-    use gossip_core::{MessageMatrix, NodeId};
+    use crate::{NodeCtx, Protocol, Tags};
+    use gossip_core::{Advertisement, Intent, MessageMatrix, NodeId, Rng};
 
     fn ctx<'a>(
         messages: &'a MessageMatrix,
@@ -56,7 +56,10 @@ mod tests {
     fn isolated_node_idles() {
         let messages = MessageMatrix::new(1, 1);
         let ctx = ctx(&messages, &[], &[]);
-        assert_eq!(UniformGossip.decide(&ctx, &mut Rng::new(1)), Intent::Idle);
+        assert_eq!(
+            Protocol::Uniform.decide(&ctx, &mut Rng::new(1)),
+            Intent::Idle
+        );
     }
 
     #[test]
@@ -69,7 +72,7 @@ mod tests {
         let mut proposed = false;
         let mut listened = false;
         for _ in 0..200 {
-            match UniformGossip.decide(&ctx, &mut rng) {
+            match Protocol::Uniform.decide(&ctx, &mut rng) {
                 Intent::Propose(v) => {
                     assert!(neighbors.contains(&v));
                     proposed = true;
@@ -91,7 +94,43 @@ mod tests {
         let ctx = ctx(&messages, &neighbors, &[]);
         let mut rng = Rng::new(11);
         for _ in 0..200 {
-            UniformGossip.decide(&ctx, &mut rng);
+            Protocol::Uniform.decide(&ctx, &mut rng);
+        }
+    }
+
+    #[test]
+    fn masked_draw_matches_the_conditional_oracle() {
+        // The rule as first written: draw the index only on heads. The
+        // masked form must return the same intent and leave the stream at
+        // the same place, or every pinned uniform run would move.
+        fn oracle(neighbors: &[NodeId], rng: &mut Rng) -> Intent {
+            if neighbors.is_empty() {
+                return Intent::Idle;
+            }
+            if rng.gen_bool() {
+                Intent::Propose(neighbors[rng.gen_range(neighbors.len())])
+            } else {
+                Intent::Listen
+            }
+        }
+        let messages = MessageMatrix::new(1, 1);
+        for degree in [0, 1, 2, 3, 7, 64, 1_000] {
+            let neighbors: Vec<_> = (1..=degree as u32).map(NodeId).collect();
+            let ctx = ctx(&messages, &neighbors, &[]);
+            for seed in 0..2_000u64 {
+                let mut masked = Rng::stream(seed, degree as u64, 0);
+                let mut reference = masked.clone();
+                assert_eq!(
+                    Protocol::Uniform.decide(&ctx, &mut masked),
+                    oracle(&neighbors, &mut reference),
+                    "degree {degree} seed {seed}"
+                );
+                assert_eq!(
+                    masked.next_u64(),
+                    reference.next_u64(),
+                    "degree {degree} seed {seed}"
+                );
+            }
         }
     }
 }

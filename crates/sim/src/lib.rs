@@ -1,8 +1,9 @@
 //! Deterministic simulation engines for gossip in the mobile telephone
 //! model, chosen by the [`Scheduler`] enum.
 //!
-//! Its two variants drive any [`gossip_protocols::GossipProtocol`]
-//! over any [`Topology`](gossip_core::Topology):
+//! Its two variants drive either [`gossip_protocols::Protocol`] over any
+//! [`Topology`](gossip_core::Topology), calling the protocol through a
+//! `match` inside their node loops, not through a vtable:
 //!
 //! - [`Scheduler::Sync`] — the PODC 2017 round structure: globally
 //!   synchronized advertise → scan → connect → transfer rounds with batch
@@ -135,12 +136,12 @@ pub fn random_sources(n: usize, k: usize, rng: &mut Rng) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use gossip_core::Topology;
-    use gossip_protocols::{GossipProtocol, UniformGossip};
+    use gossip_protocols::Protocol;
     use gossip_telemetry::NoopProbe;
 
     fn run(
         topology: &Topology,
-        protocol: &dyn GossipProtocol,
+        protocol: Protocol,
         sources: &[NodeId],
         seed: u64,
         config: &SimConfig,
@@ -154,7 +155,7 @@ mod tests {
         let topo = Topology::complete(1);
         let result = run(
             &topo,
-            &UniformGossip,
+            Protocol::Uniform,
             &[NodeId(0)],
             1,
             &SimConfig::default(),
@@ -173,8 +174,8 @@ mod tests {
         };
         let mut rng = Rng::new(5);
         let sources = random_sources(30, 3, &mut rng);
-        let a = run(&topo, &UniformGossip, &sources, 77, &cfg);
-        let b = run(&topo, &UniformGossip, &sources, 77, &cfg);
+        let a = run(&topo, Protocol::Uniform, &sources, 77, &cfg);
+        let b = run(&topo, Protocol::Uniform, &sources, 77, &cfg);
         assert_eq!(a.rounds_to_completion, b.rounds_to_completion);
         assert_eq!(a.total_connections, b.total_connections);
         assert_eq!(a.rounds, b.rounds);
@@ -188,7 +189,7 @@ mod tests {
             max_rounds: 25,
             ..SimConfig::default()
         };
-        let result = run(&topo, &UniformGossip, &[NodeId(0)], 3, &cfg);
+        let result = run(&topo, Protocol::Uniform, &[NodeId(0)], 3, &cfg);
         assert!(!result.completed);
         assert_eq!(result.rounds_executed, 25);
         assert_eq!(result.rounds_to_completion, None);
@@ -200,7 +201,7 @@ mod tests {
         let topo = Topology::ring(16);
         let result = run(
             &topo,
-            &UniformGossip,
+            Protocol::Uniform,
             &[NodeId(0)],
             9,
             &SimConfig::default(),
@@ -238,7 +239,7 @@ mod tests {
         let topo = Topology::ring(16);
         let result = run(
             &topo,
-            &UniformGossip,
+            Protocol::Uniform,
             &[NodeId(0)],
             9,
             &SimConfig::default(),

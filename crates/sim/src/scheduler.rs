@@ -51,7 +51,7 @@ use gossip_core::{
 };
 use gossip_dynamics::DynamicsModel;
 use gossip_membership::{Membership, MembershipConfig};
-use gossip_protocols::{GossipProtocol, NodeCtx, Tags};
+use gossip_protocols::{NodeCtx, Protocol, Tags};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
@@ -62,7 +62,7 @@ use gossip_telemetry::{EventKind, Probe, TraceEvent};
 pub struct RunInputs<'a> {
     /// The (initial) underlay graph.
     pub topology: &'a Topology,
-    pub protocol: &'a dyn GossipProtocol,
+    pub protocol: Protocol,
     /// Message `m` starts at `sources[m]`.
     pub sources: &'a [NodeId],
     pub seed: u64,
@@ -91,7 +91,7 @@ impl<'a> RunInputs<'a> {
     /// neighborhoods; set `dynamics` / `membership` by struct update.
     pub fn new(
         topology: &'a Topology,
-        protocol: &'a dyn GossipProtocol,
+        protocol: Protocol,
         sources: &'a [NodeId],
         seed: u64,
         config: SimConfig,
@@ -345,7 +345,7 @@ pub struct PhaseTimings {
 /// round, so scan, intent, and matching are coherent. Static inputs
 /// skip the first two steps entirely: the phase step is monomorphised
 /// per graph type, so a frozen [`Topology`] is read directly, with no
-/// alive mask and one `advertise_rows` call per worker.
+/// alive mask.
 fn run_sync(
     threads: usize,
     inputs: &RunInputs<'_>,
@@ -463,8 +463,8 @@ fn run_sync(
 
 /// What every round's phases share: the run's constants, the per-node
 /// buffers, and the phase clocks.
-struct RoundPhases<'a> {
-    protocol: &'a dyn GossipProtocol,
+struct RoundPhases {
+    protocol: Protocol,
     seed: u64,
     threads: usize,
     states: MessageMatrix,
@@ -475,7 +475,7 @@ struct RoundPhases<'a> {
     timings: PhaseTimings,
 }
 
-impl RoundPhases<'_> {
+impl RoundPhases {
     /// One round's advertise → scan → connect → transfer over `graph`,
     /// the same sharded phases whatever the graph is — the frozen
     /// underlay, the active view of a mutating one (`alive` masks its
@@ -619,25 +619,20 @@ fn traced_transfer(
 }
 
 /// One worker's advertise pass over its node range: refresh the tag of
-/// every (alive) node in `base..base + out.len()`.
+/// every (alive) node in `base..base + out.len()`. A dead node keeps its
+/// last tag — membership views may still scan it until SWIM evicts the
+/// peer — so only alive rows store.
 fn advertise_range(
     base: usize,
     out: &mut [Advertisement],
     alive: Option<&[bool]>,
-    protocol: &dyn GossipProtocol,
+    protocol: Protocol,
     states: &MessageMatrix,
     round: u64,
 ) {
-    let Some(mask) = alive else {
-        protocol.advertise_rows(states, base, round, out);
-        return;
-    };
-    // Masked rounds go per row: a dead node must keep its last tag —
-    // membership views may still scan it until SWIM evicts the peer — so
-    // only alive rows store.
     for (i, ad) in out.iter_mut().enumerate() {
         let u = base + i;
-        if mask[u] {
+        if alive.is_none_or(|mask| mask[u]) {
             *ad = protocol.advertise(states.view(u), round);
         }
     }
@@ -653,7 +648,7 @@ fn decide_range<G: GraphView + ?Sized>(
     out: &mut [Intent],
     graph: &G,
     alive: Option<&[bool]>,
-    protocol: &dyn GossipProtocol,
+    protocol: Protocol,
     states: &MessageMatrix,
     ads: &[Advertisement],
     seed: u64,

@@ -78,7 +78,7 @@ use gossip_core::{
 };
 use gossip_dynamics::MutationKind;
 use gossip_membership::Membership;
-use gossip_protocols::{GossipProtocol, NodeCtx, Tags};
+use gossip_protocols::{NodeCtx, Protocol, Tags};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
@@ -470,7 +470,7 @@ impl RegionScratch {
 /// boundary sweep. The gossip graph is not in it: it may borrow the run's
 /// `DynRun`, which the sweep's replays write to between events.
 struct SliceCtx<'a> {
-    protocol: &'a dyn GossipProtocol,
+    protocol: Protocol,
     timing: &'a TimingConfig,
     drift: &'a [f64],
     /// Start-of-slice advertisement snapshot, read for *cross-region*
@@ -890,8 +890,9 @@ pub(crate) fn run_sliced(
     let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
     let drift: Vec<f64> = (0..n).map(|_| timing.drift_factor(&mut rng)).collect();
     // Every node publishes an initial epoch-0 tag before anyone scans.
-    let mut ads = vec![Advertisement::default(); n];
-    protocol.advertise_rows(&states, 0, 0, &mut ads);
+    let mut ads: Vec<_> = (0..n)
+        .map(|u| protocol.advertise(states.view(u), 0))
+        .collect();
     let mut ads_snap = ads.clone();
     let mut matcher = IncrementalMatcher::new(n);
     let mut partner: Vec<Option<(NodeId, bool)>> = vec![None; n];

@@ -25,7 +25,7 @@ use gossip_core::{NodeId, Rng, Topology};
 use gossip_dynamics::{
     Churn, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint, DEFAULT_SPEED_PER_ROUND,
 };
-use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
@@ -40,11 +40,11 @@ fn topologies(n: usize) -> Vec<Topology> {
     ]
 }
 
-fn protocols() -> [&'static dyn GossipProtocol; 2] {
-    [&UniformGossip, &AdvertGossip]
+fn protocols() -> [Protocol; 2] {
+    [Protocol::Uniform, Protocol::Advert]
 }
 
-fn run_static(threads: usize, topo: &Topology, proto: &dyn GossipProtocol, k: usize) -> SimResult {
+fn run_static(threads: usize, topo: &Topology, proto: Protocol, k: usize) -> SimResult {
     let mut rng = Rng::new(0xfeed);
     let sources = random_sources(topo.num_nodes(), k, &mut rng);
     let cfg = SimConfig {
@@ -121,7 +121,7 @@ fn run_dyn(
     threads: usize,
     topo: &Topology,
     dynamics: &dyn DynamicsModel,
-    proto: &dyn GossipProtocol,
+    proto: Protocol,
 ) -> SimResult {
     let mut rng = Rng::new(0xfeed);
     let sources = random_sources(topo.num_nodes(), 2, &mut rng);
@@ -186,12 +186,7 @@ fn async_sched(threads: usize) -> Scheduler {
     }
 }
 
-fn run_async_static(
-    threads: usize,
-    topo: &Topology,
-    proto: &dyn GossipProtocol,
-    k: usize,
-) -> SimResult {
+fn run_async_static(threads: usize, topo: &Topology, proto: Protocol, k: usize) -> SimResult {
     let mut rng = Rng::new(0xfeed);
     let sources = random_sources(topo.num_nodes(), k, &mut rng);
     let cfg = SimConfig {
@@ -289,7 +284,7 @@ fn thread_count_zero_and_oversubscription_are_harmless() {
         (&ring, [1, 0, 64].map(|threads| Scheduler::Sync { threads })),
         (&big_ring, [1, 0, 64].map(async_sched)),
     ] {
-        let inputs = RunInputs::new(topo, &UniformGossip, &[NodeId(3)], 9, cfg);
+        let inputs = RunInputs::new(topo, Protocol::Uniform, &[NodeId(3)], 9, cfg);
         let [serial, zero, many] = schedulers.map(|s| s.run(&inputs, &mut NoopProbe));
         assert!(serial.completed, "{}", serial.scheduler);
         assert_eq!(serial, zero, "{} threads=0", serial.scheduler);

@@ -9,7 +9,7 @@ use gossip_dynamics::{
     Churn, DynamicsModel, EdgeFading, Mutation, MutationKind, MutationStream, RejoinPolicy,
     Waypoint, DEFAULT_SPEED_PER_ROUND,
 };
-use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
@@ -73,7 +73,7 @@ fn run_dynamic(
     scheduler: &Scheduler,
     topo: &Topology,
     dynamics: &dyn DynamicsModel,
-    protocol: &dyn GossipProtocol,
+    protocol: Protocol,
     k: usize,
     seed: u64,
 ) -> SimResult {
@@ -130,7 +130,7 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     let result = Scheduler::Sync { threads: 1 }.run(
         &RunInputs {
             dynamics: Some(&early),
-            ..RunInputs::new(&topo, &AdvertGossip, &sources, 7, cfg)
+            ..RunInputs::new(&topo, Protocol::Advert, &sources, 7, cfg)
         },
         &mut NoopProbe,
     );
@@ -144,7 +144,7 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     let result = Scheduler::Sync { threads: 1 }.run(
         &RunInputs {
             dynamics: Some(&late),
-            ..RunInputs::new(&topo, &AdvertGossip, &sources, 7, cfg)
+            ..RunInputs::new(&topo, Protocol::Advert, &sources, 7, cfg)
         },
         &mut NoopProbe,
     );
@@ -169,7 +169,7 @@ fn emptied_network_never_completes() {
         let result = scheduler.run(
             &RunInputs {
                 dynamics: Some(&script),
-                ..RunInputs::new(&topo, &UniformGossip, &[NodeId(0)], 3, cfg)
+                ..RunInputs::new(&topo, Protocol::Uniform, &[NodeId(0)], 3, cfg)
             },
             &mut NoopProbe,
         );
@@ -201,7 +201,7 @@ fn gossip_crosses_a_dead_gap_only_after_the_rejoin() {
         let result = scheduler.run(
             &RunInputs {
                 dynamics: Some(&script),
-                ..RunInputs::new(&topo, &AdvertGossip, &[NodeId(0)], 11, cfg)
+                ..RunInputs::new(&topo, Protocol::Advert, &[NodeId(0)], 11, cfg)
             },
             &mut NoopProbe,
         );
@@ -226,8 +226,8 @@ fn churn_runs_are_reproducible_and_terminate() {
         mean_downtime: 4.0,
     };
     for scheduler in schedulers() {
-        let a = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 42);
-        let b = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 42);
+        let a = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 42);
+        let b = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 42);
         assert_eq!(
             a,
             b,
@@ -239,7 +239,7 @@ fn churn_runs_are_reproducible_and_terminate() {
         assert!(stats.departures > 0, "10% churn must actually churn");
         assert!(stats.rejoins > 0);
         // Different seeds diverge.
-        let c = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 43);
+        let c = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 43);
         assert_ne!(
             (a.virtual_time, a.total_connections),
             (c.virtual_time, c.total_connections),
@@ -258,7 +258,7 @@ fn churn_with_lose_policy_still_completes() {
         mean_downtime: 2.0,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(&scheduler, &topo, &model, &UniformGossip, 2, 9);
+        let result = run_dynamic(&scheduler, &topo, &model, Protocol::Uniform, 2, 9);
         assert!(
             result.completed,
             "{}: losing rejoiners must still re-learn and complete",
@@ -276,7 +276,7 @@ fn fading_runs_complete_and_count_edge_events() {
         mean_downtime: 1.0,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 5);
+        let result = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 5);
         assert!(
             result.completed,
             "{}: fading stalled the run",
@@ -300,7 +300,7 @@ fn waypoint_mobility_completes_on_an_rgg() {
         speed: DEFAULT_SPEED_PER_ROUND,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(&scheduler, &topo, &model, &AdvertGossip, 1, 13);
+        let result = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 13);
         assert!(
             result.completed,
             "{}: mobility stalled the run",
@@ -334,7 +334,7 @@ fn async_severs_connections_whose_endpoints_die() {
     };
     let mut severed = 0;
     for seed in 0..5 {
-        let result = run_dynamic(&sched, &topo, &model, &UniformGossip, 1, seed);
+        let result = run_dynamic(&sched, &topo, &model, Protocol::Uniform, 1, seed);
         assert_result_invariants(&result);
         severed += result.dynamics.expect("stats").severed_connections;
     }
@@ -353,7 +353,7 @@ fn history_rows_stay_consistent_under_churn() {
         mean_downtime: 3.0,
     };
     for scheduler in schedulers() {
-        let result = run_dynamic(&scheduler, &topo, &model, &UniformGossip, 1, 21);
+        let result = run_dynamic(&scheduler, &topo, &model, Protocol::Uniform, 1, 21);
         let history = result.rounds.as_ref().expect("history requested");
         assert_eq!(
             history.len(),

@@ -20,7 +20,7 @@ mod cells;
 use gossip_core::time::TimingConfig;
 use gossip_core::{NodeId, Rng, SimTime, Topology};
 use gossip_dynamics::{DynamicsModel, Mutation, MutationStream};
-use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig};
 use gossip_telemetry::NoopProbe;
 
@@ -108,7 +108,7 @@ fn an_empty_mutation_stream_runs_exactly_the_static_run() {
         Topology::grid(90),
         Topology::random_geometric(90, &mut Rng::new(404)),
     ];
-    let protocols: [&dyn GossipProtocol; 2] = [&UniformGossip, &AdvertGossip];
+    let protocols: [Protocol; 2] = [Protocol::Uniform, Protocol::Advert];
     for topo in &topologies {
         let n = topo.num_nodes();
         let sources: Vec<NodeId> = random_sources(n, 2, &mut Rng::new(0xfeed));

@@ -14,7 +14,7 @@ use gossip_dynamics::{
     dynamics_seed, Churn, CompositeDynamics, DynamicsModel, RejoinPolicy, Waypoint,
     DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
 };
-use gossip_protocols::{AdvertGossip, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{
     default_round_cap, random_sources, EngineTimings, Membership, MembershipConfig, RunInputs,
     Scheduler, SimConfig,
@@ -232,7 +232,7 @@ fn matrix(sched: Scheduler, dynamic: bool, overlay: bool) -> String {
     let inputs = RunInputs {
         dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
         membership: overlay.then_some(&membership),
-        ..RunInputs::new(&topo, &AdvertGossip, &sources, 42, history(120))
+        ..RunInputs::new(&topo, Protocol::Advert, &sources, 42, history(120))
     };
     render(sched, &inputs, true).0
 }
@@ -246,7 +246,7 @@ fn region_ring(threads: usize, dynamic: bool) -> String {
     let churn = churn(RejoinPolicy::Lose, 3.0);
     let inputs = RunInputs {
         dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
-        ..RunInputs::new(&topo, &UniformGossip, &sources, 42, history(40))
+        ..RunInputs::new(&topo, Protocol::Uniform, &sources, 42, history(40))
     };
     let (text, timings) = render(sliced(threads), &inputs, true);
     let EngineTimings::Async(slices) = timings else {
@@ -267,7 +267,7 @@ fn region_ring(threads: usize, dynamic: bool) -> String {
 fn hashed_grid(sched: Scheduler, k: usize) -> String {
     let grid = Topology::grid(144);
     let sources = random_sources(144, k, &mut Rng::new(0xfeed));
-    let inputs = RunInputs::new(&grid, &AdvertGossip, &sources, 42, history(400));
+    let inputs = RunInputs::new(&grid, Protocol::Advert, &sources, 42, history(400));
     render(sched, &inputs, true).0
 }
 
@@ -281,7 +281,7 @@ fn hashed_overlay(threads: usize) -> String {
     let inputs = RunInputs {
         dynamics: Some(&churn),
         membership: Some(&membership),
-        ..RunInputs::new(&rgg, &AdvertGossip, &sources, 42, history(400))
+        ..RunInputs::new(&rgg, Protocol::Advert, &sources, 42, history(400))
     };
     render(sync(threads), &inputs, true).0
 }
@@ -349,7 +349,7 @@ fn mobile_overlay(sched: Scheduler) -> String {
     let inputs = RunInputs {
         dynamics: Some(&model),
         membership: Some(&membership),
-        ..RunInputs::new(&topo, &AdvertGossip, &sources, 42, history(24))
+        ..RunInputs::new(&topo, Protocol::Advert, &sources, 42, history(24))
     };
     render(sched, &inputs, false).0
 }
@@ -358,7 +358,13 @@ fn mobile_overlay(sched: Scheduler) -> String {
 /// sweep, 500 rounds and 999 all-productive connections.
 fn ring_sweep(threads: usize) -> String {
     let topo = Topology::ring(1000);
-    let inputs = RunInputs::new(&topo, &AdvertGossip, &[NodeId(0)], 42, SimConfig::default());
+    let inputs = RunInputs::new(
+        &topo,
+        Protocol::Advert,
+        &[NodeId(0)],
+        42,
+        SimConfig::default(),
+    );
     render(sync(threads), &inputs, false).0
 }
 
@@ -372,7 +378,7 @@ fn grid_alltoall(threads: usize) -> String {
     let topo = Topology::grid(400);
     let sources = random_sources(400, 400, &mut Rng::new(42 ^ SOURCES_SEED_SALT));
     let cfg = no_history(default_round_cap(400));
-    let inputs = RunInputs::new(&topo, &AdvertGossip, &sources, 42, cfg);
+    let inputs = RunInputs::new(&topo, Protocol::Advert, &sources, 42, cfg);
     render(sync(threads), &inputs, false).0
 }
 
@@ -385,7 +391,13 @@ fn grid_alltoall(threads: usize) -> String {
 fn cli_ring(sched: Scheduler, max_rounds: usize) -> String {
     let topo = Topology::ring(1000);
     let sources = random_sources(1000, 1, &mut Rng::new(42 ^ SOURCES_SEED_SALT));
-    let inputs = RunInputs::new(&topo, &AdvertGossip, &sources, 42, no_history(max_rounds));
+    let inputs = RunInputs::new(
+        &topo,
+        Protocol::Advert,
+        &sources,
+        42,
+        no_history(max_rounds),
+    );
     render(sched, &inputs, false).0
 }
 
@@ -400,7 +412,7 @@ fn mobile_churn(sched: Scheduler) -> String {
         membership: Some(&membership),
         ..RunInputs::new(
             &topo,
-            &AdvertGossip,
+            Protocol::Advert,
             &sources,
             77,
             no_history(default_round_cap(1000)),
@@ -418,7 +430,7 @@ fn churned_grid(threads: usize) -> String {
     let sources = random_sources(2500, 2, &mut Rng::new(0xfeed));
     let inputs = RunInputs {
         dynamics: Some(&churn),
-        ..RunInputs::new(&topo, &UniformGossip, &sources, 77, no_history(120))
+        ..RunInputs::new(&topo, Protocol::Uniform, &sources, 77, no_history(120))
     };
     render(sliced(threads), &inputs, false).0
 }

@@ -14,7 +14,7 @@ mod cells;
 use gossip_core::time::TimingConfig;
 use gossip_core::{GraphView, NodeId, Rng, Topology};
 use gossip_dynamics::{Churn, RejoinPolicy};
-use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, Membership, MembershipConfig, RunInputs, Scheduler, SimConfig};
 use gossip_telemetry::NoopProbe;
 
@@ -56,7 +56,7 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
             let membership = mem_cfg();
             let inputs = RunInputs {
                 membership: Some(&membership),
-                ..RunInputs::new(&topo, &AdvertGossip, &sources, seed, sim_cfg(n))
+                ..RunInputs::new(&topo, Protocol::Advert, &sources, seed, sim_cfg(n))
             };
             let sync_base = Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe);
             assert!(
@@ -101,7 +101,7 @@ fn assert_membership_churn_is_thread_independent(
         let inputs = RunInputs {
             dynamics: Some(churn),
             membership: Some(&membership),
-            ..RunInputs::new(&topo, &AdvertGossip, &sources, 77, cfg_for(n))
+            ..RunInputs::new(&topo, Protocol::Advert, &sources, 77, cfg_for(n))
         };
         let sync_base = Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe);
         let async_base = async_sched(1).run(&inputs, &mut NoopProbe);
@@ -208,7 +208,7 @@ fn full_view_default_is_byte_identical_to_the_pre_membership_path() {
     let topo = Topology::ring(256);
     let sources = random_sources(256, 1, &mut Rng::new(5));
     let cfg = sim_cfg(256);
-    for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
+    for proto in [Protocol::Uniform, Protocol::Advert] {
         let plain = Scheduler::Sync { threads: 2 }.run(
             &RunInputs::new(&topo, proto, &sources, 11, cfg),
             &mut NoopProbe,
@@ -234,7 +234,7 @@ fn gossip_over_discovered_views_still_completes() {
         let sync_run = Scheduler::Sync { threads: 2 }.run(
             &RunInputs {
                 membership: Some(&mem_cfg()),
-                ..RunInputs::new(&topo, &AdvertGossip, &sources, 3, cfg)
+                ..RunInputs::new(&topo, Protocol::Advert, &sources, 3, cfg)
             },
             &mut NoopProbe,
         );
@@ -253,7 +253,7 @@ fn gossip_over_discovered_views_still_completes() {
         let async_run = async_sched(2).run(
             &RunInputs {
                 membership: Some(&mem_cfg()),
-                ..RunInputs::new(&topo, &AdvertGossip, &sources, 3, cfg)
+                ..RunInputs::new(&topo, Protocol::Advert, &sources, 3, cfg)
             },
             &mut NoopProbe,
         );

@@ -4,7 +4,7 @@
 
 use gossip_core::time::{TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{Rng, Topology};
-use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
@@ -19,7 +19,7 @@ fn default_async() -> Scheduler {
 fn run_with(
     scheduler: &Scheduler,
     topo: &Topology,
-    protocol: &dyn GossipProtocol,
+    protocol: Protocol,
     k: usize,
     seed: u64,
 ) -> SimResult {
@@ -46,7 +46,7 @@ fn async_completes_on_ring_grid_rgg() {
     ];
     let sched = default_async();
     for topo in &topologies {
-        for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
+        for proto in [Protocol::Uniform, Protocol::Advert] {
             let result = run_with(&sched, topo, proto, 1, 42);
             assert!(
                 result.completed,
@@ -74,7 +74,7 @@ fn async_completes_on_ring_grid_rgg() {
 fn async_virtual_time_is_deterministic_per_seed() {
     let n = 64;
     let sched = default_async();
-    for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
+    for proto in [Protocol::Uniform, Protocol::Advert] {
         let topo = Topology::grid(n);
         let a = run_with(&sched, &topo, proto, 4, 1234);
         let b = run_with(&sched, &topo, proto, 4, 1234);
@@ -109,7 +109,7 @@ fn async_respects_the_virtual_time_cap() {
     };
     let sources = [gossip_core::NodeId(0)];
     let result = default_async().run(
-        &RunInputs::new(&topo, &UniformGossip, &sources, 3, cfg),
+        &RunInputs::new(&topo, Protocol::Uniform, &sources, 3, cfg),
         &mut NoopProbe,
     );
     assert!(!result.completed);
@@ -124,7 +124,7 @@ fn async_respects_the_virtual_time_cap() {
 #[test]
 fn async_connection_accounting_is_consistent() {
     let topo = Topology::ring(16);
-    let result = run_with(&default_async(), &topo, &UniformGossip, 1, 9);
+    let result = run_with(&default_async(), &topo, Protocol::Uniform, 1, 9);
     assert!(result.completed);
     assert_eq!(
         result.total_connections,
@@ -166,7 +166,7 @@ fn async_history_counts_boundary_events() {
     let sched = Scheduler::Async { timing, threads: 1 };
     let topo = Topology::ring(8);
     for seed in [318u64, 474, 1850, 1, 2, 3] {
-        let result = run_with(&sched, &topo, &UniformGossip, 1, seed);
+        let result = run_with(&sched, &topo, Protocol::Uniform, 1, seed);
         let history = result.rounds.as_ref().expect("history requested");
         assert_eq!(history.len(), result.rounds_executed, "seed {seed}");
         assert_eq!(
@@ -188,7 +188,7 @@ fn async_single_node_completes_instantly() {
     let result = default_async().run(
         &RunInputs::new(
             &topo,
-            &UniformGossip,
+            Protocol::Uniform,
             &[gossip_core::NodeId(0)],
             1,
             SimConfig::default(),
@@ -213,7 +213,7 @@ fn async_zero_drift_zero_jitter_still_completes() {
     };
     let sched = Scheduler::Async { timing, threads: 1 };
     let topo = Topology::ring(32);
-    let result = run_with(&sched, &topo, &AdvertGossip, 1, 5);
+    let result = run_with(&sched, &topo, Protocol::Advert, 1, 5);
     assert!(result.completed, "degenerate timing deadlocked the run");
 }
 
@@ -227,7 +227,7 @@ fn async_heavy_drift_still_completes() {
     };
     let sched = Scheduler::Async { timing, threads: 1 };
     let topo = Topology::grid(36);
-    for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
+    for proto in [Protocol::Uniform, Protocol::Advert] {
         let result = run_with(&sched, &topo, proto, 2, 8);
         assert!(
             result.completed,
@@ -242,6 +242,6 @@ fn async_large_universe_gossip_terminates() {
     // The hashed-tag path under the async scheduler: epoch-salted tags
     // keep collisions transient even without a shared round counter.
     let topo = Topology::ring(10);
-    let result = run_with(&default_async(), &topo, &AdvertGossip, 80, 11);
+    let result = run_with(&default_async(), &topo, Protocol::Advert, 80, 11);
     assert!(result.completed, "80-gossip on async ring(10) stalled");
 }

@@ -4,11 +4,11 @@
 //! spread where wasted connections dominate (the ring).
 
 use gossip_core::{Rng, Topology};
-use gossip_protocols::{AdvertGossip, GossipProtocol, UniformGossip};
+use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
 use gossip_telemetry::NoopProbe;
 
-fn run_one(topo: &Topology, protocol: &dyn GossipProtocol, k: usize, seed: u64) -> SimResult {
+fn run_one(topo: &Topology, protocol: Protocol, k: usize, seed: u64) -> SimResult {
     let mut rng = Rng::new(seed ^ 0xfeed);
     let sources = random_sources(topo.num_nodes(), k, &mut rng);
     let cfg = SimConfig {
@@ -52,10 +52,16 @@ fn uniform_terminates_on_line_ring_complete() {
     // A frontier edge advances with constant probability per round, so the
     // diameter-limited topologies finish in O(n) rounds w.h.p.; 20n is a
     // deep-tail bound for a fixed seed.
-    assert_sane_bounds(&run_one(&Topology::line(n), &UniformGossip, 1, 42), 20 * n);
-    assert_sane_bounds(&run_one(&Topology::ring(n), &UniformGossip, 1, 42), 20 * n);
     assert_sane_bounds(
-        &run_one(&Topology::complete(n), &UniformGossip, 1, 42),
+        &run_one(&Topology::line(n), Protocol::Uniform, 1, 42),
+        20 * n,
+    );
+    assert_sane_bounds(
+        &run_one(&Topology::ring(n), Protocol::Uniform, 1, 42),
+        20 * n,
+    );
+    assert_sane_bounds(
+        &run_one(&Topology::complete(n), Protocol::Uniform, 1, 42),
         12 * (usize::BITS as usize),
     );
 }
@@ -65,10 +71,10 @@ fn advert_terminates_on_line_ring_complete() {
     let n = 64;
     // Advertisement-guided frontiers advance nearly deterministically, so
     // 4n is already generous on the diameter-limited topologies.
-    assert_sane_bounds(&run_one(&Topology::line(n), &AdvertGossip, 1, 42), 4 * n);
-    assert_sane_bounds(&run_one(&Topology::ring(n), &AdvertGossip, 1, 42), 4 * n);
+    assert_sane_bounds(&run_one(&Topology::line(n), Protocol::Advert, 1, 42), 4 * n);
+    assert_sane_bounds(&run_one(&Topology::ring(n), Protocol::Advert, 1, 42), 4 * n);
     assert_sane_bounds(
-        &run_one(&Topology::complete(n), &AdvertGossip, 1, 42),
+        &run_one(&Topology::complete(n), Protocol::Advert, 1, 42),
         12 * (usize::BITS as usize),
     );
 }
@@ -76,7 +82,7 @@ fn advert_terminates_on_line_ring_complete() {
 #[test]
 fn multi_message_gossip_terminates() {
     let n = 36;
-    for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
+    for proto in [Protocol::Uniform, Protocol::Advert] {
         let result = run_one(&Topology::grid(n), proto, 8, 7);
         assert!(result.completed, "{} failed 8-gossip on grid", proto.name());
     }
@@ -89,7 +95,7 @@ fn large_universe_gossip_terminates() {
     // between differing sets cannot persist across rounds. In particular a
     // 2-node topology splits the universe into complementary sets — the
     // shape where a persistent collision would stall gossip forever.
-    for proto in [&UniformGossip as &dyn GossipProtocol, &AdvertGossip] {
+    for proto in [Protocol::Uniform, Protocol::Advert] {
         let two = run_one(&Topology::line(2), proto, 128, 11);
         assert!(
             two.completed,
@@ -111,8 +117,8 @@ fn advert_beats_uniform_on_ring() {
     let n = 128;
     for seed in [1u64, 42, 99] {
         let topo = Topology::ring(n);
-        let uniform = run_one(&topo, &UniformGossip, 1, seed);
-        let advert = run_one(&topo, &AdvertGossip, 1, seed);
+        let uniform = run_one(&topo, Protocol::Uniform, 1, seed);
+        let advert = run_one(&topo, Protocol::Advert, 1, seed);
         assert!(uniform.completed && advert.completed);
         assert!(
             advert.rounds_to_completion < uniform.rounds_to_completion,
@@ -132,8 +138,8 @@ fn advert_beats_uniform_on_ring() {
 #[test]
 fn termination_round_counts_are_reproducible() {
     let topo = Topology::ring(48);
-    let a = run_one(&topo, &AdvertGossip, 2, 1234);
-    let b = run_one(&topo, &AdvertGossip, 2, 1234);
+    let a = run_one(&topo, Protocol::Advert, 2, 1234);
+    let b = run_one(&topo, Protocol::Advert, 2, 1234);
     assert_eq!(a.rounds_to_completion, b.rounds_to_completion);
     assert_eq!(a.total_connections, b.total_connections);
 }
