@@ -13,7 +13,7 @@
 
 use gossip_experiments::{
     assignment, effective_threads, join_errors, parse_spec, AssignmentDef, Axis, Grid,
-    OutputFormat, Protocol, Scenario, ScenarioBuilder, ASSIGNMENTS,
+    OutputFormat, Scenario, ScenarioBuilder, ASSIGNMENTS,
 };
 
 /// Outcome of argument parsing: run (or bench) a scenario sweep, expand
@@ -225,10 +225,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         // Bench's defaults: the 10^6-node advert ring the scale work
         // targets, for a 64-round budget.
         Some("bench") => {
-            let builder = ScenarioBuilder::new()
-                .nodes(1_000_000)
-                .protocol(Protocol::Advert)
-                .max_rounds(64);
+            let mut builder = ScenarioBuilder::new();
+            builder
+                .set("nodes", "1000000")
+                .set("protocol", "advert")
+                .set("max-rounds", "64");
             parse_run_args(&args[1..], builder, true)
         }
         Some("grid") => parse_grid_args(&args[1..]),
@@ -401,7 +402,7 @@ fn parse_grid_args(args: &[String]) -> Result<Command, String> {
 mod tests {
     use super::*;
     use gossip_dynamics::RejoinPolicy;
-    use gossip_experiments::{OutputFormat, Scheduler, TopologySpec};
+    use gossip_experiments::{OutputFormat, Protocol, Scheduler, TopologySpec};
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -592,11 +593,11 @@ mod tests {
         assert_eq!(churn.rate, 0.2);
         assert_eq!(churn.rejoin, RejoinPolicy::Lose);
         assert_eq!(scenario.dynamics.fade_prob, Some(0.05));
-        assert!(scenario.is_dynamic());
-        assert!(!Scenario::default().is_dynamic());
+        assert!(!scenario.dynamics.is_static());
+        assert!(Scenario::default().dynamics.is_static());
 
         let scenario = parse_run(&["--topology", "rgg", "--mobility"]);
-        assert!(scenario.dynamics.mobility && scenario.is_dynamic());
+        assert!(scenario.dynamics.mobility && !scenario.dynamics.is_static());
 
         let scenario = parse_run(&["--format", "csv"]);
         assert_eq!(scenario.output.format, OutputFormat::Csv);

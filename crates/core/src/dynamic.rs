@@ -33,9 +33,8 @@
 //! adjacency and the views may not: `base` is current from `settle` to
 //! the next `defer_rewire`, the views from `settle` to the next `defer_*`.
 //! Reading a view while any node is stale is a bug, and `active_neighbors`
-//! asserts against it in debug builds. The one-at-a-time mutators (`kill`,
-//! `rewire`, …) are the deferred form plus `settle`, so everything is
-//! consistent when they return.
+//! asserts against it in debug builds. A single mutation is a batch of
+//! one: `defer_*`, then `settle`.
 //!
 //! `defer_rewire` only records its cleaned list and stamps the node with
 //! the rewire's sequence number in the batch; `settle` applies the batch
@@ -489,10 +488,13 @@ impl DynamicTopology {
         true
     }
 
-    /// Deferred [`kill`](Self::kill) (`up = false`) or
-    /// [`revive`](Self::revive) (`up = true`): flips the alive mask and
-    /// count now, leaves the views of `node` and its base neighbors stale
-    /// until [`settle`](Self::settle). Returns false if nothing changed.
+    /// Take `node` down (`up = false`) or bring it back up (`up = true`).
+    /// Flips the alive mask and count now and leaves the views of `node`
+    /// and its base neighbors stale until [`settle`](Self::settle): then a
+    /// dead node's view is empty and it is in no other node's, and a
+    /// revived node's view is its base adjacency filtered by the alive
+    /// mask and the faded-edge overlay. Returns false if `node` already
+    /// was in that state.
     pub fn defer_alive(&mut self, node: NodeId, up: bool) -> bool {
         let ui = node.index();
         if self.alive[ui] == up {
@@ -508,10 +510,11 @@ impl DynamicTopology {
         true
     }
 
-    /// Deferred [`fade_edge`](Self::fade_edge) (`fade = true`) or
-    /// [`restore_edge`](Self::restore_edge) (`fade = false`): sets the flag
-    /// on both endpoints' slots now, leaves their views stale until
-    /// [`settle`](Self::settle). Returns false if nothing changed.
+    /// Fade the base edge `u — v` out (`fade = true`, interference) or
+    /// restore it (`fade = false`). Sets the flag on both endpoints' slots
+    /// now and leaves their views stale until [`settle`](Self::settle).
+    /// Returns false if the edge is not in the base graph or already has
+    /// that flag.
     pub fn defer_fade(&mut self, u: NodeId, v: NodeId, fade: bool) -> bool {
         // A pending rewire of an endpoint decides whether this edge exists
         // (and clears its flag): only then must `base` be made current.
@@ -531,9 +534,14 @@ impl DynamicTopology {
         true
     }
 
-    /// Deferred [`rewire`](Self::rewire): records the cleaned list as the
-    /// node's pending rewire, superseding an earlier one of the batch.
-    /// `base` and the views catch up at [`settle`](Self::settle).
+    /// Replace `node`'s base adjacency wholesale (mobility: the node moved
+    /// and its radio range now covers a different peer set). Self-loops,
+    /// duplicates and out-of-range ids in `new_neighbors` are dropped, and
+    /// the fade state of the node's former edges is discarded. Works on
+    /// dead nodes too: the new edges activate when the node revives.
+    /// Records the cleaned list as the node's pending rewire, superseding
+    /// an earlier one of the batch; `base` and the views catch up at
+    /// [`settle`](Self::settle).
     pub fn defer_rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
         let ui = node.index();
         let n = self.alive.len();
@@ -557,48 +565,6 @@ impl DynamicTopology {
         });
         self.stamp[ui] = u32::try_from(self.pending.len()).expect("rewires in one batch fit u32");
         self.mark(ui);
-    }
-
-    /// Take `node` down. Its active neighbor list empties and it vanishes
-    /// from every neighbor's list. Returns false if it was already dead.
-    pub fn kill(&mut self, node: NodeId) -> bool {
-        let changed = self.defer_alive(node, false);
-        self.settle();
-        changed
-    }
-
-    /// Bring `node` back up. Its active edges are rebuilt from the base
-    /// adjacency, filtered by the alive mask and the faded-edge overlay.
-    /// Returns false if it was already alive.
-    pub fn revive(&mut self, node: NodeId) -> bool {
-        let changed = self.defer_alive(node, true);
-        self.settle();
-        changed
-    }
-
-    /// Fade the base edge `u — v` out (interference). Returns false if the
-    /// edge does not exist in the base graph or is already faded.
-    pub fn fade_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let changed = self.defer_fade(u, v, true);
-        self.settle();
-        changed
-    }
-
-    /// Restore a previously faded edge. Returns false if it was not faded.
-    pub fn restore_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let changed = self.defer_fade(u, v, false);
-        self.settle();
-        changed
-    }
-
-    /// Replace `node`'s base adjacency wholesale (mobility: the node moved
-    /// and its radio range now covers a different peer set). Self-loops,
-    /// duplicates, and out-of-range ids in `new_neighbors` are dropped.
-    /// Fade state of the node's former edges is discarded. Works on dead
-    /// nodes too — the new edges activate when the node revives.
-    pub fn rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
-        self.defer_rewire(node, new_neighbors);
-        self.settle();
     }
 }
 
@@ -635,8 +601,9 @@ mod tests {
     fn kill_isolates_and_revive_restores() {
         let topo = Topology::ring(5);
         let mut dt = DynamicTopology::new(&topo);
-        assert!(dt.kill(NodeId(1)));
-        assert!(!dt.kill(NodeId(1)), "double kill is a no-op");
+        assert!(dt.defer_alive(NodeId(1), false));
+        assert!(!dt.defer_alive(NodeId(1), false), "double kill is a no-op");
+        dt.settle();
         assert!(!dt.is_alive(NodeId(1)));
         assert_eq!(dt.alive_count(), 4);
         assert!(dt.active_neighbors(NodeId(1)).is_empty());
@@ -644,8 +611,9 @@ mod tests {
         assert_eq!(dt.active_neighbors(NodeId(2)), ids(&[3]));
         assert!(!dt.are_neighbors(NodeId(0), NodeId(1)));
 
-        assert!(dt.revive(NodeId(1)));
-        assert!(!dt.revive(NodeId(1)), "double revive is a no-op");
+        assert!(dt.defer_alive(NodeId(1), true));
+        assert!(!dt.defer_alive(NodeId(1), true), "double revive is a no-op");
+        dt.settle();
         assert_eq!(dt.alive_count(), 5);
         assert_eq!(dt.active_neighbors(NodeId(1)), ids(&[0, 2]));
         assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[1, 4]));
@@ -655,10 +623,12 @@ mod tests {
     fn revive_respects_other_dead_nodes_and_fades() {
         let topo = Topology::complete(4);
         let mut dt = DynamicTopology::new(&topo);
-        dt.kill(NodeId(2));
-        dt.fade_edge(NodeId(0), NodeId(3));
-        dt.kill(NodeId(0));
-        dt.revive(NodeId(0));
+        dt.defer_alive(NodeId(2), false);
+        dt.defer_fade(NodeId(0), NodeId(3), true);
+        dt.defer_alive(NodeId(0), false);
+        dt.settle();
+        dt.defer_alive(NodeId(0), true);
+        dt.settle();
         // 2 is still dead; 0—3 is still faded.
         assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[1]));
         assert_eq!(dt.active_neighbors(NodeId(3)), ids(&[1]));
@@ -668,14 +638,19 @@ mod tests {
     fn fade_hides_and_restore_reveals() {
         let topo = Topology::ring(4);
         let mut dt = DynamicTopology::new(&topo);
-        assert!(dt.fade_edge(NodeId(0), NodeId(1)));
-        assert!(!dt.fade_edge(NodeId(1), NodeId(0)), "already faded");
-        assert!(!dt.fade_edge(NodeId(0), NodeId(2)), "not a base edge");
+        assert!(dt.defer_fade(NodeId(0), NodeId(1), true));
+        assert!(!dt.defer_fade(NodeId(1), NodeId(0), true), "already faded");
+        assert!(
+            !dt.defer_fade(NodeId(0), NodeId(2), true),
+            "not a base edge"
+        );
+        dt.settle();
         assert!(!dt.are_neighbors(NodeId(0), NodeId(1)));
         assert_eq!(dt.active_edge_count(), 3);
 
-        assert!(dt.restore_edge(NodeId(1), NodeId(0)));
-        assert!(!dt.restore_edge(NodeId(1), NodeId(0)), "not faded now");
+        assert!(dt.defer_fade(NodeId(1), NodeId(0), false));
+        assert!(!dt.defer_fade(NodeId(1), NodeId(0), false), "not faded now");
+        dt.settle();
         assert!(dt.are_neighbors(NodeId(0), NodeId(1)));
         assert_eq!(dt.active_edge_count(), 4);
     }
@@ -684,9 +659,11 @@ mod tests {
     fn faded_edge_stays_hidden_across_churn() {
         let topo = Topology::ring(4);
         let mut dt = DynamicTopology::new(&topo);
-        dt.fade_edge(NodeId(0), NodeId(1));
-        dt.kill(NodeId(0));
-        dt.revive(NodeId(0));
+        dt.defer_fade(NodeId(0), NodeId(1), true);
+        dt.defer_alive(NodeId(0), false);
+        dt.settle();
+        dt.defer_alive(NodeId(0), true);
+        dt.settle();
         assert!(
             !dt.are_neighbors(NodeId(0), NodeId(1)),
             "fade survives churn"
@@ -699,7 +676,8 @@ mod tests {
         let topo = Topology::line(5); // 0-1-2-3-4
         let mut dt = DynamicTopology::new(&topo);
         // Node 0 "moves" next to 3 and 4.
-        dt.rewire(NodeId(0), &ids(&[3, 4, 4, 0])); // dup + self-loop dropped
+        dt.defer_rewire(NodeId(0), &ids(&[3, 4, 4, 0])); // dup + self-loop dropped
+        dt.settle();
         assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[3, 4]));
         assert_eq!(dt.active_neighbors(NodeId(1)), ids(&[2]), "old edge gone");
         assert_eq!(dt.active_neighbors(NodeId(3)), ids(&[0, 2, 4]));
@@ -710,13 +688,15 @@ mod tests {
     fn rewire_of_dead_node_activates_on_revive() {
         let topo = Topology::line(4);
         let mut dt = DynamicTopology::new(&topo);
-        dt.kill(NodeId(0));
-        dt.rewire(NodeId(0), &ids(&[2, 3]));
+        dt.defer_alive(NodeId(0), false);
+        dt.defer_rewire(NodeId(0), &ids(&[2, 3]));
+        dt.settle();
         assert!(dt
             .active_neighbors(NodeId(2))
             .binary_search(&NodeId(0))
             .is_err());
-        dt.revive(NodeId(0));
+        dt.defer_alive(NodeId(0), true);
+        dt.settle();
         assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[2, 3]));
         assert_eq!(dt.active_neighbors(NodeId(2)), ids(&[0, 1, 3]));
     }
@@ -725,15 +705,18 @@ mod tests {
     fn rewire_discards_stale_fade_state() {
         let topo = Topology::line(3);
         let mut dt = DynamicTopology::new(&topo);
-        dt.fade_edge(NodeId(0), NodeId(1));
+        dt.defer_fade(NodeId(0), NodeId(1), true);
+        dt.settle();
         // 0 moves away and back: the 0—1 edge returns un-faded.
-        dt.rewire(NodeId(0), &[]);
-        dt.rewire(NodeId(0), &ids(&[1]));
+        dt.defer_rewire(NodeId(0), &[]);
+        dt.settle();
+        dt.defer_rewire(NodeId(0), &ids(&[1]));
+        dt.settle();
         assert!(dt.are_neighbors(NodeId(0), NodeId(1)));
     }
 
-    /// One mutation, in the form both mutator families and the reference
-    /// model take.
+    /// One mutation, in the form the mutators and the reference model
+    /// take.
     #[derive(Clone, Debug)]
     enum Step {
         Kill(u32),
@@ -745,21 +728,7 @@ mod tests {
     use Step::*;
 
     impl Step {
-        /// Through the one-at-a-time mutators: views consistent on return.
-        fn eager(&self, dt: &mut DynamicTopology) -> bool {
-            match self {
-                Kill(u) => dt.kill(NodeId(*u)),
-                Revive(u) => dt.revive(NodeId(*u)),
-                Fade(u, v) => dt.fade_edge(NodeId(*u), NodeId(*v)),
-                Restore(u, v) => dt.restore_edge(NodeId(*u), NodeId(*v)),
-                Rewire(u, fresh) => {
-                    dt.rewire(NodeId(*u), &ids(fresh));
-                    true
-                }
-            }
-        }
-
-        /// Through the batch mutators: views stale until `settle`.
+        /// Through the `defer_*` mutators: views stale until `settle`.
         fn deferred(&self, dt: &mut DynamicTopology) -> bool {
             match self {
                 Kill(u) => dt.defer_alive(NodeId(*u), false),
@@ -846,9 +815,8 @@ mod tests {
 
     /// A seeded 3 000-step kill/revive/fade/restore/rewire storm on a
     /// 64-node grid, checked against the model whenever views are settled:
-    /// after every step through the one-at-a-time mutators, or
-    /// (`batched`) after each batch of 1..=64 deferred mutations and its
-    /// one settle. Rewire lists are dirty — duplicates, the node itself,
+    /// after every step, each settled on its own, or (`batched`) after
+    /// each batch of 1..=64 deferred mutations and its one settle. Rewire lists are dirty — duplicates, the node itself,
     /// out-of-range ids — and one in eight is long, up to `n - 1` draws.
     /// Despite the birth slack a run relocates ~200–240 slots and compacts
     /// five to seven times.
@@ -877,7 +845,8 @@ mod tests {
             };
             let expect = model.apply(&step);
             if !batched {
-                assert_eq!(step.eager(&mut dt), expect, "{step:?}");
+                assert_eq!(step.deferred(&mut dt), expect, "{step:?}");
+                dt.settle();
                 model.check(&dt);
                 continue;
             }
@@ -908,31 +877,32 @@ mod tests {
     #[test]
     fn batched_storm_matches_one_at_a_time_and_the_model() {
         for seed in STORM_SEEDS {
-            let (eager, batched) = (storm(seed, false), storm(seed, true));
-            for w in 0..eager.num_nodes() as u32 {
+            let (stepwise, batched) = (storm(seed, false), storm(seed, true));
+            for w in 0..stepwise.num_nodes() as u32 {
                 let w = NodeId(w);
-                assert_eq!(eager.active_neighbors(w), batched.active_neighbors(w));
+                assert_eq!(stepwise.active_neighbors(w), batched.active_neighbors(w));
             }
-            assert_eq!(eager.alive_mask(), batched.alive_mask());
-            assert_eq!(eager.alive_count(), batched.alive_count());
-            assert_eq!(eager.active_edge_count(), batched.active_edge_count());
+            assert_eq!(stepwise.alive_mask(), batched.alive_mask());
+            assert_eq!(stepwise.alive_count(), batched.alive_count());
+            assert_eq!(stepwise.active_edge_count(), batched.active_edge_count());
         }
     }
 
-    /// Apply `steps` once as a single batch with one settle and once a
-    /// call at a time; both must match the model (hence each other).
-    /// Returns the batched topology, settled.
-    fn batch_matches_eager(topo: &Topology, steps: &[Step]) -> DynamicTopology {
-        let (mut batched, mut eager) = (DynamicTopology::new(topo), DynamicTopology::new(topo));
+    /// Apply `steps` once as a single batch with one settle and once with
+    /// a settle after every step; both must match the model (hence each
+    /// other). Returns the batched topology, settled.
+    fn batch_matches_stepwise(topo: &Topology, steps: &[Step]) -> DynamicTopology {
+        let (mut batched, mut stepwise) = (DynamicTopology::new(topo), DynamicTopology::new(topo));
         let mut model = Model::new(topo);
         for step in steps {
             let expect = model.apply(step);
-            assert_eq!(step.deferred(&mut batched), expect, "deferred {step:?}");
-            assert_eq!(step.eager(&mut eager), expect, "eager {step:?}");
+            assert_eq!(step.deferred(&mut batched), expect, "batched {step:?}");
+            assert_eq!(step.deferred(&mut stepwise), expect, "stepwise {step:?}");
+            stepwise.settle();
         }
         batched.settle();
         model.check(&batched);
-        model.check(&eager);
+        model.check(&stepwise);
         batched
     }
 
@@ -940,25 +910,25 @@ mod tests {
     fn one_node_mutated_repeatedly_within_a_batch() {
         let line = Topology::line(6);
         // 0-1-2-3-4-5, node 0 rewired twice: the second neighborhood wins.
-        let dt = batch_matches_eager(&line, &[Rewire(0, vec![3, 4]), Rewire(0, vec![5, 2])]);
+        let dt = batch_matches_stepwise(&line, &[Rewire(0, vec![3, 4]), Rewire(0, vec![5, 2])]);
         assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[2, 5]));
         assert_eq!(dt.active_neighbors(NodeId(3)), ids(&[2, 4]));
         // Killed, moved while down, revived: the new edges come up.
-        let dt = batch_matches_eager(&line, &[Kill(2), Rewire(2, vec![0, 5]), Revive(2)]);
+        let dt = batch_matches_stepwise(&line, &[Kill(2), Rewire(2, vec![0, 5]), Revive(2)]);
         assert_eq!(dt.active_neighbors(NodeId(2)), ids(&[0, 5]));
         assert_eq!(dt.active_neighbors(NodeId(1)), ids(&[0]));
         // ... and stays invisible if the revive is not in the batch.
-        let dt = batch_matches_eager(&line, &[Kill(2), Rewire(2, vec![0, 5])]);
+        let dt = batch_matches_stepwise(&line, &[Kill(2), Rewire(2, vec![0, 5])]);
         assert!(dt
             .active_neighbors(NodeId(0))
             .iter()
             .all(|&v| v != NodeId(2)));
         // An edge faded, moved away from and moved back to returns clear.
         let steps = [Fade(0, 1), Rewire(0, vec![4]), Rewire(0, vec![1])];
-        let dt = batch_matches_eager(&line, &steps);
+        let dt = batch_matches_stepwise(&line, &steps);
         assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[1]));
         // ... while a fade that outlives the batch still hides its edge.
-        let dt = batch_matches_eager(&line, &[Rewire(0, vec![1, 4]), Fade(4, 0)]);
+        let dt = batch_matches_stepwise(&line, &[Rewire(0, vec![1, 4]), Fade(4, 0)]);
         assert_eq!(dt.active_neighbors(NodeId(0)), ids(&[1]));
     }
 
@@ -970,15 +940,15 @@ mod tests {
         // said, the edge is there iff the last list names the other end.
         for (a, b) in [(1, 4), (4, 1), (1, 2), (2, 1)] {
             let steps = [Rewire(a, vec![b]), Rewire(b, vec![]), Rewire(a, vec![b])];
-            assert!(linked(&batch_matches_eager(&line, &steps), a, b));
+            assert!(linked(&batch_matches_stepwise(&line, &steps), a, b));
             let steps = [Rewire(a, vec![b]), Rewire(b, vec![a]), Rewire(a, vec![])];
-            assert!(!linked(&batch_matches_eager(&line, &steps), a, b));
+            assert!(!linked(&batch_matches_stepwise(&line, &steps), a, b));
         }
         // Both ends rewired once: only the later list counts.
-        let dt = batch_matches_eager(&line, &[Rewire(1, vec![4]), Rewire(4, vec![0])]);
+        let dt = batch_matches_stepwise(&line, &[Rewire(1, vec![4]), Rewire(4, vec![0])]);
         assert!(!linked(&dt, 1, 4), "only the earlier list names the other");
         assert_eq!(dt.active_neighbors(NodeId(4)), ids(&[0]));
-        let dt = batch_matches_eager(&line, &[Rewire(1, vec![0]), Rewire(4, vec![1])]);
+        let dt = batch_matches_stepwise(&line, &[Rewire(1, vec![0]), Rewire(4, vec![1])]);
         assert!(linked(&dt, 1, 4), "only the later list names the other");
         assert_eq!(dt.active_neighbors(NodeId(1)), ids(&[0, 4]));
         // A dead node rewired between two live ones: 2's earlier claim on
@@ -990,9 +960,9 @@ mod tests {
             Rewire(3, vec![0, 5]),
             Rewire(5, vec![3]),
         ];
-        let dt = batch_matches_eager(&line, &steps);
+        let dt = batch_matches_stepwise(&line, &steps);
         assert!((0..6).all(|w| !linked(&dt, w, 3)));
-        let dt = batch_matches_eager(&line, &[&steps[..], &[Revive(3)]].concat());
+        let dt = batch_matches_stepwise(&line, &[&steps[..], &[Revive(3)]].concat());
         assert_eq!(dt.active_neighbors(NodeId(3)), ids(&[0, 5]));
         assert!(dt.active_neighbors(NodeId(2)).is_empty());
     }
@@ -1021,7 +991,7 @@ mod tests {
             Rewire(1, vec![4]),
             Rewire(2, vec![4]),
         ];
-        batch_matches_eager(&ring, &steps);
+        batch_matches_stepwise(&ring, &steps);
     }
 
     #[test]
@@ -1036,7 +1006,7 @@ mod tests {
             Fade(20, 21),
             Rewire(150, vec![0]),
         ];
-        let dt = batch_matches_eager(&ring, &steps);
+        let dt = batch_matches_stepwise(&ring, &steps);
         assert_eq!(dt.waste, 0, "no slot relocated");
         assert_eq!(dt.start, DynamicTopology::new(&ring).start);
         assert_eq!(dt.active_neighbors(NodeId(100)), ids(&[0, 50, 99, 101]));
@@ -1077,7 +1047,7 @@ mod tests {
         dt.settle();
         model.check(&dt);
         // The same eight as one batch: the compaction closes its settle.
-        let dt = batch_matches_eager(&ring, &steps);
+        let dt = batch_matches_stepwise(&ring, &steps);
         assert_eq!(dt.waste, 0);
         assert_eq!(dt.active_neighbors(NodeId(0)).len(), 297); // all but 0, 9 and 5
     }

@@ -193,6 +193,34 @@ impl MsgView<'_> {
         let k_phi = (self.universe as u64).wrapping_mul(GOLDEN_GAMMA);
         mix(self.digest ^ mix(salt ^ k_phi))
     }
+
+    /// Itemise the push-pull transfer between this row (node `i`) and
+    /// `other` (node `j`) of the same universe: `moved(from, to, msg)` for
+    /// every message one holds and the other lacks, in ascending `msg`
+    /// order — what a probe's transfer events are made of. A pure read:
+    /// callers itemise before they run the union, so observing a transfer
+    /// cannot change it.
+    pub fn for_each_transfer(
+        &self,
+        i: u32,
+        other: &MsgView<'_>,
+        j: u32,
+        mut moved: impl FnMut(u32, u32, u32),
+    ) {
+        for (w, (x, y)) in self.words.iter().zip(other.words).enumerate() {
+            let mut diff = x ^ y;
+            while diff != 0 {
+                let bit = diff.trailing_zeros();
+                diff &= diff - 1;
+                let msg = (w * 64) as u32 + bit;
+                if x >> bit & 1 == 1 {
+                    moved(i, j, msg);
+                } else {
+                    moved(j, i, msg);
+                }
+            }
+        }
+    }
 }
 
 /// All `n` nodes' message sets in struct-of-arrays layout: one flat words
@@ -519,34 +547,6 @@ impl MatrixChunk<'_> {
             self.universe,
         )
     }
-
-    /// [`union_pair_stats`](Self::union_pair_stats) that first itemises the
-    /// transfer: `moved(from, to, msg)` for every message one row holds and
-    /// the other lacks, in ascending `msg` order — what a probe's transfer
-    /// events are made of. The union itself is the untraced call, so
-    /// observing a transfer cannot change it.
-    pub fn union_pair_traced(
-        &mut self,
-        i: usize,
-        j: usize,
-        mut moved: impl FnMut(u32, u32, u32),
-    ) -> TransferStats {
-        let (row_i, row_j) = (self.view(i).words, self.view(j).words);
-        for (w, (x, y)) in row_i.iter().zip(row_j).enumerate() {
-            let mut diff = x ^ y;
-            while diff != 0 {
-                let bit = diff.trailing_zeros();
-                diff &= diff - 1;
-                let msg = (w * 64) as u32 + bit;
-                if x >> bit & 1 == 1 {
-                    moved(i as u32, j as u32, msg);
-                } else {
-                    moved(j as u32, i as u32, msg);
-                }
-            }
-        }
-        self.union_pair_stats(i, j)
-    }
 }
 
 #[cfg(test)]
@@ -726,9 +726,6 @@ mod tests {
                 let again = m.whole().union_pair_stats(j, i);
                 assert_eq!(again, TransferStats::default());
                 assert_digests_fresh(&m, "equal-row union_pair_stats");
-                let (i, j) = (rng.gen_range(n / 2), n / 2 + rng.gen_range(n / 2));
-                m.whole().union_pair_traced(j, i, |_, _, _| ());
-                assert_digests_fresh(&m, "union_pair_traced");
                 // A random perfect matching, or a short prefix of it.
                 let mut order: Vec<u32> = (0..n as u32).collect();
                 for k in (1..n).rev() {
@@ -868,21 +865,22 @@ mod tests {
         // 0 and 64 move 0 → 2, 129 moves 2 → 0, 100 is held by both:
         // ascending message order, whichever row the caller names first.
         let expected = vec![(0, 2, 0), (0, 2, 64), (2, 0, 129)];
-        for (i, j) in [(0, 2), (2, 0)] {
-            let (mut m, mut untraced) = (fresh.clone(), fresh.clone());
+        for (i, j) in [(0usize, 2usize), (2, 0)] {
+            let mut m = fresh.clone();
             let mut moved = Vec::new();
-            let stats = m
-                .whole()
-                .union_pair_traced(i, j, |from, to, msg| moved.push((from, to, msg)));
+            m.view(i)
+                .for_each_transfer(i as u32, &m.view(j), j as u32, |from, to, msg| {
+                    moved.push((from, to, msg))
+                });
             assert_eq!(moved, expected, "i {i} j {j}");
-            assert_eq!(stats, untraced.whole().union_pair_stats(i, j));
+            assert_eq!(m, fresh, "itemising must not change the rows");
+            let stats = m.whole().union_pair_stats(i, j);
             assert_eq!(stats.moved, expected.len());
-            assert_eq!(m, untraced, "tracing must not change the union");
-            // Re-union moves nothing and reports nothing.
-            let again = m
-                .whole()
-                .union_pair_traced(j, i, |_, _, _| panic!("nothing left to move"));
-            assert_eq!(again, TransferStats::default());
+            // After the union nothing is left to itemise.
+            m.view(j)
+                .for_each_transfer(j as u32, &m.view(i), i as u32, |_, _, _| {
+                    panic!("nothing left to move")
+                });
         }
     }
 

@@ -6,8 +6,8 @@
 //! has no bad seeds (every seed, including 0, produces a full-period
 //! sequence).
 
-/// Deterministic 64-bit PRNG. Cloning or [`Rng::fork`]-ing yields
-/// independent, reproducible streams.
+/// Deterministic 64-bit PRNG. Cloning yields an identical stream;
+/// [`Rng::stream`] derives independent, reproducible ones.
 #[derive(Clone, Debug)]
 pub struct Rng {
     state: u64,
@@ -32,11 +32,10 @@ impl Rng {
     }
 
     /// Derive the independent stream at coordinates `(a, b)` of `seed` —
-    /// e.g. `(round, node)` for the sharded round loop. Unlike
-    /// [`fork`](Self::fork) this is *stateless*: the stream is a pure
-    /// function of the three values, so any worker on any thread derives
-    /// the identical generator for a given node without sequencing
-    /// through a shared RNG. Nearby coordinates are decorrelated by two
+    /// e.g. `(round, node)` for the sharded round loop. It is
+    /// *stateless*: the stream is a pure function of the three values, so
+    /// any worker on any thread derives the identical generator for a
+    /// given node without sequencing through a shared RNG. Nearby coordinates are decorrelated by two
     /// rounds of the splitmix64 finalizer.
     pub fn stream(seed: u64, a: u64, b: u64) -> Rng {
         let s = mix(seed ^ mix(a.wrapping_mul(GOLDEN_GAMMA)));
@@ -92,12 +91,6 @@ impl Rng {
     /// Uniform float in `[0, 1)`.
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Derive an independent child generator. The parent advances by one
-    /// step, so repeated forks yield distinct streams.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
     }
 
     /// Fisher–Yates shuffle of a slice, deterministic given the RNG state.
@@ -215,14 +208,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn forks_are_independent() {
-        let mut parent = Rng::new(11);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

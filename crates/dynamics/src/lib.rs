@@ -94,7 +94,8 @@ impl MutationKind {
     }
 
     /// [`apply_deferred`](Self::apply_deferred) plus the settle: one
-    /// mutation, views consistent on return.
+    /// mutation, views consistent on return. Kept because
+    /// `benchmark/layers` calls it; ROADMAP 4(c).
     pub fn apply(&self, topo: &mut DynamicTopology) -> bool {
         let changed = self.apply_deferred(topo);
         topo.settle();

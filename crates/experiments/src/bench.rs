@@ -129,10 +129,22 @@ pub fn run_bench(bench: &BenchScenario) -> BenchReport {
 mod tests {
     use super::*;
     use crate::emit::{run_line_json, sweep_runs};
-    use crate::spec::{MembershipSpec, ScenarioBuilder, TopologySpec};
-    use gossip_dynamics::RejoinPolicy;
-    use gossip_protocols::Protocol;
+    use crate::spec::ScenarioBuilder;
     use gossip_telemetry::json::{parse, Value};
+
+    /// A 2000-node advert ring capped at 32 rounds, seed 5, plus `extra`.
+    fn advert_2000(extra: &[(&str, &str)]) -> Scenario {
+        let mut builder = ScenarioBuilder::new();
+        builder
+            .set("nodes", "2000")
+            .set("protocol", "advert")
+            .set("max-rounds", "32")
+            .set("seed", "5");
+        for (key, value) in extra {
+            builder.set(key, value);
+        }
+        builder.finish().unwrap()
+    }
 
     /// Every key of a JSON object in the order it is written, nested
     /// objects flattened as `outer.inner`.
@@ -186,13 +198,7 @@ mod tests {
 
     #[test]
     fn bench_runs_end_to_end_and_reports_throughput() {
-        let scenario = ScenarioBuilder::new()
-            .nodes(2000)
-            .protocol(Protocol::Advert)
-            .max_rounds(32)
-            .seed(5)
-            .finish()
-            .unwrap();
+        let scenario = advert_2000(&[]);
         let (line, keys) = bench_line(&scenario);
         assert_eq!(
             keys,
@@ -226,14 +232,7 @@ mod tests {
 
     #[test]
     fn async_bench_reports_slice_phases_and_event_throughput() {
-        let scenario = ScenarioBuilder::new()
-            .nodes(2000)
-            .protocol(Protocol::Advert)
-            .async_scheduler(gossip_core::time::TimingConfig::default())
-            .max_rounds(32)
-            .seed(5)
-            .finish()
-            .unwrap();
+        let scenario = advert_2000(&[("scheduler", "async")]);
         let (line, keys) = bench_line(&scenario);
         assert_eq!(
             keys,
@@ -255,26 +254,19 @@ mod tests {
         // A bench line carries the scenario's id, so it must have run that
         // scenario: churn and the overlay on, not a static full-view run
         // of the same topology.
-        let churned = ScenarioBuilder::new()
-            .topology(TopologySpec::Rgg { radius: None })
-            .nodes(600)
-            .protocol(Protocol::Advert)
-            .churn(0.05, RejoinPolicy::Keep)
-            .membership(MembershipSpec::HyParView {
-                active: 5,
-                passive: 30,
-                shuffle_period: 1,
-                probe_period: 1,
-            })
-            .max_rounds(10)
-            .seed(42);
-        for scenario in [
-            churned.clone().finish().unwrap(),
-            churned
-                .async_scheduler(gossip_core::time::TimingConfig::default())
-                .finish()
-                .unwrap(),
-        ] {
+        let mut churned = ScenarioBuilder::new();
+        churned
+            .set("topology", "rgg")
+            .set("nodes", "600")
+            .set("protocol", "advert")
+            .set("churn-rate", "0.05")
+            .set("rejoin", "keep")
+            .set("membership", "hyparview")
+            .set("max-rounds", "10")
+            .set("seed", "42");
+        let sync = churned.clone().finish().unwrap();
+        churned.set("scheduler", "async");
+        for scenario in [sync, churned.finish().unwrap()] {
             let result = scenario.run();
             assert!(result.dynamics.is_some() && result.membership.is_some());
             let (line, _) = bench_line(&scenario);

@@ -388,7 +388,9 @@ mod tests {
 
     #[test]
     fn run_lines_carry_schema_id_and_metadata() {
-        let scenario = ScenarioBuilder::new().nodes(16).finish().unwrap();
+        let mut builder = ScenarioBuilder::new();
+        builder.set("nodes", "16");
+        let scenario = builder.finish().unwrap();
         let result = scenario.run();
         let meta = RunMeta {
             threads: 3,
@@ -415,25 +417,18 @@ mod tests {
 
     #[test]
     fn membership_object_appears_only_on_overlay_runs() {
-        use crate::spec::MembershipSpec;
         // Full-view default: the run JSON is byte-identical to the
         // pre-membership serialization — no membership key at all.
-        let full = ScenarioBuilder::new().nodes(32).finish().unwrap();
+        let mut builder = ScenarioBuilder::new();
+        builder.set("nodes", "32");
+        let full = builder.clone().finish().unwrap();
         let full_json = to_json(&full.run());
         assert!(!full_json.contains("membership"), "{full_json}");
 
         // The same scenario with the overlay on: a membership object with
         // the overlay counters, placed before any rounds array.
-        let overlay = ScenarioBuilder::new()
-            .nodes(32)
-            .membership(MembershipSpec::HyParView {
-                active: 5,
-                passive: 30,
-                shuffle_period: 1,
-                probe_period: 1,
-            })
-            .finish()
-            .unwrap();
+        builder.set("membership", "hyparview");
+        let overlay = builder.finish().unwrap();
         let result = overlay.run();
         let json = to_json(&result);
         assert!(json.contains("\"membership\":{\"active_min\":"), "{json}");
@@ -456,12 +451,12 @@ mod tests {
 
     #[test]
     fn emitter_writes_csv_header_once() {
-        let scenario = ScenarioBuilder::new()
-            .nodes(12)
-            .seeds(2)
-            .output(crate::OutputFormat::Csv, false)
-            .finish()
-            .unwrap();
+        let mut builder = ScenarioBuilder::new();
+        builder
+            .set("nodes", "12")
+            .set("seeds", "2")
+            .set("format", "csv");
+        let scenario = builder.finish().unwrap();
         let mut emitter = Emitter::new(scenario.output.format, Vec::<u8>::new());
         emitter
             .emit_sweep(&scenario, &mut gossip_telemetry::NoopProbe, false)

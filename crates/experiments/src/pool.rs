@@ -302,7 +302,9 @@ mod tests {
         // Inner threads shrink the cell-level parallelism. (The builder's
         // thread count is clamped to this machine's parallelism when the
         // cell runs, so derive the expectation from the same clamp.)
-        let wide = ScenarioBuilder::new().sync_scheduler(4).finish().unwrap();
+        let mut wide = ScenarioBuilder::new();
+        wide.set("threads", "4");
+        let wide = wide.finish().unwrap();
         let widest = wide.scheduler.effective_threads();
         let wide = std::slice::from_ref(&wide);
         assert_eq!(worker_count(8, wide, 10), (8 / widest).min(10));
@@ -311,7 +313,9 @@ mod tests {
 
     #[test]
     fn run_cell_renders_the_sweep_in_seed_order_with_ids() {
-        let scenario = ScenarioBuilder::new().nodes(16).seeds(2).finish().unwrap();
+        let mut builder = ScenarioBuilder::new();
+        builder.set("nodes", "16").set("seeds", "2");
+        let scenario = builder.finish().unwrap();
         let output = run_cell(&scenario);
         assert_eq!(output.lines.len(), 2);
         assert!(output.lines[0].contains("\"scenario_id\":\"ring-uniform-sync-n16-k1-s1\""));

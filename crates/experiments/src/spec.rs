@@ -13,8 +13,9 @@
 //! of failing on the first problem, so a user fixing a spec sees every
 //! mistake at once. A key is one row of [`ASSIGNMENTS`]: its help text,
 //! how its value is parsed and range-checked, and how
-//! [`Scenario::to_spec`] writes it back; the builder's typed setters are
-//! sugar over the same rows.
+//! [`Scenario::to_spec`] writes it back. [`ScenarioBuilder::set`] is the
+//! only way in, so every front-end (and every test) builds through the
+//! same rows.
 
 use crate::grid::MAX_SCENARIO_WORDS;
 
@@ -440,11 +441,6 @@ impl Scenario {
             seed,
             ..self.clone()
         }
-    }
-
-    /// Does this scenario run over a mutating network?
-    pub fn is_dynamic(&self) -> bool {
-        !self.dynamics.is_static()
     }
 
     /// The engine config implied by the scenario.
@@ -971,83 +967,6 @@ impl ScenarioBuilder {
         self
     }
 
-    // ---- typed setters: sugar over `set` (`Display` of a number parses
-    // back to the same number), so both routes validate alike ------------
-
-    fn with(mut self, key: &str, value: impl ToString) -> Self {
-        self.set(key, &value.to_string());
-        self
-    }
-
-    pub fn topology(self, topology: TopologySpec) -> Self {
-        let mut this = self.with("topology", topology.name());
-        // An Rgg spec carries its radius authoritatively — including
-        // `None` (the adaptive builder), which must clear any radius set
-        // earlier rather than silently surviving it.
-        if let TopologySpec::Rgg { radius } = topology {
-            this.radius = None;
-            if let Some(r) = radius {
-                this = this.with("radius", r);
-            }
-        }
-        this
-    }
-
-    pub fn nodes(self, nodes: usize) -> Self {
-        self.with("nodes", nodes)
-    }
-
-    pub fn protocol(self, protocol: Protocol) -> Self {
-        self.with("protocol", protocol.name())
-    }
-
-    pub fn sync_scheduler(self, threads: usize) -> Self {
-        self.with("scheduler", "sync").with("threads", threads)
-    }
-
-    pub fn async_scheduler(self, timing: TimingConfig) -> Self {
-        self.with("scheduler", "async")
-            .with("drift", timing.drift)
-            .with("refresh-jitter", timing.refresh_jitter)
-            .with("min-latency", timing.min_latency)
-            .with("max-latency", timing.max_latency)
-    }
-
-    pub fn seed(self, seed: u64) -> Self {
-        self.with("seed", seed)
-    }
-
-    pub fn seeds(self, seeds: usize) -> Self {
-        self.with("seeds", seeds)
-    }
-
-    pub fn max_rounds(self, max_rounds: usize) -> Self {
-        self.with("max-rounds", max_rounds)
-    }
-
-    pub fn churn(self, rate: f64, rejoin: RejoinPolicy) -> Self {
-        self.with("churn-rate", rate).with("rejoin", rejoin.name())
-    }
-
-    pub fn membership(mut self, membership: MembershipSpec) -> Self {
-        // A typed spec is authoritative: view knobs set earlier go.
-        (self.active_view, self.passive_view) = (None, None);
-        (self.shuffle_period, self.probe_period) = (None, None);
-        match membership.to_config() {
-            None => self.with("membership", "full"),
-            Some(cfg) => self
-                .with("membership", "hyparview")
-                .with("active-view", cfg.active_size)
-                .with("passive-view", cfg.passive_size)
-                .with("shuffle-period", cfg.shuffle_period)
-                .with("probe-period", cfg.probe_period),
-        }
-    }
-
-    pub fn output(self, format: OutputFormat, history: bool) -> Self {
-        self.with("format", format.name()).with("history", history)
-    }
-
     /// The assignment errors accumulated so far (cross-field conflicts
     /// are only discovered in [`finish`](Self::finish)). Grids use this
     /// to report bad *base* assignments once, at grid level, instead of
@@ -1338,32 +1257,12 @@ mod tests {
             let protocol = Protocol::parse(name)
                 .unwrap_or_else(|| panic!("listed protocol '{name}' does not parse"));
             assert_eq!(protocol.name(), name);
-            let scenario = ScenarioBuilder::new()
-                .with("protocol", name)
+            let mut builder = ScenarioBuilder::new();
+            builder.set("protocol", name);
+            let scenario = builder
                 .finish()
                 .unwrap_or_else(|e| panic!("protocol = {name}: {}", join_errors(&e)));
             assert_eq!(scenario.protocol, protocol);
-        }
-    }
-
-    #[test]
-    fn typed_and_string_routes_validate_alike() {
-        // A typed setter is its row's `set` under another name, so it
-        // cannot build what the string route refuses. It used to:
-        // `nodes(0)` finished `Ok` and `run()` panicked on the empty
-        // topology. (`messages`, the fifth such hole, lost its setter.)
-        let new = ScenarioBuilder::new;
-        for (typed, key, value) in [
-            (new().nodes(0), "nodes", "0"),
-            (new().nodes(5_000_000_000), "nodes", "5000000000"),
-            (new().seeds(0), "seeds", "0"),
-            (new().sync_scheduler(0), "threads", "0"),
-        ] {
-            let mut stringly = new();
-            stringly.set(key, value);
-            let refused = stringly.finish().unwrap_err();
-            assert_eq!(refused.len(), 1, "{refused:?}");
-            assert_eq!(typed.finish().unwrap_err(), refused, "{key} = {value}");
         }
     }
 
@@ -1421,33 +1320,15 @@ mod tests {
     }
 
     #[test]
-    fn typed_rgg_spec_carries_its_radius_authoritatively() {
-        let fixed = ScenarioBuilder::new()
-            .topology(TopologySpec::Rgg { radius: Some(0.3) })
-            .finish()
-            .unwrap();
-        assert_eq!(fixed.topology, TopologySpec::Rgg { radius: Some(0.3) });
-        // Re-setting with an explicit None must clear the earlier radius,
-        // not let it leak through.
-        let adaptive = ScenarioBuilder::new()
-            .topology(TopologySpec::Rgg { radius: Some(0.3) })
-            .topology(TopologySpec::Rgg { radius: None })
-            .finish()
-            .unwrap();
-        assert_eq!(adaptive.topology, TopologySpec::Rgg { radius: None });
-    }
-
-    #[test]
     fn membership_survives_the_spec_round_trip_and_stamps_the_id() {
-        let scenario = ScenarioBuilder::new()
-            .membership(MembershipSpec::HyParView {
-                active: 4,
-                passive: 16,
-                shuffle_period: 2,
-                probe_period: 3,
-            })
-            .finish()
-            .unwrap();
+        let mut builder = ScenarioBuilder::new();
+        builder
+            .set("membership", "hyparview")
+            .set("active-view", "4")
+            .set("passive-view", "16")
+            .set("shuffle-period", "2")
+            .set("probe-period", "3");
+        let scenario = builder.finish().unwrap();
         assert!(scenario.scenario_id().contains("-mem@a4p16sh2pr3-s1"));
         let cells = crate::parse_spec(&scenario.to_spec())
             .unwrap()
@@ -1506,16 +1387,14 @@ mod tests {
 
     #[test]
     fn async_timing_survives_the_spec_round_trip_including_jitter() {
-        let timing = gossip_core::TimingConfig {
-            drift: 0.2,
-            refresh_jitter: 0.5,
-            min_latency: 16,
-            max_latency: 128,
-        };
-        let scenario = ScenarioBuilder::new()
-            .async_scheduler(timing)
-            .finish()
-            .unwrap();
+        let mut builder = ScenarioBuilder::new();
+        builder
+            .set("scheduler", "async")
+            .set("drift", "0.2")
+            .set("refresh-jitter", "0.5")
+            .set("min-latency", "16")
+            .set("max-latency", "128");
+        let scenario = builder.finish().unwrap();
         let cells = crate::parse_spec(&scenario.to_spec())
             .unwrap()
             .expand()

@@ -2,81 +2,115 @@
 //! scenario layer: attaching a probe never changes a run's [`SimResult`]
 //! (byte-identical with tracing on or off), and the event stream itself is
 //! identical at any thread count — for both schedulers, static and
-//! churned. Plus the trace-schema pin: a small ring run's JSONL trace must
-//! match its committed golden file byte for byte.
+//! churned, and for a sync grid wide enough that its traced union runs
+//! threaded. Plus the trace-schema pin: a small ring run's JSONL trace
+//! must match its committed golden file byte for byte.
 
 use gossip_experiments::{Scenario, ScenarioBuilder};
 use gossip_telemetry::{MemoryProbe, TraceWriter};
 
-/// One scenario per point of the scheduler × threads × dynamics cube the
-/// contract quantifies over. Small enough to run in milliseconds, big
-/// enough that the async engine shards across several event regions.
-fn scenario(scheduler: &str, threads: usize, churn: bool) -> Scenario {
+/// `assignments` on a fresh builder, finished.
+fn build(assignments: &[(&str, &str)]) -> Scenario {
     let mut builder = ScenarioBuilder::new();
-    builder
-        .set("topology", "ring")
-        .set("nodes", "64")
-        .set("messages", "4")
-        .set("seed", "11")
-        .set("protocol", "advert")
-        .set("scheduler", scheduler)
-        .set("threads", &threads.to_string());
-    if churn {
-        builder.set("churn-rate", "0.1").set("rejoin", "keep");
+    for (key, value) in assignments {
+        builder.set(key, value);
     }
     builder.finish().expect("valid scenario")
 }
 
-#[test]
-fn results_are_byte_identical_with_the_probe_on_or_off() {
+/// Every scenario the contract quantifies over, at `threads` threads,
+/// each with its label. The scheduler × dynamics cube is a 64-node ring:
+/// small enough to run in milliseconds, big enough that the async engine
+/// shards across several event regions. The grid cell has 4 096 nodes
+/// and 100 messages (hashed tags), so its middle rounds form more pairs
+/// than `union_pairs_parallel` runs serially (512), and the union under
+/// the probe is the threaded one.
+fn cells(threads: usize) -> Vec<(String, Scenario)> {
+    let threads = threads.to_string();
+    let mut cells = Vec::new();
     for scheduler in ["sync", "async"] {
         for churn in [false, true] {
-            for threads in [1usize, 8] {
-                let s = scenario(scheduler, threads, churn);
-                let unobserved = s.run();
-                let mut probe = MemoryProbe::default();
-                let observed = s.run_probed(&mut probe);
-                assert_eq!(
-                    unobserved, observed,
-                    "{scheduler}/churn={churn}/threads={threads}: probing changed the result"
-                );
-                assert!(
-                    !probe.events.is_empty(),
-                    "{scheduler}/churn={churn}/threads={threads}: probe saw nothing"
-                );
+            let mut cube = vec![
+                ("topology", "ring"),
+                ("nodes", "64"),
+                ("messages", "4"),
+                ("seed", "11"),
+                ("protocol", "advert"),
+                ("scheduler", scheduler),
+                ("threads", &threads),
+            ];
+            if churn {
+                cube.extend([("churn-rate", "0.1"), ("rejoin", "keep")]);
             }
+            cells.push((format!("{scheduler}/churn={churn}"), build(&cube)));
+        }
+    }
+    let grid = build(&[
+        ("topology", "grid"),
+        ("nodes", "4096"),
+        ("messages", "100"),
+        ("seed", "3"),
+        ("protocol", "advert"),
+        ("max-rounds", "10"),
+        ("history", "true"),
+        ("threads", &threads),
+    ]);
+    cells.push(("sync/grid4096".to_string(), grid));
+    cells
+}
+
+#[test]
+fn the_grid_cell_forms_enough_pairs_to_thread_its_union() {
+    let (_, grid) = cells(2).pop().expect("the grid cell is last");
+    let rounds = grid.run().rounds.expect("the grid cell records history");
+    let widest = rounds.iter().map(|r| r.connections).max().unwrap_or(0);
+    assert!(widest >= 512, "widest round formed only {widest} pairs");
+}
+
+#[test]
+fn results_are_byte_identical_with_the_probe_on_or_off() {
+    for threads in [1usize, 8] {
+        for (label, s) in cells(threads) {
+            let unobserved = s.run();
+            let mut probe = MemoryProbe::default();
+            let observed = s.run_probed(&mut probe);
+            assert_eq!(
+                unobserved, observed,
+                "{label}/threads={threads}: probing changed the result"
+            );
+            assert!(
+                !probe.events.is_empty(),
+                "{label}/threads={threads}: probe saw nothing"
+            );
         }
     }
 }
 
 #[test]
 fn the_event_stream_is_identical_at_any_thread_count() {
-    for scheduler in ["sync", "async"] {
-        for churn in [false, true] {
-            let mut serial = MemoryProbe::default();
-            scenario(scheduler, 1, churn).run_probed(&mut serial);
-            let mut sharded = MemoryProbe::default();
-            scenario(scheduler, 8, churn).run_probed(&mut sharded);
-            assert_eq!(
-                serial.events, sharded.events,
-                "{scheduler}/churn={churn}: trace diverged between 1 and 8 threads"
-            );
-        }
+    for ((label, serial), (_, sharded)) in cells(1).into_iter().zip(cells(8)) {
+        let mut serial_probe = MemoryProbe::default();
+        serial.run_probed(&mut serial_probe);
+        let mut sharded_probe = MemoryProbe::default();
+        sharded.run_probed(&mut sharded_probe);
+        assert_eq!(
+            serial_probe.events, sharded_probe.events,
+            "{label}: trace diverged between 1 and 8 threads"
+        );
     }
 }
 
 /// Render one full trace (header + events) for the golden scenario.
 fn golden_trace(scheduler: &str, threads: usize) -> Vec<u8> {
-    let mut builder = ScenarioBuilder::new();
-    builder
-        .set("topology", "ring")
-        .set("nodes", "12")
-        .set("messages", "2")
-        .set("seed", "3")
-        .set("protocol", "advert")
-        .set("scheduler", scheduler)
-        .set("threads", &threads.to_string());
-    let s = builder.finish().expect("valid scenario");
+    let s = build(&[
+        ("topology", "ring"),
+        ("nodes", "12"),
+        ("messages", "2"),
+        ("seed", "3"),
+        ("protocol", "advert"),
+        ("scheduler", scheduler),
+        ("threads", &threads.to_string()),
+    ]);
     let mut tw = TraceWriter::new(Vec::new());
     tw.begin_run(&s.scenario_id(), s.nodes, s.messages, s.seed);
     s.run_probed(&mut tw);

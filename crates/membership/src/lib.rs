@@ -651,7 +651,8 @@ mod tests {
             mem.tick(&topo, Some(topo.alive_mask()), 3, tick, &mut NoopProbe);
         }
         // Node 0 departs; its links dangle until probes find the death.
-        topo.kill(NodeId(0));
+        topo.defer_alive(NodeId(0), false);
+        topo.settle();
         let dangling: Vec<usize> = (1..8)
             .filter(|&u| mem.neighbors(NodeId(u as u32)).contains(&NodeId(0)))
             .collect();
@@ -687,13 +688,15 @@ mod tests {
         for tick in 1..=4 {
             mem.tick(&topo, Some(topo.alive_mask()), 9, tick, &mut NoopProbe);
         }
-        topo.kill(NodeId(5));
+        topo.defer_alive(NodeId(5), false);
+        topo.settle();
         for tick in 5..=12 {
             mem.tick(&topo, Some(topo.alive_mask()), 9, tick, &mut NoopProbe);
         }
         assert!(mem.neighbors(NodeId(5)).is_empty());
         let joins_before = mem.finish(Some(topo.alive_mask())).joins;
-        topo.revive(NodeId(5));
+        topo.defer_alive(NodeId(5), true);
+        topo.settle();
         for tick in 13..=16 {
             mem.tick(&topo, Some(topo.alive_mask()), 9, tick, &mut NoopProbe);
         }

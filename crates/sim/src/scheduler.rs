@@ -21,7 +21,10 @@
 //!   the partitioned resolver
 //!   ([`resolve_connections_sharded`](gossip_core::resolve_connections_sharded)),
 //!   and transfer over the round's node-disjoint matched pairs
-//!   ([`MessageMatrix::union_pairs_parallel`]);
+//!   ([`MessageMatrix::union_pairs_parallel`]) — probed or not: a probe
+//!   itemizes every pair's transfer from the rows first
+//!   ([`MsgView::for_each_transfer`](gossip_core::MsgView::for_each_transfer)),
+//!   and the same union runs after;
 //! - **determinism is independent of the thread count**: each node's
 //!   protocol randomness comes from its own stream
 //!   `Rng::stream(seed, round, node)` and each matching region from its
@@ -46,8 +49,8 @@ use std::time::{Duration, Instant};
 use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::topology::GraphView;
 use gossip_core::{
-    resolve_connections_sharded, shard, Advertisement, Connection, Intent, MatrixChunk,
-    MessageMatrix, NodeId, Partition, Resolution, Rng, Topology, TransferStats, MATCH_REGIONS,
+    resolve_connections_sharded, shard, Advertisement, Intent, MessageMatrix, NodeId, Partition,
+    Resolution, Rng, Topology, TransferStats, MATCH_REGIONS,
 };
 use gossip_dynamics::DynamicsModel;
 use gossip_membership::{Membership, MembershipConfig};
@@ -526,16 +529,14 @@ impl RoundPhases {
             resolve_connections_sharded(graph, &self.intents, seed, round, MATCH_REGIONS, threads);
 
         // Phase 4: push-pull transfer over the (node-disjoint) matched
-        // pairs; under observation, the same unions run serially over the
-        // `whole()` chunk (see `traced_transfer`).
+        // pairs; a probe reads the round off the rows before the union.
         let t3 = Instant::now();
-        let transfer = if probe.enabled() {
-            emit_round_events(probe, graph, &self.intents, &resolution, round);
-            traced_transfer(probe, self.states.whole(), &resolution.connections, round)
-        } else {
-            self.states
-                .union_pairs_parallel(&resolution.connections, threads)
-        };
+        if probe.enabled() {
+            emit_round_events(probe, graph, &self.intents, &resolution, states, round);
+        }
+        let transfer = self
+            .states
+            .union_pairs_parallel(&resolution.connections, threads);
         let t4 = Instant::now();
 
         let timings = &mut self.timings;
@@ -554,68 +555,54 @@ impl RoundPhases {
     }
 }
 
-/// Emit one synchronous round's connection-lifecycle events: every
-/// proposal in node order (each immediately followed by its `Drop` if it
-/// crossed a non-edge), every formed connection in resolution order, then
-/// a `Reject` for each proposer that ended the round unmatched (rebound
-/// included — a proposer that connected to *any* listener succeeded).
-/// Pure reads of already-resolved state: tracing cannot perturb the run.
+/// Emit one synchronous round's events: every proposal in node order
+/// (each immediately followed by its `Drop` if it crossed a non-edge),
+/// every formed connection in resolution order, a `Reject` for each
+/// proposer that ended the round unmatched (rebound included — a proposer
+/// that connected to *any* listener succeeded), then every message each
+/// connection will move, connection by connection in ascending message
+/// order. Pure reads of already-resolved state, taken before the union:
+/// the pairs are node-disjoint, so reading them all first is reading each
+/// just before its own union, and tracing cannot perturb the run.
 fn emit_round_events<G: GraphView + ?Sized>(
     probe: &mut dyn Probe,
     graph: &G,
     intents: &[Intent],
     resolution: &Resolution,
+    states: &MessageMatrix,
     round: u64,
 ) {
     let t = round * TICKS_PER_ROUND;
-    let mut emit = |kind, from: u32, to: u32| {
-        probe.record(&TraceEvent::new(kind, t, round, &[from, to]));
+    let mut emit = |kind, ids: &[u32]| {
+        probe.record(&TraceEvent::new(kind, t, round, ids));
     };
     for (u, intent) in intents.iter().enumerate() {
         let Intent::Propose(v) = intent else { continue };
-        emit(EventKind::Propose, u as u32, v.0);
+        emit(EventKind::Propose, &[u as u32, v.0]);
         if !graph.are_neighbors(NodeId(u as u32), *v) {
-            emit(EventKind::Drop, u as u32, v.0);
+            emit(EventKind::Drop, &[u as u32, v.0]);
         }
     }
     let mut initiated = vec![false; intents.len()];
     for c in &resolution.connections {
         initiated[c.initiator.index()] = true;
-        emit(EventKind::Connect, c.initiator.0, c.acceptor.0);
+        emit(EventKind::Connect, &[c.initiator.0, c.acceptor.0]);
     }
     for (u, intent) in intents.iter().enumerate() {
         let Intent::Propose(v) = intent else { continue };
         if !initiated[u] {
-            emit(EventKind::Reject, u as u32, v.0);
+            emit(EventKind::Reject, &[u as u32, v.0]);
         }
     }
-}
-
-/// The transfer phase under observation: the same per-pair unions as
-/// [`MessageMatrix::union_pairs_parallel`], run serially so each moved
-/// message emits in connection-then-ascending-message order. Identical
-/// totals — the pairs are node-disjoint, so processing order is
-/// irrelevant to the outcome.
-fn traced_transfer(
-    probe: &mut dyn Probe,
-    mut rows: MatrixChunk<'_>,
-    connections: &[Connection],
-    round: u64,
-) -> TransferStats {
-    let t = round * TICKS_PER_ROUND;
-    let mut total = TransferStats::default();
-    for c in connections {
-        let (i, j) = (c.initiator.index(), c.acceptor.index());
-        total += rows.union_pair_traced(i, j, |from, to, msg| {
-            probe.record(&TraceEvent::new(
-                EventKind::Transfer,
-                t,
-                round,
-                &[from, to, msg],
-            ));
-        });
+    for c in &resolution.connections {
+        let (i, j) = (c.initiator, c.acceptor);
+        states.view(i.index()).for_each_transfer(
+            i.0,
+            &states.view(j.index()),
+            j.0,
+            |from, to, msg| emit(EventKind::Transfer, &[from, to, msg]),
+        );
     }
-    total
 }
 
 /// One worker's advertise pass over its node range: refresh the tag of

@@ -564,16 +564,16 @@ impl Chunks<'_> {
                 ..
             } => {
                 let (i, j) = (initiator.index(), acceptor.index());
-                let stats = if ctx.tracing {
-                    // Itemize the moved messages (same union, same totals)
-                    // so the replay emits per-message transfer events
-                    // ahead of this `Finish`.
-                    self.states.union_pair_traced(i, j, |from, to, msg| {
+                if ctx.tracing {
+                    // Itemize the moved messages before the union, so the
+                    // replay emits per-message transfer events ahead of
+                    // this `Finish`.
+                    let (row_i, row_j) = (self.states.view(i), self.states.view(j));
+                    row_i.for_each_transfer(initiator.0, &row_j, acceptor.0, |from, to, msg| {
                         log.push(at(EntryKind::Trace(EventKind::Transfer, [from, to, msg])))
-                    })
-                } else {
-                    self.states.union_pair_stats(i, j)
-                };
+                    });
+                }
+                let stats = self.states.union_pair_stats(i, j);
                 log.push(at(EntryKind::Finish {
                     moved: stats.moved,
                     newly_full: stats.newly_full,
