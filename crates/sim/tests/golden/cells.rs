@@ -19,7 +19,7 @@ use gossip_sim::{
     default_round_cap, random_sources, EngineTimings, Membership, MembershipConfig, RunInputs,
     Scheduler, SimConfig,
 };
-use gossip_telemetry::{MemoryProbe, NoopProbe};
+use gossip_telemetry::{MemoryProbe, NoopProbe, TraceEvent};
 
 /// A cell: its name (the file stem) and the rendering of its run at a
 /// thread count.
@@ -140,7 +140,8 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// Run `inputs` and render the cell: a header of the inputs, the
 /// `SimResult` `Debug` with a newline after every `}, ` (one history row
 /// or timeline point a line; `Debug` emits no newline, so the split
-/// reverses exactly), and, if `traced`, the FNV-1a of the event stream.
+/// reverses exactly), and, if `traced`, the FNV-1a of the event stream's
+/// JSONL lines joined by `\n`.
 fn render(sched: Scheduler, inputs: &RunInputs<'_>, traced: bool) -> (String, EngineTimings) {
     let mut probe = MemoryProbe::default();
     let (result, timings) = if traced {
@@ -170,7 +171,8 @@ fn render(sched: Scheduler, inputs: &RunInputs<'_>, traced: bool) -> (String, En
         format!("{result:?}").replace("}, ", "},\n"),
     );
     if traced {
-        let events = fnv(format!("{:?}", probe.events).as_bytes());
+        let lines: Vec<String> = probe.events.iter().map(TraceEvent::to_json).collect();
+        let events = fnv(lines.join("\n").as_bytes());
         text.push_str(&format!("trace_fnv {events:#018x}\n"));
     }
     (text, timings)

