@@ -301,6 +301,41 @@ fn resolution_is_deterministic_for_a_fixed_seed() {
     assert_eq!(c, d);
 }
 
+/// The sharded resolver's priority rule at a region edge, pinned. On
+/// `line(6)` in two regions (`{0, 1, 2}`, `{3, 4, 5}`), proposers 1
+/// (confined: its only listening neighbor is 2) and 3 (boundary: 2 lies
+/// across the edge) contest listener 2. Region batches run before the
+/// boundary sweep, so node 1 wins on every seed; the serial resolver
+/// visits the two proposals in random order, so node 1 wins about half
+/// the time there (213 of these 400 seeds; the band is 40–60 %).
+#[test]
+fn confined_proposers_win_contested_listeners_at_region_edges() {
+    let topo = Topology::line(6);
+    let mut intents = vec![Intent::Idle; 6];
+    intents[1] = Intent::Propose(NodeId(2));
+    intents[3] = Intent::Propose(NodeId(2));
+    intents[2] = Intent::Listen;
+    let winner = |res: &Resolution| {
+        assert_eq!(res.connections.len(), 1, "listener 2 takes one proposer");
+        res.connections[0].initiator
+    };
+    let seeds = 0..400u64;
+    for seed in seeds.clone() {
+        let res = resolve_connections_sharded(&topo, &intents, seed, 1, 2, 1);
+        assert_eq!((res.confined_proposals, res.boundary_proposals), (1, 1));
+        assert_eq!(winner(&res), NodeId(1), "seed {seed}");
+    }
+    let serial_wins = seeds
+        .filter(|&seed| {
+            winner(&resolve_connections(&topo, &intents, &mut Rng::new(seed))) == NodeId(1)
+        })
+        .count();
+    assert!(
+        (160..=240).contains(&serial_wins),
+        "the serial resolver gave node 1 {serial_wins} of 400 seeds, not about half"
+    );
+}
+
 /// FNV-1a 64 of `res` folded into `h`: its connections in order, then the
 /// dropped, confined and boundary counts.
 fn fold(h: &mut u64, res: &Resolution) {

@@ -14,7 +14,7 @@ use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
 /// The trace record of an applied mutation, stamped with the round (or
 /// slice pass) whose window it lands in.
-pub(crate) fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
+fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
     let t = mutation.time.ticks();
     let event = |kind, ids: &[u32]| TraceEvent::new(kind, t, round, ids);
     match &mutation.kind {
@@ -112,9 +112,8 @@ impl DynRun {
     }
 
     /// Pop the next pending mutation if it is due strictly before
-    /// `horizon`, without applying it (the sliced engine intercepts
-    /// departures to sever open connections first).
-    pub fn next_before(&mut self, horizon: SimTime) -> Option<Mutation> {
+    /// `horizon`, without applying it.
+    fn next_before(&mut self, horizon: SimTime) -> Option<Mutation> {
         if self.stream.peek_time()? < horizon {
             self.stream.next()
         } else {
@@ -126,8 +125,9 @@ impl DynRun {
     /// [`MutationKind::apply_deferred`]) plus the gossip-side bookkeeping —
     /// message resets, the alive-only `cover`, stats, coverage timeline.
     /// Returns whether anything changed. Active views stay stale until
-    /// `topo.settle()`, which the caller owes once per batch.
-    pub fn apply(
+    /// `topo.settle()`, which [`drain_until`](Self::drain_until) runs once
+    /// per batch.
+    fn apply(
         &mut self,
         mutation: &Mutation,
         states: &mut MessageMatrix,
@@ -172,13 +172,13 @@ impl DynRun {
         true
     }
 
-    /// Apply every pending mutation with time strictly before `horizon`,
-    /// then settle the active views. The synchronous scheduler calls this
-    /// at each round boundary with the round's end time, so a mutation
-    /// takes effect at the start of the round whose window contains it.
-    /// An enabled `probe` gets a `Mutate` record for every mutation that
-    /// changed anything — the pop/apply sequence is the same either way,
-    /// so tracing cannot alter the run. Returns whether anything changed.
+    /// The one mutation drain of both engines, at a sync round's or an
+    /// async slice's start: pop and apply every mutation due strictly
+    /// before `horizon`, then settle the active views. After each one that
+    /// changed something, `applied` runs, then an enabled `probe` gets its
+    /// `Mutate` record stamped `round(time)`; the pops and applies are the
+    /// same either way. Returns the time of the last mutation popped.
+    #[allow(clippy::too_many_arguments)] // the engines' one boundary, not an API
     pub fn drain_until(
         &mut self,
         horizon: SimTime,
@@ -186,19 +186,21 @@ impl DynRun {
         sources: &[NodeId],
         cover: &mut Coverage,
         probe: &mut dyn Probe,
-        round: u64,
-    ) -> bool {
-        let mut changed = false;
+        round: impl Fn(SimTime) -> u64,
+        mut applied: impl FnMut(&Mutation, &mut DynamicsStats, &mut dyn Probe),
+    ) -> Option<SimTime> {
+        let mut last = None;
         while let Some(mutation) = self.next_before(horizon) {
             if self.apply(&mutation, states, sources, cover) {
-                changed = true;
+                applied(&mutation, &mut self.stats, probe);
                 if probe.enabled() {
-                    probe.record(&mutate_event(&mutation, round));
+                    probe.record(&mutate_event(&mutation, round(mutation.time)));
                 }
             }
+            last = Some(mutation.time);
         }
         self.topo.settle();
-        changed
+        last
     }
 
     /// Sample the coverage timeline at `time` if the alive/informed pair
@@ -252,27 +254,29 @@ impl DynRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_telemetry::MemoryProbe;
 
-    struct NoDynamics;
+    /// A fixed mutation sequence.
+    struct Script(Vec<Mutation>);
 
-    impl DynamicsModel for NoDynamics {
+    impl DynamicsModel for Script {
         fn name(&self) -> String {
-            "none".to_string()
+            "script".to_string()
         }
         fn validate(&self) -> Result<(), String> {
             Ok(())
         }
         fn stream(&self, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
-            struct Empty;
-            impl MutationStream for Empty {
+            struct Scripted(std::vec::IntoIter<Mutation>);
+            impl MutationStream for Scripted {
                 fn peek_time(&self) -> Option<SimTime> {
-                    None
+                    self.0.as_slice().first().map(|m| m.time)
                 }
                 fn next(&mut self) -> Option<Mutation> {
-                    None
+                    self.0.next()
                 }
             }
-            Box::new(Empty)
+            Box::new(Scripted(self.0.clone().into_iter()))
         }
     }
 
@@ -286,7 +290,7 @@ mod tests {
             informed: states.full_count(),
             held: states.total_messages(),
         };
-        let run = DynRun::new(&topo, &NoDynamics, 1, &cover);
+        let run = DynRun::new(&topo, &Script(Vec::new()), 1, &cover);
         (run, states, cover)
     }
 
@@ -295,6 +299,47 @@ mod tests {
             time: SimTime(time),
             kind,
         }
+    }
+
+    #[test]
+    fn drain_hooks_and_traces_only_the_mutations_that_changed_something() {
+        let script = Script(vec![
+            at(5, MutationKind::Depart(NodeId(1))),
+            at(6, MutationKind::Depart(NodeId(1))),
+            at(8, MutationKind::EdgeUp(NodeId(0), NodeId(1))),
+        ]);
+        let topo = Topology::line(3);
+        let sources = [NodeId(0)];
+        let mut states = MessageMatrix::new(3, 1);
+        states.insert(0, 0);
+        let mut cover = Coverage {
+            informed: 1,
+            held: 1,
+        };
+        let mut run = DynRun::new(&topo, &script, 1, &cover);
+        let mut probe = MemoryProbe::default();
+        let marker = |t| TraceEvent::new(EventKind::Round, t, 0, &[]);
+        let mut hooked = Vec::new();
+        let last = run.drain_until(
+            SimTime(TICKS_PER_ROUND),
+            &mut states,
+            &sources,
+            &mut cover,
+            &mut probe,
+            |t| t.ticks() * 10,
+            |mutation, _, probe| {
+                hooked.push(mutation.time);
+                probe.record(&marker(mutation.time.ticks()));
+            },
+        );
+        assert_eq!(last, Some(SimTime(8)), "no-ops count as popped");
+        assert_eq!(hooked, [SimTime(5)], "only the first departure applied");
+        assert_eq!(
+            probe.events,
+            [marker(5), TraceEvent::new(EventKind::Depart, 5, 50, &[1])],
+            "the hook runs before the mutation's record, stamped by `round`"
+        );
+        assert_eq!(run.topo.alive_count(), 2);
     }
 
     #[test]

@@ -306,6 +306,77 @@ pub(crate) fn finish_run(
     result.dynamics = dynr.map(|d| d.finish(SimTime(result.virtual_time), cover));
 }
 
+/// The connection and history tally both engines count through: run
+/// totals, coverage, and the optional [`RoundStats`] rows. A connection
+/// at time `t` belongs to row `ceil(t / TICKS_PER_ROUND)`, as in
+/// [`SimTime::round_equivalent`]: the sync engine counts round `r`, then
+/// closes row `r`; the sliced engine closes the rows before an event's.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Rows already closed; the open row is number `closed + 1`.
+    closed: usize,
+    /// Connections counted in the open row so far.
+    connections: usize,
+    /// Productive connections counted in the open row so far.
+    productive: usize,
+}
+
+impl Tally {
+    /// Count `formed` connections whose transfers moved `transfer`.
+    pub fn count(
+        &mut self,
+        result: &mut SimResult,
+        cover: &mut Coverage,
+        formed: usize,
+        transfer: TransferStats,
+    ) {
+        cover.informed += transfer.newly_full;
+        cover.held += transfer.moved;
+        result.total_connections += formed;
+        result.productive_connections += transfer.productive;
+        result.wasted_connections += formed - transfer.productive;
+        self.connections += formed;
+        self.productive += transfer.productive;
+    }
+
+    /// Close and record every row below `row`, leaving `row` open; rows
+    /// stay dense and 1-based. A no-op when the run keeps no history.
+    pub fn close_rows_below(&mut self, result: &mut SimResult, row: usize, cover: &Coverage) {
+        let Some(history) = &mut result.rounds else {
+            return;
+        };
+        while self.closed + 1 < row {
+            history.push(RoundStats {
+                round: self.closed + 1,
+                connections: self.connections,
+                productive: self.productive,
+                complete_nodes: cover.informed,
+                messages_held: cover.held,
+            });
+            self.connections = 0;
+            self.productive = 0;
+            self.closed += 1;
+        }
+    }
+}
+
+/// Tick the overlay at a boundary (a sync round, an async slice pass)
+/// against the underlay that boundary's mutations left: the active view
+/// of a mutating one, with its alive mask, else the frozen topology.
+pub(crate) fn tick_membership(
+    m: &mut Membership,
+    topology: &Topology,
+    dynr: &Option<DynRun>,
+    seed: u64,
+    tick: u64,
+    probe: &mut dyn Probe,
+) {
+    match dynr {
+        Some(d) => m.tick(&d.topo, Some(d.topo.alive_mask()), seed, tick, probe),
+        None => m.tick(topology, None, seed, tick, probe),
+    }
+}
+
 /// Wall-clock milliseconds spent in each phase of the synchronous round
 /// loop, summed across rounds, so `bench` can show *which* phase a thread
 /// count is buying down.
@@ -319,8 +390,8 @@ pub struct PhaseTimings {
     pub matching: f64,
     /// Phase 4: push-pull transfer over the matched pairs.
     pub transfer: f64,
-    /// The round-boundary mutation drain — stream pops, `DynRun::apply`
-    /// and the topology's settle. Zero on a static run.
+    /// The round-boundary mutation drain (`DynRun::drain_until`: stream
+    /// pops, applies and the topology's settle). Zero on a static run.
     pub drain: f64,
     /// `Membership::tick`. Zero without an overlay.
     pub membership: f64,
@@ -378,6 +449,7 @@ fn run_sync(
         partition: Partition::of(n),
         timings: PhaseTimings::default(),
     };
+    let mut tally = Tally::default();
 
     // Already complete at time zero (a single node, say): no round runs.
     if !result.completed {
@@ -385,19 +457,22 @@ fn run_sync(
             let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
             if let Some(d) = dynr.as_mut() {
                 let draining = Instant::now();
-                let mutated = d.drain_until(
+                let drained = d.drain_until(
                     horizon,
                     &mut phases.states,
                     sources,
                     &mut cover,
                     probe,
-                    round as u64,
+                    |_| round as u64,
+                    |_, _, _| {},
                 );
                 phases.timings.drain += ms(draining.elapsed());
-                if mutated && cover.complete(d.topo.alive_count()) {
+                if drained.is_some() && cover.complete(d.topo.alive_count()) {
                     // Mutations alone completed gossip (the last uninformed
                     // node departed, or an informed one rejoined an already-
                     // covered network) — at the boundary closing round r-1.
+                    // Only a drained one can: the last boundary found gossip
+                    // incomplete, and only applied mutations move `cover`.
                     result.completed = true;
                     result.rounds_to_completion = Some(round - 1);
                     break;
@@ -410,10 +485,7 @@ fn run_sync(
             let alive = dynr.as_ref().map(|d| d.topo.alive_mask());
             if let Some(m) = mem.as_mut() {
                 let ticking = Instant::now();
-                match &dynr {
-                    Some(d) => m.tick(&d.topo, alive, seed, round as u64, probe),
-                    None => m.tick(topology, alive, seed, round as u64, probe),
-                }
+                tick_membership(m, topology, &dynr, seed, round as u64, probe);
                 phases.timings.membership += ms(ticking.elapsed());
             }
             let (resolution, transfer) = match (&mem, &dynr) {
@@ -422,25 +494,13 @@ fn run_sync(
                 (None, None) => phases.step(topology, None, round as u64, probe),
             };
 
-            cover.informed += transfer.newly_full;
-            cover.held += transfer.moved;
             let formed = resolution.connections.len();
+            tally.count(&mut result, &mut cover, formed, transfer);
+            tally.close_rows_below(&mut result, round + 1, &cover);
             result.rounds_executed = round;
-            result.total_connections += formed;
-            result.productive_connections += transfer.productive;
-            result.wasted_connections += formed - transfer.productive;
             result.dropped_proposals += resolution.dropped_proposals;
             if let Some(d) = dynr.as_mut() {
                 d.record(horizon, &cover);
-            }
-            if let Some(history) = &mut result.rounds {
-                history.push(RoundStats {
-                    round,
-                    connections: formed,
-                    productive: transfer.productive,
-                    complete_nodes: cover.informed,
-                    messages_held: cover.held,
-                });
             }
 
             if probe.enabled() {

@@ -46,13 +46,16 @@
 //!   assembly is one deterministic sequence whichever worker did what.
 //!
 //! There is **one pass loop** ([`run_sliced`]) for every kind of input.
-//! Dynamics keep slice granularity: all mutations due inside a slice are
-//! applied serially at the *start* of the pass (stream
-//! `Rng::stream(seed, pass, MUTATE_STREAM)`), before any of the slice's
-//! events execute — the event-loop analogue of the synchronous
-//! scheduler's round-boundary mutation semantics. Deaths therefore
-//! precede every union of the slice, and generation stamps lazily
-//! discard the dead node's queued events when they pop. A static run is
+//! Dynamics keep slice granularity: phase 0 applies all mutations due
+//! inside a slice serially at the *start* of the pass, before any of the
+//! slice's events execute, through `DynRun::drain_until` — the drain the
+//! synchronous scheduler runs at its round boundaries. Its `applied` hook
+//! untangles a departed node (severing its connection), restarts the
+//! survivor's or rejoiner's act chain (stream
+//! `Rng::stream(seed, pass, MUTATE_STREAM)`) and bumps the departed
+//! node's generation. Deaths therefore precede every union of the slice,
+//! and generation stamps lazily discard the dead node's queued events
+//! when they pop. A static run is
 //! the same loop with no `DynRun` to drain: the stamps stay zero, the
 //! graph is the frozen [`Topology`], and nothing dynamic is allocated.
 //!
@@ -62,9 +65,10 @@
 //! scans read a start-of-slice advertisement snapshot; an event a sweep
 //! schedules *inside* the current slice executes in the next pass.
 
-use crate::dynamic::{mutate_event, Coverage, DynRun};
-use crate::metrics::RoundStats;
-use crate::scheduler::{finish_run, init_run, ms, EngineTimings, RunInputs};
+use crate::dynamic::{Coverage, DynRun};
+use crate::scheduler::{
+    finish_run, init_run, ms, tick_membership, EngineTimings, RunInputs, Tally,
+};
 use crate::SimResult;
 
 use std::cmp::Ordering;
@@ -74,7 +78,7 @@ use std::time::Instant;
 use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{
     shard, Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk, MatrixChunk, NodeId,
-    Partition, PeerState, Rng, Topology,
+    Partition, PeerState, Rng, Topology, TransferStats,
 };
 use gossip_dynamics::MutationKind;
 use gossip_membership::Membership;
@@ -707,79 +711,6 @@ fn run_region(ctx: &SliceCtx<'_>, graph: &(dyn GraphView + Sync), task: &mut Reg
     }
 }
 
-/// Accumulators for the optional per-epoch [`RoundStats`] history:
-/// counters for the currently open row, plus the number of rows already
-/// flushed. An event at time `t` belongs to row `ceil(t / TICKS_PER_ROUND)`
-/// — round `r` covers `((r-1)·TPR, r·TPR]`, matching
-/// [`SimTime::round_equivalent`] — so a transfer landing exactly on a
-/// round boundary counts toward the round that ends there.
-#[derive(Default)]
-struct EpochAccounting {
-    /// Rows already flushed; the open row is number `flushed + 1`.
-    flushed: usize,
-    /// Connections completing transfers in the open row so far.
-    connections: usize,
-    /// Productive connections in the open row so far.
-    productive: usize,
-}
-
-impl EpochAccounting {
-    /// Close and record every row numbered strictly below `row`, leaving
-    /// `row` as the open row accumulating subsequent counters. Rows stay
-    /// dense and 1-based like synchronous rounds; both the in-loop flush
-    /// (before each event) and the final drain route through here so the
-    /// attribution rule cannot diverge between them.
-    fn flush_rows_below(&mut self, history: &mut Vec<RoundStats>, row: usize, cover: &Coverage) {
-        while self.flushed + 1 < row {
-            history.push(RoundStats {
-                round: self.flushed + 1,
-                connections: self.connections,
-                productive: self.productive,
-                complete_nodes: cover.informed,
-                messages_held: cover.held,
-            });
-            self.connections = 0;
-            self.productive = 0;
-            self.flushed += 1;
-        }
-    }
-
-    /// Flush the rows strictly before the row of an event at `time`, so
-    /// the event's counters accumulate into the right (still-open) row.
-    /// A no-op when the run keeps no history.
-    fn flush_rows_before(
-        &mut self,
-        rounds: &mut Option<Vec<RoundStats>>,
-        time: SimTime,
-        cover: &Coverage,
-    ) {
-        if let Some(history) = rounds {
-            self.flush_rows_below(history, time.round_equivalent().max(1), cover);
-        }
-    }
-
-    /// Count one completed transfer — in the run totals, the open history
-    /// row, and the coverage counters.
-    fn count_finish(
-        &mut self,
-        result: &mut SimResult,
-        cover: &mut Coverage,
-        moved: usize,
-        newly_full: usize,
-    ) {
-        cover.informed += newly_full;
-        cover.held += moved;
-        result.total_connections += 1;
-        if moved > 0 {
-            result.productive_connections += 1;
-            self.productive += 1;
-        } else {
-            result.wasted_connections += 1;
-        }
-        self.connections += 1;
-    }
-}
-
 /// Account one logged effect at its place in the serial order — the merge
 /// replays every region-log entry, the sweep each entry its events log:
 /// flush the history rows before it, count a drop or a finished transfer,
@@ -791,7 +722,7 @@ impl EpochAccounting {
 fn replay(
     e: &Entry,
     result: &mut SimResult,
-    epochs: &mut EpochAccounting,
+    tally: &mut Tally,
     cover: &mut Coverage,
     dynr: &mut Option<DynRun>,
     probe: &mut dyn Probe,
@@ -805,12 +736,17 @@ fn replay(
             ids,
         }),
         EntryKind::Drop => {
-            epochs.flush_rows_before(&mut result.rounds, now, cover);
+            tally.close_rows_below(result, now.round_equivalent().max(1), cover);
             result.dropped_proposals += 1;
         }
         EntryKind::Finish { moved, newly_full } => {
-            epochs.flush_rows_before(&mut result.rounds, now, cover);
-            epochs.count_finish(result, cover, moved, newly_full);
+            tally.close_rows_below(result, now.round_equivalent().max(1), cover);
+            let transfer = TransferStats {
+                moved,
+                productive: (moved > 0) as usize,
+                newly_full,
+            };
+            tally.count(result, cover, 1, transfer);
             let population = match dynr {
                 Some(d) => {
                     d.record(now, cover);
@@ -912,7 +848,7 @@ pub(crate) fn run_sliced(
         scratches[part.region_of(u)].push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
     }
 
-    let mut epochs = EpochAccounting::default();
+    let mut tally = Tally::default();
     let mut merged: Vec<Entry> = Vec::new();
     let mut sweep_q: Vec<Scheduled<Ev>> = Vec::new();
     let mut sweep_log: Vec<Entry> = Vec::new();
@@ -961,61 +897,62 @@ pub(crate) fn run_sliced(
         if let Some(d) = dynr.as_mut() {
             let t2 = Instant::now();
             let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
-            let mut last_mut: Option<u64> = None;
             let mut matcher = matcher.whole();
-            while let Some(mutation) = d.next_before(SimTime(end)) {
-                let mtime = mutation.time;
-                if let MutationKind::Depart(u) = mutation.kind {
-                    if d.topo.is_alive(u) {
-                        // Disentangle the node before it goes down.
-                        match matcher.state(u) {
-                            PeerState::Free => {}
-                            PeerState::Listening | PeerState::Proposing => matcher.cancel(u),
-                            PeerState::Connected => {
-                                let (v, u_initiated) =
-                                    partner[u.index()].expect("connected node has a partner");
-                                matcher.release(u, v);
-                                partner[u.index()] = None;
-                                partner[v.index()] = None;
-                                d.stats.severed_connections += 1;
-                                if tracing {
-                                    probe.record(&event_at(EventKind::Sever, mtime, &[u.0, v.0]));
+            let drained = d.drain_until(
+                SimTime(end),
+                &mut states,
+                sources,
+                &mut cover,
+                probe,
+                |t| t.round_equivalent() as u64,
+                |mutation, stats, probe| {
+                    let mtime = mutation.time;
+                    let restart = match mutation.kind {
+                        MutationKind::Depart(u) => {
+                            // Untangle the departed node. A survivor that
+                            // initiated had its act chain parked on the
+                            // Finish event dying with this connection.
+                            let survivor = match matcher.state(u) {
+                                PeerState::Free => None,
+                                PeerState::Listening | PeerState::Proposing => {
+                                    matcher.cancel(u);
+                                    None
                                 }
-                                if !u_initiated {
-                                    // The survivor initiated: its act chain
-                                    // was parked on the Finish event dying
-                                    // with this connection — restart it.
-                                    let delay =
-                                        timing.refresh_interval(drift[v.index()], &mut rng_mut);
-                                    scratches[part.region_of(v.index())]
-                                        .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
+                                PeerState::Connected => {
+                                    let (v, u_initiated) =
+                                        partner[u.index()].expect("connected node has a partner");
+                                    matcher.release(u, v);
+                                    partner[u.index()] = None;
+                                    partner[v.index()] = None;
+                                    stats.severed_connections += 1;
+                                    if probe.enabled() {
+                                        let ids = [u.0, v.0];
+                                        probe.record(&event_at(EventKind::Sever, mtime, &ids));
+                                    }
+                                    (!u_initiated).then_some(v)
                                 }
-                            }
+                            };
+                            gens[u.index()] += 1;
+                            survivor
                         }
-                        gens[u.index()] += 1;
-                    }
-                }
-                if d.apply(&mutation, &mut states, sources, &mut cover) {
-                    if tracing {
-                        probe.record(&mutate_event(&mutation, mtime.round_equivalent() as u64));
-                    }
-                    if let MutationKind::Rejoin { node, .. } = mutation.kind {
                         // The revived node starts a fresh act chain.
-                        let delay = timing.refresh_interval(drift[node.index()], &mut rng_mut);
-                        scratches[part.region_of(node.index())]
-                            .push(mtime.after(delay), Ev::Act(node, gens[node.index()]));
+                        MutationKind::Rejoin { node, .. } => Some(node),
+                        _ => None,
+                    };
+                    if let Some(v) = restart {
+                        let delay = timing.refresh_interval(drift[v.index()], &mut rng_mut);
+                        scratches[part.region_of(v.index())]
+                            .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
                     }
-                }
-                last_mut = Some(mtime.ticks());
-            }
-            d.topo.settle();
+                },
+            );
             timings.sweep += ms(t2.elapsed());
-            if let Some(t) = last_mut.filter(|_| cover.complete(d.topo.alive_count())) {
+            if let Some(t) = drained.filter(|_| cover.complete(d.topo.alive_count())) {
                 // Mutations alone completed gossip.
                 result.completed = true;
-                result.virtual_time_to_completion = Some(t);
-                result.rounds_to_completion = Some(SimTime(t).round_equivalent());
-                break 'run t;
+                result.virtual_time_to_completion = Some(t.ticks());
+                result.rounds_to_completion = Some(t.round_equivalent());
+                break 'run t.ticks();
             }
         }
 
@@ -1026,10 +963,7 @@ pub(crate) fn run_sliced(
         // immediately, and the whole slice executes against frozen views.
         if let Some(m) = mem.as_mut() {
             let t3 = Instant::now();
-            match &dynr {
-                Some(d) => m.tick(&d.topo, Some(d.topo.alive_mask()), seed, pass, probe),
-                None => m.tick(topology, None, seed, pass, probe),
-            }
+            tick_membership(m, topology, &dynr, seed, pass, probe);
             timings.sweep += ms(t3.elapsed());
         }
 
@@ -1096,7 +1030,7 @@ pub(crate) fn run_sliced(
             s.log.clear();
         }
         for e in merged.iter() {
-            if replay(e, &mut result, &mut epochs, &mut cover, &mut dynr, probe) {
+            if replay(e, &mut result, &mut tally, &mut cover, &mut dynr, probe) {
                 timings.merge += ms(t1.elapsed());
                 break 'run e.time;
             }
@@ -1128,13 +1062,13 @@ pub(crate) fn run_sliced(
             let now = ev.time;
             last_time = last_time.max(now.ticks());
             sweep_events += 1;
-            epochs.flush_rows_before(&mut result.rounds, now, &cover);
+            tally.close_rows_below(&mut result, now.round_equivalent().max(1), &cover);
             let graph = gossip_graph(topology, &dynr, &mem);
             let (at, next) =
                 whole.connect(&ctx, graph, now, ev.event, &mut rng_sweep, &mut sweep_log);
             scratches[part.region_of(next.owner().index())].push(at, next);
             for e in sweep_log.drain(..) {
-                if replay(&e, &mut result, &mut epochs, &mut cover, &mut dynr, probe) {
+                if replay(&e, &mut result, &mut tally, &mut cover, &mut dynr, probe) {
                     timings.sweep += ms(t2.elapsed());
                     break 'run e.time;
                 }
@@ -1147,11 +1081,10 @@ pub(crate) fn run_sliced(
     result.rounds_executed = SimTime(result.virtual_time)
         .round_equivalent()
         .min(config.max_rounds);
-    if let Some(history) = &mut result.rounds {
-        // Remaining epochs (including the final partial one), so the
-        // history covers exactly `rounds_executed` rows.
-        epochs.flush_rows_below(history, result.rounds_executed + 1, &cover);
-    }
+    // Remaining epochs (including the final partial one), so the history
+    // covers exactly `rounds_executed` rows.
+    let rows = result.rounds_executed + 1;
+    tally.close_rows_below(&mut result, rows, &cover);
     finish_run(&mut result, &cover, dynr, mem);
     timings.events = scratches.iter().map(|s| s.events).sum::<u64>() + sweep_events;
     for (r, s) in scratches.iter().enumerate() {

@@ -154,6 +154,42 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
 }
 
 #[test]
+fn a_boundary_draining_only_no_ops_does_not_complete() {
+    // line(3) with the middle node gone from tick 0: node 2 is cut off
+    // from the source for good, so gossip never completes. Later
+    // boundaries drain only no-ops (a second departure of node 1, an
+    // `EdgeUp` of an edge that never faded); each is a drained mutation,
+    // and neither may complete the incomplete network.
+    let topo = Topology::line(3);
+    let script = Script(vec![
+        Script::depart(0, 1),
+        Script::depart(3 * TICKS_PER_ROUND + 5, 1),
+        Mutation {
+            time: SimTime(5 * TICKS_PER_ROUND),
+            kind: MutationKind::EdgeUp(NodeId(0), NodeId(1)),
+        },
+    ]);
+    let cfg = SimConfig {
+        max_rounds: 10,
+        ..SimConfig::default()
+    };
+    for scheduler in schedulers() {
+        let result = scheduler.run(
+            &RunInputs {
+                dynamics: Some(&script),
+                ..RunInputs::new(&topo, Protocol::Advert, &[NodeId(0)], 5, cfg)
+            },
+            &mut NoopProbe,
+        );
+        assert!(!result.completed, "{}: completed", scheduler.name());
+        assert_eq!(result.rounds_executed, 10, "{}", scheduler.name());
+        assert_eq!(result.complete_nodes, 1, "{}", scheduler.name());
+        let stats = result.dynamics.expect("stats");
+        assert_eq!((stats.departures, stats.edge_ups), (1, 0));
+    }
+}
+
+#[test]
 fn emptied_network_never_completes() {
     let topo = Topology::ring(3);
     let script = Script(vec![
