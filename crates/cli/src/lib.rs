@@ -5,15 +5,17 @@
 //! The CLI owns **no** experiment knowledge: every `--key value` flag is
 //! one entry of the shared assignment vocabulary
 //! ([`gossip_experiments::ASSIGNMENTS`]) fed verbatim into a
-//! [`ScenarioBuilder`], and the flag section of [`usage`] is generated
-//! from the same table — so help text, the flag parser, spec files, and
-//! grid axes cannot diverge. Validation lives entirely in the builder's
+//! [`ScenarioBuilder`], or one row of a literal-flag table (`RUN_FLAGS`,
+//! `GRID_FLAGS`: the execution-only knobs such as `--trace` and
+//! `--cores`). One loop parses both, and the flag sections of [`usage`]
+//! are generated from the same tables — so help text, the flag parser,
+//! spec files, and grid axes cannot diverge. Validation lives entirely in the builder's
 //! structured [`SpecError`](gossip_experiments::SpecError)s; this crate
 //! only formats them.
 
 use gossip_experiments::{
-    assignment, effective_threads, join_errors, parse_spec, AssignmentDef, Axis, Grid,
-    OutputFormat, Scenario, ScenarioBuilder, ASSIGNMENTS,
+    assignment, effective_threads, join_errors, parse_spec, Axis, Grid, OutputFormat, Scenario,
+    ScenarioBuilder, ASSIGNMENTS,
 };
 
 /// Outcome of argument parsing: run (or bench) a scenario sweep, expand
@@ -25,11 +27,8 @@ use gossip_experiments::{
 pub enum Command {
     Run {
         scenario: Scenario,
-        /// `--trace FILE`: stream every semantic event of every run in
-        /// the sweep to FILE as schema-versioned JSONL. An execution-only
-        /// knob — it never enters the scenario or its `scenario_id`, and
-        /// (by the engines' determinism-under-observation contract) never
-        /// changes the results.
+        /// `--trace FILE`: where the sweep's event stream goes. Like every
+        /// literal flag it never enters the scenario or its `scenario_id`.
         trace: Option<String>,
         /// `bench`: every line ends in a `metrics` object of the run's
         /// clocks.
@@ -39,20 +38,14 @@ pub enum Command {
     /// documented expansion order).
     Grid {
         scenarios: Vec<Scenario>,
-        /// `--progress`: per-cell heartbeat on stderr (done/total,
-        /// running count, running-mean ETA, per-worker active cell).
-        /// Never touches stdout.
+        /// `--progress`: a per-cell heartbeat on stderr.
         progress: bool,
-        /// `--cores N`: global core budget for the cell pool (the binary
-        /// clamps it to the machine), partitioned between cell-level
-        /// parallelism and each cell's own `--threads`. Execution-only —
-        /// stdout is byte-identical (modulo `wall_ms`) at any value.
+        /// `--cores N`: the cell pool's core budget, before the binary
+        /// clamps it to the machine.
         cores: usize,
-        /// `--checkpoint FILE`: append one fsync'd record per completed
-        /// cell, so a killed sweep resumes instead of restarting.
+        /// `--checkpoint FILE`: one fsync'd record per completed cell.
         checkpoint: Option<String>,
-        /// `--resume`: replay completed cells from the checkpoint file
-        /// (verified against this grid) and run only the rest.
+        /// `--resume`: replay the checkpointed cells, run only the rest.
         resume: bool,
     },
     /// `analyze FILE...`: read run lines and trace streams, print the
@@ -75,8 +68,90 @@ pub fn thread_clamp_warning(scenarios: &[Scenario]) -> Option<String> {
 /// hand-written layout.
 const HELP_COL: usize = 48;
 
-/// The full help text. The OPTIONS flag lines are generated from
-/// [`ASSIGNMENTS`]; only the framing prose is hand-written.
+/// A flag the CLI keeps for itself instead of assigning it to the
+/// scenario: an execution-only knob, so it never enters the builder or
+/// a `scenario_id`.
+struct Literal {
+    key: &'static str,
+    /// Value placeholder; `None` marks a switch.
+    metavar: Option<&'static str>,
+    help: &'static str,
+}
+
+/// The literal flags of a run or `bench`, listed after the assignments.
+/// Every subcommand takes `--help` (and `-h`) before any other flag.
+const RUN_FLAGS: &[Literal] = &[
+    Literal {
+        key: "trace",
+        metavar: Some("FILE"),
+        help: "stream every semantic event of every run to
+FILE as schema-versioned JSONL (deterministic:
+byte-identical at any thread count, results
+unchanged); feed it to gossip-sim analyze",
+    },
+    Literal {
+        key: "help",
+        metavar: None,
+        help: "print this help",
+    },
+];
+
+/// The literal flags of `grid`; every other flag is a base assignment.
+const GRID_FLAGS: &[Literal] = &[
+    Literal {
+        key: "spec",
+        metavar: Some("FILE"),
+        help: "spec file: [scenario] key = value base
+assignments, [axis] key = v1, v2 sweep
+axes (nesting order; last axis varies
+fastest), [output] format/history",
+    },
+    Literal {
+        key: "axis",
+        metavar: Some("KEY=V1,V2,..."),
+        help: "append one sweep axis (repeatable);
+applied after the spec file's axes",
+    },
+    Literal {
+        key: "cores",
+        metavar: Some("N"),
+        help: "global core budget for the cell pool,
+capped at the machine's parallelism:
+cells run on max(1, N / threads)
+workers, started in cell order; stdout
+stays byte-identical (modulo wall_ms)
+to --cores 1 [default: 1]",
+    },
+    Literal {
+        key: "checkpoint",
+        metavar: Some("FILE"),
+        help: "append one fsync'd JSONL record per
+completed cell to FILE; a killed sweep
+restarts from its checkpoint via --resume
+instead of re-running finished cells",
+    },
+    Literal {
+        key: "resume",
+        metavar: None,
+        help: "replay cells already recorded in the
+--checkpoint file (verified against this
+grid) and run only the remainder; the
+combined stdout is byte-identical to an
+uninterrupted run",
+    },
+    Literal {
+        key: "progress",
+        metavar: None,
+        help: "per-cell heartbeat on stderr (done/total,
+running count, ETA from the running
+mean of completed-cell wall times,
+per-worker active cell); stdout is
+untouched",
+    },
+];
+
+/// The full help text. The flag lines are generated from [`ASSIGNMENTS`]
+/// and the literal-flag tables; only the framing prose is hand-written.
 pub fn usage() -> String {
     let mut out = String::with_capacity(4096);
     out.push_str(
@@ -103,81 +178,35 @@ SUBCOMMANDS:
              dissemination-depth stats, and per-region load balance
 
 GRID OPTIONS:
-    --spec <FILE>                               spec file: [scenario] key = value base
-                                                assignments, [axis] key = v1, v2 sweep
-                                                axes (nesting order; last axis varies
-                                                fastest), [output] format/history
-    --axis <KEY=V1,V2,...>                      append one sweep axis (repeatable);
-                                                applied after the spec file's axes
-    --cores <N>                                 global core budget for the cell pool,
-                                                capped at the machine's parallelism:
-                                                cells run on max(1, N / threads)
-                                                workers, started in cell order; stdout
-                                                stays byte-identical (modulo wall_ms)
-                                                to --cores 1 [default: 1]
-    --checkpoint <FILE>                         append one fsync'd JSONL record per
-                                                completed cell to FILE; a killed sweep
-                                                restarts from its checkpoint via --resume
-                                                instead of re-running finished cells
-    --resume                                    replay cells already recorded in the
-                                                --checkpoint file (verified against this
-                                                grid) and run only the remainder; the
-                                                combined stdout is byte-identical to an
-                                                uninterrupted run
-    --progress                                  per-cell heartbeat on stderr (done/total,
-                                                running count, ETA from the running
-                                                mean of completed-cell wall times,
-                                                per-worker active cell); stdout is
-                                                untouched
-    plus every run option below as a base assignment shared by all cells
+",
+    );
+    for flag in GRID_FLAGS {
+        push_flag_lines(&mut out, flag.key, flag.metavar, flag.help);
+    }
+    out.push_str(
+        "    plus every run option below as a base assignment shared by all cells
     (overriding the spec file's [scenario] section)
 
 OPTIONS:
 ",
     );
     for def in ASSIGNMENTS {
-        push_flag_lines(&mut out, def);
+        push_flag_lines(&mut out, def.key, def.metavar, def.help);
     }
-    out.push_str(&format!(
-        "    {:<width$}{}\n",
-        "--trace <FILE>",
-        "stream every semantic event of every run to",
-        width = HELP_COL - 4
-    ));
-    out.push_str(&format!(
-        "    {:<width$}{}\n",
-        "",
-        "FILE as schema-versioned JSONL (deterministic:",
-        width = HELP_COL - 4
-    ));
-    out.push_str(&format!(
-        "    {:<width$}{}\n",
-        "",
-        "byte-identical at any thread count, results",
-        width = HELP_COL - 4
-    ));
-    out.push_str(&format!(
-        "    {:<width$}{}\n",
-        "",
-        "unchanged); feed it to gossip-sim analyze",
-        width = HELP_COL - 4
-    ));
-    out.push_str(&format!(
-        "    {:<width$}print this help\n",
-        "--help",
-        width = HELP_COL - 4
-    ));
+    for flag in RUN_FLAGS {
+        push_flag_lines(&mut out, flag.key, flag.metavar, flag.help);
+    }
     out
 }
 
-/// Render one assignment as aligned `    --key <METAVAR>   help` lines,
-/// with embedded help newlines becoming aligned continuation lines.
-fn push_flag_lines(out: &mut String, def: &AssignmentDef) {
-    let flag = match def.metavar {
-        Some(metavar) => format!("    --{} <{}>", def.key, metavar),
-        None => format!("    --{}", def.key),
+/// Render one flag as aligned `    --key <METAVAR>   help` lines, with
+/// embedded help newlines becoming aligned continuation lines.
+fn push_flag_lines(out: &mut String, key: &str, metavar: Option<&str>, help: &str) {
+    let flag = match metavar {
+        Some(metavar) => format!("    --{key} <{metavar}>"),
+        None => format!("    --{key}"),
     };
-    let mut help_lines = def.help.lines();
+    let mut help_lines = help.lines();
     let first = help_lines.next().unwrap_or("");
     if flag.len() < HELP_COL {
         out.push_str(&format!("{flag:<HELP_COL$}{first}\n"));
@@ -200,23 +229,52 @@ fn is_help(arg: &str) -> bool {
     arg == "--help" || arg == "-h"
 }
 
-/// Look up a `--key` token in the assignment table.
-fn lookup(arg: &str) -> Option<&'static AssignmentDef> {
-    assignment(arg.strip_prefix("--")?)
+/// The one argument loop of `run`, `bench` and `grid`: each `--key` is one
+/// of `literals` or an assignment of [`ASSIGNMENTS`], taking the next
+/// token as its value unless it is a switch (`true`). Assignments go to
+/// `assign` in argument order; the literal flags come back as `(key,
+/// value)` pairs, or `None` when the list asks for help. An unknown flag
+/// is an unknown `{command}argument`.
+fn parse_flags(
+    args: &[String],
+    literals: &[Literal],
+    command: &str,
+    mut assign: impl FnMut(&'static str, String),
+) -> Result<Option<Vec<(&'static str, String)>>, String> {
+    let mut given = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if is_help(arg) {
+            return Ok(None);
+        }
+        let key = arg.strip_prefix("--").unwrap_or_default();
+        let literal = literals.iter().find(|flag| flag.key == key);
+        let (key, metavar) = match (literal, assignment(key)) {
+            (Some(flag), _) => (flag.key, flag.metavar),
+            (None, Some(def)) => (def.key, def.metavar),
+            (None, None) => return Err(format!("unknown {command}argument '{arg}' (try --help)")),
+        };
+        let value = match metavar {
+            None => "true".to_string(),
+            Some(_) => it
+                .next()
+                .cloned()
+                .ok_or_else(|| format!("--{key} requires a value"))?,
+        };
+        match literal {
+            Some(_) => given.push((key, value)),
+            None => assign(key, value),
+        }
+    }
+    Ok(Some(given))
 }
 
-/// Pull the flag's value from the argument stream: the next token for
-/// valued flags, the literal `true` for boolean switches.
-fn take_value<'a>(
-    def: &AssignmentDef,
-    it: &mut impl Iterator<Item = &'a String>,
-) -> Result<String, String> {
-    if def.metavar.is_none() {
-        return Ok("true".to_string());
-    }
-    it.next()
-        .cloned()
-        .ok_or_else(|| format!("--{} requires a value", def.key))
+/// The values `given` for literal `key`, in argument order.
+fn values<'a>(given: &'a [(&str, String)], key: &'a str) -> impl Iterator<Item = &'a str> {
+    given
+        .iter()
+        .filter(move |(k, _)| *k == key)
+        .map(|(_, value)| value.as_str())
 }
 
 /// Parse CLI arguments (without the program name).
@@ -245,33 +303,19 @@ fn parse_run_args(
     mut builder: ScenarioBuilder,
     metrics: bool,
 ) -> Result<Command, String> {
-    let mut trace: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if is_help(arg) {
-            return Ok(Command::Help);
-        }
-        // `--trace` is an execution-only knob, not a scenario assignment:
-        // it must not enter the builder (and hence the scenario_id), so it
-        // is handled as a literal like `grid`'s `--spec`/`--axis`.
-        if arg == "--trace" {
-            let path = it
-                .next()
-                .ok_or_else(|| "--trace requires a file path".to_string())?;
-            trace = Some(path.clone());
-            continue;
-        }
-        let def = lookup(arg).ok_or_else(|| format!("unknown argument '{arg}' (try --help)"))?;
-        let value = take_value(def, &mut it)?;
-        builder.set(def.key, &value);
-    }
+    let assign = |key, value: String| {
+        builder.set(key, &value);
+    };
+    let Some(given) = parse_flags(args, RUN_FLAGS, "", assign)? else {
+        return Ok(Command::Help);
+    };
     let scenario = builder.finish().map_err(|errors| join_errors(&errors))?;
     if metrics && scenario.output.format == OutputFormat::Csv {
         return Err("bench lines end in a nested metrics object, which is JSON-only".to_string());
     }
     Ok(Command::Run {
         scenario,
-        trace,
+        trace: values(&given, "trace").last().map(str::to_string),
         metrics,
     })
 }
@@ -293,82 +337,37 @@ fn parse_analyze_args(args: &[String]) -> Result<Command, String> {
     Ok(Command::Analyze(paths))
 }
 
-/// Parse the arguments of the `grid` subcommand: an optional `--spec`
-/// file, repeatable `--axis key=v1,v2` declarations, the execution-only
-/// `--cores`/`--checkpoint`/`--resume`/`--progress` knobs, and any run
-/// flags as base assignments overriding the spec file's `[scenario]`
-/// section.
+/// Parse the arguments of the `grid` subcommand: the [`GRID_FLAGS`], and
+/// any run flags as base assignments overriding the spec file's
+/// `[scenario]` section.
 fn parse_grid_args(args: &[String]) -> Result<Command, String> {
-    let mut spec_path: Option<String> = None;
-    let mut cli_axes: Vec<Axis> = Vec::new();
-    let mut base: Vec<(&'static str, String)> = Vec::new();
-    let mut progress = false;
-    let mut cores: usize = 1;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if is_help(arg) {
-            return Ok(Command::Help);
-        }
-        if arg == "--progress" {
-            progress = true;
-            continue;
-        }
-        if arg == "--cores" {
-            let raw = it
-                .next()
-                .ok_or_else(|| "--cores requires a core count".to_string())?;
-            cores = raw
-                .parse()
-                .map_err(|_| format!("--cores '{raw}' is not a positive integer"))?;
-            if cores == 0 {
+    let mut base = Vec::new();
+    let assign = |key, value| base.push((key, value));
+    let Some(given) = parse_flags(args, GRID_FLAGS, "grid ", assign)? else {
+        return Ok(Command::Help);
+    };
+    let cores = match values(&given, "cores").last() {
+        None => 1,
+        Some(raw) => match raw.parse() {
+            Ok(0) => {
                 return Err(
                     "--cores 0 is meaningless: the cell pool needs at least one core".to_string(),
-                );
+                )
             }
-            continue;
-        }
-        if arg == "--checkpoint" {
-            let path = it
-                .next()
-                .ok_or_else(|| "--checkpoint requires a file path".to_string())?;
-            checkpoint = Some(path.clone());
-            continue;
-        }
-        if arg == "--resume" {
-            resume = true;
-            continue;
-        }
-        if arg == "--spec" {
-            let path = it
-                .next()
-                .ok_or_else(|| "--spec requires a file path".to_string())?;
-            spec_path = Some(path.clone());
-            continue;
-        }
-        if arg == "--axis" {
-            let raw = it
-                .next()
-                .ok_or_else(|| "--axis requires KEY=V1,V2,...".to_string())?;
-            let (key, values) = raw
-                .split_once('=')
-                .ok_or_else(|| format!("--axis '{raw}': expected KEY=V1,V2,..."))?;
-            cli_axes.push(Axis {
-                key: key.trim().to_string(),
-                values: values.split(',').map(|v| v.trim().to_string()).collect(),
-            });
-            continue;
-        }
-        let def =
-            lookup(arg).ok_or_else(|| format!("unknown grid argument '{arg}' (try --help)"))?;
-        let value = take_value(def, &mut it)?;
-        base.push((def.key, value));
+            Ok(cores) => cores,
+            Err(_) => return Err(format!("--cores '{raw}' is not a positive integer")),
+        },
+    };
+    let checkpoint = values(&given, "checkpoint").last().map(str::to_string);
+    let resume = values(&given, "resume").next().is_some();
+    if resume && checkpoint.is_none() {
+        return Err(
+            "--resume replays a checkpoint file; pass --checkpoint FILE to name it".to_string(),
+        );
     }
-
-    let mut grid = match spec_path {
+    let mut grid = match values(&given, "spec").last() {
         Some(path) => {
-            let text = std::fs::read_to_string(&path)
+            let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("--spec {path}: cannot read spec file: {e}"))?;
             parse_spec(&text).map_err(|errors| join_errors(&errors))?
         }
@@ -377,18 +376,20 @@ fn parse_grid_args(args: &[String]) -> Result<Command, String> {
     for (key, value) in &base {
         grid.base.set(key, value);
     }
-    for axis in cli_axes {
-        grid.push_axis(axis);
-    }
-    if resume && checkpoint.is_none() {
-        return Err(
-            "--resume replays a checkpoint file; pass --checkpoint FILE to name it".to_string(),
-        );
+    for raw in values(&given, "axis") {
+        let (key, list) = raw
+            .split_once('=')
+            .ok_or_else(|| format!("--axis '{raw}': expected KEY=V1,V2,..."))?;
+        grid.push_axis(Axis {
+            key: key.trim().to_string(),
+            values: list.split(',').map(|v| v.trim().to_string()).collect(),
+        });
     }
     // Expand here, once: every axis and cell error exits before any
     // output is produced, and the binary runs exactly the cells the
     // parser validated.
     let scenarios = grid.expand().map_err(|e| e.to_string())?;
+    let progress = values(&given, "progress").next().is_some();
     Ok(Command::Grid {
         scenarios,
         progress,
@@ -402,7 +403,7 @@ fn parse_grid_args(args: &[String]) -> Result<Command, String> {
 mod tests {
     use super::*;
     use gossip_dynamics::RejoinPolicy;
-    use gossip_experiments::{OutputFormat, Protocol, Scheduler, TopologySpec};
+    use gossip_experiments::{AssignmentDef, OutputFormat, Protocol, Scheduler, TopologySpec};
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -957,24 +958,18 @@ mod tests {
             );
         }
         // Conversely, every --flag token in the help is either a table
-        // key or one of the literal subcommand/help flags — so the help
-        // can never advertise a flag the parser rejects.
+        // key or a row of a literal-flag table — so the help can never
+        // advertise a flag the parser rejects.
+        let literals: Vec<&Literal> = RUN_FLAGS.iter().chain(GRID_FLAGS).collect();
+        for flag in &literals {
+            assert!(usage.contains(&format!("--{}", flag.key)), "{}", flag.key);
+        }
         for token in usage.split_whitespace() {
             let Some(key) = token.strip_prefix("--") else {
                 continue;
             };
             let known = ASSIGNMENTS.iter().any(|d| d.key == key)
-                || [
-                    "help",
-                    "spec",
-                    "axis",
-                    "progress",
-                    "trace",
-                    "cores",
-                    "checkpoint",
-                    "resume",
-                ]
-                .contains(&key);
+                || literals.iter().any(|flag| flag.key == key);
             assert!(known, "usage advertises unknown flag --{key}");
         }
         // And every flag round-trips through the parser with a
