@@ -9,9 +9,9 @@
 //! `GRID_FLAGS`: the execution-only knobs such as `--trace` and
 //! `--cores`). One loop parses both, and the flag sections of [`usage`]
 //! are generated from the same tables — so help text, the flag parser,
-//! spec files, and grid axes cannot diverge. Validation lives entirely in the builder's
-//! structured [`SpecError`](gossip_experiments::SpecError)s; this crate
-//! only formats them.
+//! spec files, and grid axes cannot diverge. Validation lives entirely in
+//! the builder's structured [`SpecError`](gossip_experiments::SpecError)s;
+//! this crate only formats them.
 
 use gossip_experiments::{
     assignment, effective_threads, join_errors, parse_spec, Axis, Grid, OutputFormat, Scenario,
