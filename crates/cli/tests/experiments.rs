@@ -5,6 +5,9 @@ use gossip_cli::{parse_args, Command};
 use gossip_experiments::{csv_header, run_line_csv, sweep_runs, to_json, RunMeta, Scenario};
 use gossip_telemetry::NoopProbe;
 
+mod common;
+use common::{gossip_sim, strip};
+
 fn parse_run(args: &[&str]) -> Scenario {
     match parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()) {
         Ok(Command::Run { scenario, .. }) => scenario,
@@ -497,21 +500,8 @@ fn timed_sweep_surfaces_threads_and_wall_time() {
     assert_eq!(untimed, timed_results);
 }
 
-/// Run the binary with `args`; its exit code, stdout and stderr.
-fn gossip_sim(args: &[&str]) -> (Option<i32>, String, String) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
-        .args(args)
-        .output()
-        .expect("the binary runs");
-    let text = |bytes: Vec<u8>| String::from_utf8(bytes).unwrap();
-    (out.status.code(), text(out.stdout), text(out.stderr))
-}
-
-/// A JSON line up to its `threads` member: what is left of a run or bench
-/// line with `threads`, `wall_ms` and `metrics` removed.
-fn before_threads(line: &str) -> &str {
-    &line[..line.find(",\"threads\":").expect("a run line")]
-}
+/// The members a bench line differs from its run line in.
+const BENCH_ONLY: &[&str] = &["threads", "wall_ms", "metrics"];
 
 #[test]
 fn bench_runs_over_the_same_specs_as_run() {
@@ -540,26 +530,28 @@ fn bench_runs_over_the_same_specs_as_run() {
         mobile.to_vec(),
         [&mobile[..], &["--scheduler", "async"]].concat(),
     ] {
-        let (code, run, _) = gossip_sim(&flags);
+        let (code, run, _) = gossip_sim(&flags, None);
         assert_eq!(code, Some(0), "{flags:?}");
         let mut lines = Vec::new();
         for threads in ["1", "2"] {
             let args = [&["bench"][..], &flags, &["--threads", threads]].concat();
-            let (code, bench, stderr) = gossip_sim(&args);
+            let (code, bench, stderr) = gossip_sim(&args, None);
             assert_eq!(code, Some(0), "{args:?}: {stderr}");
             assert!(bench.contains(",\"metrics\":{\"build_ms\":"), "{bench}");
             assert!(bench.ends_with("\"}}\n"), "{bench}");
             lines.push(bench);
         }
         // The bench line is the run line, at any thread count.
-        assert_eq!(before_threads(&lines[0]), before_threads(&run), "{flags:?}");
-        assert_eq!(before_threads(&lines[1]), before_threads(&run), "{flags:?}");
+        let run = strip(run.trim_end(), BENCH_ONLY);
+        for line in &lines {
+            assert_eq!(strip(line.trim_end(), BENCH_ONLY), run, "{flags:?}");
+        }
     }
 }
 
 #[test]
 fn bench_lines_are_json_only() {
-    let (code, stdout, stderr) = gossip_sim(&["bench", "--nodes", "50", "--format", "csv"]);
+    let (code, stdout, stderr) = gossip_sim(&["bench", "--nodes", "50", "--format", "csv"], None);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     assert!(stderr.contains("JSON-only"), "{stderr}");
@@ -568,7 +560,7 @@ fn bench_lines_are_json_only() {
 #[test]
 fn the_rounds_key_is_unknown_to_bench_run_and_spec_files() {
     for args in [&["bench", "--rounds", "8"][..], &["--rounds", "8"]] {
-        let (code, _, stderr) = gossip_sim(args);
+        let (code, _, stderr) = gossip_sim(args, None);
         assert_eq!(code, Some(2), "{args:?}");
         assert!(
             stderr.contains("unknown argument '--rounds'"),
@@ -577,7 +569,7 @@ fn the_rounds_key_is_unknown_to_bench_run_and_spec_files() {
     }
     let spec = std::env::temp_dir().join(format!("rounds-{}.spec", std::process::id()));
     std::fs::write(&spec, "[scenario]\nnodes = 50\nrounds = 8\n").unwrap();
-    let (code, _, stderr) = gossip_sim(&["grid", "--spec", spec.to_str().unwrap()]);
+    let (code, _, stderr) = gossip_sim(&["grid", "--spec", spec.to_str().unwrap()], None);
     std::fs::remove_file(&spec).unwrap();
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown key 'rounds'"), "{stderr}");
@@ -585,28 +577,16 @@ fn the_rounds_key_is_unknown_to_bench_run_and_spec_files() {
 
 #[test]
 fn analyze_counts_bench_lines_old_and_new_as_timing_lines() {
-    use std::io::Write;
-    use std::process::{Command, Stdio};
-    let (_, runs, _) = gossip_sim(&["--nodes", "200", "--protocol", "advert", "--seeds", "3"]);
-    let (_, bench, _) = gossip_sim(&["bench", "--nodes", "200", "--max-rounds", "2"]);
+    let (_, runs, _) = gossip_sim(
+        &["--nodes", "200", "--protocol", "advert", "--seeds", "3"],
+        None,
+    );
+    let (_, bench, _) = gossip_sim(&["bench", "--nodes", "200", "--max-rounds", "2"], None);
     let legacy = r#"{"schema":5,"bench":"sync_round_loop","scenario_id":"ring-advert-sync-n200-k1-s1","completed":false}"#;
     let input = format!("{runs}{bench}{legacy}\n");
 
-    let mut analyze = Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
-        .arg("analyze")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("the binary runs");
-    analyze
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .unwrap();
-    let out = analyze.wait_with_output().unwrap();
-    let report = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(out.status.code(), Some(0), "{report}");
+    let (code, report, _) = gossip_sim(&["analyze"], Some(input.as_bytes()));
+    assert_eq!(code, Some(0), "{report}");
     let row = report.lines().find(|l| l.contains("n200")).unwrap();
     let cells: Vec<&str> = row.split_whitespace().collect();
     assert_eq!(cells[1..3], ["3", "3"], "{report}");
@@ -723,52 +703,39 @@ fn a_churned_overlay_run_renders_what_the_hand_written_serializers_did() {
 
 #[test]
 fn a_retired_subcommand_exits_as_a_usage_error() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
-        .args(["soak", "X"])
-        .output()
-        .expect("the binary runs");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let (code, _, stderr) = gossip_sim(&["soak", "X"], None);
+    assert_eq!(code, Some(2), "{stderr}");
 }
 
 #[test]
 fn oversize_membership_views_exit_2_naming_the_keys() {
     // Views are allocated at capacity: 100 000 × (5 + 3 000) slots is past
     // the scenario budget and must be refused before anything is sized.
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
-        .args(["--membership", "hyparview", "--nodes", "100000"])
-        .args(["--passive-view", "3000"])
-        .output()
-        .expect("the binary runs");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
+    let (code, _, err) = gossip_sim(
+        &[
+            "--membership",
+            "hyparview",
+            "--nodes",
+            "100000",
+            "--passive-view",
+            "3000",
+        ],
+        None,
+    );
+    assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("active-view/passive-view"), "{err}");
     assert!(err.contains("300500000 view slots"), "{err}");
 }
 
 #[test]
 fn analyze_skips_a_line_that_is_not_utf8() {
-    use std::io::Write;
-    use std::process::{Command, Stdio};
-    let bin = env!("CARGO_BIN_EXE_gossip-sim");
-    let runs = Command::new(bin)
-        .args(["--nodes", "50", "--seeds", "2"])
-        .output()
-        .expect("the binary runs");
-    assert!(runs.status.success(), "{runs:?}");
-    let mut input = runs.stdout;
+    let (code, runs, stderr) = gossip_sim(&["--nodes", "50", "--seeds", "2"], None);
+    assert_eq!(code, Some(0), "{stderr}");
+    let mut input = runs.into_bytes();
     input.extend_from_slice(b"\xff\xfe\n");
 
-    let mut analyze = Command::new(bin)
-        .arg("analyze")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("the binary runs");
-    analyze.stdin.take().unwrap().write_all(&input).unwrap();
-    let out = analyze.wait_with_output().unwrap();
-    let report = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let (code, report, stderr) = gossip_sim(&["analyze"], Some(&input));
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(report.contains("rounds to completion"), "{report}");
     assert!(report.contains("skipped 1 unparsable lines"), "{report}");
 }
@@ -776,21 +743,20 @@ fn analyze_skips_a_line_that_is_not_utf8() {
 /// Run `gossip-sim grid` on a six-cell grid with `extra` flags; return
 /// stdout with `wall_ms` stripped, and stderr.
 fn small_grid(extra: &[&str]) -> (String, String) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gossip-sim"))
-        .args(["grid", "--nodes", "16", "--axis", "seed=1,2,3,4,5,6"])
-        .args(extra)
-        .output()
-        .expect("the binary runs");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
+    let args = [
+        &["grid", "--nodes", "16", "--axis", "seed=1,2,3,4,5,6"][..],
+        extra,
+    ]
+    .concat();
+    let (code, stdout, stderr) = gossip_sim(&args, None);
+    assert_eq!(code, Some(0), "{stderr}");
     let stripped = stdout
         .lines()
-        .map(|line| &line[..line.find("\"wall_ms\":").expect("timed line")])
+        .map(|line| strip(line, &["wall_ms"]))
         .collect::<Vec<_>>()
         .join("\n");
-    (stripped, String::from_utf8(out.stderr).unwrap())
+    (stripped, stderr)
 }
-
 #[test]
 fn grid_cores_beyond_the_machine_are_clamped_with_one_warning() {
     let (serial, _) = small_grid(&["--cores", "1"]);

@@ -3,8 +3,9 @@
 //! writer stops the pool with its error, checkpoints make any
 //! completed-cell prefix resumable with the same combined output, and
 //! corrupted checkpoints are rejected loudly.
-//! This is the invariant the CI grid-smoke job re-checks in release mode
-//! against the real binary (including a real `kill -9` resume).
+//! The `*-cores` and `kill-and-resume` rows of
+//! `crates/cli/tests/contracts.rs` check the same invariant against the
+//! real binary, the latter with two real kills.
 
 use gossip_experiments::{
     execute_grid, parse_checkpoint, read_checkpoint, run_cell, verify_against, CellRecord,
@@ -14,8 +15,8 @@ use gossip_experiments::{
 use std::fs;
 use std::io::{self, Write};
 
-/// The 3-axis × 2-seed grid the CI smoke spec mirrors: 8 cells, 16 runs,
-/// sync and async engines, deterministic and fast.
+/// A 3-axis × 2-seed grid shaped like `examples/grid-smoke.spec`: 8
+/// cells, 16 runs, sync and async engines, deterministic and fast.
 fn smoke_grid() -> Grid {
     let mut base = ScenarioBuilder::new();
     base.set("nodes", "48").set("seed", "7").set("seeds", "2");
@@ -25,8 +26,7 @@ fn smoke_grid() -> Grid {
         .axis("scheduler", ["sync", "async"])
 }
 
-/// Strip the wall-clock fields a byte-comparison must ignore (the CI sed
-/// idiom, in-process).
+/// Strip the wall-clock fields a byte-comparison must ignore.
 fn strip_wall_ms(output: &str) -> String {
     output
         .lines()
