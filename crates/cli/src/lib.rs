@@ -13,6 +13,8 @@
 //! the builder's structured [`SpecError`](gossip_experiments::SpecError)s;
 //! this crate only formats them.
 
+#![forbid(unsafe_code)]
+
 use gossip_experiments::{
     assignment, effective_threads, join_errors, parse_spec, Axis, Grid, OutputFormat, Scenario,
     ScenarioBuilder, ASSIGNMENTS,
@@ -403,7 +405,9 @@ fn parse_grid_args(args: &[String]) -> Result<Command, String> {
 mod tests {
     use super::*;
     use gossip_dynamics::RejoinPolicy;
-    use gossip_experiments::{AssignmentDef, OutputFormat, Protocol, Scheduler, TopologySpec};
+    use gossip_experiments::{
+        AssignmentDef, DynamicsSpec, OutputFormat, Protocol, Scheduler, TopologySpec,
+    };
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -593,12 +597,16 @@ mod tests {
         let churn = scenario.dynamics.churn.expect("churn enabled");
         assert_eq!(churn.rate, 0.2);
         assert_eq!(churn.rejoin, RejoinPolicy::Lose);
-        assert_eq!(scenario.dynamics.fade_prob, Some(0.05));
-        assert!(!scenario.dynamics.is_static());
-        assert!(Scenario::default().dynamics.is_static());
+        assert_eq!(scenario.dynamics.fading.map(|f| f.fade_prob), Some(0.05));
+        assert_ne!(scenario.dynamics, DynamicsSpec::default());
+        assert_eq!(Scenario::default().dynamics, DynamicsSpec::default());
 
         let scenario = parse_run(&["--topology", "rgg", "--mobility"]);
-        assert!(scenario.dynamics.mobility && !scenario.dynamics.is_static());
+        let mobile = DynamicsSpec {
+            mobility: true,
+            ..DynamicsSpec::default()
+        };
+        assert_eq!(scenario.dynamics, mobile);
 
         let scenario = parse_run(&["--format", "csv"]);
         assert_eq!(scenario.output.format, OutputFormat::Csv);

@@ -32,6 +32,7 @@
 //! [`IncrementalMatcher`] is the stateful counterpart that enforces the
 //! same one-connection-per-node invariant across those individual events.
 
+use crate::rng::{BOUNDARY_STREAM, MATCH_REGION_STREAM_BASE};
 use crate::shard::{self, Partition};
 use crate::topology::GraphView;
 use crate::{NodeId, Rng};
@@ -250,16 +251,6 @@ pub fn resolve_connections<G: GraphView + ?Sized>(
     }
 }
 
-/// Stream coordinate of region `r`'s resolver RNG. Node streams use the
-/// node id (`< 2^32`) as their coordinate, so offsetting regions by
-/// `2^32` can never collide with one.
-const REGION_STREAM_BASE: u64 = 1 << 32;
-
-/// Stream coordinate of the boundary sweep's RNG. (`u64::MAX` itself was
-/// the retired whole-round matching stream; keeping this distinct makes
-/// the sharded resolver's draws independent of the old serial ones.)
-const BOUNDARY_STREAM: u64 = u64::MAX - 1;
-
 /// Per-region scratch produced by the parallel pass, merged in region
 /// (= node) order afterwards.
 #[derive(Default)]
@@ -325,7 +316,7 @@ fn resolve_region<G: GraphView + ?Sized>(
     confined.truncate(kept);
     out.deferred.truncate(deferred);
     out.confined += kept as u64;
-    let mut rng = Rng::stream(seed, round, REGION_STREAM_BASE + region as u64);
+    let mut rng = Rng::stream(seed, round, MATCH_REGION_STREAM_BASE + region as u64);
     resolve_batch(
         &mut confined,
         out.dropped != 0,
@@ -446,8 +437,9 @@ pub enum PeerState {
     Listening,
     /// Has a proposal in flight; cannot accept incoming proposals.
     Proposing,
-    /// Engaged in an open connection (setup or transfer in progress).
-    Connected,
+    /// Engaged in an open connection (setup or transfer in progress) with
+    /// `partner`; `initiated` says this end proposed it.
+    Connected { partner: NodeId, initiated: bool },
 }
 
 /// Incremental connection resolution for event-driven schedulers.
@@ -567,9 +559,9 @@ impl MatcherChunk<'_> {
     /// Resolve `initiator`'s arriving proposal against `acceptor`, both in
     /// this chunk.
     ///
-    /// Succeeds — moving both endpoints to [`PeerState::Connected`] — iff
-    /// the acceptor is currently listening and the pair is an edge of
-    /// `topology` *at arrival time*. The initiator must be
+    /// Succeeds — moving both endpoints to [`PeerState::Connected`], each
+    /// naming the other — iff the acceptor is currently listening and the
+    /// pair is an edge of `topology` *at arrival time*. The initiator must be
     /// [`PeerState::Proposing`]; on failure it stays so (callers typically
     /// [`cancel`](Self::cancel) it back into its scan cycle). A proposal
     /// across a non-edge simply fails: under a dynamic topology the edge
@@ -586,17 +578,29 @@ impl MatcherChunk<'_> {
         if !topology.are_neighbors(initiator, acceptor) || self.states[la] != PeerState::Listening {
             return false;
         }
-        self.states[li] = PeerState::Connected;
-        self.states[la] = PeerState::Connected;
+        self.states[li] = PeerState::Connected {
+            partner: acceptor,
+            initiated: true,
+        };
+        self.states[la] = PeerState::Connected {
+            partner: initiator,
+            initiated: false,
+        };
         true
     }
 
-    /// `Connected → Free` for both endpoints: the transfer finished and
-    /// the connection closed.
+    /// `Connected → Free` for both endpoints of the connection between `a`
+    /// and `b`: the transfer finished, or one end departed. Debug builds
+    /// check that the two ends name each other.
     pub fn release(&mut self, a: NodeId, b: NodeId) {
         let (la, lb) = (self.local(a), self.local(b));
-        debug_assert_eq!(self.states[la], PeerState::Connected);
-        debug_assert_eq!(self.states[lb], PeerState::Connected);
+        debug_assert!(
+            matches!(self.states[la], PeerState::Connected { partner, .. } if partner == b)
+                && matches!(self.states[lb], PeerState::Connected { partner, .. } if partner == a),
+            "release({a}, {b}) of ends in states {:?} and {:?}",
+            self.states[la],
+            self.states[lb]
+        );
         self.states[la] = PeerState::Free;
         self.states[lb] = PeerState::Free;
     }
@@ -735,11 +739,40 @@ mod tests {
         // Target idle: the proposal is lost.
         assert!(!m.try_connect(&topo, NodeId(0), NodeId(1)));
         assert_eq!(m.state(NodeId(0)), PeerState::Proposing);
-        // Target listening: the connection forms.
+        // Target listening: the connection forms, each end naming the
+        // other and only the proposer marked as its initiator.
         m.listen(NodeId(1));
         assert!(m.try_connect(&topo, NodeId(0), NodeId(1)));
-        assert_eq!(m.state(NodeId(0)), PeerState::Connected);
-        assert_eq!(m.state(NodeId(1)), PeerState::Connected);
+        assert_eq!(
+            m.state(NodeId(0)),
+            PeerState::Connected {
+                partner: NodeId(1),
+                initiated: true
+            }
+        );
+        assert_eq!(
+            m.state(NodeId(1)),
+            PeerState::Connected {
+                partner: NodeId(0),
+                initiated: false
+            }
+        );
+        m.release(NodeId(1), NodeId(0));
+        assert_eq!(m.state(NodeId(0)), PeerState::Free);
+        assert_eq!(m.state(NodeId(1)), PeerState::Free);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "release(n0, n2)")]
+    fn releasing_ends_that_do_not_name_each_other_panics_in_debug() {
+        let topo = Topology::line(3);
+        let mut matcher = IncrementalMatcher::new(3);
+        let mut m = matcher.whole();
+        m.listen(NodeId(1));
+        m.propose(NodeId(0));
+        assert!(m.try_connect(&topo, NodeId(0), NodeId(1)));
+        m.release(NodeId(0), NodeId(2));
     }
 
     #[test]

@@ -15,6 +15,24 @@ pub struct Rng {
 
 pub(crate) const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
+// Every stream coordinate `b` of `Rng::stream(seed, a, b)` in use: node
+// ids (`< 2^32`), two blocks of `MATCH_REGIONS` region streams above them,
+// and fixed streams below the retired `u64::MAX`. A unit test holds them
+// apart.
+
+/// Sharded matcher region `r` draws from `MATCH_REGION_STREAM_BASE + r`.
+pub const MATCH_REGION_STREAM_BASE: u64 = 1 << 32;
+/// Sliced-engine region `r` draws from `SLICE_REGION_STREAM_BASE + r`.
+pub const SLICE_REGION_STREAM_BASE: u64 = 2 << 32;
+/// The sharded matcher's serial boundary sweep.
+pub const BOUNDARY_STREAM: u64 = u64::MAX - 1;
+/// The sliced engine's serial boundary sweep of a pass.
+pub const SWEEP_STREAM: u64 = u64::MAX - 2;
+/// The sliced engine's start-of-slice mutation drain.
+pub const MUTATE_STREAM: u64 = u64::MAX - 3;
+/// The membership overlay's tick.
+pub const MEMBERSHIP_STREAM: u64 = u64::MAX - 4;
+
 /// The splitmix64 finalizer: a bijective avalanche over `u64`. Shared
 /// with the message-row digests and tags so the crate has exactly one
 /// copy of these constants.
@@ -105,6 +123,36 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stream_coordinates_are_disjoint() {
+        let fixed = [
+            BOUNDARY_STREAM,
+            SWEEP_STREAM,
+            MUTATE_STREAM,
+            MEMBERSHIP_STREAM,
+        ];
+        let bases = [MATCH_REGION_STREAM_BASE, SLICE_REGION_STREAM_BASE];
+        let all: Vec<u64> = fixed.iter().chain(&bases).copied().collect();
+        for (i, a) in all.iter().enumerate() {
+            assert!(!all[i + 1..].contains(a), "coordinate {a:#x} is used twice");
+        }
+        let regions = crate::MATCH_REGIONS as u64;
+        let lowest_fixed = *fixed.iter().min().unwrap();
+        for base in bases {
+            // Above every node id, and below every fixed coordinate.
+            assert!(base > u64::from(u32::MAX), "{base:#x} reaches node ids");
+            assert!(
+                base + regions <= lowest_fixed,
+                "{base:#x} reaches {lowest_fixed:#x}"
+            );
+        }
+        let (a, b) = (MATCH_REGION_STREAM_BASE, SLICE_REGION_STREAM_BASE);
+        assert!(
+            a + regions <= b || b + regions <= a,
+            "the region ranges overlap"
+        );
+    }
 
     #[test]
     fn same_seed_same_stream() {

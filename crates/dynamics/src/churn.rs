@@ -56,7 +56,7 @@ impl RejoinPolicy {
 /// lifetime `1/rate` rounds); a departed node rejoins after a geometric
 /// downtime with mean `mean_downtime` rounds, unless the policy is
 /// [`RejoinPolicy::Never`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Churn {
     /// Per-round departure probability of an alive node, in `(0, 1)`.
     pub rate: f64,

@@ -11,7 +11,7 @@ use gossip_core::{GraphView, NodeId, Rng, SimTime, Topology};
 /// per-round probability `fade_prob` (geometric up-time, mean
 /// `1/fade_prob` rounds) and recovers after a geometric downtime with mean
 /// `mean_downtime` rounds. Nodes stay alive throughout — only links drop.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeFading {
     /// Per-round probability that an up edge fades, in `(0, 1)`.
     pub fade_prob: f64,

@@ -37,6 +37,8 @@
 //! crate; any downstream tool can drive the identical experiment surface
 //! without shelling out.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod checkpoint;
 pub mod emit;
@@ -59,8 +61,8 @@ pub use gossip_sim::{effective_threads, Scheduler};
 pub use grid::{Axis, Grid, GridExpandError, MAX_GRID_RUNS};
 pub use pool::{execute_grid, run_cell, worker_count, CellOutput, PoolSummary};
 pub use spec::{
-    assignment, join_errors, AssignmentDef, ChurnSpec, DynamicsSpec, MembershipSpec, OutputFormat,
-    OutputSpec, Scenario, ScenarioBuilder, SpecError, TopologySpec, ASSIGNMENTS, SOURCES_SEED_SALT,
+    assignment, join_errors, AssignmentDef, DynamicsSpec, MembershipSpec, OutputFormat, OutputSpec,
+    Scenario, ScenarioBuilder, SpecError, TopologySpec, ASSIGNMENTS, SOURCES_SEED_SALT,
     TOPOLOGY_SEED_SALT,
 };
 pub use specfile::parse_spec;

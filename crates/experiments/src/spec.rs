@@ -204,62 +204,29 @@ impl TopologySpec {
     }
 }
 
-/// The churn half of a [`DynamicsSpec`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChurnSpec {
-    /// Per-round departure probability, in `(0, 1)`.
-    pub rate: f64,
-    /// What a rejoining node remembers.
-    pub rejoin: RejoinPolicy,
-}
-
-impl ChurnSpec {
-    /// The churn model this spec builds (downtime uses the shared
-    /// default).
-    pub fn model(&self) -> Churn {
-        Churn {
-            rate: self.rate,
-            rejoin: self.rejoin,
-            mean_downtime: DEFAULT_MEAN_DOWNTIME_ROUNDS,
-        }
-    }
-}
-
 /// How (and whether) the network mutates mid-run. Any validated subset of
 /// the three models composes; the merged mutation stream stays
-/// seed-deterministic.
+/// seed-deterministic. The keys set only the rates and the rejoin policy:
+/// [`ScenarioBuilder::finish`] fills each downtime with its fixed default.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct DynamicsSpec {
     /// Node churn, if enabled.
-    pub churn: Option<ChurnSpec>,
-    /// Per-round edge fade probability, if fading is enabled.
-    pub fade_prob: Option<f64>,
+    pub churn: Option<Churn>,
+    /// Edge fading, if enabled.
+    pub fading: Option<EdgeFading>,
     /// Random-waypoint mobility over the RGG embedding.
     pub mobility: bool,
 }
 
 impl DynamicsSpec {
-    /// Does this spec leave the topology frozen?
-    pub fn is_static(&self) -> bool {
-        self.churn.is_none() && self.fade_prob.is_none() && !self.mobility
-    }
-
-    /// The fading model implied by the spec, if fading is enabled.
-    pub fn fading_model(&self) -> Option<EdgeFading> {
-        self.fade_prob.map(|fade_prob| EdgeFading {
-            fade_prob,
-            mean_downtime: 1.0,
-        })
-    }
-
     /// Build the composite dynamics model: churn, fading, and mobility
     /// merged into one time-ordered mutation stream. `None` when static.
     pub fn build(&self, geometry: Option<&RggGeometry>) -> Option<Box<dyn DynamicsModel>> {
         let mut parts: Vec<Box<dyn DynamicsModel>> = Vec::new();
-        if let Some(churn) = &self.churn {
-            parts.push(Box::new(churn.model()));
+        if let Some(churn) = self.churn {
+            parts.push(Box::new(churn));
         }
-        if let Some(fading) = self.fading_model() {
+        if let Some(fading) = self.fading {
             parts.push(Box::new(fading));
         }
         if self.mobility {
@@ -292,16 +259,7 @@ pub enum MembershipSpec {
     /// deterministic shuffles) with SWIM-style probe → suspect → evict
     /// failure detection, ticked at round/slice boundaries. The protocol
     /// then sees only each node's active view.
-    HyParView {
-        /// Active (gossip) view capacity per node.
-        active: usize,
-        /// Passive (reservoir) view capacity per node.
-        passive: usize,
-        /// Ticks between shuffle rounds (1 = every round).
-        shuffle_period: u64,
-        /// Ticks between failure-detector probes (1 = every round).
-        probe_period: u64,
-    },
+    HyParView(MembershipConfig),
 }
 
 impl MembershipSpec {
@@ -312,7 +270,7 @@ impl MembershipSpec {
     pub fn name(&self) -> &'static str {
         match self {
             MembershipSpec::Full => "full",
-            MembershipSpec::HyParView { .. } => "hyparview",
+            MembershipSpec::HyParView(_) => "hyparview",
         }
     }
 
@@ -325,17 +283,7 @@ impl MembershipSpec {
     pub fn to_config(&self) -> Option<MembershipConfig> {
         match *self {
             MembershipSpec::Full => None,
-            MembershipSpec::HyParView {
-                active,
-                passive,
-                shuffle_period,
-                probe_period,
-            } => Some(MembershipConfig {
-                active_size: active,
-                passive_size: passive,
-                shuffle_period,
-                probe_period,
-            }),
+            MembershipSpec::HyParView(cfg) => Some(cfg),
         }
     }
 }
@@ -497,21 +445,16 @@ impl Scenario {
         if let Some(churn) = &self.dynamics.churn {
             id.push_str(&format!("-churn{}:{}", churn.rate, churn.rejoin.name()));
         }
-        if let Some(fade) = self.dynamics.fade_prob {
-            id.push_str(&format!("-fade{fade}"));
+        if let Some(fading) = &self.dynamics.fading {
+            id.push_str(&format!("-fade{}", fading.fade_prob));
         }
         if self.dynamics.mobility {
             id.push_str("-mobility");
         }
-        if let MembershipSpec::HyParView {
-            active,
-            passive,
-            shuffle_period,
-            probe_period,
-        } = &self.membership
-        {
+        if let MembershipSpec::HyParView(cfg) = &self.membership {
             id.push_str(&format!(
-                "-mem@a{active}p{passive}sh{shuffle_period}pr{probe_period}"
+                "-mem@a{}p{}sh{}pr{}",
+                cfg.active_size, cfg.passive_size, cfg.shuffle_period, cfg.probe_period
             ));
         }
         id.push_str(&format!("-s{}", self.seed));
@@ -805,7 +748,7 @@ pub const ASSIGNMENTS: &[AssignmentDef] = &[
         help: "edges flap: fade with per-round\nprobability F, 0 < F < 1 [default: off]",
         axis: true,
         set: |b, k, v| b.fade_prob = b.float(k, v).or(b.fade_prob),
-        get: |s| s.dynamics.fade_prob.map(|p| p.to_string()),
+        get: |s| s.dynamics.fading.map(|f| f.fade_prob.to_string()),
     },
     AssignmentDef {
         key: "mobility",
@@ -1089,34 +1032,30 @@ impl ScenarioBuilder {
         // Dynamics: the models' own validators decide what a usable rate
         // is, so no front-end can admit a config the engine panics on (an
         // explicit zero rate is rejected here, not silently ignored).
-        let churn = self.churn_rate.map(|rate| ChurnSpec {
+        let churn = self.churn_rate.map(|rate| Churn {
             rate,
             rejoin: self.rejoin.unwrap_or_default(),
+            mean_downtime: DEFAULT_MEAN_DOWNTIME_ROUNDS,
         });
-        if let Some(churn) = &churn {
-            if let Err(e) = churn.model().validate() {
-                errors.push(SpecError::OutOfRange {
-                    key: "churn-rate".to_string(),
-                    reason: e,
-                });
-            }
-        } else if self.rejoin.is_some() {
-            errors.push(SpecError::Conflict {
+        match churn.map(|c| c.validate()) {
+            Some(Err(reason)) => errors.push(SpecError::OutOfRange {
+                key: "churn-rate".to_string(),
+                reason,
+            }),
+            None if self.rejoin.is_some() => errors.push(SpecError::Conflict {
                 reason: "rejoin requires churn-rate".to_string(),
-            });
+            }),
+            _ => {}
         }
-        let dynamics = DynamicsSpec {
-            churn,
-            fade_prob: self.fade_prob,
-            mobility: self.mobility,
-        };
-        if let Some(fading) = dynamics.fading_model() {
-            if let Err(e) = fading.validate() {
-                errors.push(SpecError::OutOfRange {
-                    key: "fade-prob".to_string(),
-                    reason: e,
-                });
-            }
+        let fading = self.fade_prob.map(|fade_prob| EdgeFading {
+            fade_prob,
+            mean_downtime: 1.0,
+        });
+        if let Some(Err(reason)) = fading.map(|f| f.validate()) {
+            errors.push(SpecError::OutOfRange {
+                key: "fade-prob".to_string(),
+                reason,
+            });
         }
         if self.mobility {
             if !topology.is_rgg() {
@@ -1142,21 +1081,19 @@ impl ScenarioBuilder {
         // ranges so no front-end admits a config the engine panics on.
         let membership = if self.hyparview {
             let defaults = MembershipConfig::default();
-            let spec = MembershipSpec::HyParView {
-                active: self.active_view.unwrap_or(defaults.active_size),
-                passive: self.passive_view.unwrap_or(defaults.passive_size),
+            let cfg = MembershipConfig {
+                active_size: self.active_view.unwrap_or(defaults.active_size),
+                passive_size: self.passive_view.unwrap_or(defaults.passive_size),
                 shuffle_period: self.shuffle_period.unwrap_or(defaults.shuffle_period),
                 probe_period: self.probe_period.unwrap_or(defaults.probe_period),
             };
-            if let Some(cfg) = spec.to_config() {
-                if let Err(e) = cfg.validate() {
-                    errors.push(SpecError::OutOfRange {
-                        key: "active-view/passive-view/shuffle-period/probe-period".to_string(),
-                        reason: e,
-                    });
-                }
+            if let Err(e) = cfg.validate() {
+                errors.push(SpecError::OutOfRange {
+                    key: "active-view/passive-view/shuffle-period/probe-period".to_string(),
+                    reason: e,
+                });
             }
-            spec
+            MembershipSpec::HyParView(cfg)
         } else {
             for (key, set) in [
                 ("active-view", self.active_view.is_some()),
@@ -1237,7 +1174,11 @@ impl ScenarioBuilder {
             seed: self.seed,
             seeds: self.seeds,
             max_rounds: self.max_rounds,
-            dynamics,
+            dynamics: DynamicsSpec {
+                churn,
+                fading,
+                mobility: self.mobility,
+            },
             membership,
             output,
         })
@@ -1382,6 +1323,32 @@ mod tests {
         assert_eq!(
             scenario.membership.to_config(),
             Some(MembershipConfig::default())
+        );
+    }
+
+    #[test]
+    fn dynamics_and_membership_keys_build_the_engines_own_configs() {
+        // The keys set rates only; the downtimes are fixed here, and an
+        // overlay with no view keys takes the membership crate's defaults.
+        let mut b = ScenarioBuilder::new();
+        b.set("churn-rate", "0.1")
+            .set("fade-prob", "0.2")
+            .set("membership", "hyparview");
+        let scenario = b.finish().unwrap();
+        let churn = Churn {
+            rate: 0.1,
+            rejoin: RejoinPolicy::Keep,
+            mean_downtime: DEFAULT_MEAN_DOWNTIME_ROUNDS,
+        };
+        let fading = EdgeFading {
+            fade_prob: 0.2,
+            mean_downtime: 1.0,
+        };
+        assert_eq!(scenario.dynamics.churn, Some(churn));
+        assert_eq!(scenario.dynamics.fading, Some(fading));
+        assert_eq!(
+            scenario.membership,
+            MembershipSpec::HyParView(MembershipConfig::default())
         );
     }
 

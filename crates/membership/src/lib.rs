@@ -60,13 +60,11 @@
 //! the default sizes 5 and 30 on 20 000 nodes. The scenario builder
 //! refuses slabs past its word budget.
 
+#![forbid(unsafe_code)]
+
+use gossip_core::rng::MEMBERSHIP_STREAM;
 use gossip_core::{GraphView, NodeId, Rng, TICKS_PER_ROUND};
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
-
-/// Stream id for membership ticks, disjoint from every engine stream
-/// (matching boundary `u64::MAX - 1`, sliced sweep `u64::MAX - 2`, sliced
-/// mutation `u64::MAX - 3`, and the bounded per-region bases).
-pub const MEMBERSHIP_STREAM: u64 = u64::MAX - 4;
 
 /// Tuning knobs of the membership layer. Validated once by the
 /// experiment front-ends via [`validate`](Self::validate); the layer

@@ -29,7 +29,7 @@
 //! - **Slice passes.** Each pass picks a monotonically increasing slice
 //!   index, then workers drain their regions' events below the slice end
 //!   in local `(time, seq)` order, drawing from the per-pass stream
-//!   `Rng::stream(seed, pass, REGION_STREAM_BASE + region)`. Events
+//!   `Rng::stream(seed, pass, SLICE_REGION_STREAM_BASE + region)`. Events
 //!   whose *effects* would cross a region boundary — an `Attempt` whose
 //!   acceptor lives in another region, a `Finish` whose endpoints
 //!   straddle regions — are **deferred** untouched (no RNG consumed) to
@@ -75,6 +75,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
+use gossip_core::rng::{MUTATE_STREAM, SLICE_REGION_STREAM_BASE, SWEEP_STREAM};
 use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{
     shard, Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk, MatrixChunk, NodeId,
@@ -90,18 +91,6 @@ use gossip_telemetry::{EventKind, Probe, TraceEvent};
 /// that most act→attempt→finish chains stay inside a slice, short enough
 /// that the advertisement snapshot cross-region scans read stays fresh.
 pub const SLICE_TICKS: u64 = TICKS_PER_ROUND;
-
-/// Per-pass region streams are `stream(seed, pass, REGION_STREAM_BASE + r)`.
-/// Offset by `2^33` to stay disjoint from the matching resolver's region
-/// streams (based at `2^32`) and the protocol's per-node streams.
-const REGION_STREAM_BASE: u64 = 2 << 32;
-/// Stream for the serial boundary sweep of a pass (`u64::MAX - 1` is the
-/// matching resolver's boundary stream).
-const SWEEP_STREAM: u64 = u64::MAX - 2;
-/// Stream for the serial start-of-slice mutation drain of a pass.
-/// (`u64::MAX - 4` is the membership layer's tick stream,
-/// [`gossip_membership::MEMBERSHIP_STREAM`] — keep them disjoint.)
-const MUTATE_STREAM: u64 = u64::MAX - 3;
 
 /// Wall-clock milliseconds of a sliced run by phase, for `bench`.
 /// `execute` is the parallel region phase; `merge` the serial log merge +
@@ -499,7 +488,6 @@ struct SliceCtx<'a> {
 struct Chunks<'a> {
     matcher: MatcherChunk<'a>,
     states: MatrixChunk<'a>,
-    partner: &'a mut [Option<(NodeId, bool)>],
 }
 
 impl Chunks<'_> {
@@ -527,7 +515,6 @@ impl Chunks<'_> {
         rng: &mut Rng,
         log: &mut Vec<Entry>,
     ) -> (SimTime, Ev) {
-        let base = self.matcher.base();
         let at = |kind| Entry {
             time: now.ticks(),
             kind,
@@ -542,8 +529,6 @@ impl Chunks<'_> {
                     if ctx.tracing {
                         log.push(at(EntryKind::Trace(EventKind::Connect, [from.0, to.0, 0])));
                     }
-                    self.partner[from.index() - base] = Some((to, true));
-                    self.partner[to.index() - base] = Some((from, false));
                     let finish = Ev::Finish {
                         initiator: from,
                         acceptor: to,
@@ -583,8 +568,6 @@ impl Chunks<'_> {
                     newly_full: stats.newly_full,
                 }));
                 self.matcher.release(initiator, acceptor);
-                self.partner[i - base] = None;
-                self.partner[j - base] = None;
                 let delay = ctx.timing.refresh_interval(ctx.drift[i], rng);
                 (now.after(delay), Ev::Act(initiator, gen_i))
             }
@@ -616,7 +599,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: &(dyn GraphView + Sync), task: &mut Reg
     // The nodes every chunk of the task spans: ownership is a range check.
     let owned = base..base + ads.len();
     let r = ctx.part.region_of(base);
-    let mut rng = Rng::stream(ctx.seed, ctx.pass, REGION_STREAM_BASE + r as u64);
+    let mut rng = Rng::stream(ctx.seed, ctx.pass, SLICE_REGION_STREAM_BASE + r as u64);
     let gens = ctx.gens;
     while let Some(ev) = scratch.queue.pop_below(ctx.end) {
         let now = ev.time;
@@ -652,7 +635,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: &(dyn GraphView + Sync), task: &mut Reg
         };
         let ui = u.index();
         match chunks.matcher.state(u) {
-            PeerState::Connected => {
+            PeerState::Connected { .. } => {
                 // Captured as a listener mid-connection: keep the act
                 // chain alive and re-decide later.
                 let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
@@ -831,7 +814,6 @@ pub(crate) fn run_sliced(
         .collect();
     let mut ads_snap = ads.clone();
     let mut matcher = IncrementalMatcher::new(n);
-    let mut partner: Vec<Option<(NodeId, bool)>> = vec![None; n];
     // A node's incarnation number; death bumps it, orphaning every event
     // queued against the old incarnation. All-zero on static runs.
     let mut gens: Vec<u64> = vec![0; n];
@@ -918,18 +900,17 @@ pub(crate) fn run_sliced(
                                     matcher.cancel(u);
                                     None
                                 }
-                                PeerState::Connected => {
-                                    let (v, u_initiated) =
-                                        partner[u.index()].expect("connected node has a partner");
+                                PeerState::Connected {
+                                    partner: v,
+                                    initiated,
+                                } => {
                                     matcher.release(u, v);
-                                    partner[u.index()] = None;
-                                    partner[v.index()] = None;
                                     stats.severed_connections += 1;
                                     if probe.enabled() {
                                         let ids = [u.0, v.0];
                                         probe.record(&event_at(EventKind::Sever, mtime, &ids));
                                     }
-                                    (!u_initiated).then_some(v)
+                                    (!initiated).then_some(v)
                                 }
                             };
                             gens[u.index()] += 1;
@@ -992,18 +973,11 @@ pub(crate) fn run_sliced(
                 .zip(matcher.region_chunks(part.block))
                 .zip(states.region_chunks(part.block))
                 .zip(ads.chunks_mut(part.block))
-                .zip(partner.chunks_mut(part.block))
-                .map(
-                    |((((scratch, matcher), states), ads), partner)| RegionTask {
-                        scratch,
-                        ads,
-                        chunks: Chunks {
-                            matcher,
-                            states,
-                            partner,
-                        },
-                    },
-                )
+                .map(|(((scratch, matcher), states), ads)| RegionTask {
+                    scratch,
+                    ads,
+                    chunks: Chunks { matcher, states },
+                })
                 .collect();
             let graph = gossip_graph(topology, &dynr, &mem);
             shard::for_each(threads, &mut tasks, |task| run_region(&ctx, graph, task));
@@ -1056,7 +1030,6 @@ pub(crate) fn run_sliced(
         let mut whole = Chunks {
             matcher: matcher.whole(),
             states: states.whole(),
-            partner: &mut partner,
         };
         for ev in sweep_q.iter() {
             let now = ev.time;
