@@ -13,8 +13,6 @@
 //! the builder's structured [`SpecError`](gossip_experiments::SpecError)s;
 //! this crate only formats them.
 
-#![forbid(unsafe_code)]
-
 use gossip_experiments::{
     assignment, effective_threads, join_errors, parse_spec, Axis, Grid, OutputFormat, Scenario,
     ScenarioBuilder, ASSIGNMENTS,

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 use gossip_cli::{parse_args, thread_clamp_warning, usage, Command};
 use gossip_experiments::{
     effective_threads, execute_grid, read_checkpoint, verify_against, CellRecord, CheckpointWriter,

@@ -9,7 +9,7 @@
 
 use crate::matching::Connection;
 use crate::rng::{mix, GOLDEN_GAMMA};
-use crate::shard;
+use crate::shard::{self, Partition};
 
 /// Aggregate outcome of a batch of push-pull transfers
 /// ([`MessageMatrix::union_pairs_parallel`]). Every field is a sum of
@@ -36,9 +36,8 @@ impl std::ops::AddAssign for TransferStats {
 
 /// The push-pull union of two rows (both become their union), given
 /// exclusive access to each row's words, count and — for a hashed
-/// universe — digest. Shared by the safe serial path (slices from
-/// `split_at_mut`) and the parallel path (slices reconstituted from raw
-/// parts over provably disjoint rows).
+/// universe — digest: the kernel under [`MatrixChunk::union_pair_stats`],
+/// the one route by which both engines reach a row pair.
 ///
 /// A pair moves nothing exactly when its rows are already equal, and then
 /// the union returns at once and writes nothing: on a sparse spread most
@@ -335,17 +334,20 @@ impl MessageMatrix {
     /// the summed [`TransferStats`].
     ///
     /// `pairs` **must be node-disjoint** — exactly the matching invariant
-    /// the connection resolver guarantees (debug builds assert it). That
-    /// disjointness is what makes the parallel mutation sound: each worker
-    /// takes a contiguous chunk of pairs and touches only the rows those
-    /// pairs name, which no other worker's pairs can name. It also makes
+    /// the connection resolver guarantees (debug builds assert it). The
+    /// rows are cut into one contiguous range per worker
+    /// ([`Partition::split`]); each worker unions the pairs inside its
+    /// range on that range's [`MatrixChunk`], and the few pairs that
+    /// straddle a cut then union serially on [`whole`](Self::whole). Every
+    /// union is [`MatrixChunk::union_pair_stats`], and disjointness makes
     /// the result *byte-identical at any thread count*: each pair's union
     /// is independent of every other pair, and the stats are sums, so
     /// neither processing order nor worker count can show through.
     pub fn union_pairs_parallel(&mut self, pairs: &[Connection], threads: usize) -> TransferStats {
+        let nodes = self.num_nodes();
         #[cfg(debug_assertions)]
         {
-            let mut seen = vec![false; self.num_nodes()];
+            let mut seen = vec![false; nodes];
             for c in pairs {
                 for node in [c.initiator, c.acceptor] {
                     assert!(
@@ -361,64 +363,40 @@ impl MessageMatrix {
         // the input, and either way the same per-pair unions and the same
         // sums run, so the cut-off cannot show in a result.
         const PAR_MIN_PAIRS: usize = 512;
-        let threads = if pairs.len() < PAR_MIN_PAIRS {
-            1
-        } else {
-            threads
-        };
-
-        struct Rows {
-            words: *mut u64,
-            counts: *mut u32,
-            /// Null for a universe of at most 64 messages: no digests.
-            digests: *mut u64,
-        }
-        // SAFETY: `Rows` only crosses into `for_each`'s scoped workers,
-        // which dereference it exclusively at row offsets named by their
-        // own chunks of node-disjoint pairs — no two workers touch the same
-        // row, and the scope ends before `self` is usable again.
-        unsafe impl Sync for Rows {}
-
-        let (nodes, stride, universe) = (self.num_nodes(), self.stride, self.universe);
-        let rows = &Rows {
-            words: self.words.as_mut_ptr(),
-            counts: self.counts.as_mut_ptr(),
-            digests: if self.digests.is_empty() {
-                std::ptr::null_mut()
-            } else {
-                self.digests.as_mut_ptr()
-            },
-        };
-        // One task per worker: a contiguous chunk of pairs and its total.
-        let mut tasks: Vec<(&[Connection], TransferStats)> = pairs
-            .chunks(shard::per_worker(pairs.len(), threads))
-            .map(|chunk| (chunk, TransferStats::default()))
-            .collect();
-        shard::for_each(threads, &mut tasks, |(chunk, total)| {
-            for c in chunk.iter() {
-                let (i, j) = (c.initiator.index(), c.acceptor.index());
-                assert!(i != j && i.max(j) < nodes, "no row pair ({i}, {j})");
-                // SAFETY: rows `i` and `j` belong to this task alone — the
-                // pairs are node-disjoint and chunked by pair, so no other
-                // task names either row — and `i != j`, so the six
-                // reconstituted borrows are themselves disjoint, and in
-                // bounds: both rows were just checked against `nodes`, and
-                // a non-null `digests` holds one slot per row.
-                *total += unsafe {
-                    let a = std::slice::from_raw_parts_mut(rows.words.add(i * stride), stride);
-                    let b = std::slice::from_raw_parts_mut(rows.words.add(j * stride), stride);
-                    let (count_a, count_b) = (&mut *rows.counts.add(i), &mut *rows.counts.add(j));
-                    let digests = (!rows.digests.is_null())
-                        .then(|| [&mut *rows.digests.add(i), &mut *rows.digests.add(j)]);
-                    union_rows(a, b, count_a, count_b, digests, universe)
-                };
-            }
-        });
-        // Fold in chunk (= pair) order; the sums are order-independent
-        // anyway.
         let mut total = TransferStats::default();
-        for (_, chunk_total) in tasks {
-            total += chunk_total;
+        let mut straddling = Vec::new();
+        let serial = if threads <= 1 || pairs.len() < PAR_MIN_PAIRS {
+            pairs
+        } else {
+            // One task per worker: its range's chunk, its total, and the
+            // pairs that leave the range from their initiator's side.
+            let block = Partition::split(nodes, threads).block;
+            let mut tasks: Vec<_> = self
+                .region_chunks(block)
+                .map(|chunk| (chunk, TransferStats::default(), Vec::new()))
+                .collect();
+            shard::for_each(threads, &mut tasks, |(chunk, total, leaving)| {
+                let (base, len) = (chunk.base, chunk.counts.len());
+                for c in pairs {
+                    let (i, j) = (c.initiator.index(), c.acceptor.index());
+                    // `wrapping_sub` makes each range check one compare.
+                    match (i.wrapping_sub(base) < len, j.wrapping_sub(base) < len) {
+                        (true, true) => *total += chunk.union_pair_stats(i, j),
+                        (true, false) => leaving.push(*c),
+                        // An `i` past the last row is in no range: lost, unless refused.
+                        (false, _) => assert!(i < nodes, "no row {i} of {nodes}"),
+                    }
+                }
+            });
+            for (_, task_total, leaving) in tasks {
+                total += task_total;
+                straddling.extend(leaving);
+            }
+            &straddling
+        };
+        let mut whole = self.whole();
+        for c in serial {
+            total += whole.union_pair_stats(c.initiator.index(), c.acceptor.index());
         }
         total
     }
@@ -526,7 +504,9 @@ impl MatrixChunk<'_> {
     }
 
     /// The push-pull transfer between two rows of this chunk: both become
-    /// their union. Returns the per-pair stats.
+    /// their union. Returns the per-pair stats. Always inlined: as a call
+    /// it cost the sync engine's serial transfer loop ~2 ns a pair.
+    #[inline(always)]
     pub fn union_pair_stats(&mut self, i: usize, j: usize) -> TransferStats {
         assert_ne!(i, j, "a connection cannot join a node to itself");
         let (li, lj) = (self.local(i), self.local(j));
@@ -660,7 +640,7 @@ mod tests {
         let mut rng = Rng::new(0xe9a1);
         for universe in [1usize, 64, 65, 200] {
             for trial in 0..50 {
-                // Rows 0 and 2 hold the same random set (empty on the
+                // Row 0 and row 2 hold the same random set (empty on the
                 // first trial, full on the second); row 1 sits between
                 // them and differs.
                 let mut m = MessageMatrix::new(3, universe);
@@ -799,9 +779,11 @@ mod tests {
         }
     }
 
-    /// A matrix of `n` nodes over a 130-message universe (3 words/row),
-    /// each row seeded pseudo-randomly, plus the disjoint pair list
-    /// `(2p, 2p+1)`.
+    /// A matrix of `n` nodes (a multiple of 4) over a 130-message universe
+    /// (3 words/row), each row seeded pseudo-randomly, plus a disjoint
+    /// pair list of two kinds: `(4q, 4q+1)` sits inside a worker's range,
+    /// and `(4q+2, n-1-4q)` mirrors across the middle row, so it straddles
+    /// every cut between its ends.
     fn transfer_fixture(n: usize) -> (MessageMatrix, Vec<Connection>) {
         use crate::{NodeId, Rng};
         let mut m = MessageMatrix::new(n, 130);
@@ -811,11 +793,12 @@ mod tests {
                 m.insert(u, rng.gen_range(130));
             }
         }
-        let pairs = (0..n / 2)
-            .map(|p| Connection {
-                initiator: NodeId((2 * p) as u32),
-                acceptor: NodeId((2 * p + 1) as u32),
-            })
+        let pair = |i: usize, j: usize| Connection {
+            initiator: NodeId(i as u32),
+            acceptor: NodeId(j as u32),
+        };
+        let pairs = (0..n / 4)
+            .flat_map(|q| [pair(4 * q, 4 * q + 1), pair(4 * q + 2, n - 1 - 4 * q)])
             .collect();
         (m, pairs)
     }
@@ -823,7 +806,8 @@ mod tests {
     #[test]
     fn union_pairs_parallel_matches_the_serial_loop_at_any_thread_count() {
         // 2000 nodes / 1000 pairs: enough to cross the parallel cutoff.
-        let (serial_m, pairs) = transfer_fixture(2000);
+        let n = 2000;
+        let (serial_m, pairs) = transfer_fixture(n);
         let mut serial = serial_m.clone();
         let mut productive = 0usize;
         let mut moved = 0usize;
@@ -838,7 +822,17 @@ mod tests {
             newly_full += (serial.is_full(i) && !before_i) as usize;
             newly_full += (serial.is_full(j) && !before_j) as usize;
         }
-        for threads in [1usize, 2, 8] {
+        // 3 workers cut 2000 rows unevenly (667 + 667 + 666).
+        for threads in [1usize, 2, 3, 8] {
+            let block = Partition::split(n, threads).block;
+            let straddling = pairs
+                .iter()
+                .filter(|c| c.initiator.index() / block != c.acceptor.index() / block)
+                .count();
+            assert!(
+                threads == 1 || (0 < straddling && straddling < pairs.len()),
+                "threads={threads}: {straddling} straddling pairs exercise only one pass"
+            );
             let mut par = serial_m.clone();
             let stats = par.union_pairs_parallel(&pairs, threads);
             assert_eq!(par, serial, "threads={threads}: matrices diverged");

@@ -25,8 +25,6 @@
 //! departures, rejoins, fades, and moves — sync-vs-async comparisons stay
 //! apples-to-apples.
 
-#![forbid(unsafe_code)]
-
 mod churn;
 mod fading;
 mod waypoint;

@@ -37,8 +37,6 @@
 //! crate; any downstream tool can drive the identical experiment surface
 //! without shelling out.
 
-#![forbid(unsafe_code)]
-
 pub mod bench;
 pub mod checkpoint;
 pub mod emit;

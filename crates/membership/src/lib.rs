@@ -60,8 +60,6 @@
 //! the default sizes 5 and 30 on 20 000 nodes. The scenario builder
 //! refuses slabs past its word budget.
 
-#![forbid(unsafe_code)]
-
 use gossip_core::rng::MEMBERSHIP_STREAM;
 use gossip_core::{GraphView, NodeId, Rng, TICKS_PER_ROUND};
 use gossip_telemetry::{EventKind, Probe, TraceEvent};

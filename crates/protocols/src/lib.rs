@@ -14,8 +14,6 @@
 //! into their node loops, where a trait object cost one indirect call per
 //! node per round and hid the rule from the optimiser.
 
-#![forbid(unsafe_code)]
-
 mod advert;
 mod uniform;
 

@@ -59,8 +59,6 @@
 //! static inputs through an always-on one was measured at +47 % / +19 %
 //! peak RSS on the sync-ring / async-grid benchmark workloads).
 
-#![forbid(unsafe_code)]
-
 mod dynamic;
 mod metrics;
 mod scheduler;

@@ -33,8 +33,6 @@
 //! [`TRACE_SCHEMA_VERSION`]), buffering I/O errors instead of panicking so
 //! engines stay infallible and the CLI surfaces the failure cleanly.
 
-#![forbid(unsafe_code)]
-
 pub mod analyze;
 pub mod json;
 pub mod metrics;

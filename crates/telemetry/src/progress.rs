@@ -47,10 +47,11 @@ impl PoolProgress {
 
     /// Record one completed cell and its wall time. Resumed cells replayed
     /// from a checkpoint count here too, seeding the mean with their
-    /// recorded wall times.
+    /// recorded wall times — any `u64` a checkpoint file holds, so the sum
+    /// saturates rather than overflowing.
     pub fn cell_done(&mut self, wall_ms: u64) {
         self.done += 1;
-        self.completed_wall_ms += wall_ms;
+        self.completed_wall_ms = self.completed_wall_ms.saturating_add(wall_ms);
     }
 
     /// Cells completed so far.
@@ -151,5 +152,18 @@ mod tests {
         }
         assert_eq!(progress.done(), 4);
         assert_eq!(progress.eta_secs(), Some(0.5));
+    }
+
+    #[test]
+    fn huge_resumed_wall_times_saturate_instead_of_overflowing() {
+        // A checkpoint's `wall_ms` is any u64: two maximal ones summed
+        // overflowed (a debug-build panic, a wrapped ETA in release).
+        let mut progress = PoolProgress::new(4, 2);
+        progress.cell_done(u64::MAX);
+        progress.cell_done(u64::MAX);
+        assert_eq!(progress.mean_cell_ms(), Some(u64::MAX as f64 / 2.0));
+        assert!(progress.eta_secs().is_some_and(|eta| eta > 0.0));
+        let line = progress.heartbeat("x", 1.0, &[None, None]);
+        assert!(line.starts_with("progress: cell 2/4 done (x)"), "{line}");
     }
 }
