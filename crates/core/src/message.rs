@@ -330,47 +330,47 @@ impl MessageMatrix {
     }
 
     /// The whole transfer phase of a round: every connection's row pair
-    /// becomes its union, sharded over up to `threads` workers, returning
-    /// the summed [`TransferStats`].
+    /// becomes its union, on up to `threads` workers, returning the summed
+    /// [`TransferStats`].
     ///
-    /// `pairs` **must be node-disjoint** — exactly the matching invariant
-    /// the connection resolver guarantees (debug builds assert it). The
-    /// rows are cut into one contiguous range per worker
-    /// ([`Partition::split`]); each worker unions the pairs inside its
-    /// range on that range's [`MatrixChunk`], and the few pairs that
-    /// straddle a cut then union serially on [`whole`](Self::whole). Every
-    /// union is [`MatrixChunk::union_pair_stats`], and disjointness makes
-    /// the result *byte-identical at any thread count*: each pair's union
-    /// is independent of every other pair, and the stats are sums, so
-    /// neither processing order nor worker count can show through.
+    /// `pairs` **must be node-disjoint** — the matching invariant the
+    /// connection resolver guarantees (debug builds assert it). Each
+    /// worker unions the pairs inside its own contiguous range of rows
+    /// ([`Partition::split`]) on that range's [`MatrixChunk`]; the pairs
+    /// that straddle a cut then union serially on [`whole`](Self::whole).
+    /// When over a quarter straddle (an RGG or a complete graph, not a
+    /// ring, line or grid), every pair unions serially instead. Each pair's
+    /// union is independent of the others and the stats are sums, so the
+    /// result is *byte-identical at any thread count*, on either path.
     pub fn union_pairs_parallel(&mut self, pairs: &[Connection], threads: usize) -> TransferStats {
         let nodes = self.num_nodes();
         #[cfg(debug_assertions)]
         {
             let mut seen = vec![false; nodes];
-            for c in pairs {
-                for node in [c.initiator, c.acceptor] {
-                    assert!(
-                        !seen[node.index()],
-                        "transfer pairs must be node-disjoint: {node} appears twice"
-                    );
-                    seen[node.index()] = true;
-                }
+            for node in pairs.iter().flat_map(|c| [c.initiator, c.acceptor]) {
+                let twice = std::mem::replace(&mut seen[node.index()], true);
+                assert!(!twice, "pairs must be node-disjoint: {node} appears twice");
             }
         }
 
-        // Below this, a fork costs more than the row unions. A property of
-        // the input, and either way the same per-pair unions and the same
-        // sums run, so the cut-off cannot show in a result.
+        // Below 512 pairs a fork costs more than the unions, and where many
+        // pairs straddle a cut the serial loop is faster, as every worker
+        // scans every pair (a 131072-node RGG at two threads, 2 vCPUs: 39 ms
+        // split, 17 ms serial); ~64 strided pairs estimate the share. Both
+        // paths run the same unions and sums, so neither shows in a result.
         const PAR_MIN_PAIRS: usize = 512;
+        let block = Partition::split(nodes, threads).block;
+        let straddles = |c: &&Connection| c.initiator.index() / block != c.acceptor.index() / block;
+        let sample = pairs.iter().step_by(pairs.len() / 64 + 1);
         let mut total = TransferStats::default();
         let mut straddling = Vec::new();
-        let serial = if threads <= 1 || pairs.len() < PAR_MIN_PAIRS {
+        let serial = if threads <= 1
+            || pairs.len() < PAR_MIN_PAIRS
+            || 4 * sample.clone().filter(straddles).count() > sample.count()
+        {
             pairs
         } else {
-            // One task per worker: its range's chunk, its total, and the
-            // pairs that leave the range from their initiator's side.
-            let block = Partition::split(nodes, threads).block;
+            // Per worker: its range's chunk, total, and the pairs leaving the range.
             let mut tasks: Vec<_> = self
                 .region_chunks(block)
                 .map(|chunk| (chunk, TransferStats::default(), Vec::new()))
@@ -779,12 +779,13 @@ mod tests {
         }
     }
 
-    /// A matrix of `n` nodes (a multiple of 4) over a 130-message universe
-    /// (3 words/row), each row seeded pseudo-randomly, plus a disjoint
-    /// pair list of two kinds: `(4q, 4q+1)` sits inside a worker's range,
-    /// and `(4q+2, n-1-4q)` mirrors across the middle row, so it straddles
-    /// every cut between its ends.
-    fn transfer_fixture(n: usize) -> (MessageMatrix, Vec<Connection>) {
+    /// A matrix of `n` nodes (even) over a 130-message universe (3
+    /// words/row), each row seeded pseudo-randomly, plus a disjoint pair
+    /// list: `long` pairs `(p, n-1-p)` mirror across the middle row, so
+    /// each straddles every cut between its ends, and the rows between
+    /// them pair with their successors, `(u, u+1)`, which straddle only a
+    /// cut that falls between the two.
+    fn transfer_fixture(n: usize, long: usize) -> (MessageMatrix, Vec<Connection>) {
         use crate::{NodeId, Rng};
         let mut m = MessageMatrix::new(n, 130);
         let mut rng = Rng::new(0xabcd);
@@ -797,8 +798,9 @@ mod tests {
             initiator: NodeId(i as u32),
             acceptor: NodeId(j as u32),
         };
-        let pairs = (0..n / 4)
-            .flat_map(|q| [pair(4 * q, 4 * q + 1), pair(4 * q + 2, n - 1 - 4 * q)])
+        let pairs = (0..long)
+            .map(|p| pair(p, n - 1 - p))
+            .chain((long..n - long).step_by(2).map(|u| pair(u, u + 1)))
             .collect();
         (m, pairs)
     }
@@ -807,44 +809,55 @@ mod tests {
     fn union_pairs_parallel_matches_the_serial_loop_at_any_thread_count() {
         // 2000 nodes / 1000 pairs: enough to cross the parallel cutoff.
         let n = 2000;
-        let (serial_m, pairs) = transfer_fixture(n);
-        let mut serial = serial_m.clone();
-        let mut productive = 0usize;
-        let mut moved = 0usize;
-        let mut newly_full = 0usize;
-        for c in &pairs {
-            let (i, j) = (c.initiator.index(), c.acceptor.index());
-            let before_i = serial.is_full(i);
-            let before_j = serial.is_full(j);
-            let m = serial.whole().union_pair_stats(i, j).moved;
-            moved += m;
-            productive += (m > 0) as usize;
-            newly_full += (serial.is_full(i) && !before_i) as usize;
-            newly_full += (serial.is_full(j) && !before_j) as usize;
-        }
-        // 3 workers cut 2000 rows unevenly (667 + 667 + 666).
-        for threads in [1usize, 2, 3, 8] {
-            let block = Partition::split(n, threads).block;
-            let straddling = pairs
-                .iter()
-                .filter(|c| c.initiator.index() / block != c.acceptor.index() / block)
-                .count();
-            assert!(
-                threads == 1 || (0 < straddling && straddling < pairs.len()),
-                "threads={threads}: {straddling} straddling pairs exercise only one pass"
-            );
-            let mut par = serial_m.clone();
-            let stats = par.union_pairs_parallel(&pairs, threads);
-            assert_eq!(par, serial, "threads={threads}: matrices diverged");
-            assert_eq!(
-                stats,
-                TransferStats {
-                    moved,
-                    productive,
-                    newly_full
-                },
-                "threads={threads}: stats diverged"
-            );
+        // A local pair list, where about one pair in eight straddles (the
+        // range split and its straddle pass run), and a straddle-heavy one
+        // (every pair unions serially).
+        for long in [n / 16, n / 2] {
+            let (serial_m, pairs) = transfer_fixture(n, long);
+            let mut serial = serial_m.clone();
+            let mut productive = 0usize;
+            let mut moved = 0usize;
+            let mut newly_full = 0usize;
+            for c in &pairs {
+                let (i, j) = (c.initiator.index(), c.acceptor.index());
+                let before_i = serial.is_full(i);
+                let before_j = serial.is_full(j);
+                let m = serial.whole().union_pair_stats(i, j).moved;
+                moved += m;
+                productive += (m > 0) as usize;
+                newly_full += (serial.is_full(i) && !before_i) as usize;
+                newly_full += (serial.is_full(j) && !before_j) as usize;
+            }
+            // 3 workers cut 2000 rows unevenly (667 + 667 + 666).
+            for threads in [1usize, 2, 3, 8] {
+                let block = Partition::split(n, threads).block;
+                let straddling = pairs
+                    .iter()
+                    .filter(|c| c.initiator.index() / block != c.acceptor.index() / block)
+                    .count();
+                let local = long < n / 4;
+                assert!(
+                    threads == 1
+                        || (local && 0 < straddling && 4 * straddling < pairs.len())
+                        || (!local && 4 * straddling > pairs.len()),
+                    "threads={threads}, long={long}: {straddling} straddling pairs miss the path"
+                );
+                let mut par = serial_m.clone();
+                let stats = par.union_pairs_parallel(&pairs, threads);
+                assert_eq!(
+                    par, serial,
+                    "threads={threads}, long={long}: matrices diverged"
+                );
+                assert_eq!(
+                    stats,
+                    TransferStats {
+                        moved,
+                        productive,
+                        newly_full
+                    },
+                    "threads={threads}, long={long}: stats diverged"
+                );
+            }
         }
     }
 

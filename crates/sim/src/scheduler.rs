@@ -20,10 +20,11 @@
 //!   advertise and scan/decide over contiguous node ranges, matching via
 //!   the partitioned resolver
 //!   ([`resolve_connections_sharded`](gossip_core::resolve_connections_sharded)),
-//!   and transfer over one row range per worker, straddling pairs after
-//!   ([`MessageMatrix::union_pairs_parallel`], ARCHITECTURE.md's
-//!   *Transfer*) — probed or not: a probe itemizes every pair's transfer
-//!   first ([`MsgView::for_each_transfer`](gossip_core::MsgView::for_each_transfer)),
+//!   and transfer over one row range per worker, or serially when many
+//!   pairs straddle the cuts ([`MessageMatrix::union_pairs_parallel`],
+//!   ARCHITECTURE.md's *Transfer*) — probed or not: a probe itemizes
+//!   every pair's transfer first
+//!   ([`MsgView::for_each_transfer`](gossip_core::MsgView::for_each_transfer)),
 //!   and the same union runs after;
 //! - **determinism is independent of the thread count**: each node's
 //!   protocol randomness comes from its own stream

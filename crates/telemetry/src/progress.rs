@@ -47,8 +47,7 @@ impl PoolProgress {
 
     /// Record one completed cell and its wall time. Resumed cells replayed
     /// from a checkpoint count here too, seeding the mean with their
-    /// recorded wall times — any `u64` a checkpoint file holds, so the sum
-    /// saturates rather than overflowing.
+    /// recorded wall times (any `u64` in the file: the sum saturates).
     pub fn cell_done(&mut self, wall_ms: u64) {
         self.done += 1;
         self.completed_wall_ms = self.completed_wall_ms.saturating_add(wall_ms);
