@@ -9,13 +9,11 @@
 
 use crate::matching::Connection;
 use crate::rng::{mix, GOLDEN_GAMMA};
-use crate::shard::{self, Partition};
 
 /// Aggregate outcome of a batch of push-pull transfers
-/// ([`MessageMatrix::union_pairs_parallel`]). Every field is a sum of
-/// per-pair contributions, and the pairs of a round are node-disjoint, so
-/// the totals are independent of the order — and the thread count — in
-/// which the pairs were processed.
+/// ([`MessageMatrix::union_pairs`]). Every field is a sum of per-pair
+/// contributions, and the pairs of a round are node-disjoint, so the
+/// totals are independent of the order in which the pairs were processed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Messages that moved, in both directions across all pairs.
@@ -330,75 +328,33 @@ impl MessageMatrix {
     }
 
     /// The whole transfer phase of a round: every connection's row pair
-    /// becomes its union, on up to `threads` workers, returning the summed
-    /// [`TransferStats`].
+    /// becomes its union, returning the summed [`TransferStats`].
     ///
     /// `pairs` **must be node-disjoint** — the matching invariant the
-    /// connection resolver guarantees (debug builds assert it). Each
-    /// worker unions the pairs inside its own contiguous range of rows
-    /// ([`Partition::split`]) on that range's [`MatrixChunk`]; the pairs
-    /// that straddle a cut then union serially on [`whole`](Self::whole).
-    /// When over a quarter straddle (an RGG or a complete graph, not a
-    /// ring, line or grid), every pair unions serially instead. Each pair's
-    /// union is independent of the others and the stats are sums, so the
-    /// result is *byte-identical at any thread count*, on either path.
-    pub fn union_pairs_parallel(&mut self, pairs: &[Connection], threads: usize) -> TransferStats {
-        let nodes = self.num_nodes();
+    /// connection resolver guarantees (debug builds assert it). The pairs
+    /// union one after another on [`whole`](Self::whole); a pair naming a
+    /// row past the last panics in [`MatrixChunk::union_pair_stats`].
+    pub fn union_pairs(&mut self, pairs: &[Connection]) -> TransferStats {
         #[cfg(debug_assertions)]
         {
-            let mut seen = vec![false; nodes];
+            let mut seen = vec![false; self.num_nodes()];
             for node in pairs.iter().flat_map(|c| [c.initiator, c.acceptor]) {
                 let twice = std::mem::replace(&mut seen[node.index()], true);
                 assert!(!twice, "pairs must be node-disjoint: {node} appears twice");
             }
         }
-
-        // Below 512 pairs a fork costs more than the unions, and where many
-        // pairs straddle a cut the serial loop is faster, as every worker
-        // scans every pair (a 131072-node RGG at two threads, 2 vCPUs: 39 ms
-        // split, 17 ms serial); ~64 strided pairs estimate the share. Both
-        // paths run the same unions and sums, so neither shows in a result.
-        const PAR_MIN_PAIRS: usize = 512;
-        let block = Partition::split(nodes, threads).block;
-        let straddles = |c: &&Connection| c.initiator.index() / block != c.acceptor.index() / block;
-        let sample = pairs.iter().step_by(pairs.len() / 64 + 1);
-        let mut total = TransferStats::default();
-        let mut straddling = Vec::new();
-        let serial = if threads <= 1
-            || pairs.len() < PAR_MIN_PAIRS
-            || 4 * sample.clone().filter(straddles).count() > sample.count()
-        {
-            pairs
-        } else {
-            // Per worker: its range's chunk, total, and the pairs leaving the range.
-            let mut tasks: Vec<_> = self
-                .region_chunks(block)
-                .map(|chunk| (chunk, TransferStats::default(), Vec::new()))
-                .collect();
-            shard::for_each(threads, &mut tasks, |(chunk, total, leaving)| {
-                let (base, len) = (chunk.base, chunk.counts.len());
-                for c in pairs {
-                    let (i, j) = (c.initiator.index(), c.acceptor.index());
-                    // `wrapping_sub` makes each range check one compare.
-                    match (i.wrapping_sub(base) < len, j.wrapping_sub(base) < len) {
-                        (true, true) => *total += chunk.union_pair_stats(i, j),
-                        (true, false) => leaving.push(*c),
-                        // An `i` past the last row is in no range: lost, unless refused.
-                        (false, _) => assert!(i < nodes, "no row {i} of {nodes}"),
-                    }
-                }
-            });
-            for (_, task_total, leaving) in tasks {
-                total += task_total;
-                straddling.extend(leaving);
-            }
-            &straddling
-        };
         let mut whole = self.whole();
-        for c in serial {
+        let mut total = TransferStats::default();
+        for c in pairs {
             total += whole.union_pair_stats(c.initiator.index(), c.acceptor.index());
         }
         total
+    }
+
+    /// [`union_pairs`](Self::union_pairs), ignoring `threads`. Kept
+    /// because `benchmark/layers` calls it; ROADMAP 4(c) deletes it.
+    pub fn union_pairs_parallel(&mut self, pairs: &[Connection], _threads: usize) -> TransferStats {
+        self.union_pairs(pairs)
     }
 
     /// The chunk spanning every row (`base = 0`): how serial code reaches
@@ -685,8 +641,6 @@ mod tests {
     #[test]
     fn cached_digests_match_a_recompute_after_any_mutation() {
         use crate::{NodeId, Rng};
-        // 1030 rows: enough disjoint pairs (515) to cross the parallel
-        // transfer's cut-off.
         let n = 1030;
         let mut rng = Rng::new(0xd16e);
         for universe in [1usize, 64, 65, 130, 320] {
@@ -719,14 +673,13 @@ mod tests {
                     })
                     .take(if step % 2 == 0 { n / 2 } else { 7 })
                     .collect();
-                let threads = [1, 2, 8][step % 3];
-                m.union_pairs_parallel(&pairs, threads);
-                assert_digests_fresh(&m, "union_pairs_parallel");
+                m.union_pairs(&pairs);
+                assert_digests_fresh(&m, "union_pairs");
                 // Every pair is now equal: the same batch again is a batch
                 // of equal-row pairs.
-                let again = m.union_pairs_parallel(&pairs, threads);
+                let again = m.union_pairs(&pairs);
                 assert_eq!(again, TransferStats::default());
-                assert_digests_fresh(&m, "equal-row union_pairs_parallel");
+                assert_digests_fresh(&m, "equal-row union_pairs");
                 // Region chunks, the last one short: one union in each
                 // chunk of at least two rows.
                 let block = [2usize, 7, 64][step % 3];
@@ -779,88 +732,6 @@ mod tests {
         }
     }
 
-    /// A matrix of `n` nodes (even) over a 130-message universe (3
-    /// words/row), each row seeded pseudo-randomly, plus a disjoint pair
-    /// list: `long` pairs `(p, n-1-p)` mirror across the middle row, so
-    /// each straddles every cut between its ends, and the rows between
-    /// them pair with their successors, `(u, u+1)`, which straddle only a
-    /// cut that falls between the two.
-    fn transfer_fixture(n: usize, long: usize) -> (MessageMatrix, Vec<Connection>) {
-        use crate::{NodeId, Rng};
-        let mut m = MessageMatrix::new(n, 130);
-        let mut rng = Rng::new(0xabcd);
-        for u in 0..n {
-            for _ in 0..8 {
-                m.insert(u, rng.gen_range(130));
-            }
-        }
-        let pair = |i: usize, j: usize| Connection {
-            initiator: NodeId(i as u32),
-            acceptor: NodeId(j as u32),
-        };
-        let pairs = (0..long)
-            .map(|p| pair(p, n - 1 - p))
-            .chain((long..n - long).step_by(2).map(|u| pair(u, u + 1)))
-            .collect();
-        (m, pairs)
-    }
-
-    #[test]
-    fn union_pairs_parallel_matches_the_serial_loop_at_any_thread_count() {
-        // 2000 nodes / 1000 pairs: enough to cross the parallel cutoff.
-        let n = 2000;
-        // A local pair list, where about one pair in eight straddles (the
-        // range split and its straddle pass run), and a straddle-heavy one
-        // (every pair unions serially).
-        for long in [n / 16, n / 2] {
-            let (serial_m, pairs) = transfer_fixture(n, long);
-            let mut serial = serial_m.clone();
-            let mut productive = 0usize;
-            let mut moved = 0usize;
-            let mut newly_full = 0usize;
-            for c in &pairs {
-                let (i, j) = (c.initiator.index(), c.acceptor.index());
-                let before_i = serial.is_full(i);
-                let before_j = serial.is_full(j);
-                let m = serial.whole().union_pair_stats(i, j).moved;
-                moved += m;
-                productive += (m > 0) as usize;
-                newly_full += (serial.is_full(i) && !before_i) as usize;
-                newly_full += (serial.is_full(j) && !before_j) as usize;
-            }
-            // 3 workers cut 2000 rows unevenly (667 + 667 + 666).
-            for threads in [1usize, 2, 3, 8] {
-                let block = Partition::split(n, threads).block;
-                let straddling = pairs
-                    .iter()
-                    .filter(|c| c.initiator.index() / block != c.acceptor.index() / block)
-                    .count();
-                let local = long < n / 4;
-                assert!(
-                    threads == 1
-                        || (local && 0 < straddling && 4 * straddling < pairs.len())
-                        || (!local && 4 * straddling > pairs.len()),
-                    "threads={threads}, long={long}: {straddling} straddling pairs miss the path"
-                );
-                let mut par = serial_m.clone();
-                let stats = par.union_pairs_parallel(&pairs, threads);
-                assert_eq!(
-                    par, serial,
-                    "threads={threads}, long={long}: matrices diverged"
-                );
-                assert_eq!(
-                    stats,
-                    TransferStats {
-                        moved,
-                        productive,
-                        newly_full
-                    },
-                    "threads={threads}, long={long}: stats diverged"
-                );
-            }
-        }
-    }
-
     #[test]
     fn traced_union_reports_every_moved_message_and_matches_untraced() {
         // Row 2 sits between the pair: the caller's lower row need not be
@@ -892,20 +763,17 @@ mod tests {
     }
 
     #[test]
-    fn union_pairs_parallel_counts_newly_full_endpoints() {
+    fn union_pairs_counts_newly_full_endpoints() {
         use crate::NodeId;
         let mut m = MessageMatrix::new(2, 4);
         for id in 0..4 {
             m.insert(0, id);
         }
         m.insert(1, 0);
-        let stats = m.union_pairs_parallel(
-            &[Connection {
-                initiator: NodeId(0),
-                acceptor: NodeId(1),
-            }],
-            4,
-        );
+        let stats = m.union_pairs(&[Connection {
+            initiator: NodeId(0),
+            acceptor: NodeId(1),
+        }]);
         assert_eq!(
             stats,
             TransferStats {
@@ -920,7 +788,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "node-disjoint")]
-    fn union_pairs_parallel_rejects_overlapping_pairs_in_debug() {
+    fn union_pairs_rejects_overlapping_pairs_in_debug() {
         use crate::NodeId;
         let mut m = MessageMatrix::new(3, 8);
         let overlapping = [
@@ -933,7 +801,21 @@ mod tests {
                 acceptor: NodeId(2),
             },
         ];
-        m.union_pairs_parallel(&overlapping, 2);
+        m.union_pairs(&overlapping);
+    }
+
+    // No `expected` string: debug builds stop at the disjointness check's
+    // index, release builds at the union's slicing; either way the pair is
+    // never dropped silently.
+    #[test]
+    #[should_panic]
+    fn union_pairs_refuses_a_row_past_the_matrix() {
+        use crate::NodeId;
+        let mut m = MessageMatrix::new(3, 8);
+        m.union_pairs(&[Connection {
+            initiator: NodeId(3),
+            acceptor: NodeId(0),
+        }]);
     }
 
     #[test]

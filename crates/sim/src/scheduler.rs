@@ -16,14 +16,13 @@
 //!
 //! - per-node gossip state lives in a [`MessageMatrix`]
 //!   (struct-of-arrays), advertisements and intents in flat arrays;
-//! - **all four phases** fork through [`gossip_core::shard::for_each`]:
-//!   advertise and scan/decide over contiguous node ranges, matching via
-//!   the partitioned resolver
-//!   ([`resolve_connections_sharded`](gossip_core::resolve_connections_sharded)),
-//!   and transfer over one row range per worker, or serially when many
-//!   pairs straddle the cuts ([`MessageMatrix::union_pairs_parallel`],
-//!   ARCHITECTURE.md's *Transfer*) — probed or not: a probe itemizes
-//!   every pair's transfer first
+//! - **three phases** fork through [`gossip_core::shard::for_each`]:
+//!   advertise and scan/decide over contiguous node ranges, and matching
+//!   via the partitioned resolver
+//!   ([`resolve_connections_sharded`](gossip_core::resolve_connections_sharded));
+//!   the transfer unions the matched pairs serially
+//!   ([`MessageMatrix::union_pairs`], ARCHITECTURE.md's *Transfer*) —
+//!   probed or not: a probe itemizes every pair's transfer first
 //!   ([`MsgView::for_each_transfer`](gossip_core::MsgView::for_each_transfer)),
 //!   and the same union runs after;
 //! - **determinism is independent of the thread count**: each node's
@@ -595,9 +594,7 @@ impl RoundPhases {
         if probe.enabled() {
             emit_round_events(probe, graph, &self.intents, &resolution, states, round);
         }
-        let transfer = self
-            .states
-            .union_pairs_parallel(&resolution.connections, threads);
+        let transfer = self.states.union_pairs(&resolution.connections);
         let t4 = Instant::now();
 
         let timings = &mut self.timings;
