@@ -8,19 +8,18 @@
 //!
 //! - an **alive mask** with `O(1)` [`is_alive`](DynamicTopology::is_alive)
 //!   checks and a maintained alive count,
-//! - a **faded-edge overlay** so interference can hide a base edge without
-//!   forgetting it,
-//! - a mutable **base adjacency** so mobility can rewire a node wholesale:
-//!   a rewire is *pending* until the batch settles, when one pass rewrites
-//!   every base slot it touches in place, sorted and symmetric again,
-//! - and a **derived active adjacency**: per node, the sorted list of
-//!   neighbors that are alive and reachable over a non-faded edge. No
-//!   mutation edits it: a mutation updates the mask or the flags or queues
-//!   a rewire, the nodes whose view it changes are marked *stale* (a
-//!   rewire's neighbors when its batch is planned), and
-//!   [`settle`](DynamicTopology::settle) rebuilds each stale view in one
-//!   filter pass (`alive & !faded`, base order kept) over the node's base
-//!   slot. Reads ([`GraphView`]) are exactly as fast as on a static
+//! - a mutable **base adjacency**: every edge the node has, whether it is
+//!   usable now or not, so a fade can hide an edge without forgetting it
+//!   and mobility can rewire a node wholesale — a rewire is *pending*
+//!   until the batch settles,
+//! - and the **active view** of each node: its neighbors that are alive
+//!   and reachable over a non-faded edge, sorted. It is not stored apart
+//!   from the base adjacency: it is the first part of the node's slot (see
+//!   Memory layout). No mutation edits it: a mutation updates the mask or
+//!   a fade flag or queues a rewire, the nodes whose slot it changes are
+//!   marked *stale* (a rewire's neighbors when its batch is planned), and
+//!   [`settle`](DynamicTopology::settle) rebuilds each stale slot. Reads
+//!   ([`GraphView`]) are exactly as fast as on a static
 //!   [`Topology`]; a batch of mutations pays one rebuild per touched node,
 //!   not one edit per mutation and neighbor.
 //!
@@ -30,11 +29,11 @@
 //! `defer_*` mutators and settle once — at the end of the sync engine's
 //! mutation drain, after phase 0 of the sliced engine. In between, the
 //! alive mask and count are always current and may be read; the base
-//! adjacency and the views may not: `base` is current from `settle` to
-//! the next `defer_rewire`, the views from `settle` to the next `defer_*`.
-//! Reading a view while any node is stale is a bug, and `active_neighbors`
-//! asserts against it in debug builds. A single mutation is a batch of
-//! one: `defer_*`, then `settle`.
+//! adjacency and the views may not: the base adjacency is current from
+//! `settle` to the next `defer_rewire`, the views from `settle` to the
+//! next `defer_*`. Reading a view while any node is stale is a bug, and
+//! `active_neighbors` asserts against it in debug builds. A single
+//! mutation is a batch of one: `defer_*`, then `settle`.
 //!
 //! `defer_rewire` only records its cleaned list and stamps the node with
 //! the rewire's sequence number in the batch; `settle` applies the batch
@@ -53,30 +52,44 @@
 //! slot and `r` in `x`'s — so `settle` cuts every live list down to the
 //! entries that pass, groups them by receiving node with one counting
 //! scatter over the rewired nodes in ascending order (each group arrives
-//! sorted), and walks the stale nodes once, ascending: filter the slot in
-//! place (or copy the cut list in), merge the gains in from the back,
-//! rebuild the view while the slot is hot. `defer_alive` marks the node's
-//! neighbors as of the last settle and the plan marks every rewired
-//! node's old and new ones, which together cover every view that changes.
-//! `defer_fade` reads `base`, so it settles first when an endpoint has a
-//! pending rewire; no other rewire can create, delete or un-fade its edge.
+//! sorted), and walks the stale nodes once, ascending. `defer_alive`
+//! marks the node's neighbors as of the last settle and the plan marks
+//! every rewired node's old and new ones, which together cover every slot
+//! that changes. `defer_fade` reads the base adjacency, so it settles
+//! first when an endpoint has a pending rewire; no other rewire can
+//! create, delete or un-fade its edge.
 //!
 //! # Memory layout
 //!
-//! Like the static [`Topology`], adjacency lives in **flat slabs**, not
-//! per-node `Vec`s: each node owns a capacity slot in three parallel
-//! arrays — `base` (sorted base neighbors), `faded` (per-base-edge fade
-//! flags, found by binary search in the node's own slot), and `active`
-//! (the sorted active sublist). Every slot holds its entries plus slack —
-//! a quarter of its length, plus two — from birth, so a rewire that hands
-//! a node a few edges lands in place. A base slot that outgrows its
-//! capacity at `settle` relocates to the slab tail, and the slab compacts
-//! itself, handing every slot the same slack again, at the end of that
-//! settle once the stranded capacity is worth reclaiming.
-//! A batch's lists and gains sit in two arenas that are cleared, not
-//! freed, and a settle does work proportional to the nodes it touches,
-//! never to `n`. No hashing, no per-node allocation on the mutation path,
-//! deterministic iteration order.
+//! Like the static [`Topology`], adjacency lives in **one flat slab**, not
+//! per-node `Vec`s. Each node owns a capacity slot in it, holding its
+//! base neighbors in two sorted runs: the **active prefix** — exactly the
+//! slice [`GraphView::neighbors`] returns — then the **dormant suffix**,
+//! its edges to dead peers and its faded edges (every edge of a dead
+//! node). An entry's high bit is the edge's fade flag, kept on both
+//! endpoints' entries, so ids stay below 2³¹ and searches compare masked
+//! ids; the prefix never carries the bit once settled. A settle rebuilds
+//! a stale slot from three sorted runs — what the node holds (its prefix
+//! and suffix, or, for a rewired node, its cut list) and its gains —
+//! sorting each entry, by one load of a per-node state byte, to the
+//! prefix, to the suffix, or out (a held entry at a rewired peer). Few
+//! entries change sides in a batch, so the suffix and the gains are
+//! sorted first, their newly active entries merge into the prefix on
+//! the one pass over the first run, and that pass's newly dormant ones
+//! merge into the suffix; the row, built in scratch, is copied back. A
+//! slot with no gains that was not rewired — every slot of a batch
+//! without rewires — is re-sorted by one walk of its two runs instead.
+//!
+//! Every slot holds its entries plus slack — a quarter of its length,
+//! plus two — from birth, so a rewire that hands a node a few edges lands
+//! in place. A slot that outgrows its capacity at `settle` relocates to
+//! the slab tail, and the slab compacts itself, handing every slot the
+//! same slack again, at the end of that settle once the stranded capacity
+//! is worth reclaiming. A batch's lists and gains sit in arenas, and the
+//! rebuild in scratch rows, that are cleared, not freed, and a settle
+//! does work proportional to the nodes it touches, never to `n`. No
+//! hashing, no per-node allocation on the mutation path, deterministic
+//! iteration order.
 //!
 //! Dead nodes read as isolated: their active neighbor list is empty and
 //! they appear in no other node's list, so protocols — which only ever see
@@ -86,33 +99,22 @@
 use crate::topology::GraphView;
 use crate::{NodeId, Topology};
 
-/// A [`Topology`] plus an alive-node set, a faded-edge overlay, and
-/// active-neighbor views derived from them at [`settle`](Self::settle),
-/// all in flat slab storage. See the module docs.
+/// A [`Topology`] plus an alive-node set, fade flags, and active-neighbor
+/// views brought up to date at [`settle`](Self::settle), all in one flat
+/// slab. See the module docs.
 #[derive(Clone, Debug)]
 pub struct DynamicTopology {
     name: String,
-    /// Slot start of node `u` in the slabs.
-    start: Vec<u32>,
-    /// Slot capacity of node `u`.
-    cap: Vec<u32>,
-    /// Base neighbors used in `u`'s slot (sorted prefix).
-    base_len: Vec<u32>,
-    /// Active neighbors used in `u`'s slot (sorted prefix).
-    active_len: Vec<u32>,
-    /// Slab of base adjacency, including edges of dead nodes and faded
-    /// edges. Mobility rewires mutate this, at `settle`; churn and fading
-    /// do not.
-    base: Vec<NodeId>,
-    /// Parallel to `base`: is this base edge currently faded out?
-    /// (Maintained symmetrically on both endpoints' slots.)
-    faded: Vec<bool>,
-    /// Slab of the adjacency actually visible to protocols: both
-    /// endpoints alive and the edge not faded. Written only by `settle`.
-    active: Vec<NodeId>,
+    /// Where node `u`'s slot sits in `slab` and how much of it is used.
+    slots: Vec<Slot>,
+    /// Every node's slot: sorted active prefix, sorted dormant suffix,
+    /// slack; fade flags in the high bit ([`FADE`]). Churn and fading set
+    /// bits and mark slots, mobility queues rewires; only `settle` moves
+    /// entries.
+    slab: Vec<NodeId>,
     alive: Vec<bool>,
     alive_count: usize,
-    /// Nodes whose active view is out of date; `is_stale` queues each once.
+    /// Nodes whose slot is out of date; `is_stale` queues each once.
     stale: Vec<u32>,
     is_stale: Vec<bool>,
     /// Slab capacity stranded by slot relocations, pending compaction.
@@ -124,6 +126,9 @@ pub struct DynamicTopology {
     lists: Vec<NodeId>,
     /// Sequence number of `u`'s last rewire in this batch; 0 if it has none.
     stamp: Vec<u32>,
+    /// Per node, what `rebuild` asks of a peer in one load: [`DEAD`], and
+    /// [`REWIRED`] while it has a rewire pending.
+    state: Vec<u8>,
     /// Arena of the base edges the batch's live rewires hand to *other*
     /// nodes, grouped by receiving node; filled and emptied by `settle`.
     gains: Vec<NodeId>,
@@ -131,6 +136,22 @@ pub struct DynamicTopology {
     gain_len: Vec<u32>,
     /// End of `u`'s group in `gains`; meaningful only while `gain_len[u] > 0`.
     gain_end: Vec<u32>,
+    /// `rebuild`'s scratch: the new slot, its pieces, merge room.
+    scratch: Vec<NodeId>,
+}
+
+/// A node's slot in the slab, in one record, so a rebuild reads and
+/// writes one cache line of it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Slot {
+    /// First entry.
+    start: u32,
+    /// Entries reserved.
+    cap: u32,
+    /// Base neighbors held: prefix plus suffix.
+    len: u32,
+    /// Length of the active prefix, the node's view.
+    active: u32,
 }
 
 /// One deferred rewire: `node`'s new neighbors are `lists[list]`.
@@ -138,6 +159,117 @@ pub struct DynamicTopology {
 struct PendingRewire {
     node: NodeId,
     list: std::ops::Range<usize>,
+}
+
+/// The fade flag of a slab entry: its high bit. Ids stay below it.
+const FADE: u32 = 1 << 31;
+
+/// [`DynamicTopology::state`] bits of a peer.
+const DEAD: u8 = 1;
+const REWIRED: u8 = 2;
+
+/// Above every id: closes the merged active pieces in `rebuild`, and
+/// stands for an exhausted run in `resort`.
+const END: NodeId = NodeId(!FADE);
+
+/// The id of a slab entry, fade flag masked off.
+#[inline]
+fn id(entry: NodeId) -> u32 {
+    entry.0 & !FADE
+}
+
+/// Where slab entry `x` of a slot goes: `(1, 0)` to the prefix, `(0, 1)`
+/// to the suffix, `(0, 0)` nowhere. It is dormant if its peer or the
+/// slot's own node (`dead_u`) is dead or the edge is faded, and goes if
+/// it is `HELD` (neither a gain nor on a cut list) at a rewired peer.
+#[inline(always)]
+fn class<const HELD: bool>(x: NodeId, state: &[u8], dead_u: u8) -> (usize, usize) {
+    let f = state[id(x) as usize] | dead_u | (x.0 >> 31) as u8;
+    let f = if HELD { f } else { f & DEAD };
+    (usize::from(f == 0), usize::from(f == DEAD))
+}
+
+/// Sort `run` out into `buf`, branch-free like the matcher: each entry
+/// is stored at the dormant end `d` or the active end `a` and bumps the
+/// one it belongs to (an entry that goes is overwritten). Returns the new
+/// ends.
+fn sort_out<const HELD: bool>(
+    run: &[NodeId],
+    state: &[u8],
+    dead_u: u8,
+    buf: &mut [NodeId],
+    (mut d, mut a): (usize, usize),
+) -> (usize, usize) {
+    for &x in run {
+        let (on, off) = class::<HELD>(x, state, dead_u);
+        buf[if off == 1 { d } else { a }] = x;
+        d += off;
+        a += on;
+    }
+    (d, a)
+}
+
+/// [`sort_out`] for the first run, whose active entries are the bulk of
+/// the prefix: they go to `buf` from 0, with the sorted active entries of
+/// the other runs, `risen` (closed by [`END`]), merged in; dormant ones
+/// go to `buf` from `d`. Returns the prefix length and the new `d`.
+fn sort_first<const HELD: bool>(
+    run: &[NodeId],
+    state: &[u8],
+    dead_u: u8,
+    risen: &[NodeId],
+    buf: &mut [NodeId],
+    mut d: usize,
+) -> (usize, usize) {
+    let (mut p, mut j, mut next) = (0, 0, risen[0].0);
+    for &x in run {
+        while next < id(x) {
+            buf[p] = NodeId(next);
+            (p, j) = (p + 1, j + 1);
+            next = risen[j].0;
+        }
+        let (on, off) = class::<HELD>(x, state, dead_u);
+        buf[if off == 1 { d } else { p }] = x;
+        p += on;
+        d += off;
+    }
+    for &y in &risen[j..risen.len() - 1] {
+        buf[p] = y;
+        p += 1;
+    }
+    (p, d)
+}
+
+/// Merge the sorted runs `long` and `short`, which share no id, into
+/// `out`: each entry of `short` copies the stretch of `long` below it,
+/// then itself. One mispredicted branch per `short` entry, which is
+/// cheap while `short` is a handful of entries, as settle's mostly are.
+fn merge(out: &mut [NodeId], long: &[NodeId], short: &[NodeId]) {
+    let (mut i, mut o) = (0, 0);
+    for &y in short {
+        while i < long.len() && id(long[i]) < id(y) {
+            out[o] = long[i];
+            (i, o) = (i + 1, o + 1);
+        }
+        out[o] = y;
+        o += 1;
+    }
+    out[o..].copy_from_slice(&long[i..]);
+}
+
+/// [`merge`] of three runs: the two short ones `b` and `c` first, into
+/// `tmp`, unless one is empty.
+fn merge3(out: &mut [NodeId], long: &[NodeId], b: &[NodeId], c: &[NodeId], tmp: &mut [NodeId]) {
+    let short = match (b.is_empty(), c.is_empty()) {
+        (true, _) => c,
+        (_, true) => b,
+        _ => {
+            let short = &mut tmp[..b.len() + c.len()];
+            merge(short, b, c);
+            short
+        }
+    };
+    merge(out, long, short);
 }
 
 /// Compact once stranded capacity reaches 1/8 of the live slab: a larger
@@ -156,31 +288,38 @@ impl DynamicTopology {
     /// each slot laid out with its slack.
     pub fn new(topology: &Topology) -> Self {
         let n = topology.num_nodes();
-        let degrees: Vec<u32> = topology.offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let slots: usize = degrees.iter().map(|&d| slot_capacity(d as usize)).sum();
+        let slots: usize = topology
+            .offsets
+            .windows(2)
+            .map(|w| slot_capacity((w[1] - w[0]) as usize))
+            .sum();
+        // Every slot holds at least two entries, so a slab `u32` offsets
+        // can address also keeps every id below the fade bit.
         assert!(
             slots < u32::MAX as usize,
             "dynamic adjacency slab overflows u32 offsets"
         );
-        let (mut start, mut cap) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let mut base = Vec::with_capacity(slots);
-        for u in 0..n {
-            let row = topology.neighbors(NodeId(u as u32));
-            let (at, slot) = (base.len(), slot_capacity(row.len()));
-            start.push(at as u32);
-            cap.push(slot as u32);
-            base.extend_from_slice(row);
-            base.resize(at + slot, NodeId(0));
-        }
+        assert!(n < FADE as usize, "node ids must stay below the fade bit");
+        let mut slab = Vec::with_capacity(slots);
+        let slots = (0..n as u32)
+            .map(|u| {
+                let row = topology.neighbors(NodeId(u));
+                let (at, cap) = (slab.len(), slot_capacity(row.len()));
+                slab.extend_from_slice(row);
+                slab.resize(at + cap, NodeId(0));
+                let len = row.len() as u32;
+                Slot {
+                    start: at as u32,
+                    cap: cap as u32,
+                    len,
+                    active: len,
+                }
+            })
+            .collect();
         DynamicTopology {
             name: topology.name().to_string(),
-            start,
-            cap,
-            base_len: degrees.clone(),
-            active_len: degrees,
-            faded: vec![false; slots],
-            active: base.clone(),
-            base,
+            slots,
+            slab,
             alive: vec![true; n],
             alive_count: n,
             stale: Vec::new(),
@@ -189,9 +328,11 @@ impl DynamicTopology {
             pending: Vec::new(),
             lists: Vec::new(),
             stamp: vec![0; n],
+            state: vec![0; n],
             gains: Vec::new(),
             gain_len: vec![0; n],
             gain_end: vec![0; n],
+            scratch: Vec::new(),
         }
     }
 
@@ -230,25 +371,35 @@ impl DynamicTopology {
     #[inline]
     pub fn active_neighbors(&self, node: NodeId) -> &[NodeId] {
         debug_assert!(self.stale.is_empty(), "active view read before settle");
-        let u = node.index();
-        let s = self.start[u] as usize;
-        &self.active[s..s + self.active_len[u] as usize]
+        let Slot { start, active, .. } = self.slots[node.index()];
+        &self.slab[start as usize..(start + active) as usize]
     }
 
     /// Number of currently active undirected edges.
     pub fn active_edge_count(&self) -> usize {
         debug_assert!(self.stale.is_empty(), "active view read before settle");
-        self.active_len.iter().map(|&l| l as usize).sum::<usize>() / 2
+        self.slots.iter().map(|s| s.active as usize).sum::<usize>() / 2
     }
 
-    /// Absolute slab index of base edge `u — v`, if present.
+    /// `u`'s base entries, prefix and suffix, fade flags included.
+    fn slot(&self, u: usize) -> &[NodeId] {
+        let Slot { start, len, .. } = self.slots[u];
+        &self.slab[start as usize..(start + len) as usize]
+    }
+
+    /// Absolute slab index of base edge `u — v`, if present: a search of
+    /// the prefix, then of the suffix, by masked id (mid-batch the prefix
+    /// may carry fade flags).
     fn base_pos(&self, u: usize, v: NodeId) -> Option<usize> {
-        let s = self.start[u] as usize;
-        let slot = &self.base[s..s + self.base_len[u] as usize];
-        slot.binary_search(&v).ok().map(|i| s + i)
+        let (s, split) = (self.slots[u].start as usize, self.slots[u].active as usize);
+        let (prefix, suffix) = self.slot(u).split_at(split);
+        let find = |run: &[NodeId]| run.binary_search_by_key(&v.0, |&x| id(x)).ok();
+        find(prefix)
+            .map(|i| s + i)
+            .or_else(|| find(suffix).map(|i| s + split + i))
     }
 
-    /// Queue `u`'s active view for the next settle.
+    /// Queue `u`'s slot for the next settle.
     fn mark(&mut self, u: usize) {
         if !self.is_stale[u] {
             self.is_stale[u] = true;
@@ -256,11 +407,19 @@ impl DynamicTopology {
         }
     }
 
-    /// Bring `base` and every stale active view up to date: apply the
-    /// batch's pending rewires (the last-writer rule of the module docs),
-    /// then rebuild each stale view from its base slot — the neighbors
-    /// that are alive over a non-faded edge, in base (sorted) order.
-    /// Returns with nothing pending and nothing stale.
+    /// Mark every base neighbor of `u`.
+    fn mark_neighbors(&mut self, u: usize) {
+        let Slot { start, len, .. } = self.slots[u];
+        for k in start..start + len {
+            self.mark(id(self.slab[k as usize]) as usize);
+        }
+    }
+
+    /// Bring the base adjacency and every stale view up to date: apply
+    /// the batch's pending rewires (the last-writer rule of the module
+    /// docs) and rebuild each stale slot, its view the neighbors that are
+    /// alive over a non-faded edge, in id order. Returns with nothing
+    /// pending and nothing stale.
     pub fn settle(&mut self) {
         let rewiring = !self.pending.is_empty();
         if rewiring {
@@ -268,30 +427,24 @@ impl DynamicTopology {
         }
         let mut stale = std::mem::take(&mut self.stale);
         // Slots mostly sit in node order: an ascending pass streams the
-        // slabs (24 ms against 36 ms in marking order on the mobile run).
+        // slab (24 ms against 36 ms in marking order on the mobile run).
         stale.sort_unstable();
         if rewiring {
             self.group_gains(&stale);
         }
         for u in stale.drain(..).map(|u| u as usize) {
             self.is_stale[u] = false;
-            if rewiring {
-                // Right before the view, so the slot is read while hot.
-                self.rebuild_base(u);
-            }
-            self.rebuild_view(u);
+            self.rebuild(u);
         }
         self.stale = stale;
         if rewiring {
             for p in self.pending.drain(..) {
                 self.stamp[p.node.index()] = 0;
+                self.state[p.node.index()] &= !REWIRED;
             }
             self.lists.clear();
             self.gains.clear();
-            if self.compact_if_wasteful() {
-                // Every view went stale again; the batch is empty now.
-                self.settle();
-            }
+            self.compact_if_wasteful();
         }
     }
 
@@ -313,10 +466,7 @@ impl DynamicTopology {
             if self.stamp[r] != seq {
                 continue; // superseded later in the batch
             }
-            let s = self.start[r] as usize;
-            for k in s..s + self.base_len[r] as usize {
-                self.mark(self.base[k].index());
-            }
+            self.mark_neighbors(r);
             let mut end = list.start;
             for k in list {
                 let w = self.lists[k];
@@ -356,179 +506,190 @@ impl DynamicTopology {
         }
     }
 
-    /// Rewrite `u`'s base slot in place for the planned batch: what it
-    /// keeps — its cut list if it was rewired, else its old entries that
-    /// were not (fade flags carried along) — then its gains, un-faded,
-    /// merged in from the back.
-    fn rebuild_base(&mut self, u: usize) {
+    /// Rebuild `u`'s slot for the settled batch from three sorted runs:
+    /// what `u` holds — its prefix and its suffix, or its cut list if it
+    /// was rewired — and its gains, un-faded. An entry is dropped if it
+    /// is held at a rewired peer (such a peer decided the edge: it is
+    /// among the gains if it kept it), else it goes to the prefix if it
+    /// is active and to the suffix if not. The suffix and the gains are
+    /// sorted out first; their few active entries merge into the prefix
+    /// on the one pass over the first run, and that pass's few dormant
+    /// ones merge into the suffix. The new slot is built in scratch and
+    /// copied over the old. A slot with no gains that was not rewired
+    /// takes [`resort`](Self::resort) instead.
+    fn rebuild(&mut self, u: usize) {
         let gained = self.gain_len[u] as usize;
-        let kept = if self.stamp[u] != 0 {
-            let list = self.live_list(u);
-            if list.len() + gained > self.cap[u] as usize {
-                self.base_len[u] = 0; // nothing worth relocating
-                self.grow_slot(u, list.len() + gained);
-            }
-            let s = self.start[u] as usize;
-            self.base[s..s + list.len()].copy_from_slice(&self.lists[list.clone()]);
-            self.faded[s..s + list.len()].fill(false);
-            list.len()
-        } else {
-            let s = self.start[u] as usize;
-            let len = self.base_len[u] as usize;
-            // Slices hoisted so the per-entry bounds checks go, and the
-            // filter branch-free like the view's: always store, bump the
-            // length only for a keeper.
-            let (slot, flags) = (&mut self.base[s..s + len], &mut self.faded[s..s + len]);
-            let stamp = &self.stamp[..];
-            let mut kept = 0;
-            for k in 0..len {
-                let x = slot[k];
-                slot[kept] = x;
-                flags[kept] = flags[k];
-                kept += usize::from(stamp[x.index()] == 0);
-            }
-            if kept + gained > self.cap[u] as usize {
-                self.base_len[u] = kept as u32;
-                self.grow_slot(u, kept + gained);
-            }
-            kept
-        };
-        let s = self.start[u] as usize;
-        let len = kept + gained;
-        let (slot, flags) = (&mut self.base[s..s + len], &mut self.faded[s..s + len]);
-        let end = self.gain_end[u] as usize;
-        let gains = &self.gains[end - gained..end];
-        // Kept and gained never share a node, so the merge needs no tie rule.
-        let (mut k, mut g) = (kept, gained);
-        while g > 0 {
-            if k > 0 && slot[k - 1] > gains[g - 1] {
-                slot[k + g - 1] = slot[k - 1];
-                flags[k + g - 1] = flags[k - 1];
-                k -= 1;
-            } else {
-                slot[k + g - 1] = gains[g - 1];
-                flags[k + g - 1] = false;
-                g -= 1;
-            }
+        let rewired = self.stamp[u] != 0;
+        if gained == 0 && !rewired {
+            return self.resort(u);
         }
-        self.base_len[u] = len as u32;
+        let gains = match gained {
+            0 => 0..0, // `gain_end` is stale
+            _ => self.gain_end[u] as usize - gained..self.gain_end[u] as usize,
+        };
+        let Slot {
+            start, len, active, ..
+        } = self.slots[u];
+        let (s, split, len) = (start as usize, active as usize, len as usize);
+        let (first, second) = if rewired {
+            (&self.lists[self.live_list(u)], &[][..])
+        } else {
+            self.slab[s..s + len].split_at(split)
+        };
+        // Scratch regions of `t` entries each: the new slot, prefix then
+        // suffix; the dormant pieces; the active ones; merge room.
+        let t = first.len() + second.len() + gained + 1;
+        if self.scratch.len() < 4 * t {
+            self.scratch.resize(4 * t, NodeId(0));
+        }
+        let (work, spare) = self.scratch.split_at_mut(3 * t);
+        let (state, dead_u) = (&self.state[..], u8::from(!self.alive[u]));
+        let (d0, a0) = sort_out::<true>(second, state, dead_u, work, (t, 2 * t));
+        let (d1, a) = sort_out::<false>(&self.gains[gains], state, dead_u, work, (d0, a0));
+        // The active pieces, merged and closed by `END`: in place if one
+        // is empty.
+        let (buf, active) = work.split_at_mut(2 * t);
+        let (a0, a) = (a0 - 2 * t, a - 2 * t);
+        let risen = if a0 == 0 || a0 == a {
+            active[a] = END;
+            &active[..=a]
+        } else {
+            merge(&mut spare[..a], &active[..a0], &active[a0..a]);
+            spare[a] = END;
+            &spare[..=a]
+        };
+        let (p, d) = match rewired {
+            false => sort_first::<true>(first, state, dead_u, risen, buf, d1),
+            true => sort_first::<false>(first, state, dead_u, risen, buf, d1),
+        };
+        let kept = p + d - t;
+        let (row, dormant) = buf.split_at_mut(t);
+        let (from_suffix, fell) = dormant[..d - t].split_at(d0 - t);
+        let (from_gains, fell) = fell.split_at(d1 - d0);
+        merge3(&mut row[p..kept], from_suffix, from_gains, fell, spare);
+
+        if kept > self.slots[u].cap as usize {
+            self.relocate(u, kept);
+        }
+        let slot = &mut self.slots[u];
+        let s = slot.start as usize;
+        (slot.len, slot.active) = (kept as u32, p as u32);
+        self.slab[s..s + kept].copy_from_slice(&self.scratch[..kept]);
         self.gain_len[u] = 0;
     }
 
-    /// Refill `u`'s active view from its base slot.
-    fn rebuild_view(&mut self, u: usize) {
-        let s = self.start[u] as usize;
-        let mut alen = 0;
-        if self.alive[u] {
-            let len = self.base_len[u] as usize;
-            let (slot, flags) = (&self.base[s..s + len], &self.faded[s..s + len]);
-            let (view, alive) = (&mut self.active[s..s + len], &self.alive[..]);
-            // Branch-free filter: always store, bump the length only
-            // for a keeper (a branch per edge: 44 ms against 24 ms).
-            for k in 0..len {
-                view[alen] = slot[k];
-                alen += usize::from(alive[slot[k].index()] & !flags[k]);
-            }
+    /// [`rebuild`](Self::rebuild) for a slot whose entries can only change
+    /// sides or go (no gains, not rewired), as in every slot of a batch
+    /// without rewires: one walk of the prefix and the suffix in id order,
+    /// branch-free, sends each entry on to its new run.
+    fn resort(&mut self, u: usize) {
+        let Slot {
+            start, len, active, ..
+        } = self.slots[u];
+        let (s, len) = (start as usize, len as usize);
+        if self.scratch.len() < 2 * len {
+            self.scratch.resize(2 * len, NodeId(0));
         }
-        self.active_len[u] = alen as u32;
+        let (row, dormant) = self.scratch[..2 * len].split_at_mut(len);
+        let (prefix, suffix) = self.slab[s..s + len].split_at(active as usize);
+        let (state, dead_u) = (&self.state[..], u8::from(!self.alive[u]));
+        let (mut i, mut j, mut p, mut d) = (0, 0, 0, 0);
+        for _ in 0..len {
+            let (x, y) = (prefix.get(i).copied(), suffix.get(j).copied());
+            let (x, y) = (x.unwrap_or(END), y.unwrap_or(END));
+            let take_x = id(x) < id(y);
+            let z = if take_x { x } else { y };
+            i += usize::from(take_x);
+            j += usize::from(!take_x);
+            let (on, off) = class::<true>(z, state, dead_u);
+            row[p] = z;
+            dormant[d] = z;
+            p += on;
+            d += off;
+        }
+        self.slab[s..s + p].copy_from_slice(&row[..p]);
+        self.slab[s + p..s + p + d].copy_from_slice(&dormant[..d]);
+        (self.slots[u].len, self.slots[u].active) = ((p + d) as u32, p as u32);
     }
 
-    /// Relocate `u`'s base slot to the slab tail with capacity at least
-    /// `need`, stranding the old capacity until the next compaction. Only
-    /// `settle`'s pass calls this, just before it rebuilds `u`'s active
-    /// view — which is therefore not moved.
-    fn grow_slot(&mut self, u: usize, need: usize) {
+    /// Move `u`'s slot to the slab tail with capacity at least `need`,
+    /// stranding the old capacity until the next compaction. Only
+    /// `rebuild` calls this, which then writes the whole slot: nothing is
+    /// copied.
+    fn relocate(&mut self, u: usize, need: usize) {
         let new_cap = need + need / 2 + 2;
-        let old_s = self.start[u] as usize;
-        let blen = self.base_len[u] as usize;
-        let new_s = self.base.len();
+        let new_s = self.slab.len();
         assert!(
             new_s + new_cap < u32::MAX as usize,
             "dynamic adjacency slab overflows u32 offsets"
         );
-        self.base.resize(new_s + new_cap, NodeId(0));
-        self.faded.resize(new_s + new_cap, false);
-        self.active.resize(new_s + new_cap, NodeId(0));
-        self.base.copy_within(old_s..old_s + blen, new_s);
-        self.faded.copy_within(old_s..old_s + blen, new_s);
-        self.waste += self.cap[u] as usize;
-        self.start[u] = new_s as u32;
-        self.cap[u] = new_cap as u32;
+        self.slab.resize(new_s + new_cap, NodeId(0));
+        let slot = &mut self.slots[u];
+        self.waste += slot.cap as usize;
+        (slot.start, slot.cap) = (new_s as u32, new_cap as u32);
     }
 
-    /// Rebuild the slabs compactly once relocation waste is worth
+    /// Rebuild the slab compactly once relocation waste is worth
     /// reclaiming, with a little per-slot slack so the next few gains do
-    /// not relocate again. Returns whether it did — then every node is
-    /// stale: `active` is emptied, not moved.
-    fn compact_if_wasteful(&mut self) -> bool {
+    /// not relocate again. Slots move whole, views included.
+    fn compact_if_wasteful(&mut self) {
         // The slab is the slots in use plus the stranded ones.
-        let live = self.base.len() - self.waste;
-        debug_assert_eq!(live, self.cap.iter().map(|&c| c as usize).sum());
+        let live = self.slab.len() - self.waste;
+        debug_assert_eq!(live, self.slots.iter().map(|s| s.cap as usize).sum());
         if self.waste < 256 || self.waste * COMPACT_WASTE_SHARE < live {
-            return false;
+            return;
         }
-        let mut base = Vec::with_capacity(live);
-        let mut faded = Vec::with_capacity(live);
+        let mut slab = Vec::with_capacity(live);
         for u in 0..self.num_nodes() {
-            let (os, blen) = (self.start[u] as usize, self.base_len[u] as usize);
-            let end = base.len() + slot_capacity(blen);
-            self.start[u] = base.len() as u32;
-            self.cap[u] = (end - base.len()) as u32;
-            base.extend_from_slice(&self.base[os..os + blen]);
-            faded.extend_from_slice(&self.faded[os..os + blen]);
-            base.resize(end, NodeId(0));
-            faded.resize(end, false);
-            self.mark(u);
+            let at = slab.len();
+            slab.extend_from_slice(self.slot(u));
+            let cap = slot_capacity(self.slots[u].len as usize);
+            slab.resize(at + cap, NodeId(0));
+            (self.slots[u].start, self.slots[u].cap) = (at as u32, cap as u32);
         }
-        self.active.clear();
-        self.active.resize(base.len(), NodeId(0));
-        self.base = base;
-        self.faded = faded;
+        self.slab = slab;
         self.waste = 0;
-        true
     }
 
     /// Take `node` down (`up = false`) or bring it back up (`up = true`).
-    /// Flips the alive mask and count now and leaves the views of `node`
+    /// Flips the alive mask and count now and leaves the slots of `node`
     /// and its base neighbors stale until [`settle`](Self::settle): then a
     /// dead node's view is empty and it is in no other node's, and a
     /// revived node's view is its base adjacency filtered by the alive
-    /// mask and the faded-edge overlay. Returns false if `node` already
-    /// was in that state.
+    /// mask and the fade flags. Returns false if `node` already was in
+    /// that state.
     pub fn defer_alive(&mut self, node: NodeId, up: bool) -> bool {
         let ui = node.index();
         if self.alive[ui] == up {
             return false;
         }
         self.alive[ui] = up;
+        self.state[ui] ^= DEAD;
         self.alive_count = self.alive_count + usize::from(up) - usize::from(!up);
         self.mark(ui);
-        for k in 0..self.base_len[ui] as usize {
-            let v = self.base[self.start[ui] as usize + k];
-            self.mark(v.index());
-        }
+        self.mark_neighbors(ui);
         true
     }
 
     /// Fade the base edge `u — v` out (`fade = true`, interference) or
-    /// restore it (`fade = false`). Sets the flag on both endpoints' slots
-    /// now and leaves their views stale until [`settle`](Self::settle).
-    /// Returns false if the edge is not in the base graph or already has
-    /// that flag.
+    /// restore it (`fade = false`). Sets the flag on both endpoints'
+    /// entries now and leaves their slots stale until
+    /// [`settle`](Self::settle). Returns false if the edge is not in the
+    /// base graph or already has that flag.
     pub fn defer_fade(&mut self, u: NodeId, v: NodeId, fade: bool) -> bool {
         // A pending rewire of an endpoint decides whether this edge exists
-        // (and clears its flag): only then must `base` be made current.
+        // (and clears its flag): only then must the base be made current.
         let rewired = |x: NodeId| self.stamp.get(x.index()).is_some_and(|&s| s != 0);
         if rewired(u) || rewired(v) {
             self.settle();
         }
         let iu = match self.base_pos(u.index(), v) {
-            Some(iu) if self.faded[iu] != fade => iu,
+            Some(iu) if (self.slab[iu].0 & FADE != 0) != fade => iu,
             _ => return false,
         };
         let iv = self.base_pos(v.index(), u).expect("base is symmetric");
-        self.faded[iu] = fade;
-        self.faded[iv] = fade;
+        self.slab[iu].0 ^= FADE;
+        self.slab[iv].0 ^= FADE;
         self.mark(u.index());
         self.mark(v.index());
         true
@@ -540,7 +701,7 @@ impl DynamicTopology {
     /// the fade state of the node's former edges is discarded. Works on
     /// dead nodes too: the new edges activate when the node revives.
     /// Records the cleaned list as the node's pending rewire, superseding
-    /// an earlier one of the batch; `base` and the views catch up at
+    /// an earlier one of the batch; the base and the views catch up at
     /// [`settle`](Self::settle).
     pub fn defer_rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
         let ui = node.index();
@@ -563,6 +724,7 @@ impl DynamicTopology {
             node,
             list: at..self.lists.len(),
         });
+        self.state[ui] |= REWIRED;
         self.stamp[ui] = u32::try_from(self.pending.len()).expect("rewires in one batch fit u32");
         self.mark(ui);
     }
@@ -789,6 +951,25 @@ mod tests {
             }
         }
 
+        /// `w`'s whole slot, not only its view: the prefix and the suffix
+        /// each sorted by id, together `w`'s base set, and the fade bit on
+        /// exactly the edges the model fades.
+        fn check_slot(&self, dt: &DynamicTopology, w: u32) {
+            let slot = dt.slot(w as usize);
+            let (prefix, suffix) = slot.split_at(dt.slots[w as usize].active as usize);
+            let sorted = |run: &[NodeId]| run.windows(2).all(|p| id(p[0]) < id(p[1]));
+            assert!(sorted(prefix), "node {w}: prefix {prefix:?} unsorted");
+            assert!(sorted(suffix), "node {w}: suffix {suffix:?} unsorted");
+            let mut ids: Vec<u32> = slot.iter().map(|&x| id(x)).collect();
+            ids.sort_unstable();
+            let base: Vec<u32> = self.base[w as usize].iter().copied().collect();
+            assert_eq!(ids, base, "node {w}: slot is not the base set");
+            for &x in slot {
+                let faded = self.faded.contains(&norm(w, id(x)));
+                assert_eq!(x.0 & FADE != 0, faded, "node {w}: fade bit on {}", id(x));
+            }
+        }
+
         /// Every active view must equal "base neighbors that are mutually
         /// alive over a non-faded edge", and the alive bookkeeping and the
         /// edge count must agree with it.
@@ -806,6 +987,7 @@ mod tests {
                     .collect();
                 assert_eq!(dt.active_neighbors(NodeId(w)), expect, "node {w}");
                 half_edges += expect.len();
+                self.check_slot(dt, w);
             }
             assert_eq!(dt.alive_mask(), self.alive);
             assert_eq!(dt.alive_count(), self.alive.iter().filter(|&&a| a).count());
@@ -976,13 +1158,13 @@ mod tests {
         // born with, so the settle that hands it the new edges relocates
         // it on the way to rebuilding its view.
         dt.defer_alive(NodeId(3), false);
-        let before = dt.start[4];
+        let before = dt.slots[4].start;
         for r in 0..3 {
             dt.defer_rewire(NodeId(r), &ids(&[4]));
         }
         assert!(dt.is_stale[0] && dt.is_stale[4]);
         dt.settle();
-        assert_ne!(dt.start[4], before, "slot must have moved");
+        assert_ne!(dt.slots[4].start, before, "slot must have moved");
         assert!(dt.stale.is_empty() && dt.pending.is_empty());
         assert_eq!(dt.active_neighbors(NodeId(4)), ids(&[0, 1, 2, 5]));
         let steps = [
@@ -1008,7 +1190,8 @@ mod tests {
         ];
         let dt = batch_matches_stepwise(&ring, &steps);
         assert_eq!(dt.waste, 0, "no slot relocated");
-        assert_eq!(dt.start, DynamicTopology::new(&ring).start);
+        let starts = |dt: &DynamicTopology| dt.slots.iter().map(|s| s.start).collect::<Vec<_>>();
+        assert_eq!(starts(&dt), starts(&DynamicTopology::new(&ring)));
         assert_eq!(dt.active_neighbors(NodeId(100)), ids(&[0, 50, 99, 101]));
     }
 
@@ -1037,10 +1220,10 @@ mod tests {
             assert_eq!(step.deferred(&mut dt), model.apply(step), "{step:?}");
             if i == 4 {
                 dt.settle();
-                let len = dt.base_len[150] as usize;
+                let len = dt.slots[150].len as usize;
                 assert!(len > slot_capacity(2), "{len} entries must have relocated");
                 assert_eq!(dt.waste, 0, "... and then compacted");
-                assert!(dt.stale.is_empty(), "compaction's stale views are rebuilt");
+                assert!(dt.stale.is_empty(), "compaction moves views whole");
                 model.check(&dt);
             }
         }

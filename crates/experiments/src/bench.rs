@@ -20,11 +20,12 @@ use gossip_telemetry::NoopProbe;
 pub use gossip_sim::EngineTimings as EnginePhases;
 
 /// The `metrics` object of `one`'s bench line: `build_ms` and `engine_ms`,
-/// the engine's `phase_ms` and counters, the `region_load` of its fixed
+/// the process's `peak_rss_mb` so far (where it can be read), the
+/// engine's `phase_ms` and counters, the `region_load` of its fixed
 /// 64-region partition (connections per region under sync, events per
 /// region under async), and `spec`, which `grid --spec` replays the line
-/// from. Clocks and rates are milliseconds and per-second figures at two
-/// decimals.
+/// from. Clocks, rates and sizes are milliseconds, per-second figures and
+/// megabytes at two decimals.
 pub(crate) fn metrics_json(one: &Scenario, clocks: &RunClocks) -> String {
     fn f2(v: f64) -> String {
         format!("{v:.2}")
@@ -33,6 +34,9 @@ pub(crate) fn metrics_json(one: &Scenario, clocks: &RunClocks) -> String {
     let mut o = Obj::default();
     o.raw("build_ms", f2(clocks.build_ms))
         .raw("engine_ms", f2(clocks.engine_ms));
+    if let Some(mb) = peak_rss_mb() {
+        o.raw("peak_rss_mb", f2(mb));
+    }
     match &clocks.phases {
         EnginePhases::Sync(p) => {
             phase_ms
@@ -41,6 +45,7 @@ pub(crate) fn metrics_json(one: &Scenario, clocks: &RunClocks) -> String {
                 .raw("match", f2(p.matching))
                 .raw("transfer", f2(p.transfer))
                 .raw("drain", f2(p.drain))
+                .raw("settle", f2(p.settle))
                 .raw("membership", f2(p.membership));
             o.raw("phase_ms", phase_ms.finish())
                 .raw("confined_proposals", p.confined_proposals)
@@ -50,7 +55,8 @@ pub(crate) fn metrics_json(one: &Scenario, clocks: &RunClocks) -> String {
             phase_ms
                 .raw("execute", f2(s.execute))
                 .raw("merge", f2(s.merge))
-                .raw("sweep", f2(s.sweep));
+                .raw("sweep", f2(s.sweep))
+                .raw("settle", f2(s.settle));
             o.raw("phase_ms", phase_ms.finish())
                 .raw("slices", s.slices)
                 .raw("events", s.events)
@@ -69,6 +75,21 @@ pub(crate) fn metrics_json(one: &Scenario, clocks: &RunClocks) -> String {
     o.raw("region_load", region_load.finish())
         .str("spec", &one.to_spec())
         .finish()
+}
+
+/// This process's peak resident set so far (`VmHWM`), in megabytes; `None`
+/// where `/proc/self/status` cannot be read or lacks the line.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
 }
 
 fn region_load(scenario: &Scenario, clocks: &RunClocks) -> LoadSummary {
@@ -180,20 +201,19 @@ mod tests {
         (run.line, keys_in_order("", metrics))
     }
 
-    /// The metrics keys: the engine's `phases` under `phase_ms`, then its
-    /// `counters`, between the clocks and the region load.
+    /// The metrics keys: the clocks and, where it can be read, the peak
+    /// RSS, then the engine's `phases` under `phase_ms`, its `counters`,
+    /// and the region load.
     fn metrics_keys(phases: &str, counters: &str) -> Vec<String> {
         let words = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
         let phases = words(phases).into_iter().map(|p| format!("phase_ms.{p}"));
+        let head = match peak_rss_mb() {
+            Some(_) => "build_ms engine_ms peak_rss_mb",
+            None => "build_ms engine_ms",
+        };
         let tail = "region_load.regions region_load.total region_load.min region_load.max \
                     region_load.mean region_load.imbalance spec";
-        [
-            words("build_ms engine_ms"),
-            phases.collect(),
-            words(counters),
-            words(tail),
-        ]
-        .concat()
+        [words(head), phases.collect(), words(counters), words(tail)].concat()
     }
 
     #[test]
@@ -203,14 +223,14 @@ mod tests {
         assert_eq!(
             keys,
             metrics_keys(
-                "advertise decide match transfer drain membership",
+                "advertise decide match transfer drain settle membership",
                 "confined_proposals boundary_proposals"
             )
         );
         for key in [
             "\"scenario_id\":\"ring-advert-sync-n2000-k1-cap32-s5\"",
             "\"rounds_executed\":32",
-            "\"drain\":0.00,\"membership\":0.00}",
+            "\"drain\":0.00,\"settle\":0.00,\"membership\":0.00}",
             "\"region_load\":{\"regions\":63,",
             "\"spec\":\"[scenario]\\ntopology = ring\\nnodes = 2000\\n",
         ] {
@@ -236,7 +256,7 @@ mod tests {
         let (line, keys) = bench_line(&scenario);
         assert_eq!(
             keys,
-            metrics_keys("execute merge sweep", "slices events events_per_sec")
+            metrics_keys("execute merge sweep settle", "slices events events_per_sec")
         );
         let metrics = parse(&line).unwrap().get("metrics").unwrap().clone();
         let count = |key: &str| metrics.get(key).and_then(Value::as_u64).unwrap();
@@ -272,9 +292,10 @@ mod tests {
             let (line, _) = bench_line(&scenario);
             let phase_ms = parse(&line).unwrap().get("metrics").unwrap().clone();
             let phase_ms = phase_ms.get("phase_ms").unwrap();
-            // The drain and the overlay tick are clocked: under sync in
-            // their own phases, under async in the serial sweep.
-            let clocked: Vec<&Value> = ["drain", "membership", "sweep"]
+            // The drain, its settle and the overlay tick are clocked:
+            // under sync in their own phases, under async in the serial
+            // sweep, settle apart on both.
+            let clocked: Vec<&Value> = ["drain", "settle", "membership", "sweep"]
                 .iter()
                 .filter_map(|phase| phase_ms.get(phase))
                 .collect();

@@ -6,11 +6,13 @@
 //! execution models.
 
 use crate::metrics::{CoveragePoint, DynamicsStats};
+use crate::scheduler::ms;
 
 use gossip_core::time::TICKS_PER_ROUND;
 use gossip_core::{DynamicTopology, MessageMatrix, NodeId, SimTime, Topology};
 use gossip_dynamics::{dynamics_seed, DynamicsModel, Mutation, MutationKind, MutationStream};
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
+use std::time::Instant;
 
 /// The trace record of an applied mutation, stamped with the round (or
 /// slice pass) whose window it lands in.
@@ -58,6 +60,8 @@ pub(crate) struct DynRun {
     pub topo: DynamicTopology,
     stream: Box<dyn MutationStream>,
     pub stats: DynamicsStats,
+    /// Milliseconds inside `topo.settle()`, summed over the run's drains.
+    pub settle_ms: f64,
     /// Rounds per coverage-timeline sample window (doubles on thinning).
     timeline_stride: u64,
     /// High-water mark over all `record` times. The sliced engine replays
@@ -99,6 +103,7 @@ impl DynRun {
                 final_alive: n,
                 coverage_timeline: Vec::new(),
             },
+            settle_ms: 0.0,
             timeline_stride: 1,
             record_hwm: 0,
         };
@@ -199,7 +204,9 @@ impl DynRun {
             }
             last = Some(mutation.time);
         }
+        let settling = Instant::now();
         self.topo.settle();
+        self.settle_ms += ms(settling.elapsed());
         last
     }
 

@@ -393,6 +393,8 @@ pub struct PhaseTimings {
     /// The round-boundary mutation drain (`DynRun::drain_until`: stream
     /// pops, applies and the topology's settle). Zero on a static run.
     pub drain: f64,
+    /// The drain's `DynamicTopology::settle`, also counted in `drain`.
+    pub settle: f64,
     /// `Membership::tick`. Zero without an overlay.
     pub membership: f64,
     /// Connections formed per matching region (by initiator), summed over
@@ -520,6 +522,7 @@ fn run_sync(
     result.virtual_time_to_completion = result
         .rounds_to_completion
         .map(|r| r as u64 * TICKS_PER_ROUND);
+    phases.timings.settle = dynr.as_ref().map_or(0.0, |d| d.settle_ms);
     finish_run(&mut result, &cover, dynr, mem);
     (result, EngineTimings::Sync(phases.timings))
 }

@@ -104,6 +104,8 @@ pub struct SliceTimings {
     /// Serial boundary sweep, plus the start-of-slice mutation drain on
     /// dynamic runs and the membership tick under an overlay.
     pub sweep: f64,
+    /// The drain's `DynamicTopology::settle`, also counted in `sweep`.
+    pub settle: f64,
     /// Events executed (region pops + sweep executions; deferred events
     /// count once, where they execute).
     pub events: u64,
@@ -1058,6 +1060,7 @@ pub(crate) fn run_sliced(
     // covers exactly `rounds_executed` rows.
     let rows = result.rounds_executed + 1;
     tally.close_rows_below(&mut result, rows, &cover);
+    timings.settle = dynr.as_ref().map_or(0.0, |d| d.settle_ms);
     finish_run(&mut result, &cover, dynr, mem);
     timings.events = scratches.iter().map(|s| s.events).sum::<u64>() + sweep_events;
     for (r, s) in scratches.iter().enumerate() {
