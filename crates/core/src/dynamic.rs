@@ -71,14 +71,17 @@
 //! ids; the prefix never carries the bit once settled. A settle rebuilds
 //! a stale slot from three sorted runs — what the node holds (its prefix
 //! and suffix, or, for a rewired node, its cut list) and its gains —
-//! sorting each entry, by one load of a per-node state byte, to the
-//! prefix, to the suffix, or out (a held entry at a rewired peer). Few
-//! entries change sides in a batch, so the suffix and the gains are
-//! sorted first, their newly active entries merge into the prefix on
-//! the one pass over the first run, and that pass's newly dormant ones
-//! merge into the suffix; the row, built in scratch, is copied back. A
-//! slot with no gains that was not rewired — every slot of a batch
-//! without rewires — is re-sorted by one walk of its two runs instead.
+//! sending each entry, by one load of a per-node state byte, to the
+//! prefix, to the suffix, or out (a held entry at a rewired peer). A slot
+//! of up to four entries, as on a ring or a grid, is ranked on the stack:
+//! each entry's place is counted against every other, with no branch on
+//! the data. A larger one is built in scratch: few entries change sides
+//! in a batch, so the suffix and the gains are sorted out first, their
+//! active entries merge into the prefix on one pass over the first run,
+//! that pass's dormant ones merge into the suffix, and the row is copied
+//! back. Stale
+//! slots are rebuilt in ascending node order: the stale list is sorted,
+//! or, once a batch marks one node in sixteen, read off the marks.
 //!
 //! Every slot holds its entries plus slack — a quarter of its length,
 //! plus two — from birth, so a rewire that hands a node a few edges lands
@@ -87,7 +90,8 @@
 //! same slack again, at the end of that settle once the stranded capacity
 //! is worth reclaiming. A batch's lists and gains sit in arenas, and the
 //! rebuild in scratch rows, that are cleared, not freed, and a settle
-//! does work proportional to the nodes it touches, never to `n`. No
+//! does work proportional to the nodes it touches (reading the marks
+//! costs at most sixteen nodes per stale one), never to `n`. No
 //! hashing, no per-node allocation on the mutation path, deterministic
 //! iteration order.
 //!
@@ -95,6 +99,8 @@
 //! they appear in no other node's list, so protocols — which only ever see
 //! neighbor snapshots — naturally ignore them without any scheduler-side
 //! special casing.
+
+use std::hint::select_unpredictable;
 
 use crate::topology::GraphView;
 use crate::{NodeId, Topology};
@@ -136,7 +142,7 @@ pub struct DynamicTopology {
     gain_len: Vec<u32>,
     /// End of `u`'s group in `gains`; meaningful only while `gain_len[u] > 0`.
     gain_end: Vec<u32>,
-    /// `rebuild`'s scratch: the new slot, its pieces, merge room.
+    /// `rebuild`'s scratch: the active pieces, the dormant ones, merge room.
     scratch: Vec<NodeId>,
 }
 
@@ -168,9 +174,14 @@ const FADE: u32 = 1 << 31;
 const DEAD: u8 = 1;
 const REWIRED: u8 = 2;
 
-/// Above every id: closes the merged active pieces in `rebuild`, and
-/// stands for an exhausted run in `resort`.
+/// Above every id: closes [`sort_first`]'s run of risen entries.
 const END: NodeId = NodeId(!FADE);
+
+/// A stale slot of at most this many entries, held and gained — every
+/// slot of a ring or a grid — is rebuilt on the stack by [`keys`] and
+/// [`rank`], whose pairwise count grows with the square of it; a larger
+/// one in scratch by [`sort_out`], [`sort_first`] and [`merge3`].
+const SMALL_SLOT: usize = 4;
 
 /// The id of a slab entry, fade flag masked off.
 #[inline]
@@ -178,60 +189,96 @@ fn id(entry: NodeId) -> u32 {
     entry.0 & !FADE
 }
 
-/// Where slab entry `x` of a slot goes: `(1, 0)` to the prefix, `(0, 1)`
-/// to the suffix, `(0, 0)` nowhere. It is dormant if its peer or the
-/// slot's own node (`dead_u`) is dead or the edge is faded, and goes if
-/// it is `HELD` (neither a gain nor on a cut list) at a rewired peer.
+/// Where slab entry `x` of a slot goes, by its peer's state, `dead_u`
+/// (whether the slot's own node is dead) and its fade flag, which shifted
+/// down reads as [`DEAD`], all masked by `mask`: 0 to the prefix, `DEAD`
+/// to the suffix, anything else (a held entry at a rewired peer) out.
 #[inline(always)]
-fn class<const HELD: bool>(x: NodeId, state: &[u8], dead_u: u8) -> (usize, usize) {
-    let f = state[id(x) as usize] | dead_u | (x.0 >> 31) as u8;
-    let f = if HELD { f } else { f & DEAD };
-    (usize::from(f == 0), usize::from(f == DEAD))
+fn flags(x: NodeId, state: &[u8], dead_u: u8, mask: u8) -> u8 {
+    (state[id(x) as usize] | dead_u | (x.0 >> 31) as u8) & mask
+}
+
+/// A small slot's entries, held then gained, on the stack, each with its
+/// sort key: its id, with the high bit set if it is dormant, or
+/// `u32::MAX` if it goes (and for padding). Returns them with how many
+/// are kept and how many of those are active.
+fn keys(
+    held: &[NodeId],
+    gains: &[NodeId],
+    (state, dead_u, mask): (&[u8], u8, u8),
+) -> ([u32; SMALL_SLOT], [NodeId; SMALL_SLOT], usize, usize) {
+    let (mut key, mut entry) = ([u32::MAX; SMALL_SLOT], [NodeId(0); SMALL_SLOT]);
+    let (mut kept, mut p) = (0, 0);
+    let mut put = |q: usize, x: NodeId, mask: u8| {
+        let f = flags(x, state, dead_u, mask);
+        key[q] = select_unpredictable(f & REWIRED == 0, u32::from(f) << 31 | id(x), u32::MAX);
+        entry[q] = x;
+        kept += usize::from(f & REWIRED == 0);
+        p += usize::from(f == 0);
+    };
+    for (q, &x) in held.iter().enumerate() {
+        put(q, x, mask);
+    }
+    for (q, &x) in gains.iter().enumerate() {
+        put(held.len() + q, x, DEAD);
+    }
+    (key, entry, kept, p)
+}
+
+/// Write [`keys`]' kept entries into `out` in key order — the prefix,
+/// then the suffix. Each one's place is the number of keys below its
+/// own, counted over every pair, so no step waits on another and no
+/// branch depends on the entries in a batch without rewires.
+fn rank(out: &mut [NodeId], key: &[u32; SMALL_SLOT], entry: &[NodeId; SMALL_SLOT]) {
+    for q in 0..SMALL_SLOT {
+        let at: usize = key.iter().map(|&k| usize::from(k < key[q])).sum();
+        if at < out.len() {
+            out[at] = entry[q];
+        }
+    }
 }
 
 /// Sort `run` out into `buf`, branch-free like the matcher: each entry
-/// is stored at the dormant end `d` or the active end `a` and bumps the
-/// one it belongs to (an entry that goes is overwritten). Returns the new
-/// ends.
-fn sort_out<const HELD: bool>(
+/// is stored at the active end `a` or the dormant end `d` by its
+/// [`flags`] and bumps the one it belongs to (an entry that goes is
+/// overwritten). Returns the new ends.
+fn sort_out(
     run: &[NodeId],
-    state: &[u8],
-    dead_u: u8,
+    (state, dead_u, mask): (&[u8], u8, u8),
     buf: &mut [NodeId],
-    (mut d, mut a): (usize, usize),
+    (mut a, mut d): (usize, usize),
 ) -> (usize, usize) {
     for &x in run {
-        let (on, off) = class::<HELD>(x, state, dead_u);
-        buf[if off == 1 { d } else { a }] = x;
-        d += off;
-        a += on;
+        let f = flags(x, state, dead_u, mask);
+        buf[if f == DEAD { d } else { a }] = x;
+        a += usize::from(f == 0);
+        d += usize::from(f == DEAD);
     }
-    (d, a)
+    (a, d)
 }
 
-/// [`sort_out`] for the first run, whose active entries are the bulk of
-/// the prefix: they go to `buf` from 0, with the sorted active entries of
-/// the other runs, `risen` (closed by [`END`]), merged in; dormant ones
-/// go to `buf` from `d`. Returns the prefix length and the new `d`.
-fn sort_first<const HELD: bool>(
+/// [`sort_out`] for a large slot's first run, whose active entries are
+/// most of the new prefix: they go to `buf` from 0, with `risen` — the
+/// other runs' active entries, sorted and closed by [`END`] — merged in
+/// on the way, and dormant ones from `d`. Returns the prefix length and
+/// the new `d`.
+fn sort_first(
     run: &[NodeId],
-    state: &[u8],
-    dead_u: u8,
+    (state, dead_u, mask): (&[u8], u8, u8),
     risen: &[NodeId],
     buf: &mut [NodeId],
     mut d: usize,
 ) -> (usize, usize) {
-    let (mut p, mut j, mut next) = (0, 0, risen[0].0);
+    let (mut p, mut j) = (0, 0);
     for &x in run {
-        while next < id(x) {
-            buf[p] = NodeId(next);
+        while id(risen[j]) < id(x) {
+            buf[p] = risen[j];
             (p, j) = (p + 1, j + 1);
-            next = risen[j].0;
         }
-        let (on, off) = class::<HELD>(x, state, dead_u);
-        buf[if off == 1 { d } else { p }] = x;
-        p += on;
-        d += off;
+        let f = flags(x, state, dead_u, mask);
+        buf[if f == DEAD { d } else { p }] = x;
+        p += usize::from(f == 0);
+        d += usize::from(f == DEAD);
     }
     for &y in &risen[j..risen.len() - 1] {
         buf[p] = y;
@@ -240,10 +287,25 @@ fn sort_first<const HELD: bool>(
     (p, d)
 }
 
-/// Merge the sorted runs `long` and `short`, which share no id, into
-/// `out`: each entry of `short` copies the stretch of `long` below it,
-/// then itself. One mispredicted branch per `short` entry, which is
-/// cheap while `short` is a handful of entries, as settle's mostly are.
+/// Merge the sorted run `long` and the short sorted runs `b` and `c`, no
+/// two sharing an id, into `out`: `b` and `c` first, in `tmp`, unless one
+/// is empty, then each of their entries copies the stretch of `long`
+/// below it, then itself. A mispredicted branch per short entry, which
+/// is cheap while they are a handful, as settle's mostly are.
+fn merge3(out: &mut [NodeId], long: &[NodeId], b: &[NodeId], c: &[NodeId], tmp: &mut [NodeId]) {
+    let short = match (b.is_empty(), c.is_empty()) {
+        (_, true) => b,
+        (true, _) => c,
+        _ => {
+            let short = &mut tmp[..b.len() + c.len()];
+            merge(short, b, c);
+            short
+        }
+    };
+    merge(out, long, short);
+}
+
+/// [`merge3`]'s two-run step: `short` into the stretches of `long`.
 fn merge(out: &mut [NodeId], long: &[NodeId], short: &[NodeId]) {
     let (mut i, mut o) = (0, 0);
     for &y in short {
@@ -257,25 +319,59 @@ fn merge(out: &mut [NodeId], long: &[NodeId], short: &[NodeId]) {
     out[o..].copy_from_slice(&long[i..]);
 }
 
-/// [`merge`] of three runs: the two short ones `b` and `c` first, into
-/// `tmp`, unless one is empty.
-fn merge3(out: &mut [NodeId], long: &[NodeId], b: &[NodeId], c: &[NodeId], tmp: &mut [NodeId]) {
-    let short = match (b.is_empty(), c.is_empty()) {
-        (true, _) => c,
-        (_, true) => b,
-        _ => {
-            let short = &mut tmp[..b.len() + c.len()];
-            merge(short, b, c);
-            short
-        }
-    };
-    merge(out, long, short);
+/// Size `slot` for its rebuilt `kept` entries, `active` of them in the
+/// prefix, and return where they go: its own capacity or, if they
+/// outgrow it, fresh capacity at the slab tail, stranding the old until
+/// the next compaction. Nothing is copied: the caller writes every entry.
+#[inline(always)]
+fn place<'a>(
+    slot: &mut Slot,
+    slab: &'a mut Vec<NodeId>,
+    waste: &mut usize,
+    kept: usize,
+    active: usize,
+) -> &'a mut [NodeId] {
+    if kept > slot.cap as usize {
+        let (at, cap) = (slab.len(), kept + kept / 2 + 2);
+        assert!(
+            at + cap < u32::MAX as usize,
+            "dynamic adjacency slab overflows u32 offsets"
+        );
+        slab.resize(at + cap, NodeId(0));
+        *waste += slot.cap as usize;
+        (slot.start, slot.cap) = (at as u32, cap as u32);
+    }
+    (slot.len, slot.active) = (kept as u32, active as u32);
+    let s = slot.start as usize;
+    &mut slab[s..s + kept]
 }
 
 /// Compact once stranded capacity reaches 1/8 of the live slab: a larger
 /// share strands more memory between compactions, a smaller one copies
 /// the whole slab more often.
 const COMPACT_WASTE_SHARE: usize = 8;
+
+/// A batch that marks at least one node in this many is dense: see
+/// [`sort_stale`].
+const DENSE: usize = 16;
+
+/// Sort the stale nodes, those `is_stale` marks, ascending. Once they
+/// are dense, reading the marks in node order costs less than sorting
+/// them, and stays proportional to the nodes touched.
+fn sort_stale(stale: &mut Vec<u32>, is_stale: &[bool]) {
+    let n = is_stale.len();
+    if stale.len() * DENSE < n {
+        return stale.sort_unstable();
+    }
+    // Branch-free: every node is written, only a stale one is kept.
+    stale.resize(n + 1, 0);
+    let mut k = 0;
+    for (u, &marked) in is_stale.iter().enumerate() {
+        stale[k] = u as u32;
+        k += usize::from(marked);
+    }
+    stale.truncate(k);
+}
 
 /// Capacity of a slot holding `len` base entries: room for a few gains
 /// before it relocates. Slots are born with it and compaction restores it.
@@ -428,13 +524,13 @@ impl DynamicTopology {
         let mut stale = std::mem::take(&mut self.stale);
         // Slots mostly sit in node order: an ascending pass streams the
         // slab (24 ms against 36 ms in marking order on the mobile run).
-        stale.sort_unstable();
+        sort_stale(&mut stale, &self.is_stale);
         if rewiring {
             self.group_gains(&stale);
         }
         for u in stale.drain(..).map(|u| u as usize) {
             self.is_stale[u] = false;
-            self.rebuild(u);
+            self.rebuild(u, rewiring);
         }
         self.stale = stale;
         if rewiring {
@@ -507,126 +603,83 @@ impl DynamicTopology {
     }
 
     /// Rebuild `u`'s slot for the settled batch from three sorted runs:
-    /// what `u` holds — its prefix and its suffix, or its cut list if it
-    /// was rewired — and its gains, un-faded. An entry is dropped if it
-    /// is held at a rewired peer (such a peer decided the edge: it is
-    /// among the gains if it kept it), else it goes to the prefix if it
-    /// is active and to the suffix if not. The suffix and the gains are
-    /// sorted out first; their few active entries merge into the prefix
-    /// on the one pass over the first run, and that pass's few dormant
-    /// ones merge into the suffix. The new slot is built in scratch and
-    /// copied over the old. A slot with no gains that was not rewired
-    /// takes [`resort`](Self::resort) instead.
-    fn rebuild(&mut self, u: usize) {
-        let gained = self.gain_len[u] as usize;
-        let rewired = self.stamp[u] != 0;
-        if gained == 0 && !rewired {
-            return self.resort(u);
-        }
+    /// what `u` holds — its prefix and its suffix, or its cut list (and
+    /// an empty second run) if it was rewired — and its gains, un-faded.
+    /// Each entry goes by its [`flags`]: dormant if its peer or `u` is
+    /// dead or the edge is faded, out if it is held (neither a gain nor
+    /// on the cut list) at a rewired peer — such a peer decided the edge,
+    /// and it is among the gains if it kept it — else active. A small
+    /// slot is ranked on the stack and written straight back. A large
+    /// one's second run and gains are sorted out first; their few active
+    /// entries merge into the prefix on one pass over the first run, that
+    /// pass's dormant ones merge into the suffix, and the row, built in
+    /// scratch, is copied back. Either lands at the slab tail if it
+    /// outgrew its capacity.
+    fn rebuild(&mut self, u: usize, rewiring: bool) {
+        // Outside a rewiring batch, skip the two reads: no node has gains
+        // or a cut list.
+        let (gained, rewired) = match rewiring {
+            true => (self.gain_len[u] as usize, self.stamp[u] != 0),
+            false => (0, false),
+        };
         let gains = match gained {
-            0 => 0..0, // `gain_end` is stale
-            _ => self.gain_end[u] as usize - gained..self.gain_end[u] as usize,
+            0 => &[][..], // `gain_end` is stale
+            _ => &self.gains[self.gain_end[u] as usize - gained..self.gain_end[u] as usize],
         };
         let Slot {
             start, len, active, ..
         } = self.slots[u];
-        let (s, split, len) = (start as usize, active as usize, len as usize);
-        let (first, second) = if rewired {
-            (&self.lists[self.live_list(u)], &[][..])
+        let (held, split) = if rewired {
+            let list = self.live_list(u);
+            (&self.lists[list.clone()], list.len())
         } else {
-            self.slab[s..s + len].split_at(split)
+            (
+                &self.slab[start as usize..(start + len) as usize],
+                active as usize,
+            )
         };
-        // Scratch regions of `t` entries each: the new slot, prefix then
-        // suffix; the dormant pieces; the active ones; merge room.
-        let t = first.len() + second.len() + gained + 1;
-        if self.scratch.len() < 4 * t {
-            self.scratch.resize(4 * t, NodeId(0));
-        }
-        let (work, spare) = self.scratch.split_at_mut(3 * t);
+        // A held entry at a rewired peer goes; an entry of the cut list,
+        // like a gain, only reads its peer's death.
+        let mask = if rewired { DEAD } else { DEAD | REWIRED };
         let (state, dead_u) = (&self.state[..], u8::from(!self.alive[u]));
-        let (d0, a0) = sort_out::<true>(second, state, dead_u, work, (t, 2 * t));
-        let (d1, a) = sort_out::<false>(&self.gains[gains], state, dead_u, work, (d0, a0));
-        // The active pieces, merged and closed by `END`: in place if one
-        // is empty.
-        let (buf, active) = work.split_at_mut(2 * t);
-        let (a0, a) = (a0 - 2 * t, a - 2 * t);
-        let risen = if a0 == 0 || a0 == a {
-            active[a] = END;
-            &active[..=a]
+        let t = held.len() + gained;
+        if t <= SMALL_SLOT {
+            let (key, entry, kept, p) = keys(held, gains, (state, dead_u, mask));
+            let out = place(&mut self.slots[u], &mut self.slab, &mut self.waste, kept, p);
+            rank(out, &key, &entry);
         } else {
-            merge(&mut spare[..a], &active[..a0], &active[a0..a]);
-            spare[a] = END;
-            &spare[..=a]
-        };
-        let (p, d) = match rewired {
-            false => sort_first::<true>(first, state, dead_u, risen, buf, d1),
-            true => sort_first::<false>(first, state, dead_u, risen, buf, d1),
-        };
-        let kept = p + d - t;
-        let (row, dormant) = buf.split_at_mut(t);
-        let (from_suffix, fell) = dormant[..d - t].split_at(d0 - t);
-        let (from_gains, fell) = fell.split_at(d1 - d0);
-        merge3(&mut row[p..kept], from_suffix, from_gains, fell, spare);
-
-        if kept > self.slots[u].cap as usize {
-            self.relocate(u, kept);
+            // Scratch, `t` entries a region: the new slot, the dormant
+            // pieces, the active ones, merge room.
+            let mut scratch = std::mem::take(&mut self.scratch);
+            if scratch.len() < 4 * t + 1 {
+                scratch.resize(4 * t + 1, NodeId(0));
+            }
+            let (work, tmp) = scratch.split_at_mut(3 * t);
+            let (first, second) = held.split_at(split);
+            let e1 = sort_out(second, (state, dead_u, mask), work, (2 * t, t));
+            let (a, d) = sort_out(gains, (state, dead_u, DEAD), work, e1);
+            // The other runs' few active entries, merged and closed by
+            // `END`, rise into the prefix on the pass over the first run.
+            let risen = &mut tmp[..a - 2 * t + 1];
+            merge(&mut risen[..a - 2 * t], &work[2 * t..e1.0], &work[e1.0..a]);
+            risen[a - 2 * t] = END;
+            let (p, d1) = sort_first(first, (state, dead_u, mask), risen, work, d);
+            // The suffix is mostly what stays of the second run.
+            let (row, dormant) = work.split_at_mut(t);
+            let kept = p + d1 - t;
+            let (stayed, gained_dormant, fell) = (
+                &dormant[..e1.1 - t],
+                &dormant[e1.1 - t..d - t],
+                &dormant[d - t..d1 - t],
+            );
+            merge3(&mut row[p..kept], stayed, fell, gained_dormant, tmp);
+            let out = place(&mut self.slots[u], &mut self.slab, &mut self.waste, kept, p);
+            out.copy_from_slice(&row[..kept]);
+            self.scratch = scratch;
         }
-        let slot = &mut self.slots[u];
-        let s = slot.start as usize;
-        (slot.len, slot.active) = (kept as u32, p as u32);
-        self.slab[s..s + kept].copy_from_slice(&self.scratch[..kept]);
-        self.gain_len[u] = 0;
-    }
-
-    /// [`rebuild`](Self::rebuild) for a slot whose entries can only change
-    /// sides or go (no gains, not rewired), as in every slot of a batch
-    /// without rewires: one walk of the prefix and the suffix in id order,
-    /// branch-free, sends each entry on to its new run.
-    fn resort(&mut self, u: usize) {
-        let Slot {
-            start, len, active, ..
-        } = self.slots[u];
-        let (s, len) = (start as usize, len as usize);
-        if self.scratch.len() < 2 * len {
-            self.scratch.resize(2 * len, NodeId(0));
+        if gained > 0 {
+            self.gain_len[u] = 0;
         }
-        let (row, dormant) = self.scratch[..2 * len].split_at_mut(len);
-        let (prefix, suffix) = self.slab[s..s + len].split_at(active as usize);
-        let (state, dead_u) = (&self.state[..], u8::from(!self.alive[u]));
-        let (mut i, mut j, mut p, mut d) = (0, 0, 0, 0);
-        for _ in 0..len {
-            let (x, y) = (prefix.get(i).copied(), suffix.get(j).copied());
-            let (x, y) = (x.unwrap_or(END), y.unwrap_or(END));
-            let take_x = id(x) < id(y);
-            let z = if take_x { x } else { y };
-            i += usize::from(take_x);
-            j += usize::from(!take_x);
-            let (on, off) = class::<true>(z, state, dead_u);
-            row[p] = z;
-            dormant[d] = z;
-            p += on;
-            d += off;
-        }
-        self.slab[s..s + p].copy_from_slice(&row[..p]);
-        self.slab[s + p..s + p + d].copy_from_slice(&dormant[..d]);
-        (self.slots[u].len, self.slots[u].active) = ((p + d) as u32, p as u32);
-    }
-
-    /// Move `u`'s slot to the slab tail with capacity at least `need`,
-    /// stranding the old capacity until the next compaction. Only
-    /// `rebuild` calls this, which then writes the whole slot: nothing is
-    /// copied.
-    fn relocate(&mut self, u: usize, need: usize) {
-        let new_cap = need + need / 2 + 2;
-        let new_s = self.slab.len();
-        assert!(
-            new_s + new_cap < u32::MAX as usize,
-            "dynamic adjacency slab overflows u32 offsets"
-        );
-        self.slab.resize(new_s + new_cap, NodeId(0));
-        let slot = &mut self.slots[u];
-        self.waste += slot.cap as usize;
-        (slot.start, slot.cap) = (new_s as u32, new_cap as u32);
     }
 
     /// Rebuild the slab compactly once relocation waste is worth
@@ -1233,6 +1286,22 @@ mod tests {
         let dt = batch_matches_stepwise(&ring, &steps);
         assert_eq!(dt.waste, 0);
         assert_eq!(dt.active_neighbors(NodeId(0)).len(), 297); // all but 0, 9 and 5
+    }
+
+    #[test]
+    fn stale_nodes_come_out_ascending_sorted_or_read_off_the_marks() {
+        // Of 64 nodes, 2 marked is sparse (a sort), 5 and 40 dense (a scan).
+        for count in [2, 5, 40] {
+            let mut is_stale = vec![false; 64];
+            let mut stale: Vec<u32> = (0..count).map(|i| (i * 37 + 11) % 64).collect();
+            for &u in &stale {
+                is_stale[u as usize] = true;
+            }
+            let mut expect = stale.clone();
+            expect.sort_unstable();
+            sort_stale(&mut stale, &is_stale);
+            assert_eq!(stale, expect, "{count} marked");
+        }
     }
 
     #[test]

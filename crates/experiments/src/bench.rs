@@ -20,7 +20,8 @@ use gossip_telemetry::NoopProbe;
 pub use gossip_sim::EngineTimings as EnginePhases;
 
 /// The `metrics` object of `one`'s bench line: `build_ms` and `engine_ms`,
-/// the process's `peak_rss_mb` so far (where it can be read), the
+/// the process's `peak_rss_mb` so far (where it can be read; it never
+/// falls, so a later line of one process carries every earlier peak), the
 /// engine's `phase_ms` and counters, the `region_load` of its fixed
 /// 64-region partition (connections per region under sync, events per
 /// region under async), and `spec`, which `grid --spec` replays the line
