@@ -3,8 +3,8 @@
 //! Smartphone peer-to-peer networks are unstable: devices power off and
 //! return (churn), links flap with interference (fading), and devices move,
 //! re-deriving which peers are in radio range (mobility). [`DynamicTopology`]
-//! wraps a static [`Topology`] with the mutation operations those processes
-//! need, while keeping the read path as cheap as the static graph:
+//! takes a static [`Topology`] over and adds the mutation operations those
+//! processes need, while keeping the read path as cheap as the static graph:
 //!
 //! - an **alive mask** with `O(1)` [`is_alive`](DynamicTopology::is_alive)
 //!   checks and a maintained alive count,
@@ -61,8 +61,8 @@
 //!
 //! # Memory layout
 //!
-//! Like the static [`Topology`], adjacency lives in **one flat slab**, not
-//! per-node `Vec`s. Each node owns a capacity slot in it, holding its
+//! Adjacency lives in **one flat slab** — the static [`Topology`]'s edge
+//! array, grown in place — not per-node `Vec`s. Each node owns a slot: its
 //! base neighbors in two sorted runs: the **active prefix** — exactly the
 //! slice [`GraphView::neighbors`] returns — then the **dormant suffix**,
 //! its edges to dead peers and its faded edges (every edge of a dead
@@ -79,9 +79,8 @@
 //! in a batch, so the suffix and the gains are sorted out first, their
 //! active entries merge into the prefix on one pass over the first run,
 //! that pass's dormant ones merge into the suffix, and the row is copied
-//! back. Stale
-//! slots are rebuilt in ascending node order: the stale list is sorted,
-//! or, once a batch marks one node in sixteen, read off the marks.
+//! back. Stale slots go in ascending node order: the stale list is
+//! sorted, or, once a batch marks one node in sixteen, read off the marks.
 //!
 //! Every slot holds its entries plus slack — a quarter of its length,
 //! plus two — from birth, so a rewire that hands a node a few edges lands
@@ -110,7 +109,6 @@ use crate::{NodeId, Topology};
 /// slab. See the module docs.
 #[derive(Clone, Debug)]
 pub struct DynamicTopology {
-    name: String,
     /// Where node `u`'s slot sits in `slab` and how much of it is used.
     slots: Vec<Slot>,
     /// Every node's slot: sorted active prefix, sorted dormant suffix,
@@ -380,61 +378,9 @@ fn slot_capacity(len: usize) -> usize {
 }
 
 impl DynamicTopology {
-    /// Start from a static topology: everyone alive, every edge active,
-    /// each slot laid out with its slack.
+    /// [`DynamicTopology::from`] a copy of `topology`.
     pub fn new(topology: &Topology) -> Self {
-        let n = topology.num_nodes();
-        let slots: usize = topology
-            .offsets
-            .windows(2)
-            .map(|w| slot_capacity((w[1] - w[0]) as usize))
-            .sum();
-        // Every slot holds at least two entries, so a slab `u32` offsets
-        // can address also keeps every id below the fade bit.
-        assert!(
-            slots < u32::MAX as usize,
-            "dynamic adjacency slab overflows u32 offsets"
-        );
-        assert!(n < FADE as usize, "node ids must stay below the fade bit");
-        let mut slab = Vec::with_capacity(slots);
-        let slots = (0..n as u32)
-            .map(|u| {
-                let row = topology.neighbors(NodeId(u));
-                let (at, cap) = (slab.len(), slot_capacity(row.len()));
-                slab.extend_from_slice(row);
-                slab.resize(at + cap, NodeId(0));
-                let len = row.len() as u32;
-                Slot {
-                    start: at as u32,
-                    cap: cap as u32,
-                    len,
-                    active: len,
-                }
-            })
-            .collect();
-        DynamicTopology {
-            name: topology.name().to_string(),
-            slots,
-            slab,
-            alive: vec![true; n],
-            alive_count: n,
-            stale: Vec::new(),
-            is_stale: vec![false; n],
-            waste: 0,
-            pending: Vec::new(),
-            lists: Vec::new(),
-            stamp: vec![0; n],
-            state: vec![0; n],
-            gains: Vec::new(),
-            gain_len: vec![0; n],
-            gain_end: vec![0; n],
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Name of the underlying topology builder.
-    pub fn name(&self) -> &str {
-        &self.name
+        Self::from(topology.clone())
     }
 
     /// Number of nodes, alive or not.
@@ -783,6 +729,60 @@ impl DynamicTopology {
     }
 }
 
+/// Take a static topology over: everyone alive, every edge active. The
+/// CSR becomes the slab in place: `edges` grows to the slots' capacity and
+/// each row moves to its slot, last row first (a slot starts at or after
+/// its row, past every earlier row), so no second adjacency is built.
+impl From<Topology> for DynamicTopology {
+    fn from(topology: Topology) -> Self {
+        let (n, offsets, mut slab) = (topology.num_nodes(), topology.offsets, topology.edges);
+        let mut end = 0;
+        let slots: Vec<Slot> = offsets
+            .windows(2)
+            .map(|w| {
+                let (start, len) = (end, w[1] - w[0]);
+                end += slot_capacity(len as usize);
+                Slot {
+                    start: start as u32,
+                    cap: (end - start) as u32,
+                    len,
+                    active: len,
+                }
+            })
+            .collect();
+        // Every slot holds at least two entries, so a slab `u32` offsets
+        // can address also keeps every id below the fade bit.
+        assert!(
+            end < u32::MAX as usize,
+            "dynamic adjacency slab overflows u32 offsets"
+        );
+        slab.reserve_exact(end - slab.len());
+        slab.resize(end, NodeId(0));
+        for (s, &row) in slots.iter().zip(&offsets).rev() {
+            let (at, len) = (s.start as usize, s.len as usize);
+            slab.copy_within(row as usize..row as usize + len, at);
+            slab[at + len..at + s.cap as usize].fill(NodeId(0));
+        }
+        DynamicTopology {
+            slots,
+            slab,
+            alive: vec![true; n],
+            alive_count: n,
+            stale: Vec::new(),
+            is_stale: vec![false; n],
+            waste: 0,
+            pending: Vec::new(),
+            lists: Vec::new(),
+            stamp: vec![0; n],
+            state: vec![0; n],
+            gains: Vec::new(),
+            gain_len: vec![0; n],
+            gain_end: vec![0; n],
+            scratch: Vec::new(),
+        }
+    }
+}
+
 impl GraphView for DynamicTopology {
     fn num_nodes(&self) -> usize {
         DynamicTopology::num_nodes(self)
@@ -1055,12 +1055,11 @@ mod tests {
     /// out-of-range ids — and one in eight is long, up to `n - 1` draws.
     /// Despite the birth slack a run relocates ~200–240 slots and compacts
     /// five to seven times.
-    fn storm(seed: u64, batched: bool) -> DynamicTopology {
+    fn storm(topo: Topology, seed: u64, batched: bool) -> DynamicTopology {
         use crate::Rng;
-        let n = 64usize;
-        let topo = Topology::grid(n);
-        let mut dt = DynamicTopology::new(&topo);
+        let n = topo.num_nodes();
         let mut model = Model::new(&topo);
+        let mut dt = DynamicTopology::from(topo);
         let mut rng = Rng::new(seed);
         let mut batch_rng = Rng::new(seed ^ 4202);
         let mut left_in_batch = 0;
@@ -1105,14 +1104,15 @@ mod tests {
     #[test]
     fn slab_survives_a_mutation_storm() {
         for seed in STORM_SEEDS {
-            storm(seed, false);
+            storm(Topology::grid(64), seed, false);
         }
     }
 
     #[test]
     fn batched_storm_matches_one_at_a_time_and_the_model() {
         for seed in STORM_SEEDS {
-            let (stepwise, batched) = (storm(seed, false), storm(seed, true));
+            let grid = Topology::grid(64);
+            let (stepwise, batched) = (storm(grid.clone(), seed, false), storm(grid, seed, true));
             for w in 0..stepwise.num_nodes() as u32 {
                 let w = NodeId(w);
                 assert_eq!(stepwise.active_neighbors(w), batched.active_neighbors(w));
@@ -1120,6 +1120,76 @@ mod tests {
             assert_eq!(stepwise.alive_mask(), batched.alive_mask());
             assert_eq!(stepwise.alive_count(), batched.alive_count());
             assert_eq!(stepwise.active_edge_count(), batched.active_edge_count());
+        }
+    }
+
+    /// The slots and slab the conversion must lay out, as a copy into a
+    /// fresh slab builds them: rows in node order, each followed by its
+    /// slack, zeroed.
+    fn copied(topo: &Topology) -> (Vec<Slot>, Vec<NodeId>) {
+        let mut slab = Vec::new();
+        let slots = (0..topo.num_nodes() as u32)
+            .map(|u| {
+                let row = topo.neighbors(NodeId(u));
+                let (at, cap) = (slab.len(), slot_capacity(row.len()));
+                slab.extend_from_slice(row);
+                slab.resize(at + cap, NodeId(0));
+                let len = row.len() as u32;
+                Slot {
+                    start: at as u32,
+                    cap: cap as u32,
+                    len,
+                    active: len,
+                }
+            })
+            .collect();
+        (slots, slab)
+    }
+
+    /// Convert `topo` in place and check it against [`copied`]: every
+    /// start, capacity, length and prefix, and every slack entry zero.
+    fn converts_like_a_copy(topo: Topology) {
+        let (slots, slab) = copied(&topo);
+        let name = format!("{} n={}", topo.name(), topo.num_nodes());
+        let dt = DynamicTopology::from(topo);
+        assert_eq!(dt.slots, slots, "{name}: slots");
+        assert_eq!(dt.slab, slab, "{name}: slab");
+        assert_eq!(dt.alive_count(), dt.num_nodes(), "{name}");
+    }
+
+    #[test]
+    fn conversion_lays_out_the_slab_a_copy_would() {
+        use crate::Rng;
+        for n in [1, 2, 3, 64, 65] {
+            converts_like_a_copy(Topology::line(n));
+            converts_like_a_copy(Topology::ring(n));
+            converts_like_a_copy(Topology::grid(n));
+            converts_like_a_copy(Topology::complete(n));
+            let rgg = Topology::random_geometric(n, &mut Rng::new(n as u64));
+            converts_like_a_copy(rgg);
+        }
+        // Every slot empty: each is its two spare entries.
+        let edgeless = Topology::from_edges("edgeless", 5, &[]);
+        assert!(copied(&edgeless).0.iter().all(|s| s.cap == 2));
+        converts_like_a_copy(edgeless);
+        // The RGG builder reserves its expected entry count, so `edges`
+        // usually ends with spare capacity; a slab that fits in it must
+        // not read past the rows, nor one that needs far less of it.
+        let mut rgg = Topology::random_geometric(2000, &mut Rng::new(5));
+        assert!(rgg.edges.capacity() > rgg.edges.len());
+        converts_like_a_copy(rgg.clone());
+        rgg.edges.reserve_exact(4 * rgg.edges.len());
+        converts_like_a_copy(rgg);
+    }
+
+    #[test]
+    fn converted_rgg_survives_the_storm() {
+        use crate::Rng;
+        let rgg = Topology::random_geometric(64, &mut Rng::new(3));
+        assert!(rgg.edges.capacity() > rgg.edges.len());
+        // Every seed once, settled after each step or in batches by turns.
+        for (i, seed) in STORM_SEEDS.into_iter().enumerate() {
+            storm(rgg.clone(), seed, i % 2 == 1);
         }
     }
 

@@ -249,6 +249,14 @@ impl RggGeometry {
     }
 }
 
+/// A borrowed geometry, cloned: what an API that takes the geometry by
+/// value (`impl Into<RggGeometry>`) makes of a reference.
+impl From<&RggGeometry> for RggGeometry {
+    fn from(geometry: &RggGeometry) -> Self {
+        geometry.clone()
+    }
+}
+
 /// An undirected graph over nodes `0..num_nodes()` in CSR layout: one flat
 /// sorted edge array plus `u32` offsets, giving cache-friendly contiguous
 /// neighbor slices and `O(log degree)` membership checks with exactly two

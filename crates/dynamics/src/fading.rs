@@ -5,7 +5,7 @@ use crate::{geometric_ticks, DynamicsModel, Mutation, MutationKind, MutationStre
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use gossip_core::{GraphView, NodeId, Rng, SimTime, Topology};
+use gossip_core::{NodeId, Rng, SimTime, Topology};
 
 /// Independent on/off flapping of every base edge. An up edge fades with
 /// per-round probability `fade_prob` (geometric up-time, mean
@@ -52,17 +52,11 @@ impl DynamicsModel for EdgeFading {
     fn stream(&self, topology: &Topology, seed: u64) -> Box<dyn MutationStream> {
         let mut rng = Rng::new(seed);
         // Enumerate each undirected edge once, in deterministic order.
-        let edges: Vec<(NodeId, NodeId)> = (0..topology.num_nodes())
-            .flat_map(|u| {
-                let u = NodeId(u as u32);
-                GraphView::neighbors(topology, u)
-                    .iter()
-                    .copied()
-                    .filter(move |&v| v > u)
-                    .map(move |v| (u, v))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut edges = Vec::with_capacity(topology.num_edges());
+        for u in (0..topology.num_nodes() as u32).map(NodeId) {
+            let row = topology.neighbors(u);
+            edges.extend(row.iter().filter(|&&v| v > u).map(|&v| (u, v)));
+        }
         let mut heap = BinaryHeap::with_capacity(edges.len());
         let mut seq = 0u64;
         for (i, _) in edges.iter().enumerate() {

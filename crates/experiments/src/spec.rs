@@ -221,7 +221,11 @@ pub struct DynamicsSpec {
 impl DynamicsSpec {
     /// Build the composite dynamics model: churn, fading, and mobility
     /// merged into one time-ordered mutation stream. `None` when static.
-    pub fn build(&self, geometry: Option<&RggGeometry>) -> Option<Box<dyn DynamicsModel>> {
+    /// Mobility takes the RGG `geometry` over (a borrowed one is cloned).
+    pub fn build(
+        &self,
+        geometry: Option<impl Into<RggGeometry>>,
+    ) -> Option<Box<dyn DynamicsModel>> {
         let mut parts: Vec<Box<dyn DynamicsModel>> = Vec::new();
         if let Some(churn) = self.churn {
             parts.push(Box::new(churn));
@@ -232,7 +236,7 @@ impl DynamicsSpec {
         if self.mobility {
             let geometry = geometry
                 .expect("spec validation only admits mobility with an RGG topology")
-                .clone();
+                .into();
             parts.push(Box::new(Waypoint {
                 geometry,
                 speed: DEFAULT_SPEED_PER_ROUND,
@@ -491,15 +495,13 @@ impl Scenario {
         probe: &mut dyn Probe,
     ) -> (SimResult, RunClocks) {
         let building = Instant::now();
-        let (topology, dynamics) = {
-            let (topology, geometry) = self.topology.build(self.nodes, self.seed);
-            (topology, self.dynamics.build(geometry.as_ref()))
-        };
+        let (topology, geometry) = self.topology.build(self.nodes, self.seed);
+        let dynamics = self.dynamics.build(geometry);
         let sources = self.sources();
         let membership = self.membership.to_config();
         let build_ms = building.elapsed().as_secs_f64() * 1e3;
         let inputs = RunInputs {
-            topology: &topology,
+            topology,
             protocol: self.protocol,
             sources: &sources,
             seed: self.seed,
@@ -508,7 +510,7 @@ impl Scenario {
             membership: membership.as_ref(),
         };
         let running = Instant::now();
-        let (result, phases) = self.engine().run_timed(&inputs, probe);
+        let (result, phases) = self.engine().run_timed(inputs, probe);
         let clocks = RunClocks {
             build_ms,
             engine_ms: running.elapsed().as_secs_f64() * 1e3,

@@ -72,13 +72,54 @@ pub(crate) struct DynRun {
     record_hwm: u64,
 }
 
-impl DynRun {
-    /// Instantiate `dynamics` for a run whose initial coverage is `cover`:
-    /// both schedulers derive the stream seed identically from the engine
-    /// seed, so sync and async runs of one experiment face the same
-    /// mutation sequence.
+/// The network beneath any membership overlay, owned by the engine: the
+/// frozen topology of a static run, or the [`DynRun`] a dynamic run
+/// converted it into. Either way a run holds one adjacency.
+pub(crate) enum Underlay {
+    Frozen(Topology),
+    Mutating(Box<DynRun>),
+}
+
+impl Underlay {
+    /// Take `topology` over: frozen without `dynamics`, else converted.
     pub fn new(
-        topology: &Topology,
+        topology: Topology,
+        dynamics: Option<&dyn DynamicsModel>,
+        seed: u64,
+        cover: &Coverage,
+    ) -> Self {
+        match dynamics {
+            Some(model) => Underlay::Mutating(Box::new(DynRun::new(topology, model, seed, cover))),
+            None => Underlay::Frozen(topology),
+        }
+    }
+
+    /// The dynamics-side state; `None` on a static run.
+    pub fn dynr(&self) -> Option<&DynRun> {
+        match self {
+            Underlay::Mutating(d) => Some(d),
+            Underlay::Frozen(_) => None,
+        }
+    }
+
+    /// [`dynr`](Self::dynr), mutably.
+    pub fn dynr_mut(&mut self) -> Option<&mut DynRun> {
+        match self {
+            Underlay::Mutating(d) => Some(d),
+            Underlay::Frozen(_) => None,
+        }
+    }
+}
+
+impl DynRun {
+    /// Instantiate `dynamics` over `topology` for a run whose initial
+    /// coverage is `cover`: both schedulers derive the stream seed
+    /// identically from the engine seed, so sync and async runs of one
+    /// experiment face the same mutation sequence. The stream is built
+    /// from the static graph first; then the graph itself becomes the
+    /// mutating one, in place.
+    pub fn new(
+        topology: Topology,
         dynamics: &dyn DynamicsModel,
         seed: u64,
         cover: &Coverage,
@@ -87,9 +128,10 @@ impl DynRun {
             .validate()
             .unwrap_or_else(|e| panic!("invalid dynamics config: {e}"));
         let n = topology.num_nodes();
+        let stream = dynamics.stream(&topology, dynamics_seed(seed));
         let mut run = DynRun {
-            topo: DynamicTopology::new(topology),
-            stream: dynamics.stream(topology, dynamics_seed(seed)),
+            topo: DynamicTopology::from(topology),
+            stream,
             stats: DynamicsStats {
                 model: dynamics.name(),
                 departures: 0,
@@ -297,7 +339,7 @@ mod tests {
             informed: states.full_count(),
             held: states.total_messages(),
         };
-        let run = DynRun::new(&topo, &Script(Vec::new()), 1, &cover);
+        let run = DynRun::new(topo, &Script(Vec::new()), 1, &cover);
         (run, states, cover)
     }
 
@@ -323,7 +365,7 @@ mod tests {
             informed: 1,
             held: 1,
         };
-        let mut run = DynRun::new(&topo, &script, 1, &cover);
+        let mut run = DynRun::new(topo, &script, 1, &cover);
         let mut probe = MemoryProbe::default();
         let marker = |t| TraceEvent::new(EventKind::Round, t, 0, &[]);
         let mut hooked = Vec::new();

@@ -52,7 +52,8 @@
 //!   ([`MembershipStats`]).
 //!
 //! `None` for a layer means it does not exist for the run, not that it is
-//! idle: the engines hold an `Option` of the layer's state and
+//! idle: the engines hold an `Option` of the layer's state (for dynamics,
+//! the frozen topology or the mutating graph it was converted into) and
 //! monomorphise their phase step over the graph type
 //! ([`GraphView`](gossip_core::GraphView)), so a static run reads the
 //! frozen `Topology` directly and builds no `DynamicTopology` (routing
@@ -146,8 +147,8 @@ mod tests {
         seed: u64,
         config: &SimConfig,
     ) -> SimResult {
-        let inputs = RunInputs::new(topology, protocol, sources, seed, *config);
-        Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe)
+        let inputs = RunInputs::new(topology.clone(), protocol, sources, seed, *config);
+        Scheduler::Sync { threads: 1 }.run(inputs, &mut NoopProbe)
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Protocols are scheduler-agnostic — they only ever see a
 //! [`NodeCtx`] neighborhood snapshot — so the same protocol runs under
 //! either variant. There is one entry point,
-//! [`run_timed`](Scheduler::run_timed)`(&`[`RunInputs`]`, &mut dyn Probe)`
+//! [`run_timed`](Scheduler::run_timed)`(`[`RunInputs`]`, &mut dyn Probe)`
 //! ([`run`](Scheduler::run) drops its clocks): a mutating network and a
 //! membership overlay are optional *inputs*, not separate methods, and
 //! each engine serves every combination from one loop.
@@ -32,14 +32,15 @@
 //!   [`Partition`](gossip_core::Partition), and every merge happens in
 //!   node order — so `threads = 1` and `threads = 64` produce
 //!   byte-identical [`SimResult`]s. Round-count regressions pin this down;
-//! - **absent layers cost nothing**: the round loop holds an
-//!   `Option<DynRun>` and an `Option<Membership>`, and its phase step is
-//!   monomorphised over [`GraphView`] — so a static run reads the frozen
-//!   [`Topology`] directly, with no alive mask, rather than paying for an
-//!   always-on `DynamicTopology` (measured at +47 % peak RSS on the
-//!   131 072-node ring benchmark workload).
+//! - **absent layers cost nothing**: the round loop holds an `Underlay`
+//!   (the frozen [`Topology`], or the `DynRun` it became) and an
+//!   `Option<Membership>`, and its phase step is monomorphised over
+//!   [`GraphView`] — so a static run reads the frozen [`Topology`]
+//!   directly, with no alive mask, rather than paying for an always-on
+//!   `DynamicTopology` (measured at +47 % peak RSS on the 131 072-node
+//!   ring benchmark workload), and a dynamic one holds no static copy.
 
-use crate::dynamic::{Coverage, DynRun};
+use crate::dynamic::{Coverage, Underlay};
 use crate::metrics::RoundStats;
 use crate::sliced::{run_sliced, SliceTimings};
 use crate::{SimConfig, SimResult};
@@ -61,10 +62,12 @@ use gossip_telemetry::{EventKind, Probe, TraceEvent};
 /// Everything that shapes one run — the determinism contract in one
 /// place: identical inputs reproduce identical [`SimResult`]s under a
 /// given scheduler.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub struct RunInputs<'a> {
-    /// The (initial) underlay graph.
-    pub topology: &'a Topology,
+    /// The (initial) underlay graph, owned by the run: a static run reads
+    /// it as is, a dynamic one converts it into its mutating graph, so
+    /// either holds one adjacency.
+    pub topology: Topology,
     pub protocol: Protocol,
     /// Message `m` starts at `sources[m]`.
     pub sources: &'a [NodeId],
@@ -93,7 +96,7 @@ impl<'a> RunInputs<'a> {
     /// Inputs for a run over the frozen `topology` with full
     /// neighborhoods; set `dynamics` / `membership` by struct update.
     pub fn new(
-        topology: &'a Topology,
+        topology: Topology,
         protocol: Protocol,
         sources: &'a [NodeId],
         seed: u64,
@@ -181,7 +184,7 @@ impl Scheduler {
     /// pure function of the inputs, and wall clocks are anything but.
     pub fn run_timed(
         &self,
-        inputs: &RunInputs<'_>,
+        inputs: RunInputs<'_>,
         probe: &mut dyn Probe,
     ) -> (SimResult, EngineTimings) {
         match self {
@@ -191,7 +194,7 @@ impl Scheduler {
     }
 
     /// [`run_timed`](Self::run_timed) without the clocks.
-    pub fn run(&self, inputs: &RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
+    pub fn run(&self, inputs: RunInputs<'_>, probe: &mut dyn Probe) -> SimResult {
         self.run_timed(inputs, probe).0
     }
 }
@@ -298,9 +301,13 @@ pub(crate) fn init_run(
 pub(crate) fn finish_run(
     result: &mut SimResult,
     cover: &Coverage,
-    dynr: Option<DynRun>,
+    under: Underlay,
     mem: Option<Membership>,
 ) {
+    let dynr = match under {
+        Underlay::Mutating(d) => Some(*d),
+        Underlay::Frozen(_) => None,
+    };
     result.complete_nodes = cover.informed;
     result.membership = mem.map(|m| m.finish(dynr.as_ref().map(|d| d.topo.alive_mask())));
     result.dynamics = dynr.map(|d| d.finish(SimTime(result.virtual_time), cover));
@@ -365,15 +372,14 @@ impl Tally {
 /// of a mutating one, with its alive mask, else the frozen topology.
 pub(crate) fn tick_membership(
     m: &mut Membership,
-    topology: &Topology,
-    dynr: &Option<DynRun>,
+    under: &Underlay,
     seed: u64,
     tick: u64,
     probe: &mut dyn Probe,
 ) {
-    match dynr {
-        Some(d) => m.tick(&d.topo, Some(d.topo.alive_mask()), seed, tick, probe),
-        None => m.tick(topology, None, seed, tick, probe),
+    match under {
+        Underlay::Mutating(d) => m.tick(&d.topo, Some(d.topo.alive_mask()), seed, tick, probe),
+        Underlay::Frozen(t) => m.tick(t, None, seed, tick, probe),
     }
 }
 
@@ -424,23 +430,22 @@ pub struct PhaseTimings {
 /// alive mask.
 fn run_sync(
     threads: usize,
-    inputs: &RunInputs<'_>,
+    inputs: RunInputs<'_>,
     probe: &mut dyn Probe,
 ) -> (SimResult, EngineTimings) {
+    let (states, mut cover, mut result) = init_run(&inputs, "sync");
     let RunInputs {
         topology,
         protocol,
         sources,
         seed,
         config,
-        ..
-    } = *inputs;
+        dynamics,
+        membership,
+    } = inputs;
     let n = topology.num_nodes();
-    let (states, mut cover, mut result) = init_run(inputs, "sync");
-    let mut dynr = inputs
-        .dynamics
-        .map(|model| DynRun::new(topology, model, seed, &cover));
-    let mut mem = inputs.membership.map(|cfg| Membership::new(n, *cfg));
+    let mut under = Underlay::new(topology, dynamics, seed, &cover);
+    let mut mem = membership.map(|cfg| Membership::new(n, *cfg));
     let mut phases = RoundPhases {
         protocol,
         seed,
@@ -457,7 +462,7 @@ fn run_sync(
     if !result.completed {
         for round in 1..=config.max_rounds {
             let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
-            if let Some(d) = dynr.as_mut() {
+            if let Some(d) = under.dynr_mut() {
                 let draining = Instant::now();
                 let drained = d.drain_until(
                     horizon,
@@ -484,16 +489,16 @@ fn run_sync(
             // Dead nodes neither advertise nor scan, active neighbor views
             // exclude them, and they cannot match — so both endpoints of
             // every transfer are alive and `cover` stays alive-only.
-            let alive = dynr.as_ref().map(|d| d.topo.alive_mask());
+            let alive = under.dynr().map(|d| d.topo.alive_mask());
             if let Some(m) = mem.as_mut() {
                 let ticking = Instant::now();
-                tick_membership(m, topology, &dynr, seed, round as u64, probe);
+                tick_membership(m, &under, seed, round as u64, probe);
                 phases.timings.membership += ms(ticking.elapsed());
             }
-            let (resolution, transfer) = match (&mem, &dynr) {
+            let (resolution, transfer) = match (&mem, &under) {
                 (Some(m), _) => phases.step(m, alive, round as u64, probe),
-                (None, Some(d)) => phases.step(&d.topo, alive, round as u64, probe),
-                (None, None) => phases.step(topology, None, round as u64, probe),
+                (None, Underlay::Mutating(d)) => phases.step(&d.topo, alive, round as u64, probe),
+                (None, Underlay::Frozen(t)) => phases.step(t, None, round as u64, probe),
             };
 
             let formed = resolution.connections.len();
@@ -501,7 +506,7 @@ fn run_sync(
             tally.close_rows_below(&mut result, round + 1, &cover);
             result.rounds_executed = round;
             result.dropped_proposals += resolution.dropped_proposals;
-            if let Some(d) = dynr.as_mut() {
+            if let Some(d) = under.dynr_mut() {
                 d.record(horizon, &cover);
             }
 
@@ -510,7 +515,7 @@ fn run_sync(
                 probe.record(&TraceEvent::new(EventKind::Round, t, round, &[]));
             }
 
-            if cover.complete(dynr.as_ref().map_or(n, |d| d.topo.alive_count())) {
+            if cover.complete(under.dynr().map_or(n, |d| d.topo.alive_count())) {
                 result.completed = true;
                 result.rounds_to_completion = Some(round);
                 break;
@@ -522,8 +527,8 @@ fn run_sync(
     result.virtual_time_to_completion = result
         .rounds_to_completion
         .map(|r| r as u64 * TICKS_PER_ROUND);
-    phases.timings.settle = dynr.as_ref().map_or(0.0, |d| d.settle_ms);
-    finish_run(&mut result, &cover, dynr, mem);
+    phases.timings.settle = under.dynr().map_or(0.0, |d| d.settle_ms);
+    finish_run(&mut result, &cover, under, mem);
     (result, EngineTimings::Sync(phases.timings))
 }
 

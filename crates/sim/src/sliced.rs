@@ -65,7 +65,7 @@
 //! scans read a start-of-slice advertisement snapshot; an event a sweep
 //! schedules *inside* the current slice executes in the next pass.
 
-use crate::dynamic::{Coverage, DynRun};
+use crate::dynamic::{Coverage, Underlay};
 use crate::scheduler::{
     finish_run, init_run, ms, tick_membership, EngineTimings, RunInputs, Tally,
 };
@@ -462,8 +462,8 @@ impl RegionScratch {
 }
 
 /// Read-only context shared by every worker of one slice pass and by its
-/// boundary sweep. The gossip graph is not in it: it may borrow the run's
-/// `DynRun`, which the sweep's replays write to between events.
+/// boundary sweep. The graphs are not in it ([`Graph`]): they may borrow
+/// the run's `DynRun`, which the sweep's replays write to between events.
 struct SliceCtx<'a> {
     protocol: Protocol,
     timing: &'a TimingConfig,
@@ -477,9 +477,6 @@ struct SliceCtx<'a> {
     /// Exclusive pop bound: `min(slice end, max_time + 1)`.
     end: u64,
     part: Partition,
-    /// The frozen topology when there are no dynamics; `None` under
-    /// dynamics. See [`Chunks::connect`] for the rule it carries.
-    underlay: Option<&'a Topology>,
     /// Hoisted `probe.enabled()`: the handler logs the trace-only entries
     /// (and itemizes transfers) only when a probe will consume them.
     tracing: bool,
@@ -499,19 +496,19 @@ impl Chunks<'_> {
     /// ones. Effects go to `log` as [`Entry`] records for [`replay`]; the
     /// follow-up event its owner schedules is returned.
     ///
-    /// On a static underlay every proposal crosses one of its edges (a
-    /// membership overlay's views are subgraphs of it), which debug builds
-    /// assert. Under dynamics an edge may vanish while a proposal is in
-    /// flight; the *connect* check consults the current gossip graph, so a
-    /// target that died, an edge that faded, a peer that moved away or an
-    /// evicted view edge fails the attempt naturally.
+    /// On a static underlay (`graph.frozen`) every proposal crosses one of
+    /// its edges (a membership overlay's views are subgraphs of it), which
+    /// debug builds assert. Under dynamics an edge may vanish while a
+    /// proposal is in flight; the *connect* check consults the current
+    /// gossip graph, so a target that died, an edge that faded, a peer that
+    /// moved away or an evicted view edge fails the attempt naturally.
     // Forced into both callers: out of line, the serial sweep ran ~40 %
     // slower on a 14 400-node async grid.
     #[inline(always)]
     fn connect(
         &mut self,
         ctx: &SliceCtx<'_>,
-        graph: &dyn GraphView,
+        graph: Graph<'_>,
         now: SimTime,
         ev: Ev,
         rng: &mut Rng,
@@ -524,10 +521,10 @@ impl Chunks<'_> {
         match ev {
             Ev::Attempt { from, to, gen } => {
                 debug_assert!(
-                    ctx.underlay.is_none_or(|t| t.are_neighbors(from, to)),
+                    graph.frozen.is_none_or(|t| t.are_neighbors(from, to)),
                     "protocol proposed {from} -> {to} across a non-edge"
                 );
-                if self.matcher.try_connect(graph, from, to) {
+                if self.matcher.try_connect(graph.gossip, from, to) {
                     if ctx.tracing {
                         log.push(at(EntryKind::Trace(EventKind::Connect, [from.0, to.0, 0])));
                     }
@@ -591,7 +588,7 @@ struct RegionTask<'a> {
 /// and finishes with a cross-region peer are deferred before consuming
 /// any randomness), so workers on different regions never observe each
 /// other.
-fn run_region(ctx: &SliceCtx<'_>, graph: &(dyn GraphView + Sync), task: &mut RegionTask<'_>) {
+fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
     let RegionTask {
         scratch,
         ads,
@@ -663,7 +660,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: &(dyn GraphView + Sync), task: &mut Reg
                     salt: epoch,
                     messages: chunks.states.view(ui),
                     own_ad,
-                    neighbors: graph.neighbors(u),
+                    neighbors: graph.gossip.neighbors(u),
                     tags: Tags::split(ads, base, ctx.ads_snap),
                 };
                 match ctx.protocol.decide(&node_ctx, &mut rng) {
@@ -709,7 +706,7 @@ fn replay(
     result: &mut SimResult,
     tally: &mut Tally,
     cover: &mut Coverage,
-    dynr: &mut Option<DynRun>,
+    under: &mut Underlay,
     probe: &mut dyn Probe,
 ) -> bool {
     let now = SimTime(e.time);
@@ -732,7 +729,7 @@ fn replay(
                 newly_full,
             };
             tally.count(result, cover, 1, transfer);
-            let population = match dynr {
+            let population = match under.dynr_mut() {
                 Some(d) => {
                     d.record(now, cover);
                     d.topo.alive_count()
@@ -750,19 +747,29 @@ fn replay(
     false
 }
 
-/// The graph gossip runs over right now: the membership overlay when one
-/// is on, else the active view of the mutating underlay, else the frozen
-/// topology itself.
-fn gossip_graph<'a>(
-    topology: &'a Topology,
-    dynr: &'a Option<DynRun>,
-    mem: &'a Option<Membership>,
-) -> &'a (dyn GraphView + Sync) {
-    match (mem, dynr) {
-        (Some(m), _) => m,
-        (None, Some(d)) => &d.topo,
-        (None, None) => topology,
-    }
+/// What an event reads of the network right now.
+#[derive(Clone, Copy)]
+struct Graph<'a> {
+    /// The graph gossip runs over: the membership overlay when one is on,
+    /// else the active view of the mutating underlay, else the frozen
+    /// topology itself.
+    gossip: &'a (dyn GraphView + Sync),
+    /// The frozen topology on a static run; `None` under dynamics. See
+    /// [`Chunks::connect`] for the rule it carries.
+    frozen: Option<&'a Topology>,
+}
+
+/// The [`Graph`] of a run's underlay under its overlay, if any.
+fn gossip_graph<'a>(under: &'a Underlay, mem: &'a Option<Membership>) -> Graph<'a> {
+    let (underlay, frozen): (&(dyn GraphView + Sync), _) = match under {
+        Underlay::Mutating(d) => (&d.topo, None),
+        Underlay::Frozen(t) => (t, Some(t)),
+    };
+    let gossip = match mem {
+        Some(m) => m,
+        None => underlay,
+    };
+    Graph { gossip, frozen }
 }
 
 /// The sliced engine: the one pass loop behind
@@ -784,28 +791,27 @@ fn gossip_graph<'a>(
 pub(crate) fn run_sliced(
     timing: &TimingConfig,
     threads: usize,
-    inputs: &RunInputs<'_>,
+    inputs: RunInputs<'_>,
     probe: &mut dyn Probe,
 ) -> (SimResult, EngineTimings) {
     let started = Instant::now();
+    timing
+        .validate()
+        .unwrap_or_else(|e| panic!("invalid timing config: {e}"));
+    let (mut states, mut cover, mut result) = init_run(&inputs, "async");
     let RunInputs {
         topology,
         protocol,
         sources,
         seed,
         config,
-        ..
-    } = *inputs;
-    timing
-        .validate()
-        .unwrap_or_else(|e| panic!("invalid timing config: {e}"));
+        dynamics,
+        membership,
+    } = inputs;
     let n = topology.num_nodes();
     let mut rng = Rng::new(seed);
-    let (mut states, mut cover, mut result) = init_run(inputs, "async");
-    let mut dynr = inputs
-        .dynamics
-        .map(|model| DynRun::new(topology, model, seed, &cover));
-    let mut mem = inputs.membership.map(|cfg| Membership::new(n, *cfg));
+    let mut under = Underlay::new(topology, dynamics, seed, &cover);
+    let mut mem = membership.map(|cfg| Membership::new(n, *cfg));
     let mut timings = SliceTimings::default();
 
     let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
@@ -850,11 +856,7 @@ pub(crate) fn run_sliced(
         let next = scratches
             .iter()
             .filter_map(|s| s.queue.earliest())
-            .chain(
-                dynr.as_ref()
-                    .and_then(|d| d.peek_time())
-                    .map(SimTime::ticks),
-            )
+            .chain(under.dynr().and_then(|d| d.peek_time()).map(SimTime::ticks))
             .min();
         let Some(next_t) = next else {
             break 'run last_time;
@@ -878,7 +880,7 @@ pub(crate) fn run_sliced(
         // Phase 0 (serial, dynamic runs): apply every mutation due inside
         // this slice before any of its events execute, so deaths precede
         // the slice's unions both physically and in the accounting.
-        if let Some(d) = dynr.as_mut() {
+        if let Some(d) = under.dynr_mut() {
             let t2 = Instant::now();
             let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
             let mut matcher = matcher.whole();
@@ -946,7 +948,7 @@ pub(crate) fn run_sliced(
         // immediately, and the whole slice executes against frozen views.
         if let Some(m) = mem.as_mut() {
             let t3 = Instant::now();
-            tick_membership(m, topology, &dynr, seed, pass, probe);
+            tick_membership(m, &under, seed, pass, probe);
             timings.sweep += ms(t3.elapsed());
         }
 
@@ -964,7 +966,6 @@ pub(crate) fn run_sliced(
             pass,
             end,
             part,
-            underlay: dynr.is_none().then_some(topology),
             tracing,
         };
         {
@@ -981,7 +982,7 @@ pub(crate) fn run_sliced(
                     chunks: Chunks { matcher, states },
                 })
                 .collect();
-            let graph = gossip_graph(topology, &dynr, &mem);
+            let graph = gossip_graph(&under, &mem);
             shard::for_each(threads, &mut tasks, |task| run_region(&ctx, graph, task));
         }
         timings.execute += ms(t0.elapsed());
@@ -1006,7 +1007,7 @@ pub(crate) fn run_sliced(
             s.log.clear();
         }
         for e in merged.iter() {
-            if replay(e, &mut result, &mut tally, &mut cover, &mut dynr, probe) {
+            if replay(e, &mut result, &mut tally, &mut cover, &mut under, probe) {
                 timings.merge += ms(t1.elapsed());
                 break 'run e.time;
             }
@@ -1038,12 +1039,12 @@ pub(crate) fn run_sliced(
             last_time = last_time.max(now.ticks());
             sweep_events += 1;
             tally.close_rows_below(&mut result, now.round_equivalent().max(1), &cover);
-            let graph = gossip_graph(topology, &dynr, &mem);
+            let graph = gossip_graph(&under, &mem);
             let (at, next) =
                 whole.connect(&ctx, graph, now, ev.event, &mut rng_sweep, &mut sweep_log);
             scratches[part.region_of(next.owner().index())].push(at, next);
             for e in sweep_log.drain(..) {
-                if replay(&e, &mut result, &mut tally, &mut cover, &mut dynr, probe) {
+                if replay(&e, &mut result, &mut tally, &mut cover, &mut under, probe) {
                     timings.sweep += ms(t2.elapsed());
                     break 'run e.time;
                 }
@@ -1060,8 +1061,8 @@ pub(crate) fn run_sliced(
     // covers exactly `rounds_executed` rows.
     let rows = result.rounds_executed + 1;
     tally.close_rows_below(&mut result, rows, &cover);
-    timings.settle = dynr.as_ref().map_or(0.0, |d| d.settle_ms);
-    finish_run(&mut result, &cover, dynr, mem);
+    timings.settle = under.dynr().map_or(0.0, |d| d.settle_ms);
+    finish_run(&mut result, &cover, under, mem);
     timings.events = scratches.iter().map(|s| s.events).sum::<u64>() + sweep_events;
     for (r, s) in scratches.iter().enumerate() {
         timings.events_by_region.add(r, s.events);

@@ -52,7 +52,7 @@ fn run_static(threads: usize, topo: &Topology, proto: Protocol, k: usize) -> Sim
         record_rounds: true,
     };
     Scheduler::Sync { threads }.run(
-        &RunInputs::new(topo, proto, &sources, 42, cfg),
+        RunInputs::new(topo.clone(), proto, &sources, 42, cfg),
         &mut NoopProbe,
     )
 }
@@ -130,9 +130,9 @@ fn run_dyn(
         record_rounds: true,
     };
     Scheduler::Sync { threads }.run(
-        &RunInputs {
+        RunInputs {
             dynamics: Some(dynamics),
-            ..RunInputs::new(topo, proto, &sources, 77, cfg)
+            ..RunInputs::new(topo.clone(), proto, &sources, 77, cfg)
         },
         &mut NoopProbe,
     )
@@ -194,7 +194,7 @@ fn run_async_static(threads: usize, topo: &Topology, proto: Protocol, k: usize) 
         record_rounds: true,
     };
     async_sched(threads).run(
-        &RunInputs::new(topo, proto, &sources, 42, cfg),
+        RunInputs::new(topo.clone(), proto, &sources, 42, cfg),
         &mut NoopProbe,
     )
 }
@@ -252,11 +252,11 @@ fn async_churn_runs_are_identical_at_any_thread_count() {
             };
             let inputs = RunInputs {
                 dynamics: Some(&churn),
-                ..RunInputs::new(&topo, proto, &sources, 77, cfg)
+                ..RunInputs::new(topo.clone(), proto, &sources, 77, cfg)
             };
-            let baseline = async_sched(1).run(&inputs, &mut NoopProbe);
+            let baseline = async_sched(1).run(inputs.clone(), &mut NoopProbe);
             for threads in THREAD_COUNTS {
-                let sharded = async_sched(threads).run(&inputs, &mut NoopProbe);
+                let sharded = async_sched(threads).run(inputs.clone(), &mut NoopProbe);
                 assert_eq!(
                     baseline,
                     sharded,
@@ -284,8 +284,8 @@ fn thread_count_zero_and_oversubscription_are_harmless() {
         (&ring, [1, 0, 64].map(|threads| Scheduler::Sync { threads })),
         (&big_ring, [1, 0, 64].map(async_sched)),
     ] {
-        let inputs = RunInputs::new(topo, Protocol::Uniform, &[NodeId(3)], 9, cfg);
-        let [serial, zero, many] = schedulers.map(|s| s.run(&inputs, &mut NoopProbe));
+        let inputs = RunInputs::new(topo.clone(), Protocol::Uniform, &[NodeId(3)], 9, cfg);
+        let [serial, zero, many] = schedulers.map(|s| s.run(inputs.clone(), &mut NoopProbe));
         assert!(serial.completed, "{}", serial.scheduler);
         assert_eq!(serial, zero, "{} threads=0", serial.scheduler);
         assert_eq!(serial, many, "{} threads=64", serial.scheduler);

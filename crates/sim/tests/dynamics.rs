@@ -84,9 +84,9 @@ fn run_dynamic(
         record_rounds: true,
     };
     scheduler.run(
-        &RunInputs {
+        RunInputs {
             dynamics: Some(dynamics),
-            ..RunInputs::new(topo, protocol, &sources, seed, cfg)
+            ..RunInputs::new(topo.clone(), protocol, &sources, seed, cfg)
         },
         &mut NoopProbe,
     )
@@ -128,9 +128,9 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     // gossip is complete at round 0.
     let early = Script(vec![Script::depart(1023, 1)]);
     let result = Scheduler::Sync { threads: 1 }.run(
-        &RunInputs {
+        RunInputs {
             dynamics: Some(&early),
-            ..RunInputs::new(&topo, Protocol::Advert, &sources, 7, cfg)
+            ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 7, cfg)
         },
         &mut NoopProbe,
     );
@@ -142,9 +142,9 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     // 1 still runs on the full line and completes gossip first.
     let late = Script(vec![Script::depart(1024, 1)]);
     let result = Scheduler::Sync { threads: 1 }.run(
-        &RunInputs {
+        RunInputs {
             dynamics: Some(&late),
-            ..RunInputs::new(&topo, Protocol::Advert, &sources, 7, cfg)
+            ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 7, cfg)
         },
         &mut NoopProbe,
     );
@@ -175,9 +175,9 @@ fn a_boundary_draining_only_no_ops_does_not_complete() {
     };
     for scheduler in schedulers() {
         let result = scheduler.run(
-            &RunInputs {
+            RunInputs {
                 dynamics: Some(&script),
-                ..RunInputs::new(&topo, Protocol::Advert, &[NodeId(0)], 5, cfg)
+                ..RunInputs::new(topo.clone(), Protocol::Advert, &[NodeId(0)], 5, cfg)
             },
             &mut NoopProbe,
         );
@@ -203,9 +203,9 @@ fn emptied_network_never_completes() {
     };
     for scheduler in schedulers() {
         let result = scheduler.run(
-            &RunInputs {
+            RunInputs {
                 dynamics: Some(&script),
-                ..RunInputs::new(&topo, Protocol::Uniform, &[NodeId(0)], 3, cfg)
+                ..RunInputs::new(topo.clone(), Protocol::Uniform, &[NodeId(0)], 3, cfg)
             },
             &mut NoopProbe,
         );
@@ -235,9 +235,9 @@ fn gossip_crosses_a_dead_gap_only_after_the_rejoin() {
     for scheduler in schedulers() {
         let cfg = SimConfig::default();
         let result = scheduler.run(
-            &RunInputs {
+            RunInputs {
                 dynamics: Some(&script),
-                ..RunInputs::new(&topo, Protocol::Advert, &[NodeId(0)], 11, cfg)
+                ..RunInputs::new(topo.clone(), Protocol::Advert, &[NodeId(0)], 11, cfg)
             },
             &mut NoopProbe,
         );

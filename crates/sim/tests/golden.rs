@@ -119,11 +119,11 @@ fn an_empty_mutation_stream_runs_exactly_the_static_run() {
         for proto in protocols {
             for threads in [1usize, 8] {
                 for sched in schedulers(threads) {
-                    let inputs = RunInputs::new(topo, proto, &sources, 42, cfg);
-                    let fixed = sched.run(&inputs, &mut NoopProbe);
+                    let inputs = RunInputs::new(topo.clone(), proto, &sources, 42, cfg);
+                    let fixed = sched.run(inputs.clone(), &mut NoopProbe);
                     assert!(fixed.completed && fixed.dynamics.is_none());
                     let mut still = sched.run(
-                        &RunInputs {
+                        RunInputs {
                             dynamics: Some(&Still),
                             ..inputs
                         },

@@ -142,21 +142,10 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// or timeline point a line; `Debug` emits no newline, so the split
 /// reverses exactly), and, if `traced`, the FNV-1a of the event stream's
 /// JSONL lines joined by `\n`.
-fn render(sched: Scheduler, inputs: &RunInputs<'_>, traced: bool) -> (String, EngineTimings) {
-    let mut probe = MemoryProbe::default();
-    let (result, timings) = if traced {
-        sched.run_timed(inputs, &mut probe)
-    } else {
-        sched.run_timed(inputs, &mut NoopProbe)
-    };
-    assert_eq!(
-        matches!(timings, EngineTimings::Sync(_)),
-        sched.name() == "sync",
-        "the clocks name the engine that ran"
-    );
+fn render(sched: Scheduler, inputs: RunInputs<'_>, traced: bool) -> (String, EngineTimings) {
     let timing = sched.timing().map_or(String::new(), |t| format!(" {t:?}"));
-    let mut text = format!(
-        "{} n={} k={} {} {}{timing} dynamics={} membership={} {:?} seed={}\n{}\n",
+    let header = format!(
+        "{} n={} k={} {} {}{timing} dynamics={} membership={} {:?} seed={}",
         inputs.topology.name(),
         inputs.topology.num_nodes(),
         inputs.sources.len(),
@@ -168,8 +157,20 @@ fn render(sched: Scheduler, inputs: &RunInputs<'_>, traced: bool) -> (String, En
             .map_or("none".to_string(), |m| format!("{m:?}")),
         inputs.config,
         inputs.seed,
-        format!("{result:?}").replace("}, ", "},\n"),
     );
+    let mut probe = MemoryProbe::default();
+    let (result, timings) = if traced {
+        sched.run_timed(inputs, &mut probe)
+    } else {
+        sched.run_timed(inputs, &mut NoopProbe)
+    };
+    assert_eq!(
+        matches!(timings, EngineTimings::Sync(_)),
+        sched.name() == "sync",
+        "the clocks name the engine that ran"
+    );
+    let result = format!("{result:?}").replace("}, ", "},\n");
+    let mut text = format!("{header}\n{result}\n");
     if traced {
         let lines: Vec<String> = probe.events.iter().map(TraceEvent::to_json).collect();
         let events = fnv(lines.join("\n").as_bytes());
@@ -234,9 +235,9 @@ fn matrix(sched: Scheduler, dynamic: bool, overlay: bool) -> String {
     let inputs = RunInputs {
         dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
         membership: overlay.then_some(&membership),
-        ..RunInputs::new(&topo, Protocol::Advert, &sources, 42, history(120))
+        ..RunInputs::new(topo, Protocol::Advert, &sources, 42, history(120))
     };
-    render(sched, &inputs, true).0
+    render(sched, inputs, true).0
 }
 
 /// Uniform gossip on a 2048-node async ring, traced: a region is 32
@@ -248,9 +249,9 @@ fn region_ring(threads: usize, dynamic: bool) -> String {
     let churn = churn(RejoinPolicy::Lose, 3.0);
     let inputs = RunInputs {
         dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
-        ..RunInputs::new(&topo, Protocol::Uniform, &sources, 42, history(40))
+        ..RunInputs::new(topo, Protocol::Uniform, &sources, 42, history(40))
     };
-    let (text, timings) = render(sliced(threads), &inputs, true);
+    let (text, timings) = render(sliced(threads), inputs, true);
     let EngineTimings::Async(slices) = timings else {
         unreachable!("render checked the engine")
     };
@@ -269,8 +270,8 @@ fn region_ring(threads: usize, dynamic: bool) -> String {
 fn hashed_grid(sched: Scheduler, k: usize) -> String {
     let grid = Topology::grid(144);
     let sources = random_sources(144, k, &mut Rng::new(0xfeed));
-    let inputs = RunInputs::new(&grid, Protocol::Advert, &sources, 42, history(400));
-    render(sched, &inputs, true).0
+    let inputs = RunInputs::new(grid, Protocol::Advert, &sources, 42, history(400));
+    render(sched, inputs, true).0
 }
 
 /// 80 hashed-tag rumors over a churned (`keep`) HyParView RGG, traced:
@@ -283,9 +284,9 @@ fn hashed_overlay(threads: usize) -> String {
     let inputs = RunInputs {
         dynamics: Some(&churn),
         membership: Some(&membership),
-        ..RunInputs::new(&rgg, Protocol::Advert, &sources, 42, history(400))
+        ..RunInputs::new(rgg, Protocol::Advert, &sources, 42, history(400))
     };
-    render(sync(threads), &inputs, true).0
+    render(sync(threads), inputs, true).0
 }
 
 /// An `n`-node RGG under 5 % churn (`keep`) and waypoint mobility,
@@ -351,9 +352,9 @@ fn mobile_overlay(sched: Scheduler) -> String {
     let inputs = RunInputs {
         dynamics: Some(&model),
         membership: Some(&membership),
-        ..RunInputs::new(&topo, Protocol::Advert, &sources, 42, history(24))
+        ..RunInputs::new(topo, Protocol::Advert, &sources, 42, history(24))
     };
-    render(sched, &inputs, false).0
+    render(sched, inputs, false).0
 }
 
 /// Advert gossip from node 0 on a 1000-ring: a deterministic two-frontier
@@ -361,13 +362,13 @@ fn mobile_overlay(sched: Scheduler) -> String {
 fn ring_sweep(threads: usize) -> String {
     let topo = Topology::ring(1000);
     let inputs = RunInputs::new(
-        &topo,
+        topo,
         Protocol::Advert,
         &[NodeId(0)],
         42,
         SimConfig::default(),
     );
-    render(sync(threads), &inputs, false).0
+    render(sync(threads), inputs, false).0
 }
 
 /// The experiment layer salts the seed before placing sources.
@@ -380,8 +381,8 @@ fn grid_alltoall(threads: usize) -> String {
     let topo = Topology::grid(400);
     let sources = random_sources(400, 400, &mut Rng::new(42 ^ SOURCES_SEED_SALT));
     let cfg = no_history(default_round_cap(400));
-    let inputs = RunInputs::new(&topo, Protocol::Advert, &sources, 42, cfg);
-    render(sync(threads), &inputs, false).0
+    let inputs = RunInputs::new(topo, Protocol::Advert, &sources, 42, cfg);
+    render(sync(threads), inputs, false).0
 }
 
 /// The CLI's `--topology ring --nodes 1000 --protocol advert --seed 42`
@@ -393,14 +394,8 @@ fn grid_alltoall(threads: usize) -> String {
 fn cli_ring(sched: Scheduler, max_rounds: usize) -> String {
     let topo = Topology::ring(1000);
     let sources = random_sources(1000, 1, &mut Rng::new(42 ^ SOURCES_SEED_SALT));
-    let inputs = RunInputs::new(
-        &topo,
-        Protocol::Advert,
-        &sources,
-        42,
-        no_history(max_rounds),
-    );
-    render(sched, &inputs, false).0
+    let inputs = RunInputs::new(topo, Protocol::Advert, &sources, 42, no_history(max_rounds));
+    render(sched, inputs, false).0
 }
 
 /// Advert gossip of 2 rumors over HyParView on the 1000-node mobile
@@ -413,14 +408,14 @@ fn mobile_churn(sched: Scheduler) -> String {
         dynamics: Some(&model),
         membership: Some(&membership),
         ..RunInputs::new(
-            &topo,
+            topo,
             Protocol::Advert,
             &sources,
             77,
             no_history(default_round_cap(1000)),
         )
     };
-    render(sched, &inputs, false).0
+    render(sched, inputs, false).0
 }
 
 /// Uniform gossip on a 2 500-node async grid under churn (`keep`), capped
@@ -432,7 +427,7 @@ fn churned_grid(threads: usize) -> String {
     let sources = random_sources(2500, 2, &mut Rng::new(0xfeed));
     let inputs = RunInputs {
         dynamics: Some(&churn),
-        ..RunInputs::new(&topo, Protocol::Uniform, &sources, 77, no_history(120))
+        ..RunInputs::new(topo, Protocol::Uniform, &sources, 77, no_history(120))
     };
-    render(sliced(threads), &inputs, false).0
+    render(sliced(threads), inputs, false).0
 }

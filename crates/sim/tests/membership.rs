@@ -56,24 +56,24 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
             let membership = mem_cfg();
             let inputs = RunInputs {
                 membership: Some(&membership),
-                ..RunInputs::new(&topo, Protocol::Advert, &sources, seed, sim_cfg(n))
+                ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, seed, sim_cfg(n))
             };
-            let sync_base = Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe);
+            let sync_base = Scheduler::Sync { threads: 1 }.run(inputs.clone(), &mut NoopProbe);
             assert!(
                 sync_base.membership.is_some(),
                 "membership runs must carry overlay stats"
             );
-            let async_base = async_sched(1).run(&inputs, &mut NoopProbe);
+            let async_base = async_sched(1).run(inputs.clone(), &mut NoopProbe);
             assert!(async_base.membership.is_some());
             for threads in THREAD_COUNTS {
-                let sync_run = Scheduler::Sync { threads }.run(&inputs, &mut NoopProbe);
+                let sync_run = Scheduler::Sync { threads }.run(inputs.clone(), &mut NoopProbe);
                 assert_eq!(
                     sync_base,
                     sync_run,
                     "sync membership run on {} diverged at {threads} threads",
                     topo.name()
                 );
-                let async_run = async_sched(threads).run(&inputs, &mut NoopProbe);
+                let async_run = async_sched(threads).run(inputs.clone(), &mut NoopProbe);
                 assert_eq!(
                     async_base,
                     async_run,
@@ -101,23 +101,23 @@ fn assert_membership_churn_is_thread_independent(
         let inputs = RunInputs {
             dynamics: Some(churn),
             membership: Some(&membership),
-            ..RunInputs::new(&topo, Protocol::Advert, &sources, 77, cfg_for(n))
+            ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 77, cfg_for(n))
         };
-        let sync_base = Scheduler::Sync { threads: 1 }.run(&inputs, &mut NoopProbe);
-        let async_base = async_sched(1).run(&inputs, &mut NoopProbe);
+        let sync_base = Scheduler::Sync { threads: 1 }.run(inputs.clone(), &mut NoopProbe);
+        let async_base = async_sched(1).run(inputs.clone(), &mut NoopProbe);
         // Churn under the overlay exercises the failure detector: departed
         // peers must be suspected and eventually evicted.
         let stats = sync_base.membership.as_ref().unwrap();
         assert!(stats.probes > 0, "the failure detector never probed");
         for &threads in thread_counts {
-            let sync_run = Scheduler::Sync { threads }.run(&inputs, &mut NoopProbe);
+            let sync_run = Scheduler::Sync { threads }.run(inputs.clone(), &mut NoopProbe);
             assert_eq!(
                 sync_base,
                 sync_run,
                 "sync membership+churn run (k={k}) on {} diverged at {threads} threads",
                 topo.name()
             );
-            let async_run = async_sched(threads).run(&inputs, &mut NoopProbe);
+            let async_run = async_sched(threads).run(inputs.clone(), &mut NoopProbe);
             assert_eq!(
                 async_base,
                 async_run,
@@ -210,12 +210,12 @@ fn full_view_default_is_byte_identical_to_the_pre_membership_path() {
     let cfg = sim_cfg(256);
     for proto in [Protocol::Uniform, Protocol::Advert] {
         let plain = Scheduler::Sync { threads: 2 }.run(
-            &RunInputs::new(&topo, proto, &sources, 11, cfg),
+            RunInputs::new(topo.clone(), proto, &sources, 11, cfg),
             &mut NoopProbe,
         );
         assert!(plain.membership.is_none());
         let async_plain = async_sched(2).run(
-            &RunInputs::new(&topo, proto, &sources, 11, cfg),
+            RunInputs::new(topo.clone(), proto, &sources, 11, cfg),
             &mut NoopProbe,
         );
         assert!(async_plain.membership.is_none());
@@ -232,9 +232,9 @@ fn gossip_over_discovered_views_still_completes() {
         let sources = random_sources(n, 1, &mut Rng::new(0xfeed));
         let cfg = sim_cfg(n);
         let sync_run = Scheduler::Sync { threads: 2 }.run(
-            &RunInputs {
+            RunInputs {
                 membership: Some(&mem_cfg()),
-                ..RunInputs::new(&topo, Protocol::Advert, &sources, 3, cfg)
+                ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 3, cfg)
             },
             &mut NoopProbe,
         );
@@ -251,9 +251,9 @@ fn gossip_over_discovered_views_still_completes() {
         assert!(stats.active_min >= 1 && stats.active_max <= mem_cfg().active_size);
         assert_eq!(stats.isolated_nodes, 0);
         let async_run = async_sched(2).run(
-            &RunInputs {
+            RunInputs {
                 membership: Some(&mem_cfg()),
-                ..RunInputs::new(&topo, Protocol::Advert, &sources, 3, cfg)
+                ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 3, cfg)
             },
             &mut NoopProbe,
         );

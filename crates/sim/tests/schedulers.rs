@@ -30,7 +30,7 @@ fn run_with(
         record_rounds: true,
     };
     scheduler.run(
-        &RunInputs::new(topo, protocol, &sources, seed, cfg),
+        RunInputs::new(topo.clone(), protocol, &sources, seed, cfg),
         &mut NoopProbe,
     )
 }
@@ -109,7 +109,7 @@ fn async_respects_the_virtual_time_cap() {
     };
     let sources = [gossip_core::NodeId(0)];
     let result = default_async().run(
-        &RunInputs::new(&topo, Protocol::Uniform, &sources, 3, cfg),
+        RunInputs::new(topo.clone(), Protocol::Uniform, &sources, 3, cfg),
         &mut NoopProbe,
     );
     assert!(!result.completed);
@@ -186,8 +186,8 @@ fn async_history_counts_boundary_events() {
 fn async_single_node_completes_instantly() {
     let topo = Topology::complete(1);
     let result = default_async().run(
-        &RunInputs::new(
-            &topo,
+        RunInputs::new(
+            topo.clone(),
             Protocol::Uniform,
             &[gossip_core::NodeId(0)],
             1,

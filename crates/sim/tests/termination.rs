@@ -16,7 +16,7 @@ fn run_one(topo: &Topology, protocol: Protocol, k: usize, seed: u64) -> SimResul
         ..SimConfig::default()
     };
     Scheduler::Sync { threads: 1 }.run(
-        &RunInputs::new(topo, protocol, &sources, seed, cfg),
+        RunInputs::new(topo.clone(), protocol, &sources, seed, cfg),
         &mut NoopProbe,
     )
 }
