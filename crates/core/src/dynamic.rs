@@ -321,6 +321,10 @@ fn merge(out: &mut [NodeId], long: &[NodeId], short: &[NodeId]) {
 /// prefix, and return where they go: its own capacity or, if they
 /// outgrow it, fresh capacity at the slab tail, stranding the old until
 /// the next compaction. Nothing is copied: the caller writes every entry.
+///
+/// A full slab grows by the share of its live entries at which
+/// compaction reclaims anyway, not by doubling: a doubled 10⁶-node slab
+/// asks for hundreds of megabytes that relocations never fill.
 #[inline(always)]
 fn place<'a>(
     slot: &mut Slot,
@@ -335,6 +339,9 @@ fn place<'a>(
             at + cap < u32::MAX as usize,
             "dynamic adjacency slab overflows u32 offsets"
         );
+        if slab.capacity() < at + cap {
+            slab.reserve_exact(cap.max((at - *waste) / COMPACT_WASTE_SHARE));
+        }
         slab.resize(at + cap, NodeId(0));
         *waste += slot.cap as usize;
         (slot.start, slot.cap) = (at as u32, cap as u32);
@@ -1356,6 +1363,24 @@ mod tests {
         let dt = batch_matches_stepwise(&ring, &steps);
         assert_eq!(dt.waste, 0);
         assert_eq!(dt.active_neighbors(NodeId(0)).len(), 297); // all but 0, 9 and 5
+    }
+
+    #[test]
+    fn a_relocation_grows_the_slab_by_a_bounded_share_not_double() {
+        // The converted slab fills its allocation exactly; node 0 taking a
+        // hundred neighbors outgrows its slot, which moves to the tail.
+        let mut dt = DynamicTopology::new(&Topology::ring(4096));
+        assert_eq!(dt.slab.capacity(), dt.slab.len());
+        let wide: Vec<NodeId> = (1..=100).map(NodeId).collect();
+        dt.defer_rewire(NodeId(0), &wide);
+        dt.settle();
+        let (len, slot) = (dt.slab.len(), dt.slots[0].cap as usize);
+        assert_eq!(dt.slots[0].start as usize + slot, len, "node 0 relocated");
+        let capacity = dt.slab.capacity();
+        assert!(
+            capacity <= len + len / 8 + slot,
+            "{capacity} entries allocated for a slab of {len}"
+        );
     }
 
     #[test]

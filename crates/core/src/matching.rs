@@ -314,7 +314,11 @@ fn resolve_region<G: GraphView + ?Sized>(
         deferred += usize::from(leaves);
     }
     confined.truncate(kept);
+    // Every region's output lives until the merge: hand back what the
+    // passes cut, here and after the batch, so the regions hold their
+    // results, not a slot per proposer each.
     out.deferred.truncate(deferred);
+    out.deferred.shrink_to_fit();
     out.confined += kept as u64;
     let mut rng = Rng::stream(seed, round, MATCH_REGION_STREAM_BASE + region as u64);
     resolve_batch(
@@ -327,6 +331,7 @@ fn resolve_region<G: GraphView + ?Sized>(
         matched,
         &mut out.connections,
     );
+    out.connections.shrink_to_fit();
 }
 
 /// Resolve one round of intents with the partitioned parallel resolver.
@@ -513,6 +518,11 @@ impl MatcherChunk<'_> {
     /// First node index owned by this chunk.
     pub fn base(&self) -> usize {
         self.base
+    }
+
+    /// The nodes this chunk owns.
+    pub fn nodes(&self) -> std::ops::Range<usize> {
+        self.base..self.base + self.states.len()
     }
 
     #[inline]

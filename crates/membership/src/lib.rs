@@ -59,6 +59,11 @@
 //! `n × (s_a + s_p)` ids of 4 bytes, whatever the views hold — 2.8 MB for
 //! the default sizes 5 and 30 on 20 000 nodes. The scenario builder
 //! refuses slabs past its word budget.
+//!
+//! Open suspicions sit inline too, in a fixed record of three slots per
+//! node (40 bytes), not a `Vec` each: a `Vec` per node cost 24 bytes plus
+//! a heap block for nearly every node of a churned run, ~1.9 MB on
+//! 20 000 nodes whose longest list held two entries.
 
 use gossip_core::rng::MEMBERSHIP_STREAM;
 use gossip_core::{GraphView, NodeId, Rng, TICKS_PER_ROUND};
@@ -154,8 +159,8 @@ pub struct Membership {
     active: Views,
     /// Sorted passive view per node, disjoint from the active view.
     passive: Views,
-    /// Open suspicions per node: `(suspect, eviction deadline tick)`.
-    suspects: Vec<Vec<(NodeId, u64)>>,
+    /// Open suspicions per node.
+    suspects: Vec<Suspects>,
     /// Liveness at the previous tick, to detect deaths edge-triggered.
     alive_prev: Vec<bool>,
     joins: u64,
@@ -197,6 +202,62 @@ fn discoverable<'a, G: GraphView + ?Sized>(
         "node {u}: the underlay view lists the node itself or a dead peer"
     );
     peers
+}
+
+/// Most suspicions a node holds open at once. A node probes once per
+/// probe period and a suspicion falls due two periods after it opens, so
+/// at a probe tick the suspicions of the two probe ticks before may still
+/// stand beside the new one (the oldest is evicted later in that tick).
+/// Ticks only grow, and a skipped probe tick opens none.
+const MAX_SUSPECTS: usize = 3;
+
+/// A node's open suspicions, oldest first: peer `peer[i]` is evicted at
+/// tick `due[i]` for every `i < len`, unless a probe refutes it first.
+#[derive(Clone, Copy, Debug)]
+struct Suspects {
+    due: [u64; MAX_SUSPECTS],
+    peer: [NodeId; MAX_SUSPECTS],
+    len: u32,
+}
+
+impl Suspects {
+    const NONE: Suspects = Suspects {
+        due: [0; MAX_SUSPECTS],
+        peer: [NodeId(0); MAX_SUSPECTS],
+        len: 0,
+    };
+
+    fn contains(&self, v: NodeId) -> bool {
+        self.peer[..self.len as usize].contains(&v)
+    }
+
+    /// Suspect `v` until tick `due`, after every open suspicion.
+    fn push(&mut self, v: NodeId, due: u64) {
+        let len = self.len as usize;
+        debug_assert!(len < MAX_SUSPECTS, "a fourth open suspicion");
+        (self.peer[len], self.due[len]) = (v, due);
+        self.len += 1;
+    }
+
+    /// Close the suspicions `close(peer, due)` picks, keeping the others
+    /// in order; the closed ones' peers come back in order, the first
+    /// `count` entries of the array.
+    fn close(&mut self, close: impl Fn(NodeId, u64) -> bool) -> ([NodeId; MAX_SUSPECTS], usize) {
+        let mut closed = [NodeId(0); MAX_SUSPECTS];
+        let (mut kept, mut count) = (0, 0);
+        for i in 0..self.len as usize {
+            let (v, due) = (self.peer[i], self.due[i]);
+            if close(v, due) {
+                closed[count] = v;
+                count += 1;
+            } else {
+                (self.peer[kept], self.due[kept]) = (v, due);
+                kept += 1;
+            }
+        }
+        self.len = kept as u32;
+        (closed, count)
+    }
 }
 
 /// One sorted view per node in a single fixed-stride slab: node `u` owns
@@ -290,7 +351,7 @@ impl Membership {
             cfg,
             active: Views::new(n, cfg.active_size),
             passive: Views::new(n, cfg.passive_size),
-            suspects: vec![Vec::new(); n],
+            suspects: vec![Suspects::NONE; n],
             alive_prev: vec![true; n],
             joins: 0,
             shuffles: 0,
@@ -346,7 +407,7 @@ impl Membership {
             if !a && self.alive_prev[u] {
                 self.active.clear(u);
                 self.passive.clear(u);
-                self.suspects[u].clear();
+                self.suspects[u] = Suspects::NONE;
             }
             self.alive_prev[u] = a;
         }
@@ -400,9 +461,9 @@ impl Membership {
                 let reachable =
                     is_alive(alive, v.index()) && underlay.are_neighbors(NodeId(u as u32), v);
                 if reachable {
-                    self.suspects[u].retain(|&(s, _)| s != v);
-                } else if !self.suspects[u].iter().any(|&(s, _)| s == v) {
-                    self.suspects[u].push((v, tick + self.cfg.suspect_timeout()));
+                    self.suspects[u].close(|s, _| s == v);
+                } else if !self.suspects[u].contains(v) {
+                    self.suspects[u].push(v, tick + self.cfg.suspect_timeout());
                     self.suspicions += 1;
                     trace(probe, EventKind::Suspect, u, v);
                 }
@@ -413,13 +474,8 @@ impl Membership {
         //    link on both sides. An eviction of a peer that was actually
         //    alive and reachable is a detector false positive.
         for u in 0..n {
-            let mut i = 0;
-            while i < self.suspects[u].len() {
-                if self.suspects[u][i].1 > tick {
-                    i += 1;
-                    continue;
-                }
-                let (v, _) = self.suspects[u].remove(i);
+            let (expired, count) = self.suspects[u].close(|_, due| due <= tick);
+            for &v in &expired[..count] {
                 if self.active.remove(u, v) {
                     self.active.remove(v.index(), NodeId(u as u32));
                     self.evictions += 1;
@@ -675,6 +731,55 @@ mod tests {
         // The dead node's own state was cleared on departure.
         assert!(mem.neighbors(NodeId(0)).is_empty());
         assert!(mem.passive_view(NodeId(0)).is_empty());
+    }
+
+    #[test]
+    fn a_node_holds_three_open_suspicions_at_most_oldest_first() {
+        // K8 with 7-wide views: once five nodes die, a survivor's view is
+        // mostly dead peers. A dead peer is never refuted, so a suspicion
+        // opened at tick s stands until the eviction step of tick s + 2p:
+        // three probes in a row that each find a new dead peer hold three
+        // open at once. (Debug builds assert the bound on every push.)
+        assert_eq!(std::mem::size_of::<Suspects>(), 40);
+        for probe_period in [1, 3] {
+            let cfg = MembershipConfig {
+                active_size: 7,
+                probe_period,
+                ..MembershipConfig::default()
+            };
+            let reached = (0..64).any(|seed| {
+                let mut topo = DynamicTopology::new(&Topology::complete(8));
+                let mut mem = Membership::new(8, cfg);
+                for tick in 1..=6 {
+                    mem.tick(&topo, Some(topo.alive_mask()), seed, tick, &mut NoopProbe);
+                }
+                for u in 1..=5 {
+                    topo.defer_alive(NodeId(u), false);
+                }
+                topo.settle();
+                let mut probe = MemoryProbe::default();
+                for tick in 7..=6 + 8 * probe_period {
+                    mem.tick(&topo, Some(topo.alive_mask()), seed, tick, &mut probe);
+                    for u in [0, 6, 7] {
+                        // Open between this tick's probes and evictions.
+                        let open: Vec<NodeId> = (probe.events.iter())
+                            .filter(|e| e.kind == EventKind::Suspect && e.ids[0] == u)
+                            .filter(|e| e.round + cfg.suspect_timeout() >= tick)
+                            .map(|e| NodeId(e.ids[1]))
+                            .collect();
+                        assert!(open.len() <= MAX_SUSPECTS, "node {u}: {open:?}");
+                        if open.len() == MAX_SUSPECTS {
+                            // The oldest fell due; the others stand in order.
+                            let s = &mem.suspects[u as usize];
+                            assert_eq!(&s.peer[..s.len as usize], &open[1..]);
+                            return true;
+                        }
+                    }
+                }
+                false
+            });
+            assert!(reached, "probe period {probe_period}: never three open");
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! follow-up random gossip processes work) are provided, as the variants
 //! of the [`Protocol`] enum: [`Protocol::Uniform`], blind uniform random
 //! spread, and [`Protocol::Advert`], productive advertisement-guided
-//! gossip. The set is closed on purpose: the engines ask every node for a
-//! tag and an intent every round, and a `match` on a `Copy` enum inlines
-//! into their node loops, where a trait object cost one indirect call per
-//! node per round and hid the rule from the optimiser.
+//! gossip. The set is closed on purpose: the engines ask every node for an
+//! intent (and, under a protocol that [reads tags](Protocol::reads_tags),
+//! for a tag) every round, and a `match` on a `Copy` enum inlines into
+//! their node loops, where a trait object cost one indirect call per node
+//! per round and hid the rule from the optimiser.
 
 mod advert;
 mod uniform;
@@ -85,10 +86,12 @@ pub struct NodeCtx<'a> {
     /// engine's struct-of-arrays [`gossip_core::MessageMatrix`].
     pub messages: MsgView<'a>,
     /// The tag this node itself last published: exactly
-    /// `advertise(messages, salt)`. Every engine refreshes a node's tag
-    /// immediately before asking it to decide, on the same row and salt,
-    /// so a protocol comparing neighbor tags against its own reads this
-    /// instead of recomputing it.
+    /// `advertise(messages, salt)` for a protocol that
+    /// [reads tags](Protocol::reads_tags) — every engine refreshes a
+    /// node's tag immediately before asking it to decide, on the same row
+    /// and salt, so a protocol comparing neighbor tags against its own
+    /// reads this instead of recomputing it. For any other protocol it is
+    /// `Advertisement::default()`, what such a protocol advertises.
     pub own_ad: Advertisement,
     /// Neighbors in the topology.
     pub neighbors: &'a [NodeId],
@@ -157,6 +160,19 @@ impl Protocol {
         match self {
             Protocol::Uniform => "uniform",
             Protocol::Advert => "advert",
+        }
+    }
+
+    /// Whether [`decide`](Self::decide) reads neighbor tags. The engines
+    /// keep tag storage, and run the advertise pass, only for a protocol
+    /// that does: for any other, [`NodeCtx::tags`] is empty and its
+    /// [`advertise`](Self::advertise) returns `Advertisement::default()`,
+    /// so no scan of an empty view can happen.
+    #[inline]
+    pub fn reads_tags(self) -> bool {
+        match self {
+            Protocol::Uniform => false,
+            Protocol::Advert => true,
         }
     }
 

@@ -86,15 +86,34 @@ mod tests {
 
     #[test]
     fn uniform_reads_no_tags() {
-        // The b = 0 protocol never scans: with no tag behind any neighbor,
-        // a single `tags.of` would panic. Engines rely on this — they hand
-        // over a view and gather nothing, so `uniform` pays for no scan.
+        // `reads_tags` must say what `decide` does. Engines hold no tag
+        // array for a protocol that reads none, so its decide sees empty
+        // `Tags`, where a single `tags.of` panics: such a protocol must
+        // decide there exactly as with tags present, and one that reads
+        // tags must panic there.
         let messages = MessageMatrix::new(1, 1);
         let neighbors = [NodeId(3), NodeId(8), NodeId(70_000)];
-        let ctx = ctx(&messages, &neighbors, &[]);
-        let mut rng = Rng::new(11);
-        for _ in 0..200 {
-            Protocol::Uniform.decide(&ctx, &mut rng);
+        let ads = vec![Advertisement(1); 70_001];
+        let blind = ctx(&messages, &neighbors, &[]);
+        let tagged = ctx(&messages, &neighbors, &ads);
+        assert!(!Protocol::Uniform.reads_tags());
+        for name in Protocol::NAMES {
+            let p = Protocol::parse(name).unwrap();
+            if p.reads_tags() {
+                let scan = || p.decide(&blind, &mut Rng::new(11));
+                let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan));
+                assert!(scan.is_err(), "{name} reads tags, yet decided without any");
+                continue;
+            }
+            let (mut a, mut b) = (Rng::new(11), Rng::new(11));
+            for _ in 0..200 {
+                assert_eq!(
+                    p.decide(&blind, &mut a),
+                    p.decide(&tagged, &mut b),
+                    "{name}"
+                );
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "{name}");
         }
     }
 

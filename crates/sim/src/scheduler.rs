@@ -15,7 +15,9 @@
 //! connection resolution. Its hot path is built for scale:
 //!
 //! - per-node gossip state lives in a [`MessageMatrix`]
-//!   (struct-of-arrays), advertisements and intents in flat arrays;
+//!   (struct-of-arrays), intents in a flat array, and advertisements in
+//!   another only under a protocol that
+//!   [reads them](gossip_protocols::Protocol::reads_tags);
 //! - **three phases** fork through [`gossip_core::shard::for_each`]:
 //!   advertise and scan/decide over contiguous node ranges, and matching
 //!   via the partitioned resolver
@@ -451,7 +453,10 @@ fn run_sync(
         seed,
         threads,
         states,
-        ads: vec![Advertisement::default(); n],
+        ads: match protocol.reads_tags() {
+            true => vec![Advertisement::default(); n],
+            false => Vec::new(),
+        },
         intents: vec![Intent::Idle; n],
         partition: Partition::of(n),
         timings: PhaseTimings::default(),
@@ -539,6 +544,8 @@ struct RoundPhases {
     seed: u64,
     threads: usize,
     states: MessageMatrix,
+    /// Every node's tag; empty under a protocol that reads none
+    /// ([`Protocol::reads_tags`]), whose decide then scans nothing.
     ads: Vec<Advertisement>,
     intents: Vec<Intent>,
     /// The matcher's regions, for the per-region load tally.
@@ -563,9 +570,10 @@ impl RoundPhases {
             (self.protocol, &self.states, self.seed, self.threads);
         // Phases 1 and 2 shard over contiguous node ranges, one per worker;
         // node-indexed output slots *are* the merge in node order.
-        let range = shard::per_worker(self.ads.len(), threads);
+        let range = shard::per_worker(self.intents.len(), threads);
 
-        // Phase 1: advertise — all tags published before anyone scans.
+        // Phase 1: advertise — all tags published before anyone scans. A
+        // protocol that reads no tags keeps none: no chunks, no tasks.
         let t0 = Instant::now();
         let mut ranges: Vec<_> = self.ads.chunks_mut(range).enumerate().collect();
         shard::for_each(threads, &mut ranges, |(w, out)| {
@@ -718,7 +726,7 @@ fn decide_range<G: GraphView + ?Sized>(
             id,
             salt: round,
             messages: states.view(u),
-            own_ad: ads[u],
+            own_ad: ads.get(u).copied().unwrap_or_default(),
             neighbors: graph.neighbors(id),
             tags: Tags::all(ads),
         };

@@ -469,7 +469,8 @@ struct SliceCtx<'a> {
     timing: &'a TimingConfig,
     drift: &'a [f64],
     /// Start-of-slice advertisement snapshot, read for *cross-region*
-    /// neighbors (in-region neighbors read the live array).
+    /// neighbors (in-region neighbors read the live array). Empty, like
+    /// the live array, under a protocol that reads no tags.
     ads_snap: &'a [Advertisement],
     gens: &'a [u64],
     seed: u64,
@@ -576,7 +577,8 @@ impl Chunks<'_> {
 }
 
 /// The disjoint mutable state a worker owns for one region: its scratch,
-/// its advertisements and the region's [`Chunks`].
+/// its advertisements (none under a protocol that reads no tags) and the
+/// region's [`Chunks`].
 struct RegionTask<'a> {
     scratch: &'a mut RegionScratch,
     ads: &'a mut [Advertisement],
@@ -594,9 +596,9 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
         ads,
         chunks,
     } = task;
-    let base = chunks.matcher.base();
     // The nodes every chunk of the task spans: ownership is a range check.
-    let owned = base..base + ads.len();
+    let owned = chunks.matcher.nodes();
+    let base = owned.start;
     let r = ctx.part.region_of(base);
     let mut rng = Rng::stream(ctx.seed, ctx.pass, SLICE_REGION_STREAM_BASE + r as u64);
     let gens = ctx.gens;
@@ -653,8 +655,14 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
                     chunks.matcher.cancel(u);
                 }
                 let epoch = now.epoch();
-                let own_ad = ctx.protocol.advertise(chunks.states.view(ui), epoch);
-                ads[ui - base] = own_ad;
+                let own_ad = match ctx.protocol.reads_tags() {
+                    true => {
+                        let ad = ctx.protocol.advertise(chunks.states.view(ui), epoch);
+                        ads[ui - base] = ad;
+                        ad
+                    }
+                    false => Advertisement::default(),
+                };
                 let node_ctx = NodeCtx {
                     id: u,
                     salt: epoch,
@@ -816,10 +824,14 @@ pub(crate) fn run_sliced(
 
     let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
     let drift: Vec<f64> = (0..n).map(|_| timing.drift_factor(&mut rng)).collect();
-    // Every node publishes an initial epoch-0 tag before anyone scans.
-    let mut ads: Vec<_> = (0..n)
-        .map(|u| protocol.advertise(states.view(u), 0))
-        .collect();
+    // Every node publishes an initial epoch-0 tag before anyone scans —
+    // under a protocol that reads tags; any other keeps none.
+    let mut ads: Vec<_> = match protocol.reads_tags() {
+        true => (0..n)
+            .map(|u| protocol.advertise(states.view(u), 0))
+            .collect(),
+        false => Vec::new(),
+    };
     let mut ads_snap = ads.clone();
     let mut matcher = IncrementalMatcher::new(n);
     // A node's incarnation number; death bumps it, orphaning every event
@@ -953,7 +965,8 @@ pub(crate) fn run_sliced(
         }
 
         // Phase A: parallel region execution over the gossip graph,
-        // against a start-of-slice advertisement snapshot.
+        // against a start-of-slice advertisement snapshot (an empty copy
+        // under a protocol that reads no tags).
         let t0 = Instant::now();
         ads_snap.copy_from_slice(&ads);
         let ctx = SliceCtx {
@@ -970,15 +983,16 @@ pub(crate) fn run_sliced(
         };
         {
             // One task per region: its scratch and its disjoint chunk of
-            // every per-node array.
+            // every per-node array. The tags are not zipped in: an empty
+            // array has no chunks, and would yield no tasks.
+            let mut ad_chunks = ads.chunks_mut(part.block);
             let mut tasks: Vec<RegionTask<'_>> = scratches
                 .iter_mut()
                 .zip(matcher.region_chunks(part.block))
                 .zip(states.region_chunks(part.block))
-                .zip(ads.chunks_mut(part.block))
-                .map(|(((scratch, matcher), states), ads)| RegionTask {
+                .map(|((scratch, matcher), states)| RegionTask {
                     scratch,
-                    ads,
+                    ads: ad_chunks.next().unwrap_or_default(),
                     chunks: Chunks { matcher, states },
                 })
                 .collect();
