@@ -7,7 +7,9 @@
 //! change that shifts every thread count alike; these can. The cells
 //! here: both schedulers × {static, dynamics, membership, both} through
 //! the one entry point, a region-dominant async ring beside the
-//! sweep-dominated RGG, and the hashed-tag (k > 64) regime.
+//! sweep-dominated RGG, the hashed-tag (k > 64) regime, and the
+//! dynamics combinations no other cell pins (fading alone, churn `lose` +
+//! fading, churn `none` + mobility).
 //!
 //! **Static = the empty mutation stream.** The dynamic loop with nothing
 //! to drain must compute exactly what the static path computes (only
@@ -59,6 +61,15 @@ fn hashed_tag_cells_hold() {
         "hashed-sync-grid-k144",
         "hashed-async-grid-k100",
         "hashed-sync-rgg-churn-hyparview-k80",
+    ]);
+}
+
+#[test]
+fn dynamics_combinations_captured_on_the_parent_hold() {
+    cells::check(&[
+        "grid400-sync-fading",
+        "ring600-async-churn-lose-fading",
+        "rgg500-sync-churn-none-mobility",
     ]);
 }
 

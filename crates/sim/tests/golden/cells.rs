@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use gossip_core::time::TimingConfig;
 use gossip_core::{DynamicTopology, GraphView, NodeId, Rng, SimTime, Topology, TICKS_PER_ROUND};
 use gossip_dynamics::{
-    dynamics_seed, Churn, CompositeDynamics, DynamicsModel, RejoinPolicy, Waypoint,
+    dynamics_seed, Churn, CompositeDynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
     DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
 };
 use gossip_protocols::Protocol;
@@ -45,6 +45,9 @@ pub const CELLS: &[Cell] = &[
     ("hashed-sync-grid-k144", |t| hashed_grid(sync(t), 144)),
     ("hashed-async-grid-k100", |t| hashed_grid(sliced(t), 100)),
     ("hashed-sync-rgg-churn-hyparview-k80", hashed_overlay),
+    ("grid400-sync-fading", faded_grid),
+    ("ring600-async-churn-lose-fading", churned_faded_ring),
+    ("rgg500-sync-churn-none-mobility", drained_mobile_rgg),
     // membership.rs: the mobile overlay's views, and gossip over them.
     ("mobile2000-views", |_| mobile_views()),
     ("mobile2000-sync", |t| mobile_overlay(sync(t))),
@@ -285,6 +288,65 @@ fn hashed_overlay(threads: usize) -> String {
         dynamics: Some(&churn),
         membership: Some(&membership),
         ..RunInputs::new(rgg, Protocol::Advert, &sources, 42, history(400))
+    };
+    render(sync(threads), inputs, true).0
+}
+
+/// Advert gossip of 3 rumors on a 400-grid whose edges fade, traced.
+fn faded_grid(threads: usize) -> String {
+    let grid = Topology::grid(400);
+    let sources = random_sources(400, 3, &mut Rng::new(0xfeed));
+    let fading = EdgeFading {
+        fade_prob: 0.2,
+        mean_downtime: 1.0,
+    };
+    let inputs = RunInputs {
+        dynamics: Some(&fading),
+        ..RunInputs::new(grid, Protocol::Advert, &sources, 42, history(200))
+    };
+    render(sync(threads), inputs, true).0
+}
+
+/// Advert gossip of 2 rumors on a 600-node async ring under churn
+/// (`lose`) and edge fading at once, traced, capped at 150 rounds.
+fn churned_faded_ring(threads: usize) -> String {
+    let ring = Topology::ring(600);
+    let sources = random_sources(600, 2, &mut Rng::new(0xfeed));
+    let fading = EdgeFading {
+        fade_prob: 0.1,
+        mean_downtime: 2.0,
+    };
+    let parts: Vec<Box<dyn DynamicsModel>> = vec![
+        Box::new(churn(RejoinPolicy::Lose, 3.0)),
+        Box::new(fading),
+    ];
+    let model = CompositeDynamics { parts };
+    let inputs = RunInputs {
+        dynamics: Some(&model),
+        ..RunInputs::new(ring, Protocol::Advert, &sources, 42, history(150))
+    };
+    render(sliced(threads), inputs, true).0
+}
+
+/// Advert gossip of 2 rumors on a 500-node RGG under waypoint mobility and
+/// churn whose departed nodes never return, traced, capped at 60 rounds:
+/// the network drains while it moves.
+fn drained_mobile_rgg(threads: usize) -> String {
+    let (rgg, geometry) = Topology::random_geometric_with_geometry(500, &mut Rng::new(404));
+    let sources = random_sources(500, 2, &mut Rng::new(0xfeed));
+    let waypoint = Waypoint {
+        geometry,
+        speed: DEFAULT_SPEED_PER_ROUND,
+    };
+    let churn = Churn {
+        rate: 0.02,
+        ..churn(RejoinPolicy::Never, DEFAULT_MEAN_DOWNTIME_ROUNDS)
+    };
+    let parts: Vec<Box<dyn DynamicsModel>> = vec![Box::new(churn), Box::new(waypoint)];
+    let model = CompositeDynamics { parts };
+    let inputs = RunInputs {
+        dynamics: Some(&model),
+        ..RunInputs::new(rgg, Protocol::Advert, &sources, 42, history(60))
     };
     render(sync(threads), inputs, true).0
 }
