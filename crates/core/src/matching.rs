@@ -515,11 +515,6 @@ pub struct MatcherChunk<'a> {
 }
 
 impl MatcherChunk<'_> {
-    /// First node index owned by this chunk.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
     /// The nodes this chunk owns.
     pub fn nodes(&self) -> std::ops::Range<usize> {
         self.base..self.base + self.states.len()

@@ -1,12 +1,5 @@
 //! Node churn: devices depart and (optionally) rejoin.
 
-use crate::{geometric_ticks, DynamicsModel, Mutation, MutationKind, MutationStream};
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use gossip_core::{NodeId, Rng, SimTime, Topology};
-
 /// What a rejoining node remembers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RejoinPolicy {
@@ -79,12 +72,9 @@ impl Default for Churn {
     }
 }
 
-impl DynamicsModel for Churn {
-    fn name(&self) -> String {
-        "churn".to_string()
-    }
-
-    fn validate(&self) -> Result<(), String> {
+impl Churn {
+    /// Check the parameter ranges.
+    pub fn validate(&self) -> Result<(), String> {
         if !(self.rate > 0.0 && self.rate < 1.0) {
             return Err(format!(
                 "churn rate {} must lie in (0, 1); omit churn entirely for a static run",
@@ -99,92 +89,25 @@ impl DynamicsModel for Churn {
         }
         Ok(())
     }
-
-    fn stream(&self, topology: &Topology, seed: u64) -> Box<dyn MutationStream> {
-        let mut rng = Rng::new(seed);
-        let mut heap = BinaryHeap::with_capacity(topology.num_nodes());
-        let mut seq = 0u64;
-        for u in 0..topology.num_nodes() as u32 {
-            let lifetime = geometric_ticks(self.rate, &mut rng);
-            heap.push(Reverse((SimTime(lifetime), seq, u, Transition::Depart)));
-            seq += 1;
-        }
-        Box::new(ChurnStream {
-            model: *self,
-            rng,
-            heap,
-            seq,
-        })
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum Transition {
-    Depart,
-    Rejoin,
-}
-
-struct ChurnStream {
-    model: Churn,
-    rng: Rng,
-    /// Min-heap of per-node pending transitions, ordered by `(time, seq)`
-    /// so simultaneous transitions fire in scheduling order.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32, Transition)>>,
-    seq: u64,
-}
-
-impl MutationStream for ChurnStream {
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, ..))| *t)
-    }
-
-    fn next(&mut self) -> Option<Mutation> {
-        let Reverse((time, _, node, transition)) = self.heap.pop()?;
-        let node = NodeId(node);
-        match transition {
-            Transition::Depart => {
-                if self.model.rejoin != RejoinPolicy::Never {
-                    let downtime = geometric_ticks(1.0 / self.model.mean_downtime, &mut self.rng);
-                    self.heap.push(Reverse((
-                        time.after(downtime),
-                        self.seq,
-                        node.0,
-                        Transition::Rejoin,
-                    )));
-                    self.seq += 1;
-                }
-                Some(Mutation {
-                    time,
-                    kind: MutationKind::Depart(node),
-                })
-            }
-            Transition::Rejoin => {
-                let lifetime = geometric_ticks(self.model.rate, &mut self.rng);
-                self.heap.push(Reverse((
-                    time.after(lifetime),
-                    self.seq,
-                    node.0,
-                    Transition::Depart,
-                )));
-                self.seq += 1;
-                Some(Mutation {
-                    time,
-                    kind: MutationKind::Rejoin {
-                        node,
-                        reset_messages: self.model.rejoin == RejoinPolicy::Lose,
-                    },
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dynamics, DynamicsModel, Mutation, MutationKind, MutationStream};
+    use gossip_core::{SimTime, Topology};
+
+    fn stream(model: &Churn, topo: &Topology, seed: u64) -> Box<dyn MutationStream> {
+        let churn = Some(*model);
+        Dynamics {
+            churn,
+            ..Dynamics::default()
+        }
+        .stream(topo, seed)
+    }
 
     fn drain(model: &Churn, topo: &Topology, seed: u64, count: usize) -> Vec<Mutation> {
-        let mut stream = model.stream(topo, seed);
+        let mut stream = stream(model, topo, seed);
         (0..count).filter_map(|_| stream.next()).collect()
     }
 
@@ -248,7 +171,7 @@ mod tests {
             mean_downtime: 1.0,
         };
         let topo = Topology::ring(5);
-        let mut stream = model.stream(&topo, 9);
+        let mut stream = stream(&model, &topo, 9);
         let mut departures = 0;
         while let Some(m) = stream.next() {
             assert!(matches!(m.kind, MutationKind::Depart(_)));

@@ -1,12 +1,5 @@
 //! Edge fading: links flap on and off to model interference.
 
-use crate::{geometric_ticks, DynamicsModel, Mutation, MutationKind, MutationStream};
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use gossip_core::{NodeId, Rng, SimTime, Topology};
-
 /// Independent on/off flapping of every base edge. An up edge fades with
 /// per-round probability `fade_prob` (geometric up-time, mean
 /// `1/fade_prob` rounds) and recovers after a geometric downtime with mean
@@ -28,12 +21,9 @@ impl Default for EdgeFading {
     }
 }
 
-impl DynamicsModel for EdgeFading {
-    fn name(&self) -> String {
-        "fading".to_string()
-    }
-
-    fn validate(&self) -> Result<(), String> {
+impl EdgeFading {
+    /// Check the parameter ranges.
+    pub fn validate(&self) -> Result<(), String> {
         if !(self.fade_prob > 0.0 && self.fade_prob < 1.0) {
             return Err(format!(
                 "fade probability {} must lie in (0, 1); omit fading entirely for stable links",
@@ -48,72 +38,22 @@ impl DynamicsModel for EdgeFading {
         }
         Ok(())
     }
-
-    fn stream(&self, topology: &Topology, seed: u64) -> Box<dyn MutationStream> {
-        let mut rng = Rng::new(seed);
-        // Enumerate each undirected edge once, in deterministic order.
-        let mut edges = Vec::with_capacity(topology.num_edges());
-        for u in (0..topology.num_nodes() as u32).map(NodeId) {
-            let row = topology.neighbors(u);
-            edges.extend(row.iter().filter(|&&v| v > u).map(|&v| (u, v)));
-        }
-        let mut heap = BinaryHeap::with_capacity(edges.len());
-        let mut seq = 0u64;
-        for (i, _) in edges.iter().enumerate() {
-            let uptime = geometric_ticks(self.fade_prob, &mut rng);
-            heap.push(Reverse((SimTime(uptime), seq, i as u32, false)));
-            seq += 1;
-        }
-        Box::new(FadingStream {
-            model: *self,
-            rng,
-            edges,
-            heap,
-            seq,
-        })
-    }
-}
-
-struct FadingStream {
-    model: EdgeFading,
-    rng: Rng,
-    edges: Vec<(NodeId, NodeId)>,
-    /// Min-heap of `(time, seq, edge index, currently down?)`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32, bool)>>,
-    seq: u64,
-}
-
-impl MutationStream for FadingStream {
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, ..))| *t)
-    }
-
-    fn next(&mut self) -> Option<Mutation> {
-        let Reverse((time, _, edge, down)) = self.heap.pop()?;
-        let (u, v) = self.edges[edge as usize];
-        let (delay, kind) = if down {
-            // The edge was down and recovers now; schedule the next fade.
-            (
-                geometric_ticks(self.model.fade_prob, &mut self.rng),
-                MutationKind::EdgeUp(u, v),
-            )
-        } else {
-            // The edge fades now; schedule its recovery.
-            (
-                geometric_ticks(1.0 / self.model.mean_downtime, &mut self.rng),
-                MutationKind::EdgeDown(u, v),
-            )
-        };
-        self.heap
-            .push(Reverse((time.after(delay), self.seq, edge, !down)));
-        self.seq += 1;
-        Some(Mutation { time, kind })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dynamics, DynamicsModel, MutationKind, MutationStream};
+    use gossip_core::{SimTime, Topology};
+
+    fn stream(model: EdgeFading, topo: &Topology, seed: u64) -> Box<dyn MutationStream> {
+        let fading = Some(model);
+        Dynamics {
+            fading,
+            ..Dynamics::default()
+        }
+        .stream(topo, seed)
+    }
 
     #[test]
     fn edges_alternate_down_and_up() {
@@ -122,7 +62,7 @@ mod tests {
             mean_downtime: 1.0,
         };
         let topo = Topology::ring(8);
-        let mut stream = model.stream(&topo, 4);
+        let mut stream = stream(model, &topo, 4);
         let mut down = std::collections::HashSet::new();
         let mut last = SimTime::ZERO;
         for _ in 0..200 {
@@ -148,7 +88,7 @@ mod tests {
         let model = EdgeFading::default();
         let topo = Topology::grid(16);
         let drain = |seed| {
-            let mut s = model.stream(&topo, seed);
+            let mut s = stream(model, &topo, seed);
             (0..150).filter_map(|_| s.next()).collect::<Vec<_>>()
         };
         assert_eq!(drain(7), drain(7));
@@ -159,7 +99,7 @@ mod tests {
     fn edgeless_topology_yields_an_empty_stream() {
         let model = EdgeFading::default();
         let topo = Topology::from_edges("isolated", 4, &[]);
-        let mut stream = model.stream(&topo, 1);
+        let mut stream = stream(model, &topo, 1);
         assert_eq!(stream.peek_time(), None);
         assert!(stream.next().is_none());
     }

@@ -9,9 +9,8 @@
 //! evaluating gossip under unpredictable, time-varying connectivity. This
 //! crate owns that instability:
 //!
-//! - a [`DynamicsModel`] describes *how* the network changes
-//!   ([`Churn`], [`EdgeFading`], [`Waypoint`] mobility, or a
-//!   [`CompositeDynamics`] of several);
+//! - a [`Dynamics`] describes *how* the network changes: any subset of
+//!   [`Churn`], [`EdgeFading`] and [`Waypoint`] mobility;
 //! - [`DynamicsModel::stream`] instantiates it for one run as a
 //!   [`MutationStream`]: a lazy, time-ordered, seed-deterministic sequence
 //!   of [`Mutation`]s;
@@ -32,6 +31,11 @@ mod waypoint;
 pub use churn::{Churn, RejoinPolicy, DEFAULT_MEAN_DOWNTIME_ROUNDS};
 pub use fading::EdgeFading;
 pub use waypoint::{Waypoint, DEFAULT_SPEED_PER_ROUND};
+
+use waypoint::Walk;
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use gossip_core::{DynamicTopology, NodeId, Rng, SimTime, Topology};
 
@@ -107,8 +111,8 @@ impl MutationKind {
 /// deterministic: the stream produced by [`stream`](Self::stream) is a
 /// pure function of `(self, topology, seed)`.
 pub trait DynamicsModel {
-    /// Model name for reporting ("churn", "fading", "waypoint", or a
-    /// `+`-joined composite).
+    /// Model name for reporting: "churn", "fading", "waypoint", or
+    /// several of them `+`-joined.
     fn name(&self) -> String;
 
     /// Check parameter ranges; the one source of truth the CLI validation
@@ -130,67 +134,223 @@ pub trait MutationStream {
     fn next(&mut self) -> Option<Mutation>;
 }
 
-/// Several models running at once (e.g. churn plus fading): their streams
-/// are merged in time order, ties broken by part index so the merge is
-/// deterministic.
-pub struct CompositeDynamics {
-    pub parts: Vec<Box<dyn DynamicsModel>>,
+/// How the network changes over a run: any subset of node churn, edge
+/// fading and waypoint mobility, run as one schedule. The only production
+/// [`DynamicsModel`].
+///
+/// Two rules fix the stream. **Seeding**: a lone process draws from the
+/// stream seed itself; with several, each draws its own seed from
+/// `Rng::new(seed).next_u64()`, in the order churn, fading, mobility.
+/// **Ties**: at one tick, churn comes before fading and fading before
+/// mobility; within one process, scheduling order decides.
+#[derive(Clone, Debug, Default)]
+pub struct Dynamics {
+    /// Node churn, if any.
+    pub churn: Option<Churn>,
+    /// Edge fading, if any.
+    pub fading: Option<EdgeFading>,
+    /// Random-waypoint mobility over the run's RGG, if any.
+    pub mobility: Option<Waypoint>,
 }
 
-impl DynamicsModel for CompositeDynamics {
+impl Dynamics {
+    /// The names of the processes present, in schedule order.
+    fn processes(&self) -> Vec<&'static str> {
+        let names = [
+            self.churn.map(|_| "churn"),
+            self.fading.map(|_| "fading"),
+            self.mobility.as_ref().map(|_| "waypoint"),
+        ];
+        names.into_iter().flatten().collect()
+    }
+}
+
+impl DynamicsModel for Dynamics {
     fn name(&self) -> String {
-        self.parts
-            .iter()
-            .map(|p| p.name())
-            .collect::<Vec<_>>()
-            .join("+")
+        self.processes().join("+")
     }
 
     fn validate(&self) -> Result<(), String> {
-        if self.parts.is_empty() {
-            return Err("composite dynamics needs at least one part".to_string());
+        if self.processes().is_empty() {
+            return Err("dynamics needs churn, fading or mobility".to_string());
         }
-        for part in &self.parts {
-            part.validate()?;
-        }
-        Ok(())
+        self.churn.map_or(Ok(()), |c| c.validate())?;
+        self.fading.map_or(Ok(()), |f| f.validate())?;
+        self.mobility.as_ref().map_or(Ok(()), Waypoint::validate)
     }
 
     fn stream(&self, topology: &Topology, seed: u64) -> Box<dyn MutationStream> {
-        // Decorrelate the parts' streams off the one stream seed.
-        let mut rng = Rng::new(seed);
-        let streams = self
-            .parts
-            .iter()
-            .map(|p| p.stream(topology, rng.next_u64()))
-            .collect();
-        Box::new(MergedStream { streams })
+        Box::new(Schedule::new(self, topology, seed))
     }
 }
 
-struct MergedStream {
-    streams: Vec<Box<dyn MutationStream>>,
+/// The process a scheduled transition belongs to. Its order is the tie
+/// rule: at one tick, churn before fading before mobility.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Process {
+    Churn,
+    Fading,
+    Mobility,
 }
 
-impl MergedStream {
-    fn earliest(&self) -> Option<usize> {
-        self.streams
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.peek_time().map(|t| (t, i)))
-            .min() // (time, index): ties go to the lowest part index
-            .map(|(_, i)| i)
+/// An on/off renewal process over nodes (churn) or edges (fading): an
+/// item is up for a geometric time with per-round end probability `fail`,
+/// then down for a geometric time of mean `mean_downtime` rounds — for
+/// good unless it `returns`.
+struct OnOff {
+    fail: f64,
+    mean_downtime: f64,
+    returns: bool,
+    rng: Rng,
+}
+
+impl OnOff {
+    /// Ticks an item stays up.
+    fn uptime(&mut self) -> u64 {
+        geometric_ticks(self.fail, &mut self.rng)
+    }
+
+    /// Ticks until an item that has just come up (`up`) or gone down flips
+    /// again; `None` if it stays down.
+    fn hold(&mut self, up: bool) -> Option<u64> {
+        if up {
+            return Some(self.uptime());
+        }
+        self.returns
+            .then(|| geometric_ticks(1.0 / self.mean_downtime, &mut self.rng))
     }
 }
 
-impl MutationStream for MergedStream {
+/// A pending transition `(time, process, seq, item, up)`, ordered field by
+/// field: `item` is a node (churn, mobility) or an edge index (fading),
+/// and `up` the state an on/off item enters (mobility ignores it).
+type Timer = (SimTime, Process, u64, u32, bool);
+
+/// The pending transitions, earliest first, and the next `seq`.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<Timer>>,
+    seq: u64,
+}
+
+impl Timers {
+    fn push(&mut self, time: SimTime, process: Process, item: u32, up: bool) {
+        self.heap.push(Reverse((time, process, self.seq, item, up)));
+        self.seq += 1;
+    }
+}
+
+/// The stream of a [`Dynamics`]: every process's transitions pop from one
+/// [`Timers`] heap.
+struct Schedule {
+    timers: Timers,
+    churn: Option<(OnOff, RejoinPolicy)>,
+    fading: Option<OnOff>,
+    /// Each undirected base edge once, in node order; empty without fading.
+    edges: Vec<(NodeId, NodeId)>,
+    walk: Option<Walk>,
+}
+
+impl Schedule {
+    fn new(model: &Dynamics, topology: &Topology, seed: u64) -> Self {
+        let n = topology.num_nodes() as u32;
+        let lone = model.processes().len() == 1;
+        let mut seeds = Rng::new(seed);
+        let mut rng = || Rng::new(if lone { seed } else { seeds.next_u64() });
+        let on_off = |fail, mean_downtime, returns, rng| OnOff {
+            fail,
+            mean_downtime,
+            returns,
+            rng,
+        };
+        let mut churn = model.churn.map(|c| {
+            let returns = c.rejoin != RejoinPolicy::Never;
+            (on_off(c.rate, c.mean_downtime, returns, rng()), c.rejoin)
+        });
+        let mut fading = model
+            .fading
+            .map(|f| on_off(f.fade_prob, f.mean_downtime, true, rng()));
+        let mut walk = model
+            .mobility
+            .as_ref()
+            .map(|w| Walk::new(w, topology, rng()));
+        let mut edges = Vec::new();
+        if fading.is_some() {
+            for u in (0..n).map(NodeId) {
+                let row = topology.neighbors(u);
+                edges.extend(row.iter().filter(|&&v| v > u).map(|&v| (u, v)));
+            }
+        }
+        let mut timers = Timers::default();
+        let per_node = usize::from(churn.is_some()) + usize::from(walk.is_some());
+        timers.heap.reserve(per_node * n as usize + edges.len());
+        if let Some((on_off, _)) = churn.as_mut() {
+            for u in 0..n {
+                timers.push(SimTime(on_off.uptime()), Process::Churn, u, false);
+            }
+        }
+        if let Some(on_off) = fading.as_mut() {
+            for e in 0..edges.len() as u32 {
+                timers.push(SimTime(on_off.uptime()), Process::Fading, e, false);
+            }
+        }
+        if let Some(walk) = walk.as_mut() {
+            for u in 0..n {
+                timers.push(SimTime(walk.leg(NodeId(u))), Process::Mobility, u, false);
+            }
+        }
+        Schedule {
+            timers,
+            churn,
+            fading,
+            edges,
+            walk,
+        }
+    }
+}
+
+impl MutationStream for Schedule {
     fn peek_time(&self) -> Option<SimTime> {
-        self.streams.iter().filter_map(|s| s.peek_time()).min()
+        self.timers.heap.peek().map(|Reverse((t, ..))| *t)
     }
 
     fn next(&mut self) -> Option<Mutation> {
-        let i = self.earliest()?;
-        self.streams[i].next()
+        let Reverse((time, process, _, item, up)) = self.timers.heap.pop()?;
+        let node = NodeId(item);
+        let (hold, kind) = match process {
+            Process::Churn => {
+                let (on_off, rejoin) = self.churn.as_mut().expect("a churn transition");
+                let kind = match up {
+                    true => MutationKind::Rejoin {
+                        node,
+                        reset_messages: *rejoin == RejoinPolicy::Lose,
+                    },
+                    false => MutationKind::Depart(node),
+                };
+                (on_off.hold(up), kind)
+            }
+            Process::Fading => {
+                let on_off = self.fading.as_mut().expect("a fading transition");
+                let (u, v) = self.edges[item as usize];
+                let kind = match up {
+                    true => MutationKind::EdgeUp(u, v),
+                    false => MutationKind::EdgeDown(u, v),
+                };
+                (on_off.hold(up), kind)
+            }
+            Process::Mobility => {
+                let walk = self.walk.as_mut().expect("a mobility transition");
+                let neighbors = walk.arrive(node);
+                (
+                    Some(walk.leg(node)),
+                    MutationKind::Rewire { node, neighbors },
+                )
+            }
+        };
+        if let Some(hold) = hold {
+            self.timers.push(time.after(hold), process, item, !up);
+        }
+        Some(Mutation { time, kind })
     }
 }
 
@@ -198,7 +358,7 @@ impl MutationStream for MergedStream {
 /// probability `per_round_prob` (i.e. mean `TICKS_PER_ROUND /
 /// per_round_prob` ticks), by inverting the geometric CDF at per-tick
 /// granularity. Always at least one tick, so streams can never emit two
-/// transitions of one process at the same instant.
+/// transitions of one item at the same instant.
 pub(crate) fn geometric_ticks(per_round_prob: f64, rng: &mut Rng) -> u64 {
     let p = (per_round_prob / gossip_core::TICKS_PER_ROUND as f64).clamp(0.0, 1.0);
     if p >= 1.0 {
@@ -216,7 +376,7 @@ pub(crate) fn geometric_ticks(per_round_prob: f64, rng: &mut Rng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_core::TICKS_PER_ROUND;
+    use gossip_core::{RggGeometry, TICKS_PER_ROUND};
 
     #[test]
     fn geometric_ticks_has_the_right_mean() {
@@ -241,21 +401,29 @@ mod tests {
         }
     }
 
+    /// Churn at `rate`, with every downtime `mean_downtime` rounds, plus
+    /// fading and, given an RGG `geometry`, mobility.
+    fn all_three(rate: f64, mean_downtime: f64, geometry: Option<RggGeometry>) -> Dynamics {
+        Dynamics {
+            churn: Some(Churn {
+                rate,
+                rejoin: RejoinPolicy::Keep,
+                mean_downtime,
+            }),
+            fading: Some(EdgeFading {
+                fade_prob: rate,
+                mean_downtime,
+            }),
+            mobility: geometry.map(|geometry| Waypoint {
+                geometry,
+                speed: DEFAULT_SPEED_PER_ROUND,
+            }),
+        }
+    }
+
     #[test]
     fn composite_merges_in_time_order() {
-        let model = CompositeDynamics {
-            parts: vec![
-                Box::new(Churn {
-                    rate: 0.3,
-                    rejoin: RejoinPolicy::Keep,
-                    mean_downtime: 2.0,
-                }),
-                Box::new(EdgeFading {
-                    fade_prob: 0.3,
-                    mean_downtime: 1.0,
-                }),
-            ],
-        };
+        let model = all_three(0.3, 2.0, None);
         assert_eq!(model.name(), "churn+fading");
         model.validate().expect("valid composite");
         let topo = Topology::ring(12);
@@ -271,22 +439,43 @@ mod tests {
             kinds.insert(std::mem::discriminant(&m.kind));
         }
         assert!(kinds.len() >= 3, "merge should carry both parts' events");
+
+        // Ties: dense enough that ticks repeat, and within each tick churn
+        // comes first, then fading, then mobility.
+        let (rgg, geometry) = Topology::random_geometric_with_geometry(200, &mut Rng::new(3));
+        let model = all_three(0.9, 0.1, Some(geometry));
+        assert_eq!(model.name(), "churn+fading+waypoint");
+        let process = |kind: &MutationKind| match kind {
+            MutationKind::Depart(_) | MutationKind::Rejoin { .. } => 0,
+            MutationKind::EdgeDown(..) | MutationKind::EdgeUp(..) => 1,
+            MutationKind::Rewire { .. } => 2,
+        };
+        let mut stream = model.stream(&rgg, 11);
+        let mut last = (SimTime::ZERO, 0);
+        let mut mixed_ticks = 0;
+        for _ in 0..20_000 {
+            let m = stream.next().expect("unbounded stream");
+            let at = (m.time, process(&m.kind));
+            assert!(at >= last, "{at:?} popped after {last:?}");
+            mixed_ticks += usize::from(at.0 == last.0 && at.1 != last.1);
+            last = at;
+        }
+        assert!(mixed_ticks > 100, "only {mixed_ticks} ticks mix processes");
     }
 
     #[test]
     fn composite_is_deterministic_per_seed() {
-        let model = CompositeDynamics {
-            parts: vec![
-                Box::new(Churn {
-                    rate: 0.2,
-                    rejoin: RejoinPolicy::Lose,
-                    mean_downtime: 3.0,
-                }),
-                Box::new(EdgeFading {
-                    fade_prob: 0.1,
-                    mean_downtime: 2.0,
-                }),
-            ],
+        let model = Dynamics {
+            churn: Some(Churn {
+                rate: 0.2,
+                rejoin: RejoinPolicy::Lose,
+                mean_downtime: 3.0,
+            }),
+            fading: Some(EdgeFading {
+                fade_prob: 0.1,
+                mean_downtime: 2.0,
+            }),
+            mobility: None,
         };
         let topo = Topology::grid(16);
         let mut a = model.stream(&topo, 42);

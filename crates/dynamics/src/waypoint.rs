@@ -1,18 +1,13 @@
 //! Random-waypoint mobility over a random geometric graph.
 
-use crate::{DynamicsModel, Mutation, MutationKind, MutationStream};
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use gossip_core::{NodeId, RggGeometry, Rng, SimTime, Topology, TICKS_PER_ROUND};
+use gossip_core::{NodeId, RggGeometry, Rng, Topology, TICKS_PER_ROUND};
 
 /// Random-waypoint mobility: each node of a random geometric graph walks
 /// to a uniformly chosen waypoint in the unit square at a per-leg speed
 /// drawn from `[0.5, 1.5] × speed` units per round, then immediately picks
 /// the next waypoint. On arrival the node's radius-based edges are
 /// re-derived against the current positions of the nodes bucketed within a
-/// radius of it and emitted as a [`MutationKind::Rewire`].
+/// radius of it and emitted as a [`crate::MutationKind::Rewire`].
 ///
 /// Positions update lazily — a node's position changes only at its own
 /// arrival events — so an event costs `O(local density)`, not `O(n)`, and
@@ -30,12 +25,9 @@ pub struct Waypoint {
 /// Default nominal speed: crossing the unit square takes ~20 rounds.
 pub const DEFAULT_SPEED_PER_ROUND: f64 = 0.05;
 
-impl DynamicsModel for Waypoint {
-    fn name(&self) -> String {
-        "waypoint".to_string()
-    }
-
-    fn validate(&self) -> Result<(), String> {
+impl Waypoint {
+    /// Check the parameter ranges.
+    pub fn validate(&self) -> Result<(), String> {
         if !(self.speed > 0.0 && self.speed.is_finite()) {
             return Err(format!(
                 "waypoint speed {} must be a positive number of units per round",
@@ -46,80 +38,67 @@ impl DynamicsModel for Waypoint {
         // constructor and rejects non-positive / non-finite radii.
         Ok(())
     }
-
-    fn stream(&self, topology: &Topology, seed: u64) -> Box<dyn MutationStream> {
-        assert_eq!(
-            self.geometry.num_nodes(),
-            topology.num_nodes(),
-            "waypoint geometry must cover exactly the run's topology"
-        );
-        let n = topology.num_nodes();
-        let mut stream = WaypointStream {
-            speed: self.speed,
-            geometry: self.geometry.clone(),
-            targets: vec![(0.0, 0.0); n],
-            rng: Rng::new(seed),
-            heap: BinaryHeap::with_capacity(n),
-            seq: 0,
-        };
-        for u in 0..n as u32 {
-            stream.depart_for_next_waypoint(NodeId(u), SimTime::ZERO);
-        }
-        Box::new(stream)
-    }
 }
 
-struct WaypointStream {
+/// The walkers of one run: every node's current position (the geometry,
+/// whose spatial index keeps neighbour re-derivation local), the waypoint
+/// it walks to, and the stream that picks legs.
+pub(crate) struct Walk {
     speed: f64,
-    /// The geometry holds every node's *current* position (and the
-    /// spatial index that keeps neighbor re-derivation local).
     geometry: RggGeometry,
     targets: Vec<(f64, f64)>,
     rng: Rng,
-    /// Min-heap of `(arrival time, seq, node)`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    seq: u64,
 }
 
-impl WaypointStream {
-    /// Pick `node`'s next waypoint and per-leg speed, and schedule its
-    /// arrival. Travel time is distance over speed, in round-sized units.
-    fn depart_for_next_waypoint(&mut self, node: NodeId, now: SimTime) {
+impl Walk {
+    pub(crate) fn new(model: &Waypoint, topology: &Topology, rng: Rng) -> Self {
+        assert_eq!(
+            model.geometry.num_nodes(),
+            topology.num_nodes(),
+            "waypoint geometry must cover exactly the run's topology"
+        );
+        Walk {
+            speed: model.speed,
+            geometry: model.geometry.clone(),
+            targets: vec![(0.0, 0.0); topology.num_nodes()],
+            rng,
+        }
+    }
+
+    /// Pick `node`'s next waypoint and per-leg speed: the ticks until it
+    /// arrives, distance over speed in round-sized units.
+    pub(crate) fn leg(&mut self, node: NodeId) -> u64 {
         let (x, y) = self.geometry.position(node);
         let target = (self.rng.gen_f64(), self.rng.gen_f64());
         let leg_speed = self.speed * (0.5 + self.rng.gen_f64());
         let dist = ((x - target.0).powi(2) + (y - target.1).powi(2)).sqrt();
-        let ticks = ((dist / leg_speed) * TICKS_PER_ROUND as f64)
-            .ceil()
-            .max(1.0) as u64;
         self.targets[node.index()] = target;
-        self.heap
-            .push(Reverse((now.after(ticks), self.seq, node.0)));
-        self.seq += 1;
-    }
-}
-
-impl MutationStream for WaypointStream {
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, ..))| *t)
+        ((dist / leg_speed) * TICKS_PER_ROUND as f64)
+            .ceil()
+            .max(1.0) as u64
     }
 
-    fn next(&mut self) -> Option<Mutation> {
-        let Reverse((time, _, node)) = self.heap.pop()?;
-        let node = NodeId(node);
+    /// Move `node` onto its waypoint: its new neighbours.
+    pub(crate) fn arrive(&mut self, node: NodeId) -> Vec<NodeId> {
         self.geometry.move_to(node, self.targets[node.index()]);
-        let neighbors = self.geometry.neighbors_of(node);
-        self.depart_for_next_waypoint(node, time);
-        Some(Mutation {
-            time,
-            kind: MutationKind::Rewire { node, neighbors },
-        })
+        self.geometry.neighbors_of(node)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dynamics, DynamicsModel, Mutation, MutationKind, MutationStream};
+    use gossip_core::SimTime;
+
+    fn stream(model: &Waypoint, topo: &Topology, seed: u64) -> Box<dyn MutationStream> {
+        let mobility = Some(model.clone());
+        Dynamics {
+            mobility,
+            ..Dynamics::default()
+        }
+        .stream(topo, seed)
+    }
 
     fn model(n: usize, seed: u64) -> (Waypoint, Topology) {
         let mut rng = Rng::new(seed);
@@ -136,7 +115,7 @@ mod tests {
     #[test]
     fn emits_valid_rewires_in_time_order() {
         let (model, topo) = model(20, 11);
-        let mut stream = model.stream(&topo, 5);
+        let mut stream = stream(&model, &topo, 5);
         let mut last = SimTime::ZERO;
         for _ in 0..100 {
             let m = stream.next().expect("mobility never stops");
@@ -156,7 +135,7 @@ mod tests {
     fn stream_is_deterministic_per_seed() {
         let (model, topo) = model(15, 3);
         let drain = |seed| {
-            let mut s = model.stream(&topo, seed);
+            let mut s = stream(&model, &topo, seed);
             (0..120).filter_map(|_| s.next()).collect::<Vec<_>>()
         };
         assert_eq!(drain(9), drain(9));
@@ -166,7 +145,7 @@ mod tests {
     #[test]
     fn every_node_eventually_moves() {
         let (model, topo) = model(10, 21);
-        let mut stream = model.stream(&topo, 2);
+        let mut stream = stream(&model, &topo, 2);
         let mut moved = std::collections::HashSet::new();
         for _ in 0..200 {
             if let Some(Mutation {

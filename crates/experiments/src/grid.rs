@@ -119,11 +119,6 @@ impl Grid {
         self.axes.push(axis);
     }
 
-    /// The declared axes, in expansion order.
-    pub fn axes(&self) -> &[Axis] {
-        &self.axes
-    }
-
     /// Number of cells the grid expands to (product of axis lengths; 1
     /// with no axes), or `None` when that product overflows `usize`.
     pub fn cells(&self) -> Option<usize> {

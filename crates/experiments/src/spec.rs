@@ -21,7 +21,7 @@ use crate::grid::MAX_SCENARIO_WORDS;
 
 use gossip_core::{NodeId, RggGeometry, Rng, TimingConfig, Topology};
 use gossip_dynamics::{
-    Churn, CompositeDynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
+    Churn, Dynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
     DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
 };
 use gossip_protocols::Protocol;
@@ -204,9 +204,8 @@ impl TopologySpec {
     }
 }
 
-/// How (and whether) the network mutates mid-run. Any validated subset of
-/// the three models composes; the merged mutation stream stays
-/// seed-deterministic. The keys set only the rates and the rejoin policy:
+/// How (and whether) the network mutates mid-run: any validated subset of
+/// the three models, run as one seed-deterministic schedule. The keys set only the rates and the rejoin policy:
 /// [`ScenarioBuilder::finish`] fills each downtime with its fixed default.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct DynamicsSpec {
@@ -219,34 +218,27 @@ pub struct DynamicsSpec {
 }
 
 impl DynamicsSpec {
-    /// Build the composite dynamics model: churn, fading, and mobility
-    /// merged into one time-ordered mutation stream. `None` when static.
-    /// Mobility takes the RGG `geometry` over (a borrowed one is cloned).
+    /// Build the one [`Dynamics`] of churn, fading and mobility; `None`
+    /// when static. Mobility takes the RGG `geometry` over (a borrowed one
+    /// is cloned).
     pub fn build(
         &self,
         geometry: Option<impl Into<RggGeometry>>,
     ) -> Option<Box<dyn DynamicsModel>> {
-        let mut parts: Vec<Box<dyn DynamicsModel>> = Vec::new();
-        if let Some(churn) = self.churn {
-            parts.push(Box::new(churn));
+        if *self == DynamicsSpec::default() {
+            return None;
         }
-        if let Some(fading) = self.fading {
-            parts.push(Box::new(fading));
-        }
-        if self.mobility {
-            let geometry = geometry
+        let mobility = self.mobility.then(|| Waypoint {
+            geometry: geometry
                 .expect("spec validation only admits mobility with an RGG topology")
-                .into();
-            parts.push(Box::new(Waypoint {
-                geometry,
-                speed: DEFAULT_SPEED_PER_ROUND,
-            }));
-        }
-        match parts.len() {
-            0 => None,
-            1 => parts.pop(),
-            _ => Some(Box::new(CompositeDynamics { parts })),
-        }
+                .into(),
+            speed: DEFAULT_SPEED_PER_ROUND,
+        });
+        Some(Box::new(Dynamics {
+            churn: self.churn,
+            fading: self.fading,
+            mobility,
+        }))
     }
 }
 
@@ -381,11 +373,6 @@ pub(crate) struct RunClocks {
 }
 
 impl Scenario {
-    /// A builder seeded with the defaults.
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder::new()
-    }
-
     /// This scenario with a different run seed (how sweeps and grids stamp
     /// per-run identity).
     pub fn with_seed(&self, seed: u64) -> Scenario {

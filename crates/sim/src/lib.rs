@@ -34,8 +34,8 @@
 //! The optional layers:
 //!
 //! - **Changing networks** — [`RunInputs::dynamics`] names a
-//!   [`gossip_dynamics::DynamicsModel`] (churn, edge fading, waypoint
-//!   mobility) and the engine consumes its deterministic mutation stream
+//!   [`gossip_dynamics::DynamicsModel`] (a `Dynamics` of churn, edge
+//!   fading and waypoint mobility) and the engine consumes its deterministic mutation stream
 //!   — at round boundaries under the synchronous scheduler, at slice
 //!   boundaries (serially, before the slice's events run) under the
 //!   asynchronous one. Completion is then measured over currently-alive

@@ -38,8 +38,8 @@ pub struct CoveragePoint {
 /// [`SimResult`] exactly when the run was static.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DynamicsStats {
-    /// Dynamics model name ("churn", "fading", "waypoint", or a
-    /// `+`-joined composite).
+    /// Dynamics model name ("churn", "fading", "waypoint", or several of
+    /// them `+`-joined).
     pub model: String,
     /// Node departures applied.
     pub departures: usize,

@@ -23,7 +23,7 @@ mod cells;
 use gossip_core::time::TimingConfig;
 use gossip_core::{NodeId, Rng, Topology};
 use gossip_dynamics::{
-    Churn, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint, DEFAULT_SPEED_PER_ROUND,
+    Churn, Dynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint, DEFAULT_SPEED_PER_ROUND,
 };
 use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
@@ -140,20 +140,29 @@ fn run_dyn(
 
 #[test]
 fn dynamic_runs_are_identical_at_any_thread_count() {
-    let churn = Churn {
-        rate: 0.1,
-        rejoin: RejoinPolicy::Keep,
-        mean_downtime: 3.0,
+    let churn = Dynamics {
+        churn: Some(Churn {
+            rate: 0.1,
+            rejoin: RejoinPolicy::Keep,
+            mean_downtime: 3.0,
+        }),
+        ..Dynamics::default()
     };
-    let fading = EdgeFading {
-        fade_prob: 0.1,
-        mean_downtime: 1.0,
+    let fading = Dynamics {
+        fading: Some(EdgeFading {
+            fade_prob: 0.1,
+            mean_downtime: 1.0,
+        }),
+        ..Dynamics::default()
     };
     let mut rng = Rng::new(505);
     let (rgg, geometry) = Topology::random_geometric_with_geometry(48, &mut rng);
-    let waypoint = Waypoint {
-        geometry,
-        speed: DEFAULT_SPEED_PER_ROUND,
+    let waypoint = Dynamics {
+        mobility: Some(Waypoint {
+            geometry,
+            speed: DEFAULT_SPEED_PER_ROUND,
+        }),
+        ..Dynamics::default()
     };
     let ring = Topology::ring(64);
     let grid = Topology::grid(64);
@@ -237,10 +246,13 @@ fn async_churn_runs_are_identical_at_any_thread_count() {
     // Slice-boundary mutations are serial by construction; the identity
     // check covers the interplay of generation bumps, severed-connection
     // cleanup, and restart Acts feeding back into the region queues.
-    let churn = Churn {
-        rate: 0.1,
-        rejoin: RejoinPolicy::Keep,
-        mean_downtime: 3.0,
+    let churn = Dynamics {
+        churn: Some(Churn {
+            rate: 0.1,
+            rejoin: RejoinPolicy::Keep,
+            mean_downtime: 3.0,
+        }),
+        ..Dynamics::default()
     };
     for topo in topologies(96) {
         for proto in protocols() {

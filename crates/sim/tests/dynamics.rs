@@ -6,8 +6,8 @@
 use gossip_core::time::{TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{NodeId, Rng, SimTime, Topology};
 use gossip_dynamics::{
-    Churn, DynamicsModel, EdgeFading, Mutation, MutationKind, MutationStream, RejoinPolicy,
-    Waypoint, DEFAULT_SPEED_PER_ROUND,
+    Churn, Dynamics, DynamicsModel, EdgeFading, Mutation, MutationKind, MutationStream,
+    RejoinPolicy, Waypoint, DEFAULT_SPEED_PER_ROUND,
 };
 use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, RunInputs, Scheduler, SimConfig, SimResult};
@@ -256,10 +256,13 @@ fn gossip_crosses_a_dead_gap_only_after_the_rejoin() {
 #[test]
 fn churn_runs_are_reproducible_and_terminate() {
     let topo = Topology::ring(100);
-    let model = Churn {
-        rate: 0.1,
-        rejoin: RejoinPolicy::Keep,
-        mean_downtime: 4.0,
+    let model = Dynamics {
+        churn: Some(Churn {
+            rate: 0.1,
+            rejoin: RejoinPolicy::Keep,
+            mean_downtime: 4.0,
+        }),
+        ..Dynamics::default()
     };
     for scheduler in schedulers() {
         let a = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 42);
@@ -288,10 +291,13 @@ fn churn_runs_are_reproducible_and_terminate() {
 #[test]
 fn churn_with_lose_policy_still_completes() {
     let topo = Topology::complete(24);
-    let model = Churn {
-        rate: 0.05,
-        rejoin: RejoinPolicy::Lose,
-        mean_downtime: 2.0,
+    let model = Dynamics {
+        churn: Some(Churn {
+            rate: 0.05,
+            rejoin: RejoinPolicy::Lose,
+            mean_downtime: 2.0,
+        }),
+        ..Dynamics::default()
     };
     for scheduler in schedulers() {
         let result = run_dynamic(&scheduler, &topo, &model, Protocol::Uniform, 2, 9);
@@ -307,9 +313,12 @@ fn churn_with_lose_policy_still_completes() {
 #[test]
 fn fading_runs_complete_and_count_edge_events() {
     let topo = Topology::grid(36);
-    let model = EdgeFading {
-        fade_prob: 0.1,
-        mean_downtime: 1.0,
+    let model = Dynamics {
+        fading: Some(EdgeFading {
+            fade_prob: 0.1,
+            mean_downtime: 1.0,
+        }),
+        ..Dynamics::default()
     };
     for scheduler in schedulers() {
         let result = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 5);
@@ -331,9 +340,12 @@ fn fading_runs_complete_and_count_edge_events() {
 fn waypoint_mobility_completes_on_an_rgg() {
     let mut rng = Rng::new(77);
     let (topo, geometry) = Topology::random_geometric_with_geometry(40, &mut rng);
-    let model = Waypoint {
-        geometry,
-        speed: DEFAULT_SPEED_PER_ROUND,
+    let model = Dynamics {
+        mobility: Some(Waypoint {
+            geometry,
+            speed: DEFAULT_SPEED_PER_ROUND,
+        }),
+        ..Dynamics::default()
     };
     for scheduler in schedulers() {
         let result = run_dynamic(&scheduler, &topo, &model, Protocol::Advert, 1, 13);
@@ -355,10 +367,13 @@ fn async_severs_connections_whose_endpoints_die() {
     // ever corrupting the matcher (the debug asserts in the matcher would
     // fire on any state bug in this test build).
     let topo = Topology::complete(30);
-    let model = Churn {
-        rate: 0.4,
-        rejoin: RejoinPolicy::Keep,
-        mean_downtime: 1.0,
+    let model = Dynamics {
+        churn: Some(Churn {
+            rate: 0.4,
+            rejoin: RejoinPolicy::Keep,
+            mean_downtime: 1.0,
+        }),
+        ..Dynamics::default()
     };
     let sched = Scheduler::Async {
         threads: 1,
@@ -383,10 +398,13 @@ fn async_severs_connections_whose_endpoints_die() {
 #[test]
 fn history_rows_stay_consistent_under_churn() {
     let topo = Topology::ring(60);
-    let model = Churn {
-        rate: 0.15,
-        rejoin: RejoinPolicy::Keep,
-        mean_downtime: 3.0,
+    let model = Dynamics {
+        churn: Some(Churn {
+            rate: 0.15,
+            rejoin: RejoinPolicy::Keep,
+            mean_downtime: 3.0,
+        }),
+        ..Dynamics::default()
     };
     for scheduler in schedulers() {
         let result = run_dynamic(&scheduler, &topo, &model, Protocol::Uniform, 1, 21);

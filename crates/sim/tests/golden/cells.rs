@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use gossip_core::time::TimingConfig;
 use gossip_core::{DynamicTopology, GraphView, NodeId, Rng, SimTime, Topology, TICKS_PER_ROUND};
 use gossip_dynamics::{
-    dynamics_seed, Churn, CompositeDynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
+    dynamics_seed, Churn, Dynamics, DynamicsModel, EdgeFading, RejoinPolicy, Waypoint,
     DEFAULT_MEAN_DOWNTIME_ROUNDS, DEFAULT_SPEED_PER_ROUND,
 };
 use gossip_protocols::Protocol;
@@ -213,6 +213,14 @@ fn churn(rejoin: RejoinPolicy, mean_downtime: f64) -> Churn {
     }
 }
 
+/// Churn at 5 % per round and nothing else.
+fn churn_only(rejoin: RejoinPolicy, mean_downtime: f64) -> Dynamics {
+    Dynamics {
+        churn: Some(churn(rejoin, mean_downtime)),
+        ..Dynamics::default()
+    }
+}
+
 fn history(max_rounds: usize) -> SimConfig {
     SimConfig {
         max_rounds,
@@ -233,7 +241,7 @@ fn no_history(max_rounds: usize) -> SimConfig {
 fn matrix(sched: Scheduler, dynamic: bool, overlay: bool) -> String {
     let topo = Topology::random_geometric(120, &mut Rng::new(404));
     let sources = random_sources(120, 3, &mut Rng::new(0xfeed));
-    let churn = churn(RejoinPolicy::Lose, 3.0);
+    let churn = churn_only(RejoinPolicy::Lose, 3.0);
     let membership = MembershipConfig::default();
     let inputs = RunInputs {
         dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
@@ -249,7 +257,7 @@ fn matrix(sched: Scheduler, dynamic: bool, overlay: bool) -> String {
 fn region_ring(threads: usize, dynamic: bool) -> String {
     let topo = Topology::ring(2048);
     let sources = random_sources(2048, 3, &mut Rng::new(0xfeed));
-    let churn = churn(RejoinPolicy::Lose, 3.0);
+    let churn = churn_only(RejoinPolicy::Lose, 3.0);
     let inputs = RunInputs {
         dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
         ..RunInputs::new(topo, Protocol::Uniform, &sources, 42, history(40))
@@ -282,7 +290,7 @@ fn hashed_grid(sched: Scheduler, k: usize) -> String {
 fn hashed_overlay(threads: usize) -> String {
     let rgg = Topology::random_geometric(120, &mut Rng::new(404));
     let sources = random_sources(120, 80, &mut Rng::new(0xfeed));
-    let churn = churn(RejoinPolicy::Keep, 3.0);
+    let churn = churn_only(RejoinPolicy::Keep, 3.0);
     let membership = MembershipConfig::default();
     let inputs = RunInputs {
         dynamics: Some(&churn),
@@ -296,9 +304,12 @@ fn hashed_overlay(threads: usize) -> String {
 fn faded_grid(threads: usize) -> String {
     let grid = Topology::grid(400);
     let sources = random_sources(400, 3, &mut Rng::new(0xfeed));
-    let fading = EdgeFading {
-        fade_prob: 0.2,
-        mean_downtime: 1.0,
+    let fading = Dynamics {
+        fading: Some(EdgeFading {
+            fade_prob: 0.2,
+            mean_downtime: 1.0,
+        }),
+        ..Dynamics::default()
     };
     let inputs = RunInputs {
         dynamics: Some(&fading),
@@ -312,15 +323,14 @@ fn faded_grid(threads: usize) -> String {
 fn churned_faded_ring(threads: usize) -> String {
     let ring = Topology::ring(600);
     let sources = random_sources(600, 2, &mut Rng::new(0xfeed));
-    let fading = EdgeFading {
-        fade_prob: 0.1,
-        mean_downtime: 2.0,
+    let model = Dynamics {
+        churn: Some(churn(RejoinPolicy::Lose, 3.0)),
+        fading: Some(EdgeFading {
+            fade_prob: 0.1,
+            mean_downtime: 2.0,
+        }),
+        mobility: None,
     };
-    let parts: Vec<Box<dyn DynamicsModel>> = vec![
-        Box::new(churn(RejoinPolicy::Lose, 3.0)),
-        Box::new(fading),
-    ];
-    let model = CompositeDynamics { parts };
     let inputs = RunInputs {
         dynamics: Some(&model),
         ..RunInputs::new(ring, Protocol::Advert, &sources, 42, history(150))
@@ -342,8 +352,11 @@ fn drained_mobile_rgg(threads: usize) -> String {
         rate: 0.02,
         ..churn(RejoinPolicy::Never, DEFAULT_MEAN_DOWNTIME_ROUNDS)
     };
-    let parts: Vec<Box<dyn DynamicsModel>> = vec![Box::new(churn), Box::new(waypoint)];
-    let model = CompositeDynamics { parts };
+    let model = Dynamics {
+        churn: Some(churn),
+        fading: None,
+        mobility: Some(waypoint),
+    };
     let inputs = RunInputs {
         dynamics: Some(&model),
         ..RunInputs::new(rgg, Protocol::Advert, &sources, 42, history(60))
@@ -355,7 +368,7 @@ fn drained_mobile_rgg(threads: usize) -> String {
 /// composed as the scenario builder composes them: every mutation batch
 /// rewires, kills and revives overlapping neighbourhoods, so the order in
 /// which `DynamicTopology` settles is load-bearing for every count.
-fn mobile(n: usize, topology_seed: u64) -> (Topology, CompositeDynamics) {
+fn mobile(n: usize, topology_seed: u64) -> (Topology, Dynamics) {
     let (topo, geometry) =
         Topology::random_geometric_with_geometry(n, &mut Rng::new(topology_seed));
     let waypoint = Waypoint {
@@ -363,8 +376,12 @@ fn mobile(n: usize, topology_seed: u64) -> (Topology, CompositeDynamics) {
         speed: DEFAULT_SPEED_PER_ROUND,
     };
     let churn = churn(RejoinPolicy::Keep, DEFAULT_MEAN_DOWNTIME_ROUNDS);
-    let parts: Vec<Box<dyn DynamicsModel>> = vec![Box::new(churn), Box::new(waypoint)];
-    (topo, CompositeDynamics { parts })
+    let model = Dynamics {
+        churn: Some(churn),
+        fading: None,
+        mobility: Some(waypoint),
+    };
+    (topo, model)
 }
 
 /// The overlay alone over the 2000-node mobile regime, 24 ticks in the
@@ -485,7 +502,7 @@ fn mobile_churn(sched: Scheduler) -> String {
 /// and the start-of-slice mutation drain all carry load.
 fn churned_grid(threads: usize) -> String {
     let topo = Topology::grid(2500);
-    let churn = churn(RejoinPolicy::Keep, DEFAULT_MEAN_DOWNTIME_ROUNDS);
+    let churn = churn_only(RejoinPolicy::Keep, DEFAULT_MEAN_DOWNTIME_ROUNDS);
     let sources = random_sources(2500, 2, &mut Rng::new(0xfeed));
     let inputs = RunInputs {
         dynamics: Some(&churn),

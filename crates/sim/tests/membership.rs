@@ -13,7 +13,7 @@ mod cells;
 
 use gossip_core::time::TimingConfig;
 use gossip_core::{GraphView, NodeId, Rng, Topology};
-use gossip_dynamics::{Churn, RejoinPolicy};
+use gossip_dynamics::{Churn, Dynamics, RejoinPolicy};
 use gossip_protocols::Protocol;
 use gossip_sim::{random_sources, Membership, MembershipConfig, RunInputs, Scheduler, SimConfig};
 use gossip_telemetry::NoopProbe;
@@ -89,17 +89,21 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
 /// the overlay, capped by `cfg_for(n)`: each thread count must reproduce
 /// the 1-thread result.
 fn assert_membership_churn_is_thread_independent(
-    churn: &Churn,
+    churn: Churn,
     k: usize,
     cfg_for: impl Fn(usize) -> SimConfig,
     thread_counts: &[usize],
 ) {
+    let dynamics = Dynamics {
+        churn: Some(churn),
+        ..Dynamics::default()
+    };
     for topo in topologies(96) {
         let n = topo.num_nodes();
         let sources = random_sources(n, k, &mut Rng::new(0xfeed));
         let membership = mem_cfg();
         let inputs = RunInputs {
-            dynamics: Some(churn),
+            dynamics: Some(&dynamics),
             membership: Some(&membership),
             ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 77, cfg_for(n))
         };
@@ -135,7 +139,7 @@ fn membership_churn_runs_are_identical_at_any_thread_count() {
         rejoin: RejoinPolicy::Keep,
         mean_downtime: 3.0,
     };
-    assert_membership_churn_is_thread_independent(&churn, 2, sim_cfg, &THREAD_COUNTS);
+    assert_membership_churn_is_thread_independent(churn, 2, sim_cfg, &THREAD_COUNTS);
 }
 
 #[test]
@@ -157,7 +161,7 @@ fn hashed_tag_membership_churn_runs_are_identical_at_any_thread_count() {
         max_rounds: 150,
         record_rounds: true,
     };
-    assert_membership_churn_is_thread_independent(&churn, 65, capped, &[1, 2, 8]);
+    assert_membership_churn_is_thread_independent(churn, 65, capped, &[1, 2, 8]);
 }
 
 #[test]
