@@ -447,6 +447,54 @@ pub enum PeerState {
     Connected { partner: NodeId, initiated: bool },
 }
 
+/// The packed [`PeerState`] of one node: one of three codes, or a
+/// connected word — the [`CONNECTED`](Self::CONNECTED) flag, the
+/// [`INITIATED`](Self::INITIATED) bit and the partner id below them.
+/// Connected words have the top bit set, so they never equal a code.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct PeerWord(u32);
+
+impl PeerWord {
+    const FREE: PeerWord = PeerWord(0);
+    const LISTENING: PeerWord = PeerWord(1);
+    const PROPOSING: PeerWord = PeerWord(2);
+    const CONNECTED: u32 = 1 << 31;
+    const INITIATED: u32 = 1 << 30;
+    /// Node ids a connected word can name: every id below `2^30`.
+    const MAX_NODES: usize = 1 << 30;
+
+    fn pack(state: PeerState) -> PeerWord {
+        match state {
+            PeerState::Free => PeerWord::FREE,
+            PeerState::Listening => PeerWord::LISTENING,
+            PeerState::Proposing => PeerWord::PROPOSING,
+            PeerState::Connected { partner, initiated } => {
+                debug_assert!((partner.0 as usize) < Self::MAX_NODES);
+                let initiated = if initiated { Self::INITIATED } else { 0 };
+                PeerWord(Self::CONNECTED | initiated | partner.0)
+            }
+        }
+    }
+
+    fn unpack(self) -> PeerState {
+        match self {
+            PeerWord::FREE => PeerState::Free,
+            PeerWord::LISTENING => PeerState::Listening,
+            PeerWord::PROPOSING => PeerState::Proposing,
+            PeerWord(w) => {
+                debug_assert!(w & Self::CONNECTED != 0, "no peer state packs to {w:#x}");
+                PeerState::Connected {
+                    partner: NodeId(w & (Self::INITIATED - 1)),
+                    initiated: w & Self::INITIATED != 0,
+                }
+            }
+        }
+    }
+}
+
+// One word per node of an asynchronous run: the enum it packs takes two.
+const _: () = assert!(std::mem::size_of::<PeerWord>() == 4);
+
 /// Incremental connection resolution for event-driven schedulers.
 ///
 /// Where [`resolve_connections`] settles a synchronous round's intents in
@@ -459,17 +507,25 @@ pub enum PeerState {
 /// connection at a time**.
 ///
 /// There is no rebound phase here: a failed proposer returns to its
-/// advertise/scan cycle and retries naturally in continuous time.
+/// advertise/scan cycle and retries naturally in continuous time. Each
+/// node's state is kept packed in 4 bytes; [`state`](MatcherChunk::state)
+/// unpacks it.
 #[derive(Clone, Debug)]
 pub struct IncrementalMatcher {
-    states: Vec<PeerState>,
+    states: Vec<PeerWord>,
 }
 
 impl IncrementalMatcher {
-    /// All `n` nodes start [`PeerState::Free`].
+    /// All `n` nodes start [`PeerState::Free`]. A packed state names its
+    /// partner in 30 bits, so `n` must stay below `2^30` (scenarios stay
+    /// below `2^28` nodes).
     pub fn new(n: usize) -> Self {
+        assert!(
+            n < PeerWord::MAX_NODES,
+            "{n} nodes: an incremental matcher names at most 2^30"
+        );
         IncrementalMatcher {
-            states: vec![PeerState::Free; n],
+            states: vec![PeerWord::FREE; n],
         }
     }
 
@@ -511,7 +567,7 @@ impl IncrementalMatcher {
 /// regions to its serial boundary sweep.
 pub struct MatcherChunk<'a> {
     base: usize,
-    states: &'a mut [PeerState],
+    states: &'a mut [PeerWord],
 }
 
 impl MatcherChunk<'_> {
@@ -533,21 +589,21 @@ impl MatcherChunk<'_> {
 
     /// Current state of `node`.
     pub fn state(&self, node: NodeId) -> PeerState {
-        self.states[self.local(node)]
+        self.states[self.local(node)].unpack()
     }
 
     /// `Free → Listening`: the node starts accepting proposals.
     pub fn listen(&mut self, node: NodeId) {
         let l = self.local(node);
-        debug_assert_eq!(self.states[l], PeerState::Free);
-        self.states[l] = PeerState::Listening;
+        debug_assert_eq!(self.states[l], PeerWord::FREE);
+        self.states[l] = PeerWord::LISTENING;
     }
 
     /// `Free → Proposing`: the node commits to a proposal in flight.
     pub fn propose(&mut self, node: NodeId) {
         let l = self.local(node);
-        debug_assert_eq!(self.states[l], PeerState::Free);
-        self.states[l] = PeerState::Proposing;
+        debug_assert_eq!(self.states[l], PeerWord::FREE);
+        self.states[l] = PeerWord::PROPOSING;
     }
 
     /// `Listening | Proposing → Free`: a listener re-entering its scan
@@ -556,9 +612,9 @@ impl MatcherChunk<'_> {
         let l = self.local(node);
         debug_assert!(matches!(
             self.states[l],
-            PeerState::Listening | PeerState::Proposing
+            PeerWord::LISTENING | PeerWord::PROPOSING
         ));
-        self.states[l] = PeerState::Free;
+        self.states[l] = PeerWord::FREE;
     }
 
     /// Resolve `initiator`'s arriving proposal against `acceptor`, both in
@@ -579,18 +635,18 @@ impl MatcherChunk<'_> {
         acceptor: NodeId,
     ) -> bool {
         let (li, la) = (self.local(initiator), self.local(acceptor));
-        debug_assert_eq!(self.states[li], PeerState::Proposing);
-        if !topology.are_neighbors(initiator, acceptor) || self.states[la] != PeerState::Listening {
+        debug_assert_eq!(self.states[li], PeerWord::PROPOSING);
+        if !topology.are_neighbors(initiator, acceptor) || self.states[la] != PeerWord::LISTENING {
             return false;
         }
-        self.states[li] = PeerState::Connected {
+        self.states[li] = PeerWord::pack(PeerState::Connected {
             partner: acceptor,
             initiated: true,
-        };
-        self.states[la] = PeerState::Connected {
+        });
+        self.states[la] = PeerWord::pack(PeerState::Connected {
             partner: initiator,
             initiated: false,
-        };
+        });
         true
     }
 
@@ -600,14 +656,14 @@ impl MatcherChunk<'_> {
     pub fn release(&mut self, a: NodeId, b: NodeId) {
         let (la, lb) = (self.local(a), self.local(b));
         debug_assert!(
-            matches!(self.states[la], PeerState::Connected { partner, .. } if partner == b)
-                && matches!(self.states[lb], PeerState::Connected { partner, .. } if partner == a),
+            matches!(self.states[la].unpack(), PeerState::Connected { partner, .. } if partner == b)
+                && matches!(self.states[lb].unpack(), PeerState::Connected { partner, .. } if partner == a),
             "release({a}, {b}) of ends in states {:?} and {:?}",
-            self.states[la],
-            self.states[lb]
+            self.states[la].unpack(),
+            self.states[lb].unpack()
         );
-        self.states[la] = PeerState::Free;
-        self.states[lb] = PeerState::Free;
+        self.states[la] = PeerWord::FREE;
+        self.states[lb] = PeerWord::FREE;
     }
 }
 
@@ -812,6 +868,80 @@ mod tests {
         m.listen(NodeId(0));
         m.propose(NodeId(1));
         assert!(m.try_connect(&topo, NodeId(1), NodeId(0)));
+    }
+
+    /// Every node adjacent to every other: the packed-state tests name
+    /// ids near the top of the id range without a graph that large.
+    struct Everyone;
+
+    impl GraphView for Everyone {
+        fn num_nodes(&self) -> usize {
+            PeerWord::MAX_NODES
+        }
+        fn neighbors(&self, _: NodeId) -> &[NodeId] {
+            &[]
+        }
+        fn are_neighbors(&self, u: NodeId, v: NodeId) -> bool {
+            u != v
+        }
+    }
+
+    #[test]
+    fn packed_peer_states_round_trip_through_a_chunk() {
+        // Chunks based at the bottom of the id range, at 2^28 (past every
+        // scenario's nodes) and just under the 2^30 the packing allows.
+        for base in [0usize, (1 << 28) - 2, (1 << 30) - 4] {
+            let mut words = [PeerWord::FREE; 4];
+            let mut m = MatcherChunk {
+                base,
+                states: &mut words,
+            };
+            let ids: Vec<NodeId> = m.nodes().map(|u| NodeId(u as u32)).collect();
+            let [a, b, c, d] = ids[..] else {
+                unreachable!()
+            };
+            m.listen(a);
+            m.propose(b);
+            assert_eq!(m.state(a), PeerState::Listening);
+            assert_eq!(m.state(b), PeerState::Proposing);
+            assert_eq!(m.state(c), PeerState::Free);
+            // Two connections at once, naming partners on either side.
+            m.listen(c);
+            assert!(m.try_connect(&Everyone, b, c));
+            m.propose(d);
+            assert!(m.try_connect(&Everyone, d, a));
+            let connected = |partner, initiated| PeerState::Connected { partner, initiated };
+            assert_eq!(m.state(a), connected(d, false));
+            assert_eq!(m.state(b), connected(c, true));
+            assert_eq!(m.state(c), connected(b, false));
+            assert_eq!(m.state(d), connected(a, true));
+            m.release(c, b);
+            m.release(a, d);
+            assert!(ids.iter().all(|&u| m.state(u) == PeerState::Free));
+        }
+        // Every state packs to a distinct word that unpacks to itself.
+        let mut states = vec![PeerState::Free, PeerState::Listening, PeerState::Proposing];
+        for partner in [0, 1, 2, (1 << 28) - 1, 1 << 28, (1 << 30) - 1] {
+            for initiated in [false, true] {
+                let partner = NodeId(partner);
+                states.push(PeerState::Connected { partner, initiated });
+            }
+        }
+        let words: Vec<PeerWord> = states.iter().map(|&s| PeerWord::pack(s)).collect();
+        for (i, (&s, &w)) in states.iter().zip(&words).enumerate() {
+            assert_eq!(w.unpack(), s);
+            assert!(
+                !words[..i].contains(&w),
+                "{s:?} packs like an earlier state"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^30")]
+    fn a_matcher_past_the_packed_id_range_is_refused() {
+        // Refused before allocating a word.
+        IncrementalMatcher::new(PeerWord::MAX_NODES);
     }
 
     #[test]

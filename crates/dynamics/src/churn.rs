@@ -99,11 +99,11 @@ mod tests {
 
     fn stream(model: &Churn, topo: &Topology, seed: u64) -> Box<dyn MutationStream> {
         let churn = Some(*model);
-        Dynamics {
+        let dynamics = Dynamics {
             churn,
             ..Dynamics::default()
-        }
-        .stream(topo, seed)
+        };
+        Box::new(dynamics).stream(topo, seed)
     }
 
     fn drain(model: &Churn, topo: &Topology, seed: u64, count: usize) -> Vec<Mutation> {

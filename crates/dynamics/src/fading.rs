@@ -48,11 +48,11 @@ mod tests {
 
     fn stream(model: EdgeFading, topo: &Topology, seed: u64) -> Box<dyn MutationStream> {
         let fading = Some(model);
-        Dynamics {
+        let dynamics = Dynamics {
             fading,
             ..Dynamics::default()
-        }
-        .stream(topo, seed)
+        };
+        Box::new(dynamics).stream(topo, seed)
     }
 
     #[test]

@@ -119,8 +119,10 @@ pub trait DynamicsModel {
     /// and the engines both consult.
     fn validate(&self) -> Result<(), String>;
 
-    /// Instantiate the model for one run over `topology`.
-    fn stream(&self, topology: &Topology, seed: u64) -> Box<dyn MutationStream>;
+    /// Instantiate the model for one run over `topology`. The model is
+    /// handed over: what it holds (a walk's geometry, say) moves into the
+    /// stream instead of being copied.
+    fn stream(self: Box<Self>, topology: &Topology, seed: u64) -> Box<dyn MutationStream>;
 }
 
 /// A lazy, time-ordered sequence of [`Mutation`]s. Streams are unbounded
@@ -179,8 +181,8 @@ impl DynamicsModel for Dynamics {
         self.mobility.as_ref().map_or(Ok(()), Waypoint::validate)
     }
 
-    fn stream(&self, topology: &Topology, seed: u64) -> Box<dyn MutationStream> {
-        Box::new(Schedule::new(self, topology, seed))
+    fn stream(self: Box<Self>, topology: &Topology, seed: u64) -> Box<dyn MutationStream> {
+        Box::new(Schedule::new(*self, topology, seed))
     }
 }
 
@@ -252,7 +254,7 @@ struct Schedule {
 }
 
 impl Schedule {
-    fn new(model: &Dynamics, topology: &Topology, seed: u64) -> Self {
+    fn new(model: Dynamics, topology: &Topology, seed: u64) -> Self {
         let n = topology.num_nodes() as u32;
         let lone = model.processes().len() == 1;
         let mut seeds = Rng::new(seed);
@@ -270,10 +272,7 @@ impl Schedule {
         let mut fading = model
             .fading
             .map(|f| on_off(f.fade_prob, f.mean_downtime, true, rng()));
-        let mut walk = model
-            .mobility
-            .as_ref()
-            .map(|w| Walk::new(w, topology, rng()));
+        let mut walk = model.mobility.map(|w| Walk::new(w, topology, rng()));
         let mut edges = Vec::new();
         if fading.is_some() {
             for u in (0..n).map(NodeId) {
@@ -427,7 +426,7 @@ mod tests {
         assert_eq!(model.name(), "churn+fading");
         model.validate().expect("valid composite");
         let topo = Topology::ring(12);
-        let mut stream = model.stream(&topo, 7);
+        let mut stream = Box::new(model).stream(&topo, 7);
         let mut last = SimTime::ZERO;
         let mut kinds = std::collections::HashSet::new();
         for _ in 0..200 {
@@ -450,7 +449,7 @@ mod tests {
             MutationKind::EdgeDown(..) | MutationKind::EdgeUp(..) => 1,
             MutationKind::Rewire { .. } => 2,
         };
-        let mut stream = model.stream(&rgg, 11);
+        let mut stream = Box::new(model).stream(&rgg, 11);
         let mut last = (SimTime::ZERO, 0);
         let mut mixed_ticks = 0;
         for _ in 0..20_000 {
@@ -478,12 +477,12 @@ mod tests {
             mobility: None,
         };
         let topo = Topology::grid(16);
-        let mut a = model.stream(&topo, 42);
-        let mut b = model.stream(&topo, 42);
+        let stream = |seed| Box::new(model.clone()).stream(&topo, seed);
+        let (mut a, mut b) = (stream(42), stream(42));
         for _ in 0..300 {
             assert_eq!(a.next(), b.next());
         }
-        let mut c = model.stream(&topo, 43);
+        let mut c = stream(43);
         let diverged = (0..50).any(|_| a.next() != c.next());
         assert!(diverged, "different seeds should give different streams");
     }

@@ -51,7 +51,7 @@ pub(crate) struct Walk {
 }
 
 impl Walk {
-    pub(crate) fn new(model: &Waypoint, topology: &Topology, rng: Rng) -> Self {
+    pub(crate) fn new(model: Waypoint, topology: &Topology, rng: Rng) -> Self {
         assert_eq!(
             model.geometry.num_nodes(),
             topology.num_nodes(),
@@ -59,7 +59,7 @@ impl Walk {
         );
         Walk {
             speed: model.speed,
-            geometry: model.geometry.clone(),
+            geometry: model.geometry,
             targets: vec![(0.0, 0.0); topology.num_nodes()],
             rng,
         }
@@ -93,11 +93,11 @@ mod tests {
 
     fn stream(model: &Waypoint, topo: &Topology, seed: u64) -> Box<dyn MutationStream> {
         let mobility = Some(model.clone());
-        Dynamics {
+        let dynamics = Dynamics {
             mobility,
             ..Dynamics::default()
-        }
-        .stream(topo, seed)
+        };
+        Box::new(dynamics).stream(topo, seed)
     }
 
     fn model(n: usize, seed: u64) -> (Waypoint, Topology) {

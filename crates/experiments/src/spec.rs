@@ -493,7 +493,7 @@ impl Scenario {
             sources: &sources,
             seed: self.seed,
             config,
-            dynamics: dynamics.as_deref(),
+            dynamics,
             membership: membership.as_ref(),
         };
         let running = Instant::now();

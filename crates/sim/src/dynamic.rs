@@ -84,7 +84,7 @@ impl Underlay {
     /// Take `topology` over: frozen without `dynamics`, else converted.
     pub fn new(
         topology: Topology,
-        dynamics: Option<&dyn DynamicsModel>,
+        dynamics: Option<Box<dyn DynamicsModel>>,
         seed: u64,
         cover: &Coverage,
     ) -> Self {
@@ -120,7 +120,7 @@ impl DynRun {
     /// mutating one, in place.
     pub fn new(
         topology: Topology,
-        dynamics: &dyn DynamicsModel,
+        dynamics: Box<dyn DynamicsModel>,
         seed: u64,
         cover: &Coverage,
     ) -> Self {
@@ -128,12 +128,13 @@ impl DynRun {
             .validate()
             .unwrap_or_else(|e| panic!("invalid dynamics config: {e}"));
         let n = topology.num_nodes();
+        let model = dynamics.name();
         let stream = dynamics.stream(&topology, dynamics_seed(seed));
         let mut run = DynRun {
             topo: DynamicTopology::from(topology),
             stream,
             stats: DynamicsStats {
-                model: dynamics.name(),
+                model,
                 departures: 0,
                 rejoins: 0,
                 edge_downs: 0,
@@ -315,7 +316,7 @@ mod tests {
         fn validate(&self) -> Result<(), String> {
             Ok(())
         }
-        fn stream(&self, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
+        fn stream(self: Box<Self>, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
             struct Scripted(std::vec::IntoIter<Mutation>);
             impl MutationStream for Scripted {
                 fn peek_time(&self) -> Option<SimTime> {
@@ -325,7 +326,7 @@ mod tests {
                     self.0.next()
                 }
             }
-            Box::new(Scripted(self.0.clone().into_iter()))
+            Box::new(Scripted(self.0.into_iter()))
         }
     }
 
@@ -339,7 +340,7 @@ mod tests {
             informed: states.full_count(),
             held: states.total_messages(),
         };
-        let run = DynRun::new(topo, &Script(Vec::new()), 1, &cover);
+        let run = DynRun::new(topo, Box::new(Script(Vec::new())), 1, &cover);
         (run, states, cover)
     }
 
@@ -365,7 +366,7 @@ mod tests {
             informed: 1,
             held: 1,
         };
-        let mut run = DynRun::new(topo, &script, 1, &cover);
+        let mut run = DynRun::new(topo, Box::new(script), 1, &cover);
         let mut probe = MemoryProbe::default();
         let marker = |t| TraceEvent::new(EventKind::Round, t, 0, &[]);
         let mut hooked = Vec::new();

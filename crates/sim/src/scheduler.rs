@@ -63,8 +63,7 @@ use gossip_telemetry::{EventKind, Probe, TraceEvent};
 
 /// Everything that shapes one run — the determinism contract in one
 /// place: identical inputs reproduce identical [`SimResult`]s under a
-/// given scheduler.
-#[derive(Clone)]
+/// given scheduler. Not `Clone`: the run takes the dynamics model over.
 pub struct RunInputs<'a> {
     /// The (initial) underlay graph, owned by the run: a static run reads
     /// it as is, a dynamic one converts it into its mutating graph, so
@@ -82,7 +81,7 @@ pub struct RunInputs<'a> {
     /// nodes, and [`SimResult::dynamics`] reports the churn-aware
     /// metrics. `None` is the frozen graph, at no cost: no
     /// `DynamicTopology` is built and no alive mask consulted.
-    pub dynamics: Option<&'a dyn DynamicsModel>,
+    pub dynamics: Option<Box<dyn DynamicsModel>>,
     /// `Some`: the protocol gossips over *discovered* neighborhoods — a
     /// [`Membership`] overlay (bounded HyParView-style views with
     /// SWIM-style failure detection) between the underlay and the

@@ -25,7 +25,11 @@
 //!   attempt or finish inside the running slice, a sweep scheduling back
 //!   into an executed window) or beyond a short ring of upcoming slices
 //!   (huge latencies, saturated times) sit in a small binary heap that
-//!   each pop compares against the head of the opened run.
+//!   each pop compares against the head of the opened run. Only heap
+//!   entries store a `seq`; a bucketed event's place is its `seq`, and a
+//!   tie between the two heads is settled by where the heap entry came
+//!   from ([`SliceQueue`]). A bucketed event is 24 bytes, its [`Ev`]
+//!   packed into 16.
 //! - **Slice passes.** Each pass picks a monotonically increasing slice
 //!   index, then workers drain their regions' events below the slice end
 //!   in local `(time, seq)` order, drawing from the per-pass stream
@@ -122,19 +126,20 @@ pub struct SliceTimings {
 
 /// The one event vocabulary of the sliced engine; static runs carry
 /// all-zero generation stamps (no node ever dies, so the checks are
-/// vacuously true) and share every code path with dynamic runs.
-#[derive(Clone, Copy, Debug)]
+/// vacuously true) and share every code path with dynamic runs. Queues
+/// keep events [`Packed`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     /// A node's act cycle, valid for one incarnation of the node.
-    Act(NodeId, u64),
+    Act(NodeId, u32),
     /// `from`'s proposal arrives at `to` after connection-setup latency.
-    Attempt { from: NodeId, to: NodeId, gen: u64 },
+    Attempt { from: NodeId, to: NodeId, gen: u32 },
     /// The transfer over a formed connection completes.
     Finish {
         initiator: NodeId,
         acceptor: NodeId,
-        gen_i: u64,
-        gen_a: u64,
+        gen_i: u32,
+        gen_a: u32,
     },
 }
 
@@ -145,7 +150,79 @@ impl Ev {
             Ev::Act(u, _) | Ev::Attempt { from: u, .. } | Ev::Finish { initiator: u, .. } => u,
         }
     }
+
+    /// The event in 16 bytes: the variant rides in the top two bits of
+    /// the owner's id, which the matcher keeps below `2^30`
+    /// ([`IncrementalMatcher::new`]).
+    fn pack(self) -> Packed {
+        let (kind, owner, peer, gen, peer_gen) = match self {
+            Ev::Act(u, gen) => (0, u, NodeId(0), gen, 0),
+            Ev::Attempt { from, to, gen } => (1, from, to, gen, 0),
+            Ev::Finish {
+                initiator,
+                acceptor,
+                gen_i,
+                gen_a,
+            } => (2, initiator, acceptor, gen_i, gen_a),
+        };
+        debug_assert!(owner.0 <= Packed::OWNER);
+        Packed([kind << Packed::KIND_SHIFT | owner.0, peer.0, gen, peer_gen])
+    }
 }
+
+/// An [`Ev`] in four words: the variant and the owner, the other node,
+/// and the stamps of the owner and of the other node.
+#[derive(Clone, Copy, Debug)]
+struct Packed([u32; 4]);
+
+impl Packed {
+    const KIND_SHIFT: u32 = 30;
+    /// The owner's bits of the first word.
+    const OWNER: u32 = (1 << Self::KIND_SHIFT) - 1;
+
+    fn ev(self) -> Ev {
+        let [word, peer, gen, peer_gen] = self.0;
+        let owner = NodeId(word & Self::OWNER);
+        match word >> Self::KIND_SHIFT {
+            0 => Ev::Act(owner, gen),
+            1 => Ev::Attempt {
+                from: owner,
+                to: NodeId(peer),
+                gen,
+            },
+            _ => Ev::Finish {
+                initiator: owner,
+                acceptor: NodeId(peer),
+                gen_i: gen,
+                gen_a: peer_gen,
+            },
+        }
+    }
+
+    /// Overwrite every stamp this event carries for `node` with `stamp`.
+    fn restamp(&mut self, node: NodeId, stamp: u32) {
+        let ev = self.ev();
+        let [_, peer, gen, peer_gen] = &mut self.0;
+        if ev.owner() == node {
+            *gen = stamp;
+        }
+        if matches!(ev, Ev::Finish { .. }) && *peer == node.0 {
+            *peer_gen = stamp;
+        }
+    }
+}
+
+/// An event at its time: what the ring buckets, the opened run and the
+/// deferred lists hold. Its place in them is its scheduling order.
+#[derive(Clone, Copy, Debug)]
+struct Timed {
+    time: SimTime,
+    event: Packed,
+}
+
+// One record per queued event: a 10^6-node run queues about one per node.
+const _: () = assert!(std::mem::size_of::<Packed>() == 16);
+const _: () = assert!(std::mem::size_of::<Timed>() <= 24);
 
 /// What a worker or the sweep logs for [`replay`] to account. The first
 /// two variants carry the run's accounting and are always logged; the
@@ -155,9 +232,11 @@ impl Ev {
 /// probe.
 #[derive(Clone, Copy, Debug)]
 enum EntryKind {
-    /// A transfer completed: how many messages moved, and how many
-    /// endpoints newly hold the full universe.
-    Finish { moved: usize, newly_full: usize },
+    /// A transfer completed: how many messages moved into the two rows
+    /// (a row's count is a `u32`, and so is their sum: see
+    /// `MessageMatrix`'s union), and how many endpoints (0–2) newly hold
+    /// the full universe.
+    Finish { moved: u32, newly_full: u8 },
     /// An attempt was rejected (busy acceptor, or a vanished edge on
     /// dynamic runs).
     Drop,
@@ -178,7 +257,7 @@ struct Entry {
 
 // Every finished or failed attempt moves an entry through the region log
 // and the merge, traced or not: the trace-only variant must not widen it.
-const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+const _: () = assert!(std::mem::size_of::<Entry>() <= 24);
 
 /// The trace event of `kind` at `now`, in the round-equivalent `now`
 /// falls in.
@@ -241,9 +320,10 @@ fn append_by_tick<'a, T: Copy + 'a>(
     }
 }
 
-/// Queue entry: events fire in `(time, seq)` order. `seq` is a unique,
-/// monotonically increasing tie-breaker, so simultaneous events fire in
-/// scheduling order and the execution is deterministic.
+/// Heap entry: fires in `(time, seq)` order. `seq` is unique and grows
+/// with every heap push, so simultaneous heap entries fire in scheduling
+/// order. In a [`SliceQueue`] its low bit says the entry was pushed
+/// beyond the ring ([`FAR`]).
 #[derive(Clone, Copy, Debug)]
 struct Scheduled<E> {
     time: SimTime,
@@ -270,6 +350,12 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
+// The heap holds a few dozen entries per region; the buckets hold the rest.
+const _: () = assert!(std::mem::size_of::<Scheduled<Packed>>() <= 32);
+
+/// The `seq` bit of a heap entry pushed beyond the ring.
+const FAR: u64 = 1;
+
 /// Slices past the opened horizon that own a bucket. A refresh interval
 /// is below `4 * SLICE_TICKS` for every valid drift and jitter, so with
 /// latencies of a few slices nothing lands beyond the ring; what does
@@ -277,29 +363,46 @@ impl<E> PartialOrd for Scheduled<E> {
 /// and costs no bucket per intervening slice.
 const RING_SLICES: usize = 8;
 
-/// The events queued for one upcoming slice, in push (= `seq`) order.
+/// The events queued for one upcoming slice, in push order.
 #[derive(Default)]
 struct Bucket {
-    events: Vec<Scheduled<Ev>>,
+    events: Vec<Timed>,
     /// Earliest time in `events`; meaningless while it is empty.
     min: u64,
 }
 
 /// A region's event queue: pops in exactly the `(time, seq)` order of a
-/// `BinaryHeap<Scheduled<Ev>>` fed the same pushes (the unit tests drive
-/// both), given what the slice passes guarantee — the `end` bounds passed
-/// to [`pop_below`](Self::pop_below) never decrease.
+/// `BinaryHeap<Scheduled<Ev>>` fed the same pushes with `seq` counting
+/// them (the unit tests drive both), given what the slice passes
+/// guarantee — the `end` bounds passed to [`pop_below`](Self::pop_below)
+/// never decrease.
 ///
 /// Invariant: every event in `ring[i]` falls in slice
 /// `horizon / SLICE_TICKS + i` and at or past `horizon`; every queued
 /// event below `horizon` is in `run` or `heap`. `pop_below(end)` first
 /// raises the horizon to `end`, so the buckets never hold a candidate
 /// and the earlier of the two heads is the earliest queued event.
+///
+/// Bucketed events carry no `seq`: a bucket keeps push order and the run
+/// lays buckets out stably, so their place is their `seq` order. Heap
+/// entries take a heap-local `seq`, and a tie at one tick between the
+/// run's head and the heap's is settled by where the heap entry came
+/// from, because the horizon only grows:
+/// - an entry pushed *below the horizon* was pushed after every bucketed
+///   event of its tick (those went in while the horizon was at or below
+///   it), so the run's head goes first;
+/// - an entry pushed *beyond the ring* ([`FAR`]) was pushed before any
+///   of them (they would have gone beyond the ring too), so it goes
+///   first;
+/// - the cap's cut ([`open_below`](Self::open_below)) moves a bucket's
+///   events below `end` into the heap with fresh `seq`s in bucket order:
+///   no bucketed event is left at their ticks, and any later push at
+///   those ticks lands below the horizon, after them.
 #[derive(Default)]
 struct SliceQueue {
-    /// Tie-breaker stamped on every push. Region-local, so region pop
-    /// order is deterministic without any global coordination; monotone,
-    /// so a bucket's push order is its `seq` order.
+    /// Heap pushes so far. Region-local, so region pop order is
+    /// deterministic without any global coordination. A `u64` counting
+    /// one per push does not wrap: 2^63 pushes take centuries.
     seq: u64,
     /// The largest `end` popped below so far, in ticks.
     horizon: u64,
@@ -309,25 +412,27 @@ struct SliceQueue {
     /// when the pass has read it all, so the allocator hands the same
     /// hot block from region to region and a region at rest holds one
     /// copy of its events, not two.
-    run: Vec<Scheduled<Ev>>,
+    run: Vec<Timed>,
     cursor: usize,
-    /// Events pushed below the horizon or beyond the ring.
-    heap: BinaryHeap<Scheduled<Ev>>,
+    /// Events pushed below the horizon or beyond the ring, and the cut.
+    heap: BinaryHeap<Scheduled<Packed>>,
 }
 
 impl SliceQueue {
     fn push(&mut self, time: SimTime, event: Ev) {
-        self.seq += 1;
-        let ev = Scheduled {
+        let ev = Timed {
             time,
-            seq: self.seq,
-            event,
+            event: event.pack(),
         };
         let t = time.ticks();
         // Slices past the horizon's own; garbage when `t` is below it.
         let ahead = (t / SLICE_TICKS).wrapping_sub(self.horizon / SLICE_TICKS);
-        if t < self.horizon || ahead >= RING_SLICES as u64 {
-            self.heap.push(ev);
+        if t < self.horizon {
+            self.push_heap(ev, 0);
+            return;
+        }
+        if ahead >= RING_SLICES as u64 {
+            self.push_heap(ev, FAR);
             return;
         }
         let bucket = &mut self.ring[ahead as usize];
@@ -336,6 +441,15 @@ impl SliceQueue {
             false => bucket.min.min(t),
         };
         bucket.events.push(ev);
+    }
+
+    fn push_heap(&mut self, ev: Timed, far: u64) {
+        self.seq += 1;
+        self.heap.push(Scheduled {
+            time: ev.time,
+            seq: self.seq << 1 | far,
+            event: ev.event,
+        });
     }
 
     /// Time of the earliest queued event.
@@ -354,14 +468,14 @@ impl SliceQueue {
     }
 
     /// Pop the earliest queued event if its time is below `end`.
-    fn pop_below(&mut self, end: u64) -> Option<Scheduled<Ev>> {
+    fn pop_below(&mut self, end: u64) -> Option<Timed> {
         if self.horizon < end {
             self.open_below(end);
         }
         let run_head = self.run.get(self.cursor);
         let heap_head = self.heap.peek();
         let from_run = match (run_head, heap_head) {
-            (Some(r), Some(h)) => (r.time, r.seq) < (h.time, h.seq),
+            (Some(r), Some(h)) => r.time < h.time || (r.time == h.time && h.seq & FAR == 0),
             (r, _) => r.is_some(),
         };
         if from_run {
@@ -371,7 +485,10 @@ impl SliceQueue {
                 ev
             })
         } else if heap_head.is_some_and(|h| h.time.ticks() < end) {
-            self.heap.pop()
+            self.heap.pop().map(|h| Timed {
+                time: h.time,
+                event: h.event,
+            })
         } else {
             if self.cursor == self.run.len() {
                 self.run = Vec::new();
@@ -421,18 +538,33 @@ impl SliceQueue {
         // few events of that slice below it take the heap, and the rest
         // of the bucket waits for an `end` past its slice — in a run,
         // forever — instead of being laid out for nobody.
-        let cut = &mut self.ring[0];
+        let cut = &self.ring[0];
         if !cut.events.is_empty() && cut.min < end {
-            let below = |ev: &Scheduled<Ev>| ev.time.ticks() < end;
-            self.heap.extend(cut.events.iter().copied().filter(below));
-            cut.events.retain(|ev| !below(ev));
-            cut.min = cut
-                .events
-                .iter()
-                .map(|ev| ev.time.ticks())
-                .min()
-                .unwrap_or(0);
+            let mut events = std::mem::take(&mut self.ring[0].events);
+            let below = |ev: &Timed| ev.time.ticks() < end;
+            for &ev in events.iter().filter(|ev| below(ev)) {
+                self.push_heap(ev, 0);
+            }
+            events.retain(|ev| !below(ev));
+            let min = events.iter().map(|ev| ev.time.ticks()).min();
+            self.ring[0] = Bucket {
+                events,
+                min: min.unwrap_or(0),
+            };
         }
+    }
+
+    /// Every queued event, in no particular order, for a rewrite that
+    /// leaves its time alone.
+    fn for_each_mut(&mut self, mut f: impl FnMut(&mut Packed)) {
+        let bucketed = self.ring.iter_mut().flat_map(|b| b.events.iter_mut());
+        bucketed
+            .chain(self.run[self.cursor..].iter_mut())
+            .for_each(|ev| f(&mut ev.event));
+        // Neither key of a heap entry changes, so neither does its order.
+        let mut heap = std::mem::take(&mut self.heap).into_vec();
+        heap.iter_mut().for_each(|h| f(&mut h.event));
+        self.heap = BinaryHeap::from(heap);
     }
 }
 
@@ -442,7 +574,7 @@ impl SliceQueue {
 #[derive(Default)]
 struct RegionScratch {
     queue: SliceQueue,
-    deferred: Vec<Scheduled<Ev>>,
+    deferred: Vec<Timed>,
     log: Vec<Entry>,
     events: u64,
     last_time: u64,
@@ -472,7 +604,7 @@ struct SliceCtx<'a> {
     /// neighbors (in-region neighbors read the live array). Empty, like
     /// the live array, under a protocol that reads no tags.
     ads_snap: &'a [Advertisement],
-    gens: &'a [u64],
+    gens: &'a [u32],
     seed: u64,
     pass: u64,
     /// Exclusive pop bound: `min(slice end, max_time + 1)`.
@@ -563,9 +695,11 @@ impl Chunks<'_> {
                     });
                 }
                 let stats = self.states.union_pair_stats(i, j);
+                // The union counts `moved` in a `u32` and fills at most
+                // both ends: neither conversion truncates.
                 log.push(at(EntryKind::Finish {
-                    moved: stats.moved,
-                    newly_full: stats.newly_full,
+                    moved: stats.moved as u32,
+                    newly_full: stats.newly_full as u8,
                 }));
                 self.matcher.release(initiator, acceptor);
                 let delay = ctx.timing.refresh_interval(ctx.drift[i], rng);
@@ -602,11 +736,11 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
     let r = ctx.part.region_of(base);
     let mut rng = Rng::stream(ctx.seed, ctx.pass, SLICE_REGION_STREAM_BASE + r as u64);
     let gens = ctx.gens;
-    while let Some(ev) = scratch.queue.pop_below(ctx.end) {
-        let now = ev.time;
+    while let Some(popped) = scratch.queue.pop_below(ctx.end) {
+        let (now, ev) = (popped.time, popped.event.ev());
         // Whether every node the event names is the incarnation it was
         // scheduled for, and the other node it touches.
-        let (live, peer) = match ev.event {
+        let (live, peer) = match ev {
             Ev::Act(u, gen) => (gen == gens[u.index()], u),
             Ev::Attempt { from, to, gen } => (gen == gens[from.index()], to),
             Ev::Finish {
@@ -622,15 +756,15 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
         if live && !owned.contains(&peer.index()) {
             // Cross-region peer: defer to the boundary sweep before
             // consuming any randomness.
-            scratch.deferred.push(ev);
+            scratch.deferred.push(popped);
             continue;
         }
         scratch.note(now);
         if !live {
             continue; // a death since it was scheduled orphaned it
         }
-        let Ev::Act(u, gen) = ev.event else {
-            let (at, next) = chunks.connect(ctx, graph, now, ev.event, &mut rng, &mut scratch.log);
+        let Ev::Act(u, gen) = ev else {
+            let (at, next) = chunks.connect(ctx, graph, now, ev, &mut rng, &mut scratch.log);
             scratch.push(at, next);
             continue;
         };
@@ -732,9 +866,9 @@ fn replay(
         EntryKind::Finish { moved, newly_full } => {
             tally.close_rows_below(result, now.round_equivalent().max(1), cover);
             let transfer = TransferStats {
-                moved,
+                moved: moved as usize,
                 productive: (moved > 0) as usize,
-                newly_full,
+                newly_full: newly_full as usize,
             };
             tally.count(result, cover, 1, transfer);
             let population = match under.dynr_mut() {
@@ -778,6 +912,29 @@ fn gossip_graph<'a>(under: &'a Underlay, mem: &'a Option<Membership>) -> Graph<'
         None => underlay,
     };
     Graph { gossip, frozen }
+}
+
+/// Start `node`'s next incarnation: every event queued against an earlier
+/// one turns stale. Stamps are `u32`, and a node may depart more than
+/// 2^32 times in a long churned run while an event of an old incarnation
+/// waits (latencies are unbounded), so a wrap is rebased rather than
+/// allowed to alias: the stamp skips 0, and every queued stamp of the
+/// node — all stale, as it is departing — becomes 0, which no incarnation
+/// after the first ever has again. Between wraps a stale stamp differs
+/// from the current one, and a wrap rewrites it before it could match.
+fn next_incarnation(gens: &mut [u32], scratches: &mut [RegionScratch], node: NodeId) {
+    let gen = &mut gens[node.index()];
+    *gen = match gen.checked_add(1) {
+        Some(next) => next,
+        None => {
+            for s in scratches.iter_mut() {
+                // Mutations apply between passes, with nothing deferred.
+                debug_assert!(s.deferred.is_empty());
+                s.queue.for_each_mut(|ev| ev.restamp(node, 0));
+            }
+            1
+        }
+    };
 }
 
 /// The sliced engine: the one pass loop behind
@@ -836,7 +993,7 @@ pub(crate) fn run_sliced(
     let mut matcher = IncrementalMatcher::new(n);
     // A node's incarnation number; death bumps it, orphaning every event
     // queued against the old incarnation. All-zero on static runs.
-    let mut gens: Vec<u64> = vec![0; n];
+    let mut gens: Vec<u32> = vec![0; n];
 
     let part = Partition::of(n);
     let mut scratches: Vec<RegionScratch> = (0..part.regions)
@@ -852,7 +1009,7 @@ pub(crate) fn run_sliced(
 
     let mut tally = Tally::default();
     let mut merged: Vec<Entry> = Vec::new();
-    let mut sweep_q: Vec<Scheduled<Ev>> = Vec::new();
+    let mut sweep_q: Vec<Timed> = Vec::new();
     let mut sweep_log: Vec<Entry> = Vec::new();
     let mut tick_counters = vec![0u32; SERIAL_TICK_COUNTERS];
     let mut sweep_events: u64 = 0;
@@ -929,7 +1086,7 @@ pub(crate) fn run_sliced(
                                     (!initiated).then_some(v)
                                 }
                             };
-                            gens[u.index()] += 1;
+                            next_incarnation(&mut gens, &mut scratches, u);
                             survivor
                         }
                         // The revived node starts a fresh act chain.
@@ -1054,8 +1211,14 @@ pub(crate) fn run_sliced(
             sweep_events += 1;
             tally.close_rows_below(&mut result, now.round_equivalent().max(1), &cover);
             let graph = gossip_graph(&under, &mem);
-            let (at, next) =
-                whole.connect(&ctx, graph, now, ev.event, &mut rng_sweep, &mut sweep_log);
+            let (at, next) = whole.connect(
+                &ctx,
+                graph,
+                now,
+                ev.event.ev(),
+                &mut rng_sweep,
+                &mut sweep_log,
+            );
             scratches[part.region_of(next.owner().index())].push(at, next);
             for e in sweep_log.drain(..) {
                 if replay(&e, &mut result, &mut tally, &mut cover, &mut under, probe) {
@@ -1158,6 +1321,9 @@ mod tests {
         }
     }
 
+    /// Every event the oracle tests push names its push count, so the
+    /// queue's pops — which carry no `seq` — show it: `(time, event)`
+    /// orders exactly like the oracle's `(time, seq)`.
     fn push_both(queue: &mut SliceQueue, oracle: &mut Oracle, time: SimTime) {
         let event = Ev::Act(NodeId(oracle.seq as u32), 0);
         queue.push(time, event);
@@ -1220,8 +1386,8 @@ mod tests {
                 loop {
                     let (got, want) = (queue.pop_below(end), oracle.pop_below(end));
                     assert_eq!(
-                        got.map(|ev| (ev.time, ev.seq)),
-                        want.map(|ev| (ev.time, ev.seq)),
+                        got.map(|ev| (ev.time, ev.event.ev())),
+                        want.map(|ev| (ev.time, ev.event)),
                         "seed {seed} pass {pass}"
                     );
                     assert_earliest_agrees(&queue, &oracle);
@@ -1248,8 +1414,8 @@ mod tests {
             loop {
                 let (got, want) = (queue.pop_below(u64::MAX), oracle.pop_below(u64::MAX));
                 assert_eq!(
-                    got.map(|ev| (ev.time, ev.seq)),
-                    want.map(|ev| (ev.time, ev.seq)),
+                    got.map(|ev| (ev.time, ev.event.ev())),
+                    want.map(|ev| (ev.time, ev.event)),
                     "seed {seed} drain"
                 );
                 if got.is_none() {
@@ -1258,6 +1424,133 @@ mod tests {
             }
             assert_earliest_agrees(&queue, &oracle);
         }
+    }
+
+    /// Pop everything below `end` from both, check they agree, and name
+    /// the popped events' push counts (from 0).
+    fn pop_all_below(queue: &mut SliceQueue, oracle: &mut Oracle, end: u64) -> Vec<u32> {
+        let mut ids = Vec::new();
+        loop {
+            let (got, want) = (queue.pop_below(end), oracle.pop_below(end));
+            assert_eq!(
+                got.map(|ev| (ev.time, ev.event.ev())),
+                want.map(|ev| (ev.time, ev.event)),
+                "end {end}"
+            );
+            let Some(ev) = got else { return ids };
+            ids.push(ev.event.ev().owner().0);
+        }
+    }
+
+    #[test]
+    fn equal_ticks_of_the_run_and_the_heap_pop_in_push_order() {
+        let mut queue = SliceQueue::default();
+        let mut oracle = Oracle {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        };
+        let s = SLICE_TICKS;
+        let ring = RING_SLICES as u64;
+        // Beyond the ring: #0 goes far into the heap, then #1 at its tick
+        // (and #2 after it) into a bucket once the horizon has moved on.
+        push_both(&mut queue, &mut oracle, SimTime(ring * s + 5));
+        assert!(pop_all_below(&mut queue, &mut oracle, s).is_empty());
+        push_both(&mut queue, &mut oracle, SimTime(ring * s + 5));
+        push_both(&mut queue, &mut oracle, SimTime(ring * s + 6));
+        assert_eq!(queue.heap.len(), 1);
+        // The heap's far entry goes before the run's head of its tick.
+        assert_eq!(
+            pop_all_below(&mut queue, &mut oracle, (ring + 1) * s),
+            [0, 1, 2]
+        );
+
+        // Below the horizon: #3 and #4 are bucketed, #3 pops, then #5
+        // lands at #4's tick below the horizon. The run's head goes first.
+        let base = (ring + 2) * s;
+        push_both(&mut queue, &mut oracle, SimTime(base + 1));
+        push_both(&mut queue, &mut oracle, SimTime(base + 7));
+        let end = base + s;
+        assert_eq!(
+            queue.pop_below(end).map(|ev| ev.event.ev().owner().0),
+            Some(3)
+        );
+        assert_eq!(oracle.pop_below(end).map(|ev| ev.seq), Some(4));
+        push_both(&mut queue, &mut oracle, SimTime(base + 7));
+        assert_eq!(queue.heap.len(), 1);
+        assert_eq!(pop_all_below(&mut queue, &mut oracle, end), [4, 5]);
+
+        // The cap's cut: #6 goes far; #7, #8 (at #6's tick) and #9 are
+        // bucketed; a cap inside their slice moves #7 and #8 to the heap,
+        // behind #6; #10 then lands at their tick below the horizon.
+        let base = end + 2 * s;
+        push_both(&mut queue, &mut oracle, SimTime(base + ring * s + 10));
+        assert!(pop_all_below(&mut queue, &mut oracle, base + 2 * s).is_empty());
+        let cap = base + ring * s + 11;
+        push_both(&mut queue, &mut oracle, SimTime(cap - 1));
+        push_both(&mut queue, &mut oracle, SimTime(cap - 1));
+        push_both(&mut queue, &mut oracle, SimTime(cap + 500));
+        assert!(pop_all_below(&mut queue, &mut oracle, cap - 1).is_empty());
+        assert_eq!(
+            queue.pop_below(cap).map(|ev| ev.event.ev().owner().0),
+            Some(6)
+        );
+        assert_eq!(oracle.pop_below(cap).map(|ev| ev.seq), Some(7));
+        assert_eq!(queue.heap.len(), 2, "the cut moved #7 and #8 to the heap");
+        push_both(&mut queue, &mut oracle, SimTime(cap - 1));
+        assert_eq!(pop_all_below(&mut queue, &mut oracle, cap), [7, 8, 10]);
+        assert_eq!(pop_all_below(&mut queue, &mut oracle, u64::MAX), [9]);
+    }
+
+    #[test]
+    fn a_wrapping_stamp_rebases_the_nodes_queued_events() {
+        let (u, v) = (NodeId(0), NodeId(2));
+        // Events naming `u` at its current and an older stamp, and one of
+        // `v`'s; one far in the heap. Regions are two nodes wide.
+        let queued = |now, older| {
+            let finish = Ev::Finish {
+                initiator: v,
+                acceptor: u,
+                gen_i: 9,
+                gen_a: now,
+            };
+            [
+                (5, Ev::Act(u, now)),
+                (
+                    3 * SLICE_TICKS,
+                    Ev::Attempt {
+                        from: u,
+                        to: NodeId(1),
+                        gen: older,
+                    },
+                ),
+                (SLICE_TICKS + 1, finish),
+                (u64::MAX - 1, Ev::Act(v, 9)),
+            ]
+        };
+        for (gen, next, stale) in [(3, 4, (3, 2)), (u32::MAX, 1, (0, 0))] {
+            let mut gens = vec![gen, 0, 9];
+            let mut scratches: Vec<RegionScratch> = (0..2).map(|_| Default::default()).collect();
+            for (t, ev) in queued(gen, gen - 1) {
+                scratches[ev.owner().index() / 2].push(SimTime(t), ev);
+            }
+            next_incarnation(&mut gens, &mut scratches, u);
+            assert_eq!(gens, [next, 0, 9]);
+            // On a wrap every stamp of `u` becomes the 0 no later
+            // incarnation takes; `v`'s stay put.
+            let mut want = queued(stale.0, stale.1);
+            want.sort_by_key(|&(t, ev)| (ev.owner().index() / 2, t));
+            let got: Vec<(u64, Ev)> = scratches
+                .iter_mut()
+                .flat_map(|s| std::iter::from_fn(|| s.queue.pop_below(u64::MAX)))
+                .map(|ev| (ev.time.ticks(), ev.event.ev()))
+                .collect();
+            assert_eq!(got, want, "gen {gen}");
+        }
+    }
+
+    /// The node the next event below `end` names, if any.
+    fn pop_id(queue: &mut SliceQueue, end: u64) -> Option<u32> {
+        queue.pop_below(end).map(|ev| ev.event.ev().owner().0)
     }
 
     #[test]
@@ -1269,8 +1562,8 @@ mod tests {
             1 << 50,
             RING_SLICES as u64 * SLICE_TICKS,
         ];
-        for t in far {
-            queue.push(SimTime(t), Ev::Act(NodeId(0), 0));
+        for (i, t) in far.into_iter().enumerate() {
+            queue.push(SimTime(t), Ev::Act(NodeId(i as u32), 0));
         }
         assert_eq!(queue.heap.len(), far.len());
         assert!(queue.ring.iter().all(|b| b.events.capacity() == 0));
@@ -1278,11 +1571,11 @@ mod tests {
         // A pass 2^40 slices on: the horizon jumps there in one step
         // (a walk would take minutes), allocating nothing on the way.
         let end = (1 << 50) + 1;
-        assert_eq!(queue.pop_below(end).map(|ev| ev.seq), Some(4));
+        assert_eq!(pop_id(&mut queue, end), Some(3));
         assert_eq!(queue.horizon, end);
-        assert_eq!(queue.pop_below(end).map(|ev| ev.seq), Some(3));
-        assert_eq!(queue.pop_below(end).map(|ev| ev.seq), None);
-        assert_eq!(queue.pop_below(u64::MAX).map(|ev| ev.seq), Some(2));
+        assert_eq!(pop_id(&mut queue, end), Some(2));
+        assert_eq!(pop_id(&mut queue, end), None);
+        assert_eq!(pop_id(&mut queue, u64::MAX), Some(1));
         assert_eq!(queue.earliest(), Some(u64::MAX));
         assert!(queue.ring.iter().all(|b| b.events.capacity() == 0));
         assert_eq!(queue.run.capacity(), 0);

@@ -117,12 +117,7 @@ fn multi_region_static_runs_are_identical_at_any_thread_count() {
     }
 }
 
-fn run_dyn(
-    threads: usize,
-    topo: &Topology,
-    dynamics: &dyn DynamicsModel,
-    proto: Protocol,
-) -> SimResult {
+fn run_dyn(threads: usize, topo: &Topology, dynamics: &Dynamics, proto: Protocol) -> SimResult {
     let mut rng = Rng::new(0xfeed);
     let sources = random_sources(topo.num_nodes(), 2, &mut rng);
     let cfg = SimConfig {
@@ -131,7 +126,7 @@ fn run_dyn(
     };
     Scheduler::Sync { threads }.run(
         RunInputs {
-            dynamics: Some(dynamics),
+            dynamics: Some(Box::new(dynamics.clone())),
             ..RunInputs::new(topo.clone(), proto, &sources, 77, cfg)
         },
         &mut NoopProbe,
@@ -167,7 +162,7 @@ fn dynamic_runs_are_identical_at_any_thread_count() {
     let ring = Topology::ring(64);
     let grid = Topology::grid(64);
     for (topo, dynamics) in [
-        (&ring as &Topology, &churn as &dyn DynamicsModel),
+        (&ring as &Topology, &churn),
         (&grid, &fading),
         (&rgg, &waypoint),
     ] {
@@ -262,13 +257,13 @@ fn async_churn_runs_are_identical_at_any_thread_count() {
                 max_rounds: 60 * topo.num_nodes() + 200,
                 record_rounds: true,
             };
-            let inputs = RunInputs {
-                dynamics: Some(&churn),
+            let inputs = || RunInputs {
+                dynamics: Some(Box::new(churn.clone())),
                 ..RunInputs::new(topo.clone(), proto, &sources, 77, cfg)
             };
-            let baseline = async_sched(1).run(inputs.clone(), &mut NoopProbe);
+            let baseline = async_sched(1).run(inputs(), &mut NoopProbe);
             for threads in THREAD_COUNTS {
-                let sharded = async_sched(threads).run(inputs.clone(), &mut NoopProbe);
+                let sharded = async_sched(threads).run(inputs(), &mut NoopProbe);
                 assert_eq!(
                     baseline,
                     sharded,
@@ -296,8 +291,8 @@ fn thread_count_zero_and_oversubscription_are_harmless() {
         (&ring, [1, 0, 64].map(|threads| Scheduler::Sync { threads })),
         (&big_ring, [1, 0, 64].map(async_sched)),
     ] {
-        let inputs = RunInputs::new(topo.clone(), Protocol::Uniform, &[NodeId(3)], 9, cfg);
-        let [serial, zero, many] = schedulers.map(|s| s.run(inputs.clone(), &mut NoopProbe));
+        let inputs = || RunInputs::new(topo.clone(), Protocol::Uniform, &[NodeId(3)], 9, cfg);
+        let [serial, zero, many] = schedulers.map(|s| s.run(inputs(), &mut NoopProbe));
         assert!(serial.completed, "{}", serial.scheduler);
         assert_eq!(serial, zero, "{} threads=0", serial.scheduler);
         assert_eq!(serial, many, "{} threads=64", serial.scheduler);

@@ -15,6 +15,7 @@ use gossip_telemetry::NoopProbe;
 
 /// A fixed, pre-scripted mutation sequence — the deterministic harness
 /// for pinning exactly when each scheduler applies a mutation.
+#[derive(Clone)]
 struct Script(Vec<Mutation>);
 
 impl Script {
@@ -43,8 +44,8 @@ impl DynamicsModel for Script {
     fn validate(&self) -> Result<(), String> {
         Ok(())
     }
-    fn stream(&self, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
-        Box::new(ScriptStream(self.0.clone().into()))
+    fn stream(self: Box<Self>, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
+        Box::new(ScriptStream(self.0.into()))
     }
 }
 
@@ -72,7 +73,7 @@ fn schedulers() -> [Scheduler; 2] {
 fn run_dynamic(
     scheduler: &Scheduler,
     topo: &Topology,
-    dynamics: &dyn DynamicsModel,
+    dynamics: &(impl DynamicsModel + Clone + 'static),
     protocol: Protocol,
     k: usize,
     seed: u64,
@@ -85,7 +86,7 @@ fn run_dynamic(
     };
     scheduler.run(
         RunInputs {
-            dynamics: Some(dynamics),
+            dynamics: Some(Box::new(dynamics.clone())),
             ..RunInputs::new(topo.clone(), protocol, &sources, seed, cfg)
         },
         &mut NoopProbe,
@@ -129,7 +130,7 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     let early = Script(vec![Script::depart(1023, 1)]);
     let result = Scheduler::Sync { threads: 1 }.run(
         RunInputs {
-            dynamics: Some(&early),
+            dynamics: Some(Box::new(early)),
             ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 7, cfg)
         },
         &mut NoopProbe,
@@ -143,7 +144,7 @@ fn sync_applies_mutations_at_the_boundary_opening_their_round() {
     let late = Script(vec![Script::depart(1024, 1)]);
     let result = Scheduler::Sync { threads: 1 }.run(
         RunInputs {
-            dynamics: Some(&late),
+            dynamics: Some(Box::new(late)),
             ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 7, cfg)
         },
         &mut NoopProbe,
@@ -176,7 +177,7 @@ fn a_boundary_draining_only_no_ops_does_not_complete() {
     for scheduler in schedulers() {
         let result = scheduler.run(
             RunInputs {
-                dynamics: Some(&script),
+                dynamics: Some(Box::new(script.clone())),
                 ..RunInputs::new(topo.clone(), Protocol::Advert, &[NodeId(0)], 5, cfg)
             },
             &mut NoopProbe,
@@ -204,7 +205,7 @@ fn emptied_network_never_completes() {
     for scheduler in schedulers() {
         let result = scheduler.run(
             RunInputs {
-                dynamics: Some(&script),
+                dynamics: Some(Box::new(script.clone())),
                 ..RunInputs::new(topo.clone(), Protocol::Uniform, &[NodeId(0)], 3, cfg)
             },
             &mut NoopProbe,
@@ -236,7 +237,7 @@ fn gossip_crosses_a_dead_gap_only_after_the_rejoin() {
         let cfg = SimConfig::default();
         let result = scheduler.run(
             RunInputs {
-                dynamics: Some(&script),
+                dynamics: Some(Box::new(script.clone())),
                 ..RunInputs::new(topo.clone(), Protocol::Advert, &[NodeId(0)], 11, cfg)
             },
             &mut NoopProbe,

@@ -98,7 +98,7 @@ impl DynamicsModel for Still {
     fn validate(&self) -> Result<(), String> {
         Ok(())
     }
-    fn stream(&self, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
+    fn stream(self: Box<Self>, _topology: &Topology, _seed: u64) -> Box<dyn MutationStream> {
         struct Empty;
         impl MutationStream for Empty {
             fn peek_time(&self) -> Option<SimTime> {
@@ -130,13 +130,13 @@ fn an_empty_mutation_stream_runs_exactly_the_static_run() {
         for proto in protocols {
             for threads in [1usize, 8] {
                 for sched in schedulers(threads) {
-                    let inputs = RunInputs::new(topo.clone(), proto, &sources, 42, cfg);
-                    let fixed = sched.run(inputs.clone(), &mut NoopProbe);
+                    let inputs = || RunInputs::new(topo.clone(), proto, &sources, 42, cfg);
+                    let fixed = sched.run(inputs(), &mut NoopProbe);
                     assert!(fixed.completed && fixed.dynamics.is_none());
                     let mut still = sched.run(
                         RunInputs {
-                            dynamics: Some(&Still),
-                            ..inputs
+                            dynamics: Some(Box::new(Still)),
+                            ..inputs()
                         },
                         &mut NoopProbe,
                     );

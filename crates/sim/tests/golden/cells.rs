@@ -154,7 +154,10 @@ fn render(sched: Scheduler, inputs: RunInputs<'_>, traced: bool) -> (String, Eng
         inputs.sources.len(),
         inputs.protocol.name(),
         sched.name(),
-        inputs.dynamics.map_or("none".to_string(), |d| d.name()),
+        inputs
+            .dynamics
+            .as_ref()
+            .map_or("none".to_string(), |d| d.name()),
         inputs
             .membership
             .map_or("none".to_string(), |m| format!("{m:?}")),
@@ -244,7 +247,7 @@ fn matrix(sched: Scheduler, dynamic: bool, overlay: bool) -> String {
     let churn = churn_only(RejoinPolicy::Lose, 3.0);
     let membership = MembershipConfig::default();
     let inputs = RunInputs {
-        dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
+        dynamics: dynamic.then(|| Box::new(churn) as Box<dyn DynamicsModel>),
         membership: overlay.then_some(&membership),
         ..RunInputs::new(topo, Protocol::Advert, &sources, 42, history(120))
     };
@@ -259,7 +262,7 @@ fn region_ring(threads: usize, dynamic: bool) -> String {
     let sources = random_sources(2048, 3, &mut Rng::new(0xfeed));
     let churn = churn_only(RejoinPolicy::Lose, 3.0);
     let inputs = RunInputs {
-        dynamics: dynamic.then_some(&churn as &dyn DynamicsModel),
+        dynamics: dynamic.then(|| Box::new(churn) as Box<dyn DynamicsModel>),
         ..RunInputs::new(topo, Protocol::Uniform, &sources, 42, history(40))
     };
     let (text, timings) = render(sliced(threads), inputs, true);
@@ -293,7 +296,7 @@ fn hashed_overlay(threads: usize) -> String {
     let churn = churn_only(RejoinPolicy::Keep, 3.0);
     let membership = MembershipConfig::default();
     let inputs = RunInputs {
-        dynamics: Some(&churn),
+        dynamics: Some(Box::new(churn)),
         membership: Some(&membership),
         ..RunInputs::new(rgg, Protocol::Advert, &sources, 42, history(400))
     };
@@ -312,7 +315,7 @@ fn faded_grid(threads: usize) -> String {
         ..Dynamics::default()
     };
     let inputs = RunInputs {
-        dynamics: Some(&fading),
+        dynamics: Some(Box::new(fading)),
         ..RunInputs::new(grid, Protocol::Advert, &sources, 42, history(200))
     };
     render(sync(threads), inputs, true).0
@@ -332,7 +335,7 @@ fn churned_faded_ring(threads: usize) -> String {
         mobility: None,
     };
     let inputs = RunInputs {
-        dynamics: Some(&model),
+        dynamics: Some(Box::new(model)),
         ..RunInputs::new(ring, Protocol::Advert, &sources, 42, history(150))
     };
     render(sliced(threads), inputs, true).0
@@ -358,7 +361,7 @@ fn drained_mobile_rgg(threads: usize) -> String {
         mobility: Some(waypoint),
     };
     let inputs = RunInputs {
-        dynamics: Some(&model),
+        dynamics: Some(Box::new(model)),
         ..RunInputs::new(rgg, Protocol::Advert, &sources, 42, history(60))
     };
     render(sync(threads), inputs, true).0
@@ -393,7 +396,8 @@ fn mobile_views() -> String {
     let (topo, model) = mobile(2000, seed);
     let cfg = MembershipConfig::default();
     let mut dt = DynamicTopology::new(&topo);
-    let mut stream = model.stream(&topo, dynamics_seed(seed));
+    let name = model.name();
+    let mut stream = Box::new(model).stream(&topo, dynamics_seed(seed));
     let mut mem = Membership::new(topo.num_nodes(), cfg);
     let ticks = 24;
     for tick in 1..=ticks {
@@ -416,7 +420,7 @@ fn mobile_views() -> String {
         "{} n={} dynamics={} membership={cfg:?} ticks={ticks} seed={seed}\n{:?}\nviews_fnv {:#018x}\n",
         topo.name(),
         topo.num_nodes(),
-        model.name(),
+        name,
         mem.finish(Some(dt.alive_mask())),
         fnv(&views),
     )
@@ -429,7 +433,7 @@ fn mobile_overlay(sched: Scheduler) -> String {
     let sources = random_sources(2000, 4, &mut Rng::new(0xfeed));
     let membership = MembershipConfig::default();
     let inputs = RunInputs {
-        dynamics: Some(&model),
+        dynamics: Some(Box::new(model)),
         membership: Some(&membership),
         ..RunInputs::new(topo, Protocol::Advert, &sources, 42, history(24))
     };
@@ -484,7 +488,7 @@ fn mobile_churn(sched: Scheduler) -> String {
     let sources = random_sources(1000, 2, &mut Rng::new(0xfeed));
     let membership = MembershipConfig::default();
     let inputs = RunInputs {
-        dynamics: Some(&model),
+        dynamics: Some(Box::new(model)),
         membership: Some(&membership),
         ..RunInputs::new(
             topo,
@@ -505,7 +509,7 @@ fn churned_grid(threads: usize) -> String {
     let churn = churn_only(RejoinPolicy::Keep, DEFAULT_MEAN_DOWNTIME_ROUNDS);
     let sources = random_sources(2500, 2, &mut Rng::new(0xfeed));
     let inputs = RunInputs {
-        dynamics: Some(&churn),
+        dynamics: Some(Box::new(churn)),
         ..RunInputs::new(topo, Protocol::Uniform, &sources, 77, no_history(120))
     };
     render(sliced(threads), inputs, false).0

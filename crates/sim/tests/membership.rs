@@ -54,26 +54,26 @@ fn membership_runs_are_identical_at_any_thread_count_on_both_schedulers() {
             let n = topo.num_nodes();
             let sources = random_sources(n, 2, &mut Rng::new(seed ^ 0xfeed));
             let membership = mem_cfg();
-            let inputs = RunInputs {
+            let inputs = || RunInputs {
                 membership: Some(&membership),
                 ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, seed, sim_cfg(n))
             };
-            let sync_base = Scheduler::Sync { threads: 1 }.run(inputs.clone(), &mut NoopProbe);
+            let sync_base = Scheduler::Sync { threads: 1 }.run(inputs(), &mut NoopProbe);
             assert!(
                 sync_base.membership.is_some(),
                 "membership runs must carry overlay stats"
             );
-            let async_base = async_sched(1).run(inputs.clone(), &mut NoopProbe);
+            let async_base = async_sched(1).run(inputs(), &mut NoopProbe);
             assert!(async_base.membership.is_some());
             for threads in THREAD_COUNTS {
-                let sync_run = Scheduler::Sync { threads }.run(inputs.clone(), &mut NoopProbe);
+                let sync_run = Scheduler::Sync { threads }.run(inputs(), &mut NoopProbe);
                 assert_eq!(
                     sync_base,
                     sync_run,
                     "sync membership run on {} diverged at {threads} threads",
                     topo.name()
                 );
-                let async_run = async_sched(threads).run(inputs.clone(), &mut NoopProbe);
+                let async_run = async_sched(threads).run(inputs(), &mut NoopProbe);
                 assert_eq!(
                     async_base,
                     async_run,
@@ -102,26 +102,26 @@ fn assert_membership_churn_is_thread_independent(
         let n = topo.num_nodes();
         let sources = random_sources(n, k, &mut Rng::new(0xfeed));
         let membership = mem_cfg();
-        let inputs = RunInputs {
-            dynamics: Some(&dynamics),
+        let inputs = || RunInputs {
+            dynamics: Some(Box::new(dynamics.clone())),
             membership: Some(&membership),
             ..RunInputs::new(topo.clone(), Protocol::Advert, &sources, 77, cfg_for(n))
         };
-        let sync_base = Scheduler::Sync { threads: 1 }.run(inputs.clone(), &mut NoopProbe);
-        let async_base = async_sched(1).run(inputs.clone(), &mut NoopProbe);
+        let sync_base = Scheduler::Sync { threads: 1 }.run(inputs(), &mut NoopProbe);
+        let async_base = async_sched(1).run(inputs(), &mut NoopProbe);
         // Churn under the overlay exercises the failure detector: departed
         // peers must be suspected and eventually evicted.
         let stats = sync_base.membership.as_ref().unwrap();
         assert!(stats.probes > 0, "the failure detector never probed");
         for &threads in thread_counts {
-            let sync_run = Scheduler::Sync { threads }.run(inputs.clone(), &mut NoopProbe);
+            let sync_run = Scheduler::Sync { threads }.run(inputs(), &mut NoopProbe);
             assert_eq!(
                 sync_base,
                 sync_run,
                 "sync membership+churn run (k={k}) on {} diverged at {threads} threads",
                 topo.name()
             );
-            let async_run = async_sched(threads).run(inputs.clone(), &mut NoopProbe);
+            let async_run = async_sched(threads).run(inputs(), &mut NoopProbe);
             assert_eq!(
                 async_base,
                 async_run,
