@@ -645,7 +645,18 @@ impl DynamicTopology {
         if self.waste < 256 || self.waste * COMPACT_WASTE_SHARE < live {
             return;
         }
-        let mut slab = Vec::with_capacity(live);
+        // Slots that filled in place grow here, relocated ones shrink:
+        // reserve what is written, not `live`.
+        let total = self
+            .slots
+            .iter()
+            .map(|s| slot_capacity(s.len as usize))
+            .sum();
+        assert!(
+            total < u32::MAX as usize,
+            "dynamic adjacency slab overflows u32 offsets"
+        );
+        let mut slab = Vec::with_capacity(total);
         for u in 0..self.num_nodes() {
             let at = slab.len();
             slab.extend_from_slice(self.slot(u));
@@ -653,6 +664,7 @@ impl DynamicTopology {
             slab.resize(at + cap, NodeId(0));
             (self.slots[u].start, self.slots[u].cap) = (at as u32, cap as u32);
         }
+        debug_assert_eq!(slab.len(), total);
         self.slab = slab;
         self.waste = 0;
     }
@@ -1381,6 +1393,29 @@ mod tests {
             capacity <= len + len / 8 + slot,
             "{capacity} entries allocated for a slab of {len}"
         );
+    }
+
+    #[test]
+    fn compaction_allocates_exactly_the_slab_it_writes() {
+        // Two hubs reaching ever more of a ring fill those nodes' slots in
+        // place (two gains, their birth slack) while their own slots
+        // relocate, until the stranded capacity compacts a slab of full
+        // slots: each grows there, so the slab outgrows its live entries.
+        let mut dt = DynamicTopology::new(&Topology::ring(2000));
+        let mut reach_out = |reach: u32| {
+            let wide: Vec<NodeId> = (2..reach).map(NodeId).collect();
+            dt.defer_rewire(NodeId(0), &wide);
+            dt.defer_rewire(NodeId(1), &wide);
+            dt.settle();
+            (dt.waste, dt.slots.iter().filter(|s| s.len == s.cap).count())
+        };
+        reach_out(100);
+        reach_out(200);
+        assert_eq!(reach_out(400), (904, 397), "(waste, full slots)");
+        reach_out(800);
+        assert_eq!(dt.waste, 0, "compacted");
+        assert_eq!(dt.slab.capacity(), dt.slab.len());
+        assert_eq!(dt.active_neighbors(NodeId(500)), ids(&[0, 1, 499, 501]));
     }
 
     #[test]

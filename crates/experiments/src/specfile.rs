@@ -33,13 +33,6 @@
 use crate::grid::{Axis, Grid};
 use crate::spec::{ScenarioBuilder, SpecError};
 
-#[derive(Clone, Copy, PartialEq)]
-enum Section {
-    Scenario,
-    Axis,
-    Output,
-}
-
 /// Parse a spec file into a [`Grid`] (axisless files yield a one-cell
 /// grid). Accumulates **all** syntax and assignment errors rather than
 /// stopping at the first; cross-field validation then happens in
@@ -48,7 +41,9 @@ pub fn parse_spec(text: &str) -> Result<Grid, Vec<SpecError>> {
     let mut builder = ScenarioBuilder::new();
     let mut axes: Vec<Axis> = Vec::new();
     let mut errors: Vec<SpecError> = Vec::new();
-    let mut section = Section::Scenario;
+    // `[scenario]` and `[output]` lines both set builder keys; `[axis]`
+    // lines sweep them.
+    let mut in_axis = false;
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -61,10 +56,9 @@ pub fn parse_spec(text: &str) -> Result<Grid, Vec<SpecError>> {
             continue;
         }
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = match name.trim() {
-                "scenario" => Section::Scenario,
-                "axis" => Section::Axis,
-                "output" => Section::Output,
+            in_axis = match name.trim() {
+                "scenario" | "output" => false,
+                "axis" => true,
                 other => {
                     errors.push(SpecError::UnknownSection {
                         line: line_no,
@@ -90,16 +84,13 @@ pub fn parse_spec(text: &str) -> Result<Grid, Vec<SpecError>> {
             });
             continue;
         }
-        match section {
-            Section::Scenario | Section::Output => {
-                builder.set(key, value);
-            }
-            Section::Axis => {
-                axes.push(Axis {
-                    key: key.to_string(),
-                    values: value.split(',').map(|v| v.trim().to_string()).collect(),
-                });
-            }
+        if in_axis {
+            axes.push(Axis {
+                key: key.to_string(),
+                values: value.split(',').map(|v| v.trim().to_string()).collect(),
+            });
+        } else {
+            builder.set(key, value);
         }
     }
 

@@ -16,20 +16,17 @@
 //!   `Attempt { from, .. }` to `region(from)`, `Finish { initiator, .. }`
 //!   to `region(initiator)`. Every event a region *pushes* lands in its
 //!   own queue, so region queues never race. The queue pops in
-//!   `(time, seq)` order without comparing its way there: a pass only
-//!   ever pops below its slice end and `seq` grows with every push, so
-//!   an event is appended to the bucket of the slice it falls in, and a
-//!   bucket is put in tick order by one stable counting pass when a
-//!   pass reaches its slice — equal ticks keep push order, which is
-//!   `seq` order. Only events scheduled *below* the opened horizon (an
-//!   attempt or finish inside the running slice, a sweep scheduling back
-//!   into an executed window) or beyond a short ring of upcoming slices
-//!   (huge latencies, saturated times) sit in a small binary heap that
-//!   each pop compares against the head of the opened run. Only heap
-//!   entries store a `seq`; a bucketed event's place is its `seq`, and a
-//!   tie between the two heads is settled by where the heap entry came
-//!   from ([`SliceQueue`]). A bucketed event is 24 bytes, its [`Ev`]
-//!   packed into 16.
+//!   `(time, seq)` order without comparing its way there: an event is
+//!   appended to the bucket of the slice it falls in, and a pass opens
+//!   every slice that starts below its end (a capped slice whole) by one
+//!   stable counting pass, so equal ticks keep push order, which is
+//!   `seq` order. Events scheduled *below* that slice-boundary horizon
+//!   (inside the running slice, or by a sweep into an executed window)
+//!   or beyond a short ring of upcoming slices (huge latencies,
+//!   saturated times) sit in a small `(time, seq)` heap that each pop
+//!   compares against the head of the opened run; a tie between the two
+//!   heads goes by which of the two the heap entry is ([`SliceQueue`]).
+//!   A bucketed event is 24 bytes, its [`Ev`] packed into 16.
 //! - **Slice passes.** Each pass picks a monotonically increasing slice
 //!   index, then workers drain their regions' events below the slice end
 //!   in local `(time, seq)` order, drawing from the per-pass stream
@@ -75,7 +72,7 @@ use crate::scheduler::{
 };
 use crate::SimResult;
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
@@ -172,7 +169,7 @@ impl Ev {
 
 /// An [`Ev`] in four words: the variant and the owner, the other node,
 /// and the stamps of the owner and of the other node.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Packed([u32; 4]);
 
 impl Packed {
@@ -320,38 +317,8 @@ fn append_by_tick<'a, T: Copy + 'a>(
     }
 }
 
-/// Heap entry: fires in `(time, seq)` order. `seq` is unique and grows
-/// with every heap push, so simultaneous heap entries fire in scheduling
-/// order. In a [`SliceQueue`] its low bit says the entry was pushed
-/// beyond the ring ([`FAR`]).
-#[derive(Clone, Copy, Debug)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> Ord for Scheduled<E> {
-    // Reversed: BinaryHeap is a max-heap, and we want the earliest event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 // The heap holds a few dozen entries per region; the buckets hold the rest.
-const _: () = assert!(std::mem::size_of::<Scheduled<Packed>>() <= 32);
+const _: () = assert!(std::mem::size_of::<Reverse<(SimTime, u64, Packed)>>() <= 32);
 
 /// The `seq` bit of a heap entry pushed beyond the ring.
 const FAR: u64 = 1;
@@ -372,40 +339,34 @@ struct Bucket {
 }
 
 /// A region's event queue: pops in exactly the `(time, seq)` order of a
-/// `BinaryHeap<Scheduled<Ev>>` fed the same pushes with `seq` counting
-/// them (the unit tests drive both), given what the slice passes
-/// guarantee — the `end` bounds passed to [`pop_below`](Self::pop_below)
-/// never decrease.
+/// heap fed the same pushes with `seq` counting them (the unit tests
+/// drive both), given that the `end` bounds passed to
+/// [`pop_below`](Self::pop_below) never decrease.
 ///
-/// Invariant: every event in `ring[i]` falls in slice
-/// `horizon / SLICE_TICKS + i` and at or past `horizon`; every queued
-/// event below `horizon` is in `run` or `heap`. `pop_below(end)` first
-/// raises the horizon to `end`, so the buckets never hold a candidate
-/// and the earlier of the two heads is the earliest queued event.
+/// The horizon is the start of the first slice not yet opened, so it
+/// always sits on a slice boundary. Invariant: `ring[i]` holds the events
+/// of the `i`-th slice from the horizon; every queued event below it is
+/// in `run` or `heap`. `pop_below(end)` first opens every slice that
+/// starts below `end`, so the buckets never hold a candidate and the
+/// earlier of the two heads is the earliest queued event.
 ///
 /// Bucketed events carry no `seq`: a bucket keeps push order and the run
 /// lays buckets out stably, so their place is their `seq` order. Heap
-/// entries take a heap-local `seq`, and a tie at one tick between the
-/// run's head and the heap's is settled by where the heap entry came
-/// from, because the horizon only grows:
-/// - an entry pushed *below the horizon* was pushed after every bucketed
-///   event of its tick (those went in while the horizon was at or below
-///   it), so the run's head goes first;
-/// - an entry pushed *beyond the ring* ([`FAR`]) was pushed before any
-///   of them (they would have gone beyond the ring too), so it goes
-///   first;
-/// - the cap's cut ([`open_below`](Self::open_below)) moves a bucket's
-///   events below `end` into the heap with fresh `seq`s in bucket order:
-///   no bucketed event is left at their ticks, and any later push at
-///   those ticks lands below the horizon, after them.
+/// entries take a heap-local `seq`, and as the horizon only grows, a tie
+/// at one tick between the two heads goes by where the heap entry came
+/// from:
+/// - pushed *below the horizon*, after every bucketed event of its tick,
+///   so the run's head goes first;
+/// - pushed *beyond the ring* ([`FAR`]), before any of them (they would
+///   have gone beyond the ring too), so it goes first.
 #[derive(Default)]
 struct SliceQueue {
     /// Heap pushes so far. Region-local, so region pop order is
     /// deterministic without any global coordination. A `u64` counting
     /// one per push does not wrap: 2^63 pushes take centuries.
     seq: u64,
-    /// The largest `end` popped below so far, in ticks.
-    horizon: u64,
+    /// Slices opened so far: the horizon is `opened * SLICE_TICKS`.
+    opened: u64,
     ring: [Bucket; RING_SLICES],
     /// The opened buckets' events in `(time, seq)` order; `run[cursor..]`
     /// are still queued. Allocated when a pass opens a bucket and freed
@@ -414,25 +375,22 @@ struct SliceQueue {
     /// copy of its events, not two.
     run: Vec<Timed>,
     cursor: usize,
-    /// Events pushed below the horizon or beyond the ring, and the cut.
-    heap: BinaryHeap<Scheduled<Packed>>,
+    /// Events pushed below the horizon or beyond the ring, by
+    /// `(time, seq)`.
+    heap: BinaryHeap<Reverse<(SimTime, u64, Packed)>>,
 }
 
 impl SliceQueue {
     fn push(&mut self, time: SimTime, event: Ev) {
-        let ev = Timed {
-            time,
-            event: event.pack(),
-        };
         let t = time.ticks();
-        // Slices past the horizon's own; garbage when `t` is below it.
-        let ahead = (t / SLICE_TICKS).wrapping_sub(self.horizon / SLICE_TICKS);
-        if t < self.horizon {
-            self.push_heap(ev, 0);
-            return;
-        }
-        if ahead >= RING_SLICES as u64 {
-            self.push_heap(ev, FAR);
+        let slice = t / SLICE_TICKS;
+        // Slices past the horizon's; garbage when `slice` is below it.
+        let ahead = slice.wrapping_sub(self.opened);
+        if slice < self.opened || ahead >= RING_SLICES as u64 {
+            self.seq += 1;
+            let far = (slice >= self.opened) as u64;
+            self.heap
+                .push(Reverse((time, self.seq << 1 | far, event.pack())));
             return;
         }
         let bucket = &mut self.ring[ahead as usize];
@@ -440,15 +398,9 @@ impl SliceQueue {
             true => t,
             false => bucket.min.min(t),
         };
-        bucket.events.push(ev);
-    }
-
-    fn push_heap(&mut self, ev: Timed, far: u64) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time: ev.time,
-            seq: self.seq << 1 | far,
-            event: ev.event,
+        bucket.events.push(Timed {
+            time,
+            event: event.pack(),
         });
     }
 
@@ -459,7 +411,7 @@ impl SliceQueue {
         let bucketed = self.ring.iter().find(|b| !b.events.is_empty());
         [
             self.run.get(self.cursor).map(|ev| ev.time.ticks()),
-            self.heap.peek().map(|ev| ev.time.ticks()),
+            self.heap.peek().map(|Reverse((time, ..))| time.ticks()),
             bucketed.map(|b| b.min),
         ]
         .into_iter()
@@ -469,47 +421,53 @@ impl SliceQueue {
 
     /// Pop the earliest queued event if its time is below `end`.
     fn pop_below(&mut self, end: u64) -> Option<Timed> {
-        if self.horizon < end {
+        if self.opened < end.div_ceil(SLICE_TICKS) {
             self.open_below(end);
         }
-        let run_head = self.run.get(self.cursor);
-        let heap_head = self.heap.peek();
+        let below = |time: SimTime| time.ticks() < end;
+        let run_head = self.run.get(self.cursor).filter(|ev| below(ev.time));
+        let heap_head = self.heap.peek().filter(|Reverse((time, ..))| below(*time));
         let from_run = match (run_head, heap_head) {
-            (Some(r), Some(h)) => r.time < h.time || (r.time == h.time && h.seq & FAR == 0),
+            (Some(r), Some(Reverse((time, seq, _)))) => {
+                r.time < *time || (r.time == *time && seq & FAR == 0)
+            }
             (r, _) => r.is_some(),
         };
         if from_run {
-            let ev = *run_head?;
-            (ev.time.ticks() < end).then(|| {
-                self.cursor += 1;
-                ev
-            })
-        } else if heap_head.is_some_and(|h| h.time.ticks() < end) {
-            self.heap.pop().map(|h| Timed {
-                time: h.time,
-                event: h.event,
-            })
+            self.cursor += 1;
+            run_head.copied()
+        } else if heap_head.is_some() {
+            self.heap
+                .pop()
+                .map(|Reverse((time, _, event))| Timed { time, event })
         } else {
             if self.cursor == self.run.len() {
                 self.run = Vec::new();
                 self.cursor = 0;
+            } else {
+                // Only a cap inside a slice stops a pass short of its
+                // run, which keeps the slice's later events: the buckets
+                // give back the room they held them in.
+                self.ring.iter_mut().for_each(|b| b.events.shrink_to_fit());
             }
             None
         }
     }
 
-    /// Raise the horizon to `end`: lay the bucket of every slice that
-    /// ends at or before it out behind the unread tail of the run (whose
-    /// events are all earlier than any bucketed one).
+    /// Open every slice that starts below `end`: lay its bucket out
+    /// behind the unread tail of the run (whose events are all earlier
+    /// than any bucketed one).
     fn open_below(&mut self, end: u64) {
         self.run.drain(..self.cursor);
         self.cursor = 0;
         // A bucket spans one slice; 4 KiB of stack per call instead of
         // resident counters per region.
         let mut counters = [0u32; SLICE_TICKS as usize];
-        while self.horizon / SLICE_TICKS < end / SLICE_TICKS {
+        let slices = end.div_ceil(SLICE_TICKS);
+        while self.opened < slices {
             if self.ring.iter().all(|b| b.events.is_empty()) {
                 // Nothing bucketed: skip the remaining slices at once.
+                self.opened = slices;
                 break;
             }
             append_by_tick(
@@ -531,26 +489,7 @@ impl SliceQueue {
                     nearer.min = farther.min;
                 }
             }
-            self.horizon = (self.horizon / SLICE_TICKS + 1) * SLICE_TICKS;
-        }
-        self.horizon = end;
-        // An `end` inside a slice is the run's cap (`max_time + 1`): the
-        // few events of that slice below it take the heap, and the rest
-        // of the bucket waits for an `end` past its slice — in a run,
-        // forever — instead of being laid out for nobody.
-        let cut = &self.ring[0];
-        if !cut.events.is_empty() && cut.min < end {
-            let mut events = std::mem::take(&mut self.ring[0].events);
-            let below = |ev: &Timed| ev.time.ticks() < end;
-            for &ev in events.iter().filter(|ev| below(ev)) {
-                self.push_heap(ev, 0);
-            }
-            events.retain(|ev| !below(ev));
-            let min = events.iter().map(|ev| ev.time.ticks()).min();
-            self.ring[0] = Bucket {
-                events,
-                min: min.unwrap_or(0),
-            };
+            self.opened += 1;
         }
     }
 
@@ -561,9 +500,10 @@ impl SliceQueue {
         bucketed
             .chain(self.run[self.cursor..].iter_mut())
             .for_each(|ev| f(&mut ev.event));
-        // Neither key of a heap entry changes, so neither does its order.
+        // A heap entry's `seq` is unique, so its event never decides
+        // its order, and the rewrite cannot change it.
         let mut heap = std::mem::take(&mut self.heap).into_vec();
-        heap.iter_mut().for_each(|h| f(&mut h.event));
+        heap.iter_mut().for_each(|Reverse((_, _, ev))| f(ev));
         self.heap = BinaryHeap::from(heap);
     }
 }
@@ -581,11 +521,6 @@ struct RegionScratch {
 }
 
 impl RegionScratch {
-    /// Schedule `event` at `time` in this region's queue.
-    fn push(&mut self, time: SimTime, event: Ev) {
-        self.queue.push(time, event);
-    }
-
     /// Record that an event executed (or was discarded as stale) here.
     fn note(&mut self, now: SimTime) {
         self.events += 1;
@@ -765,7 +700,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
         }
         let Ev::Act(u, gen) = ev else {
             let (at, next) = chunks.connect(ctx, graph, now, ev, &mut rng, &mut scratch.log);
-            scratch.push(at, next);
+            scratch.queue.push(at, next);
             continue;
         };
         let ui = u.index();
@@ -774,7 +709,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
                 // Captured as a listener mid-connection: keep the act
                 // chain alive and re-decide later.
                 let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
-                scratch.push(now.after(delay), Ev::Act(u, gen));
+                scratch.queue.push(now.after(delay), Ev::Act(u, gen));
             }
             PeerState::Proposing => {
                 // A proposing node's chain is owned by its Attempt event,
@@ -820,14 +755,14 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
                             to: v,
                             gen,
                         };
-                        scratch.push(now.after(delay), attempt);
+                        scratch.queue.push(now.after(delay), attempt);
                     }
                     intent => {
                         if intent == Intent::Listen {
                             chunks.matcher.listen(u);
                         }
                         let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
-                        scratch.push(now.after(delay), Ev::Act(u, gen));
+                        scratch.queue.push(now.after(delay), Ev::Act(u, gen));
                     }
                 }
             }
@@ -1004,7 +939,9 @@ pub(crate) fn run_sliced(
     // so the network does not start phase-locked.
     for u in 0..n {
         let offset = rng.gen_range(TICKS_PER_ROUND as usize) as u64;
-        scratches[part.region_of(u)].push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
+        scratches[part.region_of(u)]
+            .queue
+            .push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
     }
 
     let mut tally = Tally::default();
@@ -1096,6 +1033,7 @@ pub(crate) fn run_sliced(
                     if let Some(v) = restart {
                         let delay = timing.refresh_interval(drift[v.index()], &mut rng_mut);
                         scratches[part.region_of(v.index())]
+                            .queue
                             .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
                     }
                 },
@@ -1219,7 +1157,9 @@ pub(crate) fn run_sliced(
                 &mut rng_sweep,
                 &mut sweep_log,
             );
-            scratches[part.region_of(next.owner().index())].push(at, next);
+            scratches[part.region_of(next.owner().index())]
+                .queue
+                .push(at, next);
             for e in sweep_log.drain(..) {
                 if replay(&e, &mut result, &mut tally, &mut cover, &mut under, probe) {
                     timings.sweep += ms(t2.elapsed());
@@ -1306,16 +1246,20 @@ mod tests {
         }
     }
 
-    /// The oracle: the parent's per-region heap, fed the same pushes.
+    /// The oracle: a plain `(time, seq)` heap, fed the same pushes.
     struct Oracle {
-        heap: BinaryHeap<Scheduled<Ev>>,
+        heap: BinaryHeap<Reverse<(SimTime, u64, Packed)>>,
         seq: u64,
     }
 
     impl Oracle {
-        fn pop_below(&mut self, end: u64) -> Option<Scheduled<Ev>> {
+        /// The earliest event below `end`, as `(time, seq, event)`.
+        fn pop_below(&mut self, end: u64) -> Option<(SimTime, u64, Ev)> {
             match self.heap.peek() {
-                Some(top) if top.time.ticks() < end => self.heap.pop(),
+                Some(Reverse((time, ..))) if time.ticks() < end => {
+                    let Reverse((time, seq, ev)) = self.heap.pop()?;
+                    Some((time, seq, ev.ev()))
+                }
                 _ => None,
             }
         }
@@ -1328,18 +1272,14 @@ mod tests {
         let event = Ev::Act(NodeId(oracle.seq as u32), 0);
         queue.push(time, event);
         oracle.seq += 1;
-        oracle.heap.push(Scheduled {
-            time,
-            seq: oracle.seq,
-            event,
-        });
+        oracle.heap.push(Reverse((time, oracle.seq, event.pack())));
         assert_earliest_agrees(queue, oracle);
     }
 
     fn assert_earliest_agrees(queue: &SliceQueue, oracle: &Oracle) {
         assert_eq!(
             queue.earliest(),
-            oracle.heap.peek().map(|top| top.time.ticks())
+            oracle.heap.peek().map(|Reverse((time, ..))| time.ticks())
         );
     }
 
@@ -1387,7 +1327,7 @@ mod tests {
                     let (got, want) = (queue.pop_below(end), oracle.pop_below(end));
                     assert_eq!(
                         got.map(|ev| (ev.time, ev.event.ev())),
-                        want.map(|ev| (ev.time, ev.event)),
+                        want.map(|(time, _, ev)| (time, ev)),
                         "seed {seed} pass {pass}"
                     );
                     assert_earliest_agrees(&queue, &oracle);
@@ -1415,7 +1355,7 @@ mod tests {
                 let (got, want) = (queue.pop_below(u64::MAX), oracle.pop_below(u64::MAX));
                 assert_eq!(
                     got.map(|ev| (ev.time, ev.event.ev())),
-                    want.map(|ev| (ev.time, ev.event)),
+                    want.map(|(time, _, ev)| (time, ev)),
                     "seed {seed} drain"
                 );
                 if got.is_none() {
@@ -1434,7 +1374,7 @@ mod tests {
             let (got, want) = (queue.pop_below(end), oracle.pop_below(end));
             assert_eq!(
                 got.map(|ev| (ev.time, ev.event.ev())),
-                want.map(|ev| (ev.time, ev.event)),
+                want.map(|(time, _, ev)| (time, ev)),
                 "end {end}"
             );
             let Some(ev) = got else { return ids };
@@ -1474,14 +1414,15 @@ mod tests {
             queue.pop_below(end).map(|ev| ev.event.ev().owner().0),
             Some(3)
         );
-        assert_eq!(oracle.pop_below(end).map(|ev| ev.seq), Some(4));
+        assert_eq!(oracle.pop_below(end).map(|(_, seq, _)| seq), Some(4));
         push_both(&mut queue, &mut oracle, SimTime(base + 7));
         assert_eq!(queue.heap.len(), 1);
         assert_eq!(pop_all_below(&mut queue, &mut oracle, end), [4, 5]);
 
-        // The cap's cut: #6 goes far; #7, #8 (at #6's tick) and #9 are
-        // bucketed; a cap inside their slice moves #7 and #8 to the heap,
-        // behind #6; #10 then lands at their tick below the horizon.
+        // A capped slice: #6 goes far; #7, #8 (at #6's tick) and #9 (past
+        // the cap) are bucketed. The cap opens their slice whole: the far
+        // entry goes first, then the run in push order, then #10, pushed
+        // at their tick below the horizon; #9 waits past the cap.
         let base = end + 2 * s;
         push_both(&mut queue, &mut oracle, SimTime(base + ring * s + 10));
         assert!(pop_all_below(&mut queue, &mut oracle, base + 2 * s).is_empty());
@@ -1489,15 +1430,17 @@ mod tests {
         push_both(&mut queue, &mut oracle, SimTime(cap - 1));
         push_both(&mut queue, &mut oracle, SimTime(cap - 1));
         push_both(&mut queue, &mut oracle, SimTime(cap + 500));
-        assert!(pop_all_below(&mut queue, &mut oracle, cap - 1).is_empty());
-        assert_eq!(
-            queue.pop_below(cap).map(|ev| ev.event.ev().owner().0),
-            Some(6)
-        );
-        assert_eq!(oracle.pop_below(cap).map(|ev| ev.seq), Some(7));
-        assert_eq!(queue.heap.len(), 2, "the cut moved #7 and #8 to the heap");
+        assert_eq!(queue.heap.len(), 1);
+        assert_eq!(pop_id(&mut queue, cap), Some(6));
+        assert_eq!(oracle.pop_below(cap).map(|(_, seq, _)| seq), Some(7));
+        assert_eq!(queue.run.len(), 3, "the cap opened #7, #8 and #9");
+        assert_eq!(queue.opened * s, cap.next_multiple_of(s));
         push_both(&mut queue, &mut oracle, SimTime(cap - 1));
         assert_eq!(pop_all_below(&mut queue, &mut oracle, cap), [7, 8, 10]);
+        assert!(queue
+            .ring
+            .iter()
+            .all(|b| b.events.capacity() == b.events.len()));
         assert_eq!(pop_all_below(&mut queue, &mut oracle, u64::MAX), [9]);
     }
 
@@ -1531,7 +1474,7 @@ mod tests {
             let mut gens = vec![gen, 0, 9];
             let mut scratches: Vec<RegionScratch> = (0..2).map(|_| Default::default()).collect();
             for (t, ev) in queued(gen, gen - 1) {
-                scratches[ev.owner().index() / 2].push(SimTime(t), ev);
+                scratches[ev.owner().index() / 2].queue.push(SimTime(t), ev);
             }
             next_incarnation(&mut gens, &mut scratches, u);
             assert_eq!(gens, [next, 0, 9]);
@@ -1568,11 +1511,12 @@ mod tests {
         assert_eq!(queue.heap.len(), far.len());
         assert!(queue.ring.iter().all(|b| b.events.capacity() == 0));
         assert_eq!(queue.earliest(), Some(RING_SLICES as u64 * SLICE_TICKS));
-        // A pass 2^40 slices on: the horizon jumps there in one step
-        // (a walk would take minutes), allocating nothing on the way.
+        // A pass 2^40 slices on: the horizon jumps to the boundary past
+        // it in one step (a walk would take minutes), allocating nothing
+        // on the way.
         let end = (1 << 50) + 1;
         assert_eq!(pop_id(&mut queue, end), Some(3));
-        assert_eq!(queue.horizon, end);
+        assert_eq!(queue.opened, (1 << 40) + 1);
         assert_eq!(pop_id(&mut queue, end), Some(2));
         assert_eq!(pop_id(&mut queue, end), None);
         assert_eq!(pop_id(&mut queue, u64::MAX), Some(1));
