@@ -419,14 +419,14 @@ impl DynamicTopology {
     /// non-faded edge. Empty for a dead node.
     #[inline]
     pub fn active_neighbors(&self, node: NodeId) -> &[NodeId] {
-        debug_assert!(self.stale.is_empty(), "active view read before settle");
+        assert!(self.stale.is_empty(), "active view read before settle");
         let Slot { start, active, .. } = self.slots[node.index()];
         &self.slab[start as usize..(start + active) as usize]
     }
 
     /// Number of currently active undirected edges.
     pub fn active_edge_count(&self) -> usize {
-        debug_assert!(self.stale.is_empty(), "active view read before settle");
+        assert!(self.stale.is_empty(), "active view read before settle");
         self.slots.iter().map(|s| s.active as usize).sum::<usize>() / 2
     }
 
@@ -641,7 +641,7 @@ impl DynamicTopology {
     fn compact_if_wasteful(&mut self) {
         // The slab is the slots in use plus the stranded ones.
         let live = self.slab.len() - self.waste;
-        debug_assert_eq!(live, self.slots.iter().map(|s| s.cap as usize).sum());
+        assert_eq!(live, self.slots.iter().map(|s| s.cap as usize).sum());
         if self.waste < 256 || self.waste * COMPACT_WASTE_SHARE < live {
             return;
         }
@@ -664,7 +664,7 @@ impl DynamicTopology {
             slab.resize(at + cap, NodeId(0));
             (self.slots[u].start, self.slots[u].cap) = (at as u32, cap as u32);
         }
-        debug_assert_eq!(slab.len(), total);
+        assert_eq!(slab.len(), total);
         self.slab = slab;
         self.waste = 0;
     }
@@ -1435,7 +1435,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "active view read before settle")]
     fn reading_a_view_between_a_deferred_mutation_and_settle_panics() {
         let mut dt = DynamicTopology::new(&Topology::ring(4));

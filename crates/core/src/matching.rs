@@ -57,23 +57,13 @@ pub struct Connection {
 }
 
 /// The outcome of resolving one round of intents: the connections that
-/// formed, plus how many proposals were dropped because they targeted a
-/// non-neighbor. A non-neighbor proposal is a protocol bug (within a
-/// synchronous round the graph cannot change between scan and resolution),
-/// so it panics in debug builds; in release it is counted here instead of
-/// vanishing silently — the engine surfaces the sum as
-/// `SimResult::dropped_proposals`.
+/// formed, and how the partitioned resolver split the proposals.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Resolution {
     /// The matching that formed: no node appears in more than one
     /// connection, and no free proposer remains adjacent to a free
     /// listener.
     pub connections: Vec<Connection>,
-    /// Proposals dropped for targeting a non-neighbor (release builds
-    /// only; debug builds panic first). The dropped proposer still
-    /// participates in the rebound phase, exactly as if its target had
-    /// merely declined.
-    pub dropped_proposals: u64,
     /// Proposals resolved inside a region of the partitioned resolver
     /// (every listening neighbor in-region). Always zero from the serial
     /// [`resolve_connections`], which has no partition. Together with
@@ -102,17 +92,9 @@ pub struct Resolution {
 /// So they also read the occupancy of targets and neighbors that are not
 /// listening, which may lie outside a region's slice: [`slot`] clamps those
 /// reads into it, harmlessly, as such a node is never kept or matched.
-///
-/// Every caller has already tested each proposal's edge to count the
-/// dropped ones (the region pass in its scan of the proposer's row);
-/// `any_dropped` says whether that count (over a superset of `proposals`)
-/// was non-zero. Only then can the batch hold a non-edge, so only then is
-/// each proposal's edge looked up a second time — a clean batch, which is
-/// every batch of a correct protocol, skips the lookups.
-#[allow(clippy::too_many_arguments)] // one flat hot-path call, not an API
+/// Every caller has already asserted each proposal's edge.
 fn resolve_batch<G: GraphView + ?Sized>(
     proposals: &mut [(NodeId, NodeId)],
-    any_dropped: bool,
     topology: &G,
     intents: &[Intent],
     rng: &mut Rng,
@@ -131,10 +113,8 @@ fn resolve_batch<G: GraphView + ?Sized>(
     };
     connections.resize(len + proposals.len(), placeholder);
     for &(u, v) in proposals.iter() {
-        // A non-edge is dropped (counted by the caller).
-        let edge = !any_dropped || topology.are_neighbors(u, v);
         let (iu, iv) = (u.index() - base, slot(v, base, matched));
-        let ok = edge & listens(v) & !matched[iu] & !matched[iv];
+        let ok = listens(v) & !matched[iu] & !matched[iv];
         matched[iu] |= ok;
         matched[iv] |= ok;
         connections[len] = Connection {
@@ -188,12 +168,13 @@ fn slot(v: NodeId, base: usize, matched: &[bool]) -> usize {
     v.index().wrapping_sub(base).min(matched.len() - 1)
 }
 
-/// Collect `(proposer, target)` pairs in node order and count (and, in
-/// debug builds, panic on) proposals across non-edges.
+/// Collect `(proposer, target)` pairs in node order, panicking on a
+/// proposal across a non-edge: protocols pick only from the neighbors the
+/// engine hands them, from the graph it resolves against.
 fn collect_proposals<G: GraphView + ?Sized>(
     topology: &G,
     intents: &[Intent],
-) -> (Vec<(NodeId, NodeId)>, u64) {
+) -> Vec<(NodeId, NodeId)> {
     let proposals: Vec<(NodeId, NodeId)> = intents
         .iter()
         .enumerate()
@@ -202,24 +183,19 @@ fn collect_proposals<G: GraphView + ?Sized>(
             _ => None,
         })
         .collect();
-    let mut dropped = 0;
     for &(u, v) in &proposals {
-        debug_assert!(
-            topology.are_neighbors(u, v),
-            "protocol proposed {u} -> {v} across a non-edge"
-        );
-        dropped += !topology.are_neighbors(u, v) as u64;
+        let edge = topology.are_neighbors(u, v);
+        assert!(edge, "a protocol proposed {u} -> {v} across a non-edge");
     }
-    (proposals, dropped)
+    proposals
 }
 
 /// Resolve one round of intents into connections, serially.
 ///
 /// `intents[i]` is node `i`'s intent; `topology` is any [`GraphView`] —
 /// static, or the active view of a dynamic graph. The returned matching
-/// satisfies the invariants documented on [`Resolution`]; non-neighbor
-/// proposals panic in debug builds and are dropped-and-counted in release.
-/// This is the reference resolver: the partitioned
+/// satisfies the invariants documented on [`Resolution`]; a proposal
+/// across a non-edge panics. This is the reference resolver: the partitioned
 /// [`resolve_connections_sharded`] must produce a matching satisfying the
 /// same invariants (the property tests in `tests/matching_properties.rs`
 /// hold it to that).
@@ -231,12 +207,11 @@ pub fn resolve_connections<G: GraphView + ?Sized>(
     let n = topology.num_nodes();
     assert_eq!(intents.len(), n, "one intent per node required");
 
-    let (mut proposals, dropped_proposals) = collect_proposals(topology, intents);
+    let mut proposals = collect_proposals(topology, intents);
     let mut matched = vec![false; n];
     let mut connections = Vec::new();
     resolve_batch(
         &mut proposals,
-        dropped_proposals != 0,
         topology,
         intents,
         rng,
@@ -246,7 +221,6 @@ pub fn resolve_connections<G: GraphView + ?Sized>(
     );
     Resolution {
         connections,
-        dropped_proposals,
         ..Resolution::default()
     }
 }
@@ -257,7 +231,6 @@ pub fn resolve_connections<G: GraphView + ?Sized>(
 struct RegionOut {
     connections: Vec<Connection>,
     deferred: Vec<(NodeId, NodeId)>,
-    dropped: u64,
     confined: u64,
 }
 
@@ -290,12 +263,12 @@ fn resolve_region<G: GraphView + ?Sized>(
     proposers.truncate(len);
 
     // Split them: one scan of each row finds both the edge to the target
-    // and any listening neighbor outside the region. A dropped
-    // (non-neighbor) proposal still rebounds, so it stays in whichever pool
-    // its listening neighborhood assigns it to.
+    // and any listening neighbor outside the region. The edges are
+    // asserted once per region with a fixed message: a check per proposer
+    // cost the match phase of `sync-ring-uniform` ~2.5 %.
     let mut confined = vec![(NodeId(0), NodeId(0)); len];
     out.deferred.resize(len, (NodeId(0), NodeId(0)));
-    let (mut kept, mut deferred) = (0, 0);
+    let (mut kept, mut deferred, mut edges) = (0, 0, true);
     for u in proposers {
         let Intent::Propose(v) = intents[u.index()] else {
             unreachable!("gathered as a proposer")
@@ -306,13 +279,13 @@ fn resolve_region<G: GraphView + ?Sized>(
             leaves |=
                 (intents[w.index()] == Intent::Listen) & (w.index().wrapping_sub(base) >= span);
         }
-        debug_assert!(edge, "protocol proposed {u} -> {v} across a non-edge");
-        out.dropped += u64::from(!edge);
+        edges &= edge;
         confined[kept] = (u, v);
         out.deferred[deferred] = (u, v);
         kept += usize::from(!leaves);
         deferred += usize::from(leaves);
     }
+    assert!(edges, "a protocol proposed across a non-edge");
     confined.truncate(kept);
     // Every region's output lives until the merge: hand back what the
     // passes cut, here and after the batch, so the regions hold their
@@ -323,7 +296,6 @@ fn resolve_region<G: GraphView + ?Sized>(
     let mut rng = Rng::stream(seed, round, MATCH_REGION_STREAM_BASE + region as u64);
     resolve_batch(
         &mut confined,
-        out.dropped != 0,
         topology,
         intents,
         &mut rng,
@@ -403,19 +375,16 @@ pub fn resolve_connections_sharded<G: GraphView + Sync + ?Sized>(
     });
     let mut connections = Vec::with_capacity(formed + boundary);
     let mut deferred = Vec::with_capacity(boundary);
-    let mut dropped_proposals = 0;
     let mut confined_proposals = 0;
     for (_, _, mut out) in tasks {
         connections.append(&mut out.connections);
         deferred.append(&mut out.deferred);
-        dropped_proposals += out.dropped;
         confined_proposals += out.confined;
     }
     let boundary_proposals = deferred.len() as u64;
     let mut rng = Rng::stream(seed, round, BOUNDARY_STREAM);
     resolve_batch(
         &mut deferred,
-        dropped_proposals != 0,
         topology,
         intents,
         &mut rng,
@@ -425,7 +394,6 @@ pub fn resolve_connections_sharded<G: GraphView + Sync + ?Sized>(
     );
     Resolution {
         connections,
-        dropped_proposals,
         confined_proposals,
         boundary_proposals,
     }
@@ -468,8 +436,8 @@ impl PeerWord {
             PeerState::Free => PeerWord::FREE,
             PeerState::Listening => PeerWord::LISTENING,
             PeerState::Proposing => PeerWord::PROPOSING,
+            // A partner indexed its chunk, so it is below `n < 2^30`.
             PeerState::Connected { partner, initiated } => {
-                debug_assert!((partner.0 as usize) < Self::MAX_NODES);
                 let initiated = if initiated { Self::INITIATED } else { 0 };
                 PeerWord(Self::CONNECTED | initiated | partner.0)
             }
@@ -482,6 +450,8 @@ impl PeerWord {
             PeerWord::LISTENING => PeerState::Listening,
             PeerWord::PROPOSING => PeerState::Proposing,
             PeerWord(w) => {
+                // Debug only: in release it cost the execute phase of
+                // `async-grid-uniform` 3.3 ms of 269 (10 pairs, 3 faster).
                 debug_assert!(w & Self::CONNECTED != 0, "no peer state packs to {w:#x}");
                 PeerState::Connected {
                     partner: NodeId(w & (Self::INITIATED - 1)),
@@ -562,9 +532,15 @@ impl IncrementalMatcher {
 /// [`region_chunks`](IncrementalMatcher::region_chunks), or all of it from
 /// [`whole`](IncrementalMatcher::whole) — and the only place the state
 /// transitions are written. Every node passed to a chunk method must fall
-/// inside the chunk's range (debug-asserted) — the time-sliced event
-/// engine guarantees this by deferring events whose endpoints straddle
-/// regions to its serial boundary sweep.
+/// inside the chunk's range — the time-sliced event engine guarantees this
+/// by deferring events whose endpoints straddle regions to its serial
+/// boundary sweep.
+///
+/// `try_connect` and `release` assert the states they leave; `listen`,
+/// `propose` and `cancel` check theirs in debug builds only: in release,
+/// all five checks together cost the execute phase of `async-grid-uniform`
+/// 1.7 ms of 268 (15 pairs, 2 faster), the two kept ones no measurable
+/// time.
 pub struct MatcherChunk<'a> {
     base: usize,
     states: &'a mut [PeerWord],
@@ -576,15 +552,12 @@ impl MatcherChunk<'_> {
         self.base..self.base + self.states.len()
     }
 
+    /// `node`'s slot: every caller indexes `states` with it, and that
+    /// bounds check refuses a node outside the chunk (one below `base`
+    /// wraps past the end).
     #[inline]
     fn local(&self, node: NodeId) -> usize {
-        debug_assert!(
-            node.index() >= self.base && node.index() - self.base < self.states.len(),
-            "node {node} outside chunk {}..{}",
-            self.base,
-            self.base + self.states.len()
-        );
-        node.index() - self.base
+        node.index().wrapping_sub(self.base)
     }
 
     /// Current state of `node`.
@@ -635,8 +608,8 @@ impl MatcherChunk<'_> {
         acceptor: NodeId,
     ) -> bool {
         let (li, la) = (self.local(initiator), self.local(acceptor));
-        debug_assert_eq!(self.states[li], PeerWord::PROPOSING);
-        if !topology.are_neighbors(initiator, acceptor) || self.states[la] != PeerWord::LISTENING {
+        assert_eq!(self.states[li], PeerWord::PROPOSING);
+        if self.states[la] != PeerWord::LISTENING || !topology.are_neighbors(initiator, acceptor) {
             return false;
         }
         self.states[li] = PeerWord::pack(PeerState::Connected {
@@ -651,11 +624,11 @@ impl MatcherChunk<'_> {
     }
 
     /// `Connected → Free` for both endpoints of the connection between `a`
-    /// and `b`: the transfer finished, or one end departed. Debug builds
-    /// check that the two ends name each other.
+    /// and `b`: the transfer finished, or one end departed. The two ends
+    /// must name each other.
     pub fn release(&mut self, a: NodeId, b: NodeId) {
         let (la, lb) = (self.local(a), self.local(b));
-        debug_assert!(
+        assert!(
             matches!(self.states[la].unpack(), PeerState::Connected { partner, .. } if partner == b)
                 && matches!(self.states[lb].unpack(), PeerState::Connected { partner, .. } if partner == a),
             "release({a}, {b}) of ends in states {:?} and {:?}",
@@ -684,7 +657,6 @@ mod tests {
                 acceptor: NodeId(1)
             }]
         );
-        assert_eq!(res.dropped_proposals, 0);
     }
 
     #[test]
@@ -752,7 +724,6 @@ mod tests {
                 !baseline.connections.is_empty(),
                 "regions={regions}: some pairs must form"
             );
-            assert_eq!(baseline.dropped_proposals, 0);
             assert_eq!(
                 baseline.confined_proposals + baseline.boundary_proposals,
                 6,
@@ -768,27 +739,23 @@ mod tests {
         }
     }
 
-    #[cfg(not(debug_assertions))]
+    // Node 0 proposes to non-neighbor 2 on a 3-line: a protocol bug,
+    // which both resolvers refuse in every build.
+    const ACROSS_A_NON_EDGE: [Intent; 3] =
+        [Intent::Propose(NodeId(2)), Intent::Listen, Intent::Idle];
+
     #[test]
-    fn non_neighbor_proposals_are_counted_in_release() {
-        // Node 0 proposes to non-neighbor 2 on a 3-line (a protocol bug;
-        // debug builds panic instead). The proposal is dropped and
-        // counted, but node 0 still rebounds onto its listening neighbor.
+    #[should_panic(expected = "across a non-edge")]
+    fn a_non_edge_proposal_panics_in_the_serial_resolver() {
+        resolve_connections(&Topology::line(3), &ACROSS_A_NON_EDGE, &mut Rng::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "across a non-edge")]
+    fn a_non_edge_proposal_panics_in_the_sharded_resolver() {
         let topo = Topology::line(3);
-        let intents = [Intent::Propose(NodeId(2)), Intent::Listen, Intent::Idle];
-        let serial = resolve_connections(&topo, &intents, &mut Rng::new(4));
-        assert_eq!(serial.dropped_proposals, 1);
-        assert_eq!(
-            serial.connections,
-            vec![Connection {
-                initiator: NodeId(0),
-                acceptor: NodeId(1)
-            }],
-            "dropped proposer must still rebound"
-        );
-        let sharded = resolve_connections_sharded(&topo, &intents, 4, 1, crate::MATCH_REGIONS, 2);
-        assert_eq!(sharded.dropped_proposals, 1);
-        assert_eq!(sharded.connections, serial.connections);
+        // One thread, so the region pass panics on the test's own thread.
+        resolve_connections_sharded(&topo, &ACROSS_A_NON_EDGE, 4, 1, crate::MATCH_REGIONS, 1);
     }
 
     #[test]
@@ -823,10 +790,9 @@ mod tests {
         assert_eq!(m.state(NodeId(1)), PeerState::Free);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "release(n0, n2)")]
-    fn releasing_ends_that_do_not_name_each_other_panics_in_debug() {
+    fn releasing_ends_that_do_not_name_each_other_panics() {
         let topo = Topology::line(3);
         let mut matcher = IncrementalMatcher::new(3);
         let mut m = matcher.whole();

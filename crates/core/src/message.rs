@@ -182,6 +182,8 @@ impl MsgView<'_> {
         if self.universe <= 64 {
             return self.words.first().copied().unwrap_or(0);
         }
+        // Debug only: an oracle recomputation over the row, which in release
+        // took advertise from 0.4 to 18 ms on `sync-grid-alltoall`.
         debug_assert_eq!(
             self.digest,
             row_digest(self.words, self.universe),
@@ -331,18 +333,14 @@ impl MessageMatrix {
     /// becomes its union, returning the summed [`TransferStats`].
     ///
     /// `pairs` **must be node-disjoint** — the matching invariant the
-    /// connection resolver guarantees (debug builds assert it). The pairs
-    /// union one after another on [`whole`](Self::whole); a pair naming a
-    /// row past the last panics in [`MatrixChunk::union_pair_stats`].
+    /// connection resolver guarantees. The pairs union one after another
+    /// on [`whole`](Self::whole); a pair naming a row past the last panics
+    /// in [`MatrixChunk::union_pair_stats`].
     pub fn union_pairs(&mut self, pairs: &[Connection]) -> TransferStats {
-        #[cfg(debug_assertions)]
-        {
-            let mut seen = vec![false; self.num_nodes()];
-            for node in pairs.iter().flat_map(|c| [c.initiator, c.acceptor]) {
-                let twice = std::mem::replace(&mut seen[node.index()], true);
-                assert!(!twice, "pairs must be node-disjoint: {node} appears twice");
-            }
-        }
+        // Debug only: in release the scan took `transfer` from 12 to 20 ms
+        // on a 131 072-node uniform ring over 80 rounds.
+        let n = self.num_nodes();
+        debug_assert_eq!(repeated_node(pairs, n), None, "pairs must be node-disjoint");
         let mut whole = self.whole();
         let mut total = TransferStats::default();
         for c in pairs {
@@ -408,11 +406,18 @@ impl MessageMatrix {
     }
 }
 
+/// The first node that two of `pairs` name, if any.
+fn repeated_node(pairs: &[Connection], n: usize) -> Option<crate::NodeId> {
+    let mut seen = vec![false; n];
+    let mut ends = pairs.iter().flat_map(|c| [c.initiator, c.acceptor]);
+    ends.find(|v| std::mem::replace(&mut seen[v.index()], true))
+}
+
 /// Exclusive access to rows `base..base + len` of a [`MessageMatrix`] —
 /// one region from [`region_chunks`](MessageMatrix::region_chunks), or all
 /// of it from [`whole`](MessageMatrix::whole). All row indices passed to
 /// chunk methods are **global** node indices and must fall inside the
-/// chunk's range (debug-asserted).
+/// chunk's range.
 pub struct MatrixChunk<'a> {
     base: usize,
     words: &'a mut [u64],
@@ -430,25 +435,23 @@ impl MatrixChunk<'_> {
         self.base
     }
 
+    /// Row `u`'s local index: every caller indexes `counts` with it first,
+    /// and that bounds check refuses a row outside the chunk (one below
+    /// `base` wraps past the end).
     #[inline]
     fn local(&self, u: usize) -> usize {
-        debug_assert!(
-            u >= self.base && u - self.base < self.counts.len(),
-            "row {u} outside chunk {}..{}",
-            self.base,
-            self.base + self.counts.len()
-        );
-        u - self.base
+        u.wrapping_sub(self.base)
     }
 
     /// A borrowed view of global row `u`'s set, as handed to protocols.
     #[inline]
     pub fn view(&self, u: usize) -> MsgView<'_> {
         let l = self.local(u);
+        let count = self.counts[l] as usize;
         MsgView {
             words: &self.words[l * self.stride..(l + 1) * self.stride],
             universe: self.universe,
-            count: self.counts[l] as usize,
+            count,
             digest: self.digests.get(l).copied().unwrap_or(0),
         }
     }
@@ -785,6 +788,7 @@ mod tests {
         assert_eq!(m.full_count(), 2);
     }
 
+    // The check costs the release transfer phase (see `union_pairs`).
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "node-disjoint")]

@@ -255,7 +255,7 @@ pub fn execute_grid<W: Write>(
     });
     outcome?;
 
-    debug_assert_eq!(next_emit, total, "every cell must have been released");
+    assert_eq!(next_emit, total, "every cell must have been released");
     Ok(PoolSummary {
         workers,
         stolen: 0,

@@ -195,6 +195,8 @@ fn discoverable<'a, G: GraphView + ?Sized>(
     u: usize,
 ) -> &'a [NodeId] {
     let peers = underlay.neighbors(NodeId(u as u32));
+    // Debug only: in release the scan took the membership tick from 41 to
+    // 47 ms on the 20 000-node mobile RGG of `dyn-rgg-mobile`.
     debug_assert!(
         peers
             .iter()
@@ -231,10 +233,10 @@ impl Suspects {
         self.peer[..self.len as usize].contains(&v)
     }
 
-    /// Suspect `v` until tick `due`, after every open suspicion.
+    /// Suspect `v` until tick `due`, after every open suspicion (a fourth
+    /// panics on the array bound).
     fn push(&mut self, v: NodeId, due: u64) {
         let len = self.len as usize;
-        debug_assert!(len < MAX_SUSPECTS, "a fourth open suspicion");
         (self.peer[len], self.due[len]) = (v, due);
         self.len += 1;
     }
@@ -262,7 +264,8 @@ impl Suspects {
 
 /// One sorted view per node in a single fixed-stride slab: node `u` owns
 /// `ids[u * stride..][..stride]`, of which the first `len[u]` are its
-/// view. The caller keeps every view within the stride.
+/// view. The caller keeps every view within the stride; an insert past it
+/// panics rather than spill into the next node's view.
 #[derive(Clone, Debug)]
 struct Views {
     stride: usize,
@@ -313,7 +316,7 @@ impl Views {
     fn insert(&mut self, u: usize, v: NodeId) {
         if let Err(pos) = self.get(u).binary_search(&v) {
             let (s, len) = (u * self.stride, self.len(u));
-            debug_assert!(len < self.stride, "node {u}: view overflows its stride");
+            assert!(len < self.stride, "node {u}: view overflows its stride");
             let view = &mut self.ids[s..s + len + 1];
             view.copy_within(pos..len, pos + 1);
             view[pos] = v;
@@ -916,5 +919,15 @@ mod tests {
             let err = cfg.validate().expect_err("must reject the zero field");
             assert!(err.contains(needle), "error '{err}' must name '{needle}'");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0: view overflows its stride")]
+    fn an_insert_into_a_full_view_panics() {
+        // Two views of one peer each: node 0's second peer would land in
+        // node 1's view.
+        let mut views = Views::new(3, 1);
+        views.insert(0, NodeId(1));
+        views.insert(0, NodeId(2));
     }
 }

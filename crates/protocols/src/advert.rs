@@ -68,6 +68,8 @@ fn decide_exact(ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {
 /// meaningful, so any differing neighbor is a candidate and roles are
 /// symmetric coin flips.
 fn decide_hashed(ctx: &NodeCtx<'_>, rng: &mut Rng) -> Intent {
+    // Debug only: an oracle recomputation, which in release took decide
+    // from 7.8 to 8.5 ms on `sync-grid-alltoall` (4 900 × 4 900 messages).
     debug_assert_eq!(ctx.own_ad, advertise(ctx.messages, ctx.salt));
     let mine = ctx.own_ad.0;
     let mut diff_count = 0usize;

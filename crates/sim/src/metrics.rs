@@ -115,16 +115,10 @@ pub struct SimResult {
     /// Nodes holding the full universe at the end — alive ones only,
     /// under a dynamics model.
     pub complete_nodes: usize,
-    /// Proposals that reached the matcher but did not become a
-    /// connection. On the synchronous engine these are resolver drops for
-    /// targeting a non-neighbor — always 0 for a correct protocol (the
-    /// graph is frozen within a round); nonzero values make protocol bugs
-    /// observable in release builds, where the resolver's debug panic is
-    /// compiled out. On the sliced event-driven engine these are failed
+    /// Always 0 on the synchronous engine. On the sliced engine, failed
     /// handshakes: the acceptor was busy or no longer listening when the
-    /// connection attempt landed, or the edge vanished in flight — a
-    /// legitimate race under asynchronous timing, not a bug, and the
-    /// paper's motivation for acknowledgment-style protocols.
+    /// attempt landed, or the edge vanished in flight — a race of
+    /// asynchronous timing, not a bug.
     pub dropped_proposals: u64,
     /// Churn-aware metrics; `Some` exactly when the run used a dynamics
     /// model, so static results serialize byte-identically to pre-dynamics

@@ -509,7 +509,6 @@ fn run_sync(
             tally.count(&mut result, &mut cover, formed, transfer);
             tally.close_rows_below(&mut result, round + 1, &cover);
             result.rounds_executed = round;
-            result.dropped_proposals += resolution.dropped_proposals;
             if let Some(d) = under.dynr_mut() {
                 d.record(horizon, &cover);
             }
@@ -607,7 +606,7 @@ impl RoundPhases {
         // pairs; a probe reads the round off the rows before the union.
         let t3 = Instant::now();
         if probe.enabled() {
-            emit_round_events(probe, graph, &self.intents, &resolution, states, round);
+            emit_round_events(probe, &self.intents, &resolution, states, round);
         }
         let transfer = self.states.union_pairs(&resolution.connections);
         let t4 = Instant::now();
@@ -628,8 +627,7 @@ impl RoundPhases {
     }
 }
 
-/// Emit one synchronous round's events: every proposal in node order
-/// (each immediately followed by its `Drop` if it crossed a non-edge),
+/// Emit one synchronous round's events: every proposal in node order,
 /// every formed connection in resolution order, a `Reject` for each
 /// proposer that ended the round unmatched (rebound included — a proposer
 /// that connected to *any* listener succeeded), then every message each
@@ -637,9 +635,8 @@ impl RoundPhases {
 /// order. Pure reads of already-resolved state, taken before the union:
 /// the pairs are node-disjoint, so reading them all first is reading each
 /// just before its own union, and tracing cannot perturb the run.
-fn emit_round_events<G: GraphView + ?Sized>(
+fn emit_round_events(
     probe: &mut dyn Probe,
-    graph: &G,
     intents: &[Intent],
     resolution: &Resolution,
     states: &MessageMatrix,
@@ -652,9 +649,6 @@ fn emit_round_events<G: GraphView + ?Sized>(
     for (u, intent) in intents.iter().enumerate() {
         let Intent::Propose(v) = intent else { continue };
         emit(EventKind::Propose, &[u as u32, v.0]);
-        if !graph.are_neighbors(NodeId(u as u32), *v) {
-            emit(EventKind::Drop, &[u as u32, v.0]);
-        }
     }
     let mut initiated = vec![false; intents.len()];
     for c in &resolution.connections {

@@ -150,7 +150,7 @@ impl Ev {
 
     /// The event in 16 bytes: the variant rides in the top two bits of
     /// the owner's id, which the matcher keeps below `2^30`
-    /// ([`IncrementalMatcher::new`]).
+    /// ([`IncrementalMatcher::new`] asserts it in every build).
     fn pack(self) -> Packed {
         let (kind, owner, peer, gen, peer_gen) = match self {
             Ev::Act(u, gen) => (0, u, NodeId(0), gen, 0),
@@ -162,7 +162,6 @@ impl Ev {
                 gen_a,
             } => (2, initiator, acceptor, gen_i, gen_a),
         };
-        debug_assert!(owner.0 <= Packed::OWNER);
         Packed([kind << Packed::KIND_SHIFT | owner.0, peer.0, gen, peer_gen])
     }
 }
@@ -602,6 +601,8 @@ impl Chunks<'_> {
         };
         match ev {
             Ev::Attempt { from, to, gen } => {
+                // Debug only: in release the lookup took the sweep of
+                // `async-grid-uniform` from 21.1 to 22.9 ms (15 pairs).
                 debug_assert!(
                     graph.frozen.is_none_or(|t| t.are_neighbors(from, to)),
                     "protocol proposed {from} -> {to} across a non-edge"
@@ -725,14 +726,9 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
                 let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
                 scratch.queue.push(now.after(delay), Ev::Act(u, gen));
             }
-            PeerState::Proposing => {
-                // A proposing node's chain is owned by its Attempt event,
-                // so rescheduling here would fork the chain; dropping the
-                // stale Act is the safe release-mode recovery (the Attempt
-                // always restarts the cycle), while debug builds flag the
-                // broken invariant.
-                debug_assert!(false, "act event fired for a proposing node");
-            }
+            // A node's chain holds one event at a time, and while it
+            // proposes that event is its Attempt.
+            PeerState::Proposing => unreachable!("act event fired for a proposing node"),
             state => {
                 if state == PeerState::Listening {
                     chunks.matcher.cancel(u);
@@ -878,7 +874,7 @@ fn next_incarnation(gens: &mut [u32], scratches: &mut [RegionScratch], node: Nod
         None => {
             for s in scratches.iter_mut() {
                 // Mutations apply between passes, with nothing deferred.
-                debug_assert!(s.deferred.is_empty());
+                assert!(s.deferred.is_empty(), "a stamp wrap mid-pass");
                 s.queue.for_each_mut(|ev| ev.restamp(node, 0));
             }
             1

@@ -129,9 +129,9 @@ fn strip_seed(scenario_id: &str) -> String {
     scenario_id.to_string()
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
+/// Nearest-rank percentile of an ascending-sorted slice; an empty one
+/// panics in the `clamp` (its bounds cross).
 fn percentile(sorted: &[u64], q: f64) -> u64 {
-    debug_assert!(!sorted.is_empty());
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }

@@ -20,8 +20,9 @@ pub enum EventKind {
     /// `from`'s proposal to `to` failed to form a connection (the target
     /// was busy, not listening, or gone by arrival time).
     Reject,
-    /// `from`'s proposal targeted the non-neighbor `to` and was dropped by
-    /// the resolver (a protocol bug surfaced in release builds).
+    /// `from`'s proposal to the non-neighbor `to` was dropped. No shipped
+    /// engine emits it (a non-edge proposal panics); the kind stays so
+    /// traces and `analyze` keep their rows.
     Drop,
     /// Message `msg` moved from `from` to `to` over a connection.
     Transfer,
@@ -179,7 +180,7 @@ impl TraceEvent {
     /// The event of `kind` at tick `t` of `round`, over the ids the kind
     /// names, in its order.
     pub fn new(kind: EventKind, t: u64, round: u64, ids: &[u32]) -> Self {
-        debug_assert_eq!(ids.len(), kind.row().ids.len(), "ids of a {kind:?}");
+        assert_eq!(ids.len(), kind.row().ids.len(), "ids of a {kind:?}");
         let mut padded = [0; 3];
         padded[..ids.len()].copy_from_slice(ids);
         TraceEvent {
