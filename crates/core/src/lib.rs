@@ -38,6 +38,8 @@
 //!   runs through,
 //! - [`SimTime`] / [`TimingConfig`]: virtual time and the drift/latency
 //!   distributions of the asynchronous mobile telephone model,
+//! - [`TickQueue`]: the calendar queue both event schedules pop from in
+//!   exact `(time, rank, push order)` order,
 //! - [`Rng`]: a small deterministic PRNG so whole simulations are seedable.
 
 pub mod dynamic;
@@ -45,6 +47,7 @@ pub mod matching;
 pub mod message;
 pub mod rng;
 pub mod shard;
+pub mod tick_queue;
 pub mod time;
 pub mod topology;
 
@@ -56,6 +59,7 @@ pub use matching::{
 pub use message::{MatrixChunk, MessageMatrix, MsgView, TransferStats};
 pub use rng::Rng;
 pub use shard::{Partition, MATCH_REGIONS};
+pub use tick_queue::{append_by_tick, TickQueue};
 pub use time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 pub use topology::{GraphView, RggGeometry, Topology};
 

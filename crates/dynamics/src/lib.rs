@@ -35,10 +35,7 @@ pub use waypoint::{Waypoint, DEFAULT_SPEED_PER_ROUND};
 
 use waypoint::Walk;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use gossip_core::{DynamicTopology, NodeId, Rng, SimTime, Topology, TICKS_PER_ROUND};
+use gossip_core::{DynamicTopology, NodeId, Rng, SimTime, TickQueue, Topology, TICKS_PER_ROUND};
 
 /// Salt mixed into the run seed to derive the mutation-stream seed, so
 /// dynamics draw from a stream decorrelated from the engine's own RNG.
@@ -187,14 +184,17 @@ impl DynamicsModel for Dynamics {
     }
 }
 
-/// The process a scheduled transition belongs to. Its order is the tie
-/// rule: at one tick, churn before fading before mobility.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Process {
-    Churn,
-    Fading,
-    Mobility,
-}
+/// The rank of each process's timers, the tie rule: at one tick, churn
+/// before fading before mobility.
+const CHURN: u8 = 0;
+const FADING: u8 = 1;
+const MOBILITY: u8 = 2;
+
+/// The bit of a timer's item that holds the state an on/off item enters
+/// (mobility ignores it). Below it, the item is a node (churn,
+/// mobility) or an edge index (fading); both stay below 2^31, edges
+/// because the CSR's `u32` offsets count every edge twice.
+const UP: u32 = 1 << 31;
 
 /// An on/off renewal process over nodes (churn) or edges (fading): an
 /// item is up for a geometric time with per-round end probability `fail`,
@@ -224,176 +224,14 @@ impl OnOff {
     }
 }
 
-/// Rounds the calendar's ring spans: a timer due this many rounds or more
-/// past the horizon waits in the far heap.
-const RING_ROUNDS: u64 = 256;
-
-/// A pending transition outside the ring, `(time, process, seq, item,
-/// up)`, ordered field by field: `item` is a node (churn, mobility) or an
-/// edge index (fading), `up` the state an on/off item enters (mobility
-/// ignores it), and `seq` counts heap pushes.
-type Timer = (SimTime, Process, u64, u32, bool);
-
-/// A timer in the ring. Its bucket gives its round, so 8 bytes hold it.
-#[derive(Clone, Copy)]
-struct Slot {
-    item: u32,
-    /// The tick within the round.
-    tick: u16,
-    process: Process,
-    up: bool,
-}
-
-const _: () = assert!(std::mem::size_of::<Slot>() == 8);
-
-/// The pending transitions: a calendar that pops in exactly the
-/// `(time, process, push order)` order of one heap fed the same pushes
-/// (the unit tests drive both).
-///
-/// The horizon is the start of the first round not yet opened.
-/// `ring[r % RING_ROUNDS]` holds round `r`'s timers in push order, for
-/// the `RING_ROUNDS` rounds from the horizon's. Two small heaps keyed
-/// `(time, process, seq)` hold the rest:
-/// - `near`: pushes below the horizon. A round opens only once `near` is
-///   empty, so they are younger than the run and lose ties to it;
-/// - `far`: pushes beyond the ring. Each moves into its bucket, in heap
-///   order, when the ring reaches its round, before any younger push can
-///   land there.
-///
-/// After [`advance`](Self::advance) the run or `near` holds the earliest
-/// timer unless none is queued, so a peek is O(1).
-struct Timers {
-    /// Rounds opened so far: the horizon is `opened * TICKS_PER_ROUND`.
-    opened: u64,
-    ring: [Vec<Slot>; RING_ROUNDS as usize],
-    /// Timers in the ring.
-    bucketed: usize,
-    /// The last opened round's bucket, stable-sorted by `(tick, process)`;
-    /// `run[cursor..]` are still queued. Freed once spent: a bucket that
-    /// kept its capacity would hold it for the next 256 rounds.
-    run: Vec<Slot>,
-    cursor: usize,
-    near: BinaryHeap<Reverse<Timer>>,
-    far: BinaryHeap<Reverse<Timer>>,
-    /// Heap pushes so far.
-    seq: u64,
-}
-
-impl Timers {
-    fn new() -> Self {
-        Timers {
-            opened: 0,
-            ring: std::array::from_fn(|_| Vec::new()),
-            bucketed: 0,
-            run: Vec::new(),
-            cursor: 0,
-            near: BinaryHeap::new(),
-            far: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Queue a timer; [`advance`](Self::advance) before the next peek.
-    fn push(&mut self, time: SimTime, process: Process, item: u32, up: bool) {
-        let round = time.epoch();
-        if round < self.opened || round - self.opened >= RING_ROUNDS {
-            let heap = match round < self.opened {
-                true => &mut self.near,
-                false => &mut self.far,
-            };
-            heap.push(Reverse((time, process, self.seq, item, up)));
-            self.seq += 1;
-            return;
-        }
-        let tick = (time.ticks() % TICKS_PER_ROUND) as u16;
-        let bucket = &mut self.ring[(round % RING_ROUNDS) as usize];
-        bucket.push(Slot {
-            item,
-            tick,
-            process,
-            up,
-        });
-        self.bucketed += 1;
-    }
-
-    /// The run's head and its time.
-    fn run_head(&self) -> Option<(SimTime, Slot)> {
-        let slot = *self.run.get(self.cursor)?;
-        let start = (self.opened - 1) * TICKS_PER_ROUND;
-        Some((SimTime(start + u64::from(slot.tick)), slot))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        let run = self.run_head().map(|(time, _)| time);
-        let near = self.near.peek().map(|Reverse((time, ..))| *time);
-        run.into_iter().chain(near).min()
-    }
-
-    /// Pop the earliest timer as `(time, process, item, up)`.
-    fn pop(&mut self) -> Option<(SimTime, Process, u32, bool)> {
-        let near = self
-            .near
-            .peek()
-            .map(|&Reverse((time, process, ..))| (time, process));
-        match self.run_head() {
-            Some((time, slot)) if near.is_none_or(|near| (time, slot.process) <= near) => {
-                self.cursor += 1;
-                Some((time, slot.process, slot.item, slot.up))
-            }
-            _ => {
-                let Reverse((time, process, _, item, up)) = self.near.pop()?;
-                Some((time, process, item, up))
-            }
-        }
-    }
-
-    /// Once the run and `near` are spent, open rounds until one holds a
-    /// timer; with the ring empty, skip to the far heap's first round.
-    fn advance(&mut self) {
-        if self.cursor < self.run.len() || !self.near.is_empty() {
-            return;
-        }
-        self.run = Vec::new();
-        self.cursor = 0;
-        loop {
-            if self.bucketed == 0 {
-                let Some(Reverse((time, ..))) = self.far.peek() else {
-                    return;
-                };
-                self.opened = time.epoch();
-                self.reach_far();
-            }
-            let index = (self.opened % RING_ROUNDS) as usize;
-            let mut bucket = std::mem::take(&mut self.ring[index]);
-            self.opened += 1;
-            self.reach_far();
-            if !bucket.is_empty() {
-                self.bucketed -= bucket.len();
-                bucket.sort_by_key(|slot| (slot.tick, slot.process));
-                self.run = bucket;
-                return;
-            }
-        }
-    }
-
-    /// Move every far timer whose round the ring now spans into its
-    /// bucket.
-    fn reach_far(&mut self) {
-        let end = self.opened + RING_ROUNDS;
-        while let Some(&Reverse((time, process, _, item, up))) = self.far.peek() {
-            if time.epoch() >= end {
-                break;
-            }
-            self.far.pop();
-            self.push(time, process, item, up);
-        }
-    }
-}
+/// Rounds the schedule's ring spans: a timer due this many rounds or more
+/// past the horizon waits in the queue's far heap.
+const RING_ROUNDS: usize = 256;
 
 /// The stream of a [`Dynamics`]: every process's transitions pop from one
-/// [`Timers`] calendar.
+/// [`TickQueue`] of 8-byte timers, ranked by process.
 struct Schedule {
-    timers: Timers,
+    timers: TickQueue<u32, RING_ROUNDS>,
     churn: Option<(OnOff, RejoinPolicy)>,
     fading: Option<OnOff>,
     /// Each undirected base edge once, in node order; empty without fading.
@@ -404,6 +242,7 @@ struct Schedule {
 impl Schedule {
     fn new(model: Dynamics, topology: &Topology, seed: u64) -> Self {
         let n = topology.num_nodes() as u32;
+        assert!(n <= UP, "node ids must leave bit 31 to the up flag");
         let lone = model.processes().len() == 1;
         let mut seeds = Rng::new(seed);
         let mut rng = || Rng::new(if lone { seed } else { seeds.next_u64() });
@@ -428,23 +267,22 @@ impl Schedule {
                 edges.extend(row.iter().filter(|&&v| v > u).map(|&v| (u, v)));
             }
         }
-        let mut timers = Timers::new();
+        let mut timers = TickQueue::default();
         if let Some((on_off, _)) = churn.as_mut() {
             for u in 0..n {
-                timers.push(SimTime(on_off.uptime()), Process::Churn, u, false);
+                timers.push(SimTime(on_off.uptime()), CHURN, u);
             }
         }
         if let Some(on_off) = fading.as_mut() {
             for e in 0..edges.len() as u32 {
-                timers.push(SimTime(on_off.uptime()), Process::Fading, e, false);
+                timers.push(SimTime(on_off.uptime()), FADING, e);
             }
         }
         if let Some(walk) = walk.as_mut() {
             for u in 0..n {
-                timers.push(SimTime(walk.leg(NodeId(u))), Process::Mobility, u, false);
+                timers.push(SimTime(walk.leg(NodeId(u))), MOBILITY, u);
             }
         }
-        timers.advance();
         Schedule {
             timers,
             churn,
@@ -457,14 +295,15 @@ impl Schedule {
 
 impl MutationStream for Schedule {
     fn peek_time(&self) -> Option<SimTime> {
-        self.timers.peek_time()
+        self.timers.earliest()
     }
 
     fn next(&mut self) -> Option<Mutation> {
-        let (time, process, item, up) = self.timers.pop()?;
-        let node = NodeId(item);
+        let (time, process, item) = self.timers.pop(SimTime(u64::MAX))?;
+        let (up, id) = (item & UP != 0, item & !UP);
+        let node = NodeId(id);
         let (hold, kind) = match process {
-            Process::Churn => {
+            CHURN => {
                 let (on_off, rejoin) = self.churn.as_mut().expect("a churn transition");
                 let kind = match up {
                     true => MutationKind::Rejoin {
@@ -475,28 +314,25 @@ impl MutationStream for Schedule {
                 };
                 (on_off.hold(up), kind)
             }
-            Process::Fading => {
+            FADING => {
                 let on_off = self.fading.as_mut().expect("a fading transition");
-                let (u, v) = self.edges[item as usize];
+                let (u, v) = self.edges[id as usize];
                 let kind = match up {
                     true => MutationKind::EdgeUp(u, v),
                     false => MutationKind::EdgeDown(u, v),
                 };
                 (on_off.hold(up), kind)
             }
-            Process::Mobility => {
+            _ => {
                 let walk = self.walk.as_mut().expect("a mobility transition");
                 let neighbors = walk.arrive(node);
-                (
-                    Some(walk.leg(node)),
-                    MutationKind::Rewire { node, neighbors },
-                )
+                let kind = MutationKind::Rewire { node, neighbors };
+                (Some(walk.leg(node)), kind)
             }
         };
         if let Some(hold) = hold {
-            self.timers.push(time.after(hold), process, item, !up);
+            self.timers.push(time.after(hold), process, item ^ UP);
         }
-        self.timers.advance();
         Some(Mutation { time, kind })
     }
 }
@@ -546,113 +382,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(geometric_ticks(0.99, &mut rng) >= 1);
         }
-    }
-
-    /// The schedule's heap before the calendar: one `seq` per push.
-    #[derive(Default)]
-    struct HeapTimers {
-        heap: BinaryHeap<Reverse<Timer>>,
-        seq: u64,
-    }
-
-    impl HeapTimers {
-        fn push(&mut self, time: SimTime, process: Process, item: u32, up: bool) {
-            self.heap.push(Reverse((time, process, self.seq, item, up)));
-            self.seq += 1;
-        }
-
-        fn pop(&mut self) -> Option<(SimTime, Process, u32, bool)> {
-            let Reverse((time, process, _, item, up)) = self.heap.pop()?;
-            Some((time, process, item, up))
-        }
-    }
-
-    /// Queue `initial` timers at `delay` ticks, then pop `steps` times
-    /// from a calendar and the heap, pushing zero to two timers `delay`
-    /// ticks after each popped one (one more if that emptied the queue),
-    /// and assert that both agree at every step. Items, processes and
-    /// `up` bits are random. Returns how many pushes went below the
-    /// horizon and beyond the ring, and how many pops were at `u64::MAX`.
-    fn agree(
-        seed: u64,
-        initial: usize,
-        steps: usize,
-        mut delay: impl FnMut(&mut Rng) -> u64,
-    ) -> (usize, usize, usize) {
-        let mut rng = Rng::new(seed);
-        let (mut calendar, mut oracle) = (Timers::new(), HeapTimers::default());
-        let (mut near, mut far, mut saturated) = (0, 0, 0);
-        let mut push =
-            |time: SimTime, rng: &mut Rng, calendar: &mut Timers, oracle: &mut HeapTimers| {
-                near += usize::from(time.epoch() < calendar.opened);
-                far += usize::from(time.epoch() >= calendar.opened + RING_ROUNDS);
-                let process =
-                    [Process::Churn, Process::Fading, Process::Mobility][rng.gen_range(3)];
-                let (item, up) = (rng.gen_range(1 << 20) as u32, rng.gen_bool());
-                calendar.push(time, process, item, up);
-                oracle.push(time, process, item, up);
-            };
-        for _ in 0..initial {
-            let time = SimTime(delay(&mut rng));
-            push(time, &mut rng, &mut calendar, &mut oracle);
-        }
-        calendar.advance();
-        let mut now = SimTime::ZERO;
-        for step in 0..steps {
-            let peeked = calendar.peek_time();
-            let popped = calendar.pop();
-            assert_eq!(popped, oracle.pop(), "pop {step}");
-            if let Some((time, ..)) = popped {
-                assert_eq!(peeked, Some(time), "peek before pop {step}");
-                saturated += usize::from(time == SimTime(u64::MAX));
-                now = time;
-            }
-            let pushes = rng.gen_range(3) + usize::from(peeked.is_none());
-            for _ in 0..pushes {
-                let time = now.after(delay(&mut rng));
-                push(time, &mut rng, &mut calendar, &mut oracle);
-            }
-            calendar.advance();
-        }
-        (near, far, saturated)
-    }
-
-    #[test]
-    fn the_calendar_pops_in_the_heaps_order() {
-        // Same-tick ties across all three processes: every push lands on
-        // the popped tick or one of the next three, in the open round, so
-        // the run's head ties with `near`'s.
-        let (near, ..) = agree(1, 2_000, 20_000, |rng| rng.gen_range(4) as u64);
-        assert!(near > 10_000, "only {near} pushes into the open round");
-        // Pushes spread over three rounds: into the open round and the
-        // ring's first buckets.
-        let spread = |rng: &mut Rng| rng.gen_range(3 * TICKS_PER_ROUND as usize) as u64;
-        let (near, ..) = agree(2, 300, 20_000, spread);
-        assert!(near > 2_000, "only {near} pushes into the open round");
-
-        // The ring's edge: 255 rounds ahead of the popped tick's round is
-        // the ring's last bucket, 256 and 257 are past it. On round
-        // boundaries or just past them, so far timers tie with the ring's.
-        let edge = |rng: &mut Rng| {
-            let rounds = [0, 1, 255, 256, 257][rng.gen_range(5)];
-            rounds * TICKS_PER_ROUND + [0, 1, 1023][rng.gen_range(3)]
-        };
-        let (_, far, _) = agree(3, 1_000, 30_000, edge);
-        assert!(far > 5_000, "only {far} pushes beyond the ring");
-
-        // Saturated times: a timer at u64::MAX reschedules onto itself,
-        // so the queue ends up all ties in the last round there is.
-        let saturating = |rng: &mut Rng| match rng.gen_range(8) {
-            0 => u64::MAX,
-            _ => rng.gen_range(600 * TICKS_PER_ROUND as usize) as u64,
-        };
-        let (.., saturated) = agree(4, 500, 30_000, saturating);
-        assert!(saturated > 10_000, "only {saturated} pops at u64::MAX");
-
-        // Churn at 0.001: about three in four timers start beyond the ring.
-        let churn = |rng: &mut Rng| geometric_ticks(0.001, rng);
-        let (_, far, _) = agree(5, 10_000, 30_000, churn);
-        assert!(far > 7_000, "only {far} pushes beyond the ring");
     }
 
     /// Churn at `rate`, with every downtime `mean_downtime` rounds, plus

@@ -159,10 +159,10 @@ impl DynRun {
         self.stream.peek_time()
     }
 
-    /// Pop the next pending mutation if it is due strictly before
-    /// `horizon`, without applying it.
-    fn next_before(&mut self, horizon: SimTime) -> Option<Mutation> {
-        if self.stream.peek_time()? < horizon {
+    /// Pop the next pending mutation if it is due at or before `through`,
+    /// without applying it.
+    fn next_through(&mut self, through: SimTime) -> Option<Mutation> {
+        if self.stream.peek_time()? <= through {
             self.stream.next()
         } else {
             None
@@ -221,15 +221,15 @@ impl DynRun {
     }
 
     /// The one mutation drain of both engines, at a sync round's or an
-    /// async slice's start: pop and apply every mutation due strictly
-    /// before `horizon`, then settle the active views. After each one that
+    /// async slice's start: pop and apply every mutation due at or before
+    /// `through`, then settle the active views. After each one that
     /// changed something, `applied` runs, then an enabled `probe` gets its
     /// `Mutate` record stamped `round(time)`; the pops and applies are the
     /// same either way. Returns the time of the last mutation popped.
     #[allow(clippy::too_many_arguments)] // the engines' one boundary, not an API
     pub fn drain_until(
         &mut self,
-        horizon: SimTime,
+        through: SimTime,
         states: &mut MessageMatrix,
         sources: &[NodeId],
         cover: &mut Coverage,
@@ -238,7 +238,7 @@ impl DynRun {
         mut applied: impl FnMut(&Mutation, &mut DynamicsStats, &mut dyn Probe),
     ) -> Option<SimTime> {
         let mut last = None;
-        while let Some(mutation) = self.next_before(horizon) {
+        while let Some(mutation) = self.next_through(through) {
             if self.apply(&mutation, states, sources, cover) {
                 applied(&mutation, &mut self.stats, probe);
                 if probe.enabled() {
@@ -371,7 +371,7 @@ mod tests {
         let marker = |t| TraceEvent::new(EventKind::Round, t, 0, &[]);
         let mut hooked = Vec::new();
         let last = run.drain_until(
-            SimTime(TICKS_PER_ROUND),
+            SimTime(TICKS_PER_ROUND - 1),
             &mut states,
             &sources,
             &mut cover,

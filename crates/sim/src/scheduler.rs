@@ -469,7 +469,7 @@ fn run_sync(
             if let Some(d) = under.dynr_mut() {
                 let draining = Instant::now();
                 let drained = d.drain_until(
-                    horizon,
+                    SimTime(horizon.ticks() - 1),
                     &mut phases.states,
                     sources,
                     &mut cover,

@@ -15,21 +15,13 @@
 //!   responsible for: `Act(u)` belongs to `region(u)`,
 //!   `Attempt { from, .. }` to `region(from)`, `Finish { initiator, .. }`
 //!   to `region(initiator)`. Every event a region *pushes* lands in its
-//!   own queue, so region queues never race. The queue pops in
-//!   `(time, seq)` order without comparing its way there: an event is
-//!   appended to the bucket of the slice it falls in, and a pass opens
-//!   every slice that starts below its end (a capped slice whole) by one
-//!   stable counting pass, so equal ticks keep push order, which is
-//!   `seq` order. Events scheduled *below* that slice-boundary horizon
-//!   (inside the running slice, or by a sweep into an executed window)
-//!   or beyond a short ring of upcoming slices (huge latencies,
-//!   saturated times) sit in a small `(time, seq)` heap that each pop
-//!   compares against the head of the opened run; a tie between the two
-//!   heads goes by which of the two the heap entry is ([`SliceQueue`]).
-//!   A bucketed event is 24 bytes, its [`Ev`] packed into 16.
+//!   own queue, so region queues never race. The queue is a
+//!   [`TickQueue`] of 8 one-slice buckets: it pops in `(time, seq)`
+//!   order, `seq` counting the region's pushes, mostly without comparing.
+//!   A queued event is 20 bytes, its [`Ev`] packed into 16.
 //! - **Slice passes.** Each pass picks a monotonically increasing slice
-//!   index, then workers drain their regions' events below the slice end
-//!   in local `(time, seq)` order, drawing from the per-pass stream
+//!   index, then workers drain their regions' events up to the slice's
+//!   last tick in local `(time, seq)` order, drawing from the per-pass stream
 //!   `Rng::stream(seed, pass, SLICE_REGION_STREAM_BASE + region)`. Events
 //!   whose *effects* would cross a region boundary — an `Attempt` whose
 //!   acceptor lives in another region, a `Finish` whose endpoints
@@ -72,15 +64,13 @@ use crate::scheduler::{
 };
 use crate::SimResult;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use gossip_core::rng::{MUTATE_STREAM, SLICE_REGION_STREAM_BASE, SWEEP_STREAM};
 use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{
-    shard, Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk, MatrixChunk, NodeId,
-    Partition, PeerState, Rng, Topology, TransferStats,
+    append_by_tick, shard, Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk,
+    MatrixChunk, NodeId, Partition, PeerState, Rng, TickQueue, Topology, TransferStats,
 };
 use gossip_dynamics::MutationKind;
 use gossip_membership::Membership;
@@ -168,7 +158,7 @@ impl Ev {
 
 /// An [`Ev`] in four words: the variant and the owner, the other node,
 /// and the stamps of the owner and of the other node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Packed([u32; 4]);
 
 impl Packed {
@@ -208,8 +198,8 @@ impl Packed {
     }
 }
 
-/// An event at its time: what the ring buckets, the opened run and the
-/// deferred lists hold. Its place in them is its scheduling order.
+/// An event at its time: what the deferred lists hold. Its place in them
+/// is its scheduling order.
 #[derive(Clone, Copy, Debug)]
 struct Timed {
     time: SimTime,
@@ -261,272 +251,27 @@ fn event_at(kind: EventKind, now: SimTime, ids: &[u32]) -> TraceEvent {
     TraceEvent::new(kind, now.ticks(), now.round_equivalent() as u64, ids)
 }
 
-/// Tick counters the serial phases hand to [`append_by_tick`]. A pass's
+/// Tick spans the serial phases lay out by one counting pass. A pass's
 /// merged logs and deferred events mostly fall in its own slice, but
 /// chains the sweeps keep scheduling back into executed windows trail a
 /// few slices behind (spans of 2-4 slices are routine on a busy grid).
-const SERIAL_TICK_COUNTERS: usize = 8 * SLICE_TICKS as usize;
+const SERIAL_TICK_SPAN: u64 = 8 * SLICE_TICKS;
 
-/// Inputs shorter than this are cheaper to comparison-sort than to zero
-/// and prefix-sum a slice's worth of counters for.
-const COUNTING_MIN_LEN: usize = 64;
-
-/// Append the items of `src` to `dst` in ascending `tick` order, items
-/// of equal tick in `src` order — what `sort_by_key(tick)` gives, by one
-/// counting pass (no comparisons) whenever the ticks span no more values
-/// than there are `counters`, whose contents on entry do not matter.
-fn append_by_tick<'a, T: Copy + 'a>(
-    src: impl Iterator<Item = &'a T> + Clone,
-    dst: &mut Vec<T>,
-    counters: &mut [u32],
-    tick: impl Fn(&T) -> u64,
-) {
-    let start = dst.len();
-    dst.reserve(src.size_hint().0);
-    let (mut lo, mut hi) = (u64::MAX, 0);
-    for item in src.clone() {
-        let t = tick(item);
-        lo = lo.min(t);
-        hi = hi.max(t);
-        dst.push(*item);
-    }
-    let len = dst.len() - start;
-    // `u32` counters: longer inputs (never seen; > 128 GiB of events)
-    // take the comparison path rather than a wider, slower counter.
-    if len < COUNTING_MIN_LEN || len > u32::MAX as usize || hi - lo >= counters.len() as u64 {
-        dst[start..].sort_by_key(tick);
-        return;
-    }
-    let next = &mut counters[..=(hi - lo) as usize];
-    next.fill(0);
-    for item in src.clone() {
-        next[(tick(item) - lo) as usize] += 1;
-    }
-    // Counts become each tick's first output position...
-    let mut at = 0;
-    for slot in next.iter_mut() {
-        at += std::mem::replace(slot, at);
-    }
-    // ...and every item lands at its tick's next free one.
-    let out = &mut dst[start..];
-    for item in src {
-        let slot = &mut next[(tick(item) - lo) as usize];
-        out[*slot as usize] = *item;
-        *slot += 1;
-    }
-}
-
-/// A heap entry: `(time << 64 | seq, event)`, so one comparison orders
-/// two entries (`seq` is unique: the event never decides). Keyed by a
-/// `(time, seq, event)` tuple instead, the engine ran ~6% slower on the
-/// 10^6-node async grid (2 vCPUs).
-type HeapEntry = Reverse<(u128, Packed)>;
-
-// The heap holds a few dozen entries per region; the buckets hold the rest.
-const _: () = assert!(std::mem::size_of::<HeapEntry>() <= 32);
-
-/// A heap key's time and `seq`.
-fn split(key: u128) -> (SimTime, u64) {
-    (SimTime((key >> 64) as u64), key as u64)
-}
-
-/// The `seq` bit of a heap entry pushed beyond the ring.
-const FAR: u64 = 1;
-
-/// Slices past the opened horizon that own a bucket. A refresh interval
-/// is below `4 * SLICE_TICKS` for every valid drift and jitter, so with
-/// latencies of a few slices nothing lands beyond the ring; what does
-/// (huge `max_latency`, times saturated at `u64::MAX`) waits in the heap
-/// and costs no bucket per intervening slice.
+/// Slices past the horizon that own a bucket of a region's queue. A
+/// refresh interval is below `4 * SLICE_TICKS` for every valid drift and
+/// jitter, so with latencies of a few slices nothing lands beyond the
+/// ring; what does (huge `max_latency`, times saturated at `u64::MAX`)
+/// waits in the queue's far heap and costs no bucket per intervening
+/// slice.
 const RING_SLICES: usize = 8;
-
-/// The events queued for one upcoming slice, in push order.
-#[derive(Default)]
-struct Bucket {
-    events: Vec<Timed>,
-    /// Earliest time in `events`; meaningless while it is empty.
-    min: u64,
-}
-
-/// A region's event queue: pops in exactly the `(time, seq)` order of a
-/// heap fed the same pushes with `seq` counting them (the unit tests
-/// drive both), given that the `end` bounds passed to
-/// [`pop_below`](Self::pop_below) never decrease.
-///
-/// The horizon is the start of the first slice not yet opened, so it
-/// always sits on a slice boundary. Invariant: `ring[i]` holds the events
-/// of the `i`-th slice from the horizon; every queued event below it is
-/// in `run` or `heap`. `pop_below(end)` first opens every slice that
-/// starts below `end`, so the buckets never hold a candidate and the
-/// earlier of the two heads is the earliest queued event.
-///
-/// Bucketed events carry no `seq`: a bucket keeps push order and the run
-/// lays buckets out stably, so their place is their `seq` order. Heap
-/// entries take a heap-local `seq`, and as the horizon only grows, a tie
-/// at one tick between the two heads goes by where the heap entry came
-/// from:
-/// - pushed *below the horizon*, after every bucketed event of its tick,
-///   so the run's head goes first;
-/// - pushed *beyond the ring* ([`FAR`]), before any of them (they would
-///   have gone beyond the ring too), so it goes first.
-#[derive(Default)]
-struct SliceQueue {
-    /// Heap pushes so far. Region-local, so region pop order is
-    /// deterministic without any global coordination. A `u64` counting
-    /// one per push does not wrap: 2^63 pushes take centuries.
-    seq: u64,
-    /// Slices opened so far: the horizon is `opened * SLICE_TICKS`.
-    opened: u64,
-    ring: [Bucket; RING_SLICES],
-    /// The opened buckets' events in `(time, seq)` order; `run[cursor..]`
-    /// are still queued. Allocated when a pass opens a bucket and freed
-    /// when the pass has read it all, so the allocator hands the same
-    /// hot block from region to region and a region at rest holds one
-    /// copy of its events, not two.
-    run: Vec<Timed>,
-    cursor: usize,
-    /// Events pushed below the horizon or beyond the ring, by
-    /// `(time, seq)`.
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl SliceQueue {
-    fn push(&mut self, time: SimTime, event: Ev) {
-        let t = time.ticks();
-        let slice = t / SLICE_TICKS;
-        // Slices past the horizon's; garbage when `slice` is below it.
-        let ahead = slice.wrapping_sub(self.opened);
-        if slice < self.opened || ahead >= RING_SLICES as u64 {
-            self.seq += 1;
-            let far = (slice >= self.opened) as u64;
-            let key = (t as u128) << 64 | (self.seq << 1 | far) as u128;
-            self.heap.push(Reverse((key, event.pack())));
-            return;
-        }
-        let bucket = &mut self.ring[ahead as usize];
-        bucket.min = match bucket.events.is_empty() {
-            true => t,
-            false => bucket.min.min(t),
-        };
-        bucket.events.push(Timed {
-            time,
-            event: event.pack(),
-        });
-    }
-
-    /// Time of the earliest queued event.
-    fn earliest(&self) -> Option<u64> {
-        // Buckets cover ascending slices: the first non-empty one holds
-        // the earliest bucketed event.
-        let bucketed = self.ring.iter().find(|b| !b.events.is_empty());
-        [
-            self.run.get(self.cursor).map(|ev| ev.time.ticks()),
-            self.heap
-                .peek()
-                .map(|Reverse((key, _))| split(*key).0.ticks()),
-            bucketed.map(|b| b.min),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
-
-    /// Pop the earliest queued event if its time is below `end`.
-    fn pop_below(&mut self, end: u64) -> Option<Timed> {
-        if self.opened < end.div_ceil(SLICE_TICKS) {
-            self.open_below(end);
-        }
-        let below = |time: SimTime| time.ticks() < end;
-        let run_head = self.run.get(self.cursor).filter(|ev| below(ev.time));
-        let heap_head = self.heap.peek().map(|Reverse((key, _))| split(*key));
-        let heap_head = heap_head.filter(|&(time, _)| below(time));
-        let from_run = match (run_head, heap_head) {
-            (Some(r), Some((time, seq))) => r.time < time || (r.time == time && seq & FAR == 0),
-            (r, _) => r.is_some(),
-        };
-        if from_run {
-            self.cursor += 1;
-            run_head.copied()
-        } else if heap_head.is_some() {
-            let Reverse((key, event)) = self.heap.pop()?;
-            Some(Timed {
-                time: split(key).0,
-                event,
-            })
-        } else {
-            if self.cursor == self.run.len() {
-                self.run = Vec::new();
-                self.cursor = 0;
-            } else {
-                // Only a cap inside a slice stops a pass short of its
-                // run, which keeps the slice's later events: the buckets
-                // give back the room they held them in.
-                self.ring.iter_mut().for_each(|b| b.events.shrink_to_fit());
-            }
-            None
-        }
-    }
-
-    /// Open every slice that starts below `end`: lay its bucket out
-    /// behind the unread tail of the run (whose events are all earlier
-    /// than any bucketed one).
-    fn open_below(&mut self, end: u64) {
-        self.run.drain(..self.cursor);
-        self.cursor = 0;
-        // A bucket spans one slice; 4 KiB of stack per call instead of
-        // resident counters per region.
-        let mut counters = [0u32; SLICE_TICKS as usize];
-        let slices = end.div_ceil(SLICE_TICKS);
-        while self.opened < slices {
-            if self.ring.iter().all(|b| b.events.is_empty()) {
-                // Nothing bucketed: skip the remaining slices at once.
-                self.opened = slices;
-                break;
-            }
-            append_by_tick(
-                self.ring[0].events.iter(),
-                &mut self.run,
-                &mut counters,
-                |ev| ev.time.ticks(),
-            );
-            self.ring[0].events.clear();
-            // Every later bucket moves one slice nearer — its events,
-            // not its buffer: `ring[0]` alone ever fills up, the others
-            // stay as small as the few events scheduled that far ahead,
-            // and no bucket allocates in steady state.
-            for i in 1..RING_SLICES {
-                let (nearer, farther) = self.ring.split_at_mut(i);
-                let (nearer, farther) = (&mut nearer[i - 1], &mut farther[0]);
-                if !farther.events.is_empty() {
-                    nearer.events.append(&mut farther.events);
-                    nearer.min = farther.min;
-                }
-            }
-            self.opened += 1;
-        }
-    }
-
-    /// Every queued event, in no particular order, for a rewrite that
-    /// leaves its time alone.
-    fn for_each_mut(&mut self, mut f: impl FnMut(&mut Packed)) {
-        let bucketed = self.ring.iter_mut().flat_map(|b| b.events.iter_mut());
-        bucketed
-            .chain(self.run[self.cursor..].iter_mut())
-            .for_each(|ev| f(&mut ev.event));
-        // A heap entry's `seq` is unique, so its event never decides
-        // its order, and the rewrite cannot change it.
-        let mut heap = std::mem::take(&mut self.heap).into_vec();
-        heap.iter_mut().for_each(|Reverse((_, ev))| f(ev));
-        self.heap = BinaryHeap::from(heap);
-    }
-}
 
 /// Per-region state that persists across slices: the event queue and
 /// reusable deferred/log/scratch buffers (allocated once, drained every
 /// pass).
 #[derive(Default)]
 struct RegionScratch {
-    queue: SliceQueue,
+    /// The region's events, all at rank 0: pops in `(time, push order)`.
+    queue: TickQueue<Packed, RING_SLICES>,
     deferred: Vec<Timed>,
     log: Vec<Entry>,
     events: u64,
@@ -555,8 +300,8 @@ struct SliceCtx<'a> {
     gens: &'a [u32],
     seed: u64,
     pass: u64,
-    /// Exclusive pop bound: `min(slice end, max_time + 1)`.
-    end: u64,
+    /// Inclusive pop bound: `min(the slice's last tick, max_time)`.
+    last: SimTime,
     part: Partition,
     /// Hoisted `probe.enabled()`: the handler logs the trace-only entries
     /// (and itemizes transfers) only when a probe will consume them.
@@ -669,7 +414,7 @@ struct RegionTask<'a> {
     chunks: Chunks<'a>,
 }
 
-/// Drain one region's events below the slice end. Everything a region
+/// Drain one region's events up to the pass's bound. Everything a region
 /// event *touches* is in-region (acts touch only their node; attempts
 /// and finishes with a cross-region peer are deferred before consuming
 /// any randomness), so workers on different regions never observe each
@@ -686,8 +431,8 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
     let r = ctx.part.region_of(base);
     let mut rng = Rng::stream(ctx.seed, ctx.pass, SLICE_REGION_STREAM_BASE + r as u64);
     let gens = ctx.gens;
-    while let Some(popped) = scratch.queue.pop_below(ctx.end) {
-        let (now, ev) = (popped.time, popped.event.ev());
+    while let Some((now, _, event)) = scratch.queue.pop(ctx.last) {
+        let ev = event.ev();
         // Whether every node the event names is the incarnation it was
         // scheduled for, and the other node it touches.
         let (live, peer) = match ev {
@@ -706,7 +451,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
         if live && !owned.contains(&peer.index()) {
             // Cross-region peer: defer to the boundary sweep before
             // consuming any randomness.
-            scratch.deferred.push(popped);
+            scratch.deferred.push(Timed { time: now, event });
             continue;
         }
         scratch.note(now);
@@ -715,7 +460,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
         }
         let Ev::Act(u, gen) = ev else {
             let (at, next) = chunks.connect(ctx, graph, now, ev, &mut rng, &mut scratch.log);
-            scratch.queue.push(at, next);
+            scratch.queue.push(at, 0, next.pack());
             continue;
         };
         let ui = u.index();
@@ -724,7 +469,9 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
                 // Captured as a listener mid-connection: keep the act
                 // chain alive and re-decide later.
                 let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
-                scratch.queue.push(now.after(delay), Ev::Act(u, gen));
+                scratch
+                    .queue
+                    .push(now.after(delay), 0, Ev::Act(u, gen).pack());
             }
             // A node's chain holds one event at a time, and while it
             // proposes that event is its Attempt.
@@ -765,14 +512,16 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
                             to: v,
                             gen,
                         };
-                        scratch.queue.push(now.after(delay), attempt);
+                        scratch.queue.push(now.after(delay), 0, attempt.pack());
                     }
                     intent => {
                         if intent == Intent::Listen {
                             chunks.matcher.listen(u);
                         }
                         let delay = ctx.timing.refresh_interval(ctx.drift[ui], &mut rng);
-                        scratch.queue.push(now.after(delay), Ev::Act(u, gen));
+                        scratch
+                            .queue
+                            .push(now.after(delay), 0, Ev::Act(u, gen).pack());
                     }
                 }
             }
@@ -949,16 +698,17 @@ pub(crate) fn run_sliced(
     // so the network does not start phase-locked.
     for u in 0..n {
         let offset = rng.gen_range(TICKS_PER_ROUND as usize) as u64;
-        scratches[part.region_of(u)]
-            .queue
-            .push(SimTime(offset), Ev::Act(NodeId(u as u32), 0));
+        scratches[part.region_of(u)].queue.push(
+            SimTime(offset),
+            0,
+            Ev::Act(NodeId(u as u32), 0).pack(),
+        );
     }
 
     let mut tally = Tally::default();
     let mut merged: Vec<Entry> = Vec::new();
     let mut sweep_q: Vec<Timed> = Vec::new();
     let mut sweep_log: Vec<Entry> = Vec::new();
-    let mut tick_counters = vec![0u32; SERIAL_TICK_COUNTERS];
     let mut sweep_events: u64 = 0;
     let mut last_time: u64 = 0;
     let mut prev_pass: Option<u64> = None;
@@ -972,8 +722,9 @@ pub(crate) fn run_sliced(
         let next = scratches
             .iter()
             .filter_map(|s| s.queue.earliest())
-            .chain(under.dynr().and_then(|d| d.peek_time()).map(SimTime::ticks))
-            .min();
+            .chain(under.dynr().and_then(|d| d.peek_time()))
+            .min()
+            .map(SimTime::ticks);
         let Some(next_t) = next else {
             break 'run last_time;
         };
@@ -986,11 +737,10 @@ pub(crate) fn run_sliced(
         let pass = prev_pass.map_or(next_t / SLICE_TICKS, |p| (p + 1).max(next_t / SLICE_TICKS));
         prev_pass = Some(pass);
         timings.slices += 1;
-        let slice_end = (pass + 1).saturating_mul(SLICE_TICKS);
-        let end = slice_end.min(max_time.saturating_add(1));
+        let start = pass.saturating_mul(SLICE_TICKS);
+        let last = SimTime(start.saturating_add(SLICE_TICKS - 1).min(max_time));
         if tracing {
-            let t = pass.saturating_mul(SLICE_TICKS);
-            probe.record(&TraceEvent::new(EventKind::Slice, t, pass, &[]));
+            probe.record(&TraceEvent::new(EventKind::Slice, start, pass, &[]));
         }
 
         // Phase 0 (serial, dynamic runs): apply every mutation due inside
@@ -1001,7 +751,7 @@ pub(crate) fn run_sliced(
             let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
             let mut matcher = matcher.whole();
             let drained = d.drain_until(
-                SimTime(end),
+                last,
                 &mut states,
                 sources,
                 &mut cover,
@@ -1042,9 +792,11 @@ pub(crate) fn run_sliced(
                     };
                     if let Some(v) = restart {
                         let delay = timing.refresh_interval(drift[v.index()], &mut rng_mut);
-                        scratches[part.region_of(v.index())]
-                            .queue
-                            .push(mtime.after(delay), Ev::Act(v, gens[v.index()]));
+                        scratches[part.region_of(v.index())].queue.push(
+                            mtime.after(delay),
+                            0,
+                            Ev::Act(v, gens[v.index()]).pack(),
+                        );
                     }
                 },
             );
@@ -1082,7 +834,7 @@ pub(crate) fn run_sliced(
             gens: &gens,
             seed,
             pass,
-            end,
+            last,
             part,
             tracing,
         };
@@ -1118,7 +870,7 @@ pub(crate) fn run_sliced(
         append_by_tick(
             scratches.iter().flat_map(|s| s.log.iter()),
             &mut merged,
-            &mut tick_counters,
+            SERIAL_TICK_SPAN,
             |e| e.time,
         );
         for s in scratches.iter_mut() {
@@ -1142,7 +894,7 @@ pub(crate) fn run_sliced(
         append_by_tick(
             scratches.iter().flat_map(|s| s.deferred.iter()),
             &mut sweep_q,
-            &mut tick_counters,
+            SERIAL_TICK_SPAN,
             |ev| ev.time.ticks(),
         );
         for s in scratches.iter_mut() {
@@ -1169,7 +921,7 @@ pub(crate) fn run_sliced(
             );
             scratches[part.region_of(next.owner().index())]
                 .queue
-                .push(at, next);
+                .push(at, 0, next.pack());
             for e in sweep_log.drain(..) {
                 if replay(&e, &mut result, &mut tally, &mut cover, &mut under, probe) {
                     timings.sweep += ms(t2.elapsed());
@@ -1203,43 +955,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn append_by_tick_matches_the_stable_sort() {
-        // (tick, original position): the position exposes any reordering
-        // of equal ticks. Short inputs and spans wider than the counters
-        // take the comparison path; the rest count.
-        let mut rng = Rng::new(0xb1c4e7);
-        let mut counters = vec![u32::MAX; 2048];
-        for (len, span) in [
-            (0, 1),
-            (1, 1),
-            (63, 5),
-            (64, 1),
-            (500, 2048),
-            (500, 2049),
-            (3000, 700),
-        ] {
-            let origin = rng.next_u64() >> 1;
-            let items: Vec<(u64, usize)> = (0..len)
-                .map(|i| (origin + rng.gen_range(span) as u64, i))
-                .collect();
-            let mut expected = vec![(7, 7)];
-            expected.extend_from_slice(&items);
-            expected[1..].sort_by_key(|&(t, _)| t);
-            // Fed as three chunks, the way the serial phases feed region logs.
-            let (a, rest) = items.split_at(len / 3);
-            let (b, c) = rest.split_at(len / 3);
-            let mut got = vec![(7, 7)];
-            append_by_tick(
-                [a, b, c].into_iter().flatten(),
-                &mut got,
-                &mut counters,
-                |&(t, _)| t,
-            );
-            assert_eq!(got, expected, "len {len} span {span}");
-        }
-    }
-
-    #[test]
     fn region_ownership_by_range_equals_the_block_division() {
         // `run_region`'s range over the chunks a pass carves must
         // agree with `id / block == r` at both edges of every region.
@@ -1254,207 +969,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The oracle: a plain `(time, seq)` heap, fed the same pushes.
-    struct Oracle {
-        heap: BinaryHeap<Reverse<(SimTime, u64, Packed)>>,
-        seq: u64,
-    }
-
-    impl Oracle {
-        /// The earliest event below `end`, as `(time, seq, event)`.
-        fn pop_below(&mut self, end: u64) -> Option<(SimTime, u64, Ev)> {
-            match self.heap.peek() {
-                Some(Reverse((time, ..))) if time.ticks() < end => {
-                    let Reverse((time, seq, ev)) = self.heap.pop()?;
-                    Some((time, seq, ev.ev()))
-                }
-                _ => None,
-            }
-        }
-    }
-
-    /// Every event the oracle tests push names its push count, so the
-    /// queue's pops — which carry no `seq` — show it: `(time, event)`
-    /// orders exactly like the oracle's `(time, seq)`.
-    fn push_both(queue: &mut SliceQueue, oracle: &mut Oracle, time: SimTime) {
-        let event = Ev::Act(NodeId(oracle.seq as u32), 0);
-        queue.push(time, event);
-        oracle.seq += 1;
-        oracle.heap.push(Reverse((time, oracle.seq, event.pack())));
-        assert_earliest_agrees(queue, oracle);
-    }
-
-    fn assert_earliest_agrees(queue: &SliceQueue, oracle: &Oracle) {
-        assert_eq!(
-            queue.earliest(),
-            oracle.heap.peek().map(|Reverse((time, ..))| time.ticks())
-        );
-    }
-
-    /// A delay of every kind the engine produces: none, inside the open
-    /// slice, into the next slice, many slices ahead (past the ring), and
-    /// one that saturates `SimTime::after`.
-    fn some_delay(rng: &mut Rng) -> u64 {
-        match rng.gen_range(32) {
-            0 => 0,
-            1..=12 => rng.gen_range(300) as u64,
-            13..=26 => 700 + rng.gen_range(700) as u64,
-            27 | 28 => SLICE_TICKS * (2 + rng.gen_range(6) as u64),
-            29 | 30 => SLICE_TICKS * (RING_SLICES as u64 + rng.gen_range(100) as u64),
-            _ => u64::MAX - rng.gen_range(3) as u64,
-        }
-    }
-
-    #[test]
-    fn queue_pops_in_the_heap_oracles_order() {
-        for seed in 0..12 {
-            let mut rng = Rng::new(0x51ce0 + seed);
-            let mut queue = SliceQueue::default();
-            let mut oracle = Oracle {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            };
-            for _ in 0..40 {
-                let offset = rng.gen_range(SLICE_TICKS as usize) as u64;
-                push_both(&mut queue, &mut oracle, SimTime(offset));
-            }
-            // The engine's cap: the last passes all stop at `max_time + 1`,
-            // which is not a slice multiple.
-            let max_time = 60 * SLICE_TICKS + 317;
-            let mut prev_pass: Option<u64> = None;
-            let mut popped = 0;
-            while let Some(next_t) = queue.earliest().filter(|&t| t <= max_time) {
-                // The engine's pass rule, plus a skipped slice now and then.
-                let skip = (rng.gen_range(8) == 0) as u64 * rng.gen_range(4) as u64;
-                let pass = prev_pass.map_or(next_t / SLICE_TICKS, |p| {
-                    (p + 1).max(next_t / SLICE_TICKS) + skip
-                });
-                prev_pass = Some(pass);
-                let end = ((pass + 1) * SLICE_TICKS).min(max_time + 1);
-                loop {
-                    let (got, want) = (queue.pop_below(end), oracle.pop_below(end));
-                    assert_eq!(
-                        got.map(|ev| (ev.time, ev.event.ev())),
-                        want.map(|(time, _, ev)| (time, ev)),
-                        "seed {seed} pass {pass}"
-                    );
-                    assert_earliest_agrees(&queue, &oracle);
-                    let Some(ev) = got else { break };
-                    popped += 1;
-                    // Most events reschedule themselves; some fork a
-                    // second chain, some end theirs.
-                    for _ in 0..[1, 1, 1, 1, 1, 2, 2, 0][rng.gen_range(8)] {
-                        push_both(&mut queue, &mut oracle, ev.time.after(some_delay(&mut rng)));
-                    }
-                }
-                // Sweep-style pushes between passes: scheduled from a
-                // time in an already-executed window, possibly landing
-                // below the current slice's start.
-                for _ in 0..rng.gen_range(4) {
-                    let back = rng.gen_range(3 * SLICE_TICKS as usize) as u64;
-                    let from = SimTime(end.saturating_sub(1 + back));
-                    push_both(&mut queue, &mut oracle, from.after(some_delay(&mut rng)));
-                }
-            }
-
-            assert!(popped > 1000, "seed {seed}: script popped only {popped}");
-            // What is left lies beyond the cap on both sides, identically.
-            loop {
-                let (got, want) = (queue.pop_below(u64::MAX), oracle.pop_below(u64::MAX));
-                assert_eq!(
-                    got.map(|ev| (ev.time, ev.event.ev())),
-                    want.map(|(time, _, ev)| (time, ev)),
-                    "seed {seed} drain"
-                );
-                if got.is_none() {
-                    break;
-                }
-            }
-            assert_earliest_agrees(&queue, &oracle);
-        }
-    }
-
-    /// Pop everything below `end` from both, check they agree, and name
-    /// the popped events' push counts (from 0).
-    fn pop_all_below(queue: &mut SliceQueue, oracle: &mut Oracle, end: u64) -> Vec<u32> {
-        let mut ids = Vec::new();
-        loop {
-            let (got, want) = (queue.pop_below(end), oracle.pop_below(end));
-            assert_eq!(
-                got.map(|ev| (ev.time, ev.event.ev())),
-                want.map(|(time, _, ev)| (time, ev)),
-                "end {end}"
-            );
-            let Some(ev) = got else { return ids };
-            ids.push(ev.event.ev().owner().0);
-        }
-    }
-
-    #[test]
-    fn equal_ticks_of_the_run_and_the_heap_pop_in_push_order() {
-        let mut queue = SliceQueue::default();
-        let mut oracle = Oracle {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        };
-        let s = SLICE_TICKS;
-        let ring = RING_SLICES as u64;
-        // Beyond the ring: #0 goes far into the heap, then #1 at its tick
-        // (and #2 after it) into a bucket once the horizon has moved on.
-        push_both(&mut queue, &mut oracle, SimTime(ring * s + 5));
-        assert!(pop_all_below(&mut queue, &mut oracle, s).is_empty());
-        push_both(&mut queue, &mut oracle, SimTime(ring * s + 5));
-        push_both(&mut queue, &mut oracle, SimTime(ring * s + 6));
-        assert_eq!(queue.heap.len(), 1);
-        // The heap's far entry goes before the run's head of its tick.
-        assert_eq!(
-            pop_all_below(&mut queue, &mut oracle, (ring + 1) * s),
-            [0, 1, 2]
-        );
-
-        // Below the horizon: #3 and #4 are bucketed, #3 pops, then #5
-        // lands at #4's tick below the horizon. The run's head goes first.
-        let base = (ring + 2) * s;
-        push_both(&mut queue, &mut oracle, SimTime(base + 1));
-        push_both(&mut queue, &mut oracle, SimTime(base + 7));
-        let end = base + s;
-        assert_eq!(
-            queue.pop_below(end).map(|ev| ev.event.ev().owner().0),
-            Some(3)
-        );
-        assert_eq!(oracle.pop_below(end).map(|(_, seq, _)| seq), Some(4));
-        push_both(&mut queue, &mut oracle, SimTime(base + 7));
-        assert_eq!(queue.heap.len(), 1);
-        assert_eq!(pop_all_below(&mut queue, &mut oracle, end), [4, 5]);
-
-        // A capped slice: #6 goes far; #7, #8 (at #6's tick) and #9 (past
-        // the cap) are bucketed. The cap opens their slice whole: the far
-        // entry goes first, then the run in push order, then #10, pushed
-        // at their tick below the horizon; #9 waits past the cap.
-        let base = end + 2 * s;
-        push_both(&mut queue, &mut oracle, SimTime(base + ring * s + 10));
-        assert!(pop_all_below(&mut queue, &mut oracle, base + 2 * s).is_empty());
-        let cap = base + ring * s + 11;
-        push_both(&mut queue, &mut oracle, SimTime(cap - 1));
-        push_both(&mut queue, &mut oracle, SimTime(cap - 1));
-        push_both(&mut queue, &mut oracle, SimTime(cap + 500));
-        // A pass ending just below them opens their slice whole and pops
-        // nothing; the pass to the cap reads the same run, unopened again.
-        assert!(pop_all_below(&mut queue, &mut oracle, cap - 1).is_empty());
-        assert_eq!(queue.heap.len(), 1);
-        assert_eq!(pop_id(&mut queue, cap), Some(6));
-        assert_eq!(oracle.pop_below(cap).map(|(_, seq, _)| seq), Some(7));
-        assert_eq!(queue.run.len(), 3, "the cap opened #7, #8 and #9");
-        assert_eq!(queue.opened * s, cap.next_multiple_of(s));
-        push_both(&mut queue, &mut oracle, SimTime(cap - 1));
-        assert_eq!(pop_all_below(&mut queue, &mut oracle, cap), [7, 8, 10]);
-        assert!(queue
-            .ring
-            .iter()
-            .all(|b| b.events.capacity() == b.events.len()));
-        assert_eq!(pop_all_below(&mut queue, &mut oracle, u64::MAX), [9]);
     }
 
     #[test]
@@ -1487,7 +1001,9 @@ mod tests {
             let mut gens = vec![gen, 0, 9];
             let mut scratches: Vec<RegionScratch> = (0..2).map(|_| Default::default()).collect();
             for (t, ev) in queued(gen, gen - 1) {
-                scratches[ev.owner().index() / 2].queue.push(SimTime(t), ev);
+                scratches[ev.owner().index() / 2]
+                    .queue
+                    .push(SimTime(t), 0, ev.pack());
             }
             next_incarnation(&mut gens, &mut scratches, u);
             assert_eq!(gens, [next, 0, 9]);
@@ -1497,44 +1013,10 @@ mod tests {
             want.sort_by_key(|&(t, ev)| (ev.owner().index() / 2, t));
             let got: Vec<(u64, Ev)> = scratches
                 .iter_mut()
-                .flat_map(|s| std::iter::from_fn(|| s.queue.pop_below(u64::MAX)))
-                .map(|ev| (ev.time.ticks(), ev.event.ev()))
+                .flat_map(|s| std::iter::from_fn(|| s.queue.pop(SimTime(u64::MAX))))
+                .map(|(time, _, event)| (time.ticks(), event.ev()))
                 .collect();
             assert_eq!(got, want, "gen {gen}");
         }
-    }
-
-    /// The node the next event below `end` names, if any.
-    fn pop_id(queue: &mut SliceQueue, end: u64) -> Option<u32> {
-        queue.pop_below(end).map(|ev| ev.event.ev().owner().0)
-    }
-
-    #[test]
-    fn far_future_pushes_take_no_bucket_and_no_walk_over_empty_slices() {
-        let mut queue = SliceQueue::default();
-        let far = [
-            u64::MAX,
-            u64::MAX - 1,
-            1 << 50,
-            RING_SLICES as u64 * SLICE_TICKS,
-        ];
-        for (i, t) in far.into_iter().enumerate() {
-            queue.push(SimTime(t), Ev::Act(NodeId(i as u32), 0));
-        }
-        assert_eq!(queue.heap.len(), far.len());
-        assert!(queue.ring.iter().all(|b| b.events.capacity() == 0));
-        assert_eq!(queue.earliest(), Some(RING_SLICES as u64 * SLICE_TICKS));
-        // A pass 2^40 slices on: the horizon jumps to the boundary past
-        // it in one step (a walk would take minutes), allocating nothing
-        // on the way.
-        let end = (1 << 50) + 1;
-        assert_eq!(pop_id(&mut queue, end), Some(3));
-        assert_eq!(queue.opened, (1 << 40) + 1);
-        assert_eq!(pop_id(&mut queue, end), Some(2));
-        assert_eq!(pop_id(&mut queue, end), None);
-        assert_eq!(pop_id(&mut queue, u64::MAX), Some(1));
-        assert_eq!(queue.earliest(), Some(u64::MAX));
-        assert!(queue.ring.iter().all(|b| b.events.capacity() == 0));
-        assert_eq!(queue.run.capacity(), 0);
     }
 }

@@ -224,6 +224,42 @@ fn emptied_network_never_completes() {
 }
 
 #[test]
+fn an_async_run_capped_at_the_last_tick_pops_the_events_queued_there() {
+    // Every attempt arrives at u64::MAX, and a 2^54-round cap saturates
+    // the time cap there too. Churn without rejoins empties the network,
+    // so only stale attempts at the last tick remain: the last slice's
+    // pass pops them, instead of ~2^64 empty passes that never reach them.
+    let timing = TimingConfig {
+        min_latency: u64::MAX,
+        max_latency: u64::MAX,
+        ..TimingConfig::default()
+    };
+    let model = Dynamics {
+        churn: Some(Churn {
+            rate: 0.9,
+            rejoin: RejoinPolicy::Never,
+            mean_downtime: 1.0,
+        }),
+        ..Dynamics::default()
+    };
+    let cfg = SimConfig {
+        max_rounds: 1 << 54,
+        ..SimConfig::default()
+    };
+    let result = Scheduler::Async { timing, threads: 1 }.run(
+        RunInputs {
+            dynamics: Some(Box::new(model)),
+            ..RunInputs::new(Topology::ring(64), Protocol::Uniform, &[NodeId(0)], 1, cfg)
+        },
+        &mut NoopProbe,
+    );
+    assert!(!result.completed);
+    assert_eq!(result.virtual_time, u64::MAX);
+    assert_eq!(result.rounds_executed, 1 << 54);
+    assert_eq!(result.dynamics.expect("stats").final_alive, 0);
+}
+
+#[test]
 fn gossip_crosses_a_dead_gap_only_after_the_rejoin() {
     // line(3) with the middle node down from the start: the source cannot
     // reach node 2 until node 1 rejoins at round ~10.
