@@ -1,14 +1,15 @@
 //! What "byte-identical at any thread count" rests on, each written once:
 //! the fixed node [`Partition`] both engines shard by, and [`for_each`],
-//! the fork–join every sharded phase runs its tasks through.
+//! the fork–join every sharded pass runs through — each pass as the same
+//! tasks, one per region of the partition.
 //!
 //! The partition is a function of `n` alone — never of the thread count —
 //! so which region a node falls in, which proposals and events cross a
 //! region edge, and which RNG stream serves each region are the same
 //! whether 1 or 64 workers execute them. `for_each` only decides which
-//! worker runs which task: callers hand it data-disjoint tasks whose
-//! randomness is keyed by node or by region and whose outputs merge in
-//! task order (or are sums), so the grouping cannot show in a result.
+//! worker runs which region task: the tasks' data is disjoint, their
+//! randomness keyed by node or by region, and their outputs merge in
+//! region order (or are sums), so the grouping cannot show in a result.
 
 /// Region count of the engines' fixed partition.
 pub const MATCH_REGIONS: usize = 64;
@@ -49,7 +50,7 @@ impl Partition {
 
 /// How many of `len` items each of at most `threads` workers takes when
 /// they split it contiguously (0 threads count as 1; never 0).
-pub fn per_worker(len: usize, threads: usize) -> usize {
+fn per_worker(len: usize, threads: usize) -> usize {
     len.div_ceil(threads.max(1)).max(1)
 }
 

@@ -1,22 +1,20 @@
 //! Shared machinery for runs over a mutating network: mutation
 //! application, churn-aware completion tracking, and the coverage
 //! timeline. Both schedulers route their dynamics bookkeeping through
-//! [`DynRun`] so the semantics — what a departure does to the completion
-//! condition, what a rejoining source remembers — cannot diverge between
-//! execution models.
+//! [`DynRun`] (drained at each boundary of their `Run`) so the semantics
+//! — what a departure does to the completion condition, what a rejoining
+//! source remembers — cannot diverge between execution models.
 
 use crate::metrics::{CoveragePoint, DynamicsStats};
-use crate::scheduler::ms;
 
 use gossip_core::time::TICKS_PER_ROUND;
 use gossip_core::{DynamicTopology, MessageMatrix, NodeId, SimTime, Topology};
 use gossip_dynamics::{dynamics_seed, DynamicsModel, Mutation, MutationKind, MutationStream};
-use gossip_telemetry::{EventKind, Probe, TraceEvent};
-use std::time::Instant;
+use gossip_telemetry::{EventKind, TraceEvent};
 
 /// The trace record of an applied mutation, stamped with the round (or
 /// slice pass) whose window it lands in.
-fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
+pub(crate) fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
     let t = mutation.time.ticks();
     let event = |kind, ids: &[u32]| TraceEvent::new(kind, t, round, ids);
     match &mutation.kind {
@@ -29,8 +27,8 @@ fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
 }
 
 /// A run's completion counters: how many nodes hold the full message
-/// universe and how many messages are held in total. Every engine loop
-/// owns exactly one pair — over all nodes on a static run, over the
+/// universe and how many messages are held in total. Every `Run` owns
+/// exactly one pair — over all nodes on a static run, over the
 /// currently-alive ones under dynamics, where [`DynRun::apply`] moves a
 /// departing or rejoining node's share out of and back into it.
 #[derive(Clone, Copy, Debug)]
@@ -60,8 +58,6 @@ pub(crate) struct DynRun {
     pub topo: DynamicTopology,
     stream: Box<dyn MutationStream>,
     pub stats: DynamicsStats,
-    /// Milliseconds inside `topo.settle()`, summed over the run's drains.
-    pub settle_ms: f64,
     /// Rounds per coverage-timeline sample window (doubles on thinning).
     timeline_stride: u64,
     /// High-water mark over all `record` times. The sliced engine replays
@@ -72,7 +68,7 @@ pub(crate) struct DynRun {
     record_hwm: u64,
 }
 
-/// The network beneath any membership overlay, owned by the engine: the
+/// The network beneath any membership overlay, owned by the run: the
 /// frozen topology of a static run, or the [`DynRun`] a dynamic run
 /// converted it into. Either way a run holds one adjacency.
 pub(crate) enum Underlay {
@@ -81,29 +77,8 @@ pub(crate) enum Underlay {
 }
 
 impl Underlay {
-    /// Take `topology` over: frozen without `dynamics`, else converted.
-    pub fn new(
-        topology: Topology,
-        dynamics: Option<Box<dyn DynamicsModel>>,
-        seed: u64,
-        cover: &Coverage,
-    ) -> Self {
-        match dynamics {
-            Some(model) => Underlay::Mutating(Box::new(DynRun::new(topology, model, seed, cover))),
-            None => Underlay::Frozen(topology),
-        }
-    }
-
     /// The dynamics-side state; `None` on a static run.
     pub fn dynr(&self) -> Option<&DynRun> {
-        match self {
-            Underlay::Mutating(d) => Some(d),
-            Underlay::Frozen(_) => None,
-        }
-    }
-
-    /// [`dynr`](Self::dynr), mutably.
-    pub fn dynr_mut(&mut self) -> Option<&mut DynRun> {
         match self {
             Underlay::Mutating(d) => Some(d),
             Underlay::Frozen(_) => None,
@@ -146,7 +121,6 @@ impl DynRun {
                 final_alive: n,
                 coverage_timeline: Vec::new(),
             },
-            settle_ms: 0.0,
             timeline_stride: 1,
             record_hwm: 0,
         };
@@ -161,7 +135,7 @@ impl DynRun {
 
     /// Pop the next pending mutation if it is due at or before `through`,
     /// without applying it.
-    fn next_through(&mut self, through: SimTime) -> Option<Mutation> {
+    pub fn next_through(&mut self, through: SimTime) -> Option<Mutation> {
         if self.stream.peek_time()? <= through {
             self.stream.next()
         } else {
@@ -173,9 +147,8 @@ impl DynRun {
     /// [`MutationKind::apply_deferred`]) plus the gossip-side bookkeeping —
     /// message resets, the alive-only `cover`, stats, coverage timeline.
     /// Returns whether anything changed. Active views stay stale until
-    /// `topo.settle()`, which [`drain_until`](Self::drain_until) runs once
-    /// per batch.
-    fn apply(
+    /// `topo.settle()`, which `Run::boundary` runs once per batch.
+    pub fn apply(
         &mut self,
         mutation: &Mutation,
         states: &mut MessageMatrix,
@@ -218,39 +191,6 @@ impl DynRun {
         }
         self.record(mutation.time, cover);
         true
-    }
-
-    /// The one mutation drain of both engines, at a sync round's or an
-    /// async slice's start: pop and apply every mutation due at or before
-    /// `through`, then settle the active views. After each one that
-    /// changed something, `applied` runs, then an enabled `probe` gets its
-    /// `Mutate` record stamped `round(time)`; the pops and applies are the
-    /// same either way. Returns the time of the last mutation popped.
-    #[allow(clippy::too_many_arguments)] // the engines' one boundary, not an API
-    pub fn drain_until(
-        &mut self,
-        through: SimTime,
-        states: &mut MessageMatrix,
-        sources: &[NodeId],
-        cover: &mut Coverage,
-        probe: &mut dyn Probe,
-        round: impl Fn(SimTime) -> u64,
-        mut applied: impl FnMut(&Mutation, &mut DynamicsStats, &mut dyn Probe),
-    ) -> Option<SimTime> {
-        let mut last = None;
-        while let Some(mutation) = self.next_through(through) {
-            if self.apply(&mutation, states, sources, cover) {
-                applied(&mutation, &mut self.stats, probe);
-                if probe.enabled() {
-                    probe.record(&mutate_event(&mutation, round(mutation.time)));
-                }
-            }
-            last = Some(mutation.time);
-        }
-        let settling = Instant::now();
-        self.topo.settle();
-        self.settle_ms += ms(settling.elapsed());
-        last
     }
 
     /// Sample the coverage timeline at `time` if the alive/informed pair
@@ -304,6 +244,9 @@ impl DynRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::Run;
+    use crate::{RunInputs, SimConfig};
+    use gossip_protocols::Protocol;
     use gossip_telemetry::MemoryProbe;
 
     /// A fixed mutation sequence.
@@ -356,40 +299,52 @@ mod tests {
         let script = Script(vec![
             at(5, MutationKind::Depart(NodeId(1))),
             at(6, MutationKind::Depart(NodeId(1))),
+            at(7, MutationKind::Depart(NodeId(2))),
             at(8, MutationKind::EdgeUp(NodeId(0), NodeId(1))),
         ]);
-        let topo = Topology::line(3);
         let sources = [NodeId(0)];
-        let mut states = MessageMatrix::new(3, 1);
-        states.insert(0, 0);
-        let mut cover = Coverage {
-            informed: 1,
-            held: 1,
+        let inputs = RunInputs {
+            dynamics: Some(Box::new(script)),
+            ..RunInputs::new(
+                Topology::line(3),
+                Protocol::Uniform,
+                &sources,
+                1,
+                SimConfig::default(),
+            )
         };
-        let mut run = DynRun::new(topo, Box::new(script), 1, &cover);
+        let (mut states, mut run) = Run::open(inputs, "sync");
         let mut probe = MemoryProbe::default();
         let marker = |t| TraceEvent::new(EventKind::Round, t, 0, &[]);
         let mut hooked = Vec::new();
-        let last = run.drain_until(
+        let completed = run.boundary(
             SimTime(TICKS_PER_ROUND - 1),
-            &mut states,
-            &sources,
-            &mut cover,
-            &mut probe,
+            1,
             |t| t.ticks() * 10,
+            &mut states,
+            &mut probe,
             |mutation, _, probe| {
                 hooked.push(mutation.time);
                 probe.record(&marker(mutation.time.ticks()));
             },
         );
-        assert_eq!(last, Some(SimTime(8)), "no-ops count as popped");
-        assert_eq!(hooked, [SimTime(5)], "only the first departure applied");
+        assert_eq!(completed, Some(SimTime(8)), "no-ops count as popped");
+        assert_eq!(
+            hooked,
+            [SimTime(5), SimTime(7)],
+            "the repeat changed nothing"
+        );
         assert_eq!(
             probe.events,
-            [marker(5), TraceEvent::new(EventKind::Depart, 5, 50, &[1])],
-            "the hook runs before the mutation's record, stamped by `round`"
+            [
+                marker(5),
+                TraceEvent::new(EventKind::Depart, 5, 50, &[1]),
+                marker(7),
+                TraceEvent::new(EventKind::Depart, 7, 70, &[2]),
+            ],
+            "the hook runs before the mutation's record, stamped by `stamp`"
         );
-        assert_eq!(run.topo.alive_count(), 2);
+        assert_eq!(run.alive(), Some(&[true, false, false][..]));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! observe the run ([`NoopProbe`](gossip_telemetry::NoopProbe) for none),
 //! and returns the [`SimResult`] beside the engine's own clocks
 //! ([`EngineTimings`]: milliseconds per phase, what `bench` prints);
-//! [`Scheduler::run`] is its `.0`. One loop body per engine is behind it.
+//! [`Scheduler::run`] is its `.0`. One loop body per engine is behind it,
+//! and one run shell both share: opened once, crossed at every round or
+//! slice start (mutations, then the overlay's tick) and closed once.
 //!
 //! Both record the metrics the papers analyze — rounds (or virtual time)
 //! to completion, connections formed, and how many of those connections
@@ -52,9 +54,9 @@
 //!   ([`MembershipStats`]).
 //!
 //! `None` for a layer means it does not exist for the run, not that it is
-//! idle: the engines hold an `Option` of the layer's state (for dynamics,
+//! idle: the run holds an `Option` of the layer's state (for dynamics,
 //! the frozen topology or the mutating graph it was converted into) and
-//! monomorphise their phase step over the graph type
+//! the engines monomorphise their phase step over the graph type
 //! ([`GraphView`](gossip_core::GraphView)), so a static run reads the
 //! frozen `Topology` directly and builds no `DynamicTopology` (routing
 //! static inputs through an always-on one was measured at +47 % / +19 %
@@ -62,6 +64,7 @@
 
 mod dynamic;
 mod metrics;
+mod run;
 mod scheduler;
 mod sliced;
 
@@ -82,20 +85,8 @@ pub struct SimConfig {
     pub max_rounds: usize,
     /// Record a [`RoundStats`] entry per round (per round-sized epoch
     /// under the asynchronous scheduler).
-    ///
-    /// **Cost:** the history buffer is pre-allocated up front to its
-    /// worst case of `max_rounds` entries (capped at
-    /// [`HISTORY_PREALLOC_CAP`], ~40 bytes per entry) so long runs never
-    /// pay repeated reallocation-and-copy of a growing `Vec`; a run with
-    /// the default 100 000-round cap reserves ~4 MB. Leave this off for
-    /// bulk parameter sweeps.
     pub record_rounds: bool,
 }
-
-/// Upper bound on the number of [`RoundStats`] entries pre-allocated for
-/// `record_rounds`; pathological `max_rounds` values beyond this grow the
-/// history vector on demand instead of reserving absurd memory up front.
-pub const HISTORY_PREALLOC_CAP: usize = 1 << 20;
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -103,14 +94,6 @@ impl Default for SimConfig {
             max_rounds: 100_000,
             record_rounds: false,
         }
-    }
-}
-
-impl SimConfig {
-    /// The pre-sized history buffer described on
-    /// [`record_rounds`](Self::record_rounds).
-    pub(crate) fn history_vec(&self) -> Vec<RoundStats> {
-        Vec::with_capacity(self.max_rounds.min(HISTORY_PREALLOC_CAP))
     }
 }
 
@@ -217,21 +200,6 @@ mod tests {
         // coverage at most doubles per round, so 1 -> 16 takes >= 4 rounds.
         assert!(result.productive_connections >= 15);
         assert!(result.rounds_to_completion.unwrap() >= 4);
-    }
-
-    #[test]
-    fn history_is_preallocated_to_the_round_cap() {
-        let cfg = SimConfig {
-            max_rounds: 500,
-            record_rounds: true,
-        };
-        assert_eq!(cfg.history_vec().capacity(), 500);
-        // Pathological caps do not reserve absurd memory up front.
-        let cfg = SimConfig {
-            max_rounds: usize::MAX,
-            record_rounds: true,
-        };
-        assert_eq!(cfg.history_vec().capacity(), HISTORY_PREALLOC_CAP);
     }
 
     #[test]

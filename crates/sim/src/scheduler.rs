@@ -18,9 +18,9 @@
 //!   (struct-of-arrays), intents in a flat array, and advertisements in
 //!   another only under a protocol that
 //!   [reads them](gossip_protocols::Protocol::reads_tags);
-//! - **three phases** fork through [`gossip_core::shard::for_each`]:
-//!   advertise and scan/decide over contiguous node ranges, and matching
-//!   via the partitioned resolver
+//! - **three phases** fork through [`gossip_core::shard::for_each`], each
+//!   as one task per region of the fixed [`Partition`]: advertise,
+//!   scan/decide, and matching via the partitioned resolver
 //!   ([`resolve_connections_sharded`](gossip_core::resolve_connections_sharded));
 //!   the transfer unions the matched pairs serially
 //!   ([`MessageMatrix::union_pairs`], ARCHITECTURE.md's *Transfer*) —
@@ -34,16 +34,16 @@
 //!   [`Partition`](gossip_core::Partition), and every merge happens in
 //!   node order — so `threads = 1` and `threads = 64` produce
 //!   byte-identical [`SimResult`]s. Round-count regressions pin this down;
-//! - **absent layers cost nothing**: the round loop holds an `Underlay`
-//!   (the frozen [`Topology`], or the `DynRun` it became) and an
-//!   `Option<Membership>`, and its phase step is monomorphised over
+//! - **absent layers cost nothing**: the run holds an `Underlay` (the
+//!   frozen [`Topology`], or the `DynRun` it became) and an
+//!   `Option<Membership>`, and the phase step is monomorphised over
 //!   [`GraphView`] — so a static run reads the frozen [`Topology`]
 //!   directly, with no alive mask, rather than paying for an always-on
 //!   `DynamicTopology` (measured at +47 % peak RSS on the 131 072-node
 //!   ring benchmark workload), and a dynamic one holds no static copy.
 
-use crate::dynamic::{Coverage, Underlay};
-use crate::metrics::RoundStats;
+use crate::dynamic::Underlay;
+use crate::run::Run;
 use crate::sliced::{run_sliced, SliceTimings};
 use crate::{SimConfig, SimResult};
 
@@ -56,7 +56,7 @@ use gossip_core::{
     Resolution, Rng, Topology, TransferStats, MATCH_REGIONS,
 };
 use gossip_dynamics::DynamicsModel;
-use gossip_membership::{Membership, MembershipConfig};
+use gossip_membership::MembershipConfig;
 use gossip_protocols::{NodeCtx, Protocol, Tags};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
@@ -83,9 +83,9 @@ pub struct RunInputs<'a> {
     /// `DynamicTopology` is built and no alive mask consulted.
     pub dynamics: Option<Box<dyn DynamicsModel>>,
     /// `Some`: the protocol gossips over *discovered* neighborhoods — a
-    /// [`Membership`] overlay (bounded HyParView-style views with
-    /// SWIM-style failure detection) between the underlay and the
-    /// protocol, ticked serially at round (sync) or slice (async)
+    /// [`Membership`](crate::Membership) overlay (bounded HyParView-style
+    /// views with SWIM-style failure detection) between the underlay and
+    /// the protocol, ticked serially at round (sync) or slice (async)
     /// boundaries, after that boundary's mutations: a departure is
     /// visible to the failure detector the round it happens, and a
     /// rejoiner can re-join the round it returns. `None` gossips over
@@ -133,8 +133,9 @@ pub enum Scheduler {
     /// transfer latency. `timing` holds those distributions; all draws
     /// are seeded and events order by `(time, seq)`, so runs reproduce.
     /// `max_rounds` caps virtual time at `max_rounds ×`
-    /// [`TICKS_PER_ROUND`], and round counts (and [`RoundStats`] epochs)
-    /// are round equivalents of virtual time.
+    /// [`TICKS_PER_ROUND`], and round counts (and
+    /// [`RoundStats`](crate::RoundStats) epochs) are round equivalents of
+    /// virtual time.
     Async {
         timing: TimingConfig,
         threads: usize,
@@ -248,142 +249,6 @@ pub(crate) fn ms(elapsed: Duration) -> f64 {
     elapsed.as_secs_f64() * 1e3
 }
 
-/// Shared run setup: seed the per-node message matrix from the sources,
-/// count the initial coverage, and build a result skeleton (handles the
-/// already-complete-at-time-zero case, e.g. a single-node topology).
-pub(crate) fn init_run(
-    inputs: &RunInputs<'_>,
-    scheduler: &str,
-) -> (MessageMatrix, Coverage, SimResult) {
-    let n = inputs.topology.num_nodes();
-    let k = inputs.sources.len();
-    assert!(n > 0, "cannot simulate an empty topology");
-    assert!(k > 0, "gossip needs at least one message");
-
-    let mut states = MessageMatrix::new(n, k);
-    for (m, &node) in inputs.sources.iter().enumerate() {
-        states.insert(node.index(), m);
-    }
-
-    let cover = Coverage {
-        informed: states.full_count(),
-        held: states.total_messages(),
-    };
-    let complete_nodes = cover.informed;
-    let result = SimResult {
-        topology: inputs.topology.name().to_string(),
-        protocol: inputs.protocol.name().to_string(),
-        scheduler: scheduler.to_string(),
-        nodes: n,
-        messages: k,
-        seed: inputs.seed,
-        completed: complete_nodes == n,
-        rounds_to_completion: if complete_nodes == n { Some(0) } else { None },
-        rounds_executed: 0,
-        virtual_time: 0,
-        virtual_time_to_completion: if complete_nodes == n { Some(0) } else { None },
-        total_connections: 0,
-        productive_connections: 0,
-        wasted_connections: 0,
-        complete_nodes,
-        dropped_proposals: 0,
-        dynamics: None,
-        membership: None,
-        rounds: inputs
-            .config
-            .record_rounds
-            .then(|| inputs.config.history_vec()),
-    };
-    (states, cover, result)
-}
-
-/// Shared run teardown, once `result.virtual_time` is final: the closing
-/// coverage and each optional layer's stats.
-pub(crate) fn finish_run(
-    result: &mut SimResult,
-    cover: &Coverage,
-    under: Underlay,
-    mem: Option<Membership>,
-) {
-    let dynr = match under {
-        Underlay::Mutating(d) => Some(*d),
-        Underlay::Frozen(_) => None,
-    };
-    result.complete_nodes = cover.informed;
-    result.membership = mem.map(|m| m.finish(dynr.as_ref().map(|d| d.topo.alive_mask())));
-    result.dynamics = dynr.map(|d| d.finish(SimTime(result.virtual_time), cover));
-}
-
-/// The connection and history tally both engines count through: run
-/// totals, coverage, and the optional [`RoundStats`] rows. A connection
-/// at time `t` belongs to row `ceil(t / TICKS_PER_ROUND)`, as in
-/// [`SimTime::round_equivalent`]: the sync engine counts round `r`, then
-/// closes row `r`; the sliced engine closes the rows before an event's.
-#[derive(Default)]
-pub(crate) struct Tally {
-    /// Rows already closed; the open row is number `closed + 1`.
-    closed: usize,
-    /// Connections counted in the open row so far.
-    connections: usize,
-    /// Productive connections counted in the open row so far.
-    productive: usize,
-}
-
-impl Tally {
-    /// Count `formed` connections whose transfers moved `transfer`.
-    pub fn count(
-        &mut self,
-        result: &mut SimResult,
-        cover: &mut Coverage,
-        formed: usize,
-        transfer: TransferStats,
-    ) {
-        cover.informed += transfer.newly_full;
-        cover.held += transfer.moved;
-        result.total_connections += formed;
-        result.productive_connections += transfer.productive;
-        result.wasted_connections += formed - transfer.productive;
-        self.connections += formed;
-        self.productive += transfer.productive;
-    }
-
-    /// Close and record every row below `row`, leaving `row` open; rows
-    /// stay dense and 1-based. A no-op when the run keeps no history.
-    pub fn close_rows_below(&mut self, result: &mut SimResult, row: usize, cover: &Coverage) {
-        let Some(history) = &mut result.rounds else {
-            return;
-        };
-        while self.closed + 1 < row {
-            history.push(RoundStats {
-                round: self.closed + 1,
-                connections: self.connections,
-                productive: self.productive,
-                complete_nodes: cover.informed,
-                messages_held: cover.held,
-            });
-            self.connections = 0;
-            self.productive = 0;
-            self.closed += 1;
-        }
-    }
-}
-
-/// Tick the overlay at a boundary (a sync round, an async slice pass)
-/// against the underlay that boundary's mutations left: the active view
-/// of a mutating one, with its alive mask, else the frozen topology.
-pub(crate) fn tick_membership(
-    m: &mut Membership,
-    under: &Underlay,
-    seed: u64,
-    tick: u64,
-    probe: &mut dyn Probe,
-) {
-    match under {
-        Underlay::Mutating(d) => m.tick(&d.topo, Some(d.topo.alive_mask()), seed, tick, probe),
-        Underlay::Frozen(t) => m.tick(t, None, seed, tick, probe),
-    }
-}
-
 /// Wall-clock milliseconds spent in each phase of the synchronous round
 /// loop, summed across rounds, so `bench` can show *which* phase a thread
 /// count is buying down.
@@ -397,8 +262,8 @@ pub struct PhaseTimings {
     pub matching: f64,
     /// Phase 4: push-pull transfer over the matched pairs.
     pub transfer: f64,
-    /// The round-boundary mutation drain (`DynRun::drain_until`: stream
-    /// pops, applies and the topology's settle). Zero on a static run.
+    /// The round-boundary mutation drain (stream pops, applies and the
+    /// topology's settle). Zero on a static run.
     pub drain: f64,
     /// The drain's `DynamicTopology::settle`, also counted in `drain`.
     pub settle: f64,
@@ -419,40 +284,26 @@ pub struct PhaseTimings {
 /// The round loop behind [`Scheduler::Sync`], with its per-phase clocks
 /// ([`PhaseTimings`], summed over rounds).
 ///
-/// Every round: drain the mutations due in its window
-/// `[(r-1)·TPR, r·TPR)` (so a departure "during" a round is visible
-/// for the whole round — the natural discretization of the
-/// continuous-time stream the asynchronous scheduler interleaves by
-/// slice), tick the membership overlay against the settled underlay,
-/// then run the four phases over a graph that stays frozen for the
-/// round, so scan, intent, and matching are coherent. Static inputs
-/// skip the first two steps entirely: the phase step is monomorphised
-/// per graph type, so a frozen [`Topology`] is read directly, with no
-/// alive mask.
+/// Every round: cross the run's boundary over the round's window
+/// `[(r-1)·TPR, r·TPR)` (so a departure "during" a round is visible for
+/// the whole round, and the overlay ticks against it), then run the four
+/// phases over a graph that stays frozen for the round, so scan, intent
+/// and matching are coherent. The phase step is monomorphised per graph
+/// type, so a frozen [`Topology`] is read directly, with no alive mask.
+/// A run whose network empties with no mutation pending stops there.
 fn run_sync(
     threads: usize,
     inputs: RunInputs<'_>,
     probe: &mut dyn Probe,
 ) -> (SimResult, EngineTimings) {
-    let (states, mut cover, mut result) = init_run(&inputs, "sync");
-    let RunInputs {
-        topology,
-        protocol,
-        sources,
-        seed,
-        config,
-        dynamics,
-        membership,
-    } = inputs;
-    let n = topology.num_nodes();
-    let mut under = Underlay::new(topology, dynamics, seed, &cover);
-    let mut mem = membership.map(|cfg| Membership::new(n, *cfg));
+    let (states, mut run) = Run::open(inputs, "sync");
+    let n = run.result.nodes;
     let mut phases = RoundPhases {
-        protocol,
-        seed,
+        protocol: run.protocol,
+        seed: run.seed,
         threads,
         states,
-        ads: match protocol.reads_tags() {
+        ads: match run.protocol.reads_tags() {
             true => vec![Advertisement::default(); n],
             false => Vec::new(),
         },
@@ -460,79 +311,53 @@ fn run_sync(
         partition: Partition::of(n),
         timings: PhaseTimings::default(),
     };
-    let mut tally = Tally::default();
 
     // Already complete at time zero (a single node, say): no round runs.
-    if !result.completed {
-        for round in 1..=config.max_rounds {
-            let horizon = SimTime(round as u64 * TICKS_PER_ROUND);
-            if let Some(d) = under.dynr_mut() {
-                let draining = Instant::now();
-                let drained = d.drain_until(
-                    SimTime(horizon.ticks() - 1),
-                    &mut phases.states,
-                    sources,
-                    &mut cover,
-                    probe,
-                    |_| round as u64,
-                    |_, _, _| {},
-                );
-                phases.timings.drain += ms(draining.elapsed());
-                if drained.is_some() && cover.complete(d.topo.alive_count()) {
-                    // Mutations alone completed gossip (the last uninformed
-                    // node departed, or an informed one rejoined an already-
-                    // covered network) — at the boundary closing round r-1.
-                    // Only a drained one can: the last boundary found gossip
-                    // incomplete, and only applied mutations move `cover`.
-                    result.completed = true;
-                    result.rounds_to_completion = Some(round - 1);
-                    break;
-                }
+    if !run.result.completed {
+        for round in 1..=run.max_rounds {
+            let (r, horizon) = (round as u64, SimTime(round as u64 * TICKS_PER_ROUND));
+            let through = SimTime(horizon.ticks() - 1);
+            let drained = run.boundary(through, r, |_| r, &mut phases.states, probe, |_, _, _| {});
+            if drained.is_some() {
+                // Mutations alone completed gossip, at the boundary
+                // closing round r-1.
+                run.complete(round - 1, (r - 1) * TICKS_PER_ROUND);
+                break;
             }
 
             // Dead nodes neither advertise nor scan, active neighbor views
             // exclude them, and they cannot match — so both endpoints of
-            // every transfer are alive and `cover` stays alive-only.
-            let alive = under.dynr().map(|d| d.topo.alive_mask());
-            if let Some(m) = mem.as_mut() {
-                let ticking = Instant::now();
-                tick_membership(m, &under, seed, round as u64, probe);
-                phases.timings.membership += ms(ticking.elapsed());
-            }
-            let (resolution, transfer) = match (&mem, &under) {
-                (Some(m), _) => phases.step(m, alive, round as u64, probe),
-                (None, Underlay::Mutating(d)) => phases.step(&d.topo, alive, round as u64, probe),
-                (None, Underlay::Frozen(t)) => phases.step(t, None, round as u64, probe),
+            // every transfer are alive and the coverage stays alive-only.
+            let alive = run.alive();
+            let (resolution, transfer) = match (&run.mem, &run.under) {
+                (Some(m), _) => phases.step(m, alive, r, probe),
+                (None, Underlay::Mutating(d)) => phases.step(&d.topo, alive, r, probe),
+                (None, Underlay::Frozen(t)) => phases.step(t, None, r, probe),
             };
 
-            let formed = resolution.connections.len();
-            tally.count(&mut result, &mut cover, formed, transfer);
-            tally.close_rows_below(&mut result, round + 1, &cover);
-            result.rounds_executed = round;
-            if let Some(d) = under.dynr_mut() {
-                d.record(horizon, &cover);
-            }
-
+            run.count(resolution.connections.len(), transfer);
+            run.close_rows_below(round + 1);
+            run.result.rounds_executed = round;
             if probe.enabled() {
-                let (t, round) = (horizon.ticks(), round as u64);
-                probe.record(&TraceEvent::new(EventKind::Round, t, round, &[]));
+                probe.record(&TraceEvent::new(EventKind::Round, horizon.ticks(), r, &[]));
             }
-
-            if cover.complete(under.dynr().map_or(n, |d| d.topo.alive_count())) {
-                result.completed = true;
-                result.rounds_to_completion = Some(round);
+            if run.covered(horizon) {
+                run.complete(round, horizon.ticks());
+                break;
+            }
+            // No node left and none to come back: every later round is
+            // empty, as the async engine's queues are.
+            if run.emptied() {
                 break;
             }
         }
     }
 
-    result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
-    result.virtual_time_to_completion = result
-        .rounds_to_completion
-        .map(|r| r as u64 * TICKS_PER_ROUND);
-    phases.timings.settle = under.dynr().map_or(0.0, |d| d.settle_ms);
-    finish_run(&mut result, &cover, under, mem);
-    (result, EngineTimings::Sync(phases.timings))
+    run.result.virtual_time = run.result.rounds_executed as u64 * TICKS_PER_ROUND;
+    phases.timings.drain = run.clocks.drain;
+    phases.timings.settle = run.clocks.settle;
+    phases.timings.membership = run.clocks.membership;
+    (run.finish(), EngineTimings::Sync(phases.timings))
 }
 
 /// What every round's phases share: the run's constants, the per-node
@@ -546,7 +371,8 @@ struct RoundPhases {
     /// ([`Protocol::reads_tags`]), whose decide then scans nothing.
     ads: Vec<Advertisement>,
     intents: Vec<Intent>,
-    /// The matcher's regions, for the per-region load tally.
+    /// The fixed regions every sharded phase runs as tasks, and the
+    /// per-region load tally counts by.
     partition: Partition,
     timings: PhaseTimings,
 }
@@ -566,25 +392,25 @@ impl RoundPhases {
     ) -> (Resolution, TransferStats) {
         let (protocol, states, seed, threads) =
             (self.protocol, &self.states, self.seed, self.threads);
-        // Phases 1 and 2 shard over contiguous node ranges, one per worker;
-        // node-indexed output slots *are* the merge in node order.
-        let range = shard::per_worker(self.intents.len(), threads);
+        // Phases 1 and 2 shard over the partition's regions, one task
+        // each; node-indexed output slots *are* the merge in node order.
+        let block = self.partition.block;
 
         // Phase 1: advertise — all tags published before anyone scans. A
         // protocol that reads no tags keeps none: no chunks, no tasks.
         let t0 = Instant::now();
-        let mut ranges: Vec<_> = self.ads.chunks_mut(range).enumerate().collect();
-        shard::for_each(threads, &mut ranges, |(w, out)| {
-            advertise_range(*w * range, out, alive, protocol, states, round)
+        let mut regions: Vec<_> = self.ads.chunks_mut(block).enumerate().collect();
+        shard::for_each(threads, &mut regions, |(r, out)| {
+            advertise_range(*r * block, out, alive, protocol, states, round)
         });
 
         // Phase 2: every node scans and commits an intent.
         let t1 = Instant::now();
         let ads = &self.ads;
-        let mut ranges: Vec<_> = self.intents.chunks_mut(range).enumerate().collect();
-        shard::for_each(threads, &mut ranges, |(w, out)| {
+        let mut regions: Vec<_> = self.intents.chunks_mut(block).enumerate().collect();
+        shard::for_each(threads, &mut regions, |(r, out)| {
             decide_range(
-                *w * range,
+                *r * block,
                 out,
                 graph,
                 alive,
@@ -672,7 +498,7 @@ fn emit_round_events(
     }
 }
 
-/// One worker's advertise pass over its node range: refresh the tag of
+/// One region's advertise pass over its node range: refresh the tag of
 /// every (alive) node in `base..base + out.len()`. A dead node keeps its
 /// last tag — membership views may still scan it until SWIM evicts the
 /// peer — so only alive rows store.
@@ -692,7 +518,7 @@ fn advertise_range(
     }
 }
 
-/// One worker's scan/decide pass over its node range. Every node draws
+/// One region's scan/decide pass over its node range. Every node draws
 /// from its own `(seed, round, node)` stream, so the result is a pure
 /// function of the inputs — independent of which worker runs it, in what
 /// order, or how many workers exist.

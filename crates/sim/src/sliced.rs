@@ -41,8 +41,8 @@
 //! There is **one pass loop** ([`run_sliced`]) for every kind of input.
 //! Dynamics keep slice granularity: phase 0 applies all mutations due
 //! inside a slice serially at the *start* of the pass, before any of the
-//! slice's events execute, through `DynRun::drain_until` — the drain the
-//! synchronous scheduler runs at its round boundaries. Its `applied` hook
+//! slice's events execute, through `Run::boundary` — the boundary the
+//! synchronous scheduler crosses at its round starts. Its `applied` hook
 //! untangles a departed node (severing its connection), restarts the
 //! survivor's or rejoiner's act chain (stream
 //! `Rng::stream(seed, pass, MUTATE_STREAM)`) and bumps the departed
@@ -50,7 +50,7 @@
 //! and generation stamps lazily discard the dead node's queued events
 //! when they pop. A static run is
 //! the same loop with no `DynRun` to drain: the stamps stay zero, the
-//! graph is the frozen [`Topology`], and nothing dynamic is allocated.
+//! graph is the frozen `Topology`, and nothing dynamic is allocated.
 //!
 //! Relaxations vs. a globally time-ordered loop (all deterministic,
 //! argued in ARCHITECTURE.md): events in different regions within a
@@ -58,10 +58,8 @@
 //! scans read a start-of-slice advertisement snapshot; an event a sweep
 //! schedules *inside* the current slice executes in the next pass.
 
-use crate::dynamic::{Coverage, Underlay};
-use crate::scheduler::{
-    finish_run, init_run, ms, tick_membership, EngineTimings, RunInputs, Tally,
-};
+use crate::run::{Graph, Run};
+use crate::scheduler::{ms, EngineTimings, RunInputs};
 use crate::SimResult;
 
 use std::time::Instant;
@@ -69,11 +67,10 @@ use std::time::Instant;
 use gossip_core::rng::{MUTATE_STREAM, SLICE_REGION_STREAM_BASE, SWEEP_STREAM};
 use gossip_core::time::{SimTime, TimingConfig, TICKS_PER_ROUND};
 use gossip_core::{
-    append_by_tick, shard, Advertisement, GraphView, IncrementalMatcher, Intent, MatcherChunk,
-    MatrixChunk, NodeId, Partition, PeerState, Rng, TickQueue, Topology, TransferStats,
+    append_by_tick, shard, Advertisement, IncrementalMatcher, Intent, MatcherChunk, MatrixChunk,
+    NodeId, Partition, PeerState, Rng, TickQueue, TransferStats,
 };
 use gossip_dynamics::MutationKind;
-use gossip_membership::Membership;
 use gossip_protocols::{NodeCtx, Protocol, Tags};
 use gossip_telemetry::metrics::RegionLoad;
 use gossip_telemetry::{EventKind, Probe, TraceEvent};
@@ -537,14 +534,7 @@ fn run_region(ctx: &SliceCtx<'_>, graph: Graph<'_>, task: &mut RegionTask<'_>) {
 // Forced into both callers, like `Chunks::connect`: out of line, the
 // merge ran ~20 % slower.
 #[inline(always)]
-fn replay(
-    e: &Entry,
-    result: &mut SimResult,
-    tally: &mut Tally,
-    cover: &mut Coverage,
-    under: &mut Underlay,
-    probe: &mut dyn Probe,
-) -> bool {
+fn replay(e: &Entry, run: &mut Run<'_>, probe: &mut dyn Probe) -> bool {
     let now = SimTime(e.time);
     match e.kind {
         EntryKind::Trace(kind, ids) => probe.record(&TraceEvent {
@@ -554,58 +544,24 @@ fn replay(
             ids,
         }),
         EntryKind::Drop => {
-            tally.close_rows_below(result, now.round_equivalent().max(1), cover);
-            result.dropped_proposals += 1;
+            run.close_rows_below(now.round_equivalent().max(1));
+            run.result.dropped_proposals += 1;
         }
         EntryKind::Finish { moved, newly_full } => {
-            tally.close_rows_below(result, now.round_equivalent().max(1), cover);
+            run.close_rows_below(now.round_equivalent().max(1));
             let transfer = TransferStats {
                 moved: moved as usize,
                 productive: (moved > 0) as usize,
                 newly_full: newly_full as usize,
             };
-            tally.count(result, cover, 1, transfer);
-            let population = match under.dynr_mut() {
-                Some(d) => {
-                    d.record(now, cover);
-                    d.topo.alive_count()
-                }
-                None => result.nodes,
-            };
-            if cover.complete(population) {
-                result.completed = true;
-                result.virtual_time_to_completion = Some(e.time);
-                result.rounds_to_completion = Some(now.round_equivalent());
+            run.count(1, transfer);
+            if run.covered(now) {
+                run.complete(now.round_equivalent(), e.time);
+                return true;
             }
-            return result.completed;
         }
     }
     false
-}
-
-/// What an event reads of the network right now.
-#[derive(Clone, Copy)]
-struct Graph<'a> {
-    /// The graph gossip runs over: the membership overlay when one is on,
-    /// else the active view of the mutating underlay, else the frozen
-    /// topology itself.
-    gossip: &'a (dyn GraphView + Sync),
-    /// The frozen topology on a static run; `None` under dynamics. See
-    /// [`Chunks::connect`] for the rule it carries.
-    frozen: Option<&'a Topology>,
-}
-
-/// The [`Graph`] of a run's underlay under its overlay, if any.
-fn gossip_graph<'a>(under: &'a Underlay, mem: &'a Option<Membership>) -> Graph<'a> {
-    let (underlay, frozen): (&(dyn GraphView + Sync), _) = match under {
-        Underlay::Mutating(d) => (&d.topo, None),
-        Underlay::Frozen(t) => (t, Some(t)),
-    };
-    let gossip = match mem {
-        Some(m) => m,
-        None => underlay,
-    };
-    Graph { gossip, frozen }
 }
 
 /// Start `node`'s next incarnation: every event queued against an earlier
@@ -635,16 +591,14 @@ fn next_incarnation(gens: &mut [u32], scratches: &mut [RegionScratch], node: Nod
 /// [`Scheduler::Async`](crate::Scheduler::Async). Byte-identical to itself
 /// at any `threads`; see the module docs for the determinism argument.
 ///
-/// Under dynamics, mutations apply serially at slice starts (phase 0 —
-/// the analogue of the sync scheduler's round-boundary semantics) and the
-/// event phases run over the active graph with generation-stamp checks
-/// in play; static inputs have no `DynRun`, so phase 0 and every
-/// coverage-timeline sample vanish and the stamps stay all-zero.
-/// `membership` swaps the gossip graph for a discovered overlay, ticked
-/// serially at slice starts after the slice's mutations landed.
+/// Each slice starts at the run's boundary (phase 0: the slice's
+/// mutations, then the overlay's tick, as at a sync round's start); the
+/// event phases then run over the gossip graph with generation-stamp
+/// checks in play. On static inputs phase 0 does nothing, no timeline is
+/// sampled and the stamps stay all-zero.
 ///
 /// Tracing rides the replay: the handler logs trace-only entries (never
-/// touching the probe or any RNG), and the mutation drain and [`replay`]
+/// touching the probe or any RNG), and the run's boundary and [`replay`]
 /// are the only places `probe.record` is called, so the emitted stream is
 /// one deterministic global order at any thread count.
 pub(crate) fn run_sliced(
@@ -657,23 +611,12 @@ pub(crate) fn run_sliced(
     timing
         .validate()
         .unwrap_or_else(|e| panic!("invalid timing config: {e}"));
-    let (mut states, mut cover, mut result) = init_run(&inputs, "async");
-    let RunInputs {
-        topology,
-        protocol,
-        sources,
-        seed,
-        config,
-        dynamics,
-        membership,
-    } = inputs;
-    let n = topology.num_nodes();
+    let (mut states, mut run) = Run::open(inputs, "async");
+    let (protocol, seed, n) = (run.protocol, run.seed, run.result.nodes);
     let mut rng = Rng::new(seed);
-    let mut under = Underlay::new(topology, dynamics, seed, &cover);
-    let mut mem = membership.map(|cfg| Membership::new(n, *cfg));
     let mut timings = SliceTimings::default();
 
-    let max_time = (config.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
+    let max_time = (run.max_rounds as u64).saturating_mul(TICKS_PER_ROUND);
     let drift: Vec<f64> = (0..n).map(|_| timing.drift_factor(&mut rng)).collect();
     // Every node publishes an initial epoch-0 tag before anyone scans —
     // under a protocol that reads tags; any other keeps none.
@@ -705,7 +648,6 @@ pub(crate) fn run_sliced(
         );
     }
 
-    let mut tally = Tally::default();
     let mut merged: Vec<Entry> = Vec::new();
     let mut sweep_q: Vec<Timed> = Vec::new();
     let mut sweep_log: Vec<Entry> = Vec::new();
@@ -715,14 +657,14 @@ pub(crate) fn run_sliced(
     let tracing = probe.enabled();
 
     let now_ticks: u64 = 'run: loop {
-        if result.completed {
+        if run.result.completed {
             // Already complete at time zero (a single node, say).
             break 'run 0;
         }
         let next = scratches
             .iter()
             .filter_map(|s| s.queue.earliest())
-            .chain(under.dynr().and_then(|d| d.peek_time()))
+            .chain(run.next_mutation())
             .min()
             .map(SimTime::ticks);
         let Some(next_t) = next else {
@@ -743,82 +685,67 @@ pub(crate) fn run_sliced(
             probe.record(&TraceEvent::new(EventKind::Slice, start, pass, &[]));
         }
 
-        // Phase 0 (serial, dynamic runs): apply every mutation due inside
-        // this slice before any of its events execute, so deaths precede
-        // the slice's unions both physically and in the accounting.
-        if let Some(d) = under.dynr_mut() {
-            let t2 = Instant::now();
-            let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
-            let mut matcher = matcher.whole();
-            let drained = d.drain_until(
-                last,
-                &mut states,
-                sources,
-                &mut cover,
-                probe,
-                |t| t.round_equivalent() as u64,
-                |mutation, stats, probe| {
-                    let mtime = mutation.time;
-                    let restart = match mutation.kind {
-                        MutationKind::Depart(u) => {
-                            // Untangle the departed node. A survivor that
-                            // initiated had its act chain parked on the
-                            // Finish event dying with this connection.
-                            let survivor = match matcher.state(u) {
-                                PeerState::Free => None,
-                                PeerState::Listening | PeerState::Proposing => {
-                                    matcher.cancel(u);
-                                    None
+        // Phase 0 (serial): apply every mutation due inside this slice
+        // before any of its events execute, so deaths precede the slice's
+        // unions both physically and in the accounting; then tick the
+        // overlay, so the failure detector sees a departure the very slice
+        // it happens, a rejoiner can re-join immediately, and the whole
+        // slice executes against frozen views.
+        let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
+        let mut untangle = matcher.whole();
+        let drained = run.boundary(
+            last,
+            pass,
+            |t| t.round_equivalent() as u64,
+            &mut states,
+            probe,
+            |mutation, stats, probe| {
+                let mtime = mutation.time;
+                let restart = match mutation.kind {
+                    MutationKind::Depart(u) => {
+                        // Untangle the departed node. A survivor that
+                        // initiated had its act chain parked on the Finish
+                        // event dying with this connection.
+                        let survivor = match untangle.state(u) {
+                            PeerState::Free => None,
+                            PeerState::Listening | PeerState::Proposing => {
+                                untangle.cancel(u);
+                                None
+                            }
+                            PeerState::Connected {
+                                partner: v,
+                                initiated,
+                            } => {
+                                untangle.release(u, v);
+                                stats.severed_connections += 1;
+                                if probe.enabled() {
+                                    let ids = [u.0, v.0];
+                                    probe.record(&event_at(EventKind::Sever, mtime, &ids));
                                 }
-                                PeerState::Connected {
-                                    partner: v,
-                                    initiated,
-                                } => {
-                                    matcher.release(u, v);
-                                    stats.severed_connections += 1;
-                                    if probe.enabled() {
-                                        let ids = [u.0, v.0];
-                                        probe.record(&event_at(EventKind::Sever, mtime, &ids));
-                                    }
-                                    (!initiated).then_some(v)
-                                }
-                            };
-                            next_incarnation(&mut gens, &mut scratches, u);
-                            survivor
-                        }
-                        // The revived node starts a fresh act chain.
-                        MutationKind::Rejoin { node, .. } => Some(node),
-                        _ => None,
-                    };
-                    if let Some(v) = restart {
-                        let delay = timing.refresh_interval(drift[v.index()], &mut rng_mut);
-                        scratches[part.region_of(v.index())].queue.push(
-                            mtime.after(delay),
-                            0,
-                            Ev::Act(v, gens[v.index()]).pack(),
-                        );
+                                (!initiated).then_some(v)
+                            }
+                        };
+                        next_incarnation(&mut gens, &mut scratches, u);
+                        survivor
                     }
-                },
-            );
-            timings.sweep += ms(t2.elapsed());
-            if let Some(t) = drained.filter(|_| cover.complete(d.topo.alive_count())) {
-                // Mutations alone completed gossip.
-                result.completed = true;
-                result.virtual_time_to_completion = Some(t.ticks());
-                result.rounds_to_completion = Some(t.round_equivalent());
-                break 'run t.ticks();
-            }
-        }
-
-        // Membership ticks serially at the slice start — the async
-        // analogue of the sync scheduler's round-boundary tick — after
-        // the slice's mutations landed, so the failure detector sees a
-        // departure the very slice it happens, a rejoiner can re-join
-        // immediately, and the whole slice executes against frozen views.
-        if let Some(m) = mem.as_mut() {
-            let t3 = Instant::now();
-            tick_membership(m, &under, seed, pass, probe);
-            timings.sweep += ms(t3.elapsed());
+                    // The revived node starts a fresh act chain.
+                    MutationKind::Rejoin { node, .. } => Some(node),
+                    _ => None,
+                };
+                if let Some(v) = restart {
+                    let delay = timing.refresh_interval(drift[v.index()], &mut rng_mut);
+                    scratches[part.region_of(v.index())].queue.push(
+                        mtime.after(delay),
+                        0,
+                        Ev::Act(v, gens[v.index()]).pack(),
+                    );
+                }
+            },
+        );
+        if let Some(t) = drained {
+            // Mutations alone completed gossip.
+            run.complete(t.round_equivalent(), t.ticks());
+            break 'run t.ticks();
         }
 
         // Phase A: parallel region execution over the gossip graph,
@@ -853,7 +780,7 @@ pub(crate) fn run_sliced(
                     chunks: Chunks { matcher, states },
                 })
                 .collect();
-            let graph = gossip_graph(&under, &mem);
+            let graph = run.graph();
             shard::for_each(threads, &mut tasks, |task| run_region(&ctx, graph, task));
         }
         timings.execute += ms(t0.elapsed());
@@ -878,7 +805,7 @@ pub(crate) fn run_sliced(
             s.log.clear();
         }
         for e in merged.iter() {
-            if replay(e, &mut result, &mut tally, &mut cover, &mut under, probe) {
+            if replay(e, &mut run, probe) {
                 timings.merge += ms(t1.elapsed());
                 break 'run e.time;
             }
@@ -909,11 +836,10 @@ pub(crate) fn run_sliced(
             let now = ev.time;
             last_time = last_time.max(now.ticks());
             sweep_events += 1;
-            tally.close_rows_below(&mut result, now.round_equivalent().max(1), &cover);
-            let graph = gossip_graph(&under, &mem);
+            run.close_rows_below(now.round_equivalent().max(1));
             let (at, next) = whole.connect(
                 &ctx,
-                graph,
+                run.graph(),
                 now,
                 ev.event.ev(),
                 &mut rng_sweep,
@@ -923,7 +849,7 @@ pub(crate) fn run_sliced(
                 .queue
                 .push(at, 0, next.pack());
             for e in sweep_log.drain(..) {
-                if replay(&e, &mut result, &mut tally, &mut cover, &mut under, probe) {
+                if replay(&e, &mut run, probe) {
                     timings.sweep += ms(t2.elapsed());
                     break 'run e.time;
                 }
@@ -932,16 +858,13 @@ pub(crate) fn run_sliced(
         timings.sweep += ms(t2.elapsed());
     };
 
-    result.virtual_time = now_ticks.min(max_time);
-    result.rounds_executed = SimTime(result.virtual_time)
+    run.result.virtual_time = now_ticks.min(max_time);
+    run.result.rounds_executed = SimTime(run.result.virtual_time)
         .round_equivalent()
-        .min(config.max_rounds);
-    // Remaining epochs (including the final partial one), so the history
-    // covers exactly `rounds_executed` rows.
-    let rows = result.rounds_executed + 1;
-    tally.close_rows_below(&mut result, rows, &cover);
-    timings.settle = under.dynr().map_or(0.0, |d| d.settle_ms);
-    finish_run(&mut result, &cover, under, mem);
+        .min(run.max_rounds);
+    timings.sweep += run.clocks.drain + run.clocks.membership;
+    timings.settle = run.clocks.settle;
+    let result = run.finish();
     timings.events = scratches.iter().map(|s| s.events).sum::<u64>() + sweep_events;
     for (r, s) in scratches.iter().enumerate() {
         timings.events_by_region.add(r, s.events);

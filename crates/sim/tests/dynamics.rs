@@ -198,28 +198,39 @@ fn emptied_network_never_completes() {
         Script::depart(0, 1),
         Script::depart(0, 2),
     ]);
-    let cfg = SimConfig {
-        max_rounds: 50,
-        ..SimConfig::default()
-    };
-    for scheduler in schedulers() {
-        let result = scheduler.run(
-            RunInputs {
-                dynamics: Some(Box::new(script.clone())),
-                ..RunInputs::new(topo.clone(), Protocol::Uniform, &[NodeId(0)], 3, cfg)
-            },
-            &mut NoopProbe,
-        );
-        assert!(
-            !result.completed,
-            "{}: empty network completed",
-            scheduler.name()
-        );
-        assert_eq!(result.complete_nodes, 0);
-        let stats = result.dynamics.expect("stats");
-        assert_eq!(stats.departures, 3);
-        assert_eq!(stats.final_alive, 0);
-        assert_eq!(stats.min_alive, 0);
+    // With nothing left to happen, both engines stop in the round the
+    // network emptied, however far off the cap is: a sync run walking to
+    // a 2^54-round cap would never return.
+    for max_rounds in [50, 1 << 54] {
+        let cfg = SimConfig {
+            max_rounds,
+            ..SimConfig::default()
+        };
+        for scheduler in schedulers() {
+            let result = scheduler.run(
+                RunInputs {
+                    dynamics: Some(Box::new(script.clone())),
+                    ..RunInputs::new(topo.clone(), Protocol::Uniform, &[NodeId(0)], 3, cfg)
+                },
+                &mut NoopProbe,
+            );
+            assert!(
+                !result.completed,
+                "{}: empty network completed",
+                scheduler.name()
+            );
+            assert_eq!(
+                result.rounds_executed,
+                1,
+                "{} cap {max_rounds}",
+                scheduler.name()
+            );
+            assert_eq!(result.complete_nodes, 0);
+            let stats = result.dynamics.expect("stats");
+            assert_eq!(stats.departures, 3);
+            assert_eq!(stats.final_alive, 0);
+            assert_eq!(stats.min_alive, 0);
+        }
     }
 }
 
